@@ -9,8 +9,7 @@
 //	              [-maxbatch 32] [-window 2ms] [-workers 0] [-cachesize 4096] \
 //	              [-metrics serve.jsonl] [-addrfile serve.addr] [-quiet] \
 //	              [-slo-p99 500ms] [-slo-err 0.05] [-accesslog access.jsonl] \
-//	              [-incidents ./incidents] [-float32] [-kernel-tune auto] \
-//	              [-runledger runs]
+//	              [-incidents ./incidents] [-runledger runs]
 //
 // Endpoints: POST /predict (query a model), GET /models (registry listing),
 // POST /reload (hot-reload the model directory), GET /statusz (human-readable
@@ -65,8 +64,6 @@ func main() {
 	sloErr := flag.Float64("slo-err", 0.05, "tolerated bad-request fraction (the error budget)")
 	accessPath := flag.String("accesslog", "", "write sampled per-request access records (JSONL) to this file")
 	incidentDir := flag.String("incidents", "", "write SLO-breach evidence bundles (flight dump + CPU profile) under this directory")
-	useFloat32 := flag.Bool("float32", false, "serve through reduced-precision float32 inference engines (tolerance-pinned vs float64, not bitwise)")
-	kernelTune := flag.String("kernel-tune", os.Getenv("PREDTOP_KERNEL_TUNE"), "matmul kernel split: off (built-in defaults), auto (measure on this host), or a fixed crossover in multiply-adds")
 	ledgerDir := flag.String("runledger", "", "record this serving session's manifest at shutdown into the given run-ledger directory (see predtop-runs)")
 	flag.Parse()
 
@@ -76,7 +73,6 @@ func main() {
 	if ledger != nil {
 		man = predtop.NewRunManifest("predtop-serve", *seed)
 		man.Session.StartedUnix = started.Unix()
-		man.SetConfig("float32", fmt.Sprint(*useFloat32))
 		man.SetConfig("slo_p99", sloP99.String())
 		man.SetConfig("slo_err", fmt.Sprint(*sloErr))
 		man.SetOutput("models", *modelDir)
@@ -96,13 +92,7 @@ func main() {
 
 	lg := predtop.NewProgressLogger(os.Stderr, *quiet).WithTrace(tc)
 	reg := predtop.NewMetricsRegistry()
-	tune, err := predtop.ApplyKernelTune(*kernelTune, reg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if tune.Mode != "off" {
-		lg.Printf("kernel tune %s: crossover %d multiply-adds, row block %d", tune.Mode, tune.MinFlops, tune.RowBlock)
-	}
+	predtop.PublishKernelInfo(reg)
 
 	// newSink opens one JSONL sink and registers its close; the graceful
 	// shutdown path (SIGTERM breaking the signal loop) runs every registered
@@ -148,7 +138,6 @@ func main() {
 		Window:      *window,
 		Workers:     *workers,
 		CacheSize:   *cacheSize,
-		Float32:     *useFloat32,
 		Metrics:     reg,
 		Sink:        sink,
 		Flight:      fr,

@@ -7,7 +7,7 @@
 //	predtop-train -bench GPT-3 -platform 2 -mesh 1 -conf 1 -arch tran \
 //	              -layers 12 -samples 0 -maxlen 3 -epochs 30 -o model.predtop \
 //	              [-metrics run.jsonl] [-trace run.json] [-listen :9090] \
-//	              [-profile spans.txt] [-driftmre 25] [-kernel-tune auto] \
+//	              [-profile spans.txt] [-driftmre 25] \
 //	              [-runledger runs] [-quiet]
 //
 // -metrics streams JSONL records (run config, one record per epoch, a final
@@ -66,7 +66,6 @@ func main() {
 	listen := flag.String("listen", "", "serve live telemetry (/metrics, /healthz, /debug/flightrecorder, /debug/pprof/) on this address, e.g. :9090")
 	profilePath := flag.String("profile", "", "write a per-phase/per-layer self-time span profile to this file")
 	driftMRE := flag.Float64("driftmre", 0, "warn and count drift when held-out MRE exceeds this percentage (0 = off)")
-	kernelTune := flag.String("kernel-tune", os.Getenv("PREDTOP_KERNEL_TUNE"), "matmul kernel split: off (built-in defaults), auto (measure on this host), or a fixed crossover in multiply-adds")
 	ledgerDir := flag.String("runledger", "", "record this run's manifest into the given run-ledger directory (see predtop-runs)")
 	quiet := flag.Bool("quiet", false, "suppress progress output")
 	flag.Parse()
@@ -123,13 +122,7 @@ func main() {
 		lg.Printf("serving telemetry at %s/metrics", srv.URL())
 	}
 	reg.SetRunInfo(tc)
-	tune, err := predtop.ApplyKernelTune(*kernelTune, reg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if tune.Mode != "off" {
-		lg.Printf("kernel tune %s: crossover %d multiply-adds, row block %d", tune.Mode, tune.MinFlops, tune.RowBlock)
-	}
+	predtop.PublishKernelInfo(reg)
 	var prof *predtop.SpanProfiler
 	if *profilePath != "" {
 		prof = predtop.NewSpanProfiler()

@@ -1,0 +1,115 @@
+package predtop
+
+import (
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"predtop/internal/ag"
+	"predtop/internal/predictor"
+	"predtop/internal/stage"
+)
+
+// goldenRun is one architecture × loss row of TestGoldenBits. Every number
+// was captured at the last commit that still had a finite-difference-checked
+// per-item forward (PR 11's tree), where the capture also asserted that the
+// per-item path produced the same bits.
+type goldenRun struct {
+	arch        string
+	loss        predictor.Loss
+	fresh       [4]uint64 // raw B=1 forwards of the untrained net on the probe graphs
+	fingerprint string    // WeightFingerprint after the short Train
+	testMRE     uint64    // bits of Trained.MRE over the test split
+	bestVal     uint64    // bits of TrainResult.BestValLoss
+	trained     [4]uint64 // raw B=1 forwards of the trained net
+}
+
+var goldenRuns = []goldenRun{
+	{"Tran", predictor.MAE,
+		[4]uint64{0x3fa78834140ef045, 0x3fe0e0f53830b293, 0x3fdb0fa27b952b6d, 0x3fbe1b460b52208c},
+		"9952f6167e5020ad", 0x40387079bffeb7eb, 0x3fc39e61a7811320,
+		[4]uint64{0x3fb71c2936367695, 0x3ff36aa94bed4362, 0x3ff7750ba12c97d2, 0x3fd3f2344d2ec54e}},
+	{"Tran", predictor.MSE,
+		[4]uint64{0x3fa78834140ef045, 0x3fe0e0f53830b293, 0x3fdb0fa27b952b6d, 0x3fbe1b460b52208c},
+		"24945bf971d77bcd", 0x4033e3f934e4d214, 0x3fa09ece5ac3bf8a,
+		[4]uint64{0x3fb6d33662bc7b79, 0x3ff2afa957b6fb4f, 0x3ff6a65c15a0a336, 0x3fd60b9724dfd0d5}},
+	{"GCN", predictor.MAE,
+		[4]uint64{0xbfbd4e010cf897a0, 0xbffff5ac2324d294, 0xc007d17159fe5153, 0xbfda6d9b6f6a3617},
+		"b1136a7339b46dce", 0x40589dd2c83d4210, 0x40073d9ae2964968,
+		[4]uint64{0xbfaa0dc69f0b1f14, 0xbff19631adfc3bab, 0xbffa5453909de946, 0xbfcb75beb0a9ca2a}},
+	{"GCN", predictor.MSE,
+		[4]uint64{0xbfbd4e010cf897a0, 0xbffff5ac2324d294, 0xc007d17159fe5153, 0xbfda6d9b6f6a3617},
+		"66a8a508180b032b", 0x40589dd2c83d4210, 0x402169b4679b530e,
+		[4]uint64{0xbfa9f5b5d2a559b0, 0xbff1953ceabfd578, 0xbffa5345db5a5066, 0xbfcb6fd6b953fafe}},
+	{"GAT", predictor.MAE,
+		[4]uint64{0x3fd16d4c179727b6, 0x40182c5318ebfe2a, 0x402208c8f0ca1e6d, 0x3ff5d03c566464e7},
+		"30fae694540dc4a6", 0x4074edd6644521e0, 0x401328dd68315c77,
+		[4]uint64{0x3fc7fecdefbd125e, 0x4012c076cb5cf307, 0x401c0369c6a54675, 0x3ff14ee163931869}},
+	{"GAT", predictor.MSE,
+		[4]uint64{0x3fd16d4c179727b6, 0x40182c5318ebfe2a, 0x402208c8f0ca1e6d, 0x3ff5d03c566464e7},
+		"7e8ba8a7ceaaad92", 0x4074ed54c26c156b, 0x4037a28384ceadff,
+		[4]uint64{0x3fc7f70901dcbb45, 0x4012c06c30fa91a3, 0x401c0393fa26e756, 0x3ff1535c81adeb6b}},
+}
+
+func goldenArch(name string) PredictorModel {
+	switch name {
+	case "Tran":
+		return NewDAGTransformer(rand.New(rand.NewSource(11)), TransformerConfig{Layers: 2, Dim: 16, Heads: 2, FFNDim: 32})
+	case "GCN":
+		return NewGCN(rand.New(rand.NewSource(12)), GCNConfig{Layers: 2, Dim: 16})
+	}
+	return NewGAT(rand.New(rand.NewSource(13)), GATConfig{Layers: 2, Dim: 8, Heads: 2})
+}
+
+// rawForward is the unscaled, unfloored B=1 forward of one graph.
+func rawForward(t *testing.T, net PredictorModel, e *stage.Encoded) float64 {
+	t.Helper()
+	ctx := ag.NewContext()
+	nb, err := stage.NewBatch([]*stage.Encoded{e}, ctx.Arena())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net.PredictBatch(ctx, nb).Value().Data[0]
+}
+
+// TestGoldenBits pins the numeric stack to literal bit patterns: forwards of
+// all three architectures at B=1, and the weights, test MRE and best
+// validation loss of a short training run under both losses. The batched tape
+// ops are the only forward/backward implementation, so nothing in the tree
+// can serve as a bitwise oracle for them any more; these constants are what
+// a refactor of tensor, ag, nn, graphnn or predictor must leave unmoved.
+func TestGoldenBits(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("bit patterns were captured on amd64; other ports may fuse multiply-adds")
+	}
+	m := BuildModel(tinyGPT())
+	ds := BuildDataset(NewEncoder(m, true), AllStages(m, 3), Scenarios(Platform1())[0], DefaultProfiler())
+	train, val, test := Split(rand.New(rand.NewSource(5)), len(ds.Samples), 0.7, 0.15)
+	probe := [4]int{0, 7, 14, len(ds.Samples) - 1}
+	forwards := func(net PredictorModel) (out [4]uint64) {
+		for k, i := range probe {
+			out[k] = math.Float64bits(rawForward(t, net, ds.Samples[i].Encoded))
+		}
+		return out
+	}
+	for _, g := range goldenRuns {
+		net := goldenArch(g.arch)
+		if got := forwards(net); got != g.fresh {
+			t.Errorf("%s loss %d: fresh forwards %#x, want %#x", g.arch, g.loss, got, g.fresh)
+		}
+		tr, res := Train(net, ds, train, val, TrainConfig{Epochs: 4, Patience: 4, BatchSize: 4, Seed: 3, Loss: g.loss})
+		if got := WeightFingerprint(tr); got != g.fingerprint {
+			t.Errorf("%s loss %d: weight fingerprint %s, want %s", g.arch, g.loss, got, g.fingerprint)
+		}
+		if got := math.Float64bits(tr.MRE(ds, test)); got != g.testMRE {
+			t.Errorf("%s loss %d: test MRE bits %#x, want %#x", g.arch, g.loss, got, g.testMRE)
+		}
+		if got := math.Float64bits(res.BestValLoss); got != g.bestVal {
+			t.Errorf("%s loss %d: best validation loss bits %#x, want %#x", g.arch, g.loss, got, g.bestVal)
+		}
+		if got := forwards(tr.Model); got != g.trained {
+			t.Errorf("%s loss %d: trained forwards %#x, want %#x", g.arch, g.loss, got, g.trained)
+		}
+	}
+}

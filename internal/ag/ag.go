@@ -1,9 +1,10 @@
 // Package ag implements tape-based reverse-mode automatic differentiation
 // over the 2-D tensors in internal/tensor.
 //
-// A Context records every operation of one forward pass. Backward walks the
-// tape in reverse, accumulating gradients into each node and, for parameter
-// leaves, into the owning Param's Grad tensor. Contexts are reusable: Reset
+// A Context records every operation of one forward pass over a panel of
+// stacked stage graphs (tensor.BatchLayout; one graph is the B=1 panel).
+// BackwardVec walks the tape in reverse, accumulating gradients into each
+// node and each parameter's accumulator. Contexts are reusable: Reset
 // recycles the tape, its pooled Node storage, and — via the context's
 // tensor.Arena — every intermediate buffer of the pass, so a context that
 // has seen its largest graph allocates nothing in steady state.
@@ -85,28 +86,18 @@ type opKind uint8
 const (
 	opConst opKind = iota // leaf: no gradient flows
 	opParam               // leaf: gradient accumulates into gdst
-	opMatMul
-	opMatMulBT
-	opLinear
 	opAdd
 	opSub
 	opMul
-	opAddBias
-	opAddOuter
 	opScale
 	opReLU
 	opLeakyReLU
 	opTanh
-	opSoftmax
-	opLayerNorm
 	opConcat
 	opSlice
-	opSumRows
-	opGather
 	opAbs
 	opMeanAll
-	// Batched (segmented) ops — see batch.go. Each is the panel-blocked form
-	// of a serial op above, bitwise-identical per graph.
+	// Segmented panel ops — see batch.go.
 	opSegLinear
 	opSegMatMulP
 	opSegLayerNorm
@@ -123,17 +114,16 @@ const (
 type Node struct {
 	V        *tensor.Tensor
 	grad     *tensor.Tensor
-	a, b, c3 *Node              // operands (c3: Linear bias / LayerNorm beta)
+	a, b     *Node              // operands
 	xs       []*Node            // operands of ConcatCols
 	aux      *tensor.Tensor     // saved forward state (LayerNorm x-hat)
 	aux2     *tensor.Tensor     // saved forward state (LayerNorm 1/σ per row, R×1)
 	gdst     *tensor.Tensor     // opParam: gradient accumulation destination
-	idx      []int              // opGather row indices
-	s        float64            // opScale factor / opLeakyReLU alpha / seg LayerNorm eps
+	s        float64            // opScale factor / opLeakyReLU alpha / LayerNorm eps
 	lo, hi   int                // opSlice column range
-	bl       tensor.BatchLayout // batched ops: panel layout
-	mts      []*tensor.Tensor   // batched ops: per-graph masks or adjacencies
-	p1, p2   *Param             // batched ops: shared panel params (W/γ, b/β)
+	bl       tensor.BatchLayout // panel ops: layout
+	mts      []*tensor.Tensor   // panel ops: per-graph masks or adjacencies
+	p1, p2   *Param             // panel ops: shared params (W/γ, b/β)
 	op       opKind
 	requires bool
 }
@@ -225,13 +215,6 @@ func (c *Context) Const(t *tensor.Tensor) *Node {
 	return c.node(opConst, t, false)
 }
 
-// Scalar returns a constant 1×1 node holding v.
-func (c *Context) Scalar(v float64) *Node {
-	t := c.arena.GetUninit(1, 1)
-	t.Data[0] = v
-	return c.Const(t)
-}
-
 // Param returns the (memoized) leaf node for p; gradients reaching it are
 // accumulated into p.Grad (or the context's GradBuffer) during Backward.
 func (c *Context) Param(p *Param) *Node {
@@ -248,9 +231,8 @@ func (c *Context) Param(p *Param) *Node {
 }
 
 // accumShared adds g — a gradient buffer the caller keeps using — into n's
-// gradient. The first contribution is copied (exactly the old Clone
-// semantics, bitwise included), so later in-place accumulation into n.grad
-// never corrupts the caller's buffer.
+// gradient. The first contribution is copied, so later in-place accumulation
+// into n.grad never corrupts the caller's buffer.
 func (c *Context) accumShared(n *Node, g *tensor.Tensor) {
 	if n.grad == nil {
 		d := c.arena.GetUninit(g.R, g.C)
@@ -281,85 +263,22 @@ func anyRequires(ns ...*Node) bool {
 	return false
 }
 
-// Backward seeds the 1×1 loss node with gradient 1 and propagates gradients
-// through the tape in reverse recording order. When a profiling span is
-// attached and layer marks were recorded, the replay is additionally timed
-// per layer (see profile.go); the gradient math is identical either way.
+// Backward is BackwardVec for a 1×1 loss; a non-scalar loss panics, so a
+// caller that meant to reduce first finds out.
 func (c *Context) Backward(loss *Node) {
 	if loss.V.R != 1 || loss.V.C != 1 {
 		panic(fmt.Sprintf("ag: Backward needs a scalar loss, got %dx%d", loss.V.R, loss.V.C))
 	}
-	seed := c.arena.GetUninit(1, 1)
-	seed.Data[0] = 1
-	loss.grad = seed
-	if len(c.marks) > 0 && c.span.Enabled() {
-		bspan := c.span.Start("backward")
-		c.backwardProfiled(bspan)
-		bspan.End()
-		return
-	}
-	for i := len(c.nodes) - 1; i >= 0; i-- {
-		n := c.nodes[i]
-		if n.grad == nil || !n.requires {
-			continue
-		}
-		c.runBack(n)
-	}
+	c.BackwardVec(loss)
 }
 
 // runBack runs one node's vector–Jacobian product, scattering n.grad into
-// the gradients of its operands. Each case performs the identical floating-
-// point operations, in the identical order, as the closure it replaced, so
-// gradients are bitwise-stable across the rewrite.
+// the gradients of its operands.
 func (c *Context) runBack(n *Node) {
 	g := n.grad
 	switch n.op {
 	case opParam:
 		tensor.AddInPlace(n.gdst, g)
-
-	case opMatMul:
-		a, b := n.a, n.b
-		if a.requires {
-			d := c.arena.GetUninit(g.R, b.V.R)
-			tensor.MatMulBTInto(d, g, b.V) // dA = g·Bᵀ
-			c.accumOwn(a, d)
-		}
-		if b.requires {
-			d := c.arena.GetUninit(a.V.C, g.C)
-			tensor.MatMulATInto(d, a.V, g) // dB = Aᵀ·g
-			c.accumOwn(b, d)
-		}
-
-	case opMatMulBT:
-		a, b := n.a, n.b
-		if a.requires {
-			d := c.arena.GetUninit(g.R, b.V.C)
-			tensor.MatMulInto(d, g, b.V) // dA = g·B
-			c.accumOwn(a, d)
-		}
-		if b.requires {
-			d := c.arena.GetUninit(g.C, a.V.C)
-			tensor.MatMulATInto(d, g, a.V) // dB = gᵀ·A
-			c.accumOwn(b, d)
-		}
-
-	case opLinear:
-		x, w, bias := n.a, n.b, n.c3
-		if x.requires {
-			d := c.arena.GetUninit(g.R, w.V.R)
-			tensor.MatMulBTInto(d, g, w.V) // dX = g·Wᵀ
-			c.accumOwn(x, d)
-		}
-		if w.requires {
-			d := c.arena.GetUninit(x.V.C, g.C)
-			tensor.MatMulATInto(d, x.V, g) // dW = Xᵀ·g
-			c.accumOwn(w, d)
-		}
-		if bias.requires {
-			d := c.arena.GetUninit(1, g.C)
-			tensor.SumRowsInto(d, g)
-			c.accumOwn(bias, d)
-		}
 
 	case opAdd:
 		if n.a.requires {
@@ -392,31 +311,6 @@ func (c *Context) runBack(n *Node) {
 			c.accumOwn(b, d)
 		}
 
-	case opAddBias:
-		if n.a.requires {
-			c.accumShared(n.a, g)
-		}
-		if n.b.requires {
-			d := c.arena.GetUninit(1, g.C)
-			tensor.SumRowsInto(d, g)
-			c.accumOwn(n.b, d)
-		}
-
-	case opAddOuter:
-		a, b := n.a, n.b
-		if a.requires {
-			d := c.arena.GetUninit(g.R, 1)
-			tensor.SumColsInto(d, g)
-			c.accumOwn(a, d)
-		}
-		if b.requires {
-			rs := c.arena.GetUninit(1, g.C) // 1×M row sums …
-			tensor.SumRowsInto(rs, g)
-			d := c.arena.GetUninit(g.C, 1) // … transposed to M×1
-			tensor.TransposeInto(d, rs)
-			c.accumOwn(b, d)
-		}
-
 	case opScale:
 		d := c.arena.GetUninit(g.R, g.C)
 		tensor.ScaleInto(d, g, n.s)
@@ -442,59 +336,6 @@ func (c *Context) runBack(n *Node) {
 		}
 		c.accumOwn(n.a, d)
 
-	case opSoftmax:
-		// dx = y ⊙ (g − rowsum(g ⊙ y))
-		y := n.V
-		d := c.arena.GetUninit(g.R, g.C)
-		for i := 0; i < g.R; i++ {
-			grow, yrow, drow := g.Row(i), y.Row(i), d.Row(i)
-			dotgy := 0.0
-			for j := range grow {
-				dotgy += grow[j] * yrow[j]
-			}
-			tensor.SoftmaxBackRow(drow, grow, yrow, dotgy)
-		}
-		c.accumOwn(n.a, d)
-
-	case opLayerNorm:
-		x, gamma, beta := n.a, n.b, n.c3
-		nr, d := n.V.R, n.V.C
-		xhat, invstd := n.aux, n.aux2.Data
-		if gamma.requires {
-			dg := c.arena.Get(1, d)
-			for i := 0; i < nr; i++ {
-				grow, xrow := g.Row(i), xhat.Row(i)
-				for j := range grow {
-					dg.Data[j] += grow[j] * xrow[j]
-				}
-			}
-			c.accumOwn(gamma, dg)
-		}
-		if beta.requires {
-			db := c.arena.GetUninit(1, d)
-			tensor.SumRowsInto(db, g)
-			c.accumOwn(beta, db)
-		}
-		if x.requires {
-			dx := c.arena.GetUninit(nr, d)
-			for i := 0; i < nr; i++ {
-				grow, xrow, drow := g.Row(i), xhat.Row(i), dx.Row(i)
-				// dxhat = g * gamma
-				sum1, sum2 := 0.0, 0.0
-				for j := range grow {
-					dxh := grow[j] * gamma.V.Data[j]
-					drow[j] = dxh
-					sum1 += dxh
-					sum2 += dxh * xrow[j]
-				}
-				inv := invstd[i] / float64(d)
-				for j := range drow {
-					drow[j] = inv * (float64(d)*drow[j] - sum1 - xrow[j]*sum2)
-				}
-			}
-			c.accumOwn(x, dx)
-		}
-
 	case opConcat:
 		off := 0
 		for _, x := range n.xs {
@@ -512,20 +353,6 @@ func (c *Context) runBack(n *Node) {
 		for i := 0; i < g.R; i++ {
 			copy(dx.Row(i)[n.lo:n.hi], g.Row(i))
 		}
-		c.accumOwn(x, dx)
-
-	case opSumRows:
-		x := n.a
-		d := c.arena.GetUninit(x.V.R, x.V.C)
-		for i := 0; i < d.R; i++ {
-			copy(d.Row(i), g.Row(0))
-		}
-		c.accumOwn(x, d)
-
-	case opGather:
-		x := n.a
-		dx := c.arena.Get(x.V.R, x.V.C)
-		tensor.ScatterAddRows(dx, g, n.idx)
 		c.accumOwn(x, dx)
 
 	case opAbs:
@@ -573,35 +400,6 @@ func (c *Context) runBack(n *Node) {
 	}
 }
 
-// MatMul returns a·b.
-func (c *Context) MatMul(a, b *Node) *Node {
-	v := c.arena.GetUninit(a.V.R, b.V.C)
-	tensor.MatMulInto(v, a.V, b.V)
-	n := c.node(opMatMul, v, anyRequires(a, b))
-	n.a, n.b = a, b
-	return n
-}
-
-// MatMulBT returns a·bᵀ without materializing the transpose.
-func (c *Context) MatMulBT(a, b *Node) *Node {
-	v := c.arena.GetUninit(a.V.R, b.V.R)
-	tensor.MatMulBTInto(v, a.V, b.V)
-	n := c.node(opMatMulBT, v, anyRequires(a, b))
-	n.a, n.b = a, b
-	return n
-}
-
-// Linear returns the fused dense layer x·w + bias (bias broadcast over
-// rows) in one kernel pass — bitwise-identical to AddBias(MatMul(x, w), b)
-// without materializing the intermediate product.
-func (c *Context) Linear(x, w, b *Node) *Node {
-	v := c.arena.GetUninit(x.V.R, w.V.C)
-	tensor.LinearInto(v, x.V, w.V, b.V)
-	n := c.node(opLinear, v, anyRequires(x, w, b))
-	n.a, n.b, n.c3 = x, w, b
-	return n
-}
-
 // Add returns a + b (same shape).
 func (c *Context) Add(a, b *Node) *Node {
 	v := c.arena.GetUninit(a.V.R, a.V.C)
@@ -629,24 +427,6 @@ func (c *Context) Mul(a, b *Node) *Node {
 	return n
 }
 
-// AddBias adds the 1×C bias row vector b to every row of x.
-func (c *Context) AddBias(x, b *Node) *Node {
-	v := c.arena.GetUninit(x.V.R, x.V.C)
-	tensor.AddRowVecInto(v, x.V, b.V)
-	n := c.node(opAddBias, v, anyRequires(x, b))
-	n.a, n.b = x, b
-	return n
-}
-
-// AddOuter returns out[i][j] = a[i] + b[j] for column vectors a, b.
-func (c *Context) AddOuter(a, b *Node) *Node {
-	v := c.arena.GetUninit(a.V.R, b.V.R)
-	tensor.AddOuterInto(v, a.V, b.V)
-	n := c.node(opAddOuter, v, anyRequires(a, b))
-	n.a, n.b = a, b
-	return n
-}
-
 // Scale returns s·x.
 func (c *Context) Scale(x *Node, s float64) *Node {
 	v := c.arena.GetUninit(x.V.R, x.V.C)
@@ -658,8 +438,8 @@ func (c *Context) Scale(x *Node, s float64) *Node {
 
 // ScaleInPlace returns s·x computed into x's own buffer, avoiding a copy.
 // Safe only when no other node's backward pass reads x's value — e.g. the
-// attention-score product feeding softmax, whose producing op (MatMulBT)
-// differentiates through its inputs, not its output.
+// attention-score product feeding softmax, whose producing op
+// (PanelMatMulBT) differentiates through its inputs, not its output.
 func (c *Context) ScaleInPlace(x *Node, s float64) *Node {
 	tensor.ScaleInto(x.V, x.V, s)
 	n := c.node(opScale, x.V, x.requires)
@@ -696,65 +476,6 @@ func (c *Context) Tanh(x *Node) *Node {
 	return n
 }
 
-// SoftmaxRows applies row-wise softmax; mask (may be nil) is a constant
-// additive logit mask with −Inf at disabled positions.
-func (c *Context) SoftmaxRows(x *Node, mask *tensor.Tensor) *Node {
-	v := c.arena.GetUninit(x.V.R, x.V.C)
-	tensor.SoftmaxRowsInto(v, x.V, mask)
-	n := c.node(opSoftmax, v, x.requires)
-	n.a = x
-	return n
-}
-
-// SoftmaxRowsInPlace is SoftmaxRows computed into x's own buffer. Safe only
-// when no other node's backward pass reads x's value (softmax's own VJP
-// needs only its output, which this node now holds).
-func (c *Context) SoftmaxRowsInPlace(x *Node, mask *tensor.Tensor) *Node {
-	tensor.SoftmaxRowsInto(x.V, x.V, mask)
-	n := c.node(opSoftmax, x.V, x.requires)
-	n.a = x
-	return n
-}
-
-// LayerNorm normalizes each row of x to zero mean and unit variance, then
-// scales by gamma and shifts by beta (both 1×C).
-func (c *Context) LayerNorm(x, gamma, beta *Node, eps float64) *Node {
-	nr, d := x.V.R, x.V.C
-	xhat := c.arena.GetUninit(nr, d)
-	invstd := c.arena.GetUninit(nr, 1)
-	for i := 0; i < nr; i++ {
-		row := x.V.Row(i)
-		mean := 0.0
-		for _, v := range row {
-			mean += v
-		}
-		mean /= float64(d)
-		varr := 0.0
-		for _, v := range row {
-			dv := v - mean
-			varr += dv * dv
-		}
-		varr /= float64(d)
-		is := 1 / math.Sqrt(varr+eps)
-		invstd.Data[i] = is
-		xrow := xhat.Row(i)
-		for j, v := range row {
-			xrow[j] = (v - mean) * is
-		}
-	}
-	y := c.arena.GetUninit(nr, d)
-	for i := 0; i < nr; i++ {
-		yrow, xrow := y.Row(i), xhat.Row(i)
-		for j := range yrow {
-			yrow[j] = xrow[j]*gamma.V.Data[j] + beta.V.Data[j]
-		}
-	}
-	n := c.node(opLayerNorm, y, anyRequires(x, gamma, beta))
-	n.a, n.b, n.c3 = x, gamma, beta
-	n.aux, n.aux2 = xhat, invstd
-	return n
-}
-
 // ConcatCols concatenates nodes along columns.
 func (c *Context) ConcatCols(xs ...*Node) *Node {
 	c.ts = c.ts[:0]
@@ -784,30 +505,6 @@ func (c *Context) SliceCols(x *Node, lo, hi int) *Node {
 	return n
 }
 
-// SumRows sums over rows, producing the 1×C graph-pooling vector.
-func (c *Context) SumRows(x *Node) *Node {
-	v := c.arena.GetUninit(1, x.V.C)
-	tensor.SumRowsInto(v, x.V)
-	n := c.node(opSumRows, v, x.requires)
-	n.a = x
-	return n
-}
-
-// MeanRows averages over rows, producing a 1×C vector.
-func (c *Context) MeanRows(x *Node) *Node {
-	return c.Scale(c.SumRows(x), 1/float64(x.V.R))
-}
-
-// GatherRows selects rows of x by index (e.g. a positional-encoding table
-// addressed by node depth); gradients scatter-add back.
-func (c *Context) GatherRows(x *Node, idx []int) *Node {
-	v := c.arena.GetUninit(len(idx), x.V.C)
-	tensor.GatherRowsInto(v, x.V, idx)
-	n := c.node(opGather, v, x.requires)
-	n.a, n.idx = x, idx
-	return n
-}
-
 // Abs returns |x| elementwise (subgradient 0 at 0).
 func (c *Context) Abs(x *Node) *Node {
 	v := c.arena.GetUninit(x.V.R, x.V.C)
@@ -829,30 +526,4 @@ func (c *Context) MeanAll(x *Node) *Node {
 	n := c.node(opMeanAll, v, x.requires)
 	n.a = x
 	return n
-}
-
-// MAELoss returns mean |pred − target| as a 1×1 scalar; target is constant.
-func (c *Context) MAELoss(pred *Node, target *tensor.Tensor) *Node {
-	return c.MeanAll(c.Abs(c.Sub(pred, c.Const(target))))
-}
-
-// MSELoss returns mean (pred − target)² as a 1×1 scalar; target is constant.
-func (c *Context) MSELoss(pred *Node, target *tensor.Tensor) *Node {
-	return c.MeanAll(c.Square(c.Sub(pred, c.Const(target))))
-}
-
-// MAELossScalar is MAELoss against a scalar target without the caller
-// materializing a target tensor (it lives on the tape's arena).
-func (c *Context) MAELossScalar(pred *Node, target float64) *Node {
-	t := c.arena.GetUninit(1, 1)
-	t.Data[0] = target
-	return c.MAELoss(pred, t)
-}
-
-// MSELossScalar is MSELoss against a scalar target without the caller
-// materializing a target tensor (it lives on the tape's arena).
-func (c *Context) MSELossScalar(pred *Node, target float64) *Node {
-	t := c.arena.GetUninit(1, 1)
-	t.Data[0] = target
-	return c.MSELoss(pred, t)
 }

@@ -13,8 +13,27 @@ const (
 	gcTol = 1e-5
 )
 
+// gcLayouts are the panel layouts every segmented/panel op is
+// gradient-checked under: one graph alone (B=1, no padding) and a ragged
+// batch of three whose panels pad to the widest. Stacked inputs carry random
+// values in their pad rows and columns too, so the check also proves padding
+// reaches neither a value nor a gradient: the finite difference of a pad
+// entry is exactly zero and so must the analytic gradient be.
+var gcLayouts = []struct {
+	name string
+	l    tensor.BatchLayout
+}{
+	{"B1", tensor.BatchLayout{B: 1, Stride: 4, Counts: []int{4}}},
+	{"raggedB3", tensor.BatchLayout{B: 3, Stride: 4, Counts: []int{2, 4, 3}}},
+}
+
 func newRandParam(rng *rand.Rand, name string, r, c int) *Param {
 	return NewParam(name, tensor.Randn(rng, r, c, 0.7))
+}
+
+// mse is the scalar loss of the gradient checks: mean (pred − target)².
+func mse(ctx *Context, pred *Node, target *tensor.Tensor) *Node {
+	return ctx.MeanAll(ctx.Square(ctx.Sub(pred, ctx.Const(target))))
 }
 
 // checkOp grad-checks a scalar loss built from the given params.
@@ -32,21 +51,48 @@ func checkOp(t *testing.T, params []*Param, build func(ctx *Context) *Node) {
 	}
 }
 
+// checkPanelOp runs checkOp once per layout in gcLayouts.
+func checkPanelOp(t *testing.T, run func(t *testing.T, rng *rand.Rand, l tensor.BatchLayout)) {
+	t.Helper()
+	for i, c := range gcLayouts {
+		t.Run(c.name, func(t *testing.T) { run(t, rand.New(rand.NewSource(int64(i+1))), c.l) })
+	}
+}
+
+// graphTensors returns one c×c constant per panel (c the panel's own node
+// count): the shape of a per-graph mask or adjacency.
+func graphTensors(l tensor.BatchLayout, fill func(c int) *tensor.Tensor) []*tensor.Tensor {
+	out := make([]*tensor.Tensor, l.B)
+	for g, c := range l.Counts {
+		out[g] = fill(c)
+	}
+	return out
+}
+
 func TestMatMulGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := newRandParam(rng, "a", 3, 4)
-	b := newRandParam(rng, "b", 4, 2)
-	checkOp(t, []*Param{a, b}, func(ctx *Context) *Node {
-		return ctx.MeanAll(ctx.Square(ctx.MatMul(ctx.Param(a), ctx.Param(b))))
+	checkPanelOp(t, func(t *testing.T, rng *rand.Rand, l tensor.BatchLayout) {
+		// SegMatMul: stacked rows times a shared parameter matrix.
+		x := newRandParam(rng, "x", l.Rows(), 3)
+		p := newRandParam(rng, "p", 3, 2)
+		checkOp(t, []*Param{x, p}, func(ctx *Context) *Node {
+			return ctx.MeanAll(ctx.Square(ctx.SegMatMul(ctx.Param(x), p, l)))
+		})
+		// PanelMatMul: panel-width weights times the panel's own stacked rows.
+		a := newRandParam(rng, "a", l.Rows(), l.Stride)
+		v := newRandParam(rng, "v", l.Rows(), 3)
+		checkOp(t, []*Param{a, v}, func(ctx *Context) *Node {
+			return ctx.MeanAll(ctx.Square(ctx.PanelMatMul(ctx.Param(a), ctx.Param(v), l)))
+		})
 	})
 }
 
 func TestMatMulBTGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := newRandParam(rng, "a", 3, 5)
-	b := newRandParam(rng, "b", 4, 5)
-	checkOp(t, []*Param{a, b}, func(ctx *Context) *Node {
-		return ctx.MeanAll(ctx.Square(ctx.MatMulBT(ctx.Param(a), ctx.Param(b))))
+	checkPanelOp(t, func(t *testing.T, rng *rand.Rand, l tensor.BatchLayout) {
+		a := newRandParam(rng, "a", l.Rows(), 5)
+		b := newRandParam(rng, "b", l.Rows(), 5)
+		checkOp(t, []*Param{a, b}, func(ctx *Context) *Node {
+			return ctx.MeanAll(ctx.Square(ctx.PanelMatMulBT(ctx.Param(a), ctx.Param(b), l)))
+		})
 	})
 }
 
@@ -61,23 +107,32 @@ func TestAddSubMulGrad(t *testing.T) {
 		prod := ctx.Mul(sum, dif)
 		return ctx.MeanAll(ctx.Square(prod))
 	})
+	checkOp(t, []*Param{a}, func(ctx *Context) *Node {
+		// ScaleInPlace overwrites its operand's buffer, so it scales a copy.
+		return ctx.MeanAll(ctx.Square(ctx.ScaleInPlace(ctx.Scale(ctx.Param(a), -1.5), 0.3)))
+	})
 }
 
+// TestAddBiasGrad checks the fused dense layer x·W + b: the input, the
+// weights, and the bias row broadcast over every real row.
 func TestAddBiasGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	x := newRandParam(rng, "x", 4, 3)
-	b := newRandParam(rng, "b", 1, 3)
-	checkOp(t, []*Param{x, b}, func(ctx *Context) *Node {
-		return ctx.MeanAll(ctx.Square(ctx.AddBias(ctx.Param(x), ctx.Param(b))))
+	checkPanelOp(t, func(t *testing.T, rng *rand.Rand, l tensor.BatchLayout) {
+		x := newRandParam(rng, "x", l.Rows(), 3)
+		w := newRandParam(rng, "w", 3, 2)
+		b := newRandParam(rng, "b", 1, 2)
+		checkOp(t, []*Param{x, w, b}, func(ctx *Context) *Node {
+			return ctx.MeanAll(ctx.Square(ctx.SegLinear(ctx.Param(x), w, b, l)))
+		})
 	})
 }
 
 func TestAddOuterGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := newRandParam(rng, "a", 4, 1)
-	b := newRandParam(rng, "b", 3, 1)
-	checkOp(t, []*Param{a, b}, func(ctx *Context) *Node {
-		return ctx.MeanAll(ctx.Square(ctx.AddOuter(ctx.Param(a), ctx.Param(b))))
+	checkPanelOp(t, func(t *testing.T, rng *rand.Rand, l tensor.BatchLayout) {
+		a := newRandParam(rng, "a", l.Rows(), 1)
+		b := newRandParam(rng, "b", l.Rows(), 1)
+		checkOp(t, []*Param{a, b}, func(ctx *Context) *Node {
+			return ctx.MeanAll(ctx.Square(ctx.PanelAddOuter(ctx.Param(a), ctx.Param(b), l)))
+		})
 	})
 }
 
@@ -104,36 +159,60 @@ func TestActivationGrads(t *testing.T) {
 	})
 }
 
+// softmaxLoss runs the in-place panel softmax over a copy of x (the op
+// overwrites its operand) and weights the attention rows by w, as the
+// attention·V product does.
+func softmaxLoss(ctx *Context, x, w *Param, masks []*tensor.Tensor, l tensor.BatchLayout) *Node {
+	s := ctx.PanelSoftmaxInPlace(ctx.Scale(ctx.Param(x), 1), masks, l)
+	return ctx.MeanAll(ctx.Square(ctx.PanelMatMul(s, ctx.Param(w), l)))
+}
+
 func TestSoftmaxGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	x := newRandParam(rng, "x", 3, 5)
-	w := newRandParam(rng, "w", 5, 1)
-	checkOp(t, []*Param{x, w}, func(ctx *Context) *Node {
-		s := ctx.SoftmaxRows(ctx.Param(x), nil)
-		return ctx.MeanAll(ctx.Square(ctx.MatMul(s, ctx.Param(w))))
+	checkPanelOp(t, func(t *testing.T, rng *rand.Rand, l tensor.BatchLayout) {
+		x := newRandParam(rng, "x", l.Rows(), l.Stride)
+		w := newRandParam(rng, "w", l.Rows(), 1)
+		checkOp(t, []*Param{x, w}, func(ctx *Context) *Node {
+			return softmaxLoss(ctx, x, w, nil, l)
+		})
 	})
 }
 
 func TestSoftmaxMaskedGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	x := newRandParam(rng, "x", 3, 3)
-	inf := math.Inf(-1)
-	mask := tensor.FromRows([][]float64{{0, inf, 0}, {0, 0, 0}, {inf, 0, 0}})
-	w := newRandParam(rng, "w", 3, 1)
-	checkOp(t, []*Param{x, w}, func(ctx *Context) *Node {
-		s := ctx.SoftmaxRows(ctx.Param(x), mask)
-		return ctx.MeanAll(ctx.Square(ctx.MatMul(s, ctx.Param(w))))
+	checkPanelOp(t, func(t *testing.T, rng *rand.Rand, l tensor.BatchLayout) {
+		x := newRandParam(rng, "x", l.Rows(), l.Stride)
+		w := newRandParam(rng, "w", l.Rows(), 1)
+		// Each graph's own c×c mask: the diagonal stays open, a third of the
+		// rest is disabled, and the last graph's first row is masked entirely
+		// (its output and gradient must be zero, not NaN).
+		masks := graphTensors(l, func(c int) *tensor.Tensor {
+			m := tensor.New(c, c)
+			for i := 0; i < c; i++ {
+				for j := 0; j < c; j++ {
+					if i != j && rng.Intn(3) == 0 {
+						m.Set(i, j, math.Inf(-1))
+					}
+				}
+			}
+			return m
+		})
+		last := masks[l.B-1]
+		for j := 0; j < last.C; j++ {
+			last.Set(0, j, math.Inf(-1))
+		}
+		checkOp(t, []*Param{x, w}, func(ctx *Context) *Node {
+			return softmaxLoss(ctx, x, w, masks, l)
+		})
 	})
 }
 
 func TestLayerNormGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	x := newRandParam(rng, "x", 4, 6)
-	g := NewParam("gamma", tensor.RandUniform(rng, 1, 6, 0.5, 1.5))
-	b := newRandParam(rng, "beta", 1, 6)
-	checkOp(t, []*Param{x, g, b}, func(ctx *Context) *Node {
-		y := ctx.LayerNorm(ctx.Param(x), ctx.Param(g), ctx.Param(b), 1e-5)
-		return ctx.MeanAll(ctx.Square(y))
+	checkPanelOp(t, func(t *testing.T, rng *rand.Rand, l tensor.BatchLayout) {
+		x := newRandParam(rng, "x", l.Rows(), 6)
+		g := NewParam("gamma", tensor.RandUniform(rng, 1, 6, 0.5, 1.5))
+		b := newRandParam(rng, "beta", 1, 6)
+		checkOp(t, []*Param{x, g, b}, func(ctx *Context) *Node {
+			return ctx.MeanAll(ctx.Square(ctx.SegLayerNorm(ctx.Param(x), g, b, 1e-5, l)))
+		})
 	})
 }
 
@@ -148,39 +227,114 @@ func TestConcatSliceGrad(t *testing.T) {
 	})
 }
 
+// TestSumMeanRowsGrad checks the per-panel pooling, as a sum and scaled to a
+// mean the way the models scale it by poolScale.
 func TestSumMeanRowsGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	x := newRandParam(rng, "x", 5, 3)
-	checkOp(t, []*Param{x}, func(ctx *Context) *Node {
-		return ctx.MeanAll(ctx.Square(ctx.SumRows(ctx.Param(x))))
-	})
-	checkOp(t, []*Param{x}, func(ctx *Context) *Node {
-		return ctx.MeanAll(ctx.Square(ctx.MeanRows(ctx.Param(x))))
-	})
-}
-
-func TestGatherRowsGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	table := newRandParam(rng, "table", 6, 4)
-	idx := []int{0, 2, 2, 5}
-	checkOp(t, []*Param{table}, func(ctx *Context) *Node {
-		return ctx.MeanAll(ctx.Square(ctx.GatherRows(ctx.Param(table), idx)))
+	checkPanelOp(t, func(t *testing.T, rng *rand.Rand, l tensor.BatchLayout) {
+		x := newRandParam(rng, "x", l.Rows(), 3)
+		checkOp(t, []*Param{x}, func(ctx *Context) *Node {
+			return ctx.MeanAll(ctx.Square(ctx.SegSumRows(ctx.Param(x), l)))
+		})
+		checkOp(t, []*Param{x}, func(ctx *Context) *Node {
+			return ctx.MeanAll(ctx.Square(ctx.Scale(ctx.SegSumRows(ctx.Param(x), l), 1.0/64)))
+		})
 	})
 }
 
+// TestAdjMatMulGrad checks the GCN aggregation Â_g·X_g with each graph's own
+// constant adjacency.
+func TestAdjMatMulGrad(t *testing.T) {
+	checkPanelOp(t, func(t *testing.T, rng *rand.Rand, l tensor.BatchLayout) {
+		x := newRandParam(rng, "x", l.Rows(), 3)
+		adjs := graphTensors(l, func(c int) *tensor.Tensor { return tensor.Randn(rng, c, c, 0.7) })
+		checkOp(t, []*Param{x}, func(ctx *Context) *Node {
+			return ctx.MeanAll(ctx.Square(ctx.SegAdjMatMul(adjs, ctx.Param(x), l)))
+		})
+	})
+}
+
+// TestLossGrads checks the per-row training losses exactly as Train composes
+// them — |pred − target| and (pred − target)² with no mean reduction, seeded
+// row by row through BackwardVec — against finite differences of their sum.
 func TestLossGrads(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	w := newRandParam(rng, "w", 4, 1)
+	b := newRandParam(rng, "b", 1, 1)
+	l := tensor.BatchLayout{B: 3, Stride: 1, Counts: []int{1, 1, 1}} // stride-1 head layout
 	x := tensor.Randn(rng, 3, 4, 1)
 	y := tensor.Randn(rng, 3, 1, 1)
-	checkOp(t, []*Param{w}, func(ctx *Context) *Node {
-		pred := ctx.MatMul(ctx.Const(x), ctx.Param(w))
-		return ctx.MAELoss(pred, y)
-	})
-	checkOp(t, []*Param{w}, func(ctx *Context) *Node {
-		pred := ctx.MatMul(ctx.Const(x), ctx.Param(w))
-		return ctx.MSELoss(pred, y)
-	})
+	params := []*Param{w, b}
+	for _, square := range []bool{false, true} {
+		build := func(ctx *Context) *Node {
+			diff := ctx.Sub(ctx.SegLinear(ctx.Const(x), w, b, l), ctx.Const(y))
+			if square {
+				return ctx.Square(diff)
+			}
+			return ctx.Abs(diff)
+		}
+		lossVal := func() float64 { return build(NewContext()).V.Sum() }
+		grads := func() map[*Param]*tensor.Tensor {
+			for _, p := range params {
+				p.ZeroGrad()
+			}
+			ctx := NewContext()
+			ctx.BackwardVec(build(ctx))
+			return map[*Param]*tensor.Tensor{w: w.Grad.Clone(), b: b.Grad.Clone()}
+		}
+		if err := GradCheck(params, lossVal, grads, gcEps, gcTol); err != nil {
+			t.Fatalf("square=%v: %v", square, err)
+		}
+	}
+}
+
+// TestShardsSplitGradientsPerPanel: under SetShards each panel's parameter
+// gradients land in that panel's shard — bitwise what the graph produces
+// alone at B=1 — and nothing reaches Param.Grad.
+func TestShardsSplitGradientsPerPanel(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	l := gcLayouts[1].l
+	w := newRandParam(rng, "w", 3, 2)
+	b := newRandParam(rng, "b", 1, 2)
+	gamma := NewParam("gamma", tensor.RandUniform(rng, 1, 2, 0.5, 1.5))
+	beta := newRandParam(rng, "beta", 1, 2)
+	params := []*Param{w, b, gamma, beta}
+	x := tensor.Randn(rng, l.Rows(), 3, 1)
+	forward := func(ctx *Context, x *tensor.Tensor, l tensor.BatchLayout) *Node {
+		h := ctx.SegLayerNorm(ctx.SegLinear(ctx.Const(x), w, b, l), gamma, beta, 1e-5, l)
+		return ctx.Square(ctx.SegSumRows(h, l))
+	}
+
+	shards := make([]*GradBuffer, l.B)
+	for g := range shards {
+		shards[g] = NewGradBuffer(params)
+	}
+	ctx := NewContext()
+	ctx.SetShards(shards)
+	ctx.BackwardVec(forward(ctx, x, l))
+	for _, p := range params {
+		if p.Grad.MaxAbs() != 0 {
+			t.Fatalf("%s.Grad touched by a sharded tape", p.Name)
+		}
+	}
+
+	for g, c := range l.Counts {
+		alone := tensor.New(c, 3)
+		copy(alone.Data, x.Data[g*l.Stride*3:(g*l.Stride+c)*3])
+		buf := NewGradBuffer(params)
+		ctx := NewContextInto(buf)
+		ctx.BackwardVec(forward(ctx, alone, tensor.BatchLayout{B: 1, Stride: c, Counts: []int{c}}))
+		for _, p := range params {
+			got, want := shards[g].Grad(p).Data, buf.Grad(p).Data
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("panel %d %s[%d]: shard %v != alone %v", g, p.Name, j, got[j], want[j])
+				}
+			}
+			if buf.Grad(p).MaxAbs() == 0 {
+				t.Fatalf("panel %d: no gradient for %s", g, p.Name)
+			}
+		}
+	}
 }
 
 func TestParamReuseAccumulates(t *testing.T) {
@@ -189,7 +343,7 @@ func TestParamReuseAccumulates(t *testing.T) {
 	// Using the same parameter twice must accumulate both gradient paths.
 	checkOp(t, []*Param{w}, func(ctx *Context) *Node {
 		n := ctx.Param(w)
-		return ctx.MeanAll(ctx.Square(ctx.MatMul(n, n)))
+		return ctx.MeanAll(ctx.Square(ctx.Mul(n, n)))
 	})
 }
 
@@ -209,7 +363,7 @@ func TestConstHasNoGradient(t *testing.T) {
 	ctx := NewContext()
 	cst := ctx.Const(tensor.Randn(rng, 2, 2, 1))
 	w := newRandParam(rng, "w", 2, 2)
-	loss := ctx.MeanAll(ctx.Square(ctx.MatMul(cst, ctx.Param(w))))
+	loss := ctx.MeanAll(ctx.Square(ctx.Mul(cst, ctx.Param(w))))
 	ctx.Backward(loss)
 	if cst.Grad() != nil && cst.Grad().MaxAbs() != 0 {
 		t.Fatal("constant should not receive gradient")

@@ -8,22 +8,40 @@ import (
 	"predtop/internal/tensor"
 )
 
+// lossGraph is the fixed input of buildLossGraph: one 5-node graph as a B=1
+// panel, its attention mask, and the scalar target. Built once so the
+// steady-state allocation test measures the tape alone.
+type lossGraph struct {
+	x      *tensor.Tensor
+	masks  []*tensor.Tensor
+	target *tensor.Tensor
+	l, hl  tensor.BatchLayout
+}
+
+func newLossGraph(x, mask *tensor.Tensor) *lossGraph {
+	return &lossGraph{
+		x:      x,
+		masks:  []*tensor.Tensor{mask},
+		target: tensor.Full(1, 1, 0.75),
+		l:      tensor.BatchLayout{B: 1, Stride: x.R, Counts: []int{x.R}},
+		hl:     tensor.BatchLayout{B: 1, Stride: 1, Counts: []int{1}},
+	}
+}
+
 // buildLossGraph runs a forward pass exercising every tape op that the
 // models use — fused linear, in-place scale/softmax, layer norm, attention
-// glue, pooling — and returns the scalar loss node.
-func buildLossGraph(ctx *Context, ps []*Param, x *tensor.Tensor, mask *tensor.Tensor) *Node {
+// glue, pooling, the stride-1 head — and returns the scalar loss node.
+func buildLossGraph(ctx *Context, ps []*Param, g *lossGraph) *Node {
 	w1, b1, w2, b2, gamma, beta := ps[0], ps[1], ps[2], ps[3], ps[4], ps[5]
-	in := ctx.Const(x)
-	h := ctx.Linear(in, ctx.Param(w1), ctx.Param(b1))
-	h = ctx.LayerNorm(h, ctx.Param(gamma), ctx.Param(beta), 1e-5)
-	scores := ctx.ScaleInPlace(ctx.MatMulBT(h, h), 0.5)
-	attn := ctx.SoftmaxRowsInPlace(scores, mask)
-	h = ctx.MatMul(attn, h)
+	h := ctx.SegLinear(ctx.Const(g.x), w1, b1, g.l)
+	h = ctx.SegLayerNorm(h, gamma, beta, 1e-5, g.l)
+	scores := ctx.ScaleInPlace(ctx.PanelMatMulBT(h, h, g.l), 0.5)
+	attn := ctx.PanelSoftmaxInPlace(scores, g.masks, g.l)
+	h = ctx.PanelMatMul(attn, h, g.l)
 	h = ctx.Add(h, ctx.Tanh(h))
-	h = ctx.ReLU(ctx.Linear(h, ctx.Param(w2), ctx.Param(b2)))
-	pooled := ctx.MeanRows(h)
-	pred := ctx.SumRows(pooled)
-	return ctx.MAELossScalar(ctx.MeanAll(pred), 0.75)
+	pooled := ctx.Scale(ctx.SegSumRows(h, g.l), 1/float64(g.x.R))
+	pred := ctx.ReLU(ctx.SegLinear(pooled, w2, b2, g.hl))
+	return ctx.MeanAll(ctx.Abs(ctx.Sub(ctx.MeanAll(pred), ctx.Const(g.target))))
 }
 
 func testParams(seed int64) []*Param {
@@ -50,6 +68,8 @@ func TestArenaOnOffBitwiseIdentical(t *testing.T) {
 	mask.Set(0, 3, ninf)
 	mask.Set(2, 1, ninf)
 
+	g := newLossGraph(x, mask)
+
 	type result struct {
 		loss  float64
 		grads []*tensor.Tensor
@@ -58,7 +78,7 @@ func TestArenaOnOffBitwiseIdentical(t *testing.T) {
 		for _, p := range ps {
 			p.ZeroGrad()
 		}
-		loss := buildLossGraph(ctx, ps, x, mask)
+		loss := buildLossGraph(ctx, ps, g)
 		ctx.Backward(loss)
 		r := result{loss: loss.Value().At(0, 0)}
 		for _, p := range ps {
@@ -99,9 +119,10 @@ func TestContextSteadyStateZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x := tensor.Randn(rng, 5, 6, 1)
 	ps := testParams(11)
+	g := newLossGraph(x, nil)
 	ctx := NewContext()
 	step := func() {
-		loss := buildLossGraph(ctx, ps, x, nil)
+		loss := buildLossGraph(ctx, ps, g)
 		ctx.Backward(loss)
 		ctx.Reset()
 	}

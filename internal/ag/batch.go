@@ -1,18 +1,14 @@
-// Batched tape ops: one tape records B stage graphs stacked into padded
-// panel tensors (tensor.BatchLayout), so a minibatch runs one forward and
-// one backward instead of B. Every op here is the panel-blocked form of a
-// serial op in ag.go, built on the same inner kernels over the same operand
-// ranges, so each graph's values and gradients are bitwise identical to
-// running it alone on its own tape.
+// Panel tape ops: one tape records B stage graphs (B may be 1) stacked into
+// padded panel tensors (tensor.BatchLayout), so a minibatch runs one forward
+// and one backward. Every op is panel-block-diagonal and built on row kernels
+// whose operand ranges depend on the graph alone, so each graph's values and
+// gradients are bitwise identical in any batch composition.
 //
-// Parameter gradients do not flow through opParam leaves on a batched tape.
-// Instead each segmented op accumulates its per-panel weight/bias gradients
-// directly into the panel's GradBuffer shard (SetShards) — the same
-// per-sample shards the serial minibatch loop fills — so optim.ReduceGrads
-// and everything downstream see byte-identical inputs. This works because
-// the serial path's param accumulation is a single AddInPlace of the
-// freshly-computed gradient into a zeroed shard, which the per-panel
-// AddInPlace here reproduces exactly.
+// Parameter gradients do not flow through opParam leaves here. Each segmented
+// op accumulates its per-panel weight/bias gradients directly into the
+// panel's accumulator — shards[g] under SetShards (one GradBuffer per
+// minibatch slot, folded by optim.ReduceGrads in a fixed order), else the
+// context's GradBuffer, else Param.Grad.
 package ag
 
 import (
@@ -38,11 +34,13 @@ func (c *Context) shardGrad(g int, p *Param) *tensor.Tensor {
 	return p.Grad
 }
 
-// BackwardVec seeds an N×1 loss vector with all-ones gradients and walks the
-// tape in reverse, exactly like Backward. On a batched tape whose panels
-// never mix (every op here is panel-block-diagonal), this equals seeding
-// each panel's scalar loss with 1 on its own tape — the serial minibatch
-// loop — so gradients land bitwise identical in the per-panel shards.
+// BackwardVec seeds every element of loss with gradient 1 and propagates
+// through the tape in reverse recording order — the gradient of the sum of
+// the loss's elements. No op mixes panels, so on a B×1 per-graph loss each
+// panel's shard receives exactly the gradient of its own graph's loss. When a
+// profiling span is attached and layer marks were recorded, the replay is
+// additionally timed per layer (see profile.go); the gradient math is
+// identical either way.
 func (c *Context) BackwardVec(loss *Node) {
 	seed := c.arena.GetUninit(loss.V.R, loss.V.C)
 	for i := range seed.Data {
@@ -128,8 +126,9 @@ func (c *Context) backSegMatMulP(n *Node) {
 	}
 }
 
-// SegLayerNorm normalizes every panel's real rows (pad rows zero) with the
-// row math of Context.LayerNorm; γ/β gradients accumulate per panel.
+// SegLayerNorm normalizes each real row to zero mean and unit variance, then
+// scales by γ and shifts by β (both 1×C); pad rows are zero. γ/β gradients
+// accumulate per panel.
 func (c *Context) SegLayerNorm(x *Node, gamma, beta *Param, eps float64, l tensor.BatchLayout) *Node {
 	rows, d := x.V.R, x.V.C
 	xhat := c.arena.GetUninit(rows, d)
@@ -310,9 +309,10 @@ func (c *Context) backPanelMatMul(n *Node) {
 }
 
 // PanelSoftmaxInPlace applies each panel's masked row softmax over its
-// logical width, in x's own buffer (safe exactly when the serial
-// SoftmaxRowsInPlace is: softmax's VJP needs only its output). masks[g] is
-// graph g's additive c×c mask (nil disables masking for that graph).
+// logical width, in x's own buffer. Safe only when no other node's backward
+// pass reads x's value: softmax's own VJP needs only its output, which this
+// node now holds. masks[g] is graph g's additive c×c mask (nil disables
+// masking for that graph).
 func (c *Context) PanelSoftmaxInPlace(x *Node, masks []*tensor.Tensor, l tensor.BatchLayout) *Node {
 	tensor.PanelSoftmaxInto(x.V, x.V, masks, l)
 	n := c.node(opPanelSoftmax, x.V, x.requires)

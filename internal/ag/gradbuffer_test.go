@@ -8,10 +8,11 @@ import (
 	"predtop/internal/tensor"
 )
 
-// buildLoss records pred = x·W + b, loss = MSE(pred, target) on ctx.
+// buildLoss records pred = x·W + b over one unpadded panel and
+// loss = MSE(pred, target) on ctx.
 func buildLoss(ctx *Context, w, b *Param, x, target *tensor.Tensor) *Node {
-	pred := ctx.AddBias(ctx.MatMul(ctx.Const(x), ctx.Param(w)), ctx.Param(b))
-	return ctx.MSELoss(pred, target)
+	l := tensor.BatchLayout{B: 1, Stride: x.R, Counts: []int{x.R}}
+	return mse(ctx, ctx.SegLinear(ctx.Const(x), w, b, l), target)
 }
 
 func randT(rng *rand.Rand, r, c int) *tensor.Tensor {

@@ -13,13 +13,14 @@ import (
 // buildMarkedLoss runs a small two-"layer" network on ctx, bracketing each layer
 // with StartLayer marks, and returns the scalar loss node.
 func buildMarkedLoss(ctx *Context, w1, w2 *Param, x, target *tensor.Tensor) *Node {
+	l := tensor.BatchLayout{B: 1, Stride: x.R, Counts: []int{x.R}}
 	l1 := ctx.StartLayer("l1")
-	h := ctx.ReLU(ctx.MatMul(ctx.Const(x), ctx.Param(w1)))
+	h := ctx.ReLU(ctx.SegMatMul(ctx.Const(x), w1, l))
 	l1.End()
 	l2 := ctx.StartLayer("l2")
-	y := ctx.MatMul(h, ctx.Param(w2))
+	y := ctx.SegMatMul(h, w2, l)
 	l2.End()
-	return ctx.MSELoss(ctx.MeanRows(y), target)
+	return mse(ctx, ctx.Scale(ctx.SegSumRows(y, l), 1/float64(x.R)), target)
 }
 
 // TestProfiledBackwardBitwiseIdentical: the profiled tape replay must produce
@@ -93,7 +94,7 @@ func TestNestedLayerAttribution(t *testing.T) {
 
 	w := NewParam("w", tensor.Full(2, 2, 0.5))
 	outer := ctx.StartLayer("outer")
-	a := ctx.MatMul(ctx.Const(tensor.Full(1, 2, 1)), ctx.Param(w))
+	a := ctx.SegMatMul(ctx.Const(tensor.Full(1, 2, 1)), w, tensor.BatchLayout{B: 1, Stride: 1, Counts: []int{1}})
 	inner := ctx.StartLayer("inner")
 	b := ctx.ReLU(a)
 	inner.End()
@@ -108,7 +109,7 @@ func TestNestedLayerAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := buf.String()
-	// backward must credit both outer (MatMul, Scale) and inner (ReLU).
+	// backward must credit both outer (SegMatMul, Scale) and inner (ReLU).
 	for _, want := range []string{"  backward", "    inner", "    outer"} {
 		if !strings.Contains(tree, want+" ") {
 			t.Fatalf("nested attribution missing %q:\n%s", want, tree)

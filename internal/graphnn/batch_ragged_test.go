@@ -40,33 +40,13 @@ func raggedModels(seed int64) []Model {
 	}
 }
 
-// checkBatchBitwise runs the batched forward+backward over the given graphs
-// and requires every per-graph prediction and every per-graph gradient shard
-// to be bitwise identical to a serial per-graph tape.
-func checkBatchBitwise(t *testing.T, m Model, es []*stage.Encoded) {
+// forwardBackward runs one fused forward+backward over es and returns the
+// per-graph predictions and the per-graph gradient shards.
+func forwardBackward(t *testing.T, m Model, es []*stage.Encoded) ([]float64, []*ag.GradBuffer) {
 	t.Helper()
-	bm, ok := m.(BatchPredictor)
-	if !ok {
-		t.Fatalf("%s does not implement BatchPredictor", m.Name())
-	}
-	params := m.Params()
-
-	// Serial reference: one tape and one gradient buffer per graph.
-	wantPred := make([]float64, len(es))
-	wantGrads := make([]*ag.GradBuffer, len(es))
-	for i, e := range es {
-		buf := ag.NewGradBuffer(params)
-		ctx := ag.NewContextInto(buf)
-		out := m.Predict(ctx, e)
-		wantPred[i] = out.Value().At(0, 0)
-		ctx.Backward(out)
-		wantGrads[i] = buf
-	}
-
-	// Fused batch: one tape, per-graph shards.
 	shards := make([]*ag.GradBuffer, len(es))
 	for i := range shards {
-		shards[i] = ag.NewGradBuffer(params)
+		shards[i] = ag.NewGradBuffer(m.Params())
 	}
 	ctx := ag.NewContext()
 	nb, err := stage.NewBatch(es, ctx.Arena())
@@ -74,24 +54,34 @@ func checkBatchBitwise(t *testing.T, m Model, es []*stage.Encoded) {
 		t.Fatalf("NewBatch: %v", err)
 	}
 	ctx.SetShards(shards)
-	out := bm.PredictBatch(ctx, nb)
+	out := m.PredictBatch(ctx, nb)
 	preds := out.Value()
 	if preds.R != len(es) || preds.C != 1 {
 		t.Fatalf("%s batch output %dx%d for %d graphs", m.Name(), preds.R, preds.C, len(es))
 	}
 	ctx.BackwardVec(out)
+	return append([]float64{}, preds.Data...), shards
+}
 
-	for i := range es {
-		if math.Float64bits(preds.Data[i]) != math.Float64bits(wantPred[i]) {
-			t.Fatalf("%s graph %d (n=%d): batched %v != serial %v",
-				m.Name(), i, es[i].N(), preds.Data[i], wantPred[i])
+// checkBatchInvariant is the batch-composition invariance check: graph g's
+// prediction and gradient shard inside the batch es must be bitwise identical
+// to g alone at B=1, whatever its neighbours and its position.
+func checkBatchInvariant(t *testing.T, m Model, es []*stage.Encoded) {
+	t.Helper()
+	params := m.Params()
+	preds, shards := forwardBackward(t, m, es)
+	for i, e := range es {
+		wantPred, wantShard := forwardBackward(t, m, []*stage.Encoded{e})
+		if math.Float64bits(preds[i]) != math.Float64bits(wantPred[0]) {
+			t.Fatalf("%s graph %d (n=%d): in batch %v != alone %v",
+				m.Name(), i, e.N(), preds[i], wantPred[0])
 		}
-		got, want := shards[i].Grads(), wantGrads[i].Grads()
+		got, want := shards[i].Grads(), wantShard[0].Grads()
 		for pi := range want {
 			for j := range want[pi].Data {
 				a, b := want[pi].Data[j], got[pi].Data[j]
 				if math.Float64bits(a) != math.Float64bits(b) {
-					t.Fatalf("%s graph %d shard %s[%d]: batched %x != serial %x",
+					t.Fatalf("%s graph %d shard %s[%d]: in batch %x != alone %x",
 						m.Name(), i, params[pi].Name, j,
 						math.Float64bits(b), math.Float64bits(a))
 				}
@@ -100,11 +90,12 @@ func checkBatchBitwise(t *testing.T, m Model, es []*stage.Encoded) {
 	}
 }
 
-// TestPredictBatchRaggedBitwise drives the fused batched forward+backward
-// through the padding edge cases — single-graph batches, rectangular batches
-// (no padding at all), maximal pad skew (smallest graph next to largest), and
-// duplicates sharing mask tensors — asserting per-graph values and gradient
-// shards stay bitwise equal to the serial loop for all three architectures.
+// TestPredictBatchRaggedBitwise drives the fused forward+backward through
+// the padding edge cases — single-graph batches, rectangular batches (no
+// padding at all), maximal pad skew (smallest graph next to largest), and
+// duplicates sharing mask tensors — asserting every graph's value and
+// gradient shard equal, bit for bit, the graph alone at B=1, for all three
+// architectures.
 func TestPredictBatchRaggedBitwise(t *testing.T) {
 	pool := raggedPool(t)
 	small, large := 0, 0
@@ -131,16 +122,17 @@ func TestPredictBatchRaggedBitwise(t *testing.T) {
 				for k, i := range idx {
 					es[k] = pool[i]
 				}
-				t.Run(name, func(t *testing.T) { checkBatchBitwise(t, m, es) })
+				t.Run(name, func(t *testing.T) { checkBatchInvariant(t, m, es) })
 			}
 		})
 	}
 }
 
 // TestPredictBatchRandomizedBitwise is the property form: random batch
-// compositions and sizes drawn from the ragged pool, each checked bitwise
-// against the serial loop, with SIMD kernels both on and off (when the
-// hardware has them) to pin the scalar and vector paths to each other.
+// compositions and sizes drawn from the ragged pool, each graph checked
+// bitwise against itself alone, with SIMD kernels both on and off; and the
+// two SIMD settings are pinned to each other on the same batch, so the scalar
+// and vector row kernels cannot drift apart together.
 func TestPredictBatchRandomizedBitwise(t *testing.T) {
 	pool := raggedPool(t)
 	rng := rand.New(rand.NewSource(99))
@@ -157,9 +149,19 @@ func TestPredictBatchRandomizedBitwise(t *testing.T) {
 			es[k] = pool[rng.Intn(len(pool))]
 		}
 		m := ms[trial%len(ms)]
+		var first []float64
 		for _, simd := range simdModes {
 			tensor.SetSIMD(simd)
-			checkBatchBitwise(t, m, es)
+			checkBatchInvariant(t, m, es)
+			preds, _ := forwardBackward(t, m, es)
+			if first == nil {
+				first = preds
+			}
+			for i := range preds {
+				if math.Float64bits(preds[i]) != math.Float64bits(first[i]) {
+					t.Fatalf("%s graph %d: SIMD=%v prediction %v != %v", m.Name(), i, simd, preds[i], first[i])
+				}
+			}
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"predtop/internal/ag"
 	"predtop/internal/models"
 	"predtop/internal/stage"
 	"predtop/internal/tensor"
@@ -19,8 +18,8 @@ func TestPredictionsDeterministic(t *testing.T) {
 		NewGCN(rng, GCNConfig{Layers: 2, Dim: 16}),
 		NewGAT(rng, GATConfig{Layers: 2, Dim: 16, Heads: 2}),
 	} {
-		a := m.Predict(ag.NewContext(), e).Value().At(0, 0)
-		b := m.Predict(ag.NewContext(), e).Value().At(0, 0)
+		a := predictValue(t, m, e)
+		b := predictValue(t, m, e)
 		if a != b {
 			t.Fatalf("%s not deterministic: %v vs %v", m.Name(), a, b)
 		}
@@ -37,8 +36,8 @@ func TestPredictionsVaryAcrossGraphs(t *testing.T) {
 		NewGCN(rng, GCNConfig{Layers: 2, Dim: 16}),
 		NewGAT(rng, GATConfig{Layers: 1, Dim: 8, Heads: 2}),
 	} {
-		p1 := net.Predict(ag.NewContext(), e1).Value().At(0, 0)
-		p2 := net.Predict(ag.NewContext(), e2).Value().At(0, 0)
+		p1 := predictValue(t, net, e1)
+		p2 := predictValue(t, net, e2)
 		if p1 == p2 {
 			t.Fatalf("%s blind to graph size", net.Name())
 		}
@@ -63,12 +62,11 @@ func TestGATRespectsNeighborhood(t *testing.T) {
 		X: x, ReachMask: tensor.New(n, n), NeighborMask: mask,
 		AdjNorm: tensor.Eye(n), Depths: make([]int, n),
 	}
-	ctx := ag.NewContext()
 	// Run just the layers by predicting and checking output is finite; the
 	// per-node equality is validated through a full-graph perturbation: with
 	// self-only attention, changing node 0's features must not change the
 	// contribution difference between nodes 1 and 3.
-	p1 := gat.Predict(ctx, e).Value().At(0, 0)
+	p1 := predictValue(t, gat, e)
 	if math.IsNaN(p1) || math.IsInf(p1, 0) {
 		t.Fatalf("GAT output not finite: %v", p1)
 	}
@@ -84,7 +82,7 @@ func TestTransformerHandlesSingleNodeGraph(t *testing.T) {
 		AdjNorm:      tensor.Eye(1),
 		Depths:       []int{0},
 	}
-	out := tran.Predict(ag.NewContext(), e).Value().At(0, 0)
+	out := predictValue(t, tran, e)
 	if math.IsNaN(out) || math.IsInf(out, 0) {
 		t.Fatalf("single-node prediction: %v", out)
 	}

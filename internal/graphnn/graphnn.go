@@ -27,8 +27,12 @@ const poolScale = 1.0 / 64
 // Model is a stage-latency predictor.
 type Model interface {
 	nn.Module
-	// Predict maps an encoded stage graph to a 1×1 latency prediction.
-	Predict(ctx *ag.Context, e *stage.Encoded) *ag.Node
+	// PredictBatch maps a padded batch of encoded stage graphs to B×1
+	// latency predictions in batch order, on one tape. It is the only
+	// forward: a single graph is a batch of one. Per graph, predictions and
+	// (through ag's segmented backward) gradients are bitwise identical
+	// whichever other graphs share the batch.
+	PredictBatch(ctx *ag.Context, b *stage.Batch) *ag.Node
 	// Name identifies the architecture ("Tran", "GCN", "GAT").
 	Name() string
 	// Spec returns the serializable architecture description.
@@ -108,7 +112,7 @@ type DAGTransformer struct {
 	layers []*tranLayer
 	head   *nn.MLPHead
 	// Per-layer profiling span names ("l0.attn", "l0.ffn", …), precomputed
-	// so the instrumented Predict never formats strings on the hot path.
+	// so the instrumented forward never formats strings on the hot path.
 	spanAttn, spanFFN []string
 }
 
@@ -142,33 +146,39 @@ func (m *DAGTransformer) Name() string { return "Tran" }
 // Spec implements Model.
 func (m *DAGTransformer) Spec() ModelSpec { return ModelSpec{Arch: "Tran", Tran: m.cfg} }
 
-// Predict implements Model.
-func (m *DAGTransformer) Predict(ctx *ag.Context, e *stage.Encoded) *ag.Node {
+// PredictBatch implements Model.
+func (m *DAGTransformer) PredictBatch(ctx *ag.Context, b *stage.Batch) *ag.Node {
+	bl := b.Layout
 	ls := ctx.StartLayer("embed")
-	x := m.input.Forward(ctx, ctx.Const(e.X))
-	// DAGPE: add the sinusoidal encoding of each node's depth.
-	idx := make([]int, len(e.Depths))
-	for i, d := range e.Depths {
-		if d >= m.cfg.MaxPos {
-			d = m.cfg.MaxPos - 1
+	x := m.input.ForwardBatch(ctx, ctx.Const(b.X), bl)
+	// DAGPE: the sinusoidal table is constant, so the per-graph depth gather
+	// needs no tape op — build the stacked positional tensor directly (pad
+	// rows zero) and add it as a constant.
+	pos := ctx.Arena().Get(bl.Rows(), m.cfg.Dim)
+	for g := 0; g < bl.B; g++ {
+		base := g * bl.Stride
+		for i, d := range b.Depths[g] {
+			if d >= m.cfg.MaxPos {
+				d = m.cfg.MaxPos - 1
+			}
+			copy(pos.Row(base+i), m.pe.Row(d))
 		}
-		idx[i] = d
 	}
-	x = ctx.Add(x, ctx.GatherRows(ctx.Const(m.pe), idx))
+	x = ctx.Add(x, ctx.Const(pos))
 	ls.End()
 	// Pre-LN layers: the residual stream stays unnormalized, so per-node
 	// cost magnitudes survive to the additive pooling (Eqn 2).
 	for i, l := range m.layers {
 		ls = ctx.StartLayer(m.spanAttn[i])
-		x = ctx.Add(x, l.attn.Forward(ctx, l.ln1.Forward(ctx, x), e.ReachMask))
+		x = ctx.Add(x, l.attn.ForwardBatch(ctx, l.ln1.ForwardBatch(ctx, x, bl), b.Reach, bl))
 		ls.End()
 		ls = ctx.StartLayer(m.spanFFN[i])
-		x = ctx.Add(x, l.ffn.Forward(ctx, l.ln2.Forward(ctx, x)))
+		x = ctx.Add(x, l.ffn.ForwardBatch(ctx, l.ln2.ForwardBatch(ctx, x, bl), bl))
 		ls.End()
 	}
 	ls = ctx.StartLayer("head")
-	pooled := ctx.Scale(ctx.SumRows(x), poolScale) // global add pool (Eqn 2)
-	out := m.head.Forward(ctx, pooled)
+	pooled := ctx.Scale(ctx.SegSumRows(x, bl), poolScale) // global add pool (Eqn 2)
+	out := m.head.ForwardBatch(ctx, pooled, b.HeadLayout)
 	ls.End()
 	return out
 }
@@ -230,17 +240,17 @@ func (m *GCN) Name() string { return "GCN" }
 // Spec implements Model.
 func (m *GCN) Spec() ModelSpec { return ModelSpec{Arch: "GCN", GCN: m.cfg} }
 
-// Predict implements Model.
-func (m *GCN) Predict(ctx *ag.Context, e *stage.Encoded) *ag.Node {
-	x := ctx.Const(e.X)
-	adj := ctx.Const(e.AdjNorm)
+// PredictBatch implements Model.
+func (m *GCN) PredictBatch(ctx *ag.Context, b *stage.Batch) *ag.Node {
+	bl := b.Layout
+	x := ctx.Const(b.X)
 	for i, l := range m.layers {
 		ls := ctx.StartLayer(m.spanNames[i])
-		x = ctx.ReLU(l.Forward(ctx, ctx.MatMul(adj, x)))
+		x = ctx.ReLU(l.ForwardBatch(ctx, ctx.SegAdjMatMul(b.Adj, x, bl), bl))
 		ls.End()
 	}
 	ls := ctx.StartLayer("head")
-	out := m.head.Forward(ctx, ctx.Scale(ctx.SumRows(x), poolScale))
+	out := m.head.ForwardBatch(ctx, ctx.Scale(ctx.SegSumRows(x, bl), poolScale), b.HeadLayout)
 	ls.End()
 	return out
 }
@@ -329,27 +339,28 @@ func (m *GAT) Name() string { return "GAT" }
 // Spec implements Model.
 func (m *GAT) Spec() ModelSpec { return ModelSpec{Arch: "GAT", GAT: m.cfg} }
 
-// Predict implements Model.
-func (m *GAT) Predict(ctx *ag.Context, e *stage.Encoded) *ag.Node {
-	x := ctx.Const(e.X)
+// PredictBatch implements Model.
+func (m *GAT) PredictBatch(ctx *ag.Context, b *stage.Batch) *ag.Node {
+	bl := b.Layout
+	x := ctx.Const(b.X)
 	for i, l := range m.layers {
 		ls := ctx.StartLayer(m.spanNames[i])
 		heads := make([]*ag.Node, l.numHeads)
 		for h := 0; h < l.numHeads; h++ {
-			wh := l.w[h].Forward(ctx, x) // N×hd
-			s1 := ctx.MatMul(wh, ctx.Param(l.aSrc[h]))
-			s2 := ctx.MatMul(wh, ctx.Param(l.aDst[h]))
-			logits := ctx.LeakyReLU(ctx.AddOuter(s1, s2), l.alpha)
-			// In-place is safe: LeakyReLU's backward reads its input
-			// (the AddOuter value), never its own output buffer.
-			attn := ctx.SoftmaxRowsInPlace(logits, e.NeighborMask)
-			heads[h] = ctx.MatMul(attn, wh)
+			wh := l.w[h].ForwardBatch(ctx, x, bl)
+			s1 := ctx.SegMatMul(wh, l.aSrc[h], bl)
+			s2 := ctx.SegMatMul(wh, l.aDst[h], bl)
+			logits := ctx.LeakyReLU(ctx.PanelAddOuter(s1, s2, bl), l.alpha)
+			// In-place is safe: LeakyReLU's backward reads its input (the
+			// PanelAddOuter value), never its own output buffer.
+			attn := ctx.PanelSoftmaxInPlace(logits, b.Neighbor, bl)
+			heads[h] = ctx.PanelMatMul(attn, wh, bl)
 		}
 		x = ctx.ReLU(ctx.ConcatCols(heads...))
 		ls.End()
 	}
 	ls := ctx.StartLayer("head")
-	out := m.head.Forward(ctx, ctx.Scale(ctx.SumRows(x), poolScale))
+	out := m.head.ForwardBatch(ctx, ctx.Scale(ctx.SegSumRows(x, bl), poolScale), b.HeadLayout)
 	ls.End()
 	return out
 }

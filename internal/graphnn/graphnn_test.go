@@ -18,6 +18,23 @@ func encodedStage(t testing.TB) *stage.Encoded {
 	return stage.Encode(stage.FromGraph(g, true))
 }
 
+// predictOne runs m on e alone — a batch of one — on ctx and returns the 1×1
+// prediction node.
+func predictOne(t testing.TB, m Model, ctx *ag.Context, e *stage.Encoded) *ag.Node {
+	t.Helper()
+	nb, err := stage.NewBatch([]*stage.Encoded{e}, ctx.Arena())
+	if err != nil {
+		t.Fatalf("NewBatch: %v", err)
+	}
+	return m.PredictBatch(ctx, nb)
+}
+
+// predictValue is predictOne on a fresh tape, as a number.
+func predictValue(t testing.TB, m Model, e *stage.Encoded) float64 {
+	t.Helper()
+	return predictOne(t, m, ag.NewContext(), e).Value().At(0, 0)
+}
+
 func TestAllModelsPredictScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	e := encodedStage(t)
@@ -29,7 +46,7 @@ func TestAllModelsPredictScalar(t *testing.T) {
 	names := map[string]bool{}
 	for _, m := range ms {
 		ctx := ag.NewContext()
-		out := m.Predict(ctx, e)
+		out := predictOne(t, m, ctx, e)
 		if out.Value().R != 1 || out.Value().C != 1 {
 			t.Fatalf("%s output %dx%d", m.Name(), out.Value().R, out.Value().C)
 		}
@@ -54,8 +71,8 @@ func TestModelsAreTrainable(t *testing.T) {
 		NewGAT(rng, GATConfig{Layers: 2, Dim: 16, Heads: 2}),
 	} {
 		ctx := ag.NewContext()
-		before := m.Predict(ctx, e).Value().At(0, 0)
-		ctx.Backward(ctx.MeanAll(ctx.Square(m.Predict(ctx, e))))
+		before := predictOne(t, m, ctx, e).Value().At(0, 0)
+		ctx.Backward(ctx.MeanAll(ctx.Square(predictOne(t, m, ctx, e))))
 		gradSum := 0.0
 		for _, p := range m.Params() {
 			gradSum += p.Grad.MaxAbs()
@@ -66,8 +83,7 @@ func TestModelsAreTrainable(t *testing.T) {
 		if gradSum == 0 {
 			t.Fatalf("%s received no gradients", m.Name())
 		}
-		ctx2 := ag.NewContext()
-		after := m.Predict(ctx2, e).Value().At(0, 0)
+		after := predictValue(t, m, e)
 		if before == after {
 			t.Fatalf("%s prediction unchanged after step", m.Name())
 		}
@@ -95,15 +111,13 @@ func TestTransformerUsesReachabilityMask(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := NewDAGTransformer(rng, TransformerConfig{Layers: 2, Dim: 16, Heads: 2})
 	e := encodedStage(t)
-	ctx := ag.NewContext()
-	masked := m.Predict(ctx, e).Value().At(0, 0)
+	masked := predictValue(t, m, e)
 
 	open := *e
 	openMask := e.ReachMask.Clone()
 	openMask.Zero()
 	open.ReachMask = openMask
-	ctx2 := ag.NewContext()
-	unmasked := m.Predict(ctx2, &open).Value().At(0, 0)
+	unmasked := predictValue(t, m, &open)
 	if masked == unmasked {
 		t.Fatal("reachability mask has no effect")
 	}
@@ -113,13 +127,11 @@ func TestTransformerUsesDepthPE(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m := NewDAGTransformer(rng, TransformerConfig{Layers: 2, Dim: 16, Heads: 2})
 	e := encodedStage(t)
-	ctx := ag.NewContext()
-	base := m.Predict(ctx, e).Value().At(0, 0)
+	base := predictValue(t, m, e)
 
 	flat := *e
 	flat.Depths = make([]int, len(e.Depths)) // all depth 0
-	ctx2 := ag.NewContext()
-	noPE := m.Predict(ctx2, &flat).Value().At(0, 0)
+	noPE := predictValue(t, m, &flat)
 	if base == noPE {
 		t.Fatal("depth positional encoding has no effect")
 	}
@@ -129,8 +141,7 @@ func TestDepthsClampedToPETable(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := NewDAGTransformer(rng, TransformerConfig{Layers: 1, Dim: 16, Heads: 2, MaxPos: 4})
 	e := encodedStage(t) // depths well beyond 4
-	ctx := ag.NewContext()
-	out := m.Predict(ctx, e).Value().At(0, 0)
+	out := predictValue(t, m, e)
 	if out != out { // NaN check
 		t.Fatal("clamped prediction is NaN")
 	}

@@ -1,6 +1,8 @@
 // Package nn provides the neural-network building blocks used by the latency
 // predictors: linear layers, layer normalization, masked multi-head
-// attention, and feed-forward blocks, all built on internal/ag.
+// attention, and feed-forward blocks, all built on internal/ag. Every block
+// has one forward, ForwardBatch, over the panels of a tensor.BatchLayout; a
+// single graph is the B=1 panel.
 package nn
 
 import (
@@ -41,9 +43,10 @@ func NewLinear(rng *rand.Rand, name string, in, out int) *Linear {
 	}
 }
 
-// Forward applies the layer to x (N×in) via the fused matmul+bias kernel.
-func (l *Linear) Forward(ctx *ag.Context, x *ag.Node) *ag.Node {
-	return ctx.Linear(x, ctx.Param(l.W), ctx.Param(l.B))
+// ForwardBatch applies the layer to every panel's real rows of the stacked x
+// via the fused matmul+bias kernel.
+func (l *Linear) ForwardBatch(ctx *ag.Context, x *ag.Node, bl tensor.BatchLayout) *ag.Node {
+	return ctx.SegLinear(x, l.W, l.B, bl)
 }
 
 // Params implements Module.
@@ -65,9 +68,9 @@ func NewLayerNorm(name string, dim int) *LayerNorm {
 	}
 }
 
-// Forward normalizes x (N×dim).
-func (l *LayerNorm) Forward(ctx *ag.Context, x *ag.Node) *ag.Node {
-	return ctx.LayerNorm(x, ctx.Param(l.G), ctx.Param(l.B), l.Eps)
+// ForwardBatch normalizes every panel's real rows of the stacked x.
+func (l *LayerNorm) ForwardBatch(ctx *ag.Context, x *ag.Node, bl tensor.BatchLayout) *ag.Node {
+	return ctx.SegLayerNorm(x, l.G, l.B, l.Eps, bl)
 }
 
 // Params implements Module.
@@ -101,12 +104,14 @@ func NewMultiHeadAttention(rng *rand.Rand, name string, dim, heads int) *MultiHe
 	}
 }
 
-// Forward computes attention over x (N×dim); mask (N×N, may be nil) is added
-// to the attention logits with −Inf disabling positions (Eqn 1).
-func (m *MultiHeadAttention) Forward(ctx *ag.Context, x *ag.Node, mask *tensor.Tensor) *ag.Node {
-	q := m.Wq.Forward(ctx, x)
-	k := m.Wk.Forward(ctx, x)
-	v := m.Wv.Forward(ctx, x)
+// ForwardBatch computes masked attention independently inside every panel of
+// the stacked x; masks[g] is graph g's additive Nᵍ×Nᵍ logit mask (the DAG
+// reachability mask of Eqn 1, −Inf disabling positions; nil masks none for
+// that graph).
+func (m *MultiHeadAttention) ForwardBatch(ctx *ag.Context, x *ag.Node, masks []*tensor.Tensor, bl tensor.BatchLayout) *ag.Node {
+	q := m.Wq.ForwardBatch(ctx, x, bl)
+	k := m.Wk.ForwardBatch(ctx, x, bl)
+	v := m.Wv.ForwardBatch(ctx, x, bl)
 	dk := m.Dim / m.Heads
 	scale := 1 / math.Sqrt(float64(dk))
 	heads := make([]*ag.Node, m.Heads)
@@ -116,13 +121,13 @@ func (m *MultiHeadAttention) Forward(ctx *ag.Context, x *ag.Node, mask *tensor.T
 		kh := ctx.SliceCols(k, lo, hi)
 		vh := ctx.SliceCols(v, lo, hi)
 		// Scaling and softmax both overwrite the score buffer in place:
-		// MatMulBT's backward reads its inputs, never its output, so the
-		// raw scores are dead the moment they are produced.
-		scores := ctx.ScaleInPlace(ctx.MatMulBT(qh, kh), scale)
-		attn := ctx.SoftmaxRowsInPlace(scores, mask)
-		heads[h] = ctx.MatMul(attn, vh)
+		// PanelMatMulBT's backward reads its inputs, never its output, so
+		// the raw scores are dead the moment they are produced.
+		scores := ctx.ScaleInPlace(ctx.PanelMatMulBT(qh, kh, bl), scale)
+		attn := ctx.PanelSoftmaxInPlace(scores, masks, bl)
+		heads[h] = ctx.PanelMatMul(attn, vh, bl)
 	}
-	return m.Wo.Forward(ctx, ctx.ConcatCols(heads...))
+	return m.Wo.ForwardBatch(ctx, ctx.ConcatCols(heads...), bl)
 }
 
 // Params implements Module.
@@ -148,9 +153,9 @@ func NewFeedForward(rng *rand.Rand, name string, dim, hidden int) *FeedForward {
 	}
 }
 
-// Forward applies the FFN row-wise.
-func (f *FeedForward) Forward(ctx *ag.Context, x *ag.Node) *ag.Node {
-	return f.Out.Forward(ctx, ctx.ReLU(f.In.Forward(ctx, x)))
+// ForwardBatch applies the FFN to every panel's real rows of the stacked x.
+func (f *FeedForward) ForwardBatch(ctx *ag.Context, x *ag.Node, bl tensor.BatchLayout) *ag.Node {
+	return f.Out.ForwardBatch(ctx, ctx.ReLU(f.In.ForwardBatch(ctx, x, bl)), bl)
 }
 
 // Params implements Module.
@@ -177,12 +182,14 @@ func NewMLPHead(rng *rand.Rand, name string, in int, dims ...int) *MLPHead {
 	return h
 }
 
-// Forward maps x (N×in) to an N×1 prediction.
-func (h *MLPHead) Forward(ctx *ag.Context, x *ag.Node) *ag.Node {
+// ForwardBatch maps the pooled B×in tensor to B×1 predictions. bl is the
+// stride-1 head layout (every row is one graph), which keeps the head's
+// parameter gradients sharded per graph like every other layer.
+func (h *MLPHead) ForwardBatch(ctx *ag.Context, x *ag.Node, bl tensor.BatchLayout) *ag.Node {
 	for _, l := range h.Hidden {
-		x = ctx.ReLU(l.Forward(ctx, x))
+		x = ctx.ReLU(l.ForwardBatch(ctx, x, bl))
 	}
-	return h.Out.Forward(ctx, x)
+	return h.Out.ForwardBatch(ctx, x, bl)
 }
 
 // Params implements Module.

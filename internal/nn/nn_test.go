@@ -9,11 +9,33 @@ import (
 	"predtop/internal/tensor"
 )
 
+// single is the layout of one unpadded n-row graph: the B=1 panel.
+func single(n int) tensor.BatchLayout {
+	return tensor.BatchLayout{B: 1, Stride: n, Counts: []int{n}}
+}
+
+// ragged3 is a batch of three graphs of 2, 4 and 3 rows padded to stride 4.
+var ragged3 = tensor.BatchLayout{B: 3, Stride: 4, Counts: []int{2, 4, 3}}
+
+// mse is mean (pred − target)² as a scalar node.
+func mse(ctx *ag.Context, pred *ag.Node, target *tensor.Tensor) *ag.Node {
+	return ctx.MeanAll(ctx.Square(ctx.Sub(pred, ctx.Const(target))))
+}
+
+func gradCheck(t *testing.T, params []*ag.Param, tol float64, build func(ctx *ag.Context) *ag.Node) {
+	t.Helper()
+	loss := func() float64 { return build(ag.NewContext()).V.At(0, 0) }
+	grads := func() map[*ag.Param]*tensor.Tensor { return ag.CollectGrads(params, build) }
+	if err := ag.GradCheck(params, loss, grads, 1e-6, tol); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestLinearShapesAndParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewLinear(rng, "l", 5, 3)
 	ctx := ag.NewContext()
-	y := l.Forward(ctx, ctx.Const(tensor.Randn(rng, 7, 5, 1)))
+	y := l.ForwardBatch(ctx, ctx.Const(tensor.Randn(rng, 7, 5, 1)), single(7))
 	if y.V.R != 7 || y.V.C != 3 {
 		t.Fatalf("linear output %dx%d", y.V.R, y.V.C)
 	}
@@ -25,15 +47,12 @@ func TestLinearShapesAndParams(t *testing.T) {
 func TestLinearGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	l := NewLinear(rng, "l", 4, 2)
-	x := tensor.Randn(rng, 3, 4, 1)
-	y := tensor.Randn(rng, 3, 2, 1)
-	build := func(ctx *ag.Context) *ag.Node {
-		return ctx.MSELoss(l.Forward(ctx, ctx.Const(x)), y)
-	}
-	loss := func() float64 { return build(ag.NewContext()).V.At(0, 0) }
-	grads := func() map[*ag.Param]*tensor.Tensor { return ag.CollectGrads(l.Params(), build) }
-	if err := ag.GradCheck(l.Params(), loss, grads, 1e-6, 1e-5); err != nil {
-		t.Fatal(err)
+	for _, bl := range []tensor.BatchLayout{single(3), ragged3} {
+		x := tensor.Randn(rng, bl.Rows(), 4, 1)
+		y := tensor.Randn(rng, bl.Rows(), 2, 1)
+		gradCheck(t, l.Params(), 1e-5, func(ctx *ag.Context) *ag.Node {
+			return mse(ctx, l.ForwardBatch(ctx, ctx.Const(x), bl), y)
+		})
 	}
 }
 
@@ -42,7 +61,7 @@ func TestLayerNormNormalizes(t *testing.T) {
 	ln := NewLayerNorm("ln", 8)
 	ctx := ag.NewContext()
 	x := tensor.Randn(rng, 4, 8, 3)
-	y := ln.Forward(ctx, ctx.Const(x))
+	y := ln.ForwardBatch(ctx, ctx.Const(x), single(4))
 	for i := 0; i < y.V.R; i++ {
 		mean, varr := 0.0, 0.0
 		for _, v := range y.V.Row(i) {
@@ -64,7 +83,7 @@ func TestMHAShapesAndMask(t *testing.T) {
 	m := NewMultiHeadAttention(rng, "mha", 16, 4)
 	ctx := ag.NewContext()
 	x := tensor.Randn(rng, 6, 16, 1)
-	y := m.Forward(ctx, ctx.Const(x), nil)
+	y := m.ForwardBatch(ctx, ctx.Const(x), nil, single(6))
 	if y.V.R != 6 || y.V.C != 16 {
 		t.Fatalf("MHA output %dx%d", y.V.R, y.V.C)
 	}
@@ -76,13 +95,13 @@ func TestMHAShapesAndMask(t *testing.T) {
 		mask.Set(i, i, 0)
 	}
 	ctx2 := ag.NewContext()
-	base := m.Forward(ctx2, ctx2.Const(x), mask).V.Clone()
+	base := m.ForwardBatch(ctx2, ctx2.Const(x), []*tensor.Tensor{mask}, single(6)).V.Clone()
 	x2 := x.Clone()
 	for j := 0; j < 16; j++ {
 		x2.Set(3, j, x2.At(3, j)+5)
 	}
 	ctx3 := ag.NewContext()
-	pert := m.Forward(ctx3, ctx3.Const(x2), mask).V
+	pert := m.ForwardBatch(ctx3, ctx3.Const(x2), []*tensor.Tensor{mask}, single(6)).V
 	for i := 0; i < 6; i++ {
 		if i == 3 {
 			continue
@@ -98,19 +117,25 @@ func TestMHAShapesAndMask(t *testing.T) {
 func TestMHAGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := NewMultiHeadAttention(rng, "mha", 8, 2)
-	x := tensor.Randn(rng, 4, 8, 1)
-	y := tensor.Randn(rng, 4, 8, 1)
 	inf := math.Inf(-1)
-	mask := tensor.New(4, 4)
-	mask.Set(0, 2, inf)
-	mask.Set(2, 0, inf)
-	build := func(ctx *ag.Context) *ag.Node {
-		return ctx.MSELoss(m.Forward(ctx, ctx.Const(x), mask), y)
+	// One mask per graph at the graph's own node count, each with a pair of
+	// mutually disabled positions.
+	maskFor := func(n int) *tensor.Tensor {
+		mask := tensor.New(n, n)
+		mask.Set(0, n-1, inf)
+		mask.Set(n-1, 0, inf)
+		return mask
 	}
-	loss := func() float64 { return build(ag.NewContext()).V.At(0, 0) }
-	grads := func() map[*ag.Param]*tensor.Tensor { return ag.CollectGrads(m.Params(), build) }
-	if err := ag.GradCheck(m.Params(), loss, grads, 1e-6, 1e-4); err != nil {
-		t.Fatal(err)
+	for _, bl := range []tensor.BatchLayout{single(4), ragged3} {
+		x := tensor.Randn(rng, bl.Rows(), 8, 1)
+		y := tensor.Randn(rng, bl.Rows(), 8, 1)
+		masks := make([]*tensor.Tensor, bl.B)
+		for g, n := range bl.Counts {
+			masks[g] = maskFor(n)
+		}
+		gradCheck(t, m.Params(), 1e-4, func(ctx *ag.Context) *ag.Node {
+			return mse(ctx, m.ForwardBatch(ctx, ctx.Const(x), masks, bl), y)
+		})
 	}
 }
 
@@ -120,11 +145,11 @@ func TestMLPHeadAndFFN(t *testing.T) {
 	h := NewMLPHead(rng, "head", 8, 4, 4)
 	ctx := ag.NewContext()
 	x := tensor.Randn(rng, 5, 8, 1)
-	y := f.Forward(ctx, ctx.Const(x))
+	y := f.ForwardBatch(ctx, ctx.Const(x), single(5))
 	if y.V.R != 5 || y.V.C != 8 {
 		t.Fatalf("FFN output %dx%d", y.V.R, y.V.C)
 	}
-	p := h.Forward(ctx, ctx.Const(x))
+	p := h.ForwardBatch(ctx, ctx.Const(x), single(5))
 	if p.V.R != 5 || p.V.C != 1 {
 		t.Fatalf("head output %dx%d", p.V.R, p.V.C)
 	}

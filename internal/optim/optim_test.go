@@ -18,7 +18,7 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	opt := NewAdam([]*ag.Param{w})
 	for step := 0; step < 800; step++ {
 		ctx := ag.NewContext()
-		loss := ctx.MSELoss(ctx.Param(w), target)
+		loss := mse(ctx, ctx.Param(w), target)
 		ctx.Backward(loss)
 		opt.Step(0.05)
 	}
@@ -35,13 +35,14 @@ func TestAdamLearnsLinearRegression(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	wTrue := tensor.Randn(rng, 4, 1, 1)
 	x := tensor.Randn(rng, 32, 4, 1)
-	y := tensor.MatMul(x, wTrue)
+	y := tensor.New(32, 1)
+	tensor.MatMulInto(y, x, wTrue)
+	rows := tensor.BatchLayout{B: 1, Stride: 32, Counts: []int{32}}
 	w := ag.NewParam("w", tensor.New(4, 1))
 	opt := NewAdam([]*ag.Param{w})
 	for epoch := 0; epoch < 400; epoch++ {
 		ctx := ag.NewContext()
-		pred := ctx.MatMul(ctx.Const(x), ctx.Param(w))
-		ctx.Backward(ctx.MSELoss(pred, y))
+		ctx.Backward(mse(ctx, ctx.SegMatMul(ctx.Const(x), w, rows), y))
 		opt.Step(CosineDecay(0.05, epoch, 400))
 	}
 	if !tensor.AllClose(w.V, wTrue, 5e-2) {

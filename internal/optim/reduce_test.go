@@ -40,8 +40,14 @@ func newLinearProblem(seed int64, samples int) *linearProblem {
 func (p *linearProblem) params() []*ag.Param { return []*ag.Param{p.w, p.b} }
 
 func (p *linearProblem) sampleLoss(ctx *ag.Context, k int) *ag.Node {
-	pred := ctx.AddBias(ctx.MatMul(ctx.Const(p.xs[k]), ctx.Param(p.w)), ctx.Param(p.b))
-	return ctx.MSELoss(pred, p.ys[k])
+	x := p.xs[k]
+	pred := ctx.SegLinear(ctx.Const(x), p.w, p.b, tensor.BatchLayout{B: 1, Stride: x.R, Counts: []int{x.R}})
+	return mse(ctx, pred, p.ys[k])
+}
+
+// mse is mean (pred − target)² as a scalar node.
+func mse(ctx *ag.Context, pred *ag.Node, target *tensor.Tensor) *ag.Node {
+	return ctx.MeanAll(ctx.Square(ctx.Sub(pred, ctx.Const(target))))
 }
 
 func (p *linearProblem) totalLoss(ctx *ag.Context) *ag.Node {

@@ -268,9 +268,9 @@ type PredictorOptions struct {
 	// PrefetchSweep, when set, pre-fills the provider's latency memo at
 	// construction: one fused batched forward per (mesh, configuration)
 	// sweeps every candidate stage up to MaxStageLen, instead of predicting
-	// graph by graph as the planner's search asks. Amortization only — the
-	// batched forward is bitwise identical to per-item PredictEncoded and
-	// the per-stage best folds configurations in the same order as the lazy
+	// graph by graph as the planner's search asks. Amortization only — a
+	// graph's prediction does not depend on the batch it rides in and the
+	// per-stage best folds configurations in the same order as the lazy
 	// path, so a prefetched provider answers every query with exactly the
 	// bits the lazy one would (stages longer than MaxStageLen still fall
 	// through to the lazy path). Off by default; the meter then charges the
@@ -323,9 +323,12 @@ func TrainPredictorProvider(mdl *models.Model, p cluster.Platform, opt Predictor
 				Family: opt.Kind.String(),
 				Mesh:   fmt.Sprintf("%dx%d", sc.Mesh.Nodes, sc.Mesh.GPUsPerNode),
 			}
-			for _, i := range valIdx {
-				s := &ds.Samples[i]
-				opt.Acc.Observe(key, tr.PredictGraph(s), s.Measured)
+			encs := make([]*stage.Encoded, len(valIdx))
+			for k, i := range valIdx {
+				encs[k] = ds.Samples[i].Encoded
+			}
+			for k, pred := range tr.PredictEncodedBatch(encs, 0) {
+				opt.Acc.Observe(key, pred, ds.Samples[valIdx[k]].Measured)
 			}
 		}
 	}

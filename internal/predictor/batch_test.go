@@ -23,29 +23,44 @@ func trainTiny(t testing.TB) (Trained, *Dataset) {
 	return tr, ds
 }
 
-// TestPredictEncodedBatchBitwise: a batched forward must reproduce the
-// per-item PredictEncoded results bit for bit, at every worker count,
-// including duplicate graphs within one batch.
+// TestPredictEncodedBatchBitwise is batch-composition invariance at the
+// predictor level: a graph's prediction inside any batch — any neighbours,
+// any position, duplicates of itself, more graphs than one 64-graph chunk
+// holds, any worker count — is bitwise what it is alone at B=1
+// (PredictEncoded).
 func TestPredictEncodedBatchBitwise(t *testing.T) {
 	tr, ds := trainTiny(t)
-	es := make([]*stage.Encoded, 0, len(ds.Samples)+2)
+	alone := make(map[*stage.Encoded]float64, len(ds.Samples))
+	pool := make([]*stage.Encoded, len(ds.Samples))
 	for i := range ds.Samples {
-		es = append(es, ds.Samples[i].Encoded)
+		pool[i] = ds.Samples[i].Encoded
+		alone[pool[i]] = tr.PredictEncoded(pool[i])
 	}
-	es = append(es, es[0], es[1]) // duplicates must be independent
-
-	want := make([]float64, len(es))
-	for i, e := range es {
-		want[i] = tr.PredictEncoded(e)
+	reversed := make([]*stage.Encoded, len(pool))
+	for i, e := range pool {
+		reversed[len(pool)-1-i] = e
 	}
-	for _, workers := range []int{1, 2, 0} {
-		got := tr.PredictEncodedBatch(es, workers)
-		if len(got) != len(es) {
-			t.Fatalf("workers=%d: got %d results for %d graphs", workers, len(got), len(es))
-		}
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("workers=%d graph %d: batch %v != direct %v", workers, i, got[i], want[i])
+	chunked := make([]*stage.Encoded, predictBatchChunk+7) // spans two chunks
+	for i := range chunked {
+		chunked[i] = pool[(i*5)%len(pool)]
+	}
+	batches := map[string][]*stage.Encoded{
+		"all":      pool,
+		"dups":     append(append([]*stage.Encoded{}, pool...), pool[0], pool[1]),
+		"reversed": reversed,
+		"pair":     {pool[len(pool)-1], pool[0]},
+		"chunked":  chunked,
+	}
+	for name, es := range batches {
+		for _, workers := range []int{1, 2, 0} {
+			got := tr.PredictEncodedBatch(es, workers)
+			if len(got) != len(es) {
+				t.Fatalf("%s workers=%d: got %d results for %d graphs", name, workers, len(got), len(es))
+			}
+			for i := range got {
+				if want := alone[es[i]]; math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("%s workers=%d graph %d: in batch %v != alone %v", name, workers, i, got[i], want)
+				}
 			}
 		}
 	}

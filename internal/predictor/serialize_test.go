@@ -34,8 +34,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 		// Predictions must match bit-for-bit.
 		for i := range ds.Samples[:4] {
-			want := tr.PredictGraph(&ds.Samples[i])
-			got := loaded.PredictGraph(&ds.Samples[i])
+			want := tr.PredictEncoded(ds.Samples[i].Encoded)
+			got := loaded.PredictEncoded(ds.Samples[i].Encoded)
 			if math.Abs(want-got) > 1e-15 {
 				t.Fatalf("%s prediction drift: %v vs %v", model.Name(), want, got)
 			}
@@ -57,7 +57,7 @@ func TestSaveLoadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := loaded.PredictGraph(&ds.Samples[0]), tr.PredictGraph(&ds.Samples[0]); got != want {
+	if got, want := loaded.PredictEncoded(ds.Samples[0].Encoded), tr.PredictEncoded(ds.Samples[0].Encoded); got != want {
 		t.Fatalf("file round trip drift: %v vs %v", got, want)
 	}
 }

@@ -36,24 +36,11 @@ type TrainConfig struct {
 	Loss      Loss    // paper: MAE
 	Seed      int64
 	ClipNorm  float64 // gradient clipping (0 = paper default 5)
-	// Workers bounds the data-parallel goroutines of the minibatch and
-	// evaluation loops: 0 = GOMAXPROCS, 1 = serial. Any setting produces
-	// bitwise-identical results — sharding and gradient-reduction order
-	// depend only on the minibatch, never on the worker count.
+	// Workers bounds the goroutines the evaluation chunks fan across:
+	// 0 = GOMAXPROCS, 1 = serial. Any setting produces bitwise-identical
+	// results — sharding and gradient-reduction order depend only on the
+	// minibatch, never on the worker count.
 	Workers int
-	// NoArena disables tensor-arena reuse on the per-sample tapes, making
-	// every intermediate a plain heap allocation (the pre-arena behavior).
-	// Arena reuse is on by default because results are bitwise identical
-	// either way — each worker tape owns a private arena, so this is purely
-	// a debugging/verification escape hatch.
-	NoArena bool
-	// SerialTapes disables the fused batched minibatch/evaluation forwards,
-	// running one tape per sample as earlier versions did. The batched tape
-	// shares its inner kernels with the serial path, so results are bitwise
-	// identical either way; like NoArena this is a verification escape
-	// hatch, not a tuning knob. Models that do not implement
-	// graphnn.BatchPredictor always take the serial path.
-	SerialTapes bool
 	// Hooks, when non-nil, observes training progress (per-epoch stats,
 	// early stop, weight restore) and receives hot-path metrics. Hooks only
 	// observe — they never perturb the shuffle, sharding, or reduction
@@ -155,10 +142,12 @@ type Trained struct {
 // the untouched model; an empty valIdx disables early stopping, keeps the
 // final-epoch weights, and reports the final training loss as BestValLoss.
 //
-// The minibatch loop is data-parallel: each sample of a batch runs its own
-// forward/backward tape into a private ag.GradBuffer shard, and the shards
-// are tree-reduced into the shared gradients in an order fixed by the batch
-// alone, so every cfg.Workers setting yields bitwise-identical weights.
+// Each minibatch runs as one tape over a padded stack of its graphs
+// (stage.NewBatch). Parameter gradients land in one ag.GradBuffer shard per
+// minibatch slot and the shards are tree-reduced into the shared gradients in
+// an order fixed by the batch alone; evaluation chunks fan across
+// cfg.Workers and fold through a fixed-shape tree. Every cfg.Workers setting
+// therefore yields bitwise-identical weights.
 func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainConfig) (Trained, TrainResult) {
 	cfg = cfg.withDefaults()
 	start := time.Now()
@@ -180,14 +169,6 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 	params := model.Params()
 	opt := optim.NewAdam(params)
 
-	// Fused batched path: each minibatch (and evaluation chunk) runs as one
-	// tape over a padded stack of graphs, with parameter gradients sharded
-	// per panel into the same per-slot buffers the per-sample tapes fill.
-	// The batched ops share their inner kernels with the serial ones, so
-	// both paths train bitwise-identical weights.
-	bm, hasBatch := model.(graphnn.BatchPredictor)
-	batched := hasBatch && !cfg.SerialTapes
-
 	// Phase spans nest under one "train" root; with no profiler attached
 	// every span below is the inert zero Span (guarded, like the metrics
 	// instruments, by TestNilRegistryHotPathZeroAlloc).
@@ -202,96 +183,47 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 	// Forward-only tapes for evaluation, pooled across workers and epochs.
 	// Each pooled context owns a private arena, so steady-state evaluation
 	// recycles every intermediate instead of allocating.
-	ctxPool := parallel.NewPool(func() *ag.Context {
-		c := ag.NewContext()
-		if cfg.NoArena {
-			c.SetArena(nil)
-		}
-		return c
-	})
+	tapePool := parallel.NewPool(newTape)
 	lossOf := func(idx []int) float64 {
 		if len(idx) == 0 {
 			return 0
 		}
 		es := trainSpan.Start("eval")
-		var total float64
-		if batched {
-			// Fused evaluation: BatchSize graphs share one forward per
-			// chunk. vals is filled at the same indices the per-sample
-			// MapReduce would use and folded through the identical tree, so
-			// the mean is bitwise unchanged.
-			vals := make([]float64, len(idx))
-			encs := make([]*stage.Encoded, len(idx))
-			for k, i := range idx {
-				encs[k] = ds.Samples[i].Encoded
-			}
-			nchunks := (len(idx) + cfg.BatchSize - 1) / cfg.BatchSize
-			parallel.ForLimit(nchunks, cfg.Workers, func(ci int) {
-				lo := ci * cfg.BatchSize
-				hi := lo + cfg.BatchSize
-				if hi > len(idx) {
-					hi = len(idx)
-				}
-				ctx := ctxPool.Get()
-				ctx.Reset()
-				ss := es.Start("sample")
-				ctx.SetSpan(ss)
-				if nb, err := stage.NewBatch(encs[lo:hi], ctx.Arena()); err == nil {
-					preds := bm.PredictBatch(ctx, nb).Value()
-					for k := lo; k < hi; k++ {
-						vals[k] = sampleLoss(preds.Data[k-lo], ds.Samples[idx[k]].Measured/scale, cfg.Loss)
-					}
-				} else {
-					// Graphs that cannot pool (zero nodes) evaluate one by
-					// one on the same tape.
-					for k := lo; k < hi; k++ {
-						p := model.Predict(ctx, encs[k]).Value().At(0, 0)
-						vals[k] = sampleLoss(p, ds.Samples[idx[k]].Measured/scale, cfg.Loss)
-					}
-				}
-				ss.End()
-				ctxPool.Put(ctx)
-			})
-			total = parallel.TreeReduce(vals, func(a, b float64) float64 { return a + b })
-		} else {
-			total = parallel.MapReduce(len(idx), cfg.Workers, func(k int) float64 {
-				s := &ds.Samples[idx[k]]
-				ctx := ctxPool.Get()
-				ctx.Reset()
-				ss := es.Start("sample")
-				ctx.SetSpan(ss)
-				pred := model.Predict(ctx, s.Encoded).Value().At(0, 0)
-				ss.End()
-				ctxPool.Put(ctx)
-				return sampleLoss(pred, s.Measured/scale, cfg.Loss)
-			}, func(a, b float64) float64 { return a + b })
+		// BatchSize graphs share one forward per chunk; vals folds through a
+		// tree whose shape depends on len(idx) alone.
+		vals := make([]float64, len(idx))
+		encs := make([]*stage.Encoded, len(idx))
+		for k, i := range idx {
+			encs[k] = ds.Samples[i].Encoded
 		}
+		nchunks := (len(idx) + cfg.BatchSize - 1) / cfg.BatchSize
+		parallel.ForLimit(nchunks, cfg.Workers, func(ci int) {
+			lo := ci * cfg.BatchSize
+			hi := min(lo+cfg.BatchSize, len(idx))
+			tp := tapePool.Get()
+			tp.ctx.Reset()
+			ss := es.Start("sample")
+			tp.ctx.SetSpan(ss)
+			preds := model.PredictBatch(tp.ctx, tp.stack(encs[lo:hi])).Value()
+			for k := lo; k < hi; k++ {
+				vals[k] = sampleLoss(preds.Data[k-lo], ds.Samples[idx[k]].Measured/scale, cfg.Loss)
+			}
+			ss.End()
+			tapePool.Put(tp)
+		})
+		total := parallel.TreeReduce(vals, func(a, b float64) float64 { return a + b })
 		es.End()
 		return total / float64(len(idx))
 	}
 
-	// One gradient shard per minibatch slot, each with a dedicated tape.
-	// The batched path shares one tape across the whole minibatch but still
-	// fills the same per-slot shards (per panel instead of per tape); the
-	// dedicated tapes remain the fallback for graphs that cannot pool.
+	// One gradient shard per minibatch slot; the minibatch tape fills them
+	// per panel.
 	bufs := make([]*ag.GradBuffer, cfg.BatchSize)
-	tapes := make([]*ag.Context, cfg.BatchSize)
 	for i := range bufs {
 		bufs[i] = ag.NewGradBuffer(params)
-		tapes[i] = ag.NewContextInto(bufs[i])
-		if cfg.NoArena {
-			tapes[i].SetArena(nil)
-		}
 	}
-	var btape *ag.Context
-	var bencs []*stage.Encoded
-	if batched {
-		btape = ag.NewContext()
-		if cfg.NoArena {
-			btape.SetArena(nil)
-		}
-		bencs = make([]*stage.Encoded, cfg.BatchSize)
-	}
+	btape := newTape()
+	bencs := make([]*stage.Encoded, cfg.BatchSize)
 
 	// Instruments resolve to nil on a nil registry, making every hot-path
 	// observation below a zero-allocation no-op (guarded by
@@ -316,59 +248,31 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 	res := TrainResult{Scale: scale}
 	lossVals := make([]float64, cfg.BatchSize)
 
-	// runSerialBatch is the per-sample minibatch: one tape and shard per
-	// sample, data-parallel across workers.
-	runSerialBatch := func(batch []int, bs obs.Span) {
-		parallel.ForLimit(len(batch), cfg.Workers, func(k int) {
-			s := &ds.Samples[batch[k]]
-			ctx := tapes[k]
-			ctx.Reset()
-			bufs[k].Zero()
-			// Per-sample span: the model's layer marks nest under it
-			// for forward timing, and Backward hangs its per-layer
-			// attribution subtree off the same node.
-			ss := bs.Start("sample")
-			ctx.SetSpan(ss)
-			pred := model.Predict(ctx, s.Encoded)
-			var loss *ag.Node
-			if cfg.Loss == MSE {
-				loss = ctx.MSELossScalar(pred, s.Measured/scale)
-			} else {
-				loss = ctx.MAELossScalar(pred, s.Measured/scale)
-			}
-			lossVals[k] = loss.Value().At(0, 0)
-			ctx.Backward(loss)
-			ss.End()
-		})
-	}
-
-	// runBatchedBatch fuses the whole minibatch into one tape. Reports false
-	// (without touching weights) when the batch cannot pool, so the caller
-	// falls back to the per-sample loop.
-	runBatchedBatch := func(batch []int, bs obs.Span) bool {
-		ctx := btape
+	// runBatch runs the whole minibatch as one tape: forward, per-row loss,
+	// backward into the per-slot shards.
+	runBatch := func(batch []int, bs obs.Span) {
+		ctx := btape.ctx
 		ctx.Reset()
 		for k, bi := range batch {
 			bufs[k].Zero()
 			bencs[k] = ds.Samples[bi].Encoded
 		}
-		nb, err := stage.NewBatch(bencs[:len(batch)], ctx.Arena())
-		if err != nil {
-			return false
-		}
+		nb := btape.stack(bencs[:len(batch)])
 		ctx.SetShards(bufs[:len(batch)])
 		// One span covers the fused forward/backward; the model's layer
-		// marks nest under it exactly as they would on a per-sample tape.
+		// marks nest under it for forward timing, and BackwardVec hangs its
+		// per-layer attribution subtree off the same node.
 		ss := bs.Start("sample")
 		ctx.SetSpan(ss)
-		pred := bm.PredictBatch(ctx, nb)
+		pred := model.PredictBatch(ctx, nb)
 		targets := ctx.Arena().GetUninit(len(batch), 1)
 		for k, bi := range batch {
 			targets.Data[k] = ds.Samples[bi].Measured / scale
 		}
 		// Per-row losses with no mean reduction: BackwardVec seeds every row
-		// with 1, which is exactly the gradient MeanAll over a 1×1 scalar
-		// hands the serial loss, so gradients land bitwise identical.
+		// with 1, so each slot's shard holds the gradient of its own
+		// sample's loss and the 1/len(batch) mean is applied after the
+		// reduction (ScaleGrads below).
 		diff := ctx.Sub(pred, ctx.Const(targets))
 		var loss *ag.Node
 		if cfg.Loss == MSE {
@@ -379,7 +283,6 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 		copy(lossVals[:len(batch)], loss.Value().Data)
 		ctx.BackwardVec(loss)
 		ss.End()
-		return true
 	}
 
 	order := append([]int{}, trainIdx...)
@@ -398,9 +301,7 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 			batch := order[lo:hi]
 			bt := batchTimer.Start()
 			bs := trainSpan.Start("batch")
-			if !batched || !runBatchedBatch(batch, bs) {
-				runSerialBatch(batch, bs)
-			}
+			runBatch(batch, bs)
 			st := bs.Start("step")
 			optim.ReduceGrads(params, bufs[:len(batch)])
 			optim.ScaleGrads(params, 1/float64(len(batch)))
@@ -473,30 +374,39 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 	return Trained{Model: model, Scale: scale}, res
 }
 
-// predictCtxs recycles forward-only tapes (and their tensor arenas) across
-// PredictEncoded calls, so steady-state inference allocates nothing. The
-// pool is safe for concurrent predictions; results never depend on which
-// pooled context serves a call because every intermediate buffer is fully
-// written before it is read.
-var predictCtxs = sync.Pool{New: func() any { return ag.NewContext() }}
-
-// PredictEncoded returns the trained model's latency prediction in seconds
-// for an encoded stage graph. Latency is a positive quantity, so raw network
-// outputs are floored at 1% of the label scale.
-func (t Trained) PredictEncoded(e *stage.Encoded) float64 {
-	ctx := predictCtxs.Get().(*ag.Context)
-	pred := t.Model.Predict(ctx, e).Value().At(0, 0) * t.Scale
-	ctx.Reset()
-	predictCtxs.Put(ctx)
-	if floor := 0.01 * t.Scale; pred < floor {
-		return floor
-	}
-	return pred
+// tape pairs an autodiff context with the batch descriptor stacked on its
+// arena, so a pooled tape recycles both and a warm forward allocates next to
+// nothing.
+type tape struct {
+	ctx *ag.Context
+	nb  stage.Batch
 }
 
-// PredictGraph returns the latency prediction in seconds for a sample.
-func (t Trained) PredictGraph(s *Sample) float64 {
-	return t.PredictEncoded(s.Encoded)
+func newTape() *tape { return &tape{ctx: ag.NewContext()} }
+
+// stack restacks es as the tape's padded panel batch; the tape must have been
+// Reset since its last forward. stage.Batch.Reset fails only on a zero-node
+// graph, which no encoder produces (Encoded's contract is N ≥ 1), so a
+// failure here is a caller bug and panics.
+func (t *tape) stack(es []*stage.Encoded) *stage.Batch {
+	if err := t.nb.Reset(es, t.ctx.Arena()); err != nil {
+		panic("predictor: " + err.Error())
+	}
+	return &t.nb
+}
+
+// predictTapes recycles forward-only tapes across predictions. The pool is
+// safe for concurrent predictions; results never depend on which pooled tape
+// serves a call because every intermediate buffer is fully written before it
+// is read.
+var predictTapes = sync.Pool{New: func() any { return newTape() }}
+
+// PredictEncoded returns the trained model's latency prediction in seconds
+// for one encoded stage graph: PredictEncodedBatch at B=1.
+func (t Trained) PredictEncoded(e *stage.Encoded) float64 {
+	var out [1]float64
+	t.predictChunk([]*stage.Encoded{e}, out[:])
+	return out[0]
 }
 
 // predictBatchChunk bounds how many graphs fuse into one padded stack: past
@@ -505,48 +415,29 @@ func (t Trained) PredictGraph(s *Sample) float64 {
 const predictBatchChunk = 64
 
 // PredictEncodedBatch predicts a whole batch of encoded stage graphs in one
-// call. When the model batches (all built-in architectures do), chunks of up
-// to 64 graphs fuse into a single padded forward on one pooled tape; chunks
-// fan across workers (0 = GOMAXPROCS, 1 = serial). This is the batched
-// forward the serving daemon's request coalescer drives. Each out[i] is
-// bitwise identical to PredictEncoded(es[i]) at any worker count and any
-// chunking — panels of the padded stack never mix, so batching is pure
-// amortization, never a numerical change.
+// call: chunks of up to 64 graphs fuse into a single padded forward on one
+// pooled tape, and chunks fan across workers (0 = GOMAXPROCS, 1 = serial).
+// This is the forward the serving daemon's request coalescer and the planner
+// drive. Each out[i] depends on es[i] alone — bitwise identical at any worker
+// count, any chunking and any batch composition, because panels of the
+// padded stack never mix.
 func (t Trained) PredictEncodedBatch(es []*stage.Encoded, workers int) []float64 {
 	out := make([]float64, len(es))
-	bm, ok := t.Model.(graphnn.BatchPredictor)
-	if !ok {
-		parallel.ForLimit(len(es), workers, func(k int) {
-			out[k] = t.PredictEncoded(es[k])
-		})
-		return out
-	}
 	nchunks := (len(es) + predictBatchChunk - 1) / predictBatchChunk
 	parallel.ForLimit(nchunks, workers, func(ci int) {
 		lo := ci * predictBatchChunk
-		hi := lo + predictBatchChunk
-		if hi > len(es) {
-			hi = len(es)
-		}
-		t.predictFusedChunk(bm, es[lo:hi], out[lo:hi])
+		hi := min(lo+predictBatchChunk, len(es))
+		t.predictChunk(es[lo:hi], out[lo:hi])
 	})
 	return out
 }
 
-// predictFusedChunk runs one chunk as a single padded batched forward,
-// falling back to per-graph predictions when the chunk cannot pool (a graph
-// with zero nodes).
-func (t Trained) predictFusedChunk(bm graphnn.BatchPredictor, es []*stage.Encoded, out []float64) {
-	ctx := predictCtxs.Get().(*ag.Context)
-	nb, err := stage.NewBatch(es, ctx.Arena())
-	if err != nil {
-		predictCtxs.Put(ctx)
-		for i, e := range es {
-			out[i] = t.PredictEncoded(e)
-		}
-		return
-	}
-	preds := bm.PredictBatch(ctx, nb).Value()
+// predictChunk runs one chunk as a single padded forward. Latency is a
+// positive quantity, so raw network outputs are floored at 1% of the label
+// scale.
+func (t Trained) predictChunk(es []*stage.Encoded, out []float64) {
+	tp := predictTapes.Get().(*tape)
+	preds := t.Model.PredictBatch(tp.ctx, tp.stack(es)).Value()
 	floor := 0.01 * t.Scale
 	for i := range out {
 		p := preds.Data[i] * t.Scale
@@ -555,16 +446,8 @@ func (t Trained) predictFusedChunk(bm graphnn.BatchPredictor, es []*stage.Encode
 		}
 		out[i] = p
 	}
-	ctx.Reset()
-	predictCtxs.Put(ctx)
-}
-
-// SupportsBatch reports whether the model fuses whole batches into single
-// padded forwards; the serving daemon uses this to count fused coalescer
-// groups.
-func (t Trained) SupportsBatch() bool {
-	_, ok := t.Model.(graphnn.BatchPredictor)
-	return ok
+	tp.ctx.Reset()
+	predictTapes.Put(tp)
 }
 
 // MRE computes the mean relative error (Eqn 5, in percent) of the trained
@@ -602,8 +485,7 @@ func (t Trained) MREWith(ds *Dataset, idx []int, mon *obs.AccuracyMonitor, key o
 	return total / float64(len(idx)) * 100
 }
 
-// sampleLoss is one sample's contribution to the training objective, shared
-// by the serial and batched evaluation paths.
+// sampleLoss is one sample's contribution to the evaluation objective.
 func sampleLoss(pred, target float64, l Loss) float64 {
 	diff := pred - target
 	if l == MSE {

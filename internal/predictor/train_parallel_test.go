@@ -47,13 +47,12 @@ func TestParallelTrainingBitwiseDeterministic(t *testing.T) {
 
 	for _, arch := range []string{"Tran", "GCN", "GAT"} {
 		t.Run(arch, func(t *testing.T) {
-			run := func(workers int, hooked, noArena, serialTapes, simdOff bool) (Trained, TrainResult) {
+			run := func(workers int, hooked, simdOff bool) (Trained, TrainResult) {
 				if simdOff {
 					defer tensor.SetSIMD(tensor.SetSIMD(false))
 				}
 				cfg := TrainConfig{
 					Epochs: 3, Patience: 3, BatchSize: 5, Seed: 13, Workers: workers,
-					NoArena: noArena, SerialTapes: serialTapes,
 				}
 				if hooked {
 					// The hooked case carries the full observation surface
@@ -77,42 +76,32 @@ func TestParallelTrainingBitwiseDeterministic(t *testing.T) {
 				}
 				return Train(buildArch(arch, 42), ds, trainIdx, valIdx, cfg)
 			}
-			ref, refRes := run(1, false, false, false, false)
+			ref, refRes := run(1, false, false)
 			// The determinism table: every worker count, instrumented and
-			// not, with arena reuse on (default) and off, plus the fused
-			// batched forwards vs per-sample tapes (SerialTapes) and the
-			// AVX2 kernels vs the scalar path (SIMD off), must all match the
-			// serial uninstrumented arena-on reference bitwise.
+			// not, plus the AVX2 kernels vs the scalar path (SIMD off), must
+			// all match the serial uninstrumented reference bitwise.
 			type row struct {
-				workers                               int
-				hooked, noArena, serialTapes, simdOff bool
+				workers         int
+				hooked, simdOff bool
 			}
 			var rows []row
 			for _, workers := range []int{1, 4, 7} {
 				for _, hooked := range []bool{false, true} {
-					for _, noArena := range []bool{false, true} {
-						if workers == 1 && !hooked && !noArena {
-							continue
-						}
-						rows = append(rows, row{workers, hooked, noArena, false, false})
+					if workers == 1 && !hooked {
+						continue
 					}
+					rows = append(rows, row{workers, hooked, false})
 				}
 			}
-			rows = append(rows,
-				row{1, false, false, true, false}, // per-sample tapes, serial
-				row{4, false, false, true, false}, // per-sample tapes, parallel
-				row{1, false, false, false, true}, // scalar kernels, fused batches
-				row{4, true, false, false, true},  // scalar kernels, instrumented
-				row{1, false, false, true, true},  // scalar kernels, per-sample tapes
-			)
-			if !tensor.SIMDAvailable() {
-				// Without AVX2 the simdOff rows duplicate existing ones.
-				rows = rows[:len(rows)-3]
+			if tensor.SIMDAvailable() {
+				rows = append(rows,
+					row{1, false, true}, // scalar kernels
+					row{4, true, true},  // scalar kernels, instrumented
+				)
 			}
 			for _, rw := range rows {
-				got, gotRes := run(rw.workers, rw.hooked, rw.noArena, rw.serialTapes, rw.simdOff)
-				label := fmt.Sprintf("workers=%d hooks=%v arena=%v serialTapes=%v simd=%v",
-					rw.workers, rw.hooked, !rw.noArena, rw.serialTapes, !rw.simdOff)
+				got, gotRes := run(rw.workers, rw.hooked, rw.simdOff)
+				label := fmt.Sprintf("workers=%d hooks=%v simd=%v", rw.workers, rw.hooked, !rw.simdOff)
 				if math.Float64bits(gotRes.BestValLoss) != math.Float64bits(refRes.BestValLoss) {
 					t.Fatalf("%s BestValLoss %v != %v", label, gotRes.BestValLoss, refRes.BestValLoss)
 				}
@@ -419,7 +408,7 @@ func TestPredictSteadyStateAllocBudget(t *testing.T) {
 	trained.PredictEncoded(e) // warm the context pool + arena
 	trained.PredictEncoded(e)
 	allocs := testing.AllocsPerRun(200, func() { trained.PredictEncoded(e) })
-	// Measured steady state is 2 allocs (transformer per-head slice glue);
+	// Measured steady state is 1 alloc (transformer per-head slice glue);
 	// the budget leaves room for a pool refill after a GC but would catch
 	// any return to per-tensor heap allocation (previously hundreds/call).
 	const budget = 4

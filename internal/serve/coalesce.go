@@ -17,12 +17,9 @@ const (
 	BatchSizeMetric       = "predtop_serve_batch_size"
 	BatchMaxMetric        = "predtop_serve_batch_max"
 	QueueDepthMetric      = "predtop_serve_queue_depth"
-	// BatchFusedMetric counts per-model groups that ran through the fused
-	// batched forward (one blocked matmul over the padded graph stack) rather
-	// than a per-graph loop; PadWasteMetric records the fraction of that
-	// padded stack spent on padding rows, 1 − Σnᵢ/(B·max nᵢ).
-	BatchFusedMetric = "predtop_serve_batch_fused_total"
-	PadWasteMetric   = "predtop_serve_batch_pad_waste"
+	// PadWasteMetric records, per per-model group of a batch, the fraction
+	// of the padded graph stack spent on padding rows, 1 − Σnᵢ/(B·max nᵢ).
+	PadWasteMetric = "predtop_serve_batch_pad_waste"
 )
 
 // errCoalescerClosed is returned by submit after close — the server maps it
@@ -51,8 +48,8 @@ type predictJob struct {
 // keeps collecting until the batch is full or the coalescing window expires,
 // then fans the whole batch through Trained.PredictEncodedBatch (grouped by
 // predictor, so a mixed-model batch still runs each model's graphs as one
-// batched call). Per-job results are bitwise identical to unbatched
-// PredictEncoded — batching is amortization, never a numerical change.
+// batched call). A job's result does not depend on the batch it rode in —
+// batching is amortization, never a numerical change.
 type coalescer struct {
 	ch       chan *predictJob
 	maxBatch int
@@ -70,13 +67,7 @@ type coalescer struct {
 	maxGauge *obs.Gauge
 	depth    *obs.Gauge // live queue depth: +1 on submit, -1 on dequeue
 	maxSeen  int        // dispatcher-only; mirrors into maxGauge
-	fused    *obs.Counter
 	padWaste *obs.Histogram
-
-	// float32For, when set, resolves a predictor to its reduced-precision
-	// engine; a non-nil result routes that group through float32 instead of
-	// the fused float64 forward. Left nil unless Config.Float32 is on.
-	float32For func(predictor.Trained) *predictor.Float32Predictor
 
 	// beforeForward, when set, runs ahead of every batched forward (inside
 	// the forward phase window) with the batch size — the hook the SLO e2e
@@ -111,7 +102,6 @@ func newCoalescer(maxBatch int, window time.Duration, workers int, metrics *obs.
 		sizeHist: metrics.Histogram(BatchSizeMetric, batchSizeBuckets),
 		maxGauge: metrics.Gauge(BatchMaxMetric),
 		depth:    metrics.Gauge(QueueDepthMetric),
-		fused:    metrics.Counter(BatchFusedMetric),
 		padWaste: metrics.Histogram(PadWasteMetric, padWasteBuckets),
 	}
 }
@@ -224,16 +214,8 @@ func (c *coalescer) run(batch []*predictJob) {
 		if c.beforeForward != nil {
 			c.beforeForward(len(batch))
 		}
-		var outs []float64
-		if f := c.lookupFloat32(tr); f != nil {
-			outs = f.PredictEncodedBatch(g.encs)
-		} else {
-			outs = tr.PredictEncodedBatch(g.encs, c.workers)
-			if tr.SupportsBatch() {
-				c.fused.Inc()
-				c.padWaste.Observe(padWasteFraction(g.encs))
-			}
-		}
+		outs := tr.PredictEncodedBatch(g.encs, c.workers)
+		c.padWaste.Observe(padWasteFraction(g.encs))
 		t1 := time.Now()
 		for k, i := range g.idx {
 			batch[i].out = outs[k]
@@ -241,9 +223,9 @@ func (c *coalescer) run(batch []*predictJob) {
 			batch[i].batchSize = len(batch)
 		}
 	}
-	for _, j := range batch {
-		close(j.done)
-	}
+	// Every batch-level instrument moves before the first reply is
+	// released: a client that scrapes /metrics the moment its answer arrives
+	// must find its own batch already counted.
 	c.batches.Inc()
 	c.requests.Add(int64(len(batch)))
 	c.sizeHist.Observe(float64(len(batch)))
@@ -251,15 +233,9 @@ func (c *coalescer) run(batch []*predictJob) {
 		c.maxSeen = len(batch)
 		c.maxGauge.Set(float64(c.maxSeen))
 	}
-}
-
-// lookupFloat32 resolves tr's float32 engine, or nil when the float64 path
-// should run (float32 serving off, or no engine built for this predictor).
-func (c *coalescer) lookupFloat32(tr predictor.Trained) *predictor.Float32Predictor {
-	if c.float32For == nil {
-		return nil
+	for _, j := range batch {
+		close(j.done)
 	}
-	return c.float32For(tr)
 }
 
 // padWasteFraction is the share of the padded batch stack occupied by padding

@@ -12,11 +12,14 @@ import (
 	"predtop/internal/stage"
 )
 
-// TestServeFusedBatchMetrics: coalesced groups that ran the fused batched
-// forward must be counted by predtop_serve_batch_fused_total and observed by
-// the pad-waste histogram, while per-request results stay bitwise identical
-// to direct PredictEncoded — the fused path is observable, never numerically
-// visible.
+// TestServeFusedBatchMetrics: every coalesced group runs the one fused
+// forward, so the batch-level instruments must agree with each other — one
+// size observation per batch, one pad-waste observation per per-model group,
+// every request counted once — while per-request results stay bitwise
+// identical to the graph alone at B=1. And they must already agree when a
+// reply is released: a client that reads the counters the moment its answer
+// arrives finds its own batch counted (the counters used to move after the
+// reply, so a fast scrape saw a batch that had answered but did not exist).
 func TestServeFusedBatchMetrics(t *testing.T) {
 	dir := t.TempDir()
 	tr := writeTestModel(t, dir, "tran", "tran", 1)
@@ -34,9 +37,13 @@ func TestServeFusedBatchMetrics(t *testing.T) {
 	for i, sp := range specs {
 		want[i] = tr.PredictEncoded(enc.Encode(sp))
 	}
+	batchesCtr := metrics.Counter(BatchesMetric)
+	requestsCtr := metrics.Counter(BatchedRequestsMetric)
+	sizes := metrics.Histogram(BatchSizeMetric, batchSizeBuckets)
+	pw := metrics.Histogram(PadWasteMetric, padWasteBuckets)
 
 	var wg sync.WaitGroup
-	errs := make(chan string, len(specs))
+	errs := make(chan string, 2*len(specs))
 	for i, sp := range specs {
 		wg.Add(1)
 		go func(i int, sp stage.Spec) {
@@ -51,6 +58,9 @@ func TestServeFusedBatchMetrics(t *testing.T) {
 			if math.Float64bits(resp.LatencySeconds) != math.Float64bits(want[i]) {
 				errs <- "served latency diverged from direct PredictEncoded"
 			}
+			if batchesCtr.Value() < 1 || requestsCtr.Value() < 1 || sizes.Count() < 1 || pw.Count() < 1 {
+				errs <- "reply released before its batch was counted"
+			}
 		}(i, sp)
 	}
 	wg.Wait()
@@ -59,78 +69,21 @@ func TestServeFusedBatchMetrics(t *testing.T) {
 		t.Fatal(e)
 	}
 
-	fused := metrics.Counter(BatchFusedMetric).Value()
-	if fused < 1 {
-		t.Fatalf("fused counter = %d, want >= 1 (DAGTransformer supports the batched forward)", fused)
+	batches := batchesCtr.Value()
+	if batches < 1 || batches > int64(len(specs)) {
+		t.Fatalf("batches = %d for %d requests", batches, len(specs))
 	}
-	batches := metrics.Counter(BatchesMetric).Value()
-	if fused > batches {
-		t.Fatalf("fused groups %d exceed total batches %d", fused, batches)
+	if got := requestsCtr.Value(); got != int64(len(specs)) {
+		t.Fatalf("batched requests = %d, want %d", got, len(specs))
 	}
-	pw := metrics.Histogram(PadWasteMetric, padWasteBuckets)
-	if pw.Count() != fused {
-		t.Fatalf("pad-waste observations = %d, want one per fused group (%d)", pw.Count(), fused)
+	if sizes.Count() != batches {
+		t.Fatalf("batch-size observations = %d, want one per batch (%d)", sizes.Count(), batches)
+	}
+	// One model is loaded, so every batch is exactly one group.
+	if pw.Count() != batches {
+		t.Fatalf("pad-waste observations = %d, want one per group (%d)", pw.Count(), batches)
 	}
 	if sum := pw.Sum(); sum < 0 || sum > float64(pw.Count()) {
 		t.Fatalf("pad-waste sum %v outside [0, count]: fractions must be in [0, 1)", sum)
-	}
-}
-
-// TestServeFloat32Mode: with Config.Float32 set the daemon serves through the
-// reduced-precision engine — bitwise equal to a locally built
-// Float32Predictor over the same weights (the engine itself is
-// deterministic), within the pinned tolerance of the float64 reference, and
-// never counted as a fused float64 group. A reload must rebuild the engine
-// map so the new generation keeps serving.
-func TestServeFloat32Mode(t *testing.T) {
-	dir := t.TempDir()
-	tr := writeTestModel(t, dir, "tran", "tran", 1)
-	metrics := obs.NewRegistry()
-	s := startTestServer(t, dir, func(c *Config) {
-		c.Metrics = metrics
-		c.Float32 = true
-	})
-
-	f32, err := tr.Float32()
-	if err != nil {
-		t.Fatalf("Float32: %v", err)
-	}
-	m := models.Build(testBenchCfg())
-	enc := predictor.NewEncoder(m, true)
-	specs := []stage.Spec{{Lo: 0, Hi: 2}, {Lo: 1, Hi: 4}, {Lo: 3, Hi: 6}}
-	for _, sp := range specs {
-		e := enc.Encode(sp)
-		resp, code := postPredict(t, s.URL(), PredictRequest{
-			Model: "tran", Bench: "GPT-3", Layers: testLayers, Lo: sp.Lo, Hi: sp.Hi,
-		})
-		if code != 200 {
-			t.Fatalf("[%d,%d): code = %d", sp.Lo, sp.Hi, code)
-		}
-		want := f32.PredictEncoded(e)
-		if math.Float64bits(resp.LatencySeconds) != math.Float64bits(want) {
-			t.Fatalf("[%d,%d): served %v != local float32 engine %v", sp.Lo, sp.Hi, resp.LatencySeconds, want)
-		}
-		ref := tr.PredictEncoded(e)
-		if rel := math.Abs(resp.LatencySeconds-ref) / math.Max(math.Abs(ref), 1e-9); rel > 1e-3 {
-			t.Fatalf("[%d,%d): float32 rel err %.2e vs float64 %v", sp.Lo, sp.Hi, rel, ref)
-		}
-	}
-	if fused := metrics.Counter(BatchFusedMetric).Value(); fused != 0 {
-		t.Fatalf("fused counter = %d in float32 mode, want 0 (f32 path is not the fused float64 forward)", fused)
-	}
-
-	// Reload rebuilds the engine map for the new generation.
-	if _, _, err := s.Reload(); err != nil {
-		t.Fatalf("reload: %v", err)
-	}
-	resp, code := postPredict(t, s.URL(), PredictRequest{
-		Model: "tran", Bench: "GPT-3", Layers: testLayers, Lo: 0, Hi: 2,
-	})
-	if code != 200 {
-		t.Fatalf("post-reload code = %d", code)
-	}
-	want := f32.PredictEncoded(enc.Encode(stage.Spec{Lo: 0, Hi: 2}))
-	if math.Float64bits(resp.LatencySeconds) != math.Float64bits(want) {
-		t.Fatalf("post-reload served %v != local float32 engine %v", resp.LatencySeconds, want)
 	}
 }

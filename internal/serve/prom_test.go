@@ -75,6 +75,7 @@ func TestServePromExposition(t *testing.T) {
 		"# TYPE predtop_serve_reloads_total counter",
 		"# TYPE predtop_serve_request_seconds histogram",
 		"# TYPE predtop_serve_batch_size histogram",
+		"# TYPE predtop_serve_batch_pad_waste histogram",
 		"# TYPE predtop_serve_queue_depth gauge",
 	} {
 		if !strings.Contains(exposition, want+"\n") {
@@ -108,8 +109,9 @@ func TestServePromExposition(t *testing.T) {
 	}
 
 	// Batch accounting is internally consistent: batch_size_count equals
-	// batches_total, and batched requests ≥ batches.
-	var batches, sizeCount float64
+	// batches_total, batched requests ≥ batches, and — one model loaded, so
+	// one group per batch — pad waste is observed once per batch.
+	var batches, sizeCount, padCount float64
 	for _, ln := range strings.Split(exposition, "\n") {
 		if name, v, ok := promSample(ln); ok {
 			switch name {
@@ -117,11 +119,16 @@ func TestServePromExposition(t *testing.T) {
 				batches = v
 			case BatchSizeMetric + "_count":
 				sizeCount = v
+			case PadWasteMetric + "_count":
+				padCount = v
 			}
 		}
 	}
 	if batches == 0 || batches != sizeCount {
 		t.Errorf("batches_total (%v) != batch_size_count (%v)", batches, sizeCount)
+	}
+	if padCount != batches {
+		t.Errorf("batch_pad_waste_count (%v) != batches_total (%v)", padCount, batches)
 	}
 }
 

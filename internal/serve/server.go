@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"predtop/internal/lru"
@@ -52,12 +51,6 @@ type Config struct {
 	// (default 4096 entries, the same bound as the planner's stage-encoding
 	// cache).
 	CacheSize int
-	// Float32 opts the daemon into reduced-precision inference: every loaded
-	// model gets a float32 snapshot engine and /predict routes through it.
-	// Predictions then track the float64 path within the pinned tolerance of
-	// the float32 determinism table instead of matching PredictEncoded bit for
-	// bit. Off by default — the float64 path stays the bitwise reference.
-	Float32 bool
 
 	// Metrics, Sink, Flight, Trace, Acc, and Log are the observability
 	// fan-out; each is optional and nil-safe. When Metrics is set but Acc is
@@ -142,11 +135,6 @@ type Server struct {
 	acc      *obs.AccuracyMonitor
 	trace    *obs.TraceContext
 
-	// f32 maps each loaded predictor to its float32 engine when cfg.Float32
-	// is set; rebuilt on every registry load and read lock-free by the
-	// coalescer. nil (never stored) when float32 serving is off.
-	f32 atomic.Pointer[map[predictor.Trained]*predictor.Float32Predictor]
-
 	slo       *obs.SLOTracker
 	incidents *incidentCapture
 	sampler   *accessSampler
@@ -225,17 +213,6 @@ func Start(ctx context.Context, cfg Config) (*Server, error) {
 	if _, _, err := s.registry.Load(); err != nil {
 		return nil, err
 	}
-	if err := s.buildFloat32(); err != nil {
-		return nil, err
-	}
-	if cfg.Float32 {
-		s.coal.float32For = func(tr predictor.Trained) *predictor.Float32Predictor {
-			if m := s.f32.Load(); m != nil {
-				return (*m)[tr]
-			}
-			return nil
-		}
-	}
 	s.coal.start()
 	cfg.Metrics.SetRunInfo(cfg.Trace)
 	srv, err := obs.StartServer(ctx, obs.ServerConfig{
@@ -279,35 +256,12 @@ func (s *Server) Reload() (gen uint64, n int, err error) {
 	if err != nil {
 		return gen, n, err
 	}
-	if err := s.buildFloat32(); err != nil {
-		return gen, n, err
-	}
 	s.cache.Purge()
 	if s.cfg.Log != nil {
 		s.cfg.Log.Printf("reloaded: generation %d, %d model(s)", gen, n)
 	}
 	s.cfg.Flight.Note("reload", fmt.Sprintf("generation %d, %d model(s)", gen, n))
 	return gen, n, nil
-}
-
-// buildFloat32 snapshots every registry entry into a float32 inference
-// engine. Called after each successful registry load so the engine map always
-// covers the generation about to serve; a no-op unless Config.Float32 is set.
-func (s *Server) buildFloat32() error {
-	if !s.cfg.Float32 {
-		return nil
-	}
-	entries, _ := s.registry.Snapshot()
-	m := make(map[predictor.Trained]*predictor.Float32Predictor, len(entries))
-	for _, e := range entries {
-		f, err := e.Trained.Float32()
-		if err != nil {
-			return fmt.Errorf("serve: building float32 engine for %s: %w", e.Key, err)
-		}
-		m[e.Trained] = f
-	}
-	s.f32.Store(&m)
-	return nil
 }
 
 // Close shuts the HTTP listener down (draining in-flight requests), then

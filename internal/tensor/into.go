@@ -1,10 +1,10 @@
-// Destination-passing kernels: every allocating operation in tensor.go has
-// an *Into twin that writes a caller-provided destination, so hot paths
-// (above all the autodiff tape in internal/ag) can draw buffers from an
-// Arena instead of the heap. Each kernel fully defines dst — callers never
-// need to pre-zero — and performs the exact floating-point operations, in
-// the exact order, of its allocating counterpart, so results are bitwise
-// identical whichever entry point is used.
+// Destination-passing kernels: every operation writes a caller-provided
+// destination, so hot paths (above all the autodiff tape in internal/ag) draw
+// buffers from an Arena instead of the heap. Each kernel fully defines dst —
+// callers never need to pre-zero. The row workers here (matmulRowRange,
+// matmulBTRowRange, linearRowRange) are shared with the
+// segmented panel kernels in batch.go, which is what makes a graph's result
+// independent of the batch it rides in.
 package tensor
 
 import (
@@ -29,6 +29,18 @@ func shapePanic(format string, args ...any) {
 	panic("tensor: " + fmt.Sprintf(format, args...))
 }
 
+// parallelMinFlops gates the goroutine fan-out of MatMulInto/MatMulBTInto:
+// below this many multiply-adds fork/join overhead dominates, so the loop
+// runs serially on the calling goroutine. parallelRowBlock is the number of
+// output rows per parallel task. Every output row is computed independently
+// by the same row kernel, so the split never changes a result bit. The model
+// path never reaches either kernel (panels run the row workers directly);
+// they and SoftmaxRowsInto are the whole-tensor yardsticks bench/ times.
+const (
+	parallelMinFlops = 1 << 17
+	parallelRowBlock = 16
+)
+
 // MatMulInto computes dst = a·b for a (m×k) and b (k×n). dst must not alias
 // a or b.
 func MatMulInto(dst, a, b *Tensor) {
@@ -40,11 +52,11 @@ func MatMulInto(dst, a, b *Tensor) {
 	// The serial path calls the row worker directly: a closure shared with
 	// the parallel branch would escape to the heap on every call, costing
 	// one allocation per matmul even for tiny kernels.
-	if m*k*n < parallelMinFlops() {
+	if m*k*n < parallelMinFlops {
 		matmulRowRange(dst, a, b, 0, m)
 		return
 	}
-	parallel.ForBlocked(m, parallelRowBlock(), func(lo, hi int) {
+	parallel.ForBlocked(m, parallelRowBlock, func(lo, hi int) {
 		matmulRowRange(dst, a, b, lo, hi)
 	})
 }
@@ -64,8 +76,7 @@ func matmulRowRange(dst, a, b *Tensor, lo, hi int) {
 // time through axpy4, which adds the four products per element in ascending
 // p order — the same element-wise addition order as sequential axpy calls —
 // so the fusion is bitwise-invisible. Shared by the plain matmul, the fused
-// linear layer, and the batched panel kernels, which therefore agree
-// bit-for-bit with the serial per-graph path.
+// linear layer, and the panel kernels.
 func matmulRowKernel(crow, arow []float64, bd []float64, b0, n int) {
 	if simdKernels {
 		matmulRowKernelAVX2(crow, arow, bd, b0, n)
@@ -103,11 +114,11 @@ func MatMulBTInto(dst, a, b *Tensor) {
 		shapePanic("MatMulBT shape mismatch %dx%d · (%dx%d)ᵀ", a.R, a.C, b.R, b.C)
 	}
 	checkInto(dst, a.R, b.R, "MatMulBTInto")
-	if a.R*a.C*b.R < parallelMinFlops() {
+	if a.R*a.C*b.R < parallelMinFlops {
 		matmulBTRowRange(dst, a, b, 0, a.R)
 		return
 	}
-	parallel.ForBlocked(a.R, parallelRowBlock(), func(lo, hi int) {
+	parallel.ForBlocked(a.R, parallelRowBlock, func(lo, hi int) {
 		matmulBTRowRange(dst, a, b, lo, hi)
 	})
 }
@@ -142,113 +153,9 @@ func matmulBTRowKernel(crow, arow []float64, bd []float64, b0, m, k int) {
 	}
 }
 
-// MatMulATInto computes dst = aᵀ·b for a (k×m) and b (k×n). dst must not
-// alias a or b.
-func MatMulATInto(dst, a, b *Tensor) {
-	if a.R != b.R {
-		shapePanic("MatMulAT shape mismatch (%dx%d)ᵀ · %dx%d", a.R, a.C, b.R, b.C)
-	}
-	checkInto(dst, a.C, b.C, "MatMulATInto")
-	m, n := a.C, b.C
-	// dst[p][j] = sum_i a[i][p] * b[i][j]; accumulate row blocks serially to
-	// keep writes race-free, parallelizing over output rows.
-	clear(dst.Data)
-	if a.R*m*n < parallelMinFlops() {
-		matmulATRowRange(dst, a, b, 0, m)
-		return
-	}
-	parallel.ForBlocked(m, parallelRowBlock(), func(lo, hi int) {
-		matmulATRowRange(dst, a, b, lo, hi)
-	})
-}
-
-func matmulATRowRange(dst, a, b *Tensor, lo, hi int) {
-	matmulATRows(dst, a, b, 0, a.R, lo, hi)
-}
-
-// matmulATRows accumulates dst[p] += Σ_i a[i][p] · b[i] over input rows
-// [i0, i1) for output rows p in [lo, hi). Input rows are paired: two rows'
-// contributions to each dst element are added in ascending i order via
-// axpy2, which is the exact element-wise order of the one-row-at-a-time
-// loop, so the pairing is bitwise-invisible. The `av != 0` skip is preserved
-// per row (adding 0·b would be a near-no-op but costs the full row pass; a
-// one-hot heavy feature matrix makes the skip the common case). Shared by
-// the per-panel weight-gradient kernels of the batched backward, which pass
-// an explicit [i0, i1) panel row range.
-func matmulATRows(dst, a, b *Tensor, i0, i1, lo, hi int) {
-	m, n := a.C, b.C
-	i := i0
-	if simdKernels {
-		for ; i+4 <= i1; i += 4 {
-			matmulATQuadAVX2(dst.Data, lo, n,
-				a.Data[i*m+lo:i*m+hi], a.Data[(i+1)*m+lo:(i+1)*m+hi],
-				a.Data[(i+2)*m+lo:(i+2)*m+hi], a.Data[(i+3)*m+lo:(i+3)*m+hi],
-				b.Data[i*n:(i+1)*n], b.Data[(i+1)*n:(i+2)*n],
-				b.Data[(i+2)*n:(i+3)*n], b.Data[(i+3)*n:(i+4)*n])
-		}
-		if i+2 <= i1 {
-			matmulATPairAVX2(dst.Data, lo, n,
-				a.Data[i*m+lo:i*m+hi], a.Data[(i+1)*m+lo:(i+1)*m+hi],
-				b.Data[i*n:(i+1)*n], b.Data[(i+1)*n:(i+2)*n])
-			i += 2
-		}
-		if i < i1 {
-			matmulATRowAVX2(dst.Data, lo, n,
-				a.Data[i*m+lo:i*m+hi], b.Data[i*n:(i+1)*n])
-		}
-		return
-	}
-	for ; i+2 <= i1; i += 2 {
-		arow0 := a.Data[i*m : (i+1)*m]
-		arow1 := a.Data[(i+1)*m : (i+2)*m]
-		brow0 := b.Data[i*n : (i+1)*n]
-		brow1 := b.Data[(i+1)*n : (i+2)*n]
-		for p := lo; p < hi; p++ {
-			av0, av1 := arow0[p], arow1[p]
-			if av0 != 0 {
-				if av1 != 0 {
-					axpy2(av0, av1, brow0, brow1, dst.Data[p*n:(p+1)*n])
-				} else {
-					axpy(av0, brow0, dst.Data[p*n:(p+1)*n])
-				}
-			} else if av1 != 0 {
-				axpy(av1, brow1, dst.Data[p*n:(p+1)*n])
-			}
-		}
-	}
-	for ; i < i1; i++ {
-		arow := a.Data[i*m : (i+1)*m]
-		brow := b.Data[i*n : (i+1)*n]
-		for p := lo; p < hi; p++ {
-			if av := arow[p]; av != 0 {
-				axpy(av, brow, dst.Data[p*n:(p+1)*n])
-			}
-		}
-	}
-}
-
-// LinearInto computes the fused dense layer dst = x·w + bias (bias a 1×n
-// row broadcast over rows), the matmul and bias add in one pass over dst.
-// Bitwise-equal to MatMulInto followed by AddRowVecInto. dst must not alias
-// x, w, or bias.
-func LinearInto(dst, x, w, bias *Tensor) {
-	if x.C != w.R {
-		shapePanic("Linear shape mismatch %dx%d · %dx%d", x.R, x.C, w.R, w.C)
-	}
-	if bias.R != 1 || bias.C != w.C {
-		shapePanic("Linear bias wants 1x%d, got %dx%d", w.C, bias.R, bias.C)
-	}
-	checkInto(dst, x.R, w.C, "LinearInto")
-	m, k, n := x.R, x.C, w.C
-	if m*k*n < parallelMinFlops() {
-		linearRowRange(dst, x, w, bias, 0, m)
-		return
-	}
-	parallel.ForBlocked(m, parallelRowBlock(), func(lo, hi int) {
-		linearRowRange(dst, x, w, bias, lo, hi)
-	})
-}
-
+// linearRowRange computes rows [lo, hi) of the fused dense layer
+// dst = x·w + bias (bias a 1×n row broadcast over rows): matmul and bias add
+// in one pass over each output row.
 func linearRowRange(dst, x, w, bias *Tensor, lo, hi int) {
 	n := w.C
 	k := x.C
@@ -260,36 +167,6 @@ func linearRowRange(dst, x, w, bias *Tensor, lo, hi int) {
 		matmulRowKernel(crow, arow, w.Data, 0, n)
 		for j := range crow {
 			crow[j] += brow[j]
-		}
-	}
-}
-
-// transposeBlock is the tile edge of the cache-blocked transpose: 32×32
-// float64 tiles (8 KiB read + 8 KiB written) keep both the row-major reads
-// and the column-strided writes resident in L1 instead of thrashing one
-// cache line per element as the naive column walk does for large C.
-const transposeBlock = 32
-
-// TransposeInto computes dst = tᵀ. dst must not alias t.
-func TransposeInto(dst, t *Tensor) {
-	checkInto(dst, t.C, t.R, "TransposeInto")
-	r, c := t.R, t.C
-	for ii := 0; ii < r; ii += transposeBlock {
-		imax := ii + transposeBlock
-		if imax > r {
-			imax = r
-		}
-		for jj := 0; jj < c; jj += transposeBlock {
-			jmax := jj + transposeBlock
-			if jmax > c {
-				jmax = c
-			}
-			for i := ii; i < imax; i++ {
-				row := t.Data[i*c : (i+1)*c]
-				for j := jj; j < jmax; j++ {
-					dst.Data[j*r+i] = row[j]
-				}
-			}
 		}
 	}
 }
@@ -331,18 +208,6 @@ func MulInto(dst, a, b *Tensor) {
 	bd := b.Data
 	for i, v := range a.Data {
 		dst.Data[i] = v * bd[i]
-	}
-}
-
-// DivInto computes dst = a / b elementwise. dst may alias a and/or b.
-func DivInto(dst, a, b *Tensor) {
-	if !a.SameShape(b) {
-		shapePanic("elementwise shape mismatch %dx%d vs %dx%d", a.R, a.C, b.R, b.C)
-	}
-	checkInto(dst, a.R, a.C, "DivInto")
-	bd := b.Data
-	for i, v := range a.Data {
-		dst.Data[i] = v / bd[i]
 	}
 }
 
@@ -436,69 +301,6 @@ func SoftmaxBackRow(drow, grow, yrow []float64, dotgy float64) {
 	}
 }
 
-// MapInto computes dst = f applied elementwise to t. dst may alias t.
-func MapInto(dst, t *Tensor, f func(float64) float64) {
-	checkInto(dst, t.R, t.C, "MapInto")
-	for i, v := range t.Data {
-		dst.Data[i] = f(v)
-	}
-}
-
-// AddRowVecInto computes dst = t with the 1×C row vector v added to every
-// row. dst may alias t.
-func AddRowVecInto(dst, t, v *Tensor) {
-	if v.R != 1 || v.C != t.C {
-		shapePanic("AddRowVec wants 1x%d, got %dx%d", t.C, v.R, v.C)
-	}
-	checkInto(dst, t.R, t.C, "AddRowVecInto")
-	for i := 0; i < t.R; i++ {
-		row, orow := t.Row(i), dst.Row(i)
-		for j := range row {
-			orow[j] = row[j] + v.Data[j]
-		}
-	}
-}
-
-// AddOuterInto computes dst[i][j] = a[i] + b[j] from column vectors a (N×1)
-// and b (M×1). dst must not alias a or b.
-func AddOuterInto(dst, a, b *Tensor) {
-	if a.C != 1 || b.C != 1 {
-		shapePanic("AddOuter wants column vectors, got %dx%d and %dx%d", a.R, a.C, b.R, b.C)
-	}
-	checkInto(dst, a.R, b.R, "AddOuterInto")
-	for i := 0; i < a.R; i++ {
-		av := a.Data[i]
-		row := dst.Row(i)
-		for j := 0; j < b.R; j++ {
-			row[j] = av + b.Data[j]
-		}
-	}
-}
-
-// SumRowsInto computes the 1×C vector of column sums into dst.
-func SumRowsInto(dst, t *Tensor) {
-	checkInto(dst, 1, t.C, "SumRowsInto")
-	clear(dst.Data)
-	for i := 0; i < t.R; i++ {
-		row := t.Row(i)
-		for j, v := range row {
-			dst.Data[j] += v
-		}
-	}
-}
-
-// SumColsInto computes the R×1 vector of row sums into dst.
-func SumColsInto(dst, t *Tensor) {
-	checkInto(dst, t.R, 1, "SumColsInto")
-	for i := 0; i < t.R; i++ {
-		s := 0.0
-		for _, v := range t.Row(i) {
-			s += v
-		}
-		dst.Data[i] = s
-	}
-}
-
 // SoftmaxRowsInto computes row-wise softmax of t into dst; mask (may be
 // nil) is an additive logit mask with −Inf disabling positions, and rows
 // whose every position is masked yield all-zero output rather than NaN.
@@ -511,8 +313,6 @@ func SoftmaxRowsInto(dst, t, mask *Tensor) {
 		}
 	}
 	checkInto(dst, t.R, t.C, "SoftmaxRowsInto")
-	// The row body lives in softmaxRow (batch.go), shared with the batched
-	// panel kernel so both paths produce bitwise-identical rows.
 	for i := 0; i < t.R; i++ {
 		softmaxRow(dst.Row(i), t.Row(i), mask, i)
 	}
@@ -552,16 +352,5 @@ func SliceColsInto(dst, t *Tensor, lo, hi int) {
 	checkInto(dst, t.R, hi-lo, "SliceColsInto")
 	for i := 0; i < t.R; i++ {
 		copy(dst.Row(i), t.Row(i)[lo:hi])
-	}
-}
-
-// GatherRowsInto writes t.Row(idx[i]) into dst.Row(i).
-func GatherRowsInto(dst, t *Tensor, idx []int) {
-	checkInto(dst, len(idx), t.C, "GatherRowsInto")
-	for i, id := range idx {
-		if id < 0 || id >= t.R {
-			shapePanic("GatherRows index %d out of %d rows", id, t.R)
-		}
-		copy(dst.Row(i), t.Row(id))
 	}
 }

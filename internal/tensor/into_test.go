@@ -7,8 +7,8 @@ import (
 )
 
 // Property tests: every destination-passing / in-place / fused kernel must
-// be bitwise-equal to a naive allocating reference on random shapes,
-// including degenerate ones (R or C = 0, 1×C rows, R×1 columns).
+// be bitwise-equal to a naive reference on random shapes, including
+// degenerate ones (R or C = 0, 1×C rows, R×1 columns).
 
 func randT(rng *rand.Rand, r, c int) *Tensor {
 	t := New(r, c)
@@ -117,20 +117,19 @@ func TestMatMulKernelsMatchNaive(t *testing.T) {
 		for _, n := range []int{0, 1, 2, 5, 33} {
 			m, k := mk[0], mk[1]
 			a, b := randT(rng, m, k), randT(rng, k, n)
-			wantBitwise(t, "MatMul", MatMul(a, b), refMatMul(a, b))
+			wantBitwise(t, "MatMul", matMul(a, b), refMatMul(a, b))
 
 			// MatMulBT's dot kernel accumulates four unrolled partial sums,
 			// so it matches a sequential reference only to rounding, not
-			// bitwise (bitwise stability vs the allocating API is covered by
-			// the wrapper delegating to the same kernel).
+			// bitwise.
 			bt := randT(rng, n, k)
-			if got, want := MatMulBT(a, bt), refMatMulBT(a, bt); !AllClose(got, want, 1e-9) {
+			if got, want := matMulBT(a, bt), refMatMulBT(a, bt); !AllClose(got, want, 1e-9) {
 				t.Fatalf("MatMulBT %dx%d·(%dx%d)ᵀ diverges from reference", m, k, n, k)
 			}
 
 			at := randT(rng, k, m) // MatMulAT(at, b) with at k×m, b … needs equal rows
 			bb := randT(rng, k, n)
-			wantBitwise(t, "MatMulAT", MatMulAT(at, bb), refMatMul(refTranspose(at), bb))
+			wantBitwise(t, "MatMulAT", matMulAT(at, bb), refMatMul(refTranspose(at), bb))
 		}
 	}
 }
@@ -142,8 +141,14 @@ func TestLinearIntoMatchesMatMulAddRowVec(t *testing.T) {
 			m, k := mk[0], mk[1]
 			x, w, bias := randT(rng, m, k), randT(rng, k, n), randT(rng, 1, n)
 			got := New(m, n)
-			LinearInto(got, x, w, bias)
-			wantBitwise(t, "LinearInto", got, AddRowVec(MatMul(x, w), bias))
+			SegLinearInto(got, x, w, bias, single(m))
+			want := matMul(x, w)
+			for i := 0; i < m; i++ {
+				for j, b := range bias.Data {
+					want.Data[i*n+j] += b
+				}
+			}
+			wantBitwise(t, "SegLinearInto", got, want)
 		}
 	}
 }
@@ -152,10 +157,9 @@ func TestElementwiseKernelsMatchZipWith(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, sh := range propShapes {
 		a, b := randT(rng, sh[0], sh[1]), randT(rng, sh[0], sh[1])
-		wantBitwise(t, "Add", Add(a, b), zipWith(a, b, func(x, y float64) float64 { return x + y }))
-		wantBitwise(t, "Sub", Sub(a, b), zipWith(a, b, func(x, y float64) float64 { return x - y }))
-		wantBitwise(t, "Mul", Mul(a, b), zipWith(a, b, func(x, y float64) float64 { return x * y }))
-		wantBitwise(t, "Div", Div(a, b), zipWith(a, b, func(x, y float64) float64 { return x / y }))
+		wantBitwise(t, "Add", add(a, b), zipWith(a, b, func(x, y float64) float64 { return x + y }))
+		wantBitwise(t, "Sub", sub(a, b), zipWith(a, b, func(x, y float64) float64 { return x - y }))
+		wantBitwise(t, "Mul", mul(a, b), zipWith(a, b, func(x, y float64) float64 { return x * y }))
 	}
 }
 
@@ -172,16 +176,16 @@ func TestIntoKernelsAliasedDst(t *testing.T) {
 			run(dst)
 			wantBitwise(t, op+" aliased", dst, want)
 		}
-		check("AddInto", Add(a, b), func(dst *Tensor) { AddInto(dst, dst, b) })
-		check("SubInto", Sub(a, b), func(dst *Tensor) { SubInto(dst, dst, b) })
-		check("MulInto", Mul(a, b), func(dst *Tensor) { MulInto(dst, dst, b) })
-		check("DivInto", Div(a, b), func(dst *Tensor) { DivInto(dst, dst, b) })
-		check("ScaleInto", Scale(a, -1.5), func(dst *Tensor) { ScaleInto(dst, dst, -1.5) })
-		check("MapInto", Map(a, math.Exp), func(dst *Tensor) { MapInto(dst, dst, math.Exp) })
-		check("SoftmaxRowsInto", SoftmaxRows(a, nil), func(dst *Tensor) { SoftmaxRowsInto(dst, dst, nil) })
-		if sh[0] > 0 {
-			v := randT(rng, 1, sh[1])
-			check("AddRowVecInto", AddRowVec(a, v), func(dst *Tensor) { AddRowVecInto(dst, dst, v) })
+		check("AddInto", add(a, b), func(dst *Tensor) { AddInto(dst, dst, b) })
+		check("SubInto", sub(a, b), func(dst *Tensor) { SubInto(dst, dst, b) })
+		check("MulInto", mul(a, b), func(dst *Tensor) { MulInto(dst, dst, b) })
+		check("ScaleInto", scale(a, -1.5), func(dst *Tensor) { ScaleInto(dst, dst, -1.5) })
+		check("SoftmaxRowsInto", softmaxRows(a, nil), func(dst *Tensor) { SoftmaxRowsInto(dst, dst, nil) })
+		if sh[0] == sh[1] {
+			l := single(sh[0])
+			want := New(sh[0], sh[1])
+			PanelSoftmaxInto(want, a, nil, l)
+			check("PanelSoftmaxInto", want, func(dst *Tensor) { PanelSoftmaxInto(dst, dst, nil, l) })
 		}
 	}
 }
@@ -204,28 +208,33 @@ func TestSoftmaxRowsMaskedMatchesNaive(t *testing.T) {
 				mask.Row(0)[j] = ninf
 			}
 		}
-		got := SoftmaxRows(x, mask)
+		got := softmaxRows(x, mask)
 		wantBitwise(t, "SoftmaxRows masked", got, refSoftmaxRows(x, mask))
 		// In-place form over the same inputs.
 		inplace := x.Clone()
 		SoftmaxRowsInto(inplace, inplace, mask)
 		wantBitwise(t, "SoftmaxRowsInto aliased masked", inplace, got)
+		// The panel kernel at B=1 is the same row loop.
+		if sh[0] == sh[1] {
+			panel := x.Clone()
+			PanelSoftmaxInto(panel, panel, []*Tensor{mask}, single(sh[0]))
+			wantBitwise(t, "PanelSoftmaxInto masked", panel, got)
+		}
 	}
 }
 
-// TestTransposeBlockedMatchesNaive is the bench guard for the cache-blocked
-// transpose: identical to the naive column walk on every shape, including
-// ones that don't divide the block size.
+// TestTransposeBlockedMatchesNaive: Aᵀ·I through the weight-gradient kernel
+// is the transpose, bit for bit (every product is a value times 1 or times
+// 0). atPanelAccum consumes input rows in blocks of four, then two, then one,
+// so the shapes include row counts on both sides of every block edge and the
+// degenerate ones.
 func TestTransposeBlockedMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	shapes := append([][2]int{}, propShapes...)
-	shapes = append(shapes, [2]int{transposeBlock, transposeBlock},
-		[2]int{transposeBlock - 1, transposeBlock + 1},
-		[2]int{2*transposeBlock + 3, transposeBlock / 2},
-		[2]int{100, 65})
+	shapes = append(shapes, [2]int{4, 4}, [2]int{6, 9}, [2]int{11, 2}, [2]int{100, 65})
 	for _, sh := range shapes {
 		x := randT(rng, sh[0], sh[1])
-		wantBitwise(t, "Transpose", x.Transpose(), refTranspose(x))
+		wantBitwise(t, "MatMulAT·I", matMulAT(x, Eye(sh[0])), refTranspose(x))
 	}
 }
 
@@ -241,21 +250,33 @@ func TestReductionAndLayoutKernels(t *testing.T) {
 				sumRows.Data[j] += x.At(i, j)
 			}
 		}
-		wantBitwise(t, "SumRows", SumRows(x), sumRows)
+		got := New(1, c)
+		SumRowsRangeInto(got, x, 0, r)
+		wantBitwise(t, "SumRowsRange", got, sumRows)
 
-		sumCols := New(r, 1)
-		for i := 0; i < r; i++ {
-			s := 0.0
-			for j := 0; j < c; j++ {
-				s += x.At(i, j)
+		if r == c { // panel-width kernels at B=1 want a square score panel
+			want := New(r, 1)
+			for i := 0; i < r; i++ {
+				s := 0.0
+				for j := 0; j < c; j++ {
+					s += x.At(i, j)
+				}
+				want.Data[i] = s
 			}
-			sumCols.Data[i] = s
+			wantBitwise(t, "PanelSumCols", sumCols(x), want)
+
+			colSums := New(r, 1)
+			PanelColSumsInto(colSums, x, single(r))
+			for j := 0; j < c; j++ {
+				if math.Float64bits(colSums.Data[j]) != math.Float64bits(sumRows.Data[j]) {
+					t.Fatal("PanelColSums mismatch")
+				}
+			}
 		}
-		wantBitwise(t, "SumCols", SumCols(x), sumCols)
 
 		if c >= 2 {
 			lo, hi := 1, c
-			sl := SliceCols(x, lo, hi)
+			sl := sliceCols(x, lo, hi)
 			for i := 0; i < r; i++ {
 				for j := lo; j < hi; j++ {
 					if sl.At(i, j-lo) != x.At(i, j) {
@@ -264,7 +285,7 @@ func TestReductionAndLayoutKernels(t *testing.T) {
 				}
 			}
 			y := randT(rng, r, 3)
-			cc := ConcatCols(x, y)
+			cc := concatCols(x, y)
 			if cc.R != r || cc.C != c+3 {
 				t.Fatalf("ConcatCols shape %dx%d", cc.R, cc.C)
 			}
@@ -282,29 +303,14 @@ func TestReductionAndLayoutKernels(t *testing.T) {
 			}
 		}
 
-		if r > 0 {
-			idx := make([]int, 5)
-			for i := range idx {
-				idx[i] = rng.Intn(r)
-			}
-			g := GatherRows(x, idx)
-			for i, id := range idx {
-				for j := 0; j < c; j++ {
-					if g.At(i, j) != x.At(id, j) {
-						t.Fatal("GatherRows mismatch")
-					}
-				}
-			}
-		}
-
-		if r > 0 && c > 0 {
-			av, bv := randT(rng, r, 1), randT(rng, c, 1)
-			ao := AddOuter(av, bv)
+		if r > 0 && r == c {
+			av, bv := randT(rng, r, 1), randT(rng, r, 1)
+			ao := addOuter(av, bv)
 			for i := 0; i < r; i++ {
 				for j := 0; j < c; j++ {
 					want := av.Data[i] + bv.Data[j]
 					if math.Float64bits(ao.At(i, j)) != math.Float64bits(want) {
-						t.Fatal("AddOuter mismatch")
+						t.Fatal("PanelAddOuter mismatch")
 					}
 				}
 			}
@@ -321,4 +327,24 @@ func TestIntoRejectsBadDst(t *testing.T) {
 		}
 	}()
 	MatMulInto(New(2, 2), New(2, 3), New(3, 4))
+}
+
+// TestKernelTuneBitwiseInvariant: the size-gated serial/parallel split of
+// MatMulInto and MatMulBTInto only moves scheduling. A product large enough
+// to take the parallel.ForBlocked path must equal, bit for bit, the serial
+// row loop over the whole range.
+func TestKernelTuneBitwiseInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n = 96
+	if n*n*n < parallelMinFlops {
+		t.Fatalf("probe %d³ does not cross the parallel threshold %d", n, parallelMinFlops)
+	}
+	a, b := randT(rng, n, n), randT(rng, n, n)
+	got, want := New(n, n), New(n, n)
+	MatMulInto(got, a, b)
+	matmulRowRange(want, a, b, 0, n)
+	wantBitwise(t, "MatMulInto parallel", got, want)
+	MatMulBTInto(got, a, b)
+	matmulBTRowRange(want, a, b, 0, n)
+	wantBitwise(t, "MatMulBTInto parallel", got, want)
 }

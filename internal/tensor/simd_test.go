@@ -114,17 +114,17 @@ func TestSIMDMatMulBitwise(t *testing.T) {
 		fillRandom(rng, a.Data)
 		fillRandom(rng, b.Data)
 		SetSIMD(false)
-		wantMM := MatMul(a, b)
+		wantMM := matMul(a, b)
 		SetSIMD(true)
-		gotMM := MatMul(a, b)
+		gotMM := matMul(a, b)
 		requireBitwise(t, "MatMul", wantMM.Data, gotMM.Data)
 
 		bt := New(n, k)
 		fillRandom(rng, bt.Data)
 		SetSIMD(false)
-		wantBT := MatMulBT(a, bt)
+		wantBT := matMulBT(a, bt)
 		SetSIMD(true)
-		gotBT := MatMulBT(a, bt)
+		gotBT := matMulBT(a, bt)
 		requireBitwise(t, "MatMulBT", wantBT.Data, gotBT.Data)
 	}
 }
@@ -257,7 +257,7 @@ func TestSIMDSoftmaxRowBitwise(t *testing.T) {
 }
 
 // TestSIMDMatMulATBitwise checks the transposed-gradient pair kernels — the
-// matmulATRows inner loops and the panel closure form — bitwise against the
+// atPanelAccum inner loops, through MatMulATRangeInto and directly — bitwise against the
 // scalar path, with one-hot-heavy coefficient matrices so the `av != 0`
 // skip paths and the NaN-coefficient nonzero path are all exercised.
 func TestSIMDMatMulATBitwise(t *testing.T) {

@@ -2,8 +2,9 @@
 // operations needed to train the neural predictors in this repository.
 //
 // Tensors are two-dimensional; vectors are represented as 1×C (row) or R×1
-// (column) matrices. The hot path — MatMul and its transposed variants —
-// uses a cache-blocked ikj loop parallelized over row blocks.
+// (column) matrices. Every arithmetic kernel writes a caller-provided
+// destination (into.go) or a panel of a stacked batch (batch.go); nothing here
+// allocates its result.
 package tensor
 
 import (
@@ -141,19 +142,6 @@ func (t *Tensor) String() string {
 		}
 	}
 	return b.String()
-}
-
-func assertShape(cond bool, format string, args ...any) {
-	if !cond {
-		panic("tensor: " + fmt.Sprintf(format, args...))
-	}
-}
-
-// MatMul returns a·b for a (m×k) and b (k×n).
-func MatMul(a, b *Tensor) *Tensor {
-	out := New(a.R, b.C)
-	MatMulInto(out, a, b)
-	return out
 }
 
 // axpy computes y += a*x over equal-length slices, unrolled by eight.
@@ -295,74 +283,6 @@ func dot2(x, y0, y1 []float64) (float64, float64) {
 	return s, t
 }
 
-// MatMulBT returns a·bᵀ for a (m×k) and b (n×k). This is the layout used by
-// attention scores (Q·Kᵀ) and avoids materializing a transpose.
-func MatMulBT(a, b *Tensor) *Tensor {
-	out := New(a.R, b.R)
-	MatMulBTInto(out, a, b)
-	return out
-}
-
-// MatMulAT returns aᵀ·b for a (k×m) and b (k×n). This is the layout used by
-// weight gradients (Xᵀ·dY).
-func MatMulAT(a, b *Tensor) *Tensor {
-	out := New(a.C, b.C)
-	MatMulATInto(out, a, b)
-	return out
-}
-
-// Transpose returns tᵀ.
-func (t *Tensor) Transpose() *Tensor {
-	out := New(t.C, t.R)
-	TransposeInto(out, t)
-	return out
-}
-
-// The elementwise binaries below are deliberately written as direct loops
-// rather than through zipWith: a per-element closure call blocks inlining
-// and bounds-check elimination on the hottest loops in autodiff backward
-// passes. zipWith survives (unexported) as the reference implementation the
-// property tests compare against.
-
-// Add returns a + b elementwise.
-func Add(a, b *Tensor) *Tensor {
-	out := New(a.R, a.C)
-	AddInto(out, a, b)
-	return out
-}
-
-// Sub returns a − b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	out := New(a.R, a.C)
-	SubInto(out, a, b)
-	return out
-}
-
-// Mul returns a ⊙ b elementwise.
-func Mul(a, b *Tensor) *Tensor {
-	out := New(a.R, a.C)
-	MulInto(out, a, b)
-	return out
-}
-
-// Div returns a / b elementwise.
-func Div(a, b *Tensor) *Tensor {
-	out := New(a.R, a.C)
-	DivInto(out, a, b)
-	return out
-}
-
-// zipWith is the closure-based elementwise reference kept for the property
-// tests in into_test.go; production code uses the specialized loops above.
-func zipWith(a, b *Tensor, f func(x, y float64) float64) *Tensor {
-	assertShape(a.SameShape(b), "elementwise shape mismatch %dx%d vs %dx%d", a.R, a.C, b.R, b.C)
-	out := New(a.R, a.C)
-	for i := range a.Data {
-		out.Data[i] = f(a.Data[i], b.Data[i])
-	}
-	return out
-}
-
 // AddInPlace accumulates b into a.
 func AddInPlace(a, b *Tensor) {
 	if !a.SameShape(b) {
@@ -387,49 +307,6 @@ func AddScaledInPlace(a *Tensor, s float64, b *Tensor) {
 	}
 }
 
-// Scale returns s·t.
-func Scale(t *Tensor, s float64) *Tensor {
-	out := New(t.R, t.C)
-	ScaleInto(out, t, s)
-	return out
-}
-
-// Map returns f applied elementwise.
-func Map(t *Tensor, f func(float64) float64) *Tensor {
-	out := New(t.R, t.C)
-	MapInto(out, t, f)
-	return out
-}
-
-// AddRowVec returns t with the 1×C row vector v added to every row.
-func AddRowVec(t, v *Tensor) *Tensor {
-	out := New(t.R, t.C)
-	AddRowVecInto(out, t, v)
-	return out
-}
-
-// AddOuter returns the N×M matrix a·1ᵀ + 1·bᵀ from column vectors a (N×1)
-// and b (M×1): out[i][j] = a[i] + b[j]. Used by GAT attention logits.
-func AddOuter(a, b *Tensor) *Tensor {
-	out := New(a.R, b.R)
-	AddOuterInto(out, a, b)
-	return out
-}
-
-// SumRows returns the 1×C vector of column sums (summing over rows).
-func SumRows(t *Tensor) *Tensor {
-	out := New(1, t.C)
-	SumRowsInto(out, t)
-	return out
-}
-
-// SumCols returns the R×1 vector of row sums (summing over columns).
-func SumCols(t *Tensor) *Tensor {
-	out := New(t.R, 1)
-	SumColsInto(out, t)
-	return out
-}
-
 // Sum returns the sum of all elements.
 func (t *Tensor) Sum() float64 {
 	s := 0.0
@@ -448,57 +325,6 @@ func (t *Tensor) MaxAbs() float64 {
 		}
 	}
 	return m
-}
-
-// SoftmaxRows returns row-wise softmax of t. If mask is non-nil it is added
-// to the logits first (entries of −Inf disable positions). Rows whose every
-// position is masked yield all-zero output rather than NaN.
-func SoftmaxRows(t, mask *Tensor) *Tensor {
-	out := New(t.R, t.C)
-	SoftmaxRowsInto(out, t, mask)
-	return out
-}
-
-// ConcatCols concatenates tensors with equal row counts along columns.
-func ConcatCols(ts ...*Tensor) *Tensor {
-	if len(ts) == 0 {
-		return New(0, 0)
-	}
-	c := 0
-	for _, t := range ts {
-		c += t.C
-	}
-	out := New(ts[0].R, c)
-	ConcatColsInto(out, ts...)
-	return out
-}
-
-// SliceCols returns columns [lo, hi) of t as a new tensor.
-func SliceCols(t *Tensor, lo, hi int) *Tensor {
-	if lo < 0 || hi < lo || hi > t.C {
-		shapePanic("SliceCols bad range [%d,%d) of %d", lo, hi, t.C)
-	}
-	out := New(t.R, hi-lo)
-	SliceColsInto(out, t, lo, hi)
-	return out
-}
-
-// GatherRows returns the tensor whose i-th row is t.Row(idx[i]).
-func GatherRows(t *Tensor, idx []int) *Tensor {
-	out := New(len(idx), t.C)
-	GatherRowsInto(out, t, idx)
-	return out
-}
-
-// ScatterAddRows adds each row of src into dst.Row(idx[i]).
-func ScatterAddRows(dst, src *Tensor, idx []int) {
-	assertShape(src.R == len(idx) && src.C == dst.C, "ScatterAddRows shape mismatch")
-	for i, id := range idx {
-		drow, srow := dst.Row(id), src.Row(i)
-		for j := range srow {
-			drow[j] += srow[j]
-		}
-	}
 }
 
 // AllClose reports whether a and b agree elementwise within tol.

@@ -399,40 +399,15 @@ type (
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// KernelTuneInfo reports the matmul kernel split parameters in effect and how
-// they were chosen (see ApplyKernelTune).
-type KernelTuneInfo = tensor.KernelTuneResult
-
-// ApplyKernelTune configures the matmul kernel work split from a -kernel-tune
-// flag or the PREDTOP_KERNEL_TUNE environment value — "off" restores the
-// built-in defaults, "auto" measures the serial/parallel crossover and row
-// block on this host, and an integer pins the crossover. Tuning never changes
-// numerical results, only where the split lands. When reg is non-nil the
-// outcome is published as gauges, so the formerly hardcoded constants are
-// observable on every /metrics page:
-//
-//	predtop_kernel_tune_info{mode=...} 1
-//	predtop_kernel_min_flops           serial/parallel crossover (multiply-adds)
-//	predtop_kernel_row_block           rows per parallel task
-//	predtop_kernel_tune_seconds        wall time of the auto measurement
-//	predtop_kernel_simd                1 when the AVX2 kernels are active
-func ApplyKernelTune(mode string, reg *MetricsRegistry) (KernelTuneInfo, error) {
-	res, err := tensor.ApplyKernelTune(mode)
-	if err != nil {
-		return res, err
+// PublishKernelInfo sets the predtop_kernel_simd gauge on reg: 1 when the
+// AVX2 row kernels are active on this host, 0 on the scalar fallback. Results
+// are bitwise identical either way; the gauge says which speed to expect.
+func PublishKernelInfo(reg *MetricsRegistry) {
+	simd := 0.0
+	if tensor.SIMDEnabled() {
+		simd = 1
 	}
-	if reg != nil {
-		reg.GaugeWith("predtop_kernel_tune_info", MetricLabel{Key: "mode", Value: res.Mode}).Set(1)
-		reg.Gauge("predtop_kernel_min_flops").Set(float64(res.MinFlops))
-		reg.Gauge("predtop_kernel_row_block").Set(float64(res.RowBlock))
-		reg.Gauge("predtop_kernel_tune_seconds").Set(res.TuneSeconds)
-		simd := 0.0
-		if tensor.SIMDEnabled() {
-			simd = 1
-		}
-		reg.Gauge("predtop_kernel_simd").Set(simd)
-	}
-	return res, nil
+	reg.Gauge("predtop_kernel_simd").Set(simd)
 }
 
 // NewEventSink returns a JSONL sink writing to w (nil w → inert nil sink).

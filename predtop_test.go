@@ -195,7 +195,7 @@ func TestFacadeSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.PredictGraph(&ds.Samples[0]) != trained.PredictGraph(&ds.Samples[0]) {
+	if loaded.PredictEncoded(ds.Samples[0].Encoded) != trained.PredictEncoded(ds.Samples[0].Encoded) {
 		t.Fatal("round-trip prediction drift")
 	}
 }
@@ -266,36 +266,5 @@ func TestFacadeTraceCorrelation(t *testing.T) {
 	}
 	if !strings.Contains(dump.String(), `"trace_id":"`+id+`"`) {
 		t.Fatalf("flight dump missing trace id:\n%s", dump.String())
-	}
-}
-
-// TestFacadeKernelTune: ApplyKernelTune installs the requested split and
-// publishes the predtop_kernel_* gauges so the formerly hardcoded constants
-// are visible on /metrics.
-func TestFacadeKernelTune(t *testing.T) {
-	defer func() { _, _ = ApplyKernelTune("off", nil) }()
-	reg := NewMetricsRegistry()
-	res, err := ApplyKernelTune("4096", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Mode != "fixed" || res.MinFlops != 4096 {
-		t.Fatalf("unexpected tune result: %+v", res)
-	}
-	if v := reg.Gauge("predtop_kernel_min_flops").Value(); v != 4096 {
-		t.Fatalf("predtop_kernel_min_flops = %v, want 4096", v)
-	}
-	if v := reg.Gauge("predtop_kernel_row_block").Value(); v != float64(res.RowBlock) {
-		t.Fatalf("predtop_kernel_row_block = %v, want %d", v, res.RowBlock)
-	}
-	var prom bytes.Buffer
-	if err := WriteMetricsProm(&prom, reg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(prom.String(), `predtop_kernel_tune_info{mode="fixed"} 1`) {
-		t.Fatalf("exposition missing tune info gauge:\n%s", prom.String())
-	}
-	if _, err := ApplyKernelTune("sideways", reg); err == nil {
-		t.Fatal("bad kernel-tune value accepted")
 	}
 }
