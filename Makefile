@@ -2,7 +2,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: ci fmt vet build test bench-module race bench bench-compare serve-smoke plan-smoke runs-smoke cover ledger-check staticcheck loc
+.PHONY: ci fmt vet build test bench-module race bench serve-smoke plan-smoke runs-smoke cover ledger-check staticcheck loc
 
 ci: fmt vet staticcheck build test bench-module race serve-smoke plan-smoke runs-smoke cover ledger-check
 
@@ -66,15 +66,18 @@ plan-smoke:
 runs-smoke:
 	GO="$(GO)" sh scripts/runs-smoke.sh
 
-# loc prints non-test Go lines per internal package and the total for the
-# numeric stack (tensor, ag, nn, graphnn, predictor) — the number design-debt
-# issues are sized and accepted by.
+# loc prints non-test Go lines per internal package, the total for the
+# numeric stack (tensor, ag, nn, graphnn, predictor), and the total for the
+# tool layer (cmd/ plus internal/cli) — the numbers design-debt issues are
+# sized and accepted by.
 loc:
 	@for d in internal/*/; do \
 		printf '%6d  %s\n' "$$(ls $$d*.go | grep -v _test.go | xargs cat | wc -l)" "$$d"; \
 	done
 	@printf '%6d  numeric stack (tensor ag nn graphnn predictor)\n' \
 		"$$(ls internal/tensor/*.go internal/ag/*.go internal/nn/*.go internal/graphnn/*.go internal/predictor/*.go | grep -v _test.go | xargs cat | wc -l)"
+	@printf '%6d  tool layer (cmd internal/cli)\n' \
+		"$$(ls cmd/*/*.go internal/cli/*.go | grep -v _test.go | xargs cat | wc -l)"
 
 # cover prints per-package statement coverage (-short: same scope as the
 # race pass). Informational — the leading '-' keeps a coverage-run hiccup
@@ -89,30 +92,11 @@ cover:
 ledger-check:
 	GO="$(GO)" sh scripts/ledger-check.sh
 
-# Paper-artifact benchmarks at the quick preset; one iteration each.
-# `make bench` also archives the run as a timestamped BENCH_<date>.json
-# (go test -json event stream) for cross-commit comparison. Same-day reruns
-# never overwrite an earlier archive: the name takes a .N suffix instead, so
-# a baseline captured before an optimization survives the "after" run.
-BENCH_FILE := $(shell d=$$(date +%Y-%m-%d); f=BENCH_$$d.json; n=1; \
-	while [ -e $$f ]; do f=BENCH_$$d.$$n.json; n=$$((n+1)); done; echo $$f)
+# bench answers "is this commit faster": the repo benchmark (bench/ +
+# BENCHMARK.json — five workloads, medians over repeated runs, bit-exact
+# output checks, the per-layer ladder). Run the script directly to pass
+# arguments, e.g. `bash bench/run.sh --workload train`. The paper-artifact
+# metrics (MRE, win rate, degradation) are the root package's benchmarks:
+# go test -bench 'Table|Fig|Ablation' -benchtime=1x -run '^$$' .
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' -json . | tee $(BENCH_FILE)
-
-# bench-compare runs the benchmarks fresh (without archiving) and prints
-# ns/op, B/op, and allocs/op deltas against the most recent BENCH_*.json —
-# benchcmp selects the baseline by archive name (date, then .N rerun
-# suffix), so the comparison is deterministic even after a checkout resets
-# every mtime. Pass BASELINE=<name|date|date.N> to pin an older archive.
-# The thresholds turn the comparison into a gate: any benchmark whose
-# allocs/op grew >10% — or allocated at all from a zero-alloc baseline, which
-# pins the guarded instrumentation-off hot paths — fails the target. The
-# ns/op gate is looser (20%) because each run is a single iteration and
-# back-to-back runs on a shared host drift by >10% from CPU contention
-# alone; allocs/op is deterministic, wall time is not. Benchmarks under
-# benchcmp's -nsfloor (10ms) are exempt from the ns gate entirely.
-BASELINE ?=
-bench-compare:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' -json . | \
-		$(GO) run ./cmd/predtop-benchcmp -baseline '$(BASELINE)' \
-			-allocthreshold 10 -nsthreshold 20
+	bash bench/run.sh

@@ -4,20 +4,16 @@ package predtop
 // Each bench regenerates its artifact end-to-end at the "quick" preset —
 // shrunken models, thin grid — so `go test -bench=.` exercises every
 // experiment pipeline in minutes; the recorded results in EXPERIMENTS.md
-// come from the "paper" preset via the cmd/ tools.
+// come from the "paper" preset via the cmd/ tools. These report the
+// paper-artifact metrics (MRE, win rate, spread, cost saving, latency
+// degradation); speed is bench/'s job (`bash bench/run.sh`), not theirs.
 
 import (
-	"context"
 	"fmt"
-	"math"
-	"math/rand"
-	"sync"
 	"testing"
-	"time"
 
 	"predtop/internal/cluster"
 	"predtop/internal/experiments"
-	"predtop/internal/stage"
 )
 
 // benchPreset is the quick preset with a fixed seed per bench iteration.
@@ -184,76 +180,6 @@ func ExamplePipelineLatency() {
 	// Output: 12
 }
 
-var (
-	benchTrainOnce sync.Once
-	benchTrainDS   *Dataset
-	benchTrainIdx  []int
-	benchValIdx    []int
-)
-
-// benchTrainData profiles a shared dataset once: a shrunken GPT-3 stage
-// universe under the first Platform-1 scenario, split 70/20/10.
-func benchTrainData() (*Dataset, []int, []int) {
-	benchTrainOnce.Do(func() {
-		cfg := GPT3Config()
-		cfg.Layers = 8
-		model := BuildModel(cfg)
-		rng := rand.New(rand.NewSource(1))
-		specs := SampleStages(model, rng, 0, 2)
-		enc := NewEncoder(model, true)
-		benchTrainDS = BuildDataset(enc, specs, Scenarios(Platform1())[0], DefaultProfiler())
-		benchTrainIdx, benchValIdx, _ = Split(rng, len(benchTrainDS.Samples), 0.7, 0.2)
-	})
-	return benchTrainDS, benchTrainIdx, benchValIdx
-}
-
-func benchTrain(b *testing.B, workers int) {
-	ds, trainIdx, valIdx := benchTrainData()
-	b.ResetTimer()
-	var loss float64
-	for i := 0; i < b.N; i++ {
-		net := NewDAGTransformer(rand.New(rand.NewSource(7)),
-			TransformerConfig{Layers: 2, Dim: 32, Heads: 2, FFNDim: 64})
-		_, res := Train(net, ds, trainIdx, valIdx, TrainConfig{
-			Epochs: 6, Patience: 6, BatchSize: 8, Seed: 1, Workers: workers,
-		})
-		loss = res.BestValLoss
-	}
-	b.ReportMetric(loss, "best-val-loss")
-}
-
-// BenchmarkTrainSerial is the single-worker baseline for the data-parallel
-// training engine.
-func BenchmarkTrainSerial(b *testing.B) { benchTrain(b, 1) }
-
-// BenchmarkTrainParallel trains the identical recipe with one worker per
-// core. Compare ns/op against BenchmarkTrainSerial for the speedup;
-// best-val-loss is bitwise identical between the two by construction
-// (deterministic fixed-order gradient reduction) — TestTrainDeterminismNote
-// enforces it.
-func BenchmarkTrainParallel(b *testing.B) { benchTrain(b, 0) }
-
-// TestTrainDeterminismNote proves the serial/parallel benchmark pair above
-// optimizes identically: same weights, same loss, any worker count.
-func TestTrainDeterminismNote(t *testing.T) {
-	if testing.Short() {
-		t.Skip("covered by internal/predictor determinism tests")
-	}
-	ds, trainIdx, valIdx := benchTrainData()
-	run := func(workers int) float64 {
-		net := NewDAGTransformer(rand.New(rand.NewSource(7)),
-			TransformerConfig{Layers: 1, Dim: 16, Heads: 2, FFNDim: 32})
-		_, res := Train(net, ds, trainIdx, valIdx, TrainConfig{
-			Epochs: 2, Patience: 2, BatchSize: 8, Seed: 1, Workers: workers,
-		})
-		return res.BestValLoss
-	}
-	serial, parallel := run(1), run(0)
-	if math.Float64bits(serial) != math.Float64bits(parallel) {
-		t.Fatalf("serial %v != parallel %v", serial, parallel)
-	}
-}
-
 // BenchmarkAblation regenerates the DAG-Transformer design ablation
 // (DAGRA / DAGPE / pruning / loss) on the GPT-3 benchmark.
 func BenchmarkAblation(b *testing.B) {
@@ -265,117 +191,5 @@ func BenchmarkAblation(b *testing.B) {
 				b.ReportMetric(r.MRE, "full-MRE-%")
 			}
 		}
-	}
-}
-
-var (
-	benchPredictOnce    sync.Once
-	benchPredictTrained Trained
-	benchPredictPool    []*stage.Encoded
-)
-
-// benchPredictSetup trains one small DAG-Transformer predictor and encodes a
-// ragged pool of GPT-3 stage graphs, shared by every PredictBatch size.
-func benchPredictSetup() (Trained, []*stage.Encoded) {
-	benchPredictOnce.Do(func() {
-		ds, trainIdx, valIdx := benchTrainData()
-		net := NewDAGTransformer(rand.New(rand.NewSource(7)),
-			TransformerConfig{Layers: 2, Dim: 32, Heads: 2, FFNDim: 64})
-		benchPredictTrained, _ = Train(net, ds, trainIdx, valIdx, TrainConfig{
-			Epochs: 2, Patience: 2, BatchSize: 8, Seed: 1,
-		})
-		cfg := GPT3Config()
-		cfg.Layers = 8
-		enc := NewEncoder(BuildModel(cfg), true)
-		for _, sp := range []stage.Spec{{Lo: 0, Hi: 2}, {Lo: 1, Hi: 3}, {Lo: 2, Hi: 4}, {Lo: 0, Hi: 3}, {Lo: 3, Hi: 4}, {Lo: 1, Hi: 2}} {
-			benchPredictPool = append(benchPredictPool, enc.Encode(sp))
-		}
-	})
-	return benchPredictTrained, benchPredictPool
-}
-
-// BenchmarkPredictBatch measures the fused batched forward at fixed batch
-// sizes: each op predicts B ragged stage graphs through PredictEncodedBatch,
-// which pads them into one blocked panel per layer. Compare per-graph cost
-// (ns/op ÷ B) across the B=1/8/64 series for the amortization curve —
-// results are bitwise identical to B serial PredictEncoded calls at every
-// size, so this dial trades nothing but wall time.
-func BenchmarkPredictBatch(b *testing.B) {
-	trained, pool := benchPredictSetup()
-	var sink float64
-	for _, size := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("B=%d", size), func(b *testing.B) {
-			batch := make([]*stage.Encoded, size)
-			for i := range batch {
-				batch[i] = pool[i%len(pool)]
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out := trained.PredictEncodedBatch(batch, 0)
-				sink = out[0]
-			}
-		})
-	}
-	if math.IsNaN(sink) {
-		b.Fatal("NaN prediction")
-	}
-}
-
-// BenchmarkServeReplay measures the serving daemon end to end: a tiny
-// predictor is trained and saved, predtop-serve's Start brings it up on an
-// ephemeral port, and a 100k-query synthetic replay hammers /predict from 32
-// concurrent clients. Reported metrics are the serving SLOs: throughput,
-// client-side P50/P95, the LRU hit rate, and the mean coalesced batch size
-// (> 1 means batched forwards actually happened).
-func BenchmarkServeReplay(b *testing.B) {
-	dir := b.TempDir()
-	cfg := GPT3Config()
-	cfg.Layers = 4
-	m := BuildModel(cfg)
-	rng := rand.New(rand.NewSource(1))
-	specs := SampleStages(m, rng, 10, 3)
-	enc := NewEncoder(m, true)
-	ds := BuildDataset(enc, specs, Scenarios(Platform1())[0], DefaultProfiler())
-	var trainIdx, valIdx []int
-	for i := range ds.Samples {
-		if i%4 == 3 {
-			valIdx = append(valIdx, i)
-		} else {
-			trainIdx = append(trainIdx, i)
-		}
-	}
-	net := NewDAGTransformer(rng, TransformerConfig{Layers: 1, Dim: 16, Heads: 2, FFNDim: 32})
-	trained, _ := Train(net, ds, trainIdx, valIdx, TrainConfig{Epochs: 2, Patience: 2, BatchSize: 4, Seed: 1})
-	if err := SaveTrained(dir+"/tran.predtop", trained); err != nil {
-		b.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	srv, err := StartServe(ctx, ServeConfig{
-		ModelDir: dir, Window: 2 * time.Millisecond, Metrics: NewMetricsRegistry(),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := ServeReplay(ServeReplayConfig{
-			URL: srv.URL(), Queries: 100000, Concurrency: 32,
-			Seed: int64(i + 1), Layers: 4, MaxLen: 3,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Errors > 0 {
-			b.Fatalf("%d of %d replay queries failed", res.Errors, res.Queries)
-		}
-		b.ReportMetric(res.QPS, "qps")
-		b.ReportMetric(res.P50ms, "p50-ms")
-		b.ReportMetric(res.P95ms, "p95-ms")
-		b.ReportMetric(res.CacheHitRate*100, "lru-hit-%")
-		b.ReportMetric(res.MeanBatch, "mean-batch")
-		b.ReportMetric(res.MaxBatch, "max-batch")
 	}
 }

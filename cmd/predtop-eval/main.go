@@ -4,167 +4,99 @@
 //
 // Usage:
 //
-//	predtop-eval [-preset quick|paper] [-bench GPT-3|MoE|all]
+//	predtop-eval [-preset quick|paper|paperlite] [-bench GPT-3|MoE|all]
 //	             [-platform 1|2|0] [-fig3frac 50] [-seed 0] [-out results.txt]
 //	             [-metrics run.jsonl] [-trace run.json] [-listen :9090]
 //	             [-profile spans.txt] [-driftmre 25] [-runledger runs] [-quiet]
 //
-// -metrics streams JSONL records (run config, one record per grid cell,
-// per-family accuracy records, a final metrics snapshot); -trace writes a
-// Chrome-tracing JSON timeline of the grid runs, loadable in Perfetto;
-// -listen serves live telemetry over HTTP while the grids run (GET /metrics
-// in Prometheus text format, GET /healthz, GET /debug/flightrecorder,
-// /debug/pprof/); -profile writes a hierarchical self-time span tree covering
-// grid phases and predictor layers; -driftmre arms the accuracy monitor's
-// drift warning at the given MRE percentage; -seed overrides the preset's
-// seed (0 keeps the preset default); -runledger records the run's manifest —
-// per-table win rates, per-(family, mesh, op) accuracy stats, and per-family
-// error-attribution snapshots — into the given run-ledger directory for
-// predtop-runs to list, diff, and gate; -quiet silences the per-cell
-// progress on stderr (the report itself still prints). All of them observe
-// only — the tables are bitwise identical with or without them.
-//
-// Every run derives a deterministic trace id from the preset seed, stamped
-// onto every telemetry channel (see predtop-train's doc comment); worker
-// panics and SIGQUIT dump the flight recorder's recent events plus goroutine
-// stacks.
+// -preset, -seed, -quiet, -metrics, -trace, -listen, -profile, -driftmre,
+// and -runledger are the shared flags documented in package internal/cli;
+// -seed 0 keeps the preset's seed, and progress goes to stderr (the report
+// always prints). Here -metrics carries the run config and one record per
+// grid cell; -profile covers grid phases and predictor layers; the manifest
+// holds per-table win rates, per-(family, mesh, op) accuracy stats, and
+// per-family error-attribution snapshots.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"strings"
-	"time"
 
+	"predtop/internal/cli"
 	"predtop/internal/cluster"
 	"predtop/internal/experiments"
-	"predtop/internal/obs"
-	"predtop/internal/parallel"
 	"predtop/internal/predictor"
-	"predtop/internal/runledger"
 )
 
 func main() {
-	presetName := flag.String("preset", "quick", "experiment scale: quick or paper")
-	bench := flag.String("bench", "all", "benchmark: GPT-3, MoE, or all")
-	platformSel := flag.Int("platform", 0, "platform index: 1, 2, or 0 for both")
-	fig3frac := flag.Int("fig3frac", 50, "training fraction (%) for the Fig 3 comparison")
-	ablate := flag.Bool("ablate", false, "also run the DAG-Transformer design ablation")
-	tables := flag.Bool("tables", true, "run the MRE tables (disable for -ablate only)")
-	workers := flag.Int("workers", 0, "worker goroutines for grid cells and training (0 = all cores, 1 = serial; results are bitwise identical)")
-	out := flag.String("out", "", "also write the report to this file")
-	metricsPath := flag.String("metrics", "", "write JSONL run records and a metrics snapshot to this file")
-	tracePath := flag.String("trace", "", "write a Chrome-tracing (Perfetto) JSON file to this path")
-	listen := flag.String("listen", "", "serve live telemetry (/metrics, /healthz, /debug/flightrecorder, /debug/pprof/) on this address, e.g. :9090")
-	profilePath := flag.String("profile", "", "write a per-phase/per-layer self-time span profile to this file")
-	driftMRE := flag.Float64("driftmre", 0, "warn and count drift when a grid cell family's test MRE exceeds this percentage (0 = off)")
-	seed := flag.Int64("seed", 0, "override the preset's random seed (0 = preset default)")
-	ledgerDir := flag.String("runledger", "", "record this run's manifest into the given run-ledger directory (see predtop-runs)")
-	quiet := flag.Bool("quiet", false, "suppress per-cell progress on stderr (the report still prints)")
-	flag.Parse()
+	os.Exit(cli.Main(run))
+}
 
-	started := time.Now()
-	var p experiments.Preset
-	switch *presetName {
-	case "quick":
-		p = experiments.Quick()
-	case "paper":
-		p = experiments.Paper()
-	case "paperlite":
-		p = experiments.PaperLite()
-	default:
-		log.Fatalf("unknown preset %q", *presetName)
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("predtop-eval", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	bench := fs.String("bench", "all", "benchmark: GPT-3, MoE, or all")
+	platformSel := fs.Int("platform", 0, "platform index: 1, 2, or 0 for both")
+	fig3frac := fs.Int("fig3frac", 50, "training fraction (%) for the Fig 3 comparison")
+	ablate := fs.Bool("ablate", false, "also run the DAG-Transformer design ablation")
+	tables := fs.Bool("tables", true, "run the MRE tables (disable for -ablate only)")
+	workers := fs.Int("workers", 0, "worker goroutines for grid cells and training (0 = all cores, 1 = serial; results are bitwise identical)")
+	out := fs.String("out", "", "also write the report to this file")
+	var shared cli.Flags
+	shared.Register(fs, cli.Preset|cli.Seed|cli.Quiet|cli.Metrics|cli.Telemetry|cli.Drift|cli.Ledger, map[string]string{
+		"seed":     "override the preset's random seed (0 = preset default)",
+		"quiet":    "suppress per-cell progress on stderr (the report still prints)",
+		"profile":  "write a per-phase/per-layer self-time span profile to this file",
+		"driftmre": "warn and count drift when a grid cell family's test MRE exceeds this percentage (0 = off)",
+	})
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	p, err := shared.ExperimentPreset()
+	if err != nil {
+		return err
 	}
 	p.Workers = *workers
-	if *seed != 0 {
-		p.Seed = *seed
-	}
-
-	ledger := runledger.Open(*ledgerDir)
-	var man *runledger.Manifest
-	if ledger != nil {
-		man = runledger.New("predtop-eval", p.Seed)
-		man.Session.StartedUnix = started.Unix()
-		man.SetConfig("preset", p.Name)
-		man.SetConfig("bench", strings.ToLower(*bench))
-		man.SetConfig("platform", fmt.Sprint(*platformSel))
-		man.SetConfig("fig3frac", fmt.Sprint(*fig3frac))
-		man.SetConfig("ablate", fmt.Sprint(*ablate))
-		man.SetConfig("tables", fmt.Sprint(*tables))
-		man.SetConfig("driftmre", fmt.Sprint(*driftMRE))
-		man.SetOutput("out", *out)
-		man.SetOutput("metrics", *metricsPath)
-		man.SetOutput("trace", *tracePath)
-		man.SetOutput("listen", *listen)
-		man.SetOutput("profile", *profilePath)
-		man.RecordSessionMetric("workers", float64(*workers))
-	}
-
-	tc := obs.NewTraceContext(p.Seed, "predtop-eval")
-	man.SetTraceID(tc.TraceID())
-	ctx := obs.WithTraceContext(context.Background(), tc)
-	fr := obs.NewFlightRecorder(0)
-	fr.SetTraceContext(tc)
-	parallel.SetPanicHook(fr.PanicHook(os.Stderr))
-	stopSig := fr.HandleSignals(os.Stderr)
-	defer stopSig()
-
-	var sink *obs.Sink
-	var reg *obs.Registry
-	if *metricsPath != "" {
-		f, err := os.Create(*metricsPath)
+	wantBench := "" // every benchmark
+	if !strings.EqualFold(*bench, "all") {
+		cfg, err := cli.Bench(*bench, 0)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		defer f.Close()
-		sink = obs.NewSink(f)
-		sink.SetTraceContext(tc)
-		sink.AttachFlight(fr)
-		reg = obs.NewRegistry()
+		wantBench = cfg.Name
 	}
-	var tb *obs.TraceBuilder
-	if *tracePath != "" {
-		tb = obs.NewTrace()
-		tb.SetTraceID(tc.TraceID())
-	}
-	if *listen != "" && reg == nil {
-		reg = obs.NewRegistry()
-	}
-	reg.SetRunInfo(tc)
-	var prof *obs.Profiler
-	if *profilePath != "" {
-		prof = obs.NewProfiler()
-		if tb != nil {
-			prof.AttachTrace(tb, "spans")
-		}
-	}
-	progressLg := obs.NewLogger(os.Stderr, *quiet).WithTrace(tc)
-	var acc *obs.AccuracyMonitor
-	if reg != nil || sink != nil || man != nil {
-		acc = obs.NewAccuracyMonitor(obs.AccuracyConfig{
-			DriftThresholdPct: *driftMRE, Metrics: reg, Log: progressLg,
-		})
-	}
-	if sink != nil || tb != nil || reg != nil || prof != nil || acc != nil {
-		p.Obs = &obs.Observer{Metrics: reg, Events: sink, Trace: tb, Prof: prof, Acc: acc, Flight: fr, Ctx: tc}
-	}
-	progress := progressLg.Writer()
-	if *listen != "" {
-		srv, err := obs.StartServer(ctx, obs.ServerConfig{Addr: *listen, Registry: reg, Flight: fr})
+	platforms := []cluster.Platform{cluster.Platform1(), cluster.Platform2()}
+	if *platformSel != 0 {
+		plat, err := cli.Platform(*platformSel)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		defer srv.Close()
-		sampler := obs.StartRuntimeSampler(reg, 0)
-		defer sampler.Stop()
-		progressLg.Printf("serving telemetry at %s/metrics", srv.URL())
+		platforms = []cluster.Platform{plat}
 	}
-	fr.Note("run", "start")
-	sink.Emit(struct {
+	r, err := cli.Open(&shared, cli.Options{
+		Tool: "predtop-eval", Seed: p.Seed, Stdout: stdout, Progress: stderr, Stderr: stderr, Out: *out,
+	})
+	if err != nil {
+		return err
+	}
+	defer func() { err = r.Close(err) }()
+	p.Obs = r.Observer()
+
+	man := r.Man
+	man.SetConfig("preset", p.Name)
+	man.SetConfig("bench", strings.ToLower(*bench))
+	man.SetConfig("platform", fmt.Sprint(*platformSel))
+	man.SetConfig("fig3frac", fmt.Sprint(*fig3frac))
+	man.SetConfig("ablate", fmt.Sprint(*ablate))
+	man.SetConfig("tables", fmt.Sprint(*tables))
+	man.SetConfig("driftmre", fmt.Sprint(shared.DriftMRE))
+	man.RecordSessionMetric("workers", float64(*workers))
+
+	r.Sink.Emit(struct {
 		Event    string `json:"event"`
 		Tool     string `json:"tool"`
 		Preset   string `json:"preset"`
@@ -173,30 +105,13 @@ func main() {
 		Workers  int    `json:"workers"`
 	}{"run", "predtop-eval", p.Name, *bench, *platformSel, *workers})
 
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		w = io.MultiWriter(os.Stdout, f)
-	}
-
-	var platforms []cluster.Platform
-	if *platformSel == 0 || *platformSel == 1 {
-		platforms = append(platforms, cluster.Platform1())
-	}
-	if *platformSel == 0 || *platformSel == 2 {
-		platforms = append(platforms, cluster.Platform2())
-	}
-
+	w, progress := r.Out, r.Log.Writer()
 	var mreTables []*experiments.MRETable
 	for _, b := range p.Benchmarks() {
 		if !*tables {
 			break
 		}
-		if *bench != "all" && !strings.EqualFold(*bench, b.Name) {
+		if wantBench != "" && wantBench != b.Name {
 			continue
 		}
 		for _, plat := range platforms {
@@ -222,7 +137,7 @@ func main() {
 
 	if *ablate {
 		for _, b := range p.Benchmarks() {
-			if *bench != "all" && !strings.EqualFold(*bench, b.Name) {
+			if wantBench != "" && wantBench != b.Name {
 				continue
 			}
 			rows := experiments.RunAblation(p, b, cluster.Platform1(), 0.5, progress)
@@ -242,30 +157,7 @@ func main() {
 		for fam, as := range parts {
 			man.RecordAttribution(fam, predictor.MergeAttributions(as...))
 		}
-		man.RecordAccuracy(acc)
+		man.RecordAccuracy(r.Acc)
 	}
-
-	acc.EmitTo(sink)
-	sink.EmitMetrics(reg)
-	if err := sink.Close(); err != nil {
-		log.Fatalf("writing %s: %v", *metricsPath, err)
-	}
-	if *tracePath != "" {
-		if err := tb.WriteFile(*tracePath); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *profilePath != "" {
-		if err := prof.WriteFile(*profilePath); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if man != nil {
-		man.Session.WallSeconds = time.Since(started).Seconds()
-		entry, err := ledger.Put(man)
-		if err != nil {
-			log.Fatal(err)
-		}
-		progressLg.Printf("recorded run %s in %s", entry.ID, ledger.Dir())
-	}
+	return nil
 }

@@ -4,53 +4,57 @@
 //
 // Usage:
 //
-//	predtop-figures [-preset quick|paper] [-fig 2|6|0] [-out results.txt]
+//	predtop-figures [-preset quick|paper|paperlite] [-fig 2|6|0] [-out results.txt]
+//
+// -preset is the shared flag documented in package internal/cli.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 
+	"predtop/internal/cli"
 	"predtop/internal/experiments"
 )
 
 func main() {
-	presetName := flag.String("preset", "quick", "experiment scale: quick or paper")
-	fig := flag.Int("fig", 0, "figure to regenerate: 2, 6, or 0 for all")
-	out := flag.String("out", "", "also write the report to this file")
-	flag.Parse()
+	os.Exit(cli.Main(run))
+}
 
-	var p experiments.Preset
-	switch *presetName {
-	case "quick":
-		p = experiments.Quick()
-	case "paper":
-		p = experiments.Paper()
-	case "paperlite":
-		p = experiments.PaperLite()
-	default:
-		log.Fatalf("unknown preset %q", *presetName)
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("predtop-figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.Int("fig", 0, "figure to regenerate: 2, 6, or 0 for all")
+	out := fs.String("out", "", "also write the report to this file")
+	var shared cli.Flags
+	shared.Register(fs, cli.Preset, nil)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	p, err := shared.ExperimentPreset()
+	if err != nil {
+		return err
 	}
 
-	var w io.Writer = os.Stdout
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		defer f.Close()
-		w = io.MultiWriter(os.Stdout, f)
+		defer func() { err = errors.Join(err, f.Close()) }()
+		w = io.MultiWriter(stdout, f)
 	}
-
 	if *fig == 0 || *fig == 2 {
-		for _, r := range experiments.RunFig2(p, os.Stderr) {
+		for _, r := range experiments.RunFig2(p, stderr) {
 			fmt.Fprintln(w, r.Render())
 		}
 	}
 	if *fig == 0 || *fig == 6 {
 		fmt.Fprintln(w, experiments.RenderFig6())
 	}
+	return nil
 }

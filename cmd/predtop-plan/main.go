@@ -6,8 +6,8 @@
 //
 // Usage:
 //
-//	predtop-plan [-preset quick|paper] [-bench GPT-3|MoE|all] [-seed 0]
-//	             [-out results.txt]
+//	predtop-plan [-preset quick|paper|paperlite] [-bench GPT-3|MoE|all]
+//	             [-seed 0] [-out results.txt]
 //	             [-metrics run.jsonl] [-trace run.json] [-listen :9090]
 //	             [-profile spans.txt] [-driftmre 25] [-runledger runs] [-quiet]
 //	             [-report DIR] [-whatif SPEC] [-diff a.json,b.json]
@@ -22,179 +22,103 @@
 // internode-lat scale factors (e.g. "microbatches=32,internode-bw=x4").
 // -diff compares two report files written by -report and exits.
 //
-// -metrics streams JSONL records (run config, one plan_run record per
-// planner version, per-family accuracy records, a final metrics snapshot);
-// -trace writes a Chrome-tracing JSON timeline — optimize/evaluate spans per
-// planner version plus the simulated 1F1B schedule of each feasible plan —
-// loadable in Perfetto; -listen serves live telemetry over HTTP while the
-// search runs (GET /metrics in Prometheus text format, GET /healthz,
-// GET /debug/flightrecorder, /debug/pprof/); -profile writes a hierarchical
-// self-time span tree covering planner phases (estimate, DP) and embedded
-// predictor training; -driftmre arms the accuracy monitor's drift warning at
-// the given MRE percentage; -seed overrides the preset's seed (0 keeps the
-// preset default); -runledger records the run's manifest — each feasible
-// plan's Eqn-4 decomposition and predictor fingerprint plus per-key accuracy
-// stats — into the given run-ledger directory for predtop-runs to list,
-// diff, and gate; -quiet silences the per-run progress on stderr (the report
-// still prints). All of them observe only — plans are bitwise identical with
-// or without them.
-//
-// Every run derives a deterministic trace id from -seed, stamped onto every
-// telemetry channel (see predtop-train's doc comment); worker panics and
-// SIGQUIT dump the flight recorder's recent events plus goroutine stacks.
+// -preset, -seed, -quiet, -metrics, -trace, -listen, -profile, -driftmre,
+// and -runledger are the shared flags documented in package internal/cli;
+// -seed 0 keeps the preset's seed, and progress goes to stderr (the report
+// always prints). Here -metrics carries the run config and one plan_run
+// record per planner version; -trace holds optimize/evaluate spans per
+// version plus the simulated 1F1B schedule of each feasible plan; -profile
+// covers planner phases and embedded predictor training; the manifest holds
+// each feasible plan's Eqn-4 decomposition and predictor fingerprint.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
+	"predtop/internal/cli"
 	"predtop/internal/cluster"
 	"predtop/internal/experiments"
 	"predtop/internal/obs"
-	"predtop/internal/parallel"
 	"predtop/internal/planner"
-	"predtop/internal/runledger"
 )
 
 func main() {
-	presetName := flag.String("preset", "quick", "experiment scale: quick or paper")
-	bench := flag.String("bench", "all", "benchmark: GPT-3, MoE, or all")
-	workers := flag.Int("workers", 0, "worker goroutines for planner runs and training (0 = all cores, 1 = serial; results are bitwise identical)")
-	out := flag.String("out", "", "also write the report to this file")
-	metricsPath := flag.String("metrics", "", "write JSONL run records and a metrics snapshot to this file")
-	tracePath := flag.String("trace", "", "write a Chrome-tracing (Perfetto) JSON file to this path")
-	listen := flag.String("listen", "", "serve live telemetry (/metrics, /healthz, /debug/flightrecorder, /debug/pprof/) on this address, e.g. :9090")
-	profilePath := flag.String("profile", "", "write a per-phase self-time span profile to this file")
-	driftMRE := flag.Float64("driftmre", 0, "warn and count drift when a predictor family's validation MRE exceeds this percentage (0 = off)")
-	seed := flag.Int64("seed", 0, "override the preset's random seed (0 = preset default)")
-	ledgerDir := flag.String("runledger", "", "record this run's manifest into the given run-ledger directory (see predtop-runs)")
-	quiet := flag.Bool("quiet", false, "suppress per-run progress on stderr (the report still prints)")
-	reportDir := flag.String("report", "", "write per-plan provenance reports (JSON + text) into this directory")
-	whatifSpec := flag.String("whatif", "", "replay each plan against a perturbation (e.g. \"microbatches=32,internode-bw=x4\") and print the latency diff")
-	diffSpec := flag.String("diff", "", "compare two report files (\"base.json,scenario.json\"), print the diff, and exit")
-	flag.Parse()
+	os.Exit(cli.Main(run))
+}
+
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("predtop-plan", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	bench := fs.String("bench", "all", "benchmark: GPT-3, MoE, or all")
+	workers := fs.Int("workers", 0, "worker goroutines for planner runs and training (0 = all cores, 1 = serial; results are bitwise identical)")
+	out := fs.String("out", "", "also write the report to this file")
+	reportDir := fs.String("report", "", "write per-plan provenance reports (JSON + text) into this directory")
+	whatifSpec := fs.String("whatif", "", "replay each plan against a perturbation (e.g. \"microbatches=32,internode-bw=x4\") and print the latency diff")
+	diffSpec := fs.String("diff", "", "compare two report files (\"base.json,scenario.json\"), print the diff, and exit")
+	var shared cli.Flags
+	shared.Register(fs, cli.Preset|cli.Seed|cli.Quiet|cli.Metrics|cli.Telemetry|cli.Drift|cli.Ledger, map[string]string{
+		"seed":     "override the preset's random seed (0 = preset default)",
+		"quiet":    "suppress per-run progress on stderr (the report still prints)",
+		"driftmre": "warn and count drift when a predictor family's validation MRE exceeds this percentage (0 = off)",
+	})
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *diffSpec != "" {
-		if err := runDiff(*diffSpec); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return runDiff(stdout, *diffSpec)
 	}
 	whatif, err := planner.ParsePerturbation(*whatifSpec)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	p, err := shared.ExperimentPreset()
+	if err != nil {
+		return err
+	}
+	p.Workers = *workers
+	wantBench := "" // every benchmark
+	if !strings.EqualFold(*bench, "all") {
+		cfg, err := cli.Bench(*bench, 0)
+		if err != nil {
+			return err
+		}
+		wantBench = cfg.Name
 	}
 	if *reportDir != "" {
 		if err := os.MkdirAll(*reportDir, 0o755); err != nil {
-			log.Fatal(err)
+			return err
 		}
+	}
+	r, err := cli.Open(&shared, cli.Options{
+		Tool: "predtop-plan", Seed: p.Seed, Stdout: stdout, Progress: stderr, Stderr: stderr, Out: *out,
+	})
+	if err != nil {
+		return err
+	}
+	defer func() { err = r.Close(err) }()
+	// Reports and what-if replays carry the run's trace id, so they need the
+	// trace context even when every telemetry flag is off.
+	if p.Obs = r.Observer(); p.Obs == nil && (*reportDir != "" || *whatifSpec != "") {
+		p.Obs = &obs.Observer{Flight: r.Flight, Ctx: r.TC}
 	}
 
-	var p experiments.Preset
-	switch *presetName {
-	case "quick":
-		p = experiments.Quick()
-	case "paper":
-		p = experiments.Paper()
-	case "paperlite":
-		p = experiments.PaperLite()
-	default:
-		log.Fatalf("unknown preset %q", *presetName)
+	man := r.Man
+	man.SetConfig("preset", p.Name)
+	man.SetConfig("bench", strings.ToLower(*bench))
+	man.SetConfig("driftmre", fmt.Sprint(shared.DriftMRE))
+	if *whatifSpec != "" {
+		man.SetConfig("whatif", whatif.String())
 	}
-	p.Workers = *workers
-	if *seed != 0 {
-		p.Seed = *seed
-	}
+	man.SetOutput("report", *reportDir)
+	man.RecordSessionMetric("workers", float64(*workers))
 
-	started := time.Now()
-	ledger := runledger.Open(*ledgerDir)
-	var man *runledger.Manifest
-	if ledger != nil {
-		man = runledger.New("predtop-plan", p.Seed)
-		man.Session.StartedUnix = started.Unix()
-		man.SetConfig("preset", p.Name)
-		man.SetConfig("bench", strings.ToLower(*bench))
-		man.SetConfig("driftmre", fmt.Sprint(*driftMRE))
-		if *whatifSpec != "" {
-			man.SetConfig("whatif", whatif.String())
-		}
-		man.SetOutput("out", *out)
-		man.SetOutput("metrics", *metricsPath)
-		man.SetOutput("trace", *tracePath)
-		man.SetOutput("listen", *listen)
-		man.SetOutput("profile", *profilePath)
-		man.SetOutput("report", *reportDir)
-		man.RecordSessionMetric("workers", float64(*workers))
-	}
-
-	tc := obs.NewTraceContext(p.Seed, "predtop-plan")
-	man.SetTraceID(tc.TraceID())
-	ctx := obs.WithTraceContext(context.Background(), tc)
-	fr := obs.NewFlightRecorder(0)
-	fr.SetTraceContext(tc)
-	parallel.SetPanicHook(fr.PanicHook(os.Stderr))
-	stopSig := fr.HandleSignals(os.Stderr)
-	defer stopSig()
-
-	var sink *obs.Sink
-	var reg *obs.Registry
-	if *metricsPath != "" {
-		f, err := os.Create(*metricsPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		sink = obs.NewSink(f)
-		sink.SetTraceContext(tc)
-		sink.AttachFlight(fr)
-		reg = obs.NewRegistry()
-	}
-	var tb *obs.TraceBuilder
-	if *tracePath != "" {
-		tb = obs.NewTrace()
-		tb.SetTraceID(tc.TraceID())
-	}
-	if *listen != "" && reg == nil {
-		reg = obs.NewRegistry()
-	}
-	reg.SetRunInfo(tc)
-	var prof *obs.Profiler
-	if *profilePath != "" {
-		prof = obs.NewProfiler()
-		if tb != nil {
-			prof.AttachTrace(tb, "spans")
-		}
-	}
-	progressLg := obs.NewLogger(os.Stderr, *quiet).WithTrace(tc)
-	var acc *obs.AccuracyMonitor
-	if reg != nil || sink != nil || man != nil {
-		acc = obs.NewAccuracyMonitor(obs.AccuracyConfig{
-			DriftThresholdPct: *driftMRE, Metrics: reg, Log: progressLg,
-		})
-	}
-	if sink != nil || tb != nil || reg != nil || prof != nil || *reportDir != "" || *whatifSpec != "" || acc != nil {
-		p.Obs = &obs.Observer{Metrics: reg, Events: sink, Trace: tb, Prof: prof, Acc: acc, Flight: fr, Ctx: tc}
-	}
-	progress := progressLg.Writer()
-	if *listen != "" {
-		srv, err := obs.StartServer(ctx, obs.ServerConfig{Addr: *listen, Registry: reg, Flight: fr})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-		sampler := obs.StartRuntimeSampler(reg, 0)
-		defer sampler.Stop()
-		progressLg.Printf("serving telemetry at %s/metrics", srv.URL())
-	}
-	fr.Note("run", "start")
-	sink.Emit(struct {
+	r.Sink.Emit(struct {
 		Event   string `json:"event"`
 		Tool    string `json:"tool"`
 		Preset  string `json:"preset"`
@@ -202,70 +126,34 @@ func main() {
 		Workers int    `json:"workers"`
 	}{"run", "predtop-plan", p.Name, *bench, *workers})
 
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		w = io.MultiWriter(os.Stdout, f)
-	}
-
 	for _, b := range p.Benchmarks() {
-		if *bench != "all" && !strings.EqualFold(*bench, b.Name) {
+		if wantBench != "" && wantBench != b.Name {
 			continue
 		}
-		runs := experiments.RunFig10(p, b, progress)
-		fmt.Fprintln(w, experiments.RenderFig10(b.Name, runs))
-		for _, r := range runs {
-			if !r.OK {
+		runs := experiments.RunFig10(p, b, r.Log.Writer())
+		fmt.Fprintln(r.Out, experiments.RenderFig10(b.Name, runs))
+		for _, pr := range runs {
+			if !pr.OK {
 				continue
 			}
-			man.RecordPlan(r.Report)
-			if man != nil {
-				key := slug(b.Name) + "-" + slug(r.Version)
-				man.RecordMetric("optimize_seconds_"+key, r.OptimizeSeconds)
-				man.RecordMetric("iteration_latency_"+key, r.IterationLatency)
-			}
+			key := slug(b.Name) + "-" + slug(pr.Version)
+			man.RecordPlan(pr.Report)
+			man.RecordMetric("optimize_seconds_"+key, pr.OptimizeSeconds)
+			man.RecordMetric("iteration_latency_"+key, pr.IterationLatency)
 		}
 		if *reportDir != "" {
 			if err := saveReports(*reportDir, b.Name, runs); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		}
 		if !whatif.IsZero() {
-			if err := runWhatIf(w, p, b, runs, whatif, *reportDir); err != nil {
-				log.Fatal(err)
+			if err := runWhatIf(r.Out, p, b, runs, whatif, *reportDir); err != nil {
+				return err
 			}
 		}
 	}
-
-	man.RecordAccuracy(acc)
-
-	acc.EmitTo(sink)
-	sink.EmitMetrics(reg)
-	if err := sink.Close(); err != nil {
-		log.Fatalf("writing %s: %v", *metricsPath, err)
-	}
-	if *tracePath != "" {
-		if err := tb.WriteFile(*tracePath); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *profilePath != "" {
-		if err := prof.WriteFile(*profilePath); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if man != nil {
-		man.Session.WallSeconds = time.Since(started).Seconds()
-		entry, err := ledger.Put(man)
-		if err != nil {
-			log.Fatal(err)
-		}
-		progressLg.Printf("recorded run %s in %s", entry.ID, ledger.Dir())
-	}
+	man.RecordAccuracy(r.Acc)
+	return nil
 }
 
 // slug renders a benchmark or version name as a filename component.
@@ -334,7 +222,7 @@ func runWhatIf(w io.Writer, p experiments.Preset, b experiments.Benchmark, runs 
 }
 
 // runDiff loads two report files and prints their side-by-side diff.
-func runDiff(spec string) error {
+func runDiff(w io.Writer, spec string) error {
 	parts := strings.Split(spec, ",")
 	if len(parts) != 2 {
 		return fmt.Errorf("-diff wants \"base.json,scenario.json\", got %q", spec)
@@ -347,6 +235,6 @@ func runDiff(spec string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(planner.Diff(base, scen).Render())
-	return nil
+	_, err = fmt.Fprint(w, planner.Diff(base, scen).Render())
+	return err
 }

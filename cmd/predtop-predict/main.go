@@ -9,119 +9,80 @@
 //	                [-metrics run.jsonl] [-trace run.json] [-listen :9090] \
 //	                [-profile spans.txt] [-quiet]
 //
-// The live-telemetry flags mirror the other predtop commands: -metrics
-// streams JSONL records (run config, the prediction, optional check result,
-// a metrics snapshot); -trace writes a Chrome-tracing JSON file of the
-// predict/check phases; -listen serves GET /metrics, /healthz,
-// /debug/flightrecorder, and /debug/pprof/ while the command runs; -profile
-// writes a self-time span tree; -quiet suppresses progress lines. A
-// deterministic trace id derived from -seed joins all channels; with -check
-// the predicted-vs-profiled residual feeds the accuracy gauges.
+// -seed, -quiet, -metrics, -trace, -listen, and -profile are the shared flags
+// documented in package internal/cli; -seed only names the trace identity
+// (predictions are deterministic regardless). Here -metrics carries the run
+// config, the prediction, and the optional check result; with -check the
+// predicted-vs-profiled residual also feeds the accuracy gauges.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"math"
 	"os"
-	"strings"
 
 	"predtop"
+	"predtop/internal/cli"
 )
 
 func main() {
-	modelPath := flag.String("model", "model.predtop", "trained model path")
-	bench := flag.String("bench", "GPT-3", "benchmark: GPT-3 or MoE")
-	layers := flag.Int("layers", 0, "override benchmark depth (0 = Table IV)")
-	lo := flag.Int("lo", 0, "stage start segment (inclusive)")
-	hi := flag.Int("hi", 1, "stage end segment (exclusive)")
-	platformSel := flag.Int("platform", 2, "platform for -check")
-	meshIdx := flag.Int("mesh", 1, "mesh for -check")
-	confIdx := flag.Int("conf", 1, "configuration for -check")
-	check := flag.Bool("check", false, "compare against the simulator's profiled latency")
-	seed := flag.Int64("seed", 1, "trace-identity seed (predictions are deterministic regardless)")
-	metricsPath := flag.String("metrics", "", "write JSONL run records and a metrics snapshot to this file")
-	tracePath := flag.String("trace", "", "write a Chrome-tracing (Perfetto) JSON file to this path")
-	listen := flag.String("listen", "", "serve live telemetry (/metrics, /healthz, /debug/flightrecorder, /debug/pprof/) on this address, e.g. :9090")
-	profilePath := flag.String("profile", "", "write a per-phase self-time span profile to this file")
-	quiet := flag.Bool("quiet", false, "suppress progress output (the prediction still prints)")
-	flag.Parse()
+	os.Exit(cli.Main(run))
+}
 
-	tc := predtop.NewTraceContext(*seed, "predtop-predict")
-	ctx := predtop.WithTraceContext(context.Background(), tc)
-	fr := predtop.NewFlightRecorder(0)
-	fr.SetTraceContext(tc)
-	predtop.SetWorkerPanicHook(fr.PanicHook(os.Stderr))
-	stopSig := fr.HandleSignals(os.Stderr)
-	defer stopSig()
-
-	lg := predtop.NewProgressLogger(os.Stderr, *quiet).WithTrace(tc)
-	var sink *predtop.EventSink
-	var reg *predtop.MetricsRegistry
-	if *metricsPath != "" {
-		f, err := os.Create(*metricsPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		sink = predtop.NewEventSink(f)
-		sink.SetTraceContext(tc)
-		sink.AttachFlight(fr)
-		reg = predtop.NewMetricsRegistry()
-	}
-	var tb *predtop.TraceBuilder
-	if *tracePath != "" {
-		tb = predtop.NewTrace()
-		tb.SetTraceID(tc.TraceID())
-	}
-	if *listen != "" {
-		if reg == nil {
-			reg = predtop.NewMetricsRegistry()
-		}
-		srv, err := predtop.StartMetricsServer(ctx, predtop.MetricsServerConfig{
-			Addr: *listen, Registry: reg, Flight: fr,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-		sampler := predtop.StartRuntimeSampler(reg, 0)
-		defer sampler.Stop()
-		lg.Printf("serving telemetry at %s/metrics", srv.URL())
-	}
-	reg.SetRunInfo(tc)
-	var prof *predtop.SpanProfiler
-	if *profilePath != "" {
-		prof = predtop.NewSpanProfiler()
-		if tb != nil {
-			prof.AttachTrace(tb, "spans")
-		}
-	}
-	var acc *predtop.AccuracyMonitor
-	if reg != nil || sink != nil {
-		acc = predtop.NewAccuracyMonitor(predtop.AccuracyConfig{MinSamples: 1, Metrics: reg, Log: lg})
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("predtop-predict", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	modelPath := fs.String("model", "model.predtop", "trained model path")
+	bench := fs.String("bench", "GPT-3", "benchmark: GPT-3 or MoE")
+	layers := fs.Int("layers", 0, "override benchmark depth (0 = Table IV)")
+	lo := fs.Int("lo", 0, "stage start segment (inclusive)")
+	hi := fs.Int("hi", 1, "stage end segment (exclusive)")
+	platformSel := fs.Int("platform", 2, "platform for -check")
+	meshIdx := fs.Int("mesh", 1, "mesh for -check")
+	confIdx := fs.Int("conf", 1, "configuration for -check")
+	check := fs.Bool("check", false, "compare against the simulator's profiled latency")
+	shared := cli.Flags{Seed: 1}
+	shared.Register(fs, cli.Seed|cli.Quiet|cli.Metrics|cli.Telemetry, map[string]string{
+		"seed":  "trace-identity seed (predictions are deterministic regardless)",
+		"quiet": "suppress progress output (the prediction still prints)",
+	})
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
-	trained, err := predtop.LoadTrained(*modelPath)
+	cfg, err := cli.Bench(*bench, *layers)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	cfg := predtop.GPT3Config()
-	if strings.EqualFold(*bench, "MoE") {
-		cfg = predtop.MoEConfig()
-	}
-	if *layers > 0 {
-		cfg.Layers = *layers
+	var scenario predtop.Scenario
+	if *check {
+		platform, err := cli.Platform(*platformSel)
+		if err != nil {
+			return err
+		}
+		if scenario, err = cli.FindScenario(platform, *meshIdx, *confIdx); err != nil {
+			return err
+		}
 	}
 	model := predtop.BuildModel(cfg)
 	if *lo < 0 || *hi > model.NumSegments() || *lo >= *hi {
-		log.Fatalf("bad stage range [%d,%d) of %d segments", *lo, *hi, model.NumSegments())
+		return fmt.Errorf("bad stage range [%d,%d) of %d segments", *lo, *hi, model.NumSegments())
 	}
+	trained, err := predtop.LoadTrained(*modelPath)
+	if err != nil {
+		return err
+	}
+	r, err := cli.Open(&shared, cli.Options{
+		Tool: "predtop-predict", Seed: shared.Seed, Stdout: stdout, Progress: stderr, Stderr: stderr,
+	})
+	if err != nil {
+		return err
+	}
+	defer func() { err = r.Close(err) }()
 
-	fr.Note("run", "start")
-	sink.Emit(struct {
+	r.Sink.Emit(struct {
 		Event string `json:"event"`
 		Tool  string `json:"tool"`
 		Bench string `json:"bench"`
@@ -129,78 +90,47 @@ func main() {
 		Hi    int    `json:"hi"`
 		Model string `json:"model"`
 		Seed  int64  `json:"seed"`
-	}{"run", "predtop-predict", cfg.Name, *lo, *hi, *modelPath, *seed})
+	}{"run", "predtop-predict", cfg.Name, *lo, *hi, *modelPath, shared.Seed})
 
-	predSpan := tb.Begin("phases", "predict")
-	ps := prof.Start("predict")
+	predSpan := r.Trace.Begin("phases", "predict")
+	ps := r.Prof.Start("predict")
 	enc := predtop.NewEncoder(model, true)
 	sp := predtop.StageSpec{Lo: *lo, Hi: *hi}
 	pred := trained.PredictEncoded(enc.Encode(sp))
 	ps.End()
 	predSpan.End()
-	fr.Note("run", "predicted")
-	fmt.Printf("%s stage [%d,%d) (%s): predicted %.3fms\n",
+	r.Flight.Note("run", "predicted")
+	fmt.Fprintf(stdout, "%s stage [%d,%d) (%s): predicted %.3fms\n",
 		cfg.Name, sp.Lo, sp.Hi, trained.Model.Name(), pred*1e3)
-	sink.Emit(struct {
+	r.Sink.Emit(struct {
 		Event       string  `json:"event"`
 		Lo          int     `json:"lo"`
 		Hi          int     `json:"hi"`
 		PredictedMS float64 `json:"predicted_ms"`
 	}{"prediction", sp.Lo, sp.Hi, pred * 1e3})
-
-	if *check {
-		platform := predtop.Platform2()
-		if *platformSel == 1 {
-			platform = predtop.Platform1()
-		}
-		found := false
-		for _, sc := range predtop.Scenarios(platform) {
-			if sc.Mesh.Index != *meshIdx || sc.Config.Index != *confIdx {
-				continue
-			}
-			checkSpan := tb.Begin("phases", "check")
-			cs := prof.Start("check")
-			trueLat, _, ok := predtop.ProfileStage(model, sp, sc, predtop.DefaultProfiler())
-			cs.End()
-			checkSpan.End()
-			if !ok {
-				log.Fatalf("stage infeasible under %v", sc)
-			}
-			relErr := math.Abs(pred-trueLat) / trueLat * 100
-			acc.Observe(predtop.AccuracyKey{
-				Family: trained.Model.Name(),
-				Mesh:   fmt.Sprintf("%dx%d", sc.Mesh.Nodes, sc.Mesh.GPUsPerNode),
-				Op:     cfg.Name,
-			}, pred, trueLat)
-			fmt.Printf("profiled under %v: %.3fms (relative error %.2f%%)\n", sc, trueLat*1e3, relErr)
-			sink.Emit(struct {
-				Event      string  `json:"event"`
-				ProfiledMS float64 `json:"profiled_ms"`
-				RelErrPct  float64 `json:"rel_err_pct"`
-			}{"check", trueLat * 1e3, relErr})
-			found = true
-			break
-		}
-		if !found {
-			log.Fatalf("no scenario mesh=%d conf=%d", *meshIdx, *confIdx)
-		}
+	if !*check {
+		return nil
 	}
 
-	acc.EmitTo(sink)
-	sink.EmitMetrics(reg)
-	if err := sink.Close(); err != nil {
-		log.Fatalf("writing %s: %v", *metricsPath, err)
+	checkSpan := r.Trace.Begin("phases", "check")
+	cs := r.Prof.Start("check")
+	trueLat, _, ok := predtop.ProfileStage(model, sp, scenario, predtop.DefaultProfiler())
+	cs.End()
+	checkSpan.End()
+	if !ok {
+		return fmt.Errorf("stage infeasible under %v", scenario)
 	}
-	if *tracePath != "" {
-		if err := tb.WriteFile(*tracePath); err != nil {
-			log.Fatal(err)
-		}
-		lg.Printf("wrote trace to %s", *tracePath)
-	}
-	if *profilePath != "" {
-		if err := prof.WriteFile(*profilePath); err != nil {
-			log.Fatal(err)
-		}
-		lg.Printf("wrote span profile to %s", *profilePath)
-	}
+	relErr := math.Abs(pred-trueLat) / trueLat * 100
+	r.Acc.Observe(predtop.AccuracyKey{
+		Family: trained.Model.Name(),
+		Mesh:   fmt.Sprintf("%dx%d", scenario.Mesh.Nodes, scenario.Mesh.GPUsPerNode),
+		Op:     cfg.Name,
+	}, pred, trueLat)
+	fmt.Fprintf(stdout, "profiled under %v: %.3fms (relative error %.2f%%)\n", scenario, trueLat*1e3, relErr)
+	r.Sink.Emit(struct {
+		Event      string  `json:"event"`
+		ProfiledMS float64 `json:"profiled_ms"`
+		RelErrPct  float64 `json:"rel_err_pct"`
+	}{"check", trueLat * 1e3, relErr})
+	return nil
 }

@@ -14,121 +14,129 @@
 // daemon is not in SLO breach — the one-shot liveness-plus-health probe used
 // by `make serve-smoke`. Without it, the full replay prints a human summary
 // including the daemon's SLO verdict and (with -json) writes the ReplayResult
-// for archiving next to the BENCH_*.json files; -quiet suppresses the
-// summary (the exit status still reports errors); -runledger records the
-// replay's manifest — the query-stream config plus throughput, latency, and
-// cache readings as session metrics — into the given run-ledger directory
-// for predtop-runs to list and inspect.
+// as JSON. -seed (the query-stream seed), -quiet (suppresses the summary; the
+// exit status still reports errors), and -runledger are the shared flags
+// documented in package internal/cli; the manifest holds the query-stream
+// config plus throughput, latency, and cache readings as session metrics.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strings"
-	"time"
 
 	"predtop"
+	"predtop/internal/cli"
 )
 
 func main() {
-	url := flag.String("url", "http://127.0.0.1:9400", "base URL of a running predtop-serve daemon")
-	queries := flag.Int("n", 100000, "total /predict queries")
-	conc := flag.Int("c", 32, "concurrent clients")
-	benches := flag.String("bench", "GPT-3", "comma-separated benchmark rotation (GPT-3, MoE)")
-	layers := flag.Int("layers", 8, "benchmark depth override for every query (0 = Table IV)")
-	maxLen := flag.Int("maxlen", 3, "max stage length in segments")
-	model := flag.String("model", "", "registry key to query (empty = daemon's sole model)")
-	gtFrac := flag.Float64("gtfrac", 0, "fraction of queries carrying a synthetic ground_truth")
-	seed := flag.Int64("seed", 1, "query-stream seed")
-	jsonPath := flag.String("json", "", "write the ReplayResult as JSON to this file")
-	ledgerDir := flag.String("runledger", "", "record this replay's manifest into the given run-ledger directory (see predtop-runs)")
-	quiet := flag.Bool("quiet", false, "suppress the human summary (exit status still reports errors)")
-	smoke := flag.Bool("smoke", false, "one query, exit 0 iff it was answered")
-	flag.Parse()
+	os.Exit(cli.Main(run))
+}
 
-	if *smoke {
-		res, err := predtop.ServeReplay(predtop.ServeReplayConfig{
-			URL: *url, Queries: 1, Concurrency: 1, Seed: *seed,
-			Benches: splitBenches(*benches), Layers: *layers, MaxLen: *maxLen, Model: *model,
-		})
-		if err != nil {
-			log.Fatalf("smoke query failed: %v", err)
-		}
-		if res.Errors != 0 {
-			log.Fatalf("smoke query answered with an error (%d/%d failed)", res.Errors, res.Queries)
-		}
-		if res.SLOBreached > 0 {
-			log.Fatalf("smoke: daemon is in SLO breach (%.0f breach(es), 1m burn %.2f, 1m p99 %.4gs)",
-				res.SLOBreaches, res.SLOBurn1m, res.SLOP991m)
-		}
-		fmt.Printf("smoke ok: 1 query in %.1fms (generation %.0f, %s)\n",
-			res.P50ms, res.Generation, sloVerdict(res))
-		return
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("predtop-replay", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	url := fs.String("url", "http://127.0.0.1:9400", "base URL of a running predtop-serve daemon")
+	queries := fs.Int("n", 100000, "total /predict queries")
+	conc := fs.Int("c", 32, "concurrent clients")
+	benches := fs.String("bench", "GPT-3", "comma-separated benchmark rotation (GPT-3, MoE)")
+	layers := fs.Int("layers", 8, "benchmark depth override for every query (0 = Table IV)")
+	maxLen := fs.Int("maxlen", 3, "max stage length in segments")
+	model := fs.String("model", "", "registry key to query (empty = daemon's sole model)")
+	gtFrac := fs.Float64("gtfrac", 0, "fraction of queries carrying a synthetic ground_truth")
+	jsonPath := fs.String("json", "", "write the ReplayResult as JSON to this file")
+	smoke := fs.Bool("smoke", false, "one query, exit 0 iff it was answered")
+	shared := cli.Flags{Seed: 1}
+	shared.Register(fs, cli.Seed|cli.Quiet|cli.Ledger, map[string]string{
+		"seed":      "query-stream seed",
+		"quiet":     "suppress the human summary (exit status still reports errors)",
+		"runledger": "record this replay's manifest into the given run-ledger directory (see predtop-runs)",
+	})
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
-	started := time.Now()
-	res, err := predtop.ServeReplay(predtop.ServeReplayConfig{
-		URL: *url, Queries: *queries, Concurrency: *conc, Seed: *seed,
+	cfg := predtop.ServeReplayConfig{
+		URL: *url, Queries: *queries, Concurrency: *conc, Seed: shared.Seed,
 		Benches: splitBenches(*benches), Layers: *layers, MaxLen: *maxLen,
 		Model: *model, GroundTruthFrac: *gtFrac,
+	}
+	if *smoke {
+		cfg.Queries, cfg.Concurrency, cfg.GroundTruthFrac = 1, 1, 0
+		res, err := predtop.ServeReplay(cfg)
+		if err != nil {
+			return fmt.Errorf("smoke query failed: %w", err)
+		}
+		if res.Errors != 0 {
+			return fmt.Errorf("smoke query answered with an error (%d/%d failed)", res.Errors, res.Queries)
+		}
+		if res.SLOBreached > 0 {
+			return fmt.Errorf("smoke: daemon is in SLO breach (%.0f breach(es), 1m burn %.2f, 1m p99 %.4gs)",
+				res.SLOBreaches, res.SLOBurn1m, res.SLOP991m)
+		}
+		fmt.Fprintf(stdout, "smoke ok: 1 query in %.1fms (generation %.0f, %s)\n",
+			res.P50ms, res.Generation, sloVerdict(res))
+		return nil
+	}
+
+	r, err := cli.Open(&shared, cli.Options{
+		Tool: "predtop-replay", Seed: shared.Seed, Stdout: stdout, Progress: stdout, Stderr: stderr,
+		Dirs: []string{*jsonPath},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if !*quiet {
-		fmt.Printf("replay: %d queries, %d errors, %.2fs wall, %.0f qps\n",
+	var res *predtop.ServeReplayResult
+	defer func() {
+		// A replay that ran to completion is recorded even when some queries
+		// failed; the exit status then reports them.
+		if err = r.Close(err); err == nil && res != nil && res.Errors > 0 {
+			err = fmt.Errorf("%d of %d replay queries failed", res.Errors, res.Queries)
+		}
+	}()
+	if res, err = predtop.ServeReplay(cfg); err != nil {
+		return err
+	}
+	if !shared.Quiet {
+		fmt.Fprintf(stdout, "replay: %d queries, %d errors, %.2fs wall, %.0f qps\n",
 			res.Queries, res.Errors, res.WallSeconds, res.QPS)
-		fmt.Printf("latency: p50 %.2fms  p95 %.2fms  p99 %.2fms\n", res.P50ms, res.P95ms, res.P99ms)
-		fmt.Printf("cache:   %d hits / %d misses (hit rate %.1f%%)\n",
+		fmt.Fprintf(stdout, "latency: p50 %.2fms  p95 %.2fms  p99 %.2fms\n", res.P50ms, res.P95ms, res.P99ms)
+		fmt.Fprintf(stdout, "cache:   %d hits / %d misses (hit rate %.1f%%)\n",
 			res.CacheHits, res.CacheMisses, res.CacheHitRate*100)
-		fmt.Printf("batches: %d (mean size %.2f, max %.0f)\n", res.Batches, res.MeanBatch, res.MaxBatch)
-		fmt.Printf("slo:     %s\n", sloVerdict(res))
-	}
-	if ledger := predtop.OpenRunLedger(*ledgerDir); ledger != nil {
-		man := predtop.NewRunManifest("predtop-replay", *seed)
-		man.Session.StartedUnix = started.Unix()
-		man.SetTraceID(predtop.NewTraceContext(*seed, "predtop-replay").TraceID())
-		// The query stream is seed-deterministic (canonical); everything the
-		// daemon answered — throughput, latency, cache behavior — is a fact
-		// about this particular session, so it lands in the session section.
-		man.SetConfig("n", fmt.Sprint(*queries))
-		man.SetConfig("c", fmt.Sprint(*conc))
-		man.SetConfig("bench", strings.ToLower(*benches))
-		man.SetConfig("layers", fmt.Sprint(*layers))
-		man.SetConfig("maxlen", fmt.Sprint(*maxLen))
-		man.SetConfig("gtfrac", fmt.Sprint(*gtFrac))
-		man.SetOutput("url", *url)
-		man.SetOutput("json", *jsonPath)
-		man.RecordSessionMetric("qps", res.QPS)
-		man.RecordSessionMetric("errors", float64(res.Errors))
-		man.RecordSessionMetric("cache_hit_rate", res.CacheHitRate)
-		man.RecordSessionMetric("mean_batch", res.MeanBatch)
-		man.RecordBench("replay_p50", res.P50ms*1e6, 0)
-		man.RecordBench("replay_p99", res.P99ms*1e6, 0)
-		man.Session.WallSeconds = res.WallSeconds
-		entry, err := ledger.Put(man)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !*quiet {
-			fmt.Printf("recorded run %s in %s\n", entry.ID, ledger.Dir())
-		}
+		fmt.Fprintf(stdout, "batches: %d (mean size %.2f, max %.0f)\n", res.Batches, res.MeanBatch, res.MaxBatch)
+		fmt.Fprintf(stdout, "slo:     %s\n", sloVerdict(res))
 	}
 	if *jsonPath != "" {
 		b, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := os.WriteFile(*jsonPath, append(b, '\n'), 0o644); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
-	if res.Errors > 0 {
-		os.Exit(1)
-	}
+	// The query stream is seed-deterministic (canonical); everything the
+	// daemon answered — throughput, latency, cache behavior — is a fact
+	// about this particular session, so it lands in the session section.
+	man := r.Man
+	man.SetConfig("n", fmt.Sprint(*queries))
+	man.SetConfig("c", fmt.Sprint(*conc))
+	man.SetConfig("bench", strings.ToLower(*benches))
+	man.SetConfig("layers", fmt.Sprint(*layers))
+	man.SetConfig("maxlen", fmt.Sprint(*maxLen))
+	man.SetConfig("gtfrac", fmt.Sprint(*gtFrac))
+	man.SetOutput("url", *url)
+	man.SetOutput("json", *jsonPath)
+	man.RecordSessionMetric("qps", res.QPS)
+	man.RecordSessionMetric("errors", float64(res.Errors))
+	man.RecordSessionMetric("cache_hit_rate", res.CacheHitRate)
+	man.RecordSessionMetric("mean_batch", res.MeanBatch)
+	man.RecordSessionMetric("replay_p50", res.P50ms*1e6)
+	man.RecordSessionMetric("replay_p99", res.P99ms*1e6)
+	return nil
 }
 
 // sloVerdict renders the daemon's scraped SLO state for the human summaries.

@@ -32,17 +32,18 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"text/tabwriter"
 	"time"
 
+	"predtop/internal/cli"
 	"predtop/internal/runledger"
 )
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage: predtop-runs [-dir runs] <subcommand> [flags] [args]
+const usage = `usage: predtop-runs [-dir runs] <subcommand> [flags] [args]
 
 subcommands:
   list      [-tool NAME] [-files]                 list stored runs, oldest first
@@ -52,52 +53,44 @@ subcommands:
   baseline  [REF]                                 pin a run as the gate baseline (no REF: print the pin)
 
 A REF is "latest", "baseline", a file path, or a run id / unique prefix.
-`)
-}
+`
 
 func main() {
-	dir := flag.String("dir", "runs", "run-ledger directory")
-	flag.Usage = usage
-	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
-		usage()
-		os.Exit(2)
-	}
-	store := runledger.Open(*dir)
-	var err error
-	switch args[0] {
-	case "list":
-		err = runList(store, args[1:])
-	case "show":
-		err = runShow(store, args[1:])
-	case "diff":
-		err = runDiff(store, args[1:])
-	case "baseline":
-		err = runBaseline(store, args[1:])
-	default:
-		fmt.Fprintf(os.Stderr, "predtop-runs: unknown subcommand %q\n", args[0])
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "predtop-runs:", err)
-		os.Exit(1)
-	}
+	os.Exit(cli.Main(run))
 }
 
-func runList(store *runledger.Store, args []string) error {
-	fs := flag.NewFlagSet("list", flag.ExitOnError)
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("predtop-runs", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	dir := fs.String("dir", "runs", "run-ledger directory")
+	fs.Usage = func() { fmt.Fprint(stderr, usage) }
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	sub := map[string]func(*runledger.Store, *flag.FlagSet, []string, io.Writer, io.Writer) error{
+		"list": runList, "show": runShow, "diff": runDiff, "baseline": runBaseline,
+	}[fs.Arg(0)]
+	if sub == nil { // including none at all
+		fs.Usage()
+		return fmt.Errorf("unknown subcommand %q", fs.Arg(0))
+	}
+	subFlags := flag.NewFlagSet(fs.Arg(0), flag.ContinueOnError)
+	subFlags.SetOutput(stderr)
+	return sub(runledger.Open(*dir), subFlags, fs.Args()[1:], stdout, stderr)
+}
+
+func runList(store *runledger.Store, fs *flag.FlagSet, args []string, stdout, _ io.Writer) error {
 	tool := fs.String("tool", "", "only list runs of this tool")
 	files := fs.Bool("files", false, "also print each run's file path")
-	fs.Parse(args)
-
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	entries, err := store.List()
 	if err != nil {
 		return err
 	}
 	baseline, _ := store.Baseline() // unpinned is fine: nothing marked
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, " \tRUN\tTOOL\tSEED\tSTARTED\tWALL")
 	n := 0
 	for _, e := range entries {
@@ -123,7 +116,7 @@ func runList(store *runledger.Store, args []string) error {
 		return err
 	}
 	if n == 0 {
-		fmt.Printf("no runs recorded in %s\n", store.Dir())
+		fmt.Fprintf(stdout, "no runs recorded in %s\n", store.Dir())
 	}
 	return nil
 }
@@ -134,10 +127,11 @@ func runName(path string) string {
 	return strings.TrimSuffix(filepath.Base(path), ".json")
 }
 
-func runShow(store *runledger.Store, args []string) error {
-	fs := flag.NewFlagSet("show", flag.ExitOnError)
+func runShow(store *runledger.Store, fs *flag.FlagSet, args []string, stdout, _ io.Writer) error {
 	canonical := fs.Bool("canonical", false, "print exactly the canonical JSON bytes (the section the run id hashes)")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	ref := "latest"
 	if fs.NArg() > 0 {
@@ -156,28 +150,29 @@ func runShow(store *runledger.Store, args []string) error {
 		if err != nil {
 			return err
 		}
-		_, err = os.Stdout.Write(b)
+		_, err = stdout.Write(b)
 		return err
 	}
 	id, err := m.RunID()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("run %s (%s)\n", id, path)
+	fmt.Fprintf(stdout, "run %s (%s)\n", id, path)
 	b, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s\n", b)
+	fmt.Fprintf(stdout, "%s\n", b)
 	return nil
 }
 
-func runDiff(store *runledger.Store, args []string) error {
-	fs := flag.NewFlagSet("diff", flag.ExitOnError)
+func runDiff(store *runledger.Store, fs *flag.FlagSet, args []string, stdout, stderr io.Writer) error {
 	gate := fs.Bool("gate", false, "exit 1 when the comparison regresses past the thresholds")
 	mre := fs.Float64("mre", 2, "gate threshold: tolerated per-population MRE growth in percentage points (0 = off)")
 	latency := fs.Float64("latency", 5, "gate threshold: tolerated plan Eqn-4 total growth in percent (0 = off)")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	baseRef, otherRef := "baseline", "latest"
 	switch fs.NArg() {
@@ -206,37 +201,38 @@ func runDiff(store *runledger.Store, args []string) error {
 		return err
 	}
 	d := runledger.Compare(base, other, runName(basePath), runName(otherPath))
-	fmt.Print(d.Render())
+	fmt.Fprint(stdout, d.Render())
 	if !*gate {
 		return nil
 	}
 	msgs := d.Gate(runledger.GateThresholds{MREPct: *mre, LatencyPct: *latency})
 	if len(msgs) == 0 {
-		fmt.Println("gate: ok")
+		fmt.Fprintln(stdout, "gate: ok")
 		return nil
 	}
 	for _, msg := range msgs {
-		fmt.Fprintln(os.Stderr, "gate:", msg)
+		fmt.Fprintln(stderr, "gate:", msg)
 	}
 	return fmt.Errorf("%d regression(s) past thresholds", len(msgs))
 }
 
-func runBaseline(store *runledger.Store, args []string) error {
-	fs := flag.NewFlagSet("baseline", flag.ExitOnError)
-	fs.Parse(args)
+func runBaseline(store *runledger.Store, fs *flag.FlagSet, args []string, stdout, _ io.Writer) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if fs.NArg() == 0 {
 		path, err := store.Baseline()
 		if err != nil {
 			return err
 		}
-		fmt.Printf("baseline: %s (%s)\n", runName(path), path)
+		fmt.Fprintf(stdout, "baseline: %s (%s)\n", runName(path), path)
 		return nil
 	}
 	path, err := store.SetBaseline(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("pinned baseline: %s (%s)\n", runName(path), path)
+	fmt.Fprintf(stdout, "pinned baseline: %s (%s)\n", runName(path), path)
 	return nil
 }

@@ -29,17 +29,18 @@
 // sampled per-request records (first requests, slow requests, errors, and a
 // steady 1-in-64 background sample) with per-phase trace spans.
 //
-// -runledger records the serving session's manifest at shutdown — the served
-// models' weight fingerprint, the request/batch/cache counters, and the
-// session's wall time — into the given run-ledger directory for predtop-runs
-// to list and inspect.
+// -seed, -quiet, -metrics, and -runledger are the shared flags documented in
+// package internal/cli; the daemon's sinks, flight recorder, runtime sampler,
+// and manifest open and close through that lifecycle. The manifest recorded
+// at shutdown holds the served models' weight fingerprint, the
+// request/batch/cache counters, and the session's wall time.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -47,87 +48,63 @@ import (
 	"time"
 
 	"predtop"
+	"predtop/internal/cli"
 )
 
 func main() {
-	modelDir := flag.String("models", "models", "directory of *.predtop model files")
-	listen := flag.String("listen", "127.0.0.1:9400", "listen address (host:0 picks a free port)")
-	maxBatch := flag.Int("maxbatch", 32, "max concurrent requests coalesced into one batched forward")
-	window := flag.Duration("window", 0, "how long to wait to fill a batch (0 = batch only queued requests)")
-	workers := flag.Int("workers", 0, "intra-batch parallelism (0 = GOMAXPROCS)")
-	cacheSize := flag.Int("cachesize", 4096, "latency memo capacity in entries")
-	seed := flag.Int64("seed", 1, "trace-identity seed")
-	metricsPath := flag.String("metrics", "", "write JSONL request events and a final metrics snapshot to this file")
-	addrFile := flag.String("addrfile", "", "write the bound listen address to this file once serving")
-	quiet := flag.Bool("quiet", false, "suppress progress output")
-	sloP99 := flag.Duration("slo-p99", 500*time.Millisecond, "p99 latency objective for /predict (0 with -slo-err 0 disables SLO tracking)")
-	sloErr := flag.Float64("slo-err", 0.05, "tolerated bad-request fraction (the error budget)")
-	accessPath := flag.String("accesslog", "", "write sampled per-request access records (JSONL) to this file")
-	incidentDir := flag.String("incidents", "", "write SLO-breach evidence bundles (flight dump + CPU profile) under this directory")
-	ledgerDir := flag.String("runledger", "", "record this serving session's manifest at shutdown into the given run-ledger directory (see predtop-runs)")
-	flag.Parse()
+	os.Exit(cli.Main(run))
+}
 
-	started := time.Now()
-	ledger := predtop.OpenRunLedger(*ledgerDir)
-	var man *predtop.RunManifest
-	if ledger != nil {
-		man = predtop.NewRunManifest("predtop-serve", *seed)
-		man.Session.StartedUnix = started.Unix()
-		man.SetConfig("slo_p99", sloP99.String())
-		man.SetConfig("slo_err", fmt.Sprint(*sloErr))
-		man.SetOutput("models", *modelDir)
-		man.SetOutput("metrics", *metricsPath)
-		man.SetOutput("accesslog", *accessPath)
-		man.SetOutput("incidents", *incidentDir)
-		man.RecordSessionMetric("maxbatch", float64(*maxBatch))
-		man.RecordSessionMetric("cachesize", float64(*cacheSize))
-		man.RecordSessionMetric("workers", float64(*workers))
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("predtop-serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	modelDir := fs.String("models", "models", "directory of *.predtop model files")
+	listen := fs.String("listen", "127.0.0.1:9400", "listen address (host:0 picks a free port)")
+	maxBatch := fs.Int("maxbatch", 32, "max concurrent requests coalesced into one batched forward")
+	window := fs.Duration("window", 0, "how long to wait to fill a batch (0 = batch only queued requests)")
+	workers := fs.Int("workers", 0, "intra-batch parallelism (0 = GOMAXPROCS)")
+	cacheSize := fs.Int("cachesize", 4096, "latency memo capacity in entries")
+	addrFile := fs.String("addrfile", "", "write the bound listen address to this file once serving")
+	sloP99 := fs.Duration("slo-p99", 500*time.Millisecond, "p99 latency objective for /predict (0 with -slo-err 0 disables SLO tracking)")
+	sloErr := fs.Float64("slo-err", 0.05, "tolerated bad-request fraction (the error budget)")
+	accessPath := fs.String("accesslog", "", "write sampled per-request access records (JSONL) to this file")
+	incidentDir := fs.String("incidents", "", "write SLO-breach evidence bundles (flight dump + CPU profile) under this directory")
+	shared := cli.Flags{Seed: 1}
+	shared.Register(fs, cli.Seed|cli.Quiet|cli.Metrics|cli.Ledger, map[string]string{
+		"seed":      "trace-identity seed",
+		"metrics":   "write JSONL request events and a final metrics snapshot to this file",
+		"runledger": "record this serving session's manifest at shutdown into the given run-ledger directory (see predtop-runs)",
+	})
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
-	tc := predtop.NewTraceContext(*seed, "predtop-serve")
-	man.SetTraceID(tc.TraceID())
-	fr := predtop.NewFlightRecorder(0)
-	fr.SetTraceContext(tc)
-	predtop.SetWorkerPanicHook(fr.PanicHook(os.Stderr))
-
-	lg := predtop.NewProgressLogger(os.Stderr, *quiet).WithTrace(tc)
-	reg := predtop.NewMetricsRegistry()
-	predtop.PublishKernelInfo(reg)
-
-	// newSink opens one JSONL sink and registers its close; the graceful
-	// shutdown path (SIGTERM breaking the signal loop) runs every registered
-	// close after the daemon has drained, so no buffered record is lost.
-	var sinkCloses []func()
-	newSink := func(path string) *predtop.EventSink {
-		f, err := os.Create(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		s := predtop.NewEventSink(f)
-		s.SetTraceContext(tc)
-		s.AttachFlight(fr)
-		sinkCloses = append(sinkCloses, func() {
-			if err := s.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", path, err)
-			}
-			f.Close()
-		})
-		return s
+	r, err := cli.Open(&shared, cli.Options{
+		Tool: "predtop-serve", Seed: shared.Seed, Stdout: stdout, Progress: stderr, Stderr: stderr,
+		LiveMetrics: true,
+	})
+	if err != nil {
+		return err
 	}
-	defer func() {
-		for i := len(sinkCloses) - 1; i >= 0; i-- {
-			sinkCloses[i]()
-		}
-	}()
-
-	var sink, access *predtop.EventSink
-	if *metricsPath != "" {
-		sink = newSink(*metricsPath)
-		defer sink.EmitMetrics(reg) // runs before the registered closes above
-	}
+	// Deferred first, so it runs after srv.Close has drained the daemon: every
+	// buffered record reaches its sink before the sinks flush and close.
+	defer func() { err = r.Close(err) }()
+	var access *predtop.EventSink
 	if *accessPath != "" {
-		access = newSink(*accessPath)
+		if access, err = r.OpenSink(*accessPath); err != nil {
+			return err
+		}
 	}
+	predtop.PublishKernelInfo(r.Metrics)
+	man := r.Man
+	man.SetConfig("slo_p99", sloP99.String())
+	man.SetConfig("slo_err", fmt.Sprint(*sloErr))
+	man.SetOutput("models", *modelDir)
+	man.SetOutput("accesslog", *accessPath)
+	man.SetOutput("incidents", *incidentDir)
+	man.RecordSessionMetric("maxbatch", float64(*maxBatch))
+	man.RecordSessionMetric("cachesize", float64(*cacheSize))
+	man.RecordSessionMetric("workers", float64(*workers))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -138,42 +115,41 @@ func main() {
 		Window:      *window,
 		Workers:     *workers,
 		CacheSize:   *cacheSize,
-		Metrics:     reg,
-		Sink:        sink,
-		Flight:      fr,
-		Trace:       tc,
-		Log:         lg,
+		Metrics:     r.Metrics,
+		Sink:        r.Sink,
+		Flight:      r.Flight,
+		Trace:       r.TC,
+		Log:         r.Log,
 		SLOP99:      *sloP99,
 		SLOErr:      *sloErr,
 		IncidentDir: *incidentDir,
 		AccessLog:   access,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer srv.Close()
-	sampler := predtop.StartRuntimeSampler(reg, 0)
-	defer sampler.Stop()
 
 	if *addrFile != "" {
 		if err := os.WriteFile(*addrFile, []byte(srv.Addr()+"\n"), 0o644); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
-	lg.Printf("predtop-serve listening on %s (POST %s/predict)", srv.Addr(), srv.URL())
+	r.Log.Printf("predtop-serve listening on %s (POST %s/predict)", srv.Addr(), srv.URL())
 
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
+	defer signal.Stop(sigs)
 	for sig := range sigs {
 		if sig == syscall.SIGHUP {
 			if gen, n, err := srv.Reload(); err != nil {
-				fmt.Fprintf(os.Stderr, "reload failed (old models keep serving): %v\n", err)
+				fmt.Fprintf(stderr, "reload failed (old models keep serving): %v\n", err)
 			} else {
-				lg.Printf("SIGHUP reload: generation %d, %d model(s)", gen, n)
+				r.Log.Printf("SIGHUP reload: generation %d, %d model(s)", gen, n)
 			}
 			continue
 		}
-		lg.Printf("%v: shutting down", sig)
+		r.Log.Printf("%v: shutting down", sig)
 		break
 	}
 
@@ -189,7 +165,7 @@ func main() {
 		man.SetWeightsFingerprint(predtop.WeightFingerprint(trs...))
 		man.RecordSessionMetric("registry_generation", float64(gen))
 		man.RecordSessionMetric("models", float64(len(entries)))
-		for _, mt := range reg.Snapshot() {
+		for _, mt := range r.Metrics.Snapshot() {
 			if mt.Kind == "histogram" ||
 				(!strings.HasPrefix(mt.Name, "predtop_serve_") && !strings.HasPrefix(mt.Name, "predtop_slo_")) {
 				continue
@@ -200,11 +176,6 @@ func main() {
 			}
 			man.RecordSessionMetric(key, mt.Value)
 		}
-		man.Session.WallSeconds = time.Since(started).Seconds()
-		entry, err := ledger.Put(man)
-		if err != nil {
-			log.Fatal(err)
-		}
-		lg.Printf("recorded run %s in %s", entry.ID, ledger.Dir())
 	}
+	return nil
 }

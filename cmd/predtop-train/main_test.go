@@ -1,0 +1,156 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"predtop"
+	"predtop/internal/runledger"
+)
+
+// The goldens under testdata/ were captured from the binaries of the commit
+// before the tools moved onto internal/cli, with the tiny arguments below:
+// stdout (wall-clock field masked), `predtop-runs show -canonical` of the
+// recorded manifest, and the JSONL record sequence (event, field order, and
+// the metric families of the final snapshot).
+var tinyArgs = []string{"-layers", "4", "-maxlen", "2", "-epochs", "2"}
+
+var wallClock = regexp.MustCompile(`in [0-9.]+s\n`)
+
+func golden(t *testing.T, name, got string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s differs\n--- got\n%s--- want\n%s", name, got, want)
+	}
+}
+
+// jsonlShape renders a JSONL stream as one "event: field,field,…" line per
+// record (fields in emission order), listing under a metrics record the
+// families of its snapshot — everything but the wall-clock values.
+func jsonlShape(t *testing.T, data []byte) string {
+	t.Helper()
+	var b strings.Builder
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		dec := json.NewDecoder(bytes.NewReader(line))
+		if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+			t.Fatalf("record is not a JSON object: %s", line)
+		}
+		var keys []string
+		var event string
+		var metrics []struct{ Name, Labels, Kind string }
+		for dec.More() {
+			key, err := dec.Token()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var val json.RawMessage
+			if err := dec.Decode(&val); err != nil {
+				t.Fatal(err)
+			}
+			keys = append(keys, key.(string))
+			switch key {
+			case "event":
+				json.Unmarshal(val, &event)
+			case "metrics":
+				json.Unmarshal(val, &metrics)
+			}
+		}
+		fmt.Fprintf(&b, "%s: %s\n", event, strings.Join(keys, ","))
+		for _, m := range metrics {
+			fmt.Fprintf(&b, "  %s{%s} %s\n", m.Name, m.Labels, m.Kind)
+		}
+	}
+	return b.String()
+}
+
+func TestTrainGoldenAndDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	ledger := filepath.Join(dir, "L")
+	var stdouts [2]string
+	for i := range stdouts {
+		model := filepath.Join(dir, "m.predtop")
+		jsonl := filepath.Join(dir, fmt.Sprintf("t%d.jsonl", i))
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"-o", model, "-runledger", ledger, "-metrics", jsonl}, tinyArgs...)
+		if err := run(args, &stdout, &stderr); err != nil {
+			t.Fatalf("run %d: %v\nstderr: %s", i, err, &stderr)
+		}
+		out := strings.ReplaceAll(stdout.String(), dir+string(filepath.Separator), "")
+		stdouts[i] = wallClock.ReplaceAllString(out, "in <wall>s\n")
+		if i == 0 {
+			golden(t, "train_stdout.golden", stdouts[0])
+			data, err := os.ReadFile(jsonl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden(t, "train_jsonl_shape.golden", jsonlShape(t, data))
+		}
+		if _, err := predtop.LoadTrained(model); err != nil {
+			t.Fatalf("saved model does not load: %v", err)
+		}
+	}
+	if stdouts[0] != stdouts[1] {
+		t.Errorf("same-seed reruns print different stdout:\n%s---\n%s", stdouts[0], stdouts[1])
+	}
+
+	// Two same-seed runs share one content address (<id>.json, <id>.1.json)
+	// and byte-identical canonical sections.
+	paths, _ := filepath.Glob(filepath.Join(ledger, "*.json"))
+	if len(paths) != 2 {
+		t.Fatalf("ledger holds %d manifests, want 2: %v", len(paths), paths)
+	}
+	for _, p := range paths {
+		m, err := runledger.Load(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		canon, err := m.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden(t, "train_canonical.golden.json", string(canon))
+	}
+}
+
+// Bad names and unwritable outputs fail before anything is profiled or
+// trained, and leave no file behind.
+func TestTrainRejectsBadArgumentsEarly(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"unknown bench", []string{"-bench", "gpt4"}},
+		{"unknown platform", []string{"-platform", "3"}},
+		{"unknown scenario", []string{"-mesh", "9"}},
+		{"unknown arch", []string{"-arch", "foo"}},
+		{"unwritable trace", []string{"-trace", "/nonexistent/dir/t.json"}},
+		{"unwritable metrics", []string{"-metrics", "/nonexistent/dir/t.jsonl"}},
+		{"unwritable model", []string{"-o", "/nonexistent/dir/m.predtop"}},
+		{"unknown flag", []string{"-nosuchflag"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			args := append([]string{"-o", filepath.Join(dir, "m.predtop"), "-runledger", filepath.Join(dir, "L")}, tinyArgs...)
+			var stdout, stderr bytes.Buffer
+			if err := run(append(args, tc.args...), &stdout, &stderr); err == nil {
+				t.Fatal("run succeeded")
+			}
+			if strings.Contains(stdout.String(), "profiled") {
+				t.Errorf("stages were profiled before the rejection:\n%s", &stdout)
+			}
+			if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 0 {
+				t.Errorf("files left behind: %v", left)
+			}
+		})
+	}
+}

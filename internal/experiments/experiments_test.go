@@ -39,6 +39,14 @@ func micro() Preset {
 }
 
 func TestPresetsSane(t *testing.T) {
+	for _, name := range []string{"quick", "paper", "paperlite"} {
+		if p, ok := ByName(name); !ok || p.Name != name {
+			t.Fatalf("ByName(%q) = %q, %v", name, p.Name, ok)
+		}
+	}
+	if _, ok := ByName("huge"); ok {
+		t.Fatal("ByName accepted an unknown preset")
+	}
 	for _, p := range []Preset{Quick(), Paper()} {
 		bs := p.Benchmarks()
 		if len(bs) != 2 || bs[0].Name != "GPT-3" || bs[1].Name != "MoE" {

@@ -152,6 +152,20 @@ func Paper() Preset {
 	}
 }
 
+// ByName resolves a preset name as the -preset flag spells it; ok is false
+// for unknown names.
+func ByName(name string) (Preset, bool) {
+	switch name {
+	case "quick":
+		return Quick(), true
+	case "paper":
+		return Paper(), true
+	case "paperlite":
+		return PaperLite(), true
+	}
+	return Preset{}, false
+}
+
 // Benchmark identifies one of the two evaluation models.
 type Benchmark struct {
 	Name   string

@@ -104,3 +104,29 @@ func TestActivationDTypePropagates(t *testing.T) {
 		t.Fatalf("stage output dtype %v", g.Outputs[0].DType)
 	}
 }
+
+// ByName is the one benchmark-name resolver (daemon requests and every CLI):
+// unknown names are rejected, never mapped to a default benchmark.
+func TestByName(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		layers int
+		want   string
+		depth  int
+	}{
+		{"GPT-3", 0, "GPT-3", GPT3().Layers},
+		{"gpt3", 6, "GPT-3", 6},
+		{"MoE", 0, "MoE", MoE().Layers},
+		{"moe", 4, "MoE", 4},
+	} {
+		cfg, ok := ByName(tc.name, tc.layers)
+		if !ok || cfg.Name != tc.want || cfg.Layers != tc.depth {
+			t.Errorf("ByName(%q, %d) = %s/%d, %v", tc.name, tc.layers, cfg.Name, cfg.Layers, ok)
+		}
+	}
+	for _, bad := range []string{"", "gpt4", "all", "resnet"} {
+		if _, ok := ByName(bad, 0); ok {
+			t.Errorf("ByName(%q) accepted", bad)
+		}
+	}
+}

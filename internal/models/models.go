@@ -11,6 +11,7 @@ package models
 
 import (
 	"fmt"
+	"strings"
 
 	"predtop/internal/ir"
 	"predtop/internal/obs"
@@ -47,6 +48,26 @@ func MoE() Config {
 		Experts: 16, ExpertHidden: 2048, MoEEvery: 2,
 		Act: ir.BF16,
 	}
+}
+
+// ByName resolves a benchmark name ("GPT-3", "gpt3", "MoE"; case and hyphens
+// are ignored) to its Table-IV configuration, applying the depth override
+// when layers > 0. ok is false for unknown names — callers reject them
+// instead of falling back to a default benchmark.
+func ByName(name string, layers int) (Config, bool) {
+	var cfg Config
+	switch strings.ToLower(strings.ReplaceAll(name, "-", "")) {
+	case "gpt3":
+		cfg = GPT3()
+	case "moe":
+		cfg = MoE()
+	default:
+		return Config{}, false
+	}
+	if layers > 0 {
+		cfg.Layers = layers
+	}
+	return cfg, true
 }
 
 // SegmentKind identifies the role of a model segment.

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -213,21 +212,4 @@ func attrString(attrs map[string]string) string {
 		parts[i] = k + "=" + attrs[k]
 	}
 	return "  {" + strings.Join(parts, ",") + "}"
-}
-
-// WriteFile renders the profile tree to path (see WriteProfileTree). No-op
-// on a nil profiler.
-func (p *Profiler) WriteFile(path string) error {
-	if p == nil {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := p.WriteProfileTree(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"time"
 )
@@ -183,22 +182,6 @@ func (t *TraceBuilder) Render(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, "]\n")
 	return err
-}
-
-// WriteFile renders the trace to path (see Render). No-op on nil.
-func (t *TraceBuilder) WriteFile(path string) error {
-	if t == nil {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.Render(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // Observer bundles the observability outputs a long-running path can report

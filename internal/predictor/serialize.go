@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"path/filepath"
 
 	"predtop/internal/graphnn"
 )
@@ -77,14 +78,35 @@ func Load(r io.Reader) (Trained, error) {
 	return Trained{Model: model, Scale: sm.Scale}, nil
 }
 
-// SaveFile writes a trained predictor to path.
+// SaveFile writes a trained predictor to path atomically: a failed save
+// leaves whatever path held before untouched, and a concurrent LoadFile
+// (predtop-serve's SIGHUP reload) sees the old model or the new one, never a
+// torn file.
 func SaveFile(path string, t Trained) error {
-	f, err := os.Create(path)
+	return atomicWrite(path, func(w io.Writer) error { return Save(w, t) })
+}
+
+// atomicWrite sends write's bytes to a temporary file in path's directory
+// and renames it over path only once it is fully written and closed.
+func atomicWrite(path string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return Save(f, t)
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(f.Name(), 0o644) // CreateTemp's 0600 → the mode os.Create gave
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // LoadFile reads a trained predictor from path.

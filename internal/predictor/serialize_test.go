@@ -2,6 +2,8 @@ package predictor
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -59,6 +61,52 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	if got, want := loaded.PredictEncoded(ds.Samples[0].Encoded), tr.PredictEncoded(ds.Samples[0].Encoded); got != want {
 		t.Fatalf("file round trip drift: %v vs %v", got, want)
+	}
+}
+
+// A save that dies mid-write must leave the previous model loadable and no
+// temporary file behind (SaveFile is temp file + rename, never truncate in
+// place).
+func TestSaveFileFailureKeepsPreviousModel(t *testing.T) {
+	_, ds := smallDataset(t, 12)
+	rng := rand.New(rand.NewSource(2))
+	train, val, _ := stage.Split(rng, len(ds.Samples), 0.6, 0.2)
+	model := graphnn.NewGCN(rng, graphnn.GCNConfig{Layers: 1, Dim: 8})
+	tr, _ := Train(model, ds, train, val, TrainConfig{Epochs: 1, Patience: 1, BatchSize: 4})
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.predtop")
+	if err := SaveFile(path, tr); err != nil {
+		t.Fatal(err)
+	}
+	want := tr.PredictEncoded(ds.Samples[0].Encoded)
+
+	boom := errors.New("disk full")
+	err := atomicWrite(path, func(w io.Writer) error {
+		var buf bytes.Buffer
+		if err := Save(&buf, tr); err != nil {
+			return err
+		}
+		if _, err := w.Write(buf.Bytes()[:buf.Len()/2]); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("atomicWrite error = %v, want %v", err, boom)
+	}
+	loaded, err := LoadFile(path)
+	if err != nil {
+		t.Fatalf("previous model unreadable after a failed save: %v", err)
+	}
+	if got := loaded.PredictEncoded(ds.Samples[0].Encoded); got != want {
+		t.Fatalf("previous model changed: %v vs %v", got, want)
+	}
+	if names, _ := filepath.Glob(filepath.Join(dir, "*")); len(names) != 1 {
+		t.Fatalf("temporary file left behind: %v", names)
+	}
+	// An unwritable directory fails before anything is touched.
+	if err := SaveFile(filepath.Join(dir, "missing", "m.predtop"), tr); err == nil {
+		t.Fatal("SaveFile into a missing directory succeeded")
 	}
 }
 

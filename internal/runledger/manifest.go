@@ -13,9 +13,9 @@
 // decompositions, and deterministic result metrics. Two runs of the same
 // seed render byte-identical Canonical JSON — the property `make runs-smoke`
 // pins. The Session section isolates everything wall-clock or host-bound
-// (timestamps, durations, paths, addresses, bench ns/op), so reruns differ
-// only there. The ledger only observes: recording a run never feeds back
-// into training, evaluation, or planning.
+// (timestamps, durations, paths, addresses), so reruns differ only there.
+// The ledger only observes: recording a run never feeds back into training,
+// evaluation, or planning.
 package runledger
 
 import (
@@ -109,14 +109,6 @@ type Session struct {
 	// Metrics holds wall-clock scalar readings (durations, qps, latency
 	// quantiles in seconds).
 	Metrics map[string]float64 `json:"metrics,omitempty"`
-	// Bench holds benchmark-style measurements keyed by name.
-	Bench map[string]BenchStat `json:"bench,omitempty"`
-}
-
-// BenchStat is one benchmark-style measurement attached to a session.
-type BenchStat struct {
-	NsPerOp     float64 `json:"ns_per_op,omitempty"`
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 }
 
 // Manifest is one recorded run. Methods are nil-safe no-ops, matching the
@@ -196,17 +188,6 @@ func (m *Manifest) RecordSessionMetric(key string, v float64) {
 		m.Session.Metrics = map[string]float64{}
 	}
 	m.Session.Metrics[key] = v
-}
-
-// RecordBench stores one benchmark-style measurement in the session section.
-func (m *Manifest) RecordBench(name string, nsPerOp, allocsPerOp float64) {
-	if m == nil {
-		return
-	}
-	if m.Session.Bench == nil {
-		m.Session.Bench = map[string]BenchStat{}
-	}
-	m.Session.Bench[name] = BenchStat{NsPerOp: nsPerOp, AllocsPerOp: allocsPerOp}
 }
 
 // RecordAccuracy snapshots every observed key of the monitor into the

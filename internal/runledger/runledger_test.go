@@ -48,7 +48,6 @@ func TestCanonicalJSONDeterministicAndSessionFree(t *testing.T) {
 	b.Session.WallSeconds = 77
 	b.SetOutput("o", "/elsewhere/model.json")
 	b.RecordSessionMetric("wall", 3)
-	b.RecordBench("replay", 123456, 42)
 	ja, err := a.CanonicalJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +83,6 @@ func TestNilManifestAndStoreAreInert(t *testing.T) {
 	m.SetWeightsFingerprint("f")
 	m.RecordMetric("a", 1)
 	m.RecordSessionMetric("b", 2)
-	m.RecordBench("c", 1, 2)
 	m.RecordAccuracy(nil)
 	m.RecordAttribution("l", &predictor.Attribution{})
 	m.RecordPlan(nil)

@@ -16,8 +16,8 @@ const baselineFile = "BASELINE"
 // Store is a content-addressed manifest directory (conventionally "runs/").
 // A run is stored as <run-id>.json; reruns with an identical canonical
 // section — same content address — take .1, .2, … suffixes instead of
-// overwriting, the same collision discipline the BENCH_* archives use, so a
-// baseline captured before a change always survives the "after" run.
+// overwriting, so a baseline captured before a change always survives the
+// "after" run.
 //
 // A nil *Store is fully inert: Put and friends succeed as no-ops, so tools
 // thread one pointer and pay nothing when the ledger is off.

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"predtop/internal/models"
 )
 
 // FuzzDecodePredictRequest: the /predict decoder must never panic, and every
@@ -31,7 +33,7 @@ func FuzzDecodePredictRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, ok := benchConfig(req.Bench, req.Layers); !ok {
+		if _, ok := models.ByName(req.Bench, req.Layers); !ok {
 			t.Fatalf("accepted unknown bench %q", req.Bench)
 		}
 		if req.Layers < 0 || req.Layers > MaxLayers {

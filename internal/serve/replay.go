@@ -166,7 +166,7 @@ func replayStream(cfg ReplayConfig) ([][]byte, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	segs := map[string]int{}
 	for _, b := range cfg.Benches {
-		mc, ok := benchConfig(b, cfg.Layers)
+		mc, ok := models.ByName(b, cfg.Layers)
 		if !ok {
 			return nil, fmt.Errorf("serve: unknown bench %q in replay config", b)
 		}

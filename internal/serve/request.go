@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"strings"
 
 	"predtop/internal/models"
 )
@@ -70,24 +69,6 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// benchConfig resolves a request's bench name to a benchmark model config,
-// applying the depth override. ok is false for unknown names.
-func benchConfig(bench string, layers int) (models.Config, bool) {
-	var cfg models.Config
-	switch strings.ToLower(strings.ReplaceAll(bench, "-", "")) {
-	case "gpt3":
-		cfg = models.GPT3()
-	case "moe":
-		cfg = models.MoE()
-	default:
-		return models.Config{}, false
-	}
-	if layers > 0 {
-		cfg.Layers = layers
-	}
-	return cfg, true
-}
-
 // DecodePredictRequest parses and validates a /predict body. Every rejection
 // is an error the handler maps to a 4xx — malformed JSON, unknown benchmarks,
 // oversized depths or stages, inverted ranges, and non-finite or non-positive
@@ -105,7 +86,7 @@ func DecodePredictRequest(data []byte) (*PredictRequest, error) {
 	if req.Bench == "" {
 		return nil, fmt.Errorf("missing bench (want \"GPT-3\" or \"MoE\")")
 	}
-	if _, ok := benchConfig(req.Bench, 0); !ok {
+	if _, ok := models.ByName(req.Bench, 0); !ok {
 		return nil, fmt.Errorf("unknown bench %q (want \"GPT-3\" or \"MoE\")", req.Bench)
 	}
 	if req.Layers < 0 || req.Layers > MaxLayers {

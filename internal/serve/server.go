@@ -355,7 +355,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, ri *reqIn
 		}
 		return writeErr(w, http.StatusNotFound, "unknown model %q", req.Model)
 	}
-	benchCfg, _ := benchConfig(req.Bench, req.Layers)
+	benchCfg, _ := models.ByName(req.Bench, req.Layers)
 	be := s.benchFor(benchCfg)
 	if req.Hi > be.segments {
 		return writeErr(w, http.StatusBadRequest,
