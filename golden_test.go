@@ -1,9 +1,11 @@
 package predtop
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"predtop/internal/ag"
@@ -110,6 +112,87 @@ func TestGoldenBits(t *testing.T) {
 		}
 		if got := forwards(tr.Model); got != g.trained {
 			t.Errorf("%s loss %d: trained forwards %#x, want %#x", g.arch, g.loss, got, g.trained)
+		}
+	}
+}
+
+// planGolden is one latency source × model row of TestGoldenPlans. Every
+// number was captured at PR 17's tree, the last commit whose providers labeled
+// through ProfileStage once per configuration and charged the training
+// sample's cost in a loop of their own.
+type planGolden struct {
+	model, source   string
+	plan            string // "[lo,hi)@mesh ..." in pipeline order
+	est, eval, cost uint64 // bits of plan.Est, EvaluatePlan, meter.Total()
+	profiled        int
+	misses          int
+	fingerprint     string // ProviderInfo.Fingerprint; predictor sources only
+}
+
+var goldenPlans = []planGolden{
+	{"GPT-3/6", "full", "[0,3)@1 [3,5)@1 [5,8)@2",
+		0x3fd09559d0f701b3, 0x3fd0cc93ec9394f4, 0x40a575a0cf39f30e, 126, 63, ""},
+	{"GPT-3/6", "partial", "[0,2)@1 [2,4)@1 [4,6)@1 [6,8)@1",
+		0x3fd1a33dc012fcc4, 0x3fd1b92b253e3901, 0x409933934f93fd89, 59, 34, ""},
+	{"GPT-3/6", "tran", "[0,2)@1 [2,5)@2 [5,8)@1",
+		0x3f8c9a866a225404, 0x3fd5d80decf5a0b2, 0x40968a5d43494fd6, 66, 63, "f4fa340cbd65e138"},
+	{"MoE/4", "full", "[0,3)@2 [3,6)@2",
+		0x3fb65db6fd9f9f5f, 0x3fb624d9b60298a0, 0x40a0107c346cdc63, 90, 45, ""},
+	{"MoE/4", "partial", "[0,3)@2 [3,6)@2",
+		0x3fb65db6fd9f9f5f, 0x3fb624d9b60298a0, 0x409136e3f9f62190, 36, 19, ""},
+	{"MoE/4", "tran", "[0,3)@2 [3,6)@2",
+		0x3f431b8d6ef28968, 0x3fb624d9b60298a0, 0x4092799c330aeab3, 48, 45, "275a99572679f4b5"},
+}
+
+// TestGoldenPlans pins the labeling path under the planner: for Alpa-Full,
+// Alpa-Partial and a PredTOP provider on two small models, the chosen plan,
+// its estimated and true Eqn-4 latency, the simulated optimization cost and
+// the meter's counts must keep the bits they had before the providers were
+// rerouted through one labeling function.
+func TestGoldenPlans(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("bit patterns were captured on amd64; other ports may fuse multiply-adds")
+	}
+	const microbatches, maxLen = 8, 3
+	moe := MoEConfig()
+	moe.Layers = 4
+	modelsByName := map[string]*Model{"GPT-3/6": BuildModel(tinyGPT()), "MoE/4": BuildModel(moe)}
+	p := Platform2()
+	for _, g := range goldenPlans {
+		m := modelsByName[g.model]
+		meter := &CostMeter{}
+		var info PlanProviderInfo
+		var lat LatencyFn
+		switch g.source {
+		case "full":
+			lat = FullProfiling(m, DefaultProfiler(), meter)
+		case "partial":
+			lat = PartialProfiling(m, DefaultProfiler(), meter, 1.2)
+		default:
+			lat = TrainPredictorProvider(m, p, PredictorOptions{
+				Kind: KindTransformer, SampleFrac: 0.5, MaxStageLen: maxLen,
+				Train: TrainConfig{Epochs: 2, Patience: 2, BatchSize: 4},
+				Tran:  TransformerConfig{Layers: 1, Dim: 16, Heads: 2, FFNDim: 32},
+				Seed:  3, Info: &info,
+			}, DefaultProfiler(), meter)
+		}
+		plan, ok := OptimizePlan(m.NumSegments(), p, lat, PlanOptions{Microbatches: microbatches, MaxStageLen: maxLen})
+		if !ok {
+			t.Fatalf("%s %s: no plan", g.model, g.source)
+		}
+		eval, ok := EvaluatePlan(m, plan, microbatches)
+		if !ok {
+			t.Fatalf("%s %s: plan infeasible under true latencies", g.model, g.source)
+		}
+		var sig []string
+		for i, sp := range plan.Stages {
+			sig = append(sig, fmt.Sprintf("[%d,%d)@%d", sp.Lo, sp.Hi, plan.Meshes[i].Index))
+		}
+		got := planGolden{g.model, g.source, strings.Join(sig, " "),
+			math.Float64bits(plan.Est), math.Float64bits(eval), math.Float64bits(meter.Total()),
+			meter.StagesProfiled, meter.CacheMisses, info.Fingerprint}
+		if got != g {
+			t.Errorf("%s %s:\n got %#v\nwant %#v", g.model, g.source, got, g)
 		}
 	}
 }

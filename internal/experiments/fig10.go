@@ -122,12 +122,11 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 	parallel.ForLimit(len(specs), p.Workers, func(i int) {
 		sp := specs[i]
 		track := fmt.Sprintf("fig10 %s %s", bench.Name, sp.version)
-		latFn := planner.InstrumentLatencyFn(sp.latFn, p.Obs.Registry())
 		runOpts := *ctxs[i]
 		var stats planner.SearchStats
 		runOpts.Stats = &stats
 		optSpan := p.Obs.Tracer().Begin(track, "optimize")
-		plan, ok := planner.Optimize(mdl.NumSegments(), platform, latFn, runOpts)
+		plan, ok := planner.Optimize(mdl.NumSegments(), platform, sp.latFn, runOpts)
 		optSpan.End()
 		run := PlanRun{Version: sp.version, Meter: *sp.meter, OptimizeSeconds: sp.meter.Total(), OK: ok}
 		if ok {

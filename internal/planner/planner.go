@@ -47,8 +47,10 @@ type Options struct {
 	// _pairs_infeasible_total / _tmax_candidates_total / _dp_states_total /
 	// _dp_transitions_total / _improvements_total counters, the
 	// predtop_planner_best_latency gauge, the predtop_planner_optimize_seconds
-	// histogram, and the per-depth predtop_planner_dp_depth_seconds{depth="k"}
-	// histograms. Observation only — a nil registry changes nothing.
+	// histogram, the predtop_planner_predict_seconds histogram (one
+	// observation per latency-source lookup), and the per-depth
+	// predtop_planner_dp_depth_seconds{depth="k"} histograms. Observation
+	// only — a nil registry changes nothing.
 	Metrics *obs.Registry
 	// Prof, when non-nil, receives hierarchical spans for the search:
 	// planner.optimize → estimate (one child per (stage, mesh) pair) and
@@ -187,6 +189,7 @@ func Optimize(numSegments int, p cluster.Platform, lat LatencyFn, opt Options) (
 	}
 	est := make(map[pairKey]float64)
 	var candidates []float64
+	lookupSeconds := reg.Histogram("predtop_planner_predict_seconds", nil)
 	estSpan := root.Start("estimate")
 	for _, sp := range stage.AllSpecs(numSegments, maxLen) {
 		for mi, mesh := range meshes {
@@ -195,7 +198,9 @@ func Optimize(numSegments int, p cluster.Platform, lat LatencyFn, opt Options) (
 			if estSpan.Enabled() {
 				ps = estSpan.Start(fmt.Sprintf("s%d:%d/m%d", sp.Lo, sp.Hi, mi))
 			}
+			tm := lookupSeconds.Start()
 			t, ok := lat(sp, mesh)
+			tm.Stop()
 			ps.End()
 			if ok && t > 0 && !math.IsInf(t, 1) {
 				stats.Feasible++
@@ -301,30 +306,6 @@ func Optimize(numSegments int, p cluster.Platform, lat LatencyFn, opt Options) (
 	}
 	reg.Gauge("predtop_planner_best_latency").Set(bestT)
 	return bestPlan, true
-}
-
-// InstrumentLatencyFn wraps a latency source so every planner query is
-// counted and timed: the predtop_planner_predict_seconds histogram records
-// per-stage estimation latency, predtop_planner_predict_total and
-// predtop_planner_predict_infeasible_total count outcomes. A nil registry
-// returns lat unchanged; the wrapper observes only and never alters results.
-func InstrumentLatencyFn(lat LatencyFn, reg *obs.Registry) LatencyFn {
-	if reg == nil || lat == nil {
-		return lat
-	}
-	hist := reg.Histogram("predtop_planner_predict_seconds", nil)
-	total := reg.Counter("predtop_planner_predict_total")
-	infeasible := reg.Counter("predtop_planner_predict_infeasible_total")
-	return func(sp stage.Spec, mesh cluster.Mesh) (float64, bool) {
-		tm := hist.Start()
-		t, ok := lat(sp, mesh)
-		tm.Stop()
-		total.Inc()
-		if !ok {
-			infeasible.Inc()
-		}
-		return t, ok
-	}
 }
 
 func dedup(sorted []float64) []float64 {

@@ -289,14 +289,14 @@ func TestCompositions(t *testing.T) {
 	}
 }
 
-func TestTrueLatencyMemoizes(t *testing.T) {
+func TestTrueLatencyRepeatable(t *testing.T) {
 	mdl := tinyModel()
 	latFn := TrueLatency(mdl)
 	mesh := cluster.Meshes(cluster.Platform1())[0]
 	a, ok1 := latFn(stage.Spec{Lo: 1, Hi: 3}, mesh)
 	b, ok2 := latFn(stage.Spec{Lo: 1, Hi: 3}, mesh)
 	if !ok1 || !ok2 || a != b {
-		t.Fatalf("memoized oracle inconsistent: %v %v", a, b)
+		t.Fatalf("oracle inconsistent across calls: %v %v", a, b)
 	}
 }
 
@@ -475,6 +475,11 @@ func TestOptimizeReportedIdenticalPlan(t *testing.T) {
 	}
 	if got := snap["predtop_planner_latency_lookups_total"]; got != float64(stats.LatencyLookups) {
 		t.Fatalf("metric lookup count %v != stats %d", got, stats.LatencyLookups)
+	}
+	// One timed observation per lookup: the histogram and the counter are two
+	// readings of the same loop, not two instruments that could drift apart.
+	if got := reg.Histogram("predtop_planner_predict_seconds", nil).Count(); got != stats.LatencyLookups {
+		t.Fatalf("predict_seconds observed %d lookups, latency_lookups_total counted %d", got, stats.LatencyLookups)
 	}
 	if got := snap["predtop_planner_dp_states_total"]; got != float64(stats.DPStates) {
 		t.Fatalf("metric dp states %v != stats %d", got, stats.DPStates)

@@ -6,11 +6,9 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"time"
 
 	"predtop/internal/cluster"
 	"predtop/internal/graphnn"
-	"predtop/internal/lru"
 	"predtop/internal/models"
 	"predtop/internal/obs"
 	"predtop/internal/predictor"
@@ -18,37 +16,21 @@ import (
 	"predtop/internal/stage"
 )
 
-// encCacheSize bounds the planner's stage-encoding LRU. Stage universes are
-// O(segments × maxLen), far below this bound for the paper's models, so in
-// practice nothing is evicted — the bound exists so a pathological workload
-// (thousands of layers) degrades to recomputation instead of unbounded
-// memory. Encoding is deterministic, so eviction never changes results.
-const encCacheSize = 4096
-
 // Meter accumulates the optimization-cost components of Fig 10a, all on the
 // simulated platform clock: profiling (compile + transfer + timed runs),
 // predictor training (per-graph-step GPU cost × steps), and prediction
-// inference. RealSeconds additionally records the wall time this process
-// spent training/inferring, which is not comparable to simulated seconds
-// and is reported separately.
+// inference.
 type Meter struct {
 	ProfileSeconds float64
 	TrainSeconds   float64
 	InferSeconds   float64
 	StagesProfiled int
-	RealSeconds    float64
-	// CacheHits/CacheMisses count memoized latency-source lookups: a miss
-	// pays the full profile/predict cost, a hit is free. The ratio shows how
-	// much the planner's repeated (stage, mesh) queries amortize.
+	// CacheHits/CacheMisses count the latency source's memoized lookups: a
+	// miss pays the full profile/predict cost, a hit is free. Optimize asks
+	// for every (stage, mesh) pair once, so hits only appear when a caller
+	// reuses one source across searches.
 	CacheHits   int
 	CacheMisses int
-	// EncHits/EncMisses count stage-encoding LRU lookups inside
-	// TrainPredictorProvider (a miss re-runs the graph encoder), and
-	// EncEntries is the cache's final population. All zero for
-	// profiling-based providers, which never encode.
-	EncHits    int
-	EncMisses  int
-	EncEntries int
 }
 
 // Total returns the end-to-end optimization cost in simulated seconds.
@@ -56,25 +38,19 @@ func (m *Meter) Total() float64 { return m.ProfileSeconds + m.TrainSeconds + m.I
 
 // PublishMetrics exports the meter's counters as labeled predtop_planner_*
 // series on reg, tagged with the latency-source version they belong to
-// (e.g. "Alpa-Full", "PredTOP-Tran"). Cache traffic lands on
-// predtop_planner_cache_hits_total / _misses_total with a cache label
-// ("latency" for the memoized lookup table, "encoding" for the
-// stage-encoding LRU), the encoding cache's population on
-// predtop_planner_cache_entries, and the simulated cost components on
-// predtop_planner_cost_seconds{component=...}. Counters add (a meter is
-// published once per run); no-op on a nil registry or meter.
+// (e.g. "Alpa-Full", "PredTOP-Tran"): the memoized lookup table's traffic on
+// predtop_planner_cache_hits_total / _misses_total{cache="latency"} and the
+// simulated cost components on predtop_planner_cost_seconds{component=...}.
+// Counters add (a meter is published once per run); no-op on a nil registry
+// or meter.
 func (m *Meter) PublishMetrics(reg *obs.Registry, version string) {
 	if m == nil || reg == nil {
 		return
 	}
 	ver := obs.Label{Key: "version", Value: version}
 	latency := obs.Label{Key: "cache", Value: "latency"}
-	encoding := obs.Label{Key: "cache", Value: "encoding"}
 	reg.CounterWith("predtop_planner_cache_hits_total", latency, ver).Add(int64(m.CacheHits))
 	reg.CounterWith("predtop_planner_cache_misses_total", latency, ver).Add(int64(m.CacheMisses))
-	reg.CounterWith("predtop_planner_cache_hits_total", encoding, ver).Add(int64(m.EncHits))
-	reg.CounterWith("predtop_planner_cache_misses_total", encoding, ver).Add(int64(m.EncMisses))
-	reg.GaugeWith("predtop_planner_cache_entries", encoding, ver).Set(float64(m.EncEntries))
 	for _, c := range []struct {
 		component string
 		seconds   float64
@@ -97,38 +73,48 @@ const (
 	simInferSeconds     = 0.002
 )
 
-// FullProfiling returns vanilla Alpa's latency source: every queried
-// (stage, mesh) pair is intra-op-optimized, compiled, and profiled under
-// every Table-III configuration, charging the full cost to meter.
-func FullProfiling(mdl *models.Model, prof sim.Profiler, meter *Meter) LatencyFn {
-	type key struct {
-		lo, hi, mesh int
-	}
+// memoized turns compute — a latency source's uncached answer for one
+// (stage, mesh) pair, +Inf when the pair is unusable — into a LatencyFn that
+// asks it once per pair and counts the traffic on meter. It is the one memo
+// table and the one place CacheHits/CacheMisses move.
+func memoized(meter *Meter, compute func(sp stage.Spec, mesh cluster.Mesh) float64) LatencyFn {
+	type key struct{ lo, hi, mesh int }
 	memo := map[key]float64{}
 	return func(sp stage.Spec, mesh cluster.Mesh) (float64, bool) {
 		k := key{sp.Lo, sp.Hi, mesh.Index}
-		if t, ok := memo[k]; ok {
+		t, ok := memo[k]
+		if ok {
 			meter.CacheHits++
-			return t, !math.IsInf(t, 1)
+		} else {
+			meter.CacheMisses++
+			t = compute(sp, mesh)
+			memo[k] = t
 		}
-		meter.CacheMisses++
+		return t, !math.IsInf(t, 1)
+	}
+}
+
+// FullProfiling returns vanilla Alpa's latency source: every queried
+// (stage, mesh) pair is intra-op-optimized, compiled, and profiled under
+// every Table-III configuration, charging the full cost to meter. The stage
+// graph is built once per pair and labeled under each configuration.
+func FullProfiling(mdl *models.Model, prof sim.Profiler, meter *Meter) LatencyFn {
+	return memoized(meter, func(sp stage.Spec, mesh cluster.Mesh) float64 {
 		g := mdl.StageGraph(sp.Lo, sp.Hi, true)
 		best := math.Inf(1)
 		for _, conf := range cluster.ConfigsFor(mesh) {
-			sc := cluster.Scenario{Mesh: mesh, Config: conf}
-			trueLat, measured, ok := predictor.ProfileStage(mdl, sp, sc, prof)
+			_, measured, cost, ok := predictor.ProfileGraph(g, sp, cluster.Scenario{Mesh: mesh, Config: conf}, prof)
 			if !ok {
 				continue
 			}
-			meter.ProfileSeconds += prof.ProfileCostSeconds(g, sim.NewExec(sc), trueLat)
+			meter.ProfileSeconds += cost
 			meter.StagesProfiled++
 			if measured < best {
 				best = measured
 			}
 		}
-		memo[k] = best
-		return best, !math.IsInf(best, 1)
-	}
+		return best
+	})
 }
 
 // PartialProfiling wraps full profiling with vanilla Alpa's pruning
@@ -221,26 +207,19 @@ type ProviderInfo struct {
 // two runs train the same weights" a string comparison.
 func WeightFingerprint(trs ...predictor.Trained) string {
 	h := fnv.New64a()
-	for _, tr := range trs {
-		fingerprintTrained(h, tr)
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// fingerprintTrained folds one trained predictor's identity into an FNV-1a
-// hash: its output scale followed by every parameter tensor's raw float64
-// bits, in the model's canonical Params order.
-func fingerprintTrained(h interface{ Write([]byte) (int, error) }, tr predictor.Trained) {
 	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(tr.Scale))
-	h.Write(buf[:])
-	for _, p := range tr.Model.Params() {
-		h.Write([]byte(p.Name))
-		for _, v := range p.V.Data {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
+	for _, tr := range trs {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(tr.Scale))
+		h.Write(buf[:])
+		for _, p := range tr.Model.Params() {
+			h.Write([]byte(p.Name))
+			for _, v := range p.V.Data {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+				h.Write(buf[:])
+			}
 		}
 	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // PredictorOptions configures PredTOP's profiling-sample/training trade-off.
@@ -265,25 +244,14 @@ type PredictorOptions struct {
 	// provenance of the trained predictors (kind, seed, weight fingerprint)
 	// for inclusion in plan reports. Observation only.
 	Info *ProviderInfo
-	// PrefetchSweep, when set, pre-fills the provider's latency memo at
-	// construction: one fused batched forward per (mesh, configuration)
-	// sweeps every candidate stage up to MaxStageLen, instead of predicting
-	// graph by graph as the planner's search asks. Amortization only — a
-	// graph's prediction does not depend on the batch it rides in and the
-	// per-stage best folds configurations in the same order as the lazy
-	// path, so a prefetched provider answers every query with exactly the
-	// bits the lazy one would (stages longer than MaxStageLen still fall
-	// through to the lazy path). Off by default; the meter then charges the
-	// whole sweep's inference up front rather than per query.
-	PrefetchSweep bool
 }
 
 // TrainPredictorProvider implements PredTOP's workflow (§VI): profile a
 // sampled subset of stages on every (mesh, configuration), train one
 // predictor per (mesh, configuration), and answer planner queries with
-// predictions (taking the best configuration per mesh, with an analytic
-// memory-feasibility screen). Profiling, training, and inference costs are
-// charged to meter.
+// predictions as the search asks for them (taking the best configuration per
+// mesh, with an analytic memory-feasibility screen). Profiling, training, and
+// inference costs are charged to meter.
 func TrainPredictorProvider(mdl *models.Model, p cluster.Platform, opt PredictorOptions, prof sim.Profiler, meter *Meter) LatencyFn {
 	if opt.SampleFrac == 0 {
 		opt.SampleFrac = 0.15
@@ -299,14 +267,15 @@ func TrainPredictorProvider(mdl *models.Model, p cluster.Platform, opt Predictor
 
 	type scKey struct{ mesh, conf int }
 	trained := map[scKey]predictor.Trained{}
+	// inOrder holds the same predictors in cluster.Scenarios order for the
+	// weight fingerprint: the map's own iteration order is randomized.
+	var inOrder []predictor.Trained
 	for _, sc := range cluster.Scenarios(p) {
 		ds := predictor.BuildDataset(enc, specs, sc, prof)
-		// Charge the profiling cost of the training sample.
 		for _, s := range ds.Samples {
-			g := mdl.StageGraph(s.Spec.Lo, s.Spec.Hi, true)
-			meter.ProfileSeconds += prof.ProfileCostSeconds(g, sim.NewExec(sc), s.True)
-			meter.StagesProfiled++
+			meter.ProfileSeconds += s.ProfileCost
 		}
+		meter.StagesProfiled += len(ds.Samples)
 		if len(ds.Samples) < 4 {
 			continue
 		}
@@ -316,8 +285,8 @@ func TrainPredictorProvider(mdl *models.Model, p cluster.Platform, opt Predictor
 		model := opt.Kind.NewModel(rand.New(rand.NewSource(cfg.Seed)), opt.Tran, opt.GCN, opt.GAT)
 		tr, res := predictor.Train(model, ds, trainIdx, valIdx, cfg)
 		meter.TrainSeconds += float64(res.EpochsRun*len(trainIdx)) * simTrainStepSeconds
-		meter.RealSeconds += res.WallSeconds
 		trained[scKey{sc.Mesh.Index, sc.Config.Index}] = tr
+		inOrder = append(inOrder, tr)
 		if opt.Acc != nil {
 			key := obs.AccuracyKey{
 				Family: opt.Kind.String(),
@@ -334,106 +303,28 @@ func TrainPredictorProvider(mdl *models.Model, p cluster.Platform, opt Predictor
 	}
 
 	if opt.Info != nil {
-		// Fingerprint the trained weights in cluster.Scenarios order (the
-		// map's own iteration order is randomized) so equal training runs
-		// yield equal fingerprints.
-		h := fnv.New64a()
-		for _, sc := range cluster.Scenarios(p) {
-			if tr, ok := trained[scKey{sc.Mesh.Index, sc.Config.Index}]; ok {
-				fingerprintTrained(h, tr)
-			}
-		}
 		*opt.Info = ProviderInfo{
 			Source:      opt.Kind.String(),
 			Kind:        opt.Kind.String(),
 			Seed:        opt.Seed,
-			Fingerprint: fmt.Sprintf("%016x", h.Sum64()),
+			Fingerprint: WeightFingerprint(inOrder...),
 			Predictors:  len(trained),
 			SampleFrac:  opt.SampleFrac,
 		}
 	}
 
-	type pairKey struct{ lo, hi, mesh int }
-	memo := map[pairKey]float64{}
-	// Stage encodings depend only on the spec, not the mesh or config, so
-	// they are computed once per spec instead of once per (mesh, config)
-	// query inside the configuration loop. The bounded LRU is the same
-	// implementation the serving daemon memoizes latencies with.
-	encCache := lru.New[stage.Spec, *stage.Encoded](encCacheSize)
-	if opt.PrefetchSweep {
-		start := time.Now()
-		sweep := stage.AllSpecs(mdl.NumSegments(), opt.MaxStageLen)
-		encs := make([]*stage.Encoded, len(sweep))
-		for i, sp := range sweep {
-			e, cached := encCache.GetOrCompute(sp, func() *stage.Encoded { return enc.Encode(sp) })
-			if cached {
-				meter.EncHits++
-			} else {
-				meter.EncMisses++
-			}
-			encs[i] = e
-		}
-		meter.EncEntries = encCache.Len()
-		for _, mesh := range cluster.Meshes(p) {
-			best := make([]float64, len(sweep))
-			for i := range best {
-				best[i] = math.Inf(1)
-			}
-			for _, conf := range cluster.ConfigsFor(mesh) {
-				tr, ok := trained[scKey{mesh.Index, conf.Index}]
-				if !ok {
-					continue
-				}
-				ex := sim.NewExec(cluster.Scenario{Mesh: mesh, Config: conf})
-				var idx []int
-				var group []*stage.Encoded
-				for i, sp := range sweep {
-					if ex.FitsMemory(mdl.StageGraph(sp.Lo, sp.Hi, true)) {
-						idx = append(idx, i)
-						group = append(group, encs[i])
-					}
-				}
-				// One fused batched forward per (mesh, configuration); the
-				// per-stage fold visits configurations in ConfigsFor order,
-				// exactly like the lazy query below.
-				preds := tr.PredictEncodedBatch(group, 0)
-				for k, i := range idx {
-					if preds[k] < best[i] {
-						best[i] = preds[k]
-					}
-					meter.InferSeconds += simInferSeconds
-				}
-			}
-			for i, sp := range sweep {
-				memo[pairKey{sp.Lo, sp.Hi, mesh.Index}] = best[i]
-			}
-		}
-		meter.RealSeconds += time.Since(start).Seconds()
-	}
-	return func(sp stage.Spec, mesh cluster.Mesh) (float64, bool) {
-		k := pairKey{sp.Lo, sp.Hi, mesh.Index}
-		if t, ok := memo[k]; ok {
-			meter.CacheHits++
-			return t, !math.IsInf(t, 1)
-		}
-		meter.CacheMisses++
-		start := time.Now()
+	return memoized(meter, func(sp stage.Spec, mesh cluster.Mesh) float64 {
 		g := mdl.StageGraph(sp.Lo, sp.Hi, true)
-		encoded, cached := encCache.GetOrCompute(sp, func() *stage.Encoded { return enc.Encode(sp) })
-		if cached {
-			meter.EncHits++
-		} else {
-			meter.EncMisses++
-		}
-		meter.EncEntries = encCache.Len()
+		// The encoding depends only on the spec; enc keeps one per spec, so
+		// the sample's encodings are reused and every mesh shares the rest.
+		encoded := enc.Encode(sp)
 		best := math.Inf(1)
 		for _, conf := range cluster.ConfigsFor(mesh) {
 			tr, ok := trained[scKey{mesh.Index, conf.Index}]
 			if !ok {
 				continue
 			}
-			sc := cluster.Scenario{Mesh: mesh, Config: conf}
-			if !sim.NewExec(sc).FitsMemory(g) {
+			if !sim.NewExec(cluster.Scenario{Mesh: mesh, Config: conf}).FitsMemory(g) {
 				continue
 			}
 			if pred := tr.PredictEncoded(encoded); pred < best {
@@ -441,28 +332,15 @@ func TrainPredictorProvider(mdl *models.Model, p cluster.Platform, opt Predictor
 			}
 			meter.InferSeconds += simInferSeconds
 		}
-		meter.RealSeconds += time.Since(start).Seconds()
-		memo[k] = best
-		return best, !math.IsInf(best, 1)
-	}
+		return best
+	})
 }
 
 // TrueLatency returns the oracle latency source (simulator-exact optimal
 // stage latencies, no noise, no cost) — useful for tests and upper-bound
 // comparisons.
 func TrueLatency(mdl *models.Model) LatencyFn {
-	type key struct{ lo, hi, mesh int }
-	memo := map[key]float64{}
 	return func(sp stage.Spec, mesh cluster.Mesh) (float64, bool) {
-		k := key{sp.Lo, sp.Hi, mesh.Index}
-		if t, ok := memo[k]; ok {
-			return t, !math.IsInf(t, 1)
-		}
-		t, ok := TrueStageLatency(mdl, sp, mesh)
-		if !ok {
-			t = math.Inf(1)
-		}
-		memo[k] = t
-		return t, ok
+		return TrueStageLatency(mdl, sp, mesh)
 	}
 }

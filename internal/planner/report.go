@@ -44,9 +44,8 @@ type PipelineReport struct {
 	BubbleShare   float64 `json:"bubble_share"`
 }
 
-// CostReport is the Meter snapshot attached to a report. RealSeconds is
-// deliberately excluded: it is wall-clock, and reports must be byte-identical
-// across runs of the same seed.
+// CostReport is the Meter snapshot attached to a report: simulated seconds
+// and counts only, so reports stay byte-identical across runs of one seed.
 type CostReport struct {
 	ProfileSeconds float64 `json:"profile_seconds"`
 	TrainSeconds   float64 `json:"train_seconds"`
@@ -55,8 +54,6 @@ type CostReport struct {
 	StagesProfiled int     `json:"stages_profiled"`
 	LatencyHits    int     `json:"latency_cache_hits"`
 	LatencyMisses  int     `json:"latency_cache_misses"`
-	EncodingHits   int     `json:"encoding_cache_hits"`
-	EncodingMisses int     `json:"encoding_cache_misses"`
 }
 
 // Report is the full provenance record of one planner run: what was planned
@@ -172,7 +169,6 @@ func BuildReport(mdl *models.Model, p cluster.Platform, plan Plan, opt ReportOpt
 			InferSeconds: m.InferSeconds, TotalSeconds: m.Total(),
 			StagesProfiled: m.StagesProfiled,
 			LatencyHits:    m.CacheHits, LatencyMisses: m.CacheMisses,
-			EncodingHits: m.EncHits, EncodingMisses: m.EncMisses,
 		}
 	}
 	return r
@@ -281,8 +277,7 @@ func (r *Report) Render() string {
 		b.WriteString("\ncost (simulated):\n")
 		fmt.Fprintf(&b, "  profile %.3f s + train %.3f s + infer %.3f s = %.3f s (%d stages profiled)\n",
 			c.ProfileSeconds, c.TrainSeconds, c.InferSeconds, c.TotalSeconds, c.StagesProfiled)
-		fmt.Fprintf(&b, "  latency cache: %d hits / %d misses   encoding cache: %d hits / %d misses\n",
-			c.LatencyHits, c.LatencyMisses, c.EncodingHits, c.EncodingMisses)
+		fmt.Fprintf(&b, "  latency cache: %d hits / %d misses\n", c.LatencyHits, c.LatencyMisses)
 	}
 	return b.String()
 }

@@ -11,6 +11,7 @@ import (
 
 	"predtop/internal/cluster"
 	"predtop/internal/intraop"
+	"predtop/internal/ir"
 	"predtop/internal/models"
 	"predtop/internal/sim"
 	"predtop/internal/stage"
@@ -24,6 +25,9 @@ type Sample struct {
 	// profiled observation used for training and as Eqn 5's ground truth.
 	True     float64
 	Measured float64
+	// ProfileCost is what obtaining the label cost on the simulated platform
+	// clock (compile + transfer + timed runs), the unit planner.Meter sums.
+	ProfileCost float64
 }
 
 // Dataset holds the samples of one benchmark under one runtime scenario.
@@ -68,18 +72,31 @@ func (e *Encoder) Encode(sp stage.Spec) *stage.Encoded {
 	return enc
 }
 
-// ProfileStage returns the simulator-exact optimal intra-stage training
-// latency and a noisy profiled measurement of it. ok is false when the stage
-// does not fit the scenario's devices (such stages are not profiled).
-func ProfileStage(m *models.Model, sp stage.Spec, sc cluster.Scenario, prof sim.Profiler) (trueLat, measured float64, ok bool) {
-	g := m.StageGraph(sp.Lo, sp.Hi, true)
+// ProfileGraph is the labeling path: it intra-op-optimizes one built
+// training-stage graph g (the forward+backward graph of sp) under sc and
+// returns the simulator-exact optimal latency, a noisy profiled measurement
+// of it, and the simulated seconds the profile cost. Every label in the
+// repository — dataset samples and the planner's profiled lookups — comes
+// from here, and the caller builds g once however many scenarios it labels.
+// ok is false when the stage does not fit the scenario's devices (such stages
+// are not profiled and cost nothing).
+func ProfileGraph(g *ir.Graph, sp stage.Spec, sc cluster.Scenario, prof sim.Profiler) (trueLat, measured, cost float64, ok bool) {
 	res := intraop.Optimize(g, sc)
 	if !res.Feasible {
-		return 0, 0, false
+		return 0, 0, 0, false
 	}
 	seed := uint64(sp.Lo)<<40 | uint64(sp.Hi)<<24 |
 		uint64(sc.Mesh.Platform.Index)<<16 | uint64(sc.Mesh.Index)<<8 | uint64(sc.Config.Index)
-	return res.Latency, prof.Measure(res.Latency, seed), true
+	measured = prof.Measure(res.Latency, seed)
+	cost = prof.ProfileCostSeconds(g, sim.NewExec(sc), res.Latency)
+	return res.Latency, measured, cost, true
+}
+
+// ProfileStage is ProfileGraph for a caller that holds no graph: it builds
+// sp's training graph and labels it under sc.
+func ProfileStage(m *models.Model, sp stage.Spec, sc cluster.Scenario, prof sim.Profiler) (trueLat, measured float64, ok bool) {
+	trueLat, measured, _, ok = ProfileGraph(m.StageGraph(sp.Lo, sp.Hi, true), sp, sc, prof)
+	return trueLat, measured, ok
 }
 
 // BuildDataset profiles every feasible spec under sc and pairs it with its
@@ -87,12 +104,12 @@ func ProfileStage(m *models.Model, sp stage.Spec, sc cluster.Scenario, prof sim.
 func BuildDataset(enc *Encoder, specs []stage.Spec, sc cluster.Scenario, prof sim.Profiler) *Dataset {
 	ds := &Dataset{Model: enc.Model, Scenario: sc}
 	for _, sp := range specs {
-		trueLat, measured, ok := ProfileStage(enc.Model, sp, sc, prof)
+		trueLat, measured, cost, ok := ProfileGraph(enc.Model.StageGraph(sp.Lo, sp.Hi, true), sp, sc, prof)
 		if !ok {
 			continue
 		}
 		ds.Samples = append(ds.Samples, Sample{
-			Spec: sp, Encoded: enc.Encode(sp), True: trueLat, Measured: measured,
+			Spec: sp, Encoded: enc.Encode(sp), True: trueLat, Measured: measured, ProfileCost: cost,
 		})
 	}
 	return ds

@@ -1,8 +1,9 @@
 #!/bin/sh
 # plan-smoke: build predtop-plan, run the quick-preset GPT-3 planner with
 # provenance reports and a what-if replay, then prove the observability
-# contract end to end: the what-if diff prints, the report JSON round-trips
-# through -diff, and a second identical run reproduces every report
+# contract end to end: the what-if diff prints, the final -metrics snapshot
+# carries the planner families (and none of the retired ones), the report JSON
+# round-trips through -diff, and a second identical run reproduces every report
 # byte-for-byte (reports are pure functions of the seed — no wall-clock, no
 # map-order, no scheduling dependence). Any failure fails the script, which
 # is wired into `make ci` via the plan-smoke target.
@@ -22,7 +23,7 @@ echo "plan-smoke: building"
 $GO build -o "$WORK/predtop-plan" ./cmd/predtop-plan
 
 echo "plan-smoke: planning with reports and a what-if replay"
-"$WORK/predtop-plan" -preset quick -bench GPT-3 -quiet \
+"$WORK/predtop-plan" -preset quick -bench GPT-3 -quiet -metrics "$WORK/m.jsonl" \
     -report "$WORK/r1" -whatif "microbatches=32,internode-bw=x4" > "$WORK/run1.out"
 
 grep -q "what-if diff" "$WORK/run1.out" || {
@@ -41,6 +42,26 @@ grep -q '"fingerprint"' "$WORK/r1/gpt-3-predtop-tran.json" || {
     echo "plan-smoke: predictor report has no weight fingerprint" >&2
     exit 1
 }
+
+echo "plan-smoke: checking the planner metric families"
+grep '"event":"metrics"' "$WORK/m.jsonl" | tail -n 1 > "$WORK/snapshot.json"
+for m in predtop_planner_latency_lookups_total predtop_planner_predict_seconds \
+    predtop_planner_cache_misses_total; do
+    grep -q "\"name\":\"$m\"" "$WORK/snapshot.json" || {
+        echo "plan-smoke: final metrics snapshot has no $m" >&2
+        exit 1
+    }
+done
+for gone in 'cache=\\"encoding\\"' predtop_planner_cache_entries predtop_planner_predict_total; do
+    if grep -q "$gone" "$WORK/m.jsonl"; then
+        echo "plan-smoke: retired series $gone is still exported" >&2
+        exit 1
+    fi
+done
+if grep -q encoding_cache_ "$WORK"/r1/*.json "$WORK/m.jsonl"; then
+    echo "plan-smoke: a report still carries encoding_cache_ fields" >&2
+    exit 1
+fi
 
 echo "plan-smoke: diffing baseline vs what-if reports"
 "$WORK/predtop-plan" \
