@@ -2,9 +2,9 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: ci fmt vet build test bench-module race bench serve-smoke plan-smoke runs-smoke cover ledger-check staticcheck loc
+.PHONY: ci fmt vet build test nosimd bench-module race bench serve-smoke plan-smoke runs-smoke cover ledger-check staticcheck loc
 
-ci: fmt vet staticcheck build test bench-module race serve-smoke plan-smoke runs-smoke cover ledger-check
+ci: fmt vet staticcheck build test nosimd bench-module race serve-smoke plan-smoke runs-smoke cover ledger-check
 
 # gofmt must be a no-op on the whole tree; offenders are listed so the gate
 # fails with the file names.
@@ -28,6 +28,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# nosimd holds the scalar kernels to the same literals as the AVX2 ones: the
+# golden bits and plans and every bitwise / invariance test of the numeric
+# stack, rerun with the assembly switched off for the whole process (the
+# tests themselves toggle SetSIMD only inside a few functions).
+nosimd:
+	PREDTOP_SIMD=off $(GO) test -short -run 'TestGoldenBits|TestGoldenPlans|Bitwise|Invariance' . ./internal/tensor ./internal/ag ./internal/graphnn ./internal/predictor
 
 # bench/ is its own module (`replace predtop => ../`), so `go build ./...` and
 # `go test ./...` above never see it. Vetting and testing it here is the

@@ -102,11 +102,13 @@ const (
 	opSegMatMulP
 	opSegLayerNorm
 	opSegSumRows
-	opSegAdjMatMul
 	opPanelMatMulBT
 	opPanelMatMul
 	opPanelSoftmax
-	opPanelAddOuter
+	// Edge-vector ops over the graphs' neighbour lists — see edges.go.
+	opEdgeAddOuter
+	opEdgeSoftmax
+	opEdgeAggregate
 )
 
 // Node is one value on the autodiff tape. Nodes are owned by their Context
@@ -114,16 +116,17 @@ const (
 type Node struct {
 	V        *tensor.Tensor
 	grad     *tensor.Tensor
-	a, b     *Node              // operands
-	xs       []*Node            // operands of ConcatCols
-	aux      *tensor.Tensor     // saved forward state (LayerNorm x-hat)
-	aux2     *tensor.Tensor     // saved forward state (LayerNorm 1/σ per row, R×1)
-	gdst     *tensor.Tensor     // opParam: gradient accumulation destination
-	s        float64            // opScale factor / opLeakyReLU alpha / LayerNorm eps
-	lo, hi   int                // opSlice column range
-	bl       tensor.BatchLayout // panel ops: layout
-	mts      []*tensor.Tensor   // panel ops: per-graph masks or adjacencies
-	p1, p2   *Param             // panel ops: shared params (W/γ, b/β)
+	a, b     *Node                // operands
+	xs       []*Node              // operands of ConcatCols
+	aux      *tensor.Tensor       // saved forward state (LayerNorm x-hat)
+	aux2     *tensor.Tensor       // saved forward state (LayerNorm 1/σ per row, R×1)
+	gdst     *tensor.Tensor       // opParam: gradient accumulation destination
+	s        float64              // opScale factor / opLeakyReLU alpha / LayerNorm eps
+	lo, hi   int                  // opSlice column range
+	bl       tensor.BatchLayout   // panel ops: layout
+	mts      []*tensor.Tensor     // panel ops: per-graph masks
+	nbrs     []*tensor.Neighbours // edge ops: per-graph neighbour lists
+	p1, p2   *Param               // panel ops: shared params (W/γ, b/β)
 	op       opKind
 	requires bool
 }
@@ -387,16 +390,18 @@ func (c *Context) runBack(n *Node) {
 		c.backSegLayerNorm(n)
 	case opSegSumRows:
 		c.backSegSumRows(n)
-	case opSegAdjMatMul:
-		c.backSegAdjMatMul(n)
 	case opPanelMatMulBT:
 		c.backPanelMatMulBT(n)
 	case opPanelMatMul:
 		c.backPanelMatMul(n)
 	case opPanelSoftmax:
 		c.backPanelSoftmax(n)
-	case opPanelAddOuter:
-		c.backPanelAddOuter(n)
+	case opEdgeAddOuter:
+		c.backEdgeAddOuter(n)
+	case opEdgeSoftmax:
+		c.backEdgeSoftmax(n)
+	case opEdgeAggregate:
+		c.backEdgeAggregate(n)
 	}
 }
 

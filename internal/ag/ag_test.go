@@ -60,7 +60,7 @@ func checkPanelOp(t *testing.T, run func(t *testing.T, rng *rand.Rand, l tensor.
 }
 
 // graphTensors returns one c×c constant per panel (c the panel's own node
-// count): the shape of a per-graph mask or adjacency.
+// count): the shape of a per-graph mask.
 func graphTensors(l tensor.BatchLayout, fill func(c int) *tensor.Tensor) []*tensor.Tensor {
 	out := make([]*tensor.Tensor, l.B)
 	for g, c := range l.Counts {
@@ -126,12 +126,14 @@ func TestAddBiasGrad(t *testing.T) {
 	})
 }
 
+// TestAddOuterGrad checks the GAT logit sum a[i] + b[j] over every edge.
 func TestAddOuterGrad(t *testing.T) {
 	checkPanelOp(t, func(t *testing.T, rng *rand.Rand, l tensor.BatchLayout) {
+		nbrs := randomNeighbours(rng, l)
 		a := newRandParam(rng, "a", l.Rows(), 1)
 		b := newRandParam(rng, "b", l.Rows(), 1)
 		checkOp(t, []*Param{a, b}, func(ctx *Context) *Node {
-			return ctx.MeanAll(ctx.Square(ctx.PanelAddOuter(ctx.Param(a), ctx.Param(b), l)))
+			return ctx.MeanAll(ctx.Square(ctx.EdgeAddOuter(ctx.Param(a), ctx.Param(b), nbrs, l)))
 		})
 	})
 }
@@ -205,6 +207,21 @@ func TestSoftmaxMaskedGrad(t *testing.T) {
 	})
 }
 
+// TestEdgeSoftmaxGrad checks the in-place softmax over each node's edges,
+// run on a copy of x (the op overwrites its operand) and weighted by w as the
+// attention·V aggregation does.
+func TestEdgeSoftmaxGrad(t *testing.T) {
+	checkPanelOp(t, func(t *testing.T, rng *rand.Rand, l tensor.BatchLayout) {
+		nbrs := randomNeighbours(rng, l)
+		x := newRandParam(rng, "x", tensor.EdgeCount(nbrs), 1)
+		w := newRandParam(rng, "w", l.Rows(), 1)
+		checkOp(t, []*Param{x, w}, func(ctx *Context) *Node {
+			s := ctx.EdgeSoftmaxInPlace(ctx.Scale(ctx.Param(x), 1), nbrs)
+			return ctx.MeanAll(ctx.Square(ctx.EdgeAggregate(s, ctx.Param(w), nbrs, l)))
+		})
+	})
+}
+
 func TestLayerNormGrad(t *testing.T) {
 	checkPanelOp(t, func(t *testing.T, rng *rand.Rand, l tensor.BatchLayout) {
 		x := newRandParam(rng, "x", l.Rows(), 6)
@@ -241,14 +258,19 @@ func TestSumMeanRowsGrad(t *testing.T) {
 	})
 }
 
-// TestAdjMatMulGrad checks the GCN aggregation Â_g·X_g with each graph's own
-// constant adjacency.
+// TestAdjMatMulGrad checks the edge-weighted aggregation in both its uses:
+// the GCN's Â_g·X_g with each graph's own constant edge weights, and the
+// GAT's attention·V, whose weights take gradient too.
 func TestAdjMatMulGrad(t *testing.T) {
 	checkPanelOp(t, func(t *testing.T, rng *rand.Rand, l tensor.BatchLayout) {
+		nbrs := randomNeighbours(rng, l)
 		x := newRandParam(rng, "x", l.Rows(), 3)
-		adjs := graphTensors(l, func(c int) *tensor.Tensor { return tensor.Randn(rng, c, c, 0.7) })
+		w := newRandParam(rng, "w", tensor.EdgeCount(nbrs), 1)
 		checkOp(t, []*Param{x}, func(ctx *Context) *Node {
-			return ctx.MeanAll(ctx.Square(ctx.SegAdjMatMul(adjs, ctx.Param(x), l)))
+			return ctx.MeanAll(ctx.Square(ctx.EdgeAggregate(ctx.Const(w.V), ctx.Param(x), nbrs, l)))
+		})
+		checkOp(t, []*Param{w, x}, func(ctx *Context) *Node {
+			return ctx.MeanAll(ctx.Square(ctx.EdgeAggregate(ctx.Param(w), ctx.Param(x), nbrs, l)))
 		})
 	})
 }

@@ -243,23 +243,6 @@ func (c *Context) backSegSumRows(n *Node) {
 	c.accumOwn(x, d)
 }
 
-// SegAdjMatMul applies each graph's own (constant) normalized adjacency to
-// its panel — the batched GCN aggregation Â_g·X_g.
-func (c *Context) SegAdjMatMul(adjs []*tensor.Tensor, x *Node, l tensor.BatchLayout) *Node {
-	v := c.arena.GetUninit(x.V.R, x.V.C)
-	tensor.SegAdjMatMulInto(v, adjs, x.V, l)
-	n := c.node(opSegAdjMatMul, v, x.requires)
-	n.a, n.mts, n.bl = x, adjs, l
-	return n
-}
-
-func (c *Context) backSegAdjMatMul(n *Node) {
-	g, x, l := n.grad, n.a, n.bl
-	d := c.arena.GetUninit(g.R, g.C)
-	tensor.PanelAdjATInto(d, n.mts, g, l) // dX = Â_gᵀ·g_g per panel
-	c.accumOwn(x, d)
-}
-
 // PanelMatMulBT computes each panel's score matrix a_g·b_gᵀ from stacked
 // inputs into a panel-width (rows×Stride) tensor.
 func (c *Context) PanelMatMulBT(a, b *Node, l tensor.BatchLayout) *Node {
@@ -341,29 +324,4 @@ func (c *Context) backPanelSoftmax(n *Node) {
 		clearPadRows(d, base+cnt, base+s)
 	}
 	c.accumOwn(n.a, d)
-}
-
-// PanelAddOuter computes each panel's logit matrix out[i][j] = a[i] + b[j]
-// from stacked column vectors — the batched GAT attention-logit sum — into a
-// panel-width tensor.
-func (c *Context) PanelAddOuter(a, b *Node, l tensor.BatchLayout) *Node {
-	v := c.arena.GetUninit(a.V.R, l.Stride)
-	tensor.PanelAddOuterInto(v, a.V, b.V, l)
-	n := c.node(opPanelAddOuter, v, anyRequires(a, b))
-	n.a, n.b, n.bl = a, b, l
-	return n
-}
-
-func (c *Context) backPanelAddOuter(n *Node) {
-	g, a, b, l := n.grad, n.a, n.b, n.bl
-	if a.requires {
-		d := c.arena.GetUninit(g.R, 1)
-		tensor.PanelSumColsInto(d, g, l)
-		c.accumOwn(a, d)
-	}
-	if b.requires {
-		d := c.arena.GetUninit(g.R, 1)
-		tensor.PanelColSumsInto(d, g, l)
-		c.accumOwn(b, d)
-	}
 }

@@ -45,22 +45,17 @@ func TestPredictionsVaryAcrossGraphs(t *testing.T) {
 }
 
 func TestGATRespectsNeighborhood(t *testing.T) {
-	// With an empty-neighborhood mask (self-loops only), a GAT layer reduces
-	// to per-node transforms: two isolated identical-feature nodes must get
-	// identical embeddings regardless of the rest of the graph.
+	// With an empty neighbourhood (a list of self-loops only), a GAT layer
+	// reduces to per-node transforms: two isolated identical-feature nodes
+	// must get identical embeddings regardless of the rest of the graph.
 	rng := rand.New(rand.NewSource(9))
 	gat := NewGAT(rng, GATConfig{Layers: 1, Dim: 8, Heads: 2})
 	n := 4
 	x := tensor.Randn(rng, n, stage.FeatureDim, 1)
 	copy(x.Row(1), x.Row(3)) // identical features
-	inf := math.Inf(-1)
-	mask := tensor.Full(n, n, inf)
-	for i := 0; i < n; i++ {
-		mask.Set(i, i, 0)
-	}
 	e := &stage.Encoded{
-		X: x, ReachMask: tensor.New(n, n), NeighborMask: mask,
-		AdjNorm: tensor.Eye(n), Depths: make([]int, n),
+		X: x, ReachMask: tensor.New(n, n),
+		Nbr: tensor.NewNeighbours(make([][]int, n)), Depths: make([]int, n),
 	}
 	// Run just the layers by predicting and checking output is finite; the
 	// per-node equality is validated through a full-graph perturbation: with
@@ -76,11 +71,10 @@ func TestTransformerHandlesSingleNodeGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	tran := NewDAGTransformer(rng, TransformerConfig{Layers: 1, Dim: 16, Heads: 2})
 	e := &stage.Encoded{
-		X:            tensor.Randn(rng, 1, stage.FeatureDim, 1),
-		ReachMask:    tensor.New(1, 1),
-		NeighborMask: tensor.New(1, 1),
-		AdjNorm:      tensor.Eye(1),
-		Depths:       []int{0},
+		X:         tensor.Randn(rng, 1, stage.FeatureDim, 1),
+		ReachMask: tensor.New(1, 1),
+		Nbr:       tensor.NewNeighbours(make([][]int, 1)),
+		Depths:    []int{0},
 	}
 	out := predictValue(t, tran, e)
 	if math.IsNaN(out) || math.IsInf(out, 0) {

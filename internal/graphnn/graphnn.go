@@ -244,9 +244,13 @@ func (m *GCN) Spec() ModelSpec { return ModelSpec{Arch: "GCN", GCN: m.cfg} }
 func (m *GCN) PredictBatch(ctx *ag.Context, b *stage.Batch) *ag.Node {
 	bl := b.Layout
 	x := ctx.Const(b.X)
+	// Â's values as one constant edge vector, shared by every layer.
+	vals := ctx.Arena().GetUninit(tensor.EdgeCount(b.Nbr), 1)
+	tensor.EdgeValuesInto(vals, b.Nbr)
+	adj := ctx.Const(vals)
 	for i, l := range m.layers {
 		ls := ctx.StartLayer(m.spanNames[i])
-		x = ctx.ReLU(l.ForwardBatch(ctx, ctx.SegAdjMatMul(b.Adj, x, bl), bl))
+		x = ctx.ReLU(l.ForwardBatch(ctx, ctx.EdgeAggregate(adj, x, b.Nbr, bl), bl))
 		ls.End()
 	}
 	ls := ctx.StartLayer("head")
@@ -299,8 +303,8 @@ type gatLayer struct {
 	numHeads int
 }
 
-// GAT is the graph-attention baseline: masked attention restricted to 1-hop
-// neighbours.
+// GAT is the graph-attention baseline: attention over each node's 1-hop
+// neighbours (and itself).
 type GAT struct {
 	cfg       GATConfig
 	layers    []*gatLayer
@@ -350,11 +354,11 @@ func (m *GAT) PredictBatch(ctx *ag.Context, b *stage.Batch) *ag.Node {
 			wh := l.w[h].ForwardBatch(ctx, x, bl)
 			s1 := ctx.SegMatMul(wh, l.aSrc[h], bl)
 			s2 := ctx.SegMatMul(wh, l.aDst[h], bl)
-			logits := ctx.LeakyReLU(ctx.PanelAddOuter(s1, s2, bl), l.alpha)
+			logits := ctx.LeakyReLU(ctx.EdgeAddOuter(s1, s2, b.Nbr, bl), l.alpha)
 			// In-place is safe: LeakyReLU's backward reads its input (the
-			// PanelAddOuter value), never its own output buffer.
-			attn := ctx.PanelSoftmaxInPlace(logits, b.Neighbor, bl)
-			heads[h] = ctx.PanelMatMul(attn, wh, bl)
+			// EdgeAddOuter value), never its own output buffer.
+			attn := ctx.EdgeSoftmaxInPlace(logits, b.Nbr)
+			heads[h] = ctx.EdgeAggregate(attn, wh, b.Nbr, bl)
 		}
 		x = ctx.ReLU(ctx.ConcatCols(heads...))
 		ls.End()

@@ -9,19 +9,19 @@ import (
 // Batch is B encoded stage graphs (B may be 1) stacked into one padded
 // feature tensor — the only input the predictors' forward accepts
 // (tensor.BatchLayout describes the panels). The
-// per-graph masks and adjacencies are referenced, not copied — panel kernels
-// consume them at each graph's own node count, so padding never needs mask
-// entries.
+// per-graph masks and neighbour lists are referenced, not copied — panel and
+// edge kernels consume them at each graph's own node count, so padding never
+// needs mask entries or edges.
 type Batch struct {
 	Layout tensor.BatchLayout
 	// X is the (B·Stride)×FeatureDim stacked feature matrix; pad rows are
 	// zero.
 	X *tensor.Tensor
-	// Reach, Neighbor, and Adj hold each graph's ReachMask, NeighborMask,
-	// and AdjNorm (all Nᵍ×Nᵍ).
-	Reach    []*tensor.Tensor
-	Neighbor []*tensor.Tensor
-	Adj      []*tensor.Tensor
+	// Reach holds each graph's ReachMask (Nᵍ×Nᵍ).
+	Reach []*tensor.Tensor
+	// Nbr holds each graph's neighbour list; the batch's edge vectors are the
+	// graphs' own edge ranges laid end to end in this order.
+	Nbr []*tensor.Neighbours
 	// Depths holds each graph's DAGPE positional indices.
 	Depths [][]int
 	// HeadLayout is the stride-1 layout of the pooled B×C head input, so the
@@ -86,12 +86,11 @@ func (nb *Batch) Reset(es []*Encoded, a *tensor.Arena) error {
 	} else {
 		nb.X = tensor.New(nb.Layout.Rows(), FeatureDim)
 	}
-	nb.Reach, nb.Neighbor, nb.Adj, nb.Depths = nb.Reach[:0], nb.Neighbor[:0], nb.Adj[:0], nb.Depths[:0]
+	nb.Reach, nb.Nbr, nb.Depths = nb.Reach[:0], nb.Nbr[:0], nb.Depths[:0]
 	for i, e := range es {
 		copy(nb.X.Data[i*stride*FeatureDim:], e.X.Data)
 		nb.Reach = append(nb.Reach, e.ReachMask)
-		nb.Neighbor = append(nb.Neighbor, e.NeighborMask)
-		nb.Adj = append(nb.Adj, e.AdjNorm)
+		nb.Nbr = append(nb.Nbr, e.Nbr)
 		nb.Depths = append(nb.Depths, e.Depths)
 	}
 	hc := headCounts

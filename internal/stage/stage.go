@@ -2,7 +2,8 @@
 // inputs the latency predictors consume: a pruned DAG, Table-I node feature
 // vectors with log-scaled tensor dimensions, the reachability attention mask
 // of the DAG Transformer (DAGRA, Eqn 1), node depths for the positional
-// encoding (DAGPE), and the normalized adjacency used by the GCN baseline.
+// encoding (DAGPE), and the 1-hop neighbour list the GCN and GAT baselines
+// pass messages over.
 package stage
 
 import (
@@ -138,12 +139,10 @@ type Encoded struct {
 	// ReachMask is the additive DAGRA attention mask (Eqn 1): 0 where two
 	// nodes are connected by a directed path (or equal), −Inf elsewhere.
 	ReachMask *tensor.Tensor
-	// NeighborMask is the additive 1-hop mask (plus self-loops) used by the
-	// GAT baseline.
-	NeighborMask *tensor.Tensor
-	// AdjNorm is the symmetric-normalized adjacency with self-loops,
-	// D^{-1/2}(A+I)D^{-1/2}, used by the GCN baseline.
-	AdjNorm *tensor.Tensor
+	// Nbr is the 1-hop neighbour list (A+I in CSR form): the edges the GAT
+	// baseline attends over, with the symmetric-normalized values
+	// D^{-1/2}(A+I)D^{-1/2} the GCN baseline aggregates with.
+	Nbr *tensor.Neighbours
 	// Depths are the DAGPE positional indices.
 	Depths []int
 }
@@ -151,7 +150,8 @@ type Encoded struct {
 // N returns the node count.
 func (e *Encoded) N() int { return e.X.R }
 
-// Encode computes features, masks, adjacency, and depths for d.
+// Encode computes features, the reachability mask, the neighbour list, and
+// depths for d.
 func Encode(d *DAG) *Encoded {
 	n := d.N()
 	x := tensor.New(n, FeatureDim)
@@ -178,8 +178,7 @@ func Encode(d *DAG) *Encoded {
 		row[off+int(d.Classes[v])] = 1
 	}
 
-	negInf := math.Inf(-1)
-	reach := tensor.Full(n, n, negInf)
+	reach := tensor.Full(n, n, math.Inf(-1))
 	anc := d.Ancestors()
 	for v := 0; v < n; v++ {
 		reach.Set(v, v, 0)
@@ -191,33 +190,5 @@ func Encode(d *DAG) *Encoded {
 		}
 	}
 
-	nbr := tensor.Full(n, n, negInf)
-	adj := tensor.New(n, n)
-	for v := 0; v < n; v++ {
-		nbr.Set(v, v, 0)
-		adj.Set(v, v, 1)
-		for _, p := range d.Preds[v] {
-			nbr.Set(v, p, 0)
-			nbr.Set(p, v, 0)
-			adj.Set(v, p, 1)
-			adj.Set(p, v, 1)
-		}
-	}
-	// Symmetric normalization D^{-1/2}(A+I)D^{-1/2}.
-	deg := make([]float64, n)
-	for v := 0; v < n; v++ {
-		s := 0.0
-		for _, a := range adj.Row(v) {
-			s += a
-		}
-		deg[v] = 1 / math.Sqrt(s)
-	}
-	for v := 0; v < n; v++ {
-		row := adj.Row(v)
-		for u := range row {
-			row[u] *= deg[v] * deg[u]
-		}
-	}
-
-	return &Encoded{X: x, ReachMask: reach, NeighborMask: nbr, AdjNorm: adj, Depths: d.Depths()}
+	return &Encoded{X: x, ReachMask: reach, Nbr: tensor.NewNeighbours(d.Preds), Depths: d.Depths()}
 }

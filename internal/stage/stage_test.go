@@ -3,11 +3,13 @@ package stage
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"predtop/internal/ir"
 	"predtop/internal/models"
+	"predtop/internal/tensor"
 )
 
 // diamond builds a 4-node diamond graph a→{b,c}→d with a reshape inserted
@@ -124,7 +126,7 @@ func TestEncodeFeatures(t *testing.T) {
 	if e.X.C != FeatureDim {
 		t.Fatalf("feature dim %d != %d", e.X.C, FeatureDim)
 	}
-	if e.N() != e.ReachMask.R || e.N() != e.AdjNorm.R || e.N() != len(e.Depths) {
+	if e.N() != e.ReachMask.R || e.N() != e.Nbr.N() || e.N() != len(e.Depths) {
 		t.Fatal("inconsistent encoded sizes")
 	}
 	// One-hot blocks must each sum to exactly 1 per node.
@@ -181,13 +183,152 @@ func TestReachMaskSymmetricAndSelf(t *testing.T) {
 	}
 }
 
+// denseOneHop is the dense 1-hop construction Encode used before the
+// neighbour list replaced it, kept as the oracle the list is checked against:
+// the additive n×n mask (0 on A+I, −Inf elsewhere) and D^{-1/2}(A+I)D^{-1/2}.
+func denseOneHop(d *DAG) (nbr, adj *tensor.Tensor) {
+	n := d.N()
+	nbr = tensor.Full(n, n, math.Inf(-1))
+	adj = tensor.New(n, n)
+	for v := 0; v < n; v++ {
+		nbr.Set(v, v, 0)
+		adj.Set(v, v, 1)
+		for _, p := range d.Preds[v] {
+			nbr.Set(v, p, 0)
+			nbr.Set(p, v, 0)
+			adj.Set(v, p, 1)
+			adj.Set(p, v, 1)
+		}
+	}
+	deg := make([]float64, n)
+	for v := 0; v < n; v++ {
+		s := 0.0
+		for _, a := range adj.Row(v) {
+			s += a
+		}
+		deg[v] = 1 / math.Sqrt(s)
+	}
+	for v := 0; v < n; v++ {
+		row := adj.Row(v)
+		for u := range row {
+			row[u] *= deg[v] * deg[u]
+		}
+	}
+	return nbr, adj
+}
+
+// checkNeighbours asserts the list's invariants — indices in [0, N), strictly
+// ascending within a row, self-loop present — and that it holds exactly the
+// dense oracle's entries with bitwise-equal values.
+func checkNeighbours(t *testing.T, d *DAG, nb *tensor.Neighbours) {
+	t.Helper()
+	n := d.N()
+	if nb.N() != n {
+		t.Fatalf("list has %d rows for %d nodes", nb.N(), n)
+	}
+	mask, adj := denseOneHop(d)
+	edges := 0
+	for v := 0; v < n; v++ {
+		cols, vals := nb.Row(v)
+		edges += len(cols)
+		self := false
+		for k, u := range cols {
+			if u < 0 || u >= n {
+				t.Fatalf("row %d: neighbour %d outside [0, %d)", v, u, n)
+			}
+			if k > 0 && u <= cols[k-1] {
+				t.Fatalf("row %d not strictly ascending: %v", v, cols)
+			}
+			self = self || u == v
+			if mask.At(v, u) != 0 {
+				t.Fatalf("edge (%d,%d) is masked in the dense oracle", v, u)
+			}
+			if math.Float64bits(vals[k]) != math.Float64bits(adj.At(v, u)) {
+				t.Fatalf("edge (%d,%d): value %v, dense oracle %v", v, u, vals[k], adj.At(v, u))
+			}
+		}
+		if !self {
+			t.Fatalf("row %d has no self-loop: %v", v, cols)
+		}
+		open := 0
+		for u := 0; u < n; u++ {
+			if mask.At(v, u) == 0 {
+				open++
+			}
+		}
+		if open != len(cols) {
+			t.Fatalf("row %d: %d neighbours, dense oracle has %d", v, len(cols), open)
+		}
+	}
+	if edges != nb.Edges() {
+		t.Fatalf("rows hold %d edges, Edges() says %d", edges, nb.Edges())
+	}
+}
+
+func TestNeighboursMatchDenseOracle(t *testing.T) {
+	for _, m := range []*models.Model{models.Build(models.GPT3()), models.Build(models.MoE())} {
+		for _, prune := range []bool{false, true} {
+			d := FromGraph(m.StageGraph(1, 3, true), prune)
+			checkNeighbours(t, d, Encode(d).Nbr)
+		}
+	}
+}
+
+// FuzzNeighbours drives the list's one constructor with random DAGs — a
+// single node, isolated sources, fan-in from the same producer twice,
+// consumers rewired through pruned reshapes, and duplicate predecessor
+// entries written straight into DAG.Preds — and holds every result to the
+// invariants and to the dense oracle.
+func FuzzNeighbours(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0})
+	f.Add([]byte{1, 2, 6, 3, 7, 2, 11, 0, 14, 5})
+	f.Add([]byte{3, 3, 3, 2, 2, 7, 7, 255, 254, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 96 {
+			data = data[:96]
+		}
+		shape := []int{4}
+		b := ir.NewBuilder()
+		nodes := []*ir.Node{b.Input("x", shape, ir.F32)}
+		pick := func(c byte) *ir.Node { return nodes[int(c)%len(nodes)] }
+		for _, c := range data {
+			var n *ir.Node
+			switch c % 4 {
+			case 0:
+				n = b.Input("x", shape, ir.F32)
+			case 1:
+				n = b.Unary(ir.KindExp, pick(c/4))
+			case 2:
+				n = b.Ewise(ir.KindAdd, pick(c/4), pick(c/16))
+			case 3:
+				n = b.Reshape(pick(c/4), shape)
+			}
+			nodes = append(nodes, n)
+		}
+		d := FromGraph(b.Graph(), true)
+		if d.N() == 0 {
+			t.Fatal("pruning removed every node")
+		}
+		for v, c := range data {
+			if v < d.N() && c >= 128 && len(d.Preds[v]) > 0 {
+				d.Preds[v] = append(d.Preds[v], d.Preds[v][0])
+			}
+		}
+		checkNeighbours(t, d, Encode(d).Nbr)
+	})
+}
+
+// TestNeighborMaskSubsetOfReachMask: every 1-hop neighbour is reachable, so
+// the GAT's attention support sits inside the DAG Transformer's.
 func TestNeighborMaskSubsetOfReachMask(t *testing.T) {
 	m := models.Build(models.MoE())
 	g := m.StageGraph(2, 3, false)
 	e := Encode(FromGraph(g, true))
 	for v := 0; v < e.N(); v++ {
-		for u := 0; u < e.N(); u++ {
-			if e.NeighborMask.At(v, u) == 0 && e.ReachMask.At(v, u) != 0 {
+		cols, _ := e.Nbr.Row(v)
+		for _, u := range cols {
+			if e.ReachMask.At(v, u) != 0 {
 				t.Fatalf("neighbor (%d,%d) not reachable", v, u)
 			}
 		}
@@ -200,16 +341,23 @@ func TestAdjNormRowsStochasticLike(t *testing.T) {
 	e := Encode(FromGraph(g, true))
 	// Symmetric normalization keeps entries in (0,1] and the matrix
 	// symmetric.
+	at := func(v, u int) float64 {
+		cols, vals := e.Nbr.Row(v)
+		if k, ok := slices.BinarySearch(cols, u); ok {
+			return vals[k]
+		}
+		return 0
+	}
 	for v := 0; v < e.N(); v++ {
-		if e.AdjNorm.At(v, v) <= 0 {
+		if at(v, v) <= 0 {
 			t.Fatalf("no self loop at %d", v)
 		}
-		for u := 0; u < e.N(); u++ {
-			a := e.AdjNorm.At(v, u)
-			if a < 0 || a > 1 {
+		cols, vals := e.Nbr.Row(v)
+		for k, u := range cols {
+			if a := vals[k]; a <= 0 || a > 1 {
 				t.Fatalf("adj value %v out of range", a)
 			}
-			if math.Abs(a-e.AdjNorm.At(u, v)) > 1e-12 {
+			if vals[k] != at(u, v) {
 				t.Fatalf("adj asymmetric at (%d,%d)", v, u)
 			}
 		}

@@ -176,47 +176,6 @@ func SegSumRowsInto(dst, x *Tensor, l BatchLayout) {
 	}
 }
 
-// SegAdjMatMulInto computes dst's panel g = adjs[g]·x_g — the batched GCN
-// aggregation, each graph's c×c normalized adjacency applied to its own
-// panel — and clears pad rows. dst must not alias x.
-func SegAdjMatMulInto(dst *Tensor, adjs []*Tensor, x *Tensor, l BatchLayout) {
-	checkInto(dst, x.R, x.C, "SegAdjMatMulInto")
-	checkSeg(x, l, "SegAdjMatMulInto")
-	n := x.C
-	for g := 0; g < l.B; g++ {
-		c := l.Counts[g]
-		adj := adjs[g]
-		if adj.R != c || adj.C != c {
-			shapePanic("SegAdjMatMul adj %dx%d, panel wants %dx%d", adj.R, adj.C, c, c)
-		}
-		base := g * l.Stride
-		for i := 0; i < c; i++ {
-			crow := dst.Data[(base+i)*n : (base+i+1)*n]
-			clear(crow)
-			matmulRowKernel(crow, adj.Row(i), x.Data, base, n)
-		}
-		clearRows(dst, base+c, base+l.Stride)
-	}
-}
-
-// PanelAdjATInto computes dst's panel g = adjs[g]ᵀ·gt_g — the GCN
-// aggregation backward dX — and clears pad rows. dst must not alias gt.
-func PanelAdjATInto(dst *Tensor, adjs []*Tensor, gt *Tensor, l BatchLayout) {
-	checkInto(dst, gt.R, gt.C, "PanelAdjATInto")
-	checkSeg(gt, l, "PanelAdjATInto")
-	n := gt.C
-	for g := 0; g < l.B; g++ {
-		c := l.Counts[g]
-		adj := adjs[g]
-		base := g * l.Stride
-		clearRows(dst, base, base+l.Stride)
-		atPanelAccum(dst.Data, base, n,
-			func(i int) []float64 { return adj.Row(i) },
-			func(i int) []float64 { return gt.Data[(base+i)*n : (base+i+1)*n] },
-			c, c)
-	}
-}
-
 // atPanelAccum is the one Aᵀ·B kernel: dst rows base+p (p < np) accumulate
 // Σ_i arow(i)[p] · brow(i) for i < ni. Input rows are consumed four, then
 // two, then one at a time; the contributions to each dst element are added in
@@ -370,8 +329,8 @@ func PanelSoftmaxInto(dst, t *Tensor, masks []*Tensor, l BatchLayout) {
 	}
 }
 
-// softmaxRow is the one softmax row body, shared by SoftmaxRowsInto and the
-// panel kernel. mask may be nil; mi indexes the mask row.
+// softmaxRow is the one softmax row body, shared by SoftmaxRowsInto, the
+// panel kernel and the edge kernel. mask may be nil; mi indexes the mask row.
 func softmaxRow(orow, row []float64, mask *Tensor, mi int) {
 	// The max pass vectorizes bitwise-safely: the running max under strict >
 	// is order-independent in value, NaN candidates never win under either
@@ -421,77 +380,5 @@ func softmaxRow(orow, row []float64, mask *Tensor, mi int) {
 	}
 	for j := range orow {
 		orow[j] *= inv
-	}
-}
-
-// PanelAddOuterInto computes panel g's logits dst[i][j] = a[i] + b[base+j]
-// for j < c from stacked column vectors a, b (rows×1) — the batched GAT
-// attention-logit outer sum. Pad columns and rows are cleared. dst must not
-// alias a or b.
-func PanelAddOuterInto(dst, a, b *Tensor, l BatchLayout) {
-	if a.C != 1 || b.C != 1 {
-		shapePanic("PanelAddOuter wants column vectors, got %dx%d and %dx%d", a.R, a.C, b.R, b.C)
-	}
-	checkInto(dst, a.R, l.Stride, "PanelAddOuterInto")
-	checkSeg(a, l, "PanelAddOuterInto")
-	s := l.Stride
-	for g := 0; g < l.B; g++ {
-		c := l.Counts[g]
-		base := g * s
-		for i := base; i < base+c; i++ {
-			av := a.Data[i]
-			row := dst.Data[i*s : (i+1)*s]
-			for j := 0; j < c; j++ {
-				row[j] = av + b.Data[base+j]
-			}
-			clear(row[c:])
-		}
-		clearRows(dst, base+c, base+s)
-	}
-}
-
-// PanelSumColsInto computes dst[i] = Σ_{j<c} t[i][j] over each panel's
-// logical width — the da backward of PanelAddOuter — clearing pad rows.
-func PanelSumColsInto(dst, t *Tensor, l BatchLayout) {
-	if t.C != l.Stride {
-		shapePanic("PanelSumCols wants panel-width %d input, got %d", l.Stride, t.C)
-	}
-	checkInto(dst, t.R, 1, "PanelSumColsInto")
-	checkSeg(t, l, "PanelSumColsInto")
-	s := l.Stride
-	for g := 0; g < l.B; g++ {
-		c := l.Counts[g]
-		base := g * s
-		for i := base; i < base+c; i++ {
-			sum := 0.0
-			for _, v := range t.Data[i*s : i*s+c] {
-				sum += v
-			}
-			dst.Data[i] = sum
-		}
-		clear(dst.Data[base+c : base+s])
-	}
-}
-
-// PanelColSumsInto computes dst[base+j] = Σ_i t_g[i][j] per panel — the db
-// backward of PanelAddOuter, accumulating in ascending-i order — clearing pad
-// rows.
-func PanelColSumsInto(dst, t *Tensor, l BatchLayout) {
-	if t.C != l.Stride {
-		shapePanic("PanelColSums wants panel-width %d input, got %d", l.Stride, t.C)
-	}
-	checkInto(dst, t.R, 1, "PanelColSumsInto")
-	checkSeg(t, l, "PanelColSumsInto")
-	s := l.Stride
-	for g := 0; g < l.B; g++ {
-		c := l.Counts[g]
-		base := g * s
-		clear(dst.Data[base : base+s])
-		for i := base; i < base+c; i++ {
-			row := t.Data[i*s : i*s+c]
-			for j, v := range row {
-				dst.Data[base+j] += v
-			}
-		}
 	}
 }

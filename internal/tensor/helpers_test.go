@@ -57,19 +57,35 @@ func sumRows(t *Tensor) *Tensor {
 	return out
 }
 
-// sumCols is the n×1 vector of row sums of a square tensor, through the
-// panel kernel at B=1.
+// complete is the one-graph batch whose neighbour list is the complete graph
+// on n nodes: every row lists every node, so an edge vector is an n×n matrix
+// in row-major order and the edge kernels compute their dense namesakes.
+func complete(n int) []*Neighbours {
+	preds := make([][]int, n)
+	for v := range preds {
+		for u := 0; u < v; u++ {
+			preds[v] = append(preds[v], u)
+		}
+	}
+	return []*Neighbours{NewNeighbours(preds)}
+}
+
+// edgeVec views a square tensor as the edge vector of complete(t.R).
+func edgeVec(t *Tensor) *Tensor { return &Tensor{R: t.R * t.C, C: 1, Data: t.Data} }
+
+// sumCols is the n×1 vector of row sums of a square tensor, through the edge
+// kernel over the complete graph.
 func sumCols(t *Tensor) *Tensor {
 	out := New(t.R, 1)
-	PanelSumColsInto(out, t, single(t.R))
+	EdgeRowSumsInto(out, edgeVec(t), complete(t.R), single(t.R))
 	return out
 }
 
 // addOuter is out[i][j] = a[i] + b[j] for equal-length column vectors,
-// through the panel kernel at B=1.
+// through the edge kernel over the complete graph.
 func addOuter(a, b *Tensor) *Tensor {
 	out := New(a.R, a.R)
-	PanelAddOuterInto(out, a, b, single(a.R))
+	EdgeAddOuterInto(edgeVec(out), a, b, complete(a.R), single(a.R))
 	return out
 }
 

@@ -254,7 +254,7 @@ func TestReductionAndLayoutKernels(t *testing.T) {
 		SumRowsRangeInto(got, x, 0, r)
 		wantBitwise(t, "SumRowsRange", got, sumRows)
 
-		if r == c { // panel-width kernels at B=1 want a square score panel
+		if r == c { // an edge vector over the complete graph is a square matrix
 			want := New(r, 1)
 			for i := 0; i < r; i++ {
 				s := 0.0
@@ -263,13 +263,13 @@ func TestReductionAndLayoutKernels(t *testing.T) {
 				}
 				want.Data[i] = s
 			}
-			wantBitwise(t, "PanelSumCols", sumCols(x), want)
+			wantBitwise(t, "EdgeRowSums", sumCols(x), want)
 
 			colSums := New(r, 1)
-			PanelColSumsInto(colSums, x, single(r))
+			EdgeColSumsInto(colSums, edgeVec(x), complete(r), single(r))
 			for j := 0; j < c; j++ {
 				if math.Float64bits(colSums.Data[j]) != math.Float64bits(sumRows.Data[j]) {
-					t.Fatal("PanelColSums mismatch")
+					t.Fatal("EdgeColSums mismatch")
 				}
 			}
 		}
@@ -310,7 +310,7 @@ func TestReductionAndLayoutKernels(t *testing.T) {
 				for j := 0; j < c; j++ {
 					want := av.Data[i] + bv.Data[j]
 					if math.Float64bits(ao.At(i, j)) != math.Float64bits(want) {
-						t.Fatal("PanelAddOuter mismatch")
+						t.Fatal("EdgeAddOuter mismatch")
 					}
 				}
 			}
