@@ -103,3 +103,24 @@ func TestTreeReduceInPlaceAccumulation(t *testing.T) {
 		t.Fatalf("reduced to %v", *total)
 	}
 }
+
+func TestPoolReusesValues(t *testing.T) {
+	var made atomic.Int64
+	p := NewPool(func() *int { made.Add(1); return new(int) })
+	a := p.Get()
+	p.Put(a)
+	if b := p.Get(); b != a {
+		t.Fatal("pool did not reuse the freed value")
+	}
+	if made.Load() != 1 {
+		t.Fatalf("allocated %d values", made.Load())
+	}
+	p.Put(a)
+	// A value must never be handed to two workers at once: the unguarded
+	// increment below is a data race (caught under -race) if it ever is.
+	ForLimit(64, 8, func(i int) {
+		v := p.Get()
+		*v++
+		p.Put(v)
+	})
+}

@@ -180,11 +180,10 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 	trainSpan := prof.Start("train")
 	defer trainSpan.End()
 
-	// Evaluation and minibatch tapes come from the package pool the
-	// predictions share, so a training that follows another (a benchmark
-	// cell trains three architectures, a planner one model per scenario)
-	// starts on arenas that have already grown to a batch's size instead of
-	// faulting fresh ones in.
+	// Forward-only tapes for evaluation, pooled across workers and epochs.
+	// Each pooled context owns a private arena, so steady-state evaluation
+	// recycles every intermediate instead of allocating.
+	tapePool := parallel.NewPool(newTape)
 	lossOf := func(idx []int) float64 {
 		if len(idx) == 0 {
 			return 0
@@ -201,7 +200,8 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 		parallel.ForLimit(nchunks, cfg.Workers, func(ci int) {
 			lo := ci * cfg.BatchSize
 			hi := min(lo+cfg.BatchSize, len(idx))
-			tp := getTape()
+			tp := tapePool.Get()
+			tp.ctx.Reset()
 			ss := es.Start("sample")
 			tp.ctx.SetSpan(ss)
 			preds := model.PredictBatch(tp.ctx, tp.stack(encs[lo:hi])).Value()
@@ -209,7 +209,7 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 				vals[k] = sampleLoss(preds.Data[k-lo], ds.Samples[idx[k]].Measured/scale, cfg.Loss)
 			}
 			ss.End()
-			putTape(tp)
+			tapePool.Put(tp)
 		})
 		total := parallel.TreeReduce(vals, func(a, b float64) float64 { return a + b })
 		es.End()
@@ -222,8 +222,7 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 	for i := range bufs {
 		bufs[i] = ag.NewGradBuffer(params)
 	}
-	btape := getTape()
-	defer putTape(btape)
+	btape := newTape()
 	bencs := make([]*stage.Encoded, cfg.BatchSize)
 
 	// Instruments resolve to nil on a nil registry, making every hot-path
@@ -396,21 +395,11 @@ func (t *tape) stack(es []*stage.Encoded) *stage.Batch {
 	return &t.nb
 }
 
-// predictTapes recycles tapes across predictions and trainings. The pool is
-// safe for concurrent use; results never depend on which pooled tape serves a
-// call because every intermediate buffer is fully written before it is read.
+// predictTapes recycles forward-only tapes across predictions. The pool is
+// safe for concurrent predictions; results never depend on which pooled tape
+// serves a call because every intermediate buffer is fully written before it
+// is read.
 var predictTapes = sync.Pool{New: func() any { return newTape() }}
-
-// getTape draws a tape from predictTapes: reset, with no shards and no span.
-func getTape() *tape { return predictTapes.Get().(*tape) }
-
-// putTape returns tp to predictTapes in the state getTape promises.
-func putTape(tp *tape) {
-	tp.ctx.Reset()
-	tp.ctx.SetShards(nil)
-	tp.ctx.SetSpan(obs.Span{})
-	predictTapes.Put(tp)
-}
 
 // PredictEncoded returns the trained model's latency prediction in seconds
 // for one encoded stage graph: PredictEncodedBatch at B=1.
@@ -447,7 +436,7 @@ func (t Trained) PredictEncodedBatch(es []*stage.Encoded, workers int) []float64
 // positive quantity, so raw network outputs are floored at 1% of the label
 // scale.
 func (t Trained) predictChunk(es []*stage.Encoded, out []float64) {
-	tp := getTape()
+	tp := predictTapes.Get().(*tape)
 	preds := t.Model.PredictBatch(tp.ctx, tp.stack(es)).Value()
 	floor := 0.01 * t.Scale
 	for i := range out {
@@ -457,7 +446,8 @@ func (t Trained) predictChunk(es []*stage.Encoded, out []float64) {
 		}
 		out[i] = p
 	}
-	putTape(tp)
+	tp.ctx.Reset()
+	predictTapes.Put(tp)
 }
 
 // MRE computes the mean relative error (Eqn 5, in percent) of the trained
