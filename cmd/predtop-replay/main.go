@@ -1,7 +1,7 @@
 // Command predtop-replay drives a synthetic query load against a running
 // predtop-serve daemon and reports client-side throughput and latency
-// percentiles next to the daemon's own batching and cache counters (scraped
-// from /metrics after the run).
+// percentiles next to the daemon's own cache counters and SLO verdict
+// (scraped from /metrics after the run).
 //
 // Usage:
 //
@@ -106,7 +106,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		fmt.Fprintf(stdout, "latency: p50 %.2fms  p95 %.2fms  p99 %.2fms\n", res.P50ms, res.P95ms, res.P99ms)
 		fmt.Fprintf(stdout, "cache:   %d hits / %d misses (hit rate %.1f%%)\n",
 			res.CacheHits, res.CacheMisses, res.CacheHitRate*100)
-		fmt.Fprintf(stdout, "batches: %d (mean size %.2f, max %.0f)\n", res.Batches, res.MeanBatch, res.MaxBatch)
 		fmt.Fprintf(stdout, "slo:     %s\n", sloVerdict(res))
 	}
 	if *jsonPath != "" {
@@ -133,7 +132,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	man.RecordSessionMetric("qps", res.QPS)
 	man.RecordSessionMetric("errors", float64(res.Errors))
 	man.RecordSessionMetric("cache_hit_rate", res.CacheHitRate)
-	man.RecordSessionMetric("mean_batch", res.MeanBatch)
 	man.RecordSessionMetric("replay_p50", res.P50ms*1e6)
 	man.RecordSessionMetric("replay_p99", res.P99ms*1e6)
 	return nil

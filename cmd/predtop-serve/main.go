@@ -1,13 +1,14 @@
 // Command predtop-serve is the predictor-as-a-service daemon: it loads every
 // trained model (*.predtop) in a directory, then answers POST /predict
-// queries over HTTP/JSON, coalescing concurrent requests into batched
-// forwards and memoizing repeated stage queries in a bounded LRU.
+// queries over HTTP/JSON, memoizing repeated stage queries in a bounded LRU
+// and running each miss's forward on the goroutine that asked, at most
+// GOMAXPROCS at a time.
 //
 // Usage:
 //
 //	predtop-serve -models ./models -listen 127.0.0.1:9400 \
-//	              [-maxbatch 32] [-window 2ms] [-workers 0] [-cachesize 4096] \
-//	              [-metrics serve.jsonl] [-addrfile serve.addr] [-quiet] \
+//	              [-cachesize 4096] [-metrics serve.jsonl] \
+//	              [-addrfile serve.addr] [-quiet] \
 //	              [-slo-p99 500ms] [-slo-err 0.05] [-accesslog access.jsonl] \
 //	              [-incidents ./incidents] [-runledger runs]
 //
@@ -33,7 +34,7 @@
 // package internal/cli; the daemon's sinks, flight recorder, runtime sampler,
 // and manifest open and close through that lifecycle. The manifest recorded
 // at shutdown holds the served models' weight fingerprint, the
-// request/batch/cache counters, and the session's wall time.
+// request/cache counters, and the session's wall time.
 package main
 
 import (
@@ -60,9 +61,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs.SetOutput(stderr)
 	modelDir := fs.String("models", "models", "directory of *.predtop model files")
 	listen := fs.String("listen", "127.0.0.1:9400", "listen address (host:0 picks a free port)")
-	maxBatch := fs.Int("maxbatch", 32, "max concurrent requests coalesced into one batched forward")
-	window := fs.Duration("window", 0, "how long to wait to fill a batch (0 = batch only queued requests)")
-	workers := fs.Int("workers", 0, "intra-batch parallelism (0 = GOMAXPROCS)")
 	cacheSize := fs.Int("cachesize", 4096, "latency memo capacity in entries")
 	addrFile := fs.String("addrfile", "", "write the bound listen address to this file once serving")
 	sloP99 := fs.Duration("slo-p99", 500*time.Millisecond, "p99 latency objective for /predict (0 with -slo-err 0 disables SLO tracking)")
@@ -102,18 +100,13 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	man.SetOutput("models", *modelDir)
 	man.SetOutput("accesslog", *accessPath)
 	man.SetOutput("incidents", *incidentDir)
-	man.RecordSessionMetric("maxbatch", float64(*maxBatch))
 	man.RecordSessionMetric("cachesize", float64(*cacheSize))
-	man.RecordSessionMetric("workers", float64(*workers))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	srv, err := predtop.StartServe(ctx, predtop.ServeConfig{
 		Addr:        *listen,
 		ModelDir:    *modelDir,
-		MaxBatch:    *maxBatch,
-		Window:      *window,
-		Workers:     *workers,
 		CacheSize:   *cacheSize,
 		Metrics:     r.Metrics,
 		Sink:        r.Sink,

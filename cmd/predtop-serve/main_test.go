@@ -92,8 +92,20 @@ func TestServeLifecycle(t *testing.T) {
 	if !strings.Contains(readFile(t, access), `"event":"access"`) {
 		t.Error("access log holds no access record")
 	}
-	if paths, _ := filepath.Glob(filepath.Join(ledger, "*.json")); len(paths) != 1 || !strings.Contains(readFile(t, paths[0]), "predtop_serve_requests_total") {
-		t.Errorf("ledger: %v", paths)
+	paths, _ := filepath.Glob(filepath.Join(ledger, "*.json"))
+	if len(paths) != 1 {
+		t.Fatalf("ledger: %v", paths)
+	}
+	manifest := readFile(t, paths[0])
+	for _, want := range []string{"predtop_serve_requests_total", "predtop_serve_queue_depth", `"cachesize"`} {
+		if !strings.Contains(manifest, want) {
+			t.Errorf("manifest lacks %s", want)
+		}
+	}
+	for _, gone := range []string{`"workers"`, "predtop_serve_batch"} {
+		if strings.Contains(manifest, gone) {
+			t.Errorf("manifest still records %s", gone)
+		}
 	}
 }
 

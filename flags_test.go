@@ -85,4 +85,21 @@ func TestCLIFlagParity(t *testing.T) {
 			}
 		}
 	}
+
+	// The daemon's flag set is closed. Its batching knobs were deleted on
+	// measurements (DESIGN.md §9); a flag that brings one back, under any
+	// name, has to edit this list to land.
+	daemon := declaredFlags(t, "predtop-serve")
+	for _, name := range []string{
+		"models", "listen", "cachesize", "addrfile", "slo-p99", "slo-err", "accesslog", "incidents",
+		"seed", "quiet", "metrics", "runledger",
+	} {
+		if !daemon[name] {
+			t.Errorf("predtop-serve: missing -%s", name)
+		}
+		delete(daemon, name)
+	}
+	for name := range daemon {
+		t.Errorf("predtop-serve: unexpected flag -%s", name)
+	}
 }

@@ -107,22 +107,13 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 		specs = append(specs, runSpec{kind.String(), latFn, meter, info})
 	}
 
-	// Trace-context children are minted serially here: the trace-wide span
-	// counter would otherwise make ids depend on goroutine scheduling.
-	ctxs := make([]*planner.Options, len(specs))
-	for i, sp := range specs {
-		o := opts
-		o.Ctx = p.Obs.TraceContext().Child(fmt.Sprintf("fig10 %s %s", bench.Name, sp.version))
-		ctxs[i] = &o
-	}
-
 	out := make([]PlanRun, len(specs))
 	logs := make([]string, len(specs))
 	stageLats := make([][]float64, len(specs))
 	parallel.ForLimit(len(specs), p.Workers, func(i int) {
 		sp := specs[i]
 		track := fmt.Sprintf("fig10 %s %s", bench.Name, sp.version)
-		runOpts := *ctxs[i]
+		runOpts := opts
 		var stats planner.SearchStats
 		runOpts.Stats = &stats
 		optSpan := p.Obs.Tracer().Begin(track, "optimize")
@@ -138,7 +129,7 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 				stageLats[i] = lats
 				run.Report = planner.BuildReport(mdl, platform, plan, planner.ReportOptions{
 					Version:      sp.version,
-					TraceID:      runOpts.Ctx.TraceID(),
+					TraceID:      p.Obs.TraceContext().TraceID(),
 					Microbatches: p.Microbatches,
 					Provenance:   sp.info,
 					Search:       &stats,

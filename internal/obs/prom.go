@@ -76,7 +76,6 @@ func WritePromSnapshot(w io.Writer, snap []Metric) error {
 				b.WriteString(formatPromValue(bk.LE))
 				b.WriteString(`"} `)
 				b.WriteString(strconv.FormatInt(cum, 10))
-				writeExemplar(&b, bk.Exemplar)
 				b.WriteByte('\n')
 			}
 			b.WriteString(name)
@@ -84,7 +83,6 @@ func WritePromSnapshot(w io.Writer, snap []Metric) error {
 			b.WriteString(bucketLabels)
 			b.WriteString(`le="+Inf"} `)
 			b.WriteString(strconv.FormatInt(m.Count, 10))
-			writeExemplar(&b, m.OverflowEx)
 			b.WriteByte('\n')
 			b.WriteString(name)
 			b.WriteString("_sum")
@@ -102,22 +100,6 @@ func WritePromSnapshot(w io.Writer, snap []Metric) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// writeExemplar appends an OpenMetrics-style exemplar suffix
-// (` # {trace_id="…",span_id="…"} value`) to a bucket line, joining the
-// bucket to a concrete request trace. Nil exemplars write nothing, keeping
-// the plain text exposition unchanged for untraced histograms.
-func writeExemplar(b *strings.Builder, ex *Exemplar) {
-	if ex == nil {
-		return
-	}
-	b.WriteString(` # {trace_id="`)
-	b.WriteString(ex.TraceID)
-	b.WriteString(`",span_id="`)
-	b.WriteString(ex.SpanID)
-	b.WriteString(`"} `)
-	b.WriteString(formatPromValue(ex.Value))
 }
 
 // SanitizeMetricName maps an arbitrary instrument name onto the Prometheus

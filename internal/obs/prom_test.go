@@ -293,30 +293,3 @@ func FuzzSanitizeMetricName(f *testing.F) {
 		}
 	})
 }
-
-// TestWritePromExemplars: buckets that carry exemplars render an
-// OpenMetrics-style suffix joining them to a trace id; plain buckets and the
-// rest of the exposition are unchanged.
-func TestWritePromExemplars(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("req_seconds", []float64{0.01, 0.1})
-	h.Observe(0.005)              // untraced: no exemplar on this bucket yet
-	h.ObserveEx(0.05, 0xa1, 0xb2) // second bucket, traced
-	h.ObserveEx(0.5, 0xc3, 0xd4)  // overflow, traced
-	var b strings.Builder
-	if err := r.WriteProm(&b); err != nil {
-		t.Fatal(err)
-	}
-	exp := b.String()
-	if !strings.Contains(exp, `req_seconds_bucket{le="0.01"} 1`+"\n") {
-		t.Errorf("untraced bucket line altered:\n%s", exp)
-	}
-	want := `req_seconds_bucket{le="0.1"} 2 # {trace_id="` + hex16(0xa1) + `",span_id="` + hex16(0xb2) + `"} 0.05`
-	if !strings.Contains(exp, want+"\n") {
-		t.Errorf("missing traced bucket exemplar %q in:\n%s", want, exp)
-	}
-	wantInf := `req_seconds_bucket{le="+Inf"} 3 # {trace_id="` + hex16(0xc3) + `"`
-	if !strings.Contains(exp, wantInf) {
-		t.Errorf("missing overflow exemplar %q in:\n%s", wantInf, exp)
-	}
-}

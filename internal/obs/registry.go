@@ -212,7 +212,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 		}
 		h = &Histogram{bounds: append([]float64(nil), bounds...), dropped: r.dropped}
 		h.counts = make([]atomic.Int64, len(h.bounds)+1)
-		h.ex = make([]atomic.Pointer[Exemplar], len(h.bounds)+1)
 		r.histograms[name] = h
 	}
 	return h
@@ -299,19 +298,6 @@ type Histogram struct {
 	count   atomic.Int64
 	sum     atomicFloat
 	dropped *Counter
-	// ex holds the last exemplar per bucket (parallel to counts), recorded by
-	// ObserveEx and rendered as OpenMetrics-style exemplar suffixes — the hook
-	// that lets a dashboard jump from a latency bucket to the exact trace id
-	// of a request that landed in it.
-	ex []atomic.Pointer[Exemplar]
-}
-
-// Exemplar joins one histogram bucket to a concrete observation: the trace
-// and span ids of a request whose value landed in the bucket.
-type Exemplar struct {
-	TraceID string  `json:"trace_id"`
-	SpanID  string  `json:"span_id"`
-	Value   float64 `json:"value"`
 }
 
 // Observe records v. No-op on nil; allocation-free otherwise. A NaN or ±Inf
@@ -328,27 +314,6 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
-}
-
-// ObserveEx is Observe plus an exemplar: the observation's trace/span ids are
-// remembered (last-writer-wins) for the bucket v lands in and surface in the
-// Prometheus exposition as an OpenMetrics exemplar suffix. Zero ids record no
-// exemplar, so untraced call sites degrade to plain Observe. No-op on nil.
-func (h *Histogram) ObserveEx(v float64, trace, span uint64) {
-	if h == nil {
-		return
-	}
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		h.dropped.Inc()
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-	if trace != 0 && h.ex != nil {
-		h.ex[i].Store(&Exemplar{TraceID: hex16(trace), SpanID: hex16(span), Value: v})
-	}
 }
 
 // Count returns the total number of observations (0 on nil).
@@ -390,18 +355,6 @@ func (t Timer) Stop() float64 {
 	}
 	s := time.Since(t.start).Seconds()
 	t.h.Observe(s)
-	return s
-}
-
-// StopEx is Stop plus an exemplar: the elapsed-seconds observation carries
-// the given trace/span ids (see Histogram.ObserveEx). Zero ids degrade to
-// plain Stop; an inert timer returns 0.
-func (t Timer) StopEx(trace, span uint64) float64 {
-	if t.h == nil {
-		return 0
-	}
-	s := time.Since(t.start).Seconds()
-	t.h.ObserveEx(s, trace, span)
 	return s
 }
 
@@ -466,9 +419,6 @@ func MustExpBuckets(lo, factor float64, n int) []float64 {
 type BucketCount struct {
 	LE    float64 `json:"le"`
 	Count int64   `json:"count"`
-	// Exemplar is the bucket's last recorded exemplar, when any observation
-	// carried trace ids (see Histogram.ObserveEx).
-	Exemplar *Exemplar `json:"exemplar,omitempty"`
 }
 
 // Metric is a point-in-time export of one instrument, JSONL-friendly (no
@@ -485,9 +435,6 @@ type Metric struct {
 	Sum      float64       `json:"sum,omitempty"`
 	Buckets  []BucketCount `json:"buckets,omitempty"`
 	Overflow int64         `json:"overflow,omitempty"`
-	// OverflowEx is the overflow slot's exemplar — often the most interesting
-	// one, since it names a trace slower than every configured bucket.
-	OverflowEx *Exemplar `json:"overflow_exemplar,omitempty"`
 }
 
 // Snapshot exports every instrument, sorted by name (nil registry → nil).
@@ -513,17 +460,10 @@ func (r *Registry) Snapshot() []Metric {
 		m := Metric{Name: name, Labels: labels, Kind: "histogram", Count: h.Count(), Sum: h.Sum()}
 		for i, b := range h.bounds {
 			if n := h.counts[i].Load(); n > 0 {
-				bc := BucketCount{LE: b, Count: n}
-				if h.ex != nil {
-					bc.Exemplar = h.ex[i].Load()
-				}
-				m.Buckets = append(m.Buckets, bc)
+				m.Buckets = append(m.Buckets, BucketCount{LE: b, Count: n})
 			}
 		}
 		m.Overflow = h.counts[len(h.bounds)].Load()
-		if h.ex != nil {
-			m.OverflowEx = h.ex[len(h.bounds)].Load()
-		}
 		out = append(out, m)
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -273,72 +273,3 @@ func TestGaugeAddConcurrent(t *testing.T) {
 		t.Fatalf("paired adds did not cancel: %v", got)
 	}
 }
-
-func TestHistogramObserveEx(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat", []float64{0.01, 0.1})
-	h.ObserveEx(0.005, 0xabc, 0xdef) // first bucket
-	h.ObserveEx(0.5, 0x123, 0x456)   // overflow
-	h.ObserveEx(0.006, 0, 0)         // zero ids: counted, no exemplar
-	if h.Count() != 3 {
-		t.Fatalf("count = %d, want 3", h.Count())
-	}
-	var m Metric
-	for _, s := range r.Snapshot() {
-		if s.Name == "lat" {
-			m = s
-		}
-	}
-	if len(m.Buckets) != 1 || m.Buckets[0].Exemplar == nil {
-		t.Fatalf("bucket exemplar missing: %+v", m.Buckets)
-	}
-	ex := m.Buckets[0].Exemplar
-	if ex.TraceID != hex16(0xabc) || ex.SpanID != hex16(0xdef) || ex.Value != 0.005 {
-		t.Fatalf("bucket exemplar = %+v", ex)
-	}
-	if m.OverflowEx == nil || m.OverflowEx.TraceID != hex16(0x123) {
-		t.Fatalf("overflow exemplar = %+v", m.OverflowEx)
-	}
-	// Last-writer-wins within a bucket.
-	h.ObserveEx(0.004, 0x999, 0x888)
-	for _, s := range NewRegistrySnapshotOf(r, "lat").Buckets {
-		if s.Exemplar.TraceID != hex16(0x999) {
-			t.Fatalf("exemplar not last-writer-wins: %+v", s.Exemplar)
-		}
-	}
-	var nilH *Histogram
-	nilH.ObserveEx(1, 1, 1) // must not panic
-}
-
-func TestTimerStopEx(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("dur", []float64{10}) // everything lands in the first bucket
-	if s := h.Start().StopEx(0x1111, 0x2222); s < 0 {
-		t.Fatalf("StopEx returned %v", s)
-	}
-	m := NewRegistrySnapshotOf(r, "dur")
-	if m.Count != 1 {
-		t.Fatalf("count = %d, want 1", m.Count)
-	}
-	if len(m.Buckets) != 1 || m.Buckets[0].Exemplar == nil {
-		t.Fatalf("StopEx recorded no exemplar: %+v", m.Buckets)
-	}
-	if ex := m.Buckets[0].Exemplar; ex.TraceID != hex16(0x1111) || ex.SpanID != hex16(0x2222) {
-		t.Fatalf("StopEx exemplar = %+v", ex)
-	}
-	// Inert timer: no histogram, no panic, zero return.
-	var nilH *Histogram
-	if s := nilH.Start().StopEx(1, 1); s != 0 {
-		t.Fatalf("inert StopEx returned %v", s)
-	}
-}
-
-// NewRegistrySnapshotOf returns the named metric from r's snapshot (test helper).
-func NewRegistrySnapshotOf(r *Registry, name string) Metric {
-	for _, m := range r.Snapshot() {
-		if m.Name == name {
-			return m
-		}
-	}
-	return Metric{}
-}

@@ -69,8 +69,8 @@ func (tc *TraceContext) SpanID() string {
 }
 
 // RawIDs returns the raw 64-bit (trace, span) ids — the allocation-free form
-// instruments like the SLO tracker and histogram exemplars store, rendering
-// to hex only at exposition time. (0, 0) on nil.
+// the SLO tracker stores, rendering to hex only at exposition time. (0, 0)
+// on nil.
 func (tc *TraceContext) RawIDs() (trace, span uint64) {
 	if tc == nil {
 		return 0, 0

@@ -62,11 +62,6 @@ type Options struct {
 	// inputs — never a wall-clock reading — so stats can appear in
 	// byte-identical provenance reports. Observation only.
 	Stats *SearchStats
-	// Ctx, when non-nil, stamps the predtop_planner_optimize_seconds
-	// observation with an exemplar carrying the run's trace/span ids, so a
-	// slow search in a histogram bucket links back to its trace. Observation
-	// only.
-	Ctx *obs.TraceContext
 }
 
 func (o Options) withDefaults() Options {
@@ -140,14 +135,6 @@ func Optimize(numSegments int, p cluster.Platform, lat LatencyFn, opt Options) (
 	}
 	reg := opt.Metrics
 	searchTimer := reg.Histogram("predtop_planner_optimize_seconds", nil).Start()
-	stopSearchTimer := func() {
-		if opt.Ctx != nil {
-			trace, span := opt.Ctx.RawIDs()
-			searchTimer.StopEx(trace, span)
-		} else {
-			searchTimer.Stop()
-		}
-	}
 
 	maxLen := opt.MaxStageLen
 	if maxLen <= 0 || maxLen > numSegments {
@@ -214,7 +201,7 @@ func Optimize(numSegments int, p cluster.Platform, lat LatencyFn, opt Options) (
 	estSpan.End()
 	if len(candidates) == 0 {
 		publish()
-		stopSearchTimer()
+		searchTimer.Stop()
 		return Plan{}, false
 	}
 	sort.Float64s(candidates)
@@ -300,7 +287,7 @@ func Optimize(numSegments int, p cluster.Platform, lat LatencyFn, opt Options) (
 			obs.Label{Key: "depth", Value: strconv.Itoa(k)}).Observe(s)
 	}
 	publish()
-	stopSearchTimer()
+	searchTimer.Stop()
 	if math.IsInf(bestT, 1) {
 		return Plan{}, false
 	}

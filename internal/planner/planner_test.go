@@ -406,7 +406,7 @@ func TestOptimizeProfiledIdenticalPlan(t *testing.T) {
 
 // TestOptimizeReportedIdenticalPlan is the reported-plan row of the
 // determinism table: running the search with the full observation stack
-// (metrics registry, span profiler, search stats, trace context) must yield
+// (metrics registry, span profiler, search stats) must yield
 // a plan bitwise identical — stages, meshes, Est, and every StageEst — to a
 // bare run, and the search stats must tally with the exploration the bare
 // run implies.
@@ -419,13 +419,11 @@ func TestOptimizeReportedIdenticalPlan(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	var stats SearchStats
-	ctx := obs.NewTraceContext(42, "planner-test")
 	got, ok := Optimize(6, p, syntheticLatency, Options{
 		Microbatches: 8,
 		Metrics:      reg,
 		Prof:         obs.NewProfiler(),
 		Stats:        &stats,
-		Ctx:          ctx,
 	})
 	if !ok {
 		t.Fatal("no observed plan")

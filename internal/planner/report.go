@@ -65,8 +65,8 @@ type CostReport struct {
 type Report struct {
 	// Version names the planner version ("Alpa-Full", "PredTOP-Tran", ...).
 	Version string `json:"version,omitempty"`
-	// TraceID correlates the report with the run's metrics exemplars, JSONL
-	// events, and Chrome trace (seed-derived, never wall-clock).
+	// TraceID correlates the report with the run's predtop_run_info series,
+	// JSONL events, and Chrome trace (seed-derived, never wall-clock).
 	TraceID  string `json:"trace_id,omitempty"`
 	Model    string `json:"model,omitempty"`
 	Platform string `json:"platform,omitempty"`

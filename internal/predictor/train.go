@@ -417,10 +417,10 @@ const predictBatchChunk = 64
 // PredictEncodedBatch predicts a whole batch of encoded stage graphs in one
 // call: chunks of up to 64 graphs fuse into a single padded forward on one
 // pooled tape, and chunks fan across workers (0 = GOMAXPROCS, 1 = serial).
-// This is the forward the serving daemon's request coalescer and the planner
-// drive. Each out[i] depends on es[i] alone — bitwise identical at any worker
-// count, any chunking and any batch composition, because panels of the
-// padded stack never mix.
+// This is the forward the planner's validation pass and Evaluate drive. Each
+// out[i] depends on es[i] alone — bitwise identical at any worker count, any
+// chunking and any batch composition, because panels of the padded stack
+// never mix.
 func (t Trained) PredictEncodedBatch(es []*stage.Encoded, workers int) []float64 {
 	out := make([]float64, len(es))
 	nchunks := (len(es) + predictBatchChunk - 1) / predictBatchChunk

@@ -69,7 +69,7 @@ type Canonical struct {
 	Tool   string `json:"tool"`
 	Seed   int64  `json:"seed"`
 	// TraceID is the run's seed-derived correlation id — the same id the
-	// metrics exemplars, JSONL events, and Chrome trace carry.
+	// predtop_run_info series, JSONL events, and Chrome trace carry.
 	TraceID string `json:"trace_id,omitempty"`
 	// Config holds the result-determining flags (never paths, addresses, or
 	// worker counts — those live in Session). encoding/json sorts map keys,

@@ -52,7 +52,7 @@ func FuzzDecodePredictRequest(f *testing.F) {
 // TestServeRejectsMalformed: every malformed /predict body is answered with
 // a 4xx — never a panic, never a 5xx — and after the whole gauntlet a valid
 // query still returns the exact pre-gauntlet value, proving neither the LRU
-// nor the coalescer was poisoned.
+// nor the forward path was poisoned.
 func TestServeRejectsMalformed(t *testing.T) {
 	dir := t.TempDir()
 	writeTestModel(t, dir, "tran", "tran", 1)

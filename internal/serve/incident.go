@@ -17,8 +17,8 @@ import (
 // (what the daemon was doing in the seconds before the breach) and a
 // bounded-window CPU profile (what it was burning time on during it), plus
 // one {"event":"slo_breach"} JSONL record naming both artifacts and the worst
-// offenders' trace ids — the same ids the access log and the latency
-// histogram exemplars carry, so one grep joins the whole incident.
+// offenders' trace ids — the same ids the access log and /statusz carry, so
+// one grep joins the whole incident.
 //
 // Capture runs on its own goroutine: the request that crossed the line is
 // never blocked on file IO or the profile window. A nil capture is inert.

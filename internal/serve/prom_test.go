@@ -65,17 +65,14 @@ func TestServePromExposition(t *testing.T) {
 		`predtop_serve_reloads_total{result="ok"} 2`,
 		`predtop_serve_cache_hits_total 1`,
 		`predtop_serve_cache_misses_total 3`,
-		`predtop_serve_batched_requests_total 3`,
 		`predtop_serve_requests_total{code="200",endpoint="/predict"} 4`,
 		`predtop_serve_requests_total{code="400",endpoint="/predict"} 1`,
 		`predtop_serve_requests_total{code="200",endpoint="/models"} 1`,
 		`predtop_serve_requests_total{code="200",endpoint="/reload"} 1`,
-		`predtop_serve_queue_depth 0`, // every submitted job was dequeued
+		`predtop_serve_queue_depth 0`, // every miss got its forward slot
 		"# TYPE predtop_serve_registry_generation gauge",
 		"# TYPE predtop_serve_reloads_total counter",
 		"# TYPE predtop_serve_request_seconds histogram",
-		"# TYPE predtop_serve_batch_size histogram",
-		"# TYPE predtop_serve_batch_pad_waste histogram",
 		"# TYPE predtop_serve_queue_depth gauge",
 	} {
 		if !strings.Contains(exposition, want+"\n") {
@@ -108,27 +105,9 @@ func TestServePromExposition(t *testing.T) {
 		t.Errorf("requests_total TYPE header appears %d times, want 1", n)
 	}
 
-	// Batch accounting is internally consistent: batch_size_count equals
-	// batches_total, batched requests ≥ batches, and — one model loaded, so
-	// one group per batch — pad waste is observed once per batch.
-	var batches, sizeCount, padCount float64
-	for _, ln := range strings.Split(exposition, "\n") {
-		if name, v, ok := promSample(ln); ok {
-			switch name {
-			case BatchesMetric:
-				batches = v
-			case BatchSizeMetric + "_count":
-				sizeCount = v
-			case PadWasteMetric + "_count":
-				padCount = v
-			}
-		}
-	}
-	if batches == 0 || batches != sizeCount {
-		t.Errorf("batches_total (%v) != batch_size_count (%v)", batches, sizeCount)
-	}
-	if padCount != batches {
-		t.Errorf("batch_pad_waste_count (%v) != batches_total (%v)", padCount, batches)
+	// The batch families went with the layer that fed them.
+	if strings.Contains(exposition, "predtop_serve_batch") {
+		t.Error("exposition still carries a predtop_serve_batch* series")
 	}
 }
 

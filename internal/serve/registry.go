@@ -1,12 +1,12 @@
 // Package serve is the predictor-as-a-service layer: a long-running HTTP/JSON
 // daemon that keeps a registry of trained predictors resident in memory,
-// coalesces concurrent /predict requests into batched forwards through the
-// pooled prediction contexts, and memoizes (stage graph, model) → latency in
-// a bounded LRU — so answering a what-if latency query costs a map hit or a
-// share of one batched forward instead of a model load per query.
+// memoizes (stage graph, model) → latency in a bounded LRU, and runs a miss's
+// forward on the handler goroutine that asked, at most GOMAXPROCS at a time
+// — so answering a what-if latency query costs a map hit or one B = 1 forward
+// instead of a model load per query.
 //
 // The package follows the repository's observability contract: every channel
-// (per-endpoint latency histograms, LRU and batch counters, accuracy gauges
+// (per-endpoint latency histograms, LRU and queue counters, accuracy gauges
 // fed by requests that attach ground truth, JSONL request events, flight
 // recorder breadcrumbs) is nil-safe and observation-only, and every response
 // carries the run's deterministic trace id plus a per-request span id.

@@ -4,13 +4,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"predtop/internal/models"
-	"predtop/internal/obs"
 	"predtop/internal/predictor"
 	"predtop/internal/stage"
 )
@@ -118,119 +116,4 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 	if math.Float64bits(resp.LatencySeconds) != math.Float64bits(want) {
 		t.Fatal("failed reload changed the serving model")
 	}
-}
-
-// TestCoalescerBatchesDeterministically: with the dispatcher paused, N
-// submitted jobs must queue; starting the dispatcher must then run them as
-// exactly one batch of N — the channel-barrier construction that makes
-// batching testable without sleeps.
-func TestCoalescerBatchesDeterministically(t *testing.T) {
-	tr := trainTestModel(t, "tran", 1)
-	m := models.Build(testBenchCfg())
-	enc := predictor.NewEncoder(m, true)
-	specs := []stage.Spec{{Lo: 0, Hi: 2}, {Lo: 1, Hi: 3}, {Lo: 2, Hi: 5}, {Lo: 0, Hi: 4}, {Lo: 3, Hi: 6}}
-	want := make([]float64, len(specs))
-	for i, sp := range specs {
-		want[i] = tr.PredictEncoded(enc.Encode(sp))
-	}
-
-	reg := obs.NewRegistry()
-	c := newCoalescer(8, 0, 0, reg) // idle: dispatcher not started yet
-	var wg sync.WaitGroup
-	got := make([]float64, len(specs))
-	for i, sp := range specs {
-		wg.Add(1)
-		go func(i int, e *stage.Encoded) {
-			defer wg.Done()
-			j, err := c.submit(tr, e)
-			if err != nil {
-				panic(err)
-			}
-			got[i] = j.out
-		}(i, enc.Encode(sp))
-	}
-	// Barrier: wait until all jobs are queued on the paused channel, then
-	// start the dispatcher — its drain pass must collect all of them.
-	for len(c.ch) < len(specs) {
-		runtime.Gosched()
-	}
-	c.start()
-	wg.Wait()
-	c.close()
-
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("job %d: batched %v != direct %v", i, got[i], want[i])
-		}
-	}
-	snap := metricValues(reg)
-	if snap[BatchesMetric] != 1 {
-		t.Fatalf("batches = %v, want exactly 1", snap[BatchesMetric])
-	}
-	if snap[BatchedRequestsMetric] != float64(len(specs)) {
-		t.Fatalf("batched requests = %v, want %d", snap[BatchedRequestsMetric], len(specs))
-	}
-	if snap[BatchMaxMetric] != float64(len(specs)) {
-		t.Fatalf("max batch = %v, want %d", snap[BatchMaxMetric], len(specs))
-	}
-}
-
-// TestCoalescerClosedSubmit: submit after close errors instead of hanging or
-// panicking.
-func TestCoalescerClosedSubmit(t *testing.T) {
-	tr := trainTestModel(t, "tran", 1)
-	m := models.Build(testBenchCfg())
-	enc := predictor.NewEncoder(m, true)
-	c := newCoalescer(4, 0, 0, nil)
-	c.start()
-	c.close()
-	if _, err := c.submit(tr, enc.Encode(stage.Spec{Lo: 0, Hi: 2})); err == nil {
-		t.Fatal("submit after close should error")
-	}
-}
-
-// TestCoalescerStress: many goroutines hammering submit while batching is
-// live — every result must still be bitwise correct (run with -race).
-func TestCoalescerStress(t *testing.T) {
-	tr := trainTestModel(t, "tran", 1)
-	m := models.Build(testBenchCfg())
-	enc := predictor.NewEncoder(m, true)
-	specs := []stage.Spec{{Lo: 0, Hi: 2}, {Lo: 1, Hi: 3}, {Lo: 2, Hi: 5}}
-	want := make([]float64, len(specs))
-	es := make([]*stage.Encoded, len(specs))
-	for i, sp := range specs {
-		es[i] = enc.Encode(sp)
-		want[i] = tr.PredictEncoded(es[i])
-	}
-	c := newCoalescer(8, 0, 2, obs.NewRegistry())
-	c.start()
-	defer c.close()
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for rep := 0; rep < 20; rep++ {
-				i := (g + rep) % len(specs)
-				j, err := c.submit(tr, es[i])
-				if err != nil {
-					panic(err)
-				}
-				if math.Float64bits(j.out) != math.Float64bits(want[i]) {
-					panic("stress batch diverged from direct prediction")
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
-// metricValues flattens a registry snapshot to name → value (last labeled
-// variant wins; fine for the unlabeled counters the tests read).
-func metricValues(r *obs.Registry) map[string]float64 {
-	out := map[string]float64{}
-	for _, met := range r.Snapshot() {
-		out[met.Name] = met.Value
-	}
-	return out
 }

@@ -50,8 +50,8 @@ type ReplayConfig struct {
 }
 
 // ReplayResult summarizes one replay: client-side throughput and latency
-// percentiles plus the server-side batching and cache counters scraped from
-// /metrics after the run.
+// percentiles plus the server-side cache counters and SLO verdict scraped
+// from /metrics after the run.
 type ReplayResult struct {
 	Queries     int     `json:"queries"`
 	Errors      int     `json:"errors"`
@@ -64,9 +64,6 @@ type ReplayResult struct {
 	CacheHits    int64   `json:"cache_hits"`
 	CacheMisses  int64   `json:"cache_misses"`
 	CacheHitRate float64 `json:"cache_hit_rate"`
-	Batches      int64   `json:"batches"`
-	MeanBatch    float64 `json:"mean_batch"`
-	MaxBatch     float64 `json:"max_batch"`
 	Generation   float64 `json:"generation"`
 
 	// SLO verdicts scraped from the daemon's predtop_slo_* series. The -1
@@ -219,7 +216,6 @@ func scrapeMetrics(client *http.Client, url string, res *ReplayResult) error {
 	}
 	defer resp.Body.Close()
 	res.SLOBreached, res.SLOBreaches = -1, -1 // until the series prove otherwise
-	var batchSum, batchCount float64
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		line := sc.Text()
@@ -244,14 +240,6 @@ func scrapeMetrics(client *http.Client, url string, res *ReplayResult) error {
 			res.CacheHits = int64(val)
 		case CacheMissesMetric:
 			res.CacheMisses = int64(val)
-		case BatchesMetric:
-			res.Batches = int64(val)
-		case BatchSizeMetric + "_sum":
-			batchSum = val
-		case BatchSizeMetric + "_count":
-			batchCount = val
-		case BatchMaxMetric:
-			res.MaxBatch = val
 		case RegistryGenerationMetric:
 			res.Generation = val
 		case obs.SLOBreachGauge:
@@ -262,9 +250,6 @@ func scrapeMetrics(client *http.Client, url string, res *ReplayResult) error {
 	}
 	if err := sc.Err(); err != nil {
 		return err
-	}
-	if batchCount > 0 {
-		res.MeanBatch = batchSum / batchCount
 	}
 	if total := res.CacheHits + res.CacheMisses; total > 0 {
 		res.CacheHitRate = float64(res.CacheHits) / float64(total)

@@ -7,29 +7,35 @@ import (
 	"predtop/internal/obs"
 )
 
+// The access sampler's tiers: the first accessHeadN requests, every
+// accessEvery-th after that, and everything at or over the latency objective
+// (accessSlowDefault when the daemon has none).
+const (
+	accessHeadN       = 8
+	accessEvery       = 64
+	accessSlowDefault = 100 * time.Millisecond
+)
+
 // accessSampler decides which finished /predict requests earn an access-log
 // record. Logging every request would swamp the JSONL sink under replay load,
-// so the sampler keeps the interesting subset: the first headN requests
+// so the sampler keeps the interesting subset: the first accessHeadN requests
 // ("head" — startup behaviour), every request at or over the slow threshold
-// ("slow"), every server error ("error"), and every every-th request after
-// that ("rate" — a steady background sample). Decisions come from an atomic
-// counter, never from randomness, so a fixed request order always samples the
-// same requests. A nil sampler samples nothing.
+// ("slow"), every server error ("error"), and every accessEvery-th request
+// after that ("rate" — a steady background sample). Decisions come from an
+// atomic counter, never from randomness, so a fixed request order always
+// samples the same requests. A nil sampler samples nothing.
 type accessSampler struct {
-	headN int64
-	every int64
 	slowS float64
 	seen  atomic.Int64
 }
 
-func newAccessSampler(headN, every int, slow time.Duration) *accessSampler {
-	if headN <= 0 {
-		headN = 8
+// newAccessSampler builds the sampler for a daemon whose p99 objective is
+// objective (0 = none).
+func newAccessSampler(objective time.Duration) *accessSampler {
+	if objective <= 0 {
+		objective = accessSlowDefault
 	}
-	if every <= 0 {
-		every = 64
-	}
-	return &accessSampler{headN: int64(headN), every: int64(every), slowS: slow.Seconds()}
+	return &accessSampler{slowS: objective.Seconds()}
 }
 
 // decide returns the sampling reason for one finished request, or "" to skip
@@ -43,28 +49,30 @@ func (a *accessSampler) decide(durS float64, code int) string {
 	switch {
 	case code >= 500:
 		return "error"
-	case a.slowS > 0 && durS >= a.slowS:
+	case durS >= a.slowS:
 		return "slow"
-	case n <= a.headN:
+	case n <= accessHeadN:
 		return "head"
-	case n%a.every == 0:
+	case n%accessEvery == 0:
 		return "rate"
 	}
 	return ""
 }
 
 // reqInfo carries one request's identity and phase evidence from the handler
-// back to the instrument wrapper: the request span (whose ids become the
-// histogram exemplar and the SLO worst-offender entry), the resolved query,
-// and — for requests that rode a batch — the coalescer job with its phase
-// timestamps.
+// back to the instrument wrapper: the request span (whose ids become the SLO
+// worst-offender entry), the resolved query, and — for a memo miss that ran
+// its forward — the three phase boundaries the handler stamped.
 type reqInfo struct {
 	span   *obs.TraceContext
 	model  string
 	bench  string
 	lo, hi int
 	cached bool
-	job    *predictJob
+
+	tWait time.Time // decoded, validated, encoded; asking for a forward slot
+	tFwd0 time.Time // slot taken, forward started
+	tFwd1 time.Time // forward finished (zero unless a forward ran)
 }
 
 // phaseRecord is one request phase in an access record: a named child span
@@ -77,10 +85,9 @@ type phaseRecord struct {
 
 // logAccess emits one sampled {"event":"access"} record for a finished
 // /predict request: status, query, total latency, and the per-phase breakdown
-// enqueue → coalesce-wait → batch-assembly → forward → respond (or a single
-// memo_hit phase for cached answers), each phase a child span of the request
-// span so the record, the metric exemplars, and the SLO worst list all join
-// on the same ids.
+// decode → wait → forward → respond (or a single memo_hit phase for cached
+// answers), each phase a child span of the request span so the record and
+// the SLO worst list join on the same ids.
 func (s *Server) logAccess(ri *reqInfo, code int, start time.Time, dur time.Duration) {
 	if s.access == nil {
 		return
@@ -113,15 +120,11 @@ func (s *Server) logAccess(ri *reqInfo, code int, start time.Time, dur time.Dura
 		})
 	}
 	switch {
-	case ri.job != nil:
-		j := ri.job
-		end := start.Add(dur)
-		addPhase("enqueue", j.tEnq.Sub(start))        // decode, validate, encode
-		addPhase("coalesce_wait", j.tDeq.Sub(j.tEnq)) // queued, batch not yet open
-		addPhase("batch_assembly", j.tFwd0.Sub(j.tDeq))
-		addPhase("forward", j.tFwd1.Sub(j.tFwd0))
-		addPhase("respond", end.Sub(j.tFwd1))
-		rec["batch_size"] = j.batchSize
+	case !ri.tFwd1.IsZero():
+		addPhase("decode", ri.tWait.Sub(start))  // decode, validate, encode
+		addPhase("wait", ri.tFwd0.Sub(ri.tWait)) // every forward slot busy
+		addPhase("forward", ri.tFwd1.Sub(ri.tFwd0))
+		addPhase("respond", start.Add(dur).Sub(ri.tFwd1))
 	case ri.cached:
 		addPhase("memo_hit", dur)
 	}

@@ -14,8 +14,8 @@ import (
 // TestServeEndToEnd is the serving integration test: a daemon on an ephemeral
 // port holding two predictor families answers a burst of concurrent
 // mixed-family requests, and every response must be bitwise identical to
-// calling PredictEncoded directly on the same model file — batching,
-// coalescing, and memoization are not allowed to change a single bit.
+// calling PredictEncoded directly on the same model file — concurrent
+// forwards and memoization are not allowed to change a single bit.
 func TestServeEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	trTran := writeTestModel(t, dir, "tran", "tran", 1)
@@ -48,7 +48,7 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	// Burst: every query issued from 4 goroutines concurrently, so requests
-	// for both families interleave through the coalescer.
+	// for both families interleave on the forward slots.
 	const reps = 4
 	var wg sync.WaitGroup
 	errs := make(chan string, reps*len(queries))

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"math/rand"
 	"net/http"
 	"path/filepath"
@@ -98,24 +97,33 @@ func startTestServer(t testing.TB, dir string, mutate func(*Config)) *Server {
 // postPredict POSTs req and decodes the response, returning the HTTP status.
 func postPredict(t testing.TB, url string, req PredictRequest) (PredictResponse, int) {
 	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	resp, err := http.Post(url+"/predict", "application/json", bytes.NewReader(body))
+	out, code, err := tryPredict(context.Background(), url, req)
 	if err != nil {
 		t.Fatalf("POST /predict: %v", err)
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("reading response: %v", err)
-	}
+	return out, code
+}
+
+// tryPredict is postPredict for client goroutines: it reports failures as an
+// error instead of through t, and sends under ctx so a test can abandon the
+// request mid-flight.
+func tryPredict(ctx context.Context, url string, req PredictRequest) (PredictResponse, int, error) {
 	var out PredictResponse
-	if resp.StatusCode == http.StatusOK {
-		if err := json.Unmarshal(data, &out); err != nil {
-			t.Fatalf("decoding response %q: %v", data, err)
-		}
+	body, err := json.Marshal(req)
+	if err != nil {
+		return out, 0, err
 	}
-	return out, resp.StatusCode
+	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/predict", bytes.NewReader(body))
+	if err != nil {
+		return out, 0, err
+	}
+	resp, err := http.DefaultClient.Do(hr)
+	if err != nil {
+		return out, 0, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		err = json.NewDecoder(resp.Body).Decode(&out)
+	}
+	return out, resp.StatusCode, err
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"runtime"
 	"sync"
 	"time"
 
@@ -23,44 +24,36 @@ const (
 	RequestsMetric       = "predtop_serve_requests_total"
 	CacheHitsMetric      = "predtop_serve_cache_hits_total"
 	CacheMissesMetric    = "predtop_serve_cache_misses_total"
+	// QueueDepthMetric is the number of memo misses waiting for a forward
+	// slot right now.
+	QueueDepthMetric = "predtop_serve_queue_depth"
 )
 
 // requestSecondsBuckets spans 100µs … ~0.8s, the plausible range for one
-// batched forward of a pruned stage graph.
+// forward of a pruned stage graph.
 var requestSecondsBuckets = obs.MustExpBuckets(1e-4, 2, 14)
 
 // Config configures a serving daemon (see Start). The zero value plus a
-// ModelDir is usable: it binds a free localhost port, batches up to 32
-// requests with no coalescing window, and runs without telemetry.
+// ModelDir is usable: it binds a free localhost port and runs without
+// telemetry.
 type Config struct {
 	// Addr is the listen address (default "127.0.0.1:0"; read the bound
 	// address back from Server.Addr).
 	Addr string
 	// ModelDir is the directory of *.predtop model files to serve.
 	ModelDir string
-	// MaxBatch caps how many concurrent /predict requests coalesce into one
-	// batched forward (default 32).
-	MaxBatch int
-	// Window is how long the dispatcher waits to fill a batch after its
-	// first request. 0 means batch only what is already queued — no added
-	// latency, batching appears exactly when the server is actually loaded.
-	Window time.Duration
-	// Workers bounds intra-batch parallelism (0 = GOMAXPROCS).
-	Workers int
 	// CacheSize bounds the (model, generation, stage) → latency memo
 	// (default 4096 entries, the same bound as the planner's stage-encoding
 	// cache).
 	CacheSize int
 
-	// Metrics, Sink, Flight, Trace, Acc, and Log are the observability
-	// fan-out; each is optional and nil-safe. When Metrics is set but Acc is
-	// nil, the server creates its own accuracy monitor so ground-truth
-	// requests always feed the predtop_accuracy_* gauges.
+	// Metrics, Sink, Flight, Trace, and Log are the observability fan-out;
+	// each is optional and nil-safe. With Metrics set, requests that attach
+	// ground truth also feed the predtop_accuracy_* gauges.
 	Metrics *obs.Registry
 	Sink    *obs.Sink
 	Flight  *obs.FlightRecorder
 	Trace   *obs.TraceContext
-	Acc     *obs.AccuracyMonitor
 	Log     *obs.Logger
 
 	// SLOP99 is the /predict p99 latency objective and SLOErr the tolerated
@@ -84,13 +77,6 @@ type Config struct {
 	// (head + slow + error + every-64th); nil falls back to Sink, and no
 	// access log is written when both are nil.
 	AccessLog *obs.Sink
-	// AccessHeadN, AccessEvery, and SlowThreshold tune the access sampler:
-	// log the first AccessHeadN requests, every AccessEvery-th after that,
-	// and everything at or over SlowThreshold (defaults 8, 64, and the
-	// latency objective — 100ms when no objective is set).
-	AccessHeadN   int
-	AccessEvery   int
-	SlowThreshold time.Duration
 
 	// ShutdownTimeout bounds the graceful drain on Close (default 5s).
 	ShutdownTimeout time.Duration
@@ -128,7 +114,6 @@ type benchEntry struct {
 type Server struct {
 	cfg      Config
 	registry *Registry
-	coal     *coalescer
 	cache    *lru.Cache[predKey, float64]
 	benches  *lru.Cache[benchKey, *benchEntry]
 	obsSrv   *obs.Server
@@ -143,6 +128,16 @@ type Server struct {
 
 	hits   *obs.Counter
 	misses *obs.Counter
+
+	// slots holds one token per forward in flight. A memo miss runs its
+	// forward on the handler goroutine that asked, after taking a slot, so
+	// concurrent forwards (and their pooled tapes) never outnumber the cores;
+	// waiting counts the misses still queued for one.
+	slots   chan struct{}
+	waiting *obs.Gauge
+	// forward runs one miss's prediction. Always Trained.PredictEncoded
+	// outside tests, which replace it to slow, block, or count forwards.
+	forward func(predictor.Trained, *stage.Encoded) float64
 
 	// reloadMu serializes Reload so the registry swap and the memo purge are
 	// one unit — a lookup between them sees either the old generation with
@@ -160,9 +155,6 @@ func Start(ctx context.Context, cfg Config) (*Server, error) {
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 32
-	}
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 4096
 	}
@@ -172,14 +164,15 @@ func Start(ctx context.Context, cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		registry: NewRegistry(cfg.ModelDir, cfg.Metrics),
-		coal:     newCoalescer(cfg.MaxBatch, cfg.Window, cfg.Workers, cfg.Metrics),
 		cache:    lru.New[predKey, float64](cfg.CacheSize),
 		benches:  lru.New[benchKey, *benchEntry](16),
 		trace:    cfg.Trace,
-		acc:      cfg.Acc,
 		start:    time.Now(),
 		hits:     cfg.Metrics.Counter(CacheHitsMetric),
 		misses:   cfg.Metrics.Counter(CacheMissesMetric),
+		slots:    make(chan struct{}, runtime.GOMAXPROCS(0)),
+		waiting:  cfg.Metrics.Gauge(QueueDepthMetric),
+		forward:  predictor.Trained.PredictEncoded,
 	}
 	if cfg.SLOP99 > 0 || cfg.SLOErr > 0 {
 		s.incidents = newIncidentCapture(cfg.IncidentDir, cfg.ProfileWindow, cfg.Flight, cfg.Sink, cfg.Log)
@@ -192,20 +185,12 @@ func Start(ctx context.Context, cfg Config) (*Server, error) {
 			OnBreach:     s.incidents.onBreach,
 		})
 	}
-	slow := cfg.SlowThreshold
-	if slow <= 0 {
-		if cfg.SLOP99 > 0 {
-			slow = cfg.SLOP99
-		} else {
-			slow = 100 * time.Millisecond
-		}
-	}
-	s.sampler = newAccessSampler(cfg.AccessHeadN, cfg.AccessEvery, slow)
+	s.sampler = newAccessSampler(cfg.SLOP99)
 	s.access = cfg.AccessLog
 	if s.access == nil {
 		s.access = cfg.Sink
 	}
-	if s.acc == nil && cfg.Metrics != nil {
+	if cfg.Metrics != nil {
 		s.acc = obs.NewAccuracyMonitor(obs.AccuracyConfig{
 			Metrics: cfg.Metrics, Log: cfg.Log, MinSamples: 1,
 		})
@@ -213,7 +198,6 @@ func Start(ctx context.Context, cfg Config) (*Server, error) {
 	if _, _, err := s.registry.Load(); err != nil {
 		return nil, err
 	}
-	s.coal.start()
 	cfg.Metrics.SetRunInfo(cfg.Trace)
 	srv, err := obs.StartServer(ctx, obs.ServerConfig{
 		Addr:     cfg.Addr,
@@ -228,7 +212,6 @@ func Start(ctx context.Context, cfg Config) (*Server, error) {
 		ShutdownTimeout: cfg.ShutdownTimeout,
 	})
 	if err != nil {
-		s.coal.close()
 		return nil, err
 	}
 	s.obsSrv = srv
@@ -260,17 +243,19 @@ func (s *Server) Reload() (gen uint64, n int, err error) {
 	if s.cfg.Log != nil {
 		s.cfg.Log.Printf("reloaded: generation %d, %d model(s)", gen, n)
 	}
-	s.cfg.Flight.Note("reload", fmt.Sprintf("generation %d, %d model(s)", gen, n))
+	if s.cfg.Flight.Enabled() {
+		s.cfg.Flight.Note("reload", fmt.Sprintf("generation %d, %d model(s)", gen, n))
+	}
 	return gen, n, nil
 }
 
-// Close shuts the HTTP listener down (draining in-flight requests), then
-// stops the coalescer and waits for any in-flight incident capture, so a
-// breach right before shutdown still gets its evidence bundle. Idempotent.
+// Close shuts the HTTP listener down, draining in-flight requests (a forward
+// already running still answers its client), then waits for any in-flight
+// incident capture, so a breach right before shutdown still gets its
+// evidence bundle. Idempotent.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.closeErr = s.obsSrv.Close()
-		s.coal.close()
 		s.incidents.drain()
 	})
 	return s.closeErr
@@ -279,9 +264,9 @@ func (s *Server) Close() error {
 // instrument wraps an endpoint handler with the per-endpoint latency
 // histogram and the per-endpoint, per-status request counter. The handler
 // returns the status code it wrote and fills ri with the request's span and
-// phase evidence; the wrapper turns those into a latency exemplar, an SLO
-// observation (/predict only — listings and reloads have no latency
-// objective), and a sampled access-log record.
+// phase evidence; the wrapper turns those into an SLO observation (/predict
+// only — listings and reloads have no latency objective) and a sampled
+// access-log record.
 func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.Request, *reqInfo) int) http.Handler {
 	hist := s.cfg.Metrics.HistogramWith(RequestSecondsMetric, requestSecondsBuckets,
 		obs.Label{Key: "endpoint", Value: endpoint})
@@ -291,12 +276,12 @@ func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.R
 		var ri reqInfo
 		code := h(w, r, &ri)
 		dur := time.Since(start)
-		trace, span := ri.span.RawIDs()
-		hist.ObserveEx(dur.Seconds(), trace, span)
+		hist.Observe(dur.Seconds())
 		s.cfg.Metrics.CounterWith(RequestsMetric,
 			obs.Label{Key: "endpoint", Value: endpoint},
 			obs.Label{Key: "code", Value: fmt.Sprint(code)}).Inc()
 		if isPredict {
+			trace, span := ri.span.RawIDs()
 			s.slo.Observe(dur.Seconds(), code >= 500, trace, span)
 			s.logAccess(&ri, code, start, dur)
 		}
@@ -327,10 +312,11 @@ func (s *Server) benchFor(cfg models.Config) *benchEntry {
 	return be
 }
 
-// handlePredict answers POST /predict: resolve the model, memo-check, else
-// encode the stage and join a coalesced batch. The request span is created
-// before validation so even rejected requests carry trace ids through the
-// access log and the latency exemplars.
+// handlePredict answers POST /predict in one straight line: decode, resolve
+// the model, memo-check, and on a miss encode the stage, take a forward slot
+// and run the forward on this goroutine. The request span is created before
+// validation so even rejected requests carry trace ids through the access
+// log and the SLO worst list.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, ri *reqInfo) int {
 	span := s.trace.Child("predict")
 	ri.span = span
@@ -372,12 +358,21 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, ri *reqIn
 	} else {
 		s.misses.Inc()
 		enc := be.enc.Encode(stage.Spec{Lo: req.Lo, Hi: req.Hi})
-		job, err := s.coal.submit(entry.Trained, enc)
-		if err != nil {
-			return writeErr(w, http.StatusServiceUnavailable, "%v", err)
+		ri.tWait = time.Now()
+		s.waiting.Add(1)
+		select {
+		case s.slots <- struct{}{}:
+			s.waiting.Add(-1)
+		case <-r.Context().Done():
+			// The client gave up (or the server is past its drain deadline)
+			// while every slot was busy: it costs no forward.
+			s.waiting.Add(-1)
+			return writeErr(w, http.StatusServiceUnavailable, "gave up waiting for a forward slot: %v", r.Context().Err())
 		}
-		ri.job = job
-		latency = job.out
+		ri.tFwd0 = time.Now()
+		latency = s.forward(entry.Trained, enc)
+		<-s.slots
+		ri.tFwd1 = time.Now()
 		s.cache.Put(key, latency)
 	}
 
@@ -408,8 +403,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, ri *reqIn
 			"latency_s": latency, "cached": cached, "generation": gen,
 		})
 	}
-	s.cfg.Flight.Note("predict", fmt.Sprintf("%s %s[%d,%d) -> %.6gs (cached=%v)",
-		entry.Key, benchCfg.Name, req.Lo, req.Hi, latency, cached))
+	if s.cfg.Flight.Enabled() {
+		s.cfg.Flight.Note("predict", fmt.Sprintf("%s %s[%d,%d) -> %.6gs (cached=%v)",
+			entry.Key, benchCfg.Name, req.Lo, req.Hi, latency, cached))
+	}
 	return writeJSON(w, http.StatusOK, resp)
 }
 

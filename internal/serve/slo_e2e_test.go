@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"predtop/internal/obs"
+	"predtop/internal/predictor"
+	"predtop/internal/stage"
 )
 
 // jsonlRecords parses a JSONL buffer into per-event record lists.
@@ -56,12 +58,14 @@ func TestSLOBreachIncidentBundle(t *testing.T) {
 		cfg.IncidentDir = incidents
 		cfg.ProfileWindow = 20 * time.Millisecond
 	})
-	// Slow every batched forward well past the objective. Setting the hook
-	// happens-before the first submit's channel send, so the dispatcher (which
-	// reads it only after receiving a job) observes it race-free.
-	s.coal.beforeForward = func(int) { time.Sleep(15 * time.Millisecond) }
+	// Slow every forward well past the objective; the hook is in place before
+	// the first request is sent.
+	s.forward = func(tr predictor.Trained, e *stage.Encoded) float64 {
+		time.Sleep(15 * time.Millisecond)
+		return tr.PredictEncoded(e)
+	}
 
-	// Distinct stages so nothing memo-hits; every request rides a slowed
+	// Distinct stages so nothing memo-hits; every request runs a slowed
 	// forward. MinSamples=3 arms the breach on the third request.
 	for lo := 0; lo < 6; lo++ {
 		if _, code := postPredict(t, s.URL(), PredictRequest{
@@ -146,8 +150,8 @@ func TestSLOBreachIncidentBundle(t *testing.T) {
 	}
 
 	// Phase breakdown: an uncached slowed request shows the forward phase
-	// dominating, with all five phases present and child span ids set.
-	wantPhases := []string{"enqueue", "coalesce_wait", "batch_assembly", "forward", "respond"}
+	// dominating, with all four phases present and child span ids set.
+	wantPhases := []string{"decode", "wait", "forward", "respond"}
 	phases, _ := accRecs[0]["phases"].([]any)
 	if len(phases) != len(wantPhases) {
 		t.Fatalf("access record phases = %v, want %v", phases, wantPhases)
@@ -169,8 +173,7 @@ func TestSLOBreachIncidentBundle(t *testing.T) {
 		t.Errorf("forward phase %vµs, want ≥ 10ms (the injected slowdown)", forwardUs)
 	}
 
-	// The exposition reflects the breach: gauge up, counter at one edge, and
-	// the request histogram carries trace exemplars.
+	// The exposition reflects the breach: gauge up, counter at one edge.
 	resp, err := http.Get(s.URL() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +187,6 @@ func TestSLOBreachIncidentBundle(t *testing.T) {
 		`predtop_slo_latency_seconds{quantile="0.99",window="1m0s"}`,
 		`predtop_slo_burn_rate{window="5m0s"}`,
 		`predtop_slo_error_rate{window="1h0m0s"}`,
-		`# {trace_id="`,
 	} {
 		if !strings.Contains(exposition, want) {
 			t.Errorf("exposition missing %q", want)

@@ -21,24 +21,13 @@ type statuszData struct {
 	Generation    uint64
 	UptimeSeconds int64
 
-	QueueDepth    int64
-	BatchMax      int64
-	Batches       int64
-	BatchDist     []statuszBucket
-	BatchOverflow int64
-	CacheHits     int64
-	CacheMisses   int64
+	QueueDepth  int64
+	CacheHits   int64
+	CacheMisses int64
 
 	SLOEnabled bool
 	SLO        obs.SLOSnapshot
 	Incidents  int64
-}
-
-// statuszBucket is one batch-size histogram bucket (only non-empty buckets
-// appear, in ascending bound order — the registry snapshot's own order).
-type statuszBucket struct {
-	LE    float64
-	Count int64
 }
 
 // gfloat renders v the same way the Prometheus exposition does: shortest
@@ -50,7 +39,7 @@ func gfloat(v float64) string {
 // renderStatusz writes the human-readable status page: identity and uptime,
 // the SLO verdict table with per-window quantiles and burn rates, the worst
 // recent requests with their trace ids (the handles into the access log and
-// the flight recorder), and the queue/batch/cache counters.
+// the flight recorder), and the queue/cache counters.
 func renderStatusz(w io.Writer, d statuszData) {
 	fmt.Fprintf(w, "predtop-serve status\n\n")
 	fmt.Fprintf(w, "addr:       %s\n", d.Addr)
@@ -88,22 +77,11 @@ func renderStatusz(w io.Writer, d statuszData) {
 	}
 
 	fmt.Fprintf(w, "queue depth: %d\n", d.QueueDepth)
-	fmt.Fprintf(w, "batch max:   %d\n", d.BatchMax)
-	fmt.Fprintf(w, "batches:     %d\n", d.Batches)
-	if len(d.BatchDist) > 0 || d.BatchOverflow > 0 {
-		fmt.Fprintf(w, "batch sizes:\n")
-		for _, b := range d.BatchDist {
-			fmt.Fprintf(w, "  le %-6s %d\n", gfloat(b.LE), b.Count)
-		}
-		if d.BatchOverflow > 0 {
-			fmt.Fprintf(w, "  overflow  %d\n", d.BatchOverflow)
-		}
-	}
 	fmt.Fprintf(w, "cache:       %d hit(s), %d miss(es)\n", d.CacheHits, d.CacheMisses)
 }
 
 // statuszData gathers the live page inputs: registry state, the SLO
-// snapshot, and the queue/batch/cache instruments read back from the metrics
+// snapshot, and the queue/cache instruments read back from the metrics
 // registry snapshot (nil registry → zeros, like everything else).
 func (s *Server) statuszData() statuszData {
 	entries, gen := s.registry.Snapshot()
@@ -124,19 +102,10 @@ func (s *Server) statuszData() statuszData {
 		switch m.Name {
 		case QueueDepthMetric:
 			d.QueueDepth = int64(m.Value)
-		case BatchMaxMetric:
-			d.BatchMax = int64(m.Value)
-		case BatchesMetric:
-			d.Batches = int64(m.Value)
 		case CacheHitsMetric:
 			d.CacheHits = int64(m.Value)
 		case CacheMissesMetric:
 			d.CacheMisses = int64(m.Value)
-		case BatchSizeMetric:
-			for _, b := range m.Buckets {
-				d.BatchDist = append(d.BatchDist, statuszBucket{LE: b.LE, Count: b.Count})
-			}
-			d.BatchOverflow = m.Overflow
 		}
 	}
 	return d

@@ -19,10 +19,6 @@ func TestRenderStatuszGolden(t *testing.T) {
 		Generation:    3,
 		UptimeSeconds: 75,
 		QueueDepth:    1,
-		BatchMax:      4,
-		Batches:       37,
-		BatchDist:     []statuszBucket{{LE: 1, Count: 12}, {LE: 2, Count: 20}, {LE: 4, Count: 5}},
-		BatchOverflow: 0,
 		CacheHits:     3,
 		CacheMisses:   9,
 		SLOEnabled:    true,
@@ -64,12 +60,6 @@ func TestRenderStatuszGolden(t *testing.T) {
 		"  0.512s  trace=00000000000000ff span=00000000000000aa",
 		"",
 		"queue depth: 1",
-		"batch max:   4",
-		"batches:     37",
-		"batch sizes:",
-		"  le 1      12",
-		"  le 2      20",
-		"  le 4      5",
 		"cache:       3 hit(s), 9 miss(es)",
 		"",
 	}, "\n")

@@ -43,19 +43,6 @@ func (l BatchLayout) Padded() bool {
 	return false
 }
 
-// PadWasteFraction is the fraction of stacked rows that are padding —
-// 1 − ΣCounts/(B·Stride) — the price of ragged node counts.
-func (l BatchLayout) PadWasteFraction() float64 {
-	if l.B == 0 || l.Stride == 0 {
-		return 0
-	}
-	n := 0
-	for _, c := range l.Counts {
-		n += c
-	}
-	return 1 - float64(n)/float64(l.Rows())
-}
-
 func checkSeg(t *Tensor, l BatchLayout, op string) {
 	if t.R != l.Rows() {
 		shapePanic("%s stacked tensor has %d rows, layout wants %d", op, t.R, l.Rows())

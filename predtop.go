@@ -392,7 +392,7 @@ type (
 	// ServeReplayConfig configures a synthetic load replay (ServeReplay).
 	ServeReplayConfig = serve.ReplayConfig
 	// ServeReplayResult summarizes one replay: client-side throughput and
-	// latency percentiles plus the daemon's batching and cache counters.
+	// latency percentiles plus the daemon's cache counters and SLO verdict.
 	ServeReplayResult = serve.ReplayResult
 )
 
@@ -502,8 +502,8 @@ func StartServe(ctx context.Context, cfg ServeConfig) (*ServeDaemon, error) {
 }
 
 // ServeReplay drives a deterministic synthetic query load against a running
-// daemon and returns throughput, latency percentiles, and the daemon's
-// batching and cache counters.
+// daemon and returns throughput, latency percentiles, and the daemon's cache
+// counters and SLO verdict.
 func ServeReplay(cfg ServeReplayConfig) (*ServeReplayResult, error) { return serve.Replay(cfg) }
 
 // Error-attribution API (internal/predictor): where a trained predictor's
