@@ -40,24 +40,8 @@ nosimd:
 # `go test ./...` above never see it. Vetting and testing it here is the
 # compile-time guard that a change to the facade or to the allow-listed
 # internal/ packages has not broken the frozen benchmark's call surface.
-#
-# TestSmoke is skipped and the loop under it does its work. The frozen test
-# also insists that every per-layer rung is measured on some workload, and
-# serve.mean_batch is the mean batch of a coalescer the daemon no longer has
-# (bench/serve.go's scrapeBatches reads 0 for it by design, with no sample).
-# The loop runs the benchmark binary at the same smoke size, untraced and
-# traced, and requires all five workloads correct with no failed operation —
-# everything TestSmoke checks but that. Back to a plain `go test ./...` once a
-# benchmark PR drops the rung.
 bench-module:
-	cd bench && $(GO) vet ./... && $(GO) test -skip '^TestSmoke$$' ./...
-	@for trace in 0 1; do \
-		n=$$(bash bench/run.sh --smoke --seconds 1 --seed 3 --trace $$trace | \
-			grep -c '^{"correct":true,"attempted":[0-9]*,"failed":0,'); \
-		if [ "$$n" -ne 5 ]; then \
-			echo "bench smoke (trace $$trace): $$n of 5 workloads correct with no failed operation"; exit 1; \
-		fi; \
-	done
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The race pass runs in -short mode: it still exercises the concurrent
 # training, reduction, and experiment paths — including the hook-instrumented

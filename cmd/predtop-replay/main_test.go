@@ -71,9 +71,6 @@ func TestReplaySmokeAndLedger(t *testing.T) {
 			t.Errorf("replay stdout lacks %q: %s", want, out)
 		}
 	}
-	if strings.Contains(out, "batches:") {
-		t.Errorf("replay stdout still prints a batches: line: %s", out)
-	}
 	var res predtop.ServeReplayResult
 	if data, err := os.ReadFile(jsonPath); err != nil || json.Unmarshal(data, &res) != nil || res.Queries != 40 {
 		t.Errorf("-json result: %v, %+v", err, res)
@@ -88,9 +85,6 @@ func TestReplaySmokeAndLedger(t *testing.T) {
 	}
 	if m.Session.Metrics["replay_p50"] <= 0 || m.Session.Metrics["replay_p99"] < m.Session.Metrics["replay_p50"] {
 		t.Errorf("session metrics: %v", m.Session.Metrics)
-	}
-	if _, ok := m.Session.Metrics["mean_batch"]; ok {
-		t.Errorf("session metrics still carry mean_batch: %v", m.Session.Metrics)
 	}
 	if m.Canonical.Tool != "predtop-replay" || m.Canonical.Config["n"] != "40" {
 		t.Errorf("canonical: %+v", m.Canonical)

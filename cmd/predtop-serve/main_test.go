@@ -102,11 +102,6 @@ func TestServeLifecycle(t *testing.T) {
 			t.Errorf("manifest lacks %s", want)
 		}
 	}
-	for _, gone := range []string{`"workers"`, "predtop_serve_batch"} {
-		if strings.Contains(manifest, gone) {
-			t.Errorf("manifest still records %s", gone)
-		}
-	}
 }
 
 func readFile(t *testing.T, path string) string {

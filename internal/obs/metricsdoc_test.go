@@ -22,9 +22,7 @@ var (
 // TestMetricsDocSync pins docs/METRICS.md to the source of truth: every
 // predtop_* metric name declared as a string literal in non-test Go files
 // must appear (backticked) in the doc, and every name the doc lists must
-// still exist in source. bench/ is left out of the walk: it is its own
-// module and only scrapes the daemon, so a name there is something the
-// benchmark reads (0 when the daemon no longer exports it), not a metric. A metric added, renamed, or removed without
+// still exist in source. A metric added, renamed, or removed without
 // touching the reference page fails here with the offending names.
 func TestMetricsDocSync(t *testing.T) {
 	root := filepath.Join("..", "..")
@@ -35,7 +33,7 @@ func TestMetricsDocSync(t *testing.T) {
 		}
 		if d.IsDir() {
 			switch d.Name() {
-			case ".git", "runs", "results", "bench", ".bench_build":
+			case ".git", "runs", "results":
 				return fs.SkipDir
 			}
 			return nil

@@ -179,11 +179,12 @@ func TestForwardSlotsBoundConcurrency(t *testing.T) {
 }
 
 // TestCancelWhileWaitingCostsNoForward: a client that gives up while every
-// slot is busy gets its handler back without a forward having run for it.
+// slot is busy gets its handler back without a forward having run for it, and
+// without the SLO tracker charging the server an error for it.
 func TestCancelWhileWaitingCostsNoForward(t *testing.T) {
 	dir := t.TempDir()
 	writeTestModel(t, dir, "tran", "tran", 1)
-	s := startTestServer(t, dir, nil)
+	s := startTestServer(t, dir, func(c *Config) { c.SLOErr = 0.01 })
 	gate := gateForward(s)
 	slots := cap(s.slots)
 
@@ -214,10 +215,17 @@ func TestCancelWhileWaitingCostsNoForward(t *testing.T) {
 	if err := <-gaveUp; err == nil {
 		t.Error("cancelled request returned no error to its client")
 	}
-	// The handler's return is what moves the per-status request counter.
-	refused := s.cfg.Metrics.CounterWith(RequestsMetric,
-		obs.Label{Key: "endpoint", Value: "/predict"}, obs.Label{Key: "code", Value: "503"})
-	waitFor(t, "the cancelled handler to return", func() bool { return refused.Value() == 1 })
+	// The handler's return is what moves the per-status request counter and,
+	// after it, the SLO tracker: the slot holders have not answered yet, so
+	// the one observation is the cancelled request's.
+	gone := s.cfg.Metrics.CounterWith(RequestsMetric,
+		obs.Label{Key: "endpoint", Value: "/predict"}, obs.Label{Key: "code", Value: fmt.Sprint(statusClientClosedRequest)})
+	waitFor(t, "the cancelled handler to return", func() bool {
+		return gone.Value() == 1 && s.slo.Snapshot().Windows[0].Total == 1
+	})
+	if errs := s.slo.Snapshot().Windows[0].Errors; errs != 0 {
+		t.Errorf("SLO errors = %d after a client-side cancel, want 0", errs)
+	}
 	if d := s.waiting.Value(); d != 0 {
 		t.Errorf("queue depth = %v after the cancel, want 0", d)
 	}
@@ -229,6 +237,30 @@ func TestCancelWhileWaitingCostsNoForward(t *testing.T) {
 	wg.Wait()
 	if got := gate.entries.Load(); got != int64(slots) {
 		t.Errorf("forwards = %d at the end, want %d: the cancelled request ran one", got, slots)
+	}
+}
+
+// TestForwardPanicReleasesSlot: net/http recovers a panicking handler, so a
+// forward that panics must still hand its slot back — otherwise GOMAXPROCS
+// such panics would leave every later miss waiting forever.
+func TestForwardPanicReleasesSlot(t *testing.T) {
+	dir := t.TempDir()
+	writeTestModel(t, dir, "tran", "tran", 1)
+	s := startTestServer(t, dir, nil)
+	s.forward = func(predictor.Trained, *stage.Encoded) float64 { panic("forward blew up") }
+
+	body := fmt.Sprintf(`{"bench":"GPT-3","layers":%d,"lo":0,"hi":2}`, testLayers)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the forward's panic did not reach the handler's caller")
+			}
+		}()
+		s.handlePredict(httptest.NewRecorder(),
+			httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader([]byte(body))), &reqInfo{})
+	}()
+	if n := len(s.slots); n != 0 {
+		t.Errorf("%d forward slot(s) still taken after the panic", n)
 	}
 }
 

@@ -65,6 +65,10 @@ func TestServePromExposition(t *testing.T) {
 		`predtop_serve_reloads_total{result="ok"} 2`,
 		`predtop_serve_cache_hits_total 1`,
 		`predtop_serve_cache_misses_total 3`,
+		// One forward per miss, each counted as a batch of one (kept for the
+		// frozen benchmark's serve.mean_batch rung).
+		`predtop_serve_batches_total 3`,
+		`predtop_serve_batched_requests_total 3`,
 		`predtop_serve_requests_total{code="200",endpoint="/predict"} 4`,
 		`predtop_serve_requests_total{code="400",endpoint="/predict"} 1`,
 		`predtop_serve_requests_total{code="200",endpoint="/models"} 1`,
@@ -105,9 +109,10 @@ func TestServePromExposition(t *testing.T) {
 		t.Errorf("requests_total TYPE header appears %d times, want 1", n)
 	}
 
-	// The batch families went with the layer that fed them.
-	if strings.Contains(exposition, "predtop_serve_batch") {
-		t.Error("exposition still carries a predtop_serve_batch* series")
+	// The batch size, max and pad-waste families went with the layer that fed
+	// them.
+	if strings.Contains(exposition, "predtop_serve_batch_") {
+		t.Error("exposition still carries a predtop_serve_batch_* series")
 	}
 }
 

