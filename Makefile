@@ -74,9 +74,10 @@ runs-smoke:
 	GO="$(GO)" sh scripts/runs-smoke.sh
 
 # loc prints non-test Go lines per internal package, the total for the
-# numeric stack (tensor, ag, nn, graphnn, predictor), and the total for the
-# tool layer (cmd/ plus internal/cli) — the numbers design-debt issues are
-# sized and accepted by.
+# numeric stack (tensor, ag, nn, graphnn, predictor), the total for the tool
+# layer (cmd/ plus internal/cli), all non-test Go outside bench/, the facade's
+# line count, the metric families of docs/METRICS.md and the number of cmd/
+# tools — the numbers design-debt issues are sized and accepted by.
 loc:
 	@for d in internal/*/; do \
 		printf '%6d  %s\n' "$$(ls $$d*.go | grep -v _test.go | xargs cat | wc -l)" "$$d"; \
@@ -85,6 +86,11 @@ loc:
 		"$$(ls internal/tensor/*.go internal/ag/*.go internal/nn/*.go internal/graphnn/*.go internal/predictor/*.go | grep -v _test.go | xargs cat | wc -l)"
 	@printf '%6d  tool layer (cmd internal/cli)\n' \
 		"$$(ls cmd/*/*.go internal/cli/*.go | grep -v _test.go | xargs cat | wc -l)"
+	@printf '%6d  non-test Go outside bench/\n' \
+		"$$(git ls-files '*.go' | grep -v -e '^bench/' -e '_test\.go$$' | xargs cat | wc -l)"
+	@printf '%6d  predtop.go\n' "$$(wc -l < predtop.go)"
+	@printf '%6d  metric families (docs/METRICS.md)\n' "$$(grep -c '^| `predtop_' docs/METRICS.md)"
+	@printf '%6d  tools (cmd/)\n' "$$(ls -d cmd/*/ | wc -l)"
 
 # cover prints per-package statement coverage (-short: same scope as the
 # race pass). Informational — the leading '-' keeps a coverage-run hiccup

@@ -1,13 +1,16 @@
 // Command predtop-eval regenerates the prediction-accuracy results of the
 // paper: the MRE grids of Tables V and VI and their aggregations in Figs 3,
-// 8, and 9.
+// 8, and 9. With -fig it regenerates one of the motivating figures instead:
+// Fig 2 (latency variation across random parallelization plans) or Fig 6 (the
+// 1F1B pipeline timeline behind the Eqn-4 white-box model).
 //
 // Usage:
 //
 //	predtop-eval [-preset quick|paper|paperlite] [-bench GPT-3|MoE|all]
-//	             [-platform 1|2|0] [-fig3frac 50] [-seed 0] [-out results.txt]
-//	             [-metrics run.jsonl] [-trace run.json] [-listen :9090]
-//	             [-profile spans.txt] [-driftmre 25] [-runledger runs] [-quiet]
+//	             [-platform 1|2|0] [-fig3frac 50] [-fig 2|6] [-seed 0]
+//	             [-out results.txt] [-metrics run.jsonl] [-trace run.json]
+//	             [-listen :9090] [-profile spans.txt] [-driftmre 25]
+//	             [-runledger runs] [-quiet]
 //
 // -preset, -seed, -quiet, -metrics, -trace, -listen, -profile, -driftmre,
 // and -runledger are the shared flags documented in package internal/cli;
@@ -41,6 +44,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	bench := fs.String("bench", "all", "benchmark: GPT-3, MoE, or all")
 	platformSel := fs.Int("platform", 0, "platform index: 1, 2, or 0 for both")
 	fig3frac := fs.Int("fig3frac", 50, "training fraction (%) for the Fig 3 comparison")
+	fig := fs.Int("fig", 0, "regenerate motivating figure 2 or 6 instead of the accuracy results")
 	ablate := fs.Bool("ablate", false, "also run the DAG-Transformer design ablation")
 	tables := fs.Bool("tables", true, "run the MRE tables (disable for -ablate only)")
 	workers := fs.Int("workers", 0, "worker goroutines for grid cells and training (0 = all cores, 1 = serial; results are bitwise identical)")
@@ -50,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		"seed":     "override the preset's random seed (0 = preset default)",
 		"quiet":    "suppress per-cell progress on stderr (the report still prints)",
 		"profile":  "write a per-phase/per-layer self-time span profile to this file",
-		"driftmre": "warn and count drift when a grid cell family's test MRE exceeds this percentage (0 = off)",
+		"driftmre": "warn when a grid cell family's test MRE exceeds this percentage (0 = off)",
 	})
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -61,6 +65,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 	p.Workers = *workers
+	if *fig != 0 && *fig != 2 && *fig != 6 {
+		return fmt.Errorf("unknown figure %d (want 2 or 6)", *fig)
+	}
 	wantBench := "" // every benchmark
 	if !strings.EqualFold(*bench, "all") {
 		cfg, err := cli.Bench(*bench, 0)
@@ -94,6 +101,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	man.SetConfig("ablate", fmt.Sprint(*ablate))
 	man.SetConfig("tables", fmt.Sprint(*tables))
 	man.SetConfig("driftmre", fmt.Sprint(shared.DriftMRE))
+	if *fig != 0 {
+		man.SetConfig("fig", fmt.Sprint(*fig))
+	}
 	man.RecordSessionMetric("workers", float64(*workers))
 
 	r.Sink.Emit(struct {
@@ -106,6 +116,16 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}{"run", "predtop-eval", p.Name, *bench, *platformSel, *workers})
 
 	w, progress := r.Out, r.Log.Writer()
+	switch *fig {
+	case 2:
+		for _, res := range experiments.RunFig2(p, progress) {
+			fmt.Fprintln(w, res.Render())
+		}
+		return nil
+	case 6:
+		fmt.Fprintln(w, experiments.RenderFig6())
+		return nil
+	}
 	var mreTables []*experiments.MRETable
 	for _, b := range p.Benchmarks() {
 		if !*tables {

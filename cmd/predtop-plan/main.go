@@ -25,11 +25,13 @@
 // -preset, -seed, -quiet, -metrics, -trace, -listen, -profile, -driftmre,
 // and -runledger are the shared flags documented in package internal/cli;
 // -seed 0 keeps the preset's seed, and progress goes to stderr (the report
-// always prints). Here -metrics carries the run config and one plan_run
-// record per planner version; -trace holds optimize/evaluate spans per
+// always prints). Here -metrics carries the run config, one plan_run record
+// per planner version (its search and cost facts, report embedded) and the
+// validation accuracy statistics; -trace holds optimize/evaluate spans per
 // version plus the simulated 1F1B schedule of each feasible plan; -profile
-// covers planner phases and embedded predictor training; the manifest holds
-// each feasible plan's Eqn-4 decomposition and predictor fingerprint.
+// is the search's wall-clock record — planner phases, one estimate span per
+// lookup, embedded predictor training; the manifest holds each feasible
+// plan's Eqn-4 decomposition and predictor fingerprint.
 package main
 
 import (
@@ -64,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	shared.Register(fs, cli.Preset|cli.Seed|cli.Quiet|cli.Metrics|cli.Telemetry|cli.Drift|cli.Ledger, map[string]string{
 		"seed":     "override the preset's random seed (0 = preset default)",
 		"quiet":    "suppress per-run progress on stderr (the report still prints)",
-		"driftmre": "warn and count drift when a predictor family's validation MRE exceeds this percentage (0 = off)",
+		"driftmre": "warn when a predictor family's validation MRE exceeds this percentage (0 = off)",
 	})
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -13,7 +13,7 @@
 // documented in package internal/cli; -seed only names the trace identity
 // (predictions are deterministic regardless). Here -metrics carries the run
 // config, the prediction, and the optional check result; with -check the
-// predicted-vs-profiled residual also feeds the accuracy gauges.
+// predicted-vs-profiled residual also lands in an accuracy record.
 package main
 
 import (
@@ -25,6 +25,7 @@ import (
 
 	"predtop"
 	"predtop/internal/cli"
+	"predtop/internal/obs"
 )
 
 func main() {
@@ -121,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return fmt.Errorf("stage infeasible under %v", scenario)
 	}
 	relErr := math.Abs(pred-trueLat) / trueLat * 100
-	r.Acc.Observe(predtop.AccuracyKey{
+	r.Acc.Observe(obs.AccuracyKey{
 		Family: trained.Model.Name(),
 		Mesh:   fmt.Sprintf("%dx%d", scenario.Mesh.Nodes, scenario.Mesh.GPUsPerNode),
 		Op:     cfg.Name,

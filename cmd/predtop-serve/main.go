@@ -31,10 +31,10 @@
 // steady 1-in-64 background sample) with per-phase trace spans.
 //
 // -seed, -quiet, -metrics, and -runledger are the shared flags documented in
-// package internal/cli; the daemon's sinks, flight recorder, runtime sampler,
-// and manifest open and close through that lifecycle. The manifest recorded
-// at shutdown holds the served models' weight fingerprint, the
-// request/cache counters, and the session's wall time.
+// package internal/cli; the daemon's sinks, flight recorder, metrics registry
+// (the only tool that has one), and manifest open and close through that
+// lifecycle. The manifest recorded at shutdown holds the served models'
+// weight fingerprint, the request/cache counters, and the session's wall time.
 package main
 
 import (
@@ -50,6 +50,7 @@ import (
 
 	"predtop"
 	"predtop/internal/cli"
+	"predtop/internal/obs"
 )
 
 func main() {
@@ -87,13 +88,12 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	// Deferred first, so it runs after srv.Close has drained the daemon: every
 	// buffered record reaches its sink before the sinks flush and close.
 	defer func() { err = r.Close(err) }()
-	var access *predtop.EventSink
+	var access *obs.Sink
 	if *accessPath != "" {
 		if access, err = r.OpenSink(*accessPath); err != nil {
 			return err
 		}
 	}
-	predtop.PublishKernelInfo(r.Metrics)
 	man := r.Man
 	man.SetConfig("slo_p99", sloP99.String())
 	man.SetConfig("slo_err", fmt.Sprint(*sloErr))

@@ -13,12 +13,13 @@
 // -seed, -quiet, -metrics, -trace, -listen, -profile, -driftmre, and
 // -runledger are the shared flags documented in package internal/cli. Here
 // -metrics carries the run config, one record per epoch, early-stop/restore
-// events, and a summary; -trace has profile/train/evaluate phases plus one
-// slice per epoch; -profile attributes wall time to training phases and
-// predictor layers; the manifest pins config and weight fingerprints, the
-// held-out MRE, per-key accuracy stats, and an error-attribution snapshot.
-// Names and output paths are checked before anything is profiled, and the
-// model is saved before any telemetry file is written.
+// events, a summary, and the held-out accuracy statistics; -trace has
+// profile/train/evaluate phases plus one slice per epoch; -profile attributes
+// wall time to training phases and predictor layers; the manifest pins config
+// and weight fingerprints, the held-out MRE, per-key accuracy stats, and an
+// error-attribution snapshot — all from one held-out forward. Names and
+// output paths are checked before anything is profiled, and the model is
+// saved before any telemetry file is written.
 package main
 
 import (
@@ -31,6 +32,7 @@ import (
 
 	"predtop"
 	"predtop/internal/cli"
+	"predtop/internal/obs"
 )
 
 func main() {
@@ -50,12 +52,12 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	maxLen := fs.Int("maxlen", 3, "max stage length in segments")
 	epochs := fs.Int("epochs", 30, "training epochs (cosine-decay horizon)")
 	trainFrac := fs.Float64("trainfrac", 0.5, "training fraction")
-	workers := fs.Int("workers", 0, "data-parallel training workers (0 = all cores, 1 = serial; results are bitwise identical)")
+	workers := fs.Int("workers", 0, "goroutines the evaluation chunks fan across (0 = all cores, 1 = serial; results are bitwise identical)")
 	out := fs.String("o", "model.predtop", "output model path")
 	shared := cli.Flags{Seed: 1}
 	shared.Register(fs, cli.Seed|cli.Quiet|cli.Metrics|cli.Telemetry|cli.Drift|cli.Ledger, map[string]string{
 		"profile":  "write a per-phase/per-layer self-time span profile to this file",
-		"driftmre": "warn and count drift when held-out MRE exceeds this percentage (0 = off)",
+		"driftmre": "warn when held-out MRE exceeds this percentage (0 = off)",
 	})
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -85,7 +87,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 	defer func() { err = r.Close(err) }()
-	predtop.PublishKernelInfo(r.Metrics)
 	model := predtop.BuildModel(cfg)
 
 	r.Sink.Emit(struct {
@@ -140,7 +141,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	trainStart := r.Trace.Since()
 	prevWall := 0.0
 	hooks := &predtop.TrainHooks{
-		Metrics:  r.Metrics,
 		Profiler: r.Prof,
 		Flight:   r.Flight,
 		OnEpoch: func(e predtop.EpochStats) {
@@ -179,11 +179,13 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		net.Name(), res.EpochsRun, res.BestValLoss, res.BestEpoch, res.WallSeconds)
 
 	evalSpan := r.Trace.Begin("phases", "evaluate")
-	mre := trained.MREWith(ds, test, r.Acc, predtop.AccuracyKey{
+	ev := trained.Evaluate(ds, test)
+	ev.Observe(r.Acc, obs.AccuracyKey{
 		Family: net.Name(),
 		Mesh:   fmt.Sprintf("%dx%d", scenario.Mesh.Nodes, scenario.Mesh.GPUsPerNode),
 		Op:     cfg.Name,
 	})
+	mre := ev.MREPct
 	evalSpan.End()
 	r.Flight.Note("run", "evaluated")
 	r.Log.Printf("test MRE: %.2f%% over %d held-out stages", mre, len(test))
@@ -202,7 +204,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		man.RecordMetric("epochs_run", float64(res.EpochsRun))
 		man.RecordMetric("best_epoch", float64(res.BestEpoch))
 		man.RecordMetric("best_val_loss", res.BestValLoss)
-		man.RecordAttribution(net.Name(), trained.Attribute(ds, test))
+		man.RecordAttribution(net.Name(), ev.Attribution)
 		man.RecordAccuracy(r.Acc)
 		man.RecordSessionMetric("train_wall_seconds", res.WallSeconds)
 	}

@@ -17,8 +17,9 @@ import (
 // The goldens under testdata/ were captured from the binaries of the commit
 // before the tools moved onto internal/cli, with the tiny arguments below:
 // stdout (wall-clock field masked), `predtop-runs show -canonical` of the
-// recorded manifest, and the JSONL record sequence (event, field order, and
-// the metric families of the final snapshot).
+// recorded manifest, and the JSONL record sequence (event and field order).
+// The JSONL shape was re-pinned when the metrics registry became the
+// daemon's: a batch tool's stream no longer ends in a registry snapshot.
 var tinyArgs = []string{"-layers", "4", "-maxlen", "2", "-epochs", "2"}
 
 var wallClock = regexp.MustCompile(`in [0-9.]+s\n`)
@@ -35,8 +36,7 @@ func golden(t *testing.T, name, got string) {
 }
 
 // jsonlShape renders a JSONL stream as one "event: field,field,…" line per
-// record (fields in emission order), listing under a metrics record the
-// families of its snapshot — everything but the wall-clock values.
+// record (fields in emission order) — everything but the values.
 func jsonlShape(t *testing.T, data []byte) string {
 	t.Helper()
 	var b strings.Builder
@@ -47,7 +47,6 @@ func jsonlShape(t *testing.T, data []byte) string {
 		}
 		var keys []string
 		var event string
-		var metrics []struct{ Name, Labels, Kind string }
 		for dec.More() {
 			key, err := dec.Token()
 			if err != nil {
@@ -58,17 +57,11 @@ func jsonlShape(t *testing.T, data []byte) string {
 				t.Fatal(err)
 			}
 			keys = append(keys, key.(string))
-			switch key {
-			case "event":
+			if key == "event" {
 				json.Unmarshal(val, &event)
-			case "metrics":
-				json.Unmarshal(val, &metrics)
 			}
 		}
 		fmt.Fprintf(&b, "%s: %s\n", event, strings.Join(keys, ","))
-		for _, m := range metrics {
-			fmt.Fprintf(&b, "  %s{%s} %s\n", m.Name, m.Labels, m.Kind)
-		}
 	}
 	return b.String()
 }

@@ -35,10 +35,10 @@ func NewParam(name string, t *tensor.Tensor) *Param {
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
 // GradBuffer is a private gradient accumulator covering a fixed parameter
-// set. Data-parallel training gives each minibatch shard its own buffer
-// (via NewContextInto) so worker goroutines never write shared state;
-// optim.ReduceGrads then folds the shard buffers into Param.Grad in a fixed
-// order, keeping results bitwise identical across worker counts.
+// set. Training gives each minibatch slot its own buffer (Context.SetShards);
+// optim.ReduceGrads then folds the shard buffers into Param.Grad in an order
+// fixed by the batch alone, keeping results bitwise identical across worker
+// counts.
 type GradBuffer struct {
 	grads []*tensor.Tensor
 	index map[*Param]int
@@ -149,36 +149,21 @@ type Context struct {
 	nused  int // nodes handed out from chunks this generation
 	nodes  []*Node
 	params map[*Param]*Node
-	grads  *GradBuffer      // nil: Backward accumulates into Param.Grad directly
-	shards []*GradBuffer    // batched tape: per-panel gradient shards (SetShards)
+	shards []*GradBuffer    // per-panel gradient shards (SetShards); nil: Param.Grad
 	ts     []*tensor.Tensor // scratch operand slice for ConcatCols
 	span   obs.Span         // profiling span layer marks nest under (see profile.go)
 	marks  []layerMark      // tape ranges recorded by StartLayer/End
 }
 
-// NewContext returns an empty tape accumulating into Param.Grad. The tape
-// owns a private arena, so intermediates are recycled on Reset; SetArena(nil)
-// opts out into plain heap allocation.
+// NewContext returns an empty tape accumulating into Param.Grad (or, under
+// SetShards, into one GradBuffer per panel). The tape owns a private arena,
+// so intermediates are recycled on Reset.
 func NewContext() *Context {
 	return &Context{params: make(map[*Param]*Node), arena: tensor.NewArena()}
 }
 
-// NewContextInto returns an empty tape whose Backward accumulates parameter
-// gradients into b instead of the shared Param.Grad, so concurrent tapes
-// over the same parameters never race.
-func NewContextInto(b *GradBuffer) *Context {
-	c := NewContext()
-	c.grads = b
-	return c
-}
-
-// SetArena replaces the context's buffer arena. Passing nil makes every
-// intermediate a plain heap allocation (the pre-arena behavior); results are
-// bitwise identical either way. Must not be called mid-pass.
-func (c *Context) SetArena(a *tensor.Arena) { c.arena = a }
-
-// Arena returns the context's buffer arena (nil when disabled). Model code
-// may draw scratch buffers from it as long as they don't outlive Reset.
+// Arena returns the context's buffer arena. Model code may draw scratch
+// buffers from it as long as they don't outlive Reset.
 func (c *Context) Arena() *tensor.Arena { return c.arena }
 
 // Reset clears the tape for reuse: node chunks, the params memo, layer marks,
@@ -219,16 +204,13 @@ func (c *Context) Const(t *tensor.Tensor) *Node {
 }
 
 // Param returns the (memoized) leaf node for p; gradients reaching it are
-// accumulated into p.Grad (or the context's GradBuffer) during Backward.
+// accumulated into p.Grad during Backward.
 func (c *Context) Param(p *Param) *Node {
 	if n, ok := c.params[p]; ok {
 		return n
 	}
 	n := c.node(opParam, p.V, true)
 	n.gdst = p.Grad
-	if c.grads != nil {
-		n.gdst = c.grads.Grad(p)
-	}
 	c.params[p] = n
 	return n
 }

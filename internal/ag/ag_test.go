@@ -343,7 +343,8 @@ func TestShardsSplitGradientsPerPanel(t *testing.T) {
 		alone := tensor.New(c, 3)
 		copy(alone.Data, x.Data[g*l.Stride*3:(g*l.Stride+c)*3])
 		buf := NewGradBuffer(params)
-		ctx := NewContextInto(buf)
+		ctx := NewContext()
+		ctx.SetShards([]*GradBuffer{buf})
 		ctx.BackwardVec(forward(ctx, alone, tensor.BatchLayout{B: 1, Stride: c, Counts: []int{c}}))
 		for _, p := range params {
 			got, want := shards[g].Grad(p).Data, buf.Grad(p).Data

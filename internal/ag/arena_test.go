@@ -58,7 +58,8 @@ func testParams(seed int64) []*Param {
 
 // TestArenaOnOffBitwiseIdentical: the arena is a pure allocation strategy —
 // loss values and parameter gradients must be bitwise identical with it on
-// (default), off (SetArena(nil)), and on across several Reset generations
+// (default), off (a nil arena: plain heap allocation), and on across several
+// Reset generations
 // (recycled buffers must never leak stale state into results).
 func TestArenaOnOffBitwiseIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -88,7 +89,7 @@ func TestArenaOnOffBitwiseIdentical(t *testing.T) {
 	}
 
 	refCtx := NewContext()
-	refCtx.SetArena(nil)
+	refCtx.arena = nil
 	ref := runOnce(refCtx, testParams(7))
 
 	arenaCtx := NewContext()
@@ -136,14 +137,13 @@ func TestContextSteadyStateZeroAlloc(t *testing.T) {
 // TestArenaIntermediatesRecycled: a value read off the tape before Reset is
 // valid; after Reset the arena may hand its buffer to the next pass. This
 // documents (and checks) the escape contract — anything kept across Reset
-// must be Cloned or pinned.
+// must be Cloned.
 func TestArenaIntermediatesRecycled(t *testing.T) {
 	ctx := NewContext()
 	a := ctx.Const(tensor.Full(2, 2, 1))
 	sum := ctx.Add(a, a)
 	kept := sum.Value()     // arena-owned
 	escaped := kept.Clone() // heap copy survives Reset
-	pinned := ctx.Arena().Pin(ctx.Add(a, a).Value())
 	ctx.Reset()
 
 	// Drive several passes; the recycled buffer will be overwritten.
@@ -155,11 +155,6 @@ func TestArenaIntermediatesRecycled(t *testing.T) {
 	for i, v := range escaped.Data {
 		if v != 2 {
 			t.Fatalf("cloned escape corrupted at %d: %v", i, v)
-		}
-	}
-	for i, v := range pinned.Data {
-		if v != 2 {
-			t.Fatalf("pinned tensor corrupted at %d: %v", i, v)
 		}
 	}
 }

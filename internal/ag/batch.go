@@ -7,8 +7,8 @@
 // Parameter gradients do not flow through opParam leaves here. Each segmented
 // op accumulates its per-panel weight/bias gradients directly into the
 // panel's accumulator — shards[g] under SetShards (one GradBuffer per
-// minibatch slot, folded by optim.ReduceGrads in a fixed order), else the
-// context's GradBuffer, else Param.Grad.
+// minibatch slot, folded by optim.ReduceGrads in a fixed order), else
+// Param.Grad.
 package ag
 
 import (
@@ -19,17 +19,14 @@ import (
 
 // SetShards attaches one gradient shard per panel of the next batched pass:
 // panel g's parameter gradients accumulate into shards[g]. Passing nil
-// detaches (gradients then fall back to the context's GradBuffer or
-// Param.Grad). Call before BackwardVec; the slice is retained, not copied.
+// detaches (gradients then accumulate into Param.Grad). Call before
+// BackwardVec; the slice is retained, not copied.
 func (c *Context) SetShards(shards []*GradBuffer) { c.shards = shards }
 
 // shardGrad resolves the gradient accumulator for parameter p on panel g.
 func (c *Context) shardGrad(g int, p *Param) *tensor.Tensor {
 	if c.shards != nil {
 		return c.shards[g].Grad(p)
-	}
-	if c.grads != nil {
-		return c.grads.Grad(p)
 	}
 	return p.Grad
 }

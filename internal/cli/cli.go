@@ -10,23 +10,24 @@
 // defaults and help text:
 //
 //	-seed N       run seed; the trace id derived from (seed, tool) is stamped
-//	              on predtop_run_info, every JSONL record, the Chrome trace,
-//	              progress lines and flight dumps, so one grep joins a run
+//	              on every JSONL record, the Chrome trace, progress lines and
+//	              flight dumps, so one grep joins a run
 //	-quiet        silence progress lines (results still print)
-//	-metrics F    stream JSONL to F: the tool's records, one accuracy record
-//	              per (family, mesh, op) key, a final metrics snapshot
+//	-metrics F    stream JSONL to F: the tool's records, then one accuracy
+//	              record per (family, mesh, op) key
 //	-trace F      write a Chrome-tracing (Perfetto) timeline to F
-//	-listen A     serve /metrics (Prometheus text, sampled Go runtime gauges),
-//	              /healthz, /debug/flightrecorder and /debug/pprof/ on A
+//	-listen A     serve /healthz, /debug/flightrecorder and /debug/pprof/ on A
 //	-profile F    write a hierarchical self-time span tree to F
-//	-driftmre P   warn and count drift when a population's MRE exceeds P%
+//	-driftmre P   warn when a population's MRE exceeds P%
 //	-runledger D  record the run's manifest in ledger D (see predtop-runs)
 //	-preset NAME  experiment scale: quick, paper, or paperlite
 //
 // All of them only observe: results are bitwise identical with or without.
 // A handle whose flag is off stays nil (every obs and runledger handle is
-// nil-safe). A worker panic or SIGQUIT dumps the flight recorder's recent
-// events plus goroutine stacks to stderr.
+// nil-safe). The metrics registry is the daemon's: only predtop-serve
+// (Options.LiveMetrics) gets one, served on its own listener and snapshotted
+// last into its -metrics file. A worker panic or SIGQUIT dumps the flight
+// recorder's recent events plus goroutine stacks to stderr.
 package cli
 
 import (
@@ -86,11 +87,11 @@ func (f *Flags) Register(fs *flag.FlagSet, groups Group, usage map[string]string
 	all := flag.NewFlagSet("", flag.ContinueOnError)
 	all.Int64Var(&f.Seed, "seed", f.Seed, "random seed")
 	all.BoolVar(&f.Quiet, "quiet", false, "suppress progress output")
-	all.StringVar(&f.Metrics, "metrics", "", "write JSONL run records and a metrics snapshot to this file")
+	all.StringVar(&f.Metrics, "metrics", "", "write JSONL run records and accuracy statistics to this file")
 	all.StringVar(&f.Trace, "trace", "", "write a Chrome-tracing (Perfetto) JSON file to this path")
-	all.StringVar(&f.Listen, "listen", "", "serve live telemetry (/metrics, /healthz, /debug/flightrecorder, /debug/pprof/) on this address, e.g. :9090")
+	all.StringVar(&f.Listen, "listen", "", "serve /healthz, /debug/flightrecorder and /debug/pprof/ on this address while the run lasts, e.g. :9090")
 	all.StringVar(&f.Profile, "profile", "", "write a per-phase self-time span profile to this file")
-	all.Float64Var(&f.DriftMRE, "driftmre", 0, "warn and count drift when MRE exceeds this percentage (0 = off)")
+	all.Float64Var(&f.DriftMRE, "driftmre", 0, "warn when MRE exceeds this percentage (0 = off)")
 	all.StringVar(&f.Ledger, "runledger", "", "record this run's manifest into the given run-ledger directory (see predtop-runs)")
 	all.StringVar(&f.Preset, "preset", "quick", "experiment scale: quick, paper, or paperlite")
 	all.VisitAll(func(fl *flag.Flag) {
@@ -113,7 +114,7 @@ type Options struct {
 	Out                      string   // the -out report file Run.Out tees into
 	Dirs                     []string // outputs written last (-o, -json): their directory must exist ("" passes)
 	AccMinSamples            int      // arms accuracy drift detection (0 = the monitor's 16)
-	LiveMetrics              bool     // the tool serves the registry itself: build it and the runtime sampler without -listen
+	LiveMetrics              bool     // the tool is the daemon: build the metrics registry it serves
 }
 
 // Run is one invocation's open telemetry; a handle is nil when its flag is off.
@@ -122,7 +123,7 @@ type Run struct {
 	Flight  *obs.FlightRecorder
 	Log     *obs.Logger
 	Sink    *obs.Sink
-	Metrics *obs.Registry
+	Metrics *obs.Registry // predtop-serve only (Options.LiveMetrics)
 	Trace   *obs.TraceBuilder
 	Prof    *obs.Profiler
 	Acc     *obs.AccuracyMonitor
@@ -170,7 +171,7 @@ func Open(f *Flags, o Options) (_ *Run, err error) {
 			return nil, err
 		}
 	}
-	if f.Metrics != "" || f.Listen != "" || o.LiveMetrics {
+	if o.LiveMetrics {
 		r.Metrics = obs.NewRegistry()
 		r.Metrics.SetRunInfo(r.TC)
 	}
@@ -196,19 +197,16 @@ func Open(f *Flags, o Options) (_ *Run, err error) {
 		r.Out = io.MultiWriter(o.Stdout, file)
 	}
 	r.ledger = runledger.Open(f.Ledger)
-	if r.Metrics != nil || r.Sink != nil || r.ledger != nil {
-		r.Acc = obs.NewAccuracyMonitor(obs.AccuracyConfig{DriftThresholdPct: f.DriftMRE, MinSamples: o.AccMinSamples, Metrics: r.Metrics, Log: r.Log})
+	if r.Sink != nil || r.ledger != nil {
+		r.Acc = obs.NewAccuracyMonitor(obs.AccuracyConfig{DriftThresholdPct: f.DriftMRE, MinSamples: o.AccMinSamples, Log: r.Log})
 	}
 	if f.Listen != "" {
-		srv, err := obs.StartServer(context.Background(), obs.ServerConfig{Addr: f.Listen, Registry: r.Metrics, Flight: r.Flight})
+		srv, err := obs.StartServer(context.Background(), obs.ServerConfig{Addr: f.Listen, Flight: r.Flight})
 		if err != nil {
 			return nil, err
 		}
 		r.stops = append(r.stops, func() { srv.Close() })
-		r.Log.Printf("serving telemetry at %s/metrics", srv.URL())
-	}
-	if f.Listen != "" || o.LiveMetrics {
-		r.stops = append(r.stops, obs.StartRuntimeSampler(r.Metrics, 0).Stop)
+		r.Log.Printf("serving /debug/pprof/ and /debug/flightrecorder at %s", srv.URL())
 	}
 	if r.ledger != nil {
 		r.Man = runledger.New(o.Tool, o.Seed)
@@ -249,14 +247,14 @@ func (r *Run) OpenSink(path string) (*obs.Sink, error) {
 // Observer bundles the handles for experiments.Preset.Obs; nil when every
 // telemetry flag is off, so a bare run takes the harness's nil-observer path.
 func (r *Run) Observer() *obs.Observer {
-	if r.Sink == nil && r.Metrics == nil && r.Trace == nil && r.Prof == nil && r.Acc == nil {
+	if r.Sink == nil && r.Trace == nil && r.Prof == nil && r.Acc == nil {
 		return nil
 	}
-	return &obs.Observer{Metrics: r.Metrics, Events: r.Sink, Trace: r.Trace, Prof: r.Prof, Acc: r.Acc, Flight: r.Flight, Ctx: r.TC}
+	return &obs.Observer{Events: r.Sink, Trace: r.Trace, Prof: r.Prof, Acc: r.Acc, Flight: r.Flight, Ctx: r.TC}
 }
 
-// Close finishes the run in one fixed order — accuracy records, metrics
-// snapshot, sink flush, trace and profile files, ledger manifest (only when
+// Close finishes the run in one fixed order — accuracy records, the daemon's
+// metrics snapshot, sink flush, trace and profile files, ledger manifest (only when
 // the run succeeded: runErr nil), teardown — attempting every step and
 // returning runErr joined with the errors.
 func (r *Run) Close(runErr error) error {

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"io"
 	"math/rand"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,8 +45,11 @@ func TestOpenAllFlagsOff(t *testing.T) {
 }
 
 // Output files exist as soon as Open returns; Close writes them in the fixed
-// order — accuracy records, then the metrics snapshot, last in the JSONL;
-// trace and profile; the ledger manifest after both.
+// order — accuracy records, then (for the daemon, the one tool with a
+// registry) the metrics snapshot, last in the JSONL; trace and profile; the
+// ledger manifest after both. One trace id, derived from (seed, tool), joins
+// every channel: the registry's predtop_run_info, each JSONL record, the
+// Chrome trace, progress lines, the flight dump and the manifest.
 func TestOpenCreatesFilesCloseWritesInOrder(t *testing.T) {
 	dir := t.TempDir()
 	f := &Flags{
@@ -54,10 +58,20 @@ func TestOpenCreatesFilesCloseWritesInOrder(t *testing.T) {
 	}
 	var progress, stdout bytes.Buffer
 	o := options(&progress)
-	o.Stdout, o.Out = &stdout, filepath.Join(dir, "report.txt")
+	o.Stdout, o.Out, o.LiveMetrics = &stdout, filepath.Join(dir, "report.txt"), true
 	r, err := Open(f, o)
 	if err != nil {
 		t.Fatal(err)
+	}
+	id := r.TC.TraceID()
+	var prom, dump bytes.Buffer
+	r.Metrics.WriteProm(&prom)
+	r.Flight.Dump(&dump)
+	if want := `predtop_run_info{name="predtop-test",trace_id="` + id + `"} 1`; !strings.Contains(prom.String(), want) {
+		t.Errorf("exposition lacks %s:\n%s", want, &prom)
+	}
+	if !strings.Contains(dump.String(), `"trace_id":"`+id+`"`) {
+		t.Errorf("flight dump lacks the trace id:\n%s", &dump)
 	}
 	for _, p := range []string{f.Metrics, f.Trace, f.Profile, o.Out} {
 		if _, err := os.Stat(p); err != nil {
@@ -90,13 +104,16 @@ func TestOpenCreatesFilesCloseWritesInOrder(t *testing.T) {
 	if got := strings.Join(events, " "); got != "run accuracy metrics" {
 		t.Errorf("JSONL sequence = %q, want the metrics snapshot last", got)
 	}
-	if !strings.Contains(read(t, f.Trace), `"work"`) || !strings.HasPrefix(read(t, f.Profile), "# span profile") {
-		t.Error("trace or profile not rendered")
+	if trace := read(t, f.Trace); !strings.Contains(trace, `"work"`) || !strings.Contains(trace, `"trace_id":"`+id+`"`) || !strings.HasPrefix(read(t, f.Profile), "# span profile") {
+		t.Error("trace (with the run's trace id) or profile not rendered")
 	}
 	if read(t, o.Out) != "report line\n" || stdout.String() != "report line\n" {
 		t.Errorf("-out tee: file %q, stdout %q", read(t, o.Out), &stdout)
 	}
 	log := progress.String()
+	if !strings.HasPrefix(log, "["+id+"] ") {
+		t.Errorf("progress lines lack the trace prefix:\n%s", log)
+	}
 	wroteTrace, wroteProf, recorded := strings.Index(log, "wrote trace to"), strings.Index(log, "wrote span profile to"), strings.Index(log, "recorded run")
 	if wroteTrace < 0 || wroteProf < wroteTrace || recorded < wroteProf {
 		t.Errorf("close order (trace, profile, ledger) not visible in progress:\n%s", log)
@@ -109,6 +126,37 @@ func TestOpenCreatesFilesCloseWritesInOrder(t *testing.T) {
 		if man := read(t, manifests[0]); !strings.Contains(man, want) {
 			t.Errorf("manifest lacks %s:\n%s", want, man)
 		}
+	}
+}
+
+// The metrics registry is the daemon's: a batch tool gets none from -metrics
+// or -listen, its JSONL ends with the accuracy records, and its listener still
+// serves /healthz.
+func TestBatchToolHasNoRegistry(t *testing.T) {
+	f := &Flags{Metrics: filepath.Join(t.TempDir(), "m.jsonl"), Listen: "127.0.0.1:0"}
+	var progress bytes.Buffer
+	r, err := Open(f, options(&progress))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Metrics != nil {
+		t.Error("registry built without LiveMetrics")
+	}
+	url := progress.String()
+	url = strings.TrimSpace(url[strings.Index(url, "http://"):])
+	resp, err := http.Get(url + "/healthz")
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /healthz: %v %v", resp, err)
+	} else {
+		resp.Body.Close()
+	}
+	r.Sink.Emit(map[string]string{"event": "run"})
+	r.Acc.Observe(obs.AccuracyKey{Family: "Tran"}, 1.1, 1.0)
+	if err := r.Close(nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(t, f.Metrics); strings.Count(got, "\n") != 2 || strings.Contains(got, `"event":"metrics"`) {
+		t.Errorf("JSONL of a batch run, want run + accuracy only:\n%s", got)
 	}
 }
 

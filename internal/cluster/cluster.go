@@ -104,14 +104,6 @@ func (m Mesh) NumDevices() int { return m.Nodes * m.GPUsPerNode }
 // ride the slower inter-node fabric).
 func (m Mesh) CrossNode() bool { return m.Nodes > 1 }
 
-// Fabric returns the interconnect collectives use on this mesh.
-func (m Mesh) Fabric() Interconnect {
-	if m.CrossNode() {
-		return m.Platform.InterNode
-	}
-	return m.Platform.IntraNode
-}
-
 // String implements fmt.Stringer.
 func (m Mesh) String() string {
 	return fmt.Sprintf("mesh%d(%dx%d %s)", m.Index, m.Nodes, m.GPUsPerNode, m.Platform.GPU.Name)

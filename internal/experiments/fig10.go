@@ -60,9 +60,7 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 	mdl, maxLen := Fig10Model(p, bench)
 	mdl.Prof = p.Obs.Profiler()
 	prof := sim.DefaultProfiler()
-	prof.Metrics = p.Obs.Registry()
-	opts := planner.Options{Microbatches: p.Microbatches, MaxStageLen: maxLen,
-		Metrics: p.Obs.Registry(), Prof: p.Obs.Profiler()}
+	opts := planner.Options{Microbatches: p.Microbatches, MaxStageLen: maxLen, Prof: p.Obs.Profiler()}
 
 	// Each planner version owns its latency source, cost meter, and
 	// provenance, so the five runs are independent and execute concurrently
@@ -88,7 +86,7 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 	// Predictor training inside the planner reports to the same observer as
 	// everything else (hooks only observe, so plans are unchanged).
 	planTrain := trainConfig(p.PlanTrain, p.Workers)
-	planTrain.Hooks = &predictor.TrainHooks{Metrics: p.Obs.Registry(), Profiler: p.Obs.Profiler(), Flight: p.Obs.Recorder()}
+	planTrain.Hooks = &predictor.TrainHooks{Profiler: p.Obs.Profiler(), Flight: p.Obs.Recorder()}
 	for _, kind := range []planner.PredictorKind{planner.KindGCN, planner.KindGAT, planner.KindTransformer} {
 		meter := &planner.Meter{}
 		var info planner.ProviderInfo
@@ -150,7 +148,6 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 	for i, line := range logs {
 		io.WriteString(log, line)
 		r := out[i]
-		specs[i].meter.PublishMetrics(p.Obs.Registry(), r.Version)
 		p.Obs.Sink().Emit(planRunRecord{
 			Event: "plan_run", Bench: bench.Name, Version: r.Version,
 			OptimizeSeconds: r.OptimizeSeconds, ProfileSeconds: r.Meter.ProfileSeconds,

@@ -40,17 +40,14 @@ type MRETable struct {
 	Attribution map[string]*predictor.Attribution
 }
 
-// newModel instantiates one of the three predictors at the preset's sizes.
+// newModel instantiates one of the three predictors (a ModelNames entry) at
+// the preset's sizes.
 func (p Preset) newModel(name string, seed int64) graphnn.Model {
-	rng := rand.New(rand.NewSource(seed))
-	switch name {
-	case "GCN":
-		return graphnn.NewGCN(rng, p.GCN)
-	case "GAT":
-		return graphnn.NewGAT(rng, p.GAT)
-	default:
-		return graphnn.NewDAGTransformer(rng, p.Tran)
+	m, err := graphnn.ModelSpec{Arch: name, Tran: p.Tran, GCN: p.GCN, GAT: p.GAT}.Build(rand.New(rand.NewSource(seed)))
+	if err != nil {
+		panic("experiments: " + err.Error()) // ModelNames are Build's own names
 	}
+	return m
 }
 
 // RunMRETable reproduces one MRE grid: for every (mesh, configuration)
@@ -74,7 +71,6 @@ func RunMRETable(p Preset, bench Benchmark, platform cluster.Platform, log io.Wr
 	specs := predictor.CollectStages(mdl, rng, bench.Stages, bench.MaxLen)
 	enc := predictor.NewEncoder(mdl, true)
 	prof := sim.DefaultProfiler()
-	prof.Metrics = p.Obs.Registry()
 	scenarios := cluster.Scenarios(platform)
 	gridTrack := fmt.Sprintf("grid %s %s", bench.Name, platform.Name)
 
@@ -113,9 +109,6 @@ func RunMRETable(p Preset, bench Benchmark, platform cluster.Platform, log io.Wr
 			}
 		}
 	}
-	reg := p.Obs.Registry()
-	cellHist := reg.Histogram("grid_cell_seconds", nil)
-	cellCtr := reg.Counter("grid_cells_total")
 	gridSpan := p.Obs.Tracer().Begin(gridTrack, "train cells")
 	logs := make([]string, len(cells))
 	// Per-cell evaluation output, kept for the serial post-pass: the
@@ -123,7 +116,6 @@ func RunMRETable(p Preset, bench Benchmark, platform cluster.Platform, log io.Wr
 	// after the parallel loop, never inside it, so cells sharing a monitor
 	// key stream their samples in a run-independent order.
 	evals := make([]predictor.Evaluation, len(cells))
-	tests := make([][]int, len(cells))
 	records := make([]gridCellRecord, len(cells))
 	parallel.ForLimit(len(cells), p.Workers, func(ci int) {
 		c := cells[ci]
@@ -132,16 +124,14 @@ func RunMRETable(p Preset, bench Benchmark, platform cluster.Platform, log io.Wr
 		splitRng := rand.New(rand.NewSource(p.Seed*1000 + int64(c.fi*100+c.si)))
 		train, val, test := stage.Split(splitRng, len(ds.Samples), float64(p.Fractions[c.fi])/100, p.ValFrac)
 		cfg := trainConfig(p.Train, p.Workers)
-		cfg.Hooks = &predictor.TrainHooks{Metrics: reg, Profiler: p.Obs.Profiler(), Flight: p.Obs.Recorder()}
+		cfg.Hooks = &predictor.TrainHooks{Profiler: p.Obs.Profiler(), Flight: p.Obs.Recorder()}
 		cfg.Seed = p.Seed + int64(c.fi*1000+c.si*10+c.mi)
 		model := p.newModel(ModelNames[c.mi], cfg.Seed)
 		trained, res := predictor.Train(model, ds, train, val, cfg)
 		ev := trained.Evaluate(ds, test)
-		evals[ci], tests[ci] = ev, test
+		evals[ci] = ev
 		t.MRE[c.fi][c.si][c.mi] = ev.MREPct
 		wall := time.Since(cellStart).Seconds()
-		cellHist.Observe(wall)
-		cellCtr.Inc()
 		records[ci] = gridCellRecord{
 			Event: "grid_cell", Benchmark: bench.Name, Platform: platform.Name,
 			Mesh: scenarios[c.si].Mesh.Index, Config: scenarios[c.si].Config.Index,
@@ -157,18 +147,12 @@ func RunMRETable(p Preset, bench Benchmark, platform cluster.Platform, log io.Wr
 	sink := p.Obs.Sink()
 	parts := map[string][]*predictor.Attribution{}
 	for ci, c := range cells {
-		if mon != nil {
-			sc := scenarios[c.si]
-			key := obs.AccuracyKey{
-				Family: ModelNames[c.mi],
-				Mesh:   fmt.Sprintf("%dx%d", sc.Mesh.Nodes, sc.Mesh.GPUsPerNode),
-				Op:     bench.Name,
-			}
-			ds := datasets[c.si]
-			for k, pred := range evals[ci].Preds {
-				mon.Observe(key, pred, ds.Samples[tests[ci][k]].Measured)
-			}
-		}
+		sc := scenarios[c.si]
+		evals[ci].Observe(mon, obs.AccuracyKey{
+			Family: ModelNames[c.mi],
+			Mesh:   fmt.Sprintf("%dx%d", sc.Mesh.Nodes, sc.Mesh.GPUsPerNode),
+			Op:     bench.Name,
+		})
 		sink.Emit(records[ci])
 		parts[ModelNames[c.mi]] = append(parts[ModelNames[c.mi]], evals[ci].Attribution)
 	}

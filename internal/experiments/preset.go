@@ -64,11 +64,11 @@ type Preset struct {
 	// RNG and gradient reduction runs in a fixed order.
 	Workers int
 
-	// Obs, when non-nil, receives harness observability: per-cell grid
-	// timings (grid_cell_seconds histogram, grid_cells_total counter, one
-	// JSONL grid_cell record per cell), Fig-10 planner metrics and trace
-	// spans. Purely observational — tables and plans are bitwise identical
-	// with or without it.
+	// Obs, when non-nil, receives harness observability: one JSONL grid_cell
+	// record per cell and one plan_run record per Fig-10 version (the facts,
+	// wall seconds included), accuracy-monitor feeds, trace slices and
+	// profiler spans. Purely observational — tables and plans are bitwise
+	// identical with or without it.
 	Obs *obs.Observer
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"predtop/internal/ag"
 	"predtop/internal/models"
-	"predtop/internal/nn"
 	"predtop/internal/stage"
 )
 
@@ -150,7 +149,10 @@ func TestDepthsClampedToPETable(t *testing.T) {
 func TestParamCountsReasonable(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	tran := NewDAGTransformer(rng, TransformerConfig{})
-	n := nn.ParamCount(tran)
+	n := 0
+	for _, p := range tran.Params() {
+		n += p.V.Size()
+	}
 	// 4 layers × (4·64² attention + 2·64·128 FFN + norms) + head ≈ 10^5.
 	if n < 50_000 || n > 500_000 {
 		t.Fatalf("transformer param count %d", n)

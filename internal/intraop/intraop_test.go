@@ -34,17 +34,28 @@ func smallChain() *ir.Graph {
 	return b.Graph()
 }
 
+// numWeightDots counts the weight matmuls (choice points) of g.
+func numWeightDots(g *ir.Graph) int {
+	c := 0
+	for _, n := range g.Nodes {
+		if isWeightDot(n) {
+			c++
+		}
+	}
+	return c
+}
+
 func TestIsWeightDotDetection(t *testing.T) {
 	g := smallChain()
-	if NumWeightDots(g) != 3 {
-		t.Fatalf("weight dots: %d", NumWeightDots(g))
+	if numWeightDots(g) != 3 {
+		t.Fatalf("weight dots: %d", numWeightDots(g))
 	}
 	// Mixed-precision converts are unwrapped: model graphs store f32 weights
 	// converted to bf16 before the dot.
 	m := models.Build(models.GPT3())
 	sg := m.StageGraph(2, 3, false)
-	if NumWeightDots(sg) < 6 { // qkvo + ffn up/down
-		t.Fatalf("GPT layer weight dots: %d", NumWeightDots(sg))
+	if numWeightDots(sg) < 6 { // qkvo + ffn up/down
+		t.Fatalf("GPT layer weight dots: %d", numWeightDots(sg))
 	}
 }
 
@@ -60,7 +71,7 @@ func TestOptimizeMatchesBruteForce(t *testing.T) {
 			t.Fatalf("%v infeasible", sc)
 		}
 		best := math.Inf(1)
-		n := NumWeightDots(g)
+		n := numWeightDots(g)
 		combos := 1
 		for i := 0; i < n; i++ {
 			combos *= int(numStrategies)
@@ -166,8 +177,8 @@ func TestStrategiesRecorded(t *testing.T) {
 	g := smallChain()
 	sc := scenario(cluster.Platform2(), 2, 2)
 	r := Optimize(g, sc)
-	if len(r.Strategies) != NumWeightDots(g) {
-		t.Fatalf("recorded %d strategies for %d weight dots", len(r.Strategies), NumWeightDots(g))
+	if len(r.Strategies) != numWeightDots(g) {
+		t.Fatalf("recorded %d strategies for %d weight dots", len(r.Strategies), numWeightDots(g))
 	}
 	// Re-evaluating the recorded plan reproduces the optimal latency.
 	r2 := Evaluate(g, sc, r.Strategies)
@@ -199,7 +210,7 @@ func TestOptimalNeverWorseThanReplicated(t *testing.T) {
 			if !opt.Feasible {
 				continue
 			}
-			rep := Evaluate(g, sc, replicatedPlan(NumWeightDots(g)))
+			rep := Evaluate(g, sc, replicatedPlan(numWeightDots(g)))
 			if opt.Latency > rep.Latency+1e-12 {
 				t.Fatalf("%v stage %v: optimal %v worse than replicated %v", sc, r, opt.Latency, rep.Latency)
 			}

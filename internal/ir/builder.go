@@ -222,27 +222,9 @@ func (b *Builder) Iota(shape []int, dt DType) *Node {
 	return b.add(&Node{Class: ClassOperator, Kind: KindIota, Shape: cloneShape(shape), DType: dt})
 }
 
-// Concat emits concatenation along axis.
-func (b *Builder) Concat(axis int, xs ...*Node) *Node {
-	if len(xs) == 0 {
-		b.fail("Concat of nothing")
-	}
-	out := cloneShape(xs[0].Shape)
-	for _, x := range xs[1:] {
-		out[axis] += x.Shape[axis]
-	}
-	return b.add(&Node{Class: ClassOperator, Kind: KindConcat, Shape: out, DType: xs[0].DType, Ins: append([]*Node{}, xs...)})
-}
-
 // Slice emits a slice producing outShape from x.
 func (b *Builder) Slice(x *Node, outShape []int) *Node {
 	return b.add(&Node{Class: ClassOperator, Kind: KindSlice, Shape: cloneShape(outShape), DType: x.DType, Ins: []*Node{x}})
-}
-
-// OneHot emits a one-hot expansion of integer indices to depth classes.
-func (b *Builder) OneHot(idx *Node, depth int, dt DType) *Node {
-	out := append(cloneShape(idx.Shape), depth)
-	return b.add(&Node{Class: ClassOperator, Kind: KindOneHot, Shape: out, DType: dt, Ins: []*Node{idx}})
 }
 
 // CumSum emits a cumulative sum along axis.

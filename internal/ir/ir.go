@@ -267,9 +267,6 @@ type Graph struct {
 	Outputs []*Node
 }
 
-// NumNodes returns the node count.
-func (g *Graph) NumNodes() int { return len(g.Nodes) }
-
 // Validate checks topological ordering, ID consistency, class invariants,
 // and shape sanity. It returns the first violation found.
 func (g *Graph) Validate() error {
@@ -308,63 +305,6 @@ func (g *Graph) Validate() error {
 		seen[n] = true
 	}
 	return nil
-}
-
-// Stats summarizes a graph for reporting.
-type Stats struct {
-	Nodes      int
-	Operators  int
-	TotalFlops int64
-	TotalBytes int64
-	ParamBytes int64
-}
-
-// ComputeStats tallies node counts, flops, and byte volumes.
-func (g *Graph) ComputeStats() Stats {
-	var s Stats
-	s.Nodes = len(g.Nodes)
-	for _, n := range g.Nodes {
-		if n.Class == ClassOperator {
-			s.Operators++
-			s.TotalFlops += n.Flops()
-		}
-		s.TotalBytes += int64(n.Bytes())
-		if n.Param {
-			s.ParamBytes += int64(n.Bytes())
-		}
-	}
-	return s
-}
-
-// Consumers returns, for each node ID, the list of nodes that consume it.
-func (g *Graph) Consumers() [][]*Node {
-	out := make([][]*Node, len(g.Nodes))
-	for _, n := range g.Nodes {
-		for _, in := range n.Ins {
-			out[in.ID] = append(out[in.ID], n)
-		}
-	}
-	return out
-}
-
-// DOT renders the graph in Graphviz format for inspection.
-func (g *Graph) DOT(name string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n  rankdir=TB;\n", name)
-	for _, n := range g.Nodes {
-		label := n.Kind.String()
-		if n.Class != ClassOperator {
-			label = n.Class.String()
-		}
-		fmt.Fprintf(&b, "  n%d [label=\"%s\\n%s\"];\n", n.ID, label, n.ShapeString())
-	}
-	for _, n := range g.Nodes {
-		for _, in := range n.Ins {
-			fmt.Fprintf(&b, "  n%d -> n%d;\n", in.ID, n.ID)
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
 }
 
 // Render prints the graph one node per line, jaxpr-style.

@@ -107,14 +107,6 @@ func (c *Cache[K, V]) Len() int {
 	return len(c.m)
 }
 
-// Cap returns the capacity bound (0 on nil).
-func (c *Cache[K, V]) Cap() int {
-	if c == nil {
-		return 0
-	}
-	return c.capacity
-}
-
 // Purge drops every entry, e.g. when the values' producer was reloaded and
 // cached results may be stale. No-op on nil.
 func (c *Cache[K, V]) Purge() {

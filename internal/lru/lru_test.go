@@ -75,7 +75,7 @@ func TestNilCacheInert(t *testing.T) {
 	}
 	c.Put(1, 1) // must not panic
 	c.Purge()
-	if c.Len() != 0 || c.Cap() != 0 {
+	if c.Len() != 0 {
 		t.Fatal("nil cache not inert")
 	}
 	if v, hit := c.GetOrCompute(1, func() int { return 9 }); hit || v != 9 {
@@ -86,8 +86,8 @@ func TestNilCacheInert(t *testing.T) {
 func TestCapacityFloor(t *testing.T) {
 	c := New[int, int](0)
 	c.Put(1, 1)
-	if c.Cap() != 1 || c.Len() != 1 {
-		t.Fatalf("cap=%d len=%d, want 1/1", c.Cap(), c.Len())
+	if c.capacity != 1 || c.Len() != 1 {
+		t.Fatalf("cap=%d len=%d, want 1/1", c.capacity, c.Len())
 	}
 }
 
@@ -119,8 +119,8 @@ func TestConcurrentMixedOps(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if c.Len() > c.Cap() {
-		t.Fatalf("Len %d exceeds Cap %d", c.Len(), c.Cap())
+	if c.Len() > c.capacity {
+		t.Fatalf("Len %d exceeds capacity %d", c.Len(), c.capacity)
 	}
 }
 
@@ -146,8 +146,8 @@ func TestEvictionIsLRUExact(t *testing.T) {
 
 func TestNegativeCapacityFloor(t *testing.T) {
 	c := New[int, int](-5)
-	if c.Cap() != 1 {
-		t.Fatalf("cap=%d, want 1", c.Cap())
+	if c.capacity != 1 {
+		t.Fatalf("cap=%d, want 1", c.capacity)
 	}
 	c.Put(1, 1)
 	c.Put(2, 2) // evicts 1: the floor still bounds the cache

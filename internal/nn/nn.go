@@ -19,15 +19,6 @@ type Module interface {
 	Params() []*ag.Param
 }
 
-// ParamCount returns the total number of scalar parameters in m.
-func ParamCount(m Module) int {
-	n := 0
-	for _, p := range m.Params() {
-		n += p.V.Size()
-	}
-	return n
-}
-
 // Linear is a dense layer y = x·W + b.
 type Linear struct {
 	W *ag.Param

@@ -39,8 +39,8 @@ func TestLinearShapesAndParams(t *testing.T) {
 	if y.V.R != 7 || y.V.C != 3 {
 		t.Fatalf("linear output %dx%d", y.V.R, y.V.C)
 	}
-	if got := ParamCount(l); got != 5*3+3 {
-		t.Fatalf("param count %d", got)
+	if got := l.W.V.Size() + l.B.V.Size(); len(l.Params()) != 2 || got != 5*3+3 {
+		t.Fatalf("%d params, %d scalars", len(l.Params()), got)
 	}
 }
 

@@ -12,10 +12,12 @@ import (
 // log-bucket quantile sketch for P50/P95. Groups are keyed by model family,
 // mesh shape, and op/benchmark name, mirroring the paper's Table V axes.
 //
-// Every Observe refreshes labeled gauges (predtop_accuracy_mre{family=…} and
-// friends) in the attached registry, and a configurable drift threshold
-// increments predtop_accuracy_drift_total and logs a warning the moment a
-// group's running MRE crosses it (edge-triggered; re-arms when it recovers).
+// With a registry attached (the serving daemon) every Observe refreshes the
+// labeled predtop_accuracy_mre gauge and predtop_accuracy_samples_total. A
+// configurable drift threshold logs a warning the moment a group's running
+// MRE crosses it (edge-triggered; re-arms when it recovers) and marks the
+// group drifted. The full statistics — quantiles, max and the drifted mark —
+// are read with Stats and written by EmitTo.
 //
 // The monitor only observes — it never feeds back into training or planning,
 // so determinism is untouched. A nil *AccuracyMonitor is fully inert and its
@@ -39,15 +41,15 @@ type AccuracyKey struct {
 // AccuracyConfig configures a monitor (zero value is usable).
 type AccuracyConfig struct {
 	// DriftThresholdPct arms drift detection: when a group's running mean
-	// absolute relative error (in percent) exceeds it, the monitor increments
-	// predtop_accuracy_drift_total once per excursion and logs a warning.
-	// <= 0 disables drift detection.
+	// absolute relative error (in percent) exceeds it, the monitor logs one
+	// warning per excursion and reports the group as Drifted until it
+	// recovers. <= 0 disables drift detection.
 	DriftThresholdPct float64
 	// MinSamples gates drift detection so a group's first noisy residuals
 	// cannot trip it (default 16).
 	MinSamples int
-	// Metrics receives the labeled accuracy gauges and the drift counter.
-	// Nil disables metric export (observations still accumulate).
+	// Metrics receives the labeled MRE gauge and sample counter. Nil
+	// disables metric export (observations still accumulate).
 	Metrics *Registry
 	// Log receives drift warnings; nil silences them.
 	Log *Logger
@@ -56,25 +58,21 @@ type AccuracyConfig struct {
 // Metric names exported by the accuracy monitor.
 const (
 	AccuracyMREMetric     = "predtop_accuracy_mre"
-	AccuracyP50Metric     = "predtop_accuracy_p50"
-	AccuracyP95Metric     = "predtop_accuracy_p95"
-	AccuracyMaxMetric     = "predtop_accuracy_max"
 	AccuracySamplesMetric = "predtop_accuracy_samples_total"
-	AccuracyDriftMetric   = "predtop_accuracy_drift_total"
 )
 
-// accGroup is one key's streaming state. Gauges are resolved once at group
-// creation so the per-observation path does no map lookups or allocation.
+// accGroup is one key's streaming state. Instruments are resolved once at
+// group creation so the per-observation path does no map lookups or
+// allocation.
 type accGroup struct {
-	n       int64
 	mean    float64 // Welford running mean of |rel err| in percent
 	m2      float64 // Welford sum of squared deviations
 	maxErr  float64
-	buckets []int64 // quantile sketch counts, parallel to monitor bounds
+	sk      sketch // its n is the group's sample count
 	drifted bool
 
-	mre, p50, p95, max *Gauge
-	samples, drift     *Counter
+	mre     *Gauge
+	samples *Counter
 }
 
 // accBounds is the quantile-sketch ladder: 0.01% to ~1.3e4% relative error in
@@ -97,13 +95,9 @@ func (m *AccuracyMonitor) group(key AccuracyKey) *accGroup {
 	if !ok {
 		labels := []Label{{"family", key.Family}, {"mesh", key.Mesh}, {"op", key.Op}}
 		g = &accGroup{
-			buckets: make([]int64, len(m.bounds)+1),
+			sk:      newSketch(m.bounds),
 			mre:     m.cfg.Metrics.GaugeWith(AccuracyMREMetric, labels...),
-			p50:     m.cfg.Metrics.GaugeWith(AccuracyP50Metric, labels...),
-			p95:     m.cfg.Metrics.GaugeWith(AccuracyP95Metric, labels...),
-			max:     m.cfg.Metrics.GaugeWith(AccuracyMaxMetric, labels...),
 			samples: m.cfg.Metrics.CounterWith(AccuracySamplesMetric, labels...),
-			drift:   m.cfg.Metrics.CounterWith(AccuracyDriftMetric, labels...),
 		}
 		m.groups[key] = g
 	}
@@ -124,17 +118,14 @@ func (m *AccuracyMonitor) Observe(key AccuracyKey, predicted, actual float64) {
 
 	m.mu.Lock()
 	g := m.group(key)
-	g.n++
+	g.sk.add(sort.SearchFloat64s(m.bounds, errPct))
 	delta := errPct - g.mean
-	g.mean += delta / float64(g.n)
+	g.mean += delta / float64(g.sk.n)
 	g.m2 += delta * (errPct - g.mean)
 	if errPct > g.maxErr {
 		g.maxErr = errPct
 	}
-	g.buckets[sort.SearchFloat64s(m.bounds, errPct)]++
-	p50 := m.quantileLocked(g, 0.50)
-	p95 := m.quantileLocked(g, 0.95)
-	mean, maxErr, n := g.mean, g.maxErr, g.n
+	mean, n := g.mean, g.sk.n
 
 	driftCrossed := false
 	if m.cfg.DriftThresholdPct > 0 && n >= int64(m.cfg.MinSamples) {
@@ -145,45 +136,15 @@ func (m *AccuracyMonitor) Observe(key AccuracyKey, predicted, actual float64) {
 			g.drifted = false // re-arm after recovery
 		}
 	}
-	mreG, p50G, p95G, maxG, samplesC, driftC := g.mre, g.p50, g.p95, g.max, g.samples, g.drift
+	mreG, samplesC := g.mre, g.samples
 	m.mu.Unlock()
 
 	mreG.Set(mean)
-	p50G.Set(p50)
-	p95G.Set(p95)
-	maxG.Set(maxErr)
 	samplesC.Inc()
 	if driftCrossed {
-		driftC.Inc()
 		m.cfg.Log.Printf("obs: accuracy drift: family=%q mesh=%q op=%q MRE %.2f%% > threshold %.2f%% after %d samples",
 			key.Family, key.Mesh, key.Op, mean, m.cfg.DriftThresholdPct, n)
 	}
-}
-
-// quantileLocked reads quantile q from g's sketch: the upper bound of the
-// bucket where the cumulative count crosses q·n (the exact max for the
-// overflow bucket). Caller holds m.mu.
-func (m *AccuracyMonitor) quantileLocked(g *accGroup, q float64) float64 {
-	if g.n == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(g.n)))
-	if rank < 1 {
-		rank = 1
-	}
-	cum := int64(0)
-	for i, c := range g.buckets {
-		cum += c
-		if cum >= rank {
-			// The observed max is always a valid (and sometimes tighter) upper
-			// bound than the bucket boundary, and it bounds the overflow bucket.
-			if i < len(m.bounds) && m.bounds[i] < g.maxErr {
-				return m.bounds[i]
-			}
-			return g.maxErr
-		}
-	}
-	return g.maxErr
 }
 
 // AccuracyStats is a point-in-time read of one group. All error figures are
@@ -208,7 +169,7 @@ func (m *AccuracyMonitor) Stats(key AccuracyKey) (AccuracyStats, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	g, ok := m.groups[key]
-	if !ok || g.n == 0 {
+	if !ok || g.sk.n == 0 {
 		return AccuracyStats{}, false
 	}
 	return m.statsLocked(g), true
@@ -216,12 +177,12 @@ func (m *AccuracyMonitor) Stats(key AccuracyKey) (AccuracyStats, bool) {
 
 func (m *AccuracyMonitor) statsLocked(g *accGroup) AccuracyStats {
 	std := 0.0
-	if g.n > 1 {
-		std = math.Sqrt(g.m2 / float64(g.n-1))
+	if g.sk.n > 1 {
+		std = math.Sqrt(g.m2 / float64(g.sk.n-1))
 	}
 	return AccuracyStats{
-		N: g.n, MeanPct: g.mean, StdPct: std,
-		P50Pct: m.quantileLocked(g, 0.50), P95Pct: m.quantileLocked(g, 0.95),
+		N: g.sk.n, MeanPct: g.mean, StdPct: std,
+		P50Pct: g.sk.quantile(m.bounds, 0.50, g.maxErr), P95Pct: g.sk.quantile(m.bounds, 0.95, g.maxErr),
 		MaxPct: g.maxErr, Drifted: g.drifted,
 	}
 }

@@ -1,8 +1,12 @@
-// Package obs is the repository's observability layer: a metrics registry
-// (counters, gauges, fixed-bucket histograms), a structured JSONL event sink,
-// and a Chrome-tracing (Perfetto) trace builder. Every long-running path —
-// predictor training, planner search, experiment grids, pipeline simulation —
-// reports through this package instead of ad-hoc prints.
+// Package obs is the repository's observability layer. Batch code paths —
+// predictor training, planner search, experiment grids — keep exactly two
+// instruments: a deterministic stats struct of their own for facts, and this
+// package's span Profiler for time. Around them obs provides the structured
+// JSONL event Sink, the Chrome-tracing TraceBuilder, the deterministic
+// TraceContext, the crash FlightRecorder and the AccuracyMonitor. The metrics
+// Registry (counters, gauges, fixed-bucket histograms, Prometheus exposition)
+// and the SLOTracker belong to the serving daemon alone: internal/cli builds
+// a registry only for predtop-serve.
 //
 // The central contract is that observation is free when disabled and passive
 // when enabled:
@@ -23,7 +27,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Registry is a process-local metrics namespace. Instruments are created on
@@ -196,7 +199,8 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Histogram returns the named histogram, creating it with the given bucket
-// upper bounds (ascending; nil or empty selects DefBuckets). Bounds are fixed
+// upper bounds (ascending; nil or empty selects a default latency ladder, 1 µs
+// to ~67 s in powers of four). Bounds are fixed
 // at creation — later calls with different bounds return the existing
 // instrument. A nil registry returns a nil (no-op) histogram.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
@@ -208,7 +212,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	h, ok := r.histograms[name]
 	if !ok {
 		if len(bounds) == 0 {
-			bounds = DefBuckets
+			bounds = defBuckets
 		}
 		h = &Histogram{bounds: append([]float64(nil), bounds...), dropped: r.dropped}
 		h.counts = make([]atomic.Int64, len(h.bounds)+1)
@@ -332,32 +336,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum.Load()
 }
 
-// Start begins a wall-clock timer whose Stop observes elapsed seconds into
-// the histogram. On a nil histogram the timer is inert and Start/Stop cost
-// nothing (not even a time.Now call).
-func (h *Histogram) Start() Timer {
-	if h == nil {
-		return Timer{}
-	}
-	return Timer{h: h, start: time.Now()}
-}
-
-// Timer is an in-flight histogram timing (see Histogram.Start).
-type Timer struct {
-	h     *Histogram
-	start time.Time
-}
-
-// Stop observes the elapsed seconds and returns them (0 on an inert timer).
-func (t Timer) Stop() float64 {
-	if t.h == nil {
-		return 0
-	}
-	s := time.Since(t.start).Seconds()
-	t.h.Observe(s)
-	return s
-}
-
 // atomicFloat is a lock-free accumulating float64.
 type atomicFloat struct{ bits atomic.Uint64 }
 
@@ -373,9 +351,8 @@ func (f *atomicFloat) Add(v float64) {
 
 func (f *atomicFloat) Load() float64 { return math.Float64frombits(f.bits.Load()) }
 
-// DefBuckets is the default latency bucket ladder: 1 µs to ~67 s in powers
-// of four, wide enough for both per-batch timings and whole-grid runs.
-var DefBuckets = MustExpBuckets(1e-6, 4, 14)
+// defBuckets is the ladder a histogram created without bounds gets.
+var defBuckets = MustExpBuckets(1e-6, 4, 14)
 
 // ExpBuckets returns n exponential bucket bounds lo, lo·factor, lo·factor², …
 // It rejects degenerate layouts: lo must be positive and finite, factor > 1,

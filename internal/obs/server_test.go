@@ -118,7 +118,7 @@ func TestServerScrapeDuringUpdates(t *testing.T) {
 			default:
 				r.Counter("c").Inc()
 				r.Histogram("h", nil).Observe(0.01)
-				SampleRuntime(r)
+				r.Gauge("g").Set(1)
 			}
 		}
 	}()

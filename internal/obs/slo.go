@@ -8,7 +8,8 @@ import (
 
 // SLOTracker turns a stream of request (latency, error) observations into a
 // rolling service-level verdict: per window (1m/5m/1h by default) it keeps
-// p50/p95/p99 latency and the error rate over ring-buffered bucket sketches,
+// p50/p95/p99 latency and the error rate over ring-buffered bucket sketches
+// (the quantile rule is the accuracy monitor's: see sketch.quantile),
 // compares them against configured objectives, computes the error-budget burn
 // rate, and edge-triggers a breach transition the moment any window goes out
 // of objective — firing predtop_slo_breach_total, the OnBreach callback, and
@@ -99,18 +100,15 @@ type sloWindow struct {
 
 // sloSlot is one slot's (or the aggregate's) counts.
 type sloSlot struct {
-	counts []int64 // parallel to sloBuckets, +1 overflow
-	total  int64
-	errs   int64
-	slow   int64   // over the latency objective
-	max    float64 // slot-local; the aggregate's max is computed on demand
+	sk   sketch // latency sketch over sloBuckets; its n is the request total
+	errs int64
+	slow int64   // over the latency objective
+	max  float64 // slowest request; the aggregate's is refreshed on rotation
 }
 
 func (s *sloSlot) reset() {
-	for i := range s.counts {
-		s.counts[i] = 0
-	}
-	s.total, s.errs, s.slow, s.max = 0, 0, 0, 0
+	s.sk.reset()
+	s.errs, s.slow, s.max = 0, 0, 0
 }
 
 // worstEntry is one candidate for the worst-recent-requests list.
@@ -151,9 +149,9 @@ func NewSLOTracker(cfg SLOConfig) *SLOTracker {
 			continue
 		}
 		w := &sloWindow{dur: d, slots: make([]sloSlot, sloSlots)}
-		w.agg.counts = make([]int64, len(t.bounds)+1)
+		w.agg.sk = newSketch(t.bounds)
 		for i := range w.slots {
-			w.slots[i].counts = make([]int64, len(t.bounds)+1)
+			w.slots[i].sk = newSketch(t.bounds)
 		}
 		lbl := Label{Key: "window", Value: d.String()}
 		w.p50 = cfg.Metrics.GaugeWith(SLOLatencyMetric, lbl, Label{Key: "quantile", Value: "0.5"})
@@ -184,13 +182,10 @@ func (t *SLOTracker) Observe(latency float64, isErr bool, trace, span uint64) {
 	for i, w := range t.windows {
 		t.rotate(w, t.slotNS[i], now)
 		slot := &w.slots[w.lastSlot%sloSlots]
-		slot.counts[bi]++
-		slot.total++
-		w.agg.counts[bi]++
-		w.agg.total++
-		if latency > slot.max {
-			slot.max = latency
-		}
+		slot.sk.add(bi)
+		w.agg.sk.add(bi)
+		slot.max = max(slot.max, latency)
+		w.agg.max = max(w.agg.max, latency)
 		if isErr {
 			slot.errs++
 			w.agg.errs++
@@ -212,7 +207,7 @@ func (t *SLOTracker) Observe(latency float64, isErr bool, trace, span uint64) {
 // aggregate) every slot the clock skipped. Caller holds t.mu.
 func (t *SLOTracker) rotate(w *sloWindow, slotNS int64, now time.Time) {
 	cur := now.UnixNano() / slotNS
-	if w.lastSlot == 0 && w.agg.total == 0 {
+	if w.lastSlot == 0 && w.agg.sk.n == 0 {
 		w.lastSlot = cur // first observation: adopt the clock without sweeping
 		return
 	}
@@ -225,47 +220,22 @@ func (t *SLOTracker) rotate(w *sloWindow, slotNS int64, now time.Time) {
 	}
 	for s := int64(1); s <= steps; s++ {
 		slot := &w.slots[(w.lastSlot+s)%sloSlots]
-		for i, c := range slot.counts {
-			w.agg.counts[i] -= c
-		}
-		w.agg.total -= slot.total
+		w.agg.sk.sub(&slot.sk)
 		w.agg.errs -= slot.errs
 		w.agg.slow -= slot.slow
 		slot.reset()
 	}
 	w.lastSlot = cur
-}
-
-// quantileLocked reads quantile q from w's aggregate sketch: the upper bound
-// of the first bucket covering rank q·total, or the window max when the rank
-// lands in the overflow slot. Caller holds t.mu.
-func (t *SLOTracker) quantileLocked(w *sloWindow, q float64) float64 {
-	if w.agg.total == 0 {
-		return 0
-	}
-	rank := int64(q * float64(w.agg.total))
-	if rank >= w.agg.total {
-		rank = w.agg.total - 1
-	}
-	cum := int64(0)
-	for i, c := range w.agg.counts[:len(t.bounds)] {
-		cum += c
-		if cum > rank {
-			return t.bounds[i]
-		}
-	}
-	return t.maxLocked(w)
-}
-
-// maxLocked computes w's window max from the live slots. Caller holds t.mu.
-func (t *SLOTracker) maxLocked(w *sloWindow) float64 {
-	max := 0.0
+	w.agg.max = 0
 	for i := range w.slots {
-		if w.slots[i].max > max {
-			max = w.slots[i].max
-		}
+		w.agg.max = max(w.agg.max, w.slots[i].max)
 	}
-	return max
+}
+
+// quantileLocked reads quantile q of w's live requests (see sketch.quantile
+// for the rule). Caller holds t.mu.
+func (t *SLOTracker) quantileLocked(w *sloWindow, q float64) float64 {
+	return w.agg.sk.quantile(t.bounds, q, w.agg.max)
 }
 
 // evaluateLocked refreshes every window's gauges and breach verdict and
@@ -283,7 +253,7 @@ func (t *SLOTracker) evaluateLocked(now time.Time) (fired bool, snap SLOSnapshot
 		w.p99.Set(p99)
 		w.errRate.Set(errRate)
 		w.burn.Set(burn)
-		w.breached = w.agg.total >= int64(t.cfg.MinSamples) &&
+		w.breached = w.agg.sk.n >= int64(t.cfg.MinSamples) &&
 			((t.cfg.P99Objective > 0 && p99 > t.cfg.P99Objective) ||
 				(t.cfg.ErrObjective > 0 && errRate > t.cfg.ErrObjective))
 		any = any || w.breached
@@ -309,10 +279,10 @@ func (t *SLOTracker) evaluateLocked(now time.Time) (fired bool, snap SLOSnapshot
 // burn rate (bad fraction over the error budget, where bad = errors + slow).
 // A zero-traffic window reads 0 for both. Caller holds t.mu.
 func (t *SLOTracker) ratesLocked(w *sloWindow) (errRate, burn float64) {
-	if w.agg.total == 0 {
+	if w.agg.sk.n == 0 {
 		return 0, 0
 	}
-	total := float64(w.agg.total)
+	total := float64(w.agg.sk.n)
 	errRate = float64(w.agg.errs) / total
 	if t.cfg.ErrObjective > 0 {
 		burn = (float64(w.agg.errs+w.agg.slow) / total) / t.cfg.ErrObjective
@@ -411,7 +381,7 @@ func (t *SLOTracker) snapshotLocked(now time.Time) SLOSnapshot {
 	for _, w := range t.windows {
 		errRate, burn := t.ratesLocked(w)
 		snap.Windows = append(snap.Windows, SLOWindowStats{
-			Window: w.dur, Total: w.agg.total, Errors: w.agg.errs, Slow: w.agg.slow,
+			Window: w.dur, Total: w.agg.sk.n, Errors: w.agg.errs, Slow: w.agg.slow,
 			P50: t.quantileLocked(w, 0.50), P95: t.quantileLocked(w, 0.95),
 			P99:     t.quantileLocked(w, 0.99),
 			ErrRate: errRate, BurnRate: burn, Breached: w.breached,

@@ -18,14 +18,16 @@ func (c *sloClock) tracker(cfg SLOConfig) *SLOTracker {
 	return NewSLOTracker(cfg)
 }
 
-// TestSLOTrackerQuantiles: the bucket sketch reports upper-bound quantiles
-// and the window max for overflow ranks.
+// TestSLOTrackerQuantiles: the bucket sketch reports nearest-rank upper-bound
+// quantiles clamped to the window max (the accuracy monitor's rule, see
+// sketch.quantile), and the window max for overflow ranks.
 func TestSLOTrackerQuantiles(t *testing.T) {
 	c := newSLOClock()
 	tr := c.tracker(SLOConfig{Windows: []time.Duration{time.Minute}})
 	// 90 fast (1ms) + 10 slow (10ms) observations → p50 ≈ 1ms bucket,
 	// p95/p99 in the 10ms bucket. Bucket bounds are powers of two from 100µs,
-	// so 1ms lands under le=0.0016 and 10ms under le=0.0128.
+	// so 1ms lands under le=0.0016; 10ms lands under le=0.0128, which the
+	// window max of 10ms tightens to the exact value.
 	for i := 0; i < 90; i++ {
 		tr.Observe(0.001, false, 1, 2)
 	}
@@ -40,8 +42,8 @@ func TestSLOTrackerQuantiles(t *testing.T) {
 	if w.P50 != 0.0016 {
 		t.Errorf("p50 = %v, want 0.0016", w.P50)
 	}
-	if w.P95 != 0.0128 || w.P99 != 0.0128 {
-		t.Errorf("p95/p99 = %v/%v, want 0.0128", w.P95, w.P99)
+	if w.P95 != 0.010 || w.P99 != 0.010 {
+		t.Errorf("p95/p99 = %v/%v, want 0.01", w.P95, w.P99)
 	}
 	// Overflow rank: one observation far beyond the last bound reports the
 	// window max, not a bucket bound.

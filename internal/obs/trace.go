@@ -189,21 +189,12 @@ func (t *TraceBuilder) Render(w io.Writer) error {
 // make a nil Observer fully inert, so APIs thread a single *Observer instead
 // of four optional parameters.
 type Observer struct {
-	Metrics *Registry
-	Events  *Sink
-	Trace   *TraceBuilder
-	Prof    *Profiler
-	Acc     *AccuracyMonitor
-	Flight  *FlightRecorder
-	Ctx     *TraceContext
-}
-
-// Registry returns the metrics registry (nil when absent).
-func (o *Observer) Registry() *Registry {
-	if o == nil {
-		return nil
-	}
-	return o.Metrics
+	Events *Sink
+	Trace  *TraceBuilder
+	Prof   *Profiler
+	Acc    *AccuracyMonitor
+	Flight *FlightRecorder
+	Ctx    *TraceContext
 }
 
 // Sink returns the event sink (nil when absent).

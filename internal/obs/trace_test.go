@@ -104,11 +104,11 @@ func TestNilTraceBuilderInert(t *testing.T) {
 
 func TestNilObserverAccessors(t *testing.T) {
 	var o *Observer
-	if o.Registry() != nil || o.Sink() != nil || o.Tracer() != nil {
+	if o.Profiler() != nil || o.Sink() != nil || o.Tracer() != nil {
 		t.Fatal("nil observer must return nil components")
 	}
-	o2 := &Observer{Metrics: NewRegistry()}
-	if o2.Registry() == nil || o2.Sink() != nil || o2.Tracer() != nil {
+	o2 := &Observer{Prof: NewProfiler()}
+	if o2.Profiler() == nil || o2.Sink() != nil || o2.Tracer() != nil {
 		t.Fatal("partial observer accessors wrong")
 	}
 }

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"context"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // TraceContext is the correlation identity of one run: a 64-bit trace id
 // shared by everything the run emits (metric exposition, JSONL events, Chrome
@@ -104,26 +101,4 @@ func hex16(v uint64) string {
 		v >>= 4
 	}
 	return string(b[:])
-}
-
-// traceCtxKey is the context.Context key for a *TraceContext.
-type traceCtxKey struct{}
-
-// WithTraceContext returns a context carrying tc. A nil tc returns ctx
-// unchanged.
-func WithTraceContext(ctx context.Context, tc *TraceContext) context.Context {
-	if tc == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, traceCtxKey{}, tc)
-}
-
-// TraceContextFrom extracts the TraceContext from ctx (nil when absent or
-// when ctx itself is nil).
-func TraceContextFrom(ctx context.Context) *TraceContext {
-	if ctx == nil {
-		return nil
-	}
-	tc, _ := ctx.Value(traceCtxKey{}).(*TraceContext)
-	return tc
 }

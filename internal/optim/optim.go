@@ -54,9 +54,6 @@ func (a *Adam) Step(lr float64) {
 	}
 }
 
-// StepCount returns the number of updates applied so far.
-func (a *Adam) StepCount() int { return a.step }
-
 // ReduceGrads folds per-shard gradient buffers into each Param.Grad with a
 // fixed-shape pairwise reduction tree over the buffer order. The summation
 // order is a pure function of len(bufs) — which data-parallel training

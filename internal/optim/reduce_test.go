@@ -73,7 +73,8 @@ func (p *linearProblem) shardedGrads(workers int) {
 		bufs[k] = ag.NewGradBuffer(params)
 	}
 	parallel.ForLimit(len(p.xs), workers, func(k int) {
-		ctx := ag.NewContextInto(bufs[k])
+		ctx := ag.NewContext()
+		ctx.SetShards(bufs[k : k+1])
 		ctx.Backward(p.sampleLoss(ctx, k))
 	})
 	ReduceGrads(params, bufs)
@@ -172,7 +173,8 @@ func TestReduceGradsAccumulates(t *testing.T) {
 		}
 	}
 	bufs := []*ag.GradBuffer{ag.NewGradBuffer(params)}
-	ctx := ag.NewContextInto(bufs[0])
+	ctx := ag.NewContext()
+	ctx.SetShards(bufs)
 	ctx.Backward(p.sampleLoss(ctx, 0))
 	ReduceGrads(params, bufs)
 

@@ -26,10 +26,18 @@ func TestForLimitCoversAllIndices(t *testing.T) {
 	}
 }
 
+// mapReduce is the composition the training engine's evaluation uses: fill a
+// slice with ForLimit at some worker count, then fold it with TreeReduce.
+func mapReduce[T any](n, workers int, mapFn func(i int) T, reduceFn func(a, b T) T) T {
+	vals := make([]T, n)
+	ForLimit(n, workers, func(i int) { vals[i] = mapFn(i) })
+	return TreeReduce(vals, reduceFn)
+}
+
 // TestMapReduceWorkerCountInvariant is the determinism property the training
-// engine relies on: a floating-point sum folded by MapReduce is bitwise
-// identical for every worker count, because the reduction tree's shape is a
-// function of n alone. The inputs are scaled to magnitudes where addition
+// engine relies on: a floating-point sum mapped by ForLimit and folded by
+// TreeReduce is bitwise identical for every worker count, because the
+// reduction tree's shape is a function of n alone. The inputs are scaled to magnitudes where addition
 // order genuinely changes the rounded result, so a schedule-dependent fold
 // would fail this test.
 func TestMapReduceWorkerCountInvariant(t *testing.T) {
@@ -41,9 +49,9 @@ func TestMapReduceWorkerCountInvariant(t *testing.T) {
 			vals[i] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(20)-10))
 		}
 		add := func(a, b float64) float64 { return a + b }
-		want := MapReduce(n, 1, func(i int) float64 { return vals[i] }, add)
+		want := mapReduce(n, 1, func(i int) float64 { return vals[i] }, add)
 		for _, workers := range []int{2, 3, 8, 64} {
-			got := MapReduce(n, workers, func(i int) float64 { return vals[i] }, add)
+			got := mapReduce(n, workers, func(i int) float64 { return vals[i] }, add)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("n=%d workers=%d: %x != %x", n, workers, got, want)
 				return false
@@ -67,20 +75,13 @@ func TestTreeReduceFixedOrder(t *testing.T) {
 			want.WriteByte(byte('a' + i%26))
 		}
 		for _, workers := range []int{1, 4} {
-			got := MapReduce(n, workers, func(i int) string {
+			got := mapReduce(n, workers, func(i int) string {
 				return string(byte('a' + i%26))
 			}, func(a, b string) string { return a + b })
 			if got != want.String() {
 				t.Fatalf("n=%d workers=%d: %q != %q", n, workers, got, want.String())
 			}
 		}
-	}
-}
-
-func TestMapReduceEmpty(t *testing.T) {
-	got := MapReduce(0, 4, func(i int) float64 { return 1 }, func(a, b float64) float64 { return a + b })
-	if got != 0 {
-		t.Fatalf("empty MapReduce = %v", got)
 	}
 }
 

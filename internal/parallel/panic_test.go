@@ -114,22 +114,6 @@ func TestNestedLoopPanicNotRewrapped(t *testing.T) {
 	}
 }
 
-// TestMapReducePanicInjection: the derived helpers inherit worker-panic
-// semantics.
-func TestMapReducePanicInjection(t *testing.T) {
-	wp := recoverWorkerPanic(t, func() {
-		MapReduce(32, 4, func(i int) float64 {
-			if i == 7 {
-				panic("map failure")
-			}
-			return float64(i)
-		}, func(a, b float64) float64 { return a + b })
-	})
-	if wp == nil || wp.Value != "map failure" {
-		t.Fatalf("MapReduce panic lost: %+v", wp)
-	}
-}
-
 // TestForLimitRecoversForNextLoop: after a panicking loop, the package is
 // still usable — the next loop runs all iterations.
 func TestForLimitRecoversForNextLoop(t *testing.T) {

@@ -155,28 +155,6 @@ func ForBlocked(n, block int, fn func(lo, hi int)) {
 	})
 }
 
-// Map applies fn to every index and collects the results in order.
-func Map[T any](n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	For(n, func(i int) { out[i] = fn(i) })
-	return out
-}
-
-// MapReduce computes mapFn(i) for every i in [0, n) in parallel (workers as
-// in ForLimit) and folds the results with TreeReduce. Because the fold shape
-// depends only on n — never on which goroutine produced which value — the
-// result is bitwise deterministic even for non-associative reduceFn such as
-// floating-point addition. n == 0 returns the zero value of T.
-func MapReduce[T any](n, workers int, mapFn func(i int) T, reduceFn func(a, b T) T) T {
-	if n == 0 {
-		var zero T
-		return zero
-	}
-	vals := make([]T, n)
-	ForLimit(n, workers, func(i int) { vals[i] = mapFn(i) })
-	return TreeReduce(vals, reduceFn)
-}
-
 // TreeReduce folds vals with a fixed-shape pairwise tree: adjacent pairs at
 // stride 1, then 2, 4, … The fold shape is a pure function of len(vals), so
 // non-associative reductions are deterministic across worker counts and

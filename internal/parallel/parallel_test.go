@@ -50,12 +50,3 @@ func TestForBlockedCoversRange(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestMapOrdering(t *testing.T) {
-	out := Map(50, func(i int) int { return i * i })
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-}

@@ -5,12 +5,13 @@
 // by profiled stage latencies (vanilla Alpa, full or partial profiling) or
 // by a trained latency predictor (PredTOP).
 //
-// Beyond the search itself, the package makes every planner run auditable:
-// Optimize exposes deterministic search statistics (SearchStats) and
-// predtop_planner_* metrics, BuildReport turns a plan into a provenance
-// Report (JSON + text), and WhatIf replays a cached plan against a perturbed
-// cluster without re-searching (DESIGN.md §11). All of it observes only —
-// plans are bitwise identical with telemetry on or off.
+// Beyond the search itself, the package makes every planner run auditable
+// with two instruments: Optimize fills deterministic search statistics
+// (SearchStats) and times itself on a span profiler (Options.Prof).
+// BuildReport turns a plan into a provenance Report (JSON + text) carrying
+// the stats, and WhatIf replays a cached plan against a perturbed cluster
+// without re-searching (DESIGN.md §11). All of it observes only — plans are
+// bitwise identical with either instrument on or off.
 package planner
 
 import (
@@ -18,7 +19,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"time"
 
 	"predtop/internal/cluster"
 	"predtop/internal/intraop"
@@ -42,20 +42,10 @@ type Options struct {
 	Microbatches int
 	// MaxStageLen caps stage length in segments (0 = unbounded).
 	MaxStageLen int
-	// Metrics, when non-nil, receives search instrumentation: the
-	// predtop_planner_latency_lookups_total / _pairs_feasible_total /
-	// _pairs_infeasible_total / _tmax_candidates_total / _dp_states_total /
-	// _dp_transitions_total / _improvements_total counters, the
-	// predtop_planner_best_latency gauge, the predtop_planner_optimize_seconds
-	// histogram, the predtop_planner_predict_seconds histogram (one
-	// observation per latency-source lookup), and the per-depth
-	// predtop_planner_dp_depth_seconds{depth="k"} histograms. Observation
-	// only — a nil registry changes nothing.
-	Metrics *obs.Registry
-	// Prof, when non-nil, receives hierarchical spans for the search:
-	// planner.optimize → estimate (one child per (stage, mesh) pair) and
-	// dp (one folded "tmax" child across the t_max sweep). Like Metrics,
-	// a nil profiler is a zero-cost no-op and never alters the plan.
+	// Prof, when non-nil, receives hierarchical spans for the search — its
+	// only wall-clock record: planner.optimize → estimate (one child per
+	// (stage, mesh) pair) and dp (one folded "tmax" child across the t_max
+	// sweep). A nil profiler is a zero-cost no-op and never alters the plan.
 	Prof *obs.Profiler
 	// Stats, when non-nil, is filled with the search's exploration
 	// statistics. Every field is a deterministic count derived from the
@@ -74,7 +64,7 @@ func (o Options) withDefaults() Options {
 // SearchStats describes what one Optimize call explored. All fields are
 // deterministic functions of the search inputs (never wall-clock or
 // scheduling order), which is what lets them ride inside byte-identical plan
-// reports; wall-time telemetry lives only in the metrics registry.
+// reports; wall time lives only in the span tree (Options.Prof).
 type SearchStats struct {
 	// Segments, Meshes, and Devices echo the search space dimensions.
 	Segments int `json:"segments"`
@@ -133,9 +123,6 @@ func Optimize(numSegments int, p cluster.Platform, lat LatencyFn, opt Options) (
 	if numSegments <= 0 || lat == nil || len(meshes) == 0 || totalDev <= 0 {
 		return Plan{}, false
 	}
-	reg := opt.Metrics
-	searchTimer := reg.Histogram("predtop_planner_optimize_seconds", nil).Start()
-
 	maxLen := opt.MaxStageLen
 	if maxLen <= 0 || maxLen > numSegments {
 		maxLen = numSegments
@@ -144,22 +131,9 @@ func Optimize(numSegments int, p cluster.Platform, lat LatencyFn, opt Options) (
 		Segments: numSegments, Meshes: len(meshes), Devices: totalDev,
 		MaxStageLen: maxLen,
 	}
-	// publish flushes the deterministic stats into the caller's Stats slot
-	// and the metrics registry, at every return path.
-	publish := func() {
-		if opt.Stats != nil {
-			*opt.Stats = stats
-		}
-		if reg == nil {
-			return
-		}
-		reg.Counter("predtop_planner_latency_lookups_total").Add(stats.LatencyLookups)
-		reg.Counter("predtop_planner_pairs_feasible_total").Add(stats.Feasible)
-		reg.Counter("predtop_planner_pairs_infeasible_total").Add(stats.Infeasible)
-		reg.Counter("predtop_planner_tmax_candidates_total").Add(int64(stats.TmaxCandidates))
-		reg.Counter("predtop_planner_dp_states_total").Add(stats.DPStates)
-		reg.Counter("predtop_planner_dp_transitions_total").Add(stats.DPTransitions)
-		reg.Counter("predtop_planner_improvements_total").Add(int64(stats.Improvements))
+	// Every return path below hands the stats to the caller's slot.
+	if opt.Stats != nil {
+		defer func() { *opt.Stats = stats }()
 	}
 
 	root := opt.Prof.Start("planner.optimize")
@@ -176,7 +150,6 @@ func Optimize(numSegments int, p cluster.Platform, lat LatencyFn, opt Options) (
 	}
 	est := make(map[pairKey]float64)
 	var candidates []float64
-	lookupSeconds := reg.Histogram("predtop_planner_predict_seconds", nil)
 	estSpan := root.Start("estimate")
 	for _, sp := range stage.AllSpecs(numSegments, maxLen) {
 		for mi, mesh := range meshes {
@@ -185,9 +158,7 @@ func Optimize(numSegments int, p cluster.Platform, lat LatencyFn, opt Options) (
 			if estSpan.Enabled() {
 				ps = estSpan.Start(fmt.Sprintf("s%d:%d/m%d", sp.Lo, sp.Hi, mi))
 			}
-			tm := lookupSeconds.Start()
 			t, ok := lat(sp, mesh)
-			tm.Stop()
 			ps.End()
 			if ok && t > 0 && !math.IsInf(t, 1) {
 				stats.Feasible++
@@ -200,8 +171,6 @@ func Optimize(numSegments int, p cluster.Platform, lat LatencyFn, opt Options) (
 	}
 	estSpan.End()
 	if len(candidates) == 0 {
-		publish()
-		searchTimer.Stop()
 		return Plan{}, false
 	}
 	sort.Float64s(candidates)
@@ -221,20 +190,10 @@ func Optimize(numSegments int, p cluster.Platform, lat LatencyFn, opt Options) (
 
 	tmaxes := dedup(candidates)
 	stats.TmaxCandidates = len(tmaxes)
-	// Per-depth wall time is metrics-only (wall-clock must never reach
-	// SearchStats); skip the time.Now calls entirely when metrics are off.
-	var depthSecs []float64
-	if reg != nil {
-		depthSecs = make([]float64, numSegments+1)
-	}
 	dpSpan := root.Start("dp")
 	for _, tmax := range tmaxes {
 		it := dpSpan.Start("tmax")
 		for k := numSegments; k >= 0; k-- {
-			var t0 time.Time
-			if depthSecs != nil {
-				t0 = time.Now()
-			}
 			for d := 0; d <= totalDev; d++ {
 				stats.DPStates++
 				if k == numSegments {
@@ -264,9 +223,6 @@ func Optimize(numSegments int, p cluster.Platform, lat LatencyFn, opt Options) (
 					}
 				}
 			}
-			if depthSecs != nil {
-				depthSecs[k] += time.Since(t0).Seconds()
-			}
 		}
 		if sum := f[0][totalDev]; !math.IsInf(sum, 1) {
 			total := sum + B*tmax
@@ -282,17 +238,7 @@ func Optimize(numSegments int, p cluster.Platform, lat LatencyFn, opt Options) (
 		it.End()
 	}
 	dpSpan.End()
-	for k, s := range depthSecs {
-		reg.HistogramWith("predtop_planner_dp_depth_seconds", nil,
-			obs.Label{Key: "depth", Value: strconv.Itoa(k)}).Observe(s)
-	}
-	publish()
-	searchTimer.Stop()
-	if math.IsInf(bestT, 1) {
-		return Plan{}, false
-	}
-	reg.Gauge("predtop_planner_best_latency").Set(bestT)
-	return bestPlan, true
+	return bestPlan, !math.IsInf(bestT, 1)
 }
 
 func dedup(sorted []float64) []float64 {

@@ -3,6 +3,7 @@ package planner
 import (
 	"math"
 	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -405,9 +406,8 @@ func TestOptimizeProfiledIdenticalPlan(t *testing.T) {
 }
 
 // TestOptimizeReportedIdenticalPlan is the reported-plan row of the
-// determinism table: running the search with the full observation stack
-// (metrics registry, span profiler, search stats) must yield
-// a plan bitwise identical — stages, meshes, Est, and every StageEst — to a
+// determinism table: running the search with both of its instruments (span
+// profiler, search stats) must yield a plan bitwise identical — stages, meshes, Est, and every StageEst — to a
 // bare run, and the search stats must tally with the exploration the bare
 // run implies.
 func TestOptimizeReportedIdenticalPlan(t *testing.T) {
@@ -417,14 +417,9 @@ func TestOptimizeReportedIdenticalPlan(t *testing.T) {
 		t.Fatal("no reference plan")
 	}
 
-	reg := obs.NewRegistry()
+	prof := obs.NewProfiler()
 	var stats SearchStats
-	got, ok := Optimize(6, p, syntheticLatency, Options{
-		Microbatches: 8,
-		Metrics:      reg,
-		Prof:         obs.NewProfiler(),
-		Stats:        &stats,
-	})
+	got, ok := Optimize(6, p, syntheticLatency, Options{Microbatches: 8, Prof: prof, Stats: &stats})
 	if !ok {
 		t.Fatal("no observed plan")
 	}
@@ -457,7 +452,7 @@ func TestOptimizeReportedIdenticalPlan(t *testing.T) {
 		t.Fatalf("StageEst does not decompose Est: Σ=%v max=%v Est=%v", sum, max, got.Est)
 	}
 
-	// Search stats must be internally consistent and mirrored to metrics.
+	// Search stats must be internally consistent.
 	if stats.Segments != 6 || stats.Meshes != 3 || stats.Devices != 4 {
 		t.Fatalf("wrong search dimensions: %+v", stats)
 	}
@@ -467,22 +462,22 @@ func TestOptimizeReportedIdenticalPlan(t *testing.T) {
 	if stats.TmaxCandidates == 0 || stats.DPStates == 0 || stats.DPTransitions == 0 || stats.Improvements == 0 {
 		t.Fatalf("search stats empty: %+v", stats)
 	}
-	snap := map[string]float64{}
-	for _, m := range reg.Snapshot() {
-		snap[m.Name] = m.Value
+	// One estimate span per lookup: the span tree and the stats are two
+	// readings of the same loop, the only two the search keeps.
+	var tree strings.Builder
+	if err := prof.WriteProfileTree(&tree); err != nil {
+		t.Fatal(err)
 	}
-	if got := snap["predtop_planner_latency_lookups_total"]; got != float64(stats.LatencyLookups) {
-		t.Fatalf("metric lookup count %v != stats %d", got, stats.LatencyLookups)
+	if got := int64(len(regexp.MustCompile(`(?m)^    s\d+:\d+/m\d+ `).FindAllString(tree.String(), -1))); got != stats.LatencyLookups {
+		t.Fatalf("span tree holds %d estimate spans, stats counted %d lookups:\n%s", got, stats.LatencyLookups, tree.String())
 	}
-	// One timed observation per lookup: the histogram and the counter are two
-	// readings of the same loop, not two instruments that could drift apart.
-	if got := reg.Histogram("predtop_planner_predict_seconds", nil).Count(); got != stats.LatencyLookups {
-		t.Fatalf("predict_seconds observed %d lookups, latency_lookups_total counted %d", got, stats.LatencyLookups)
-	}
-	if got := snap["predtop_planner_dp_states_total"]; got != float64(stats.DPStates) {
-		t.Fatalf("metric dp states %v != stats %d", got, stats.DPStates)
-	}
-	if snap["predtop_planner_best_latency"] != ref.Est {
-		t.Fatalf("best latency gauge %v != %v", snap["predtop_planner_best_latency"], ref.Est)
+}
+
+// TrueLatency returns the oracle latency source (simulator-exact optimal
+// stage latencies, no noise, no cost) — useful for tests and upper-bound
+// comparisons.
+func TrueLatency(mdl *models.Model) LatencyFn {
+	return func(sp stage.Spec, mesh cluster.Mesh) (float64, bool) {
+		return TrueStageLatency(mdl, sp, mesh)
 	}
 }

@@ -36,35 +36,6 @@ type Meter struct {
 // Total returns the end-to-end optimization cost in simulated seconds.
 func (m *Meter) Total() float64 { return m.ProfileSeconds + m.TrainSeconds + m.InferSeconds }
 
-// PublishMetrics exports the meter's counters as labeled predtop_planner_*
-// series on reg, tagged with the latency-source version they belong to
-// (e.g. "Alpa-Full", "PredTOP-Tran"): the memoized lookup table's traffic on
-// predtop_planner_cache_hits_total / _misses_total{cache="latency"} and the
-// simulated cost components on predtop_planner_cost_seconds{component=...}.
-// Counters add (a meter is published once per run); no-op on a nil registry
-// or meter.
-func (m *Meter) PublishMetrics(reg *obs.Registry, version string) {
-	if m == nil || reg == nil {
-		return
-	}
-	ver := obs.Label{Key: "version", Value: version}
-	latency := obs.Label{Key: "cache", Value: "latency"}
-	reg.CounterWith("predtop_planner_cache_hits_total", latency, ver).Add(int64(m.CacheHits))
-	reg.CounterWith("predtop_planner_cache_misses_total", latency, ver).Add(int64(m.CacheMisses))
-	for _, c := range []struct {
-		component string
-		seconds   float64
-	}{
-		{"profile", m.ProfileSeconds},
-		{"train", m.TrainSeconds},
-		{"infer", m.InferSeconds},
-	} {
-		reg.GaugeWith("predtop_planner_cost_seconds",
-			obs.Label{Key: "component", Value: c.component}, ver).Set(c.seconds)
-	}
-	reg.CounterWith("predtop_planner_stages_profiled_total", ver).Add(int64(m.StagesProfiled))
-}
-
 // Simulated per-graph costs of running the predictor on the platform's own
 // hardware (the paper trains PredTOP on the same machines it profiles on):
 // one training step and one inference pass over a stage DAG.
@@ -149,30 +120,17 @@ const (
 	KindGAT
 )
 
-// String implements fmt.Stringer.
-func (k PredictorKind) String() string {
-	switch k {
-	case KindTransformer:
-		return "PredTOP-Tran"
-	case KindGCN:
-		return "PredTOP-GCN"
-	case KindGAT:
-		return "PredTOP-GAT"
-	}
-	return "PredTOP-?"
-}
+// kindArch maps each kind to its graphnn architecture name — the one place
+// the planner's version names ("PredTOP-" + arch) are tied to the
+// architectures graphnn.ModelSpec.Build knows.
+var kindArch = [...]string{KindTransformer: "Tran", KindGCN: "GCN", KindGAT: "GAT"}
 
-// NewModel instantiates the architecture at the given sizes (zero-value
-// configs use the paper's hyper-parameters).
-func (k PredictorKind) NewModel(rng *rand.Rand, tran graphnn.TransformerConfig, gcn graphnn.GCNConfig, gat graphnn.GATConfig) graphnn.Model {
-	switch k {
-	case KindGCN:
-		return graphnn.NewGCN(rng, gcn)
-	case KindGAT:
-		return graphnn.NewGAT(rng, gat)
-	default:
-		return graphnn.NewDAGTransformer(rng, tran)
+// String implements fmt.Stringer: the Fig-10 version name.
+func (k PredictorKind) String() string {
+	if int(k) >= len(kindArch) {
+		return "PredTOP-?"
 	}
+	return "PredTOP-" + kindArch[k]
 }
 
 // ProviderInfo identifies the latency source a plan came from — the
@@ -282,23 +240,20 @@ func TrainPredictorProvider(mdl *models.Model, p cluster.Platform, opt Predictor
 		trainIdx, valIdx, _ := stage.Split(rng, len(ds.Samples), 0.85, 0.15)
 		cfg := opt.Train
 		cfg.Seed = opt.Seed + int64(sc.Mesh.Index*10+sc.Config.Index)
-		model := opt.Kind.NewModel(rand.New(rand.NewSource(cfg.Seed)), opt.Tran, opt.GCN, opt.GAT)
+		spec := graphnn.ModelSpec{Arch: kindArch[opt.Kind], Tran: opt.Tran, GCN: opt.GCN, GAT: opt.GAT}
+		model, err := spec.Build(rand.New(rand.NewSource(cfg.Seed)))
+		if err != nil {
+			panic("planner: " + err.Error()) // an out-of-range Kind is a caller bug
+		}
 		tr, res := predictor.Train(model, ds, trainIdx, valIdx, cfg)
 		meter.TrainSeconds += float64(res.EpochsRun*len(trainIdx)) * simTrainStepSeconds
 		trained[scKey{sc.Mesh.Index, sc.Config.Index}] = tr
 		inOrder = append(inOrder, tr)
-		if opt.Acc != nil {
-			key := obs.AccuracyKey{
+		if opt.Acc != nil { // the validation forward runs only for a monitor
+			tr.Evaluate(ds, valIdx).Observe(opt.Acc, obs.AccuracyKey{
 				Family: opt.Kind.String(),
 				Mesh:   fmt.Sprintf("%dx%d", sc.Mesh.Nodes, sc.Mesh.GPUsPerNode),
-			}
-			encs := make([]*stage.Encoded, len(valIdx))
-			for k, i := range valIdx {
-				encs[k] = ds.Samples[i].Encoded
-			}
-			for k, pred := range tr.PredictEncodedBatch(encs, 0) {
-				opt.Acc.Observe(key, pred, ds.Samples[valIdx[k]].Measured)
-			}
+			})
 		}
 	}
 
@@ -334,13 +289,4 @@ func TrainPredictorProvider(mdl *models.Model, p cluster.Platform, opt Predictor
 		}
 		return best
 	})
-}
-
-// TrueLatency returns the oracle latency source (simulator-exact optimal
-// stage latencies, no noise, no cost) — useful for tests and upper-bound
-// comparisons.
-func TrueLatency(mdl *models.Model) LatencyFn {
-	return func(sp stage.Spec, mesh cluster.Mesh) (float64, bool) {
-		return TrueStageLatency(mdl, sp, mesh)
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"predtop/internal/ir"
+	"predtop/internal/obs"
 	"predtop/internal/parallel"
 	"predtop/internal/stage"
 )
@@ -24,8 +25,7 @@ import (
 // rendering is byte-identical for a fixed seed.
 type Attribution struct {
 	// Samples is the number of held-out stages evaluated; MREPct is their
-	// mean relative error — bitwise identical to Trained.MRE over the same
-	// indices (same predictions, same fixed-shape tree reduction).
+	// mean relative error (what Trained.MRE returns).
 	Samples int     `json:"samples"`
 	MREPct  float64 `json:"mre_pct"`
 	// ByOp buckets residuals per operator type: a stage's error contributes
@@ -128,32 +128,45 @@ func sampleKinds(e *stage.Encoded) []int {
 }
 
 // Evaluation is one held-out evaluation of a trained predictor: the scalar
-// MRE, the raw predictions (in idx order, for accuracy-monitor feeds), and
-// the error-attribution snapshot — all from a single batched forward.
+// MRE, the predictions with the profiled latencies they were scored against
+// (both in idx order), and the error-attribution snapshot — all from a
+// single batched forward.
 type Evaluation struct {
 	MREPct      float64
 	Preds       []float64
+	Measured    []float64
 	Attribution *Attribution
 }
 
-// Evaluate runs one batched forward over the indexed samples and derives the
-// MRE, per-sample predictions, and the attribution snapshot. The MRE is
-// bitwise identical to MRE/MREWith over the same indices: the predictions
-// come from the same batched path and the error sum folds through the same
-// fixed-shape tree reduction. Pure observation — evaluating never mutates
-// the model or the dataset.
+// Observe streams every predicted-vs-measured pair of the evaluation into mon
+// under key, serially in idx order — the one accuracy-monitor feed. A nil
+// monitor drops them.
+func (e Evaluation) Observe(mon *obs.AccuracyMonitor, key obs.AccuracyKey) {
+	for k, pred := range e.Preds {
+		mon.Observe(key, pred, e.Measured[k])
+	}
+}
+
+// Evaluate is the one evaluation path: a batched forward over the indexed
+// samples (chunks fan across GOMAXPROCS), from which it derives the MRE (Eqn
+// 5, percent), the per-sample predictions, and the attribution snapshot. The
+// error sum folds through a fixed-shape tree, so the MRE does not depend on
+// the worker count. Pure observation — evaluating never mutates the model or
+// the dataset.
 func (t Trained) Evaluate(ds *Dataset, idx []int) Evaluation {
 	if len(idx) == 0 {
 		return Evaluation{Attribution: &Attribution{}}
 	}
 	es := make([]*stage.Encoded, len(idx))
+	measured := make([]float64, len(idx))
 	for k, i := range idx {
 		es[k] = ds.Samples[i].Encoded
+		measured[k] = ds.Samples[i].Measured
 	}
 	preds := t.PredictEncodedBatch(es, 0)
 	errs := make([]float64, len(idx))
-	for k, i := range idx {
-		errs[k] = math.Abs(preds[k]-ds.Samples[i].Measured) / ds.Samples[i].Measured
+	for k := range idx {
+		errs[k] = math.Abs(preds[k]-measured[k]) / measured[k]
 	}
 
 	// Bucket before reducing: TreeReduce uses its slice as scratch.
@@ -176,8 +189,9 @@ func (t Trained) Evaluate(ds *Dataset, idx []int) Evaluation {
 	total := parallel.TreeReduce(errs, func(a, b float64) float64 { return a + b })
 	mre := total / float64(len(idx)) * 100
 	return Evaluation{
-		MREPct: mre,
-		Preds:  preds,
+		MREPct:   mre,
+		Preds:    preds,
+		Measured: measured,
 		Attribution: &Attribution{
 			Samples: len(idx),
 			MREPct:  mre,
@@ -190,11 +204,6 @@ func (t Trained) Evaluate(ds *Dataset, idx []int) Evaluation {
 
 // depthKey renders a stage depth (segments spanned) as a zero-padded key.
 func depthKey(d int) string { return fmt.Sprintf("depth %02d", d) }
-
-// Attribute is Evaluate reduced to its attribution snapshot.
-func (t Trained) Attribute(ds *Dataset, idx []int) *Attribution {
-	return t.Evaluate(ds, idx).Attribution
-}
 
 // MergeAttributions folds snapshots bucket by bucket (weight-averaged MREs,
 // max of maxes). Merging is exact — buckets carry their weight sums — but

@@ -41,6 +41,9 @@ func TestEvaluateMatchesMREBitwise(t *testing.T) {
 		if math.Abs(ev.Preds[k]-want) > 1e-9*math.Abs(want) {
 			t.Fatalf("pred[%d] = %v, serial forward %v", k, ev.Preds[k], want)
 		}
+		if ev.Measured[k] != ds.Samples[i].Measured {
+			t.Fatalf("measured[%d] = %v, sample holds %v", k, ev.Measured[k], ds.Samples[i].Measured)
+		}
 	}
 }
 
@@ -51,8 +54,8 @@ func TestEvaluateEmptyAndDeterministic(t *testing.T) {
 		t.Fatalf("empty evaluation not empty: %+v", ev)
 	}
 	idx := []int{0, 3, 5, 7, 9}
-	a, _ := json.Marshal(tr.Attribute(ds, idx))
-	b, _ := json.Marshal(tr.Attribute(ds, idx))
+	a, _ := json.Marshal(tr.Evaluate(ds, idx).Attribution)
+	b, _ := json.Marshal(tr.Evaluate(ds, idx).Attribution)
 	if string(a) != string(b) {
 		t.Fatal("attribution JSON differs across identical evaluations")
 	}
@@ -65,7 +68,7 @@ func TestAttributionBucketAccounting(t *testing.T) {
 	for i := range idx {
 		idx[i] = i
 	}
-	a := tr.Attribute(ds, idx)
+	a := tr.Evaluate(ds, idx).Attribution
 	if a.Samples != len(idx) {
 		t.Fatalf("samples %d != %d", a.Samples, len(idx))
 	}
@@ -114,12 +117,12 @@ func TestMergeAttributions(t *testing.T) {
 		all[i] = i
 	}
 	half := len(all) / 2
-	pa, pb := tr.Attribute(ds, all[:half]), tr.Attribute(ds, all[half:])
+	pa, pb := tr.Evaluate(ds, all[:half]).Attribution, tr.Evaluate(ds, all[half:]).Attribution
 	m := MergeAttributions(pa, nil, pb)
 	if m.Samples != len(all) {
 		t.Fatalf("merged samples %d != %d", m.Samples, len(all))
 	}
-	whole := tr.Attribute(ds, all)
+	whole := tr.Evaluate(ds, all).Attribution
 	if math.Abs(m.MREPct-whole.MREPct) > 1e-9*(1+whole.MREPct) {
 		t.Fatalf("merged MRE %v, whole-set MRE %v", m.MREPct, whole.MREPct)
 	}
@@ -149,7 +152,7 @@ func TestAttributionRender(t *testing.T) {
 	_, ds := smallDataset(t, 16)
 	tr := testTrained(11)
 	idx := []int{0, 1, 2, 3}
-	out := tr.Attribute(ds, idx).Render()
+	out := tr.Evaluate(ds, idx).Attribution.Render()
 	for _, want := range []string{"error attribution: 4 samples", "by op type", "by node count", "by stage depth"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendering missing %q:\n%s", want, out)

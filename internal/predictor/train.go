@@ -42,8 +42,8 @@ type TrainConfig struct {
 	// minibatch, never on the worker count.
 	Workers int
 	// Hooks, when non-nil, observes training progress (per-epoch stats,
-	// early stop, weight restore) and receives hot-path metrics. Hooks only
-	// observe — they never perturb the shuffle, sharding, or reduction
+	// early stop, weight restore, phase spans, flight breadcrumbs). Hooks
+	// only observe — they never perturb the shuffle, sharding, or reduction
 	// order — so trained weights stay bitwise identical with hooks attached
 	// or absent, at every Workers setting.
 	Hooks *TrainHooks
@@ -79,16 +79,12 @@ type TrainHooks struct {
 	// OnRestore fires when best-validation weights are restored at the end
 	// of a run with a validation set.
 	OnRestore func(bestEpoch int, bestValLoss float64)
-	// Metrics receives hot-path instruments (train_batches_total,
-	// train_samples_total, train_batch_seconds, train_epoch_seconds). A nil
-	// registry is a zero-allocation no-op on the minibatch hot path.
-	Metrics *obs.Registry
 	// Profiler, when non-nil, receives hierarchical phase spans
 	// (train → data / batch{sample, step} / eval) with per-layer
-	// forward/backward attribution from the model tapes. Like Metrics, a
-	// nil profiler keeps every span inert and allocation-free, and spans
-	// only observe — trained weights stay bitwise identical with profiling
-	// on or off.
+	// forward/backward attribution from the model tapes — the run's only
+	// wall-clock record besides EpochStats.WallSeconds. A nil profiler keeps
+	// every span inert and allocation-free, and spans only observe — trained
+	// weights stay bitwise identical with profiling on or off.
 	Profiler *obs.Profiler
 	// Flight, when non-nil, receives breadcrumbs (one static note per batch,
 	// one per epoch) into the crash ring buffer, so a worker panic dump shows
@@ -169,13 +165,14 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 	params := model.Params()
 	opt := optim.NewAdam(params)
 
-	// Phase spans nest under one "train" root; with no profiler attached
-	// every span below is the inert zero Span (guarded, like the metrics
-	// instruments, by TestNilRegistryHotPathZeroAlloc).
+	// Phase spans nest under one "train" root; with no profiler or flight
+	// recorder attached every span and note below is an inert no-op (guarded
+	// by TestNilRegistryHotPathZeroAlloc).
 	hooks := cfg.Hooks
 	var prof *obs.Profiler
+	var flight *obs.FlightRecorder
 	if hooks != nil {
-		prof = hooks.Profiler
+		prof, flight = hooks.Profiler, hooks.Flight
 	}
 	trainSpan := prof.Start("train")
 	defer trainSpan.End()
@@ -225,22 +222,6 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 	btape := newTape()
 	bencs := make([]*stage.Encoded, cfg.BatchSize)
 
-	// Instruments resolve to nil on a nil registry, making every hot-path
-	// observation below a zero-allocation no-op (guarded by
-	// TestNilRegistryHotPathZeroAlloc).
-	var reg *obs.Registry
-	if hooks != nil {
-		reg = hooks.Metrics
-	}
-	batchTimer := reg.Histogram("train_batch_seconds", nil)
-	epochTimer := reg.Histogram("train_epoch_seconds", nil)
-	batchCtr := reg.Counter("train_batches_total")
-	sampleCtr := reg.Counter("train_samples_total")
-	var flight *obs.FlightRecorder
-	if hooks != nil {
-		flight = hooks.Flight
-	}
-
 	useVal := len(valIdx) > 0
 	best := math.Inf(1)
 	bestParams := snapshot(params)
@@ -287,7 +268,6 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 
 	order := append([]int{}, trainIdx...)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		et := epochTimer.Start()
 		lr := optim.CosineDecay(cfg.BaseLR, epoch, cfg.Epochs)
 		dsp := trainSpan.Start("data")
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -299,7 +279,6 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 				hi = len(order)
 			}
 			batch := order[lo:hi]
-			bt := batchTimer.Start()
 			bs := trainSpan.Start("batch")
 			runBatch(batch, bs)
 			st := bs.Start("step")
@@ -309,9 +288,6 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 			opt.Step(lr)
 			st.End()
 			bs.End()
-			bt.Stop()
-			batchCtr.Inc()
-			sampleCtr.Add(int64(len(batch)))
 			flight.Note("train", "batch")
 			// Observation only: per-sample losses fold through the same
 			// fixed-shape tree as the gradients and accumulate serially in
@@ -345,7 +321,6 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 		}
 		stats.WallSeconds = time.Since(start).Seconds()
 		res.History = append(res.History, stats)
-		et.Stop()
 		if flight.Enabled() { // guard: the message is formatted only when live
 			flight.Note("train", "epoch "+strconv.Itoa(epoch+1)+" done")
 		}
@@ -450,40 +425,10 @@ func (t Trained) predictChunk(es []*stage.Encoded, out []float64) {
 	predictTapes.Put(tp)
 }
 
-// MRE computes the mean relative error (Eqn 5, in percent) of the trained
-// model over the given sample indices, against the profiled ground truth.
-// Samples are evaluated in parallel; the error sum uses a fixed-order tree
-// reduction, so the result does not depend on GOMAXPROCS.
-func (t Trained) MRE(ds *Dataset, idx []int) float64 {
-	return t.MREWith(ds, idx, nil, obs.AccuracyKey{})
-}
-
-// MREWith is MRE that additionally streams every predicted-vs-measured pair
-// into an accuracy monitor under the given key. Predictions run in parallel,
-// but the monitor is fed serially in index order — and the returned MRE folds
-// through the same fixed-shape tree as MRE — so results are bitwise identical
-// to MRE with or without a monitor attached (a nil monitor skips the feed).
-func (t Trained) MREWith(ds *Dataset, idx []int, mon *obs.AccuracyMonitor, key obs.AccuracyKey) float64 {
-	if len(idx) == 0 {
-		return 0
-	}
-	es := make([]*stage.Encoded, len(idx))
-	for k, i := range idx {
-		es[k] = ds.Samples[i].Encoded
-	}
-	preds := t.PredictEncodedBatch(es, 0)
-	errs := make([]float64, len(idx))
-	for k, i := range idx {
-		errs[k] = math.Abs(preds[k]-ds.Samples[i].Measured) / ds.Samples[i].Measured
-	}
-	if mon != nil {
-		for k := range preds {
-			mon.Observe(key, preds[k], ds.Samples[idx[k]].Measured)
-		}
-	}
-	total := parallel.TreeReduce(errs, func(a, b float64) float64 { return a + b })
-	return total / float64(len(idx)) * 100
-}
+// MRE is the mean relative error (Eqn 5, in percent) of the trained model
+// over the given sample indices against the profiled ground truth:
+// Evaluate's MREPct.
+func (t Trained) MRE(ds *Dataset, idx []int) float64 { return t.Evaluate(ds, idx).MREPct }
 
 // sampleLoss is one sample's contribution to the evaluation objective.
 func sampleLoss(pred, target float64, l Loss) float64 {

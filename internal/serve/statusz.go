@@ -81,34 +81,23 @@ func renderStatusz(w io.Writer, d statuszData) {
 }
 
 // statuszData gathers the live page inputs: registry state, the SLO
-// snapshot, and the queue/cache instruments read back from the metrics
-// registry snapshot (nil registry → zeros, like everything else).
+// snapshot, and the queue/cache instruments the server already holds (nil
+// metrics registry → nil handles → zeros, like everything else).
 func (s *Server) statuszData() statuszData {
 	entries, gen := s.registry.Snapshot()
-	d := statuszData{
+	return statuszData{
 		Addr:          s.Addr(),
 		ModelDir:      s.cfg.ModelDir,
 		Models:        len(entries),
 		Generation:    gen,
 		UptimeSeconds: int64(time.Since(s.start).Seconds()),
+		QueueDepth:    int64(s.waiting.Value()),
+		CacheHits:     s.hits.Value(),
+		CacheMisses:   s.misses.Value(),
 		SLOEnabled:    s.slo != nil,
 		SLO:           s.slo.Snapshot(),
 		Incidents:     s.incidents.count(),
 	}
-	for _, m := range s.cfg.Metrics.Snapshot() {
-		if m.Labels != "" {
-			continue
-		}
-		switch m.Name {
-		case QueueDepthMetric:
-			d.QueueDepth = int64(m.Value)
-		case CacheHitsMetric:
-			d.CacheHits = int64(m.Value)
-		case CacheMissesMetric:
-			d.CacheMisses = int64(m.Value)
-		}
-	}
-	return d
 }
 
 // handleStatusz answers GET /statusz with the rendered page.

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"predtop/internal/ir"
-	"predtop/internal/obs"
 )
 
 // Profiler models Alpa's stage-profiling procedure: each measurement carries
@@ -17,11 +16,6 @@ type Profiler struct {
 	NoiseFrac float64
 	// Warmup and Trials are the untimed and timed executions per profile.
 	Warmup, Trials int
-	// Metrics, when non-nil, counts measurements (sim_measurements_total)
-	// and accumulates simulated profiling cost (sim_profiles_total counter,
-	// sim_profile_cost_seconds histogram). Profiler is copied by value;
-	// copies share the registry.
-	Metrics *obs.Registry
 }
 
 // DefaultProfiler mirrors typical profiling practice (±0.8 % noise,
@@ -31,7 +25,6 @@ func DefaultProfiler() Profiler { return Profiler{NoiseFrac: 0.008, Warmup: 2, T
 // Measure returns a noisy observation of the true latency, deterministic in
 // seed (so profiles are reproducible across processes).
 func (p Profiler) Measure(trueLatency float64, seed uint64) float64 {
-	p.Metrics.Counter("sim_measurements_total").Inc()
 	if p.NoiseFrac == 0 {
 		return trueLatency
 	}
@@ -88,8 +81,5 @@ func TransferSeconds(g *ir.Graph) float64 {
 // ProfileCostSeconds is the full wall-clock cost of profiling one stage on
 // one mesh: compile + transfer + (warmup+trials) executions.
 func (p Profiler) ProfileCostSeconds(g *ir.Graph, e Exec, trueLatency float64) float64 {
-	cost := CompileSeconds(g, e) + TransferSeconds(g) + float64(p.Warmup+p.Trials)*trueLatency
-	p.Metrics.Counter("sim_profiles_total").Inc()
-	p.Metrics.Histogram("sim_profile_cost_seconds", nil).Observe(cost)
-	return cost
+	return CompileSeconds(g, e) + TransferSeconds(g) + float64(p.Warmup+p.Trials)*trueLatency
 }

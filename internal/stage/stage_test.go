@@ -29,8 +29,8 @@ func diamondWithReshape() *ir.Graph {
 func TestFromGraphNoPrune(t *testing.T) {
 	g := diamondWithReshape()
 	d := FromGraph(g, false)
-	if d.N() != g.NumNodes() {
-		t.Fatalf("unpruned DAG has %d nodes, graph %d", d.N(), g.NumNodes())
+	if d.N() != len(g.Nodes) {
+		t.Fatalf("unpruned DAG has %d nodes, graph %d", d.N(), len(g.Nodes))
 	}
 }
 
@@ -42,8 +42,8 @@ func TestPruningRemovesAndRewires(t *testing.T) {
 			t.Fatalf("pruned kind %v survived", k)
 		}
 	}
-	if d.N() != g.NumNodes()-2 {
-		t.Fatalf("expected 2 nodes pruned: %d of %d", d.N(), g.NumNodes())
+	if d.N() != len(g.Nodes)-2 {
+		t.Fatalf("expected 2 nodes pruned: %d of %d", d.N(), len(g.Nodes))
 	}
 	// exp's predecessor chain must now reach the input directly.
 	expID := -1

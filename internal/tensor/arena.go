@@ -13,8 +13,7 @@ package tensor
 //     MUST NOT be referenced again.
 //   - Anything that escapes the generation — trained weights, gradients
 //     accumulated across steps, results returned to callers — must be
-//     copied out with Clone (which always heap-allocates) or exempted with
-//     Pin, which permanently removes the tensor from recycling.
+//     copied out with Clone (which always heap-allocates).
 //   - A nil *Arena is valid and simply falls back to plain allocation, so
 //     code paths can be written once and run with or without reuse.
 //   - An Arena is not safe for concurrent use; give each worker goroutine
@@ -81,28 +80,14 @@ func (a *Arena) GetUninit(r, c int) *Tensor {
 	return t
 }
 
-// Pin exempts t — which must have come from this arena's current
-// generation — from recycling: Reset releases it to the garbage collector
-// instead of the free list, so no later Get can alias its buffer. Returns t
-// for chaining. No-op on a nil arena or a tensor the arena does not own.
-func (a *Arena) Pin(t *Tensor) *Tensor {
-	if a != nil {
-		t.pinned = true
-	}
-	return t
-}
-
-// Reset recycles every unpinned tensor handed out since the previous Reset.
-// All of them become invalid; pinned tensors stay live and untouched.
+// Reset recycles every tensor handed out since the previous Reset. All of
+// them become invalid.
 func (a *Arena) Reset() {
 	if a == nil {
 		return
 	}
 	for i, t := range a.used {
 		a.used[i] = nil
-		if t.pinned {
-			continue
-		}
 		cls := cap(t.Data)
 		a.free[cls] = append(a.free[cls], t)
 	}

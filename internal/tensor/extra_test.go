@@ -42,9 +42,8 @@ func TestZeroFillMaxAbs(t *testing.T) {
 	if a.MaxAbs() != 3 {
 		t.Fatalf("MaxAbs %v", a.MaxAbs())
 	}
-	a.Fill(2)
-	if a.Sum() != 8 {
-		t.Fatal("Fill")
+	if a.Sum() != -12 {
+		t.Fatalf("Sum %v", a.Sum())
 	}
 	a.Zero()
 	if a.MaxAbs() != 0 {

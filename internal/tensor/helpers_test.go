@@ -120,3 +120,27 @@ func zipWith(a, b *Tensor, f func(x, y float64) float64) *Tensor {
 	}
 	return out
 }
+
+// FromRows builds a tensor from a slice of equal-length rows.
+func FromRows(rows [][]float64) *Tensor {
+	if len(rows) == 0 {
+		return New(0, 0)
+	}
+	t := New(len(rows), len(rows[0]))
+	for i, row := range rows {
+		if len(row) != t.C {
+			panic("tensor: FromRows ragged input")
+		}
+		copy(t.Row(i), row)
+	}
+	return t
+}
+
+// Eye returns the n×n identity matrix.
+func Eye(n int) *Tensor {
+	t := New(n, n)
+	for i := 0; i < n; i++ {
+		t.Data[i*n+i] = 1
+	}
+	return t
+}

@@ -18,10 +18,6 @@ import (
 type Tensor struct {
 	R, C int
 	Data []float64
-	// pinned marks an arena-owned tensor as escaped (see Arena.Pin): Reset
-	// releases it to the garbage collector instead of the free list. Always
-	// false for tensors allocated outside an arena.
-	pinned bool
 }
 
 // New returns a zero-filled r×c tensor.
@@ -42,35 +38,11 @@ func FromSlice(r, c int, data []float64) *Tensor {
 	return t
 }
 
-// FromRows builds a tensor from a slice of equal-length rows.
-func FromRows(rows [][]float64) *Tensor {
-	if len(rows) == 0 {
-		return New(0, 0)
-	}
-	t := New(len(rows), len(rows[0]))
-	for i, row := range rows {
-		if len(row) != t.C {
-			panic("tensor: FromRows ragged input")
-		}
-		copy(t.Row(i), row)
-	}
-	return t
-}
-
 // Full returns an r×c tensor with every element set to v.
 func Full(r, c int, v float64) *Tensor {
 	t := New(r, c)
 	for i := range t.Data {
 		t.Data[i] = v
-	}
-	return t
-}
-
-// Eye returns the n×n identity matrix.
-func Eye(n int) *Tensor {
-	t := New(n, n)
-	for i := 0; i < n; i++ {
-		t.Data[i*n+i] = 1
 	}
 	return t
 }
@@ -119,13 +91,6 @@ func (t *Tensor) SameShape(o *Tensor) bool { return t.R == o.R && t.C == o.C }
 func (t *Tensor) Zero() {
 	for i := range t.Data {
 		t.Data[i] = 0
-	}
-}
-
-// Fill sets every element to v in place.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.Data {
-		t.Data[i] = v
 	}
 }
 
@@ -294,16 +259,6 @@ func AddInPlace(a, b *Tensor) {
 	}
 	for i := range a.Data {
 		a.Data[i] += b.Data[i]
-	}
-}
-
-// AddScaledInPlace accumulates s·b into a.
-func AddScaledInPlace(a *Tensor, s float64, b *Tensor) {
-	if !a.SameShape(b) {
-		shapePanic("AddScaledInPlace shape mismatch %dx%d vs %dx%d", a.R, a.C, b.R, b.C)
-	}
-	for i := range a.Data {
-		a.Data[i] += s * b.Data[i]
 	}
 }
 

@@ -228,10 +228,6 @@ func TestInPlaceAccumulators(t *testing.T) {
 	if !AllClose(a, Full(2, 2, 3), 0) {
 		t.Fatal("AddInPlace")
 	}
-	AddScaledInPlace(a, -0.5, Full(2, 2, 2))
-	if !AllClose(a, Full(2, 2, 2), 0) {
-		t.Fatal("AddScaledInPlace")
-	}
 }
 
 func TestShapePanics(t *testing.T) {

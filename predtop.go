@@ -45,21 +45,17 @@ import (
 	"context"
 	"io"
 	"math/rand"
-	"time"
 
 	"predtop/internal/cluster"
 	"predtop/internal/graphnn"
 	"predtop/internal/models"
 	"predtop/internal/obs"
-	"predtop/internal/parallel"
 	"predtop/internal/pipeline"
 	"predtop/internal/planner"
 	"predtop/internal/predictor"
-	"predtop/internal/runledger"
 	"predtop/internal/serve"
 	"predtop/internal/sim"
 	"predtop/internal/stage"
-	"predtop/internal/tensor"
 )
 
 // Model-building API.
@@ -189,6 +185,19 @@ func Train(m PredictorModel, ds *Dataset, trainIdx, valIdx []int, cfg TrainConfi
 	return predictor.Train(m, ds, trainIdx, valIdx, cfg)
 }
 
+// SaveTrained writes a trained predictor (architecture spec, label scale,
+// and weights) to path.
+func SaveTrained(path string, t Trained) error { return predictor.SaveFile(path, t) }
+
+// LoadTrained reads a predictor saved by SaveTrained.
+func LoadTrained(path string) (Trained, error) { return predictor.LoadFile(path) }
+
+// WeightFingerprint returns the 16-hex FNV-1a fingerprint of the trained
+// predictors' weights — the same scheme plan provenance reports and
+// run-ledger manifests carry, so a model file, a plan, and a recorded run can
+// be matched by identity.
+func WeightFingerprint(trs ...Trained) string { return planner.WeightFingerprint(trs...) }
+
 // White-box pipeline API.
 
 // PipelineLatency is Eqn 4: T = Σ tᵢ + (B−1)·max tⱼ.
@@ -200,6 +209,12 @@ func PipelineLatency(stageLat []float64, microbatches int) float64 {
 // makespan and per-task timeline.
 func SimulatePipeline(stageLat []float64, microbatches int) (float64, []pipeline.Task) {
 	return pipeline.Simulate(stageLat, microbatches)
+}
+
+// WritePipelineTrace renders a simulated pipeline schedule as a Chrome-tracing
+// JSON file loadable in Perfetto or chrome://tracing.
+func WritePipelineTrace(w io.Writer, stageLat []float64, microbatches int) error {
+	return pipeline.WriteChromeTrace(w, stageLat, microbatches)
 }
 
 // Planner API.
@@ -306,80 +321,14 @@ func DiffPlanReports(base, scenario *PlanReport) *PlanReportDiff {
 // LoadPlanReport reads a report previously written by PlanReport.SaveFile.
 func LoadPlanReport(path string) (*PlanReport, error) { return planner.LoadReport(path) }
 
-// Observability API (internal/obs): optional metrics, JSONL event records,
-// and Chrome-trace export. Every handle is nil-safe — a nil registry, sink,
-// trace builder, or logger is an inert no-op — so instrumentation can be
-// threaded unconditionally and enabled only when the user asks for it.
+// Serving API (internal/serve). Telemetry is not part of this facade: tools
+// inside the module reach internal/obs through internal/cli. The one
+// exception is the metrics registry, which the daemon — its only user —
+// takes as ServeConfig.Metrics.
 type (
-	// Observer bundles the three observability outputs for APIs that take
-	// one optional handle (e.g. experiments.Preset.Obs).
-	Observer = obs.Observer
-	// MetricsRegistry collects counters, gauges, and histograms.
+	// MetricsRegistry collects the daemon's counters, gauges, and histograms
+	// and serves them as GET /metrics.
 	MetricsRegistry = obs.Registry
-	// MetricSnapshot is one exported metric (see MetricsRegistry.Snapshot).
-	MetricSnapshot = obs.Metric
-	// EventSink streams JSONL records, one JSON object per line.
-	EventSink = obs.Sink
-	// TraceBuilder accumulates Chrome-tracing events across named tracks.
-	TraceBuilder = obs.TraceBuilder
-	// ProgressLogger prints progress lines unless quiet (or nil).
-	ProgressLogger = obs.Logger
-	// SpanProfiler aggregates nested timed spans into a deterministic
-	// self-time profile tree (see TrainHooks.Profiler, PlanOptions.Prof, and
-	// Model.Prof). A nil profiler and its spans are inert no-ops.
-	SpanProfiler = obs.Profiler
-	// ProfileSpan is one timed region of a SpanProfiler; the zero value is
-	// inert, so spans can be threaded unconditionally.
-	ProfileSpan = obs.Span
-	// MetricsServer serves live telemetry over HTTP: GET /metrics in
-	// Prometheus text exposition format, GET /healthz, and the stdlib
-	// profiling handlers under /debug/pprof/.
-	MetricsServer = obs.Server
-	// MetricsServerConfig configures StartMetricsServer.
-	MetricsServerConfig = obs.ServerConfig
-	// RuntimeSampler periodically snapshots Go runtime health (goroutines,
-	// heap, GC) into a MetricsRegistry for live scrapes.
-	RuntimeSampler = obs.RuntimeSampler
-	// TraceContext is a run's deterministic correlation identity: trace and
-	// span ids derived from the run seed (never wall clock or rand), attached
-	// to the sink, registry, trace builder, and flight recorder so one grep
-	// joins every telemetry channel of a run.
-	TraceContext = obs.TraceContext
-	// FlightRecorder keeps the last N telemetry events in a fixed-size ring
-	// and dumps them (plus goroutine stacks) as JSONL on panic, SIGQUIT, or
-	// GET /debug/flightrecorder.
-	FlightRecorder = obs.FlightRecorder
-	// AccuracyMonitor streams predicted-vs-actual residuals per (family,
-	// mesh, op) key: Welford MRE, quantile-sketch P50/P95, max, and drift
-	// detection exported through metrics and JSONL.
-	AccuracyMonitor = obs.AccuracyMonitor
-	// AccuracyConfig configures an AccuracyMonitor.
-	AccuracyConfig = obs.AccuracyConfig
-	// AccuracyKey identifies one residual population (family, mesh, op).
-	AccuracyKey = obs.AccuracyKey
-	// AccuracyStats is a point-in-time read of one accuracy group.
-	AccuracyStats = obs.AccuracyStats
-	// SLOTracker keeps rolling multi-window (1m/5m/1h) latency percentiles,
-	// error rate, and error-budget burn against configured objectives, with
-	// edge-triggered breach callbacks. A nil tracker is an inert no-op.
-	SLOTracker = obs.SLOTracker
-	// SLOTrackerConfig configures NewSLOTracker: objectives, minimum sample
-	// arming threshold, metrics registry, breach callback, and clock.
-	SLOTrackerConfig = obs.SLOConfig
-	// SLOSnapshot is a point-in-time read of the tracker: per-window stats,
-	// breach state, and the worst recent requests with their trace ids.
-	SLOSnapshot = obs.SLOSnapshot
-	// SLOWindowStats is one rolling window's aggregates (count, errors,
-	// p50/p95/p99, error rate, burn rate).
-	SLOWindowStats = obs.SLOWindowStats
-	// SLOWorstRequest is one slow-request exemplar kept by the tracker,
-	// carrying the trace/span ids that join it to the access log.
-	SLOWorstRequest = obs.WorstRequest
-	// MetricLabel is one metric dimension for labeled counters and gauges.
-	MetricLabel = obs.Label
-	// WorkerPanic wraps a panic recovered in a parallel worker goroutine,
-	// re-raised on the calling goroutine with the worker's original stack.
-	WorkerPanic = parallel.WorkerPanic
 	// ServeConfig configures the predictor-as-a-service daemon (StartServe).
 	ServeConfig = serve.Config
 	// ServeDaemon is a running serving daemon: POST /predict, GET /models,
@@ -399,102 +348,6 @@ type (
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// PublishKernelInfo sets the predtop_kernel_simd gauge on reg: 1 when the
-// AVX2 row kernels are active on this host, 0 on the scalar fallback. Results
-// are bitwise identical either way; the gauge says which speed to expect.
-func PublishKernelInfo(reg *MetricsRegistry) {
-	simd := 0.0
-	if tensor.SIMDEnabled() {
-		simd = 1
-	}
-	reg.Gauge("predtop_kernel_simd").Set(simd)
-}
-
-// NewEventSink returns a JSONL sink writing to w (nil w → inert nil sink).
-func NewEventSink(w io.Writer) *EventSink { return obs.NewSink(w) }
-
-// NewTrace returns an empty Chrome-trace builder.
-func NewTrace() *TraceBuilder { return obs.NewTrace() }
-
-// NewProgressLogger returns a progress logger, or an inert nil logger when
-// quiet is set.
-func NewProgressLogger(w io.Writer, quiet bool) *ProgressLogger { return obs.NewLogger(w, quiet) }
-
-// NewSpanProfiler returns an empty span profiler. A nil *SpanProfiler is a
-// valid inert handle: Start returns a zero ProfileSpan and nothing is timed.
-func NewSpanProfiler() *SpanProfiler { return obs.NewProfiler() }
-
-// NewTraceContext returns the root trace context for a run: ids derive from
-// (seed, name) alone, so the same seed reproduces the same trace id.
-func NewTraceContext(seed int64, name string) *TraceContext {
-	return obs.NewTraceContext(seed, name)
-}
-
-// WithTraceContext returns a context carrying tc (see TraceContextFrom).
-func WithTraceContext(ctx context.Context, tc *TraceContext) context.Context {
-	return obs.WithTraceContext(ctx, tc)
-}
-
-// TraceContextFrom extracts the TraceContext from ctx (nil when absent).
-func TraceContextFrom(ctx context.Context) *TraceContext { return obs.TraceContextFrom(ctx) }
-
-// NewFlightRecorder returns a flight recorder keeping the last capacity
-// events (capacity <= 0 selects the 256-event default).
-func NewFlightRecorder(capacity int) *FlightRecorder { return obs.NewFlightRecorder(capacity) }
-
-// NewAccuracyMonitor returns an online prediction-accuracy monitor.
-func NewAccuracyMonitor(cfg AccuracyConfig) *AccuracyMonitor { return obs.NewAccuracyMonitor(cfg) }
-
-// NewSLOTracker returns a rolling SLO tracker for the given objectives. The
-// serving daemon builds one automatically when ServeConfig sets SLOP99 or
-// SLOErr; construct one directly to track any other request stream.
-func NewSLOTracker(cfg SLOTrackerConfig) *SLOTracker { return obs.NewSLOTracker(cfg) }
-
-// SetWorkerPanicHook installs a process-wide hook observing the first panic
-// recovered in any parallel worker loop before it is re-raised on the caller
-// (typically FlightRecorder.PanicHook). Nil removes it.
-func SetWorkerPanicHook(fn func(recovered any, stack []byte)) { parallel.SetPanicHook(fn) }
-
-// StartMetricsServer binds cfg.Addr and serves /metrics, /healthz, and
-// /debug/pprof/ until ctx is cancelled or Close is called. Use Addr ":0" to
-// pick a free port and read it back from MetricsServer.Addr.
-func StartMetricsServer(ctx context.Context, cfg MetricsServerConfig) (*MetricsServer, error) {
-	return obs.StartServer(ctx, cfg)
-}
-
-// StartRuntimeSampler samples Go runtime gauges into reg every interval
-// (<= 0 selects the 1s default) until Stop is called. A nil registry returns
-// a nil (inert) sampler.
-func StartRuntimeSampler(reg *MetricsRegistry, interval time.Duration) *RuntimeSampler {
-	return obs.StartRuntimeSampler(reg, interval)
-}
-
-// WriteMetricsProm writes reg as a Prometheus text exposition (version
-// 0.0.4): counters and gauges as single samples, histograms as cumulative
-// buckets with _sum and _count. A nil registry writes an empty exposition.
-func WriteMetricsProm(w io.Writer, reg *MetricsRegistry) error { return reg.WriteProm(w) }
-
-// AddPipelineSchedule appends a simulated 1F1B schedule to a trace builder:
-// one "<prefix>stage N" track per stage, one slice per microbatch task.
-// Invalid input (microbatches < 1; negative, NaN, or infinite latencies) is
-// an error.
-func AddPipelineSchedule(tb *TraceBuilder, prefix string, stageLat []float64, microbatches int) error {
-	return pipeline.AddSchedule(tb, prefix, stageLat, microbatches)
-}
-
-// WritePipelineTrace renders a simulated pipeline schedule as a Chrome-tracing
-// JSON file loadable in Perfetto or chrome://tracing.
-func WritePipelineTrace(w io.Writer, stageLat []float64, microbatches int) error {
-	return pipeline.WriteChromeTrace(w, stageLat, microbatches)
-}
-
-// SaveTrained writes a trained predictor (architecture spec, label scale,
-// and weights) to path.
-func SaveTrained(path string, t Trained) error { return predictor.SaveFile(path, t) }
-
-// LoadTrained reads a predictor saved by SaveTrained.
-func LoadTrained(path string) (Trained, error) { return predictor.LoadFile(path) }
-
 // StartServe loads the daemon's model registry and begins serving; see
 // ServeConfig. The returned daemon is already answering requests.
 func StartServe(ctx context.Context, cfg ServeConfig) (*ServeDaemon, error) {
@@ -505,62 +358,6 @@ func StartServe(ctx context.Context, cfg ServeConfig) (*ServeDaemon, error) {
 // daemon and returns throughput, latency percentiles, and the daemon's cache
 // counters and SLO verdict.
 func ServeReplay(cfg ServeReplayConfig) (*ServeReplayResult, error) { return serve.Replay(cfg) }
-
-// Error-attribution API (internal/predictor): where a trained predictor's
-// residuals live, bucketed by op type, node count, and stage depth.
-type (
-	// ErrorAttribution is one error-attribution snapshot: per-bucket sample
-	// counts, mean relative error, and worst-case error.
-	ErrorAttribution = predictor.Attribution
-	// ErrorAttributionBucket is one bucket of an ErrorAttribution.
-	ErrorAttributionBucket = predictor.AttributionBucket
-	// PredictorEvaluation is Trained.Evaluate's result: the held-out MRE,
-	// per-sample predictions, and the error-attribution snapshot, all from a
-	// single batched forward pass.
-	PredictorEvaluation = predictor.Evaluation
-)
-
-// MergeAttributions merges per-subset attributions into one exact aggregate,
-// as if the union had been attributed in one call.
-func MergeAttributions(parts ...*ErrorAttribution) *ErrorAttribution {
-	return predictor.MergeAttributions(parts...)
-}
-
-// WeightFingerprint returns the 16-hex FNV-1a fingerprint of the trained
-// predictors' weights — the same scheme plan provenance reports carry, so a
-// model file, a plan, and a run-ledger manifest can be matched by identity.
-func WeightFingerprint(trs ...Trained) string { return planner.WeightFingerprint(trs...) }
-
-// Run-ledger API (internal/runledger): persistent, diffable run manifests.
-type (
-	// RunManifest is one recorded tool invocation: a deterministic canonical
-	// section (byte-identical per seed) plus wall-clock session facts.
-	RunManifest = runledger.Manifest
-	// RunLedger is a content-addressed manifest store (conventionally the
-	// runs/ directory). A nil ledger is inert.
-	RunLedger = runledger.Store
-	// RunEntry is one stored run as listed by RunLedger.List.
-	RunEntry = runledger.Entry
-	// RunDiff is the side-by-side comparison of two run manifests.
-	RunDiff = runledger.Diff
-	// RunGateThresholds configures RunDiff.Gate's regression sentinel.
-	RunGateThresholds = runledger.GateThresholds
-)
-
-// NewRunManifest starts a manifest for one invocation of tool with seed.
-func NewRunManifest(tool string, seed int64) *RunManifest { return runledger.New(tool, seed) }
-
-// OpenRunLedger opens the manifest store rooted at dir ("" returns a nil,
-// inert ledger — the -runledger flag off state).
-func OpenRunLedger(dir string) *RunLedger { return runledger.Open(dir) }
-
-// LoadRunManifest reads one stored manifest file.
-func LoadRunManifest(path string) (*RunManifest, error) { return runledger.Load(path) }
-
-// CompareRuns diffs two manifests field by field, population by population.
-func CompareRuns(base, other *RunManifest, baseLabel, otherLabel string) *RunDiff {
-	return runledger.Compare(base, other, baseLabel, otherLabel)
-}
 
 // Extended white-box schedules (beyond the paper's Eqn 4).
 

@@ -1,7 +1,6 @@
 package predtop
 
 import (
-	"bytes"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -197,74 +196,5 @@ func TestFacadeSaveLoad(t *testing.T) {
 	}
 	if loaded.PredictEncoded(ds.Samples[0].Encoded) != trained.PredictEncoded(ds.Samples[0].Encoded) {
 		t.Fatal("round-trip prediction drift")
-	}
-}
-
-// TestFacadeTraceCorrelation is the acceptance check for run correlation: one
-// deterministic trace id, derived from the seed, must appear verbatim in the
-// Prometheus exposition (predtop_run_info), every JSONL record, the Chrome
-// trace metadata, traced log lines, and the flight-recorder dump — so a
-// single grep joins every telemetry channel of a run.
-func TestFacadeTraceCorrelation(t *testing.T) {
-	tc := NewTraceContext(1, "predtop-train")
-	id := tc.TraceID()
-	if id == "" || id != NewTraceContext(1, "predtop-train").TraceID() {
-		t.Fatalf("trace id not deterministic: %q", id)
-	}
-
-	// Prometheus exposition.
-	reg := NewMetricsRegistry()
-	reg.SetRunInfo(tc)
-	var prom bytes.Buffer
-	if err := reg.WriteProm(&prom); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(prom.String(), `predtop_run_info{name="predtop-train",trace_id="`+id+`"} 1`) {
-		t.Fatalf("exposition missing run-info metric:\n%s", prom.String())
-	}
-
-	// JSONL events.
-	var jsonl bytes.Buffer
-	sink := NewEventSink(&jsonl)
-	sink.SetTraceContext(tc)
-	sink.Emit(struct {
-		Event string `json:"event"`
-	}{"run"})
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(jsonl.String(), `"trace_id":"`+id+`"`) {
-		t.Fatalf("JSONL record missing trace id: %q", jsonl.String())
-	}
-
-	// Chrome trace metadata.
-	tb := NewTrace()
-	tb.SetTraceID(id)
-	tb.Begin("phases", "train").End()
-	var chrome bytes.Buffer
-	if err := tb.Render(&chrome); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(chrome.String(), `"trace_id":"`+id+`"`) {
-		t.Fatalf("Chrome trace missing trace id:\n%s", chrome.String())
-	}
-
-	// Traced progress log lines.
-	var logBuf bytes.Buffer
-	NewProgressLogger(&logBuf, false).WithTrace(tc).Printf("profiled %d stages", 7)
-	if !strings.Contains(logBuf.String(), "["+id+"] ") {
-		t.Fatalf("log line missing trace prefix: %q", logBuf.String())
-	}
-
-	// Flight-recorder dump.
-	fr := NewFlightRecorder(16)
-	fr.SetTraceContext(tc)
-	fr.Note("run", "start")
-	var dump bytes.Buffer
-	if err := fr.Dump(&dump); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(dump.String(), `"trace_id":"`+id+`"`) {
-		t.Fatalf("flight dump missing trace id:\n%s", dump.String())
 	}
 }

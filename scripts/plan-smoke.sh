@@ -1,8 +1,9 @@
 #!/bin/sh
 # plan-smoke: build predtop-plan, run the quick-preset GPT-3 planner with
 # provenance reports and a what-if replay, then prove the observability
-# contract end to end: the what-if diff prints, the final -metrics snapshot
-# carries the planner families (and none of the retired ones), the report JSON
+# contract end to end: the what-if diff prints, a written report carries the
+# search and cost facts in their one home (its search and cost blocks; the
+# -metrics JSONL holds records and no registry snapshot), the report JSON
 # round-trips through -diff, and a second identical run reproduces every report
 # byte-for-byte (reports are pure functions of the seed — no wall-clock, no
 # map-order, no scheduling dependence). Any failure fails the script, which
@@ -43,21 +44,21 @@ grep -q '"fingerprint"' "$WORK/r1/gpt-3-predtop-tran.json" || {
     exit 1
 }
 
-echo "plan-smoke: checking the planner metric families"
-grep '"event":"metrics"' "$WORK/m.jsonl" | tail -n 1 > "$WORK/snapshot.json"
-for m in predtop_planner_latency_lookups_total predtop_planner_predict_seconds \
-    predtop_planner_cache_misses_total; do
-    grep -q "\"name\":\"$m\"" "$WORK/snapshot.json" || {
-        echo "plan-smoke: final metrics snapshot has no $m" >&2
+echo "plan-smoke: checking the search and cost facts of a written report"
+for field in '"latency_lookups": [1-9]' '"latency_cache_misses": [1-9]'; do
+    grep -q "$field" "$WORK/r1/gpt-3-predtop-tran.json" || {
+        echo "plan-smoke: report gpt-3-predtop-tran.json has no nonzero $field" >&2
         exit 1
     }
 done
-for gone in 'cache=\\"encoding\\"' predtop_planner_cache_entries predtop_planner_predict_total; do
-    if grep -q "$gone" "$WORK/m.jsonl"; then
-        echo "plan-smoke: retired series $gone is still exported" >&2
-        exit 1
-    fi
-done
+grep -q '"event":"plan_run"' "$WORK/m.jsonl" || {
+    echo "plan-smoke: -metrics file has no plan_run record" >&2
+    exit 1
+}
+if grep -q '"event":"metrics"\|predtop_planner_' "$WORK/m.jsonl"; then
+    echo "plan-smoke: a batch tool's -metrics file still carries a registry snapshot" >&2
+    exit 1
+fi
 if grep -q encoding_cache_ "$WORK"/r1/*.json "$WORK/m.jsonl"; then
     echo "plan-smoke: a report still carries encoding_cache_ fields" >&2
     exit 1
