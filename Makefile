@@ -76,8 +76,10 @@ runs-smoke:
 # loc prints non-test Go lines per internal package, the total for the
 # numeric stack (tensor, ag, nn, graphnn, predictor), the total for the tool
 # layer (cmd/ plus internal/cli), all non-test Go outside bench/, the facade's
-# line count, the metric families of docs/METRICS.md and the number of cmd/
-# tools — the numbers design-debt issues are sized and accepted by.
+# line count, the metric families and JSONL record types of docs/METRICS.md,
+# the number of cmd/ tools and the flags they declare themselves (the nine
+# shared ones are internal/cli's) — the numbers design-debt issues are sized
+# and accepted by.
 loc:
 	@for d in internal/*/; do \
 		printf '%6d  %s\n' "$$(ls $$d*.go | grep -v _test.go | xargs cat | wc -l)" "$$d"; \
@@ -90,7 +92,10 @@ loc:
 		"$$(git ls-files '*.go' | grep -v -e '^bench/' -e '_test\.go$$' | xargs cat | wc -l)"
 	@printf '%6d  predtop.go\n' "$$(wc -l < predtop.go)"
 	@printf '%6d  metric families (docs/METRICS.md)\n' "$$(grep -c '^| `predtop_' docs/METRICS.md)"
+	@printf '%6d  JSONL record types (docs/METRICS.md)\n' "$$(grep -c '^| `[a-z_]*` | `' docs/METRICS.md)"
 	@printf '%6d  tools (cmd/)\n' "$$(ls -d cmd/*/ | wc -l)"
+	@printf '%6d  flag declarations (cmd/)\n' \
+		"$$(ls cmd/*/*.go | grep -v _test.go | xargs grep -hoE '[a-zA-Z]+\.(String|Bool|Int|Int64|Float64|Duration)\("' | wc -l)"
 
 # cover prints per-package statement coverage (-short: same scope as the
 # race pass). Informational — the leading '-' keeps a coverage-run hiccup

@@ -15,10 +15,11 @@
 // -preset, -seed, -quiet, -metrics, -trace, -listen, -profile, -driftmre,
 // and -runledger are the shared flags documented in package internal/cli;
 // -seed 0 keeps the preset's seed, and progress goes to stderr (the report
-// always prints). Here -metrics carries the run config and one record per
-// grid cell; -profile covers grid phases and predictor layers; the manifest
-// holds per-table win rates, per-(family, mesh, op) accuracy stats, and
-// per-family error-attribution snapshots.
+// always prints). Here -metrics carries the run config and the per-(family,
+// mesh, op) accuracy statistics; -profile covers grid phases and predictor
+// layers (-trace is the same spans as a timeline); the manifest holds
+// per-table win rates, per-(family, mesh, op) accuracy stats, and per-family
+// error-attribution snapshots. Grid cells fan across GOMAXPROCS goroutines.
 package main
 
 import (
@@ -47,7 +48,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fig := fs.Int("fig", 0, "regenerate motivating figure 2 or 6 instead of the accuracy results")
 	ablate := fs.Bool("ablate", false, "also run the DAG-Transformer design ablation")
 	tables := fs.Bool("tables", true, "run the MRE tables (disable for -ablate only)")
-	workers := fs.Int("workers", 0, "worker goroutines for grid cells and training (0 = all cores, 1 = serial; results are bitwise identical)")
 	out := fs.String("out", "", "also write the report to this file")
 	var shared cli.Flags
 	shared.Register(fs, cli.Preset|cli.Seed|cli.Quiet|cli.Metrics|cli.Telemetry|cli.Drift|cli.Ledger, map[string]string{
@@ -64,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	p.Workers = *workers
 	if *fig != 0 && *fig != 2 && *fig != 6 {
 		return fmt.Errorf("unknown figure %d (want 2 or 6)", *fig)
 	}
@@ -104,7 +103,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if *fig != 0 {
 		man.SetConfig("fig", fmt.Sprint(*fig))
 	}
-	man.RecordSessionMetric("workers", float64(*workers))
 
 	r.Sink.Emit(struct {
 		Event    string `json:"event"`
@@ -112,8 +110,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		Preset   string `json:"preset"`
 		Bench    string `json:"bench"`
 		Platform int    `json:"platform"`
-		Workers  int    `json:"workers"`
-	}{"run", "predtop-eval", p.Name, *bench, *platformSel, *workers})
+	}{"run", "predtop-eval", p.Name, *bench, *platformSel})
 
 	w, progress := r.Out, r.Log.Writer()
 	switch *fig {

@@ -27,11 +27,12 @@
 // -seed 0 keeps the preset's seed, and progress goes to stderr (the report
 // always prints). Here -metrics carries the run config, one plan_run record
 // per planner version (its search and cost facts, report embedded) and the
-// validation accuracy statistics; -trace holds optimize/evaluate spans per
-// version plus the simulated 1F1B schedule of each feasible plan; -profile
-// is the search's wall-clock record — planner phases, one estimate span per
-// lookup, embedded predictor training; the manifest holds each feasible
-// plan's Eqn-4 decomposition and predictor fingerprint.
+// validation accuracy statistics; -profile is the search's wall-clock record
+// — planner phases, one estimate span per lookup, embedded predictor
+// training, plan evaluation; -trace holds the same spans as a timeline plus
+// the simulated 1F1B schedule of each feasible plan; the manifest holds each
+// feasible plan's whole provenance report (stages, search, cost, Eqn-4
+// decomposition, predictor fingerprint). Fan-out width is GOMAXPROCS.
 package main
 
 import (
@@ -45,7 +46,6 @@ import (
 	"predtop/internal/cli"
 	"predtop/internal/cluster"
 	"predtop/internal/experiments"
-	"predtop/internal/obs"
 	"predtop/internal/planner"
 )
 
@@ -57,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("predtop-plan", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	bench := fs.String("bench", "all", "benchmark: GPT-3, MoE, or all")
-	workers := fs.Int("workers", 0, "worker goroutines for planner runs and training (0 = all cores, 1 = serial; results are bitwise identical)")
 	out := fs.String("out", "", "also write the report to this file")
 	reportDir := fs.String("report", "", "write per-plan provenance reports (JSON + text) into this directory")
 	whatifSpec := fs.String("whatif", "", "replay each plan against a perturbation (e.g. \"microbatches=32,internode-bw=x4\") and print the latency diff")
@@ -83,7 +82,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	p.Workers = *workers
 	wantBench := "" // every benchmark
 	if !strings.EqualFold(*bench, "all") {
 		cfg, err := cli.Bench(*bench, 0)
@@ -104,11 +102,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 	defer func() { err = r.Close(err) }()
-	// Reports and what-if replays carry the run's trace id, so they need the
-	// trace context even when every telemetry flag is off.
-	if p.Obs = r.Observer(); p.Obs == nil && (*reportDir != "" || *whatifSpec != "") {
-		p.Obs = &obs.Observer{Flight: r.Flight, Ctx: r.TC}
-	}
+	p.Obs = r.Observer()
 
 	man := r.Man
 	man.SetConfig("preset", p.Name)
@@ -118,15 +112,13 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		man.SetConfig("whatif", whatif.String())
 	}
 	man.SetOutput("report", *reportDir)
-	man.RecordSessionMetric("workers", float64(*workers))
 
 	r.Sink.Emit(struct {
-		Event   string `json:"event"`
-		Tool    string `json:"tool"`
-		Preset  string `json:"preset"`
-		Bench   string `json:"bench"`
-		Workers int    `json:"workers"`
-	}{"run", "predtop-plan", p.Name, *bench, *workers})
+		Event  string `json:"event"`
+		Tool   string `json:"tool"`
+		Preset string `json:"preset"`
+		Bench  string `json:"bench"`
+	}{"run", "predtop-plan", p.Name, *bench})
 
 	for _, b := range p.Benchmarks() {
 		if wantBench != "" && wantBench != b.Name {
@@ -135,13 +127,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		runs := experiments.RunFig10(p, b, r.Log.Writer())
 		fmt.Fprintln(r.Out, experiments.RenderFig10(b.Name, runs))
 		for _, pr := range runs {
-			if !pr.OK {
-				continue
+			if pr.OK {
+				man.RecordPlan(pr.Report)
 			}
-			key := slug(b.Name) + "-" + slug(pr.Version)
-			man.RecordPlan(pr.Report)
-			man.RecordMetric("optimize_seconds_"+key, pr.OptimizeSeconds)
-			man.RecordMetric("iteration_latency_"+key, pr.IterationLatency)
 		}
 		if *reportDir != "" {
 			if err := saveReports(*reportDir, b.Name, runs); err != nil {

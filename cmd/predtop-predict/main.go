@@ -93,13 +93,11 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		Seed  int64  `json:"seed"`
 	}{"run", "predtop-predict", cfg.Name, *lo, *hi, *modelPath, shared.Seed})
 
-	predSpan := r.Trace.Begin("phases", "predict")
 	ps := r.Prof.Start("predict")
 	enc := predtop.NewEncoder(model, true)
 	sp := predtop.StageSpec{Lo: *lo, Hi: *hi}
 	pred := trained.PredictEncoded(enc.Encode(sp))
 	ps.End()
-	predSpan.End()
 	r.Flight.Note("run", "predicted")
 	fmt.Fprintf(stdout, "%s stage [%d,%d) (%s): predicted %.3fms\n",
 		cfg.Name, sp.Lo, sp.Hi, trained.Model.Name(), pred*1e3)
@@ -113,11 +111,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return nil
 	}
 
-	checkSpan := r.Trace.Begin("phases", "check")
 	cs := r.Prof.Start("check")
 	trueLat, _, ok := predtop.ProfileStage(model, sp, scenario, predtop.DefaultProfiler())
 	cs.End()
-	checkSpan.End()
 	if !ok {
 		return fmt.Errorf("stage infeasible under %v", scenario)
 	}

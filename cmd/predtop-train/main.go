@@ -12,14 +12,16 @@
 //
 // -seed, -quiet, -metrics, -trace, -listen, -profile, -driftmre, and
 // -runledger are the shared flags documented in package internal/cli. Here
-// -metrics carries the run config, one record per epoch, early-stop/restore
-// events, a summary, and the held-out accuracy statistics; -trace has
-// profile/train/evaluate phases plus one slice per epoch; -profile attributes
-// wall time to training phases and predictor layers; the manifest pins config
+// -metrics carries the run config, one record per epoch, the restore event, a
+// summary, and the held-out accuracy statistics; -profile attributes
+// wall time to the profile/train/evaluate phases and, under train, to training
+// phases and predictor layers, and -trace is the same spans as a timeline
+// (epoch wall time is in the epoch records); the manifest pins config
 // and weight fingerprints, the held-out MRE, per-key accuracy stats, and an
 // error-attribution snapshot — all from one held-out forward. Names and
 // output paths are checked before anything is profiled, and the model is
-// saved before any telemetry file is written.
+// saved before any telemetry file is written. Evaluation chunks fan across
+// GOMAXPROCS goroutines; results are bitwise identical at any setting.
 package main
 
 import (
@@ -52,7 +54,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	maxLen := fs.Int("maxlen", 3, "max stage length in segments")
 	epochs := fs.Int("epochs", 30, "training epochs (cosine-decay horizon)")
 	trainFrac := fs.Float64("trainfrac", 0.5, "training fraction")
-	workers := fs.Int("workers", 0, "goroutines the evaluation chunks fan across (0 = all cores, 1 = serial; results are bitwise identical)")
 	out := fs.String("o", "model.predtop", "output model path")
 	shared := cli.Flags{Seed: 1}
 	shared.Register(fs, cli.Seed|cli.Quiet|cli.Metrics|cli.Telemetry|cli.Drift|cli.Ledger, map[string]string{
@@ -100,12 +101,10 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		MaxLen   int    `json:"maxlen"`
 		Epochs   int    `json:"epochs"`
 		Seed     int64  `json:"seed"`
-		Workers  int    `json:"workers"`
-	}{"run", "predtop-train", cfg.Name, *platformSel, *meshIdx, *confIdx, *arch, *maxLen, *epochs, shared.Seed, *workers})
+	}{"run", "predtop-train", cfg.Name, *platformSel, *meshIdx, *confIdx, *arch, *maxLen, *epochs, shared.Seed})
 
-	// Result-determining flags land in the manifest's canonical section;
-	// paths, addresses, and worker counts are session facts (reruns at any
-	// worker count are bitwise identical, so they must not move the run id).
+	// Result-determining flags land in the manifest's canonical section; paths
+	// and addresses are session facts.
 	man := r.Man
 	man.SetConfig("bench", cfg.Name)
 	man.SetConfig("platform", fmt.Sprint(*platformSel))
@@ -119,10 +118,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	man.SetConfig("trainfrac", fmt.Sprint(*trainFrac))
 	man.SetConfig("driftmre", fmt.Sprint(shared.DriftMRE))
 	man.SetOutput("o", *out)
-	man.RecordSessionMetric("workers", float64(*workers))
 
 	rng := rand.New(rand.NewSource(shared.Seed))
-	profSpan := r.Trace.Begin("phases", "profile")
+	profSpan := r.Prof.Start("profile")
 	specs := predtop.SampleStages(model, rng, *samples, *maxLen)
 	enc := predtop.NewEncoder(model, true)
 	ds := predtop.BuildDataset(enc, specs, scenario, predtop.DefaultProfiler())
@@ -135,11 +133,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 
-	// Epoch slices carry cumulative wall offsets from the start of training,
-	// anchored at the trace's wall-clock position so they align with the
-	// Begin/End phase spans.
-	trainStart := r.Trace.Since()
-	prevWall := 0.0
 	hooks := &predtop.TrainHooks{
 		Profiler: r.Prof,
 		Flight:   r.Flight,
@@ -148,15 +141,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 				Event string `json:"event"`
 				predtop.EpochStats
 			}{"epoch", e})
-			r.Trace.Slice("epochs", fmt.Sprintf("epoch %d", e.Epoch), trainStart+prevWall, e.WallSeconds-prevWall)
-			prevWall = e.WallSeconds
 		},
 		OnEarlyStop: func(epoch int) {
-			r.Trace.Instant("epochs", "early stop")
-			r.Sink.Emit(struct {
-				Event string `json:"event"`
-				Epoch int    `json:"epoch"`
-			}{"early_stop", epoch})
 			r.Log.Printf("early stop at epoch %d", epoch)
 		},
 		OnRestore: func(bestEpoch int, bestValLoss float64) {
@@ -169,16 +155,15 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 
 	train, val, test := predtop.Split(rng, len(ds.Samples), *trainFrac, 0.1)
-	trainSpan := r.Trace.Begin("phases", "train")
+	// Train times itself: a train span, with its subtree, on hooks.Profiler.
 	trained, res := predtop.Train(net, ds, train, val, predtop.TrainConfig{
-		Epochs: *epochs, Patience: *epochs / 3, BatchSize: 4, Seed: shared.Seed, Workers: *workers,
+		Epochs: *epochs, Patience: *epochs / 3, BatchSize: 4, Seed: shared.Seed,
 		Hooks: hooks,
 	})
-	trainSpan.End()
 	r.Log.Printf("trained %s for %d epochs (best val %.4f at epoch %d) in %.1fs",
 		net.Name(), res.EpochsRun, res.BestValLoss, res.BestEpoch, res.WallSeconds)
 
-	evalSpan := r.Trace.Begin("phases", "evaluate")
+	evalSpan := r.Prof.Start("evaluate")
 	ev := trained.Evaluate(ds, test)
 	ev.Observe(r.Acc, obs.AccuracyKey{
 		Family: net.Name(),

@@ -19,7 +19,8 @@ import (
 // stdout (wall-clock field masked), `predtop-runs show -canonical` of the
 // recorded manifest, and the JSONL record sequence (event and field order).
 // The JSONL shape was re-pinned when the metrics registry became the
-// daemon's: a batch tool's stream no longer ends in a registry snapshot.
+// daemon's (a batch tool's stream no longer ends in a registry snapshot) and
+// when -workers went (the run record lost its workers field).
 var tinyArgs = []string{"-layers", "4", "-maxlen", "2", "-epochs", "2"}
 
 var wallClock = regexp.MustCompile(`in [0-9.]+s\n`)
@@ -112,6 +113,39 @@ func TestTrainGoldenAndDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		golden(t, "train_canonical.golden.json", string(canon))
+	}
+}
+
+// The span profiler is the run's one wall clock: with -trace and -profile both
+// set each phase is on the timeline once (it used to appear twice, on a
+// "phases" track and mirrored on "spans"), and -trace alone still carries the
+// spans Train opens under its own.
+func TestTrainTraceIsTheSpanProfile(t *testing.T) {
+	dir := t.TempDir()
+	trace := func(extra ...string) string {
+		path := filepath.Join(dir, "t.json")
+		args := append([]string{"-o", filepath.Join(dir, "m.predtop"), "-quiet", "-trace", path}, tinyArgs...)
+		var stdout, stderr bytes.Buffer
+		if err := run(append(args, extra...), &stdout, &stderr); err != nil {
+			t.Fatalf("run: %v\nstderr: %s", err, &stderr)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	both := trace("-profile", filepath.Join(dir, "p.txt"))
+	for _, phase := range []string{"profile", "train", "evaluate"} {
+		if n := strings.Count(both, `"name":"`+phase+`"`); n != 1 {
+			t.Errorf("-trace -profile: phase %q is on the timeline %d times, want once", phase, n)
+		}
+	}
+	alone := trace()
+	for _, span := range []string{"train", "batch", "step", "eval"} {
+		if !strings.Contains(alone, `"name":"`+span+`"`) {
+			t.Errorf("-trace alone: no %q span on the timeline", span)
+		}
 	}
 }
 

@@ -74,7 +74,7 @@ func TestCLIFlagParity(t *testing.T) {
 		tools []string
 	}{
 		{"ledger trio", []string{"seed", "quiet", "runledger"}, runProducers},
-		{"telemetry set", []string{"workers", "metrics", "trace", "listen", "profile", "driftmre"}, experimentDrivers},
+		{"telemetry set", []string{"metrics", "trace", "listen", "profile", "driftmre"}, experimentDrivers},
 	} {
 		for _, tool := range g.tools {
 			declared := declaredFlags(t, tool)
@@ -86,20 +86,28 @@ func TestCLIFlagParity(t *testing.T) {
 		}
 	}
 
-	// The daemon's flag set is closed. Its batching knobs were deleted on
-	// measurements (DESIGN.md §9); a flag that brings one back, under any
-	// name, has to edit this list to land.
-	daemon := declaredFlags(t, "predtop-serve")
-	for _, name := range []string{
-		"models", "listen", "cachesize", "addrfile", "slo-p99", "slo-err", "accesslog", "incidents",
-		"seed", "quiet", "metrics", "runledger",
+	// These flag sets are closed. The daemon's batching knobs and every
+	// tool's -workers were deleted on measurements (DESIGN.md §6, §9): fan-out
+	// width is GOMAXPROCS. A flag that brings one back, under any name, has to
+	// edit its list to land.
+	batch := []string{"seed", "quiet", "metrics", "trace", "listen", "profile", "driftmre", "runledger"}
+	for tool, own := range map[string][]string{
+		"predtop-serve": {"models", "listen", "cachesize", "addrfile", "slo-p99", "slo-err", "accesslog", "incidents",
+			"seed", "quiet", "metrics", "runledger"},
+		"predtop-train": append([]string{"bench", "platform", "mesh", "conf", "arch", "layers", "samples", "maxlen",
+			"epochs", "trainfrac", "o"}, batch...),
+		"predtop-eval": append([]string{"bench", "platform", "fig3frac", "fig", "ablate", "tables", "out", "preset"}, batch...),
+		"predtop-plan": append([]string{"bench", "out", "report", "whatif", "diff", "preset"}, batch...),
 	} {
-		if !daemon[name] {
-			t.Errorf("predtop-serve: missing -%s", name)
+		declared := declaredFlags(t, tool)
+		for _, name := range own {
+			if !declared[name] {
+				t.Errorf("%s: missing -%s", tool, name)
+			}
+			delete(declared, name)
 		}
-		delete(daemon, name)
-	}
-	for name := range daemon {
-		t.Errorf("predtop-serve: unexpected flag -%s", name)
+		for name := range declared {
+			t.Errorf("%s: unexpected flag -%s", tool, name)
+		}
 	}
 }

@@ -15,19 +15,24 @@
 //	-quiet        silence progress lines (results still print)
 //	-metrics F    stream JSONL to F: the tool's records, then one accuracy
 //	              record per (family, mesh, op) key
-//	-trace F      write a Chrome-tracing (Perfetto) timeline to F
+//	-trace F      write the span profiler's intervals (and any simulated
+//	              schedule) as a Chrome-tracing (Perfetto) timeline to F
 //	-listen A     serve /healthz, /debug/flightrecorder and /debug/pprof/ on A
-//	-profile F    write a hierarchical self-time span tree to F
+//	-profile F    write the same spans as a hierarchical self-time tree to F
 //	-driftmre P   warn when a population's MRE exceeds P%
 //	-runledger D  record the run's manifest in ledger D (see predtop-runs)
 //	-preset NAME  experiment scale: quick, paper, or paperlite
 //
 // All of them only observe: results are bitwise identical with or without.
 // A handle whose flag is off stays nil (every obs and runledger handle is
-// nil-safe). The metrics registry is the daemon's: only predtop-serve
-// (Options.LiveMetrics) gets one, served on its own listener and snapshotted
-// last into its -metrics file. A worker panic or SIGQUIT dumps the flight
-// recorder's recent events plus goroutine stacks to stderr.
+// nil-safe). The span profiler (Run.Prof) is the one wall clock batch code
+// starts and stops; -trace or -profile turns it on. Fan-out width is
+// GOMAXPROCS — there is no worker flag, and results are bitwise identical at
+// any setting. The metrics registry is the daemon's: only predtop-serve
+// (Options.LiveMetrics) gets one, served on its own listener (a batch tool's
+// -listen answers /metrics 404) and snapshotted last into its -metrics file.
+// A worker panic or SIGQUIT dumps the flight recorder's recent events plus
+// goroutine stacks to stderr.
 package cli
 
 import (
@@ -182,9 +187,14 @@ func Open(f *Flags, o Options) (_ *Run, err error) {
 			return nil, err
 		}
 	}
-	if f.Profile != "" {
+	// The span profiler is the run's one wall clock: -trace renders its span
+	// intervals as a timeline, -profile its aggregated tree, so either flag
+	// turns it on.
+	if f.Trace != "" || f.Profile != "" {
 		r.Prof = obs.NewProfiler()
 		r.Prof.AttachTrace(r.Trace, "spans")
+	}
+	if f.Profile != "" {
 		if _, err = r.create(f.Profile, "span profile", r.Prof.WriteProfileTree); err != nil {
 			return nil, err
 		}
@@ -244,13 +254,10 @@ func (r *Run) OpenSink(path string) (*obs.Sink, error) {
 	return s, nil
 }
 
-// Observer bundles the handles for experiments.Preset.Obs; nil when every
-// telemetry flag is off, so a bare run takes the harness's nil-observer path.
-func (r *Run) Observer() *obs.Observer {
-	if r.Sink == nil && r.Trace == nil && r.Prof == nil && r.Acc == nil {
-		return nil
-	}
-	return &obs.Observer{Events: r.Sink, Trace: r.Trace, Prof: r.Prof, Acc: r.Acc, Flight: r.Flight, Ctx: r.TC}
+// Observer bundles the handles for experiments.Preset.Obs. Every handle is
+// nil-safe, so a bare run gets the same bundle with its optional handles nil.
+func (r *Run) Observer() obs.Observer {
+	return obs.Observer{Events: r.Sink, Trace: r.Trace, Prof: r.Prof, Acc: r.Acc, Flight: r.Flight, Ctx: r.TC}
 }
 
 // Close finishes the run in one fixed order — accuracy records, the daemon's

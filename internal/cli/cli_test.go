@@ -20,8 +20,8 @@ func options(progress io.Writer) Options {
 	return Options{Tool: "predtop-test", Seed: 7, Stdout: io.Discard, Progress: progress, Stderr: io.Discard}
 }
 
-// With every flag off the nil-handle contract holds: no handle, no observer,
-// no file.
+// With every flag off the nil-handle contract holds: no optional handle, no
+// file, and an observer that bundles only the always-on handles.
 func TestOpenAllFlagsOff(t *testing.T) {
 	r, err := Open(&Flags{}, options(io.Discard))
 	if err != nil {
@@ -30,8 +30,8 @@ func TestOpenAllFlagsOff(t *testing.T) {
 	if r.Sink != nil || r.Metrics != nil || r.Trace != nil || r.Prof != nil || r.Acc != nil || r.Man != nil {
 		t.Errorf("handles built with every flag off: %+v", r)
 	}
-	if r.Observer() != nil {
-		t.Error("Observer() non-nil with every flag off")
+	if o := r.Observer(); o != (obs.Observer{Flight: r.Flight, Ctx: r.TC}) {
+		t.Errorf("Observer() with every flag off = %+v, want only the flight recorder and trace context", o)
 	}
 	if len(r.outputs) != 0 {
 		t.Errorf("files created with every flag off: %v", r.outputs)
@@ -78,13 +78,12 @@ func TestOpenCreatesFilesCloseWritesInOrder(t *testing.T) {
 			t.Errorf("not created by Open: %v", err)
 		}
 	}
-	if r.Observer() == nil || r.Man == nil || r.Acc == nil {
+	if r.Man == nil || r.Acc == nil {
 		t.Fatalf("handles missing: %+v", r)
 	}
 	io.WriteString(r.Out, "report line\n")
 	r.Sink.Emit(map[string]string{"event": "run"})
 	r.Acc.Observe(obs.AccuracyKey{Family: "Tran"}, 1.1, 1.0)
-	r.Trace.Begin("phases", "work").End()
 	r.Prof.Start("work").End()
 	if err := r.Close(nil); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -104,7 +103,7 @@ func TestOpenCreatesFilesCloseWritesInOrder(t *testing.T) {
 	if got := strings.Join(events, " "); got != "run accuracy metrics" {
 		t.Errorf("JSONL sequence = %q, want the metrics snapshot last", got)
 	}
-	if trace := read(t, f.Trace); !strings.Contains(trace, `"work"`) || !strings.Contains(trace, `"trace_id":"`+id+`"`) || !strings.HasPrefix(read(t, f.Profile), "# span profile") {
+	if trace := read(t, f.Trace); strings.Count(trace, `"work"`) != 1 || !strings.Contains(trace, `"trace_id":"`+id+`"`) || !strings.HasPrefix(read(t, f.Profile), "# span profile") {
 		t.Error("trace (with the run's trace id) or profile not rendered")
 	}
 	if read(t, o.Out) != "report line\n" || stdout.String() != "report line\n" {
@@ -130,8 +129,8 @@ func TestOpenCreatesFilesCloseWritesInOrder(t *testing.T) {
 }
 
 // The metrics registry is the daemon's: a batch tool gets none from -metrics
-// or -listen, its JSONL ends with the accuracy records, and its listener still
-// serves /healthz.
+// or -listen, its JSONL ends with the accuracy records, and its listener
+// serves /healthz but has no /metrics page.
 func TestBatchToolHasNoRegistry(t *testing.T) {
 	f := &Flags{Metrics: filepath.Join(t.TempDir(), "m.jsonl"), Listen: "127.0.0.1:0"}
 	var progress bytes.Buffer
@@ -144,11 +143,16 @@ func TestBatchToolHasNoRegistry(t *testing.T) {
 	}
 	url := progress.String()
 	url = strings.TrimSpace(url[strings.Index(url, "http://"):])
-	resp, err := http.Get(url + "/healthz")
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Errorf("GET /healthz: %v %v", resp, err)
-	} else {
+	for path, want := range map[string]int{"/healthz": http.StatusOK, "/metrics": http.StatusNotFound} {
+		resp, err := http.Get(url + path)
+		if err != nil {
+			t.Errorf("GET %s: %v", path, err)
+			continue
+		}
 		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s: status %d, want %d", path, resp.StatusCode, want)
+		}
 	}
 	r.Sink.Emit(map[string]string{"event": "run"})
 	r.Acc.Observe(obs.AccuracyKey{Family: "Tran"}, 1.1, 1.0)

@@ -65,9 +65,9 @@ func RunAblation(p Preset, bench Benchmark, platform cluster.Platform, frac floa
 	// seed), so they run concurrently; logs print in variant order.
 	rows := make([]AblationRow, len(variants))
 	logs := make([]string, len(variants))
-	parallel.ForLimit(len(variants), p.Workers, func(i int) {
+	parallel.For(len(variants), func(i int) {
 		v := variants[i]
-		cfg := trainConfig(p.Train, p.Workers)
+		cfg := p.Train
 		cfg.Loss = v.loss
 		cfg.Seed = p.Seed + 31
 		model := graphnn.NewDAGTransformer(rand.New(rand.NewSource(cfg.Seed)), p.Tran)

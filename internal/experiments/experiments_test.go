@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -126,9 +127,8 @@ func TestMRETableAccuracyMonitor(t *testing.T) {
 	}
 	p := micro()
 	p.Fractions = []int{70} // one fraction → at most one cell per (family, mesh)
-	p.Workers = 1
 	acc := obs.NewAccuracyMonitor(obs.AccuracyConfig{MinSamples: 1})
-	p.Obs = &obs.Observer{Acc: acc}
+	p.Obs = obs.Observer{Acc: acc}
 	bench := p.Benchmarks()[0]
 	tab := RunMRETable(p, bench, cluster.Platform1(), nil)
 
@@ -300,8 +300,9 @@ func TestRunAblationEndToEnd(t *testing.T) {
 
 // TestMRETableWorkerInvariant checks the experiment harness inherits the
 // engine's determinism: the full MRE grid is bitwise identical whether cells
-// run serially or concurrently, because each cell derives its RNGs from its
-// own (fraction, scenario, model) coordinates, never from schedule order.
+// run serially (GOMAXPROCS 1) or concurrently (GOMAXPROCS 3), because each
+// cell derives its RNGs from its own (fraction, scenario, model) coordinates,
+// never from schedule order.
 func TestMRETableWorkerInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid comparison is slow")
@@ -312,10 +313,9 @@ func TestMRETableWorkerInvariant(t *testing.T) {
 	p.Train.Patience = 2
 	bench := p.Benchmarks()[0]
 
-	run := func(workers int) *MRETable {
-		q := p
-		q.Workers = workers
-		return RunMRETable(q, bench, cluster.Platform1(), io.Discard)
+	run := func(procs int) *MRETable {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return RunMRETable(p, bench, cluster.Platform1(), io.Discard)
 	}
 	serial := run(1)
 	concurrent := run(3)
@@ -324,7 +324,7 @@ func TestMRETableWorkerInvariant(t *testing.T) {
 			for mi, want := range serial.MRE[fi][si] {
 				got := concurrent.MRE[fi][si][mi]
 				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("cell f=%d s=%d m=%d: workers=3 %v != workers=1 %v",
+					t.Fatalf("cell f=%d s=%d m=%d: GOMAXPROCS=3 %v != GOMAXPROCS=1 %v",
 						fi, si, mi, got, want)
 				}
 			}

@@ -58,13 +58,13 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 	}
 	platform := cluster.Platform2()
 	mdl, maxLen := Fig10Model(p, bench)
-	mdl.Prof = p.Obs.Profiler()
+	mdl.Prof = p.Obs.Prof
 	prof := sim.DefaultProfiler()
-	opts := planner.Options{Microbatches: p.Microbatches, MaxStageLen: maxLen, Prof: p.Obs.Profiler()}
+	opts := planner.Options{Microbatches: p.Microbatches, MaxStageLen: maxLen, Prof: p.Obs.Prof}
 
 	// Each planner version owns its latency source, cost meter, and
 	// provenance, so the five runs are independent and execute concurrently
-	// (p.Workers bound); per-run log lines are buffered and emitted in
+	// (GOMAXPROCS bound); per-run log lines are buffered and emitted in
 	// version order.
 	type runSpec struct {
 		version string
@@ -85,8 +85,8 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 	}
 	// Predictor training inside the planner reports to the same observer as
 	// everything else (hooks only observe, so plans are unchanged).
-	planTrain := trainConfig(p.PlanTrain, p.Workers)
-	planTrain.Hooks = &predictor.TrainHooks{Profiler: p.Obs.Profiler(), Flight: p.Obs.Recorder()}
+	planTrain := p.PlanTrain
+	planTrain.Hooks = &predictor.TrainHooks{Profiler: p.Obs.Prof, Flight: p.Obs.Flight}
 	for _, kind := range []planner.PredictorKind{planner.KindGCN, planner.KindGAT, planner.KindTransformer} {
 		meter := &planner.Meter{}
 		var info planner.ProviderInfo
@@ -99,7 +99,7 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 			GCN:         p.GCN,
 			GAT:         p.GAT,
 			Seed:        p.Seed,
-			Acc:         p.Obs.Accuracy(),
+			Acc:         p.Obs.Acc,
 			Info:        &info,
 		}, prof, meter)
 		specs = append(specs, runSpec{kind.String(), latFn, meter, info})
@@ -108,26 +108,24 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 	out := make([]PlanRun, len(specs))
 	logs := make([]string, len(specs))
 	stageLats := make([][]float64, len(specs))
-	parallel.ForLimit(len(specs), p.Workers, func(i int) {
+	parallel.For(len(specs), func(i int) {
 		sp := specs[i]
-		track := fmt.Sprintf("fig10 %s %s", bench.Name, sp.version)
 		runOpts := opts
 		var stats planner.SearchStats
 		runOpts.Stats = &stats
-		optSpan := p.Obs.Tracer().Begin(track, "optimize")
+		// The search times itself: a planner.optimize span on opts.Prof.
 		plan, ok := planner.Optimize(mdl.NumSegments(), platform, sp.latFn, runOpts)
-		optSpan.End()
 		run := PlanRun{Version: sp.version, Meter: *sp.meter, OptimizeSeconds: sp.meter.Total(), OK: ok}
 		if ok {
 			run.Plan = plan
 			run.Stages = plan.NumStages()
-			evalSpan := p.Obs.Tracer().Begin(track, "evaluate")
+			evalSpan := p.Obs.Prof.Start("evaluate")
 			if lats, evalOK := planner.StageLatencies(mdl, plan); evalOK {
 				run.IterationLatency = pipeline.Latency(lats, p.Microbatches)
 				stageLats[i] = lats
 				run.Report = planner.BuildReport(mdl, platform, plan, planner.ReportOptions{
 					Version:      sp.version,
-					TraceID:      p.Obs.TraceContext().TraceID(),
+					TraceID:      p.Obs.Ctx.TraceID(),
 					Microbatches: p.Microbatches,
 					Provenance:   sp.info,
 					Search:       &stats,
@@ -148,19 +146,11 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 	for i, line := range logs {
 		io.WriteString(log, line)
 		r := out[i]
-		p.Obs.Sink().Emit(planRunRecord{
-			Event: "plan_run", Bench: bench.Name, Version: r.Version,
-			OptimizeSeconds: r.OptimizeSeconds, ProfileSeconds: r.Meter.ProfileSeconds,
-			TrainSeconds: r.Meter.TrainSeconds, InferSeconds: r.Meter.InferSeconds,
-			StagesProfiled: r.Meter.StagesProfiled,
-			CacheHits:      r.Meter.CacheHits, CacheMisses: r.Meter.CacheMisses,
-			IterationLatency: r.IterationLatency, Stages: r.Stages, OK: r.OK,
-			Report: r.Report,
-		})
+		p.Obs.Events.Emit(planRunRecord{Event: "plan_run", Bench: bench.Name, Version: r.Version, OK: r.OK, Report: r.Report})
 		// Render each feasible plan's simulated 1F1B schedule as its own set
 		// of trace tracks so plan shapes are comparable side by side.
 		if r.OK && stageLats[i] != nil {
-			if err := pipeline.AddSchedule(p.Obs.Tracer(), fmt.Sprintf("%s %s ", bench.Name, r.Version), stageLats[i], p.Microbatches); err != nil {
+			if err := pipeline.AddSchedule(p.Obs.Trace, fmt.Sprintf("%s %s ", bench.Name, r.Version), stageLats[i], p.Microbatches); err != nil {
 				fmt.Fprintf(log, "[fig10 %s] %s schedule trace: %v\n", bench.Name, r.Version, err)
 			}
 		}
@@ -168,22 +158,14 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 	return out
 }
 
-// planRunRecord is the JSONL record emitted per Fig-10 planner run.
+// planRunRecord is the JSONL record emitted per Fig-10 planner run. The run's
+// facts — cost, search, stages, the Eqn-4 total — are in the report, once.
 type planRunRecord struct {
-	Event            string          `json:"event"`
-	Bench            string          `json:"bench"`
-	Version          string          `json:"version"`
-	OptimizeSeconds  float64         `json:"optimize_s"`
-	ProfileSeconds   float64         `json:"profile_s"`
-	TrainSeconds     float64         `json:"train_s"`
-	InferSeconds     float64         `json:"infer_s"`
-	StagesProfiled   int             `json:"stages_profiled"`
-	CacheHits        int             `json:"cache_hits"`
-	CacheMisses      int             `json:"cache_misses"`
-	IterationLatency float64         `json:"iteration_latency_s"`
-	Stages           int             `json:"stages"`
-	OK               bool            `json:"ok"`
-	Report           *planner.Report `json:"report,omitempty"`
+	Event   string          `json:"event"`
+	Bench   string          `json:"bench"`
+	Version string          `json:"version"`
+	OK      bool            `json:"ok"`
+	Report  *planner.Report `json:"report,omitempty"`
 }
 
 // RenderFig10 prints both panels: optimization cost (10a) and the iteration

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"time"
 
 	"predtop/internal/cluster"
 	"predtop/internal/graphnn"
@@ -56,23 +55,22 @@ func (p Preset) newModel(name string, seed int64) graphnn.Model {
 // test MRE (Eqn 5). log (may be nil) receives progress lines.
 //
 // Scenario datasets are profiled concurrently and the grid's
-// (fraction, scenario, model) cells train concurrently (p.Workers bound).
+// (fraction, scenario, model) cells train concurrently (GOMAXPROCS bound).
 // Every cell derives its model/split RNGs from (p.Seed, cell indices) and
 // gradient reduction is order-fixed, so the grid is reproducible — and
-// bitwise identical — for any worker count. Progress lines are buffered per
+// bitwise identical — at any GOMAXPROCS. Progress lines are buffered per
 // cell and emitted in the serial grid order.
 func RunMRETable(p Preset, bench Benchmark, platform cluster.Platform, log io.Writer) *MRETable {
 	if log == nil {
 		log = io.Discard
 	}
 	mdl := models.Build(bench.Config)
-	mdl.Prof = p.Obs.Profiler()
+	mdl.Prof = p.Obs.Prof
 	rng := rand.New(rand.NewSource(p.Seed))
 	specs := predictor.CollectStages(mdl, rng, bench.Stages, bench.MaxLen)
 	enc := predictor.NewEncoder(mdl, true)
 	prof := sim.DefaultProfiler()
 	scenarios := cluster.Scenarios(platform)
-	gridTrack := fmt.Sprintf("grid %s %s", bench.Name, platform.Name)
 
 	t := &MRETable{
 		Benchmark: bench.Name,
@@ -90,9 +88,9 @@ func RunMRETable(p Preset, bench Benchmark, platform cluster.Platform, log io.Wr
 
 	// Profiling is seeded per (stage, scenario), so concurrent dataset
 	// construction yields the exact samples a serial sweep would.
-	profSpan := p.Obs.Tracer().Begin(gridTrack, "profile")
+	profSpan := p.Obs.Prof.Start("profile")
 	datasets := make([]*predictor.Dataset, len(scenarios))
-	parallel.ForLimit(len(scenarios), p.Workers, func(si int) {
+	parallel.For(len(scenarios), func(si int) {
 		datasets[si] = predictor.BuildDataset(enc, specs, scenarios[si], prof)
 	})
 	profSpan.End()
@@ -109,42 +107,31 @@ func RunMRETable(p Preset, bench Benchmark, platform cluster.Platform, log io.Wr
 			}
 		}
 	}
-	gridSpan := p.Obs.Tracer().Begin(gridTrack, "train cells")
+	gridSpan := p.Obs.Prof.Start("train cells")
 	logs := make([]string, len(cells))
 	// Per-cell evaluation output, kept for the serial post-pass: the
-	// accuracy-monitor feed and the JSONL cell records happen in grid order
-	// after the parallel loop, never inside it, so cells sharing a monitor
-	// key stream their samples in a run-independent order.
+	// accuracy-monitor feed happens in grid order after the parallel loop,
+	// never inside it, so cells sharing a monitor key stream their samples in
+	// a run-independent order.
 	evals := make([]predictor.Evaluation, len(cells))
-	records := make([]gridCellRecord, len(cells))
-	parallel.ForLimit(len(cells), p.Workers, func(ci int) {
+	parallel.For(len(cells), func(ci int) {
 		c := cells[ci]
-		cellStart := time.Now()
 		ds := datasets[c.si]
 		splitRng := rand.New(rand.NewSource(p.Seed*1000 + int64(c.fi*100+c.si)))
 		train, val, test := stage.Split(splitRng, len(ds.Samples), float64(p.Fractions[c.fi])/100, p.ValFrac)
-		cfg := trainConfig(p.Train, p.Workers)
-		cfg.Hooks = &predictor.TrainHooks{Profiler: p.Obs.Profiler(), Flight: p.Obs.Recorder()}
+		cfg := p.Train
+		cfg.Hooks = &predictor.TrainHooks{Profiler: p.Obs.Prof, Flight: p.Obs.Flight}
 		cfg.Seed = p.Seed + int64(c.fi*1000+c.si*10+c.mi)
 		model := p.newModel(ModelNames[c.mi], cfg.Seed)
 		trained, res := predictor.Train(model, ds, train, val, cfg)
 		ev := trained.Evaluate(ds, test)
 		evals[ci] = ev
 		t.MRE[c.fi][c.si][c.mi] = ev.MREPct
-		wall := time.Since(cellStart).Seconds()
-		records[ci] = gridCellRecord{
-			Event: "grid_cell", Benchmark: bench.Name, Platform: platform.Name,
-			Mesh: scenarios[c.si].Mesh.Index, Config: scenarios[c.si].Config.Index,
-			Fraction: p.Fractions[c.fi], Model: ModelNames[c.mi],
-			MRE: ev.MREPct, Epochs: res.EpochsRun, BestEpoch: res.BestEpoch,
-			TrainWallS: res.WallSeconds, CellWallS: wall,
-		}
 		logs[ci] = fmt.Sprintf("  [%s %v] frac %d%% %s: MRE %.2f%% (%d epochs, %.1fs)\n",
 			bench.Name, scenarios[c.si], p.Fractions[c.fi], ModelNames[c.mi], ev.MREPct, res.EpochsRun, res.WallSeconds)
 	})
 	gridSpan.End()
-	mon := p.Obs.Accuracy()
-	sink := p.Obs.Sink()
+	mon := p.Obs.Acc
 	parts := map[string][]*predictor.Attribution{}
 	for ci, c := range cells {
 		sc := scenarios[c.si]
@@ -153,7 +140,6 @@ func RunMRETable(p Preset, bench Benchmark, platform cluster.Platform, log io.Wr
 			Mesh:   fmt.Sprintf("%dx%d", sc.Mesh.Nodes, sc.Mesh.GPUsPerNode),
 			Op:     bench.Name,
 		})
-		sink.Emit(records[ci])
 		parts[ModelNames[c.mi]] = append(parts[ModelNames[c.mi]], evals[ci].Attribution)
 	}
 	t.Attribution = map[string]*predictor.Attribution{}
@@ -164,23 +150,6 @@ func RunMRETable(p Preset, bench Benchmark, platform cluster.Platform, log io.Wr
 		io.WriteString(log, line)
 	}
 	return t
-}
-
-// gridCellRecord is the JSONL record emitted per MRE-grid cell (one trained
-// predictor at one scenario and training fraction).
-type gridCellRecord struct {
-	Event      string  `json:"event"`
-	Benchmark  string  `json:"bench"`
-	Platform   string  `json:"platform"`
-	Mesh       int     `json:"mesh"`
-	Config     int     `json:"config"`
-	Fraction   int     `json:"fraction"`
-	Model      string  `json:"model"`
-	MRE        float64 `json:"mre"`
-	Epochs     int     `json:"epochs"`
-	BestEpoch  int     `json:"best_epoch"`
-	TrainWallS float64 `json:"train_wall_s"`
-	CellWallS  float64 `json:"cell_wall_s"`
 }
 
 // Render prints the grid in the layout of Tables V/VI: one row per training

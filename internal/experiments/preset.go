@@ -57,28 +57,11 @@ type Preset struct {
 
 	Seed int64
 
-	// Workers bounds the goroutines of the experiment harness — grid cells,
-	// Fig-10 planner runs, and (unless the TrainConfigs override it) the
-	// data-parallel training loops. 0 = GOMAXPROCS, 1 = serial. Results are
-	// bitwise identical for any setting: every cell carries its own seeded
-	// RNG and gradient reduction runs in a fixed order.
-	Workers int
-
-	// Obs, when non-nil, receives harness observability: one JSONL grid_cell
-	// record per cell and one plan_run record per Fig-10 version (the facts,
-	// wall seconds included), accuracy-monitor feeds, trace slices and
-	// profiler spans. Purely observational — tables and plans are bitwise
-	// identical with or without it.
-	Obs *obs.Observer
-}
-
-// trainConfig returns the preset's TrainConfig with the harness worker
-// bound applied when the config does not set its own.
-func trainConfig(base predictor.TrainConfig, workers int) predictor.TrainConfig {
-	if base.Workers == 0 {
-		base.Workers = workers
-	}
-	return base
+	// Obs receives harness observability: one JSONL plan_run record per
+	// Fig-10 version, accuracy-monitor feeds, profiler spans and each plan's
+	// simulated schedule on the trace. The zero value observes nothing, and
+	// tables and plans are bitwise identical with or without it.
+	Obs obs.Observer
 }
 
 // Quick is the smoke-test preset used by the `go test -bench` harness: a

@@ -21,6 +21,16 @@ var (
 	docMetric = regexp.MustCompile("`(predtop_[a-z0-9_]*[a-z0-9])`")
 	docRow    = regexp.MustCompile("(?m)^\\| `(predtop_[a-z0-9_]*[a-z0-9])` \\|.* \\| `([^`]+)`[^|]*\\|$")
 	constDecl = regexp.MustCompile(`(\w+)\s*=\s*"(predtop_[a-z0-9_]*[a-z0-9])"`)
+
+	// A JSONL record type is the "event" value of an emitted record: a map
+	// key, a named struct field, or the first positional field of the
+	// anonymous record structs the tools emit. A route is a pattern handed to
+	// the telemetry mux or to the daemon's instrument wrapper. Their doc row
+	// is "| `name` | `emitter/file`, … | `reader/file` … |".
+	srcEvent     = regexp.MustCompile(`(?:"event":\s*|\bEvent:\s*|\}\{)"([a-z_]+)"`)
+	srcRoute     = regexp.MustCompile(`(?:HandleFunc\(|^\s*)"(/[a-z/]+)"(?:,|:\s+s\.instrument\()`)
+	docRecordRow = regexp.MustCompile("(?m)^\\| `([a-z_]+|/[a-z/]+)` \\| ([^|]*) \\| `([^`]+)`[^|]*\\|$")
+	docPath      = regexp.MustCompile("`([a-z][a-z0-9_./-]*\\.go)`")
 )
 
 // TestMetricsDocSync pins docs/METRICS.md to the source of truth: every
@@ -34,10 +44,22 @@ var (
 // bench/ — and that file must exist, must not be a file emitting the family,
 // and must mention it, by name or by a Go constant bound to the name. A
 // family nobody reads has no row to write and is deleted instead.
+//
+// The page's "JSONL records and endpoints" table is held to the same rules:
+// every record type and route in non-test source has a row and the reverse,
+// the row's emitters hold it, and its reader exists, is not an emitter and
+// mentions it.
 func TestMetricsDocSync(t *testing.T) {
 	root := filepath.Join("..", "..")
 	inSource := map[string]map[string]bool{} // family -> files holding the literal
 	consts := map[string][]string{}          // family -> constants bound to it
+	records := map[string]map[string]bool{}  // record type or route -> files emitting it
+	emit := func(name, file string) {
+		if records[name] == nil {
+			records[name] = map[string]bool{}
+		}
+		records[name][file] = true
+	}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -65,6 +87,21 @@ func TestMetricsDocSync(t *testing.T) {
 		}
 		for _, m := range constDecl.FindAllSubmatch(b, -1) {
 			consts[string(m[2])] = append(consts[string(m[2])], string(m[1]))
+		}
+		for _, line := range strings.Split(string(b), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "//") {
+				continue // a comment quoting a record is not an emitter
+			}
+			for _, m := range srcEvent.FindAllStringSubmatch(line, -1) {
+				emit(m[1], filepath.ToSlash(rel))
+			}
+			for _, m := range srcRoute.FindAllStringSubmatch(line, -1) {
+				route := m[1]
+				if strings.HasPrefix(route, "/debug/pprof/") {
+					route = "/debug/pprof/" // the stdlib's pages share one row
+				}
+				emit(route, filepath.ToSlash(rel))
+			}
 		}
 		return nil
 	})
@@ -128,6 +165,46 @@ func TestMetricsDocSync(t *testing.T) {
 		}
 		if !mentioned {
 			t.Errorf("%s: its reader %s mentions neither the name nor %v", name, reader, consts[name])
+		}
+	}
+
+	listed := map[string]bool{}
+	for _, m := range docRecordRow.FindAllSubmatch(doc, -1) {
+		name, reader := string(m[1]), string(m[3])
+		listed[name] = true
+		emitters := records[name]
+		if emitters == nil {
+			t.Errorf("docs/METRICS.md lists record or route %s, which no source file emits", name)
+			continue
+		}
+		named := docPath.FindAllSubmatch(m[2], -1)
+		if len(named) == 0 {
+			t.Errorf("%s: its row names no emitter file", name)
+		}
+		for _, e := range named {
+			if !emitters[string(e[1])] {
+				t.Errorf("%s: listed emitter %s does not emit it", name, e[1])
+			}
+		}
+		if emitters[reader] {
+			t.Errorf("%s: its reader %s is a file that emits it", name, reader)
+		}
+		b, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(reader)))
+		if err != nil {
+			t.Errorf("%s: reader: %v", name, err)
+			continue
+		}
+		end := `($|[^a-z_])`
+		if strings.HasSuffix(name, "/") {
+			end = "" // a route prefix is mentioned by any page under it
+		}
+		if !regexp.MustCompile(`(^|[^a-z_/])` + regexp.QuoteMeta(name) + end).Match(b) {
+			t.Errorf("%s: its reader %s does not mention it", name, reader)
+		}
+	}
+	for name, emitters := range records {
+		if !listed[name] {
+			t.Errorf("record or route %s (emitted by %v) has no row in docs/METRICS.md; list it with its reader, or delete it if it has none", name, emitters)
 		}
 	}
 }

@@ -14,8 +14,9 @@ type ServerConfig struct {
 	// Addr is the TCP listen address, e.g. ":9090" or "127.0.0.1:0" (port 0
 	// picks a free port — read it back from Server.Addr).
 	Addr string
-	// Registry backs GET /metrics. A nil registry serves an empty (but
-	// valid) exposition.
+	// Registry backs GET /metrics. Nil serves 404: a process without a
+	// registry has no exposition, and an empty 200 would read as "nothing
+	// happened".
 	Registry *Registry
 	// Flight backs GET /debug/flightrecorder: the recorder's current window
 	// (plus goroutine stacks) streamed as JSONL. Nil serves 404.
@@ -32,11 +33,11 @@ type ServerConfig struct {
 	ShutdownTimeout time.Duration
 }
 
-// Server is a live telemetry endpoint: GET /metrics serves the registry in
-// Prometheus text exposition format, GET /healthz answers "ok", and the
-// stdlib profiling handlers are mounted under /debug/pprof/. It exists so a
-// long predtop-train or predtop-plan run can be inspected while it runs
-// instead of only after it exits.
+// Server is a live telemetry endpoint: GET /metrics serves the registry (when
+// there is one) in Prometheus text exposition format, GET /healthz answers
+// "ok", and the stdlib profiling handlers are mounted under /debug/pprof/. It
+// exists so a long predtop-train or predtop-plan run can be inspected while it
+// runs instead of only after it exits.
 type Server struct {
 	ln      net.Listener
 	srv     *http.Server
@@ -61,10 +62,12 @@ func StartServer(ctx context.Context, cfg ServerConfig) (*Server, error) {
 	}
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		cfg.Registry.WriteProm(w)
-	})
+	if cfg.Registry != nil {
+		mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			cfg.Registry.WriteProm(w)
+		})
+	}
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")

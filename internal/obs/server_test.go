@@ -155,9 +155,12 @@ func TestServerDoubleCloseAndNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// nil registry still serves a valid (empty) exposition.
-	if code, body := get(t, s.URL()+"/metrics"); code != http.StatusOK || body != "" {
-		t.Fatalf("nil-registry /metrics: %d %q", code, body)
+	// No registry, no exposition: an empty 200 would read as "nothing happened".
+	if code, _ := get(t, s.URL()+"/metrics"); code != http.StatusNotFound {
+		t.Fatalf("nil-registry /metrics: %d, want 404", code)
+	}
+	if code, _ := get(t, s.URL()+"/healthz"); code != http.StatusOK {
+		t.Fatalf("nil-registry /healthz: %d", code)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

@@ -12,9 +12,11 @@ import (
 // Profiler aggregates nestable Spans into a deterministic self-time profile
 // tree: each distinct span path (e.g. train → forward → l0.attn) becomes one
 // node accumulating total monotonic duration and invocation count across
-// every goroutine that opened it. One instrumentation call therefore yields
-// two artifacts — WriteProfileTree's flame-style text report and, when a
-// TraceBuilder is attached (AttachTrace), a slice on a Chrome-trace track.
+// every goroutine that opened it. It is the one wall clock batch code starts
+// and stops: one instrumentation call yields both artifacts —
+// WriteProfileTree's flame-style text report and, when a TraceBuilder is
+// attached (AttachTrace), the span's interval as a slice on a Chrome-trace
+// track.
 //
 // The profiler follows the package's nil no-op contract: a nil *Profiler
 // hands out inert Spans whose every method (including nested Start) costs
@@ -22,6 +24,7 @@ import (
 // unconditionally. All methods are safe for concurrent use; sibling spans
 // opened by parallel workers fold into the same tree node.
 type Profiler struct {
+	epoch time.Time // origin of the mirrored trace slices; set once by NewProfiler
 	mu    sync.Mutex
 	root  profNode
 	trace *TraceBuilder
@@ -51,16 +54,17 @@ func (n *profNode) child(name string) *profNode {
 	return c
 }
 
-// NewProfiler returns an empty enabled profiler.
-func NewProfiler() *Profiler { return &Profiler{} }
+// NewProfiler returns an empty enabled profiler; mirrored trace slices are
+// timed from this moment.
+func NewProfiler() *Profiler { return &Profiler{epoch: time.Now()} }
 
 // Enabled reports whether the profiler records anything (false on nil).
 func (p *Profiler) Enabled() bool { return p != nil }
 
 // AttachTrace mirrors every completed span as a Chrome-trace slice on the
-// named track of tb, timed against tb's wall-clock origin, so the aggregate
-// profile tree and the raw timeline come from the same instrumentation. A
-// nil profiler or nil builder leaves the profiler unchanged.
+// named track of tb, timed from the profiler's creation, so the aggregate
+// profile tree and the raw timeline come from the same clock readings. A nil
+// profiler or nil builder leaves the profiler unchanged.
 func (p *Profiler) AttachTrace(tb *TraceBuilder, track string) {
 	if p == nil || tb == nil {
 		return
@@ -118,8 +122,7 @@ func (s Span) End() {
 	tb, track := s.p.trace, s.p.track
 	s.p.mu.Unlock()
 	if tb != nil {
-		end := tb.Since()
-		tb.Slice(track, s.node.name, end-d.Seconds(), d.Seconds())
+		tb.Slice(track, s.node.name, s.start.Sub(s.p.epoch).Seconds(), d.Seconds())
 	}
 }
 

@@ -176,4 +176,13 @@ func TestAttachTraceMirrorsSpans(t *testing.T) {
 			t.Fatalf("trace missing %s:\n%s", want, out)
 		}
 	}
+	// A slice is the span's own interval on the profiler's clock: the child
+	// (ended first, so rendered first) lies inside its parent, and both start
+	// after the profiler was created.
+	evs := decodeTrace(t, buf.Bytes())
+	step, opt := evs[len(evs)-2], evs[len(evs)-1]
+	if step.Name != "step" || opt.Name != "opt" || opt.TS < 0 ||
+		step.TS < opt.TS || step.TS+step.Dur > opt.TS+opt.Dur+1e-3 { // µs; 1 ns of float slack
+		t.Fatalf("mirrored intervals: step %+v, opt %+v", step, opt)
+	}
 }

@@ -5,21 +5,20 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 )
 
 // TraceBuilder accumulates Chrome-tracing events (the JSON array format
 // loadable in Perfetto or chrome://tracing) across named tracks. Tracks are
 // created on first use and rendered with `"M"` thread_name metadata events,
-// so a trace reads "epochs", "stage 1", "PredTOP-Tran" instead of bare
-// numeric thread ids. Slices carry explicit timestamps (simulated schedules,
-// cumulative training wall time); Begin/End spans use wall-clock time since
-// the builder was created, so both kinds land on one coherent timeline.
+// so a trace reads "spans", "GPT-3 PredTOP-Tran stage 1" instead of bare
+// numeric thread ids. The builder has no clock of its own: every slice
+// carries explicit timestamps — a simulated schedule's, or the wall-clock
+// interval of a profiler span mirrored by Profiler.AttachTrace — so both kinds
+// land on one timeline that starts at 0.
 //
 // All methods are safe for concurrent use and no-ops on a nil builder.
 type TraceBuilder struct {
 	mu      sync.Mutex
-	epoch   time.Time
 	traceID string
 	tracks  map[string]int
 	order   []string
@@ -45,10 +44,9 @@ type traceArgs struct {
 
 const tracePID = 1
 
-// NewTrace returns an empty builder; its wall-clock origin (for Begin/End
-// spans) is the moment of creation.
+// NewTrace returns an empty builder.
 func NewTrace() *TraceBuilder {
-	return &TraceBuilder{epoch: time.Now(), tracks: map[string]int{}}
+	return &TraceBuilder{tracks: map[string]int{}}
 }
 
 // SetTraceID stamps the run's trace id onto the trace: Render carries it in
@@ -88,58 +86,6 @@ func (t *TraceBuilder) Slice(track, name string, startSec, durSec float64) {
 		TS: startSec * 1e6, Dur: durSec * 1e6,
 		PID: tracePID, TID: t.tid(track),
 	})
-}
-
-// Instant appends an instant ("i") event at now on the named track (e.g. an
-// early-stop marker).
-func (t *TraceBuilder) Instant(track, name string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.events = append(t.events, traceEvent{
-		Name: name, Phase: "i",
-		TS:  time.Since(t.epoch).Seconds() * 1e6,
-		PID: tracePID, TID: t.tid(track),
-	})
-}
-
-// Since returns seconds elapsed since the trace origin (0 on nil) — the time
-// base explicit Slices should offset from when mixing with Begin/End spans.
-func (t *TraceBuilder) Since() float64 {
-	if t == nil {
-		return 0
-	}
-	return time.Since(t.epoch).Seconds()
-}
-
-// Begin opens a wall-clock span on the named track; the returned TraceSpan's
-// End appends the completed slice. An inert TraceSpan (nil builder) costs
-// nothing.
-func (t *TraceBuilder) Begin(track, name string) TraceSpan {
-	if t == nil {
-		return TraceSpan{}
-	}
-	return TraceSpan{t: t, track: track, name: name, start: time.Since(t.epoch)}
-}
-
-// TraceSpan is an in-flight wall-clock trace slice (see TraceBuilder.Begin).
-// Unlike the hierarchical Span (span.go), it records a single timeline slice
-// and performs no aggregation.
-type TraceSpan struct {
-	t           *TraceBuilder
-	track, name string
-	start       time.Duration
-}
-
-// End completes the span. No-op on an inert span.
-func (s TraceSpan) End() {
-	if s.t == nil {
-		return
-	}
-	end := time.Since(s.t.epoch)
-	s.t.Slice(s.track, s.name, s.start.Seconds(), (end - s.start).Seconds())
 }
 
 // Render writes the trace as a Chrome-tracing JSON array: thread_name
@@ -185,9 +131,8 @@ func (t *TraceBuilder) Render(w io.Writer) error {
 }
 
 // Observer bundles the observability outputs a long-running path can report
-// to. Any field — or the Observer itself — may be nil; the accessor methods
-// make a nil Observer fully inert, so APIs thread a single *Observer instead
-// of four optional parameters.
+// to. Every handle is nil-safe, so any field may be nil and the zero Observer
+// is fully inert: APIs thread one Observer instead of six optional parameters.
 type Observer struct {
 	Events *Sink
 	Trace  *TraceBuilder
@@ -195,52 +140,4 @@ type Observer struct {
 	Acc    *AccuracyMonitor
 	Flight *FlightRecorder
 	Ctx    *TraceContext
-}
-
-// Sink returns the event sink (nil when absent).
-func (o *Observer) Sink() *Sink {
-	if o == nil {
-		return nil
-	}
-	return o.Events
-}
-
-// Tracer returns the trace builder (nil when absent).
-func (o *Observer) Tracer() *TraceBuilder {
-	if o == nil {
-		return nil
-	}
-	return o.Trace
-}
-
-// Profiler returns the span profiler (nil when absent).
-func (o *Observer) Profiler() *Profiler {
-	if o == nil {
-		return nil
-	}
-	return o.Prof
-}
-
-// Accuracy returns the accuracy monitor (nil when absent).
-func (o *Observer) Accuracy() *AccuracyMonitor {
-	if o == nil {
-		return nil
-	}
-	return o.Acc
-}
-
-// Recorder returns the flight recorder (nil when absent).
-func (o *Observer) Recorder() *FlightRecorder {
-	if o == nil {
-		return nil
-	}
-	return o.Flight
-}
-
-// TraceContext returns the run's trace context (nil when absent).
-func (o *Observer) TraceContext() *TraceContext {
-	if o == nil {
-		return nil
-	}
-	return o.Ctx
 }

@@ -66,50 +66,11 @@ func TestTraceNamedTracks(t *testing.T) {
 	}
 }
 
-func TestTraceSpanAndInstant(t *testing.T) {
-	tb := NewTrace()
-	sp := tb.Begin("phases", "train")
-	tb.Instant("phases", "early-stop")
-	sp.End()
-	var buf bytes.Buffer
-	if err := tb.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	evs := decodeTrace(t, buf.Bytes())
-	var phases []string
-	for _, ev := range evs {
-		phases = append(phases, ev.Phase)
-	}
-	if strings.Join(phases, "") != "MMiX" {
-		t.Fatalf("phases %v", phases)
-	}
-	if tb.Since() < 0 {
-		t.Fatal("Since must be non-negative")
-	}
-}
-
 func TestNilTraceBuilderInert(t *testing.T) {
 	var tb *TraceBuilder
 	tb.Slice("a", "b", 0, 1)
-	tb.Instant("a", "b")
-	sp := tb.Begin("a", "b")
-	sp.End()
-	if tb.Since() != 0 {
-		t.Fatal("nil Since must be 0")
-	}
 	if err := tb.Render(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestNilObserverAccessors(t *testing.T) {
-	var o *Observer
-	if o.Profiler() != nil || o.Sink() != nil || o.Tracer() != nil {
-		t.Fatal("nil observer must return nil components")
-	}
-	o2 := &Observer{Prof: NewProfiler()}
-	if o2.Profiler() == nil || o2.Sink() != nil || o2.Tracer() != nil {
-		t.Fatal("partial observer accessors wrong")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"predtop/internal/planner"
 	"predtop/internal/predictor"
 )
 
@@ -141,12 +142,12 @@ func Compare(base, other *Manifest, baseLabel, otherLabel string) *Diff {
 		pd := PlanDiff{Index: i}
 		if i < len(base.Canonical.Plans) {
 			p := base.Canonical.Plans[i]
-			pd.InBase, pd.BaseTotal = true, p.Total
+			pd.InBase, pd.BaseTotal = true, p.Pipeline.Total
 			pd.Label = planLabel(p)
 		}
 		if i < len(other.Canonical.Plans) {
 			p := other.Canonical.Plans[i]
-			pd.InOther, pd.NewTotal = true, p.Total
+			pd.InOther, pd.NewTotal = true, p.Pipeline.Total
 			if pd.Label == "" {
 				pd.Label = planLabel(p)
 			}
@@ -189,7 +190,7 @@ func Compare(base, other *Manifest, baseLabel, otherLabel string) *Diff {
 	return d
 }
 
-func planLabel(p PlanSummary) string {
+func planLabel(p *planner.Report) string {
 	parts := []string{}
 	for _, s := range []string{p.Version, p.Model, p.Platform} {
 		if s != "" {

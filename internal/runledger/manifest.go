@@ -9,8 +9,8 @@
 // A manifest has two sections. The Canonical section holds everything that
 // is a pure function of (tool, seed, result-determining configuration):
 // config knobs, the FNV-1a config and weight fingerprints, per-(family,
-// mesh, op) accuracy stats, error-attribution snapshots, Eqn-4 plan
-// decompositions, and deterministic result metrics. Two runs of the same
+// mesh, op) accuracy stats, error-attribution snapshots, plan provenance
+// reports, and deterministic result metrics. Two runs of the same
 // seed render byte-identical Canonical JSON — the property `make runs-smoke`
 // pins. The Session section isolates everything wall-clock or host-bound
 // (timestamps, durations, paths, addresses), so reruns differ only there.
@@ -44,24 +44,6 @@ type AccuracyEntry struct {
 	obs.AccuracyStats
 }
 
-// PlanSummary is the Eqn-4 decomposition of one planned pipeline, lifted
-// from a planner.Report.
-type PlanSummary struct {
-	Version      string  `json:"version,omitempty"`
-	Model        string  `json:"model,omitempty"`
-	Platform     string  `json:"platform,omitempty"`
-	Stages       int     `json:"stages"`
-	Microbatches int     `json:"microbatches"`
-	SumStages    float64 `json:"sum_stages"`
-	MaxStage     float64 `json:"max_stage"`
-	Bubble       float64 `json:"bubble_seconds"`
-	Total        float64 `json:"total"`
-	BubbleShare  float64 `json:"bubble_share"`
-	// Fingerprint pins the predictor weights that drove the search (empty
-	// for profiling-based sources).
-	Fingerprint string `json:"fingerprint,omitempty"`
-}
-
 // Canonical is the deterministic section of a manifest: byte-identical
 // across runs of the same tool, seed, and result-determining config.
 type Canonical struct {
@@ -92,8 +74,10 @@ type Canonical struct {
 	// error-attribution snapshot: where the residuals live, by op type, node
 	// count, and stage depth.
 	Attribution map[string]*predictor.Attribution `json:"attribution,omitempty"`
-	// Plans summarizes every plan the run produced, in emission order.
-	Plans []PlanSummary `json:"plans,omitempty"`
+	// Plans holds the provenance report of every plan the run produced, in
+	// emission order: stages, search, cost, the Eqn-4 decomposition and the
+	// predictor fingerprint, every field a function of the seed.
+	Plans []*planner.Report `json:"plans,omitempty"`
 }
 
 // Session is the non-canonical section: wall-clock, host, and path facts
@@ -219,19 +203,12 @@ func (m *Manifest) RecordAttribution(label string, a *predictor.Attribution) {
 	m.Canonical.Attribution[label] = a
 }
 
-// RecordPlan appends the Eqn-4 summary of one plan report.
+// RecordPlan appends one plan report.
 func (m *Manifest) RecordPlan(r *planner.Report) {
 	if m == nil || r == nil {
 		return
 	}
-	m.Canonical.Plans = append(m.Canonical.Plans, PlanSummary{
-		Version: r.Version, Model: r.Model, Platform: r.Platform,
-		Stages: len(r.Stages), Microbatches: r.Microbatches,
-		SumStages: r.Pipeline.SumStages, MaxStage: r.Pipeline.MaxStage,
-		Bubble: r.Pipeline.BubbleSeconds, Total: r.Pipeline.Total,
-		BubbleShare: r.Pipeline.BubbleShare,
-		Fingerprint: r.Provenance.Fingerprint,
-	})
+	m.Canonical.Plans = append(m.Canonical.Plans, r)
 }
 
 // configFingerprint hashes (schema, tool, seed, sorted config pairs) with

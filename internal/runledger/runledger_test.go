@@ -73,6 +73,10 @@ func TestCanonicalJSONDeterministicAndSessionFree(t *testing.T) {
 	if !strings.Contains(string(ja), `"config_fingerprint"`) {
 		t.Fatal("canonical JSON missing config fingerprint")
 	}
+	// A plan is recorded as the report itself, stage list included.
+	if !strings.Contains(string(ja), `"stages": [`) || !strings.Contains(string(ja), `"total": 8.5`) {
+		t.Fatalf("canonical JSON does not carry the plan report:\n%s", ja)
+	}
 }
 
 func TestNilManifestAndStoreAreInert(t *testing.T) {
@@ -193,7 +197,7 @@ func TestCompareAndGate(t *testing.T) {
 	}
 
 	worse := fakeManifest(7, 36)
-	worse.Canonical.Plans[0].Total = 9.5
+	worse.Canonical.Plans[0].Pipeline.Total = 9.5
 	d = Compare(base, worse, "base", "new")
 	if d.CanonicalIdentical {
 		t.Fatal("diverged manifests compared identical")

@@ -60,8 +60,10 @@ type Config struct {
 	CacheSize int
 
 	// Metrics, Sink, Flight, Trace, and Log are the observability fan-out;
-	// each is optional and nil-safe. With Metrics set, requests that attach
-	// ground truth also feed the predtop_accuracy_* gauges.
+	// each is optional and nil-safe. Sink takes the slo_breach records and,
+	// unless AccessLog is set, the sampled access records — the one record a
+	// request leaves. With Metrics set, requests that attach ground truth
+	// also feed the predtop_accuracy_* gauges.
 	Metrics *obs.Registry
 	Sink    *obs.Sink
 	Flight  *obs.FlightRecorder
@@ -396,6 +398,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, ri *reqIn
 		s.batches.Inc()
 		s.batched.Inc()
 		s.cache.Put(key, latency)
+		// A forward is worth a breadcrumb; a hit leaves none (its record is
+		// the sampled access line), so the hit path formats nothing.
+		if s.cfg.Flight.Enabled() {
+			s.cfg.Flight.Note("predict", fmt.Sprintf("%s %s[%d,%d) -> %.6gs",
+				entry.Key, benchCfg.Name, req.Lo, req.Hi, latency))
+		}
 	}
 
 	resp := PredictResponse{
@@ -414,20 +422,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, ri *reqIn
 				Family: entry.Family, Mesh: req.Mesh, Op: benchCfg.Name,
 			}, latency, *gt)
 		}
-	}
-	if s.cfg.Sink != nil {
-		// The sink splices the run-level trace_id/span_id as leading fields;
-		// the per-request child span gets its own key to avoid a duplicate.
-		s.cfg.Sink.Emit(map[string]any{
-			"event": "predict", "request_span_id": span.SpanID(),
-			"model": entry.Key, "bench": benchCfg.Name,
-			"lo": req.Lo, "hi": req.Hi,
-			"latency_s": latency, "cached": cached, "generation": gen,
-		})
-	}
-	if s.cfg.Flight.Enabled() {
-		s.cfg.Flight.Note("predict", fmt.Sprintf("%s %s[%d,%d) -> %.6gs (cached=%v)",
-			entry.Key, benchCfg.Name, req.Lo, req.Hi, latency, cached))
 	}
 	return writeJSON(w, http.StatusOK, resp)
 }

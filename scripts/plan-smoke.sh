@@ -6,8 +6,9 @@
 # -metrics JSONL holds records and no registry snapshot), the report JSON
 # round-trips through -diff, and a second identical run reproduces every report
 # byte-for-byte (reports are pure functions of the seed — no wall-clock, no
-# map-order, no scheduling dependence). Any failure fails the script, which
-# is wired into `make ci` via the plan-smoke target.
+# map-order, no scheduling dependence) and records a manifest with the same
+# content address, whose plans are those reports whole. Any failure fails the
+# script, which is wired into `make ci` via the plan-smoke target.
 set -eu
 
 GO=${GO:-go}
@@ -25,7 +26,8 @@ $GO build -o "$WORK/predtop-plan" ./cmd/predtop-plan
 
 echo "plan-smoke: planning with reports and a what-if replay"
 "$WORK/predtop-plan" -preset quick -bench GPT-3 -quiet -metrics "$WORK/m.jsonl" \
-    -report "$WORK/r1" -whatif "microbatches=32,internode-bw=x4" > "$WORK/run1.out"
+    -report "$WORK/r1" -whatif "microbatches=32,internode-bw=x4" \
+    -runledger "$WORK/L" > "$WORK/run1.out"
 
 grep -q "what-if diff" "$WORK/run1.out" || {
     echo "plan-smoke: no what-if diff in the output" >&2
@@ -74,7 +76,8 @@ grep -q "total" "$WORK/diff.out" || {
 }
 
 echo "plan-smoke: re-running for byte-identical reports"
-"$WORK/predtop-plan" -preset quick -bench GPT-3 -quiet -report "$WORK/r2" > /dev/null
+"$WORK/predtop-plan" -preset quick -bench GPT-3 -quiet -report "$WORK/r2" \
+    -whatif "microbatches=32,internode-bw=x4" -runledger "$WORK/L" > /dev/null
 for f in "$WORK"/r1/*.json; do
     name=$(basename "$f")
     case "$name" in *-whatif.json) continue ;; esac
@@ -83,5 +86,23 @@ for f in "$WORK"/r1/*.json; do
         exit 1
     fi
 done
+
+echo "plan-smoke: checking the recorded manifests"
+# Same seed and config, so the second run collides on the first one's content
+# address (<id>.json, <id>.1.json), and a recorded plan is the report itself:
+# the first plan carries its stage list and cost block, not a summary.
+MAN=$(ls "$WORK"/L/*.json | grep -v '\.1\.json$')
+if [ "$(echo "$MAN" | wc -l)" != 1 ] || [ ! -e "${MAN%.json}.1.json" ]; then
+    echo "plan-smoke: two same-seed runs did not share one run id:" "$WORK"/L/* >&2
+    exit 1
+fi
+awk '/"plans": \[/ { in_plans = 1 }
+     in_plans && /"cost": \{/ { cost = 1 }
+     in_plans && /"stages": \[/ { stages = 1 }
+     in_plans && /"pipeline": \{/ { exit }
+     END { exit !(cost && stages) }' "$MAN" || {
+    echo "plan-smoke: the manifest's first plan lacks its \"stages\" list or \"cost\" block" >&2
+    exit 1
+}
 
 echo "plan-smoke: ok"

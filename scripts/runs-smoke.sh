@@ -1,11 +1,13 @@
 #!/bin/sh
-# runs-smoke: build predtop-train, predtop-eval, and predtop-runs, record
-# real runs into a throwaway ledger, and prove the cross-run observability
-# contract end to end: two same-seed training runs share one content address
-# with byte-identical canonical sections, the eval manifest carries the
-# error-attribution snapshot, the diff renders it, and the regression
-# sentinel passes a run against its own baseline. Any failure fails the
-# script, which is wired into `make ci` via the runs-smoke target.
+# runs-smoke: build predtop-train, predtop-eval, predtop-plan, and
+# predtop-runs, record real runs into a throwaway ledger, and prove the
+# cross-run observability contract end to end: two same-seed training runs
+# share one content address with byte-identical canonical sections, the eval
+# manifest carries the error-attribution snapshot, the diff renders it, the
+# regression sentinel passes a run against its own baseline, and a plan
+# manifest holds its plans' whole reports, on whose Eqn-4 total the sentinel
+# still trips. Any failure fails the script, which is wired into `make ci`
+# via the runs-smoke target.
 set -eu
 
 GO=${GO:-go}
@@ -21,6 +23,7 @@ trap cleanup EXIT INT TERM
 echo "runs-smoke: building"
 $GO build -o "$WORK/predtop-train" ./cmd/predtop-train
 $GO build -o "$WORK/predtop-eval" ./cmd/predtop-eval
+$GO build -o "$WORK/predtop-plan" ./cmd/predtop-plan
 $GO build -o "$WORK/predtop-runs" ./cmd/predtop-runs
 
 LEDGER="$WORK/runs"
@@ -90,6 +93,38 @@ echo "runs-smoke: gating the eval run against its own baseline"
 "$WORK/predtop-runs" -dir "$LEDGER" diff -gate > "$WORK/gate.out"
 grep -q "gate: ok" "$WORK/gate.out" || {
     echo "runs-smoke: sentinel did not report ok on identical runs" >&2
+    exit 1
+}
+
+echo "runs-smoke: recording a quick plan run"
+# Its own ledger, so "latest" and the pinned baseline above stay what they are.
+PLANS="$WORK/plans"
+"$WORK/predtop-plan" -preset quick -bench GPT-3 -runledger "$PLANS" -quiet > /dev/null
+"$WORK/predtop-runs" -dir "$PLANS" show -canonical > "$WORK/plan.json"
+# A recorded plan is the report itself (what predtop-runs render will read):
+# the first one carries its stage list and cost block.
+awk '/"plans": \[/ { in_plans = 1 }
+     in_plans && /"cost": \{/ { cost = 1 }
+     in_plans && /"stages": \[/ { stages = 1 }
+     in_plans && /"pipeline": \{/ { exit }
+     END { exit !(cost && stages) }' "$WORK/plan.json" || {
+    echo "runs-smoke: the plan manifest's first plan lacks its \"stages\" list or \"cost\" block" >&2
+    exit 1
+}
+
+echo "runs-smoke: gating a plan run with a grown Eqn-4 total"
+# The same manifest with the digits 1000 put in front of its first plan's
+# pipeline total (the first "total" key of the file): the sentinel must name
+# plan 0 and exit nonzero.
+MAN=$(ls "$PLANS"/*.json)
+awk '!grown && /"total": / { sub(/"total": /, "\"total\": 1000"); grown = 1 } { print }' "$MAN" > "$WORK/grown.json"
+if "$WORK/predtop-runs" -dir "$PLANS" diff -gate "$MAN" "$WORK/grown.json" > "$WORK/trip.out" 2> "$WORK/trip.err"; then
+    echo "runs-smoke: sentinel passed a plan whose Eqn-4 total grew" >&2
+    exit 1
+fi
+grep -q "gate: plan 0 " "$WORK/trip.err" || {
+    echo "runs-smoke: sentinel failed without naming plan 0:" >&2
+    cat "$WORK/trip.err" >&2
     exit 1
 }
 

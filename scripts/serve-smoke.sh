@@ -2,9 +2,11 @@
 # serve-smoke: build predtop-serve + predtop-replay, train a throwaway tiny
 # model, bring the daemon up on an ephemeral port, answer one query through
 # predtop-replay -smoke, read the query back from /metrics, answer a short
-# 8-client replay, and shut down cleanly. Any failure — build, train, startup,
-# query, a wrong counter, or a daemon that does not exit 0 on SIGTERM — fails
-# the script, which is wired into `make ci` via the serve-smoke target.
+# 8-client replay, shut down cleanly, and check that the daemon's -metrics
+# file holds access records and no second per-request record. Any failure —
+# build, train, startup, query, a wrong counter, a wrong record, or a daemon
+# that does not exit 0 on SIGTERM — fails the script, which is wired into
+# `make ci` via the serve-smoke target.
 set -eu
 
 GO=${GO:-go}
@@ -36,11 +38,12 @@ echo "serve-smoke: starting the daemon"
 # Generous explicit objectives: the SLO machinery (tracker, /statusz, breach
 # wiring) runs for real, but a slow CI box can never trip a breach and flake
 # the gate. The incident dir proves the breach path stays quiet: it must be
-# empty at shutdown.
+# empty at shutdown. No -accesslog: the sampled access records go to the
+# -metrics file, where the record check at the end reads them.
 "$WORK/predtop-serve" -models "$WORK/models" -listen 127.0.0.1:0 \
     -addrfile "$WORK/serve.addr" -quiet \
     -slo-p99 30s -slo-err 0.9 -incidents "$WORK/incidents" \
-    -accesslog "$WORK/access.jsonl" &
+    -metrics "$WORK/serve.jsonl" &
 SERVE_PID=$!
 
 # Wait for the address file (the daemon writes it once it is serving).
@@ -104,4 +107,16 @@ if ! wait "$SERVE_PID"; then
     exit 1
 fi
 SERVE_PID=""
+
+echo "serve-smoke: checking the daemon's JSONL records"
+# One record per request: the sampled access line. The unsampled "predict"
+# event that used to sit beside it must not come back.
+grep -q '"event":"access"' "$WORK/serve.jsonl" || {
+    echo "serve-smoke: -metrics file has no access record" >&2
+    exit 1
+}
+if grep -q '"event":"predict"' "$WORK/serve.jsonl"; then
+    echo "serve-smoke: -metrics file holds a second per-request record (\"event\":\"predict\")" >&2
+    exit 1
+fi
 echo "serve-smoke: ok"
