@@ -77,7 +77,7 @@ runs-smoke:
 # numeric stack (tensor, ag, nn, graphnn, predictor), the total for the tool
 # layer (cmd/ plus internal/cli), all non-test Go outside bench/, the facade's
 # line count, the metric families and JSONL record types of docs/METRICS.md,
-# the number of cmd/ tools and the flags they declare themselves (the nine
+# the number of cmd/ tools and the flags they declare themselves (the eight
 # shared ones are internal/cli's) — the numbers design-debt issues are sized
 # and accepted by.
 loc:

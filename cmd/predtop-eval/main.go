@@ -9,17 +9,16 @@
 //	predtop-eval [-preset quick|paper|paperlite] [-bench GPT-3|MoE|all]
 //	             [-platform 1|2|0] [-fig3frac 50] [-fig 2|6] [-seed 0]
 //	             [-out results.txt] [-metrics run.jsonl] [-trace run.json]
-//	             [-listen :9090] [-profile spans.txt] [-driftmre 25]
-//	             [-runledger runs] [-quiet]
+//	             [-listen :9090] [-profile spans.txt] [-runledger runs] [-quiet]
 //
-// -preset, -seed, -quiet, -metrics, -trace, -listen, -profile, -driftmre,
-// and -runledger are the shared flags documented in package internal/cli;
-// -seed 0 keeps the preset's seed, and progress goes to stderr (the report
-// always prints). Here -metrics carries the run config and the per-(family,
-// mesh, op) accuracy statistics; -profile covers grid phases and predictor
-// layers (-trace is the same spans as a timeline); the manifest holds
-// per-table win rates, per-(family, mesh, op) accuracy stats, and per-family
-// error-attribution snapshots. Grid cells fan across GOMAXPROCS goroutines.
+// -preset, -seed, -quiet, -metrics, -trace, -listen, -profile, and
+// -runledger are the shared flags documented in package internal/cli; -seed
+// 0 keeps the preset's seed, and progress goes to stderr (the report always
+// prints). Here -metrics carries the run config; -profile covers grid phases
+// and predictor layers (-trace is the same spans as a timeline); the manifest
+// holds per-table win rates and per-family error-attribution snapshots, each
+// merged across the grid's cells with its held-out MRE. Grid cells fan across
+// GOMAXPROCS goroutines.
 package main
 
 import (
@@ -50,11 +49,10 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	tables := fs.Bool("tables", true, "run the MRE tables (disable for -ablate only)")
 	out := fs.String("out", "", "also write the report to this file")
 	var shared cli.Flags
-	shared.Register(fs, cli.Preset|cli.Seed|cli.Quiet|cli.Metrics|cli.Telemetry|cli.Drift|cli.Ledger, map[string]string{
-		"seed":     "override the preset's random seed (0 = preset default)",
-		"quiet":    "suppress per-cell progress on stderr (the report still prints)",
-		"profile":  "write a per-phase/per-layer self-time span profile to this file",
-		"driftmre": "warn when a grid cell family's test MRE exceeds this percentage (0 = off)",
+	shared.Register(fs, cli.Preset|cli.Seed|cli.Quiet|cli.Metrics|cli.Telemetry|cli.Ledger, map[string]string{
+		"seed":    "override the preset's random seed (0 = preset default)",
+		"quiet":   "suppress per-cell progress on stderr (the report still prints)",
+		"profile": "write a per-phase/per-layer self-time span profile to this file",
 	})
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -99,7 +97,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	man.SetConfig("fig3frac", fmt.Sprint(*fig3frac))
 	man.SetConfig("ablate", fmt.Sprint(*ablate))
 	man.SetConfig("tables", fmt.Sprint(*tables))
-	man.SetConfig("driftmre", fmt.Sprint(shared.DriftMRE))
 	if *fig != 0 {
 		man.SetConfig("fig", fmt.Sprint(*fig))
 	}
@@ -174,7 +171,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		for fam, as := range parts {
 			man.RecordAttribution(fam, predictor.MergeAttributions(as...))
 		}
-		man.RecordAccuracy(r.Acc)
 	}
 	return nil
 }

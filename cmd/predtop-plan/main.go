@@ -9,7 +9,7 @@
 //	predtop-plan [-preset quick|paper|paperlite] [-bench GPT-3|MoE|all]
 //	             [-seed 0] [-out results.txt]
 //	             [-metrics run.jsonl] [-trace run.json] [-listen :9090]
-//	             [-profile spans.txt] [-driftmre 25] [-runledger runs] [-quiet]
+//	             [-profile spans.txt] [-runledger runs] [-quiet]
 //	             [-report DIR] [-whatif SPEC] [-diff a.json,b.json]
 //
 // -report writes each feasible plan's provenance report — per-stage
@@ -22,12 +22,12 @@
 // internode-lat scale factors (e.g. "microbatches=32,internode-bw=x4").
 // -diff compares two report files written by -report and exits.
 //
-// -preset, -seed, -quiet, -metrics, -trace, -listen, -profile, -driftmre,
-// and -runledger are the shared flags documented in package internal/cli;
-// -seed 0 keeps the preset's seed, and progress goes to stderr (the report
-// always prints). Here -metrics carries the run config, one plan_run record
-// per planner version (its search and cost facts, report embedded) and the
-// validation accuracy statistics; -profile is the search's wall-clock record
+// -preset, -seed, -quiet, -metrics, -trace, -listen, -profile, and
+// -runledger are the shared flags documented in package internal/cli; -seed
+// 0 keeps the preset's seed, and progress goes to stderr (the report always
+// prints). Here -metrics carries the run config and one plan_run record per
+// planner version (its search and cost facts, report embedded); -profile is
+// the search's wall-clock record
 // — planner phases, one estimate span per lookup, embedded predictor
 // training, plan evaluation; -trace holds the same spans as a timeline plus
 // the simulated 1F1B schedule of each feasible plan; the manifest holds each
@@ -62,10 +62,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	whatifSpec := fs.String("whatif", "", "replay each plan against a perturbation (e.g. \"microbatches=32,internode-bw=x4\") and print the latency diff")
 	diffSpec := fs.String("diff", "", "compare two report files (\"base.json,scenario.json\"), print the diff, and exit")
 	var shared cli.Flags
-	shared.Register(fs, cli.Preset|cli.Seed|cli.Quiet|cli.Metrics|cli.Telemetry|cli.Drift|cli.Ledger, map[string]string{
-		"seed":     "override the preset's random seed (0 = preset default)",
-		"quiet":    "suppress per-run progress on stderr (the report still prints)",
-		"driftmre": "warn when a predictor family's validation MRE exceeds this percentage (0 = off)",
+	shared.Register(fs, cli.Preset|cli.Seed|cli.Quiet|cli.Metrics|cli.Telemetry|cli.Ledger, map[string]string{
+		"seed":  "override the preset's random seed (0 = preset default)",
+		"quiet": "suppress per-run progress on stderr (the report still prints)",
 	})
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -107,7 +106,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	man := r.Man
 	man.SetConfig("preset", p.Name)
 	man.SetConfig("bench", strings.ToLower(*bench))
-	man.SetConfig("driftmre", fmt.Sprint(shared.DriftMRE))
 	if *whatifSpec != "" {
 		man.SetConfig("whatif", whatif.String())
 	}
@@ -142,7 +140,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			}
 		}
 	}
-	man.RecordAccuracy(r.Acc)
 	return nil
 }
 

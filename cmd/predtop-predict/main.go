@@ -12,8 +12,8 @@
 // -seed, -quiet, -metrics, -trace, -listen, and -profile are the shared flags
 // documented in package internal/cli; -seed only names the trace identity
 // (predictions are deterministic regardless). Here -metrics carries the run
-// config, the prediction, and the optional check result; with -check the
-// predicted-vs-profiled residual also lands in an accuracy record.
+// config, the prediction, and under -check the check record with the
+// profiled latency and the relative error.
 package main
 
 import (
@@ -25,7 +25,6 @@ import (
 
 	"predtop"
 	"predtop/internal/cli"
-	"predtop/internal/obs"
 )
 
 func main() {
@@ -118,11 +117,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return fmt.Errorf("stage infeasible under %v", scenario)
 	}
 	relErr := math.Abs(pred-trueLat) / trueLat * 100
-	r.Acc.Observe(obs.AccuracyKey{
-		Family: trained.Model.Name(),
-		Mesh:   fmt.Sprintf("%dx%d", scenario.Mesh.Nodes, scenario.Mesh.GPUsPerNode),
-		Op:     cfg.Name,
-	}, pred, trueLat)
 	fmt.Fprintf(stdout, "profiled under %v: %.3fms (relative error %.2f%%)\n", scenario, trueLat*1e3, relErr)
 	r.Sink.Emit(struct {
 		Event      string  `json:"event"`

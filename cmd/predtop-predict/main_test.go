@@ -60,7 +60,7 @@ func TestPredictCheckGolden(t *testing.T) {
 		event, _, _ := strings.Cut(rest, `"`)
 		events = append(events, event)
 	}
-	if got := strings.Join(events, " "); got != "run prediction check accuracy" {
+	if got := strings.Join(events, " "); got != "run prediction check" {
 		t.Errorf("JSONL record sequence = %q", got)
 	}
 }

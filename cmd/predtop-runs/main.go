@@ -19,13 +19,14 @@
 // oldest first, marking the pinned baseline with '*'. show prints one
 // manifest; -canonical emits exactly the canonical JSON bytes (the
 // serialization the run id hashes), so two same-seed runs can be compared
-// with cmp. diff renders a side-by-side comparison — identity fields,
-// per-(family, mesh, op) MRE, Eqn-4 plan totals, and the error-attribution
-// breakdown; with no refs it compares the pinned baseline against the
-// latest run, with one ref the baseline against that run. -gate turns the
-// diff into a regression sentinel: exit 1 when any accuracy population's
-// MRE grew by more than -mre points or any plan's Eqn-4 total grew by more
-// than -latency percent. baseline pins a run (or prints the current pin).
+// with cmp. diff renders a side-by-side comparison — identity fields, Eqn-4
+// plan totals, and the error attribution of every label both runs carry
+// (its whole held-out MRE, then per op type, node count and depth); with no
+// refs it compares the pinned baseline against the latest run, with one ref
+// the baseline against that run. -gate turns the diff into a regression
+// sentinel: exit 1 when any shared attribution label's held-out MRE grew by
+// more than -mre points or any plan's Eqn-4 total grew by more than -latency
+// percent. baseline pins a run (or prints the current pin).
 package main
 
 import (

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"predtop/internal/obs"
+	"predtop/internal/predictor"
 	"predtop/internal/runledger"
 )
 
@@ -13,9 +13,7 @@ import (
 func manifest(seed int64, mre float64) *runledger.Manifest {
 	m := runledger.New("predtop-train", seed)
 	m.SetConfig("bench", "GPT-3")
-	m.RecordMetric("test_mre_pct", mre)
-	m.Canonical.Accuracy = []runledger.AccuracyEntry{{Family: "Tran", Mesh: "1x1", Op: "GPT-3",
-		AccuracyStats: obs.AccuracyStats{N: 4, MeanPct: mre}}}
+	m.RecordAttribution("Tran", &predictor.Attribution{Samples: 4, MREPct: mre})
 	m.Session.StartedUnix = 1700000000 + seed
 	return m
 }
@@ -78,12 +76,13 @@ func TestRunsListShowDiffBaseline(t *testing.T) {
 	if out, _, err := runs(t, dir, "list"); err != nil || !strings.Contains(out, "*  "+ids[0]) {
 		t.Errorf("list does not mark the baseline: %v\n%s", err, out)
 	}
-	// The sentinel passes the baseline against its rerun and trips on the
-	// third run's +1 point MRE once the threshold is below that.
+	// The sentinel passes the baseline against its rerun and trips, naming the
+	// family, on the third run's +1 point held-out MRE once the threshold is
+	// below that.
 	if out, _, err := runs(t, dir, "diff", "-gate", ids[0]+".1"); err != nil || !strings.Contains(out, "gate: ok") {
 		t.Errorf("diff -gate baseline vs rerun: %v\n%s", err, out)
 	}
-	if _, stderr, err := runs(t, dir, "diff", "-gate", "-mre", "0.5", ids[2]); err == nil || !strings.Contains(stderr, "gate: accuracy") {
+	if _, stderr, err := runs(t, dir, "diff", "-gate", "-mre", "0.5", ids[2]); err == nil || !strings.Contains(stderr, "gate: attribution Tran: MRE 30.00% → 31.00%") {
 		t.Errorf("diff -gate did not trip on a 1-point MRE regression: %v\n%s", err, stderr)
 	}
 }

@@ -7,18 +7,17 @@
 //	predtop-train -bench GPT-3 -platform 2 -mesh 1 -conf 1 -arch tran \
 //	              -layers 12 -samples 0 -maxlen 3 -epochs 30 -o model.predtop \
 //	              [-metrics run.jsonl] [-trace run.json] [-listen :9090] \
-//	              [-profile spans.txt] [-driftmre 25] \
-//	              [-runledger runs] [-quiet]
+//	              [-profile spans.txt] [-runledger runs] [-quiet]
 //
-// -seed, -quiet, -metrics, -trace, -listen, -profile, -driftmre, and
-// -runledger are the shared flags documented in package internal/cli. Here
-// -metrics carries the run config, one record per epoch, the restore event, a
-// summary, and the held-out accuracy statistics; -profile attributes
-// wall time to the profile/train/evaluate phases and, under train, to training
-// phases and predictor layers, and -trace is the same spans as a timeline
-// (epoch wall time is in the epoch records); the manifest pins config
-// and weight fingerprints, the held-out MRE, per-key accuracy stats, and an
-// error-attribution snapshot — all from one held-out forward. Names and
+// -seed, -quiet, -metrics, -trace, -listen, -profile, and -runledger are the
+// shared flags documented in package internal/cli. Here -metrics carries the
+// run config, one record per epoch, the restore event, and a summary with the
+// held-out MRE; -profile attributes wall time to the profile/train/evaluate
+// phases and, under train, to training phases and predictor layers, and
+// -trace is the same spans as a timeline (epoch wall time is in the epoch
+// records); the manifest pins config and weight fingerprints and the
+// error-attribution snapshot, which carries the held-out MRE and sample count
+// — all from one held-out forward. Names and
 // output paths are checked before anything is profiled, and the model is
 // saved before any telemetry file is written. Evaluation chunks fan across
 // GOMAXPROCS goroutines; results are bitwise identical at any setting.
@@ -34,7 +33,6 @@ import (
 
 	"predtop"
 	"predtop/internal/cli"
-	"predtop/internal/obs"
 )
 
 func main() {
@@ -56,9 +54,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	trainFrac := fs.Float64("trainfrac", 0.5, "training fraction")
 	out := fs.String("o", "model.predtop", "output model path")
 	shared := cli.Flags{Seed: 1}
-	shared.Register(fs, cli.Seed|cli.Quiet|cli.Metrics|cli.Telemetry|cli.Drift|cli.Ledger, map[string]string{
-		"profile":  "write a per-phase/per-layer self-time span profile to this file",
-		"driftmre": "warn when held-out MRE exceeds this percentage (0 = off)",
+	shared.Register(fs, cli.Seed|cli.Quiet|cli.Metrics|cli.Telemetry|cli.Ledger, map[string]string{
+		"profile": "write a per-phase/per-layer self-time span profile to this file",
 	})
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -82,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 	r, err := cli.Open(&shared, cli.Options{
 		Tool: "predtop-train", Seed: shared.Seed, Stdout: stdout, Progress: stdout, Stderr: stderr,
-		Dirs: []string{*out}, AccMinSamples: 1,
+		Dirs: []string{*out},
 	})
 	if err != nil {
 		return err
@@ -116,7 +113,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	man.SetConfig("maxlen", fmt.Sprint(*maxLen))
 	man.SetConfig("epochs", fmt.Sprint(*epochs))
 	man.SetConfig("trainfrac", fmt.Sprint(*trainFrac))
-	man.SetConfig("driftmre", fmt.Sprint(shared.DriftMRE))
 	man.SetOutput("o", *out)
 
 	rng := rand.New(rand.NewSource(shared.Seed))
@@ -164,13 +160,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		net.Name(), res.EpochsRun, res.BestValLoss, res.BestEpoch, res.WallSeconds)
 
 	evalSpan := r.Prof.Start("evaluate")
-	ev := trained.Evaluate(ds, test)
-	ev.Observe(r.Acc, obs.AccuracyKey{
-		Family: net.Name(),
-		Mesh:   fmt.Sprintf("%dx%d", scenario.Mesh.Nodes, scenario.Mesh.GPUsPerNode),
-		Op:     cfg.Name,
-	})
-	mre := ev.MREPct
+	attr := trained.Evaluate(ds, test)
+	mre := attr.MREPct
 	evalSpan.End()
 	r.Flight.Note("run", "evaluated")
 	r.Log.Printf("test MRE: %.2f%% over %d held-out stages", mre, len(test))
@@ -184,13 +175,10 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 
 	if man != nil {
 		man.SetWeightsFingerprint(predtop.WeightFingerprint(trained))
-		man.RecordMetric("test_mre_pct", mre)
-		man.RecordMetric("test_stages", float64(len(test)))
 		man.RecordMetric("epochs_run", float64(res.EpochsRun))
 		man.RecordMetric("best_epoch", float64(res.BestEpoch))
 		man.RecordMetric("best_val_loss", res.BestValLoss)
-		man.RecordAttribution(net.Name(), ev.Attribution)
-		man.RecordAccuracy(r.Acc)
+		man.RecordAttribution(net.Name(), attr)
 		man.RecordSessionMetric("train_wall_seconds", res.WallSeconds)
 	}
 	r.Sink.Emit(struct {

@@ -23,7 +23,7 @@ var (
 
 var groups = map[string]cli.Group{
 	"Seed": cli.Seed, "Quiet": cli.Quiet, "Metrics": cli.Metrics, "Telemetry": cli.Telemetry,
-	"Drift": cli.Drift, "Ledger": cli.Ledger, "Preset": cli.Preset,
+	"Ledger": cli.Ledger, "Preset": cli.Preset,
 }
 
 // declaredFlags returns every flag tool accepts: its own plus the shared
@@ -74,7 +74,7 @@ func TestCLIFlagParity(t *testing.T) {
 		tools []string
 	}{
 		{"ledger trio", []string{"seed", "quiet", "runledger"}, runProducers},
-		{"telemetry set", []string{"metrics", "trace", "listen", "profile", "driftmre"}, experimentDrivers},
+		{"telemetry set", []string{"metrics", "trace", "listen", "profile"}, experimentDrivers},
 	} {
 		for _, tool := range g.tools {
 			declared := declaredFlags(t, tool)
@@ -88,9 +88,11 @@ func TestCLIFlagParity(t *testing.T) {
 
 	// These flag sets are closed. The daemon's batching knobs and every
 	// tool's -workers were deleted on measurements (DESIGN.md §6, §9): fan-out
-	// width is GOMAXPROCS. A flag that brings one back, under any name, has to
-	// edit its list to land.
-	batch := []string{"seed", "quiet", "metrics", "trace", "listen", "profile", "driftmre", "runledger"}
+	// width is GOMAXPROCS. -driftmre went with the batch tools' streaming
+	// accuracy monitor (DESIGN.md §7): a run's held-out MRE is its
+	// attribution. A flag that brings one back, under any name, has to edit
+	// its list to land.
+	batch := []string{"seed", "quiet", "metrics", "trace", "listen", "profile", "runledger"}
 	for tool, own := range map[string][]string{
 		"predtop-serve": {"models", "listen", "cachesize", "addrfile", "slo-p99", "slo-err", "accesslog", "incidents",
 			"seed", "quiet", "metrics", "runledger"},

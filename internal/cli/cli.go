@@ -13,13 +13,11 @@
 //	              on every JSONL record, the Chrome trace, progress lines and
 //	              flight dumps, so one grep joins a run
 //	-quiet        silence progress lines (results still print)
-//	-metrics F    stream JSONL to F: the tool's records, then one accuracy
-//	              record per (family, mesh, op) key
+//	-metrics F    stream JSONL run records to F
 //	-trace F      write the span profiler's intervals (and any simulated
 //	              schedule) as a Chrome-tracing (Perfetto) timeline to F
 //	-listen A     serve /healthz, /debug/flightrecorder and /debug/pprof/ on A
 //	-profile F    write the same spans as a hierarchical self-time tree to F
-//	-driftmre P   warn when a population's MRE exceeds P%
 //	-runledger D  record the run's manifest in ledger D (see predtop-runs)
 //	-preset NAME  experiment scale: quick, paper, or paperlite
 //
@@ -69,20 +67,18 @@ const (
 	Quiet
 	Metrics
 	Telemetry
-	Drift
 	Ledger
 	Preset
 )
 
 var groupOf = map[string]Group{"seed": Seed, "quiet": Quiet, "metrics": Metrics, "trace": Telemetry,
-	"listen": Telemetry, "profile": Telemetry, "driftmre": Drift, "runledger": Ledger, "preset": Preset}
+	"listen": Telemetry, "profile": Telemetry, "runledger": Ledger, "preset": Preset}
 
 // Flags holds the parsed values of the shared flags.
 type Flags struct {
 	Seed                            int64
 	Quiet                           bool
 	Metrics, Trace, Listen, Profile string
-	DriftMRE                        float64
 	Ledger, Preset                  string
 }
 
@@ -92,11 +88,10 @@ func (f *Flags) Register(fs *flag.FlagSet, groups Group, usage map[string]string
 	all := flag.NewFlagSet("", flag.ContinueOnError)
 	all.Int64Var(&f.Seed, "seed", f.Seed, "random seed")
 	all.BoolVar(&f.Quiet, "quiet", false, "suppress progress output")
-	all.StringVar(&f.Metrics, "metrics", "", "write JSONL run records and accuracy statistics to this file")
+	all.StringVar(&f.Metrics, "metrics", "", "write JSONL run records to this file")
 	all.StringVar(&f.Trace, "trace", "", "write a Chrome-tracing (Perfetto) JSON file to this path")
 	all.StringVar(&f.Listen, "listen", "", "serve /healthz, /debug/flightrecorder and /debug/pprof/ on this address while the run lasts, e.g. :9090")
 	all.StringVar(&f.Profile, "profile", "", "write a per-phase self-time span profile to this file")
-	all.Float64Var(&f.DriftMRE, "driftmre", 0, "warn when MRE exceeds this percentage (0 = off)")
 	all.StringVar(&f.Ledger, "runledger", "", "record this run's manifest into the given run-ledger directory (see predtop-runs)")
 	all.StringVar(&f.Preset, "preset", "quick", "experiment scale: quick, paper, or paperlite")
 	all.VisitAll(func(fl *flag.Flag) {
@@ -118,7 +113,6 @@ type Options struct {
 	Stdout, Progress, Stderr io.Writer
 	Out                      string   // the -out report file Run.Out tees into
 	Dirs                     []string // outputs written last (-o, -json): their directory must exist ("" passes)
-	AccMinSamples            int      // arms accuracy drift detection (0 = the monitor's 16)
 	LiveMetrics              bool     // the tool is the daemon: build the metrics registry it serves
 }
 
@@ -131,7 +125,6 @@ type Run struct {
 	Metrics *obs.Registry // predtop-serve only (Options.LiveMetrics)
 	Trace   *obs.TraceBuilder
 	Prof    *obs.Profiler
-	Acc     *obs.AccuracyMonitor
 	Man     *runledger.Manifest
 	Out     io.Writer // stdout, teed into -out when set
 	started time.Time
@@ -207,9 +200,6 @@ func Open(f *Flags, o Options) (_ *Run, err error) {
 		r.Out = io.MultiWriter(o.Stdout, file)
 	}
 	r.ledger = runledger.Open(f.Ledger)
-	if r.Sink != nil || r.ledger != nil {
-		r.Acc = obs.NewAccuracyMonitor(obs.AccuracyConfig{DriftThresholdPct: f.DriftMRE, MinSamples: o.AccMinSamples, Log: r.Log})
-	}
 	if f.Listen != "" {
 		srv, err := obs.StartServer(context.Background(), obs.ServerConfig{Addr: f.Listen, Flight: r.Flight})
 		if err != nil {
@@ -257,16 +247,15 @@ func (r *Run) OpenSink(path string) (*obs.Sink, error) {
 // Observer bundles the handles for experiments.Preset.Obs. Every handle is
 // nil-safe, so a bare run gets the same bundle with its optional handles nil.
 func (r *Run) Observer() obs.Observer {
-	return obs.Observer{Events: r.Sink, Trace: r.Trace, Prof: r.Prof, Acc: r.Acc, Flight: r.Flight, Ctx: r.TC}
+	return obs.Observer{Events: r.Sink, Trace: r.Trace, Prof: r.Prof, Flight: r.Flight, Ctx: r.TC}
 }
 
-// Close finishes the run in one fixed order — accuracy records, the daemon's
-// metrics snapshot, sink flush, trace and profile files, ledger manifest (only when
-// the run succeeded: runErr nil), teardown — attempting every step and
-// returning runErr joined with the errors.
+// Close finishes the run in one fixed order — the daemon's metrics snapshot,
+// sink flush, trace and profile files, ledger manifest (only when the run
+// succeeded: runErr nil), teardown — attempting every step and returning
+// runErr joined with the errors.
 func (r *Run) Close(runErr error) error {
 	errs := []error{runErr}
-	r.Acc.EmitTo(r.Sink)
 	r.Sink.EmitMetrics(r.Metrics)
 	for _, out := range r.outputs {
 		if err := errors.Join(out.render(out.f), out.f.Close()); err != nil {

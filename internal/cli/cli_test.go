@@ -27,7 +27,7 @@ func TestOpenAllFlagsOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Sink != nil || r.Metrics != nil || r.Trace != nil || r.Prof != nil || r.Acc != nil || r.Man != nil {
+	if r.Sink != nil || r.Metrics != nil || r.Trace != nil || r.Prof != nil || r.Man != nil {
 		t.Errorf("handles built with every flag off: %+v", r)
 	}
 	if o := r.Observer(); o != (obs.Observer{Flight: r.Flight, Ctx: r.TC}) {
@@ -45,9 +45,8 @@ func TestOpenAllFlagsOff(t *testing.T) {
 }
 
 // Output files exist as soon as Open returns; Close writes them in the fixed
-// order — accuracy records, then (for the daemon, the one tool with a
-// registry) the metrics snapshot, last in the JSONL; trace and profile; the
-// ledger manifest after both. One trace id, derived from (seed, tool), joins
+// order — (for the daemon, the one tool with a registry) the metrics snapshot,
+// last in the JSONL; trace and profile; the ledger manifest after both. One trace id, derived from (seed, tool), joins
 // every channel: the registry's predtop_run_info, each JSONL record, the
 // Chrome trace, progress lines, the flight dump and the manifest.
 func TestOpenCreatesFilesCloseWritesInOrder(t *testing.T) {
@@ -78,12 +77,11 @@ func TestOpenCreatesFilesCloseWritesInOrder(t *testing.T) {
 			t.Errorf("not created by Open: %v", err)
 		}
 	}
-	if r.Man == nil || r.Acc == nil {
+	if r.Man == nil {
 		t.Fatalf("handles missing: %+v", r)
 	}
 	io.WriteString(r.Out, "report line\n")
 	r.Sink.Emit(map[string]string{"event": "run"})
-	r.Acc.Observe(obs.AccuracyKey{Family: "Tran"}, 1.1, 1.0)
 	r.Prof.Start("work").End()
 	if err := r.Close(nil); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -100,7 +98,7 @@ func TestOpenCreatesFilesCloseWritesInOrder(t *testing.T) {
 		}
 		events = append(events, rec.Event)
 	}
-	if got := strings.Join(events, " "); got != "run accuracy metrics" {
+	if got := strings.Join(events, " "); got != "run metrics" {
 		t.Errorf("JSONL sequence = %q, want the metrics snapshot last", got)
 	}
 	if trace := read(t, f.Trace); strings.Count(trace, `"work"`) != 1 || !strings.Contains(trace, `"trace_id":"`+id+`"`) || !strings.HasPrefix(read(t, f.Profile), "# span profile") {
@@ -129,8 +127,8 @@ func TestOpenCreatesFilesCloseWritesInOrder(t *testing.T) {
 }
 
 // The metrics registry is the daemon's: a batch tool gets none from -metrics
-// or -listen, its JSONL ends with the accuracy records, and its listener
-// serves /healthz but has no /metrics page.
+// or -listen, its JSONL holds only its own records, and its listener serves
+// /healthz but has no /metrics page.
 func TestBatchToolHasNoRegistry(t *testing.T) {
 	f := &Flags{Metrics: filepath.Join(t.TempDir(), "m.jsonl"), Listen: "127.0.0.1:0"}
 	var progress bytes.Buffer
@@ -155,12 +153,11 @@ func TestBatchToolHasNoRegistry(t *testing.T) {
 		}
 	}
 	r.Sink.Emit(map[string]string{"event": "run"})
-	r.Acc.Observe(obs.AccuracyKey{Family: "Tran"}, 1.1, 1.0)
 	if err := r.Close(nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := read(t, f.Metrics); strings.Count(got, "\n") != 2 || strings.Contains(got, `"event":"metrics"`) {
-		t.Errorf("JSONL of a batch run, want run + accuracy only:\n%s", got)
+	if got := read(t, f.Metrics); strings.Count(got, "\n") != 1 || !strings.Contains(got, `"event":"run"`) {
+		t.Errorf("JSONL of a batch run, want the run record only:\n%s", got)
 	}
 }
 
@@ -234,8 +231,8 @@ func TestRegisterGroupsAndUsage(t *testing.T) {
 	new(Flags).Register(all, ^Group(0), nil)
 	n := 0
 	all.VisitAll(func(*flag.Flag) { n++ })
-	if n != len(groupOf) || n != 9 {
-		t.Errorf("%d flags registered with every group on, %d grouped, want 9", n, len(groupOf))
+	if n != len(groupOf) || n != 8 {
+		t.Errorf("%d flags registered with every group on, %d grouped, want 8", n, len(groupOf))
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"runtime"
@@ -10,7 +9,6 @@ import (
 
 	"predtop/internal/cluster"
 	"predtop/internal/graphnn"
-	"predtop/internal/obs"
 	"predtop/internal/predictor"
 )
 
@@ -116,56 +114,35 @@ func TestRunMRETableEndToEnd(t *testing.T) {
 	}
 }
 
-// TestMRETableAccuracyMonitor: the online accuracy monitor fed from the grid
-// cells must reproduce the offline table figures — each per-(family,mesh)
-// streaming MRE is the sample-weighted mean of that group's cell MREs, so it
-// lies within the group's cell range and, for single-cell groups, matches the
-// cell to floating-point tolerance.
-func TestMRETableAccuracyMonitor(t *testing.T) {
+// TestMRETableAttribution: each family's attribution is the grid-order merge
+// of its cells' held-out evaluations — a sample-weighted mean of the cell
+// MREs, so it lies within their range — with every held-out sample counted
+// once per axis.
+func TestMRETableAttribution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
 	}
 	p := micro()
-	p.Fractions = []int{70} // one fraction → at most one cell per (family, mesh)
-	acc := obs.NewAccuracyMonitor(obs.AccuracyConfig{MinSamples: 1})
-	p.Obs = obs.Observer{Acc: acc}
-	bench := p.Benchmarks()[0]
-	tab := RunMRETable(p, bench, cluster.Platform1(), nil)
-
-	keys := acc.Keys()
-	if len(keys) == 0 {
-		t.Fatal("monitor saw no residuals")
-	}
-	meshOf := func(sc cluster.Scenario) string {
-		return fmt.Sprintf("%dx%d", sc.Mesh.Nodes, sc.Mesh.GPUsPerNode)
-	}
+	p.Fractions = []int{70}
+	tab := RunMRETable(p, p.Benchmarks()[0], cluster.Platform1(), nil)
 	for mi, family := range ModelNames {
-		// Group the table's cells by mesh shape, mirroring the monitor keys.
-		groups := map[string][]float64{}
-		for si, sc := range tab.Scenarios {
-			m := meshOf(sc)
-			groups[m] = append(groups[m], tab.MRE[0][si][mi])
+		a := tab.Attribution[family]
+		if a == nil || a.Samples == 0 {
+			t.Fatalf("%s: no attribution: %+v", family, a)
 		}
-		for mesh, cellMREs := range groups {
-			key := obs.AccuracyKey{Family: family, Mesh: mesh, Op: bench.Name}
-			st, ok := acc.Stats(key)
-			if !ok {
-				t.Fatalf("no monitor stats for %+v", key)
-			}
-			lo, hi := cellMREs[0], cellMREs[0]
-			for _, v := range cellMREs {
-				lo, hi = math.Min(lo, v), math.Max(hi, v)
-			}
-			tol := 1e-9 * (1 + hi)
-			if st.MeanPct < lo-tol || st.MeanPct > hi+tol {
-				t.Fatalf("%+v streaming MRE %.6f outside cell range [%.6f, %.6f]", key, st.MeanPct, lo, hi)
-			}
-			if len(cellMREs) == 1 && math.Abs(st.MeanPct-cellMREs[0]) > tol {
-				t.Fatalf("%+v streaming MRE %.12f != cell MRE %.12f", key, st.MeanPct, cellMREs[0])
-			}
-			if st.P95Pct < st.P50Pct || st.MaxPct < st.P95Pct {
-				t.Fatalf("%+v quantiles not ordered: %+v", key, st)
-			}
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for si := range tab.Scenarios {
+			lo, hi = math.Min(lo, tab.MRE[0][si][mi]), math.Max(hi, tab.MRE[0][si][mi])
+		}
+		if tol := 1e-9 * (1 + hi); a.MREPct < lo-tol || a.MREPct > hi+tol {
+			t.Errorf("%s: merged MRE %.6f outside the cell range [%.6f, %.6f]", family, a.MREPct, lo, hi)
+		}
+		n := 0
+		for _, b := range a.ByDepth {
+			n += b.N
+		}
+		if n != a.Samples {
+			t.Errorf("%s: depth buckets count %d samples, attribution %d", family, n, a.Samples)
 		}
 	}
 }

@@ -99,7 +99,6 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 			GCN:         p.GCN,
 			GAT:         p.GAT,
 			Seed:        p.Seed,
-			Acc:         p.Obs.Acc,
 			Info:        &info,
 		}, prof, meter)
 		specs = append(specs, runSpec{kind.String(), latFn, meter, info})

@@ -11,7 +11,6 @@ import (
 	"predtop/internal/cluster"
 	"predtop/internal/graphnn"
 	"predtop/internal/models"
-	"predtop/internal/obs"
 	"predtop/internal/parallel"
 	"predtop/internal/predictor"
 	"predtop/internal/sim"
@@ -109,11 +108,9 @@ func RunMRETable(p Preset, bench Benchmark, platform cluster.Platform, log io.Wr
 	}
 	gridSpan := p.Obs.Prof.Start("train cells")
 	logs := make([]string, len(cells))
-	// Per-cell evaluation output, kept for the serial post-pass: the
-	// accuracy-monitor feed happens in grid order after the parallel loop,
-	// never inside it, so cells sharing a monitor key stream their samples in
-	// a run-independent order.
-	evals := make([]predictor.Evaluation, len(cells))
+	// Per-cell attribution, merged per family in the serial grid order after
+	// the parallel loop, never inside it: float merging is order-sensitive.
+	attribs := make([]*predictor.Attribution, len(cells))
 	parallel.For(len(cells), func(ci int) {
 		c := cells[ci]
 		ds := datasets[c.si]
@@ -124,23 +121,16 @@ func RunMRETable(p Preset, bench Benchmark, platform cluster.Platform, log io.Wr
 		cfg.Seed = p.Seed + int64(c.fi*1000+c.si*10+c.mi)
 		model := p.newModel(ModelNames[c.mi], cfg.Seed)
 		trained, res := predictor.Train(model, ds, train, val, cfg)
-		ev := trained.Evaluate(ds, test)
-		evals[ci] = ev
-		t.MRE[c.fi][c.si][c.mi] = ev.MREPct
+		a := trained.Evaluate(ds, test)
+		attribs[ci] = a
+		t.MRE[c.fi][c.si][c.mi] = a.MREPct
 		logs[ci] = fmt.Sprintf("  [%s %v] frac %d%% %s: MRE %.2f%% (%d epochs, %.1fs)\n",
-			bench.Name, scenarios[c.si], p.Fractions[c.fi], ModelNames[c.mi], ev.MREPct, res.EpochsRun, res.WallSeconds)
+			bench.Name, scenarios[c.si], p.Fractions[c.fi], ModelNames[c.mi], a.MREPct, res.EpochsRun, res.WallSeconds)
 	})
 	gridSpan.End()
-	mon := p.Obs.Acc
 	parts := map[string][]*predictor.Attribution{}
 	for ci, c := range cells {
-		sc := scenarios[c.si]
-		evals[ci].Observe(mon, obs.AccuracyKey{
-			Family: ModelNames[c.mi],
-			Mesh:   fmt.Sprintf("%dx%d", sc.Mesh.Nodes, sc.Mesh.GPUsPerNode),
-			Op:     bench.Name,
-		})
-		parts[ModelNames[c.mi]] = append(parts[ModelNames[c.mi]], evals[ci].Attribution)
+		parts[ModelNames[c.mi]] = append(parts[ModelNames[c.mi]], attribs[ci])
 	}
 	t.Attribution = map[string]*predictor.Attribution{}
 	for _, name := range ModelNames {

@@ -58,8 +58,8 @@ type Preset struct {
 	Seed int64
 
 	// Obs receives harness observability: one JSONL plan_run record per
-	// Fig-10 version, accuracy-monitor feeds, profiler spans and each plan's
-	// simulated schedule on the trace. The zero value observes nothing, and
+	// Fig-10 version, profiler spans and each plan's simulated schedule on
+	// the trace. The zero value observes nothing, and
 	// tables and plans are bitwise identical with or without it.
 	Obs obs.Observer
 }

@@ -306,13 +306,3 @@ func (g *Graph) Validate() error {
 	}
 	return nil
 }
-
-// Render prints the graph one node per line, jaxpr-style.
-func (g *Graph) Render() string {
-	var b strings.Builder
-	for _, n := range g.Nodes {
-		b.WriteString(n.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}

@@ -191,9 +191,6 @@ func TestStatsAndStrings(t *testing.T) {
 	if flops == 0 || paramBytes != int64((16*32+32*4)*4) {
 		t.Fatalf("flops %d, param bytes %d", flops, paramBytes)
 	}
-	if r := g.Render(); !strings.Contains(r, "dot_general") || !strings.Contains(r, "f32[8,32]") {
-		t.Fatalf("Render missing operators or shapes:\n%s", r)
-	}
 	for k := Kind(0); k < Kind(NumKinds); k++ {
 		if strings.HasPrefix(k.String(), "kind(") {
 			t.Fatalf("kind %d has no name", k)

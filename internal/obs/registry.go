@@ -4,9 +4,8 @@
 // package's span Profiler for time — the only wall clock they start and stop.
 // Around them obs provides the structured JSONL event Sink, the Chrome-tracing
 // TraceBuilder (no clock of its own: it renders the profiler's span intervals
-// and simulated schedules), the deterministic TraceContext, the crash
-// FlightRecorder and the AccuracyMonitor. The metrics
-// Registry (counters, gauges, fixed-bucket histograms, Prometheus exposition)
+// and simulated schedules), the deterministic TraceContext and the crash
+// FlightRecorder. The metrics Registry (counters, gauges, fixed-bucket histograms, Prometheus exposition)
 // and the SLOTracker belong to the serving daemon alone: internal/cli builds
 // a registry only for predtop-serve.
 //

@@ -2,11 +2,11 @@ package obs
 
 import "math"
 
-// sketch is the bucket quantile sketch the accuracy monitor and the SLO
-// tracker share: observation counts over fixed ascending upper bounds, plus
-// one overflow slot past the last bound. Callers find a value's bucket once
-// (sort.SearchFloat64s over the bounds) and may add it to several sketches;
-// sub retires one sketch's counts from an aggregate of it.
+// sketch is the SLO tracker's bucket quantile sketch: observation counts over
+// fixed ascending upper bounds, plus one overflow slot past the last bound.
+// Callers find a value's bucket once (sort.SearchFloat64s over the bounds) and
+// may add it to several sketches; sub retires one sketch's counts from an
+// aggregate of it.
 type sketch struct {
 	counts []int64 // len(bounds)+1
 	n      int64

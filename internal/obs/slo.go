@@ -9,7 +9,7 @@ import (
 // SLOTracker turns a stream of request (latency, error) observations into a
 // rolling service-level verdict: per window (1m/5m/1h by default) it keeps
 // p50/p95/p99 latency and the error rate over ring-buffered bucket sketches
-// (the quantile rule is the accuracy monitor's: see sketch.quantile),
+// (nearest rank, clamped to the window max: see sketch.quantile),
 // compares them against configured objectives, computes the error-budget burn
 // rate, and edge-triggers a breach transition the moment any window goes out
 // of objective — firing predtop_slo_breach_total, the OnBreach callback, and

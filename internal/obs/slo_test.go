@@ -19,8 +19,8 @@ func (c *sloClock) tracker(cfg SLOConfig) *SLOTracker {
 }
 
 // TestSLOTrackerQuantiles: the bucket sketch reports nearest-rank upper-bound
-// quantiles clamped to the window max (the accuracy monitor's rule, see
-// sketch.quantile), and the window max for overflow ranks.
+// quantiles clamped to the window max (the one rule, sketch.quantile), and the
+// window max for overflow ranks.
 func TestSLOTrackerQuantiles(t *testing.T) {
 	c := newSLOClock()
 	tr := c.tracker(SLOConfig{Windows: []time.Duration{time.Minute}})

@@ -132,12 +132,11 @@ func (t *TraceBuilder) Render(w io.Writer) error {
 
 // Observer bundles the observability outputs a long-running path can report
 // to. Every handle is nil-safe, so any field may be nil and the zero Observer
-// is fully inert: APIs thread one Observer instead of six optional parameters.
+// is fully inert: APIs thread one Observer instead of five optional parameters.
 type Observer struct {
 	Events *Sink
 	Trace  *TraceBuilder
 	Prof   *Profiler
-	Acc    *AccuracyMonitor
 	Flight *FlightRecorder
 	Ctx    *TraceContext
 }

@@ -10,7 +10,6 @@ import (
 	"predtop/internal/cluster"
 	"predtop/internal/graphnn"
 	"predtop/internal/models"
-	"predtop/internal/obs"
 	"predtop/internal/predictor"
 	"predtop/internal/sim"
 	"predtop/internal/stage"
@@ -193,11 +192,6 @@ type PredictorOptions struct {
 	GCN         graphnn.GCNConfig
 	GAT         graphnn.GATConfig
 	Seed        int64
-	// Acc, when non-nil, receives every per-scenario validation residual
-	// (predicted vs. noisy-profiled latency) keyed by predictor family and
-	// mesh shape, so planner-side prediction quality is monitored online.
-	// Observation only: estimates and plans are unchanged by it.
-	Acc *obs.AccuracyMonitor
 	// Info, when non-nil, is filled by TrainPredictorProvider with the
 	// provenance of the trained predictors (kind, seed, weight fingerprint)
 	// for inclusion in plan reports. Observation only.
@@ -249,12 +243,6 @@ func TrainPredictorProvider(mdl *models.Model, p cluster.Platform, opt Predictor
 		meter.TrainSeconds += float64(res.EpochsRun*len(trainIdx)) * simTrainStepSeconds
 		trained[scKey{sc.Mesh.Index, sc.Config.Index}] = tr
 		inOrder = append(inOrder, tr)
-		if opt.Acc != nil { // the validation forward runs only for a monitor
-			tr.Evaluate(ds, valIdx).Observe(opt.Acc, obs.AccuracyKey{
-				Family: opt.Kind.String(),
-				Mesh:   fmt.Sprintf("%dx%d", sc.Mesh.Nodes, sc.Mesh.GPUsPerNode),
-			})
-		}
 	}
 
 	if opt.Info != nil {

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"predtop/internal/ir"
-	"predtop/internal/obs"
 	"predtop/internal/parallel"
 	"predtop/internal/stage"
 )
@@ -21,7 +19,7 @@ import (
 //
 // Every figure is an absolute relative error in percent against the profiled
 // ground truth. Buckets carry their weight sums so two snapshots merge
-// exactly (see Merge); all slices are sorted by Key, so the canonical JSON
+// exactly (see MergeAttributions); all slices are sorted by Key, so the canonical JSON
 // rendering is byte-identical for a fixed seed.
 type Attribution struct {
 	// Samples is the number of held-out stages evaluated; MREPct is their
@@ -127,46 +125,24 @@ func sampleKinds(e *stage.Encoded) []int {
 	return counts
 }
 
-// Evaluation is one held-out evaluation of a trained predictor: the scalar
-// MRE, the predictions with the profiled latencies they were scored against
-// (both in idx order), and the error-attribution snapshot — all from a
-// single batched forward.
-type Evaluation struct {
-	MREPct      float64
-	Preds       []float64
-	Measured    []float64
-	Attribution *Attribution
-}
-
-// Observe streams every predicted-vs-measured pair of the evaluation into mon
-// under key, serially in idx order — the one accuracy-monitor feed. A nil
-// monitor drops them.
-func (e Evaluation) Observe(mon *obs.AccuracyMonitor, key obs.AccuracyKey) {
-	for k, pred := range e.Preds {
-		mon.Observe(key, pred, e.Measured[k])
-	}
-}
-
 // Evaluate is the one evaluation path: a batched forward over the indexed
 // samples (chunks fan across GOMAXPROCS), from which it derives the MRE (Eqn
-// 5, percent), the per-sample predictions, and the attribution snapshot. The
-// error sum folds through a fixed-shape tree, so the MRE does not depend on
-// the worker count. Pure observation — evaluating never mutates the model or
-// the dataset.
-func (t Trained) Evaluate(ds *Dataset, idx []int) Evaluation {
+// 5, percent) and the attribution snapshot that carries it. The error sum
+// folds through a fixed-shape tree, so the MRE does not depend on the worker
+// count. Pure observation — evaluating never mutates the model or the
+// dataset.
+func (t Trained) Evaluate(ds *Dataset, idx []int) *Attribution {
 	if len(idx) == 0 {
-		return Evaluation{Attribution: &Attribution{}}
+		return &Attribution{}
 	}
 	es := make([]*stage.Encoded, len(idx))
-	measured := make([]float64, len(idx))
 	for k, i := range idx {
 		es[k] = ds.Samples[i].Encoded
-		measured[k] = ds.Samples[i].Measured
 	}
 	preds := t.PredictEncodedBatch(es, 0)
 	errs := make([]float64, len(idx))
-	for k := range idx {
-		errs[k] = math.Abs(preds[k]-measured[k]) / measured[k]
+	for k, i := range idx {
+		errs[k] = math.Abs(preds[k]-ds.Samples[i].Measured) / ds.Samples[i].Measured
 	}
 
 	// Bucket before reducing: TreeReduce uses its slice as scratch.
@@ -187,18 +163,12 @@ func (t Trained) Evaluate(ds *Dataset, idx []int) Evaluation {
 		accAdd(byDepth, depthKey(s.Spec.Len()), 1, errPct)
 	}
 	total := parallel.TreeReduce(errs, func(a, b float64) float64 { return a + b })
-	mre := total / float64(len(idx)) * 100
-	return Evaluation{
-		MREPct:   mre,
-		Preds:    preds,
-		Measured: measured,
-		Attribution: &Attribution{
-			Samples: len(idx),
-			MREPct:  mre,
-			ByOp:    finishBuckets(byOp),
-			ByNodes: finishBuckets(byNodes),
-			ByDepth: finishBuckets(byDepth),
-		},
+	return &Attribution{
+		Samples: len(idx),
+		MREPct:  total / float64(len(idx)) * 100,
+		ByOp:    finishBuckets(byOp),
+		ByNodes: finishBuckets(byNodes),
+		ByDepth: finishBuckets(byDepth),
 	}
 }
 
@@ -249,25 +219,4 @@ func MergeAttributions(parts ...*Attribution) *Attribution {
 	out.ByNodes = finishBuckets(byNodes)
 	out.ByDepth = finishBuckets(byDepth)
 	return out
-}
-
-// Render returns the human rendering of the snapshot: one section per axis,
-// rows sorted by key. Pure function of the contents — golden-testable.
-func (a *Attribution) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "error attribution: %d samples, MRE %.2f%%\n", a.Samples, a.MREPct)
-	section := func(title string, bs []AttributionBucket) {
-		if len(bs) == 0 {
-			return
-		}
-		fmt.Fprintf(&b, "%s:\n", title)
-		fmt.Fprintf(&b, "  %-24s %6s %10s %9s %9s\n", "bucket", "n", "weight", "mre%", "max%")
-		for _, bk := range bs {
-			fmt.Fprintf(&b, "  %-24s %6d %10.3f %9.2f %9.2f\n", bk.Key, bk.N, bk.Weight, bk.MREPct, bk.MaxPct)
-		}
-	}
-	section("by op type", a.ByOp)
-	section("by node count", a.ByNodes)
-	section("by stage depth", a.ByDepth)
-	return b.String()
 }

@@ -83,12 +83,14 @@ func Load(r io.Reader) (Trained, error) {
 // (predtop-serve's SIGHUP reload) sees the old model or the new one, never a
 // torn file.
 func SaveFile(path string, t Trained) error {
-	return atomicWrite(path, func(w io.Writer) error { return Save(w, t) })
+	return AtomicWrite(path, func(w io.Writer) error { return Save(w, t) })
 }
 
-// atomicWrite sends write's bytes to a temporary file in path's directory
-// and renames it over path only once it is fully written and closed.
-func atomicWrite(path string, write func(io.Writer) error) error {
+// AtomicWrite sends write's bytes to a temporary file (path + ".tmp*") in
+// path's directory and renames it over path only once it is fully written and
+// closed; on any failure the temporary file is removed and path is untouched.
+// The run ledger writes its manifests through it too.
+func AtomicWrite(path string, write func(io.Writer) error) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err

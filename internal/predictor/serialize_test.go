@@ -81,7 +81,7 @@ func TestSaveFileFailureKeepsPreviousModel(t *testing.T) {
 	want := tr.PredictEncoded(ds.Samples[0].Encoded)
 
 	boom := errors.New("disk full")
-	err := atomicWrite(path, func(w io.Writer) error {
+	err := AtomicWrite(path, func(w io.Writer) error {
 		var buf bytes.Buffer
 		if err := Save(&buf, tr); err != nil {
 			return err
@@ -92,7 +92,7 @@ func TestSaveFileFailureKeepsPreviousModel(t *testing.T) {
 		return boom
 	})
 	if !errors.Is(err, boom) {
-		t.Fatalf("atomicWrite error = %v, want %v", err, boom)
+		t.Fatalf("AtomicWrite error = %v, want %v", err, boom)
 	}
 	loaded, err := LoadFile(path)
 	if err != nil {

@@ -225,16 +225,13 @@ func TestTrainEarlyStopHook(t *testing.T) {
 
 // TestNilRegistryHotPathZeroAlloc guards the obs no-op contract where it
 // matters: the exact instruments the minibatch hot path uses — the
-// phase/sample spans from a disabled (nil) profiler, breadcrumbs into a
-// disabled (nil) flight recorder, and residuals into a disabled (nil)
-// accuracy monitor — must add zero allocations per batch. (The name predates
-// the training loop losing its metrics registry.)
+// phase/sample spans from a disabled (nil) profiler and breadcrumbs into a
+// disabled (nil) flight recorder — must add zero allocations per batch. (The
+// name predates the training loop losing its metrics registry.)
 func TestNilRegistryHotPathZeroAlloc(t *testing.T) {
 	var prof *obs.Profiler
 	trainSpan := prof.Start("train")
 	var flight *obs.FlightRecorder
-	var acc *obs.AccuracyMonitor
-	accKey := obs.AccuracyKey{Family: "Tran", Mesh: "2x8", Op: "GPT3"}
 	allocs := testing.AllocsPerRun(500, func() {
 		bs := trainSpan.Start("batch")
 		ss := bs.Start("sample")
@@ -246,46 +243,9 @@ func TestNilRegistryHotPathZeroAlloc(t *testing.T) {
 		if flight.Enabled() {
 			t.Error("nil recorder reports enabled")
 		}
-		acc.Observe(accKey, 1.1, 1.0)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled instrumentation allocated %.1f per batch", allocs)
-	}
-}
-
-// TestEvaluationObserveMatchesMRE: the evaluation that feeds an accuracy
-// monitor carries the very MRE the plain call returns, and the monitor's
-// streaming per-family mean must agree with that offline figure to within
-// floating-point summation-order tolerance.
-func TestEvaluationObserveMatchesMRE(t *testing.T) {
-	_, ds := smallDataset(t, 12)
-	var trainIdx, testIdx []int
-	for i := range ds.Samples {
-		if i%3 == 2 {
-			testIdx = append(testIdx, i)
-		} else {
-			trainIdx = append(trainIdx, i)
-		}
-	}
-	trained, _ := Train(buildArch("GCN", 7), ds, trainIdx, testIdx, TrainConfig{
-		Epochs: 2, Patience: 2, BatchSize: 5, Seed: 3,
-	})
-	plain := trained.MRE(ds, testIdx)
-	mon := obs.NewAccuracyMonitor(obs.AccuracyConfig{MinSamples: 1})
-	key := obs.AccuracyKey{Family: "GCN", Mesh: "2x8", Op: "test"}
-	ev := trained.Evaluate(ds, testIdx)
-	ev.Observe(mon, key)
-	if math.Float64bits(plain) != math.Float64bits(ev.MREPct) {
-		t.Fatalf("Evaluate and MRE disagree: %x != %x", math.Float64bits(plain), math.Float64bits(ev.MREPct))
-	}
-	st, ok := mon.Stats(key)
-	if !ok || st.N != int64(len(testIdx)) {
-		t.Fatalf("monitor saw %d residuals, want %d", st.N, len(testIdx))
-	}
-	// The streaming Welford mean and the tree-reduced offline mean sum in
-	// different orders; they agree to numerical noise, not bitwise.
-	if math.Abs(st.MeanPct-plain) > 1e-9*(1+math.Abs(plain)) {
-		t.Fatalf("monitor mean %.12f, offline MRE %.12f", st.MeanPct, plain)
 	}
 }
 

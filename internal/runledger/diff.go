@@ -18,17 +18,6 @@ type FieldDiff struct {
 	Changed bool   `json:"changed,omitempty"`
 }
 
-// AccuracyDiff compares one (family, mesh, op) residual population across
-// two runs. Deltas are in MRE percentage points (other − base).
-type AccuracyDiff struct {
-	Key      string  `json:"key"`
-	InBase   bool    `json:"in_base"`
-	InOther  bool    `json:"in_other"`
-	BaseMRE  float64 `json:"base_mre"`
-	OtherMRE float64 `json:"other_mre"`
-	Delta    float64 `json:"delta"`
-}
-
 // PlanDiff compares the Eqn-4 totals of the plans at one index.
 type PlanDiff struct {
 	Index     int     `json:"index"`
@@ -42,11 +31,13 @@ type PlanDiff struct {
 	DeltaPct float64 `json:"delta_pct"`
 }
 
-// BucketDiff compares one attribution bucket's MRE across two runs.
+// BucketDiff compares one attribution bucket's MRE across two runs, in
+// percentage points (other − base). Axis "all" is the label's whole held-out
+// population, the row the MRE gate reads.
 type BucketDiff struct {
 	Label   string  `json:"label"` // attribution label, e.g. model family
-	Axis    string  `json:"axis"`  // "op" | "nodes" | "depth"
-	Key     string  `json:"key"`
+	Axis    string  `json:"axis"`  // "all" | "op" | "nodes" | "depth"
+	Key     string  `json:"key"`   // bucket key; "" on the "all" row
 	BaseMRE float64 `json:"base_mre"`
 	NewMRE  float64 `json:"other_mre"`
 	Delta   float64 `json:"delta"`
@@ -60,16 +51,16 @@ type Diff struct {
 	// CanonicalIdentical reports byte-identity of the two canonical JSON
 	// sections: true means the runs are bitwise interchangeable and every
 	// listed delta is zero.
-	CanonicalIdentical bool           `json:"canonical_identical"`
-	Fields             []FieldDiff    `json:"fields,omitempty"`
-	Accuracy           []AccuracyDiff `json:"accuracy,omitempty"`
-	Plans              []PlanDiff     `json:"plans,omitempty"`
-	Attribution        []BucketDiff   `json:"attribution,omitempty"`
+	CanonicalIdentical bool         `json:"canonical_identical"`
+	Fields             []FieldDiff  `json:"fields,omitempty"`
+	Plans              []PlanDiff   `json:"plans,omitempty"`
+	Attribution        []BucketDiff `json:"attribution,omitempty"`
 }
 
-// Compare diffs two manifests: identity fields, per-key accuracy, per-index
-// plans, and attribution buckets (only buckets present in both runs, since
-// an absent bucket has no meaningful delta).
+// Compare diffs two manifests: identity fields, per-index plans, and the
+// attribution of every label present in both runs — its whole population,
+// then the buckets present in both (an absent bucket has no meaningful
+// delta).
 func Compare(base, other *Manifest, baseLabel, otherLabel string) *Diff {
 	d := &Diff{BaseLabel: baseLabel, OtherLabel: otherLabel}
 	cb, errB := base.CanonicalJSON()
@@ -86,51 +77,6 @@ func Compare(base, other *Manifest, baseLabel, otherLabel string) *Diff {
 	field("weights_fingerprint", base.Canonical.WeightsFingerprint, other.Canonical.WeightsFingerprint)
 	for _, k := range unionKeys(base.Canonical.Config, other.Canonical.Config) {
 		field("config."+k, base.Canonical.Config[k], other.Canonical.Config[k])
-	}
-
-	// Accuracy: align by (family, mesh, op) key.
-	type accKey struct{ f, m, o string }
-	baseAcc := map[accKey]AccuracyEntry{}
-	for _, e := range base.Canonical.Accuracy {
-		baseAcc[accKey{e.Family, e.Mesh, e.Op}] = e
-	}
-	otherAcc := map[accKey]AccuracyEntry{}
-	for _, e := range other.Canonical.Accuracy {
-		otherAcc[accKey{e.Family, e.Mesh, e.Op}] = e
-	}
-	keys := map[accKey]bool{}
-	for k := range baseAcc {
-		keys[k] = true
-	}
-	for k := range otherAcc {
-		keys[k] = true
-	}
-	ordered := make([]accKey, 0, len(keys))
-	for k := range keys {
-		ordered = append(ordered, k)
-	}
-	sort.Slice(ordered, func(i, j int) bool {
-		a, b := ordered[i], ordered[j]
-		if a.f != b.f {
-			return a.f < b.f
-		}
-		if a.m != b.m {
-			return a.m < b.m
-		}
-		return a.o < b.o
-	})
-	for _, k := range ordered {
-		be, inB := baseAcc[k]
-		oe, inO := otherAcc[k]
-		ad := AccuracyDiff{
-			Key:    strings.TrimSpace(fmt.Sprintf("%s %s %s", k.f, k.m, k.o)),
-			InBase: inB, InOther: inO,
-			BaseMRE: be.MeanPct, OtherMRE: oe.MeanPct,
-		}
-		if inB && inO {
-			ad.Delta = ad.OtherMRE - ad.BaseMRE
-		}
-		d.Accuracy = append(d.Accuracy, ad)
 	}
 
 	// Plans: align by index (run-level plan order is deterministic).
@@ -162,11 +108,15 @@ func Compare(base, other *Manifest, baseLabel, otherLabel string) *Diff {
 	}
 
 	// Attribution: per shared label, per axis, buckets present in both.
-	for _, label := range unionAttrLabels(base.Canonical.Attribution, other.Canonical.Attribution) {
+	for _, label := range unionKeys(base.Canonical.Attribution, other.Canonical.Attribution) {
 		ba, oa := base.Canonical.Attribution[label], other.Canonical.Attribution[label]
 		if ba == nil || oa == nil {
 			continue
 		}
+		d.Attribution = append(d.Attribution, BucketDiff{
+			Label: label, Axis: "all",
+			BaseMRE: ba.MREPct, NewMRE: oa.MREPct, Delta: oa.MREPct - ba.MREPct,
+		})
 		for _, axis := range []struct {
 			name   string
 			bb, ob []predictor.AttributionBucket
@@ -200,23 +150,8 @@ func planLabel(p *planner.Report) string {
 	return strings.Join(parts, " ")
 }
 
-func unionKeys(a, b map[string]string) []string {
-	seen := map[string]bool{}
-	for k := range a {
-		seen[k] = true
-	}
-	for k := range b {
-		seen[k] = true
-	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func unionAttrLabels(a, b map[string]*predictor.Attribution) []string {
+// unionKeys returns the keys of a and b, sorted.
+func unionKeys[V any](a, b map[string]V) []string {
 	seen := map[string]bool{}
 	for k := range a {
 		seen[k] = true
@@ -233,8 +168,8 @@ func unionAttrLabels(a, b map[string]*predictor.Attribution) []string {
 }
 
 // Render returns the human rendering of the diff in the planner ReportDiff
-// style: identity fields first (changes flagged), then per-key accuracy,
-// plan totals, and attribution deltas. Pure function of the contents.
+// style: identity fields first (changes flagged), then plan totals and
+// attribution deltas. Pure function of the contents.
 func (d *Diff) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "=== run diff: %s → %s ===\n", d.BaseLabel, d.OtherLabel)
@@ -255,20 +190,6 @@ func (d *Diff) Render() string {
 			other = "-"
 		}
 		fmt.Fprintf(&b, "  %-28s %s → %s\n", f.Field+":", base, other)
-	}
-	if len(d.Accuracy) > 0 {
-		b.WriteString("\naccuracy (MRE %):\n")
-		fmt.Fprintf(&b, "  %-36s %10s %10s %10s\n", "family mesh op", "base", "new", "delta")
-		for _, a := range d.Accuracy {
-			base, other := fmt.Sprintf("%.2f", a.BaseMRE), fmt.Sprintf("%.2f", a.OtherMRE)
-			if !a.InBase {
-				base = "-"
-			}
-			if !a.InOther {
-				other = "-"
-			}
-			fmt.Fprintf(&b, "  %-36s %10s %10s %+10.2f\n", a.Key, base, other, a.Delta)
-		}
 	}
 	if len(d.Plans) > 0 {
 		b.WriteString("\nplans (Eqn-4 total, s):\n")
@@ -299,8 +220,9 @@ func (d *Diff) Render() string {
 // GateThresholds arms the regression sentinel. Zero values disable the
 // corresponding gate.
 type GateThresholds struct {
-	// MREPct fails keys whose accuracy MRE worsened by more than this many
-	// percentage points (absolute, since MRE is already a percentage).
+	// MREPct fails attribution labels whose held-out MRE worsened by more
+	// than this many percentage points (absolute, since MRE is already a
+	// percentage).
 	MREPct float64
 	// LatencyPct fails plans whose Eqn-4 total grew by more than this
 	// percentage over the baseline.
@@ -309,14 +231,14 @@ type GateThresholds struct {
 
 // Gate returns one message per regression beyond the thresholds; an empty
 // slice means the diff passes. Comparisons only fire for populations
-// present in both runs — a new key or plan is a change, not a regression.
+// present in both runs — a new label or plan is a change, not a regression.
 func (d *Diff) Gate(th GateThresholds) []string {
 	var out []string
 	if th.MREPct > 0 {
-		for _, a := range d.Accuracy {
-			if a.InBase && a.InOther && a.Delta > th.MREPct {
-				out = append(out, fmt.Sprintf("accuracy %s: MRE %.2f%% → %.2f%% (+%.2f points > %.2f)",
-					a.Key, a.BaseMRE, a.OtherMRE, a.Delta, th.MREPct))
+		for _, a := range d.Attribution {
+			if a.Axis == "all" && a.Delta > th.MREPct {
+				out = append(out, fmt.Sprintf("attribution %s: MRE %.2f%% → %.2f%% (+%.2f points > %.2f)",
+					a.Label, a.BaseMRE, a.NewMRE, a.Delta, th.MREPct))
 			}
 		}
 	}

@@ -8,9 +8,9 @@
 //
 // A manifest has two sections. The Canonical section holds everything that
 // is a pure function of (tool, seed, result-determining configuration):
-// config knobs, the FNV-1a config and weight fingerprints, per-(family,
-// mesh, op) accuracy stats, error-attribution snapshots, plan provenance
-// reports, and deterministic result metrics. Two runs of the same
+// config knobs, the FNV-1a config and weight fingerprints, error-attribution
+// snapshots (a run's held-out MRE, recorded once, with where its residuals
+// live), plan provenance reports, and deterministic result metrics. Two runs of the same
 // seed render byte-identical Canonical JSON — the property `make runs-smoke`
 // pins. The Session section isolates everything wall-clock or host-bound
 // (timestamps, durations, paths, addresses), so reruns differ only there.
@@ -26,23 +26,15 @@ import (
 	"runtime"
 	"sort"
 
-	"predtop/internal/obs"
 	"predtop/internal/planner"
 	"predtop/internal/predictor"
 )
 
 // SchemaVersion is bumped whenever the canonical manifest layout changes
-// incompatibly; diffs across schema versions compare only identity fields.
+// incompatibly. It is part of the canonical bytes and the config
+// fingerprint, so runs of two versions never share an id; Compare shows it as
+// one more identity field and diffs whatever else the two manifests carry.
 const SchemaVersion = 1
-
-// AccuracyEntry is one (family, mesh, op) residual population snapshotted
-// from an obs.AccuracyMonitor at the end of a run.
-type AccuracyEntry struct {
-	Family string `json:"family,omitempty"`
-	Mesh   string `json:"mesh,omitempty"`
-	Op     string `json:"op,omitempty"`
-	obs.AccuracyStats
-}
 
 // Canonical is the deterministic section of a manifest: byte-identical
 // across runs of the same tool, seed, and result-determining config.
@@ -64,15 +56,12 @@ type Canonical struct {
 	// WeightsFingerprint pins the trained predictor weights the run produced
 	// or served, in planner.ProviderInfo's FNV-1a scheme.
 	WeightsFingerprint string `json:"weights_fingerprint,omitempty"`
-	// Metrics holds deterministic scalar results (MRE percentages, win
-	// rates, plan totals) — never wall-clock readings.
+	// Metrics holds deterministic scalar results (training epochs, win
+	// rates) — never wall-clock readings.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
-	// Accuracy snapshots the run's accuracy monitor, one entry per observed
-	// (family, mesh, op) key in sorted key order.
-	Accuracy []AccuracyEntry `json:"accuracy,omitempty"`
-	// Attribution maps a label (model family or dataset name) to the run's
-	// error-attribution snapshot: where the residuals live, by op type, node
-	// count, and stage depth.
+	// Attribution maps a label (model family) to the run's error-attribution
+	// snapshot: its held-out MRE and sample count, and where the residuals
+	// live, by op type, node count, and stage depth.
 	Attribution map[string]*predictor.Attribution `json:"attribution,omitempty"`
 	// Plans holds the provenance report of every plan the run produced, in
 	// emission order: stages, search, cost, the Eqn-4 decomposition and the
@@ -172,24 +161,6 @@ func (m *Manifest) RecordSessionMetric(key string, v float64) {
 		m.Session.Metrics = map[string]float64{}
 	}
 	m.Session.Metrics[key] = v
-}
-
-// RecordAccuracy snapshots every observed key of the monitor into the
-// canonical section, in the monitor's sorted key order. No-op when either
-// side is nil or nothing was observed.
-func (m *Manifest) RecordAccuracy(mon *obs.AccuracyMonitor) {
-	if m == nil || mon == nil {
-		return
-	}
-	for _, key := range mon.Keys() {
-		stats, ok := mon.Stats(key)
-		if !ok {
-			continue
-		}
-		m.Canonical.Accuracy = append(m.Canonical.Accuracy, AccuracyEntry{
-			Family: key.Family, Mesh: key.Mesh, Op: key.Op, AccuracyStats: stats,
-		})
-	}
 }
 
 // RecordAttribution attaches one error-attribution snapshot under label.

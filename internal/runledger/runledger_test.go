@@ -3,11 +3,12 @@ package runledger
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"predtop/internal/obs"
 	"predtop/internal/planner"
 	"predtop/internal/predictor"
 )
@@ -19,12 +20,7 @@ func fakeManifest(seed int64, mre float64) *Manifest {
 	m.SetConfig("bench", "GPT3")
 	m.SetConfig("epochs", "12")
 	m.SetWeightsFingerprint("1122334455667788")
-	m.RecordMetric("mre_pct", mre)
-	mon := obs.NewAccuracyMonitor(obs.AccuracyConfig{})
-	key := obs.AccuracyKey{Family: "Tran", Mesh: "1x1", Op: "GPT3"}
-	mon.Observe(key, 1.0+mre/100, 1.0)
-	mon.Observe(key, 1.0, 1.0)
-	m.RecordAccuracy(mon)
+	m.RecordMetric("epochs_run", 12)
 	m.RecordAttribution("Tran", &predictor.Attribution{
 		Samples: 2, MREPct: mre,
 		ByOp: []predictor.AttributionBucket{{Key: "add", N: 2, Weight: 1, MREPct: mre, MaxPct: mre}},
@@ -87,7 +83,6 @@ func TestNilManifestAndStoreAreInert(t *testing.T) {
 	m.SetWeightsFingerprint("f")
 	m.RecordMetric("a", 1)
 	m.RecordSessionMetric("b", 2)
-	m.RecordAccuracy(nil)
 	m.RecordAttribution("l", &predictor.Attribution{})
 	m.RecordPlan(nil)
 	var s *Store
@@ -206,8 +201,16 @@ func TestCompareAndGate(t *testing.T) {
 	if len(msgs) != 2 {
 		t.Fatalf("want MRE + latency regressions, got %v", msgs)
 	}
-	if !strings.Contains(msgs[0], "accuracy") || !strings.Contains(msgs[1], "plan") {
+	// The MRE gate reads each attribution label's whole population: Tran's
+	// held-out MRE went 30 → 36.
+	if !strings.HasPrefix(msgs[0], "attribution Tran: MRE 30.00% → 36.00% (+6.00 points") || !strings.HasPrefix(msgs[1], "plan 0 ") {
 		t.Fatalf("unexpected gate messages: %v", msgs)
+	}
+	// A label only one run carries is a change, not a regression.
+	only := fakeManifest(7, 36)
+	only.Canonical.Attribution = map[string]*predictor.Attribution{"GAT": only.Canonical.Attribution["Tran"]}
+	if msgs := Compare(base, only, "a", "b").Gate(GateThresholds{MREPct: 2}); len(msgs) != 0 {
+		t.Fatalf("a label missing from the base gated: %v", msgs)
 	}
 	// Within thresholds: no gate.
 	if msgs := d.Gate(GateThresholds{MREPct: 10, LatencyPct: 50}); len(msgs) != 0 {
@@ -222,7 +225,6 @@ func TestCompareAndGate(t *testing.T) {
 	for _, want := range []string{
 		"=== run diff: base → new ===",
 		"canonical sections: DIFFER",
-		"accuracy (MRE %)",
 		"plans (Eqn-4 total, s)",
 		"error attribution (MRE %)",
 		"add", // the op bucket key appears in the attribution table
@@ -254,4 +256,48 @@ func TestManifestJSONCarriesFingerprint(t *testing.T) {
 	if round.Session.Outputs["o"] != "/tmp/model.json" {
 		t.Fatal("session outputs lost in round trip")
 	}
+}
+
+// Manifests are written whole or not at all: a stray temporary file from a
+// killed write is never listed, a stored run leaves no temporary behind, and a
+// Put that fails while writing leaves nothing.
+func TestStoreWritesAreAtomic(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "runs")
+	s := Open(dir)
+	e, err := s.Put(fakeManifest(7, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names := dirNames(t, dir); len(names) != 1 || names[0] != e.ID+".json" {
+		t.Fatalf("after Put the store holds %v, want only %s.json", names, e.ID)
+	}
+	if err := os.WriteFile(filepath.Join(dir, e.ID+".json.tmp123"), []byte(`{"canon`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if entries, err := s.List(); err != nil || len(entries) != 1 {
+		t.Fatalf("List with a torn temporary file: %v, %v", entries, err)
+	}
+
+	empty := filepath.Join(t.TempDir(), "runs")
+	bad := fakeManifest(8, 30)
+	bad.RecordSessionMetric("wall", math.NaN()) // not JSON-encodable: the write fails
+	if _, err := Open(empty).Put(bad); err == nil {
+		t.Fatal("Put of an unencodable manifest succeeded")
+	}
+	if names := dirNames(t, empty); len(names) != 0 {
+		t.Fatalf("a failed Put left %v", names)
+	}
+}
+
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
 }

@@ -3,10 +3,13 @@ package runledger
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"predtop/internal/predictor"
 )
 
 // baselineFile is the store-relative pin written by SetBaseline: the file
@@ -18,6 +21,10 @@ const baselineFile = "BASELINE"
 // section — same content address — take .1, .2, … suffixes instead of
 // overwriting, so a baseline captured before a change always survives the
 // "after" run.
+//
+// Files are written through predictor.AtomicWrite (a temporary file renamed
+// into place), so a run killed mid-write leaves at most a stray
+// <id>.json.tmp* that List never reads, not a torn manifest it cannot parse.
 //
 // A nil *Store is fully inert: Put and friends succeed as no-ops, so tools
 // thread one pointer and pay nothing when the ledger is off.
@@ -66,11 +73,6 @@ func (s *Store) Put(m *Manifest) (Entry, error) {
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return Entry{}, err
 	}
-	b, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return Entry{}, err
-	}
-	b = append(b, '\n')
 	path := filepath.Join(s.dir, id+".json")
 	for n := 1; ; n++ {
 		if _, err := os.Stat(path); os.IsNotExist(err) {
@@ -78,7 +80,12 @@ func (s *Store) Put(m *Manifest) (Entry, error) {
 		}
 		path = filepath.Join(s.dir, fmt.Sprintf("%s.%d.json", id, n))
 	}
-	if err := os.WriteFile(path, b, 0o644); err != nil {
+	err = predictor.AtomicWrite(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(m)
+	})
+	if err != nil {
 		return Entry{}, err
 	}
 	return Entry{
@@ -201,7 +208,11 @@ func (s *Store) SetBaseline(ref string) (string, error) {
 	// Pin the file name, not the absolute path, so the store directory can
 	// move (or live inside a temp dir in tests) without dangling.
 	name := filepath.Base(path)
-	if err := os.WriteFile(filepath.Join(s.dir, baselineFile), []byte(name+"\n"), 0o644); err != nil {
+	err = predictor.AtomicWrite(filepath.Join(s.dir, baselineFile), func(w io.Writer) error {
+		_, err := io.WriteString(w, name+"\n")
+		return err
+	})
+	if err != nil {
 		return "", err
 	}
 	return path, nil

@@ -42,7 +42,7 @@ type ReplayConfig struct {
 	// daemon's sole model).
 	Model string
 	// GroundTruthFrac is the fraction of queries carrying a synthetic
-	// ground_truth (exercising the accuracy-monitor path). Default 0.
+	// ground_truth (exercising the predtop_accuracy_* path). Default 0.
 	GroundTruthFrac float64
 	// Client is the HTTP client (default a pooled client with a 30s
 	// timeout).

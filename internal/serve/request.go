@@ -22,7 +22,7 @@ const (
 
 // PredictRequest is the JSON body of POST /predict: which resident model to
 // query, which benchmark stage graph to encode, and optionally a profiled
-// ground-truth latency that feeds the online accuracy monitor.
+// ground-truth latency that feeds the predtop_accuracy_* series.
 type PredictRequest struct {
 	// Model is the registry key (model file name without .predtop). Empty is
 	// allowed when exactly one model is resident.
@@ -36,11 +36,11 @@ type PredictRequest struct {
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
 	// GroundTruth, when present, is the profiled latency in seconds; the
-	// server feeds (prediction, ground truth) to the accuracy monitor and
-	// returns the relative error. Must be finite and positive.
+	// server returns the relative error and folds it into the
+	// predtop_accuracy_* series. Must be finite and positive.
 	GroundTruth *float64 `json:"ground_truth,omitempty"`
 	// Mesh is a free-form mesh label ("2x2") used only as the accuracy
-	// monitor's mesh key.
+	// series' mesh label.
 	Mesh string `json:"mesh,omitempty"`
 }
 

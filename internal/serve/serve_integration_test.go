@@ -111,8 +111,9 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServeGroundTruthAccuracy: a request attaching ground_truth gets a
-// relative error back and feeds the accuracy monitor gauges.
+// TestServeGroundTruthAccuracy: a request attaching ground_truth gets its
+// relative error back, and three such requests on one key leave the labeled
+// gauge at their running mean — bit for bit — and the counter at three.
 func TestServeGroundTruthAccuracy(t *testing.T) {
 	dir := t.TempDir()
 	tr := writeTestModel(t, dir, "tran", "tran", 1)
@@ -121,24 +122,27 @@ func TestServeGroundTruthAccuracy(t *testing.T) {
 	m := models.Build(testBenchCfg())
 	enc := predictor.NewEncoder(m, true)
 	pred := tr.PredictEncoded(enc.Encode(stage.Spec{Lo: 0, Hi: 2}))
-	gt := pred * 1.25 // 20% relative error by construction
 
-	resp, code := postPredict(t, s.URL(), PredictRequest{
-		Bench: "GPT-3", Layers: testLayers, Lo: 0, Hi: 2, GroundTruth: &gt, Mesh: "2x2",
-	})
-	if code != 200 {
-		t.Fatalf("code = %d", code)
+	mean := 0.0
+	for n, scale := range []float64{1.25, 0.9, 3} { // the first is 20% off by construction
+		gt := pred * scale
+		resp, code := postPredict(t, s.URL(), PredictRequest{
+			Bench: "GPT-3", Layers: testLayers, Lo: 0, Hi: 2, GroundTruth: &gt, Mesh: "2x2",
+		})
+		if code != 200 || resp.RelErrPct == nil {
+			t.Fatalf("request %d: code %d, rel_err_pct %v", n, code, resp.RelErrPct)
+		}
+		if n == 0 && math.Abs(*resp.RelErrPct-20) > 1e-9 {
+			t.Fatalf("rel_err_pct = %v, want 20", *resp.RelErrPct)
+		}
+		mean += (*resp.RelErrPct - mean) / float64(n+1)
 	}
-	if resp.RelErrPct == nil {
-		t.Fatal("no rel_err_pct in response")
+	labels := []obs.Label{{Key: "family", Value: "Tran"}, {Key: "mesh", Value: "2x2"}, {Key: "op", Value: "GPT-3"}}
+	if got := s.cfg.Metrics.GaugeWith(AccuracyMREMetric, labels...).Value(); math.Float64bits(got) != math.Float64bits(mean) {
+		t.Errorf("%s = %v, want the running mean %v", AccuracyMREMetric, got, mean)
 	}
-	if math.Abs(*resp.RelErrPct-20) > 1e-9 {
-		t.Fatalf("rel_err_pct = %v, want 20", *resp.RelErrPct)
-	}
-	// One observation must be visible in the accuracy monitor.
-	stats, ok := s.acc.Stats(obs.AccuracyKey{Family: resp.Family, Mesh: "2x2", Op: resp.Bench})
-	if !ok || stats.N != 1 {
-		t.Fatalf("accuracy monitor: ok=%v stats=%+v", ok, stats)
+	if got := s.cfg.Metrics.CounterWith(AccuracySamplesMetric, labels...).Value(); got != 3 {
+		t.Errorf("%s = %d, want 3", AccuracySamplesMetric, got)
 	}
 }
 

@@ -131,7 +131,7 @@ type Server struct {
 	cache    *lru.Cache[predKey, float64]
 	benches  *lru.Cache[benchKey, *benchEntry]
 	obsSrv   *obs.Server
-	acc      *obs.AccuracyMonitor
+	acc      *accuracy
 	trace    *obs.TraceContext
 
 	slo       *obs.SLOTracker
@@ -191,6 +191,7 @@ func Start(ctx context.Context, cfg Config) (*Server, error) {
 		slots:    make(chan struct{}, runtime.GOMAXPROCS(0)),
 		waiting:  cfg.Metrics.Gauge(QueueDepthMetric),
 		forward:  predictor.Trained.PredictEncoded,
+		acc:      newAccuracy(cfg.Metrics),
 	}
 	if cfg.SLOP99 > 0 || cfg.SLOErr > 0 {
 		s.incidents = newIncidentCapture(cfg.IncidentDir, cfg.ProfileWindow, cfg.Flight, cfg.Sink, cfg.Log)
@@ -207,11 +208,6 @@ func Start(ctx context.Context, cfg Config) (*Server, error) {
 	s.access = cfg.AccessLog
 	if s.access == nil {
 		s.access = cfg.Sink
-	}
-	if cfg.Metrics != nil {
-		s.acc = obs.NewAccuracyMonitor(obs.AccuracyConfig{
-			Metrics: cfg.Metrics, Log: cfg.Log, MinSamples: 1,
-		})
 	}
 	if _, _, err := s.registry.Load(); err != nil {
 		return nil, err
@@ -417,11 +413,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, ri *reqIn
 	if gt := req.GroundTruth; gt != nil {
 		relErr := math.Abs(latency-*gt) / *gt * 100
 		resp.RelErrPct = &relErr
-		if s.acc != nil {
-			s.acc.Observe(obs.AccuracyKey{
-				Family: entry.Family, Mesh: req.Mesh, Op: benchCfg.Name,
-			}, latency, *gt)
-		}
+		s.acc.observe(accuracyKey{entry.Family, req.Mesh, benchCfg.Name}, latency, *gt)
 	}
 	return writeJSON(w, http.StatusOK, resp)
 }

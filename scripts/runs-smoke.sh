@@ -4,9 +4,9 @@
 # cross-run observability contract end to end: two same-seed training runs
 # share one content address with byte-identical canonical sections, the eval
 # manifest carries the error-attribution snapshot, the diff renders it, the
-# regression sentinel passes a run against its own baseline, and a plan
-# manifest holds its plans' whole reports, on whose Eqn-4 total the sentinel
-# still trips. Any failure fails the script, which is wired into `make ci`
+# regression sentinel passes a run against its own baseline and trips on a
+# family whose attribution MRE grew, and a plan manifest holds its plans'
+# whole reports, on whose Eqn-4 total the sentinel still trips. Any failure fails the script, which is wired into `make ci`
 # via the runs-smoke target.
 set -eu
 
@@ -93,6 +93,30 @@ echo "runs-smoke: gating the eval run against its own baseline"
 "$WORK/predtop-runs" -dir "$LEDGER" diff -gate > "$WORK/gate.out"
 grep -q "gate: ok" "$WORK/gate.out" || {
     echo "runs-smoke: sentinel did not report ok on identical runs" >&2
+    exit 1
+}
+
+echo "runs-smoke: gating an eval run with a raised family MRE"
+# The eval manifest with 10 points added to the Tran family's held-out MRE
+# (the first "mre_pct" after its attribution label): the MRE gate reads each
+# family's attribution, so the sentinel must name Tran and exit nonzero.
+EVAL=$(grep -l '"tool": "predtop-eval"' "$LEDGER"/*.json)
+awk '/"attribution": \{/ { attr = 1 }
+     attr && /"Tran": \{/ { fam = 1 }
+     fam && !raised && /"mre_pct": / {
+         v = $2; sub(/,$/, "", v)
+         sub(/"mre_pct": .*/, "\"mre_pct\": " v + 10 ",")
+         raised = 1
+     }
+     { print }
+     END { exit !raised }' "$EVAL" > "$WORK/raised.json"
+if "$WORK/predtop-runs" -dir "$LEDGER" diff -gate "$EVAL" "$WORK/raised.json" > "$WORK/raise.out" 2> "$WORK/raise.err"; then
+    echo "runs-smoke: sentinel passed an eval run whose Tran MRE grew 10 points" >&2
+    exit 1
+fi
+grep -q "gate: attribution Tran: " "$WORK/raise.err" || {
+    echo "runs-smoke: sentinel failed without naming the Tran family:" >&2
+    cat "$WORK/raise.err" >&2
     exit 1
 }
 
