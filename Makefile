@@ -44,9 +44,11 @@ bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The race pass runs in -short mode: it still exercises the concurrent
-# training, reduction, and experiment paths — including the hook-instrumented
-# training tests (TestTrainHooksAndHistory and the hooked rows of the
-# bitwise-determinism table), the flight-recorder panic-injection tests in
+# paths — training's evaluation chunks on the shared prediction tapes,
+# batched prediction, the serving daemon, and the experiment grids —
+# including the hook-instrumented training tests (TestTrainHooksAndHistory
+# and the hooked rows of the bitwise-determinism table), the
+# flight-recorder panic-injection tests in
 # internal/parallel and internal/obs, and the concurrent ring-buffer writes —
 # but drops the slow grid regenerations.
 race:

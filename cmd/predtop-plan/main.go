@@ -47,6 +47,7 @@ import (
 	"predtop/internal/cluster"
 	"predtop/internal/experiments"
 	"predtop/internal/planner"
+	"predtop/internal/predictor"
 )
 
 func main() {
@@ -159,7 +160,7 @@ func slug(s string) string {
 
 // saveReports writes each feasible run's provenance report to dir as
 // <bench>-<version>.json (canonical, byte-identical per seed) and
-// <bench>-<version>.txt (human rendering).
+// <bench>-<version>.txt (human rendering), each replaced atomically.
 func saveReports(dir, bench string, runs []experiments.PlanRun) error {
 	for _, r := range runs {
 		if r.Report == nil {
@@ -169,7 +170,10 @@ func saveReports(dir, bench string, runs []experiments.PlanRun) error {
 		if err := r.Report.SaveFile(base + ".json"); err != nil {
 			return err
 		}
-		if err := os.WriteFile(base+".txt", []byte(r.Report.Render()), 0o644); err != nil {
+		if err := predictor.AtomicWrite(base+".txt", func(w io.Writer) error {
+			_, err := io.WriteString(w, r.Report.Render())
+			return err
+		}); err != nil {
 			return err
 		}
 	}

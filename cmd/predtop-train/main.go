@@ -151,6 +151,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 
 	train, val, test := predtop.Split(rng, len(ds.Samples), *trainFrac, 0.1)
+	if len(test) == 0 {
+		return fmt.Errorf("-trainfrac %g leaves no held-out stages out of %d", *trainFrac, len(ds.Samples))
+	}
 	// Train times itself: a train span, with its subtree, on hooks.Profiler.
 	trained, res := predtop.Train(net, ds, train, val, predtop.TrainConfig{
 		Epochs: *epochs, Patience: *epochs / 3, BatchSize: 4, Seed: shared.Seed,

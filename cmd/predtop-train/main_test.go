@@ -181,3 +181,26 @@ func TestTrainRejectsBadArgumentsEarly(t *testing.T) {
 		})
 	}
 }
+
+// A training fraction that leaves no held-out stages — past 1, or rounding to
+// every stage of a small sample — is an error naming -trainfrac, raised
+// before training and before any model is saved, not an MRE over nothing.
+func TestTrainRejectsEmptyTestSplit(t *testing.T) {
+	for _, frac := range []string{"1.5", "0.95"} {
+		t.Run(frac, func(t *testing.T) {
+			model := filepath.Join(t.TempDir(), "m.predtop")
+			args := append([]string{"-o", model, "-samples", "10", "-trainfrac", frac}, tinyArgs...)
+			var stdout, stderr bytes.Buffer
+			err := run(args, &stdout, &stderr)
+			if err == nil || !strings.Contains(err.Error(), "-trainfrac") {
+				t.Fatalf("err = %v, want an error naming -trainfrac", err)
+			}
+			if strings.Contains(stdout.String(), "trained") {
+				t.Errorf("training ran before the rejection:\n%s", &stdout)
+			}
+			if _, statErr := os.Stat(model); !os.IsNotExist(statErr) {
+				t.Errorf("model written despite the error (stat: %v)", statErr)
+			}
+		})
+	}
+}

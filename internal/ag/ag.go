@@ -4,7 +4,8 @@
 // A Context records every operation of one forward pass over a panel of
 // stacked stage graphs (tensor.BatchLayout; one graph is the B=1 panel).
 // BackwardVec walks the tape in reverse, accumulating gradients into each
-// node and each parameter's accumulator. Contexts are reusable: Reset
+// node and into each parameter's one accumulator, Param.Grad (batch.go folds
+// the panels' parameter gradients into it). Contexts are reusable: Reset
 // recycles the tape, its pooled Node storage, and — via the context's
 // tensor.Arena — every intermediate buffer of the pass, so a context that
 // has seen its largest graph allocates nothing in steady state.
@@ -33,50 +34,6 @@ func NewParam(name string, t *tensor.Tensor) *Param {
 
 // ZeroGrad clears the accumulated gradient.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
-
-// GradBuffer is a private gradient accumulator covering a fixed parameter
-// set. Training gives each minibatch slot its own buffer (Context.SetShards);
-// optim.ReduceGrads then folds the shard buffers into Param.Grad in an order
-// fixed by the batch alone, keeping results bitwise identical across worker
-// counts.
-type GradBuffer struct {
-	grads []*tensor.Tensor
-	index map[*Param]int
-}
-
-// NewGradBuffer allocates a zeroed accumulator per parameter. Buffers that
-// will be reduced together must be built from the same params slice so
-// their accumulators align.
-func NewGradBuffer(params []*Param) *GradBuffer {
-	b := &GradBuffer{
-		grads: make([]*tensor.Tensor, len(params)),
-		index: make(map[*Param]int, len(params)),
-	}
-	for i, p := range params {
-		b.grads[i] = tensor.New(p.V.R, p.V.C)
-		b.index[p] = i
-	}
-	return b
-}
-
-// Grad returns the buffer's accumulator for p.
-func (b *GradBuffer) Grad(p *Param) *tensor.Tensor {
-	i, ok := b.index[p]
-	if !ok {
-		panic("ag: GradBuffer does not cover parameter " + p.Name)
-	}
-	return b.grads[i]
-}
-
-// Grads returns the accumulators in construction parameter order.
-func (b *GradBuffer) Grads() []*tensor.Tensor { return b.grads }
-
-// Zero clears every accumulator for reuse.
-func (b *GradBuffer) Zero() {
-	for _, g := range b.grads {
-		g.Zero()
-	}
-}
 
 // opKind identifies which vector–Jacobian product Backward runs for a node.
 // Dispatching on an opcode instead of a captured closure keeps Node storage
@@ -149,15 +106,14 @@ type Context struct {
 	nused  int // nodes handed out from chunks this generation
 	nodes  []*Node
 	params map[*Param]*Node
-	shards []*GradBuffer    // per-panel gradient shards (SetShards); nil: Param.Grad
 	ts     []*tensor.Tensor // scratch operand slice for ConcatCols
+	parts  []*tensor.Tensor // scratch per-panel parameter gradients (panelParts)
 	span   obs.Span         // profiling span layer marks nest under (see profile.go)
 	marks  []layerMark      // tape ranges recorded by StartLayer/End
 }
 
-// NewContext returns an empty tape accumulating into Param.Grad (or, under
-// SetShards, into one GradBuffer per panel). The tape owns a private arena,
-// so intermediates are recycled on Reset.
+// NewContext returns an empty tape accumulating into Param.Grad. The tape
+// owns a private arena, so intermediates are recycled on Reset.
 func NewContext() *Context {
 	return &Context{params: make(map[*Param]*Node), arena: tensor.NewArena()}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"predtop/internal/parallel"
 	"predtop/internal/tensor"
 )
 
@@ -309,52 +310,57 @@ func TestLossGrads(t *testing.T) {
 	}
 }
 
-// TestShardsSplitGradientsPerPanel: under SetShards each panel's parameter
-// gradients land in that panel's shard — bitwise what the graph produces
-// alone at B=1 — and nothing reaches Param.Grad.
-func TestShardsSplitGradientsPerPanel(t *testing.T) {
+// TestParamGradPanelFoldBitwise pins the one-accumulator contract: a
+// B-graph tape's Param.Grad equals, bit for bit, parallel.TreeReduce over
+// the Param.Grad each graph produces alone at B=1, for every parameter of the
+// three segmented ops that carry them. A parameter entering two such ops
+// would fold twice and break the equality, so this also guards the
+// one-op-per-parameter precondition. Five panels make the tree differ from a
+// serial fold.
+func TestParamGradPanelFoldBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	l := gcLayouts[1].l
+	l := tensor.BatchLayout{B: 5, Stride: 4, Counts: []int{2, 4, 3, 1, 4}}
 	w := newRandParam(rng, "w", 3, 2)
 	b := newRandParam(rng, "b", 1, 2)
 	gamma := NewParam("gamma", tensor.RandUniform(rng, 1, 2, 0.5, 1.5))
 	beta := newRandParam(rng, "beta", 1, 2)
-	params := []*Param{w, b, gamma, beta}
+	p := newRandParam(rng, "p", 2, 2)
+	params := []*Param{w, b, gamma, beta, p}
 	x := tensor.Randn(rng, l.Rows(), 3, 1)
-	forward := func(ctx *Context, x *tensor.Tensor, l tensor.BatchLayout) *Node {
+	grads := func(x *tensor.Tensor, l tensor.BatchLayout) []*tensor.Tensor {
+		for _, p := range params {
+			p.ZeroGrad()
+		}
+		ctx := NewContext()
 		h := ctx.SegLayerNorm(ctx.SegLinear(ctx.Const(x), w, b, l), gamma, beta, 1e-5, l)
-		return ctx.Square(ctx.SegSumRows(h, l))
+		ctx.BackwardVec(ctx.Square(ctx.SegSumRows(ctx.SegMatMul(h, p, l), l)))
+		out := make([]*tensor.Tensor, len(params))
+		for i, p := range params {
+			out[i] = p.Grad.Clone()
+		}
+		return out
 	}
 
-	shards := make([]*GradBuffer, l.B)
-	for g := range shards {
-		shards[g] = NewGradBuffer(params)
-	}
-	ctx := NewContext()
-	ctx.SetShards(shards)
-	ctx.BackwardVec(forward(ctx, x, l))
-	for _, p := range params {
-		if p.Grad.MaxAbs() != 0 {
-			t.Fatalf("%s.Grad touched by a sharded tape", p.Name)
+	got := grads(x, l)
+	alone := make([][]*tensor.Tensor, len(params))
+	for g, c := range l.Counts {
+		xg := tensor.New(c, 3)
+		copy(xg.Data, x.Data[g*l.Stride*3:(g*l.Stride+c)*3])
+		for i, gr := range grads(xg, tensor.BatchLayout{B: 1, Stride: c, Counts: []int{c}}) {
+			if gr.MaxAbs() == 0 {
+				t.Fatalf("panel %d: no gradient for %s", g, params[i].Name)
+			}
+			alone[i] = append(alone[i], gr)
 		}
 	}
-
-	for g, c := range l.Counts {
-		alone := tensor.New(c, 3)
-		copy(alone.Data, x.Data[g*l.Stride*3:(g*l.Stride+c)*3])
-		buf := NewGradBuffer(params)
-		ctx := NewContext()
-		ctx.SetShards([]*GradBuffer{buf})
-		ctx.BackwardVec(forward(ctx, alone, tensor.BatchLayout{B: 1, Stride: c, Counts: []int{c}}))
-		for _, p := range params {
-			got, want := shards[g].Grad(p).Data, buf.Grad(p).Data
-			for j := range want {
-				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-					t.Fatalf("panel %d %s[%d]: shard %v != alone %v", g, p.Name, j, got[j], want[j])
-				}
-			}
-			if buf.Grad(p).MaxAbs() == 0 {
-				t.Fatalf("panel %d: no gradient for %s", g, p.Name)
+	for i, p := range params {
+		want := parallel.TreeReduce(alone[i], func(a, b *tensor.Tensor) *tensor.Tensor {
+			tensor.AddInPlace(a, b)
+			return a
+		})
+		for j := range want.Data {
+			if math.Float64bits(got[i].Data[j]) != math.Float64bits(want.Data[j]) {
+				t.Fatalf("%s[%d]: B=%d tape %v != tree over B=1 tapes %v", p.Name, j, l.B, got[i].Data[j], want.Data[j])
 			}
 		}
 	}

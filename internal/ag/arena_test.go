@@ -8,9 +8,10 @@ import (
 	"predtop/internal/tensor"
 )
 
-// lossGraph is the fixed input of buildLossGraph: one 5-node graph as a B=1
-// panel, its attention mask, and the scalar target. Built once so the
-// steady-state allocation test measures the tape alone.
+// lossGraph is the fixed input of buildLossGraph: stacked graphs under
+// their panel layout, the per-graph attention masks (nil: unmasked), and the
+// scalar target. Built once so the steady-state allocation test measures the
+// tape alone.
 type lossGraph struct {
 	x      *tensor.Tensor
 	masks  []*tensor.Tensor
@@ -18,13 +19,17 @@ type lossGraph struct {
 	l, hl  tensor.BatchLayout
 }
 
-func newLossGraph(x, mask *tensor.Tensor) *lossGraph {
+func newLossGraph(x *tensor.Tensor, masks []*tensor.Tensor, l tensor.BatchLayout) *lossGraph {
+	ones := make([]int, l.B)
+	for i := range ones {
+		ones[i] = 1
+	}
 	return &lossGraph{
 		x:      x,
-		masks:  []*tensor.Tensor{mask},
+		masks:  masks,
 		target: tensor.Full(1, 1, 0.75),
-		l:      tensor.BatchLayout{B: 1, Stride: x.R, Counts: []int{x.R}},
-		hl:     tensor.BatchLayout{B: 1, Stride: 1, Counts: []int{1}},
+		l:      l,
+		hl:     tensor.BatchLayout{B: l.B, Stride: 1, Counts: ones},
 	}
 }
 
@@ -69,7 +74,7 @@ func TestArenaOnOffBitwiseIdentical(t *testing.T) {
 	mask.Set(0, 3, ninf)
 	mask.Set(2, 1, ninf)
 
-	g := newLossGraph(x, mask)
+	g := newLossGraph(x, []*tensor.Tensor{mask}, tensor.BatchLayout{B: 1, Stride: 5, Counts: []int{5}})
 
 	type result struct {
 		loss  float64
@@ -113,24 +118,58 @@ func TestArenaOnOffBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// TestContextSteadyStateZeroAlloc pins the tentpole target at the tape
-// level: once a pooled context has seen its graph, a full
-// forward+backward+Reset step performs zero heap allocations.
+// TestContextSteadyStateZeroAlloc pins the tape-level allocation target:
+// once a pooled context has seen its graph, a full forward+backward+Reset
+// step performs zero heap allocations — at one panel, and at three ragged
+// panels, where the per-panel parameter gradient fold runs on the context's
+// scratch.
 func TestContextSteadyStateZeroAlloc(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	x := tensor.Randn(rng, 5, 6, 1)
-	ps := testParams(11)
-	g := newLossGraph(x, nil)
-	ctx := NewContext()
-	step := func() {
-		loss := buildLossGraph(ctx, ps, g)
-		ctx.Backward(loss)
-		ctx.Reset()
+	for _, l := range []tensor.BatchLayout{
+		{B: 1, Stride: 5, Counts: []int{5}},
+		{B: 3, Stride: 5, Counts: []int{2, 5, 3}},
+	} {
+		rng := rand.New(rand.NewSource(3))
+		x := tensor.Randn(rng, l.Rows(), 6, 1)
+		ps := testParams(11)
+		g := newLossGraph(x, nil, l)
+		ctx := NewContext()
+		step := func() {
+			loss := buildLossGraph(ctx, ps, g)
+			ctx.Backward(loss)
+			ctx.Reset()
+		}
+		step() // warm the arena, node chunks, params map, and fold scratch
+		step()
+		if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+			t.Fatalf("B=%d: steady-state forward+backward allocated %.1f per step, want 0", l.B, allocs)
+		}
 	}
-	step() // warm the arena, node chunks, and params map
-	step()
-	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
-		t.Fatalf("steady-state forward+backward allocated %.1f per step, want 0", allocs)
+}
+
+// TestContextResetReproducesGradients checks that a Reset tape (the pooled
+// reuse path of the training loop) reproduces bitwise-identical gradients
+// into the re-zeroed Param.Grad, at one panel and at three.
+func TestContextResetReproducesGradients(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	w := newRandParam(rng, "w", 3, 2)
+	b := newRandParam(rng, "b", 1, 2)
+	for _, c := range gcLayouts {
+		x, target := tensor.Randn(rng, c.l.Rows(), 3, 1), tensor.Randn(rng, c.l.Rows(), 2, 1)
+		ctx := NewContext()
+		run := func() []float64 {
+			w.ZeroGrad()
+			b.ZeroGrad()
+			ctx.Backward(mse(ctx, ctx.SegLinear(ctx.Const(x), w, b, c.l), target))
+			return append(w.Grad.Clone().Data, b.Grad.Data...)
+		}
+		first := run()
+		ctx.Reset()
+		second := run()
+		for i := range first {
+			if math.Float64bits(first[i]) != math.Float64bits(second[i]) {
+				t.Fatalf("%s: grad %d drifted after Reset: %v vs %v", c.name, i, first[i], second[i])
+			}
+		}
 	}
 }
 

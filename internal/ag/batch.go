@@ -4,37 +4,44 @@
 // whose operand ranges depend on the graph alone, so each graph's values and
 // gradients are bitwise identical in any batch composition.
 //
-// Parameter gradients do not flow through opParam leaves here. Each segmented
-// op accumulates its per-panel weight/bias gradients directly into the
-// panel's accumulator — shards[g] under SetShards (one GradBuffer per
-// minibatch slot, folded by optim.ReduceGrads in a fixed order), else
-// Param.Grad.
+// Parameter gradients do not flow through opParam leaves here. The three
+// segmented ops that carry parameters (SegLinear, SegMatMul, SegLayerNorm)
+// compute one gradient part per panel as an arena temporary and fold the
+// parts into Param.Grad through parallel.TreeReduce, whose pairwise shape
+// depends on B alone. Each parameter enters one such op per tape, so a
+// B-graph tape's Param.Grad is, bit for bit, that tree over the gradients
+// each graph produces alone at B=1.
 package ag
 
 import (
 	"math"
 
+	"predtop/internal/parallel"
 	"predtop/internal/tensor"
 )
 
-// SetShards attaches one gradient shard per panel of the next batched pass:
-// panel g's parameter gradients accumulate into shards[g]. Passing nil
-// detaches (gradients then accumulate into Param.Grad). Call before
-// BackwardVec; the slice is retained, not copied.
-func (c *Context) SetShards(shards []*GradBuffer) { c.shards = shards }
-
-// shardGrad resolves the gradient accumulator for parameter p on panel g.
-func (c *Context) shardGrad(g int, p *Param) *tensor.Tensor {
-	if c.shards != nil {
-		return c.shards[g].Grad(p)
+// panelParts returns two length-b slices of context-owned scratch for
+// per-panel parameter gradient parts, valid until the next call.
+func (c *Context) panelParts(b int) (first, second []*tensor.Tensor) {
+	if cap(c.parts) < 2*b {
+		c.parts = make([]*tensor.Tensor, 2*b)
 	}
-	return p.Grad
+	return c.parts[:b:b], c.parts[b : 2*b]
+}
+
+// foldGrad adds the fixed-shape tree sum of parts (one per panel, used as
+// reduction scratch) into p.Grad.
+func foldGrad(p *Param, parts []*tensor.Tensor) {
+	tensor.AddInPlace(p.Grad, parallel.TreeReduce(parts, func(a, b *tensor.Tensor) *tensor.Tensor {
+		tensor.AddInPlace(a, b)
+		return a
+	}))
 }
 
 // BackwardVec seeds every element of loss with gradient 1 and propagates
 // through the tape in reverse recording order — the gradient of the sum of
 // the loss's elements. No op mixes panels, so on a B×1 per-graph loss each
-// panel's shard receives exactly the gradient of its own graph's loss. When a
+// panel's gradient part is exactly the gradient of its own graph's loss. When a
 // profiling span is attached and layer marks were recorded, the replay is
 // additionally timed per layer (see profile.go); the gradient math is
 // identical either way.
@@ -67,8 +74,8 @@ func clearPadRows(t *tensor.Tensor, lo, hi int) {
 }
 
 // SegLinear is the batched fused dense layer x·W + b over every panel's real
-// rows (pad rows zero). W and b gradients accumulate per panel into the
-// panel's shard.
+// rows (pad rows zero). W and b gradients are computed per panel and folded
+// into Param.Grad.
 func (c *Context) SegLinear(x *Node, w, b *Param, l tensor.BatchLayout) *Node {
 	v := c.arena.GetUninit(x.V.R, w.V.C)
 	tensor.SegLinearInto(v, x.V, w.V, b.V, l)
@@ -84,21 +91,22 @@ func (c *Context) backSegLinear(n *Node) {
 		tensor.SegMatMulBTInto(d, g, w.V, l) // dX = g·Wᵀ per panel
 		c.accumOwn(x, d)
 	}
+	dws, dbs := c.panelParts(l.B)
 	for gi := 0; gi < l.B; gi++ {
 		lo := gi * l.Stride
 		hi := lo + l.Counts[gi]
-		dw := c.arena.GetUninit(x.V.C, g.C)
-		tensor.MatMulATRangeInto(dw, x.V, g, lo, hi) // dW = X_gᵀ·g_g
-		tensor.AddInPlace(c.shardGrad(gi, w), dw)
-		db := c.arena.GetUninit(1, g.C)
-		tensor.SumRowsRangeInto(db, g, lo, hi)
-		tensor.AddInPlace(c.shardGrad(gi, b), db)
+		dws[gi] = c.arena.GetUninit(x.V.C, g.C)
+		tensor.MatMulATRangeInto(dws[gi], x.V, g, lo, hi) // dW = X_gᵀ·g_g
+		dbs[gi] = c.arena.GetUninit(1, g.C)
+		tensor.SumRowsRangeInto(dbs[gi], g, lo, hi)
 	}
+	foldGrad(w, dws)
+	foldGrad(b, dbs)
 }
 
 // SegMatMul multiplies every panel's real rows by a shared parameter matrix
-// (e.g. a GAT attention vector); the parameter gradient accumulates per
-// panel into the panel's shard.
+// (e.g. a GAT attention vector); the parameter gradient is computed per
+// panel and folded into Param.Grad.
 func (c *Context) SegMatMul(a *Node, p *Param, l tensor.BatchLayout) *Node {
 	v := c.arena.GetUninit(a.V.R, p.V.C)
 	tensor.SegMatMulInto(v, a.V, p.V, l)
@@ -114,18 +122,19 @@ func (c *Context) backSegMatMulP(n *Node) {
 		tensor.SegMatMulBTInto(d, g, p.V, l)
 		c.accumOwn(a, d)
 	}
+	dps, _ := c.panelParts(l.B)
 	for gi := 0; gi < l.B; gi++ {
 		lo := gi * l.Stride
 		hi := lo + l.Counts[gi]
-		dp := c.arena.GetUninit(a.V.C, g.C)
-		tensor.MatMulATRangeInto(dp, a.V, g, lo, hi)
-		tensor.AddInPlace(c.shardGrad(gi, p), dp)
+		dps[gi] = c.arena.GetUninit(a.V.C, g.C)
+		tensor.MatMulATRangeInto(dps[gi], a.V, g, lo, hi)
 	}
+	foldGrad(p, dps)
 }
 
 // SegLayerNorm normalizes each real row to zero mean and unit variance, then
 // scales by γ and shifts by β (both 1×C); pad rows are zero. γ/β gradients
-// accumulate per panel.
+// are computed per panel and folded into Param.Grad.
 func (c *Context) SegLayerNorm(x *Node, gamma, beta *Param, eps float64, l tensor.BatchLayout) *Node {
 	rows, d := x.V.R, x.V.C
 	xhat := c.arena.GetUninit(rows, d)
@@ -177,6 +186,7 @@ func (c *Context) backSegLayerNorm(n *Node) {
 	if x.requires {
 		dx = c.arena.GetUninit(n.V.R, d)
 	}
+	dgams, dbetas := c.panelParts(l.B)
 	for gi := 0; gi < l.B; gi++ {
 		lo := gi * l.Stride
 		hi := lo + l.Counts[gi]
@@ -187,10 +197,9 @@ func (c *Context) backSegLayerNorm(n *Node) {
 				dgam.Data[j] += grow[j] * xrow[j]
 			}
 		}
-		tensor.AddInPlace(c.shardGrad(gi, gamma), dgam)
-		dbeta := c.arena.GetUninit(1, d)
-		tensor.SumRowsRangeInto(dbeta, g, lo, hi)
-		tensor.AddInPlace(c.shardGrad(gi, beta), dbeta)
+		dgams[gi] = dgam
+		dbetas[gi] = c.arena.GetUninit(1, d)
+		tensor.SumRowsRangeInto(dbetas[gi], g, lo, hi)
 		if dx == nil {
 			continue
 		}
@@ -210,6 +219,8 @@ func (c *Context) backSegLayerNorm(n *Node) {
 		}
 		clearPadRows(dx, hi, lo+l.Stride)
 	}
+	foldGrad(gamma, dgams)
+	foldGrad(beta, dbetas)
 	if dx != nil {
 		c.accumOwn(x, dx)
 	}

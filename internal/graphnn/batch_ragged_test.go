@@ -7,6 +7,7 @@ import (
 
 	"predtop/internal/ag"
 	"predtop/internal/models"
+	"predtop/internal/parallel"
 	"predtop/internal/stage"
 	"predtop/internal/tensor"
 )
@@ -40,51 +41,64 @@ func raggedModels(seed int64) []Model {
 	}
 }
 
-// forwardBackward runs one fused forward+backward over es and returns the
-// per-graph predictions and the per-graph gradient shards.
-func forwardBackward(t *testing.T, m Model, es []*stage.Encoded) ([]float64, []*ag.GradBuffer) {
+// forwardBackward runs one fused forward+backward over es into the zeroed
+// Param.Grad and returns the per-graph predictions and copies of the
+// parameter gradients, in m.Params() order.
+func forwardBackward(t *testing.T, m Model, es []*stage.Encoded) ([]float64, []*tensor.Tensor) {
 	t.Helper()
-	shards := make([]*ag.GradBuffer, len(es))
-	for i := range shards {
-		shards[i] = ag.NewGradBuffer(m.Params())
+	params := m.Params()
+	for _, p := range params {
+		p.ZeroGrad()
 	}
 	ctx := ag.NewContext()
 	nb, err := stage.NewBatch(es, ctx.Arena())
 	if err != nil {
 		t.Fatalf("NewBatch: %v", err)
 	}
-	ctx.SetShards(shards)
 	out := m.PredictBatch(ctx, nb)
 	preds := out.Value()
 	if preds.R != len(es) || preds.C != 1 {
 		t.Fatalf("%s batch output %dx%d for %d graphs", m.Name(), preds.R, preds.C, len(es))
 	}
 	ctx.BackwardVec(out)
-	return append([]float64{}, preds.Data...), shards
+	grads := make([]*tensor.Tensor, len(params))
+	for i, p := range params {
+		grads[i] = p.Grad.Clone()
+	}
+	return append([]float64{}, preds.Data...), grads
 }
 
 // checkBatchInvariant is the batch-composition invariance check: graph g's
-// prediction and gradient shard inside the batch es must be bitwise identical
-// to g alone at B=1, whatever its neighbours and its position.
+// prediction inside the batch es must be bitwise identical to g alone at
+// B=1, whatever its neighbours and its position, and the batch's Param.Grad
+// must be bitwise the fixed-shape parallel.TreeReduce over each graph's own
+// B=1 Param.Grad — the one-accumulator contract, which a parameter used by
+// two segmented ops would break.
 func checkBatchInvariant(t *testing.T, m Model, es []*stage.Encoded) {
 	t.Helper()
 	params := m.Params()
-	preds, shards := forwardBackward(t, m, es)
+	preds, grads := forwardBackward(t, m, es)
+	alone := make([][]*tensor.Tensor, len(params))
 	for i, e := range es {
-		wantPred, wantShard := forwardBackward(t, m, []*stage.Encoded{e})
+		wantPred, wantGrads := forwardBackward(t, m, []*stage.Encoded{e})
 		if math.Float64bits(preds[i]) != math.Float64bits(wantPred[0]) {
 			t.Fatalf("%s graph %d (n=%d): in batch %v != alone %v",
 				m.Name(), i, e.N(), preds[i], wantPred[0])
 		}
-		got, want := shards[i].Grads(), wantShard[0].Grads()
-		for pi := range want {
-			for j := range want[pi].Data {
-				a, b := want[pi].Data[j], got[pi].Data[j]
-				if math.Float64bits(a) != math.Float64bits(b) {
-					t.Fatalf("%s graph %d shard %s[%d]: in batch %x != alone %x",
-						m.Name(), i, params[pi].Name, j,
-						math.Float64bits(b), math.Float64bits(a))
-				}
+		for pi, g := range wantGrads {
+			alone[pi] = append(alone[pi], g)
+		}
+	}
+	for pi, p := range params {
+		want := parallel.TreeReduce(alone[pi], func(a, b *tensor.Tensor) *tensor.Tensor {
+			tensor.AddInPlace(a, b)
+			return a
+		})
+		for j := range want.Data {
+			a, b := want.Data[j], grads[pi].Data[j]
+			if math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%s B=%d %s[%d]: batch %x != tree over B=1 %x",
+					m.Name(), len(es), p.Name, j, math.Float64bits(b), math.Float64bits(a))
 			}
 		}
 	}
@@ -93,9 +107,9 @@ func checkBatchInvariant(t *testing.T, m Model, es []*stage.Encoded) {
 // TestPredictBatchRaggedBitwise drives the fused forward+backward through
 // the padding edge cases — single-graph batches, rectangular batches (no
 // padding at all), maximal pad skew (smallest graph next to largest), and
-// duplicates sharing mask tensors — asserting every graph's value and
-// gradient shard equal, bit for bit, the graph alone at B=1, for all three
-// architectures.
+// duplicates sharing mask tensors — asserting every graph's value equals, bit
+// for bit, the graph alone at B=1 and the batch's parameter gradients equal
+// the tree over the B=1 gradients, for all three architectures.
 func TestPredictBatchRaggedBitwise(t *testing.T) {
 	pool := raggedPool(t)
 	small, large := 0, 0

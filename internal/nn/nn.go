@@ -175,7 +175,7 @@ func NewMLPHead(rng *rand.Rand, name string, in int, dims ...int) *MLPHead {
 
 // ForwardBatch maps the pooled B×in tensor to B×1 predictions. bl is the
 // stride-1 head layout (every row is one graph), which keeps the head's
-// parameter gradients sharded per graph like every other layer.
+// parameter gradients folding per graph like every other layer.
 func (h *MLPHead) ForwardBatch(ctx *ag.Context, x *ag.Node, bl tensor.BatchLayout) *ag.Node {
 	for _, l := range h.Hidden {
 		x = ctx.ReLU(l.ForwardBatch(ctx, x, bl))

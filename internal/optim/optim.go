@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"predtop/internal/ag"
-	"predtop/internal/parallel"
 	"predtop/internal/tensor"
 )
 
@@ -51,30 +50,6 @@ func (a *Adam) Step(lr float64) {
 			p.V.Data[j] -= lr * mhat / (math.Sqrt(vhat) + a.Eps)
 		}
 		p.ZeroGrad()
-	}
-}
-
-// ReduceGrads folds per-shard gradient buffers into each Param.Grad with a
-// fixed-shape pairwise reduction tree over the buffer order. The summation
-// order is a pure function of len(bufs) — which data-parallel training
-// derives from the minibatch alone — so the reduced gradients are bitwise
-// identical no matter how many workers filled the buffers or how they were
-// scheduled. The buffers are used as reduction scratch; zero them before
-// the next accumulation pass.
-func ReduceGrads(params []*ag.Param, bufs []*ag.GradBuffer) {
-	if len(bufs) == 0 {
-		return
-	}
-	shards := make([]*tensor.Tensor, len(bufs))
-	for pi, p := range params {
-		for bi, b := range bufs {
-			shards[bi] = b.Grads()[pi]
-		}
-		total := parallel.TreeReduce(shards, func(a, b *tensor.Tensor) *tensor.Tensor {
-			tensor.AddInPlace(a, b)
-			return a
-		})
-		tensor.AddInPlace(p.Grad, total)
 	}
 }
 

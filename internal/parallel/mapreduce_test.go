@@ -86,8 +86,8 @@ func TestTreeReduceFixedOrder(t *testing.T) {
 }
 
 func TestTreeReduceInPlaceAccumulation(t *testing.T) {
-	// Reductions that mutate their first argument (the gradient-buffer
-	// pattern) must see every input exactly once.
+	// Reductions that mutate their first argument (the per-panel gradient
+	// fold) must see every input exactly once.
 	bufs := make([]*[3]float64, 7)
 	for i := range bufs {
 		bufs[i] = &[3]float64{float64(i), 1, 0}
@@ -103,25 +103,4 @@ func TestTreeReduceInPlaceAccumulation(t *testing.T) {
 	if total[0] != 21 || total[1] != 7 {
 		t.Fatalf("reduced to %v", *total)
 	}
-}
-
-func TestPoolReusesValues(t *testing.T) {
-	var made atomic.Int64
-	p := NewPool(func() *int { made.Add(1); return new(int) })
-	a := p.Get()
-	p.Put(a)
-	if b := p.Get(); b != a {
-		t.Fatal("pool did not reuse the freed value")
-	}
-	if made.Load() != 1 {
-		t.Fatalf("allocated %d values", made.Load())
-	}
-	p.Put(a)
-	// A value must never be handed to two workers at once: the unguarded
-	// increment below is a data race (caught under -race) if it ever is.
-	ForLimit(64, 8, func(i int) {
-		v := p.Get()
-		*v++
-		p.Put(v)
-	})
 }

@@ -173,38 +173,3 @@ func TreeReduce[T any](vals []T, reduceFn func(a, b T) T) T {
 	}
 	return vals[0]
 }
-
-// Pool is a free list of reusable worker scratch values (autodiff tapes,
-// temporary buffers). Unlike sync.Pool it never discards values under GC
-// pressure, so the steady-state allocation count of a loop that Gets and
-// Puts is zero once the pool has grown to the peak concurrency.
-type Pool[T any] struct {
-	mu   sync.Mutex
-	free []T
-	newT func() T
-}
-
-// NewPool returns a pool whose Get falls back to newT when empty.
-func NewPool[T any](newT func() T) *Pool[T] {
-	return &Pool[T]{newT: newT}
-}
-
-// Get removes and returns a pooled value, or makes a fresh one.
-func (p *Pool[T]) Get() T {
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		v := p.free[n-1]
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
-		return v
-	}
-	p.mu.Unlock()
-	return p.newT()
-}
-
-// Put returns a value to the pool for reuse.
-func (p *Pool[T]) Put(v T) {
-	p.mu.Lock()
-	p.free = append(p.free, v)
-	p.mu.Unlock()
-}

@@ -3,6 +3,7 @@ package planner
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"predtop/internal/cluster"
 	"predtop/internal/models"
 	"predtop/internal/pipeline"
+	"predtop/internal/predictor"
 )
 
 // StageReport explains one pipeline stage of a plan: which segments it
@@ -196,13 +198,18 @@ func (r *Report) WriteJSON() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// SaveFile writes the canonical JSON rendering to path.
+// SaveFile writes the canonical JSON rendering to path through
+// predictor.AtomicWrite, so a run killed mid-write leaves the previous
+// report, never a torn one.
 func (r *Report) SaveFile(path string) error {
 	b, err := r.WriteJSON()
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, b, 0o644)
+	return predictor.AtomicWrite(path, func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	})
 }
 
 // LoadReport reads a report previously written by SaveFile.

@@ -3,6 +3,7 @@ package planner
 import (
 	"bytes"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -102,6 +103,48 @@ func TestReportRoundTrip(t *testing.T) {
 	b2, _ := back.WriteJSON()
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("report did not round-trip through SaveFile/LoadReport")
+	}
+}
+
+// SaveFile replaces the report by rename, never by rewriting it in place: a
+// hard link to the previous file keeps the previous bytes, no temporary file
+// is left behind, and a failing save leaves the previous report
+// byte-identical — so a run killed mid-write cannot tear a report that
+// LoadReport or predtop-plan -diff will read.
+func TestReportSaveFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path, twin := filepath.Join(dir, "r.json"), filepath.Join(dir, "twin.json")
+	old := []byte("{\"version\": \"previous\"}\n")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Link(path, twin); err != nil {
+		t.Fatal(err)
+	}
+	r := goldenReport(t)
+	if err := r.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 2 {
+		t.Fatalf("directory holds %v, want only the report and its twin", left)
+	}
+	if b, _ := os.ReadFile(twin); !bytes.Equal(b, old) {
+		t.Fatalf("SaveFile rewrote the previous file in place: twin now %q", b)
+	}
+
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.EstLatency = math.NaN() // unencodable: the save must fail
+	if err := r.SaveFile(path); err == nil {
+		t.Fatal("SaveFile of an unencodable report succeeded")
+	}
+	if b, _ := os.ReadFile(path); !bytes.Equal(b, saved) {
+		t.Fatal("failing SaveFile changed the previous report")
+	}
+	if tmp, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(tmp) != 0 {
+		t.Fatalf("temporary files left behind: %v", tmp)
 	}
 }
 

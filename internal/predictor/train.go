@@ -36,16 +36,17 @@ type TrainConfig struct {
 	Loss      Loss    // paper: MAE
 	Seed      int64
 	ClipNorm  float64 // gradient clipping (0 = paper default 5)
-	// Workers bounds the goroutines the evaluation chunks fan across:
-	// 0 = GOMAXPROCS, 1 = serial. Any setting produces bitwise-identical
-	// results — sharding and gradient-reduction order depend only on the
-	// minibatch, never on the worker count.
+	// Workers bounds the goroutines the validation and final-loss chunks fan
+	// across: 0 = GOMAXPROCS, 1 = serial. The minibatch step itself runs on
+	// one goroutine. Any setting produces bitwise-identical results — the
+	// chunk losses fold through a tree whose shape depends on the index set
+	// alone.
 	Workers int
 	// Hooks, when non-nil, observes training progress (per-epoch stats,
 	// early stop, weight restore, phase spans, flight breadcrumbs). Hooks
-	// only observe — they never perturb the shuffle, sharding, or reduction
-	// order — so trained weights stay bitwise identical with hooks attached
-	// or absent, at every Workers setting.
+	// only observe — they never perturb the shuffle or any summation order —
+	// so trained weights stay bitwise identical with hooks attached or
+	// absent, at every Workers setting.
 	Hooks *TrainHooks
 }
 
@@ -139,10 +140,10 @@ type Trained struct {
 // final-epoch weights, and reports the final training loss as BestValLoss.
 //
 // Each minibatch runs as one tape over a padded stack of its graphs
-// (stage.NewBatch). Parameter gradients land in one ag.GradBuffer shard per
-// minibatch slot and the shards are tree-reduced into the shared gradients in
-// an order fixed by the batch alone; evaluation chunks fan across
-// cfg.Workers and fold through a fixed-shape tree. Every cfg.Workers setting
+// (stage.NewBatch) on the calling goroutine; the tape folds each panel's
+// parameter gradients into Param.Grad through a tree fixed by the batch
+// size alone. Evaluation chunks fan across cfg.Workers on the prediction
+// tapes and fold through a fixed-shape tree. Every cfg.Workers setting
 // therefore yields bitwise-identical weights.
 func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainConfig) (Trained, TrainResult) {
 	cfg = cfg.withDefaults()
@@ -177,10 +178,8 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 	trainSpan := prof.Start("train")
 	defer trainSpan.End()
 
-	// Forward-only tapes for evaluation, pooled across workers and epochs.
-	// Each pooled context owns a private arena, so steady-state evaluation
-	// recycles every intermediate instead of allocating.
-	tapePool := parallel.NewPool(newTape)
+	// Evaluation runs forward-only on the prediction tapes (predictTapes),
+	// whose private arenas recycle every intermediate across chunks and epochs.
 	lossOf := func(idx []int) float64 {
 		if len(idx) == 0 {
 			return 0
@@ -197,8 +196,7 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 		parallel.ForLimit(nchunks, cfg.Workers, func(ci int) {
 			lo := ci * cfg.BatchSize
 			hi := min(lo+cfg.BatchSize, len(idx))
-			tp := tapePool.Get()
-			tp.ctx.Reset()
+			tp := predictTapes.Get().(*tape)
 			ss := es.Start("sample")
 			tp.ctx.SetSpan(ss)
 			preds := model.PredictBatch(tp.ctx, tp.stack(encs[lo:hi])).Value()
@@ -206,19 +204,17 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 				vals[k] = sampleLoss(preds.Data[k-lo], ds.Samples[idx[k]].Measured/scale, cfg.Loss)
 			}
 			ss.End()
-			tapePool.Put(tp)
+			// Detached, so a later PredictEncoded cannot record into this
+			// run's finished profile.
+			tp.ctx.SetSpan(obs.Span{})
+			tp.ctx.Reset()
+			predictTapes.Put(tp)
 		})
 		total := parallel.TreeReduce(vals, func(a, b float64) float64 { return a + b })
 		es.End()
 		return total / float64(len(idx))
 	}
 
-	// One gradient shard per minibatch slot; the minibatch tape fills them
-	// per panel.
-	bufs := make([]*ag.GradBuffer, cfg.BatchSize)
-	for i := range bufs {
-		bufs[i] = ag.NewGradBuffer(params)
-	}
 	btape := newTape()
 	bencs := make([]*stage.Encoded, cfg.BatchSize)
 
@@ -230,16 +226,14 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 	lossVals := make([]float64, cfg.BatchSize)
 
 	// runBatch runs the whole minibatch as one tape: forward, per-row loss,
-	// backward into the per-slot shards.
+	// backward into Param.Grad.
 	runBatch := func(batch []int, bs obs.Span) {
 		ctx := btape.ctx
 		ctx.Reset()
 		for k, bi := range batch {
-			bufs[k].Zero()
 			bencs[k] = ds.Samples[bi].Encoded
 		}
 		nb := btape.stack(bencs[:len(batch)])
-		ctx.SetShards(bufs[:len(batch)])
 		// One span covers the fused forward/backward; the model's layer
 		// marks nest under it for forward timing, and BackwardVec hangs its
 		// per-layer attribution subtree off the same node.
@@ -251,9 +245,9 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 			targets.Data[k] = ds.Samples[bi].Measured / scale
 		}
 		// Per-row losses with no mean reduction: BackwardVec seeds every row
-		// with 1, so each slot's shard holds the gradient of its own
-		// sample's loss and the 1/len(batch) mean is applied after the
-		// reduction (ScaleGrads below).
+		// with 1, so each panel's gradient part is the gradient of its own
+		// sample's loss, Param.Grad holds their tree sum, and the
+		// 1/len(batch) mean is applied after (ScaleGrads below).
 		diff := ctx.Sub(pred, ctx.Const(targets))
 		var loss *ag.Node
 		if cfg.Loss == MSE {
@@ -282,7 +276,6 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 			bs := trainSpan.Start("batch")
 			runBatch(batch, bs)
 			st := bs.Start("step")
-			optim.ReduceGrads(params, bufs[:len(batch)])
 			optim.ScaleGrads(params, 1/float64(len(batch)))
 			norm := optim.ClipGradNorm(params, cfg.ClipNorm)
 			opt.Step(lr)
@@ -290,8 +283,8 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 			bs.End()
 			flight.Note("train", "batch")
 			// Observation only: per-sample losses fold through the same
-			// fixed-shape tree as the gradients and accumulate serially in
-			// batch order, so History is as deterministic as the weights.
+			// fixed-shape tree as the panel gradients and accumulate serially
+			// in batch order, so History is as deterministic as the weights.
 			epochLoss += parallel.TreeReduce(lossVals[:len(batch)], func(a, b float64) float64 { return a + b })
 			normSum += norm
 			numBatches++
@@ -370,8 +363,9 @@ func (t *tape) stack(es []*stage.Encoded) *stage.Batch {
 	return &t.nb
 }
 
-// predictTapes recycles forward-only tapes across predictions. The pool is
-// safe for concurrent predictions; results never depend on which pooled tape
+// predictTapes recycles forward-only tapes across predictions and Train's
+// evaluation chunks; a tape goes back Reset and with no span attached. The
+// pool is safe for concurrent use; results never depend on which pooled tape
 // serves a call because every intermediate buffer is fully written before it
 // is read.
 var predictTapes = sync.Pool{New: func() any { return newTape() }}

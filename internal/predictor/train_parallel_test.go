@@ -264,10 +264,15 @@ func TestTrainProfilerBuildsPhaseTree(t *testing.T) {
 		}
 	}
 	prof := obs.NewProfiler()
-	Train(buildArch("Tran", 42), ds, trainIdx, valIdx, TrainConfig{
+	trained, _ := Train(buildArch("Tran", 42), ds, trainIdx, valIdx, TrainConfig{
 		Epochs: 2, Patience: 2, BatchSize: 5, Seed: 13, Workers: 4,
 		Hooks: &TrainHooks{Profiler: prof},
 	})
+	// The evaluation tapes went back to the prediction pool detached, so
+	// predictions after the run record nothing into its profile.
+	for _, s := range ds.Samples {
+		trained.PredictEncoded(s.Encoded)
+	}
 	var buf strings.Builder
 	if err := prof.WriteProfileTree(&buf); err != nil {
 		t.Fatal(err)
@@ -283,7 +288,11 @@ func TestTrainProfilerBuildsPhaseTree(t *testing.T) {
 		}
 	}
 	// The same instrumentation points must render identically on a second
-	// pass — the report is deterministic in layout.
+	// pass, after more predictions — the report is deterministic in layout
+	// and closed to later forwards.
+	for _, s := range ds.Samples {
+		trained.PredictEncoded(s.Encoded)
+	}
 	var again strings.Builder
 	if err := prof.WriteProfileTree(&again); err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ type Batch struct {
 	// Depths holds each graph's DAGPE positional indices.
 	Depths [][]int
 	// HeadLayout is the stride-1 layout of the pooled B×C head input, so the
-	// prediction head's parameter gradients still shard per graph.
+	// prediction head's parameter gradients still fold per graph.
 	HeadLayout tensor.BatchLayout
 }
 

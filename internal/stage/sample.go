@@ -81,17 +81,13 @@ func SampleSpecs(rng *rand.Rand, numSegments, count, maxLen int) []Spec {
 
 // Split partitions indices [0, n) into train, validation, and test index
 // sets: trainFrac for training, valFrac for validation, the rest for testing
-// (the paper uses a separate 10% validation split, §VIII).
+// (the paper uses a separate 10% validation split, §VIII). The training set
+// is clamped to [1, n] indices and the validation set to what remains, so an
+// out-of-range fraction yields a degenerate split, never a panic.
 func Split(rng *rand.Rand, n int, trainFrac, valFrac float64) (train, val, test []int) {
 	perm := rng.Perm(n)
-	nTrain := int(float64(n)*trainFrac + 0.5)
-	nVal := int(float64(n)*valFrac + 0.5)
-	if nTrain < 1 {
-		nTrain = 1
-	}
-	if nTrain+nVal > n {
-		nVal = n - nTrain
-	}
+	nTrain := min(max(int(float64(n)*trainFrac+0.5), 1), n)
+	nVal := min(max(int(float64(n)*valFrac+0.5), 0), n-nTrain)
 	train = perm[:nTrain]
 	val = perm[nTrain : nTrain+nVal]
 	test = perm[nTrain+nVal:]

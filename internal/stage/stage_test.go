@@ -410,12 +410,16 @@ func TestSampleSpecsExhaustsUniverse(t *testing.T) {
 	}
 }
 
+// TestSplitProperties: for any n ≥ 1 and any training fraction in [0, 1.5]
+// — out-of-range values included — Split partitions [0, n) with at least one
+// training index and never panics.
 func TestSplitProperties(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(3))}
-	f := func(seed int64, nRaw uint8) bool {
-		n := int(nRaw)%100 + 10
+	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(3))}
+	f := func(seed int64, nRaw uint8, fracRaw uint16) bool {
+		n := int(nRaw)%100 + 1
+		trainFrac := 1.5 * float64(fracRaw) / math.MaxUint16
 		rng := rand.New(rand.NewSource(seed))
-		train, val, test := Split(rng, n, 0.5, 0.1)
+		train, val, test := Split(rng, n, trainFrac, 0.1)
 		if len(train)+len(val)+len(test) != n {
 			return false
 		}
