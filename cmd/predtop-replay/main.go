@@ -30,6 +30,7 @@ import (
 
 	"predtop"
 	"predtop/internal/cli"
+	"predtop/internal/predictor"
 )
 
 func main() {
@@ -113,7 +114,10 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(*jsonPath, append(b, '\n'), 0o644); err != nil {
+		if err := predictor.AtomicWrite(*jsonPath, func(w io.Writer) error {
+			_, err := w.Write(append(b, '\n'))
+			return err
+		}); err != nil {
 			return err
 		}
 	}

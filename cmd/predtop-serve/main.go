@@ -31,10 +31,12 @@
 // steady 1-in-64 background sample) with per-phase trace spans.
 //
 // -seed, -quiet, -metrics, and -runledger are the shared flags documented in
-// package internal/cli; the daemon's sinks, flight recorder, metrics registry
-// (the only tool that has one), and manifest open and close through that
-// lifecycle. The manifest recorded at shutdown holds the served models'
-// weight fingerprint, the request/cache counters, and the session's wall time.
+// package internal/cli; the daemon's sinks, flight recorder and manifest open
+// and close through that lifecycle. The metrics registry is built here — the
+// only tool that has one — and read once more after the daemon has drained:
+// that one snapshot is the -metrics file's last record and the source of the
+// manifest's serve/SLO session metrics, next to the served models' weight
+// fingerprint and the session's wall time.
 package main
 
 import (
@@ -51,6 +53,7 @@ import (
 	"predtop"
 	"predtop/internal/cli"
 	"predtop/internal/obs"
+	"predtop/internal/predictor"
 )
 
 func main() {
@@ -80,7 +83,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 
 	r, err := cli.Open(&shared, cli.Options{
 		Tool: "predtop-serve", Seed: shared.Seed, Stdout: stdout, Progress: stderr, Stderr: stderr,
-		LiveMetrics: true,
 	})
 	if err != nil {
 		return err
@@ -104,11 +106,12 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	metrics := predtop.NewMetricsRegistry()
 	srv, err := predtop.StartServe(ctx, predtop.ServeConfig{
 		Addr:        *listen,
 		ModelDir:    *modelDir,
 		CacheSize:   *cacheSize,
-		Metrics:     r.Metrics,
+		Metrics:     metrics,
 		Sink:        r.Sink,
 		Flight:      r.Flight,
 		Trace:       r.TC,
@@ -124,7 +127,12 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	defer srv.Close()
 
 	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(srv.Addr()+"\n"), 0o644); err != nil {
+		// Atomic: scripts poll for a non-empty file and must never read half
+		// an address.
+		if err := predictor.AtomicWrite(*addrFile, func(w io.Writer) error {
+			_, err := io.WriteString(w, srv.Addr()+"\n")
+			return err
+		}); err != nil {
 			return err
 		}
 	}
@@ -146,10 +154,18 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		break
 	}
 
+	// Drain first, then read the registry once: the final metrics record and
+	// the manifest's session metrics are the same snapshot, and it counts
+	// every request the daemon answered.
+	if err := srv.Close(); err != nil {
+		return err
+	}
+	snap := metrics.Snapshot()
+	r.Sink.Emit(map[string]any{"event": "metrics", "metrics": snap})
 	if man != nil {
 		// Pin the identity of the weights this session served (sorted
 		// registry order, same FNV-1a scheme as plan provenance) and archive
-		// the session's serve/SLO counters before the daemon tears down.
+		// the session's serve/SLO counters.
 		entries, gen := srv.Registry().Snapshot()
 		trs := make([]predtop.Trained, 0, len(entries))
 		for _, e := range entries {
@@ -158,7 +174,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		man.SetWeightsFingerprint(predtop.WeightFingerprint(trs...))
 		man.RecordSessionMetric("registry_generation", float64(gen))
 		man.RecordSessionMetric("models", float64(len(entries)))
-		for _, mt := range r.Metrics.Snapshot() {
+		for _, mt := range snap {
 			if mt.Kind == "histogram" ||
 				(!strings.HasPrefix(mt.Name, "predtop_serve_") && !strings.HasPrefix(mt.Name, "predtop_slo_")) {
 				continue

@@ -64,6 +64,9 @@ func TestServeLifecycle(t *testing.T) {
 			t.Fatal("daemon never wrote its address file")
 		}
 	}
+	if left, _ := filepath.Glob(addrFile + ".tmp*"); len(left) != 0 {
+		t.Errorf("the address file's temporary survived its rename: %v", left)
+	}
 	res, err := predtop.ServeReplay(predtop.ServeReplayConfig{URL: "http://" + addr, Queries: 5, Concurrency: 1, Seed: 1, Benches: []string{"GPT-3"}, Layers: 4, MaxLen: 3})
 	if err != nil || res.Errors != 0 {
 		t.Fatalf("replay against the daemon: %v, %+v", err, res)

@@ -1,10 +1,11 @@
 // Package cli is the one run lifecycle behind the cmd/ tools. The flags they
 // share are declared here once (Flags.Register), Open turns them into live
-// telemetry handles and a run-ledger manifest, and Run.Close flushes, writes,
-// and records everything in one fixed order. A tool is a run(args, stdout,
-// stderr) error — parse flags, resolve names (Bench, Platform, FindScenario,
-// Arch, ExperimentPreset), Open, work, save results, Close — under a main
-// that only reports run's error, so no failure path skips a deferred close.
+// internal/obs handles and a run-ledger manifest, and Run.Close flushes,
+// writes, and records everything in one fixed order. A tool is a run(args,
+// stdout, stderr) error — parse flags, resolve names (Bench, Platform,
+// FindScenario, Arch, ExperimentPreset), Open, work, save results, Close —
+// under a main that only reports run's error, so no failure path skips a
+// deferred close.
 //
 // The shared flags; a tool registers the groups it takes and keeps its own
 // defaults and help text:
@@ -26,11 +27,10 @@
 // nil-safe). The span profiler (Run.Prof) is the one wall clock batch code
 // starts and stops; -trace or -profile turns it on. Fan-out width is
 // GOMAXPROCS — there is no worker flag, and results are bitwise identical at
-// any setting. The metrics registry is the daemon's: only predtop-serve
-// (Options.LiveMetrics) gets one, served on its own listener (a batch tool's
-// -listen answers /metrics 404) and snapshotted last into its -metrics file.
-// A worker panic or SIGQUIT dumps the flight recorder's recent events plus
-// goroutine stacks to stderr.
+// any setting. There is no metrics registry here: it is the serving daemon's
+// (internal/serve), and a batch tool's -listen answers /metrics 404. A worker
+// panic or SIGQUIT dumps the flight recorder's recent events plus goroutine
+// stacks to stderr.
 package cli
 
 import (
@@ -113,7 +113,6 @@ type Options struct {
 	Stdout, Progress, Stderr io.Writer
 	Out                      string   // the -out report file Run.Out tees into
 	Dirs                     []string // outputs written last (-o, -json): their directory must exist ("" passes)
-	LiveMetrics              bool     // the tool is the daemon: build the metrics registry it serves
 }
 
 // Run is one invocation's open telemetry; a handle is nil when its flag is off.
@@ -122,7 +121,6 @@ type Run struct {
 	Flight  *obs.FlightRecorder
 	Log     *obs.Logger
 	Sink    *obs.Sink
-	Metrics *obs.Registry // predtop-serve only (Options.LiveMetrics)
 	Trace   *obs.TraceBuilder
 	Prof    *obs.Profiler
 	Man     *runledger.Manifest
@@ -168,10 +166,6 @@ func Open(f *Flags, o Options) (_ *Run, err error) {
 		if r.Sink, err = r.OpenSink(f.Metrics); err != nil {
 			return nil, err
 		}
-	}
-	if o.LiveMetrics {
-		r.Metrics = obs.NewRegistry()
-		r.Metrics.SetRunInfo(r.TC)
 	}
 	if f.Trace != "" {
 		r.Trace = obs.NewTrace()
@@ -250,13 +244,11 @@ func (r *Run) Observer() obs.Observer {
 	return obs.Observer{Events: r.Sink, Trace: r.Trace, Prof: r.Prof, Flight: r.Flight, Ctx: r.TC}
 }
 
-// Close finishes the run in one fixed order — the daemon's metrics snapshot,
-// sink flush, trace and profile files, ledger manifest (only when the run
-// succeeded: runErr nil), teardown — attempting every step and returning
-// runErr joined with the errors.
+// Close finishes the run in one fixed order — sink flush, trace and profile
+// files, ledger manifest (only when the run succeeded: runErr nil), teardown —
+// attempting every step and returning runErr joined with the errors.
 func (r *Run) Close(runErr error) error {
 	errs := []error{runErr}
-	r.Sink.EmitMetrics(r.Metrics)
 	for _, out := range r.outputs {
 		if err := errors.Join(out.render(out.f), out.f.Close()); err != nil {
 			errs = append(errs, fmt.Errorf("writing %s: %w", out.path, err))

@@ -27,7 +27,7 @@ func TestOpenAllFlagsOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Sink != nil || r.Metrics != nil || r.Trace != nil || r.Prof != nil || r.Man != nil {
+	if r.Sink != nil || r.Trace != nil || r.Prof != nil || r.Man != nil {
 		t.Errorf("handles built with every flag off: %+v", r)
 	}
 	if o := r.Observer(); o != (obs.Observer{Flight: r.Flight, Ctx: r.TC}) {
@@ -45,10 +45,9 @@ func TestOpenAllFlagsOff(t *testing.T) {
 }
 
 // Output files exist as soon as Open returns; Close writes them in the fixed
-// order — (for the daemon, the one tool with a registry) the metrics snapshot,
-// last in the JSONL; trace and profile; the ledger manifest after both. One trace id, derived from (seed, tool), joins
-// every channel: the registry's predtop_run_info, each JSONL record, the
-// Chrome trace, progress lines, the flight dump and the manifest.
+// order — the JSONL flush; trace and profile; the ledger manifest after both.
+// One trace id, derived from (seed, tool), joins every channel: each JSONL
+// record, the Chrome trace, progress lines, the flight dump and the manifest.
 func TestOpenCreatesFilesCloseWritesInOrder(t *testing.T) {
 	dir := t.TempDir()
 	f := &Flags{
@@ -57,18 +56,14 @@ func TestOpenCreatesFilesCloseWritesInOrder(t *testing.T) {
 	}
 	var progress, stdout bytes.Buffer
 	o := options(&progress)
-	o.Stdout, o.Out, o.LiveMetrics = &stdout, filepath.Join(dir, "report.txt"), true
+	o.Stdout, o.Out = &stdout, filepath.Join(dir, "report.txt")
 	r, err := Open(f, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := r.TC.TraceID()
-	var prom, dump bytes.Buffer
-	r.Metrics.WriteProm(&prom)
+	var dump bytes.Buffer
 	r.Flight.Dump(&dump)
-	if want := `predtop_run_info{name="predtop-test",trace_id="` + id + `"} 1`; !strings.Contains(prom.String(), want) {
-		t.Errorf("exposition lacks %s:\n%s", want, &prom)
-	}
 	if !strings.Contains(dump.String(), `"trace_id":"`+id+`"`) {
 		t.Errorf("flight dump lacks the trace id:\n%s", &dump)
 	}
@@ -98,8 +93,8 @@ func TestOpenCreatesFilesCloseWritesInOrder(t *testing.T) {
 		}
 		events = append(events, rec.Event)
 	}
-	if got := strings.Join(events, " "); got != "run metrics" {
-		t.Errorf("JSONL sequence = %q, want the metrics snapshot last", got)
+	if got := strings.Join(events, " "); got != "run" {
+		t.Errorf("JSONL sequence = %q, want the tool's own record only", got)
 	}
 	if trace := read(t, f.Trace); strings.Count(trace, `"work"`) != 1 || !strings.Contains(trace, `"trace_id":"`+id+`"`) || !strings.HasPrefix(read(t, f.Profile), "# span profile") {
 		t.Error("trace (with the run's trace id) or profile not rendered")
@@ -126,18 +121,14 @@ func TestOpenCreatesFilesCloseWritesInOrder(t *testing.T) {
 	}
 }
 
-// The metrics registry is the daemon's: a batch tool gets none from -metrics
-// or -listen, its JSONL holds only its own records, and its listener serves
-// /healthz but has no /metrics page.
+// The metrics registry is the daemon's: a batch tool's JSONL holds only its
+// own records, and its -listen serves /healthz but has no /metrics page.
 func TestBatchToolHasNoRegistry(t *testing.T) {
 	f := &Flags{Metrics: filepath.Join(t.TempDir(), "m.jsonl"), Listen: "127.0.0.1:0"}
 	var progress bytes.Buffer
 	r, err := Open(f, options(&progress))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r.Metrics != nil {
-		t.Error("registry built without LiveMetrics")
 	}
 	url := progress.String()
 	url = strings.TrimSpace(url[strings.Index(url, "http://"):])

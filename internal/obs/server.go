@@ -9,23 +9,17 @@ import (
 	"time"
 )
 
-// ServerConfig configures a telemetry HTTP server (see StartServer).
+// ServerConfig configures a debug HTTP server (see StartServer).
 type ServerConfig struct {
 	// Addr is the TCP listen address, e.g. ":9090" or "127.0.0.1:0" (port 0
 	// picks a free port — read it back from Server.Addr).
 	Addr string
-	// Registry backs GET /metrics. Nil serves 404: a process without a
-	// registry has no exposition, and an empty 200 would read as "nothing
-	// happened".
-	Registry *Registry
 	// Flight backs GET /debug/flightrecorder: the recorder's current window
 	// (plus goroutine stacks) streamed as JSONL. Nil serves 404.
 	Flight *FlightRecorder
-	// Handlers mounts additional patterns onto the telemetry mux, so a
-	// service (e.g. the predtop-serve daemon) can expose its own endpoints
-	// next to /metrics and /debug/pprof/ on one listener. Patterns that
-	// collide with the built-in telemetry endpoints are ignored — the
-	// telemetry contract always wins.
+	// Handlers mounts a service's own patterns on the same mux — the serving
+	// daemon's /predict … /metrics. A pattern that collides with a debug
+	// endpoint panics at start, like any duplicate http.ServeMux pattern.
 	Handlers map[string]http.Handler
 	// ShutdownTimeout bounds the graceful-shutdown drain once the context is
 	// cancelled or Close is called (default 5s); connections still open after
@@ -33,11 +27,11 @@ type ServerConfig struct {
 	ShutdownTimeout time.Duration
 }
 
-// Server is a live telemetry endpoint: GET /metrics serves the registry (when
-// there is one) in Prometheus text exposition format, GET /healthz answers
-// "ok", and the stdlib profiling handlers are mounted under /debug/pprof/. It
-// exists so a long predtop-train or predtop-plan run can be inspected while it
-// runs instead of only after it exits.
+// Server is a live debug endpoint: GET /healthz answers "ok",
+// GET /debug/flightrecorder dumps the flight recorder, and the stdlib
+// profiling handlers are mounted under /debug/pprof/. It exists so a long
+// predtop-train or predtop-plan run can be inspected while it runs instead of
+// only after it exits; the serving daemon mounts its endpoints beside them.
 type Server struct {
 	ln      net.Listener
 	srv     *http.Server
@@ -46,9 +40,9 @@ type Server struct {
 	err     error // Serve's terminal error, readable after done closes
 }
 
-// StartServer binds cfg.Addr and serves telemetry until ctx is cancelled or
-// Close is called, whichever comes first; either path drains connections for
-// at most cfg.ShutdownTimeout. The returned Server is already serving.
+// StartServer binds cfg.Addr and serves until ctx is cancelled or Close is
+// called, whichever comes first; either path drains connections for at most
+// cfg.ShutdownTimeout. The returned Server is already serving.
 func StartServer(ctx context.Context, cfg ServerConfig) (*Server, error) {
 	if cfg.Addr == "" {
 		return nil, fmt.Errorf("obs: StartServer needs a listen address")
@@ -62,12 +56,6 @@ func StartServer(ctx context.Context, cfg ServerConfig) (*Server, error) {
 	}
 
 	mux := http.NewServeMux()
-	if cfg.Registry != nil {
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			cfg.Registry.WriteProm(w)
-		})
-	}
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
@@ -85,16 +73,7 @@ func StartServer(ctx context.Context, cfg ServerConfig) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	reserved := map[string]bool{
-		"/metrics": true, "/healthz": true, "/debug/flightrecorder": true,
-		"/debug/pprof/": true, "/debug/pprof/cmdline": true,
-		"/debug/pprof/profile": true, "/debug/pprof/symbol": true,
-		"/debug/pprof/trace": true,
-	}
 	for pattern, h := range cfg.Handlers {
-		if pattern == "" || h == nil || reserved[pattern] {
-			continue
-		}
 		mux.Handle(pattern, h)
 	}
 
@@ -154,16 +133,6 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.shutdown()
-	<-s.done
-	return s.err
-}
-
-// Wait blocks until the server has stopped (context cancellation, Close, or
-// a serve error) and returns the terminal error if any. Nil-safe.
-func (s *Server) Wait() error {
-	if s == nil {
-		return nil
-	}
 	<-s.done
 	return s.err
 }

@@ -113,18 +113,6 @@ func (s *Sink) write(b []byte) (int, error) {
 	return s.w.Write(b)
 }
 
-// EmitMetrics emits a {"event":"metrics"} record carrying a registry
-// snapshot. No-op when the sink or registry is nil.
-func (s *Sink) EmitMetrics(r *Registry) {
-	if s == nil || r == nil {
-		return
-	}
-	s.Emit(struct {
-		Event   string   `json:"event"`
-		Metrics []Metric `json:"metrics"`
-	}{"metrics", r.Snapshot()})
-}
-
 // Flush forces buffered records to the underlying writer. The first flush
 // error is sticky, like Emit errors. Nil-safe.
 func (s *Sink) Flush() error {

@@ -39,32 +39,6 @@ func TestSinkEmitsJSONL(t *testing.T) {
 	}
 }
 
-func TestSinkEmitMetrics(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewSink(&buf)
-	r := NewRegistry()
-	r.Counter("x").Add(7)
-	s.EmitMetrics(r)
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	var got struct {
-		Event   string   `json:"event"`
-		Metrics []Metric `json:"metrics"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatal(err)
-	}
-	// Snapshot carries the explicit counter plus the built-in
-	// obs_dropped_samples_total.
-	if got.Event != "metrics" || len(got.Metrics) != 2 {
-		t.Fatalf("metrics record: %+v", got)
-	}
-	if got.Metrics[1].Name != "x" || got.Metrics[1].Value != 7 {
-		t.Fatalf("metrics record: %+v", got)
-	}
-}
-
 func TestSinkTracePrefix(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewSink(&buf)
@@ -111,7 +85,6 @@ func TestSinkTracePrefix(t *testing.T) {
 func TestNilSinkAndLogger(t *testing.T) {
 	var s *Sink
 	s.Emit(map[string]int{"a": 1})
-	s.EmitMetrics(NewRegistry())
 	s.SetTraceContext(NewTraceContext(1, "x"))
 	s.AttachFlight(NewFlightRecorder(8))
 	if s.Err() != nil || s.Flush() != nil || s.Close() != nil {

@@ -1,3 +1,18 @@
+// Package obs is the batch tools' observability layer. A batch code path —
+// predictor training, planner search, experiment grids — keeps exactly two
+// instruments: a deterministic stats struct of its own for facts, and this
+// package's span Profiler for time, the only wall clock it starts and stops.
+// Around them obs provides the structured JSONL event Sink, the Chrome-tracing
+// TraceBuilder (no clock of its own: it renders the profiler's span intervals
+// and simulated schedules), the deterministic TraceContext, the crash
+// FlightRecorder and the debug HTTP Server. Metrics and SLOs are the serving
+// daemon's, in internal/serve.
+//
+// Observation is free when disabled and passive when enabled: a nil
+// *Profiler, *Sink, *TraceBuilder, *FlightRecorder or *Logger is a no-op (no
+// allocation, no time.Now), so hot loops are instrumented unconditionally,
+// and nothing observed feeds back into computation, so the bitwise
+// determinism of training (DESIGN.md §6) holds with observability on or off.
 package obs
 
 import (

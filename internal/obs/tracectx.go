@@ -66,7 +66,8 @@ func (tc *TraceContext) SpanID() string {
 }
 
 // RawIDs returns the raw 64-bit (trace, span) ids — the allocation-free form
-// the SLO tracker stores, rendering to hex only at exposition time. (0, 0)
+// the serving daemon's SLO tracker stores, rendering to hex only when it
+// reports. (0, 0)
 // on nil.
 func (tc *TraceContext) RawIDs() (trace, span uint64) {
 	if tc == nil {

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -111,7 +112,7 @@ func parseMicrobatches(pt *Perturbation, v string) error {
 
 func parseScale(dst *float64, v string) error {
 	f, err := strconv.ParseFloat(strings.TrimPrefix(v, "x"), 64)
-	if err != nil || f <= 0 {
+	if err != nil || !(f > 0) || math.IsInf(f, 1) { // NaN and +Inf are no scale
 		return fmt.Errorf("want a positive scale factor, got %q", v)
 	}
 	*dst = f

@@ -170,6 +170,10 @@ func TestParsePerturbation(t *testing.T) {
 		{"microbatches=abc", "", true},
 		{"platform=3", "", true},
 		{"internode-bw=-1", "", true},
+		{"intranode-bw=xNaN", "", true},
+		{"internode-bw=xInf", "", true},
+		{"internode-lat=+Inf", "", true},
+		{"intranode-bw=x1e999", "", true},
 		{"bogus=1", "", true},
 		{"microbatches", "", true},
 	}
@@ -191,4 +195,45 @@ func TestParsePerturbation(t *testing.T) {
 	if _, err := ParsePerturbation("bogus=1"); err == nil || !strings.Contains(err.Error(), "microbatches") {
 		t.Fatalf("unknown-key error should list valid keys: %v", err)
 	}
+}
+
+// FuzzParsePerturbation: the -whatif parser never panics; a spec it accepts
+// sets every field it sets to a finite positive value; and an accepted spec
+// that names no platform round-trips through String (the zero perturbation's
+// "unperturbed" label stands for the empty spec).
+func FuzzParsePerturbation(f *testing.F) {
+	for _, seed := range []string{
+		"", "microbatches=32", "b=4,internode-bw=x4", "platform=2,intranode-bw=2,internode-lat=x0.5",
+		"intranode-bw=xNaN", "internode-bw=xInf", "internode-lat=x1e-320", "internode-bw=x0x1p-2",
+		"microbatches=0", "platform=3", "=", ",,", "internode-bw=x1e308,intranode-bw=1_0",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		pt, err := ParsePerturbation(spec)
+		if err != nil {
+			return
+		}
+		for name, v := range map[string]float64{
+			"intranode-bw": pt.IntraNodeBW, "internode-bw": pt.InterNodeBW, "internode-lat": pt.InterNodeLatency,
+		} {
+			if v != 0 && !(v > 0 && !math.IsInf(v, 1)) {
+				t.Fatalf("%q: %s = %v, want a finite positive scale", spec, name, v)
+			}
+		}
+		if pt.Microbatches < 0 {
+			t.Fatalf("%q: microbatches = %d", spec, pt.Microbatches)
+		}
+		if pt.Platform != nil {
+			return
+		}
+		canon := pt.String()
+		if pt.IsZero() {
+			canon = ""
+		}
+		back, err := ParsePerturbation(canon)
+		if err != nil || back != pt {
+			t.Fatalf("%q → %q → %+v, %v: does not round-trip", spec, canon, back, err)
+		}
+	})
 }

@@ -3,8 +3,6 @@ package serve
 import (
 	"math"
 	"sync"
-
-	"predtop/internal/obs"
 )
 
 // Metric names of the ground-truth accuracy series, labeled by family, mesh
@@ -23,20 +21,20 @@ type accuracyKey struct{ family, mesh, op string }
 type accuracyGroup struct {
 	mean    float64
 	n       int64
-	mre     *obs.Gauge
-	samples *obs.Counter
+	mre     *gauge
+	samples *Counter
 }
 
 // accuracy folds the residuals of /predict requests that attach a
 // ground_truth into the predtop_accuracy_* series. A nil *accuracy (a daemon
 // without a registry) drops them.
 type accuracy struct {
-	metrics *obs.Registry
+	metrics *Metrics
 	mu      sync.Mutex
 	groups  map[accuracyKey]*accuracyGroup
 }
 
-func newAccuracy(metrics *obs.Registry) *accuracy {
+func newAccuracy(metrics *Metrics) *accuracy {
 	if metrics == nil {
 		return nil
 	}
@@ -55,10 +53,10 @@ func (a *accuracy) observe(key accuracyKey, predicted, actual float64) {
 	a.mu.Lock()
 	g := a.groups[key]
 	if g == nil {
-		labels := []obs.Label{{Key: "family", Value: key.family}, {Key: "mesh", Value: key.mesh}, {Key: "op", Value: key.op}}
+		labels := []label{{Key: "family", Value: key.family}, {Key: "mesh", Value: key.mesh}, {Key: "op", Value: key.op}}
 		g = &accuracyGroup{
-			mre:     a.metrics.GaugeWith(AccuracyMREMetric, labels...),
-			samples: a.metrics.CounterWith(AccuracySamplesMetric, labels...),
+			mre:     a.metrics.gaugeWith(AccuracyMREMetric, labels...),
+			samples: a.metrics.counterWith(AccuracySamplesMetric, labels...),
 		}
 		a.groups[key] = g
 	}

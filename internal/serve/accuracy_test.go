@@ -6,15 +6,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"predtop/internal/obs"
 )
 
 // TestAccuracyWelfordMeanMatchesOffline: the running mean a population's gauge
 // carries is the offline MRE (mean absolute relative error) of its residuals,
 // the figure the paper's tables report.
 func TestAccuracyWelfordMeanMatchesOffline(t *testing.T) {
-	r := obs.NewRegistry()
+	r := NewMetrics()
 	a := newAccuracy(r)
 	key := accuracyKey{"tran", "2x8", "GPT3"}
 	preds := []float64{1.0, 2.2, 0.9, 4.0, 10.0, 0.33}
@@ -38,7 +36,7 @@ func TestAccuracyWelfordMeanMatchesOffline(t *testing.T) {
 // once (run under -race); every pair is counted and the mean stays exact for
 // identical residuals.
 func TestAccuracyConcurrentObserve(t *testing.T) {
-	a := newAccuracy(obs.NewRegistry())
+	a := newAccuracy(NewMetrics())
 	key := accuracyKey{"tran", "2x2", "GPT-3"}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -59,12 +57,12 @@ func TestAccuracyConcurrentObserve(t *testing.T) {
 // TestAccuracyLabeledExport: gauges land in the registry under the group's
 // family/mesh/op labels and survive into the Prometheus exposition.
 func TestAccuracyLabeledExport(t *testing.T) {
-	r := obs.NewRegistry()
+	r := NewMetrics()
 	a := newAccuracy(r)
 	a.observe(accuracyKey{"tran", "2x8", "GPT3"}, 110, 100)
 	a.observe(accuracyKey{"gcn", "2x8", "GPT3"}, 130, 100)
 	var buf bytes.Buffer
-	if err := r.WriteProm(&buf); err != nil {
+	if err := r.writeProm(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -86,7 +84,7 @@ func TestAccuracyLabeledExport(t *testing.T) {
 // TestAccuracyRejectsDegenerate: non-positive actuals and non-finite inputs
 // never enter a population, and a daemon without a registry keeps none.
 func TestAccuracyRejectsDegenerate(t *testing.T) {
-	a := newAccuracy(obs.NewRegistry())
+	a := newAccuracy(NewMetrics())
 	key := accuracyKey{}
 	a.observe(key, 1, 0)
 	a.observe(key, 1, -5)

@@ -1,4 +1,4 @@
-package obs
+package serve
 
 import (
 	"io"
@@ -6,27 +6,21 @@ import (
 	"strings"
 )
 
-// WriteProm renders the registry's current state in the Prometheus text
-// exposition format (version 0.0.4): one `# TYPE` header per metric followed
-// by its sample lines, metrics ordered by name, histograms expanded into
+// writeProm renders the registry's current state in the Prometheus text
+// exposition format (version 0.0.4) — the body of GET /metrics: one `# TYPE`
+// header per metric followed by its sample lines, metrics ordered by name (so
+// two renders of one state are byte-identical), histograms expanded into
 // cumulative `_bucket{le="…"}` lines plus `_sum` and `_count`. Names are
 // sanitized to the Prometheus charset. A nil registry writes nothing.
 //
-// The non-finite guards on Gauge.Set and Histogram.Observe mean no sample
+// The non-finite guards on gauge.Set and Histogram.Observe mean no sample
 // value here is ever NaN or ±Inf; the only +Inf in the output is the
 // conventional terminal bucket label, whose count always equals `_count`.
-func (r *Registry) WriteProm(w io.Writer) error {
-	return WritePromSnapshot(w, r.Snapshot())
-}
-
-// WritePromSnapshot renders an already-taken snapshot (see Registry.Snapshot)
-// in the Prometheus text exposition format. The snapshot's name ordering is
-// preserved, so two renders of the same snapshot are byte-identical.
-func WritePromSnapshot(w io.Writer, snap []Metric) error {
+func (r *Metrics) writeProm(w io.Writer) error {
 	var b strings.Builder
 	lastTyped := "" // base name whose TYPE header was last written
-	for _, m := range snap {
-		name := SanitizeMetricName(m.Name)
+	for _, m := range r.Snapshot() {
+		name := sanitizeMetricName(m.Name)
 		switch m.Kind {
 		case "counter", "gauge":
 			// Labeled series of one metric share a single TYPE header; the
@@ -102,10 +96,10 @@ func WritePromSnapshot(w io.Writer, snap []Metric) error {
 	return err
 }
 
-// SanitizeMetricName maps an arbitrary instrument name onto the Prometheus
+// sanitizeMetricName maps an arbitrary instrument name onto the Prometheus
 // metric-name charset [a-zA-Z_:][a-zA-Z0-9_:]*: every invalid rune becomes
 // '_', and a leading digit gains a '_' prefix. An empty name becomes "_".
-func SanitizeMetricName(name string) string {
+func sanitizeMetricName(name string) string {
 	if name == "" {
 		return "_"
 	}

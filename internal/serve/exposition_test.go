@@ -1,25 +1,86 @@
-package obs
+package serve
 
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"net/http"
 	"strings"
 	"testing"
 )
+
+// TestServerScrapeDuringUpdates: the daemon's /metrics serves consistently
+// while the registry is being hammered (run under -race).
+func TestServerScrapeDuringUpdates(t *testing.T) {
+	dir := t.TempDir()
+	writeTestModel(t, dir, "tran", "tran", 1)
+	s := startTestServer(t, dir, nil)
+	r := s.cfg.Metrics
+	r.Counter("c").Inc()
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				r.Counter("c").Inc()
+				r.Histogram("h", nil).Observe(0.01)
+				r.gauge("g").Set(1)
+			}
+		}
+	}()
+	for i := 0; i < 5; i++ {
+		resp, err := http.Get(s.URL() + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "# TYPE c counter") {
+			t.Fatalf("scrape %d failed: %d", i, resp.StatusCode)
+		}
+	}
+	close(stop)
+	<-done
+}
+
+// TestServeWithoutMetrics: a daemon started without a registry (the
+// benchmark's instrumentation-cost baseline) answers /predict through the
+// same nil-safe instruments and has no /metrics page: an empty 200 would read
+// as "nothing happened".
+func TestServeWithoutMetrics(t *testing.T) {
+	dir := t.TempDir()
+	writeTestModel(t, dir, "tran", "tran", 1)
+	s := startTestServer(t, dir, func(cfg *Config) { cfg.Metrics = nil })
+	if _, code := postPredict(t, s.URL(), PredictRequest{Bench: "GPT-3", Layers: testLayers, Lo: 0, Hi: 2}); code != 200 {
+		t.Fatalf("/predict without a registry: code %d", code)
+	}
+	resp, err := http.Get(s.URL() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/metrics without a registry: %d, want 404", resp.StatusCode)
+	}
+}
 
 // TestWritePromGolden pins the text exposition byte-for-byte: deterministic
 // name ordering, cumulative histogram buckets, the +Inf bucket equal to
 // _count, and the built-in dropped-samples counter.
 func TestWritePromGolden(t *testing.T) {
-	r := NewRegistry()
+	r := NewMetrics()
 	r.Counter("train_batches_total").Add(12)
-	r.Gauge("runtime_goroutines").Set(9)
+	r.gauge("runtime_goroutines").Set(9)
 	h := r.Histogram("batch_seconds", []float64{0.5, 1, 2})
 	for _, v := range []float64{0.1, 0.7, 0.7, 1.5, 100} {
 		h.Observe(v) // 1 in ≤0.5, 2 in ≤1, 1 in ≤2, 1 overflow
 	}
 	var buf bytes.Buffer
-	if err := r.WriteProm(&buf); err != nil {
+	if err := r.writeProm(&buf); err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Join([]string{
@@ -46,12 +107,12 @@ func TestWritePromGolden(t *testing.T) {
 // TestWritePromSparseBuckets: Snapshot omits empty buckets; the cumulative
 // exposition must still end with a +Inf bucket equal to _count.
 func TestWritePromSparseBuckets(t *testing.T) {
-	r := NewRegistry()
+	r := NewMetrics()
 	h := r.Histogram("h", []float64{1, 10, 100})
 	h.Observe(50) // only the ≤100 bucket is hit
 	h.Observe(1e6)
 	var buf bytes.Buffer
-	if err := r.WriteProm(&buf); err != nil {
+	if err := r.writeProm(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -72,17 +133,17 @@ func TestWritePromSparseBuckets(t *testing.T) {
 // TestWritePromDeterministic: two renders of the same registry are
 // byte-identical (map iteration must never leak into the output).
 func TestWritePromDeterministic(t *testing.T) {
-	r := NewRegistry()
+	r := NewMetrics()
 	for _, name := range []string{"zeta", "alpha", "mid"} {
 		r.Counter(name).Inc()
 	}
 	r.Histogram("hist_b", nil).Observe(1)
 	r.Histogram("hist_a", nil).Observe(2)
 	var a, b bytes.Buffer
-	if err := r.WriteProm(&a); err != nil {
+	if err := r.writeProm(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.WriteProm(&b); err != nil {
+	if err := r.writeProm(&b); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
@@ -97,9 +158,9 @@ func TestWritePromDeterministic(t *testing.T) {
 // TestWritePromNilRegistry: a nil registry writes an empty (valid)
 // exposition.
 func TestWritePromNilRegistry(t *testing.T) {
-	var r *Registry
+	var r *Metrics
 	var buf bytes.Buffer
-	if err := r.WriteProm(&buf); err != nil {
+	if err := r.writeProm(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {
@@ -112,7 +173,7 @@ func TestWritePromNilRegistry(t *testing.T) {
 // cumulative bucket counts never decrease — including empty histograms and
 // all-overflow populations.
 func TestWritePromHistogramEdgeCases(t *testing.T) {
-	r := NewRegistry()
+	r := NewMetrics()
 	r.Histogram("empty", []float64{1, 2}) // registered, never observed
 	over := r.Histogram("overflow", []float64{1, 2})
 	over.Observe(100) // all samples beyond the last bound
@@ -122,7 +183,7 @@ func TestWritePromHistogramEdgeCases(t *testing.T) {
 		mid.Observe(v)
 	}
 	var buf bytes.Buffer
-	if err := r.WriteProm(&buf); err != nil {
+	if err := r.writeProm(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -170,13 +231,13 @@ func TestWritePromHistogramEdgeCases(t *testing.T) {
 // TestWritePromLabeledSeries: labeled counters/gauges render name{labels}
 // sample lines grouped under one TYPE header, with label values escaped.
 func TestWritePromLabeledSeries(t *testing.T) {
-	r := NewRegistry()
-	r.CounterWith("req_total", Label{"family", "tran"}).Add(2)
-	r.CounterWith("req_total", Label{"family", "gcn"}).Add(5)
-	r.CounterWith("req_total").Inc() // unlabeled series of the same name
-	r.GaugeWith("weird", Label{"v", "a\"b\\c\nd"}).Set(1)
+	r := NewMetrics()
+	r.counterWith("req_total", label{"family", "tran"}).Add(2)
+	r.counterWith("req_total", label{"family", "gcn"}).Add(5)
+	r.counterWith("req_total").Inc() // unlabeled series of the same name
+	r.gaugeWith("weird", label{"v", "a\"b\\c\nd"}).Set(1)
 	var buf bytes.Buffer
-	if err := r.WriteProm(&buf); err != nil {
+	if err := r.writeProm(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -199,15 +260,15 @@ func TestWritePromLabeledSeries(t *testing.T) {
 // inside every _bucket line (before le) and as a suffix on _sum/_count, with
 // all series of one name sharing a single TYPE header.
 func TestWritePromLabeledHistogram(t *testing.T) {
-	r := NewRegistry()
-	a := r.HistogramWith("req_seconds", []float64{1, 2}, Label{"endpoint", "/predict"})
+	r := NewMetrics()
+	a := r.histogramWith("req_seconds", []float64{1, 2}, label{"endpoint", "/predict"})
 	a.Observe(0.5)
 	a.Observe(1.5)
 	a.Observe(9) // overflow
-	r.HistogramWith("req_seconds", []float64{1, 2}, Label{"endpoint", "/reload"}).Observe(0.5)
+	r.histogramWith("req_seconds", []float64{1, 2}, label{"endpoint", "/reload"}).Observe(0.5)
 	r.Histogram("req_seconds", []float64{1, 2}).Observe(0.5) // unlabeled sibling
 	var buf bytes.Buffer
-	if err := r.WriteProm(&buf); err != nil {
+	if err := r.writeProm(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -231,7 +292,7 @@ func TestWritePromLabeledHistogram(t *testing.T) {
 		t.Fatalf("%d TYPE headers for req_seconds:\n%s", got, out)
 	}
 	// Same (name, labels) → same instrument, regardless of call order.
-	if r.HistogramWith("req_seconds", nil, Label{"endpoint", "/predict"}) != a {
+	if r.histogramWith("req_seconds", nil, label{"endpoint", "/predict"}) != a {
 		t.Fatal("HistogramWith did not dedupe the labeled series")
 	}
 }
@@ -247,8 +308,8 @@ func TestSanitizeMetricName(t *testing.T) {
 		"a-b-c":               "a_b_c",
 	}
 	for in, want := range cases {
-		if got := SanitizeMetricName(in); got != want {
-			t.Errorf("SanitizeMetricName(%q) = %q, want %q", in, got, want)
+		if got := sanitizeMetricName(in); got != want {
+			t.Errorf("sanitizeMetricName(%q) = %q, want %q", in, got, want)
 		}
 	}
 }
@@ -281,14 +342,14 @@ func FuzzSanitizeMetricName(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, name string) {
-		got := SanitizeMetricName(name)
+		got := sanitizeMetricName(name)
 		if !validPromName(got) {
-			t.Fatalf("SanitizeMetricName(%q) = %q is not a valid metric name", name, got)
+			t.Fatalf("sanitizeMetricName(%q) = %q is not a valid metric name", name, got)
 		}
 		if validPromName(name) && got != name {
 			t.Fatalf("valid name %q rewritten to %q", name, got)
 		}
-		if again := SanitizeMetricName(got); again != got {
+		if again := sanitizeMetricName(got); again != got {
 			t.Fatalf("not idempotent: %q -> %q -> %q", name, got, again)
 		}
 	})

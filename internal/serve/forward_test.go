@@ -219,8 +219,8 @@ func TestCancelWhileWaitingCostsNoForward(t *testing.T) {
 	// The handler's return is what moves the per-status request counter and,
 	// after it, the SLO tracker: the slot holders have not answered yet, so
 	// the one observation is the cancelled request's.
-	gone := s.cfg.Metrics.CounterWith(RequestsMetric,
-		obs.Label{Key: "endpoint", Value: "/predict"}, obs.Label{Key: "code", Value: fmt.Sprint(statusClientClosedRequest)})
+	gone := s.cfg.Metrics.counterWith(RequestsMetric,
+		label{Key: "endpoint", Value: "/predict"}, label{Key: "code", Value: fmt.Sprint(statusClientClosedRequest)})
 	waitFor(t, "the cancelled handler to return", func() bool {
 		return gone.Value() == 1 && s.slo.Snapshot().Windows[0].Total == 1
 	})

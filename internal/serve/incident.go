@@ -24,7 +24,6 @@ import (
 // never blocked on file IO or the profile window. A nil capture is inert.
 type incidentCapture struct {
 	dir    string
-	window time.Duration
 	flight *obs.FlightRecorder
 	sink   *obs.Sink
 	log    *obs.Logger
@@ -34,15 +33,15 @@ type incidentCapture struct {
 	wg  sync.WaitGroup
 }
 
-func newIncidentCapture(dir string, window time.Duration, flight *obs.FlightRecorder, sink *obs.Sink, log *obs.Logger) *incidentCapture {
-	if window <= 0 {
-		window = 250 * time.Millisecond
-	}
-	return &incidentCapture{dir: dir, window: window, flight: flight, sink: sink, log: log}
+// incidentProfileWindow bounds a bundle's CPU profile.
+const incidentProfileWindow = 250 * time.Millisecond
+
+func newIncidentCapture(dir string, flight *obs.FlightRecorder, sink *obs.Sink, log *obs.Logger) *incidentCapture {
+	return &incidentCapture{dir: dir, flight: flight, sink: sink, log: log}
 }
 
-// onBreach is the SLOTracker edge callback.
-func (ic *incidentCapture) onBreach(snap obs.SLOSnapshot) {
+// onBreach is the sloTracker edge callback.
+func (ic *incidentCapture) onBreach(snap sloSnapshot) {
 	if ic == nil {
 		return
 	}
@@ -56,7 +55,7 @@ func (ic *incidentCapture) onBreach(snap obs.SLOSnapshot) {
 
 // capture writes one incident bundle. Artifact failures degrade to error
 // fields on the slo_breach record rather than losing the record itself.
-func (ic *incidentCapture) capture(n int64, snap obs.SLOSnapshot) {
+func (ic *incidentCapture) capture(n int64, snap sloSnapshot) {
 	ic.mu.Lock()
 	defer ic.mu.Unlock()
 	rec := map[string]any{
@@ -102,7 +101,7 @@ func (ic *incidentCapture) dumpFlight(base string) (string, error) {
 	return p, f.Close()
 }
 
-// profile collects a CPU profile over the configured window into
+// profile collects a CPU profile over incidentProfileWindow into
 // <base>-cpu.pprof. A concurrent profiler (e.g. a live /debug/pprof/profile
 // scrape) makes StartCPUProfile fail; that surfaces as profile_error on the
 // record instead of aborting the bundle.
@@ -117,7 +116,7 @@ func (ic *incidentCapture) profile(base string) (string, error) {
 		os.Remove(p)
 		return "", err
 	}
-	time.Sleep(ic.window)
+	time.Sleep(incidentProfileWindow)
 	pprof.StopCPUProfile()
 	return p, f.Close()
 }

@@ -1,68 +1,56 @@
-// Package obs is the repository's observability layer. Batch code paths —
-// predictor training, planner search, experiment grids — keep exactly two
-// instruments: a deterministic stats struct of their own for facts, and this
-// package's span Profiler for time — the only wall clock they start and stop.
-// Around them obs provides the structured JSONL event Sink, the Chrome-tracing
-// TraceBuilder (no clock of its own: it renders the profiler's span intervals
-// and simulated schedules), the deterministic TraceContext and the crash
-// FlightRecorder. The metrics Registry (counters, gauges, fixed-bucket histograms, Prometheus exposition)
-// and the SLOTracker belong to the serving daemon alone: internal/cli builds
-// a registry only for predtop-serve.
-//
-// The central contract is that observation is free when disabled and passive
-// when enabled:
-//
-//   - Every method is nil-safe. A nil *Registry hands out nil instruments,
-//     and a nil *Counter/*Gauge/*Histogram/*Sink/*TraceBuilder/*Logger is a
-//     no-op — zero allocations, zero time.Now calls — so hot loops are
-//     instrumented unconditionally and pay nothing unless a caller opted in.
-//   - Instruments only observe. They never feed back into computation, so
-//     the bitwise-determinism guarantee of the training engine (DESIGN.md §6)
-//     is preserved with observability on or off.
-package obs
+package serve
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"predtop/internal/obs"
 )
 
-// Registry is a process-local metrics namespace. Instruments are created on
-// first use and shared by name afterwards; all instruments are safe for
-// concurrent use. The zero *Registry (nil) disables everything.
-type Registry struct {
+// Metrics is the daemon's metrics namespace — the only one in the repository:
+// counters, gauges and fixed-bucket histograms, created on first use and
+// shared by name afterwards, served as GET /metrics and snapshotted into
+// predtop-serve's final metrics record. Every instrument is safe for
+// concurrent use and only observes: nothing it holds feeds back into a
+// prediction.
+//
+// A nil *Metrics hands out nil instruments, and every method of a nil
+// instrument is a no-op that allocates nothing, so the handlers are
+// instrumented unconditionally and a daemon started without a registry (the
+// benchmark's baseline for what the instrumentation costs) runs the same code.
+type Metrics struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
+	gauges     map[string]*gauge
 	histograms map[string]*Histogram
-	// dropped counts non-finite samples rejected by Gauge.Set and
-	// Histogram.Observe (exported as obs_dropped_samples_total), so a run
+	// dropped counts non-finite samples rejected by gauge.Set and
+	// Histogram.Observe (exported as obs_dropped_samples_total), so a daemon
 	// that computed a NaN is visible instead of corrupting the exposition.
 	dropped *Counter
 }
 
-// DroppedSamplesMetric is the counter every registry carries from birth: the
-// number of NaN/±Inf samples rejected by Gauge.Set and Histogram.Observe.
-const DroppedSamplesMetric = "obs_dropped_samples_total"
+// droppedSamplesMetric is the counter every registry carries from birth: the
+// number of NaN/±Inf samples rejected by gauge.Set and Histogram.Observe.
+const droppedSamplesMetric = "obs_dropped_samples_total"
 
-// NewRegistry returns an empty enabled registry.
-func NewRegistry() *Registry {
-	r := &Registry{
+// NewMetrics returns an empty enabled registry.
+func NewMetrics() *Metrics {
+	r := &Metrics{
 		counters:   map[string]*Counter{},
-		gauges:     map[string]*Gauge{},
+		gauges:     map[string]*gauge{},
 		histograms: map[string]*Histogram{},
 		dropped:    &Counter{},
 	}
-	r.counters[DroppedSamplesMetric] = r.dropped
+	r.counters[droppedSamplesMetric] = r.dropped
 	return r
 }
 
 // Counter returns the named counter, creating it if needed. A nil registry
 // returns a nil (no-op) counter.
-func (r *Registry) Counter(name string) *Counter {
+func (r *Metrics) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
@@ -76,10 +64,10 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Label is one metric dimension (e.g. {family="PredTOP-Tran"}). Labeled
+// label is one metric dimension (e.g. {endpoint="/predict"}). Labeled
 // instruments share the base name in the Prometheus exposition; the label
 // block distinguishes the series.
-type Label struct {
+type label struct {
 	Key   string
 	Value string
 }
@@ -90,19 +78,20 @@ const labelSep = "\x00"
 
 // renderLabels produces the canonical inner label block `k="v",k2="v2"`:
 // labels sorted by key, keys sanitized to the Prometheus charset, values
-// escaped per the text exposition format. Empty input renders "".
-func renderLabels(labels []Label) string {
+// escaped per the text exposition format (the `mesh` label is client input).
+// Empty input renders "".
+func renderLabels(labels []label) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	ls := append([]Label(nil), labels...)
+	ls := append([]label(nil), labels...)
 	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
 	var b strings.Builder
 	for i, l := range ls {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(SanitizeMetricName(l.Key))
+		b.WriteString(sanitizeMetricName(l.Key))
 		b.WriteString(`="`)
 		for j := 0; j < len(l.Value); j++ {
 			switch c := l.Value[j]; c {
@@ -122,7 +111,7 @@ func renderLabels(labels []Label) string {
 }
 
 // instrKey builds the internal map key for a (name, labels) pair.
-func instrKey(name string, labels []Label) string {
+func instrKey(name string, labels []label) string {
 	inner := renderLabels(labels)
 	if inner == "" {
 		return name
@@ -138,54 +127,54 @@ func splitInstrKey(key string) (name, labels string) {
 	return key, ""
 }
 
-// CounterWith returns the counter for (name, labels), creating it if needed.
+// counterWith returns the counter for (name, labels), creating it if needed.
 // Labels are canonicalized (sorted by key, values escaped), so call order
 // does not create duplicate series. A nil registry returns a nil counter.
-func (r *Registry) CounterWith(name string, labels ...Label) *Counter {
+func (r *Metrics) counterWith(name string, labels ...label) *Counter {
 	if r == nil {
 		return nil
 	}
 	return r.Counter(instrKey(name, labels))
 }
 
-// GaugeWith returns the gauge for (name, labels), creating it if needed (see
-// CounterWith for label canonicalization). A nil registry returns nil.
-func (r *Registry) GaugeWith(name string, labels ...Label) *Gauge {
+// gaugeWith returns the gauge for (name, labels), creating it if needed (see
+// counterWith for label canonicalization). A nil registry returns nil.
+func (r *Metrics) gaugeWith(name string, labels ...label) *gauge {
 	if r == nil {
 		return nil
 	}
-	return r.Gauge(instrKey(name, labels))
+	return r.gauge(instrKey(name, labels))
 }
 
-// HistogramWith returns the histogram for (name, labels), creating it with
-// the given bucket bounds if needed (see CounterWith for label
+// histogramWith returns the histogram for (name, labels), creating it with
+// the given bucket bounds if needed (see counterWith for label
 // canonicalization and Histogram for bound semantics). Labeled series of one
 // name share a TYPE header in the Prometheus exposition, with the label block
 // merged into each _bucket/_sum/_count line. A nil registry returns nil.
-func (r *Registry) HistogramWith(name string, bounds []float64, labels ...Label) *Histogram {
+func (r *Metrics) histogramWith(name string, bounds []float64, labels ...label) *Histogram {
 	if r == nil {
 		return nil
 	}
 	return r.Histogram(instrKey(name, labels), bounds)
 }
 
-// RunInfoMetric is the info-style gauge carrying a run's trace id as a label
-// (value constant 1), the hook that makes a trace id greppable in the
+// runInfoMetric is the info-style gauge carrying the daemon's trace id as a
+// label (value constant 1), the hook that makes a trace id greppable in the
 // Prometheus exposition.
-const RunInfoMetric = "predtop_run_info"
+const runInfoMetric = "predtop_run_info"
 
-// SetRunInfo publishes the run's trace identity as predtop_run_info
+// setRunInfo publishes the daemon's trace identity as predtop_run_info
 // {trace_id="…",name="…"} = 1. No-op when the registry or tc is nil.
-func (r *Registry) SetRunInfo(tc *TraceContext) {
+func (r *Metrics) setRunInfo(tc *obs.TraceContext) {
 	if r == nil || tc == nil {
 		return
 	}
-	r.GaugeWith(RunInfoMetric, Label{"trace_id", tc.TraceID()}, Label{"name", tc.Name()}).Set(1)
+	r.gaugeWith(runInfoMetric, label{"trace_id", tc.TraceID()}, label{"name", tc.Name()}).Set(1)
 }
 
-// Gauge returns the named gauge, creating it if needed. A nil registry
+// gauge returns the named gauge, creating it if needed. A nil registry
 // returns a nil (no-op) gauge.
-func (r *Registry) Gauge(name string) *Gauge {
+func (r *Metrics) gauge(name string) *gauge {
 	if r == nil {
 		return nil
 	}
@@ -193,7 +182,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
 	if !ok {
-		g = &Gauge{dropped: r.dropped}
+		g = &gauge{dropped: r.dropped}
 		r.gauges[name] = g
 	}
 	return g
@@ -204,7 +193,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 // to ~67 s in powers of four). Bounds are fixed
 // at creation — later calls with different bounds return the existing
 // instrument. A nil registry returns a nil (no-op) histogram.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
+func (r *Metrics) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -247,15 +236,15 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a last-value-wins float metric.
-type Gauge struct {
+// gauge is a last-value-wins float metric.
+type gauge struct {
 	bits    atomic.Uint64
 	dropped *Counter
 }
 
 // Set records v. No-op on nil. A NaN or ±Inf value is dropped (and counted
 // in obs_dropped_samples_total) so exposition output stays finite.
-func (g *Gauge) Set(v float64) {
+func (g *gauge) Set(v float64) {
 	if g == nil {
 		return
 	}
@@ -266,11 +255,10 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add shifts the gauge by delta (useful for level gauges like queue depth
-// that are maintained by paired increments and decrements from concurrent
-// goroutines). No-op on nil; a non-finite delta is dropped and counted like a
-// non-finite Set.
-func (g *Gauge) Add(delta float64) {
+// Add shifts the gauge by delta (the queue-depth gauge is maintained by
+// paired increments and decrements from concurrent handlers). No-op on nil; a
+// non-finite delta is dropped and counted like a non-finite Set.
+func (g *gauge) Add(delta float64) {
 	if g == nil {
 		return
 	}
@@ -287,7 +275,7 @@ func (g *Gauge) Add(delta float64) {
 }
 
 // Value returns the last set value (0 on nil).
-func (g *Gauge) Value() float64 {
+func (g *gauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
@@ -353,48 +341,24 @@ func (f *atomicFloat) Add(v float64) {
 func (f *atomicFloat) Load() float64 { return math.Float64frombits(f.bits.Load()) }
 
 // defBuckets is the ladder a histogram created without bounds gets.
-var defBuckets = MustExpBuckets(1e-6, 4, 14)
+var defBuckets = expBuckets(1e-6, 4, 14)
 
-// ExpBuckets returns n exponential bucket bounds lo, lo·factor, lo·factor², …
-// It rejects degenerate layouts: lo must be positive and finite, factor > 1,
-// and n >= 1 (anything else would produce non-ascending or non-finite
-// bounds, which Histogram's binary search silently misclassifies).
-func ExpBuckets(lo, factor float64, n int) ([]float64, error) {
-	if !(lo > 0) || math.IsInf(lo, 1) {
-		return nil, fmt.Errorf("obs: ExpBuckets lo must be a positive finite number, got %v", lo)
-	}
-	if !(factor > 1) || math.IsInf(factor, 1) {
-		return nil, fmt.Errorf("obs: ExpBuckets factor must be a finite number > 1, got %v", factor)
-	}
-	if n < 1 {
-		return nil, fmt.Errorf("obs: ExpBuckets needs n >= 1 buckets, got %d", n)
-	}
+// expBuckets returns n exponential bucket bounds lo, lo·factor, lo·factor², …
+// Its callers are the package's static layouts, all positive, ascending and
+// finite.
+func expBuckets(lo, factor float64, n int) []float64 {
 	out := make([]float64, n)
-	v := lo
 	for i := range out {
-		if math.IsInf(v, 1) {
-			return nil, fmt.Errorf("obs: ExpBuckets overflows to +Inf at bucket %d (lo=%v factor=%v)", i, lo, factor)
-		}
-		out[i] = v
-		v *= factor
+		out[i] = lo
+		lo *= factor
 	}
-	return out, nil
+	return out
 }
 
-// MustExpBuckets is ExpBuckets for static layouts; it panics on invalid
-// arguments.
-func MustExpBuckets(lo, factor float64, n int) []float64 {
-	b, err := ExpBuckets(lo, factor, n)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-// BucketCount is one histogram bucket in a snapshot: the count of
+// bucketCount is one histogram bucket in a snapshot: the count of
 // observations at or below the upper bound LE (cumulative counts are left to
 // consumers).
-type BucketCount struct {
+type bucketCount struct {
 	LE    float64 `json:"le"`
 	Count int64   `json:"count"`
 }
@@ -411,14 +375,14 @@ type Metric struct {
 	Value    float64       `json:"value,omitempty"`
 	Count    int64         `json:"count,omitempty"`
 	Sum      float64       `json:"sum,omitempty"`
-	Buckets  []BucketCount `json:"buckets,omitempty"`
+	Buckets  []bucketCount `json:"buckets,omitempty"`
 	Overflow int64         `json:"overflow,omitempty"`
 }
 
 // Snapshot exports every instrument, sorted by name (nil registry → nil).
 // Concurrent observations during a snapshot may land in either side; each
 // individual instrument read is atomic.
-func (r *Registry) Snapshot() []Metric {
+func (r *Metrics) Snapshot() []Metric {
 	if r == nil {
 		return nil
 	}
@@ -438,7 +402,7 @@ func (r *Registry) Snapshot() []Metric {
 		m := Metric{Name: name, Labels: labels, Kind: "histogram", Count: h.Count(), Sum: h.Sum()}
 		for i, b := range h.bounds {
 			if n := h.counts[i].Load(); n > 0 {
-				m.Buckets = append(m.Buckets, BucketCount{LE: b, Count: n})
+				m.Buckets = append(m.Buckets, bucketCount{LE: b, Count: n})
 			}
 		}
 		m.Overflow = h.counts[len(h.bounds)].Load()

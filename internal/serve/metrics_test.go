@@ -1,4 +1,4 @@
-package obs
+package serve
 
 import (
 	"math"
@@ -7,7 +7,7 @@ import (
 )
 
 func TestCounterGaugeHistogram(t *testing.T) {
-	r := NewRegistry()
+	r := NewMetrics()
 	c := r.Counter("c")
 	c.Inc()
 	c.Add(4)
@@ -18,7 +18,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 		t.Fatal("counter not shared by name")
 	}
 
-	g := r.Gauge("g")
+	g := r.gauge("g")
 	g.Set(2.5)
 	if g.Value() != 2.5 {
 		t.Fatalf("gauge %v", g.Value())
@@ -53,9 +53,9 @@ func TestCounterGaugeHistogram(t *testing.T) {
 }
 
 func TestSnapshotSortedAndKinds(t *testing.T) {
-	r := NewRegistry()
+	r := NewMetrics()
 	r.Counter("z_count").Inc()
-	r.Gauge("a_gauge").Set(1)
+	r.gauge("a_gauge").Set(1)
 	r.Histogram("m_hist", nil).Observe(0.01)
 	snap := r.Snapshot()
 	// Every registry carries obs_dropped_samples_total from birth.
@@ -63,7 +63,7 @@ func TestSnapshotSortedAndKinds(t *testing.T) {
 		t.Fatalf("snapshot size %d", len(snap))
 	}
 	names := []string{snap[0].Name, snap[1].Name, snap[2].Name, snap[3].Name}
-	want := []string{"a_gauge", "m_hist", DroppedSamplesMetric, "z_count"}
+	want := []string{"a_gauge", "m_hist", droppedSamplesMetric, "z_count"}
 	for i := range want {
 		if names[i] != want[i] {
 			t.Fatalf("snapshot not sorted: %v", names)
@@ -78,8 +78,8 @@ func TestSnapshotSortedAndKinds(t *testing.T) {
 // never enter a gauge or histogram; each rejected sample bumps
 // obs_dropped_samples_total instead.
 func TestNonFiniteSamplesDropped(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("g")
+	r := NewMetrics()
+	g := r.gauge("g")
 	g.Set(1.5)
 	g.Set(math.NaN())
 	g.Set(math.Inf(1))
@@ -94,7 +94,7 @@ func TestNonFiniteSamplesDropped(t *testing.T) {
 	if h.Count() != 1 || h.Sum() != 0.5 {
 		t.Fatalf("histogram corrupted: count %d sum %v", h.Count(), h.Sum())
 	}
-	if got := r.Counter(DroppedSamplesMetric).Value(); got != 5 {
+	if got := r.Counter(droppedSamplesMetric).Value(); got != 5 {
 		t.Fatalf("dropped-samples counter %d, want 5", got)
 	}
 }
@@ -102,8 +102,8 @@ func TestNonFiniteSamplesDropped(t *testing.T) {
 // TestNilRegistryIsInert pins the no-op contract: a nil registry hands out
 // nil instruments whose every method is safe and free.
 func TestNilRegistryIsInert(t *testing.T) {
-	var r *Registry
-	c, g, h := r.Counter("c"), r.Gauge("g"), r.Histogram("h", nil)
+	var r *Metrics
+	c, g, h := r.Counter("c"), r.gauge("g"), r.Histogram("h", nil)
 	if c != nil || g != nil || h != nil {
 		t.Fatal("nil registry must return nil instruments")
 	}
@@ -123,10 +123,10 @@ func TestNilRegistryIsInert(t *testing.T) {
 // disabled (nil) registry allocates nothing, so the request path can be
 // instrumented unconditionally.
 func TestNilInstrumentsZeroAlloc(t *testing.T) {
-	var r *Registry
+	var r *Metrics
 	c := r.Counter("requests_total")
 	h := r.Histogram("request_seconds", nil)
-	g := r.Gauge("lr")
+	g := r.gauge("lr")
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(32)
@@ -141,7 +141,7 @@ func TestNilInstrumentsZeroAlloc(t *testing.T) {
 // TestEnabledHistogramZeroAllocObserve: even enabled, Observe stays
 // allocation-free — only instrument creation allocates.
 func TestEnabledHistogramZeroAllocObserve(t *testing.T) {
-	r := NewRegistry()
+	r := NewMetrics()
 	h := r.Histogram("h", nil)
 	c := r.Counter("c")
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -154,7 +154,7 @@ func TestEnabledHistogramZeroAllocObserve(t *testing.T) {
 }
 
 func TestConcurrentInstruments(t *testing.T) {
-	r := NewRegistry()
+	r := NewMetrics()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -175,54 +175,28 @@ func TestConcurrentInstruments(t *testing.T) {
 	}
 }
 
+// TestExpBuckets: the ladder, and the three static layouts the package builds
+// from it are ascending and finite, which Histogram's binary search needs.
 func TestExpBuckets(t *testing.T) {
-	b, err := ExpBuckets(1, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := expBuckets(1, 2, 4)
 	want := []float64{1, 2, 4, 8}
 	for i := range want {
 		if b[i] != want[i] {
 			t.Fatalf("bucket %d: %v want %v", i, b[i], want[i])
 		}
 	}
-}
-
-// TestExpBucketsRejectsDegenerate: every argument that would yield a
-// non-ascending or non-finite ladder must be an explicit error, and
-// MustExpBuckets must panic on the same inputs.
-func TestExpBucketsRejectsDegenerate(t *testing.T) {
-	bad := []struct {
-		lo, factor float64
-		n          int
-	}{
-		{0, 2, 4},           // lo not positive
-		{-1, 2, 4},          // negative lo
-		{math.NaN(), 2, 4},  // NaN lo
-		{math.Inf(1), 2, 4}, // infinite lo
-		{1, 1, 4},           // factor not > 1
-		{1, 0.5, 4},         // shrinking factor
-		{1, math.NaN(), 4},  // NaN factor
-		{1, 2, 0},           // no buckets
-		{1, 2, -3},          // negative count
-		{1e300, 1e300, 4},   // overflows to +Inf mid-ladder
-	}
-	for _, c := range bad {
-		if _, err := ExpBuckets(c.lo, c.factor, c.n); err == nil {
-			t.Errorf("ExpBuckets(%v, %v, %d): want error, got none", c.lo, c.factor, c.n)
+	for _, ladder := range [][]float64{defBuckets, sloBuckets, requestSecondsBuckets} {
+		for i, v := range ladder {
+			if !(v > 0) || math.IsInf(v, 0) || (i > 0 && v <= ladder[i-1]) {
+				t.Fatalf("ladder %v is not ascending and finite at %d", ladder, i)
+			}
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustExpBuckets did not panic on invalid input")
-		}
-	}()
-	MustExpBuckets(0, 2, 4)
 }
 
 func TestGaugeAdd(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("depth")
+	r := NewMetrics()
+	g := r.gauge("depth")
 	g.Add(3)
 	g.Add(-1)
 	if got := g.Value(); got != 2 {
@@ -233,15 +207,15 @@ func TestGaugeAdd(t *testing.T) {
 	if got := g.Value(); got != 2 {
 		t.Fatalf("non-finite delta changed value: %v", got)
 	}
-	if got := r.Counter(DroppedSamplesMetric).Value(); got != 2 {
+	if got := r.Counter(droppedSamplesMetric).Value(); got != 2 {
 		t.Fatalf("dropped = %d, want 2", got)
 	}
-	var nilG *Gauge
+	var nilG *gauge
 	nilG.Add(1) // must not panic
 }
 
 func TestGaugeAddConcurrent(t *testing.T) {
-	g := NewRegistry().Gauge("depth")
+	g := NewMetrics().gauge("depth")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

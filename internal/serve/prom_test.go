@@ -116,8 +116,8 @@ func TestServePromExposition(t *testing.T) {
 	}
 }
 
-// TestServePromRunInfo: the exposition carries the run-info series with the
-// daemon's trace id, so scrapes can be joined to JSONL events.
+// TestServePromRunInfo: the exposition carries the predtop_run_info series
+// with the daemon's trace identity, so scrapes can be joined to JSONL events.
 func TestServePromRunInfo(t *testing.T) {
 	dir := t.TempDir()
 	writeTestModel(t, dir, "tran", "tran", 1)
@@ -128,8 +128,8 @@ func TestServePromRunInfo(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
-	want := fmt.Sprintf(`trace_id="%s"`, s.trace.TraceID())
-	if !strings.Contains(string(raw), want) {
-		t.Fatalf("exposition missing run info label %s", want)
+	want := fmt.Sprintf(`%s{name="serve-test",trace_id="%s"} 1`, runInfoMetric, s.trace.TraceID())
+	if !strings.Contains(string(raw), want+"\n") {
+		t.Fatalf("exposition missing %s:\n%s", want, raw)
 	}
 }

@@ -5,11 +5,16 @@
 // — so answering a what-if latency query costs a map hit or one B = 1 forward
 // instead of a model load per query.
 //
-// The package follows the repository's observability contract: every channel
+// The daemon owns its telemetry: the metrics registry (Metrics, the only one
+// in the repository), its Prometheus exposition at GET /metrics, and the
+// rolling SLO tracker with its bucket sketch live here, beside the forward
+// slots they describe; internal/obs keeps the batch tools' spans, sinks,
+// traces and flight recorder, which the daemon also uses. Every channel
 // (per-endpoint latency histograms, LRU and queue counters, accuracy gauges
-// fed by requests that attach ground truth, JSONL request events, flight
-// recorder breadcrumbs) is nil-safe and observation-only, and every response
-// carries the run's deterministic trace id plus a per-request span id.
+// fed by requests that attach ground truth, SLO windows, JSONL request
+// events, flight recorder breadcrumbs) is nil-safe and observation-only, and
+// every response carries the run's deterministic trace id plus a
+// per-request span id.
 package serve
 
 import (
@@ -21,7 +26,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"predtop/internal/obs"
 	"predtop/internal/predictor"
 )
 
@@ -67,21 +71,21 @@ type Registry struct {
 	// generation bump; readers never take it.
 	loadMu sync.Mutex
 
-	genGauge    *obs.Gauge
-	modelsGauge *obs.Gauge
-	reloadOK    *obs.Counter
-	reloadErr   *obs.Counter
+	genGauge    *gauge
+	modelsGauge *gauge
+	reloadOK    *Counter
+	reloadErr   *Counter
 }
 
 // NewRegistry returns a registry over dir. No models are loaded yet — call
 // Load before serving. metrics may be nil.
-func NewRegistry(dir string, metrics *obs.Registry) *Registry {
+func NewRegistry(dir string, metrics *Metrics) *Registry {
 	r := &Registry{
 		dir:         dir,
-		genGauge:    metrics.Gauge(RegistryGenerationMetric),
-		modelsGauge: metrics.Gauge(RegistryModelsMetric),
-		reloadOK:    metrics.CounterWith(ReloadsMetric, obs.Label{Key: "result", Value: "ok"}),
-		reloadErr:   metrics.CounterWith(ReloadsMetric, obs.Label{Key: "result", Value: "error"}),
+		genGauge:    metrics.gauge(RegistryGenerationMetric),
+		modelsGauge: metrics.gauge(RegistryModelsMetric),
+		reloadOK:    metrics.counterWith(ReloadsMetric, label{Key: "result", Value: "ok"}),
+		reloadErr:   metrics.counterWith(ReloadsMetric, label{Key: "result", Value: "error"}),
 	}
 	r.snap.Store(&regSnapshot{entries: map[string]*Entry{}})
 	return r

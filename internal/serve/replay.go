@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"predtop/internal/models"
-	"predtop/internal/obs"
 )
 
 // ReplayConfig drives a synthetic load replay against a running daemon: a
@@ -230,9 +229,9 @@ func scrapeMetrics(client *http.Client, url string, res *ReplayResult) error {
 		// strips labels, so the 1m-window series are matched on the full
 		// rendered prefix instead.
 		switch {
-		case strings.HasPrefix(line, obs.SLOBurnRateMetric+`{window="1m0s"}`):
+		case strings.HasPrefix(line, sloBurnRateMetric+`{window="1m0s"}`):
 			res.SLOBurn1m = val
-		case strings.HasPrefix(line, obs.SLOLatencyMetric+`{quantile="0.99",window="1m0s"}`):
+		case strings.HasPrefix(line, sloLatencyMetric+`{quantile="0.99",window="1m0s"}`):
 			res.SLOP991m = val
 		}
 		switch name {
@@ -242,9 +241,9 @@ func scrapeMetrics(client *http.Client, url string, res *ReplayResult) error {
 			res.CacheMisses = int64(val)
 		case RegistryGenerationMetric:
 			res.Generation = val
-		case obs.SLOBreachGauge:
+		case sloBreachGauge:
 			res.SLOBreached = val
-		case obs.SLOBreachesMetric:
+		case sloBreachesMetric:
 			res.SLOBreaches = val
 		}
 	}

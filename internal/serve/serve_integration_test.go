@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"predtop/internal/models"
-	"predtop/internal/obs"
 	"predtop/internal/predictor"
 	"predtop/internal/stage"
 )
@@ -137,11 +136,11 @@ func TestServeGroundTruthAccuracy(t *testing.T) {
 		}
 		mean += (*resp.RelErrPct - mean) / float64(n+1)
 	}
-	labels := []obs.Label{{Key: "family", Value: "Tran"}, {Key: "mesh", Value: "2x2"}, {Key: "op", Value: "GPT-3"}}
-	if got := s.cfg.Metrics.GaugeWith(AccuracyMREMetric, labels...).Value(); math.Float64bits(got) != math.Float64bits(mean) {
+	labels := []label{{Key: "family", Value: "Tran"}, {Key: "mesh", Value: "2x2"}, {Key: "op", Value: "GPT-3"}}
+	if got := s.cfg.Metrics.gaugeWith(AccuracyMREMetric, labels...).Value(); math.Float64bits(got) != math.Float64bits(mean) {
 		t.Errorf("%s = %v, want the running mean %v", AccuracyMREMetric, got, mean)
 	}
-	if got := s.cfg.Metrics.CounterWith(AccuracySamplesMetric, labels...).Value(); got != 3 {
+	if got := s.cfg.Metrics.counterWith(AccuracySamplesMetric, labels...).Value(); got != 3 {
 		t.Errorf("%s = %d, want 3", AccuracySamplesMetric, got)
 	}
 }

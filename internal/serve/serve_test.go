@@ -80,7 +80,7 @@ func startTestServer(t testing.TB, dir string, mutate func(*Config)) *Server {
 	t.Helper()
 	cfg := Config{
 		ModelDir: dir,
-		Metrics:  obs.NewRegistry(),
+		Metrics:  NewMetrics(),
 		Trace:    obs.NewTraceContext(7, "serve-test"),
 	}
 	if mutate != nil {

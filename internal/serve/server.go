@@ -43,7 +43,7 @@ const statusClientClosedRequest = 499
 
 // requestSecondsBuckets spans 100µs … ~0.8s, the plausible range for one
 // forward of a pruned stage graph.
-var requestSecondsBuckets = obs.MustExpBuckets(1e-4, 2, 14)
+var requestSecondsBuckets = expBuckets(1e-4, 2, 14)
 
 // Config configures a serving daemon (see Start). The zero value plus a
 // ModelDir is usable: it binds a free localhost port and runs without
@@ -60,11 +60,12 @@ type Config struct {
 	CacheSize int
 
 	// Metrics, Sink, Flight, Trace, and Log are the observability fan-out;
-	// each is optional and nil-safe. Sink takes the slo_breach records and,
-	// unless AccessLog is set, the sampled access records — the one record a
-	// request leaves. With Metrics set, requests that attach ground truth
-	// also feed the predtop_accuracy_* gauges.
-	Metrics *obs.Registry
+	// each is optional and nil-safe. Metrics backs GET /metrics (404 without
+	// one). Sink takes the slo_breach records and, unless AccessLog is set,
+	// the sampled access records — the one record a request leaves. With
+	// Metrics set, requests that attach ground truth also feed the
+	// predtop_accuracy_* gauges.
+	Metrics *Metrics
 	Sink    *obs.Sink
 	Flight  *obs.FlightRecorder
 	Trace   *obs.TraceContext
@@ -72,21 +73,17 @@ type Config struct {
 
 	// SLOP99 is the /predict p99 latency objective and SLOErr the tolerated
 	// bad-request fraction (the error budget). Setting either enables the
-	// rolling SLO tracker — 1m/5m/1h windows, predtop_slo_* gauges, the
-	// edge-triggered predtop_slo_breach_total counter, and breach-triggered
-	// incident capture. Both zero leaves SLO tracking off entirely.
+	// rolling SLO tracker — 1m/5m/1h windows armed after 10 requests each,
+	// predtop_slo_* gauges, the edge-triggered predtop_slo_breach_total
+	// counter, and breach-triggered incident capture. Both zero leaves SLO
+	// tracking off entirely.
 	SLOP99 time.Duration
 	SLOErr float64
-	// SLOMinSamples arms breach detection per window (default 10): an idle
-	// daemon's first slow request cannot trip a breach on its own.
-	SLOMinSamples int
 	// IncidentDir, when set, receives one evidence bundle per ok→breach
-	// transition: a flight-recorder dump plus a bounded-window CPU profile,
-	// referenced from the {"event":"slo_breach"} record emitted through Sink.
-	// Empty still emits the slo_breach record, just without file artifacts.
+	// transition: a flight-recorder dump plus a 250 ms CPU profile, referenced
+	// from the {"event":"slo_breach"} record emitted through Sink. Empty still
+	// emits the slo_breach record, just without file artifacts.
 	IncidentDir string
-	// ProfileWindow bounds the breach-time CPU profile (default 250ms).
-	ProfileWindow time.Duration
 	// AccessLog receives the sampled {"event":"access"} per-request records
 	// (head + slow + error + every-64th); nil falls back to Sink, and no
 	// access log is written when both are nil.
@@ -123,8 +120,8 @@ type benchEntry struct {
 }
 
 // Server is the predictor-as-a-service daemon: an HTTP server multiplexing
-// /predict, /models, and /reload next to the standard telemetry endpoints
-// (/metrics, /healthz, /debug/flightrecorder, /debug/pprof/) on one listener.
+// /predict, /models, /reload, /statusz and /metrics next to the debug
+// endpoints (/healthz, /debug/flightrecorder, /debug/pprof/) on one listener.
 type Server struct {
 	cfg      Config
 	registry *Registry
@@ -134,23 +131,23 @@ type Server struct {
 	acc      *accuracy
 	trace    *obs.TraceContext
 
-	slo       *obs.SLOTracker
+	slo       *sloTracker
 	incidents *incidentCapture
 	sampler   *accessSampler
 	access    *obs.Sink
 	start     time.Time
 
-	hits   *obs.Counter
-	misses *obs.Counter
+	hits   *Counter
+	misses *Counter
 	// batches and batched both count forwards (see BatchesMetric).
-	batches, batched *obs.Counter
+	batches, batched *Counter
 
 	// slots holds one token per forward in flight. A memo miss runs its
 	// forward on the handler goroutine that asked, after taking a slot, so
 	// concurrent forwards (and their pooled tapes) never outnumber the cores;
 	// waiting counts the misses still queued for one.
 	slots   chan struct{}
-	waiting *obs.Gauge
+	waiting *gauge
 	// forward runs one miss's prediction. Always Trained.PredictEncoded
 	// outside tests, which replace it to slow, block, or count forwards.
 	forward func(predictor.Trained, *stage.Encoded) float64
@@ -189,20 +186,13 @@ func Start(ctx context.Context, cfg Config) (*Server, error) {
 		batches:  cfg.Metrics.Counter(BatchesMetric),
 		batched:  cfg.Metrics.Counter(BatchedRequestsMetric),
 		slots:    make(chan struct{}, runtime.GOMAXPROCS(0)),
-		waiting:  cfg.Metrics.Gauge(QueueDepthMetric),
+		waiting:  cfg.Metrics.gauge(QueueDepthMetric),
 		forward:  predictor.Trained.PredictEncoded,
 		acc:      newAccuracy(cfg.Metrics),
 	}
 	if cfg.SLOP99 > 0 || cfg.SLOErr > 0 {
-		s.incidents = newIncidentCapture(cfg.IncidentDir, cfg.ProfileWindow, cfg.Flight, cfg.Sink, cfg.Log)
-		s.slo = obs.NewSLOTracker(obs.SLOConfig{
-			P99Objective: cfg.SLOP99.Seconds(),
-			ErrObjective: cfg.SLOErr,
-			MinSamples:   cfg.SLOMinSamples,
-			Now:          cfg.sloNow,
-			Metrics:      cfg.Metrics,
-			OnBreach:     s.incidents.onBreach,
-		})
+		s.incidents = newIncidentCapture(cfg.IncidentDir, cfg.Flight, cfg.Sink, cfg.Log)
+		s.slo = newSLOTracker(cfg, s.incidents.onBreach)
 	}
 	s.sampler = newAccessSampler(cfg.SLOP99)
 	s.access = cfg.AccessLog
@@ -212,16 +202,16 @@ func Start(ctx context.Context, cfg Config) (*Server, error) {
 	if _, _, err := s.registry.Load(); err != nil {
 		return nil, err
 	}
-	cfg.Metrics.SetRunInfo(cfg.Trace)
+	cfg.Metrics.setRunInfo(cfg.Trace)
 	srv, err := obs.StartServer(ctx, obs.ServerConfig{
-		Addr:     cfg.Addr,
-		Registry: cfg.Metrics,
-		Flight:   cfg.Flight,
+		Addr:   cfg.Addr,
+		Flight: cfg.Flight,
 		Handlers: map[string]http.Handler{
 			"/predict": s.instrument("/predict", s.handlePredict),
 			"/models":  s.instrument("/models", s.handleModels),
 			"/reload":  s.instrument("/reload", s.handleReload),
 			"/statusz": s.instrument("/statusz", s.handleStatusz),
+			"/metrics": http.HandlerFunc(s.handleMetrics),
 		},
 		ShutdownTimeout: cfg.ShutdownTimeout,
 	})
@@ -282,8 +272,8 @@ func (s *Server) Close() error {
 // only — listings and reloads have no latency objective) and a sampled
 // access-log record.
 func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.Request, *reqInfo) int) http.Handler {
-	hist := s.cfg.Metrics.HistogramWith(RequestSecondsMetric, requestSecondsBuckets,
-		obs.Label{Key: "endpoint", Value: endpoint})
+	hist := s.cfg.Metrics.histogramWith(RequestSecondsMetric, requestSecondsBuckets,
+		label{Key: "endpoint", Value: endpoint})
 	isPredict := endpoint == "/predict"
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -291,9 +281,9 @@ func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.R
 		code := h(w, r, &ri)
 		dur := time.Since(start)
 		hist.Observe(dur.Seconds())
-		s.cfg.Metrics.CounterWith(RequestsMetric,
-			obs.Label{Key: "endpoint", Value: endpoint},
-			obs.Label{Key: "code", Value: fmt.Sprint(code)}).Inc()
+		s.cfg.Metrics.counterWith(RequestsMetric,
+			label{Key: "endpoint", Value: endpoint},
+			label{Key: "code", Value: fmt.Sprint(code)}).Inc()
 		if isPredict {
 			trace, span := ri.span.RawIDs()
 			s.slo.Observe(dur.Seconds(), code >= 500, trace, span)
@@ -452,4 +442,16 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request, _ *reqInfo
 	return writeJSON(w, http.StatusOK, map[string]any{
 		"generation": gen, "models": n,
 	})
+}
+
+// handleMetrics answers GET /metrics with the registry in the Prometheus text
+// exposition format. A daemon without a registry answers 404: an empty 200
+// would read as "nothing happened".
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	if s.cfg.Metrics == nil {
+		http.NotFound(w, r)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	s.cfg.Metrics.writeProm(w)
 }

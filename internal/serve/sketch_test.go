@@ -1,4 +1,4 @@
-package obs
+package serve
 
 import (
 	"sort"
@@ -10,7 +10,7 @@ import (
 // one step of the exact quantile — and the top rank is clamped to the largest
 // value seen.
 func TestAccuracyQuantileSketchTolerance(t *testing.T) {
-	bounds := MustExpBuckets(0.01, 1.21, 74)
+	bounds := expBuckets(0.01, 1.21, 74)
 	sk := newSketch(bounds)
 	for i := 1; i <= 100; i++ { // exact quantile q is 100·q
 		sk.add(sort.SearchFloat64s(bounds, float64(i)))

@@ -54,9 +54,7 @@ func TestSLOBreachIncidentBundle(t *testing.T) {
 		cfg.AccessLog = accSink
 		cfg.Flight = flight
 		cfg.SLOP99 = 5 * time.Millisecond
-		cfg.SLOMinSamples = 3
 		cfg.IncidentDir = incidents
-		cfg.ProfileWindow = 20 * time.Millisecond
 	})
 	// Slow every forward well past the objective; the hook is in place before
 	// the first request is sent.
@@ -65,23 +63,23 @@ func TestSLOBreachIncidentBundle(t *testing.T) {
 		return tr.PredictEncoded(e)
 	}
 
-	// Distinct stages so nothing memo-hits; every request runs a slowed
-	// forward. MinSamples=3 arms the breach on the third request.
-	for lo := 0; lo < 6; lo++ {
-		if _, code := postPredict(t, s.URL(), PredictRequest{
-			Bench: "GPT-3", Layers: testLayers, Lo: lo, Hi: lo + 1,
-		}); code != 200 {
-			t.Fatalf("query %d: code %d", lo, code)
+	// Distinct stages — the six one-segment and five two-segment ones — so
+	// nothing memo-hits and every request runs a slowed forward. The tenth
+	// arms the breach (sloMinSamples).
+	for n := 1; n <= 2; n++ {
+		for lo := 0; lo+n <= 6; lo++ {
+			if _, code := postPredict(t, s.URL(), PredictRequest{
+				Bench: "GPT-3", Layers: testLayers, Lo: lo, Hi: lo + n,
+			}); code != 200 {
+				t.Fatalf("query [%d,%d): code %d", lo, lo+n, code)
+			}
 		}
 	}
 	s.incidents.drain()
 
-	// Exactly one ok→breach edge despite six violating requests.
-	if n := s.slo.Breaches(); n != 1 {
-		t.Fatalf("breaches = %d, want exactly 1", n)
-	}
-	if !s.slo.Breached() {
-		t.Fatal("tracker should still be in breach")
+	// Exactly one ok→breach edge despite eleven violating requests.
+	if snap := s.slo.Snapshot(); snap.Breaches != 1 || !snap.Breached {
+		t.Fatalf("breaches = %d, breached = %v: want exactly one edge and still in breach", snap.Breaches, snap.Breached)
 	}
 
 	if err := accSink.Flush(); err != nil {
@@ -122,7 +120,7 @@ func TestSLOBreachIncidentBundle(t *testing.T) {
 	}
 
 	// Correlation: every worst-offender span id in the breach record appears
-	// as a request_span_id in the access log (all six requests were over the
+	// as a request_span_id in the access log (every request was over the
 	// slow threshold, so all were sampled).
 	worst, _ := br["worst"].([]any)
 	if len(worst) == 0 {
@@ -224,22 +222,24 @@ func TestSLOBreachSecondEdge(t *testing.T) {
 	s := startTestServer(t, dir, func(cfg *Config) {
 		cfg.Sink = obs.NewSink(&sinkBuf)
 		cfg.SLOP99 = time.Nanosecond // every request violates
-		cfg.SLOMinSamples = 2
 		cfg.sloNow = func() time.Time { return time.Unix(0, clockNS.Load()) }
 	})
 
-	post := func(lo int) {
+	// An excursion is sloMinSamples requests (memo hits after the first: with
+	// a 1ns objective every answer violates).
+	excursion := func() {
 		t.Helper()
-		if _, code := postPredict(t, s.URL(), PredictRequest{
-			Bench: "GPT-3", Layers: testLayers, Lo: lo, Hi: lo + 1,
-		}); code != 200 {
-			t.Fatalf("query %d failed", lo)
+		for i := 0; i < sloMinSamples; i++ {
+			if _, code := postPredict(t, s.URL(), PredictRequest{
+				Bench: "GPT-3", Layers: testLayers, Lo: 0, Hi: 1,
+			}); code != 200 {
+				t.Fatalf("query %d failed", i)
+			}
 		}
+		s.incidents.drain()
 	}
-	post(0)
-	post(1)
-	s.incidents.drain()
-	if n := s.slo.Breaches(); n != 1 {
+	excursion()
+	if n := s.slo.Snapshot().Breaches; n != 1 {
 		t.Fatalf("first excursion: breaches = %d, want 1", n)
 	}
 
@@ -248,10 +248,8 @@ func TestSLOBreachSecondEdge(t *testing.T) {
 	if snap := s.slo.Snapshot(); snap.Breached {
 		t.Fatal("tracker should have recovered after idle windows")
 	}
-	post(2)
-	post(3)
-	s.incidents.drain()
-	if n := s.slo.Breaches(); n != 2 {
+	excursion()
+	if n := s.slo.Snapshot().Breaches; n != 2 {
 		t.Fatalf("second excursion: breaches = %d, want 2", n)
 	}
 	if got := bytes.Count(sinkBuf.Bytes(), []byte(`"event":"slo_breach"`)); got != 2 {

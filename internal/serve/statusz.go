@@ -6,8 +6,6 @@ import (
 	"net/http"
 	"strconv"
 	"time"
-
-	"predtop/internal/obs"
 )
 
 // statuszData is everything the /statusz page renders, gathered by
@@ -26,7 +24,7 @@ type statuszData struct {
 	CacheMisses int64
 
 	SLOEnabled bool
-	SLO        obs.SLOSnapshot
+	SLO        sloSnapshot
 	Incidents  int64
 }
 

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"predtop/internal/obs"
 )
 
 // TestRenderStatuszGolden pins the /statusz page byte-for-byte for a fixed
@@ -22,12 +20,12 @@ func TestRenderStatuszGolden(t *testing.T) {
 		CacheHits:     3,
 		CacheMisses:   9,
 		SLOEnabled:    true,
-		SLO: obs.SLOSnapshot{
+		SLO: sloSnapshot{
 			P99Objective: 0.5,
 			ErrObjective: 0.05,
 			Breached:     true,
 			Breaches:     2,
-			Windows: []obs.SLOWindowStats{
+			Windows: []sloWindowStats{
 				{Window: time.Minute, Total: 120, Errors: 1, Slow: 3,
 					P50: 0.0016, P95: 0.0128, P99: 0.0256,
 					ErrRate: 0.0083, BurnRate: 0.67, Breached: true},
@@ -35,7 +33,7 @@ func TestRenderStatuszGolden(t *testing.T) {
 					P50: 0.0016, P95: 0.0064, P99: 0.0128,
 					ErrRate: 0.0021, BurnRate: 0.17, Breached: false},
 			},
-			Worst: []obs.WorstRequest{
+			Worst: []worstRequest{
 				{LatencySeconds: 0.512, TraceID: "00000000000000ff", SpanID: "00000000000000aa", AtUnixNano: 1},
 			},
 		},

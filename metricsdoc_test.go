@@ -1,11 +1,14 @@
-package obs
+package predtop
 
 import (
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -25,10 +28,11 @@ var (
 	// A JSONL record type is the "event" value of an emitted record: a map
 	// key, a named struct field, or the first positional field of the
 	// anonymous record structs the tools emit. A route is a pattern handed to
-	// the telemetry mux or to the daemon's instrument wrapper. Their doc row
-	// is "| `name` | `emitter/file`, … | `reader/file` … |".
+	// the debug mux, or one of the daemon's handlers: its instrument wrapper
+	// or a plain handler func (/metrics). Their doc row is
+	// "| `name` | `emitter/file`, … | `reader/file` … |".
 	srcEvent     = regexp.MustCompile(`(?:"event":\s*|\bEvent:\s*|\}\{)"([a-z_]+)"`)
-	srcRoute     = regexp.MustCompile(`(?:HandleFunc\(|^\s*)"(/[a-z/]+)"(?:,|:\s+s\.instrument\()`)
+	srcRoute     = regexp.MustCompile(`(?:HandleFunc\(|^\s*)"(/[a-z/]+)"(?:,|:\s+(?:s\.instrument\(|http\.HandlerFunc\())`)
 	docRecordRow = regexp.MustCompile("(?m)^\\| `([a-z_]+|/[a-z/]+)` \\| ([^|]*) \\| `([^`]+)`[^|]*\\|$")
 	docPath      = regexp.MustCompile("`([a-z][a-z0-9_./-]*\\.go)`")
 )
@@ -50,7 +54,7 @@ var (
 // the row's emitters hold it, and its reader exists, is not an emitter and
 // mentions it.
 func TestMetricsDocSync(t *testing.T) {
-	root := filepath.Join("..", "..")
+	const root = "."
 	inSource := map[string]map[string]bool{} // family -> files holding the literal
 	consts := map[string][]string{}          // family -> constants bound to it
 	records := map[string]map[string]bool{}  // record type or route -> files emitting it
@@ -206,5 +210,47 @@ func TestMetricsDocSync(t *testing.T) {
 		if !listed[name] {
 			t.Errorf("record or route %s (emitted by %v) has no row in docs/METRICS.md; list it with its reader, or delete it if it has none", name, emitters)
 		}
+	}
+}
+
+// TestServeImportedOnlyByFacade keeps the metrics registry, the exposition and
+// the SLO tracker the daemon's: outside internal/serve itself, only the
+// facade (predtop.go) and the frozen benchmark (bench/) import
+// predtop/internal/serve, so no batch package or tool can grow a registry
+// again.
+func TestServeImportedOnlyByFacade(t *testing.T) {
+	const pkg = "predtop/internal/serve"
+	fset := token.NewFileSet()
+	seen := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && (d.Name() == ".git" || d.Name() == ".bench_build" || path == filepath.Join("internal", "serve")):
+			return fs.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go"):
+			return nil
+		}
+		path = filepath.ToSlash(path)
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, im := range f.Imports {
+			if p, _ := strconv.Unquote(im.Path.Value); p != pkg {
+				continue
+			}
+			seen++
+			if path != "predtop.go" && !strings.HasPrefix(path, "bench/") {
+				t.Errorf("%s imports %s; only predtop.go and bench/ may", path, pkg)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen == 0 {
+		t.Fatal("no file imports internal/serve; is the walk rooted correctly?")
 	}
 }

@@ -49,7 +49,6 @@ import (
 	"predtop/internal/cluster"
 	"predtop/internal/graphnn"
 	"predtop/internal/models"
-	"predtop/internal/obs"
 	"predtop/internal/pipeline"
 	"predtop/internal/planner"
 	"predtop/internal/predictor"
@@ -321,14 +320,15 @@ func DiffPlanReports(base, scenario *PlanReport) *PlanReportDiff {
 // LoadPlanReport reads a report previously written by PlanReport.SaveFile.
 func LoadPlanReport(path string) (*PlanReport, error) { return planner.LoadReport(path) }
 
-// Serving API (internal/serve). Telemetry is not part of this facade: tools
-// inside the module reach internal/obs through internal/cli. The one
-// exception is the metrics registry, which the daemon — its only user —
-// takes as ServeConfig.Metrics.
+// Serving API (internal/serve). Telemetry is not part of this facade: the
+// batch tools reach internal/obs through internal/cli. The metrics registry,
+// its Prometheus exposition and the SLO tracker belong to internal/serve; the
+// facade hands out the registry only so predtop-serve can build the one it
+// passes as ServeConfig.Metrics.
 type (
 	// MetricsRegistry collects the daemon's counters, gauges, and histograms
 	// and serves them as GET /metrics.
-	MetricsRegistry = obs.Registry
+	MetricsRegistry = serve.Metrics
 	// ServeConfig configures the predictor-as-a-service daemon (StartServe).
 	ServeConfig = serve.Config
 	// ServeDaemon is a running serving daemon: POST /predict, GET /models,
@@ -346,7 +346,7 @@ type (
 )
 
 // NewMetricsRegistry returns an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
+func NewMetricsRegistry() *MetricsRegistry { return serve.NewMetrics() }
 
 // StartServe loads the daemon's model registry and begins serving; see
 // ServeConfig. The returned daemon is already answering requests.
