@@ -119,7 +119,9 @@ func TestGoldenBits(t *testing.T) {
 // planGolden is one latency source × model row of TestGoldenPlans. Every
 // number was captured at PR 17's tree, the last commit whose providers labeled
 // through ProfileStage once per configuration and charged the training
-// sample's cost in a loop of their own.
+// sample's cost in a loop of their own. The GPT-3/12 and MoE/8 rows were
+// captured while every lookup still built and optimized its own stage graph,
+// before that work was keyed by stage class.
 type planGolden struct {
 	model, source   string
 	plan            string // "[lo,hi)@mesh ..." in pipeline order
@@ -142,6 +144,14 @@ var goldenPlans = []planGolden{
 		0x3fb65db6fd9f9f5f, 0x3fb624d9b60298a0, 0x409136e3f9f62190, 36, 19, ""},
 	{"MoE/4", "tran", "[0,3)@2 [3,6)@2",
 		0x3f431b8d6ef28968, 0x3fb624d9b60298a0, 0x4092799c330aeab3, 48, 45, "275a99572679f4b5"},
+	{"GPT-3/12", "full", "[0,4)@1 [4,7)@1 [7,11)@1 [11,14)@1",
+		0x3fde09bc65bcbb12, 0x3fde5a0db5fd21e9, 0x40c8abf5379b572d, 360, 180, ""},
+	{"GPT-3/12", "tran", "[0,4)@1 [4,7)@1 [7,10)@1 [10,14)@1",
+		0x3fea0b0589099251, 0x3fe0202a625e2f2e, 0x40b9f5c0861506c6, 180, 180, "46344534eb7df655"},
+	{"MoE/8", "full", "[0,5)@2 [5,8)@1 [8,10)@1",
+		0x3fc248ceae5b5226, 0x3fc271384e0f7948, 0x40c1d85c205c432b, 240, 120, ""},
+	{"MoE/8", "tran", "[0,5)@2 [5,10)@2",
+		0x3f4b70e5e23c8009, 0x3fc29258cde5cbf4, 0x40b354e04d6f7e43, 120, 120, "fed5320b48b57b23"},
 }
 
 // TestGoldenPlans pins the labeling path under the planner: for Alpa-Full,
@@ -153,13 +163,23 @@ func TestGoldenPlans(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("bit patterns were captured on amd64; other ports may fuse multiply-adds")
 	}
-	const microbatches, maxLen = 8, 3
-	moe := MoEConfig()
-	moe.Layers = 4
-	modelsByName := map[string]*Model{"GPT-3/6": BuildModel(tinyGPT()), "MoE/4": BuildModel(moe)}
+	const microbatches = 8
+	gpt12, moe4, moe8 := GPT3Config(), MoEConfig(), MoEConfig()
+	gpt12.Layers, moe4.Layers, moe8.Layers = 12, 4, 8
+	// The deeper models plan over stages of up to five segments, so most
+	// lookups land on a stage class the search has already seen.
+	modelsByName := map[string]struct {
+		m      *Model
+		maxLen int
+	}{
+		"GPT-3/6":  {BuildModel(tinyGPT()), 3},
+		"MoE/4":    {BuildModel(moe4), 3},
+		"GPT-3/12": {BuildModel(gpt12), 5},
+		"MoE/8":    {BuildModel(moe8), 5},
+	}
 	p := Platform2()
 	for _, g := range goldenPlans {
-		m := modelsByName[g.model]
+		m, maxLen := modelsByName[g.model].m, modelsByName[g.model].maxLen
 		meter := &CostMeter{}
 		var info PlanProviderInfo
 		var lat LatencyFn

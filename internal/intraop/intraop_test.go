@@ -3,6 +3,7 @@ package intraop
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"predtop/internal/cluster"
@@ -243,5 +244,39 @@ func TestMemGBReported(t *testing.T) {
 	res := Optimize(g, scenario(cluster.Platform1(), 1, 1))
 	if res.MemGB <= 0 {
 		t.Fatalf("memory estimate %v", res.MemGB)
+	}
+}
+
+// optimizePins are Optimize's answers on the benchmark ladder's GPT-3/24
+// training stages (segments [2, 2+segs)) under every Platform-2 scenario with
+// model parallelism, the only ones whose Viterbi has choices to trace back.
+// Strategies are written one digit per weight matmul. They were captured
+// while the DP still copied the whole strategy prefix on every move.
+var optimizePins = []struct {
+	segs, mesh, conf int
+	latency          uint64
+	strategies       string
+}{
+	{1, 2, 2, 0x3f7a339a9ca3e4bb, "111111"},
+	{1, 3, 2, 0x3fb592ca83917a37, "111111"},
+	{1, 3, 3, 0x3f807335074fb9ae, "000001"},
+	{8, 2, 2, 0x3fa9d55e09f34ee3, "111112111112111112111112111112111112111112111111"},
+	{8, 3, 2, 0x3fe58c662c97a26b, "111112111112111112111112111112111112111112111111"},
+	{8, 3, 3, 0x3fa88141dd151969, "000000000000000000000000000000000000000000000001"},
+}
+
+func TestOptimizePinnedOnLadderStages(t *testing.T) {
+	m := models.Build(models.GPT3())
+	for _, pin := range optimizePins {
+		g := m.StageGraph(2, 2+pin.segs, true)
+		res := Optimize(g, scenario(cluster.Platform2(), pin.mesh, pin.conf))
+		var b strings.Builder
+		for _, s := range res.Strategies {
+			b.WriteByte('0' + byte(s))
+		}
+		if got := math.Float64bits(res.Latency); got != pin.latency || b.String() != pin.strategies {
+			t.Errorf("%d segments, mesh %d conf %d: latency %#x strategies %q, want %#x %q",
+				pin.segs, pin.mesh, pin.conf, got, b.String(), pin.latency, pin.strategies)
+		}
 	}
 }

@@ -108,8 +108,8 @@ type Model struct {
 	Config   Config
 	Segments []Segment
 	// Prof, when non-nil, times every StageGraph emission as a
-	// "stage_graph[lo:hi)" span — the planner's latency queries rebuild
-	// stage graphs constantly, so this is where simulator-side time goes.
+	// "stage_graph[lo:hi)" span — the labeling path's graph builds, one per
+	// stage class per cache, are a large part of simulator-side time.
 	// A nil profiler costs nothing (obs no-op contract).
 	Prof *obs.Profiler
 }
@@ -162,13 +162,37 @@ func (m *Model) TotalParams() int64 {
 	return t
 }
 
+// StageClass identifies the graphs StageGraph emits for segments [lo, hi):
+// the kinds of those segments, in order. A segment's layer index only names
+// its nodes, so two stages of one model with equal classes get graphs of
+// identical structure — operators, shapes, dtypes, weights and edges — and
+// every cost derived from a graph (intra-op optimum, memory, profiling cost,
+// encoding) is equal across a class. Classes are comparable map keys, valid
+// within one model; a caller holding both graph directions adds backward to
+// its key.
+type StageClass struct{ kinds string }
+
+// StageClass returns the class of segments [lo, hi).
+func (m *Model) StageClass(lo, hi int) StageClass {
+	m.checkRange(lo, hi)
+	kinds := make([]byte, hi-lo)
+	for i := range kinds {
+		kinds[i] = byte(m.Segments[lo+i].Kind)
+	}
+	return StageClass{string(kinds)}
+}
+
+func (m *Model) checkRange(lo, hi int) {
+	if lo < 0 || hi > len(m.Segments) || lo >= hi {
+		panic(fmt.Sprintf("models: bad stage range [%d,%d) of %d", lo, hi, len(m.Segments)))
+	}
+}
+
 // StageGraph emits the operator graph for segments [lo, hi). When backward
 // is true (training stages — the case the paper profiles) the backward pass
 // is appended.
 func (m *Model) StageGraph(lo, hi int, backward bool) *ir.Graph {
-	if lo < 0 || hi > len(m.Segments) || lo >= hi {
-		panic(fmt.Sprintf("models: bad stage range [%d,%d) of %d", lo, hi, len(m.Segments)))
-	}
+	m.checkRange(lo, hi)
 	if m.Prof.Enabled() { // skip span-name formatting when profiling is off
 		sp := m.Prof.Start(fmt.Sprintf("stage_graph[%d:%d)", lo, hi))
 		defer sp.End()

@@ -66,14 +66,15 @@ func memoized(meter *Meter, compute func(sp stage.Spec, mesh cluster.Mesh) float
 
 // FullProfiling returns vanilla Alpa's latency source: every queried
 // (stage, mesh) pair is intra-op-optimized, compiled, and profiled under
-// every Table-III configuration, charging the full cost to meter. The stage
-// graph is built once per pair and labeled under each configuration.
+// every Table-III configuration, charging the full cost to meter. The
+// simulated platform pays for every pair; the simulator itself builds and
+// optimizes each stage class once per configuration (predictor.Labeler).
 func FullProfiling(mdl *models.Model, prof sim.Profiler, meter *Meter) LatencyFn {
+	lab := predictor.NewLabeler(mdl, prof)
 	return memoized(meter, func(sp stage.Spec, mesh cluster.Mesh) float64 {
-		g := mdl.StageGraph(sp.Lo, sp.Hi, true)
 		best := math.Inf(1)
 		for _, conf := range cluster.ConfigsFor(mesh) {
-			_, measured, cost, ok := predictor.ProfileGraph(g, sp, cluster.Scenario{Mesh: mesh, Config: conf}, prof)
+			_, measured, cost, ok := lab.Label(sp, cluster.Scenario{Mesh: mesh, Config: conf})
 			if !ok {
 				continue
 			}
@@ -216,6 +217,7 @@ func TrainPredictorProvider(mdl *models.Model, p cluster.Platform, opt Predictor
 	}
 	specs := stage.SampleSpecs(rng, mdl.NumSegments(), count, opt.MaxStageLen)
 	enc := predictor.NewEncoder(mdl, true)
+	lab := predictor.NewLabeler(mdl, prof)
 
 	type scKey struct{ mesh, conf int }
 	trained := map[scKey]predictor.Trained{}
@@ -223,7 +225,7 @@ func TrainPredictorProvider(mdl *models.Model, p cluster.Platform, opt Predictor
 	// weight fingerprint: the map's own iteration order is randomized.
 	var inOrder []predictor.Trained
 	for _, sc := range cluster.Scenarios(p) {
-		ds := predictor.BuildDataset(enc, specs, sc, prof)
+		ds := lab.Dataset(enc, specs, sc)
 		for _, s := range ds.Samples {
 			meter.ProfileSeconds += s.ProfileCost
 		}
@@ -256,25 +258,43 @@ func TrainPredictorProvider(mdl *models.Model, p cluster.Platform, opt Predictor
 		}
 	}
 
+	// The memory screen and the forward depend only on the stage class, so
+	// each (class, mesh) is answered once; every spec of the class still
+	// charges one inference per configuration that passed the screen.
+	type answerKey struct {
+		class models.StageClass
+		mesh  int
+	}
+	type answer struct {
+		best  float64
+		infer int
+	}
+	answers := map[answerKey]answer{}
 	return memoized(meter, func(sp stage.Spec, mesh cluster.Mesh) float64 {
-		g := mdl.StageGraph(sp.Lo, sp.Hi, true)
-		// The encoding depends only on the spec; enc keeps one per spec, so
-		// the sample's encodings are reused and every mesh shares the rest.
-		encoded := enc.Encode(sp)
-		best := math.Inf(1)
-		for _, conf := range cluster.ConfigsFor(mesh) {
-			tr, ok := trained[scKey{mesh.Index, conf.Index}]
-			if !ok {
-				continue
+		k := answerKey{mdl.StageClass(sp.Lo, sp.Hi), mesh.Index}
+		a, ok := answers[k]
+		if !ok {
+			g := lab.TrainingGraph(sp)
+			encoded := enc.Encode(sp)
+			a.best = math.Inf(1)
+			for _, conf := range cluster.ConfigsFor(mesh) {
+				tr, ok := trained[scKey{mesh.Index, conf.Index}]
+				if !ok {
+					continue
+				}
+				if !sim.NewExec(cluster.Scenario{Mesh: mesh, Config: conf}).FitsMemory(g) {
+					continue
+				}
+				if pred := tr.PredictEncoded(encoded); pred < a.best {
+					a.best = pred
+				}
+				a.infer++
 			}
-			if !sim.NewExec(cluster.Scenario{Mesh: mesh, Config: conf}).FitsMemory(g) {
-				continue
-			}
-			if pred := tr.PredictEncoded(encoded); pred < best {
-				best = pred
-			}
+			answers[k] = a
+		}
+		for range a.infer {
 			meter.InferSeconds += simInferSeconds
 		}
-		return best
+		return a.best
 	})
 }

@@ -7,6 +7,7 @@ import (
 
 	"predtop/internal/cluster"
 	"predtop/internal/graphnn"
+	"predtop/internal/intraop"
 	"predtop/internal/models"
 	"predtop/internal/obs"
 	"predtop/internal/predictor"
@@ -39,15 +40,18 @@ func graphsBuilt(t *testing.T, mdl *models.Model) int {
 }
 
 // TestGraphsBuiltPerUnitOfWork pins what the labeling path pays in stage-graph
-// constructions, the dominant cost of a lookup: a profiled miss builds its
-// training graph once whatever the mesh's configuration count, a predicted
-// miss builds the training graph for the memory screen and (for a spec not
-// yet encoded) the forward graph the predictor reads, provider construction
-// builds one training graph per sampled spec and scenario plus one forward
-// graph per spec, and a repeated query builds and charges nothing.
+// constructions, the dominant cost of a lookup. Work is keyed by stage class:
+// a profiled miss on a new class builds its training graph once whatever the
+// mesh's configuration count, a predicted miss on a new class builds the
+// training graph for the memory screen and the forward graph the predictor
+// reads, provider construction builds one training and one forward graph per
+// sampled class, and a miss on a spec of an already-built class builds
+// nothing. The meter still moves per spec exactly as labeling each spec from
+// scratch does, and a repeated query builds and charges nothing.
 func TestGraphsBuiltPerUnitOfWork(t *testing.T) {
 	prof := sim.DefaultProfiler()
 	sp := stage.Spec{Lo: 1, Hi: 3}
+	same := stage.Spec{Lo: 3, Hi: 5} // decoder × 2, like sp
 
 	mdl := tinyModel()
 	mdl.Prof = obs.NewProfiler()
@@ -67,6 +71,24 @@ func TestGraphsBuiltPerUnitOfWork(t *testing.T) {
 	if *meter != charged {
 		t.Fatalf("a repeated FullProfiling query moved the meter: %+v, want %+v", *meter, charged)
 	}
+	// What profiling same from scratch charges: its own graph, optimized and
+	// costed under each configuration in order.
+	g := tinyModel().StageGraph(same.Lo, same.Hi, true)
+	charged.CacheMisses++
+	for _, conf := range cluster.ConfigsFor(mesh) {
+		sc := cluster.Scenario{Mesh: mesh, Config: conf}
+		if res := intraop.Optimize(g, sc); res.Feasible {
+			charged.ProfileSeconds += prof.ProfileCostSeconds(g, sim.NewExec(sc), res.Latency)
+			charged.StagesProfiled++
+		}
+	}
+	full(same, mesh)
+	if got := graphsBuilt(t, mdl); got != 1 {
+		t.Fatalf("a FullProfiling miss on a built class built %d more stage graphs", got-1)
+	}
+	if *meter != charged {
+		t.Fatalf("a FullProfiling miss on a built class charged %+v, want %+v", *meter, charged)
+	}
 
 	mdl = tinyModel()
 	mdl.Prof = obs.NewProfiler()
@@ -81,28 +103,49 @@ func TestGraphsBuiltPerUnitOfWork(t *testing.T) {
 		Tran:        graphnn.TransformerConfig{Layers: 1, Dim: 16, Heads: 2},
 		Seed:        1,
 	}, prof, meter)
-	specs := len(stage.AllSpecs(mdl.NumSegments(), maxLen))
+	universe := stage.AllSpecs(mdl.NumSegments(), maxLen)
 	scenarios := len(cluster.Scenarios(p))
-	if meter.StagesProfiled != specs*scenarios {
-		t.Fatalf("profiled %d labels, want every spec under every scenario (%d)", meter.StagesProfiled, specs*scenarios)
+	if meter.StagesProfiled != len(universe)*scenarios {
+		t.Fatalf("profiled %d labels, want every spec under every scenario (%d)", meter.StagesProfiled, len(universe)*scenarios)
+	}
+	classes := map[models.StageClass]bool{}
+	for _, u := range universe {
+		classes[mdl.StageClass(u.Lo, u.Hi)] = true
 	}
 	built := graphsBuilt(t, mdl)
-	if want := specs*scenarios + specs; built != want {
-		t.Fatalf("provider construction built %d stage graphs, want %d (%d specs × %d scenarios labeled, %d encoded)",
-			built, want, specs, scenarios, specs)
+	if want := 2 * len(classes); built != want {
+		t.Fatalf("provider construction built %d stage graphs, want %d (%d classes labeled and encoded)",
+			built, want, len(classes))
 	}
-	long := stage.Spec{Lo: 0, Hi: maxLen + 2} // outside the sample: not encoded yet
-	pred(long, cluster.Meshes(p)[1])
+	long := stage.Spec{Lo: 1, Hi: maxLen + 3} // decoder × 4: outside the sample, not encoded yet
+	predMesh := cluster.Meshes(p)[1]
+	pred(long, predMesh)
 	if got := graphsBuilt(t, mdl) - built; got != 2 {
 		t.Fatalf("one lazy predictor miss built %d stage graphs, want 2 (memory screen + encoder)", got)
 	}
 	charged = *meter
-	pred(long, cluster.Meshes(p)[1])
+	pred(long, predMesh)
 	if got := graphsBuilt(t, mdl) - built; got != 2 {
 		t.Fatalf("a repeated predictor query built %d more stage graphs", got-2)
 	}
 	charged.CacheHits++
 	if *meter != charged {
 		t.Fatalf("a repeated predictor query moved the meter: %+v, want %+v", *meter, charged)
+	}
+	// A spec of long's class: no graph, and one inference charged per
+	// configuration whose memory screen passes, as for long itself.
+	g = tinyModel().StageGraph(long.Lo, long.Hi, true)
+	charged.CacheMisses++
+	for _, conf := range cluster.ConfigsFor(predMesh) {
+		if sim.NewExec(cluster.Scenario{Mesh: predMesh, Config: conf}).FitsMemory(g) {
+			charged.InferSeconds += simInferSeconds
+		}
+	}
+	pred(stage.Spec{Lo: long.Lo + 1, Hi: long.Hi + 1}, predMesh)
+	if got := graphsBuilt(t, mdl) - built; got != 2 {
+		t.Fatalf("a predictor miss on a built class built %d more stage graphs", got-2)
+	}
+	if *meter != charged {
+		t.Fatalf("a predictor miss on a built class charged %+v, want %+v", *meter, charged)
 	}
 }

@@ -1,6 +1,7 @@
 package predictor
 
 import (
+	"sync"
 	"testing"
 
 	"predtop/internal/cluster"
@@ -78,5 +79,64 @@ func TestCollectStagesRespectsMaxLen(t *testing.T) {
 	}
 	if len(specs) != 34+33 {
 		t.Fatalf("universe %d", len(specs))
+	}
+}
+
+// TestLabelerWorkPerClass pins the split of a label: a spec of an already
+// labeled class builds no graph and runs no optimization, gets its class's
+// optimum and profiling cost, and still draws a measurement of its own.
+func TestLabelerWorkPerClass(t *testing.T) {
+	m := models.Build(models.GPT3())
+	lab := NewLabeler(m, sim.DefaultProfiler())
+	a, b := stage.Spec{Lo: 2, Hi: 4}, stage.Spec{Lo: 5, Hi: 7} // decoder × 2 both
+	scenarios := cluster.Scenarios(cluster.Platform2())
+	for _, sc := range scenarios {
+		lab.Label(a, sc)
+	}
+	if len(lab.graphs) != 1 || len(lab.labels) != len(scenarios) {
+		t.Fatalf("one spec under %d scenarios: %d graphs and %d optimizations, want 1 and %d",
+			len(scenarios), len(lab.graphs), len(lab.labels), len(scenarios))
+	}
+	for _, sc := range scenarios {
+		ta, ma, ca, oka := lab.Label(a, sc)
+		tb, mb, cb, okb := lab.Label(b, sc)
+		if oka != okb || ta != tb || ca != cb {
+			t.Fatalf("%v: one class labeled (%v, %v, %v) and (%v, %v, %v)", sc, ta, ca, oka, tb, cb, okb)
+		}
+		if oka && ma == mb {
+			t.Fatalf("%v: two specs drew the same measurement %v", sc, ma)
+		}
+	}
+	if len(lab.graphs) != 1 || len(lab.labels) != len(scenarios) {
+		t.Fatalf("a spec of a labeled class built or optimized again: %d graphs, %d optimizations", len(lab.graphs), len(lab.labels))
+	}
+}
+
+// TestEncoderConcurrentFirstCalls: goroutines racing on the first Encode of
+// one class all get the one encoding the cache keeps (make race runs this
+// under the race detector).
+func TestEncoderConcurrentFirstCalls(t *testing.T) {
+	enc := NewEncoder(models.Build(models.GPT3()), true)
+	const n = 16
+	got := make([]*stage.Encoded, n)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for i := range n {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			got[i] = enc.Encode(stage.Spec{Lo: 1 + i, Hi: 3 + i}) // decoder × 2 for every i
+		}()
+	}
+	start.Done()
+	done.Wait()
+	for i, e := range got {
+		if e != got[0] {
+			t.Fatalf("goroutine %d got encoding %p, goroutine 0 got %p", i, e, got[0])
+		}
+	}
+	if e := enc.Encode(stage.Spec{Lo: 1, Hi: 3}); e != got[0] {
+		t.Fatal("the cache kept a different encoding than it handed out")
 	}
 }
