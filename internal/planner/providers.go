@@ -10,6 +10,7 @@ import (
 	"predtop/internal/cluster"
 	"predtop/internal/graphnn"
 	"predtop/internal/models"
+	"predtop/internal/parallel"
 	"predtop/internal/predictor"
 	"predtop/internal/sim"
 	"predtop/internal/stage"
@@ -188,11 +189,14 @@ type PredictorOptions struct {
 	SampleFrac float64
 	// MaxStageLen bounds the stage universe (must match planner Options).
 	MaxStageLen int
-	Train       predictor.TrainConfig
-	Tran        graphnn.TransformerConfig
-	GCN         graphnn.GCNConfig
-	GAT         graphnn.GATConfig
-	Seed        int64
+	// Train configures each per-scenario training; its Seed is overridden
+	// per scenario. The trainings run concurrently, so Train.Hooks must be
+	// safe for concurrent use (see predictor.TrainHooks).
+	Train predictor.TrainConfig
+	Tran  graphnn.TransformerConfig
+	GCN   graphnn.GCNConfig
+	GAT   graphnn.GATConfig
+	Seed  int64
 	// Info, when non-nil, is filled by TrainPredictorProvider with the
 	// provenance of the trained predictors (kind, seed, weight fingerprint)
 	// for inclusion in plan reports. Observation only.
@@ -204,7 +208,9 @@ type PredictorOptions struct {
 // predictor per (mesh, configuration), and answer planner queries with
 // predictions as the search asks for them (taking the best configuration per
 // mesh, with an analytic memory-feasibility screen). Profiling, training, and
-// inference costs are charged to meter.
+// inference costs are charged to meter. The per-scenario trainings run
+// concurrently across GOMAXPROCS; weights, meter and answers are bitwise the
+// same at any GOMAXPROCS.
 func TrainPredictorProvider(mdl *models.Model, p cluster.Platform, opt PredictorOptions, prof sim.Profiler, meter *Meter) LatencyFn {
 	if opt.SampleFrac == 0 {
 		opt.SampleFrac = 0.15
@@ -219,11 +225,21 @@ func TrainPredictorProvider(mdl *models.Model, p cluster.Platform, opt Predictor
 	enc := predictor.NewEncoder(mdl, true)
 	lab := predictor.NewLabeler(mdl, prof)
 
-	type scKey struct{ mesh, conf int }
-	trained := map[scKey]predictor.Trained{}
-	// inOrder holds the same predictors in cluster.Scenarios order for the
-	// weight fingerprint: the map's own iteration order is randomized.
-	var inOrder []predictor.Trained
+	// Labeling and the split draws happen serially in cluster.Scenarios
+	// order (the Labeler is not safe for concurrent use, and the one rng must
+	// be consumed in scenario order, never in completion order); only the
+	// independent trainings fan out, each into its own job slot.
+	type job struct {
+		sc       cluster.Scenario
+		ds       *predictor.Dataset
+		trainIdx []int
+		valIdx   []int
+		cfg      predictor.TrainConfig
+		model    graphnn.Model
+		tr       predictor.Trained
+		res      predictor.TrainResult
+	}
+	var jobs []job
 	for _, sc := range cluster.Scenarios(p) {
 		ds := lab.Dataset(enc, specs, sc)
 		for _, s := range ds.Samples {
@@ -241,10 +257,24 @@ func TrainPredictorProvider(mdl *models.Model, p cluster.Platform, opt Predictor
 		if err != nil {
 			panic("planner: " + err.Error()) // an out-of-range Kind is a caller bug
 		}
-		tr, res := predictor.Train(model, ds, trainIdx, valIdx, cfg)
-		meter.TrainSeconds += float64(res.EpochsRun*len(trainIdx)) * simTrainStepSeconds
-		trained[scKey{sc.Mesh.Index, sc.Config.Index}] = tr
-		inOrder = append(inOrder, tr)
+		jobs = append(jobs, job{sc: sc, ds: ds, trainIdx: trainIdx, valIdx: valIdx, cfg: cfg, model: model})
+	}
+	parallel.For(len(jobs), func(i int) {
+		j := &jobs[i]
+		j.tr, j.res = predictor.Train(j.model, j.ds, j.trainIdx, j.valIdx, j.cfg)
+	})
+
+	type scKey struct{ mesh, conf int }
+	trained := map[scKey]predictor.Trained{}
+	// inOrder holds the same predictors in cluster.Scenarios order for the
+	// weight fingerprint: the map's own iteration order is randomized. The
+	// training cost is folded in that order too, as float addition is
+	// order-sensitive.
+	var inOrder []predictor.Trained
+	for _, j := range jobs {
+		meter.TrainSeconds += float64(j.res.EpochsRun*len(j.trainIdx)) * simTrainStepSeconds
+		trained[scKey{j.sc.Mesh.Index, j.sc.Config.Index}] = j.tr
+		inOrder = append(inOrder, j.tr)
 	}
 
 	if opt.Info != nil {

@@ -1,6 +1,8 @@
 package planner
 
 import (
+	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -147,5 +149,72 @@ func TestGraphsBuiltPerUnitOfWork(t *testing.T) {
 	}
 	if *meter != charged {
 		t.Fatalf("a predictor miss on a built class charged %+v, want %+v", *meter, charged)
+	}
+}
+
+// TestTrainPredictorProviderWorkerInvariant checks the provider's concurrent
+// trainings keep every bit: built under GOMAXPROCS 1 (serial) and 3
+// (concurrent), with shared hooks attached as the Fig-10 harness attaches
+// them, the weight fingerprint, every lookup over the stage universe × meshes
+// and every meter field must be identical — labeling and split draws stay in
+// scenario order, and the training cost is folded in that order too.
+func TestTrainPredictorProviderWorkerInvariant(t *testing.T) {
+	p := cluster.Platform2()
+	const maxLen = 2
+	type lookup struct {
+		t  uint64
+		ok bool
+	}
+	type result struct {
+		info    ProviderInfo
+		lookups []lookup
+		meter   Meter
+	}
+	run := func(procs int) result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		mdl := tinyModel()
+		// The meter starts from a non-round charge, as a meter reused across
+		// sources would, and patience 1 ends each scenario's training at its
+		// own epoch: the training costs then differ and their sum shows the
+		// order they were added in.
+		r := result{meter: Meter{TrainSeconds: 0.7}}
+		lat := TrainPredictorProvider(mdl, p, PredictorOptions{
+			Kind:        KindTransformer,
+			SampleFrac:  0.5,
+			MaxStageLen: maxLen,
+			Train: predictor.TrainConfig{Epochs: 12, Patience: 1, BatchSize: 4,
+				Hooks: &predictor.TrainHooks{Profiler: obs.NewProfiler(), Flight: obs.NewFlightRecorder(0)}},
+			Tran: graphnn.TransformerConfig{Layers: 1, Dim: 16, Heads: 2, FFNDim: 32},
+			Seed: 5,
+			Info: &r.info,
+		}, sim.DefaultProfiler(), &r.meter)
+		for _, sp := range stage.AllSpecs(mdl.NumSegments(), maxLen) {
+			for _, mesh := range cluster.Meshes(p) {
+				v, ok := lat(sp, mesh)
+				r.lookups = append(r.lookups, lookup{math.Float64bits(v), ok})
+			}
+		}
+		return r
+	}
+	serial, concurrent := run(1), run(3)
+	if serial.info.Predictors != len(cluster.Scenarios(p)) {
+		t.Fatalf("trained %d predictors, want one per scenario (%d)", serial.info.Predictors, len(cluster.Scenarios(p)))
+	}
+	if concurrent.info != serial.info {
+		t.Fatalf("provenance: GOMAXPROCS=3 %+v != GOMAXPROCS=1 %+v", concurrent.info, serial.info)
+	}
+	for i, want := range serial.lookups {
+		if got := concurrent.lookups[i]; got != want {
+			t.Fatalf("lookup %d: GOMAXPROCS=3 %+v != GOMAXPROCS=1 %+v", i, got, want)
+		}
+	}
+	// Compare every field by its bits: == on floats would miss a -0 or NaN.
+	bits := func(m Meter) [7]uint64 {
+		return [7]uint64{math.Float64bits(m.ProfileSeconds), math.Float64bits(m.TrainSeconds),
+			math.Float64bits(m.InferSeconds), uint64(m.StagesProfiled), uint64(m.CacheHits), uint64(m.CacheMisses),
+			math.Float64bits(m.Total())}
+	}
+	if bits(concurrent.meter) != bits(serial.meter) {
+		t.Fatalf("meter: GOMAXPROCS=3 %+v != GOMAXPROCS=1 %+v", concurrent.meter, serial.meter)
 	}
 }

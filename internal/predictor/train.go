@@ -69,7 +69,10 @@ type EpochStats struct {
 // TrainHooks observes a training run. Every field is optional; the zero
 // value observes nothing. Callbacks run on the training goroutine between
 // epochs (never inside the data-parallel minibatch loop), so they may block
-// but must not mutate the model.
+// but must not mutate the model. One TrainHooks handed to concurrent Train
+// calls (the MRE grid, the ablation and the planner's predictor provider all
+// do) is called from each of them at once, so hooks shared that way must be
+// safe for concurrent use; obs.Profiler and obs.FlightRecorder are.
 type TrainHooks struct {
 	// OnEpoch fires once per epoch, after the optimizer steps and the
 	// validation pass.

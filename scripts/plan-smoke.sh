@@ -6,9 +6,10 @@
 # -metrics JSONL holds records and no registry snapshot), the report JSON
 # round-trips through -diff, and a second identical run reproduces every report
 # byte-for-byte (reports are pure functions of the seed — no wall-clock, no
-# map-order, no scheduling dependence) and records a manifest with the same
-# content address, whose plans are those reports whole. Any failure fails the
-# script, which is wired into `make ci` via the plan-smoke target.
+# map-order, no scheduling dependence, no core-count dependence: it runs on
+# one core) and records a manifest with the same content address, whose plans
+# are those reports whole. Any failure fails the script, which is wired into
+# `make ci` via the plan-smoke target.
 set -eu
 
 GO=${GO:-go}
@@ -75,8 +76,10 @@ grep -q "total" "$WORK/diff.out" || {
     exit 1
 }
 
-echo "plan-smoke: re-running for byte-identical reports"
-"$WORK/predtop-plan" -preset quick -bench GPT-3 -quiet -report "$WORK/r2" \
+# One core this time, so the cmp and the shared run id below also cover
+# GOMAXPROCS (the predictor trainings fan out across it).
+echo "plan-smoke: re-running under GOMAXPROCS=1 for byte-identical reports"
+GOMAXPROCS=1 "$WORK/predtop-plan" -preset quick -bench GPT-3 -quiet -report "$WORK/r2" \
     -whatif "microbatches=32,internode-bw=x4" -runledger "$WORK/L" > /dev/null
 for f in "$WORK"/r1/*.json; do
     name=$(basename "$f")
