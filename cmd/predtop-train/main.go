@@ -1,13 +1,18 @@
 // Command predtop-train profiles a sample of a benchmark's pipeline stages
 // under one runtime scenario, trains a latency predictor on them, reports
-// its held-out accuracy, and saves the trained model for predtop-predict.
+// its held-out accuracy, and saves the trained model. With -stage it then
+// predicts one stage's latency and checks it against the simulator's
+// profiled latency under the same scenario; with -load it does that for a
+// model saved earlier instead of training one.
 //
 // Usage:
 //
 //	predtop-train -bench GPT-3 -platform 2 -mesh 1 -conf 1 -arch tran \
 //	              -layers 12 -samples 0 -maxlen 3 -epochs 30 -o model.predtop \
-//	              [-metrics run.jsonl] [-trace run.json] [-listen :9090] \
-//	              [-profile spans.txt] [-runledger runs] [-quiet]
+//	              [-stage 2:5] [-metrics run.jsonl] [-trace run.json] \
+//	              [-listen :9090] [-profile spans.txt] [-runledger runs] [-quiet]
+//	predtop-train -load model.predtop -bench GPT-3 -layers 12 -stage 2:5 \
+//	              [-platform 2 -mesh 1 -conf 1] [-metrics run.jsonl] [-quiet]
 //
 // -seed, -quiet, -metrics, -trace, -listen, -profile, and -runledger are the
 // shared flags documented in package internal/cli. Here -metrics carries the
@@ -17,18 +22,23 @@
 // -trace is the same spans as a timeline (epoch wall time is in the epoch
 // records); the manifest pins config and weight fingerprints and the
 // error-attribution snapshot, which carries the held-out MRE and sample count
-// — all from one held-out forward. Names and
-// output paths are checked before anything is profiled, and the model is
-// saved before any telemetry file is written. Evaluation chunks fan across
-// GOMAXPROCS goroutines; results are bitwise identical at any setting.
+// — all from one held-out forward. -stage adds the prediction and check
+// records; under -load the stream is the run record and those two, and
+// -runledger is refused, since a loaded model has no training run to record.
+// Names, the stage, and output paths are checked before anything is
+// profiled, and the model is saved before any telemetry file is written.
+// Evaluation chunks fan across GOMAXPROCS goroutines; results are bitwise
+// identical at any setting.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
+	"strconv"
 	"strings"
 
 	"predtop"
@@ -53,6 +63,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	epochs := fs.Int("epochs", 30, "training epochs (cosine-decay horizon)")
 	trainFrac := fs.Float64("trainfrac", 0.5, "training fraction")
 	out := fs.String("o", "model.predtop", "output model path")
+	load := fs.String("load", "", "use this saved model instead of profiling, training and saving one (needs -stage)")
+	stageRange := fs.String("stage", "", "predict stage LO:HI and check it against its profiled latency under -platform/-mesh/-conf")
 	shared := cli.Flags{Seed: 1}
 	shared.Register(fs, cli.Seed|cli.Quiet|cli.Metrics|cli.Telemetry|cli.Ledger, map[string]string{
 		"profile": "write a per-phase/per-layer self-time span profile to this file",
@@ -77,15 +89,35 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
+	model := predtop.BuildModel(cfg)
+	var probe predtop.StageSpec
+	if *stageRange != "" {
+		if probe, err = parseStage(*stageRange, model.NumSegments()); err != nil {
+			return err
+		}
+	}
+	var loaded predtop.Trained
+	dirs := []string{*out}
+	if *load != "" {
+		switch {
+		case *stageRange == "":
+			return fmt.Errorf("-load needs -stage")
+		case shared.Ledger != "":
+			return fmt.Errorf("-load has no training run for -runledger to record")
+		}
+		if loaded, err = predtop.LoadTrained(*load); err != nil {
+			return err
+		}
+		dirs = nil // nothing is saved
+	}
 	r, err := cli.Open(&shared, cli.Options{
 		Tool: "predtop-train", Seed: shared.Seed, Stdout: stdout, Progress: stdout, Stderr: stderr,
-		Dirs: []string{*out},
+		Dirs: dirs,
 	})
 	if err != nil {
 		return err
 	}
 	defer func() { err = r.Close(err) }()
-	model := predtop.BuildModel(cfg)
 
 	r.Sink.Emit(struct {
 		Event    string `json:"event"`
@@ -99,6 +131,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		Epochs   int    `json:"epochs"`
 		Seed     int64  `json:"seed"`
 	}{"run", "predtop-train", cfg.Name, *platformSel, *meshIdx, *confIdx, *arch, *maxLen, *epochs, shared.Seed})
+	if *load != "" {
+		return predictStage(r, stdout, loaded, model, probe, scenario)
+	}
 
 	// Result-determining flags land in the manifest's canonical section; paths
 	// and addresses are session facts.
@@ -193,5 +228,57 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		TestMRE     float64 `json:"test_mre_pct"`
 		TestStages  int     `json:"test_stages"`
 	}{"summary", res.EpochsRun, res.BestEpoch, res.BestValLoss, res.WallSeconds, mre, len(test)})
+	if *stageRange == "" {
+		return nil
+	}
+	return predictStage(r, stdout, trained, model, probe, scenario)
+}
+
+// parseStage reads -stage LO:HI as the stage [LO,HI) of a model with n
+// segments.
+func parseStage(s string, n int) (predtop.StageSpec, error) {
+	lo, hi, ok := strings.Cut(s, ":")
+	var sp predtop.StageSpec
+	var errLo, errHi error
+	sp.Lo, errLo = strconv.Atoi(lo)
+	sp.Hi, errHi = strconv.Atoi(hi)
+	if !ok || errLo != nil || errHi != nil {
+		return sp, fmt.Errorf("-stage %q: want LO:HI", s)
+	}
+	if sp.Lo < 0 || sp.Hi > n || sp.Lo >= sp.Hi {
+		return sp, fmt.Errorf("bad stage range [%d,%d) of %d segments", sp.Lo, sp.Hi, n)
+	}
+	return sp, nil
+}
+
+// predictStage prints the predictor's latency for sp, then the stage's
+// profiled latency under sc and the relative error, each with its record.
+func predictStage(r *cli.Run, stdout io.Writer, trained predtop.Trained, model *predtop.Model, sp predtop.StageSpec, sc predtop.Scenario) error {
+	ps := r.Prof.Start("predict")
+	pred := trained.PredictEncoded(predtop.NewEncoder(model, true).Encode(sp))
+	ps.End()
+	r.Flight.Note("run", "predicted")
+	fmt.Fprintf(stdout, "%s stage [%d,%d) (%s): predicted %.3fms\n",
+		model.Config.Name, sp.Lo, sp.Hi, trained.Model.Name(), pred*1e3)
+	r.Sink.Emit(struct {
+		Event       string  `json:"event"`
+		Lo          int     `json:"lo"`
+		Hi          int     `json:"hi"`
+		PredictedMS float64 `json:"predicted_ms"`
+	}{"prediction", sp.Lo, sp.Hi, pred * 1e3})
+
+	cs := r.Prof.Start("check")
+	trueLat, _, ok := predtop.ProfileStage(model, sp, sc, predtop.DefaultProfiler())
+	cs.End()
+	if !ok {
+		return fmt.Errorf("stage infeasible under %v", sc)
+	}
+	relErr := math.Abs(pred-trueLat) / trueLat * 100
+	fmt.Fprintf(stdout, "profiled under %v: %.3fms (relative error %.2f%%)\n", sc, trueLat*1e3, relErr)
+	r.Sink.Emit(struct {
+		Event      string  `json:"event"`
+		ProfiledMS float64 `json:"profiled_ms"`
+		RelErrPct  float64 `json:"rel_err_pct"`
+	}{"check", trueLat * 1e3, relErr})
 	return nil
 }

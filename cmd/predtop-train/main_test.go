@@ -204,3 +204,86 @@ func TestTrainRejectsEmptyTestSplit(t *testing.T) {
 		})
 	}
 }
+
+// tinyModel runs the tiny training with -stage 1:3 under -quiet and returns
+// the saved model's path and the run's stdout: the probed stage's two lines.
+func tinyModel(t *testing.T) (path, stdout string) {
+	t.Helper()
+	path = filepath.Join(t.TempDir(), "m.predtop")
+	var out, stderr bytes.Buffer
+	args := append([]string{"-o", path, "-quiet", "-stage", "1:3"}, tinyArgs...)
+	if err := run(args, &out, &stderr); err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, &stderr)
+	}
+	return path, out.String()
+}
+
+// The golden is the stdout of the stage-prediction tool built at the commit
+// before the tools moved onto internal/cli, run with -check on the model the
+// tiny training saves. -load of that model prints it byte for byte, and so
+// does the training run that saved it.
+func TestPredictCheckGolden(t *testing.T) {
+	model, trainOut := tinyModel(t)
+	jsonl := filepath.Join(t.TempDir(), "p.jsonl")
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-load", model, "-layers", "4", "-stage", "1:3", "-metrics", jsonl}, &stdout, &stderr)
+	if err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, &stderr)
+	}
+	golden(t, "predict_stdout.golden", stdout.String())
+	golden(t, "predict_stdout.golden", trainOut)
+	data, err := os.ReadFile(jsonl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []string
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		_, rest, _ := strings.Cut(line, `"event":"`)
+		event, _, _ := strings.Cut(rest, `"`)
+		events = append(events, event)
+	}
+	if got := strings.Join(events, " "); got != "run prediction check" {
+		t.Errorf("JSONL record sequence = %q", got)
+	}
+}
+
+// A bad stage, an unknown name, a missing model, or -load without a stage to
+// probe or with a ledger to record in fails before anything prints or any
+// file is created.
+func TestPredictRejectsBadArgumentsEarly(t *testing.T) {
+	model, _ := tinyModel(t)
+	ledger := filepath.Join(t.TempDir(), "L")
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"unknown bench", []string{"-load", model, "-stage", "1:3", "-bench", "gpt4"}},
+		{"unknown platform", []string{"-load", model, "-stage", "1:3", "-platform", "3"}},
+		{"unknown scenario", []string{"-load", model, "-stage", "1:3", "-conf", "9"}},
+		{"bad range", []string{"-load", model, "-stage", "4:7"}},
+		{"missing model", []string{"-load", "/nonexistent/m.predtop", "-stage", "1:3"}},
+		{"stage without hi", []string{"-stage", "3"}},
+		{"empty stage", []string{"-stage", "2:1"}},
+		{"non-numeric stage", []string{"-stage", "a:b"}},
+		{"load without stage", []string{"-load", model}},
+		{"load with runledger", []string{"-load", model, "-stage", "1:3", "-runledger", ledger}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			args := append([]string{"-layers", "4", "-o", filepath.Join(dir, "m.predtop"), "-metrics", filepath.Join(dir, "p.jsonl")}, tc.args...)
+			var stdout, stderr bytes.Buffer
+			if err := run(args, &stdout, &stderr); err == nil {
+				t.Fatal("run succeeded")
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("printed before the rejection: %s", &stdout)
+			}
+			if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 0 {
+				t.Errorf("files created before the rejection: %v", left)
+			}
+		})
+	}
+	if _, err := os.Stat(ledger); !os.IsNotExist(err) {
+		t.Errorf("ledger created despite the rejection (stat: %v)", err)
+	}
+}

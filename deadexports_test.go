@@ -32,7 +32,6 @@ var deadExportsAllowed = map[string]string{
 	"tensor.SetSIMD":          "the kernel switch itself: PREDTOP_SIMD=off for a process, this for one test",
 	// Paper artifacts whose caller is a root benchmark or test.
 	"experiments.Fig2Result.Spread": "Fig 2's headline max/min, the metric BenchmarkFig2PlanVariation reports",
-	"pipeline.LatencyWithSchedule":  "dispatcher over the extended-schedule family the facade exports; like GPipeLatency and InterleavedLatency it has tests for callers",
 	// Called by the standard library through an interface, never by name.
 	"runledger.Manifest.MarshalJSON": "json.Marshaler: how encoding/json writes a manifest",
 }
@@ -121,17 +120,7 @@ func TestNoDeadExports(t *testing.T) {
 		ast.Inspect(f, walk)
 	}
 
-	for _, root := range []string{"internal", "cmd", "examples"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-				visit(path)
-			}
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	walkSources(t, visit, "internal", "cmd", "examples")
 	visit("predtop.go")
 	bench, _ := filepath.Glob("bench/*.go")
 	for _, path := range bench {
@@ -165,6 +154,82 @@ func TestNoDeadExports(t *testing.T) {
 	for key := range deadExportsAllowed {
 		if !used[key] {
 			t.Errorf("allow-list entry %s is stale: it has a caller now, or no longer exists", key)
+		}
+	}
+}
+
+// TestFacadeFuncsHaveCallers holds the facade to what its users call: every
+// exported func in predtop.go needs a predtop.Name reference in a non-test
+// file under cmd/, examples/ or the frozen bench/. Tests in this package do
+// not count — a function only its own test calls is surface nobody uses.
+// Type aliases and constants are exempt: kept signatures and struct fields
+// name them.
+func TestFacadeFuncsHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "predtop.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := map[string]bool{}
+	visit := func(path string) {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local := ""
+		for _, im := range f.Imports {
+			if p, _ := strconv.Unquote(im.Path.Value); p == "predtop" {
+				local = "predtop"
+				if im.Name != nil {
+					local = im.Name.Name
+				}
+			}
+		}
+		if local == "" {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
+					refs[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	walkSources(t, visit, "cmd", "examples", "bench")
+	var funcs int
+	var dead []string
+	for _, d := range facade.Decls {
+		fd, ok := d.(*ast.FuncDecl)
+		if !ok || fd.Recv != nil || !fd.Name.IsExported() {
+			continue
+		}
+		funcs++
+		if !refs[fd.Name.Name] {
+			dead = append(dead, fset.Position(fd.Pos()).String()+": predtop."+fd.Name.Name)
+		}
+	}
+	if funcs < 10 || len(refs) < 10 {
+		t.Fatalf("found %d facade funcs and %d predtop.Name references; is the walk rooted correctly?", funcs, len(refs))
+	}
+	if len(dead) > 0 {
+		t.Errorf("exported from the facade with no caller in cmd/, examples/ or bench/ (delete it, or call it):\n  %s", strings.Join(dead, "\n  "))
+	}
+}
+
+// walkSources calls visit on every non-test Go file under the roots.
+func walkSources(t *testing.T, visit func(path string), roots ...string) {
+	t.Helper()
+	for _, root := range roots {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+				visit(path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }

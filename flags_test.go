@@ -90,14 +90,15 @@ func TestCLIFlagParity(t *testing.T) {
 	// tool's -workers were deleted on measurements (DESIGN.md §6, §9): fan-out
 	// width is GOMAXPROCS. -driftmre went with the batch tools' streaming
 	// accuracy monitor (DESIGN.md §7): a run's held-out MRE is its
-	// attribution. A flag that brings one back, under any name, has to edit
+	// attribution. predtop-train's -load and -stage are what is left of the
+	// stage-prediction tool folded into it. A flag that brings one back, under any name, has to edit
 	// its list to land.
 	batch := []string{"seed", "quiet", "metrics", "trace", "listen", "profile", "runledger"}
 	for tool, own := range map[string][]string{
 		"predtop-serve": {"models", "listen", "cachesize", "addrfile", "slo-p99", "slo-err", "accesslog", "incidents",
 			"seed", "quiet", "metrics", "runledger"},
 		"predtop-train": append([]string{"bench", "platform", "mesh", "conf", "arch", "layers", "samples", "maxlen",
-			"epochs", "trainfrac", "o"}, batch...),
+			"epochs", "trainfrac", "o", "load", "stage"}, batch...),
 		"predtop-eval": append([]string{"bench", "platform", "fig3frac", "fig", "ablate", "tables", "out", "preset"}, batch...),
 		"predtop-plan": append([]string{"bench", "out", "report", "whatif", "diff", "preset"}, batch...),
 	} {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"predtop/internal/ag"
+	"predtop/internal/planner"
 	"predtop/internal/predictor"
 	"predtop/internal/stage"
 )
@@ -187,7 +188,7 @@ func TestGoldenPlans(t *testing.T) {
 		case "full":
 			lat = FullProfiling(m, DefaultProfiler(), meter)
 		case "partial":
-			lat = PartialProfiling(m, DefaultProfiler(), meter, 1.2)
+			lat = planner.PartialProfiling(m, DefaultProfiler(), meter, 1.2)
 		default:
 			lat = TrainPredictorProvider(m, p, PredictorOptions{
 				Kind: KindTransformer, SampleFrac: 0.5, MaxStageLen: maxLen,

@@ -8,6 +8,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -36,6 +37,25 @@ func Bottleneck(stageLat []float64) (int, float64) {
 		}
 	}
 	return idx, max
+}
+
+// BubbleFraction returns the share of device time lost to the pipeline
+// bubble under Eqn 4 — a standard diagnostic for pipeline plans.
+func BubbleFraction(stageLat []float64, microbatches int) float64 {
+	if len(stageLat) == 0 || microbatches <= 0 {
+		return 0
+	}
+	total := Latency(stageLat, microbatches)
+	if total == 0 {
+		return 0
+	}
+	busy := 0.0
+	for _, t := range stageLat {
+		busy += t * float64(microbatches)
+	}
+	ideal := busy / float64(len(stageLat))
+	frac := 1 - ideal/total
+	return math.Max(frac, 0)
 }
 
 // Task is one (stage, microbatch) execution in a simulated schedule.

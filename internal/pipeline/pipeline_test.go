@@ -46,6 +46,23 @@ func TestBottleneck(t *testing.T) {
 	}
 }
 
+func TestBubbleFraction(t *testing.T) {
+	// Perfectly balanced, many microbatches → bubble → 0.
+	lat := []float64{1, 1, 1, 1}
+	small := BubbleFraction(lat, 1000)
+	if small > 0.01 {
+		t.Fatalf("balanced deep pipeline bubble: %v", small)
+	}
+	// Few microbatches → large bubble.
+	big := BubbleFraction(lat, 1)
+	if big < 0.5 {
+		t.Fatalf("B=1 bubble: %v", big)
+	}
+	if BubbleFraction(nil, 4) != 0 {
+		t.Fatal("empty pipeline")
+	}
+}
+
 // TestSimulatorMatchesEqn4 is the paper's white-box model invariant: the
 // closed form equals the event-driven schedule exactly.
 func TestSimulatorMatchesEqn4(t *testing.T) {
@@ -112,13 +129,25 @@ func TestRenderTimeline(t *testing.T) {
 	}
 }
 
-func TestWriteChromeTrace(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, []float64{1, 3, 1}, 2); err != nil {
+// scheduleTrace renders a simulated schedule as a standalone Chrome-tracing
+// file: AddSchedule on a fresh builder, then Render.
+func scheduleTrace(t *testing.T, stageLat []float64, microbatches int) []byte {
+	t.Helper()
+	tb := obs.NewTrace()
+	if err := AddSchedule(tb, "", stageLat, microbatches); err != nil {
 		t.Fatal(err)
 	}
+	var buf bytes.Buffer
+	if err := tb.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestWriteChromeTrace(t *testing.T) {
+	buf := scheduleTrace(t, []float64{1, 3, 1}, 2)
 	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+	if err := json.Unmarshal(buf, &events); err != nil {
 		t.Fatalf("invalid trace JSON: %v", err)
 	}
 	var slices, meta int
@@ -153,8 +182,12 @@ func TestWriteChromeTrace(t *testing.T) {
 }
 
 // TestWriteChromeTraceRejectsInvalidInput: bad input must be an error, not a
-// garbage trace.
+// garbage trace — AddSchedule adds nothing to the builder it rejects.
 func TestWriteChromeTraceRejectsInvalidInput(t *testing.T) {
+	var empty bytes.Buffer
+	if err := obs.NewTrace().Render(&empty); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		lat  []float64
@@ -167,12 +200,16 @@ func TestWriteChromeTraceRejectsInvalidInput(t *testing.T) {
 		{"Inf latency", []float64{math.Inf(1)}, 4},
 	}
 	for _, tc := range cases {
-		var buf bytes.Buffer
-		if err := WriteChromeTrace(&buf, tc.lat, tc.mb); err == nil {
+		tb := obs.NewTrace()
+		if err := AddSchedule(tb, "", tc.lat, tc.mb); err == nil {
 			t.Fatalf("%s: expected error", tc.name)
 		}
-		if buf.Len() != 0 {
-			t.Fatalf("%s: wrote %d bytes alongside the error", tc.name, buf.Len())
+		var buf bytes.Buffer
+		if err := tb.Render(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), empty.Bytes()) {
+			t.Fatalf("%s: added events alongside the error:\n%s", tc.name, &buf)
 		}
 	}
 }
@@ -200,11 +237,7 @@ func checkGolden(t *testing.T, path string, got []byte) {
 // schedule: struct encoding keeps the field order stable, track registration
 // order fixes the tids, and the simulator's task order fixes the slices.
 func TestWriteChromeTraceGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, []float64{1, 3, 1}, 2); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "testdata/pipeline_trace.golden.json", buf.Bytes())
+	checkGolden(t, "testdata/pipeline_trace.golden.json", scheduleTrace(t, []float64{1, 3, 1}, 2))
 }
 
 // TestCombinedTraceGolden renders training epochs and a pipeline schedule as

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"predtop/internal/obs"
@@ -30,18 +29,4 @@ func AddSchedule(tb *obs.TraceBuilder, prefix string, stageLat []float64, microb
 			fmt.Sprintf("mb%d", t.Microbatch), t.Start, t.End-t.Start)
 	}
 	return nil
-}
-
-// WriteChromeTrace renders a simulated pipeline schedule as a Chrome-tracing
-// JSON file (loadable in chrome://tracing or Perfetto): one named track per
-// stage, one slice per (stage, microbatch) task, with "M" metadata events
-// naming each track. Latencies are interpreted as seconds and emitted in
-// microseconds. Invalid input (negative latencies, microbatches < 1) is an
-// error.
-func WriteChromeTrace(w io.Writer, stageLat []float64, microbatches int) error {
-	tb := obs.NewTrace()
-	if err := AddSchedule(tb, "", stageLat, microbatches); err != nil {
-		return err
-	}
-	return tb.Render(w)
 }

@@ -43,7 +43,6 @@ package predtop
 
 import (
 	"context"
-	"io"
 	"math/rand"
 
 	"predtop/internal/cluster"
@@ -91,9 +90,6 @@ func Platform1() Platform { return cluster.Platform1() }
 
 // Platform2 returns the 2-node × 2-A5500 platform.
 func Platform2() Platform { return cluster.Platform2() }
-
-// Meshes enumerates the Table-II meshes of a platform.
-func Meshes(p Platform) []Mesh { return cluster.Meshes(p) }
 
 // Scenarios enumerates every (mesh, configuration) pair of a platform.
 func Scenarios(p Platform) []Scenario { return cluster.Scenarios(p) }
@@ -210,12 +206,6 @@ func SimulatePipeline(stageLat []float64, microbatches int) (float64, []pipeline
 	return pipeline.Simulate(stageLat, microbatches)
 }
 
-// WritePipelineTrace renders a simulated pipeline schedule as a Chrome-tracing
-// JSON file loadable in Perfetto or chrome://tracing.
-func WritePipelineTrace(w io.Writer, stageLat []float64, microbatches int) error {
-	return pipeline.WriteChromeTrace(w, stageLat, microbatches)
-}
-
 // Planner API.
 type (
 	// Plan is a stage partition with submesh assignments.
@@ -236,18 +226,6 @@ type (
 	// PlanProviderInfo identifies a plan's latency source: kind, seed, and
 	// trained-weight fingerprint (see PredictorOptions.Info).
 	PlanProviderInfo = planner.ProviderInfo
-	// PlanReport is a plan's provenance record: per-stage latencies, mesh
-	// assignments, Eqn-4 decomposition, search stats, and predictor identity,
-	// serializable as byte-identical-per-seed JSON or /statusz-style text.
-	PlanReport = planner.Report
-	// PlanReportOptions supplies the context BuildPlanReport cannot derive
-	// from the plan itself.
-	PlanReportOptions = planner.ReportOptions
-	// PlanReportDiff is the side-by-side latency comparison of two reports.
-	PlanReportDiff = planner.ReportDiff
-	// PlanPerturbation is a what-if scenario: microbatch override, platform
-	// swap, or interconnect scale factors (see PlanWhatIf).
-	PlanPerturbation = planner.Perturbation
 )
 
 // Predictor architectures for the planner integration.
@@ -268,11 +246,6 @@ func FullProfiling(m *Model, prof Profiler, meter *CostMeter) LatencyFn {
 	return planner.FullProfiling(m, prof, meter)
 }
 
-// PartialProfiling returns vanilla Alpa's heuristic partial-profiling source.
-func PartialProfiling(m *Model, prof Profiler, meter *CostMeter, alpha float64) LatencyFn {
-	return planner.PartialProfiling(m, prof, meter, alpha)
-}
-
 // TrainPredictorProvider implements the PredTOP workflow (§VI): profile a
 // sampled stage subset, train per-scenario predictors, and answer planner
 // queries with predictions.
@@ -290,35 +263,6 @@ func EvaluatePlan(m *Model, plan Plan, microbatches int) (float64, bool) {
 func TrueStageLatency(m *Model, sp StageSpec, mesh Mesh) (float64, bool) {
 	return planner.TrueStageLatency(m, sp, mesh)
 }
-
-// BuildPlanReport assembles the provenance report for a plan (see
-// PlanReport). Building a report never mutates the plan.
-func BuildPlanReport(m *Model, p Platform, plan Plan, opt PlanReportOptions) *PlanReport {
-	return planner.BuildReport(m, p, plan, opt)
-}
-
-// PlanWhatIf replays a cached plan against a perturbed cluster or microbatch
-// count without re-searching, returning the scenario's report for
-// DiffPlanReports against the baseline. ok is false when a stage no longer
-// fits under the perturbation.
-func PlanWhatIf(m *Model, base Platform, plan Plan, microbatches int, pt PlanPerturbation, opt PlanReportOptions) (*PlanReport, bool) {
-	return planner.WhatIf(m, base, plan, microbatches, pt, opt)
-}
-
-// ParsePlanPerturbation parses the -whatif flag syntax ("microbatches=32,
-// internode-bw=x4"; see PlanPerturbation).
-func ParsePlanPerturbation(s string) (PlanPerturbation, error) {
-	return planner.ParsePerturbation(s)
-}
-
-// DiffPlanReports compares two plan reports stage by stage and on the Eqn-4
-// total — typically a baseline and its what-if replay.
-func DiffPlanReports(base, scenario *PlanReport) *PlanReportDiff {
-	return planner.Diff(base, scenario)
-}
-
-// LoadPlanReport reads a report previously written by PlanReport.SaveFile.
-func LoadPlanReport(path string) (*PlanReport, error) { return planner.LoadReport(path) }
 
 // Serving API (internal/serve). Telemetry is not part of this facade: the
 // batch tools reach internal/obs through internal/cli. The metrics registry,
@@ -358,29 +302,3 @@ func StartServe(ctx context.Context, cfg ServeConfig) (*ServeDaemon, error) {
 // daemon and returns throughput, latency percentiles, and the daemon's cache
 // counters and SLO verdict.
 func ServeReplay(cfg ServeReplayConfig) (*ServeReplayResult, error) { return serve.Replay(cfg) }
-
-// Extended white-box schedules (beyond the paper's Eqn 4).
-
-// GPipeLatency models GPipe with an explicit flush between the forward and
-// backward pipeline passes; fwdFrac ≤ 0 uses the standard 1/3 split.
-func GPipeLatency(stageLat []float64, microbatches int, fwdFrac float64) float64 {
-	return pipeline.GPipeLatency(stageLat, microbatches, fwdFrac)
-}
-
-// InterleavedLatency models interleaved 1F1B with V virtual stages per
-// device, shrinking the pipeline bubble by V.
-func InterleavedLatency(stageLat []float64, microbatches, virtualStages int) float64 {
-	return pipeline.InterleavedLatency(stageLat, microbatches, virtualStages)
-}
-
-// CommAwareLatency extends Eqn 4 with inter-stage activation-transfer
-// latencies (len(commLat) = len(stageLat)−1), the term the paper drops.
-func CommAwareLatency(stageLat, commLat []float64, microbatches int) float64 {
-	return pipeline.CommAwareLatency(stageLat, commLat, microbatches)
-}
-
-// BubbleFraction reports the share of device time lost to the pipeline
-// bubble under Eqn 4.
-func BubbleFraction(stageLat []float64, microbatches int) float64 {
-	return pipeline.BubbleFraction(stageLat, microbatches)
-}

@@ -2,8 +2,6 @@ package predtop
 
 import (
 	"math/rand"
-	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -27,9 +25,6 @@ func TestFacadeModelBuilding(t *testing.T) {
 func TestFacadePlatforms(t *testing.T) {
 	if len(Scenarios(Platform1())) != 3 || len(Scenarios(Platform2())) != 6 {
 		t.Fatal("scenario counts diverge from Tables V/VI")
-	}
-	if len(Meshes(Platform2())) != 3 {
-		t.Fatal("platform-2 meshes")
 	}
 }
 
@@ -107,74 +102,8 @@ func TestFacadePlannerEndToEnd(t *testing.T) {
 	if meter.Total() <= 0 {
 		t.Fatal("cost not metered")
 	}
-	if _, ok := TrueStageLatency(m, StageSpec{Lo: 0, Hi: 2}, Meshes(p)[0]); !ok {
+	if _, ok := TrueStageLatency(m, StageSpec{Lo: 0, Hi: 2}, Scenarios(p)[0].Mesh); !ok {
 		t.Fatal("true stage latency failed")
-	}
-}
-
-func TestFacadePlanReportAndWhatIf(t *testing.T) {
-	m := BuildModel(tinyGPT())
-	p := Platform1()
-	meter := &CostMeter{}
-	var stats PlanSearchStats
-	plan, ok := OptimizePlan(m.NumSegments(), p,
-		FullProfiling(m, DefaultProfiler(), meter),
-		PlanOptions{Microbatches: 4, Stats: &stats})
-	if !ok {
-		t.Fatal("no plan")
-	}
-	if stats.LatencyLookups == 0 || stats.TmaxCandidates == 0 {
-		t.Fatalf("search stats empty: %+v", stats)
-	}
-	report := BuildPlanReport(m, p, plan, PlanReportOptions{
-		Version: "Alpa-Full", Microbatches: 4, Search: &stats, Meter: meter,
-		Provenance: PlanProviderInfo{Source: "Alpa-Full"},
-	})
-	if len(report.Stages) != plan.NumStages() || report.Pipeline.Total <= 0 {
-		t.Fatalf("report incomplete: %+v", report)
-	}
-	path := filepath.Join(t.TempDir(), "report.json")
-	if err := report.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadPlanReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Pipeline.Total != report.Pipeline.Total {
-		t.Fatal("report did not round-trip")
-	}
-
-	pt, err := ParsePlanPerturbation("microbatches=8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	scen, ok := PlanWhatIf(m, p, plan, 4, pt, PlanReportOptions{Version: "Alpa-Full"})
-	if !ok {
-		t.Fatal("what-if infeasible")
-	}
-	if scen.Pipeline.Total <= report.Pipeline.Total {
-		t.Fatal("doubling microbatches must lengthen the iteration")
-	}
-	d := DiffPlanReports(report, scen)
-	if d.Delta <= 0 || !strings.Contains(d.Render(), "microbatches=8") {
-		t.Fatalf("diff wrong: %+v", d)
-	}
-}
-
-func TestFacadeExtendedSchedules(t *testing.T) {
-	lat := []float64{1, 3, 1, 1}
-	if GPipeLatency(lat, 3, 0) < PipelineLatency(lat, 3) {
-		t.Fatal("GPipe flush cannot beat 1F1B")
-	}
-	if InterleavedLatency(lat, 8, 4) >= PipelineLatency(lat, 8) {
-		t.Fatal("interleaving must shrink the bubble")
-	}
-	if CommAwareLatency(lat, []float64{0, 0, 0}, 3) != PipelineLatency(lat, 3) {
-		t.Fatal("zero comm must reduce to Eqn 4")
-	}
-	if b := BubbleFraction(lat, 3); b <= 0 || b >= 1 {
-		t.Fatalf("bubble fraction %v", b)
 	}
 }
 

@@ -1,12 +1,13 @@
 #!/bin/sh
 # serve-smoke: build predtop-serve + predtop-replay, train a throwaway tiny
 # model, bring the daemon up on an ephemeral port, answer one query through
-# predtop-replay -smoke, read the query back from /metrics, answer a short
+# predtop-replay -smoke, read the query back from /metrics, check that
+# predtop-train -load predicts what /predict answers, answer a short
 # 8-client replay, shut down cleanly, and check that the daemon's -metrics
 # file holds access records and no second per-request record. Any failure —
-# build, train, startup, query, a wrong counter, a wrong record, or a daemon
-# that does not exit 0 on SIGTERM — fails the script, which is wired into
-# `make ci` via the serve-smoke target.
+# build, train, startup, query, a wrong counter, two predictions that
+# differ, a wrong record, or a daemon that does not exit 0 on SIGTERM —
+# fails the script, which is wired into `make ci` via the serve-smoke target.
 set -eu
 
 GO=${GO:-go}
@@ -83,6 +84,22 @@ for want in "predtop_serve_queue_depth 0" "predtop_serve_cache_misses_total 1"; 
         exit 1
     }
 done
+
+echo "serve-smoke: checking predtop-train -load against /predict"
+# The two load-and-predict paths must give the same number: both print
+# pred·1e3 through encoding/json, so comparing the text catches any bit
+# that differs.
+"$WORK/predtop-train" -load "$WORK/models/smoke.predtop" -layers 4 -stage 1:3 \
+    -quiet -metrics "$WORK/p.jsonl" > /dev/null
+TOOL_MS=$(sed -n 's/.*"event":"prediction".*"predicted_ms":\([^,}]*\).*/\1/p' "$WORK/p.jsonl")
+SERVE_MS=$(curl -sf -X POST -H 'Content-Type: application/json' \
+    -d '{"bench":"GPT-3","layers":4,"lo":1,"hi":3}' "http://$ADDR/predict" |
+    sed -n 's/.*"latency_ms":\([^,}]*\).*/\1/p')
+if [ -z "$TOOL_MS" ] || [ "$TOOL_MS" != "$SERVE_MS" ]; then
+    echo "serve-smoke: predtop-train -load predicted \"$TOOL_MS\" ms, /predict answered \"$SERVE_MS\" ms" >&2
+    exit 1
+fi
+echo "serve-smoke: both predict $TOOL_MS ms"
 
 echo "serve-smoke: replaying 200 queries from 8 clients"
 # predtop-replay exits nonzero when any query failed.
