@@ -44,7 +44,7 @@ bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The race pass runs in -short mode: it still exercises the concurrent
-# paths — training's evaluation chunks on the shared prediction tapes,
+# paths — training's per-graph minibatch and evaluation tapes,
 # batched prediction, the serving daemon, and the experiment grids —
 # including the hook-instrumented training tests (TestTrainHooksAndHistory
 # and the hooked rows of the bitwise-determinism table), the

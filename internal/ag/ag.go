@@ -4,11 +4,14 @@
 // A Context records every operation of one forward pass over a panel of
 // stacked stage graphs (tensor.BatchLayout; one graph is the B=1 panel).
 // BackwardVec walks the tape in reverse, accumulating gradients into each
-// node and into each parameter's one accumulator, Param.Grad (batch.go folds
-// the panels' parameter gradients into it). Contexts are reusable: Reset
-// recycles the tape, its pooled Node storage, and — via the context's
-// tensor.Arena — every intermediate buffer of the pass, so a context that
-// has seen its largest graph allocates nothing in steady state.
+// node and into each parameter's one accumulator, Param.Grad. The panels'
+// parameter-gradient parts meet there through one fixed-shape tree
+// (PanelGrads.Fold, batch.go), either at the end of the tape's own backward
+// or — when several tapes, one per graph, are routed to a shared PanelGrads
+// — once all of them have run. Contexts are reusable: Reset recycles the
+// tape, its pooled Node storage, and — via the context's tensor.Arena —
+// every intermediate buffer of the pass, so a context that has seen its
+// largest graph allocates nothing in steady state.
 package ag
 
 import (
@@ -107,7 +110,10 @@ type Context struct {
 	nodes  []*Node
 	params map[*Param]*Node
 	ts     []*tensor.Tensor // scratch operand slice for ConcatCols
-	parts  []*tensor.Tensor // scratch per-panel parameter gradients (panelParts)
+	xs     []*Node          // ConcatCols operand lists of this generation
+	grads  *PanelGrads      // routed parameter-gradient slots (RouteGrads); nil = own
+	offset int              // global panel index of the tape's first panel in grads
+	own    PanelGrads       // the unrouted tape's slots, folded by BackwardVec
 	span   obs.Span         // profiling span layer marks nest under (see profile.go)
 	marks  []layerMark      // tape ranges recorded by StartLayer/End
 }
@@ -115,7 +121,11 @@ type Context struct {
 // NewContext returns an empty tape accumulating into Param.Grad. The tape
 // owns a private arena, so intermediates are recycled on Reset.
 func NewContext() *Context {
-	return &Context{params: make(map[*Param]*Node), arena: tensor.NewArena()}
+	return &Context{
+		params: make(map[*Param]*Node),
+		arena:  tensor.NewArena(),
+		own:    PanelGrads{index: make(map[*Param]int)},
+	}
 }
 
 // Arena returns the context's buffer arena. Model code may draw scratch
@@ -123,15 +133,19 @@ func NewContext() *Context {
 func (c *Context) Arena() *tensor.Arena { return c.arena }
 
 // Reset clears the tape for reuse: node chunks, the params memo, layer marks,
-// and every arena-held intermediate are recycled in place, so a pooled
-// context stops allocating once it has seen its largest graph. All Nodes and
-// intermediate tensors from the previous pass become invalid.
+// the own gradient slots, and every arena-held intermediate are recycled in
+// place (gradient routing is kept), so a pooled context stops allocating once
+// it has seen its largest graph. All Nodes and intermediate tensors from the
+// previous pass become invalid.
 func (c *Context) Reset() {
 	c.nodes = c.nodes[:0]
 	c.nused = 0
 	clear(c.params)
 	c.marks = c.marks[:0]
 	c.ts = c.ts[:0]
+	clear(c.xs)
+	c.xs = c.xs[:0]
+	c.own.clearTape()
 	c.arena.Reset()
 }
 
@@ -419,7 +433,8 @@ func (c *Context) Tanh(x *Node) *Node {
 	return n
 }
 
-// ConcatCols concatenates nodes along columns.
+// ConcatCols concatenates nodes along columns. The operand list is copied
+// onto the tape, so callers may pass a stack-held slice.
 func (c *Context) ConcatCols(xs ...*Node) *Node {
 	c.ts = c.ts[:0]
 	req := false
@@ -435,7 +450,9 @@ func (c *Context) ConcatCols(xs ...*Node) *Node {
 	v := c.arena.GetUninit(rows, cols)
 	tensor.ConcatColsInto(v, c.ts...)
 	n := c.node(opConcat, v, req)
-	n.xs = xs
+	start := len(c.xs)
+	c.xs = append(c.xs, xs...)
+	n.xs = c.xs[start:len(c.xs):len(c.xs)]
 	return n
 }
 

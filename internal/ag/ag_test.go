@@ -313,10 +313,8 @@ func TestLossGrads(t *testing.T) {
 // TestParamGradPanelFoldBitwise pins the one-accumulator contract: a
 // B-graph tape's Param.Grad equals, bit for bit, parallel.TreeReduce over
 // the Param.Grad each graph produces alone at B=1, for every parameter of the
-// three segmented ops that carry them. A parameter entering two such ops
-// would fold twice and break the equality, so this also guards the
-// one-op-per-parameter precondition. Five panels make the tree differ from a
-// serial fold.
+// three segmented ops that carry them. Five panels make the tree differ from
+// a serial fold.
 func TestParamGradPanelFoldBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	l := tensor.BatchLayout{B: 5, Stride: 4, Counts: []int{2, 4, 3, 1, 4}}
@@ -400,4 +398,134 @@ func TestConstHasNoGradient(t *testing.T) {
 	if w.Grad.MaxAbs() == 0 {
 		t.Fatal("parameter gradient should be nonzero")
 	}
+}
+
+// splitGraphs is the fixed input of TestPanelGradsRoutedTapesBitwise: five
+// ragged graphs with their own rows, attention masks and scalar targets.
+type splitGraphs struct {
+	xs, masks, targets []*tensor.Tensor
+}
+
+// stackRun records graphs [lo, hi) of sg on ctx as one padded tape whose
+// stride is pad rows wider than its largest graph, and runs the per-graph
+// loss |pred − target| through BackwardVec — the training step's shape.
+func stackRun(ctx *Context, ps []*Param, sg *splitGraphs, lo, hi, pad int) {
+	w1, b1, gamma, beta, p, w2, b2 := ps[0], ps[1], ps[2], ps[3], ps[4], ps[5], ps[6]
+	l := tensor.BatchLayout{B: hi - lo}
+	for _, x := range sg.xs[lo:hi] {
+		l.Counts = append(l.Counts, x.R)
+		l.Stride = max(l.Stride, x.R+pad)
+	}
+	x := tensor.New(l.Rows(), sg.xs[0].C)
+	targets := tensor.New(l.B, 1)
+	for g, xg := range sg.xs[lo:hi] {
+		copy(x.Data[g*l.Stride*x.C:], xg.Data)
+		targets.Data[g] = sg.targets[lo+g].Data[0]
+	}
+	ones := make([]int, l.B)
+	for i := range ones {
+		ones[i] = 1
+	}
+	hl := tensor.BatchLayout{B: l.B, Stride: 1, Counts: ones}
+	h := ctx.SegLayerNorm(ctx.SegLinear(ctx.Const(x), w1, b1, l), gamma, beta, 1e-5, l)
+	attn := ctx.PanelSoftmaxInPlace(ctx.ScaleInPlace(ctx.PanelMatMulBT(h, h, l), 0.5), sg.masks[lo:hi], l)
+	h = ctx.SegMatMul(ctx.PanelMatMul(attn, h, l), p, l)
+	pred := ctx.SegLinear(ctx.Tanh(ctx.SegSumRows(h, l)), w2, b2, hl)
+	ctx.BackwardVec(ctx.Abs(ctx.Sub(pred, ctx.Const(targets))))
+}
+
+// TestPanelGradsRoutedTapesBitwise pins the split-tape contract the trainer
+// relies on: five ragged graphs run as one standalone tape, as a 2+3 pair of
+// tapes and as five B=1 tapes (concurrently, on goroutines of their own),
+// the split tapes routed to one PanelGrads at their global panel offsets and
+// folded once, end with bit-equal Param.Grad — SIMD kernels on and off. Five
+// panels make the fold's tree differ from a serial sum, so a tape that folded
+// its own parts would break the equality.
+func TestPanelGradsRoutedTapesBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	sg := &splitGraphs{}
+	for _, n := range []int{2, 4, 3, 1, 4} {
+		sg.xs = append(sg.xs, tensor.Randn(rng, n, 3, 1))
+		mask := tensor.New(n, n)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				mask.Set(i, j, math.Inf(-1)) // causal, like a DAG reachability mask
+			}
+		}
+		sg.masks = append(sg.masks, mask)
+		sg.targets = append(sg.targets, tensor.Full(1, 1, rng.Float64()))
+	}
+	ps := []*Param{
+		newRandParam(rng, "w1", 3, 4),
+		newRandParam(rng, "b1", 1, 4),
+		NewParam("gamma", tensor.RandUniform(rng, 1, 4, 0.5, 1.5)),
+		newRandParam(rng, "beta", 1, 4),
+		newRandParam(rng, "p", 4, 3),
+		newRandParam(rng, "w2", 3, 1),
+		newRandParam(rng, "b2", 1, 1),
+	}
+	grads := func(run func()) []*tensor.Tensor {
+		for _, p := range ps {
+			p.ZeroGrad()
+		}
+		run()
+		out := make([]*tensor.Tensor, len(ps))
+		for i, p := range ps {
+			if p.Grad.MaxAbs() == 0 {
+				t.Fatalf("no gradient for %s", p.Name)
+			}
+			out[i] = p.Grad.Clone()
+		}
+		return out
+	}
+	routed := func(splits [][2]int) func() {
+		return func() {
+			pg := NewPanelGrads(ps, len(sg.xs))
+			parallel.ForLimit(len(splits), len(splits), func(i int) {
+				ctx := NewContext()
+				ctx.RouteGrads(pg, splits[i][0])
+				stackRun(ctx, ps, sg, splits[i][0], splits[i][1], i%2)
+			})
+			pg.Fold(len(sg.xs))
+		}
+	}
+	defer tensor.SetSIMD(tensor.SIMDEnabled())
+	simdModes := []bool{tensor.SIMDEnabled()}
+	if tensor.SIMDAvailable() {
+		simdModes = []bool{true, false}
+	}
+	for _, simd := range simdModes {
+		tensor.SetSIMD(simd)
+		want := grads(func() { stackRun(NewContext(), ps, sg, 0, len(sg.xs), 0) })
+		for name, run := range map[string]func(){
+			"2+3":   routed([][2]int{{0, 2}, {2, 5}}),
+			"5xB=1": routed([][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}),
+		} {
+			got := grads(run)
+			for i, p := range ps {
+				for j := range want[i].Data {
+					if math.Float64bits(got[i].Data[j]) != math.Float64bits(want[i].Data[j]) {
+						t.Fatalf("simd=%v %s: %s[%d] %v != one tape %v", simd, name, p.Name, j, got[i].Data[j], want[i].Data[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestParamInTwoSegmentedOpsPanics: a standalone tape keeps one part per
+// (parameter, panel), so a parameter entering a second segmented op would
+// overwrite its first part; the tape refuses instead of dropping a gradient.
+func TestParamInTwoSegmentedOpsPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	w := newRandParam(rng, "w", 2, 2)
+	l := tensor.BatchLayout{B: 1, Stride: 3, Counts: []int{3}}
+	ctx := NewContext()
+	h := ctx.SegMatMul(ctx.SegMatMul(ctx.Const(tensor.Randn(rng, 3, 2, 1)), w, l), w, l)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a parameter in two segmented ops did not panic")
+		}
+	}()
+	ctx.BackwardVec(h)
 }

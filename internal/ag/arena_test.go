@@ -122,26 +122,44 @@ func TestArenaOnOffBitwiseIdentical(t *testing.T) {
 // once a pooled context has seen its graph, a full forward+backward+Reset
 // step performs zero heap allocations — at one panel, and at three ragged
 // panels, where the per-panel parameter gradient fold runs on the context's
-// scratch.
+// own slots; and on a tape routed to a shared PanelGrads at a non-zero panel
+// offset, whose Fold allocates nothing either.
 func TestContextSteadyStateZeroAlloc(t *testing.T) {
-	for _, l := range []tensor.BatchLayout{
-		{B: 1, Stride: 5, Counts: []int{5}},
-		{B: 3, Stride: 5, Counts: []int{2, 5, 3}},
+	for _, c := range []struct {
+		l      tensor.BatchLayout
+		offset int // global panel of the tape's first; -1: unrouted
+	}{
+		{tensor.BatchLayout{B: 1, Stride: 5, Counts: []int{5}}, -1},
+		{tensor.BatchLayout{B: 3, Stride: 5, Counts: []int{2, 5, 3}}, -1},
+		{tensor.BatchLayout{B: 1, Stride: 5, Counts: []int{5}}, 3},
+		{tensor.BatchLayout{B: 3, Stride: 5, Counts: []int{2, 5, 3}}, 2},
 	} {
+		l := c.l
 		rng := rand.New(rand.NewSource(3))
 		x := tensor.Randn(rng, l.Rows(), 6, 1)
 		ps := testParams(11)
 		g := newLossGraph(x, nil, l)
 		ctx := NewContext()
+		var pg *PanelGrads
+		if c.offset >= 0 {
+			pg = NewPanelGrads(ps, c.offset+l.B)
+			ctx.RouteGrads(pg, c.offset)
+		}
 		step := func() {
 			loss := buildLossGraph(ctx, ps, g)
 			ctx.Backward(loss)
 			ctx.Reset()
 		}
-		step() // warm the arena, node chunks, params map, and fold scratch
+		step() // warm the arena, node chunks, params map, and fold slots
 		step()
 		if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
-			t.Fatalf("B=%d: steady-state forward+backward allocated %.1f per step, want 0", l.B, allocs)
+			t.Fatalf("B=%d offset=%d: steady-state forward+backward allocated %.1f per step, want 0", l.B, c.offset, allocs)
+		}
+		if pg == nil {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(100, func() { pg.Fold(c.offset + l.B) }); allocs != 0 {
+			t.Fatalf("B=%d offset=%d: Fold allocated %.1f, want 0", l.B, c.offset, allocs)
 		}
 	}
 }

@@ -1,32 +1,82 @@
 // Panel tape ops: one tape records B stage graphs (B may be 1) stacked into
-// padded panel tensors (tensor.BatchLayout), so a minibatch runs one forward
-// and one backward. Every op is panel-block-diagonal and built on row kernels
+// padded panel tensors (tensor.BatchLayout), so B graphs run one forward and
+// one backward. Every op is panel-block-diagonal and built on row kernels
 // whose operand ranges depend on the graph alone, so each graph's values and
 // gradients are bitwise identical in any batch composition.
 //
 // Parameter gradients do not flow through opParam leaves here. The three
 // segmented ops that carry parameters (SegLinear, SegMatMul, SegLayerNorm)
-// compute one gradient part per panel as an arena temporary and fold the
-// parts into Param.Grad through parallel.TreeReduce, whose pairwise shape
-// depends on B alone. Each parameter enters one such op per tape, so a
-// B-graph tape's Param.Grad is, bit for bit, that tree over the gradients
-// each graph produces alone at B=1.
+// write one gradient part per panel into a PanelGrads slot keyed by
+// (parameter, global panel index), and PanelGrads.Fold adds each parameter's
+// parallel.TreeReduce over its parts into Param.Grad — a tree whose pairwise
+// shape depends on the panel count alone. A standalone tape folds its own
+// parts at the end of BackwardVec; tapes routed to a shared PanelGrads
+// (RouteGrads) leave the fold to its owner, so B graphs run as one tape, as
+// several, or as B tapes of one graph each — on any goroutines — end with the
+// same Param.Grad bits. Each parameter enters one such op per tape.
 package ag
 
 import (
+	"fmt"
 	"math"
 
 	"predtop/internal/parallel"
 	"predtop/internal/tensor"
 )
 
-// panelParts returns two length-b slices of context-owned scratch for
-// per-panel parameter gradient parts, valid until the next call.
-func (c *Context) panelParts(b int) (first, second []*tensor.Tensor) {
-	if cap(c.parts) < 2*b {
-		c.parts = make([]*tensor.Tensor, 2*b)
+// PanelGrads holds the parameter-gradient parts of the segmented ops, one
+// slot per (parameter, global panel index), until Fold adds them into
+// Param.Grad.
+type PanelGrads struct {
+	index  map[*Param]int
+	params []*Param
+	parts  [][]*tensor.Tensor // parts[i][k]: params[i]'s part from global panel k
+	// panels counts the panels a tape's own store (Context.own) has written
+	// since its last fold. That store registers parameters as the backward
+	// reaches them, draws its slots from the tape's arena, and is folded and
+	// cleared by every unrouted BackwardVec.
+	panels int
+}
+
+// NewPanelGrads returns a store with a slot for each of params' parts from
+// global panels [0, panels), carved from one buffer. Tapes routed to it
+// (RouteGrads) may run concurrently as long as their panel ranges are
+// disjoint.
+func NewPanelGrads(params []*Param, panels int) *PanelGrads {
+	size := 0
+	for _, p := range params {
+		size += p.V.Size()
 	}
-	return c.parts[:b:b], c.parts[b : 2*b]
+	data := make([]float64, size*panels)
+	slots := make([]tensor.Tensor, len(params)*panels)
+	refs := make([]*tensor.Tensor, len(slots))
+	g := &PanelGrads{
+		index:  make(map[*Param]int, len(params)),
+		params: append([]*Param(nil), params...),
+		parts:  make([][]*tensor.Tensor, len(params)),
+	}
+	for i, p := range params {
+		g.index[p] = i
+		g.parts[i] = refs[i*panels : (i+1)*panels : (i+1)*panels]
+		for k := range g.parts[i] {
+			t := &slots[i*panels+k]
+			t.R, t.C, t.Data = p.V.R, p.V.C, data[:p.V.Size():p.V.Size()]
+			data = data[p.V.Size():]
+			g.parts[i][k] = t
+		}
+	}
+	return g
+}
+
+// Fold adds, for every parameter, the fixed-shape tree sum of its parts from
+// panels [0, n) into Param.Grad. The parts serve as reduction scratch.
+func (g *PanelGrads) Fold(n int) {
+	for i, p := range g.params {
+		if n > len(g.parts[i]) {
+			panic(fmt.Sprintf("ag: folding %d panels of %s, which has %d", n, p.Name, len(g.parts[i])))
+		}
+		foldGrad(p, g.parts[i][:n])
+	}
 }
 
 // foldGrad adds the fixed-shape tree sum of parts (one per panel, used as
@@ -38,13 +88,68 @@ func foldGrad(p *Param, parts []*tensor.Tensor) {
 	}))
 }
 
+// tapePart returns a tape's own slot for p's part from panel k, registering
+// p and drawing the slot from a. Panels arrive in order, so a slot that
+// already exists means p entered a second segmented op on this tape.
+func (g *PanelGrads) tapePart(p *Param, k int, a *tensor.Arena) *tensor.Tensor {
+	i, ok := g.index[p]
+	if !ok {
+		i = len(g.params)
+		g.index[p] = i
+		g.params = append(g.params, p)
+		if i == len(g.parts) {
+			g.parts = append(g.parts, nil)
+		}
+		g.parts[i] = g.parts[i][:0]
+	}
+	if k != len(g.parts[i]) {
+		panic("ag: parameter " + p.Name + " enters two segmented ops on one tape")
+	}
+	t := a.GetUninit(p.V.R, p.V.C)
+	g.parts[i] = append(g.parts[i], t)
+	g.panels = max(g.panels, k+1)
+	return t
+}
+
+// clearTape drops a tape's own registrations; the slots' buffers go back
+// with the arena.
+func (g *PanelGrads) clearTape() {
+	clear(g.index)
+	g.params = g.params[:0]
+	g.panels = 0
+}
+
+// RouteGrads sends this tape's parameter-gradient parts to g: the part from
+// the tape's panel k lands in global panel offset+k, and BackwardVec leaves
+// folding to g's owner (g.Fold). g must hold every parameter the tape's
+// segmented ops use and at least offset+B panels. Routing survives Reset.
+// Param leaves (Context.Param) still accumulate straight into Param.Grad, so
+// tapes sharing g concurrently must not use them.
+func (c *Context) RouteGrads(g *PanelGrads, offset int) {
+	c.grads, c.offset = g, offset
+}
+
+// gradPart returns the slot the tape's panel k writes p's gradient part to:
+// fully overwritten by the caller.
+func (c *Context) gradPart(p *Param, k int) *tensor.Tensor {
+	if g := c.grads; g != nil {
+		i, ok := g.index[p]
+		if !ok {
+			panic("ag: parameter " + p.Name + " has no slot in the routed PanelGrads")
+		}
+		return g.parts[i][c.offset+k]
+	}
+	return c.own.tapePart(p, k, c.arena)
+}
+
 // BackwardVec seeds every element of loss with gradient 1 and propagates
 // through the tape in reverse recording order — the gradient of the sum of
 // the loss's elements. No op mixes panels, so on a B×1 per-graph loss each
-// panel's gradient part is exactly the gradient of its own graph's loss. When a
-// profiling span is attached and layer marks were recorded, the replay is
-// additionally timed per layer (see profile.go); the gradient math is
-// identical either way.
+// panel's gradient part is exactly the gradient of its own graph's loss. A
+// standalone tape then folds its parts into Param.Grad; a routed one leaves
+// them in its PanelGrads. When a profiling span is attached and layer marks
+// were recorded, the replay is additionally timed per layer (see
+// profile.go); the gradient math is identical either way.
 func (c *Context) BackwardVec(loss *Node) {
 	seed := c.arena.GetUninit(loss.V.R, loss.V.C)
 	for i := range seed.Data {
@@ -55,14 +160,18 @@ func (c *Context) BackwardVec(loss *Node) {
 		bspan := c.span.Start("backward")
 		c.backwardProfiled(bspan)
 		bspan.End()
-		return
-	}
-	for i := len(c.nodes) - 1; i >= 0; i-- {
-		n := c.nodes[i]
-		if n.grad == nil || !n.requires {
-			continue
+	} else {
+		for i := len(c.nodes) - 1; i >= 0; i-- {
+			n := c.nodes[i]
+			if n.grad == nil || !n.requires {
+				continue
+			}
+			c.runBack(n)
 		}
-		c.runBack(n)
+	}
+	if c.grads == nil {
+		c.own.Fold(c.own.panels)
+		c.own.clearTape()
 	}
 }
 
@@ -74,8 +183,8 @@ func clearPadRows(t *tensor.Tensor, lo, hi int) {
 }
 
 // SegLinear is the batched fused dense layer x·W + b over every panel's real
-// rows (pad rows zero). W and b gradients are computed per panel and folded
-// into Param.Grad.
+// rows (pad rows zero). W and b gradients are computed per panel into the
+// tape's PanelGrads slots.
 func (c *Context) SegLinear(x *Node, w, b *Param, l tensor.BatchLayout) *Node {
 	v := c.arena.GetUninit(x.V.R, w.V.C)
 	tensor.SegLinearInto(v, x.V, w.V, b.V, l)
@@ -91,22 +200,17 @@ func (c *Context) backSegLinear(n *Node) {
 		tensor.SegMatMulBTInto(d, g, w.V, l) // dX = g·Wᵀ per panel
 		c.accumOwn(x, d)
 	}
-	dws, dbs := c.panelParts(l.B)
 	for gi := 0; gi < l.B; gi++ {
 		lo := gi * l.Stride
 		hi := lo + l.Counts[gi]
-		dws[gi] = c.arena.GetUninit(x.V.C, g.C)
-		tensor.MatMulATRangeInto(dws[gi], x.V, g, lo, hi) // dW = X_gᵀ·g_g
-		dbs[gi] = c.arena.GetUninit(1, g.C)
-		tensor.SumRowsRangeInto(dbs[gi], g, lo, hi)
+		tensor.MatMulATRangeInto(c.gradPart(w, gi), x.V, g, lo, hi) // dW = X_gᵀ·g_g
+		tensor.SumRowsRangeInto(c.gradPart(b, gi), g, lo, hi)
 	}
-	foldGrad(w, dws)
-	foldGrad(b, dbs)
 }
 
 // SegMatMul multiplies every panel's real rows by a shared parameter matrix
 // (e.g. a GAT attention vector); the parameter gradient is computed per
-// panel and folded into Param.Grad.
+// panel into the tape's PanelGrads slots.
 func (c *Context) SegMatMul(a *Node, p *Param, l tensor.BatchLayout) *Node {
 	v := c.arena.GetUninit(a.V.R, p.V.C)
 	tensor.SegMatMulInto(v, a.V, p.V, l)
@@ -122,19 +226,16 @@ func (c *Context) backSegMatMulP(n *Node) {
 		tensor.SegMatMulBTInto(d, g, p.V, l)
 		c.accumOwn(a, d)
 	}
-	dps, _ := c.panelParts(l.B)
 	for gi := 0; gi < l.B; gi++ {
 		lo := gi * l.Stride
 		hi := lo + l.Counts[gi]
-		dps[gi] = c.arena.GetUninit(a.V.C, g.C)
-		tensor.MatMulATRangeInto(dps[gi], a.V, g, lo, hi)
+		tensor.MatMulATRangeInto(c.gradPart(p, gi), a.V, g, lo, hi)
 	}
-	foldGrad(p, dps)
 }
 
 // SegLayerNorm normalizes each real row to zero mean and unit variance, then
 // scales by γ and shifts by β (both 1×C); pad rows are zero. γ/β gradients
-// are computed per panel and folded into Param.Grad.
+// are computed per panel into the tape's PanelGrads slots.
 func (c *Context) SegLayerNorm(x *Node, gamma, beta *Param, eps float64, l tensor.BatchLayout) *Node {
 	rows, d := x.V.R, x.V.C
 	xhat := c.arena.GetUninit(rows, d)
@@ -186,20 +287,18 @@ func (c *Context) backSegLayerNorm(n *Node) {
 	if x.requires {
 		dx = c.arena.GetUninit(n.V.R, d)
 	}
-	dgams, dbetas := c.panelParts(l.B)
 	for gi := 0; gi < l.B; gi++ {
 		lo := gi * l.Stride
 		hi := lo + l.Counts[gi]
-		dgam := c.arena.Get(1, d)
+		dgam := c.gradPart(gamma, gi)
+		clear(dgam.Data)
 		for i := lo; i < hi; i++ {
 			grow, xrow := g.Row(i), xhat.Row(i)
 			for j := range grow {
 				dgam.Data[j] += grow[j] * xrow[j]
 			}
 		}
-		dgams[gi] = dgam
-		dbetas[gi] = c.arena.GetUninit(1, d)
-		tensor.SumRowsRangeInto(dbetas[gi], g, lo, hi)
+		tensor.SumRowsRangeInto(c.gradPart(beta, gi), g, lo, hi)
 		if dx == nil {
 			continue
 		}
@@ -219,8 +318,6 @@ func (c *Context) backSegLayerNorm(n *Node) {
 		}
 		clearPadRows(dx, hi, lo+l.Stride)
 	}
-	foldGrad(gamma, dgams)
-	foldGrad(beta, dbetas)
 	if dx != nil {
 		c.accumOwn(x, dx)
 	}

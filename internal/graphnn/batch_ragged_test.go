@@ -72,8 +72,7 @@ func forwardBackward(t *testing.T, m Model, es []*stage.Encoded) ([]float64, []*
 // prediction inside the batch es must be bitwise identical to g alone at
 // B=1, whatever its neighbours and its position, and the batch's Param.Grad
 // must be bitwise the fixed-shape parallel.TreeReduce over each graph's own
-// B=1 Param.Grad — the one-accumulator contract, which a parameter used by
-// two segmented ops would break.
+// B=1 Param.Grad — the one-accumulator contract.
 func checkBatchInvariant(t *testing.T, m Model, es []*stage.Encoded) {
 	t.Helper()
 	params := m.Params()

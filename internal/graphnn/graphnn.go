@@ -349,7 +349,8 @@ func (m *GAT) PredictBatch(ctx *ag.Context, b *stage.Batch) *ag.Node {
 	x := ctx.Const(b.X)
 	for i, l := range m.layers {
 		ls := ctx.StartLayer(m.spanNames[i])
-		heads := make([]*ag.Node, l.numHeads)
+		var buf [8]*ag.Node // ConcatCols copies its operands, so heads can stay on the stack
+		heads := buf[:0]
 		for h := 0; h < l.numHeads; h++ {
 			wh := l.w[h].ForwardBatch(ctx, x, bl)
 			s1 := ctx.SegMatMul(wh, l.aSrc[h], bl)
@@ -358,7 +359,7 @@ func (m *GAT) PredictBatch(ctx *ag.Context, b *stage.Batch) *ag.Node {
 			// In-place is safe: LeakyReLU's backward reads its input (the
 			// EdgeAddOuter value), never its own output buffer.
 			attn := ctx.EdgeSoftmaxInPlace(logits, b.Nbr)
-			heads[h] = ctx.EdgeAggregate(attn, wh, b.Nbr, bl)
+			heads = append(heads, ctx.EdgeAggregate(attn, wh, b.Nbr, bl))
 		}
 		x = ctx.ReLU(ctx.ConcatCols(heads...))
 		ls.End()

@@ -105,7 +105,8 @@ func (m *MultiHeadAttention) ForwardBatch(ctx *ag.Context, x *ag.Node, masks []*
 	v := m.Wv.ForwardBatch(ctx, x, bl)
 	dk := m.Dim / m.Heads
 	scale := 1 / math.Sqrt(float64(dk))
-	heads := make([]*ag.Node, m.Heads)
+	var buf [8]*ag.Node // ConcatCols copies its operands, so heads can stay on the stack
+	heads := buf[:0]
 	for h := 0; h < m.Heads; h++ {
 		lo, hi := h*dk, (h+1)*dk
 		qh := ctx.SliceCols(q, lo, hi)
@@ -116,7 +117,7 @@ func (m *MultiHeadAttention) ForwardBatch(ctx *ag.Context, x *ag.Node, masks []*
 		// the raw scores are dead the moment they are produced.
 		scores := ctx.ScaleInPlace(ctx.PanelMatMulBT(qh, kh, bl), scale)
 		attn := ctx.PanelSoftmaxInPlace(scores, masks, bl)
-		heads[h] = ctx.PanelMatMul(attn, vh, bl)
+		heads = append(heads, ctx.PanelMatMul(attn, vh, bl))
 	}
 	return m.Wo.ForwardBatch(ctx, ctx.ConcatCols(heads...), bl)
 }

@@ -3,6 +3,7 @@ package predictor
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -36,11 +37,11 @@ type TrainConfig struct {
 	Loss      Loss    // paper: MAE
 	Seed      int64
 	ClipNorm  float64 // gradient clipping (0 = paper default 5)
-	// Workers bounds the goroutines the validation and final-loss chunks fan
-	// across: 0 = GOMAXPROCS, 1 = serial. The minibatch step itself runs on
-	// one goroutine. Any setting produces bitwise-identical results — the
-	// chunk losses fold through a tree whose shape depends on the index set
-	// alone.
+	// Workers bounds the goroutines a minibatch's graphs, and the
+	// validation and final-loss samples, fan across: 0 = GOMAXPROCS, 1 =
+	// serial. Any setting produces bitwise-identical results — per-graph
+	// gradient parts and losses fold through trees whose shapes depend on
+	// the batch and index set alone.
 	Workers int
 	// Hooks, when non-nil, observes training progress (per-epoch stats,
 	// early stop, weight restore, phase spans, flight breadcrumbs). Hooks
@@ -142,11 +143,12 @@ type Trained struct {
 // the untouched model; an empty valIdx disables early stopping, keeps the
 // final-epoch weights, and reports the final training loss as BestValLoss.
 //
-// Each minibatch runs as one tape over a padded stack of its graphs
-// (stage.NewBatch) on the calling goroutine; the tape folds each panel's
-// parameter gradients into Param.Grad through a tree fixed by the batch
-// size alone. Evaluation chunks fan across cfg.Workers on the prediction
-// tapes and fold through a fixed-shape tree. Every cfg.Workers setting
+// Each graph of a minibatch runs forward and backward on its own B=1 tape,
+// and the graphs fan across cfg.Workers worker tapes. Every tape writes its
+// parameter-gradient part into the graph's slot of one ag.PanelGrads, which
+// folds them into Param.Grad through a tree fixed by the batch size alone.
+// Evaluation runs one sample per iteration on the same tapes, and its
+// losses fold through a fixed-shape tree. Every cfg.Workers setting
 // therefore yields bitwise-identical weights.
 func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainConfig) (Trained, TrainResult) {
 	cfg = cfg.withDefaults()
@@ -181,86 +183,84 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 	trainSpan := prof.Start("train")
 	defer trainSpan.End()
 
-	// Evaluation runs forward-only on the prediction tapes (predictTapes),
-	// whose private arenas recycle every intermediate across chunks and epochs.
+	// The worker tapes, the gradient slots and the loss buffers are made
+	// once per run. A tape holds one graph's intermediates at a time; its
+	// private arena recycles them across graphs and epochs.
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	batchCap := min(cfg.BatchSize, len(trainIdx))
+	// tapes is the free list: buffered to hold every tape, so returning one
+	// never blocks, and an iteration waits only when all are in use.
+	tapes := make(chan *tape, min(workers, batchCap))
+	for range cap(tapes) {
+		tapes <- newTape()
+	}
+	grads := ag.NewPanelGrads(params, batchCap)
+	lossVals := make([]float64, batchCap)
+	evalVals := make([]float64, max(len(valIdx), len(trainIdx)))
+
+	// lossOf evaluates forward-only, one sample per iteration; the losses
+	// fold through a tree whose shape depends on len(idx) alone.
 	lossOf := func(idx []int) float64 {
 		if len(idx) == 0 {
 			return 0
 		}
 		es := trainSpan.Start("eval")
-		// BatchSize graphs share one forward per chunk; vals folds through a
-		// tree whose shape depends on len(idx) alone.
-		vals := make([]float64, len(idx))
-		encs := make([]*stage.Encoded, len(idx))
-		for k, i := range idx {
-			encs[k] = ds.Samples[i].Encoded
-		}
-		nchunks := (len(idx) + cfg.BatchSize - 1) / cfg.BatchSize
-		parallel.ForLimit(nchunks, cfg.Workers, func(ci int) {
-			lo := ci * cfg.BatchSize
-			hi := min(lo+cfg.BatchSize, len(idx))
-			tp := predictTapes.Get().(*tape)
+		vals := evalVals[:len(idx)]
+		parallel.ForLimit(len(idx), cfg.Workers, func(k int) {
+			tp := <-tapes
+			s := ds.Samples[idx[k]]
 			ss := es.Start("sample")
-			tp.ctx.SetSpan(ss)
-			preds := model.PredictBatch(tp.ctx, tp.stack(encs[lo:hi])).Value()
-			for k := lo; k < hi; k++ {
-				vals[k] = sampleLoss(preds.Data[k-lo], ds.Samples[idx[k]].Measured/scale, cfg.Loss)
-			}
-			ss.End()
-			// Detached, so a later PredictEncoded cannot record into this
-			// run's finished profile.
-			tp.ctx.SetSpan(obs.Span{})
 			tp.ctx.Reset()
-			predictTapes.Put(tp)
+			tp.ctx.SetSpan(ss)
+			pred := model.PredictBatch(tp.ctx, tp.one(s.Encoded)).Value().Data[0]
+			vals[k] = sampleLoss(pred, s.Measured/scale, cfg.Loss)
+			ss.End()
+			tapes <- tp
 		})
 		total := parallel.TreeReduce(vals, func(a, b float64) float64 { return a + b })
 		es.End()
 		return total / float64(len(idx))
 	}
 
-	btape := newTape()
-	bencs := make([]*stage.Encoded, cfg.BatchSize)
-
 	useVal := len(valIdx) > 0
 	best := math.Inf(1)
 	bestParams := snapshot(params)
 	bad := 0
 	res := TrainResult{Scale: scale}
-	lossVals := make([]float64, cfg.BatchSize)
 
-	// runBatch runs the whole minibatch as one tape: forward, per-row loss,
-	// backward into Param.Grad.
-	runBatch := func(batch []int, bs obs.Span) {
-		ctx := btape.ctx
+	// runGraph runs graph k of the minibatch on a worker tape: forward, its
+	// loss into lossVals[k], and backward into slot k of grads. The loss is
+	// not mean-reduced: slot k holds the gradient of graph k's own loss,
+	// Param.Grad their tree sum after grads.Fold, and the 1/len(batch) mean
+	// is applied after (ScaleGrads below).
+	runGraph := func(batch []int, k int, bs obs.Span) {
+		tp := <-tapes
+		ctx := tp.ctx
 		ctx.Reset()
-		for k, bi := range batch {
-			bencs[k] = ds.Samples[bi].Encoded
-		}
-		nb := btape.stack(bencs[:len(batch)])
-		// One span covers the fused forward/backward; the model's layer
+		ctx.RouteGrads(grads, k)
+		s := ds.Samples[batch[k]]
+		// One span covers the graph's forward/backward; the model's layer
 		// marks nest under it for forward timing, and BackwardVec hangs its
 		// per-layer attribution subtree off the same node.
 		ss := bs.Start("sample")
 		ctx.SetSpan(ss)
-		pred := model.PredictBatch(ctx, nb)
-		targets := ctx.Arena().GetUninit(len(batch), 1)
-		for k, bi := range batch {
-			targets.Data[k] = ds.Samples[bi].Measured / scale
-		}
-		// Per-row losses with no mean reduction: BackwardVec seeds every row
-		// with 1, so each panel's gradient part is the gradient of its own
-		// sample's loss, Param.Grad holds their tree sum, and the
-		// 1/len(batch) mean is applied after (ScaleGrads below).
-		diff := ctx.Sub(pred, ctx.Const(targets))
+		pred := model.PredictBatch(ctx, tp.one(s.Encoded))
+		target := ctx.Arena().GetUninit(1, 1)
+		target.Data[0] = s.Measured / scale
+		diff := ctx.Sub(pred, ctx.Const(target))
 		var loss *ag.Node
 		if cfg.Loss == MSE {
 			loss = ctx.Square(diff)
 		} else {
 			loss = ctx.Abs(diff)
 		}
-		copy(lossVals[:len(batch)], loss.Value().Data)
+		lossVals[k] = loss.Value().Data[0]
 		ctx.BackwardVec(loss)
 		ss.End()
+		tapes <- tp
 	}
 
 	order := append([]int{}, trainIdx...)
@@ -277,8 +277,9 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 			}
 			batch := order[lo:hi]
 			bs := trainSpan.Start("batch")
-			runBatch(batch, bs)
+			parallel.ForLimit(len(batch), cfg.Workers, func(k int) { runGraph(batch, k, bs) })
 			st := bs.Start("step")
+			grads.Fold(len(batch))
 			optim.ScaleGrads(params, 1/float64(len(batch)))
 			norm := optim.ClipGradNorm(params, cfg.ClipNorm)
 			opt.Step(lr)
@@ -286,7 +287,7 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 			bs.End()
 			flight.Note("train", "batch")
 			// Observation only: per-sample losses fold through the same
-			// fixed-shape tree as the panel gradients and accumulate serially
+			// fixed-shape tree as the gradient parts and accumulate serially
 			// in batch order, so History is as deterministic as the weights.
 			epochLoss += parallel.TreeReduce(lossVals[:len(batch)], func(a, b float64) float64 { return a + b })
 			normSum += norm
@@ -351,6 +352,7 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 type tape struct {
 	ctx *ag.Context
 	nb  stage.Batch
+	es  [1]*stage.Encoded // the graph list one stacks, so it allocates nothing
 }
 
 func newTape() *tape { return &tape{ctx: ag.NewContext()} }
@@ -366,11 +368,16 @@ func (t *tape) stack(es []*stage.Encoded) *stage.Batch {
 	return &t.nb
 }
 
-// predictTapes recycles forward-only tapes across predictions and Train's
-// evaluation chunks; a tape goes back Reset and with no span attached. The
-// pool is safe for concurrent use; results never depend on which pooled tape
-// serves a call because every intermediate buffer is fully written before it
-// is read.
+// one stacks e alone: the B=1 batch of a training or evaluation step.
+func (t *tape) one(e *stage.Encoded) *stage.Batch {
+	t.es[0] = e
+	return t.stack(t.es[:])
+}
+
+// predictTapes recycles forward-only tapes across predictions; a tape goes
+// back Reset. The pool is safe for concurrent use; results never depend on
+// which pooled tape serves a call because every intermediate buffer is fully
+// written before it is read.
 var predictTapes = sync.Pool{New: func() any { return newTape() }}
 
 // PredictEncoded returns the trained model's latency prediction in seconds

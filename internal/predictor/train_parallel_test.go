@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -47,9 +48,12 @@ func TestParallelTrainingBitwiseDeterministic(t *testing.T) {
 
 	for _, arch := range []string{"Tran", "GCN", "GAT"} {
 		t.Run(arch, func(t *testing.T) {
-			run := func(workers int, hooked, simdOff bool) (Trained, TrainResult) {
+			run := func(workers, procs int, hooked, simdOff bool) (Trained, TrainResult) {
 				if simdOff {
 					defer tensor.SetSIMD(tensor.SetSIMD(false))
+				}
+				if procs > 0 {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				}
 				cfg := TrainConfig{
 					Epochs: 3, Patience: 3, BatchSize: 5, Seed: 13, Workers: workers,
@@ -75,12 +79,13 @@ func TestParallelTrainingBitwiseDeterministic(t *testing.T) {
 				}
 				return Train(buildArch(arch, 42), ds, trainIdx, valIdx, cfg)
 			}
-			ref, refRes := run(1, false, false)
+			ref, refRes := run(1, 0, false, false)
 			// The determinism table: every worker count, instrumented and
-			// not, plus the AVX2 kernels vs the scalar path (SIMD off), must
-			// all match the serial uninstrumented reference bitwise.
+			// not, the default count (Workers 0) under GOMAXPROCS 3, plus the
+			// AVX2 kernels vs the scalar path (SIMD off), must all match the
+			// serial uninstrumented reference bitwise.
 			type row struct {
-				workers         int
+				workers, procs  int // procs > 0 sets GOMAXPROCS for the run
 				hooked, simdOff bool
 			}
 			var rows []row
@@ -89,18 +94,19 @@ func TestParallelTrainingBitwiseDeterministic(t *testing.T) {
 					if workers == 1 && !hooked {
 						continue
 					}
-					rows = append(rows, row{workers, hooked, false})
+					rows = append(rows, row{workers, 0, hooked, false})
 				}
 			}
+			rows = append(rows, row{0, 3, false, false}) // GOMAXPROCS workers
 			if tensor.SIMDAvailable() {
 				rows = append(rows,
-					row{1, false, true}, // scalar kernels
-					row{4, true, true},  // scalar kernels, instrumented
+					row{1, 0, false, true}, // scalar kernels
+					row{4, 0, true, true},  // scalar kernels, instrumented
 				)
 			}
 			for _, rw := range rows {
-				got, gotRes := run(rw.workers, rw.hooked, rw.simdOff)
-				label := fmt.Sprintf("workers=%d hooks=%v simd=%v", rw.workers, rw.hooked, !rw.simdOff)
+				got, gotRes := run(rw.workers, rw.procs, rw.hooked, rw.simdOff)
+				label := fmt.Sprintf("workers=%d procs=%d hooks=%v simd=%v", rw.workers, rw.procs, rw.hooked, !rw.simdOff)
 				if math.Float64bits(gotRes.BestValLoss) != math.Float64bits(refRes.BestValLoss) {
 					t.Fatalf("%s BestValLoss %v != %v", label, gotRes.BestValLoss, refRes.BestValLoss)
 				}
@@ -268,8 +274,8 @@ func TestTrainProfilerBuildsPhaseTree(t *testing.T) {
 		Epochs: 2, Patience: 2, BatchSize: 5, Seed: 13, Workers: 4,
 		Hooks: &TrainHooks{Profiler: prof},
 	})
-	// The evaluation tapes went back to the prediction pool detached, so
-	// predictions after the run record nothing into its profile.
+	// Training ran on tapes of its own, so predictions after the run record
+	// nothing into its profile.
 	for _, s := range ds.Samples {
 		trained.PredictEncoded(s.Encoded)
 	}
@@ -360,9 +366,10 @@ func TestPredictSteadyStateAllocBudget(t *testing.T) {
 	trained.PredictEncoded(e) // warm the context pool + arena
 	trained.PredictEncoded(e)
 	allocs := testing.AllocsPerRun(200, func() { trained.PredictEncoded(e) })
-	// Measured steady state is 1 alloc (transformer per-head slice glue);
-	// the budget leaves room for a pool refill after a GC but would catch
-	// any return to per-tensor heap allocation (previously hundreds/call).
+	// Measured steady state is 0 allocs (the per-head operand lists stay on
+	// the stack); the budget leaves room for a pool refill after a GC but
+	// would catch any return to per-tensor heap allocation (previously
+	// hundreds/call).
 	const budget = 4
 	if allocs > budget {
 		t.Fatalf("PredictEncoded allocates %.1f per call, budget %d", allocs, budget)

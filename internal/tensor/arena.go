@@ -25,11 +25,16 @@ package tensor
 type Arena struct {
 	free map[int][]*Tensor // size class (cap of Data) → recycled tensors
 	used []*Tensor         // tensors handed out this generation
+	hdrs []Tensor          // unused headers of the current header chunk
 }
 
 // arenaMinClass is the smallest bucket in float64s; tiny tensors (scalars,
 // bias rows) round up to it so they all share one free list.
 const arenaMinClass = 64
+
+// arenaHdrChunk is how many tensor headers a warming arena allocates at
+// once, so a new buffer costs one allocation rather than two.
+const arenaHdrChunk = 64
 
 // NewArena returns an empty arena.
 func NewArena() *Arena {
@@ -75,7 +80,12 @@ func (a *Arena) GetUninit(r, c int) *Tensor {
 		a.used = append(a.used, t)
 		return t
 	}
-	t := &Tensor{R: r, C: c, Data: make([]float64, n, cls)}
+	if len(a.hdrs) == 0 {
+		a.hdrs = make([]Tensor, arenaHdrChunk)
+	}
+	t := &a.hdrs[0]
+	a.hdrs = a.hdrs[1:]
+	t.R, t.C, t.Data = r, c, make([]float64, n, cls)
 	a.used = append(a.used, t)
 	return t
 }
