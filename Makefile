@@ -30,11 +30,16 @@ test:
 	$(GO) test ./...
 
 # nosimd holds the scalar kernels to the same literals as the AVX2 ones: the
-# golden bits and plans and every bitwise / invariance test of the numeric
-# stack, rerun with the assembly switched off for the whole process (the
-# tests themselves toggle SetSIMD only inside a few functions).
+# golden bits and plans, predtop-train's golden run, and every bitwise /
+# invariance / worker-invariance test of the numeric stack and of its callers
+# (the MRE grid, the planner's providers and what-if, the daemon's forward),
+# rerun with the assembly switched off for the whole process (the tests
+# themselves toggle SetSIMD only inside a few functions). Not -short: the MRE
+# grid's worker-invariance check skips in short mode.
 nosimd:
-	PREDTOP_SIMD=off $(GO) test -short -run 'TestGoldenBits|TestGoldenPlans|Bitwise|Invariance' . ./internal/tensor ./internal/ag ./internal/graphnn ./internal/predictor
+	PREDTOP_SIMD=off $(GO) test -run 'TestGoldenBits|TestGoldenPlans|TestTrainGoldenAndDeterministic|Bitwise|Invarian' \
+		. ./internal/tensor ./internal/ag ./internal/graphnn ./internal/predictor \
+		./internal/experiments ./internal/planner ./internal/serve ./cmd/predtop-train
 
 # bench/ is its own module (`replace predtop => ../`), so `go build ./...` and
 # `go test ./...` above never see it. Vetting and testing it here is the

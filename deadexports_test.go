@@ -24,12 +24,10 @@ var deadExportsAllowed = map[string]string{
 	"ag.GradCheck":         "finite-difference oracle behind every gradient test",
 	"ag.CollectGrads":      "GradCheck's analytic side in the tests of ag and nn",
 	"ag.Context.MeanAll":   "scalar loss of the gradient-check fixtures in ag, nn, optim",
-	"stage.NewBatch":       "one-shot batch constructor of the golden-bits and graphnn tests (code reuses a Batch through Reset)",
 	// Readers and switches whose callers are tests in other packages.
-	"tensor.Neighbours.Edges": "edge count the CSR encoding is held to by stage's dense-oracle test",
-	"tensor.SIMDAvailable":    "gates the SIMD-vs-scalar rows of the bitwise tests in ag, graphnn, predictor",
-	"tensor.SIMDEnabled":      "read by the same tests to restore the kernel switch",
-	"tensor.SetSIMD":          "the kernel switch itself: PREDTOP_SIMD=off for a process, this for one test",
+	"tensor.SIMDAvailable": "gates the SIMD-vs-scalar rows of the bitwise tests in ag, graphnn, predictor",
+	"tensor.SIMDEnabled":   "read by the same tests to restore the kernel switch",
+	"tensor.SetSIMD":       "the kernel switch itself: PREDTOP_SIMD=off for a process, this for one test",
 	// Paper artifacts whose caller is a root benchmark or test.
 	"experiments.Fig2Result.Spread": "Fig 2's headline max/min, the metric BenchmarkFig2PlanVariation reports",
 	// Called by the standard library through an interface, never by name.

@@ -65,23 +65,19 @@ func goldenArch(name string) PredictorModel {
 	return NewGAT(rand.New(rand.NewSource(13)), GATConfig{Layers: 2, Dim: 8, Heads: 2})
 }
 
-// rawForward is the unscaled, unfloored B=1 forward of one graph.
-func rawForward(t *testing.T, net PredictorModel, e *stage.Encoded) float64 {
-	t.Helper()
-	ctx := ag.NewContext()
-	nb, err := stage.NewBatch([]*stage.Encoded{e}, ctx.Arena())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return net.PredictBatch(ctx, nb).Value().Data[0]
+// rawForward is the unscaled, unfloored forward of one graph on a fresh tape.
+func rawForward(net PredictorModel, e *stage.Encoded) float64 {
+	return net.Predict(ag.NewContext(), e).Value().Data[0]
 }
 
 // TestGoldenBits pins the numeric stack to literal bit patterns: forwards of
-// all three architectures at B=1, and the weights, test MRE and best
-// validation loss of a short training run under both losses. The batched tape
-// ops are the only forward/backward implementation, so nothing in the tree
-// can serve as a bitwise oracle for them any more; these constants are what
-// a refactor of tensor, ag, nn, graphnn or predictor must leave unmoved.
+// all three architectures, one graph per tape, and the weights, test MRE and
+// best validation loss of a short training run under both losses. The
+// one-graph tape ops are the only forward/backward implementation, so nothing
+// in the tree can serve as a bitwise oracle for them any more; these
+// constants are what a refactor of tensor, ag, nn, graphnn or predictor must
+// leave unmoved. They were captured on padded multi-graph tapes and hold
+// unchanged on one-graph tapes.
 func TestGoldenBits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("bit patterns were captured on amd64; other ports may fuse multiply-adds")
@@ -92,7 +88,7 @@ func TestGoldenBits(t *testing.T) {
 	probe := [4]int{0, 7, 14, len(ds.Samples) - 1}
 	forwards := func(net PredictorModel) (out [4]uint64) {
 		for k, i := range probe {
-			out[k] = math.Float64bits(rawForward(t, net, ds.Samples[i].Encoded))
+			out[k] = math.Float64bits(rawForward(net, ds.Samples[i].Encoded))
 		}
 		return out
 	}
@@ -113,6 +109,60 @@ func TestGoldenBits(t *testing.T) {
 		}
 		if got := forwards(tr.Model); got != g.trained {
 			t.Errorf("%s loss %d: trained forwards %#x, want %#x", g.arch, g.loss, got, g.trained)
+		}
+	}
+}
+
+// TestGoldenBitsLargestFirst pins the largest-first claim order of Train's
+// fan-outs to the weights of the shuffle-order schedule it replaced: on a
+// ragged split (6 to 185 nodes) and a seed under which no minibatch's largest
+// graph comes first, so every fan-out reorders its claims, each architecture's
+// weight fingerprint must be the one captured before the reorder — serially,
+// at GOMAXPROCS workers, and with three workers on two cores.
+func TestGoldenBitsLargestFirst(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("bit patterns were captured on amd64; other ports may fuse multiply-adds")
+	}
+	const seed, epochs, batchSize = 19, 3, 4
+	m := BuildModel(tinyGPT())
+	ds := BuildDataset(NewEncoder(m, true), AllStages(m, 3), Scenarios(Platform1())[0], DefaultProfiler())
+	train, val, _ := Split(rand.New(rand.NewSource(5)), len(ds.Samples), 0.7, 0.15)
+
+	// Replay Train's shuffle (its rng drives nothing else) to hold the data
+	// to its premise.
+	rng := rand.New(rand.NewSource(seed))
+	order := append([]int{}, train...)
+	for e := 0; e < epochs; e++ {
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		for lo := 0; lo < len(order); lo += batchSize {
+			batch := order[lo:min(lo+batchSize, len(order))]
+			largest := 0
+			for _, i := range batch {
+				largest = max(largest, ds.Samples[i].Encoded.N())
+			}
+			if ds.Samples[batch[0]].Encoded.N() == largest {
+				t.Fatalf("epoch %d: the minibatch at %d starts with its largest graph", e, lo)
+			}
+		}
+	}
+
+	want := map[string]string{"Tran": "9eb572d49777d888", "GCN": "6b1ea4a391c7a9db", "GAT": "a1fa3b26b312cd90"}
+	for _, arch := range []string{"Tran", "GCN", "GAT"} {
+		for _, row := range []struct{ workers, procs int }{{1, 0}, {0, 0}, {0, 3}} {
+			run := func() (Trained, TrainResult) {
+				if row.procs > 0 {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(row.procs))
+				}
+				return Train(goldenArch(arch), ds, train, val,
+					TrainConfig{Epochs: epochs, Patience: epochs, BatchSize: batchSize, Seed: seed, Workers: row.workers})
+			}
+			tr, res := run()
+			if res.EpochsRun != epochs {
+				t.Fatalf("%s: ran %d epochs, want %d", arch, res.EpochsRun, epochs)
+			}
+			if got := WeightFingerprint(tr); got != want[arch] {
+				t.Errorf("%s workers=%d procs=%d: weight fingerprint %s, want %s", arch, row.workers, row.procs, got, want[arch])
+			}
 		}
 	}
 }

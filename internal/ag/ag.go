@@ -1,17 +1,15 @@
 // Package ag implements tape-based reverse-mode automatic differentiation
 // over the 2-D tensors in internal/tensor.
 //
-// A Context records every operation of one forward pass over a panel of
-// stacked stage graphs (tensor.BatchLayout; one graph is the B=1 panel).
-// BackwardVec walks the tape in reverse, accumulating gradients into each
-// node and into each parameter's one accumulator, Param.Grad. The panels'
-// parameter-gradient parts meet there through one fixed-shape tree
-// (PanelGrads.Fold, batch.go), either at the end of the tape's own backward
-// or — when several tapes, one per graph, are routed to a shared PanelGrads
-// — once all of them have run. Contexts are reusable: Reset recycles the
-// tape, its pooled Node storage, and — via the context's tensor.Arena —
-// every intermediate buffer of the pass, so a context that has seen its
-// largest graph allocates nothing in steady state.
+// A Context records every operation of one forward pass over one stage
+// graph. BackwardVec walks the tape in reverse, accumulating gradients into
+// each node and into each parameter's one accumulator, Param.Grad: at the
+// end of a standalone tape's backward, or — when several tapes, one per
+// graph, are routed to a shared PanelGrads — through one fixed-shape tree
+// (PanelGrads.Fold, ops.go) once all of them have run. Contexts are
+// reusable: Reset recycles the tape, its pooled Node storage, and — via the
+// context's tensor.Arena — every intermediate buffer of the pass, so a
+// context that has seen its largest graph allocates nothing in steady state.
 package ag
 
 import (
@@ -52,19 +50,18 @@ const (
 	opScale
 	opReLU
 	opLeakyReLU
-	opTanh
 	opConcat
 	opSlice
 	opAbs
 	opMeanAll
-	// Segmented panel ops — see batch.go.
-	opSegLinear
-	opSegMatMulP
-	opSegLayerNorm
-	opSegSumRows
-	opPanelMatMulBT
-	opPanelMatMul
-	opPanelSoftmax
+	// Graph layer ops — see ops.go.
+	opLinear
+	opMatMulParam
+	opLayerNorm
+	opSumRows
+	opMatMulBT
+	opMatMul
+	opSoftmax
 	// Edge-vector ops over the graphs' neighbour lists — see edges.go.
 	opEdgeAddOuter
 	opEdgeSoftmax
@@ -76,17 +73,15 @@ const (
 type Node struct {
 	V        *tensor.Tensor
 	grad     *tensor.Tensor
-	a, b     *Node                // operands
-	xs       []*Node              // operands of ConcatCols
-	aux      *tensor.Tensor       // saved forward state (LayerNorm x-hat)
-	aux2     *tensor.Tensor       // saved forward state (LayerNorm 1/σ per row, R×1)
-	gdst     *tensor.Tensor       // opParam: gradient accumulation destination
-	s        float64              // opScale factor / opLeakyReLU alpha / LayerNorm eps
-	lo, hi   int                  // opSlice column range
-	bl       tensor.BatchLayout   // panel ops: layout
-	mts      []*tensor.Tensor     // panel ops: per-graph masks
-	nbrs     []*tensor.Neighbours // edge ops: per-graph neighbour lists
-	p1, p2   *Param               // panel ops: shared params (W/γ, b/β)
+	a, b     *Node              // operands
+	xs       []*Node            // operands of ConcatCols
+	aux      *tensor.Tensor     // saved forward state (LayerNorm x-hat)
+	aux2     *tensor.Tensor     // saved forward state (LayerNorm 1/σ per row, R×1)
+	gdst     *tensor.Tensor     // opParam: gradient accumulation destination
+	s        float64            // opScale factor / opLeakyReLU alpha / LayerNorm eps
+	lo, hi   int                // opSlice column range
+	nb       *tensor.Neighbours // edge ops: the graph's neighbour list
+	p1, p2   *Param             // layer ops: params (W/γ, b/β)
 	op       opKind
 	requires bool
 }
@@ -94,9 +89,11 @@ type Node struct {
 // Value returns the node's forward value.
 func (n *Node) Value() *tensor.Tensor { return n.V }
 
-// Grad returns the accumulated gradient (nil before Backward or for
-// non-differentiable nodes).
-func (n *Node) Grad() *tensor.Tensor { return n.grad }
+// ownPart is a standalone tape's gradient part for one parameter.
+type ownPart struct {
+	p *Param
+	t *tensor.Tensor
+}
 
 // nodeChunk is how many Nodes each pooled slab holds. Chunks are never
 // reallocated, so node pointers stay stable as the tape grows.
@@ -112,8 +109,8 @@ type Context struct {
 	ts     []*tensor.Tensor // scratch operand slice for ConcatCols
 	xs     []*Node          // ConcatCols operand lists of this generation
 	grads  *PanelGrads      // routed parameter-gradient slots (RouteGrads); nil = own
-	offset int              // global panel index of the tape's first panel in grads
-	own    PanelGrads       // the unrouted tape's slots, folded by BackwardVec
+	graph  int              // the tape's graph index in grads
+	own    []ownPart        // a standalone tape's parts, added by BackwardVec
 	span   obs.Span         // profiling span layer marks nest under (see profile.go)
 	marks  []layerMark      // tape ranges recorded by StartLayer/End
 }
@@ -124,7 +121,6 @@ func NewContext() *Context {
 	return &Context{
 		params: make(map[*Param]*Node),
 		arena:  tensor.NewArena(),
-		own:    PanelGrads{index: make(map[*Param]int)},
 	}
 }
 
@@ -145,7 +141,7 @@ func (c *Context) Reset() {
 	c.ts = c.ts[:0]
 	clear(c.xs)
 	c.xs = c.xs[:0]
-	c.own.clearTape()
+	c.own = c.own[:0]
 	c.arena.Reset()
 }
 
@@ -283,14 +279,6 @@ func (c *Context) runBack(n *Node) {
 		tensor.LeakyReLUBackInto(d, g, x.V, alpha)
 		c.accumOwn(x, d)
 
-	case opTanh:
-		v := n.V
-		d := c.arena.GetUninit(g.R, g.C)
-		for i, gv := range g.Data {
-			d.Data[i] = gv * (1 - v.Data[i]*v.Data[i])
-		}
-		c.accumOwn(n.a, d)
-
 	case opConcat:
 		off := 0
 		for _, x := range n.xs {
@@ -334,20 +322,20 @@ func (c *Context) runBack(n *Node) {
 		}
 		c.accumOwn(x, d)
 
-	case opSegLinear:
-		c.backSegLinear(n)
-	case opSegMatMulP:
-		c.backSegMatMulP(n)
-	case opSegLayerNorm:
-		c.backSegLayerNorm(n)
-	case opSegSumRows:
-		c.backSegSumRows(n)
-	case opPanelMatMulBT:
-		c.backPanelMatMulBT(n)
-	case opPanelMatMul:
-		c.backPanelMatMul(n)
-	case opPanelSoftmax:
-		c.backPanelSoftmax(n)
+	case opLinear:
+		c.backLinear(n)
+	case opMatMulParam:
+		c.backMatMulParam(n)
+	case opLayerNorm:
+		c.backLayerNorm(n)
+	case opSumRows:
+		c.backSumRows(n)
+	case opMatMulBT:
+		c.backMatMulBT(n)
+	case opMatMul:
+		c.backMatMul(n)
+	case opSoftmax:
+		c.backSoftmax(n)
 	case opEdgeAddOuter:
 		c.backEdgeAddOuter(n)
 	case opEdgeSoftmax:
@@ -395,8 +383,8 @@ func (c *Context) Scale(x *Node, s float64) *Node {
 
 // ScaleInPlace returns s·x computed into x's own buffer, avoiding a copy.
 // Safe only when no other node's backward pass reads x's value — e.g. the
-// attention-score product feeding softmax, whose producing op
-// (PanelMatMulBT) differentiates through its inputs, not its output.
+// attention-score product feeding softmax, whose producing op (MatMulBT)
+// differentiates through its inputs, not its output.
 func (c *Context) ScaleInPlace(x *Node, s float64) *Node {
 	tensor.ScaleInto(x.V, x.V, s)
 	n := c.node(opScale, x.V, x.requires)
@@ -419,17 +407,6 @@ func (c *Context) LeakyReLU(x *Node, alpha float64) *Node {
 	tensor.LeakyReLUInto(v, x.V, alpha)
 	n := c.node(opLeakyReLU, v, x.requires)
 	n.a, n.s = x, alpha
-	return n
-}
-
-// Tanh returns tanh(x) elementwise.
-func (c *Context) Tanh(x *Node) *Node {
-	v := c.arena.GetUninit(x.V.R, x.V.C)
-	for i, a := range x.V.Data {
-		v.Data[i] = math.Tanh(a)
-	}
-	n := c.node(opTanh, v, x.requires)
-	n.a = x
 	return n
 }
 

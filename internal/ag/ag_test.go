@@ -14,18 +14,16 @@ const (
 	gcTol = 1e-5
 )
 
-// gcLayouts are the panel layouts every segmented/panel op is
-// gradient-checked under: one graph alone (B=1, no padding) and a ragged
-// batch of three whose panels pad to the widest. Stacked inputs carry random
-// values in their pad rows and columns too, so the check also proves padding
-// reaches neither a value nor a gradient: the finite difference of a pad
-// entry is exactly zero and so must the analytic gradient be.
-var gcLayouts = []struct {
-	name string
-	l    tensor.BatchLayout
+// gcGraphs are the graph sets every graph op is gradient-checked on: one
+// graph alone on a standalone tape, and three ragged graphs, each on its own
+// tape routed to one PanelGrads and folded once — the training step's shape.
+// The checked loss is the sum of the graphs' losses.
+var gcGraphs = []struct {
+	name   string
+	counts []int
 }{
-	{"B1", tensor.BatchLayout{B: 1, Stride: 4, Counts: []int{4}}},
-	{"raggedB3", tensor.BatchLayout{B: 3, Stride: 4, Counts: []int{2, 4, 3}}},
+	{"B1", []int{4}},
+	{"raggedB3", []int{2, 4, 3}},
 }
 
 func newRandParam(rng *rand.Rand, name string, r, c int) *Param {
@@ -52,47 +50,97 @@ func checkOp(t *testing.T, params []*Param, build func(ctx *Context) *Node) {
 	}
 }
 
-// checkPanelOp runs checkOp once per layout in gcLayouts.
-func checkPanelOp(t *testing.T, run func(t *testing.T, rng *rand.Rand, l tensor.BatchLayout)) {
+// checkGraphs runs a gradient check once per graph set in gcGraphs.
+func checkGraphs(t *testing.T, run func(t *testing.T, rng *rand.Rand, counts []int)) {
 	t.Helper()
-	for i, c := range gcLayouts {
-		t.Run(c.name, func(t *testing.T) { run(t, rand.New(rand.NewSource(int64(i+1))), c.l) })
+	for i, c := range gcGraphs {
+		t.Run(c.name, func(t *testing.T) { run(t, rand.New(rand.NewSource(int64(i+1))), c.counts) })
 	}
 }
 
-// graphTensors returns one c×c constant per panel (c the panel's own node
-// count): the shape of a per-graph mask.
-func graphTensors(l tensor.BatchLayout, fill func(c int) *tensor.Tensor) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, l.B)
-	for g, c := range l.Counts {
-		out[g] = fill(c)
+// perGraph draws one random leaf parameter per graph, shaped by the graph's
+// node count n.
+func perGraph(rng *rand.Rand, name string, counts []int, shape func(g, n int) (int, int)) []*Param {
+	ps := make([]*Param, len(counts))
+	for g, n := range counts {
+		r, c := shape(g, n)
+		ps[g] = newRandParam(rng, name, r, c)
 	}
-	return out
+	return ps
 }
+
+// checkTapes grad-checks Σ_g build(ctx, g), each graph g on a tape of its
+// own. routed are the parameters of the parameter-carrying ops, shared by
+// every graph; leaves are the rest (per-graph inputs through Context.Param).
+// A single graph runs on a standalone tape that folds its own parts; several
+// run on tapes routed to one PanelGrads, folded once.
+func checkTapes(t *testing.T, counts []int, routed []*Param, leaves [][]*Param, build func(ctx *Context, g int) *Node) {
+	t.Helper()
+	params := append([]*Param(nil), routed...)
+	for _, ls := range leaves {
+		params = append(params, ls...)
+	}
+	lossVal := func() float64 {
+		sum := 0.0
+		for g := range counts {
+			sum += build(NewContext(), g).V.At(0, 0)
+		}
+		return sum
+	}
+	grads := func() map[*Param]*tensor.Tensor {
+		if len(counts) == 1 {
+			return CollectGrads(params, func(ctx *Context) *Node { return build(ctx, 0) })
+		}
+		for _, p := range params {
+			p.ZeroGrad()
+		}
+		pg := NewPanelGrads(routed, len(counts))
+		for g := range counts {
+			ctx := NewContext()
+			ctx.RouteGrads(pg, g)
+			ctx.Backward(build(ctx, g))
+		}
+		pg.Fold(len(counts))
+		out := make(map[*Param]*tensor.Tensor, len(params))
+		for _, p := range params {
+			out[p] = p.Grad.Clone()
+		}
+		return out
+	}
+	if err := GradCheck(params, lossVal, grads, gcEps, gcTol); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// square is the (n, n) shape of a graph's score-space tensors.
+func square(_, n int) (int, int) { return n, n }
+
+// cols returns the (n, c) shape of a graph's node tensors of width c.
+func cols(c int) func(g, n int) (int, int) { return func(_, n int) (int, int) { return n, c } }
 
 func TestMatMulGrad(t *testing.T) {
-	checkPanelOp(t, func(t *testing.T, rng *rand.Rand, l tensor.BatchLayout) {
-		// SegMatMul: stacked rows times a shared parameter matrix.
-		x := newRandParam(rng, "x", l.Rows(), 3)
+	checkGraphs(t, func(t *testing.T, rng *rand.Rand, counts []int) {
+		// MatMulParam: node rows times a shared parameter matrix.
+		xs := perGraph(rng, "x", counts, cols(3))
 		p := newRandParam(rng, "p", 3, 2)
-		checkOp(t, []*Param{x, p}, func(ctx *Context) *Node {
-			return ctx.MeanAll(ctx.Square(ctx.SegMatMul(ctx.Param(x), p, l)))
+		checkTapes(t, counts, []*Param{p}, [][]*Param{xs}, func(ctx *Context, g int) *Node {
+			return ctx.MeanAll(ctx.Square(ctx.MatMulParam(ctx.Param(xs[g]), p)))
 		})
-		// PanelMatMul: panel-width weights times the panel's own stacked rows.
-		a := newRandParam(rng, "a", l.Rows(), l.Stride)
-		v := newRandParam(rng, "v", l.Rows(), 3)
-		checkOp(t, []*Param{a, v}, func(ctx *Context) *Node {
-			return ctx.MeanAll(ctx.Square(ctx.PanelMatMul(ctx.Param(a), ctx.Param(v), l)))
+		// MatMul: attention weights times the graph's own node rows.
+		as := perGraph(rng, "a", counts, square)
+		vs := perGraph(rng, "v", counts, cols(3))
+		checkTapes(t, counts, nil, [][]*Param{as, vs}, func(ctx *Context, g int) *Node {
+			return ctx.MeanAll(ctx.Square(ctx.MatMul(ctx.Param(as[g]), ctx.Param(vs[g]))))
 		})
 	})
 }
 
 func TestMatMulBTGrad(t *testing.T) {
-	checkPanelOp(t, func(t *testing.T, rng *rand.Rand, l tensor.BatchLayout) {
-		a := newRandParam(rng, "a", l.Rows(), 5)
-		b := newRandParam(rng, "b", l.Rows(), 5)
-		checkOp(t, []*Param{a, b}, func(ctx *Context) *Node {
-			return ctx.MeanAll(ctx.Square(ctx.PanelMatMulBT(ctx.Param(a), ctx.Param(b), l)))
+	checkGraphs(t, func(t *testing.T, rng *rand.Rand, counts []int) {
+		as := perGraph(rng, "a", counts, cols(5))
+		bs := perGraph(rng, "b", counts, cols(5))
+		checkTapes(t, counts, nil, [][]*Param{as, bs}, func(ctx *Context, g int) *Node {
+			return ctx.MeanAll(ctx.Square(ctx.MatMulBT(ctx.Param(as[g]), ctx.Param(bs[g]))))
 		})
 	})
 }
@@ -115,26 +163,26 @@ func TestAddSubMulGrad(t *testing.T) {
 }
 
 // TestAddBiasGrad checks the fused dense layer x·W + b: the input, the
-// weights, and the bias row broadcast over every real row.
+// weights, and the bias row broadcast over every row.
 func TestAddBiasGrad(t *testing.T) {
-	checkPanelOp(t, func(t *testing.T, rng *rand.Rand, l tensor.BatchLayout) {
-		x := newRandParam(rng, "x", l.Rows(), 3)
+	checkGraphs(t, func(t *testing.T, rng *rand.Rand, counts []int) {
+		xs := perGraph(rng, "x", counts, cols(3))
 		w := newRandParam(rng, "w", 3, 2)
 		b := newRandParam(rng, "b", 1, 2)
-		checkOp(t, []*Param{x, w, b}, func(ctx *Context) *Node {
-			return ctx.MeanAll(ctx.Square(ctx.SegLinear(ctx.Param(x), w, b, l)))
+		checkTapes(t, counts, []*Param{w, b}, [][]*Param{xs}, func(ctx *Context, g int) *Node {
+			return ctx.MeanAll(ctx.Square(ctx.Linear(ctx.Param(xs[g]), w, b)))
 		})
 	})
 }
 
 // TestAddOuterGrad checks the GAT logit sum a[i] + b[j] over every edge.
 func TestAddOuterGrad(t *testing.T) {
-	checkPanelOp(t, func(t *testing.T, rng *rand.Rand, l tensor.BatchLayout) {
-		nbrs := randomNeighbours(rng, l)
-		a := newRandParam(rng, "a", l.Rows(), 1)
-		b := newRandParam(rng, "b", l.Rows(), 1)
-		checkOp(t, []*Param{a, b}, func(ctx *Context) *Node {
-			return ctx.MeanAll(ctx.Square(ctx.EdgeAddOuter(ctx.Param(a), ctx.Param(b), nbrs, l)))
+	checkGraphs(t, func(t *testing.T, rng *rand.Rand, counts []int) {
+		nbs := randomNeighbours(rng, counts)
+		as := perGraph(rng, "a", counts, cols(1))
+		bs := perGraph(rng, "b", counts, cols(1))
+		checkTapes(t, counts, nil, [][]*Param{as, bs}, func(ctx *Context, g int) *Node {
+			return ctx.MeanAll(ctx.Square(ctx.EdgeAddOuter(ctx.Param(as[g]), ctx.Param(bs[g]), nbs[g])))
 		})
 	})
 }
@@ -155,55 +203,53 @@ func TestActivationGrads(t *testing.T) {
 		return ctx.MeanAll(ctx.Square(ctx.LeakyReLU(ctx.Param(x), 0.2)))
 	})
 	checkOp(t, []*Param{x}, func(ctx *Context) *Node {
-		return ctx.MeanAll(ctx.Square(ctx.Tanh(ctx.Param(x))))
-	})
-	checkOp(t, []*Param{x}, func(ctx *Context) *Node {
 		return ctx.MeanAll(ctx.Abs(ctx.Param(x)))
 	})
 }
 
-// softmaxLoss runs the in-place panel softmax over a copy of x (the op
-// overwrites its operand) and weights the attention rows by w, as the
-// attention·V product does.
-func softmaxLoss(ctx *Context, x, w *Param, masks []*tensor.Tensor, l tensor.BatchLayout) *Node {
-	s := ctx.PanelSoftmaxInPlace(ctx.Scale(ctx.Param(x), 1), masks, l)
-	return ctx.MeanAll(ctx.Square(ctx.PanelMatMul(s, ctx.Param(w), l)))
+// softmaxLoss runs the in-place softmax over a copy of x (the op overwrites
+// its operand) and weights the attention rows by w, as the attention·V
+// product does.
+func softmaxLoss(ctx *Context, x, w *Param, mask *tensor.Tensor) *Node {
+	s := ctx.SoftmaxInPlace(ctx.Scale(ctx.Param(x), 1), mask)
+	return ctx.MeanAll(ctx.Square(ctx.MatMul(s, ctx.Param(w))))
 }
 
 func TestSoftmaxGrad(t *testing.T) {
-	checkPanelOp(t, func(t *testing.T, rng *rand.Rand, l tensor.BatchLayout) {
-		x := newRandParam(rng, "x", l.Rows(), l.Stride)
-		w := newRandParam(rng, "w", l.Rows(), 1)
-		checkOp(t, []*Param{x, w}, func(ctx *Context) *Node {
-			return softmaxLoss(ctx, x, w, nil, l)
+	checkGraphs(t, func(t *testing.T, rng *rand.Rand, counts []int) {
+		xs := perGraph(rng, "x", counts, square)
+		ws := perGraph(rng, "w", counts, cols(1))
+		checkTapes(t, counts, nil, [][]*Param{xs, ws}, func(ctx *Context, g int) *Node {
+			return softmaxLoss(ctx, xs[g], ws[g], nil)
 		})
 	})
 }
 
 func TestSoftmaxMaskedGrad(t *testing.T) {
-	checkPanelOp(t, func(t *testing.T, rng *rand.Rand, l tensor.BatchLayout) {
-		x := newRandParam(rng, "x", l.Rows(), l.Stride)
-		w := newRandParam(rng, "w", l.Rows(), 1)
-		// Each graph's own c×c mask: the diagonal stays open, a third of the
+	checkGraphs(t, func(t *testing.T, rng *rand.Rand, counts []int) {
+		xs := perGraph(rng, "x", counts, square)
+		ws := perGraph(rng, "w", counts, cols(1))
+		// Each graph's own n×n mask: the diagonal stays open, a third of the
 		// rest is disabled, and the last graph's first row is masked entirely
 		// (its output and gradient must be zero, not NaN).
-		masks := graphTensors(l, func(c int) *tensor.Tensor {
-			m := tensor.New(c, c)
-			for i := 0; i < c; i++ {
-				for j := 0; j < c; j++ {
+		masks := make([]*tensor.Tensor, len(counts))
+		for g, n := range counts {
+			m := tensor.New(n, n)
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
 					if i != j && rng.Intn(3) == 0 {
 						m.Set(i, j, math.Inf(-1))
 					}
 				}
 			}
-			return m
-		})
-		last := masks[l.B-1]
+			masks[g] = m
+		}
+		last := masks[len(masks)-1]
 		for j := 0; j < last.C; j++ {
 			last.Set(0, j, math.Inf(-1))
 		}
-		checkOp(t, []*Param{x, w}, func(ctx *Context) *Node {
-			return softmaxLoss(ctx, x, w, masks, l)
+		checkTapes(t, counts, nil, [][]*Param{xs, ws}, func(ctx *Context, g int) *Node {
+			return softmaxLoss(ctx, xs[g], ws[g], masks[g])
 		})
 	})
 }
@@ -212,24 +258,24 @@ func TestSoftmaxMaskedGrad(t *testing.T) {
 // run on a copy of x (the op overwrites its operand) and weighted by w as the
 // attention·V aggregation does.
 func TestEdgeSoftmaxGrad(t *testing.T) {
-	checkPanelOp(t, func(t *testing.T, rng *rand.Rand, l tensor.BatchLayout) {
-		nbrs := randomNeighbours(rng, l)
-		x := newRandParam(rng, "x", tensor.EdgeCount(nbrs), 1)
-		w := newRandParam(rng, "w", l.Rows(), 1)
-		checkOp(t, []*Param{x, w}, func(ctx *Context) *Node {
-			s := ctx.EdgeSoftmaxInPlace(ctx.Scale(ctx.Param(x), 1), nbrs)
-			return ctx.MeanAll(ctx.Square(ctx.EdgeAggregate(s, ctx.Param(w), nbrs, l)))
+	checkGraphs(t, func(t *testing.T, rng *rand.Rand, counts []int) {
+		nbs := randomNeighbours(rng, counts)
+		xs := perGraph(rng, "x", counts, func(g, _ int) (int, int) { return nbs[g].Edges(), 1 })
+		ws := perGraph(rng, "w", counts, cols(1))
+		checkTapes(t, counts, nil, [][]*Param{xs, ws}, func(ctx *Context, g int) *Node {
+			s := ctx.EdgeSoftmaxInPlace(ctx.Scale(ctx.Param(xs[g]), 1), nbs[g])
+			return ctx.MeanAll(ctx.Square(ctx.EdgeAggregate(s, ctx.Param(ws[g]), nbs[g])))
 		})
 	})
 }
 
 func TestLayerNormGrad(t *testing.T) {
-	checkPanelOp(t, func(t *testing.T, rng *rand.Rand, l tensor.BatchLayout) {
-		x := newRandParam(rng, "x", l.Rows(), 6)
+	checkGraphs(t, func(t *testing.T, rng *rand.Rand, counts []int) {
+		xs := perGraph(rng, "x", counts, cols(6))
 		g := NewParam("gamma", tensor.RandUniform(rng, 1, 6, 0.5, 1.5))
 		b := newRandParam(rng, "beta", 1, 6)
-		checkOp(t, []*Param{x, g, b}, func(ctx *Context) *Node {
-			return ctx.MeanAll(ctx.Square(ctx.SegLayerNorm(ctx.Param(x), g, b, 1e-5, l)))
+		checkTapes(t, counts, []*Param{g, b}, [][]*Param{xs}, func(ctx *Context, k int) *Node {
+			return ctx.MeanAll(ctx.Square(ctx.LayerNorm(ctx.Param(xs[k]), g, b, 1e-5)))
 		})
 	})
 }
@@ -245,110 +291,112 @@ func TestConcatSliceGrad(t *testing.T) {
 	})
 }
 
-// TestSumMeanRowsGrad checks the per-panel pooling, as a sum and scaled to a
+// TestSumMeanRowsGrad checks the global add pool, as a sum and scaled to a
 // mean the way the models scale it by poolScale.
 func TestSumMeanRowsGrad(t *testing.T) {
-	checkPanelOp(t, func(t *testing.T, rng *rand.Rand, l tensor.BatchLayout) {
-		x := newRandParam(rng, "x", l.Rows(), 3)
-		checkOp(t, []*Param{x}, func(ctx *Context) *Node {
-			return ctx.MeanAll(ctx.Square(ctx.SegSumRows(ctx.Param(x), l)))
+	checkGraphs(t, func(t *testing.T, rng *rand.Rand, counts []int) {
+		xs := perGraph(rng, "x", counts, cols(3))
+		checkTapes(t, counts, nil, [][]*Param{xs}, func(ctx *Context, g int) *Node {
+			return ctx.MeanAll(ctx.Square(ctx.SumRows(ctx.Param(xs[g]))))
 		})
-		checkOp(t, []*Param{x}, func(ctx *Context) *Node {
-			return ctx.MeanAll(ctx.Square(ctx.Scale(ctx.SegSumRows(ctx.Param(x), l), 1.0/64)))
+		checkTapes(t, counts, nil, [][]*Param{xs}, func(ctx *Context, g int) *Node {
+			return ctx.MeanAll(ctx.Square(ctx.Scale(ctx.SumRows(ctx.Param(xs[g])), 1.0/64)))
 		})
 	})
 }
 
 // TestAdjMatMulGrad checks the edge-weighted aggregation in both its uses:
-// the GCN's Â_g·X_g with each graph's own constant edge weights, and the
-// GAT's attention·V, whose weights take gradient too.
+// the GCN's Â·X with the graph's own constant edge weights, and the GAT's
+// attention·V, whose weights take gradient too.
 func TestAdjMatMulGrad(t *testing.T) {
-	checkPanelOp(t, func(t *testing.T, rng *rand.Rand, l tensor.BatchLayout) {
-		nbrs := randomNeighbours(rng, l)
-		x := newRandParam(rng, "x", l.Rows(), 3)
-		w := newRandParam(rng, "w", tensor.EdgeCount(nbrs), 1)
-		checkOp(t, []*Param{x}, func(ctx *Context) *Node {
-			return ctx.MeanAll(ctx.Square(ctx.EdgeAggregate(ctx.Const(w.V), ctx.Param(x), nbrs, l)))
+	checkGraphs(t, func(t *testing.T, rng *rand.Rand, counts []int) {
+		nbs := randomNeighbours(rng, counts)
+		xs := perGraph(rng, "x", counts, cols(3))
+		ws := perGraph(rng, "w", counts, func(g, _ int) (int, int) { return nbs[g].Edges(), 1 })
+		checkTapes(t, counts, nil, [][]*Param{xs}, func(ctx *Context, g int) *Node {
+			return ctx.MeanAll(ctx.Square(ctx.EdgeAggregate(ctx.Const(ws[g].V), ctx.Param(xs[g]), nbs[g])))
 		})
-		checkOp(t, []*Param{w, x}, func(ctx *Context) *Node {
-			return ctx.MeanAll(ctx.Square(ctx.EdgeAggregate(ctx.Param(w), ctx.Param(x), nbrs, l)))
+		checkTapes(t, counts, nil, [][]*Param{ws, xs}, func(ctx *Context, g int) *Node {
+			return ctx.MeanAll(ctx.Square(ctx.EdgeAggregate(ctx.Param(ws[g]), ctx.Param(xs[g]), nbs[g])))
 		})
 	})
 }
 
-// TestLossGrads checks the per-row training losses exactly as Train composes
-// them — |pred − target| and (pred − target)² with no mean reduction, seeded
-// row by row through BackwardVec — against finite differences of their sum.
+// TestLossGrads checks the per-graph training losses exactly as Train
+// composes them — |pred − target| and (pred − target)² of each graph's 1×1
+// head output, with no mean reduction, each graph on a tape routed to one
+// PanelGrads — against finite differences of their sum.
 func TestLossGrads(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	w := newRandParam(rng, "w", 4, 1)
 	b := newRandParam(rng, "b", 1, 1)
-	l := tensor.BatchLayout{B: 3, Stride: 1, Counts: []int{1, 1, 1}} // stride-1 head layout
-	x := tensor.Randn(rng, 3, 4, 1)
-	y := tensor.Randn(rng, 3, 1, 1)
-	params := []*Param{w, b}
-	for _, square := range []bool{false, true} {
-		build := func(ctx *Context) *Node {
-			diff := ctx.Sub(ctx.SegLinear(ctx.Const(x), w, b, l), ctx.Const(y))
-			if square {
-				return ctx.Square(diff)
-			}
-			return ctx.Abs(diff)
-		}
-		lossVal := func() float64 { return build(NewContext()).V.Sum() }
-		grads := func() map[*Param]*tensor.Tensor {
-			for _, p := range params {
-				p.ZeroGrad()
-			}
-			ctx := NewContext()
-			ctx.BackwardVec(build(ctx))
-			return map[*Param]*tensor.Tensor{w: w.Grad.Clone(), b: b.Grad.Clone()}
-		}
-		if err := GradCheck(params, lossVal, grads, gcEps, gcTol); err != nil {
-			t.Fatalf("square=%v: %v", square, err)
-		}
+	counts := []int{1, 1, 1}
+	xs := []*tensor.Tensor{tensor.Randn(rng, 1, 4, 1), tensor.Randn(rng, 1, 4, 1), tensor.Randn(rng, 1, 4, 1)}
+	ys := []*tensor.Tensor{tensor.Randn(rng, 1, 1, 1), tensor.Randn(rng, 1, 1, 1), tensor.Randn(rng, 1, 1, 1)}
+	for _, sq := range []bool{false, true} {
+		t.Run(map[bool]string{false: "MAE", true: "MSE"}[sq], func(t *testing.T) {
+			checkTapes(t, counts, []*Param{w, b}, nil, func(ctx *Context, g int) *Node {
+				diff := ctx.Sub(ctx.Linear(ctx.Const(xs[g]), w, b), ctx.Const(ys[g]))
+				if sq {
+					return ctx.Square(diff)
+				}
+				return ctx.Abs(diff)
+			})
+		})
 	}
 }
 
-// TestParamGradPanelFoldBitwise pins the one-accumulator contract: a
-// B-graph tape's Param.Grad equals, bit for bit, parallel.TreeReduce over
-// the Param.Grad each graph produces alone at B=1, for every parameter of the
-// three segmented ops that carry them. Five panels make the tree differ from
-// a serial fold.
+// TestParamGradPanelFoldBitwise pins the one-accumulator contract: five
+// ragged graphs, each on a tape routed to one PanelGrads and folded once,
+// leave Param.Grad equal, bit for bit, to parallel.TreeReduce over the
+// Param.Grad each graph produces on a standalone tape, for every parameter of
+// the three parameter-carrying ops. Five graphs make the tree differ from a
+// serial fold.
 func TestParamGradPanelFoldBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	l := tensor.BatchLayout{B: 5, Stride: 4, Counts: []int{2, 4, 3, 1, 4}}
+	counts := []int{2, 4, 3, 1, 4}
 	w := newRandParam(rng, "w", 3, 2)
 	b := newRandParam(rng, "b", 1, 2)
 	gamma := NewParam("gamma", tensor.RandUniform(rng, 1, 2, 0.5, 1.5))
 	beta := newRandParam(rng, "beta", 1, 2)
 	p := newRandParam(rng, "p", 2, 2)
 	params := []*Param{w, b, gamma, beta, p}
-	x := tensor.Randn(rng, l.Rows(), 3, 1)
-	grads := func(x *tensor.Tensor, l tensor.BatchLayout) []*tensor.Tensor {
+	xs := make([]*tensor.Tensor, len(counts))
+	for g, n := range counts {
+		xs[g] = tensor.Randn(rng, n, 3, 1)
+	}
+	run := func(ctx *Context, g int) {
+		h := ctx.LayerNorm(ctx.Linear(ctx.Const(xs[g]), w, b), gamma, beta, 1e-5)
+		ctx.BackwardVec(ctx.Square(ctx.SumRows(ctx.MatMulParam(h, p))))
+	}
+	zero := func() {
 		for _, p := range params {
 			p.ZeroGrad()
 		}
-		ctx := NewContext()
-		h := ctx.SegLayerNorm(ctx.SegLinear(ctx.Const(x), w, b, l), gamma, beta, 1e-5, l)
-		ctx.BackwardVec(ctx.Square(ctx.SegSumRows(ctx.SegMatMul(h, p, l), l)))
-		out := make([]*tensor.Tensor, len(params))
-		for i, p := range params {
-			out[i] = p.Grad.Clone()
-		}
-		return out
 	}
 
-	got := grads(x, l)
+	zero()
+	pg := NewPanelGrads(params, len(counts))
+	for g := range counts {
+		ctx := NewContext()
+		ctx.RouteGrads(pg, g)
+		run(ctx, g)
+	}
+	pg.Fold(len(counts))
+	got := make([]*tensor.Tensor, len(params))
+	for i, p := range params {
+		got[i] = p.Grad.Clone()
+	}
+
 	alone := make([][]*tensor.Tensor, len(params))
-	for g, c := range l.Counts {
-		xg := tensor.New(c, 3)
-		copy(xg.Data, x.Data[g*l.Stride*3:(g*l.Stride+c)*3])
-		for i, gr := range grads(xg, tensor.BatchLayout{B: 1, Stride: c, Counts: []int{c}}) {
-			if gr.MaxAbs() == 0 {
-				t.Fatalf("panel %d: no gradient for %s", g, params[i].Name)
+	for g := range counts {
+		zero()
+		run(NewContext(), g)
+		for i, p := range params {
+			if p.Grad.MaxAbs() == 0 {
+				t.Fatalf("graph %d: no gradient for %s", g, p.Name)
 			}
-			alone[i] = append(alone[i], gr)
+			alone[i] = append(alone[i], p.Grad.Clone())
 		}
 	}
 	for i, p := range params {
@@ -358,7 +406,7 @@ func TestParamGradPanelFoldBitwise(t *testing.T) {
 		})
 		for j := range want.Data {
 			if math.Float64bits(got[i].Data[j]) != math.Float64bits(want.Data[j]) {
-				t.Fatalf("%s[%d]: B=%d tape %v != tree over B=1 tapes %v", p.Name, j, l.B, got[i].Data[j], want.Data[j])
+				t.Fatalf("%s[%d]: routed fold %v != tree over standalone tapes %v", p.Name, j, got[i].Data[j], want.Data[j])
 			}
 		}
 	}
@@ -392,7 +440,7 @@ func TestConstHasNoGradient(t *testing.T) {
 	w := newRandParam(rng, "w", 2, 2)
 	loss := ctx.MeanAll(ctx.Square(ctx.Mul(cst, ctx.Param(w))))
 	ctx.Backward(loss)
-	if cst.Grad() != nil && cst.Grad().MaxAbs() != 0 {
+	if cst.grad != nil && cst.grad.MaxAbs() != 0 {
 		t.Fatal("constant should not receive gradient")
 	}
 	if w.Grad.MaxAbs() == 0 {
@@ -406,45 +454,29 @@ type splitGraphs struct {
 	xs, masks, targets []*tensor.Tensor
 }
 
-// stackRun records graphs [lo, hi) of sg on ctx as one padded tape whose
-// stride is pad rows wider than its largest graph, and runs the per-graph
-// loss |pred − target| through BackwardVec — the training step's shape.
-func stackRun(ctx *Context, ps []*Param, sg *splitGraphs, lo, hi, pad int) {
+// graphRun records graph g of sg on ctx and runs its loss |pred − target|
+// through BackwardVec — the training step's shape.
+func graphRun(ctx *Context, ps []*Param, sg *splitGraphs, g int) {
 	w1, b1, gamma, beta, p, w2, b2 := ps[0], ps[1], ps[2], ps[3], ps[4], ps[5], ps[6]
-	l := tensor.BatchLayout{B: hi - lo}
-	for _, x := range sg.xs[lo:hi] {
-		l.Counts = append(l.Counts, x.R)
-		l.Stride = max(l.Stride, x.R+pad)
-	}
-	x := tensor.New(l.Rows(), sg.xs[0].C)
-	targets := tensor.New(l.B, 1)
-	for g, xg := range sg.xs[lo:hi] {
-		copy(x.Data[g*l.Stride*x.C:], xg.Data)
-		targets.Data[g] = sg.targets[lo+g].Data[0]
-	}
-	ones := make([]int, l.B)
-	for i := range ones {
-		ones[i] = 1
-	}
-	hl := tensor.BatchLayout{B: l.B, Stride: 1, Counts: ones}
-	h := ctx.SegLayerNorm(ctx.SegLinear(ctx.Const(x), w1, b1, l), gamma, beta, 1e-5, l)
-	attn := ctx.PanelSoftmaxInPlace(ctx.ScaleInPlace(ctx.PanelMatMulBT(h, h, l), 0.5), sg.masks[lo:hi], l)
-	h = ctx.SegMatMul(ctx.PanelMatMul(attn, h, l), p, l)
-	pred := ctx.SegLinear(ctx.Tanh(ctx.SegSumRows(h, l)), w2, b2, hl)
-	ctx.BackwardVec(ctx.Abs(ctx.Sub(pred, ctx.Const(targets))))
+	h := ctx.LayerNorm(ctx.Linear(ctx.Const(sg.xs[g]), w1, b1), gamma, beta, 1e-5)
+	attn := ctx.SoftmaxInPlace(ctx.ScaleInPlace(ctx.MatMulBT(h, h), 0.5), sg.masks[g])
+	h = ctx.MatMulParam(ctx.MatMul(attn, h), p)
+	pred := ctx.Linear(ctx.LeakyReLU(ctx.SumRows(h), 0.1), w2, b2)
+	ctx.BackwardVec(ctx.Abs(ctx.Sub(pred, ctx.Const(sg.targets[g]))))
 }
 
-// TestPanelGradsRoutedTapesBitwise pins the split-tape contract the trainer
-// relies on: five ragged graphs run as one standalone tape, as a 2+3 pair of
-// tapes and as five B=1 tapes (concurrently, on goroutines of their own),
-// the split tapes routed to one PanelGrads at their global panel offsets and
-// folded once, end with bit-equal Param.Grad — SIMD kernels on and off. Five
-// panels make the fold's tree differ from a serial sum, so a tape that folded
-// its own parts would break the equality.
+// TestPanelGradsRoutedTapesBitwise pins the fan-out contract the trainer
+// relies on: five ragged graphs on tapes routed to one PanelGrads and folded
+// once end with the same Param.Grad bits whatever the worker count, the
+// order graphs are claimed in and the tape each lands on — serially in
+// position order, largest first or reversed on two and five workers sharing
+// recycled tapes — SIMD kernels on and off. The reference is the tree over
+// standalone tapes.
 func TestPanelGradsRoutedTapesBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	sg := &splitGraphs{}
-	for _, n := range []int{2, 4, 3, 1, 4} {
+	counts := []int{2, 4, 3, 1, 4}
+	for _, n := range counts {
 		sg.xs = append(sg.xs, tensor.Randn(rng, n, 3, 1))
 		mask := tensor.New(n, n)
 		for i := 0; i < n; i++ {
@@ -478,15 +510,39 @@ func TestPanelGradsRoutedTapesBitwise(t *testing.T) {
 		}
 		return out
 	}
-	routed := func(splits [][2]int) func() {
+	standalone := func() {
+		parts := make([][]*tensor.Tensor, len(ps))
+		for g := range counts {
+			for _, p := range ps {
+				p.ZeroGrad()
+			}
+			graphRun(NewContext(), ps, sg, g)
+			for i, p := range ps {
+				parts[i] = append(parts[i], p.Grad.Clone())
+			}
+		}
+		for i, p := range ps {
+			copy(p.Grad.Data, parallel.TreeReduce(parts[i], func(a, b *tensor.Tensor) *tensor.Tensor {
+				tensor.AddInPlace(a, b)
+				return a
+			}).Data)
+		}
+	}
+	routed := func(order []int, workers int) func() {
 		return func() {
-			pg := NewPanelGrads(ps, len(sg.xs))
-			parallel.ForLimit(len(splits), len(splits), func(i int) {
-				ctx := NewContext()
-				ctx.RouteGrads(pg, splits[i][0])
-				stackRun(ctx, ps, sg, splits[i][0], splits[i][1], i%2)
+			pg := NewPanelGrads(ps, len(counts))
+			tapes := make(chan *Context, workers)
+			for range workers {
+				tapes <- NewContext()
+			}
+			parallel.ForLimit(len(order), workers, func(j int) {
+				ctx := <-tapes
+				ctx.Reset()
+				ctx.RouteGrads(pg, order[j])
+				graphRun(ctx, ps, sg, order[j])
+				tapes <- ctx
 			})
-			pg.Fold(len(sg.xs))
+			pg.Fold(len(counts))
 		}
 	}
 	defer tensor.SetSIMD(tensor.SIMDEnabled())
@@ -496,16 +552,17 @@ func TestPanelGradsRoutedTapesBitwise(t *testing.T) {
 	}
 	for _, simd := range simdModes {
 		tensor.SetSIMD(simd)
-		want := grads(func() { stackRun(NewContext(), ps, sg, 0, len(sg.xs), 0) })
+		want := grads(standalone)
 		for name, run := range map[string]func(){
-			"2+3":   routed([][2]int{{0, 2}, {2, 5}}),
-			"5xB=1": routed([][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}),
+			"serial":          routed([]int{0, 1, 2, 3, 4}, 1),
+			"largest-first×2": routed([]int{1, 4, 2, 0, 3}, 2),
+			"reversed×5":      routed([]int{4, 3, 2, 1, 0}, 5),
 		} {
 			got := grads(run)
 			for i, p := range ps {
 				for j := range want[i].Data {
 					if math.Float64bits(got[i].Data[j]) != math.Float64bits(want[i].Data[j]) {
-						t.Fatalf("simd=%v %s: %s[%d] %v != one tape %v", simd, name, p.Name, j, got[i].Data[j], want[i].Data[j])
+						t.Fatalf("simd=%v %s: %s[%d] %v != standalone tree %v", simd, name, p.Name, j, got[i].Data[j], want[i].Data[j])
 					}
 				}
 			}
@@ -514,17 +571,16 @@ func TestPanelGradsRoutedTapesBitwise(t *testing.T) {
 }
 
 // TestParamInTwoSegmentedOpsPanics: a standalone tape keeps one part per
-// (parameter, panel), so a parameter entering a second segmented op would
+// parameter, so a parameter entering a second parameter-carrying op would
 // overwrite its first part; the tape refuses instead of dropping a gradient.
 func TestParamInTwoSegmentedOpsPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	w := newRandParam(rng, "w", 2, 2)
-	l := tensor.BatchLayout{B: 1, Stride: 3, Counts: []int{3}}
 	ctx := NewContext()
-	h := ctx.SegMatMul(ctx.SegMatMul(ctx.Const(tensor.Randn(rng, 3, 2, 1)), w, l), w, l)
+	h := ctx.MatMulParam(ctx.MatMulParam(ctx.Const(tensor.Randn(rng, 3, 2, 1)), w), w)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("a parameter in two segmented ops did not panic")
+			t.Fatal("a parameter in two parameter-carrying ops did not panic")
 		}
 	}()
 	ctx.BackwardVec(h)

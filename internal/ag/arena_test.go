@@ -8,44 +8,30 @@ import (
 	"predtop/internal/tensor"
 )
 
-// lossGraph is the fixed input of buildLossGraph: stacked graphs under
-// their panel layout, the per-graph attention masks (nil: unmasked), and the
-// scalar target. Built once so the steady-state allocation test measures the
-// tape alone.
+// lossGraph is the fixed input of buildLossGraph: one graph's rows, its
+// attention mask (nil: unmasked), and the scalar target. Built once so the
+// steady-state allocation test measures the tape alone.
 type lossGraph struct {
-	x      *tensor.Tensor
-	masks  []*tensor.Tensor
-	target *tensor.Tensor
-	l, hl  tensor.BatchLayout
+	x, mask, target *tensor.Tensor
 }
 
-func newLossGraph(x *tensor.Tensor, masks []*tensor.Tensor, l tensor.BatchLayout) *lossGraph {
-	ones := make([]int, l.B)
-	for i := range ones {
-		ones[i] = 1
-	}
-	return &lossGraph{
-		x:      x,
-		masks:  masks,
-		target: tensor.Full(1, 1, 0.75),
-		l:      l,
-		hl:     tensor.BatchLayout{B: l.B, Stride: 1, Counts: ones},
-	}
+func newLossGraph(x, mask *tensor.Tensor) *lossGraph {
+	return &lossGraph{x: x, mask: mask, target: tensor.Full(1, 1, 0.75)}
 }
 
 // buildLossGraph runs a forward pass exercising every tape op that the
 // models use — fused linear, in-place scale/softmax, layer norm, attention
-// glue, pooling, the stride-1 head — and returns the scalar loss node.
+// glue, pooling, the 1-row head — and returns the scalar loss node.
 func buildLossGraph(ctx *Context, ps []*Param, g *lossGraph) *Node {
 	w1, b1, w2, b2, gamma, beta := ps[0], ps[1], ps[2], ps[3], ps[4], ps[5]
-	h := ctx.SegLinear(ctx.Const(g.x), w1, b1, g.l)
-	h = ctx.SegLayerNorm(h, gamma, beta, 1e-5, g.l)
-	scores := ctx.ScaleInPlace(ctx.PanelMatMulBT(h, h, g.l), 0.5)
-	attn := ctx.PanelSoftmaxInPlace(scores, g.masks, g.l)
-	h = ctx.PanelMatMul(attn, h, g.l)
-	h = ctx.Add(h, ctx.Tanh(h))
-	pooled := ctx.Scale(ctx.SegSumRows(h, g.l), 1/float64(g.x.R))
-	pred := ctx.ReLU(ctx.SegLinear(pooled, w2, b2, g.hl))
+	h := ctx.Linear(ctx.Const(g.x), w1, b1)
+	h = ctx.LayerNorm(h, gamma, beta, 1e-5)
+	scores := ctx.ScaleInPlace(ctx.MatMulBT(h, h), 0.5)
+	attn := ctx.SoftmaxInPlace(scores, g.mask)
+	h = ctx.MatMul(attn, h)
+	h = ctx.Add(h, ctx.LeakyReLU(h, 0.1))
+	pooled := ctx.Scale(ctx.SumRows(h), 1/float64(g.x.R))
+	pred := ctx.ReLU(ctx.Linear(pooled, w2, b2))
 	return ctx.MeanAll(ctx.Abs(ctx.Sub(ctx.MeanAll(pred), ctx.Const(g.target))))
 }
 
@@ -74,7 +60,7 @@ func TestArenaOnOffBitwiseIdentical(t *testing.T) {
 	mask.Set(0, 3, ninf)
 	mask.Set(2, 1, ninf)
 
-	g := newLossGraph(x, []*tensor.Tensor{mask}, tensor.BatchLayout{B: 1, Stride: 5, Counts: []int{5}})
+	g := newLossGraph(x, mask)
 
 	type result struct {
 		loss  float64
@@ -120,30 +106,28 @@ func TestArenaOnOffBitwiseIdentical(t *testing.T) {
 
 // TestContextSteadyStateZeroAlloc pins the tape-level allocation target:
 // once a pooled context has seen its graph, a full forward+backward+Reset
-// step performs zero heap allocations — at one panel, and at three ragged
-// panels, where the per-panel parameter gradient fold runs on the context's
-// own slots; and on a tape routed to a shared PanelGrads at a non-zero panel
-// offset, whose Fold allocates nothing either.
+// step performs zero heap allocations — on a standalone tape, whose own
+// gradient slots are folded by BackwardVec, and on a tape routed to a shared
+// PanelGrads at a non-zero graph index, whose Fold allocates nothing either.
 func TestContextSteadyStateZeroAlloc(t *testing.T) {
 	for _, c := range []struct {
-		l      tensor.BatchLayout
-		offset int // global panel of the tape's first; -1: unrouted
+		n     int // graph nodes
+		graph int // the tape's graph index in the shared store; -1: unrouted
 	}{
-		{tensor.BatchLayout{B: 1, Stride: 5, Counts: []int{5}}, -1},
-		{tensor.BatchLayout{B: 3, Stride: 5, Counts: []int{2, 5, 3}}, -1},
-		{tensor.BatchLayout{B: 1, Stride: 5, Counts: []int{5}}, 3},
-		{tensor.BatchLayout{B: 3, Stride: 5, Counts: []int{2, 5, 3}}, 2},
+		{5, -1},
+		{2, -1},
+		{5, 3},
+		{2, 1},
 	} {
-		l := c.l
 		rng := rand.New(rand.NewSource(3))
-		x := tensor.Randn(rng, l.Rows(), 6, 1)
+		x := tensor.Randn(rng, c.n, 6, 1)
 		ps := testParams(11)
-		g := newLossGraph(x, nil, l)
+		g := newLossGraph(x, nil)
 		ctx := NewContext()
 		var pg *PanelGrads
-		if c.offset >= 0 {
-			pg = NewPanelGrads(ps, c.offset+l.B)
-			ctx.RouteGrads(pg, c.offset)
+		if c.graph >= 0 {
+			pg = NewPanelGrads(ps, c.graph+1)
+			ctx.RouteGrads(pg, c.graph)
 		}
 		step := func() {
 			loss := buildLossGraph(ctx, ps, g)
@@ -153,31 +137,31 @@ func TestContextSteadyStateZeroAlloc(t *testing.T) {
 		step() // warm the arena, node chunks, params map, and fold slots
 		step()
 		if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
-			t.Fatalf("B=%d offset=%d: steady-state forward+backward allocated %.1f per step, want 0", l.B, c.offset, allocs)
+			t.Fatalf("n=%d graph=%d: steady-state forward+backward allocated %.1f per step, want 0", c.n, c.graph, allocs)
 		}
 		if pg == nil {
 			continue
 		}
-		if allocs := testing.AllocsPerRun(100, func() { pg.Fold(c.offset + l.B) }); allocs != 0 {
-			t.Fatalf("B=%d offset=%d: Fold allocated %.1f, want 0", l.B, c.offset, allocs)
+		if allocs := testing.AllocsPerRun(100, func() { pg.Fold(c.graph + 1) }); allocs != 0 {
+			t.Fatalf("n=%d graph=%d: Fold allocated %.1f, want 0", c.n, c.graph, allocs)
 		}
 	}
 }
 
 // TestContextResetReproducesGradients checks that a Reset tape (the pooled
 // reuse path of the training loop) reproduces bitwise-identical gradients
-// into the re-zeroed Param.Grad, at one panel and at three.
+// into the re-zeroed Param.Grad, for graphs of several sizes.
 func TestContextResetReproducesGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	w := newRandParam(rng, "w", 3, 2)
 	b := newRandParam(rng, "b", 1, 2)
-	for _, c := range gcLayouts {
-		x, target := tensor.Randn(rng, c.l.Rows(), 3, 1), tensor.Randn(rng, c.l.Rows(), 2, 1)
+	for _, n := range []int{4, 2, 7} {
+		x, target := tensor.Randn(rng, n, 3, 1), tensor.Randn(rng, n, 2, 1)
 		ctx := NewContext()
 		run := func() []float64 {
 			w.ZeroGrad()
 			b.ZeroGrad()
-			ctx.Backward(mse(ctx, ctx.SegLinear(ctx.Const(x), w, b, c.l), target))
+			ctx.Backward(mse(ctx, ctx.Linear(ctx.Const(x), w, b), target))
 			return append(w.Grad.Clone().Data, b.Grad.Data...)
 		}
 		first := run()
@@ -185,7 +169,7 @@ func TestContextResetReproducesGradients(t *testing.T) {
 		second := run()
 		for i := range first {
 			if math.Float64bits(first[i]) != math.Float64bits(second[i]) {
-				t.Fatalf("%s: grad %d drifted after Reset: %v vs %v", c.name, i, first[i], second[i])
+				t.Fatalf("n=%d: grad %d drifted after Reset: %v vs %v", n, i, first[i], second[i])
 			}
 		}
 	}

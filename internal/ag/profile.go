@@ -34,10 +34,6 @@ func (c *Context) SetSpan(s obs.Span) {
 	c.marks = c.marks[:0]
 }
 
-// Span returns the attached profiling span (the zero, inert Span when
-// profiling is off).
-func (c *Context) Span() obs.Span { return c.span }
-
 // LayerSpan is an in-flight per-layer measurement opened by StartLayer. The
 // zero LayerSpan is inert.
 type LayerSpan struct {

@@ -12,8 +12,9 @@ import (
 	"predtop/internal/tensor"
 )
 
-// raggedPool builds encoded stage graphs with distinct node counts, so padded
-// batches exercise real raggedness (every graph shorter than the stride pads).
+// raggedPool builds encoded stage graphs with distinct node counts, so a
+// worker tape that runs them in turn recycles buffers across real size
+// changes.
 func raggedPool(t testing.TB) []*stage.Encoded {
 	t.Helper()
 	m := models.Build(models.GPT3())
@@ -41,51 +42,66 @@ func raggedModels(seed int64) []Model {
 	}
 }
 
-// forwardBackward runs one fused forward+backward over es into the zeroed
-// Param.Grad and returns the per-graph predictions and copies of the
-// parameter gradients, in m.Params() order.
-func forwardBackward(t *testing.T, m Model, es []*stage.Encoded) ([]float64, []*tensor.Tensor) {
+// forwardBackward resets ctx, runs e's forward and backward on it, and
+// returns the 1×1 prediction.
+func forwardBackward(t *testing.T, m Model, ctx *ag.Context, e *stage.Encoded) float64 {
+	t.Helper()
+	ctx.Reset()
+	out := m.Predict(ctx, e)
+	if out.V.R != 1 || out.V.C != 1 {
+		t.Fatalf("%s output %dx%d for one graph", m.Name(), out.V.R, out.V.C)
+	}
+	pred := out.Value().Data[0]
+	ctx.BackwardVec(out)
+	return pred
+}
+
+// runBatch runs es in turn on one worker tape, each graph routed to its own
+// slot of one PanelGrads, folds once into the zeroed Param.Grad, and returns
+// the predictions and copies of the parameter gradients in m.Params() order
+// — a minibatch as one of Train's workers sees it.
+func runBatch(t *testing.T, m Model, es []*stage.Encoded) ([]float64, []*tensor.Tensor) {
 	t.Helper()
 	params := m.Params()
 	for _, p := range params {
 		p.ZeroGrad()
 	}
+	pg := ag.NewPanelGrads(params, len(es))
 	ctx := ag.NewContext()
-	nb, err := stage.NewBatch(es, ctx.Arena())
-	if err != nil {
-		t.Fatalf("NewBatch: %v", err)
+	preds := make([]float64, len(es))
+	for k, e := range es {
+		ctx.RouteGrads(pg, k)
+		preds[k] = forwardBackward(t, m, ctx, e)
 	}
-	out := m.PredictBatch(ctx, nb)
-	preds := out.Value()
-	if preds.R != len(es) || preds.C != 1 {
-		t.Fatalf("%s batch output %dx%d for %d graphs", m.Name(), preds.R, preds.C, len(es))
-	}
-	ctx.BackwardVec(out)
+	pg.Fold(len(es))
 	grads := make([]*tensor.Tensor, len(params))
 	for i, p := range params {
 		grads[i] = p.Grad.Clone()
 	}
-	return append([]float64{}, preds.Data...), grads
+	return preds, grads
 }
 
-// checkBatchInvariant is the batch-composition invariance check: graph g's
-// prediction inside the batch es must be bitwise identical to g alone at
-// B=1, whatever its neighbours and its position, and the batch's Param.Grad
+// checkBatchInvariant is the worker-tape invariance check: graph g's
+// prediction, run after any other graphs on a recycled tape, must be bitwise
+// identical to g alone on a fresh standalone tape, and the folded Param.Grad
 // must be bitwise the fixed-shape parallel.TreeReduce over each graph's own
-// B=1 Param.Grad — the one-accumulator contract.
+// standalone Param.Grad — the one-accumulator contract.
 func checkBatchInvariant(t *testing.T, m Model, es []*stage.Encoded) {
 	t.Helper()
 	params := m.Params()
-	preds, grads := forwardBackward(t, m, es)
+	preds, grads := runBatch(t, m, es)
 	alone := make([][]*tensor.Tensor, len(params))
 	for i, e := range es {
-		wantPred, wantGrads := forwardBackward(t, m, []*stage.Encoded{e})
-		if math.Float64bits(preds[i]) != math.Float64bits(wantPred[0]) {
-			t.Fatalf("%s graph %d (n=%d): in batch %v != alone %v",
-				m.Name(), i, e.N(), preds[i], wantPred[0])
+		for _, p := range params {
+			p.ZeroGrad()
 		}
-		for pi, g := range wantGrads {
-			alone[pi] = append(alone[pi], g)
+		want := forwardBackward(t, m, ag.NewContext(), e)
+		if math.Float64bits(preds[i]) != math.Float64bits(want) {
+			t.Fatalf("%s graph %d (n=%d): on a worker tape %v != alone %v",
+				m.Name(), i, e.N(), preds[i], want)
+		}
+		for pi, p := range params {
+			alone[pi] = append(alone[pi], p.Grad.Clone())
 		}
 	}
 	for pi, p := range params {
@@ -96,19 +112,19 @@ func checkBatchInvariant(t *testing.T, m Model, es []*stage.Encoded) {
 		for j := range want.Data {
 			a, b := want.Data[j], grads[pi].Data[j]
 			if math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("%s B=%d %s[%d]: batch %x != tree over B=1 %x",
+				t.Fatalf("%s B=%d %s[%d]: folded %x != tree over standalone tapes %x",
 					m.Name(), len(es), p.Name, j, math.Float64bits(b), math.Float64bits(a))
 			}
 		}
 	}
 }
 
-// TestPredictBatchRaggedBitwise drives the fused forward+backward through
-// the padding edge cases — single-graph batches, rectangular batches (no
-// padding at all), maximal pad skew (smallest graph next to largest), and
-// duplicates sharing mask tensors — asserting every graph's value equals, bit
-// for bit, the graph alone at B=1 and the batch's parameter gradients equal
-// the tree over the B=1 gradients, for all three architectures.
+// TestPredictBatchRaggedBitwise drives minibatches through one recycled
+// worker tape — single graphs, equal sizes, maximal size skew (the smallest
+// graph after the largest reuses its buffers), and duplicates sharing mask
+// tensors — asserting every graph's value equals, bit for bit, the graph
+// alone on a fresh tape and the folded parameter gradients equal the tree
+// over standalone gradients, for all three architectures.
 func TestPredictBatchRaggedBitwise(t *testing.T) {
 	pool := raggedPool(t)
 	small, large := 0, 0
@@ -141,11 +157,11 @@ func TestPredictBatchRaggedBitwise(t *testing.T) {
 	}
 }
 
-// TestPredictBatchRandomizedBitwise is the property form: random batch
+// TestPredictBatchRandomizedBitwise is the property form: random minibatch
 // compositions and sizes drawn from the ragged pool, each graph checked
 // bitwise against itself alone, with SIMD kernels both on and off; and the
-// two SIMD settings are pinned to each other on the same batch, so the scalar
-// and vector row kernels cannot drift apart together.
+// two SIMD settings are pinned to each other on the same minibatch, so the
+// scalar and vector row kernels cannot drift apart together.
 func TestPredictBatchRandomizedBitwise(t *testing.T) {
 	pool := raggedPool(t)
 	rng := rand.New(rand.NewSource(99))
@@ -166,7 +182,7 @@ func TestPredictBatchRandomizedBitwise(t *testing.T) {
 		for _, simd := range simdModes {
 			tensor.SetSIMD(simd)
 			checkBatchInvariant(t, m, es)
-			preds, _ := forwardBackward(t, m, es)
+			preds, _ := runBatch(t, m, es)
 			if first == nil {
 				first = preds
 			}
@@ -175,22 +191,6 @@ func TestPredictBatchRandomizedBitwise(t *testing.T) {
 					t.Fatalf("%s graph %d: SIMD=%v prediction %v != %v", m.Name(), i, simd, preds[i], first[i])
 				}
 			}
-		}
-	}
-}
-
-// TestNewBatchRejectsEmptyGraph: a zero-node graph has nothing to pool, so
-// batching must fail loudly rather than emit a padding artifact — alone and
-// in the middle of an otherwise valid batch.
-func TestNewBatchRejectsEmptyGraph(t *testing.T) {
-	pool := raggedPool(t)
-	empty := &stage.Encoded{X: tensor.New(0, stage.FeatureDim)}
-	for _, es := range [][]*stage.Encoded{
-		{empty},
-		{pool[0], empty, pool[1]},
-	} {
-		if _, err := stage.NewBatch(es, nil); err != stage.ErrEmptyGraph {
-			t.Fatalf("NewBatch with empty graph: err=%v, want ErrEmptyGraph", err)
 		}
 	}
 }

@@ -8,6 +8,7 @@ package graphnn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 
@@ -27,12 +28,10 @@ const poolScale = 1.0 / 64
 // Model is a stage-latency predictor.
 type Model interface {
 	nn.Module
-	// PredictBatch maps a padded batch of encoded stage graphs to B×1
-	// latency predictions in batch order, on one tape. It is the only
-	// forward: a single graph is a batch of one. Per graph, predictions and
-	// (through ag's segmented backward) gradients are bitwise identical
-	// whichever other graphs share the batch.
-	PredictBatch(ctx *ag.Context, b *stage.Batch) *ag.Node
+	// Predict records the forward of one encoded stage graph on ctx and
+	// returns its 1×1 latency prediction. It is the only forward: training,
+	// evaluation and serving each run one graph per tape.
+	Predict(ctx *ag.Context, e *stage.Encoded) *ag.Node
 	// Name identifies the architecture ("Tran", "GCN", "GAT").
 	Name() string
 	// Spec returns the serializable architecture description.
@@ -48,17 +47,58 @@ type ModelSpec struct {
 	GAT  GATConfig
 }
 
-// Build reconstructs a freshly-initialized model of this spec.
+// Build reconstructs a freshly-initialized model of this spec. A spec a
+// constructor would panic on — a negative width, heads that do not divide the
+// width, a non-finite slope — or one past the size bounds below is an error,
+// so a crafted model file cannot crash its loader.
 func (s ModelSpec) Build(rng *rand.Rand) (Model, error) {
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
 	switch s.Arch {
 	case "Tran":
 		return NewDAGTransformer(rng, s.Tran), nil
 	case "GCN":
 		return NewGCN(rng, s.GCN), nil
-	case "GAT":
-		return NewGAT(rng, s.GAT), nil
 	}
-	return nil, fmt.Errorf("graphnn: unknown architecture %q", s.Arch)
+	return NewGAT(rng, s.GAT), nil
+}
+
+// maxLayers and maxWidth bound a spec above the paper's settings (at most 6
+// layers of width 256, a 512-entry depth table), so a crafted spec cannot make
+// Build allocate more than a few hundred MB either.
+const (
+	maxLayers = 16
+	maxWidth  = 512
+)
+
+// validate checks s after defaults.
+func (s ModelSpec) validate() error {
+	var layers, heads int
+	var widths []int
+	alpha := 0.0
+	switch s.Arch {
+	case "Tran":
+		c := s.Tran.withDefaults()
+		layers, heads, widths = c.Layers, c.Heads, []int{c.Dim, c.FFNDim, c.MaxPos, c.HeadDim}
+	case "GCN":
+		c := s.GCN.withDefaults()
+		layers, heads, widths = c.Layers, 1, []int{c.Dim}
+	case "GAT":
+		c := s.GAT.withDefaults()
+		layers, heads, widths, alpha = c.Layers, c.Heads, []int{c.Dim}, c.Alpha
+	default:
+		return fmt.Errorf("graphnn: unknown architecture %q", s.Arch)
+	}
+	ok := layers >= 1 && layers <= maxLayers && heads >= 1 && widths[0]%heads == 0 &&
+		!math.IsNaN(alpha) && !math.IsInf(alpha, 0)
+	for _, w := range widths {
+		ok = ok && w >= 1 && w <= maxWidth
+	}
+	if !ok {
+		return fmt.Errorf("graphnn: invalid %s spec %+v", s.Arch, s)
+	}
+	return nil
 }
 
 // TransformerConfig configures a DAG Transformer predictor. The zero value
@@ -146,23 +186,19 @@ func (m *DAGTransformer) Name() string { return "Tran" }
 // Spec implements Model.
 func (m *DAGTransformer) Spec() ModelSpec { return ModelSpec{Arch: "Tran", Tran: m.cfg} }
 
-// PredictBatch implements Model.
-func (m *DAGTransformer) PredictBatch(ctx *ag.Context, b *stage.Batch) *ag.Node {
-	bl := b.Layout
+// Predict implements Model.
+func (m *DAGTransformer) Predict(ctx *ag.Context, e *stage.Encoded) *ag.Node {
 	ls := ctx.StartLayer("embed")
-	x := m.input.ForwardBatch(ctx, ctx.Const(b.X), bl)
-	// DAGPE: the sinusoidal table is constant, so the per-graph depth gather
-	// needs no tape op — build the stacked positional tensor directly (pad
-	// rows zero) and add it as a constant.
-	pos := ctx.Arena().Get(bl.Rows(), m.cfg.Dim)
-	for g := 0; g < bl.B; g++ {
-		base := g * bl.Stride
-		for i, d := range b.Depths[g] {
-			if d >= m.cfg.MaxPos {
-				d = m.cfg.MaxPos - 1
-			}
-			copy(pos.Row(base+i), m.pe.Row(d))
+	x := m.input.Forward(ctx, ctx.Const(e.X))
+	// DAGPE: the sinusoidal table is constant, so the depth gather needs no
+	// tape op — build the positional tensor directly and add it as a
+	// constant.
+	pos := ctx.Arena().GetUninit(e.N(), m.cfg.Dim)
+	for i, d := range e.Depths {
+		if d >= m.cfg.MaxPos {
+			d = m.cfg.MaxPos - 1
 		}
+		copy(pos.Row(i), m.pe.Row(d))
 	}
 	x = ctx.Add(x, ctx.Const(pos))
 	ls.End()
@@ -170,15 +206,15 @@ func (m *DAGTransformer) PredictBatch(ctx *ag.Context, b *stage.Batch) *ag.Node 
 	// cost magnitudes survive to the additive pooling (Eqn 2).
 	for i, l := range m.layers {
 		ls = ctx.StartLayer(m.spanAttn[i])
-		x = ctx.Add(x, l.attn.ForwardBatch(ctx, l.ln1.ForwardBatch(ctx, x, bl), b.Reach, bl))
+		x = ctx.Add(x, l.attn.Forward(ctx, l.ln1.Forward(ctx, x), e.ReachMask))
 		ls.End()
 		ls = ctx.StartLayer(m.spanFFN[i])
-		x = ctx.Add(x, l.ffn.ForwardBatch(ctx, l.ln2.ForwardBatch(ctx, x, bl), bl))
+		x = ctx.Add(x, l.ffn.Forward(ctx, l.ln2.Forward(ctx, x)))
 		ls.End()
 	}
 	ls = ctx.StartLayer("head")
-	pooled := ctx.Scale(ctx.SegSumRows(x, bl), poolScale) // global add pool (Eqn 2)
-	out := m.head.ForwardBatch(ctx, pooled, b.HeadLayout)
+	pooled := ctx.Scale(ctx.SumRows(x), poolScale) // global add pool (Eqn 2)
+	out := m.head.Forward(ctx, pooled)
 	ls.End()
 	return out
 }
@@ -240,21 +276,20 @@ func (m *GCN) Name() string { return "GCN" }
 // Spec implements Model.
 func (m *GCN) Spec() ModelSpec { return ModelSpec{Arch: "GCN", GCN: m.cfg} }
 
-// PredictBatch implements Model.
-func (m *GCN) PredictBatch(ctx *ag.Context, b *stage.Batch) *ag.Node {
-	bl := b.Layout
-	x := ctx.Const(b.X)
+// Predict implements Model.
+func (m *GCN) Predict(ctx *ag.Context, e *stage.Encoded) *ag.Node {
+	x := ctx.Const(e.X)
 	// Â's values as one constant edge vector, shared by every layer.
-	vals := ctx.Arena().GetUninit(tensor.EdgeCount(b.Nbr), 1)
-	tensor.EdgeValuesInto(vals, b.Nbr)
+	vals := ctx.Arena().GetUninit(e.Nbr.Edges(), 1)
+	tensor.EdgeValuesInto(vals, e.Nbr)
 	adj := ctx.Const(vals)
 	for i, l := range m.layers {
 		ls := ctx.StartLayer(m.spanNames[i])
-		x = ctx.ReLU(l.ForwardBatch(ctx, ctx.EdgeAggregate(adj, x, b.Nbr, bl), bl))
+		x = ctx.ReLU(l.Forward(ctx, ctx.EdgeAggregate(adj, x, e.Nbr)))
 		ls.End()
 	}
 	ls := ctx.StartLayer("head")
-	out := m.head.ForwardBatch(ctx, ctx.Scale(ctx.SegSumRows(x, bl), poolScale), b.HeadLayout)
+	out := m.head.Forward(ctx, ctx.Scale(ctx.SumRows(x), poolScale))
 	ls.End()
 	return out
 }
@@ -343,29 +378,28 @@ func (m *GAT) Name() string { return "GAT" }
 // Spec implements Model.
 func (m *GAT) Spec() ModelSpec { return ModelSpec{Arch: "GAT", GAT: m.cfg} }
 
-// PredictBatch implements Model.
-func (m *GAT) PredictBatch(ctx *ag.Context, b *stage.Batch) *ag.Node {
-	bl := b.Layout
-	x := ctx.Const(b.X)
+// Predict implements Model.
+func (m *GAT) Predict(ctx *ag.Context, e *stage.Encoded) *ag.Node {
+	x := ctx.Const(e.X)
 	for i, l := range m.layers {
 		ls := ctx.StartLayer(m.spanNames[i])
 		var buf [8]*ag.Node // ConcatCols copies its operands, so heads can stay on the stack
 		heads := buf[:0]
 		for h := 0; h < l.numHeads; h++ {
-			wh := l.w[h].ForwardBatch(ctx, x, bl)
-			s1 := ctx.SegMatMul(wh, l.aSrc[h], bl)
-			s2 := ctx.SegMatMul(wh, l.aDst[h], bl)
-			logits := ctx.LeakyReLU(ctx.EdgeAddOuter(s1, s2, b.Nbr, bl), l.alpha)
+			wh := l.w[h].Forward(ctx, x)
+			s1 := ctx.MatMulParam(wh, l.aSrc[h])
+			s2 := ctx.MatMulParam(wh, l.aDst[h])
+			logits := ctx.LeakyReLU(ctx.EdgeAddOuter(s1, s2, e.Nbr), l.alpha)
 			// In-place is safe: LeakyReLU's backward reads its input (the
 			// EdgeAddOuter value), never its own output buffer.
-			attn := ctx.EdgeSoftmaxInPlace(logits, b.Nbr)
-			heads = append(heads, ctx.EdgeAggregate(attn, wh, b.Nbr, bl))
+			attn := ctx.EdgeSoftmaxInPlace(logits, e.Nbr)
+			heads = append(heads, ctx.EdgeAggregate(attn, wh, e.Nbr))
 		}
 		x = ctx.ReLU(ctx.ConcatCols(heads...))
 		ls.End()
 	}
 	ls := ctx.StartLayer("head")
-	out := m.head.ForwardBatch(ctx, ctx.Scale(ctx.SegSumRows(x, bl), poolScale), b.HeadLayout)
+	out := m.head.Forward(ctx, ctx.Scale(ctx.SumRows(x), poolScale))
 	ls.End()
 	return out
 }

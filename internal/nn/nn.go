@@ -1,8 +1,7 @@
 // Package nn provides the neural-network building blocks used by the latency
 // predictors: linear layers, layer normalization, masked multi-head
 // attention, and feed-forward blocks, all built on internal/ag. Every block
-// has one forward, ForwardBatch, over the panels of a tensor.BatchLayout; a
-// single graph is the B=1 panel.
+// has one forward, Forward, over one stage graph's N-row node tensor.
 package nn
 
 import (
@@ -34,10 +33,10 @@ func NewLinear(rng *rand.Rand, name string, in, out int) *Linear {
 	}
 }
 
-// ForwardBatch applies the layer to every panel's real rows of the stacked x
-// via the fused matmul+bias kernel.
-func (l *Linear) ForwardBatch(ctx *ag.Context, x *ag.Node, bl tensor.BatchLayout) *ag.Node {
-	return ctx.SegLinear(x, l.W, l.B, bl)
+// Forward applies the layer to every row of x via the fused matmul+bias
+// kernel.
+func (l *Linear) Forward(ctx *ag.Context, x *ag.Node) *ag.Node {
+	return ctx.Linear(x, l.W, l.B)
 }
 
 // Params implements Module.
@@ -59,9 +58,9 @@ func NewLayerNorm(name string, dim int) *LayerNorm {
 	}
 }
 
-// ForwardBatch normalizes every panel's real rows of the stacked x.
-func (l *LayerNorm) ForwardBatch(ctx *ag.Context, x *ag.Node, bl tensor.BatchLayout) *ag.Node {
-	return ctx.SegLayerNorm(x, l.G, l.B, l.Eps, bl)
+// Forward normalizes every row of x.
+func (l *LayerNorm) Forward(ctx *ag.Context, x *ag.Node) *ag.Node {
+	return ctx.LayerNorm(x, l.G, l.B, l.Eps)
 }
 
 // Params implements Module.
@@ -95,14 +94,13 @@ func NewMultiHeadAttention(rng *rand.Rand, name string, dim, heads int) *MultiHe
 	}
 }
 
-// ForwardBatch computes masked attention independently inside every panel of
-// the stacked x; masks[g] is graph g's additive Nᵍ×Nᵍ logit mask (the DAG
-// reachability mask of Eqn 1, −Inf disabling positions; nil masks none for
-// that graph).
-func (m *MultiHeadAttention) ForwardBatch(ctx *ag.Context, x *ag.Node, masks []*tensor.Tensor, bl tensor.BatchLayout) *ag.Node {
-	q := m.Wq.ForwardBatch(ctx, x, bl)
-	k := m.Wk.ForwardBatch(ctx, x, bl)
-	v := m.Wv.ForwardBatch(ctx, x, bl)
+// Forward computes masked attention over the graph's nodes; mask is the
+// additive N×N logit mask (the DAG reachability mask of Eqn 1, −Inf
+// disabling positions; nil masks nothing).
+func (m *MultiHeadAttention) Forward(ctx *ag.Context, x *ag.Node, mask *tensor.Tensor) *ag.Node {
+	q := m.Wq.Forward(ctx, x)
+	k := m.Wk.Forward(ctx, x)
+	v := m.Wv.Forward(ctx, x)
 	dk := m.Dim / m.Heads
 	scale := 1 / math.Sqrt(float64(dk))
 	var buf [8]*ag.Node // ConcatCols copies its operands, so heads can stay on the stack
@@ -113,13 +111,13 @@ func (m *MultiHeadAttention) ForwardBatch(ctx *ag.Context, x *ag.Node, masks []*
 		kh := ctx.SliceCols(k, lo, hi)
 		vh := ctx.SliceCols(v, lo, hi)
 		// Scaling and softmax both overwrite the score buffer in place:
-		// PanelMatMulBT's backward reads its inputs, never its output, so
-		// the raw scores are dead the moment they are produced.
-		scores := ctx.ScaleInPlace(ctx.PanelMatMulBT(qh, kh, bl), scale)
-		attn := ctx.PanelSoftmaxInPlace(scores, masks, bl)
-		heads = append(heads, ctx.PanelMatMul(attn, vh, bl))
+		// MatMulBT's backward reads its inputs, never its output, so the raw
+		// scores are dead the moment they are produced.
+		scores := ctx.ScaleInPlace(ctx.MatMulBT(qh, kh), scale)
+		attn := ctx.SoftmaxInPlace(scores, mask)
+		heads = append(heads, ctx.MatMul(attn, vh))
 	}
-	return m.Wo.ForwardBatch(ctx, ctx.ConcatCols(heads...), bl)
+	return m.Wo.Forward(ctx, ctx.ConcatCols(heads...))
 }
 
 // Params implements Module.
@@ -145,9 +143,9 @@ func NewFeedForward(rng *rand.Rand, name string, dim, hidden int) *FeedForward {
 	}
 }
 
-// ForwardBatch applies the FFN to every panel's real rows of the stacked x.
-func (f *FeedForward) ForwardBatch(ctx *ag.Context, x *ag.Node, bl tensor.BatchLayout) *ag.Node {
-	return f.Out.ForwardBatch(ctx, ctx.ReLU(f.In.ForwardBatch(ctx, x, bl)), bl)
+// Forward applies the FFN to every row of x.
+func (f *FeedForward) Forward(ctx *ag.Context, x *ag.Node) *ag.Node {
+	return f.Out.Forward(ctx, ctx.ReLU(f.In.Forward(ctx, x)))
 }
 
 // Params implements Module.
@@ -174,14 +172,12 @@ func NewMLPHead(rng *rand.Rand, name string, in int, dims ...int) *MLPHead {
 	return h
 }
 
-// ForwardBatch maps the pooled B×in tensor to B×1 predictions. bl is the
-// stride-1 head layout (every row is one graph), which keeps the head's
-// parameter gradients folding per graph like every other layer.
-func (h *MLPHead) ForwardBatch(ctx *ag.Context, x *ag.Node, bl tensor.BatchLayout) *ag.Node {
+// Forward maps the pooled 1×in row to the 1×1 prediction.
+func (h *MLPHead) Forward(ctx *ag.Context, x *ag.Node) *ag.Node {
 	for _, l := range h.Hidden {
-		x = ctx.ReLU(l.ForwardBatch(ctx, x, bl))
+		x = ctx.ReLU(l.Forward(ctx, x))
 	}
-	return h.Out.ForwardBatch(ctx, x, bl)
+	return h.Out.Forward(ctx, x)
 }
 
 // Params implements Module.

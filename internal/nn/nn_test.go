@@ -9,14 +9,6 @@ import (
 	"predtop/internal/tensor"
 )
 
-// single is the layout of one unpadded n-row graph: the B=1 panel.
-func single(n int) tensor.BatchLayout {
-	return tensor.BatchLayout{B: 1, Stride: n, Counts: []int{n}}
-}
-
-// ragged3 is a batch of three graphs of 2, 4 and 3 rows padded to stride 4.
-var ragged3 = tensor.BatchLayout{B: 3, Stride: 4, Counts: []int{2, 4, 3}}
-
 // mse is mean (pred − target)² as a scalar node.
 func mse(ctx *ag.Context, pred *ag.Node, target *tensor.Tensor) *ag.Node {
 	return ctx.MeanAll(ctx.Square(ctx.Sub(pred, ctx.Const(target))))
@@ -35,7 +27,7 @@ func TestLinearShapesAndParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewLinear(rng, "l", 5, 3)
 	ctx := ag.NewContext()
-	y := l.ForwardBatch(ctx, ctx.Const(tensor.Randn(rng, 7, 5, 1)), single(7))
+	y := l.Forward(ctx, ctx.Const(tensor.Randn(rng, 7, 5, 1)))
 	if y.V.R != 7 || y.V.C != 3 {
 		t.Fatalf("linear output %dx%d", y.V.R, y.V.C)
 	}
@@ -47,11 +39,11 @@ func TestLinearShapesAndParams(t *testing.T) {
 func TestLinearGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	l := NewLinear(rng, "l", 4, 2)
-	for _, bl := range []tensor.BatchLayout{single(3), ragged3} {
-		x := tensor.Randn(rng, bl.Rows(), 4, 1)
-		y := tensor.Randn(rng, bl.Rows(), 2, 1)
+	for _, n := range []int{3, 1, 4} {
+		x := tensor.Randn(rng, n, 4, 1)
+		y := tensor.Randn(rng, n, 2, 1)
 		gradCheck(t, l.Params(), 1e-5, func(ctx *ag.Context) *ag.Node {
-			return mse(ctx, l.ForwardBatch(ctx, ctx.Const(x), bl), y)
+			return mse(ctx, l.Forward(ctx, ctx.Const(x)), y)
 		})
 	}
 }
@@ -61,7 +53,7 @@ func TestLayerNormNormalizes(t *testing.T) {
 	ln := NewLayerNorm("ln", 8)
 	ctx := ag.NewContext()
 	x := tensor.Randn(rng, 4, 8, 3)
-	y := ln.ForwardBatch(ctx, ctx.Const(x), single(4))
+	y := ln.Forward(ctx, ctx.Const(x))
 	for i := 0; i < y.V.R; i++ {
 		mean, varr := 0.0, 0.0
 		for _, v := range y.V.Row(i) {
@@ -83,7 +75,7 @@ func TestMHAShapesAndMask(t *testing.T) {
 	m := NewMultiHeadAttention(rng, "mha", 16, 4)
 	ctx := ag.NewContext()
 	x := tensor.Randn(rng, 6, 16, 1)
-	y := m.ForwardBatch(ctx, ctx.Const(x), nil, single(6))
+	y := m.Forward(ctx, ctx.Const(x), nil)
 	if y.V.R != 6 || y.V.C != 16 {
 		t.Fatalf("MHA output %dx%d", y.V.R, y.V.C)
 	}
@@ -95,13 +87,13 @@ func TestMHAShapesAndMask(t *testing.T) {
 		mask.Set(i, i, 0)
 	}
 	ctx2 := ag.NewContext()
-	base := m.ForwardBatch(ctx2, ctx2.Const(x), []*tensor.Tensor{mask}, single(6)).V.Clone()
+	base := m.Forward(ctx2, ctx2.Const(x), mask).V.Clone()
 	x2 := x.Clone()
 	for j := 0; j < 16; j++ {
 		x2.Set(3, j, x2.At(3, j)+5)
 	}
 	ctx3 := ag.NewContext()
-	pert := m.ForwardBatch(ctx3, ctx3.Const(x2), []*tensor.Tensor{mask}, single(6)).V
+	pert := m.Forward(ctx3, ctx3.Const(x2), mask).V
 	for i := 0; i < 6; i++ {
 		if i == 3 {
 			continue
@@ -118,23 +110,16 @@ func TestMHAGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := NewMultiHeadAttention(rng, "mha", 8, 2)
 	inf := math.Inf(-1)
-	// One mask per graph at the graph's own node count, each with a pair of
-	// mutually disabled positions.
-	maskFor := func(n int) *tensor.Tensor {
+	// Graphs of several sizes, each mask with a pair of mutually disabled
+	// positions.
+	for _, n := range []int{4, 2, 3} {
 		mask := tensor.New(n, n)
 		mask.Set(0, n-1, inf)
 		mask.Set(n-1, 0, inf)
-		return mask
-	}
-	for _, bl := range []tensor.BatchLayout{single(4), ragged3} {
-		x := tensor.Randn(rng, bl.Rows(), 8, 1)
-		y := tensor.Randn(rng, bl.Rows(), 8, 1)
-		masks := make([]*tensor.Tensor, bl.B)
-		for g, n := range bl.Counts {
-			masks[g] = maskFor(n)
-		}
+		x := tensor.Randn(rng, n, 8, 1)
+		y := tensor.Randn(rng, n, 8, 1)
 		gradCheck(t, m.Params(), 1e-4, func(ctx *ag.Context) *ag.Node {
-			return mse(ctx, m.ForwardBatch(ctx, ctx.Const(x), masks, bl), y)
+			return mse(ctx, m.Forward(ctx, ctx.Const(x), mask), y)
 		})
 	}
 }
@@ -145,12 +130,12 @@ func TestMLPHeadAndFFN(t *testing.T) {
 	h := NewMLPHead(rng, "head", 8, 4, 4)
 	ctx := ag.NewContext()
 	x := tensor.Randn(rng, 5, 8, 1)
-	y := f.ForwardBatch(ctx, ctx.Const(x), single(5))
+	y := f.Forward(ctx, ctx.Const(x))
 	if y.V.R != 5 || y.V.C != 8 {
 		t.Fatalf("FFN output %dx%d", y.V.R, y.V.C)
 	}
-	p := h.ForwardBatch(ctx, ctx.Const(x), single(5))
-	if p.V.R != 5 || p.V.C != 1 {
+	p := h.Forward(ctx, ctx.Const(tensor.Randn(rng, 1, 8, 1)))
+	if p.V.R != 1 || p.V.C != 1 {
 		t.Fatalf("head output %dx%d", p.V.R, p.V.C)
 	}
 }

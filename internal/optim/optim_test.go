@@ -16,67 +16,69 @@ func mse(ctx *ag.Context, pred *ag.Node, target *tensor.Tensor) *ag.Node {
 	return ctx.MeanAll(ctx.Square(ctx.Sub(pred, ctx.Const(target))))
 }
 
-// panelProblem is a small regression laid out the way Train lays out a
-// minibatch: ragged samples stacked as the panels of one SegLinear, with
-// zero pad rows in inputs and targets.
-type panelProblem struct {
+// minibatchProblem is a small regression laid out the way Train lays out a
+// minibatch: ragged samples, each on its own tape routed to one
+// ag.PanelGrads slot, folded once.
+type minibatchProblem struct {
 	w, b   *ag.Param
 	xs, ys []*tensor.Tensor // per sample
-	x, y   *tensor.Tensor   // stacked
-	l      tensor.BatchLayout
 }
 
-func newPanelProblem(seed int64, samples int) *panelProblem {
+func newMinibatchProblem(seed int64, samples int) *minibatchProblem {
 	rng := rand.New(rand.NewSource(seed))
-	p := &panelProblem{
+	p := &minibatchProblem{
 		w: ag.NewParam("w", tensor.Randn(rng, 2, 3, 1)),
 		b: ag.NewParam("b", tensor.Randn(rng, 1, 3, 1)),
-		l: tensor.BatchLayout{B: samples, Stride: 4},
 	}
 	for k := 0; k < samples; k++ {
 		n := 4 - k%4
-		p.l.Counts = append(p.l.Counts, n)
 		p.xs = append(p.xs, tensor.Randn(rng, n, 2, 1))
 		p.ys = append(p.ys, tensor.Randn(rng, n, 3, 1))
 	}
-	p.x, p.y = p.stack(p.xs), p.stack(p.ys)
 	return p
 }
 
-func (p *panelProblem) stack(ts []*tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(p.l.Rows(), ts[0].C)
-	for g, t := range ts {
-		copy(out.Data[g*p.l.Stride*t.C:], t.Data)
-	}
-	return out
+// loss records sample k's per-element squared error (x·W + b − y)², whose
+// sum BackwardVec differentiates.
+func (p *minibatchProblem) loss(ctx *ag.Context, k int) *ag.Node {
+	return ctx.Square(ctx.Sub(ctx.Linear(ctx.Const(p.xs[k]), p.w, p.b), ctx.Const(p.ys[k])))
 }
 
-// loss records the per-element squared error (x·W + b − y)², whose sum
-// BackwardVec differentiates.
-func (p *panelProblem) loss(ctx *ag.Context, x, y *tensor.Tensor, l tensor.BatchLayout) *ag.Node {
-	return ctx.Square(ctx.Sub(ctx.SegLinear(ctx.Const(x), p.w, p.b, l), ctx.Const(y)))
-}
-
-// grads runs one backward pass into the zeroed Param.Grad and returns copies.
-func (p *panelProblem) grads(x, y *tensor.Tensor, l tensor.BatchLayout) []*tensor.Tensor {
+// grads runs every sample's backward pass on a tape routed to one
+// PanelGrads, folds once into the zeroed Param.Grad, and returns copies.
+func (p *minibatchProblem) grads() []*tensor.Tensor {
 	p.w.ZeroGrad()
 	p.b.ZeroGrad()
-	ctx := ag.NewContext()
-	ctx.BackwardVec(p.loss(ctx, x, y, l))
+	pg := ag.NewPanelGrads([]*ag.Param{p.w, p.b}, len(p.xs))
+	for k := range p.xs {
+		ctx := ag.NewContext()
+		ctx.RouteGrads(pg, k)
+		ctx.BackwardVec(p.loss(ctx, k))
+	}
+	pg.Fold(len(p.xs))
 	return []*tensor.Tensor{p.w.Grad.Clone(), p.b.Grad.Clone()}
 }
 
-// TestPanelGradsMatchPerSampleTapes: the multi-panel tape's Param.Grad —
-// what the optimizer steps on — equals, bit for bit, the fixed-shape tree
-// over per-sample B=1 tapes, at every batch size.
+// alone runs sample k's backward pass on a standalone tape into the zeroed
+// Param.Grad and returns copies.
+func (p *minibatchProblem) alone(k int) []*tensor.Tensor {
+	p.w.ZeroGrad()
+	p.b.ZeroGrad()
+	ctx := ag.NewContext()
+	ctx.BackwardVec(p.loss(ctx, k))
+	return []*tensor.Tensor{p.w.Grad.Clone(), p.b.Grad.Clone()}
+}
+
+// TestPanelGradsMatchPerSampleTapes: the folded Param.Grad — what the
+// optimizer steps on — equals, bit for bit, the fixed-shape tree over
+// standalone per-sample tapes, at every batch size.
 func TestPanelGradsMatchPerSampleTapes(t *testing.T) {
 	for _, samples := range []int{1, 2, 5, 8} {
-		p := newPanelProblem(11, samples)
-		got := p.grads(p.x, p.y, p.l)
+		p := newMinibatchProblem(11, samples)
+		got := p.grads()
 		alone := make([][]*tensor.Tensor, len(got))
-		for k, x := range p.xs {
-			n := p.l.Counts[k]
-			for i, g := range p.grads(x, p.ys[k], tensor.BatchLayout{B: 1, Stride: n, Counts: []int{n}}) {
+		for k := range p.xs {
+			for i, g := range p.alone(k) {
 				alone[i] = append(alone[i], g)
 			}
 		}
@@ -87,7 +89,7 @@ func TestPanelGradsMatchPerSampleTapes(t *testing.T) {
 			})
 			for j, g := range got[i].Data {
 				if math.Float64bits(g) != math.Float64bits(want.Data[j]) {
-					t.Fatalf("samples=%d param %d[%d]: panel tape %v != per-sample tree %v",
+					t.Fatalf("samples=%d param %d[%d]: folded %v != per-sample tree %v",
 						samples, i, j, g, want.Data[j])
 				}
 			}
@@ -95,14 +97,20 @@ func TestPanelGradsMatchPerSampleTapes(t *testing.T) {
 	}
 }
 
-// TestPanelGradsAgainstFiniteDifferences validates the multi-panel gradients
-// end to end against numeric gradients of the summed loss.
+// TestPanelGradsAgainstFiniteDifferences validates the folded gradients end
+// to end against numeric gradients of the summed loss.
 func TestPanelGradsAgainstFiniteDifferences(t *testing.T) {
-	p := newPanelProblem(3, 4)
+	p := newMinibatchProblem(3, 4)
 	params := []*ag.Param{p.w, p.b}
-	lossValue := func() float64 { return p.loss(ag.NewContext(), p.x, p.y, p.l).Value().Sum() }
+	lossValue := func() float64 {
+		sum := 0.0
+		for k := range p.xs {
+			sum += p.loss(ag.NewContext(), k).Value().Sum()
+		}
+		return sum
+	}
 	snapshot := func() map[*ag.Param]*tensor.Tensor {
-		g := p.grads(p.x, p.y, p.l)
+		g := p.grads()
 		return map[*ag.Param]*tensor.Tensor{p.w: g[0], p.b: g[1]}
 	}
 	if err := ag.GradCheck(params, lossValue, snapshot, 1e-6, 1e-6); err != nil {
@@ -134,12 +142,11 @@ func TestAdamLearnsLinearRegression(t *testing.T) {
 	x := tensor.Randn(rng, 32, 4, 1)
 	y := tensor.New(32, 1)
 	tensor.MatMulInto(y, x, wTrue)
-	rows := tensor.BatchLayout{B: 1, Stride: 32, Counts: []int{32}}
 	w := ag.NewParam("w", tensor.New(4, 1))
 	opt := NewAdam([]*ag.Param{w})
 	for epoch := 0; epoch < 400; epoch++ {
 		ctx := ag.NewContext()
-		ctx.Backward(mse(ctx, ctx.SegMatMul(ctx.Const(x), w, rows), y))
+		ctx.Backward(mse(ctx, ctx.MatMulParam(ctx.Const(x), w), y))
 		opt.Step(CosineDecay(0.05, epoch, 400))
 	}
 	if !tensor.AllClose(w.V, wTrue, 5e-2) {

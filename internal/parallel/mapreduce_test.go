@@ -86,7 +86,7 @@ func TestTreeReduceFixedOrder(t *testing.T) {
 }
 
 func TestTreeReduceInPlaceAccumulation(t *testing.T) {
-	// Reductions that mutate their first argument (the per-panel gradient
+	// Reductions that mutate their first argument (the per-graph gradient
 	// fold) must see every input exactly once.
 	bufs := make([]*[3]float64, 7)
 	for i := range bufs {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"predtop/internal/graphnn"
@@ -28,7 +29,7 @@ func TestEvaluateMatchesMREBitwise(t *testing.T) {
 	if got, want := a.MREPct, tr.MRE(ds, idx); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("Evaluate MRE %v != MRE %v (must be bitwise identical)", got, want)
 	}
-	// The scalar is Eqn 5 over the serial forward's predictions (the batched
+	// The scalar is Eqn 5 over the serial forward's predictions (the fanned
 	// forward Evaluate runs is held to them bit for bit by
 	// TestPredictEncodedBatchBitwise); only the summation order differs.
 	sum := 0.0
@@ -38,6 +39,37 @@ func TestEvaluateMatchesMREBitwise(t *testing.T) {
 	}
 	if want := sum / float64(len(idx)) * 100; math.Abs(a.MREPct-want) > 1e-9*(1+want) {
 		t.Fatalf("Evaluate MRE %v, serial Eqn 5 %v", a.MREPct, want)
+	}
+}
+
+// TestEvaluateWorkerInvariant: Evaluate fans its forwards across GOMAXPROCS
+// workers, claimed largest first. The attribution — every bucket and the
+// MRE — must be bit-equal run serially and on three workers, and each
+// graph's error must be bitwise the one its own PredictEncoded gives.
+func TestEvaluateWorkerInvariant(t *testing.T) {
+	_, ds := smallDataset(t, 24)
+	tr := testTrained(11)
+	idx := make([]int, len(ds.Samples))
+	for i := range idx {
+		idx[len(idx)-1-i] = i
+	}
+	evaluate := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		b, err := json.Marshal(tr.Evaluate(ds, idx))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	if serial, wide := evaluate(1), evaluate(3); serial != wide {
+		t.Fatalf("attribution differs across worker counts:\n 1: %s\n 3: %s", serial, wide)
+	}
+	for _, i := range idx {
+		s := ds.Samples[i]
+		want := math.Abs(tr.PredictEncoded(s.Encoded)-s.Measured) / s.Measured * 100
+		if got := tr.Evaluate(ds, []int{i}).MREPct; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("sample %d: Evaluate error %v != PredictEncoded's %v", i, got, want)
+		}
 	}
 }
 

@@ -23,11 +23,10 @@ func trainTiny(t testing.TB) (Trained, *Dataset) {
 	return tr, ds
 }
 
-// TestPredictEncodedBatchBitwise is batch-composition invariance at the
-// predictor level: a graph's prediction inside any batch — any neighbours,
-// any position, duplicates of itself, more graphs than one 64-graph chunk
-// holds, any worker count — is bitwise what it is alone at B=1
-// (PredictEncoded).
+// TestPredictEncodedBatchBitwise: a graph's prediction inside any batch —
+// any neighbours, any position, duplicates of itself, many more graphs than
+// workers, any worker count and so any claim interleaving — is bitwise what
+// it is alone (PredictEncoded).
 func TestPredictEncodedBatchBitwise(t *testing.T) {
 	tr, ds := trainTiny(t)
 	alone := make(map[*stage.Encoded]float64, len(ds.Samples))
@@ -40,16 +39,16 @@ func TestPredictEncodedBatchBitwise(t *testing.T) {
 	for i, e := range pool {
 		reversed[len(pool)-1-i] = e
 	}
-	chunked := make([]*stage.Encoded, predictBatchChunk+7) // spans two chunks
-	for i := range chunked {
-		chunked[i] = pool[(i*5)%len(pool)]
+	long := make([]*stage.Encoded, 71) // each pooled tape serves many graphs
+	for i := range long {
+		long[i] = pool[(i*5)%len(pool)]
 	}
 	batches := map[string][]*stage.Encoded{
 		"all":      pool,
 		"dups":     append(append([]*stage.Encoded{}, pool...), pool[0], pool[1]),
 		"reversed": reversed,
 		"pair":     {pool[len(pool)-1], pool[0]},
-		"chunked":  chunked,
+		"long":     long,
 	}
 	for name, es := range batches {
 		for _, workers := range []int{1, 2, 0} {

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -44,7 +45,10 @@ func Save(w io.Writer, t Trained) error {
 }
 
 // Load deserializes a trained predictor from r, rebuilding the architecture
-// from its spec and restoring every parameter tensor.
+// from its spec and restoring every parameter tensor. Anything a training run
+// cannot have written — an invalid spec, a non-positive or non-finite label
+// scale, a non-finite parameter — is an error, never a panic or a model that
+// serves NaN.
 func Load(r io.Reader) (Trained, error) {
 	var sm savedModel
 	if err := gob.NewDecoder(r).Decode(&sm); err != nil {
@@ -52,6 +56,9 @@ func Load(r io.Reader) (Trained, error) {
 	}
 	if sm.Version != savedModelVersion {
 		return Trained{}, fmt.Errorf("predictor: unsupported model version %d", sm.Version)
+	}
+	if !(sm.Scale > 0) || math.IsInf(sm.Scale, 1) {
+		return Trained{}, fmt.Errorf("predictor: label scale %v is not positive and finite", sm.Scale)
 	}
 	model, err := sm.Spec.Build(rand.New(rand.NewSource(0)))
 	if err != nil {
@@ -67,6 +74,11 @@ func Load(r io.Reader) (Trained, error) {
 		if shape[0] != p.V.R || shape[1] != p.V.C || len(data) != p.V.Size() {
 			return Trained{}, fmt.Errorf("predictor: parameter %q shape mismatch: saved %dx%d, model %dx%d",
 				p.Name, shape[0], shape[1], p.V.R, p.V.C)
+		}
+		for _, v := range data {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return Trained{}, fmt.Errorf("predictor: parameter %q holds %v", p.Name, v)
+			}
 		}
 		copy(p.V.Data, data)
 		seen++

@@ -2,6 +2,7 @@ package predictor
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"io"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"predtop/internal/graphnn"
+	"predtop/internal/models"
 	"predtop/internal/stage"
 )
 
@@ -132,4 +134,96 @@ func TestLoadRejectsWrongVersion(t *testing.T) {
 	if _, err := Load(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("expected error on truncated model")
 	}
+}
+
+// encodeSaved gob-encodes sm as a model file.
+func encodeSaved(t testing.TB, sm savedModel) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(sm); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// tinySaved returns a small untrained GCN as a model file and as its decoded
+// form, for tests to corrupt.
+func tinySaved(t testing.TB) ([]byte, savedModel) {
+	t.Helper()
+	var buf bytes.Buffer
+	net := graphnn.NewGCN(rand.New(rand.NewSource(1)), graphnn.GCNConfig{Layers: 1, Dim: 4})
+	if err := Save(&buf, Trained{Model: net, Scale: 2}); err != nil {
+		t.Fatal(err)
+	}
+	var sm savedModel
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&sm); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), sm
+}
+
+// craftedModels are model files no training run writes, each of which Load
+// must reject with an error. The first two panicked inside Spec.Build before
+// Load validated the spec.
+func craftedModels(t testing.TB) map[string][]byte {
+	t.Helper()
+	_, sm := tinySaved(t)
+	out := map[string][]byte{}
+	mutate := func(name string, f func(sm *savedModel)) {
+		c := sm
+		c.Params = map[string][]float64{}
+		for k, v := range sm.Params {
+			c.Params[k] = append([]float64(nil), v...)
+		}
+		f(&c)
+		out[name] = encodeSaved(t, c)
+	}
+	mutate("heads not dividing dim", func(sm *savedModel) {
+		sm.Spec = graphnn.ModelSpec{Arch: "Tran", Tran: graphnn.TransformerConfig{Dim: 32, Heads: 3}}
+	})
+	mutate("negative dim", func(sm *savedModel) { sm.Spec.GCN.Dim = -4 })
+	mutate("huge dim", func(sm *savedModel) { sm.Spec.GCN.Dim = 1 << 20 })
+	mutate("unknown arch", func(sm *savedModel) { sm.Spec.Arch = "MLP" })
+	mutate("NaN GAT slope", func(sm *savedModel) {
+		sm.Spec = graphnn.ModelSpec{Arch: "GAT", GAT: graphnn.GATConfig{Alpha: math.NaN()}}
+	})
+	mutate("zero scale", func(sm *savedModel) { sm.Scale = 0 })
+	mutate("negative scale", func(sm *savedModel) { sm.Scale = -1 })
+	mutate("NaN scale", func(sm *savedModel) { sm.Scale = math.NaN() })
+	mutate("infinite scale", func(sm *savedModel) { sm.Scale = math.Inf(1) })
+	mutate("NaN parameter", func(sm *savedModel) { sm.Params["gcn.l0.W"][0] = math.NaN() })
+	mutate("infinite parameter", func(sm *savedModel) { sm.Params["gcn.head.out.b"][0] = math.Inf(-1) })
+	return out
+}
+
+func TestLoadRejectsCraftedModels(t *testing.T) {
+	good, _ := tinySaved(t)
+	if _, err := Load(bytes.NewReader(good)); err != nil {
+		t.Fatalf("the uncorrupted file: %v", err)
+	}
+	for name, data := range craftedModels(t) {
+		t.Run(name, func(t *testing.T) {
+			if _, err := Load(bytes.NewReader(data)); err == nil {
+				t.Fatal("Load accepted the crafted model")
+			}
+		})
+	}
+}
+
+// FuzzLoad: no byte string makes Load panic, and a model Load accepts
+// predicts without panicking.
+func FuzzLoad(f *testing.F) {
+	good, _ := tinySaved(f)
+	f.Add(good)
+	for _, data := range craftedModels(f) {
+		f.Add(data)
+	}
+	g := models.Build(models.GPT3()).StageGraph(0, 1, false)
+	e := stage.Encode(stage.FromGraph(g, true))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Load(bytes.NewReader(data))
+		if err == nil {
+			tr.PredictEncoded(e)
+		}
+	})
 }

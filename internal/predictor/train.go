@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -143,13 +144,14 @@ type Trained struct {
 // the untouched model; an empty valIdx disables early stopping, keeps the
 // final-epoch weights, and reports the final training loss as BestValLoss.
 //
-// Each graph of a minibatch runs forward and backward on its own B=1 tape,
-// and the graphs fan across cfg.Workers worker tapes. Every tape writes its
-// parameter-gradient part into the graph's slot of one ag.PanelGrads, which
-// folds them into Param.Grad through a tree fixed by the batch size alone.
-// Evaluation runs one sample per iteration on the same tapes, and its
-// losses fold through a fixed-shape tree. Every cfg.Workers setting
-// therefore yields bitwise-identical weights.
+// Each graph of a minibatch runs forward and backward on its own tape, and
+// the graphs fan across cfg.Workers worker tapes, claimed largest first so a
+// big graph never starts last. Every tape writes its parameter-gradient part
+// into the graph's slot of one ag.PanelGrads, which folds them into
+// Param.Grad through a tree fixed by the batch size alone. Evaluation runs
+// one sample per iteration on the same tapes, and its losses fold through a
+// fixed-shape tree. Every cfg.Workers setting and claim order therefore
+// yields bitwise-identical weights.
 func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainConfig) (Trained, TrainResult) {
 	cfg = cfg.withDefaults()
 	start := time.Now()
@@ -193,13 +195,17 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 	batchCap := min(cfg.BatchSize, len(trainIdx))
 	// tapes is the free list: buffered to hold every tape, so returning one
 	// never blocks, and an iteration waits only when all are in use.
-	tapes := make(chan *tape, min(workers, batchCap))
+	tapes := make(chan *ag.Context, min(workers, batchCap))
 	for range cap(tapes) {
-		tapes <- newTape()
+		tapes <- ag.NewContext()
 	}
 	grads := ag.NewPanelGrads(params, batchCap)
 	lossVals := make([]float64, batchCap)
-	evalVals := make([]float64, max(len(valIdx), len(trainIdx)))
+	evalLen := max(len(valIdx), len(trainIdx))
+	evalVals := make([]float64, evalLen)
+	// claim holds a fan-out's graph positions in the order workers take
+	// them (see largestFirst).
+	claim := make([]int, max(batchCap, evalLen))
 
 	// lossOf evaluates forward-only, one sample per iteration; the losses
 	// fold through a tree whose shape depends on len(idx) alone.
@@ -209,16 +215,18 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 		}
 		es := trainSpan.Start("eval")
 		vals := evalVals[:len(idx)]
-		parallel.ForLimit(len(idx), cfg.Workers, func(k int) {
-			tp := <-tapes
+		claims := largestFirst(claim[:len(idx)], func(k int) int { return ds.Samples[idx[k]].Encoded.N() })
+		parallel.ForLimit(len(idx), cfg.Workers, func(j int) {
+			k := claims[j]
+			ctx := <-tapes
 			s := ds.Samples[idx[k]]
 			ss := es.Start("sample")
-			tp.ctx.Reset()
-			tp.ctx.SetSpan(ss)
-			pred := model.PredictBatch(tp.ctx, tp.one(s.Encoded)).Value().Data[0]
+			ctx.Reset()
+			ctx.SetSpan(ss)
+			pred := model.Predict(ctx, s.Encoded).Value().Data[0]
 			vals[k] = sampleLoss(pred, s.Measured/scale, cfg.Loss)
 			ss.End()
-			tapes <- tp
+			tapes <- ctx
 		})
 		total := parallel.TreeReduce(vals, func(a, b float64) float64 { return a + b })
 		es.End()
@@ -237,8 +245,7 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 	// Param.Grad their tree sum after grads.Fold, and the 1/len(batch) mean
 	// is applied after (ScaleGrads below).
 	runGraph := func(batch []int, k int, bs obs.Span) {
-		tp := <-tapes
-		ctx := tp.ctx
+		ctx := <-tapes
 		ctx.Reset()
 		ctx.RouteGrads(grads, k)
 		s := ds.Samples[batch[k]]
@@ -247,7 +254,7 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 		// per-layer attribution subtree off the same node.
 		ss := bs.Start("sample")
 		ctx.SetSpan(ss)
-		pred := model.PredictBatch(ctx, tp.one(s.Encoded))
+		pred := model.Predict(ctx, s.Encoded)
 		target := ctx.Arena().GetUninit(1, 1)
 		target.Data[0] = s.Measured / scale
 		diff := ctx.Sub(pred, ctx.Const(target))
@@ -260,7 +267,7 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 		lossVals[k] = loss.Value().Data[0]
 		ctx.BackwardVec(loss)
 		ss.End()
-		tapes <- tp
+		tapes <- ctx
 	}
 
 	order := append([]int{}, trainIdx...)
@@ -277,7 +284,8 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 			}
 			batch := order[lo:hi]
 			bs := trainSpan.Start("batch")
-			parallel.ForLimit(len(batch), cfg.Workers, func(k int) { runGraph(batch, k, bs) })
+			claims := largestFirst(claim[:len(batch)], func(k int) int { return ds.Samples[batch[k]].Encoded.N() })
+			parallel.ForLimit(len(batch), cfg.Workers, func(j int) { runGraph(batch, claims[j], bs) })
 			st := bs.Start("step")
 			grads.Fold(len(batch))
 			optim.ScaleGrads(params, 1/float64(len(batch)))
@@ -308,7 +316,9 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 			if val < best {
 				best = val
 				res.BestEpoch = epoch + 1
-				copyInto(bestParams, params)
+				for i, p := range params {
+					copy(bestParams[i].Data, p.V.Data)
+				}
 				bad = 0
 			} else {
 				bad++
@@ -333,7 +343,9 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 		}
 	}
 	if useVal {
-		restore(params, bestParams)
+		for i, p := range params {
+			copy(p.V.Data, bestParams[i].Data)
+		}
 		res.BestValLoss = best
 		if hooks != nil && hooks.OnRestore != nil {
 			hooks.OnRestore(res.BestEpoch, best)
@@ -346,87 +358,49 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 	return Trained{Model: model, Scale: scale}, res
 }
 
-// tape pairs an autodiff context with the batch descriptor stacked on its
-// arena, so a pooled tape recycles both and a warm forward allocates next to
-// nothing.
-type tape struct {
-	ctx *ag.Context
-	nb  stage.Batch
-	es  [1]*stage.Encoded // the graph list one stacks, so it allocates nothing
-}
-
-func newTape() *tape { return &tape{ctx: ag.NewContext()} }
-
-// stack restacks es as the tape's padded panel batch; the tape must have been
-// Reset since its last forward. stage.Batch.Reset fails only on a zero-node
-// graph, which no encoder produces (Encoded's contract is N ≥ 1), so a
-// failure here is a caller bug and panics.
-func (t *tape) stack(es []*stage.Encoded) *stage.Batch {
-	if err := t.nb.Reset(es, t.ctx.Arena()); err != nil {
-		panic("predictor: " + err.Error())
+// largestFirst fills claim with the positions 0..len(claim)-1 in descending
+// node count, ties in position order, and returns it: the order a fan-out's
+// workers claim graphs in. Attention costs n², so a big graph claimed last
+// would leave every other worker idle at the barrier. Each graph still writes
+// the slot of its own position, so the order moves no result bit.
+func largestFirst(claim []int, nodes func(k int) int) []int {
+	for k := range claim {
+		claim[k] = k
 	}
-	return &t.nb
-}
-
-// one stacks e alone: the B=1 batch of a training or evaluation step.
-func (t *tape) one(e *stage.Encoded) *stage.Batch {
-	t.es[0] = e
-	return t.stack(t.es[:])
+	slices.SortStableFunc(claim, func(a, b int) int { return nodes(b) - nodes(a) })
+	return claim
 }
 
 // predictTapes recycles forward-only tapes across predictions; a tape goes
 // back Reset. The pool is safe for concurrent use; results never depend on
 // which pooled tape serves a call because every intermediate buffer is fully
-// written before it is read.
-var predictTapes = sync.Pool{New: func() any { return newTape() }}
+// written before it is read. It is the daemon's and the evaluation's pool,
+// apart from Train's worker tapes: sharing training arenas with the serving
+// path costs the daemon its warm, small tapes.
+var predictTapes = sync.Pool{New: func() any { return ag.NewContext() }}
 
 // PredictEncoded returns the trained model's latency prediction in seconds
-// for one encoded stage graph: PredictEncodedBatch at B=1.
+// for one encoded stage graph. Latency is a positive quantity, so the raw
+// network output is floored at 1% of the label scale.
 func (t Trained) PredictEncoded(e *stage.Encoded) float64 {
-	var out [1]float64
-	t.predictChunk([]*stage.Encoded{e}, out[:])
-	return out[0]
+	ctx := predictTapes.Get().(*ag.Context)
+	p := t.Model.Predict(ctx, e).Value().Data[0] * t.Scale
+	ctx.Reset()
+	predictTapes.Put(ctx)
+	return max(p, 0.01*t.Scale)
 }
 
-// predictBatchChunk bounds how many graphs fuse into one padded stack: past
-// this, padding waste and the stacked tensors' cache footprint grow without
-// amortizing any more per-graph tape overhead.
-const predictBatchChunk = 64
-
-// PredictEncodedBatch predicts a whole batch of encoded stage graphs in one
-// call: chunks of up to 64 graphs fuse into a single padded forward on one
-// pooled tape, and chunks fan across workers (0 = GOMAXPROCS, 1 = serial).
-// This is the forward the planner's validation pass and Evaluate drive. Each
-// out[i] depends on es[i] alone — bitwise identical at any worker count, any
-// chunking and any batch composition, because panels of the padded stack
-// never mix.
+// PredictEncodedBatch predicts a batch of encoded stage graphs, one
+// PredictEncoded per graph fanned across workers (0 = GOMAXPROCS, 1 =
+// serial) and claimed largest first. Each out[i] depends on es[i] alone, so
+// it is bitwise identical at any worker count. Evaluate drives it.
 func (t Trained) PredictEncodedBatch(es []*stage.Encoded, workers int) []float64 {
 	out := make([]float64, len(es))
-	nchunks := (len(es) + predictBatchChunk - 1) / predictBatchChunk
-	parallel.ForLimit(nchunks, workers, func(ci int) {
-		lo := ci * predictBatchChunk
-		hi := min(lo+predictBatchChunk, len(es))
-		t.predictChunk(es[lo:hi], out[lo:hi])
+	claims := largestFirst(make([]int, len(es)), func(k int) int { return es[k].N() })
+	parallel.ForLimit(len(es), workers, func(j int) {
+		out[claims[j]] = t.PredictEncoded(es[claims[j]])
 	})
 	return out
-}
-
-// predictChunk runs one chunk as a single padded forward. Latency is a
-// positive quantity, so raw network outputs are floored at 1% of the label
-// scale.
-func (t Trained) predictChunk(es []*stage.Encoded, out []float64) {
-	tp := predictTapes.Get().(*tape)
-	preds := t.Model.PredictBatch(tp.ctx, tp.stack(es)).Value()
-	floor := 0.01 * t.Scale
-	for i := range out {
-		p := preds.Data[i] * t.Scale
-		if p < floor {
-			p = floor
-		}
-		out[i] = p
-	}
-	tp.ctx.Reset()
-	predictTapes.Put(tp)
 }
 
 // MRE is the mean relative error (Eqn 5, in percent) of the trained model
@@ -449,16 +423,4 @@ func snapshot(params []*ag.Param) []*tensor.Tensor {
 		out[i] = p.V.Clone()
 	}
 	return out
-}
-
-func copyInto(dst []*tensor.Tensor, params []*ag.Param) {
-	for i, p := range params {
-		copy(dst[i].Data, p.V.Data)
-	}
-}
-
-func restore(params []*ag.Param, src []*tensor.Tensor) {
-	for i, p := range params {
-		copy(p.V.Data, src[i].Data)
-	}
 }

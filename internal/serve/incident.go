@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"predtop/internal/obs"
+	"predtop/internal/predictor"
 )
 
 // incidentCapture turns SLO breach edges into evidence bundles. Each
@@ -87,38 +89,31 @@ func (ic *incidentCapture) capture(n int64, snap sloSnapshot) {
 }
 
 // dumpFlight writes the flight-recorder ring to <base>-flight.jsonl. Returns
-// "" with no error when no recorder is attached.
+// "" with no error when no recorder is attached. Like the profile, the dump
+// is written to a temporary file and renamed into place only once complete,
+// so a crash mid-capture never leaves a torn artifact beside the record.
 func (ic *incidentCapture) dumpFlight(base string) (string, error) {
 	if ic.flight == nil {
 		return "", nil
 	}
 	p := base + "-flight.jsonl"
-	f, err := os.Create(p)
-	if err != nil {
-		return "", err
-	}
-	ic.flight.Dump(f)
-	return p, f.Close()
+	return p, predictor.AtomicWrite(p, ic.flight.Dump)
 }
 
 // profile collects a CPU profile over incidentProfileWindow into
 // <base>-cpu.pprof. A concurrent profiler (e.g. a live /debug/pprof/profile
 // scrape) makes StartCPUProfile fail; that surfaces as profile_error on the
-// record instead of aborting the bundle.
+// record instead of aborting the bundle, and leaves no file behind.
 func (ic *incidentCapture) profile(base string) (string, error) {
 	p := base + "-cpu.pprof"
-	f, err := os.Create(p)
-	if err != nil {
-		return "", err
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		os.Remove(p)
-		return "", err
-	}
-	time.Sleep(incidentProfileWindow)
-	pprof.StopCPUProfile()
-	return p, f.Close()
+	return p, predictor.AtomicWrite(p, func(w io.Writer) error {
+		if err := pprof.StartCPUProfile(w); err != nil {
+			return err
+		}
+		time.Sleep(incidentProfileWindow)
+		pprof.StopCPUProfile()
+		return nil
+	})
 }
 
 // drain blocks until every in-flight capture finished — called by

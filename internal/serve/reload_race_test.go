@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/gob"
 	"math"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"predtop/internal/graphnn"
 	"predtop/internal/models"
 	"predtop/internal/predictor"
 	"predtop/internal/stage"
@@ -115,5 +117,44 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 	}
 	if math.Float64bits(resp.LatencySeconds) != math.Float64bits(want) {
 		t.Fatal("failed reload changed the serving model")
+	}
+}
+
+// TestRegistryLoadRejectsCraftedModel: a model file that decodes but that no
+// training run writes — a Transformer whose 3 heads do not divide its width
+// of 32, which panicked inside Spec.Build before Load validated specs — fails
+// the reload instead of crashing the daemon, and the previous generation
+// keeps serving.
+func TestRegistryLoadRejectsCraftedModel(t *testing.T) {
+	dir := t.TempDir()
+	trA := writeTestModel(t, dir, "m", "tran", 1)
+	reg := NewRegistry(dir, nil)
+	if gen, n, err := reg.Load(); err != nil || gen != 1 || n != 1 {
+		t.Fatalf("first load: gen=%d n=%d err=%v", gen, n, err)
+	}
+	f, err := os.Create(filepath.Join(dir, "crafted"+ModelExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The field set of predictor's saved model; gob matches fields by name.
+	crafted := struct {
+		Version int
+		Spec    graphnn.ModelSpec
+		Scale   float64
+	}{1, graphnn.ModelSpec{Arch: "Tran", Tran: graphnn.TransformerConfig{Dim: 32, Heads: 3}}, 1}
+	if err := gob.NewEncoder(f).Encode(crafted); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if gen, _, err := reg.Load(); err == nil || gen != 1 {
+		t.Fatalf("reload with a crafted model: gen=%d err=%v, want an error at generation 1", gen, err)
+	}
+	e, gen, ok := reg.Lookup("m")
+	if !ok || gen != 1 || reg.Len() != 1 {
+		t.Fatalf("after the failed reload: found=%v gen=%d models=%d, want the first generation", ok, gen, reg.Len())
+	}
+	enc := predictor.NewEncoder(models.Build(testBenchCfg()), true).Encode(stage.Spec{Lo: 0, Hi: 2})
+	if math.Float64bits(e.Trained.PredictEncoded(enc)) != math.Float64bits(trA.PredictEncoded(enc)) {
+		t.Fatal("the failed reload changed the serving model")
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -296,5 +298,47 @@ func TestAccessLogHeadSampling(t *testing.T) {
 	}
 	if m, _ := phases[0].(map[string]any); m["name"] != "memo_hit" {
 		t.Errorf("memo hit phase = %v", m)
+	}
+}
+
+// TestIncidentCaptureLeavesOnlyFinalNames: both artifacts of a bundle are
+// written under temporary names and renamed into place once complete, so the
+// incident directory only ever holds final names — after a clean capture, and
+// after one whose CPU profile fails to start because another profiler holds
+// the process's one slot, which leaves the flight dump and no profile at all.
+func TestIncidentCaptureLeavesOnlyFinalNames(t *testing.T) {
+	dir := t.TempDir()
+	flight := obs.NewFlightRecorder(16)
+	flight.Note("serve", "predict")
+	var sink bytes.Buffer
+	ic := newIncidentCapture(dir, flight, obs.NewSink(&sink), nil)
+	names := func() []string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, e := range ents {
+			out = append(out, e.Name())
+		}
+		return out
+	}
+
+	ic.capture(1, sloSnapshot{})
+	if got, want := names(), []string{"incident-001-cpu.pprof", "incident-001-flight.jsonl"}; !slices.Equal(got, want) {
+		t.Fatalf("after a clean capture the directory holds %v, want %v", got, want)
+	}
+
+	if err := pprof.StartCPUProfile(io.Discard); err != nil {
+		t.Skipf("CPU profiler already in use: %v", err)
+	}
+	ic.capture(2, sloSnapshot{})
+	pprof.StopCPUProfile()
+	want := []string{"incident-001-cpu.pprof", "incident-001-flight.jsonl", "incident-002-flight.jsonl"}
+	if got := names(); !slices.Equal(got, want) {
+		t.Fatalf("after a capture whose profile failed the directory holds %v, want %v", got, want)
+	}
+	if !strings.Contains(sink.String(), "profile_error") {
+		t.Fatalf("the failed profile left no profile_error on the record: %s", sink.String())
 	}
 }

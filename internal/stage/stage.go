@@ -131,8 +131,7 @@ const FeatureDim = ir.NumKinds + MaxDimFeatures + 1 + ir.NumDTypes + ir.NumClass
 
 // Encoded is a stage graph in the exact form the predictors consume. It has
 // at least one node: every stage of a built model contains operators, so
-// Encode never yields N = 0, and the predictors (through NewBatch) reject a
-// hand-built empty one rather than invent a prediction for it.
+// Encode never yields N = 0.
 type Encoded struct {
 	// X is the N×FeatureDim node feature matrix (Table I).
 	X *tensor.Tensor

@@ -1,16 +1,13 @@
 // Edge kernels: 1-hop message passing (the GCN aggregation and the GAT
-// attention) over each graph's neighbour list, at the cost of its edges
-// rather than of n².
+// attention) over one graph's neighbour list, at the cost of its edges rather
+// than of n².
 //
-// Layout. An edge vector is an E×1 tensor, E = Σ_g len(col_g): graph g owns
-// the contiguous range that follows the edges of graphs 0..g−1, holding its
-// own list's edges in CSR order (rows ascending, columns ascending within a
-// row). There is no padding, and a graph's range depends on that graph alone.
-// Row-space operands and results are ordinary stacked panels (BatchLayout);
-// every kernel clears the pad rows of a row-space destination.
+// Layout. An edge vector is an E×1 tensor, E = the list's Edges(), holding
+// the edges in CSR order (rows ascending, columns ascending within a row).
+// Row-space operands and results are the graph's N-row node tensors.
 //
-// Bitwise contract. Each kernel is the dense panel kernel it replaced with
-// the masked entries left out. There a non-neighbour carried an exact zero
+// Bitwise contract. Each kernel is the dense kernel it replaced with the
+// masked entries left out. There a non-neighbour carried an exact zero
 // weight (or, after the softmax, an exact zero probability), so with finite
 // operands it contributed a signed zero to every running sum it took part in;
 // those sums start at +0, can never reach −0 (only −0 + −0 yields it), and
@@ -30,8 +27,7 @@ import (
 // D^{-1/2}(A+I)D^{-1/2} the GCN baseline aggregates with. NewNeighbours is
 // the only constructor, so every list the kernels see has len(ptr) == N+1,
 // column indices in [0, N) strictly ascending within a row, and a self-loop
-// in every row — an out-of-range index in a stacked panel would read another
-// graph's rows instead of panicking.
+// in every row, so no kernel below needs a bounds check of its own.
 type Neighbours struct {
 	ptr []int     // row v's edges are [ptr[v], ptr[v+1])
 	col []int     // neighbour of each edge
@@ -119,108 +115,67 @@ func (nb *Neighbours) Row(v int) (cols []int, vals []float64) {
 	return nb.col[lo:hi], nb.val[lo:hi]
 }
 
-// EdgeCount returns the length of a batch's edge vectors.
-func EdgeCount(nbrs []*Neighbours) int {
-	e := 0
-	for _, nb := range nbrs {
-		e += len(nb.col)
-	}
-	return e
-}
-
-// checkEdges validates a batch's lists against its layout: one list per
-// graph, each of its panel's node count.
-func checkEdges(nbrs []*Neighbours, l BatchLayout, op string) {
-	if len(nbrs) != l.B {
-		shapePanic("%s has %d neighbour lists for %d graphs", op, len(nbrs), l.B)
-	}
-	for g, nb := range nbrs {
-		if nb.N() != l.Counts[g] {
-			shapePanic("%s neighbour list of %d nodes, panel wants %d", op, nb.N(), l.Counts[g])
-		}
+// checkEdges validates a row-space operand or destination of rows rows
+// against the list's node count.
+func checkEdges(nb *Neighbours, rows int, op string) {
+	if nb.N() != rows {
+		shapePanic("%s neighbour list of %d nodes, operand has %d rows", op, nb.N(), rows)
 	}
 }
 
 // checkEdgeVec validates an edge-vector operand or destination.
-func checkEdgeVec(t *Tensor, nbrs []*Neighbours, op string) {
-	if e := EdgeCount(nbrs); t.R != e || t.C != 1 {
-		shapePanic("%s edge vector is %dx%d, the lists hold %d edges", op, t.R, t.C, e)
+func checkEdgeVec(t *Tensor, nb *Neighbours, op string) {
+	if e := len(nb.col); t.R != e || t.C != 1 {
+		shapePanic("%s edge vector is %dx%d, the list holds %d edges", op, t.R, t.C, e)
 	}
 }
 
-// EdgeValuesInto stacks every list's normalized adjacency values into the
-// edge vector dst — the constant weights of the GCN aggregation.
-func EdgeValuesInto(dst *Tensor, nbrs []*Neighbours) {
-	checkEdgeVec(dst, nbrs, "EdgeValuesInto")
-	eo := 0
-	for _, nb := range nbrs {
-		eo += copy(dst.Data[eo:], nb.val)
-	}
+// EdgeValuesInto copies the list's normalized adjacency values into the edge
+// vector dst — the constant weights of the GCN aggregation.
+func EdgeValuesInto(dst *Tensor, nb *Neighbours) {
+	checkEdgeVec(dst, nb, "EdgeValuesInto")
+	copy(dst.Data, nb.val)
 }
 
 // EdgeAddOuterInto computes the edge vector dst[e] = a[i] + b[j] for every
-// edge e = (i, j), from stacked column vectors a, b (rows×1) — the GAT
-// attention-logit outer sum on the entries the softmax keeps.
-func EdgeAddOuterInto(dst, a, b *Tensor, nbrs []*Neighbours, l BatchLayout) {
+// edge e = (i, j), from N×1 column vectors a, b — the GAT attention-logit
+// outer sum on the entries the softmax keeps.
+func EdgeAddOuterInto(dst, a, b *Tensor, nb *Neighbours) {
 	if a.C != 1 || b.C != 1 {
 		shapePanic("EdgeAddOuter wants column vectors, got %dx%d and %dx%d", a.R, a.C, b.R, b.C)
 	}
-	checkEdges(nbrs, l, "EdgeAddOuterInto")
-	checkEdgeVec(dst, nbrs, "EdgeAddOuterInto")
-	checkSeg(a, l, "EdgeAddOuterInto")
-	checkSeg(b, l, "EdgeAddOuterInto")
-	eo := 0
-	for g, nb := range nbrs {
-		base := g * l.Stride
-		bd := b.Data[base : base+nb.N()]
-		out := dst.Data[eo : eo+len(nb.col)]
-		for i, av := range a.Data[base : base+nb.N()] {
-			for e := nb.ptr[i]; e < nb.ptr[i+1]; e++ {
-				out[e] = av + bd[nb.col[e]]
-			}
+	checkEdges(nb, a.R, "EdgeAddOuterInto")
+	checkEdges(nb, b.R, "EdgeAddOuterInto")
+	checkEdgeVec(dst, nb, "EdgeAddOuterInto")
+	for i, av := range a.Data {
+		for e := nb.ptr[i]; e < nb.ptr[i+1]; e++ {
+			dst.Data[e] = av + b.Data[nb.col[e]]
 		}
-		eo += len(nb.col)
 	}
 }
 
 // EdgeRowSumsInto computes dst[i] = Σ t[e] over row i's edges in ascending
-// column order — the da backward of EdgeAddOuter — clearing pad rows.
-func EdgeRowSumsInto(dst, t *Tensor, nbrs []*Neighbours, l BatchLayout) {
-	checkEdges(nbrs, l, "EdgeRowSumsInto")
-	checkEdgeVec(t, nbrs, "EdgeRowSumsInto")
-	checkInto(dst, l.Rows(), 1, "EdgeRowSumsInto")
-	eo := 0
-	for g, nb := range nbrs {
-		base := g * l.Stride
-		td := t.Data[eo : eo+len(nb.col)]
-		for i := 0; i < nb.N(); i++ {
-			sum := 0.0
-			for _, v := range td[nb.ptr[i]:nb.ptr[i+1]] {
-				sum += v
-			}
-			dst.Data[base+i] = sum
+// column order — the da backward of EdgeAddOuter.
+func EdgeRowSumsInto(dst, t *Tensor, nb *Neighbours) {
+	checkEdgeVec(t, nb, "EdgeRowSumsInto")
+	checkInto(dst, nb.N(), 1, "EdgeRowSumsInto")
+	for i := range dst.Data {
+		sum := 0.0
+		for _, v := range t.Data[nb.ptr[i]:nb.ptr[i+1]] {
+			sum += v
 		}
-		clear(dst.Data[base+nb.N() : base+l.Stride])
-		eo += len(nb.col)
+		dst.Data[i] = sum
 	}
 }
 
 // EdgeColSumsInto computes dst[j] = Σ t[e] over the edges that end in j,
-// accumulating in ascending row order — the db backward of EdgeAddOuter —
-// clearing pad rows.
-func EdgeColSumsInto(dst, t *Tensor, nbrs []*Neighbours, l BatchLayout) {
-	checkEdges(nbrs, l, "EdgeColSumsInto")
-	checkEdgeVec(t, nbrs, "EdgeColSumsInto")
-	checkInto(dst, l.Rows(), 1, "EdgeColSumsInto")
-	eo := 0
-	for g, nb := range nbrs {
-		base := g * l.Stride
-		dd := dst.Data[base : base+l.Stride]
-		clear(dd)
-		for e, v := range t.Data[eo : eo+len(nb.col)] {
-			dd[nb.col[e]] += v
-		}
-		eo += len(nb.col)
+// accumulating in ascending row order — the db backward of EdgeAddOuter.
+func EdgeColSumsInto(dst, t *Tensor, nb *Neighbours) {
+	checkEdgeVec(t, nb, "EdgeColSumsInto")
+	checkInto(dst, nb.N(), 1, "EdgeColSumsInto")
+	clear(dst.Data)
+	for e, v := range t.Data {
+		dst.Data[nb.col[e]] += v
 	}
 }
 
@@ -228,117 +183,87 @@ func EdgeColSumsInto(dst, t *Tensor, nbrs []*Neighbours, l BatchLayout) {
 // row's contiguous edge range: the 1-hop-masked row softmax without the
 // mask, whose −Inf entries came out as exact zeros. dst may alias t (the
 // in-place attention form).
-func EdgeSoftmaxInto(dst, t *Tensor, nbrs []*Neighbours) {
-	checkEdgeVec(t, nbrs, "EdgeSoftmaxInto")
-	checkEdgeVec(dst, nbrs, "EdgeSoftmaxInto")
-	eo := 0
-	for _, nb := range nbrs {
-		for i := 0; i < nb.N(); i++ {
-			lo, hi := eo+nb.ptr[i], eo+nb.ptr[i+1]
-			softmaxRow(dst.Data[lo:hi], t.Data[lo:hi], nil, 0)
-		}
-		eo += len(nb.col)
+func EdgeSoftmaxInto(dst, t *Tensor, nb *Neighbours) {
+	checkEdgeVec(t, nb, "EdgeSoftmaxInto")
+	checkEdgeVec(dst, nb, "EdgeSoftmaxInto")
+	for i := 0; i < nb.N(); i++ {
+		lo, hi := nb.ptr[i], nb.ptr[i+1]
+		softmaxRow(dst.Data[lo:hi], t.Data[lo:hi], nil, 0)
 	}
 }
 
 // EdgeSoftmaxBackInto computes the softmax VJP per row of edges:
 // dst[e] = y[e]·(g[e] − Σ g·y over the row), the row dot summed
 // sequentially in ascending column order.
-func EdgeSoftmaxBackInto(dst, g, y *Tensor, nbrs []*Neighbours) {
-	checkEdgeVec(y, nbrs, "EdgeSoftmaxBackInto")
-	checkEdgeVec(g, nbrs, "EdgeSoftmaxBackInto")
-	checkEdgeVec(dst, nbrs, "EdgeSoftmaxBackInto")
-	eo := 0
-	for _, nb := range nbrs {
-		for i := 0; i < nb.N(); i++ {
-			lo, hi := eo+nb.ptr[i], eo+nb.ptr[i+1]
-			grow, yrow := g.Data[lo:hi], y.Data[lo:hi]
-			dotgy := 0.0
-			for j := range grow {
-				dotgy += grow[j] * yrow[j]
-			}
-			SoftmaxBackRow(dst.Data[lo:hi], grow, yrow, dotgy)
+func EdgeSoftmaxBackInto(dst, g, y *Tensor, nb *Neighbours) {
+	checkEdgeVec(y, nb, "EdgeSoftmaxBackInto")
+	checkEdgeVec(g, nb, "EdgeSoftmaxBackInto")
+	checkEdgeVec(dst, nb, "EdgeSoftmaxBackInto")
+	for i := 0; i < nb.N(); i++ {
+		lo, hi := nb.ptr[i], nb.ptr[i+1]
+		grow, yrow := g.Data[lo:hi], y.Data[lo:hi]
+		dotgy := 0.0
+		for j := range grow {
+			dotgy += grow[j] * yrow[j]
 		}
-		eo += len(nb.col)
+		SoftmaxBackRow(dst.Data[lo:hi], grow, yrow, dotgy)
 	}
 }
 
 // EdgeAggregateInto computes dst row i = Σ w[e]·x row j over row i's edges
-// e = (i, j) in ascending column order, x a stacked (rows×k) tensor and w an
-// edge vector — Â·X with w the adjacency values, attention·V with w the
-// attention weights. Pad rows are cleared. dst must not alias x.
-func EdgeAggregateInto(dst, w, x *Tensor, nbrs []*Neighbours, l BatchLayout) {
-	checkEdges(nbrs, l, "EdgeAggregateInto")
-	checkEdgeVec(w, nbrs, "EdgeAggregateInto")
+// e = (i, j) in ascending column order, x an N×k tensor and w an edge vector
+// — Â·X with w the adjacency values, attention·V with w the attention
+// weights. dst must not alias x.
+func EdgeAggregateInto(dst, w, x *Tensor, nb *Neighbours) {
+	checkEdges(nb, x.R, "EdgeAggregateInto")
+	checkEdgeVec(w, nb, "EdgeAggregateInto")
 	checkInto(dst, x.R, x.C, "EdgeAggregateInto")
-	checkSeg(x, l, "EdgeAggregateInto")
 	k := x.C
-	eo := 0
-	for g, nb := range nbrs {
-		base := g * l.Stride
-		wd := w.Data[eo : eo+len(nb.col)]
-		for i := 0; i < nb.N(); i++ {
-			crow := dst.Data[(base+i)*k : (base+i+1)*k]
-			clear(crow)
-			for e := nb.ptr[i]; e < nb.ptr[i+1]; e++ {
-				j := base + nb.col[e]
-				axpy(wd[e], x.Data[j*k:(j+1)*k], crow)
-			}
+	for i := 0; i < nb.N(); i++ {
+		crow := dst.Data[i*k : (i+1)*k]
+		clear(crow)
+		for e := nb.ptr[i]; e < nb.ptr[i+1]; e++ {
+			j := nb.col[e]
+			axpy(w.Data[e], x.Data[j*k:(j+1)*k], crow)
 		}
-		clearRows(dst, base+nb.N(), base+l.Stride)
-		eo += len(nb.col)
 	}
 }
 
 // EdgeScatterInto computes dst row j = Σ w[e]·g row i over the edges
 // e = (i, j) that end in j, visiting rows i in ascending order — the dX
-// backward of EdgeAggregate (the transposed aggregation). Pad rows are
-// cleared. dst must not alias g.
-func EdgeScatterInto(dst, w, g *Tensor, nbrs []*Neighbours, l BatchLayout) {
-	checkEdges(nbrs, l, "EdgeScatterInto")
-	checkEdgeVec(w, nbrs, "EdgeScatterInto")
+// backward of EdgeAggregate (the transposed aggregation). dst must not
+// alias g.
+func EdgeScatterInto(dst, w, g *Tensor, nb *Neighbours) {
+	checkEdges(nb, g.R, "EdgeScatterInto")
+	checkEdgeVec(w, nb, "EdgeScatterInto")
 	checkInto(dst, g.R, g.C, "EdgeScatterInto")
-	checkSeg(g, l, "EdgeScatterInto")
 	k := g.C
-	eo := 0
-	for gi, nb := range nbrs {
-		base := gi * l.Stride
-		clearRows(dst, base, base+l.Stride)
-		wd := w.Data[eo : eo+len(nb.col)]
-		for i := 0; i < nb.N(); i++ {
-			grow := g.Data[(base+i)*k : (base+i+1)*k]
-			for e := nb.ptr[i]; e < nb.ptr[i+1]; e++ {
-				j := base + nb.col[e]
-				axpy(wd[e], grow, dst.Data[j*k:(j+1)*k])
-			}
+	clear(dst.Data)
+	for i := 0; i < nb.N(); i++ {
+		grow := g.Data[i*k : (i+1)*k]
+		for e := nb.ptr[i]; e < nb.ptr[i+1]; e++ {
+			j := nb.col[e]
+			axpy(w.Data[e], grow, dst.Data[j*k:(j+1)*k])
 		}
-		eo += len(nb.col)
 	}
 }
 
 // EdgeDotInto computes the edge vector dst[e] = g row i · x row j for every
 // edge e = (i, j) — the dW backward of EdgeAggregate, one dot per kept entry
 // of the dense g·xᵀ.
-func EdgeDotInto(dst, g, x *Tensor, nbrs []*Neighbours, l BatchLayout) {
+func EdgeDotInto(dst, g, x *Tensor, nb *Neighbours) {
 	if g.C != x.C {
 		shapePanic("EdgeDot shape mismatch %dx%d vs %dx%d", g.R, g.C, x.R, x.C)
 	}
-	checkEdges(nbrs, l, "EdgeDotInto")
-	checkEdgeVec(dst, nbrs, "EdgeDotInto")
-	checkSeg(g, l, "EdgeDotInto")
-	checkSeg(x, l, "EdgeDotInto")
+	checkEdges(nb, g.R, "EdgeDotInto")
+	checkEdges(nb, x.R, "EdgeDotInto")
+	checkEdgeVec(dst, nb, "EdgeDotInto")
 	k := g.C
-	eo := 0
-	for gi, nb := range nbrs {
-		base := gi * l.Stride
-		out := dst.Data[eo : eo+len(nb.col)]
-		for i := 0; i < nb.N(); i++ {
-			grow := g.Data[(base+i)*k : (base+i+1)*k]
-			for e := nb.ptr[i]; e < nb.ptr[i+1]; e++ {
-				j := base + nb.col[e]
-				out[e] = dot(grow, x.Data[j*k:(j+1)*k])
-			}
+	for i := 0; i < nb.N(); i++ {
+		grow := g.Data[i*k : (i+1)*k]
+		for e := nb.ptr[i]; e < nb.ptr[i+1]; e++ {
+			j := nb.col[e]
+			dst.Data[e] = dot(grow, x.Data[j*k:(j+1)*k])
 		}
-		eo += len(nb.col)
 	}
 }

@@ -45,73 +45,57 @@ func mustPanic(t *testing.T, what string, fn func()) {
 }
 
 // TestNeighboursRejectBadInput: an index outside the graph must stop at the
-// constructor, and a list must not run against a panel of another size — in
-// a stacked tensor either would read a neighbouring graph's rows.
+// constructor, and a list must not run against an operand of another node
+// count — either would read past the graph's rows.
 func TestNeighboursRejectBadInput(t *testing.T) {
 	mustPanic(t, "neighbour past the end", func() { NewNeighbours([][]int{{}, {2}}) })
 	mustPanic(t, "negative neighbour", func() { NewNeighbours([][]int{{-1}}) })
-	l := BatchLayout{B: 2, Stride: 3, Counts: []int{3, 2}}
-	three, two := NewNeighbours([][]int{{}, {0}, {1}}), NewNeighbours([][]int{{}, {0}})
-	x := New(l.Rows(), 2)
-	mustPanic(t, "list larger than its panel", func() {
-		nbrs := []*Neighbours{three, three}
-		EdgeAggregateInto(New(l.Rows(), 2), New(EdgeCount(nbrs), 1), x, nbrs, l)
+	three := NewNeighbours([][]int{{}, {0}, {1}})
+	w := New(three.Edges(), 1)
+	mustPanic(t, "list larger than its operand", func() {
+		EdgeAggregateInto(New(2, 2), w, New(2, 2), three)
 	})
-	mustPanic(t, "one list for two graphs", func() {
-		nbrs := []*Neighbours{three}
-		EdgeAggregateInto(New(l.Rows(), 2), New(EdgeCount(nbrs), 1), x, nbrs, l)
+	mustPanic(t, "edge vector of another list", func() {
+		EdgeAggregateInto(New(3, 2), New(three.Edges()+1, 1), New(3, 2), three)
 	})
-	nbrs := []*Neighbours{three, two}
-	EdgeAggregateInto(New(l.Rows(), 2), New(EdgeCount(nbrs), 1), x, nbrs, l)
+	EdgeAggregateInto(New(3, 2), w, New(3, 2), three)
 }
 
-// randomNeighbours draws one sparse list per panel of l: every node past the
-// first joins up to two earlier ones.
-func randomNeighbours(rng *rand.Rand, l BatchLayout) []*Neighbours {
-	nbrs := make([]*Neighbours, l.B)
-	for g, c := range l.Counts {
-		preds := make([][]int, c)
-		for v := 1; v < c; v++ {
-			for k := rng.Intn(3); k > 0; k-- {
-				preds[v] = append(preds[v], rng.Intn(v))
-			}
+// randomNeighbours draws a sparse list on n nodes: every node past the first
+// joins up to two earlier ones.
+func randomNeighbours(rng *rand.Rand, n int) *Neighbours {
+	preds := make([][]int, n)
+	for v := 1; v < n; v++ {
+		for k := rng.Intn(3); k > 0; k-- {
+			preds[v] = append(preds[v], rng.Intn(v))
 		}
-		nbrs[g] = NewNeighbours(preds)
 	}
-	return nbrs
+	return NewNeighbours(preds)
 }
 
 // TestEdgeKernelsDefinePadRows: destinations come uninitialized from an
-// arena, so every row-space edge kernel must write each real row and zero
-// each pad row, whatever the buffer held.
+// arena, so every row-space edge kernel must define each row of its
+// destination whatever the buffer held — a NaN-filled buffer must end bitwise
+// equal to a zeroed one.
 func TestEdgeKernelsDefinePadRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	l := BatchLayout{B: 3, Stride: 5, Counts: []int{2, 5, 3}}
-	nbrs := randomNeighbours(rng, l)
-	w, x := randT(rng, EdgeCount(nbrs), 1), randT(rng, l.Rows(), 3)
-	for _, k := range []struct {
-		name string
-		cols int
-		run  func(dst *Tensor)
-	}{
-		{"EdgeRowSums", 1, func(dst *Tensor) { EdgeRowSumsInto(dst, w, nbrs, l) }},
-		{"EdgeColSums", 1, func(dst *Tensor) { EdgeColSumsInto(dst, w, nbrs, l) }},
-		{"EdgeAggregate", 3, func(dst *Tensor) { EdgeAggregateInto(dst, w, x, nbrs, l) }},
-		{"EdgeScatter", 3, func(dst *Tensor) { EdgeScatterInto(dst, w, x, nbrs, l) }},
-	} {
-		dst := Full(l.Rows(), k.cols, math.NaN())
-		k.run(dst)
-		for g, c := range l.Counts {
-			for i := 0; i < l.Stride; i++ {
-				for _, v := range dst.Row(g*l.Stride + i) {
-					if i < c && math.IsNaN(v) {
-						t.Fatalf("%s left real row %d of panel %d unwritten", k.name, i, g)
-					}
-					if i >= c && math.Float64bits(v) != 0 {
-						t.Fatalf("%s left %v in pad row %d of panel %d", k.name, v, i, g)
-					}
-				}
-			}
+	for _, n := range []int{1, 2, 5} {
+		nb := randomNeighbours(rng, n)
+		w, x := randT(rng, nb.Edges(), 1), randT(rng, n, 3)
+		for _, k := range []struct {
+			name string
+			cols int
+			run  func(dst *Tensor)
+		}{
+			{"EdgeRowSums", 1, func(dst *Tensor) { EdgeRowSumsInto(dst, w, nb) }},
+			{"EdgeColSums", 1, func(dst *Tensor) { EdgeColSumsInto(dst, w, nb) }},
+			{"EdgeAggregate", 3, func(dst *Tensor) { EdgeAggregateInto(dst, w, x, nb) }},
+			{"EdgeScatter", 3, func(dst *Tensor) { EdgeScatterInto(dst, w, x, nb) }},
+		} {
+			want, dirty := New(n, k.cols), Full(n, k.cols, math.NaN())
+			k.run(want)
+			k.run(dirty)
+			wantBitwise(t, k.name, dirty, want)
 		}
 	}
 }

@@ -4,9 +4,6 @@ package tensor
 // is destination-passing only; each helper below allocates a result and
 // calls the surviving kernel it is named after.
 
-// single is the layout of one unpadded n-row panel — a graph alone, B=1.
-func single(n int) BatchLayout { return BatchLayout{B: 1, Stride: n, Counts: []int{n}} }
-
 func matMul(a, b *Tensor) *Tensor {
 	out := New(a.R, b.C)
 	MatMulInto(out, a, b)
@@ -19,10 +16,10 @@ func matMulBT(a, b *Tensor) *Tensor {
 	return out
 }
 
-// matMulAT is aᵀ·b through the weight-gradient kernel over the full row range.
+// matMulAT is aᵀ·b through the weight-gradient kernel.
 func matMulAT(a, b *Tensor) *Tensor {
 	out := New(a.C, b.C)
-	MatMulATRangeInto(out, a, b, 0, a.R)
+	MatMulATInto(out, a, b)
 	return out
 }
 
@@ -53,21 +50,21 @@ func scale(t *Tensor, s float64) *Tensor {
 // sumRows is the 1×C vector of column sums over every row.
 func sumRows(t *Tensor) *Tensor {
 	out := New(1, t.C)
-	SumRowsRangeInto(out, t, 0, t.R)
+	SumRowsInto(out, t)
 	return out
 }
 
-// complete is the one-graph batch whose neighbour list is the complete graph
-// on n nodes: every row lists every node, so an edge vector is an n×n matrix
-// in row-major order and the edge kernels compute their dense namesakes.
-func complete(n int) []*Neighbours {
+// complete is the neighbour list of the complete graph on n nodes: every row
+// lists every node, so an edge vector is an n×n matrix in row-major order and
+// the edge kernels compute their dense namesakes.
+func complete(n int) *Neighbours {
 	preds := make([][]int, n)
 	for v := range preds {
 		for u := 0; u < v; u++ {
 			preds[v] = append(preds[v], u)
 		}
 	}
-	return []*Neighbours{NewNeighbours(preds)}
+	return NewNeighbours(preds)
 }
 
 // edgeVec views a square tensor as the edge vector of complete(t.R).
@@ -77,7 +74,7 @@ func edgeVec(t *Tensor) *Tensor { return &Tensor{R: t.R * t.C, C: 1, Data: t.Dat
 // kernel over the complete graph.
 func sumCols(t *Tensor) *Tensor {
 	out := New(t.R, 1)
-	EdgeRowSumsInto(out, edgeVec(t), complete(t.R), single(t.R))
+	EdgeRowSumsInto(out, edgeVec(t), complete(t.R))
 	return out
 }
 
@@ -85,7 +82,7 @@ func sumCols(t *Tensor) *Tensor {
 // through the edge kernel over the complete graph.
 func addOuter(a, b *Tensor) *Tensor {
 	out := New(a.R, a.R)
-	EdgeAddOuterInto(edgeVec(out), a, b, complete(a.R), single(a.R))
+	EdgeAddOuterInto(edgeVec(out), a, b, complete(a.R))
 	return out
 }
 

@@ -1,10 +1,14 @@
 // Destination-passing kernels: every operation writes a caller-provided
 // destination, so hot paths (above all the autodiff tape in internal/ag) draw
 // buffers from an Arena instead of the heap. Each kernel fully defines dst —
-// callers never need to pre-zero. The row workers here (matmulRowRange,
-// matmulBTRowRange, linearRowRange) are shared with the
-// segmented panel kernels in batch.go, which is what makes a graph's result
-// independent of the batch it rides in.
+// callers never need to pre-zero.
+//
+// One graph runs on one tape, and one tape on one goroutine, so every kernel
+// the model path calls runs on the calling goroutine. The exceptions are
+// MatMulInto and MatMulBTInto, the whole-tensor yardsticks bench/ times:
+// above parallelMinFlops they fan out through parallel.ForBlocked. Their
+// serial forms, MatMulSerialInto and MatMulBTSerialInto, share the same row
+// workers, so the two never differ by a bit.
 package tensor
 
 import (
@@ -33,9 +37,7 @@ func shapePanic(format string, args ...any) {
 // below this many multiply-adds fork/join overhead dominates, so the loop
 // runs serially on the calling goroutine. parallelRowBlock is the number of
 // output rows per parallel task. Every output row is computed independently
-// by the same row kernel, so the split never changes a result bit. The model
-// path never reaches either kernel (panels run the row workers directly);
-// they and SoftmaxRowsInto are the whole-tensor yardsticks bench/ times.
+// by the same row kernel, so the split never changes a result bit.
 const (
 	parallelMinFlops = 1 << 17
 	parallelRowBlock = 16
@@ -61,6 +63,16 @@ func MatMulInto(dst, a, b *Tensor) {
 	})
 }
 
+// MatMulSerialInto computes dst = a·b on the calling goroutine. dst must not
+// alias a or b.
+func MatMulSerialInto(dst, a, b *Tensor) {
+	if a.C != b.R {
+		shapePanic("MatMul shape mismatch %dx%d · %dx%d", a.R, a.C, b.R, b.C)
+	}
+	checkInto(dst, a.R, b.C, "MatMulSerialInto")
+	matmulRowRange(dst, a, b, 0, a.R)
+}
+
 func matmulRowRange(dst, a, b *Tensor, lo, hi int) {
 	k, n := a.C, b.C
 	for i := lo; i < hi; i++ {
@@ -75,8 +87,8 @@ func matmulRowRange(dst, a, b *Tensor, lo, hi int) {
 // where brow_p is bd[(b0+p)*n : (b0+p+1)*n]. Operands are grouped four at a
 // time through axpy4, which adds the four products per element in ascending
 // p order — the same element-wise addition order as sequential axpy calls —
-// so the fusion is bitwise-invisible. Shared by the plain matmul, the fused
-// linear layer, and the panel kernels.
+// so the fusion is bitwise-invisible. Shared by the plain matmul and the
+// fused linear layer.
 func matmulRowKernel(crow, arow []float64, bd []float64, b0, n int) {
 	if simdKernels {
 		matmulRowKernelAVX2(crow, arow, bd, b0, n)
@@ -123,6 +135,16 @@ func MatMulBTInto(dst, a, b *Tensor) {
 	})
 }
 
+// MatMulBTSerialInto computes dst = a·bᵀ on the calling goroutine. dst must
+// not alias a or b.
+func MatMulBTSerialInto(dst, a, b *Tensor) {
+	if a.C != b.C {
+		shapePanic("MatMulBT shape mismatch %dx%d · (%dx%d)ᵀ", a.R, a.C, b.R, b.C)
+	}
+	checkInto(dst, a.R, b.R, "MatMulBTSerialInto")
+	matmulBTRowRange(dst, a, b, 0, a.R)
+}
+
 func matmulBTRowRange(dst, a, b *Tensor, lo, hi int) {
 	k := a.C
 	for i := lo; i < hi; i++ {
@@ -136,7 +158,7 @@ func matmulBTRowRange(dst, a, b *Tensor, lo, hi int) {
 // for j in [0, m), where brow_j = bd[(b0+j)*k : (b0+j+1)*k]. Output columns
 // are paired through dot2 so arow is streamed once per two products; each
 // dot keeps dot's exact accumulator pattern, so results are bitwise equal to
-// per-column dot calls. Shared with the batched score-panel kernels.
+// per-column dot calls.
 func matmulBTRowKernel(crow, arow []float64, bd []float64, b0, m, k int) {
 	if simdKernels {
 		matmulBTRowKernelAVX2(crow, arow, bd, b0, m, k)
@@ -153,20 +175,103 @@ func matmulBTRowKernel(crow, arow []float64, bd []float64, b0, m, k int) {
 	}
 }
 
-// linearRowRange computes rows [lo, hi) of the fused dense layer
-// dst = x·w + bias (bias a 1×n row broadcast over rows): matmul and bias add
-// in one pass over each output row.
-func linearRowRange(dst, x, w, bias *Tensor, lo, hi int) {
+// LinearInto computes the fused dense layer dst = x·w + bias (bias a 1×n row
+// broadcast over rows): matmul and bias add in one pass over each output
+// row. dst must not alias x, w, or bias.
+func LinearInto(dst, x, w, bias *Tensor) {
+	if x.C != w.R {
+		shapePanic("Linear shape mismatch %dx%d · %dx%d", x.R, x.C, w.R, w.C)
+	}
+	checkInto(dst, x.R, w.C, "LinearInto")
 	n := w.C
 	k := x.C
 	brow := bias.Data
-	for i := lo; i < hi; i++ {
+	for i := 0; i < x.R; i++ {
 		arow := x.Data[i*k : (i+1)*k]
 		crow := dst.Data[i*n : (i+1)*n]
 		clear(crow)
 		matmulRowKernel(crow, arow, w.Data, 0, n)
 		for j := range crow {
 			crow[j] += brow[j]
+		}
+	}
+}
+
+// MatMulATInto computes dst = aᵀ·b for a (m×k) and b (m×n): the weight
+// gradient of a dense layer and the dK/dV product of attention. dst must not
+// alias a or b.
+func MatMulATInto(dst, a, b *Tensor) {
+	if a.R != b.R {
+		shapePanic("MatMulAT shape mismatch (%dx%d)ᵀ · %dx%d", a.R, a.C, b.R, b.C)
+	}
+	checkInto(dst, a.C, b.C, "MatMulATInto")
+	clear(dst.Data)
+	matmulATAccum(dst.Data, a, b)
+}
+
+// matmulATAccum is the one Aᵀ·B kernel: dd's row p accumulates
+// Σ_i a[i][p] · b row i. Input rows are consumed four, then two, then one at
+// a time; the contributions to each dd element are added in ascending i order
+// whichever grouping carries them (axpy2 is the exact element-wise order of
+// two axpy calls), so the grouping is bitwise-invisible. The `av != 0` skip
+// is kept per row: adding 0·b costs a full row pass, and a one-hot heavy
+// feature matrix makes the skip the common case.
+func matmulATAccum(dd []float64, a, b *Tensor) {
+	ni, np, n := a.R, a.C, b.C
+	arow := func(i int) []float64 { return a.Data[i*np : (i+1)*np] }
+	brow := func(i int) []float64 { return b.Data[i*n : (i+1)*n] }
+	i := 0
+	if simdKernels {
+		for ; i+4 <= ni; i += 4 {
+			matmulATQuadAVX2(dd, 0, n, arow(i), arow(i+1), arow(i+2), arow(i+3),
+				brow(i), brow(i+1), brow(i+2), brow(i+3))
+		}
+		if i+2 <= ni {
+			matmulATPairAVX2(dd, 0, n, arow(i), arow(i+1), brow(i), brow(i+1))
+			i += 2
+		}
+		if i < ni {
+			matmulATRowAVX2(dd, 0, n, arow(i), brow(i))
+		}
+		return
+	}
+	for ; i+2 <= ni; i += 2 {
+		a0, a1 := arow(i), arow(i+1)
+		b0, b1 := brow(i), brow(i+1)
+		for p := 0; p < np; p++ {
+			av0, av1 := a0[p], a1[p]
+			o := p * n
+			if av0 != 0 {
+				if av1 != 0 {
+					axpy2(av0, av1, b0, b1, dd[o:o+n])
+				} else {
+					axpy(av0, b0, dd[o:o+n])
+				}
+			} else if av1 != 0 {
+				axpy(av1, b1, dd[o:o+n])
+			}
+		}
+	}
+	for ; i < ni; i++ {
+		a0, b0 := arow(i), brow(i)
+		for p := 0; p < np; p++ {
+			if av := a0[p]; av != 0 {
+				o := p * n
+				axpy(av, b0, dd[o:o+n])
+			}
+		}
+	}
+}
+
+// SumRowsInto computes the 1×C column sums of t in ascending row order — a
+// dense layer's bias gradient and the global add pool.
+func SumRowsInto(dst, t *Tensor) {
+	checkInto(dst, 1, t.C, "SumRowsInto")
+	clear(dst.Data)
+	for i := 0; i < t.R; i++ {
+		row := t.Row(i)
+		for j, v := range row {
+			dst.Data[j] += v
 		}
 	}
 }
@@ -315,6 +420,60 @@ func SoftmaxRowsInto(dst, t, mask *Tensor) {
 	checkInto(dst, t.R, t.C, "SoftmaxRowsInto")
 	for i := 0; i < t.R; i++ {
 		softmaxRow(dst.Row(i), t.Row(i), mask, i)
+	}
+}
+
+// softmaxRow is the one softmax row body, shared by SoftmaxRowsInto and the
+// edge kernel. mask may be nil; mi indexes the mask row.
+func softmaxRow(orow, row []float64, mask *Tensor, mi int) {
+	// The max pass vectorizes bitwise-safely: the running max under strict >
+	// is order-independent in value, NaN candidates never win under either
+	// order, and the one ambiguity — a row whose max appears as both −0 and
+	// +0 — is erased by the exp pass (v∓0 differs only at v=±0, and
+	// exp(±0) is exactly 1 either way). The exp-and-sum pass stays scalar:
+	// its sequential sum order is pinned.
+	var maxv float64
+	switch {
+	case simdKernels && mask != nil:
+		maxv = softmaxFwdAVX2(orow, row, mask.Row(mi))
+	case simdKernels:
+		maxv = softmaxFwdNMAVX2(orow, row)
+	case mask != nil:
+		maxv = math.Inf(-1)
+		mrow := mask.Row(mi)
+		for j, v := range row {
+			v += mrow[j]
+			orow[j] = v
+			if v > maxv {
+				maxv = v
+			}
+		}
+	default:
+		maxv = math.Inf(-1)
+		for j, v := range row {
+			orow[j] = v
+			if v > maxv {
+				maxv = v
+			}
+		}
+	}
+	if math.IsInf(maxv, -1) {
+		clear(orow)
+		return
+	}
+	sum := 0.0
+	for j, v := range orow {
+		e := math.Exp(v - maxv)
+		orow[j] = e
+		sum += e
+	}
+	inv := 1 / sum
+	if simdKernels {
+		scaleIntoAVX2(orow, orow, inv)
+		return
+	}
+	for j := range orow {
+		orow[j] *= inv
 	}
 }
 

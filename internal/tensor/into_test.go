@@ -141,14 +141,14 @@ func TestLinearIntoMatchesMatMulAddRowVec(t *testing.T) {
 			m, k := mk[0], mk[1]
 			x, w, bias := randT(rng, m, k), randT(rng, k, n), randT(rng, 1, n)
 			got := New(m, n)
-			SegLinearInto(got, x, w, bias, single(m))
+			LinearInto(got, x, w, bias)
 			want := matMul(x, w)
 			for i := 0; i < m; i++ {
 				for j, b := range bias.Data {
 					want.Data[i*n+j] += b
 				}
 			}
-			wantBitwise(t, "SegLinearInto", got, want)
+			wantBitwise(t, "LinearInto", got, want)
 		}
 	}
 }
@@ -181,12 +181,6 @@ func TestIntoKernelsAliasedDst(t *testing.T) {
 		check("MulInto", mul(a, b), func(dst *Tensor) { MulInto(dst, dst, b) })
 		check("ScaleInto", scale(a, -1.5), func(dst *Tensor) { ScaleInto(dst, dst, -1.5) })
 		check("SoftmaxRowsInto", softmaxRows(a, nil), func(dst *Tensor) { SoftmaxRowsInto(dst, dst, nil) })
-		if sh[0] == sh[1] {
-			l := single(sh[0])
-			want := New(sh[0], sh[1])
-			PanelSoftmaxInto(want, a, nil, l)
-			check("PanelSoftmaxInto", want, func(dst *Tensor) { PanelSoftmaxInto(dst, dst, nil, l) })
-		}
 	}
 }
 
@@ -214,18 +208,12 @@ func TestSoftmaxRowsMaskedMatchesNaive(t *testing.T) {
 		inplace := x.Clone()
 		SoftmaxRowsInto(inplace, inplace, mask)
 		wantBitwise(t, "SoftmaxRowsInto aliased masked", inplace, got)
-		// The panel kernel at B=1 is the same row loop.
-		if sh[0] == sh[1] {
-			panel := x.Clone()
-			PanelSoftmaxInto(panel, panel, []*Tensor{mask}, single(sh[0]))
-			wantBitwise(t, "PanelSoftmaxInto masked", panel, got)
-		}
 	}
 }
 
 // TestTransposeBlockedMatchesNaive: Aᵀ·I through the weight-gradient kernel
 // is the transpose, bit for bit (every product is a value times 1 or times
-// 0). atPanelAccum consumes input rows in blocks of four, then two, then one,
+// 0). matmulATAccum consumes input rows in blocks of four, then two, then one,
 // so the shapes include row counts on both sides of every block edge and the
 // degenerate ones.
 func TestTransposeBlockedMatchesNaive(t *testing.T) {
@@ -251,8 +239,8 @@ func TestReductionAndLayoutKernels(t *testing.T) {
 			}
 		}
 		got := New(1, c)
-		SumRowsRangeInto(got, x, 0, r)
-		wantBitwise(t, "SumRowsRange", got, sumRows)
+		SumRowsInto(got, x)
+		wantBitwise(t, "SumRows", got, sumRows)
 
 		if r == c { // an edge vector over the complete graph is a square matrix
 			want := New(r, 1)
@@ -266,7 +254,7 @@ func TestReductionAndLayoutKernels(t *testing.T) {
 			wantBitwise(t, "EdgeRowSums", sumCols(x), want)
 
 			colSums := New(r, 1)
-			EdgeColSumsInto(colSums, edgeVec(x), complete(r), single(r))
+			EdgeColSumsInto(colSums, edgeVec(x), complete(r))
 			for j := 0; j < c; j++ {
 				if math.Float64bits(colSums.Data[j]) != math.Float64bits(sumRows.Data[j]) {
 					t.Fatal("EdgeColSums mismatch")
@@ -332,7 +320,7 @@ func TestIntoRejectsBadDst(t *testing.T) {
 // TestKernelTuneBitwiseInvariant: the size-gated serial/parallel split of
 // MatMulInto and MatMulBTInto only moves scheduling. A product large enough
 // to take the parallel.ForBlocked path must equal, bit for bit, the serial
-// row loop over the whole range.
+// forms the model path calls.
 func TestKernelTuneBitwiseInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n = 96
@@ -342,9 +330,9 @@ func TestKernelTuneBitwiseInvariant(t *testing.T) {
 	a, b := randT(rng, n, n), randT(rng, n, n)
 	got, want := New(n, n), New(n, n)
 	MatMulInto(got, a, b)
-	matmulRowRange(want, a, b, 0, n)
+	MatMulSerialInto(want, a, b)
 	wantBitwise(t, "MatMulInto parallel", got, want)
 	MatMulBTInto(got, a, b)
-	matmulBTRowRange(want, a, b, 0, n)
+	MatMulBTSerialInto(want, a, b)
 	wantBitwise(t, "MatMulBTInto parallel", got, want)
 }

@@ -78,7 +78,7 @@ func softmaxFwdNMAVX2(orow, row []float64) float64
 //go:noescape
 func softmaxBackRowAVX2(drow, grow, yrow []float64, dotgy float64)
 
-// matmulATPairAVX2 runs atPanelAccum's per-row-pair inner loop: for each
+// matmulATPairAVX2 runs matmulATAccum's per-row-pair inner loop: for each
 // p < len(a0), dd rows (base+p)·n accumulate a0[p]·b0 + a1[p]·b1 with the
 // scalar axpy2/axpy grouping and the same `av != 0` skip (NaN coefficients
 // take the nonzero path, as Go's != does). matmulATRowAVX2 is the odd-row

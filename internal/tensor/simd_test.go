@@ -244,7 +244,7 @@ func TestSIMDSoftmaxRowBitwise(t *testing.T) {
 			softmaxRow(got, row, mask, 0)
 			requireBitwise(t, "softmaxRow-"+mode, want, got)
 
-			// In-place form (PanelSoftmaxInPlace aliases orow and row).
+			// In-place form (SoftmaxInPlace aliases orow and row).
 			wantIP := append([]float64(nil), row...)
 			gotIP := append([]float64(nil), row...)
 			SetSIMD(false)
@@ -256,17 +256,18 @@ func TestSIMDSoftmaxRowBitwise(t *testing.T) {
 	}
 }
 
-// TestSIMDMatMulATBitwise checks the transposed-gradient pair kernels — the
-// atPanelAccum inner loops, through MatMulATRangeInto and directly — bitwise against the
-// scalar path, with one-hot-heavy coefficient matrices so the `av != 0`
-// skip paths and the NaN-coefficient nonzero path are all exercised.
+// TestSIMDMatMulATBitwise checks the transposed-gradient quad, pair and row
+// kernels — the matmulATAccum inner loops, through MatMulATInto — bitwise
+// against the scalar path, with one-hot-heavy coefficient matrices so the
+// `av != 0` skip paths and the NaN-coefficient nonzero path are all
+// exercised. Row counts cover every remainder of the four-row blocks.
 func TestSIMDMatMulATBitwise(t *testing.T) {
 	if !SIMDAvailable() {
 		t.Skip("no AVX2 on this CPU; scalar path is the only path")
 	}
 	defer SetSIMD(SetSIMD(false))
 	rng := rand.New(rand.NewSource(17))
-	for _, dims := range [][3]int{{1, 1, 1}, {2, 3, 4}, {5, 8, 7}, {9, 16, 13}, {13, 5, 32}} {
+	for _, dims := range [][3]int{{1, 1, 1}, {2, 3, 4}, {5, 8, 7}, {6, 3, 5}, {7, 4, 9}, {9, 16, 13}, {13, 5, 32}} {
 		r, m, n := dims[0], dims[1], dims[2]
 		a, b := New(r, m), New(r, n)
 		fillRandom(rng, b.Data)
@@ -279,25 +280,11 @@ func TestSIMDMatMulATBitwise(t *testing.T) {
 			}
 		}
 		a.Data[rng.Intn(len(a.Data))] = math.NaN()
-		for _, rg := range [][2]int{{0, r}, {0, r - r/2}, {r / 2, r}} {
-			i0, i1 := rg[0], rg[1]
-			want, got := New(m, n), New(m, n)
-			SetSIMD(false)
-			MatMulATRangeInto(want, a, b, i0, i1)
-			SetSIMD(true)
-			MatMulATRangeInto(got, a, b, i0, i1)
-			requireBitwise(t, "MatMulATRange", want.Data, got.Data)
-		}
-
-		// atPanelAccum with a nonzero base offset, as the panel backward uses.
-		const base = 2
-		want := make([]float64, (base+m)*n)
-		got := make([]float64, (base+m)*n)
-		arow := func(i int) []float64 { return a.Row(i) }
+		want, got := New(m, n), New(m, n)
 		SetSIMD(false)
-		atPanelAccum(want, base, n, arow, func(i int) []float64 { return b.Row(i) }, r, m)
+		MatMulATInto(want, a, b)
 		SetSIMD(true)
-		atPanelAccum(got, base, n, arow, func(i int) []float64 { return b.Row(i) }, r, m)
-		requireBitwise(t, "atPanelAccum", want, got)
+		MatMulATInto(got, a, b)
+		requireBitwise(t, "MatMulAT", want.Data, got.Data)
 	}
 }

@@ -3,8 +3,7 @@
 //
 // Tensors are two-dimensional; vectors are represented as 1×C (row) or R×1
 // (column) matrices. Every arithmetic kernel writes a caller-provided
-// destination (into.go) or a panel of a stacked batch (batch.go); nothing here
-// allocates its result.
+// destination (into.go, edges.go); nothing here allocates its result.
 package tensor
 
 import (

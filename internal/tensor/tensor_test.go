@@ -120,9 +120,9 @@ func TestElementwiseOpsAndBroadcast(t *testing.T) {
 	// The bias row of the fused linear kernel broadcasts over rows: a·I + v.
 	v := FromSlice(1, 2, []float64{10, 20})
 	got := New(2, 2)
-	SegLinearInto(got, a, Eye(2), v, single(2))
+	LinearInto(got, a, Eye(2), v)
 	if !AllClose(got, FromRows([][]float64{{11, 22}, {13, 24}}), 0) {
-		t.Fatalf("SegLinear bias broadcast: %v", got)
+		t.Fatalf("Linear bias broadcast: %v", got)
 	}
 }
 
