@@ -67,8 +67,9 @@ serve-smoke:
 
 # plan-smoke exercises the planner observability stack for real: quick-preset
 # planning with provenance reports and a what-if replay, a -diff over the
-# emitted report files, and a byte-identical-report check across two runs of
-# the same seed, the second on one core. Nonzero exit on any failure.
+# emitted report files, and a byte-identical-report check across three runs of
+# the same seed, the second on one core, the third with three workers. Nonzero
+# exit on any failure.
 plan-smoke:
 	GO="$(GO)" sh scripts/plan-smoke.sh
 

@@ -130,7 +130,7 @@ func run(g *ir.Graph, sc cluster.Scenario, forced []Strategy) Result {
 		// No layout choices: straight walk.
 		total := 0.0
 		for _, n := range g.Nodes {
-			total += e.OpTime(n, dp, sim.Fused(n, consumers))
+			total += e.Cost(n).Time(dp, sim.Fused(n, consumers))
 		}
 		res.Latency = total + e.DPGradSync(paramBytes(g))
 		return res
@@ -164,6 +164,9 @@ func run(g *ir.Graph, sc cluster.Scenario, forced []Strategy) Result {
 			continue
 		}
 		fused := sim.Fused(n, consumers)
+		// The node's work, traffic and jittered efficiency, costed once for
+		// every layout and strategy weighed below.
+		oc := e.Cost(n)
 
 		if isWeightDot(n) {
 			type move struct {
@@ -172,10 +175,11 @@ func run(g *ir.Graph, sc cluster.Scenario, forced []Strategy) Result {
 				costTime float64
 			}
 			outBytes := float64(n.Bytes())
+			sharded := oc.Time(dp*mp, false)
 			moves := []move{
-				{Replicated, layoutFull, layoutFull, e.OpTime(n, dp, false)},
-				{ColumnParallel, layoutFull, layoutSharded, e.OpTime(n, dp*mp, false)},
-				{RowParallel, layoutSharded, layoutFull, e.OpTime(n, dp*mp, false) + e.MPAllReduce(outBytes/float64(dp))},
+				{Replicated, layoutFull, layoutFull, oc.Time(dp, false)},
+				{ColumnParallel, layoutFull, layoutSharded, sharded},
+				{RowParallel, layoutSharded, layoutFull, sharded + e.MPAllReduce(outBytes/float64(dp))},
 			}
 			var next [numLayouts]float64
 			var bp [numLayouts]backPointer
@@ -212,7 +216,7 @@ func run(g *ir.Graph, sc cluster.Scenario, forced []Strategy) Result {
 			if l == layoutSharded {
 				shard = dp * mp
 			}
-			cost[l] += e.OpTime(n, shard, fused)
+			cost[l] += oc.Time(shard, fused)
 		}
 	}
 

@@ -144,11 +144,8 @@ func Optimize(numSegments int, p cluster.Platform, lat LatencyFn, opt Options) (
 		root.Attr("devices", strconv.Itoa(totalDev))
 	}
 
-	// Memoize estimates for every feasible (stage, mesh) pair.
-	type pairKey struct {
-		lo, hi, mesh int
-	}
-	est := make(map[pairKey]float64)
+	M := len(meshes)
+	est := newEstTable(numSegments, maxLen, M)
 	var candidates []float64
 	estSpan := root.Start("estimate")
 	for _, sp := range stage.AllSpecs(numSegments, maxLen) {
@@ -162,7 +159,7 @@ func Optimize(numSegments int, p cluster.Platform, lat LatencyFn, opt Options) (
 			ps.End()
 			if ok && t > 0 && !math.IsInf(t, 1) {
 				stats.Feasible++
-				est[pairKey{sp.Lo, sp.Hi, mi}] = t
+				est.v[est.at(sp.Lo, sp.Hi, mi)] = t
 				candidates = append(candidates, t)
 			} else {
 				stats.Infeasible++
@@ -174,63 +171,65 @@ func Optimize(numSegments int, p cluster.Platform, lat LatencyFn, opt Options) (
 		return Plan{}, false
 	}
 	sort.Float64s(candidates)
+	devs := make([]int, M)
+	for mi, mesh := range meshes {
+		devs[mi] = mesh.NumDevices()
+	}
 
 	bestT := math.Inf(1)
 	var bestPlan Plan
 	B := float64(opt.Microbatches - 1)
 
-	// DP state: f[k][d] = min Σt to place segments [k, numSegments) using
-	// exactly d devices; choice[k][d] records (hi, meshIdx).
-	f := make([][]float64, numSegments+1)
-	choice := make([][]choicem, numSegments+1)
-	for k := range f {
-		f[k] = make([]float64, totalDev+1)
-		choice[k] = make([]choicem, totalDev+1)
+	// DP state: f[k*W+d] = min Σt to place segments [k, numSegments) using
+	// exactly d devices; choice[k*W+d] records (hi, meshIdx).
+	W := totalDev + 1
+	f := make([]float64, (numSegments+1)*W)
+	choice := make([]choicem, (numSegments+1)*W)
+	last := f[numSegments*W:]
+	for d := range last {
+		last[d] = math.Inf(1)
 	}
+	last[0] = 0
 
 	tmaxes := dedup(candidates)
 	stats.TmaxCandidates = len(tmaxes)
 	dpSpan := root.Start("dp")
 	for _, tmax := range tmaxes {
 		it := dpSpan.Start("tmax")
-		for k := numSegments; k >= 0; k-- {
-			for d := 0; d <= totalDev; d++ {
-				stats.DPStates++
-				if k == numSegments {
-					if d == 0 {
-						f[k][d] = 0
-					} else {
-						f[k][d] = math.Inf(1)
-					}
-					continue
-				}
-				f[k][d] = math.Inf(1)
-				for hi := k + 1; hi <= numSegments && hi-k <= maxLen; hi++ {
-					for mi, mesh := range meshes {
-						stats.DPTransitions++
-						c := mesh.NumDevices()
-						if c > d {
+		// The boundary row k = numSegments is fixed; every other cell scans
+		// each (hi, mesh) decision its stage-length cap allows.
+		stats.DPStates += int64(W)
+		for k := numSegments - 1; k >= 0; k-- {
+			hiMax := min(k+maxLen, numSegments)
+			stats.DPStates += int64(W)
+			stats.DPTransitions += int64(W * (hiMax - k) * M)
+			row := f[k*W : (k+1)*W]
+			for d := range row {
+				best := math.Inf(1)
+				var pick choicem
+				for hi := k + 1; hi <= hiMax; hi++ {
+					ests := est.v[est.at(k, hi, 0):][:M]
+					rest := f[hi*W : (hi+1)*W]
+					for mi, t := range ests {
+						c := devs[mi]
+						if c > d || t > tmax {
 							continue
 						}
-						t, ok := est[pairKey{k, hi, mi}]
-						if !ok || t > tmax {
-							continue
-						}
-						if rest := f[hi][d-c]; t+rest < f[k][d] {
-							f[k][d] = t + rest
-							choice[k][d] = choicem{hi: hi, mesh: mi}
+						if v := t + rest[d-c]; v < best {
+							best = v
+							pick = choicem{hi: hi, mesh: mi}
 						}
 					}
 				}
+				row[d] = best
+				choice[k*W+d] = pick
 			}
 		}
-		if sum := f[0][totalDev]; !math.IsInf(sum, 1) {
+		if sum := f[totalDev]; !math.IsInf(sum, 1) {
 			total := sum + B*tmax
 			if total < bestT {
 				bestT = total
-				bestPlan = reconstruct(choice, meshes, numSegments, totalDev, func(lo, hi, mesh int) float64 {
-					return est[pairKey{lo, hi, mesh}]
-				})
+				bestPlan = reconstruct(choice, W, meshes, numSegments, totalDev, est)
 				bestPlan.Est = total
 				stats.Improvements++
 			}
@@ -240,6 +239,26 @@ func Optimize(numSegments int, p cluster.Platform, lat LatencyFn, opt Options) (
 	dpSpan.End()
 	return bestPlan, !math.IsInf(bestT, 1)
 }
+
+// estTable holds the search's stage estimates densely, indexed by (lo,
+// stage length, mesh): +Inf marks a pair that is unusable or never asked
+// (beyond the length cap or the model's end).
+type estTable struct {
+	v              []float64
+	maxLen, meshes int
+}
+
+func newEstTable(numSegments, maxLen, meshes int) estTable {
+	v := make([]float64, numSegments*maxLen*meshes)
+	for i := range v {
+		v[i] = math.Inf(1)
+	}
+	return estTable{v, maxLen, meshes}
+}
+
+// at returns the index of stage [lo, hi) on mesh mi; the meshes of one stage
+// are adjacent.
+func (e estTable) at(lo, hi, mi int) int { return (lo*e.maxLen+hi-lo-1)*e.meshes + mi }
 
 func dedup(sorted []float64) []float64 {
 	out := sorted[:0:0]
@@ -251,14 +270,14 @@ func dedup(sorted []float64) []float64 {
 	return out
 }
 
-func reconstruct(choice [][]choicem, meshes []cluster.Mesh, numSegments, totalDev int, est func(lo, hi, mesh int) float64) Plan {
+func reconstruct(choice []choicem, W int, meshes []cluster.Mesh, numSegments, totalDev int, est estTable) Plan {
 	var plan Plan
 	k, d := 0, totalDev
 	for k < numSegments {
-		c := choice[k][d]
+		c := choice[k*W+d]
 		plan.Stages = append(plan.Stages, stage.Spec{Lo: k, Hi: c.hi})
 		plan.Meshes = append(plan.Meshes, meshes[c.mesh])
-		plan.StageEst = append(plan.StageEst, est(k, c.hi, c.mesh))
+		plan.StageEst = append(plan.StageEst, est.v[est.at(k, c.hi, c.mesh)])
 		d -= meshes[c.mesh].NumDevices()
 		k = c.hi
 	}

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"regexp"
@@ -33,11 +34,45 @@ func syntheticLatency(sp stage.Spec, mesh cluster.Mesh) (float64, bool) {
 	return base, true
 }
 
-// bruteForce enumerates every partition/assignment and returns the best
-// Eqn-4 latency.
-func bruteForce(numSegments int, p cluster.Platform, lat LatencyFn, B int) float64 {
+// holeyLatency is syntheticLatency with a seeded subset of pairs made
+// unusable in each way a latency source can say so: ok=false, +Inf, zero and
+// negative estimates.
+func holeyLatency(seed int64, numSegments int, p cluster.Platform) LatencyFn {
+	type key struct{ lo, hi, mesh int }
+	rng := rand.New(rand.NewSource(seed))
+	holes := map[key]int{}
+	for _, sp := range stage.AllSpecs(numSegments, 0) {
+		for _, m := range cluster.Meshes(p) {
+			if r := rng.Intn(10); r < 4 {
+				holes[key{sp.Lo, sp.Hi, m.Index}] = r + 1
+			}
+		}
+	}
+	return func(sp stage.Spec, mesh cluster.Mesh) (float64, bool) {
+		t, _ := syntheticLatency(sp, mesh)
+		switch holes[key{sp.Lo, sp.Hi, mesh.Index}] {
+		case 1:
+			return t, false
+		case 2:
+			return math.Inf(1), true
+		case 3:
+			return 0, true
+		case 4:
+			return -t, true
+		}
+		return t, true
+	}
+}
+
+// bruteForce enumerates every partition/assignment with stages of at most
+// maxLen segments (0 = unbounded) and returns the best Eqn-4 latency over
+// the pairs Optimize counts as feasible.
+func bruteForce(numSegments int, p cluster.Platform, lat LatencyFn, B, maxLen int) float64 {
 	meshes := cluster.Meshes(p)
 	total := p.Nodes * p.GPUsPerNode
+	if maxLen <= 0 {
+		maxLen = numSegments
+	}
 	best := math.Inf(1)
 	var rec func(lo, devLeft int, lats []float64)
 	rec = func(lo, devLeft int, lats []float64) {
@@ -49,12 +84,12 @@ func bruteForce(numSegments int, p cluster.Platform, lat LatencyFn, B int) float
 			}
 			return
 		}
-		for hi := lo + 1; hi <= numSegments; hi++ {
+		for hi := lo + 1; hi <= numSegments && hi-lo <= maxLen; hi++ {
 			for _, m := range meshes {
 				if m.NumDevices() > devLeft {
 					continue
 				}
-				if t, ok := lat(stage.Spec{Lo: lo, Hi: hi}, m); ok {
+				if t, ok := lat(stage.Spec{Lo: lo, Hi: hi}, m); ok && t > 0 && !math.IsInf(t, 1) {
 					rec(hi, devLeft-m.NumDevices(), append(lats, t))
 				}
 			}
@@ -64,17 +99,70 @@ func bruteForce(numSegments int, p cluster.Platform, lat LatencyFn, B int) float
 	return best
 }
 
+// TestOptimizeMatchesBruteForce holds the DP to exhaustive enumeration on
+// both platforms, on a hole-free source and on seeded holey ones, with and
+// without a stage-length cap below the segment count, and pins the search
+// statistics of every case to literals.
 func TestOptimizeMatchesBruteForce(t *testing.T) {
-	for _, p := range []cluster.Platform{cluster.Platform1(), cluster.Platform2()} {
-		for _, L := range []int{3, 5, 6} {
-			plan, ok := Optimize(L, p, syntheticLatency, Options{Microbatches: 8})
-			if !ok {
-				t.Fatalf("%s L=%d: no plan", p.Name, L)
+	p1, p2 := cluster.Platform1(), cluster.Platform2()
+	cases := []struct {
+		p        cluster.Platform
+		segments int
+		maxLen   int
+		holeSeed int64 // 0 = no holes
+		want     SearchStats
+	}{
+		{p: p1, segments: 3,
+			want: SearchStats{Segments: 3, Meshes: 2, Devices: 2, MaxStageLen: 3, LatencyLookups: 12, Feasible: 12, Infeasible: 0, TmaxCandidates: 12, DPStates: 144, DPTransitions: 432, Improvements: 2}},
+		{p: p1, segments: 5,
+			want: SearchStats{Segments: 5, Meshes: 2, Devices: 2, MaxStageLen: 5, LatencyLookups: 30, Feasible: 30, Infeasible: 0, TmaxCandidates: 30, DPStates: 540, DPTransitions: 2700, Improvements: 1}},
+		{p: p1, segments: 6,
+			want: SearchStats{Segments: 6, Meshes: 2, Devices: 2, MaxStageLen: 6, LatencyLookups: 42, Feasible: 42, Infeasible: 0, TmaxCandidates: 42, DPStates: 882, DPTransitions: 5292, Improvements: 1}},
+		{p: p2, segments: 3,
+			want: SearchStats{Segments: 3, Meshes: 3, Devices: 4, MaxStageLen: 3, LatencyLookups: 18, Feasible: 18, Infeasible: 0, TmaxCandidates: 16, DPStates: 320, DPTransitions: 1440, Improvements: 1}},
+		{p: p2, segments: 5,
+			want: SearchStats{Segments: 5, Meshes: 3, Devices: 4, MaxStageLen: 5, LatencyLookups: 45, Feasible: 45, Infeasible: 0, TmaxCandidates: 39, DPStates: 1170, DPTransitions: 8775, Improvements: 2}},
+		{p: p2, segments: 6,
+			want: SearchStats{Segments: 6, Meshes: 3, Devices: 4, MaxStageLen: 6, LatencyLookups: 63, Feasible: 63, Infeasible: 0, TmaxCandidates: 54, DPStates: 1890, DPTransitions: 17010, Improvements: 2}},
+		{p: p1, segments: 6, maxLen: 3,
+			want: SearchStats{Segments: 6, Meshes: 2, Devices: 2, MaxStageLen: 3, LatencyLookups: 30, Feasible: 30, Infeasible: 0, TmaxCandidates: 30, DPStates: 630, DPTransitions: 2700, Improvements: 1}},
+		{p: p2, segments: 6, maxLen: 4,
+			want: SearchStats{Segments: 6, Meshes: 3, Devices: 4, MaxStageLen: 4, LatencyLookups: 54, Feasible: 54, Infeasible: 0, TmaxCandidates: 46, DPStates: 1610, DPTransitions: 12420, Improvements: 2}},
+		{p: p1, segments: 5, holeSeed: 1,
+			want: SearchStats{Segments: 5, Meshes: 2, Devices: 2, MaxStageLen: 5, LatencyLookups: 30, Feasible: 22, Infeasible: 8, TmaxCandidates: 22, DPStates: 396, DPTransitions: 1980, Improvements: 1}},
+		{p: p2, segments: 6, holeSeed: 2,
+			want: SearchStats{Segments: 6, Meshes: 3, Devices: 4, MaxStageLen: 6, LatencyLookups: 63, Feasible: 43, Infeasible: 20, TmaxCandidates: 38, DPStates: 1330, DPTransitions: 11970, Improvements: 3}},
+		{p: p2, segments: 7, maxLen: 3, holeSeed: 3,
+			want: SearchStats{Segments: 7, Meshes: 3, Devices: 4, MaxStageLen: 3, LatencyLookups: 54, Feasible: 34, Infeasible: 20, TmaxCandidates: 31, DPStates: 1240, DPTransitions: 8370, Improvements: 1}},
+		{p: p1, segments: 7, maxLen: 5, holeSeed: 4,
+			want: SearchStats{Segments: 7, Meshes: 2, Devices: 2, MaxStageLen: 5, LatencyLookups: 50, Feasible: 33, Infeasible: 17, TmaxCandidates: 33, DPStates: 792, DPTransitions: 4950, Improvements: 1}},
+		{p: p2, segments: 8, maxLen: 3, holeSeed: 5,
+			want: SearchStats{Segments: 8, Meshes: 3, Devices: 4, MaxStageLen: 3, LatencyLookups: 63, Feasible: 43, Infeasible: 20, TmaxCandidates: 39, DPStates: 1755, DPTransitions: 12285, Improvements: 1}},
+		{p: p2, segments: 8, maxLen: 2, holeSeed: 5,
+			want: SearchStats{Segments: 8, Meshes: 3, Devices: 4, MaxStageLen: 2, LatencyLookups: 45, Feasible: 29, Infeasible: 16, TmaxCandidates: 25, DPStates: 1125, DPTransitions: 5625, Improvements: 0}}, // no plan: too few feasible stages
+	}
+	for _, tc := range cases {
+		lat := syntheticLatency
+		if tc.holeSeed != 0 {
+			lat = holeyLatency(tc.holeSeed, tc.segments, tc.p)
+		}
+		var stats SearchStats
+		plan, ok := Optimize(tc.segments, tc.p, lat, Options{Microbatches: 8, MaxStageLen: tc.maxLen, Stats: &stats})
+		want := bruteForce(tc.segments, tc.p, lat, 8, tc.maxLen)
+		name := fmt.Sprintf("%s L=%d cap=%d holes=%d", tc.p.Name, tc.segments, tc.maxLen, tc.holeSeed)
+		if ok != !math.IsInf(want, 1) {
+			t.Fatalf("%s: DP found a plan %v, brute force best %v", name, ok, want)
+		}
+		if ok && math.Abs(plan.Est-want)/want > 1e-9 {
+			t.Fatalf("%s: DP %v, brute force %v", name, plan.Est, want)
+		}
+		for _, sp := range plan.Stages {
+			if tc.maxLen > 0 && sp.Len() > tc.maxLen {
+				t.Fatalf("%s: stage %v exceeds the cap", name, sp)
 			}
-			want := bruteForce(L, p, syntheticLatency, 8)
-			if math.Abs(plan.Est-want)/want > 1e-9 {
-				t.Fatalf("%s L=%d: DP %v, brute force %v", p.Name, L, plan.Est, want)
-			}
+		}
+		if stats != tc.want {
+			t.Errorf("%s: stats %+v, want %+v", name, stats, tc.want)
 		}
 	}
 }

@@ -69,13 +69,24 @@ func memoized(meter *Meter, compute func(sp stage.Spec, mesh cluster.Mesh) float
 // (stage, mesh) pair is intra-op-optimized, compiled, and profiled under
 // every Table-III configuration, charging the full cost to meter. The
 // simulated platform pays for every pair; the simulator itself builds and
-// optimizes each stage class once per configuration (predictor.Labeler).
+// optimizes each stage class once per configuration (predictor.Labeler),
+// the mesh's configurations concurrently (Labeler.Fill), and charges the
+// meter serially in configuration order.
 func FullProfiling(mdl *models.Model, prof sim.Profiler, meter *Meter) LatencyFn {
 	lab := predictor.NewLabeler(mdl, prof)
+	scenarios := map[int][]cluster.Scenario{} // per mesh index, as memoized keys
 	return memoized(meter, func(sp stage.Spec, mesh cluster.Mesh) float64 {
+		scs, ok := scenarios[mesh.Index]
+		if !ok {
+			for _, conf := range cluster.ConfigsFor(mesh) {
+				scs = append(scs, cluster.Scenario{Mesh: mesh, Config: conf})
+			}
+			scenarios[mesh.Index] = scs
+		}
+		lab.Fill(sp, scs)
 		best := math.Inf(1)
-		for _, conf := range cluster.ConfigsFor(mesh) {
-			_, measured, cost, ok := lab.Label(sp, cluster.Scenario{Mesh: mesh, Config: conf})
+		for _, sc := range scs {
+			_, measured, cost, ok := lab.Label(sp, sc)
 			if !ok {
 				continue
 			}

@@ -218,3 +218,81 @@ func TestTrainPredictorProviderWorkerInvariant(t *testing.T) {
 		t.Fatalf("meter: GOMAXPROCS=3 %+v != GOMAXPROCS=1 %+v", concurrent.meter, serial.meter)
 	}
 }
+
+// TestFullProfilingWorkerInvariant checks the labeler's concurrent fill of a
+// mesh's configurations keeps every bit: planned under GOMAXPROCS 1 (serial)
+// and 3 (more workers than cores), every answer the search asked for, the
+// plan, its search statistics and every meter field must be identical — the
+// labels land in their own slots and the meter is charged in configuration
+// order. It runs under -short so the race pass covers the fan-out.
+func TestFullProfilingWorkerInvariant(t *testing.T) {
+	p := cluster.Platform2()
+	type lookup struct {
+		t  uint64
+		ok bool
+	}
+	type result struct {
+		lookups []lookup
+		plan    Plan
+		stats   SearchStats
+		meter   Meter
+	}
+	run := func(procs int) result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		mdl := tinyModel()
+		// A non-round opening charge makes the sum show the order the
+		// profiles were added in.
+		r := result{meter: Meter{ProfileSeconds: 0.3}}
+		full := FullProfiling(mdl, sim.DefaultProfiler(), &r.meter)
+		lat := func(sp stage.Spec, mesh cluster.Mesh) (float64, bool) {
+			v, ok := full(sp, mesh)
+			r.lookups = append(r.lookups, lookup{math.Float64bits(v), ok})
+			return v, ok
+		}
+		var found bool
+		r.plan, found = Optimize(mdl.NumSegments(), p, lat, Options{Microbatches: 8, Stats: &r.stats})
+		if !found {
+			t.Fatalf("GOMAXPROCS=%d: no plan", procs)
+		}
+		// A second sweep is all cache hits.
+		for _, sp := range stage.AllSpecs(mdl.NumSegments(), 0) {
+			for _, mesh := range cluster.Meshes(p) {
+				lat(sp, mesh)
+			}
+		}
+		return r
+	}
+	serial, concurrent := run(1), run(3)
+	if len(concurrent.lookups) != len(serial.lookups) {
+		t.Fatalf("GOMAXPROCS=3 asked %d lookups, GOMAXPROCS=1 %d", len(concurrent.lookups), len(serial.lookups))
+	}
+	for i, want := range serial.lookups {
+		if got := concurrent.lookups[i]; got != want {
+			t.Fatalf("lookup %d: GOMAXPROCS=3 %+v != GOMAXPROCS=1 %+v", i, got, want)
+		}
+	}
+	if concurrent.stats != serial.stats {
+		t.Fatalf("stats: GOMAXPROCS=3 %+v != GOMAXPROCS=1 %+v", concurrent.stats, serial.stats)
+	}
+	sp, cp := serial.plan, concurrent.plan
+	if math.Float64bits(cp.Est) != math.Float64bits(sp.Est) || len(cp.Stages) != len(sp.Stages) {
+		t.Fatalf("plan: GOMAXPROCS=3 %+v != GOMAXPROCS=1 %+v", cp, sp)
+	}
+	for i := range sp.Stages {
+		if cp.Stages[i] != sp.Stages[i] || cp.Meshes[i].Index != sp.Meshes[i].Index ||
+			math.Float64bits(cp.StageEst[i]) != math.Float64bits(sp.StageEst[i]) {
+			t.Fatalf("plan stage %d: GOMAXPROCS=3 %+v != GOMAXPROCS=1 %+v", i, cp, sp)
+		}
+	}
+	bits := func(m Meter) [7]uint64 {
+		return [7]uint64{math.Float64bits(m.ProfileSeconds), math.Float64bits(m.TrainSeconds),
+			math.Float64bits(m.InferSeconds), uint64(m.StagesProfiled), uint64(m.CacheHits), uint64(m.CacheMisses),
+			math.Float64bits(m.Total())}
+	}
+	if bits(concurrent.meter) != bits(serial.meter) {
+		t.Fatalf("meter: GOMAXPROCS=3 %+v != GOMAXPROCS=1 %+v", concurrent.meter, serial.meter)
+	}
+	if serial.meter.CacheHits == 0 || serial.meter.StagesProfiled == 0 {
+		t.Fatalf("the runs profiled %d labels and hit the cache %d times", serial.meter.StagesProfiled, serial.meter.CacheHits)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"predtop/internal/intraop"
 	"predtop/internal/ir"
 	"predtop/internal/models"
+	"predtop/internal/parallel"
 	"predtop/internal/sim"
 	"predtop/internal/stage"
 )
@@ -84,20 +85,29 @@ func (e *Encoder) Encode(sp stage.Spec) *stage.Encoded {
 // two parts. The intra-op optimum and the simulated profiling cost depend
 // only on the stage's training graph and the scenario, so a Labeler builds
 // each stage class's training graph once and optimizes and costs it once per
-// scenario. The noisy measurement is drawn per spec, from a seed of (lo, hi,
-// platform, mesh, config). A Labeler is not safe for concurrent use; its
+// scenario (classLabelOf); Fill computes a class's missing scenarios
+// concurrently. The noisy measurement is drawn per spec, from a seed of (lo,
+// hi, platform, mesh, config). A Labeler is not safe for concurrent use; its
 // caches live as long as it does.
 type Labeler struct {
 	model  *models.Model
 	prof   sim.Profiler
 	graphs map[models.StageClass]*ir.Graph
 	labels map[labelKey]classLabel
+	// lastSpec and lastClass keep the last class asked for: Fill and the
+	// Labels that follow it ask about one spec in a row.
+	lastSpec  stage.Spec
+	lastClass models.StageClass
 }
 
 // labelKey names one stage class under one scenario.
 type labelKey struct {
 	class                models.StageClass
 	platform, mesh, conf int
+}
+
+func keyOf(class models.StageClass, sc cluster.Scenario) labelKey {
+	return labelKey{class, sc.Mesh.Platform.Index, sc.Mesh.Index, sc.Config.Index}
 }
 
 // classLabel is the per-(class, scenario) part of a label; ok is false when
@@ -112,9 +122,17 @@ func NewLabeler(m *models.Model, prof sim.Profiler) *Labeler {
 	return &Labeler{model: m, prof: prof, graphs: map[models.StageClass]*ir.Graph{}, labels: map[labelKey]classLabel{}}
 }
 
+// classOf returns sp's stage class.
+func (l *Labeler) classOf(sp stage.Spec) models.StageClass {
+	if sp != l.lastSpec || l.lastClass == (models.StageClass{}) {
+		l.lastSpec, l.lastClass = sp, l.model.StageClass(sp.Lo, sp.Hi)
+	}
+	return l.lastClass
+}
+
 // TrainingGraph returns sp's forward+backward graph, built once per class.
 func (l *Labeler) TrainingGraph(sp stage.Spec) *ir.Graph {
-	class := l.model.StageClass(sp.Lo, sp.Hi)
+	class := l.classOf(sp)
 	g, ok := l.graphs[class]
 	if !ok {
 		g = l.model.StageGraph(sp.Lo, sp.Hi, true)
@@ -123,18 +141,48 @@ func (l *Labeler) TrainingGraph(sp stage.Spec) *ir.Graph {
 	return g
 }
 
+// classLabelOf is the one label function: the intra-op optimum of training
+// graph g under sc and what profiling it costs. It only reads g and l's
+// profiler, so calls for different scenarios may run concurrently.
+func (l *Labeler) classLabelOf(g *ir.Graph, sc cluster.Scenario) classLabel {
+	if res := intraop.Optimize(g, sc); res.Feasible {
+		return classLabel{res.Latency, l.prof.ProfileCostSeconds(g, sim.NewExec(sc), res.Latency), true}
+	}
+	return classLabel{}
+}
+
+// Fill labels sp's class under every scenario of scs it is not yet labeled
+// under, running the missing scenarios concurrently. Each result goes into
+// its own slot and the cache is written serially in scs order, so what Label
+// returns afterwards cannot depend on which scenario finished first.
+func (l *Labeler) Fill(sp stage.Spec, scs []cluster.Scenario) {
+	class := l.classOf(sp)
+	var missing []cluster.Scenario
+	for _, sc := range scs {
+		if _, done := l.labels[keyOf(class, sc)]; !done {
+			missing = append(missing, sc)
+		}
+	}
+	if len(missing) == 0 {
+		return
+	}
+	g := l.TrainingGraph(sp)
+	labs := make([]classLabel, len(missing))
+	parallel.For(len(missing), func(i int) { labs[i] = l.classLabelOf(g, missing[i]) })
+	for i, sc := range missing {
+		l.labels[keyOf(class, sc)] = labs[i]
+	}
+}
+
 // Label returns sp's simulator-exact optimal training latency under sc, a
 // noisy profiled measurement of it, and the simulated seconds the profile
 // cost. ok is false when the stage does not fit the scenario's devices (such
 // stages are not profiled and cost nothing).
 func (l *Labeler) Label(sp stage.Spec, sc cluster.Scenario) (trueLat, measured, cost float64, ok bool) {
-	k := labelKey{l.model.StageClass(sp.Lo, sp.Hi), sc.Mesh.Platform.Index, sc.Mesh.Index, sc.Config.Index}
+	k := keyOf(l.classOf(sp), sc)
 	lab, done := l.labels[k]
 	if !done {
-		g := l.TrainingGraph(sp)
-		if res := intraop.Optimize(g, sc); res.Feasible {
-			lab = classLabel{res.Latency, l.prof.ProfileCostSeconds(g, sim.NewExec(sc), res.Latency), true}
-		}
+		lab = l.classLabelOf(l.TrainingGraph(sp), sc)
 		l.labels[k] = lab
 	}
 	if !lab.ok {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"hash/fnv"
 	"math"
 
 	"predtop/internal/ir"
@@ -29,13 +28,7 @@ func (p Profiler) Measure(trueLatency float64, seed uint64) float64 {
 		return trueLatency
 	}
 	// Deterministic gaussian via hashed Box-Muller.
-	h := fnv.New64a()
-	var buf [8]byte
-	for i := range buf {
-		buf[i] = byte(seed >> (8 * i))
-	}
-	h.Write(buf[:])
-	v := h.Sum64()
+	v := fnvPut(fnvOffset64, seed, 8)
 	u1 := (float64(v%1_000_003) + 1) / 1_000_004
 	u2 := float64((v/1_000_003)%1_000_003) / 1_000_003
 	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)

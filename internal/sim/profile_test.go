@@ -14,11 +14,11 @@ func TestOpTimeNonOperatorsFree(t *testing.T) {
 	in := b.Input("x", []int{64, 64}, ir.F32)
 	w := b.Weight("w", []int{64, 64}, ir.F32)
 	ar := b.AllReduce(in)
-	if e.OpTime(in, 1, false) != 0 || e.OpTime(w, 1, false) != 0 {
+	if e.Cost(in).Time(1, false) != 0 || e.Cost(w).Time(1, false) != 0 {
 		t.Fatal("inputs/literals must not carry compute time")
 	}
-	if e.OpTime(ar, 1, false) != 0 {
-		t.Fatal("collectives are costed by the collective model, not OpTime")
+	if e.Cost(ar).Time(1, false) != 0 {
+		t.Fatal("collectives are costed by the collective model, not Cost")
 	}
 }
 
@@ -31,8 +31,8 @@ func TestGatherSlowerThanElementwise(t *testing.T) {
 	ew := b.Unary(ir.KindExp, g)
 	// Same output bytes, but gather's irregular access must cost more than
 	// a streaming element-wise kernel over the same output.
-	tg := e.OpTime(g, 1, false)
-	te := e.OpTime(ew, 1, false)
+	tg := e.Cost(g).Time(1, false)
+	te := e.Cost(ew).Time(1, false)
 	if tg <= te {
 		t.Fatalf("gather (%v) should cost more than exp (%v)", tg, te)
 	}
@@ -45,7 +45,7 @@ func TestConvertCostedByBandwidth(t *testing.T) {
 	cv := b.Convert(x, ir.BF16)
 	bytes := float64(x.Bytes() + cv.Bytes())
 	ideal := bytes / (e.Mesh.Platform.GPU.MemBandwidthGBs * 1e9)
-	got := e.OpTime(cv, 1, false)
+	got := e.Cost(cv).Time(1, false)
 	if got < ideal || got > ideal*3 {
 		t.Fatalf("convert time %v vs bandwidth ideal %v", got, ideal)
 	}
@@ -55,7 +55,7 @@ func TestDifferentPlatformsDifferentCosts(t *testing.T) {
 	n := dotNode(1024, 2048, 2048)
 	e1 := NewExec(scenario(cluster.Platform1(), 1, 1))
 	e2 := NewExec(scenario(cluster.Platform2(), 1, 1))
-	if e1.OpTime(n, 1, false) == e2.OpTime(n, 1, false) {
+	if e1.Cost(n).Time(1, false) == e2.Cost(n).Time(1, false) {
 		t.Fatal("A40 and A5500 should not cost identically")
 	}
 }

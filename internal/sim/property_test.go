@@ -22,7 +22,7 @@ func TestOpTimeMonotoneInWork(t *testing.T) {
 		big := dotNode(2*m, 2*k, 2*n)
 		// Allow jitter headroom: 8× the flops with ±10% jitter must still
 		// cost strictly more.
-		return e.OpTime(big, 1, false) > e.OpTime(small, 1, false)
+		return e.Cost(big).Time(1, false) > e.Cost(small).Time(1, false)
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
@@ -54,9 +54,9 @@ func TestShardingNeverSlower(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := dotNode(64+rng.Intn(1024), 64+rng.Intn(1024), 64+rng.Intn(1024))
-		t1 := e.OpTime(n, 1, false)
-		t2 := e.OpTime(n, 2, false)
-		t4 := e.OpTime(n, 4, false)
+		t1 := e.Cost(n).Time(1, false)
+		t2 := e.Cost(n).Time(2, false)
+		t4 := e.Cost(n).Time(4, false)
 		return t4 <= t2 && t2 <= t1
 	}
 	if err := quick.Check(f, cfg); err != nil {

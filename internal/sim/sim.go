@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"hash/fnv"
 	"math"
 
 	"predtop/internal/cluster"
@@ -53,28 +52,40 @@ func (e Exec) DPFabric() cluster.Interconnect {
 	return e.Mesh.Platform.InterNode
 }
 
+// FNV-1a (64-bit) parameters: the hash behind the jitter and the profiler's
+// measurement noise, inlined so a hash costs no allocation.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvPut folds the low n bytes of v, least significant first, into the
+// FNV-1a state h.
+func fnvPut(h, v uint64, n int) uint64 {
+	for i := 0; i < n; i++ {
+		h ^= uint64(byte(v >> (8 * i)))
+		h *= fnvPrime64
+	}
+	return h
+}
+
 // jitter returns a deterministic efficiency perturbation in
 // [1−amp, 1+amp] keyed by the operator's kind, shape, dtype, and the device
 // context — the shape-specific kernel-selection quirks real GPUs exhibit.
+// The key is FNV-1a over 4 little-endian bytes per field: kind, dtype, each
+// shape dimension, platform index, mesh index, data- and model-parallel
+// degree.
 func (e Exec) jitter(n *ir.Node, amp float64) float64 {
-	h := fnv.New64a()
-	buf := make([]byte, 0, 64)
-	put := func(v int) {
-		for i := 0; i < 4; i++ {
-			buf = append(buf, byte(v>>(8*i)))
-		}
-	}
-	put(int(n.Kind))
-	put(int(n.DType))
+	h := fnvPut(fnvOffset64, uint64(n.Kind), 4)
+	h = fnvPut(h, uint64(n.DType), 4)
 	for _, d := range n.Shape {
-		put(d)
+		h = fnvPut(h, uint64(d), 4)
 	}
-	put(e.Mesh.Platform.Index)
-	put(e.Mesh.Index)
-	put(e.Config.DataParallel)
-	put(e.Config.ModelParallel)
-	h.Write(buf)
-	u := float64(h.Sum64()%1_000_003) / 1_000_003.0
+	h = fnvPut(h, uint64(e.Mesh.Platform.Index), 4)
+	h = fnvPut(h, uint64(e.Mesh.Index), 4)
+	h = fnvPut(h, uint64(e.Config.DataParallel), 4)
+	h = fnvPut(h, uint64(e.Config.ModelParallel), 4)
+	u := float64(h%1_000_003) / 1_000_003.0
 	return 1 - amp + 2*amp*u
 }
 
@@ -95,23 +106,31 @@ func (e Exec) dotEfficiency(n *ir.Node) float64 {
 	return eff * e.jitter(n, 0.10)
 }
 
-// OpTime returns the execution time in seconds of node n when its work is
-// divided over shard devices. fused marks an element-wise operator fused
-// into its producer's kernel (near-free: no launch, no extra memory pass).
-func (e Exec) OpTime(n *ir.Node, shard int, fused bool) float64 {
+// OpCost is one operator's cost under an Exec with the shard count and
+// fusion left open: its work, its memory traffic and its jittered
+// efficiency, computed once so each layout or strategy a caller weighs costs
+// only a division (Time).
+type OpCost struct {
+	free   bool    // not a kernel: inputs, weights, collectives
+	dot    bool    // compute-bound candidate; everything else streams memory
+	flops  float64 // whole-operator work
+	bytes  float64 // output plus operand traffic
+	rate   float64 // achieved FLOP/s: peak × efficiency
+	eff    float64 // efficiency, which also slows bandwidth-bound kernels
+	bw     float64 // memory bandwidth in B/s
+	launch float64 // kernel-launch overhead in seconds
+}
+
+// Cost returns n's shard-independent cost terms under e.
+func (e Exec) Cost(n *ir.Node) OpCost {
 	if n.Class != ir.ClassOperator || n.Kind.IsCollective() {
-		return 0
+		return OpCost{free: true}
 	}
 	gpu := e.Mesh.Platform.GPU
-	launch := gpu.KernelLaunchUS * 1e-6
-	flops := float64(n.Flops()) / float64(shard)
-
 	bytes := float64(n.Bytes())
 	for _, in := range n.Ins {
 		bytes += float64(in.Bytes())
 	}
-	bytes /= float64(shard)
-
 	var eff float64
 	switch {
 	case n.Kind == ir.KindDot:
@@ -122,20 +141,33 @@ func (e Exec) OpTime(n *ir.Node, shard int, fused bool) float64 {
 	default:
 		eff = 0.9 * e.jitter(n, 0.05)
 	}
+	return OpCost{
+		dot: n.Kind == ir.KindDot, flops: float64(n.Flops()), bytes: bytes,
+		rate: e.Peak(n.DType) * eff, eff: eff,
+		bw: gpu.MemBandwidthGBs * 1e9, launch: gpu.KernelLaunchUS * 1e-6,
+	}
+}
 
-	compute := flops / (e.Peak(n.DType) * eff)
-	memory := bytes / (gpu.MemBandwidthGBs * 1e9)
-	if n.Kind != ir.KindDot {
+// Time returns the operator's execution time in seconds when its work is
+// divided over shard devices. fused marks an element-wise operator fused
+// into its producer's kernel (near-free: no launch, no extra memory pass).
+func (c OpCost) Time(shard int, fused bool) float64 {
+	if c.free {
+		return 0
+	}
+	s := float64(shard)
+	var t float64
+	if c.dot {
+		t = math.Max(c.flops/s/c.rate, c.bytes/s/c.bw)
+	} else {
 		// Element-wise and data-movement kernels are bandwidth-bound; their
 		// arithmetic is hidden under the memory streams.
-		compute = 0
-		memory /= eff
+		t = c.bytes / s / c.bw / c.eff
 	}
-	t := math.Max(compute, memory)
 	if fused {
 		return t * 0.08
 	}
-	return t + launch
+	return t + c.launch
 }
 
 // RingTime returns the time of a ring-based collective moving the given

@@ -33,8 +33,8 @@ func dotNode(m, k, n int) *ir.Node {
 func TestOpTimePositiveAndShardScaling(t *testing.T) {
 	e := NewExec(scenario(cluster.Platform2(), 3, 3)) // 4-way MP
 	n := dotNode(1024, 2048, 2048)
-	t1 := e.OpTime(n, 1, false)
-	t4 := e.OpTime(n, 4, false)
+	t1 := e.Cost(n).Time(1, false)
+	t4 := e.Cost(n).Time(4, false)
 	if t1 <= 0 || t4 <= 0 {
 		t.Fatalf("non-positive op times %v %v", t1, t4)
 	}
@@ -50,7 +50,7 @@ func TestOpTimePositiveAndShardScaling(t *testing.T) {
 func TestOpTimeLargeDotNearPeak(t *testing.T) {
 	e := singleGPU()
 	n := dotNode(4096, 4096, 4096)
-	got := e.OpTime(n, 1, false)
+	got := e.Cost(n).Time(1, false)
 	ideal := float64(n.Flops()) / e.Peak(ir.BF16)
 	if got < ideal {
 		t.Fatalf("faster than peak: %v < %v", got, ideal)
@@ -64,8 +64,8 @@ func TestSmallDotLessEfficient(t *testing.T) {
 	e := singleGPU()
 	big := dotNode(1024, 1024, 1024)
 	small := dotNode(32, 32, 32)
-	effBig := float64(big.Flops()) / e.Peak(ir.BF16) / e.OpTime(big, 1, false)
-	effSmall := float64(small.Flops()) / e.Peak(ir.BF16) / e.OpTime(small, 1, false)
+	effBig := float64(big.Flops()) / e.Peak(ir.BF16) / e.Cost(big).Time(1, false)
+	effSmall := float64(small.Flops()) / e.Peak(ir.BF16) / e.Cost(small).Time(1, false)
 	if effSmall >= effBig {
 		t.Fatalf("small dot should be less efficient: %v vs %v", effSmall, effBig)
 	}
@@ -78,8 +78,8 @@ func TestFusedOpsMuchCheaper(t *testing.T) {
 	y := b.Unary(ir.KindExp, x)
 	b.Output(y)
 	n := y
-	tUnfused := e.OpTime(n, 1, false)
-	tFused := e.OpTime(n, 1, true)
+	tUnfused := e.Cost(n).Time(1, false)
+	tFused := e.Cost(n).Time(1, true)
 	if tFused >= tUnfused/3 {
 		t.Fatalf("fusion should be a large saving: %v vs %v", tFused, tUnfused)
 	}
@@ -253,7 +253,7 @@ func TestStageLatencyMagnitudePlausible(t *testing.T) {
 	}
 	total := 0.0
 	for _, n := range g.Nodes {
-		total += e.OpTime(n, 1, Fused(n, consumers))
+		total += e.Cost(n).Time(1, Fused(n, consumers))
 	}
 	if total < 0.5e-3 || total > 60e-3 {
 		t.Fatalf("implausible layer latency %v s", total)
