@@ -52,7 +52,9 @@ bench-module:
 # paths — training's per-graph minibatch and evaluation tapes,
 # batched prediction, the serving daemon, and the experiment grids —
 # including the hook-instrumented training tests (TestTrainHooksAndHistory
-# and the hooked rows of the bitwise-determinism table), the
+# and the hooked rows of the bitwise-determinism table), the labeler's
+# per-mesh fan-out under Alpa-Full (TestFullProfilingWorkerInvariant) and
+# under the ground truth (TestEvaluateAndWhatIfWorkerInvariant), the
 # flight-recorder panic-injection tests in
 # internal/parallel and internal/obs, and the concurrent ring-buffer writes —
 # but drops the slow grid regenerations.

@@ -140,10 +140,10 @@ func BenchmarkFig10aOptimizationCost(b *testing.B) {
 		var partial, tran float64
 		for _, r := range runs {
 			if r.Version == "Alpa-Partial" {
-				partial = r.OptimizeSeconds
+				partial = r.Meter.Total()
 			}
 			if r.Version == "PredTOP-Tran" {
-				tran = r.OptimizeSeconds
+				tran = r.Meter.Total()
 			}
 		}
 		if partial > 0 {
@@ -160,11 +160,14 @@ func BenchmarkFig10bPlanQuality(b *testing.B) {
 		runs := experiments.RunFig10(p, p.Benchmarks()[1], nil)
 		var full, tran float64
 		for _, r := range runs {
+			if !r.OK {
+				continue
+			}
 			if r.Version == "Alpa-Full" {
-				full = r.IterationLatency
+				full = r.Report.Pipeline.Total
 			}
 			if r.Version == "PredTOP-Tran" {
-				tran = r.IterationLatency
+				tran = r.Report.Pipeline.Total
 			}
 		}
 		if full > 0 {

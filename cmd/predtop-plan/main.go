@@ -48,6 +48,7 @@ import (
 	"predtop/internal/experiments"
 	"predtop/internal/planner"
 	"predtop/internal/predictor"
+	"predtop/internal/sim"
 )
 
 func main() {
@@ -185,13 +186,14 @@ func saveReports(dir, bench string, runs []experiments.PlanRun) error {
 // (as *-whatif.json) when -report is set.
 func runWhatIf(w io.Writer, p experiments.Preset, b experiments.Benchmark, runs []experiments.PlanRun, pt planner.Perturbation, reportDir string) error {
 	mdl, _ := experiments.Fig10Model(p, b)
+	lab := predictor.NewLabeler(mdl, sim.DefaultProfiler())
 	platform := cluster.Platform2()
 	fmt.Fprintf(w, "what-if scenario: %s (%s benchmark)\n", pt.String(), b.Name)
 	for _, r := range runs {
 		if !r.OK || r.Report == nil {
 			continue
 		}
-		scen, ok := planner.WhatIf(mdl, platform, r.Plan, p.Microbatches, pt, planner.ReportOptions{
+		scen, ok := planner.WhatIf(lab, platform, r.Plan, p.Microbatches, pt, planner.ReportOptions{
 			Version:    r.Version,
 			TraceID:    r.Report.TraceID,
 			Provenance: r.Report.Provenance,

@@ -29,7 +29,7 @@ func savedReport(t *testing.T, dir, name string, slow float64) string {
 		lats[i], _ = lat(sp, plan.Meshes[i])
 	}
 	path := filepath.Join(dir, name)
-	r := planner.BuildReport(nil, p, plan, planner.ReportOptions{Version: "test", Microbatches: 8, StageLats: lats})
+	r := planner.BuildReport(nil, p, plan, lats, planner.ReportOptions{Version: "test", Microbatches: 8})
 	if err := r.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}

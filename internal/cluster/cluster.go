@@ -12,8 +12,9 @@ import (
 // GPUSpec describes one accelerator.
 type GPUSpec struct {
 	Name string
-	// PeakTFLOPS is the theoretical peak throughput per element type.
-	PeakTFLOPS map[ir.DType]float64
+	// PeakTFLOPS is the theoretical peak throughput per element type. An
+	// array, not a map, so a Platform (and a Scenario) is a comparable value.
+	PeakTFLOPS [ir.NumDTypes]float64
 	// MemBandwidthGBs is HBM/GDDR bandwidth in GB/s.
 	MemBandwidthGBs float64
 	// MemoryGB is device memory capacity.
@@ -26,7 +27,7 @@ type GPUSpec struct {
 func A40() GPUSpec {
 	return GPUSpec{
 		Name: "A40",
-		PeakTFLOPS: map[ir.DType]float64{
+		PeakTFLOPS: [ir.NumDTypes]float64{
 			ir.F32: 37.4, ir.F16: 149.7, ir.BF16: 149.7,
 			ir.I32: 18.7, ir.U32: 18.7, ir.Bool: 18.7,
 		},
@@ -40,7 +41,7 @@ func A40() GPUSpec {
 func A5500() GPUSpec {
 	return GPUSpec{
 		Name: "A5500",
-		PeakTFLOPS: map[ir.DType]float64{
+		PeakTFLOPS: [ir.NumDTypes]float64{
 			ir.F32: 34.1, ir.F16: 136.4, ir.BF16: 136.4,
 			ir.I32: 17.1, ir.U32: 17.1, ir.Bool: 17.1,
 		},
@@ -160,7 +161,8 @@ func ConfigsFor(m Mesh) []ParallelConfig {
 }
 
 // Scenario is one (mesh, configuration) runtime pair — the unit the paper's
-// MRE tables are indexed by.
+// MRE tables are indexed by. It is a comparable value, so labels can be keyed
+// by the whole scenario rather than by its indices.
 type Scenario struct {
 	Mesh   Mesh
 	Config ParallelConfig

@@ -9,7 +9,9 @@ import (
 
 	"predtop/internal/cluster"
 	"predtop/internal/graphnn"
+	"predtop/internal/planner"
 	"predtop/internal/predictor"
+	"predtop/internal/sim"
 )
 
 // micro is a minimal preset for fast end-to-end harness tests.
@@ -171,32 +173,37 @@ func TestRunFig10EndToEnd(t *testing.T) {
 		t.Skip("training test")
 	}
 	p := micro()
-	runs := RunFig10(p, p.Benchmarks()[0], nil)
+	bench := p.Benchmarks()[0]
+	runs := RunFig10(p, bench, nil)
 	if len(runs) != 5 {
 		t.Fatalf("fig10 versions: %d", len(runs))
 	}
+	mdl, _ := Fig10Model(p, bench)
 	var full, partial PlanRun
 	for _, r := range runs {
 		if !r.OK {
 			t.Fatalf("%s failed", r.Version)
 		}
-		if r.OptimizeSeconds <= 0 || r.IterationLatency <= 0 {
-			t.Fatalf("%s: zero cost or latency", r.Version)
-		}
-		if r.Plan.NumStages() != r.Stages || len(r.Plan.StageEst) != r.Stages {
-			t.Fatalf("%s: run plan incomplete: %+v", r.Version, r.Plan)
-		}
-		// Every feasible run carries a provenance report consistent with the
-		// run's own numbers.
+		// Every feasible run carries a provenance report of its plan.
 		if r.Report == nil {
 			t.Fatalf("%s: no report", r.Version)
 		}
-		if r.Report.Version != r.Version || len(r.Report.Stages) != r.Stages {
+		if r.Meter.Total() <= 0 || r.Report.Pipeline.Total <= 0 {
+			t.Fatalf("%s: zero cost or latency", r.Version)
+		}
+		n := r.Plan.NumStages()
+		if n == 0 || len(r.Plan.StageEst) != n {
+			t.Fatalf("%s: run plan incomplete: %+v", r.Version, r.Plan)
+		}
+		if r.Report.Version != r.Version || len(r.Report.Stages) != n {
 			t.Fatalf("%s: report mismatch: %+v", r.Version, r.Report)
 		}
-		if r.Report.Pipeline.Total != r.IterationLatency {
-			t.Fatalf("%s: report total %v != run latency %v",
-				r.Version, r.Report.Pipeline.Total, r.IterationLatency)
+		// The shared evaluation labeler gives each plan the ground truth a
+		// labeler of its own gives it, to the bit.
+		want, ok := planner.EvaluatePlan(predictor.NewLabeler(mdl, sim.DefaultProfiler()), r.Plan, p.Microbatches)
+		if !ok || math.Float64bits(r.Report.Pipeline.Total) != math.Float64bits(want) {
+			t.Fatalf("%s: report total %v, the plan's own evaluation %v (ok %v)",
+				r.Version, r.Report.Pipeline.Total, want, ok)
 		}
 		if r.Report.LatencySource != "simulator" {
 			t.Fatalf("%s: latency source %q", r.Version, r.Report.LatencySource)
@@ -204,7 +211,7 @@ func TestRunFig10EndToEnd(t *testing.T) {
 		if s := r.Report.Search; s == nil || s.LatencyLookups == 0 || s.TmaxCandidates == 0 {
 			t.Fatalf("%s: search stats missing: %+v", r.Version, s)
 		}
-		if c := r.Report.Cost; c == nil || c.TotalSeconds != r.OptimizeSeconds {
+		if c := r.Report.Cost; c == nil || c.TotalSeconds != r.Meter.Total() {
 			t.Fatalf("%s: cost block missing or wrong: %+v", r.Version, c)
 		}
 		if r.Report.Provenance.Source != r.Version {
@@ -223,15 +230,15 @@ func TestRunFig10EndToEnd(t *testing.T) {
 			partial = r
 		}
 	}
-	if partial.OptimizeSeconds >= full.OptimizeSeconds {
+	if partial.Meter.Total() >= full.Meter.Total() {
 		t.Fatal("partial profiling must cost less than full")
 	}
 	// Every predictor version must beat partial profiling on cost — the
 	// core Fig-10a claim.
 	for _, r := range runs[2:] {
-		if r.OptimizeSeconds >= partial.OptimizeSeconds {
+		if r.Meter.Total() >= partial.Meter.Total() {
 			t.Fatalf("%s (%.0fs) not cheaper than partial (%.0fs)",
-				r.Version, r.OptimizeSeconds, partial.OptimizeSeconds)
+				r.Version, r.Meter.Total(), partial.Meter.Total())
 		}
 	}
 	out := RenderFig10("GPT-3", runs)

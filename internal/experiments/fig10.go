@@ -14,21 +14,28 @@ import (
 	"predtop/internal/sim"
 )
 
-// PlanRun is one bar of Fig 10: a planner version's optimization cost (10a)
-// and the ground-truth iteration latency of the plan it produced (10b).
+// PlanRun is one bar of Fig 10: a planner version's optimization cost (10a,
+// Meter.Total()) and the ground-truth iteration latency of the plan it
+// produced (10b, Report.Pipeline.Total).
 type PlanRun struct {
-	Version          string
-	OptimizeSeconds  float64 // simulated optimization cost
-	Meter            planner.Meter
-	IterationLatency float64 // ground-truth Eqn-4 latency of the plan
-	Stages           int
-	OK               bool
-	// Plan is the winning plan itself (zero when !OK) — the input to
-	// planner.WhatIf replays.
+	Version string
+	Meter   planner.Meter
+	OK      bool
+	// Plan is the winning plan itself (zero when the search found none) —
+	// the input to planner.WhatIf replays.
 	Plan planner.Plan
 	// Report is the plan's provenance report (nil when !OK), attached to the
 	// plan_run JSONL record and written out by predtop-plan -report.
 	Report *planner.Report
+}
+
+// iterationLatency returns the run's ground-truth Eqn-4 latency, 0 when the
+// run found no feasible plan.
+func (r PlanRun) iterationLatency() float64 {
+	if r.Report == nil {
+		return 0
+	}
+	return r.Report.Pipeline.Total
 }
 
 // Fig10Model builds the benchmark model exactly as RunFig10 plans it —
@@ -105,52 +112,47 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 	}
 
 	out := make([]PlanRun, len(specs))
-	logs := make([]string, len(specs))
-	stageLats := make([][]float64, len(specs))
+	stats := make([]planner.SearchStats, len(specs))
 	parallel.For(len(specs), func(i int) {
-		sp := specs[i]
 		runOpts := opts
-		var stats planner.SearchStats
-		runOpts.Stats = &stats
+		runOpts.Stats = &stats[i]
 		// The search times itself: a planner.optimize span on opts.Prof.
-		plan, ok := planner.Optimize(mdl.NumSegments(), platform, sp.latFn, runOpts)
-		run := PlanRun{Version: sp.version, Meter: *sp.meter, OptimizeSeconds: sp.meter.Total(), OK: ok}
-		if ok {
-			run.Plan = plan
-			run.Stages = plan.NumStages()
+		plan, ok := planner.Optimize(mdl.NumSegments(), platform, specs[i].latFn, runOpts)
+		out[i] = PlanRun{Version: specs[i].version, Meter: *specs[i].meter, OK: ok, Plan: plan}
+	})
+
+	// The plans' ground truth comes serially, in version order, from one
+	// labeler: a stage class the versions share is built and labeled once,
+	// and identical plans cost one evaluation.
+	lab := predictor.NewLabeler(mdl, prof)
+	for i, sp := range specs {
+		run := &out[i]
+		var lats []float64
+		if run.OK {
 			evalSpan := p.Obs.Prof.Start("evaluate")
-			if lats, evalOK := planner.StageLatencies(mdl, plan); evalOK {
-				run.IterationLatency = pipeline.Latency(lats, p.Microbatches)
-				stageLats[i] = lats
-				run.Report = planner.BuildReport(mdl, platform, plan, planner.ReportOptions{
-					Version:      sp.version,
-					TraceID:      p.Obs.Ctx.TraceID(),
-					Microbatches: p.Microbatches,
-					Provenance:   sp.info,
-					Search:       &stats,
-					Meter:        sp.meter,
-					StageLats:    lats,
-				})
-			} else {
-				run.OK = false
-			}
+			lats, run.OK = planner.StageLatencies(lab, run.Plan)
 			evalSpan.End()
 		}
-		logs[i] = fmt.Sprintf("[fig10 %s] %-13s opt %.0fs (profile %.0fs train %.0fs infer %.0fs, %d profiles, cache %d/%d) iter %.3fs stages %d\n",
-			bench.Name, sp.version, run.OptimizeSeconds, sp.meter.ProfileSeconds, sp.meter.TrainSeconds,
+		if run.OK {
+			run.Report = planner.BuildReport(mdl, platform, run.Plan, lats, planner.ReportOptions{
+				Version:      sp.version,
+				TraceID:      p.Obs.Ctx.TraceID(),
+				Microbatches: p.Microbatches,
+				Provenance:   sp.info,
+				Search:       &stats[i],
+				Meter:        sp.meter,
+			})
+		}
+		fmt.Fprintf(log, "[fig10 %s] %-13s opt %.0fs (profile %.0fs train %.0fs infer %.0fs, %d profiles, cache %d/%d) iter %.3fs stages %d\n",
+			bench.Name, sp.version, sp.meter.Total(), sp.meter.ProfileSeconds, sp.meter.TrainSeconds,
 			sp.meter.InferSeconds, sp.meter.StagesProfiled, sp.meter.CacheHits, sp.meter.CacheHits+sp.meter.CacheMisses,
-			run.IterationLatency, run.Stages)
-		out[i] = run
-	})
-	for i, line := range logs {
-		io.WriteString(log, line)
-		r := out[i]
-		p.Obs.Events.Emit(planRunRecord{Event: "plan_run", Bench: bench.Name, Version: r.Version, OK: r.OK, Report: r.Report})
+			run.iterationLatency(), len(run.Plan.Stages))
+		p.Obs.Events.Emit(planRunRecord{Event: "plan_run", Bench: bench.Name, Version: run.Version, OK: run.OK, Report: run.Report})
 		// Render each feasible plan's simulated 1F1B schedule as its own set
 		// of trace tracks so plan shapes are comparable side by side.
-		if r.OK && stageLats[i] != nil {
-			if err := pipeline.AddSchedule(p.Obs.Trace, fmt.Sprintf("%s %s ", bench.Name, r.Version), stageLats[i], p.Microbatches); err != nil {
-				fmt.Fprintf(log, "[fig10 %s] %s schedule trace: %v\n", bench.Name, r.Version, err)
+		if run.OK {
+			if err := pipeline.AddSchedule(p.Obs.Trace, fmt.Sprintf("%s %s ", bench.Name, run.Version), lats, p.Microbatches); err != nil {
+				fmt.Fprintf(log, "[fig10 %s] %s schedule trace: %v\n", bench.Name, run.Version, err)
 			}
 		}
 	}
@@ -175,10 +177,10 @@ func RenderFig10(bench string, runs []PlanRun) string {
 	var partialOpt, baseIter float64
 	for _, r := range runs {
 		if r.Version == "Alpa-Partial" {
-			partialOpt = r.OptimizeSeconds
+			partialOpt = r.Meter.Total()
 		}
 		if r.Version == "Alpa-Full" {
-			baseIter = r.IterationLatency
+			baseIter = r.iterationLatency()
 		}
 	}
 	fmt.Fprintf(&b, "Fig 10 (%s benchmark, Platform 2)\n", bench)
@@ -187,19 +189,19 @@ func RenderFig10(bench string, runs []PlanRun) string {
 	for _, r := range runs {
 		delta := ""
 		if partialOpt > 0 {
-			delta = fmt.Sprintf("%+.1f%%", (r.OptimizeSeconds-partialOpt)/partialOpt*100)
+			delta = fmt.Sprintf("%+.1f%%", (r.Meter.Total()-partialOpt)/partialOpt*100)
 		}
 		fmt.Fprintf(&b, "    %-14s %12.0f %12.0f %10.0f %10.0f %12s\n",
-			r.Version, r.OptimizeSeconds, r.Meter.ProfileSeconds, r.Meter.TrainSeconds, r.Meter.InferSeconds, delta)
+			r.Version, r.Meter.Total(), r.Meter.ProfileSeconds, r.Meter.TrainSeconds, r.Meter.InferSeconds, delta)
 	}
 	fmt.Fprintf(&b, "(b) iteration latency of the optimized plan (seconds)\n")
 	fmt.Fprintf(&b, "    %-14s %12s %8s %12s\n", "version", "latency", "stages", "vs full")
 	for _, r := range runs {
 		delta := ""
 		if baseIter > 0 && r.OK {
-			delta = fmt.Sprintf("%+.1f%%", (r.IterationLatency-baseIter)/baseIter*100)
+			delta = fmt.Sprintf("%+.1f%%", (r.iterationLatency()-baseIter)/baseIter*100)
 		}
-		fmt.Fprintf(&b, "    %-14s %12.4f %8d %12s\n", r.Version, r.IterationLatency, r.Stages, delta)
+		fmt.Fprintf(&b, "    %-14s %12.4f %8d %12s\n", r.Version, r.iterationLatency(), len(r.Plan.Stages), delta)
 	}
 	return b.String()
 }

@@ -11,6 +11,8 @@ import (
 	"predtop/internal/models"
 	"predtop/internal/pipeline"
 	"predtop/internal/planner"
+	"predtop/internal/predictor"
+	"predtop/internal/sim"
 )
 
 // Fig2Result is the plan-latency distribution of one benchmark on
@@ -29,13 +31,15 @@ func RunFig2(p Preset, log io.Writer) []Fig2Result {
 	platform := cluster.Platform2()
 	var out []Fig2Result
 	for _, bench := range p.Benchmarks() {
-		mdl := models.Build(bench.Config)
+		// One labeler per benchmark: every draw of a stage class costs its
+		// strategies on the one training graph the labeler built for it.
+		lab := predictor.NewLabeler(models.Build(bench.Config), sim.DefaultProfiler())
 		rng := rand.New(rand.NewSource(p.Seed))
 		var lats []float64
 		attempts := 0
 		for len(lats) < p.RandomPlans && attempts < p.RandomPlans*20 {
 			attempts++
-			if t, ok := planner.RandomPlanLatency(mdl, platform, rng, p.Microbatches); ok {
+			if t, ok := planner.RandomPlanLatency(lab, platform, rng, p.Microbatches); ok {
 				lats = append(lats, t)
 			}
 		}

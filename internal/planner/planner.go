@@ -21,10 +21,9 @@ import (
 	"strconv"
 
 	"predtop/internal/cluster"
-	"predtop/internal/intraop"
-	"predtop/internal/models"
 	"predtop/internal/obs"
 	"predtop/internal/pipeline"
+	"predtop/internal/predictor"
 	"predtop/internal/stage"
 )
 
@@ -285,15 +284,13 @@ func reconstruct(choice []choicem, W int, meshes []cluster.Mesh, numSegments, to
 }
 
 // TrueStageLatency returns the simulator-exact optimal latency of a training
-// stage on a mesh: the best over the mesh's Table-III configurations. ok is
-// false when no configuration fits memory.
-func TrueStageLatency(m *models.Model, sp stage.Spec, mesh cluster.Mesh) (float64, bool) {
-	g := m.StageGraph(sp.Lo, sp.Hi, true)
+// stage on a mesh: the best over the labels lab holds for the mesh's
+// Table-III configurations. ok is false when no configuration fits memory.
+func TrueStageLatency(lab *predictor.Labeler, sp stage.Spec, mesh cluster.Mesh) (float64, bool) {
 	best := math.Inf(1)
-	for _, conf := range cluster.ConfigsFor(mesh) {
-		res := intraop.Optimize(g, cluster.Scenario{Mesh: mesh, Config: conf})
-		if res.Feasible && res.Latency < best {
-			best = res.Latency
+	for _, l := range lab.MeshLabels(sp, mesh) {
+		if l.OK && l.True < best {
+			best = l.True
 		}
 	}
 	return best, !math.IsInf(best, 1)
@@ -302,10 +299,10 @@ func TrueStageLatency(m *models.Model, sp stage.Spec, mesh cluster.Mesh) (float6
 // StageLatencies returns each plan stage's true optimal intra-op latency on
 // its assigned mesh — the input to both Eqn-4 evaluation and schedule-trace
 // rendering. ok is false when any stage is infeasible.
-func StageLatencies(m *models.Model, plan Plan) ([]float64, bool) {
+func StageLatencies(lab *predictor.Labeler, plan Plan) ([]float64, bool) {
 	lats := make([]float64, len(plan.Stages))
 	for i, sp := range plan.Stages {
-		t, ok := TrueStageLatency(m, sp, plan.Meshes[i])
+		t, ok := TrueStageLatency(lab, sp, plan.Meshes[i])
 		if !ok {
 			return nil, false
 		}
@@ -317,8 +314,8 @@ func StageLatencies(m *models.Model, plan Plan) ([]float64, bool) {
 // EvaluatePlan returns the ground-truth Eqn-4 iteration latency of a plan
 // (each stage at its true optimal intra-op latency). ok is false when any
 // stage is infeasible on its assigned mesh.
-func EvaluatePlan(m *models.Model, plan Plan, microbatches int) (float64, bool) {
-	lats, ok := StageLatencies(m, plan)
+func EvaluatePlan(lab *predictor.Labeler, plan Plan, microbatches int) (float64, bool) {
+	lats, ok := StageLatencies(lab, plan)
 	if !ok {
 		return 0, false
 	}

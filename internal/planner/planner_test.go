@@ -217,7 +217,7 @@ func TestEndToEndPlanWithTrueLatency(t *testing.T) {
 	if !ok {
 		t.Fatal("no plan for tiny model on platform 1")
 	}
-	lat, ok := EvaluatePlan(mdl, plan, 8)
+	lat, ok := EvaluatePlan(newLabeler(mdl), plan, 8)
 	if !ok || lat <= 0 {
 		t.Fatalf("plan evaluation failed: %v %v", lat, ok)
 	}
@@ -227,7 +227,7 @@ func TestEndToEndPlanWithTrueLatency(t *testing.T) {
 		Stages: []stage.Spec{{Lo: 0, Hi: mdl.NumSegments()}},
 		Meshes: []cluster.Mesh{meshes[1]},
 	}
-	trivLat, trivOK := EvaluatePlan(mdl, trivial, 8)
+	trivLat, trivOK := EvaluatePlan(newLabeler(mdl), trivial, 8)
 	if trivOK && lat > trivLat*1.0001 {
 		t.Fatalf("optimized plan (%v) worse than trivial plan (%v)", lat, trivLat)
 	}
@@ -309,7 +309,7 @@ func TestPredictorProviderEndToEnd(t *testing.T) {
 	}
 	// Sanity: prediction within an order of magnitude of truth even with
 	// this deliberately under-trained test configuration.
-	truth, _ := TrueStageLatency(mdl, stage.Spec{Lo: 1, Hi: 3}, mesh)
+	truth, _ := TrueStageLatency(newLabeler(mdl), stage.Spec{Lo: 1, Hi: 3}, mesh)
 	if pred > truth*10 || pred < truth/10 {
 		t.Fatalf("prediction %v wildly off truth %v", pred, truth)
 	}
@@ -318,7 +318,7 @@ func TestPredictorProviderEndToEnd(t *testing.T) {
 	if !ok {
 		t.Fatal("no plan from predictions")
 	}
-	if _, ok := EvaluatePlan(mdl, plan, 4); !ok {
+	if _, ok := EvaluatePlan(newLabeler(mdl), plan, 4); !ok {
 		t.Fatal("predicted plan infeasible under ground truth")
 	}
 }
@@ -344,7 +344,7 @@ func TestRandomPlansValidAndVaried(t *testing.T) {
 		}
 		lats[len(plan.Stages)] = true
 
-		if t2, ok := RandomPlanLatency(mdl, p, rng, 8); ok {
+		if t2, ok := RandomPlanLatency(newLabeler(mdl), p, rng, 8); ok {
 			if t2 < lo {
 				lo = t2
 			}
@@ -562,10 +562,16 @@ func TestOptimizeReportedIdenticalPlan(t *testing.T) {
 }
 
 // TrueLatency returns the oracle latency source (simulator-exact optimal
-// stage latencies, no noise, no cost) — useful for tests and upper-bound
-// comparisons.
+// stage latencies, no noise, no cost), answered through one labeler —
+// useful for tests and upper-bound comparisons.
 func TrueLatency(mdl *models.Model) LatencyFn {
+	lab := newLabeler(mdl)
 	return func(sp stage.Spec, mesh cluster.Mesh) (float64, bool) {
-		return TrueStageLatency(mdl, sp, mesh)
+		return TrueStageLatency(lab, sp, mesh)
 	}
+}
+
+// newLabeler returns a fresh labeler of mdl's stages, as the tools build one.
+func newLabeler(mdl *models.Model) *predictor.Labeler {
+	return predictor.NewLabeler(mdl, sim.DefaultProfiler())
 }

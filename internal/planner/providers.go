@@ -68,32 +68,22 @@ func memoized(meter *Meter, compute func(sp stage.Spec, mesh cluster.Mesh) float
 // FullProfiling returns vanilla Alpa's latency source: every queried
 // (stage, mesh) pair is intra-op-optimized, compiled, and profiled under
 // every Table-III configuration, charging the full cost to meter. The
-// simulated platform pays for every pair; the simulator itself builds and
-// optimizes each stage class once per configuration (predictor.Labeler),
-// the mesh's configurations concurrently (Labeler.Fill), and charges the
-// meter serially in configuration order.
+// simulated platform pays for every pair; the simulator itself labels each
+// stage class once per configuration, the mesh's configurations
+// concurrently (predictor.Labeler.MeshLabels), and the meter is charged
+// serially in configuration order.
 func FullProfiling(mdl *models.Model, prof sim.Profiler, meter *Meter) LatencyFn {
 	lab := predictor.NewLabeler(mdl, prof)
-	scenarios := map[int][]cluster.Scenario{} // per mesh index, as memoized keys
 	return memoized(meter, func(sp stage.Spec, mesh cluster.Mesh) float64 {
-		scs, ok := scenarios[mesh.Index]
-		if !ok {
-			for _, conf := range cluster.ConfigsFor(mesh) {
-				scs = append(scs, cluster.Scenario{Mesh: mesh, Config: conf})
-			}
-			scenarios[mesh.Index] = scs
-		}
-		lab.Fill(sp, scs)
 		best := math.Inf(1)
-		for _, sc := range scs {
-			_, measured, cost, ok := lab.Label(sp, sc)
-			if !ok {
+		for _, l := range lab.MeshLabels(sp, mesh) {
+			if !l.OK {
 				continue
 			}
-			meter.ProfileSeconds += cost
+			meter.ProfileSeconds += l.Cost
 			meter.StagesProfiled++
-			if measured < best {
-				best = measured
+			if l.Measured < best {
+				best = l.Measured
 			}
 		}
 		return best

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"strconv"
 	"strings"
@@ -49,7 +50,11 @@ func graphsBuilt(t *testing.T, mdl *models.Model) int {
 // reads, provider construction builds one training and one forward graph per
 // sampled class, and a miss on a spec of an already-built class builds
 // nothing. The meter still moves per spec exactly as labeling each spec from
-// scratch does, and a repeated query builds and charges nothing.
+// scratch does, and a repeated query builds and charges nothing. Ground truth
+// pays the same way: EvaluatePlan builds one training graph per class of the
+// plan, plans evaluated through one labeler (Fig 10) build only the classes
+// no earlier plan had, and Fig 2's draws through one labeler build one graph
+// per class they reach.
 func TestGraphsBuiltPerUnitOfWork(t *testing.T) {
 	prof := sim.DefaultProfiler()
 	sp := stage.Spec{Lo: 1, Hi: 3}
@@ -149,6 +154,70 @@ func TestGraphsBuiltPerUnitOfWork(t *testing.T) {
 	}
 	if *meter != charged {
 		t.Fatalf("a predictor miss on a built class charged %+v, want %+v", *meter, charged)
+	}
+
+	// Ground truth: EvaluatePlan builds one training graph per stage class of
+	// the plan, whatever its stage and configuration counts.
+	mdl = tinyModel()
+	mdl.Prof = obs.NewProfiler()
+	p2 := cluster.Platform2()
+	meshes := cluster.Meshes(p2)
+	plan := Plan{ // [1,3) and [3,5) are both decoder × 2
+		Stages: []stage.Spec{{Lo: 0, Hi: 1}, {Lo: 1, Hi: 3}, {Lo: 3, Hi: 5}, {Lo: 5, Hi: 8}},
+		Meshes: []cluster.Mesh{meshes[0], meshes[2], meshes[1], meshes[0]},
+	}
+	classesOf := func(specs []stage.Spec) map[models.StageClass]bool {
+		set := map[models.StageClass]bool{}
+		for _, sp := range specs {
+			set[mdl.StageClass(sp.Lo, sp.Hi)] = true
+		}
+		return set
+	}
+	lab := newLabeler(mdl)
+	if _, ok := EvaluatePlan(lab, plan, 8); !ok {
+		t.Fatal("plan infeasible")
+	}
+	if got, want := graphsBuilt(t, mdl), len(classesOf(plan.Stages)); got != want {
+		t.Fatalf("EvaluatePlan built %d stage graphs for a plan of %d classes", got, want)
+	}
+	// Fig 10's evaluation: plans evaluated through one labeler build only the
+	// classes no earlier plan had, and an identical plan builds none.
+	built = graphsBuilt(t, mdl)
+	other := Plan{
+		Stages: []stage.Spec{{Lo: 0, Hi: 1}, {Lo: 1, Hi: 3}, {Lo: 3, Hi: 6}, {Lo: 6, Hi: 8}},
+		Meshes: []cluster.Mesh{meshes[1], meshes[1], meshes[0], meshes[0]},
+	}
+	for _, pl := range []Plan{plan, other, other, plan} {
+		if _, ok := StageLatencies(lab, pl); !ok {
+			t.Fatal("plan infeasible")
+		}
+	}
+	newClasses := 0
+	for class := range classesOf(other.Stages) {
+		if !classesOf(plan.Stages)[class] {
+			newClasses++
+		}
+	}
+	if got := graphsBuilt(t, mdl) - built; got != newClasses {
+		t.Fatalf("evaluating plans through one labeler built %d more stage graphs, want %d (the new classes)", got, newClasses)
+	}
+
+	// Fig 2: one labeler per benchmark, so its random draws build one graph
+	// per class they reach. The per-spec reference, on a model of its own and
+	// a copy of the random stream, says which stages the draws reached.
+	mdl = tinyModel()
+	mdl.Prof = obs.NewProfiler()
+	lab = newLabeler(mdl)
+	got, ref := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+	var reached []stage.Spec
+	for range 20 {
+		RandomPlanLatency(lab, p2, got, 8)
+		_, _, specs := refRandomPlanLatency(tinyModel(), p2, ref, 8)
+		reached = append(reached, specs...)
+	}
+	want := len(classesOf(reached))
+	if built := graphsBuilt(t, mdl); built != want || len(reached) <= want {
+		t.Fatalf("20 random draws reached %d stages of %d classes and built %d stage graphs", len(reached), want, built)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"predtop/internal/intraop"
 	"predtop/internal/models"
 	"predtop/internal/pipeline"
+	"predtop/internal/predictor"
 	"predtop/internal/stage"
 )
 
@@ -71,15 +72,16 @@ func RandomPlan(mdl *models.Model, p cluster.Platform, rng *rand.Rand) Plan {
 	}
 }
 
-// RandomPlanLatency evaluates a random plan with random per-stage
-// configurations and random intra-op sharding strategies — the Fig-2
-// experiment showing how widely plan latencies vary on fixed hardware. ok is
-// false when the drawn plan is infeasible (stage exceeds device memory).
-func RandomPlanLatency(mdl *models.Model, p cluster.Platform, rng *rand.Rand, microbatches int) (float64, bool) {
-	plan := RandomPlan(mdl, p, rng)
+// RandomPlanLatency evaluates a random plan of lab's model with random
+// per-stage configurations and random intra-op sharding strategies, drawn on
+// lab's class training graphs — the Fig-2 experiment showing how widely plan
+// latencies vary on fixed hardware. ok is false when the drawn plan is
+// infeasible (stage exceeds device memory).
+func RandomPlanLatency(lab *predictor.Labeler, p cluster.Platform, rng *rand.Rand, microbatches int) (float64, bool) {
+	plan := RandomPlan(lab.Model(), p, rng)
 	lats := make([]float64, len(plan.Stages))
 	for i, sp := range plan.Stages {
-		g := mdl.StageGraph(sp.Lo, sp.Hi, true)
+		g := lab.TrainingGraph(sp)
 		confs := cluster.ConfigsFor(plan.Meshes[i])
 		conf := confs[rng.Intn(len(confs))]
 		sc := cluster.Scenario{Mesh: plan.Meshes[i], Config: conf}

@@ -16,7 +16,7 @@ import (
 
 // StageReport explains one pipeline stage of a plan: which segments it
 // covers, the submesh executing it, and its latency under both the estimate
-// that drove the search and the latency source the report was built with.
+// that drove the search and the ground truth the report was built with.
 type StageReport struct {
 	Index    int `json:"index"`
 	Lo       int `json:"lo"`
@@ -28,7 +28,7 @@ type StageReport struct {
 	Devices         int  `json:"devices"`
 	CrossNode       bool `json:"cross_node,omitempty"`
 	// EstLatency is the search-time estimate (profiled or predicted);
-	// Latency is the stage latency under the report's LatencySource.
+	// Latency is the stage's true latency handed to BuildReport.
 	EstLatency float64 `json:"est_latency"`
 	Latency    float64 `json:"latency"`
 }
@@ -76,9 +76,8 @@ type Report struct {
 	Scenario     string `json:"scenario,omitempty"`
 	NumSegments  int    `json:"segments"`
 	Microbatches int    `json:"microbatches"`
-	// LatencySource says where Stages[i].Latency came from: "simulator"
-	// (exact re-evaluation) or "estimate" (the search-time numbers, used
-	// when the model is unavailable).
+	// LatencySource says where Stages[i].Latency came from. It is always
+	// "simulator": BuildReport takes the simulator-exact stage latencies.
 	LatencySource string         `json:"latency_source"`
 	EstLatency    float64        `json:"est_latency"`
 	Provenance    ProviderInfo   `json:"provenance"`
@@ -103,43 +102,26 @@ type ReportOptions struct {
 	Search *SearchStats
 	// Meter, when non-nil, attaches the optimization-cost snapshot.
 	Meter *Meter
-	// StageLats, when non-empty, supplies pre-computed simulator-exact
-	// per-stage latencies (len must equal plan.NumStages()), avoiding the
-	// re-evaluation BuildReport would otherwise run.
-	StageLats []float64
 }
 
-// BuildReport assembles the provenance report for a plan. Stage latencies
-// come from opt.StageLats if given, else from re-evaluating the plan on the
-// simulator via mdl, else (mdl nil) from the plan's own search-time
-// estimates, with LatencySource recording which. Building a report never
-// mutates the plan.
-func BuildReport(mdl *models.Model, p cluster.Platform, plan Plan, opt ReportOptions) *Report {
+// BuildReport assembles the provenance report for a plan whose stages have
+// the true latencies lats (StageLatencies), one per stage: a plan's ground
+// truth is computed once, by the caller, and the report only records it. mdl
+// names the model and may be nil. Building a report never mutates the plan.
+func BuildReport(mdl *models.Model, p cluster.Platform, plan Plan, lats []float64, opt ReportOptions) *Report {
+	if len(lats) != len(plan.Stages) {
+		panic(fmt.Sprintf("planner: BuildReport got %d stage latencies for a plan of %d stages", len(lats), len(plan.Stages)))
+	}
 	if opt.Microbatches <= 0 {
 		opt.Microbatches = 16
-	}
-	lats := opt.StageLats
-	source := "simulator"
-	if len(lats) != len(plan.Stages) {
-		lats = nil
-	}
-	if lats == nil && mdl != nil {
-		if l, ok := StageLatencies(mdl, plan); ok {
-			lats = l
-		}
-	}
-	if lats == nil {
-		lats = plan.StageEst
-		source = "estimate"
 	}
 
 	r := &Report{
 		Version:       opt.Version,
 		TraceID:       opt.TraceID,
 		Platform:      p.Name,
-		NumSegments:   0,
 		Microbatches:  opt.Microbatches,
-		LatencySource: source,
+		LatencySource: "simulator",
 		EstLatency:    plan.Est,
 		Provenance:    opt.Provenance,
 		Search:        opt.Search,
@@ -152,13 +134,10 @@ func BuildReport(mdl *models.Model, p cluster.Platform, plan Plan, opt ReportOpt
 		sr := StageReport{
 			Index: i, Lo: sp.Lo, Hi: sp.Hi, Segments: sp.Hi - sp.Lo,
 			MeshNodes: m.Nodes, MeshGPUsPerNode: m.GPUsPerNode,
-			Devices: m.NumDevices(), CrossNode: m.CrossNode(),
+			Devices: m.NumDevices(), CrossNode: m.CrossNode(), Latency: lats[i],
 		}
 		if i < len(plan.StageEst) {
 			sr.EstLatency = plan.StageEst[i]
-		}
-		if i < len(lats) {
-			sr.Latency = lats[i]
 		}
 		r.NumSegments += sr.Segments
 		r.Stages = append(r.Stages, sr)

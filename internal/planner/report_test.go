@@ -3,6 +3,7 @@ package planner
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -29,11 +30,10 @@ func goldenReport(t *testing.T) *Report {
 	for i, sp := range plan.Stages {
 		lats[i], _ = syntheticLatency(sp, plan.Meshes[i])
 	}
-	return BuildReport(nil, p, plan, ReportOptions{
+	return BuildReport(nil, p, plan, lats, ReportOptions{
 		Version:      "PredTOP-Tran",
 		TraceID:      "0123456789abcdef",
 		Microbatches: 8,
-		StageLats:    lats,
 		Provenance: ProviderInfo{
 			Source: "PredTOP-Tran", Kind: "PredTOP-Tran", Seed: 1,
 			Fingerprint: "00000000deadbeef", Predictors: 9, SampleFrac: 0.15,
@@ -148,22 +148,26 @@ func TestReportSaveFileAtomic(t *testing.T) {
 	}
 }
 
-func TestReportEstimateFallback(t *testing.T) {
+// TestBuildReportLatencyCountMismatch: a report records the ground truth it
+// is handed, one latency per stage; any other count is a caller bug, and the
+// panic names both counts.
+func TestBuildReportLatencyCountMismatch(t *testing.T) {
 	plan, ok := Optimize(4, cluster.Platform1(), syntheticLatency, Options{Microbatches: 8})
-	if !ok {
+	if !ok || len(plan.Stages) == 0 {
 		t.Fatal("no plan")
 	}
-	r := BuildReport(nil, cluster.Platform1(), plan, ReportOptions{Microbatches: 8})
-	if r.LatencySource != "estimate" {
-		t.Fatalf("no model and no StageLats should fall back to estimates, got %q", r.LatencySource)
-	}
-	for i, s := range r.Stages {
-		if s.Latency != plan.StageEst[i] {
-			t.Fatalf("stage %d latency %v != estimate %v", i, s.Latency, plan.StageEst[i])
-		}
-	}
-	if r.NumSegments != 4 || r.Microbatches != 8 {
-		t.Fatalf("report header wrong: %+v", r)
+	n := len(plan.Stages)
+	for _, lats := range [][]float64{nil, plan.StageEst[:n-1], append(plan.StageEst[:n:n], 1)} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				want := fmt.Sprintf("got %d stage latencies for a plan of %d stages", len(lats), n)
+				if !strings.Contains(msg, want) {
+					t.Fatalf("%d latencies for %d stages: panic %q, want it to say %q", len(lats), n, msg, want)
+				}
+			}()
+			BuildReport(nil, cluster.Platform1(), plan, lats, ReportOptions{Microbatches: 8})
+		}()
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"strings"
 
 	"predtop/internal/cluster"
-	"predtop/internal/models"
+	"predtop/internal/predictor"
 )
 
 // Perturbation describes a counterfactual scenario for WhatIf: an absolute
@@ -157,14 +157,15 @@ func sortedWhatIfKeys() []string {
 
 // WhatIf replays a cached plan against a perturbed cluster — Daydream's
 // question, answered without re-search: keep the plan's stage partition and
-// submesh shapes fixed, rebind each submesh to the perturbed platform,
-// re-evaluate every stage's optimal intra-op latency on the simulator, and
-// recompose Eqn 4 at the (possibly overridden) microbatch count. The
+// submesh shapes fixed, rebind each submesh to the perturbed platform, take
+// every stage's optimal intra-op latency from lab (whose labels are keyed by
+// the whole scenario value, so the perturbed meshes get labels of their own),
+// and recompose Eqn 4 at the (possibly overridden) microbatch count. The
 // returned report carries the perturbation as its Scenario label, ready for
 // Diff against the baseline report. ok is false when a stage no longer fits
 // (e.g. the swapped platform has less memory) or the perturbed platform
 // cannot host a stage's submesh shape.
-func WhatIf(mdl *models.Model, base cluster.Platform, plan Plan, microbatches int, pt Perturbation, opt ReportOptions) (*Report, bool) {
+func WhatIf(lab *predictor.Labeler, base cluster.Platform, plan Plan, microbatches int, pt Perturbation, opt ReportOptions) (*Report, bool) {
 	perturbed := pt.Apply(base)
 	if microbatches <= 0 {
 		microbatches = 16
@@ -174,24 +175,20 @@ func WhatIf(mdl *models.Model, base cluster.Platform, plan Plan, microbatches in
 	}
 
 	replayed := Plan{Est: plan.Est, StageEst: plan.StageEst, Stages: plan.Stages}
-	lats := make([]float64, len(plan.Stages))
-	for i, sp := range plan.Stages {
-		m := plan.Meshes[i]
+	for _, m := range plan.Meshes {
 		if m.Nodes > perturbed.Nodes || m.GPUsPerNode > perturbed.GPUsPerNode {
 			return nil, false
 		}
-		mesh := cluster.Mesh{Index: m.Index, Platform: perturbed, Nodes: m.Nodes, GPUsPerNode: m.GPUsPerNode}
-		replayed.Meshes = append(replayed.Meshes, mesh)
-		t, ok := TrueStageLatency(mdl, sp, mesh)
-		if !ok {
-			return nil, false
-		}
-		lats[i] = t
+		replayed.Meshes = append(replayed.Meshes,
+			cluster.Mesh{Index: m.Index, Platform: perturbed, Nodes: m.Nodes, GPUsPerNode: m.GPUsPerNode})
+	}
+	lats, ok := StageLatencies(lab, replayed)
+	if !ok {
+		return nil, false
 	}
 
 	opt.Microbatches = microbatches
-	opt.StageLats = lats
-	r := BuildReport(mdl, perturbed, replayed, opt)
+	r := BuildReport(lab.Model(), perturbed, replayed, lats, opt)
 	r.Scenario = pt.String()
 	return r, true
 }

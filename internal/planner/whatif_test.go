@@ -1,12 +1,15 @@
 package planner
 
 import (
+	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"predtop/internal/cluster"
 	"predtop/internal/pipeline"
+	"predtop/internal/stage"
 )
 
 // TestWhatIfUnperturbedBitwise is the what-if determinism property: replaying
@@ -22,7 +25,7 @@ func TestWhatIfUnperturbedBitwise(t *testing.T) {
 	if !ok {
 		t.Fatal("no plan")
 	}
-	wantLats, ok := StageLatencies(mdl, plan)
+	wantLats, ok := StageLatencies(newLabeler(mdl), plan)
 	if !ok {
 		t.Fatal("baseline evaluation infeasible")
 	}
@@ -38,7 +41,7 @@ func TestWhatIfUnperturbedBitwise(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r, ok := WhatIf(mdl, p, plan, B, tc.pt, ReportOptions{})
+			r, ok := WhatIf(newLabeler(mdl), p, plan, B, tc.pt, ReportOptions{})
 			if !ok {
 				t.Fatal("what-if infeasible on unperturbed platform")
 			}
@@ -61,8 +64,8 @@ func TestWhatIfMicrobatchOverride(t *testing.T) {
 	if !ok {
 		t.Fatal("no plan")
 	}
-	lats, _ := StageLatencies(mdl, plan)
-	r, ok := WhatIf(mdl, p, plan, 8, Perturbation{Microbatches: 16}, ReportOptions{})
+	lats, _ := StageLatencies(newLabeler(mdl), plan)
+	r, ok := WhatIf(newLabeler(mdl), p, plan, 8, Perturbation{Microbatches: 16}, ReportOptions{})
 	if !ok {
 		t.Fatal("what-if failed")
 	}
@@ -84,11 +87,11 @@ func TestWhatIfBandwidthMonotone(t *testing.T) {
 	if !ok {
 		t.Fatal("no plan")
 	}
-	base, ok := WhatIf(mdl, p, plan, 8, Perturbation{}, ReportOptions{})
+	base, ok := WhatIf(newLabeler(mdl), p, plan, 8, Perturbation{}, ReportOptions{})
 	if !ok {
 		t.Fatal("baseline what-if failed")
 	}
-	fast, ok := WhatIf(mdl, p, plan, 8, Perturbation{IntraNodeBW: 8, InterNodeBW: 8}, ReportOptions{})
+	fast, ok := WhatIf(newLabeler(mdl), p, plan, 8, Perturbation{IntraNodeBW: 8, InterNodeBW: 8}, ReportOptions{})
 	if !ok {
 		t.Fatal("scaled what-if failed")
 	}
@@ -122,7 +125,7 @@ func TestWhatIfPlatformSwap(t *testing.T) {
 		t.Fatal("no plan")
 	}
 	p2 := cluster.Platform2()
-	r, ok := WhatIf(mdl, p1, plan, 8, Perturbation{Platform: &p2}, ReportOptions{})
+	r, ok := WhatIf(newLabeler(mdl), p1, plan, 8, Perturbation{Platform: &p2}, ReportOptions{})
 	if !ok {
 		t.Fatal("platform swap infeasible")
 	}
@@ -146,9 +149,50 @@ func TestWhatIfPlatformSwap(t *testing.T) {
 		}
 	}
 	if uses2x2 {
-		if _, ok := WhatIf(mdl, p2, plan2, 8, Perturbation{Platform: &p1}, ReportOptions{}); ok {
+		if _, ok := WhatIf(newLabeler(mdl), p2, plan2, 8, Perturbation{Platform: &p1}, ReportOptions{}); ok {
 			t.Fatal("2-node submesh replayed onto a 1-node platform")
 		}
+	}
+}
+
+// TestEvaluateAndWhatIfWorkerInvariant checks that the labeler's concurrent
+// labeling of a mesh's configurations keeps the ground truth's bits: under
+// GOMAXPROCS 1 (serial) and 3 (more workers than cores), EvaluatePlan and a
+// what-if replay of a plan with a stage on each mesh shape, the 2×2 one with
+// three configurations, must give identical answers. It runs under -short so
+// the race pass covers the fan-out outside FullProfiling.
+func TestEvaluateAndWhatIfWorkerInvariant(t *testing.T) {
+	p := cluster.Platform2()
+	meshes := cluster.Meshes(p)
+	plan := Plan{
+		Stages: []stage.Spec{{Lo: 0, Hi: 2}, {Lo: 2, Hi: 5}, {Lo: 5, Hi: 8}},
+		Meshes: []cluster.Mesh{meshes[0], meshes[2], meshes[1]},
+	}
+	pt := Perturbation{InterNodeBW: 4, Microbatches: 16}
+	run := func(procs int) (uint64, []byte) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		lab := newLabeler(tinyModel())
+		eval, ok := EvaluatePlan(lab, plan, 8)
+		if !ok {
+			t.Fatalf("GOMAXPROCS=%d: plan infeasible", procs)
+		}
+		r, ok := WhatIf(lab, p, plan, 8, pt, ReportOptions{})
+		if !ok {
+			t.Fatalf("GOMAXPROCS=%d: what-if infeasible", procs)
+		}
+		b, err := r.WriteJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return math.Float64bits(eval), b
+	}
+	serialEval, serialReport := run(1)
+	concEval, concReport := run(3)
+	if concEval != serialEval {
+		t.Fatalf("EvaluatePlan: GOMAXPROCS=3 %#x != GOMAXPROCS=1 %#x", concEval, serialEval)
+	}
+	if !bytes.Equal(concReport, serialReport) {
+		t.Fatalf("what-if report: GOMAXPROCS=3\n%s\n!= GOMAXPROCS=1\n%s", concReport, serialReport)
 	}
 }
 

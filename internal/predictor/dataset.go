@@ -80,59 +80,55 @@ func (e *Encoder) Encode(sp stage.Spec) *stage.Encoded {
 	return built
 }
 
-// Labeler is the labeling path: every label in the repository — dataset
-// samples and the planner's profiled lookups — comes from Label. A label has
-// two parts. The intra-op optimum and the simulated profiling cost depend
-// only on the stage's training graph and the scenario, so a Labeler builds
-// each stage class's training graph once and optimizes and costs it once per
-// scenario (classLabelOf); Fill computes a class's missing scenarios
-// concurrently. The noisy measurement is drawn per spec, from a seed of (lo,
-// hi, platform, mesh, config). A Labeler is not safe for concurrent use; its
-// caches live as long as it does.
+// Labeler is the one label path: every training graph the simulator costs
+// and every intra-op optimum in the repository — dataset samples, the
+// planner's profiled lookups and its ground truth (planner.TrueStageLatency)
+// — comes from a Labeler. A label has two parts. The intra-op optimum and the
+// simulated profiling cost depend only on the stage's training graph and the
+// scenario, so a Labeler builds each stage class's training graph once and
+// optimizes and costs it once per scenario value, the missing scenarios of
+// one call concurrently. The noisy measurement is drawn per spec, from a seed
+// of (lo, hi, platform, mesh, config) indices. A Labeler is not safe for
+// concurrent use; its caches live as long as it does.
 type Labeler struct {
 	model  *models.Model
 	prof   sim.Profiler
 	graphs map[models.StageClass]*ir.Graph
-	labels map[labelKey]classLabel
-	// lastSpec and lastClass keep the last class asked for: Fill and the
-	// Labels that follow it ask about one spec in a row.
-	lastSpec  stage.Spec
-	lastClass models.StageClass
+	// labels holds the per-class part of each label (Measured unset). The
+	// key is the whole scenario value, so a perturbed platform that keeps
+	// the base platform's indices gets labels of its own.
+	labels map[labelKey]StageLabel
 }
 
 // labelKey names one stage class under one scenario.
 type labelKey struct {
-	class                models.StageClass
-	platform, mesh, conf int
+	class models.StageClass
+	sc    cluster.Scenario
 }
 
-func keyOf(class models.StageClass, sc cluster.Scenario) labelKey {
-	return labelKey{class, sc.Mesh.Platform.Index, sc.Mesh.Index, sc.Config.Index}
-}
-
-// classLabel is the per-(class, scenario) part of a label; ok is false when
-// the class does not fit the scenario's devices.
-type classLabel struct {
-	trueLat, cost float64
-	ok            bool
+// StageLabel is one stage's label under one scenario: the simulator-exact
+// optimal training latency, a noisy profiled measurement of it, and the
+// simulated seconds the profile cost. OK is false when the stage does not fit
+// the scenario's devices; such stages are not profiled and cost nothing.
+type StageLabel struct {
+	True, Measured, Cost float64
+	OK                   bool
 }
 
 // NewLabeler returns a labeler for m's stages measured by prof.
 func NewLabeler(m *models.Model, prof sim.Profiler) *Labeler {
-	return &Labeler{model: m, prof: prof, graphs: map[models.StageClass]*ir.Graph{}, labels: map[labelKey]classLabel{}}
+	return &Labeler{model: m, prof: prof, graphs: map[models.StageClass]*ir.Graph{}, labels: map[labelKey]StageLabel{}}
 }
 
-// classOf returns sp's stage class.
-func (l *Labeler) classOf(sp stage.Spec) models.StageClass {
-	if sp != l.lastSpec || l.lastClass == (models.StageClass{}) {
-		l.lastSpec, l.lastClass = sp, l.model.StageClass(sp.Lo, sp.Hi)
-	}
-	return l.lastClass
-}
+// Model returns the model whose stages l labels.
+func (l *Labeler) Model() *models.Model { return l.model }
 
 // TrainingGraph returns sp's forward+backward graph, built once per class.
 func (l *Labeler) TrainingGraph(sp stage.Spec) *ir.Graph {
-	class := l.classOf(sp)
+	return l.graph(l.model.StageClass(sp.Lo, sp.Hi), sp)
+}
+
+func (l *Labeler) graph(class models.StageClass, sp stage.Spec) *ir.Graph {
 	g, ok := l.graphs[class]
 	if !ok {
 		g = l.model.StageGraph(sp.Lo, sp.Hi, true)
@@ -141,56 +137,57 @@ func (l *Labeler) TrainingGraph(sp stage.Spec) *ir.Graph {
 	return g
 }
 
-// classLabelOf is the one label function: the intra-op optimum of training
-// graph g under sc and what profiling it costs. It only reads g and l's
-// profiler, so calls for different scenarios may run concurrently.
-func (l *Labeler) classLabelOf(g *ir.Graph, sc cluster.Scenario) classLabel {
-	if res := intraop.Optimize(g, sc); res.Feasible {
-		return classLabel{res.Latency, l.prof.ProfileCostSeconds(g, sim.NewExec(sc), res.Latency), true}
-	}
-	return classLabel{}
-}
-
-// Fill labels sp's class under every scenario of scs it is not yet labeled
-// under, running the missing scenarios concurrently. Each result goes into
-// its own slot and the cache is written serially in scs order, so what Label
-// returns afterwards cannot depend on which scenario finished first.
-func (l *Labeler) Fill(sp stage.Spec, scs []cluster.Scenario) {
-	class := l.classOf(sp)
-	var missing []cluster.Scenario
-	for _, sc := range scs {
-		if _, done := l.labels[keyOf(class, sc)]; !done {
-			missing = append(missing, sc)
+// label is the one label function: sp's label under each scenario of scs.
+// Scenarios its class is not yet labeled under are optimized and costed
+// concurrently, each into its own slot, and the cache is written serially in
+// scs order, so no answer depends on which scenario finished first.
+func (l *Labeler) label(sp stage.Spec, scs []cluster.Scenario) []StageLabel {
+	class := l.model.StageClass(sp.Lo, sp.Hi)
+	labs := make([]StageLabel, len(scs))
+	var missing []int
+	for i, sc := range scs {
+		var done bool
+		if labs[i], done = l.labels[labelKey{class, sc}]; !done {
+			missing = append(missing, i)
 		}
 	}
-	if len(missing) == 0 {
-		return
+	if len(missing) > 0 {
+		g := l.graph(class, sp)
+		parallel.For(len(missing), func(j int) {
+			sc := scs[missing[j]]
+			if res := intraop.Optimize(g, sc); res.Feasible {
+				labs[missing[j]] = StageLabel{True: res.Latency, Cost: l.prof.ProfileCostSeconds(g, sim.NewExec(sc), res.Latency), OK: true}
+			}
+		})
+		for _, i := range missing {
+			l.labels[labelKey{class, scs[i]}] = labs[i]
+		}
 	}
-	g := l.TrainingGraph(sp)
-	labs := make([]classLabel, len(missing))
-	parallel.For(len(missing), func(i int) { labs[i] = l.classLabelOf(g, missing[i]) })
-	for i, sc := range missing {
-		l.labels[keyOf(class, sc)] = labs[i]
+	for i, sc := range scs {
+		if labs[i].OK {
+			seed := uint64(sp.Lo)<<40 | uint64(sp.Hi)<<24 |
+				uint64(sc.Mesh.Platform.Index)<<16 | uint64(sc.Mesh.Index)<<8 | uint64(sc.Config.Index)
+			labs[i].Measured = l.prof.Measure(labs[i].True, seed)
+		}
 	}
+	return labs
 }
 
-// Label returns sp's simulator-exact optimal training latency under sc, a
-// noisy profiled measurement of it, and the simulated seconds the profile
-// cost. ok is false when the stage does not fit the scenario's devices (such
-// stages are not profiled and cost nothing).
+// MeshLabels returns sp's labels under every configuration of mesh, in
+// cluster.ConfigsFor order.
+func (l *Labeler) MeshLabels(sp stage.Spec, mesh cluster.Mesh) []StageLabel {
+	confs := cluster.ConfigsFor(mesh)
+	scs := make([]cluster.Scenario, len(confs))
+	for i, conf := range confs {
+		scs[i] = cluster.Scenario{Mesh: mesh, Config: conf}
+	}
+	return l.label(sp, scs)
+}
+
+// Label returns sp's label under sc (see StageLabel).
 func (l *Labeler) Label(sp stage.Spec, sc cluster.Scenario) (trueLat, measured, cost float64, ok bool) {
-	k := keyOf(l.classOf(sp), sc)
-	lab, done := l.labels[k]
-	if !done {
-		lab = l.classLabelOf(l.TrainingGraph(sp), sc)
-		l.labels[k] = lab
-	}
-	if !lab.ok {
-		return 0, 0, 0, false
-	}
-	seed := uint64(sp.Lo)<<40 | uint64(sp.Hi)<<24 |
-		uint64(k.platform)<<16 | uint64(k.mesh)<<8 | uint64(k.conf)
-	return lab.trueLat, l.prof.Measure(lab.trueLat, seed), lab.cost, true
+	lab := l.label(sp, []cluster.Scenario{sc})[0]
+	return lab.True, lab.Measured, lab.Cost, lab.OK
 }
 
 // Dataset labels every feasible spec under sc and pairs it with its encoded
@@ -209,7 +206,9 @@ func (l *Labeler) Dataset(enc *Encoder, specs []stage.Spec, sc cluster.Scenario)
 	return ds
 }
 
-// ProfileStage labels one spec under sc with a labeler of its own.
+// ProfileStage labels one spec under sc with a labeler of its own: it builds
+// the spec's training graph and optimizes it once, for this one label. Code
+// that labels many stages keeps a Labeler instead.
 func ProfileStage(m *models.Model, sp stage.Spec, sc cluster.Scenario, prof sim.Profiler) (trueLat, measured float64, ok bool) {
 	trueLat, measured, _, ok = NewLabeler(m, prof).Label(sp, sc)
 	return trueLat, measured, ok

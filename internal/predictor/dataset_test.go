@@ -112,6 +112,39 @@ func TestLabelerWorkPerClass(t *testing.T) {
 	}
 }
 
+// TestLabelerKeysWholeScenario asks one labeler for the same stage under
+// Platform 2 and under Platform 2 with internode-bw=x4, whose meshes and
+// configurations keep their indices: the perturbed labels must be the ones a
+// fresh labeler gives, not the base platform's, and must differ from them
+// (the stage's data-parallel gradients cross the node boundary on the 2×2
+// mesh).
+func TestLabelerKeysWholeScenario(t *testing.T) {
+	m := models.Build(models.GPT3())
+	sp := stage.Spec{Lo: 2, Hi: 4}
+	base := cluster.Platform2()
+	fast := base
+	fast.InterNode.BandwidthGBs *= 4
+	baseMesh, fastMesh := cluster.Meshes(base)[2], cluster.Meshes(fast)[2]
+	if baseMesh.Index != fastMesh.Index || baseMesh.Platform.Index != fastMesh.Platform.Index {
+		t.Fatal("the perturbed mesh should keep the base mesh's indices")
+	}
+
+	lab := NewLabeler(m, sim.DefaultProfiler())
+	before := lab.MeshLabels(sp, baseMesh)
+	got := lab.MeshLabels(sp, fastMesh)
+	want := NewLabeler(m, sim.DefaultProfiler()).MeshLabels(sp, fastMesh)
+	differ := false
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("config %d: shared labeler %+v, fresh labeler %+v", i, got[i], want[i])
+		}
+		differ = differ || got[i].True != before[i].True
+	}
+	if !differ {
+		t.Fatalf("x4 inter-node bandwidth left every label unchanged: %+v", got)
+	}
+}
+
 // TestEncoderConcurrentFirstCalls: goroutines racing on the first Encode of
 // one class all get the one encoding the cache keeps (make race runs this
 // under the race detector).

@@ -125,7 +125,8 @@ func AllStages(m *Model, maxLen int) []StageSpec {
 func DefaultProfiler() Profiler { return sim.DefaultProfiler() }
 
 // ProfileStage returns the simulator's optimal intra-stage training latency
-// and a noisy profiled measurement under the scenario.
+// and a noisy profiled measurement under the scenario, labeled through a
+// labeler of its own.
 func ProfileStage(m *Model, sp StageSpec, sc Scenario, prof Profiler) (trueLat, measured float64, ok bool) {
 	return predictor.ProfileStage(m, sp, sc, prof)
 }
@@ -253,15 +254,16 @@ func TrainPredictorProvider(m *Model, p Platform, opt PredictorOptions, prof Pro
 	return planner.TrainPredictorProvider(m, p, opt, prof, meter)
 }
 
-// EvaluatePlan returns the ground-truth iteration latency of a plan.
+// EvaluatePlan returns the ground-truth iteration latency of a plan, labeled
+// through a labeler of its own.
 func EvaluatePlan(m *Model, plan Plan, microbatches int) (float64, bool) {
-	return planner.EvaluatePlan(m, plan, microbatches)
+	return planner.EvaluatePlan(predictor.NewLabeler(m, sim.DefaultProfiler()), plan, microbatches)
 }
 
 // TrueStageLatency returns the simulator-exact optimal stage latency on a
-// mesh (best Table-III configuration).
+// mesh (best Table-III configuration), labeled through a labeler of its own.
 func TrueStageLatency(m *Model, sp StageSpec, mesh Mesh) (float64, bool) {
-	return planner.TrueStageLatency(m, sp, mesh)
+	return planner.TrueStageLatency(predictor.NewLabeler(m, sim.DefaultProfiler()), sp, mesh)
 }
 
 // Serving API (internal/serve). Telemetry is not part of this facade: the
