@@ -35,11 +35,15 @@ test:
 # (the MRE grid, the planner's providers and what-if, the daemon's forward),
 # rerun with the assembly switched off for the whole process (the tests
 # themselves toggle SetSIMD only inside a few functions). Not -short: the MRE
-# grid's worker-invariance check skips in short mode.
+# grid's worker-invariance check skips in short mode. The GODEBUG line turns
+# off math.Exp's fused path: the exp kernel must then switch itself off, which
+# only its init probe can see. It is scoped to tensor because the golden
+# literals presuppose the fused math.Exp.
 nosimd:
 	PREDTOP_SIMD=off $(GO) test -run 'TestGoldenBits|TestGoldenPlans|TestTrainGoldenAndDeterministic|Bitwise|Invarian' \
 		. ./internal/tensor ./internal/ag ./internal/graphnn ./internal/predictor \
 		./internal/experiments ./internal/planner ./internal/serve ./cmd/predtop-train
+	GODEBUG=cpu.fma=off $(GO) test -run Bitwise ./internal/tensor
 
 # bench/ is its own module (`replace predtop => ../`), so `go build ./...` and
 # `go test ./...` above never see it. Vetting and testing it here is the

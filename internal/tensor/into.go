@@ -430,8 +430,10 @@ func softmaxRow(orow, row []float64, mask *Tensor, mi int) {
 	// is order-independent in value, NaN candidates never win under either
 	// order, and the one ambiguity — a row whose max appears as both −0 and
 	// +0 — is erased by the exp pass (v∓0 differs only at v=±0, and
-	// exp(±0) is exactly 1 either way). The exp-and-sum pass stays scalar:
-	// its sequential sum order is pinned.
+	// exp(±0) is exactly 1 either way). The exp pass vectorizes as
+	// math.Exp's own fused sequence (expSubAVX2, under simdExp) over the
+	// leading blocks it can take; math.Exp finishes the rest. The sum stays
+	// scalar: its sequential order is pinned.
 	var maxv float64
 	switch {
 	case simdKernels && mask != nil:
@@ -461,9 +463,15 @@ func softmaxRow(orow, row []float64, mask *Tensor, mi int) {
 		clear(orow)
 		return
 	}
-	sum := 0.0
-	for j, v := range orow {
-		e := math.Exp(v - maxv)
+	sum, done := 0.0, 0
+	if simdKernels && simdExp {
+		done = expSubAVX2(orow, orow, maxv)
+		for _, e := range orow[:done] {
+			sum += e
+		}
+	}
+	for j := done; j < len(orow); j++ {
+		e := math.Exp(orow[j] - maxv)
 		orow[j] = e
 		sum += e
 	}

@@ -16,8 +16,12 @@ package tensor
 //     runs the same scalar tail. Four outputs interleave only to overlap
 //     dependency chains.
 //
-// No FMA instructions are used anywhere: fused multiply-adds round once
+// No FMA instructions are used anywhere else: fused multiply-adds round once
 // where the scalar code rounds twice, which would break bitwise identity.
+// The one exception is expSubAVX2, whose scalar counterpart is math.Exp
+// itself: on CPUs with FMA, math.Exp's assembly takes a fused path, and the
+// kernel replays exactly those fused instructions, so FMA there is what
+// keeps the bits (see simdExp for how the two paths are kept in step).
 
 //go:noescape
 func axpyAVX2(a float64, x, y []float64)
@@ -78,6 +82,13 @@ func softmaxFwdNMAVX2(orow, row []float64) float64
 //go:noescape
 func softmaxBackRowAVX2(drow, grow, yrow []float64, dotgy float64)
 
+// expSubAVX2 runs softmaxRow's exp pass, dst[i] = math.Exp(src[i] − m),
+// over leading blocks of four and returns how many elements it wrote; the
+// header above says why its FMA keeps the bits, simdExp when it may run.
+//
+//go:noescape
+func expSubAVX2(dst, src []float64, m float64) (done int)
+
 // matmulATPairAVX2 runs matmulATAccum's per-row-pair inner loop: for each
 // p < len(a0), dd rows (base+p)·n accumulate a0[p]·b0 + a1[p]·b1 with the
 // scalar axpy2/axpy grouping and the same `av != 0` skip (NaN coefficients
@@ -116,4 +127,11 @@ func simdSupported() bool {
 	}
 	_, ebx, _, _ := cpuidAsm(7, 0)
 	return ebx&(1<<5) != 0
+}
+
+// fmaSupported reports whether CPUID.1:ECX advertises FMA, which
+// expSubAVX2 needs on top of AVX2.
+func fmaSupported() bool {
+	_, _, ecx, _ := cpuidAsm(1, 0)
+	return ecx&(1<<12) != 0
 }

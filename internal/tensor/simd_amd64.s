@@ -3,7 +3,9 @@
 // of its Go counterpart in into.go / tensor.go — vectorization only runs
 // independent per-element chains in SIMD lanes and never refuses, regroups,
 // or fuses (no FMA) an operation — so results are bitwise identical to the
-// scalar path. See simd_amd64.go for the correspondence argument per kernel.
+// scalar path. The exception is expSubAVX2, whose counterpart is math.Exp's
+// own fused assembly, replayed FMA for FMA. See simd_amd64.go for the
+// correspondence argument per kernel.
 
 #include "textflag.h"
 
@@ -896,6 +898,102 @@ snTailNext:
 
 snDone:
 	VMOVSD X0, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// expSubAVX2's constants, each replicated across the four lanes of a 32-byte
+// row so every FMA can take it as a memory operand: math.archExp's
+// (GOROOT/src/math/exp_amd64.s) LOG2E, LN2U, LN2L, 1/16 and Taylor
+// coefficients, the 2.0 and 1.0 of its squarings, this kernel's
+// normal-path bounds [−708, 709], −Inf, and the exponent bias.
+#define EXPC(off, v) DATA expC<>+(off)(SB)/8, v; DATA expC<>+(off+8)(SB)/8, v; DATA expC<>+(off+16)(SB)/8, v; DATA expC<>+(off+24)(SB)/8, v
+
+EXPC(0, $1.4426950408889634073599246810018920)          // LOG2E
+EXPC(32, $0.69314718055966295651160180568695068359375)  // LN2U
+EXPC(64, $0.28235290563031577122588448175013436025525412068e-12) // LN2L
+EXPC(96, $0.0625)
+EXPC(128, $2.4801587301587301587e-5)
+EXPC(160, $1.9841269841269841270e-4)
+EXPC(192, $1.3888888888888888889e-3)
+EXPC(224, $8.3333333333333333333e-3)
+EXPC(256, $4.1666666666666666667e-2)
+EXPC(288, $1.6666666666666666667e-1)
+EXPC(320, $0.5)
+EXPC(352, $1.0)
+EXPC(384, $2.0)
+EXPC(416, $-708.0)
+EXPC(448, $709.0)
+EXPC(480, $0xFFF0000000000000)                          // −Inf
+EXPC(512, $1023)                                        // exponent bias, int64
+GLOBL expC<>(SB), RODATA, $544
+
+// func expSubAVX2(dst, src []float64, m float64) (done int)
+// dst[i] = math.Exp(src[i] − m), four elements at a time, by replaying
+// math.archExp's avxfma sequence in each lane: the same subtraction,
+// LOG2E product and round-to-nearest k, fused LN2U/LN2L reductions, ×1/16,
+// fused Taylor chain, three add-2/multiply squarings and a fused fourth
+// with +1, then the 2^k scale. A −Inf lane is blended to +0, which is what
+// math.Exp(−Inf) returns. A block with any lane off that normal path (NaN,
+// x < −708 where math.Exp may take its denormal branch, x > 709 where it
+// may overflow) is left unstored and ends the call; done is the number of
+// leading elements written, a multiple of 4, so dst may alias src and the
+// caller finishes the rest with math.Exp.
+TEXT ·expSubAVX2(SB), NOSPLIT, $0-64
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), R8
+	VBROADCASTSD m+48(FP), Y15
+	XORQ R12, R12
+
+esVec:
+	LEAQ 4(R12), AX
+	CMPQ AX, R8
+	JGT  esDone
+	VMOVUPD (SI)(R12*8), Y0
+	VSUBPD  Y15, Y0, Y0                  // x = src − m
+	VCMPPD  $0x0d, expC<>+416(SB), Y0, Y5 // x ≥ −708 (ordered: NaN fails)
+	VCMPPD  $0x02, expC<>+448(SB), Y0, Y6 // x ≤ 709
+	VANDPD  Y6, Y5, Y5
+	VCMPPD  $0x00, expC<>+480(SB), Y0, Y4 // x == −Inf
+	VORPD   Y4, Y5, Y5
+	VMOVMSKPD Y5, AX
+	CMPQ AX, $15
+	JNE  esDone                          // some lane is off the normal path
+
+	VMULPD     expC<>+0(SB), Y0, Y1      // x·LOG2E
+	VCVTPD2DQY Y1, X3                    // k, rounded to nearest
+	VCVTDQ2PD  X3, Y1
+	VFNMADD231PD expC<>+32(SB), Y1, Y0   // x −= k·LN2U, fused
+	VFNMADD231PD expC<>+64(SB), Y1, Y0   // x −= k·LN2L, fused
+	VMULPD     expC<>+96(SB), Y0, Y0     // x /= 16
+	VMOVUPD    expC<>+128(SB), Y1
+	VFMADD213PD expC<>+160(SB), Y0, Y1   // p = p·x + c, fused
+	VFMADD213PD expC<>+192(SB), Y0, Y1
+	VFMADD213PD expC<>+224(SB), Y0, Y1
+	VFMADD213PD expC<>+256(SB), Y0, Y1
+	VFMADD213PD expC<>+288(SB), Y0, Y1
+	VFMADD213PD expC<>+320(SB), Y0, Y1
+	VFMADD213PD expC<>+352(SB), Y0, Y1
+	VMULPD     Y1, Y0, Y0                // x·p
+	VADDPD     expC<>+384(SB), Y0, Y1    // three squarings: x = x·(x+2)
+	VMULPD     Y1, Y0, Y0
+	VADDPD     expC<>+384(SB), Y0, Y1
+	VMULPD     Y1, Y0, Y0
+	VADDPD     expC<>+384(SB), Y0, Y1
+	VMULPD     Y1, Y0, Y0
+	VADDPD     expC<>+384(SB), Y0, Y1
+	VFMADD213PD expC<>+352(SB), Y1, Y0   // x = x·(x+2) + 1, fused
+	VPMOVSXDQ  X3, Y1
+	VPADDQ     expC<>+512(SB), Y1, Y1
+	VPSLLQ     $52, Y1, Y1               // 2^k
+	VMULPD     Y1, Y0, Y0
+	VANDNPD    Y0, Y4, Y0                // −Inf lanes → +0
+	VMOVUPD    Y0, (DI)(R12*8)
+	ADDQ $4, R12
+	JMP  esVec
+
+esDone:
+	MOVQ R12, done+56(FP)
 	VZEROUPPER
 	RET
 

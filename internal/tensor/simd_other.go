@@ -7,6 +7,8 @@ package tensor
 
 func simdSupported() bool { return false }
 
+func fmaSupported() bool { return false }
+
 func axpyAVX2(a float64, x, y []float64) { panic("tensor: SIMD kernel on non-amd64") }
 
 func axpy2AVX2(a0, a1 float64, x0, x1, y []float64) { panic("tensor: SIMD kernel on non-amd64") }
@@ -40,6 +42,8 @@ func softmaxFwdNMAVX2(orow, row []float64) float64 { panic("tensor: SIMD kernel 
 func softmaxBackRowAVX2(drow, grow, yrow []float64, dotgy float64) {
 	panic("tensor: SIMD kernel on non-amd64")
 }
+
+func expSubAVX2(dst, src []float64, m float64) int { panic("tensor: SIMD kernel on non-amd64") }
 
 func matmulATPairAVX2(dd []float64, base, n int, a0, a1, b0, b1 []float64) {
 	panic("tensor: SIMD kernel on non-amd64")

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -206,20 +207,212 @@ func TestSIMDElementwiseBitwise(t *testing.T) {
 	}
 }
 
-// TestSIMDSoftmaxRowBitwise checks the fused softmax first pass (masked and
-// maskless, in-place and out-of-place) bitwise against the scalar row loop,
-// including −Inf mask entries, all-masked rows, and NaN logits.
+// dagMask is the additive reachability mask of a random operator DAG on n
+// nodes, the mask DAGRA softmaxes under (Eqn 1): position (i, j) is open when
+// i == j or one node reaches the other, −Inf otherwise. Each node takes one
+// or two predecessors among the three before it, which masks about 28 % of
+// the entries at n ≥ 300, the n²-weighted share of the GPT-3 stage masks.
+func dagMask(rng *rand.Rand, n int) *Tensor {
+	words := (n + 63) / 64
+	anc := make([][]uint64, n) // anc[v] has bit u set when u reaches v
+	reaches := func(u, v int) bool { return anc[v][u/64]>>(u%64)&1 == 1 }
+	for v := range anc {
+		anc[v] = make([]uint64, words)
+		if v == 0 {
+			continue
+		}
+		for range 1 + rng.Intn(2) {
+			p := v - 1 - rng.Intn(min(3, v))
+			anc[v][p/64] |= 1 << (p % 64)
+			for w := range anc[v] {
+				anc[v][w] |= anc[p][w]
+			}
+		}
+	}
+	mask := New(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j && !reaches(i, j) && !reaches(j, i) {
+				mask.Data[i*n+j] = math.Inf(-1)
+			}
+		}
+	}
+	return mask
+}
+
+// expUnfused replays math.archExp's SSE2 sequence, the path math.Exp takes
+// without FMA, for an argument on its normal path (−708 ≤ x ≤ 709). Every
+// product is converted explicitly so the compiler cannot fuse it.
+func expUnfused(x float64) float64 {
+	const (
+		log2e = 1.4426950408889634073599246810018920
+		ln2u  = 0.69314718055966295651160180568695068359375
+		ln2l  = 0.28235290563031577122588448175013436025525412068e-12
+	)
+	k := math.RoundToEven(float64(x * log2e))
+	x -= float64(k * ln2u)
+	x -= float64(k * ln2l)
+	x *= 0.0625
+	p := 2.4801587301587301587e-5
+	for _, c := range [...]float64{1.9841269841269841270e-4, 1.3888888888888888889e-3,
+		8.3333333333333333333e-3, 4.1666666666666666667e-2, 1.6666666666666666667e-1, 0.5, 1} {
+		p = float64(p*x) + c
+	}
+	x *= p
+	for range 4 {
+		x = float64(x * (x + 2))
+	}
+	x++
+	return x * math.Float64frombits(uint64(k+1023)<<52)
+}
+
+// expNormal reports whether x is on expSubAVX2's normal path.
+func expNormal(x float64) bool { return x >= -708 && x <= 709 }
+
+// TestSIMDExpBitwise holds expSubAVX2 to math.Exp bit for bit on more than a
+// million arguments, over every tail length (0–9, 64–701) and with the
+// special values in the mix: −Inf (blended to +0), ±0, and the arguments
+// that must end the call before their block is stored (NaN, +Inf, x > 709,
+// [−745, −708) and below −745). The count it returns is checked exactly, and
+// the elements past it must be untouched, aliased or not. The kernel is
+// fused, so it may run only while math.Exp is: the test checks that simdExp
+// is on exactly when math.Exp differs from the unfused replay on this
+// sample, which also makes the sample able to catch a kernel without FMA.
+func TestSIMDExpBitwise(t *testing.T) {
+	if !SIMDAvailable() || !fmaSupported() {
+		t.Skip("no AVX2+FMA on this CPU; math.Exp is the only exp path")
+	}
+	rng := rand.New(rand.NewSource(19))
+	offPath := []func() float64{
+		math.NaN,
+		func() float64 { return math.Inf(1) },
+		func() float64 { return 709 + rng.ExpFloat64() },
+		func() float64 { return -708 - rng.Float64()*37 },
+		func() float64 { return -745 - rng.ExpFloat64()*100 },
+	}
+	var lens []int
+	for n := range 10 {
+		lens = append(lens, n)
+	}
+	for n := 64; n <= 701; n++ {
+		lens = append(lens, n)
+	}
+	sentinel := math.Float64frombits(0x7FF8DEADBEEF0001)
+	computed, negInfs, fusedOnly := 0, 0, 0
+	for rep := range 6 {
+		for _, n := range lens {
+			m := 0.0 // m = 0 keeps ±0 and the off-path values exact
+			if rep%2 == 1 {
+				m = rng.NormFloat64() * 10
+			}
+			src := make([]float64, n)
+			for i := range src {
+				switch r := rng.Intn(32); {
+				case r < 2:
+					src[i] = math.Inf(-1)
+				case r == 2:
+					src[i] = m
+				case r == 3:
+					src[i] = math.Copysign(0, -1)
+				case r < 8:
+					src[i] = m + (rng.Float64()*1417 - 708)
+				default:
+					src[i] = m - rng.ExpFloat64()*4 // softmax range
+				}
+			}
+			if n > 0 && rng.Intn(4) == 0 {
+				src[rng.Intn(n)] = offPath[rng.Intn(len(offPath))]() + m
+			}
+			want := n &^ 3
+			for i, v := range src {
+				x := v - m
+				if !expNormal(x) && !math.IsInf(x, -1) {
+					want = min(want, i&^3)
+					break
+				}
+				if expNormal(x) && expUnfused(x) != math.Exp(x) {
+					fusedOnly++
+				}
+			}
+			if !simdExp {
+				continue
+			}
+
+			dst := make([]float64, n)
+			for i := range dst {
+				dst[i] = sentinel
+			}
+			alias := append([]float64(nil), src...)
+			for _, c := range []struct {
+				label    string
+				dst, src []float64
+				rest     []float64 // what dst[done:] must still hold
+			}{{"out-of-place", dst, src, dst}, {"aliased", alias, alias, src}} {
+				rest := append([]float64(nil), c.rest...)
+				done := expSubAVX2(c.dst, c.src, m)
+				if done != want {
+					t.Fatalf("%s n=%d m=%v: done %d, want %d", c.label, n, m, done, want)
+				}
+				for i := range done {
+					if w := math.Exp(src[i] - m); math.Float64bits(c.dst[i]) != math.Float64bits(w) {
+						t.Fatalf("%s n=%d m=%v: exp(%v) = %x, math.Exp %x",
+							c.label, n, m, src[i]-m, math.Float64bits(c.dst[i]), math.Float64bits(w))
+					}
+				}
+				requireBitwise(t, c.label+" past done", rest[done:], c.dst[done:])
+			}
+			computed += want
+			for _, v := range src[:want] {
+				if math.IsInf(v-m, -1) {
+					negInfs++
+				}
+			}
+		}
+	}
+	if !simdExp {
+		if fusedOnly > 0 {
+			t.Fatalf("simdExp is off, yet math.Exp differs from its unfused sequence on %d inputs", fusedOnly)
+		}
+		return
+	}
+	if computed < 1_000_000 || negInfs == 0 {
+		t.Fatalf("kernel computed %d elements (%d −Inf); want ≥ 1M with −Inf lanes", computed, negInfs)
+	}
+	if fusedOnly == 0 {
+		t.Fatal("math.Exp matches its unfused sequence on every input, yet simdExp is on")
+	}
+	for _, x := range expProbeInputs {
+		if expUnfused(x) == math.Exp(x) {
+			t.Fatalf("probe input %v no longer tells fused from unfused exp", x)
+		}
+	}
+}
+
+// TestSIMDSoftmaxRowBitwise checks the fused softmax passes (masked and
+// maskless, in-place and out-of-place) bitwise against the scalar row loop:
+// −Inf mask entries, all-masked rows, NaN logits, DAG reachability masks,
+// logit spreads past 708 (math.Exp's denormal branch, which ends the exp
+// kernel's run), and +Inf logits, at short lengths and at 64–701.
 func TestSIMDSoftmaxRowBitwise(t *testing.T) {
 	if !SIMDAvailable() {
 		t.Skip("no AVX2 on this CPU; scalar path is the only path")
 	}
 	defer SetSIMD(SetSIMD(false))
 	rng := rand.New(rand.NewSource(13))
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 13, 16, 33} {
-		for _, mode := range []string{"nomask", "mask", "allmasked", "nan"} {
+	modes := []string{"nomask", "mask", "allmasked", "nan", "dag", "spread", "posinf"}
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 13, 16, 33, 64, 255, 300, 701} {
+		var dag *Tensor
+		for _, mode := range modes {
 			row := make([]float64, n)
-			fillRandom(rng, row)
+			if n < 64 {
+				fillRandom(rng, row)
+			} else {
+				for j := range row { // attention-scale logits
+					row[j] = rng.NormFloat64() * 4
+				}
+			}
 			var mask *Tensor
+			mi := 0
 			switch mode {
 			case "mask":
 				mask = New(1, n)
@@ -235,23 +428,61 @@ func TestSIMDSoftmaxRowBitwise(t *testing.T) {
 				}
 			case "nan":
 				row[rng.Intn(n)] = math.NaN()
+			case "dag":
+				if dag == nil {
+					dag = dagMask(rng, n)
+				}
+				mask, mi = dag, rng.Intn(n)
+			case "spread":
+				for range max(n/16, 1) {
+					row[rng.Intn(n)] = -700 - rng.Float64()*100
+				}
+			case "posinf":
+				row[rng.Intn(n)] = math.Inf(1)
 			}
 			want := make([]float64, n)
 			got := make([]float64, n)
 			SetSIMD(false)
-			softmaxRow(want, row, mask, 0)
+			softmaxRow(want, row, mask, mi)
 			SetSIMD(true)
-			softmaxRow(got, row, mask, 0)
+			softmaxRow(got, row, mask, mi)
 			requireBitwise(t, "softmaxRow-"+mode, want, got)
 
 			// In-place form (SoftmaxInPlace aliases orow and row).
 			wantIP := append([]float64(nil), row...)
 			gotIP := append([]float64(nil), row...)
 			SetSIMD(false)
-			softmaxRow(wantIP, wantIP, mask, 0)
+			softmaxRow(wantIP, wantIP, mask, mi)
 			SetSIMD(true)
-			softmaxRow(gotIP, gotIP, mask, 0)
+			softmaxRow(gotIP, gotIP, mask, mi)
 			requireBitwise(t, "softmaxRow-inplace-"+mode, wantIP, gotIP)
+		}
+	}
+}
+
+// BenchmarkSoftmaxRowsMasked times softmax over an n×n score matrix under a
+// DAG reachability mask (about 28 % −Inf), the shape DAGRA's attention
+// softmaxes, with the AVX2 kernels on and off; ns/elem is per score.
+func BenchmarkSoftmaxRowsMasked(b *testing.B) {
+	for _, n := range []int{128, 300} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		scores, mask, out := New(n, n), dagMask(rng, n), New(n, n)
+		for i := range scores.Data {
+			scores.Data[i] = rng.NormFloat64() * 4
+		}
+		for _, simd := range []bool{true, false} {
+			name := fmt.Sprintf("n=%d/simd=%s", n, map[bool]string{true: "on", false: "off"}[simd])
+			b.Run(name, func(b *testing.B) {
+				if simd && !SIMDAvailable() {
+					b.Skip("no AVX2 on this CPU")
+				}
+				defer SetSIMD(SetSIMD(simd))
+				b.ResetTimer()
+				for range b.N {
+					SoftmaxRowsInto(out, scores, mask)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*n), "ns/elem")
+			})
 		}
 	}
 }
