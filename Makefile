@@ -14,8 +14,11 @@ fmt:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
+# The arm64 pass type-checks the build without the amd64 assembly
+# (simd_other.go's stubs).
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # staticcheck runs whenever a copy is available offline (PATH binary, or a
 # module-cache version via `go run` with GOPROXY=off); otherwise it skips
@@ -35,15 +38,20 @@ test:
 # (the MRE grid, the planner's providers and what-if, the daemon's forward),
 # rerun with the assembly switched off for the whole process (the tests
 # themselves toggle SetSIMD only inside a few functions). Not -short: the MRE
-# grid's worker-invariance check skips in short mode. The GODEBUG line turns
-# off math.Exp's fused path: the exp kernel must then switch itself off, which
-# only its init probe can see. It is scoped to tensor because the golden
-# literals presuppose the fused math.Exp.
+# grid's worker-invariance check skips in short mode. The same set runs again
+# under GODEBUG=cpu.fma=off, with the kernels on and off: that turns off
+# math.Exp's fused path and math.FMA's instruction, and no bit may move,
+# because every exp and fractional pow is xmath's and math.FMA is exactly
+# rounded either way. -count=1 on every line: PREDTOP_SIMD is read at package
+# init, before go test logs environment reads, so the test cache does not key
+# on it and would replay one line's results for another.
+NOSIMD_RUN = 'TestGoldenBits|TestGoldenPlans|TestTrainGoldenAndDeterministic|Bitwise|Invarian'
+NOSIMD_PKGS = . ./internal/tensor ./internal/ag ./internal/graphnn ./internal/predictor \
+	./internal/experiments ./internal/planner ./internal/serve ./cmd/predtop-train
 nosimd:
-	PREDTOP_SIMD=off $(GO) test -run 'TestGoldenBits|TestGoldenPlans|TestTrainGoldenAndDeterministic|Bitwise|Invarian' \
-		. ./internal/tensor ./internal/ag ./internal/graphnn ./internal/predictor \
-		./internal/experiments ./internal/planner ./internal/serve ./cmd/predtop-train
-	GODEBUG=cpu.fma=off $(GO) test -run Bitwise ./internal/tensor
+	PREDTOP_SIMD=off $(GO) test -count=1 -run $(NOSIMD_RUN) $(NOSIMD_PKGS)
+	GODEBUG=cpu.fma=off $(GO) test -count=1 -run $(NOSIMD_RUN) $(NOSIMD_PKGS)
+	PREDTOP_SIMD=off GODEBUG=cpu.fma=off $(GO) test -count=1 -run $(NOSIMD_RUN) $(NOSIMD_PKGS)
 
 # bench/ is its own module (`replace predtop => ../`), so `go build ./...` and
 # `go test ./...` above never see it. Vetting and testing it here is the

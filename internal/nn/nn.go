@@ -11,6 +11,7 @@ import (
 
 	"predtop/internal/ag"
 	"predtop/internal/tensor"
+	"predtop/internal/xmath"
 )
 
 // Module is anything owning trainable parameters.
@@ -196,7 +197,7 @@ func SinusoidalPE(maxPos, dim int) *tensor.Tensor {
 	for pos := 0; pos < maxPos; pos++ {
 		row := pe.Row(pos)
 		for i := 0; i < dim; i += 2 {
-			freq := math.Pow(10000, -float64(i)/float64(dim))
+			freq := xmath.Pow(10000, -float64(i)/float64(dim))
 			row[i] = math.Sin(float64(pos) * freq)
 			if i+1 < dim {
 				row[i+1] = math.Cos(float64(pos) * freq)

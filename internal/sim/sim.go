@@ -16,6 +16,7 @@ import (
 
 	"predtop/internal/cluster"
 	"predtop/internal/ir"
+	"predtop/internal/xmath"
 )
 
 // Exec costs operators on one mesh under one intra-operator parallelism
@@ -100,9 +101,9 @@ func (e Exec) dotEfficiency(n *ir.Node) float64 {
 		m = float64(n.Shape[len(n.Shape)-2])
 	}
 	eff := 0.72
-	eff *= math.Min(1, math.Pow(k/512, 0.25))
-	eff *= math.Min(1, math.Pow(nOut/128, 0.15))
-	eff *= math.Min(1, math.Pow(m/128, 0.15))
+	eff *= math.Min(1, xmath.Pow(k/512, 0.25))
+	eff *= math.Min(1, xmath.Pow(nOut/128, 0.15))
+	eff *= math.Min(1, xmath.Pow(m/128, 0.15))
 	return eff * e.jitter(n, 0.10)
 }
 

@@ -16,6 +16,7 @@ import (
 	"math"
 
 	"predtop/internal/parallel"
+	"predtop/internal/xmath"
 )
 
 // checkInto validates a destination shape. The comparison is inlined and
@@ -431,9 +432,9 @@ func softmaxRow(orow, row []float64, mask *Tensor, mi int) {
 	// order, and the one ambiguity — a row whose max appears as both −0 and
 	// +0 — is erased by the exp pass (v∓0 differs only at v=±0, and
 	// exp(±0) is exactly 1 either way). The exp pass vectorizes as
-	// math.Exp's own fused sequence (expSubAVX2, under simdExp) over the
-	// leading blocks it can take; math.Exp finishes the rest. The sum stays
-	// scalar: its sequential order is pinned.
+	// xmath.Exp's fused sequence (expSubAVX2) over the leading blocks it can
+	// take; xmath.Exp finishes the rest. The sum stays scalar: its
+	// sequential order is pinned.
 	var maxv float64
 	switch {
 	case simdKernels && mask != nil:
@@ -464,14 +465,14 @@ func softmaxRow(orow, row []float64, mask *Tensor, mi int) {
 		return
 	}
 	sum, done := 0.0, 0
-	if simdKernels && simdExp {
+	if simdKernels {
 		done = expSubAVX2(orow, orow, maxv)
 		for _, e := range orow[:done] {
 			sum += e
 		}
 	}
 	for j := done; j < len(orow); j++ {
-		e := math.Exp(orow[j] - maxv)
+		e := xmath.Exp(orow[j] - maxv)
 		orow[j] = e
 		sum += e
 	}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"predtop/internal/xmath"
 )
 
 // Property tests: every destination-passing / in-place / fused kernel must
@@ -72,7 +74,8 @@ func refTranspose(t *Tensor) *Tensor {
 }
 
 // refSoftmaxRows is the seed implementation, including its per-element
-// mask.At(i, j) access pattern and all-masked-row zeroing.
+// mask.At(i, j) access pattern and all-masked-row zeroing, with xmath.Exp,
+// softmax's exp on every host, in place of math.Exp.
 func refSoftmaxRows(t, mask *Tensor) *Tensor {
 	out := New(t.R, t.C)
 	for i := 0; i < t.R; i++ {
@@ -94,7 +97,7 @@ func refSoftmaxRows(t, mask *Tensor) *Tensor {
 		}
 		sum := 0.0
 		for j, v := range orow {
-			e := math.Exp(v - maxv)
+			e := xmath.Exp(v - maxv)
 			orow[j] = e
 			sum += e
 		}

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"math"
-	"os"
-)
+import "os"
 
 // simdKernels gates the AVX2 row kernels. It defaults to hardware support
 // (overridable with PREDTOP_SIMD=off) and exists as a mutable flag so the
@@ -17,33 +14,6 @@ func initSIMD() bool {
 		return false
 	}
 	return simdSupported()
-}
-
-// simdExp additionally gates softmaxRow's exp kernel, expSubAVX2, which is
-// bit-equal to math.Exp only while math.Exp takes its own fused (AVX+FMA)
-// path. Whether it does is math's decision, not the CPU's alone — under
-// GODEBUG=cpu.fma=off it runs its unfused sequence — so after the CPUID
-// check a probe at init compares the kernel with math.Exp on inputs where
-// the two sequences round differently, and the kernel stays off unless
-// every bit agrees. Where it is off, the scalar math.Exp loop runs.
-var simdExp = simdSupported() && fmaSupported() && expProbe()
-
-// expProbeInputs are exactly representable arguments whose fused and
-// unfused exp differ in the last bit (TestSIMDExpBitwise checks that they
-// still do); two whole blocks, so the kernel computes every one.
-var expProbeInputs = [8]float64{-2.375, -3.75, -5.375, -5.75, -6.625, -6.75, -8.625, -11.25}
-
-func expProbe() bool {
-	var got [len(expProbeInputs)]float64
-	if expSubAVX2(got[:], expProbeInputs[:], 0) != len(got) {
-		return false
-	}
-	for i, x := range expProbeInputs {
-		if math.Float64bits(got[i]) != math.Float64bits(math.Exp(x)) {
-			return false
-		}
-	}
-	return true
 }
 
 // SIMDAvailable reports whether this CPU supports the AVX2 kernels,

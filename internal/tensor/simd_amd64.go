@@ -18,10 +18,9 @@ package tensor
 //
 // No FMA instructions are used anywhere else: fused multiply-adds round once
 // where the scalar code rounds twice, which would break bitwise identity.
-// The one exception is expSubAVX2, whose scalar counterpart is math.Exp
-// itself: on CPUs with FMA, math.Exp's assembly takes a fused path, and the
-// kernel replays exactly those fused instructions, so FMA there is what
-// keeps the bits (see simdExp for how the two paths are kept in step).
+// The one exception is expSubAVX2, whose scalar counterpart is xmath.Exp:
+// that function is itself a fused sequence, written with math.FMA, and the
+// kernel runs the same fused steps, so FMA there is what keeps the bits.
 
 //go:noescape
 func axpyAVX2(a float64, x, y []float64)
@@ -82,9 +81,9 @@ func softmaxFwdNMAVX2(orow, row []float64) float64
 //go:noescape
 func softmaxBackRowAVX2(drow, grow, yrow []float64, dotgy float64)
 
-// expSubAVX2 runs softmaxRow's exp pass, dst[i] = math.Exp(src[i] − m),
+// expSubAVX2 runs softmaxRow's exp pass, dst[i] = xmath.Exp(src[i] − m),
 // over leading blocks of four and returns how many elements it wrote; the
-// header above says why its FMA keeps the bits, simdExp when it may run.
+// header above says why its FMA keeps the bits.
 //
 //go:noescape
 func expSubAVX2(dst, src []float64, m float64) (done int)
@@ -114,12 +113,13 @@ func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbvAsm() (eax, edx uint32)
 
 // simdSupported reports whether the CPU and OS can run the AVX2 kernels:
-// CPUID.1:ECX must advertise OSXSAVE and AVX, XCR0 must enable XMM and YMM
-// state saving, and CPUID.7:EBX must advertise AVX2.
+// CPUID.1:ECX must advertise FMA, OSXSAVE and AVX, XCR0 must enable XMM and
+// YMM state saving, and CPUID.7:EBX must advertise AVX2 — GOAMD64=v3's own
+// pairing of AVX2 with FMA, which expSubAVX2 needs.
 func simdSupported() bool {
 	_, _, ecx, _ := cpuidAsm(1, 0)
-	const osxsave, avx = 1 << 27, 1 << 28
-	if ecx&osxsave == 0 || ecx&avx == 0 {
+	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
+	if ecx&fma == 0 || ecx&osxsave == 0 || ecx&avx == 0 {
 		return false
 	}
 	if lo, _ := xgetbvAsm(); lo&0x6 != 0x6 {
@@ -127,11 +127,4 @@ func simdSupported() bool {
 	}
 	_, ebx, _, _ := cpuidAsm(7, 0)
 	return ebx&(1<<5) != 0
-}
-
-// fmaSupported reports whether CPUID.1:ECX advertises FMA, which
-// expSubAVX2 needs on top of AVX2.
-func fmaSupported() bool {
-	_, _, ecx, _ := cpuidAsm(1, 0)
-	return ecx&(1<<12) != 0
 }

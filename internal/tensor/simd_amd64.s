@@ -3,8 +3,8 @@
 // of its Go counterpart in into.go / tensor.go — vectorization only runs
 // independent per-element chains in SIMD lanes and never refuses, regroups,
 // or fuses (no FMA) an operation — so results are bitwise identical to the
-// scalar path. The exception is expSubAVX2, whose counterpart is math.Exp's
-// own fused assembly, replayed FMA for FMA. See simd_amd64.go for the
+// scalar path. The exception is expSubAVX2, whose counterpart is the fused
+// sequence of xmath.Exp, replayed FMA for FMA. See simd_amd64.go for the
 // correspondence argument per kernel.
 
 #include "textflag.h"
@@ -902,8 +902,8 @@ snDone:
 	RET
 
 // expSubAVX2's constants, each replicated across the four lanes of a 32-byte
-// row so every FMA can take it as a memory operand: math.archExp's
-// (GOROOT/src/math/exp_amd64.s) LOG2E, LN2U, LN2L, 1/16 and Taylor
+// row so every FMA can take it as a memory operand: xmath.Exp's (after
+// GOROOT/src/math/exp_amd64.s) LOG2E, LN2U, LN2L, 1/16 and Taylor
 // coefficients, the 2.0 and 1.0 of its squarings, this kernel's
 // normal-path bounds [−708, 709], −Inf, and the exponent bias.
 #define EXPC(off, v) DATA expC<>+(off)(SB)/8, v; DATA expC<>+(off+8)(SB)/8, v; DATA expC<>+(off+16)(SB)/8, v; DATA expC<>+(off+24)(SB)/8, v
@@ -928,16 +928,16 @@ EXPC(512, $1023)                                        // exponent bias, int64
 GLOBL expC<>(SB), RODATA, $544
 
 // func expSubAVX2(dst, src []float64, m float64) (done int)
-// dst[i] = math.Exp(src[i] − m), four elements at a time, by replaying
-// math.archExp's avxfma sequence in each lane: the same subtraction,
+// dst[i] = xmath.Exp(src[i] − m), four elements at a time, by replaying
+// its fused sequence in each lane: the same subtraction,
 // LOG2E product and round-to-nearest k, fused LN2U/LN2L reductions, ×1/16,
 // fused Taylor chain, three add-2/multiply squarings and a fused fourth
 // with +1, then the 2^k scale. A −Inf lane is blended to +0, which is what
-// math.Exp(−Inf) returns. A block with any lane off that normal path (NaN,
-// x < −708 where math.Exp may take its denormal branch, x > 709 where it
+// xmath.Exp(−Inf) returns. A block with any lane off that normal path (NaN,
+// x < −708 where xmath.Exp may take its denormal branch, x > 709 where it
 // may overflow) is left unstored and ends the call; done is the number of
 // leading elements written, a multiple of 4, so dst may alias src and the
-// caller finishes the rest with math.Exp.
+// caller finishes the rest with xmath.Exp.
 TEXT ·expSubAVX2(SB), NOSPLIT, $0-64
 	MOVQ dst_base+0(FP), DI
 	MOVQ src_base+24(FP), SI

@@ -7,8 +7,6 @@ package tensor
 
 func simdSupported() bool { return false }
 
-func fmaSupported() bool { return false }
-
 func axpyAVX2(a float64, x, y []float64) { panic("tensor: SIMD kernel on non-amd64") }
 
 func axpy2AVX2(a0, a1 float64, x0, x1, y []float64) { panic("tensor: SIMD kernel on non-amd64") }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"predtop/internal/xmath"
 )
 
 // fillRandom populates a slice with a mix of magnitudes, signs, exact zeros,
@@ -240,47 +242,18 @@ func dagMask(rng *rand.Rand, n int) *Tensor {
 	return mask
 }
 
-// expUnfused replays math.archExp's SSE2 sequence, the path math.Exp takes
-// without FMA, for an argument on its normal path (−708 ≤ x ≤ 709). Every
-// product is converted explicitly so the compiler cannot fuse it.
-func expUnfused(x float64) float64 {
-	const (
-		log2e = 1.4426950408889634073599246810018920
-		ln2u  = 0.69314718055966295651160180568695068359375
-		ln2l  = 0.28235290563031577122588448175013436025525412068e-12
-	)
-	k := math.RoundToEven(float64(x * log2e))
-	x -= float64(k * ln2u)
-	x -= float64(k * ln2l)
-	x *= 0.0625
-	p := 2.4801587301587301587e-5
-	for _, c := range [...]float64{1.9841269841269841270e-4, 1.3888888888888888889e-3,
-		8.3333333333333333333e-3, 4.1666666666666666667e-2, 1.6666666666666666667e-1, 0.5, 1} {
-		p = float64(p*x) + c
-	}
-	x *= p
-	for range 4 {
-		x = float64(x * (x + 2))
-	}
-	x++
-	return x * math.Float64frombits(uint64(k+1023)<<52)
-}
-
 // expNormal reports whether x is on expSubAVX2's normal path.
 func expNormal(x float64) bool { return x >= -708 && x <= 709 }
 
-// TestSIMDExpBitwise holds expSubAVX2 to math.Exp bit for bit on more than a
-// million arguments, over every tail length (0–9, 64–701) and with the
+// TestSIMDExpBitwise holds expSubAVX2 to xmath.Exp bit for bit on more than
+// a million arguments, over every tail length (0–9, 64–701) and with the
 // special values in the mix: −Inf (blended to +0), ±0, and the arguments
 // that must end the call before their block is stored (NaN, +Inf, x > 709,
 // [−745, −708) and below −745). The count it returns is checked exactly, and
-// the elements past it must be untouched, aliased or not. The kernel is
-// fused, so it may run only while math.Exp is: the test checks that simdExp
-// is on exactly when math.Exp differs from the unfused replay on this
-// sample, which also makes the sample able to catch a kernel without FMA.
+// the elements past it must be untouched, aliased or not.
 func TestSIMDExpBitwise(t *testing.T) {
-	if !SIMDAvailable() || !fmaSupported() {
-		t.Skip("no AVX2+FMA on this CPU; math.Exp is the only exp path")
+	if !SIMDAvailable() {
+		t.Skip("no AVX2+FMA on this CPU; xmath.Exp is the only exp path")
 	}
 	rng := rand.New(rand.NewSource(19))
 	offPath := []func() float64{
@@ -298,7 +271,7 @@ func TestSIMDExpBitwise(t *testing.T) {
 		lens = append(lens, n)
 	}
 	sentinel := math.Float64frombits(0x7FF8DEADBEEF0001)
-	computed, negInfs, fusedOnly := 0, 0, 0
+	computed, negInfs := 0, 0
 	for rep := range 6 {
 		for _, n := range lens {
 			m := 0.0 // m = 0 keeps ±0 and the off-path values exact
@@ -325,17 +298,10 @@ func TestSIMDExpBitwise(t *testing.T) {
 			}
 			want := n &^ 3
 			for i, v := range src {
-				x := v - m
-				if !expNormal(x) && !math.IsInf(x, -1) {
+				if x := v - m; !expNormal(x) && !math.IsInf(x, -1) {
 					want = min(want, i&^3)
 					break
 				}
-				if expNormal(x) && expUnfused(x) != math.Exp(x) {
-					fusedOnly++
-				}
-			}
-			if !simdExp {
-				continue
 			}
 
 			dst := make([]float64, n)
@@ -354,8 +320,8 @@ func TestSIMDExpBitwise(t *testing.T) {
 					t.Fatalf("%s n=%d m=%v: done %d, want %d", c.label, n, m, done, want)
 				}
 				for i := range done {
-					if w := math.Exp(src[i] - m); math.Float64bits(c.dst[i]) != math.Float64bits(w) {
-						t.Fatalf("%s n=%d m=%v: exp(%v) = %x, math.Exp %x",
+					if w := xmath.Exp(src[i] - m); math.Float64bits(c.dst[i]) != math.Float64bits(w) {
+						t.Fatalf("%s n=%d m=%v: exp(%v) = %x, xmath.Exp %x",
 							c.label, n, m, src[i]-m, math.Float64bits(c.dst[i]), math.Float64bits(w))
 					}
 				}
@@ -369,29 +335,15 @@ func TestSIMDExpBitwise(t *testing.T) {
 			}
 		}
 	}
-	if !simdExp {
-		if fusedOnly > 0 {
-			t.Fatalf("simdExp is off, yet math.Exp differs from its unfused sequence on %d inputs", fusedOnly)
-		}
-		return
-	}
 	if computed < 1_000_000 || negInfs == 0 {
 		t.Fatalf("kernel computed %d elements (%d −Inf); want ≥ 1M with −Inf lanes", computed, negInfs)
-	}
-	if fusedOnly == 0 {
-		t.Fatal("math.Exp matches its unfused sequence on every input, yet simdExp is on")
-	}
-	for _, x := range expProbeInputs {
-		if expUnfused(x) == math.Exp(x) {
-			t.Fatalf("probe input %v no longer tells fused from unfused exp", x)
-		}
 	}
 }
 
 // TestSIMDSoftmaxRowBitwise checks the fused softmax passes (masked and
 // maskless, in-place and out-of-place) bitwise against the scalar row loop:
 // −Inf mask entries, all-masked rows, NaN logits, DAG reachability masks,
-// logit spreads past 708 (math.Exp's denormal branch, which ends the exp
+// logit spreads past 708 (xmath.Exp's denormal branch, which ends the exp
 // kernel's run), and +Inf logits, at short lengths and at 64–701.
 func TestSIMDSoftmaxRowBitwise(t *testing.T) {
 	if !SIMDAvailable() {
