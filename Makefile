@@ -36,22 +36,22 @@ test:
 # golden bits and plans, predtop-train's golden run, and every bitwise /
 # invariance / worker-invariance test of the numeric stack and of its callers
 # (the MRE grid, the planner's providers and what-if, the daemon's forward),
-# rerun with the assembly switched off for the whole process (the tests
-# themselves toggle SetSIMD only inside a few functions). Not -short: the MRE
-# grid's worker-invariance check skips in short mode. The same set runs again
-# under GODEBUG=cpu.fma=off, with the kernels on and off: that turns off
-# math.Exp's fused path and math.FMA's instruction, and no bit may move,
-# because every exp and fractional pow is xmath's and math.FMA is exactly
-# rounded either way. -count=1 on every line: PREDTOP_SIMD is read at package
-# init, before go test logs environment reads, so the test cache does not key
-# on it and would replay one line's results for another.
+# rerun with the assembly switched off for the whole process by the nosimd
+# build tag (the tests themselves toggle SetSIMD only inside a few
+# functions). Not -short: the MRE grid's worker-invariance check skips in
+# short mode. The same set runs again under GODEBUG=cpu.fma=off, with the
+# kernels on and off: that turns off math.Exp's fused path and math.FMA's
+# instruction, and no bit may move, because every exp and fractional pow is
+# xmath's and math.FMA is exactly rounded either way. The go command keys its
+# test cache on both the tags and GODEBUG, so no line replays another's
+# results.
 NOSIMD_RUN = 'TestGoldenBits|TestGoldenPlans|TestTrainGoldenAndDeterministic|Bitwise|Invarian'
 NOSIMD_PKGS = . ./internal/tensor ./internal/ag ./internal/graphnn ./internal/predictor \
 	./internal/experiments ./internal/planner ./internal/serve ./cmd/predtop-train
 nosimd:
-	PREDTOP_SIMD=off $(GO) test -count=1 -run $(NOSIMD_RUN) $(NOSIMD_PKGS)
-	GODEBUG=cpu.fma=off $(GO) test -count=1 -run $(NOSIMD_RUN) $(NOSIMD_PKGS)
-	PREDTOP_SIMD=off GODEBUG=cpu.fma=off $(GO) test -count=1 -run $(NOSIMD_RUN) $(NOSIMD_PKGS)
+	$(GO) test -tags nosimd -run $(NOSIMD_RUN) $(NOSIMD_PKGS)
+	GODEBUG=cpu.fma=off $(GO) test -run $(NOSIMD_RUN) $(NOSIMD_PKGS)
+	GODEBUG=cpu.fma=off $(GO) test -tags nosimd -run $(NOSIMD_RUN) $(NOSIMD_PKGS)
 
 # bench/ is its own module (`replace predtop => ../`), so `go build ./...` and
 # `go test ./...` above never see it. Vetting and testing it here is the

@@ -27,7 +27,7 @@ var deadExportsAllowed = map[string]string{
 	// Readers and switches whose callers are tests in other packages.
 	"tensor.SIMDAvailable": "gates the SIMD-vs-scalar rows of the bitwise tests in ag, graphnn, predictor",
 	"tensor.SIMDEnabled":   "read by the same tests to restore the kernel switch",
-	"tensor.SetSIMD":       "the kernel switch itself: PREDTOP_SIMD=off for a process, this for one test",
+	"tensor.SetSIMD":       "the kernel switch itself: the nosimd build tag for a process, this for one test",
 	// Paper artifacts whose caller is a root benchmark or test.
 	"experiments.Fig2Result.Spread": "Fig 2's headline max/min, the metric BenchmarkFig2PlanVariation reports",
 	// Called by the standard library through an interface, never by name.

@@ -51,7 +51,6 @@ const (
 	opReLU
 	opLeakyReLU
 	opConcat
-	opSlice
 	opAbs
 	opMeanAll
 	// Graph layer ops — see ops.go.
@@ -59,9 +58,7 @@ const (
 	opMatMulParam
 	opLayerNorm
 	opSumRows
-	opMatMulBT
-	opMatMul
-	opSoftmax
+	opAttention
 	// Edge-vector ops over the graphs' neighbour lists — see edges.go.
 	opEdgeAddOuter
 	opEdgeSoftmax
@@ -74,12 +71,12 @@ type Node struct {
 	V        *tensor.Tensor
 	grad     *tensor.Tensor
 	a, b     *Node              // operands
-	xs       []*Node            // operands of ConcatCols
-	aux      *tensor.Tensor     // saved forward state (LayerNorm x-hat)
+	xs       []*Node            // operands of ConcatCols; Q, K, V of Attention
+	aux      *tensor.Tensor     // saved forward state (LayerNorm x-hat, Attention P)
 	aux2     *tensor.Tensor     // saved forward state (LayerNorm 1/σ per row, R×1)
 	gdst     *tensor.Tensor     // opParam: gradient accumulation destination
 	s        float64            // opScale factor / opLeakyReLU alpha / LayerNorm eps
-	lo, hi   int                // opSlice column range
+	heads    int                // opAttention head count
 	nb       *tensor.Neighbours // edge ops: the graph's neighbour list
 	p1, p2   *Param             // layer ops: params (W/γ, b/β)
 	op       opKind
@@ -107,7 +104,7 @@ type Context struct {
 	nodes  []*Node
 	params map[*Param]*Node
 	ts     []*tensor.Tensor // scratch operand slice for ConcatCols
-	xs     []*Node          // ConcatCols operand lists of this generation
+	xs     []*Node          // ConcatCols and Attention operand lists of this generation
 	grads  *PanelGrads      // routed parameter-gradient slots (RouteGrads); nil = own
 	graph  int              // the tape's graph index in grads
 	own    []ownPart        // a standalone tape's parts, added by BackwardVec
@@ -290,14 +287,6 @@ func (c *Context) runBack(n *Node) {
 			off += x.V.C
 		}
 
-	case opSlice:
-		x := n.a
-		dx := c.arena.Get(x.V.R, x.V.C)
-		for i := 0; i < g.R; i++ {
-			copy(dx.Row(i)[n.lo:n.hi], g.Row(i))
-		}
-		c.accumOwn(x, dx)
-
 	case opAbs:
 		x := n.a
 		d := c.arena.GetUninit(g.R, g.C)
@@ -330,12 +319,8 @@ func (c *Context) runBack(n *Node) {
 		c.backLayerNorm(n)
 	case opSumRows:
 		c.backSumRows(n)
-	case opMatMulBT:
-		c.backMatMulBT(n)
-	case opMatMul:
-		c.backMatMul(n)
-	case opSoftmax:
-		c.backSoftmax(n)
+	case opAttention:
+		c.backAttention(n)
 	case opEdgeAddOuter:
 		c.backEdgeAddOuter(n)
 	case opEdgeSoftmax:
@@ -381,17 +366,6 @@ func (c *Context) Scale(x *Node, s float64) *Node {
 	return n
 }
 
-// ScaleInPlace returns s·x computed into x's own buffer, avoiding a copy.
-// Safe only when no other node's backward pass reads x's value — e.g. the
-// attention-score product feeding softmax, whose producing op (MatMulBT)
-// differentiates through its inputs, not its output.
-func (c *Context) ScaleInPlace(x *Node, s float64) *Node {
-	tensor.ScaleInto(x.V, x.V, s)
-	n := c.node(opScale, x.V, x.requires)
-	n.a, n.s = x, s
-	return n
-}
-
 // ReLU returns max(x, 0).
 func (c *Context) ReLU(x *Node) *Node {
 	v := c.arena.GetUninit(x.V.R, x.V.C)
@@ -430,15 +404,6 @@ func (c *Context) ConcatCols(xs ...*Node) *Node {
 	start := len(c.xs)
 	c.xs = append(c.xs, xs...)
 	n.xs = c.xs[start:len(c.xs):len(c.xs)]
-	return n
-}
-
-// SliceCols extracts columns [lo, hi).
-func (c *Context) SliceCols(x *Node, lo, hi int) *Node {
-	v := c.arena.GetUninit(x.V.R, hi-lo)
-	tensor.SliceColsInto(v, x.V, lo, hi)
-	n := c.node(opSlice, v, x.requires)
-	n.a, n.lo, n.hi = x, lo, hi
 	return n
 }
 

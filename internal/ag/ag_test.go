@@ -112,9 +112,6 @@ func checkTapes(t *testing.T, counts []int, routed []*Param, leaves [][]*Param, 
 	}
 }
 
-// square is the (n, n) shape of a graph's score-space tensors.
-func square(_, n int) (int, int) { return n, n }
-
 // cols returns the (n, c) shape of a graph's node tensors of width c.
 func cols(c int) func(g, n int) (int, int) { return func(_, n int) (int, int) { return n, c } }
 
@@ -125,22 +122,6 @@ func TestMatMulGrad(t *testing.T) {
 		p := newRandParam(rng, "p", 3, 2)
 		checkTapes(t, counts, []*Param{p}, [][]*Param{xs}, func(ctx *Context, g int) *Node {
 			return ctx.MeanAll(ctx.Square(ctx.MatMulParam(ctx.Param(xs[g]), p)))
-		})
-		// MatMul: attention weights times the graph's own node rows.
-		as := perGraph(rng, "a", counts, square)
-		vs := perGraph(rng, "v", counts, cols(3))
-		checkTapes(t, counts, nil, [][]*Param{as, vs}, func(ctx *Context, g int) *Node {
-			return ctx.MeanAll(ctx.Square(ctx.MatMul(ctx.Param(as[g]), ctx.Param(vs[g]))))
-		})
-	})
-}
-
-func TestMatMulBTGrad(t *testing.T) {
-	checkGraphs(t, func(t *testing.T, rng *rand.Rand, counts []int) {
-		as := perGraph(rng, "a", counts, cols(5))
-		bs := perGraph(rng, "b", counts, cols(5))
-		checkTapes(t, counts, nil, [][]*Param{as, bs}, func(ctx *Context, g int) *Node {
-			return ctx.MeanAll(ctx.Square(ctx.MatMulBT(ctx.Param(as[g]), ctx.Param(bs[g]))))
 		})
 	})
 }
@@ -157,8 +138,7 @@ func TestAddSubMulGrad(t *testing.T) {
 		return ctx.MeanAll(ctx.Square(prod))
 	})
 	checkOp(t, []*Param{a}, func(ctx *Context) *Node {
-		// ScaleInPlace overwrites its operand's buffer, so it scales a copy.
-		return ctx.MeanAll(ctx.Square(ctx.ScaleInPlace(ctx.Scale(ctx.Param(a), -1.5), 0.3)))
+		return ctx.MeanAll(ctx.Square(ctx.Scale(ctx.Scale(ctx.Param(a), -1.5), 0.3)))
 	})
 }
 
@@ -207,51 +187,56 @@ func TestActivationGrads(t *testing.T) {
 	})
 }
 
-// softmaxLoss runs the in-place softmax over a copy of x (the op overwrites
-// its operand) and weights the attention rows by w, as the attention·V
-// product does.
-func softmaxLoss(ctx *Context, x, w *Param, mask *tensor.Tensor) *Node {
-	s := ctx.SoftmaxInPlace(ctx.Scale(ctx.Param(x), 1), mask)
-	return ctx.MeanAll(ctx.Square(ctx.MatMul(s, ctx.Param(w))))
-}
-
-func TestSoftmaxGrad(t *testing.T) {
-	checkGraphs(t, func(t *testing.T, rng *rand.Rand, counts []int) {
-		xs := perGraph(rng, "x", counts, square)
-		ws := perGraph(rng, "w", counts, cols(1))
-		checkTapes(t, counts, nil, [][]*Param{xs, ws}, func(ctx *Context, g int) *Node {
-			return softmaxLoss(ctx, xs[g], ws[g], nil)
-		})
-	})
-}
-
-func TestSoftmaxMaskedGrad(t *testing.T) {
-	checkGraphs(t, func(t *testing.T, rng *rand.Rand, counts []int) {
-		xs := perGraph(rng, "x", counts, square)
-		ws := perGraph(rng, "w", counts, cols(1))
-		// Each graph's own n×n mask: the diagonal stays open, a third of the
-		// rest is disabled, and the last graph's first row is masked entirely
-		// (its output and gradient must be zero, not NaN).
-		masks := make([]*tensor.Tensor, len(counts))
-		for g, n := range counts {
-			m := tensor.New(n, n)
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					if i != j && rng.Intn(3) == 0 {
-						m.Set(i, j, math.Inf(-1))
+// TestAttentionGrad checks the fused attention op in q, k and v: two heads
+// of width 3 (a k%4 tail in every product), unmasked and under each graph's
+// own mask — the diagonal open, a third of the rest disabled, and the last
+// graph's first row masked entirely, whose output and gradient must be zero,
+// not NaN — and once as self-attention, q, k and v one node.
+func TestAttentionGrad(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		masked, self bool
+	}{{"nomask", false, false}, {"masked", true, false}, {"self", true, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			checkGraphs(t, func(t *testing.T, rng *rand.Rand, counts []int) {
+				qs := perGraph(rng, "q", counts, cols(6))
+				ks := perGraph(rng, "k", counts, cols(6))
+				vs := perGraph(rng, "v", counts, cols(6))
+				masks := make([]*tensor.Tensor, len(counts))
+				for g, n := range counts {
+					if !c.masked {
+						break
+					}
+					m := tensor.New(n, n)
+					for i := 0; i < n; i++ {
+						for j := 0; j < n; j++ {
+							if i != j && rng.Intn(3) == 0 {
+								m.Set(i, j, math.Inf(-1))
+							}
+						}
+					}
+					masks[g] = m
+				}
+				if c.masked {
+					last := masks[len(masks)-1]
+					for j := 0; j < last.C; j++ {
+						last.Set(0, j, math.Inf(-1))
 					}
 				}
-			}
-			masks[g] = m
-		}
-		last := masks[len(masks)-1]
-		for j := 0; j < last.C; j++ {
-			last.Set(0, j, math.Inf(-1))
-		}
-		checkTapes(t, counts, nil, [][]*Param{xs, ws}, func(ctx *Context, g int) *Node {
-			return softmaxLoss(ctx, xs[g], ws[g], masks[g])
+				leaves := [][]*Param{qs, ks, vs}
+				if c.self {
+					leaves = leaves[:1]
+				}
+				checkTapes(t, counts, nil, leaves, func(ctx *Context, g int) *Node {
+					q, k, v := ctx.Param(qs[g]), ctx.Param(ks[g]), ctx.Param(vs[g])
+					if c.self {
+						k, v = q, q
+					}
+					return ctx.MeanAll(ctx.Square(ctx.Attention(q, k, v, 2, masks[g])))
+				})
+			})
 		})
-	})
+	}
 }
 
 // TestEdgeSoftmaxGrad checks the in-place softmax over each node's edges,
@@ -280,14 +265,17 @@ func TestLayerNormGrad(t *testing.T) {
 	})
 }
 
+// TestConcatSliceGrad checks ConcatCols, whose backward slices each
+// operand's columns out of the gradient; the weights make every column's
+// gradient distinct.
 func TestConcatSliceGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	a := newRandParam(rng, "a", 3, 2)
 	b := newRandParam(rng, "b", 3, 4)
+	w := tensor.Randn(rng, 3, 6, 1)
 	checkOp(t, []*Param{a, b}, func(ctx *Context) *Node {
 		cat := ctx.ConcatCols(ctx.Param(a), ctx.Param(b))
-		left := ctx.SliceCols(cat, 0, 3)
-		return ctx.MeanAll(ctx.Square(left))
+		return ctx.MeanAll(ctx.Square(ctx.Mul(cat, ctx.Const(w))))
 	})
 }
 
@@ -459,8 +447,7 @@ type splitGraphs struct {
 func graphRun(ctx *Context, ps []*Param, sg *splitGraphs, g int) {
 	w1, b1, gamma, beta, p, w2, b2 := ps[0], ps[1], ps[2], ps[3], ps[4], ps[5], ps[6]
 	h := ctx.LayerNorm(ctx.Linear(ctx.Const(sg.xs[g]), w1, b1), gamma, beta, 1e-5)
-	attn := ctx.SoftmaxInPlace(ctx.ScaleInPlace(ctx.MatMulBT(h, h), 0.5), sg.masks[g])
-	h = ctx.MatMulParam(ctx.MatMul(attn, h), p)
+	h = ctx.MatMulParam(ctx.Attention(h, h, h, 2, sg.masks[g]), p)
 	pred := ctx.Linear(ctx.LeakyReLU(ctx.SumRows(h), 0.1), w2, b2)
 	ctx.BackwardVec(ctx.Abs(ctx.Sub(pred, ctx.Const(sg.targets[g]))))
 }

@@ -20,15 +20,13 @@ func newLossGraph(x, mask *tensor.Tensor) *lossGraph {
 }
 
 // buildLossGraph runs a forward pass exercising every tape op that the
-// models use — fused linear, in-place scale/softmax, layer norm, attention
-// glue, pooling, the 1-row head — and returns the scalar loss node.
+// models use — fused linear, layer norm, masked multi-head attention,
+// pooling, the 1-row head — and returns the scalar loss node.
 func buildLossGraph(ctx *Context, ps []*Param, g *lossGraph) *Node {
 	w1, b1, w2, b2, gamma, beta := ps[0], ps[1], ps[2], ps[3], ps[4], ps[5]
 	h := ctx.Linear(ctx.Const(g.x), w1, b1)
 	h = ctx.LayerNorm(h, gamma, beta, 1e-5)
-	scores := ctx.ScaleInPlace(ctx.MatMulBT(h, h), 0.5)
-	attn := ctx.SoftmaxInPlace(scores, g.mask)
-	h = ctx.MatMul(attn, h)
+	h = ctx.Attention(h, h, h, 2, g.mask)
 	h = ctx.Add(h, ctx.LeakyReLU(h, 0.1))
 	pooled := ctx.Scale(ctx.SumRows(h), 1/float64(g.x.R))
 	pred := ctx.ReLU(ctx.Linear(pooled, w2, b2))

@@ -26,8 +26,8 @@ func randomNeighbours(rng *rand.Rand, counts []int) []*tensor.Neighbours {
 }
 
 // The dense oracle: the n×n forms the edge ops replaced, rebuilt from the
-// list and evaluated by the dense ops the Transformer still runs, so every
-// masked entry is computed and contributes its exact zero.
+// list and evaluated by the dense tensor kernels, op for op as the tape ran
+// them, so every masked entry is computed and contributes its exact zero.
 
 // denseMask returns the graph's additive 1-hop mask: 0 on an edge, −Inf
 // elsewhere.
@@ -54,12 +54,66 @@ func denseAdj(nb *tensor.Neighbours) *tensor.Tensor {
 	return adj
 }
 
-// denseAddOuter is a[i] + b[j] as the two rank-one score products
-// a·1ᵀ + 1·bᵀ: x·1 is x exactly, and the products' backward sums a row (a
-// column) of the gradient in ascending order, as the outer sum's did.
-func denseAddOuter(ctx *Context, a, b *Node) *Node {
-	ones := ctx.Const(tensor.Full(a.V.R, 1, 1))
-	return ctx.Add(ctx.MatMulBT(a, ones), ctx.MatMulBT(ones, b))
+// leafGrad is the gradient a Param leaf ends with: g added into a zeroed
+// Param.Grad.
+func leafGrad(g *tensor.Tensor) *tensor.Tensor {
+	d := tensor.New(g.R, g.C)
+	tensor.AddInPlace(d, g)
+	return d
+}
+
+// denseGAT is the dense GAT head out = softmax(LeakyReLU(a[i] + b[j]) +
+// mask)·x and the gradients of Σ out⊙seed in a, b and x: dP = seed·xᵀ and
+// dx = Pᵀ·seed, the softmax VJP, the LeakyReLU gate, then a's row sums and
+// b's column sums, each sequential from +0 in ascending order.
+func denseGAT(a, b, x, seed, mask *tensor.Tensor) (*tensor.Tensor, []*tensor.Tensor) {
+	n := a.R
+	logits := tensor.New(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			logits.Set(i, j, a.Data[i]+b.Data[j])
+		}
+	}
+	act := tensor.New(n, n)
+	tensor.LeakyReLUInto(act, logits, 0.2)
+	p := tensor.New(n, n)
+	tensor.SoftmaxRowsInto(p, act, mask)
+	out := tensor.New(n, x.C)
+	tensor.MatMulSerialInto(out, p, x)
+
+	dp, dx := tensor.New(n, n), tensor.New(n, x.C)
+	tensor.MatMulBTSerialInto(dp, seed, x)
+	tensor.MatMulATInto(dx, p, seed)
+	ds := tensor.New(n, n)
+	for i := 0; i < n; i++ {
+		dotgy := 0.0
+		for j, g := range dp.Row(i) {
+			dotgy += g * p.At(i, j)
+		}
+		tensor.SoftmaxBackRow(ds.Row(i), dp.Row(i), p.Row(i), dotgy)
+	}
+	dl := tensor.New(n, n)
+	tensor.LeakyReLUBackInto(dl, ds, logits, 0.2)
+	da, db := tensor.New(n, 1), tensor.New(n, 1)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			da.Data[i] += dl.At(i, j)
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			db.Data[j] += dl.At(i, j)
+		}
+	}
+	return out, []*tensor.Tensor{leafGrad(da), leafGrad(db), leafGrad(dx)}
+}
+
+// denseGCN is the dense aggregation Â·x and its x gradient Âᵀ·seed.
+func denseGCN(adj, x, seed *tensor.Tensor) (*tensor.Tensor, []*tensor.Tensor) {
+	out, dx := tensor.New(x.R, x.C), tensor.New(x.R, x.C)
+	tensor.MatMulSerialInto(out, adj, x)
+	tensor.MatMulATInto(dx, adj, seed)
+	return out, []*tensor.Tensor{leafGrad(dx)}
 }
 
 // runTape backpropagates Σ out⊙seed through build's tape and returns the
@@ -120,10 +174,7 @@ func TestEdgeOpsMatchDenseOracle(t *testing.T) {
 					logits := ctx.LeakyReLU(ctx.EdgeAddOuter(ctx.Param(a), ctx.Param(b), nb), 0.2)
 					return ctx.EdgeAggregate(ctx.EdgeSoftmaxInPlace(logits, nb), ctx.Param(x), nb)
 				})
-				wantV, wantG := runTape(params, seed, func(ctx *Context) *Node {
-					logits := ctx.LeakyReLU(denseAddOuter(ctx, ctx.Param(a), ctx.Param(b)), 0.2)
-					return ctx.MatMul(ctx.SoftmaxInPlace(logits, mask), ctx.Param(x))
-				})
+				wantV, wantG := denseGAT(a.V, b.V, x.V, seed, mask)
 				wantSameBits(t, "GAT head value", gotV, wantV)
 				for i, p := range params {
 					wantSameBits(t, "GAT head d"+p.Name, gotG[i], wantG[i])
@@ -132,9 +183,7 @@ func TestEdgeOpsMatchDenseOracle(t *testing.T) {
 				gotV, gotG = runTape(params[2:], seed, func(ctx *Context) *Node {
 					return ctx.EdgeAggregate(ctx.Const(vals), ctx.Param(x), nb)
 				})
-				wantV, wantG = runTape(params[2:], seed, func(ctx *Context) *Node {
-					return ctx.MatMul(ctx.Const(adj), ctx.Param(x))
-				})
+				wantV, wantG = denseGCN(adj, x.V, seed)
 				wantSameBits(t, "GCN aggregate value", gotV, wantV)
 				wantSameBits(t, "GCN aggregate dx", gotG[0], wantG[0])
 			}

@@ -270,74 +270,37 @@ func (c *Context) backSumRows(n *Node) {
 	c.accumOwn(x, d)
 }
 
-// MatMulBT computes the score matrix a·bᵀ of two N-row node tensors.
-func (c *Context) MatMulBT(a, b *Node) *Node {
-	v := c.arena.GetUninit(a.V.R, b.V.R)
-	tensor.MatMulBTSerialInto(v, a.V, b.V)
-	n := c.node(opMatMulBT, v, anyRequires(a, b))
-	n.a, n.b = a, b
+// Attention is multi-head scaled dot-product attention over one graph's
+// N×dim node tensors q, k, v (tensor.AttentionInto): head h reads and writes
+// columns [h·dk, (h+1)·dk), dk = dim/heads, and mask is the additive N×N
+// logit mask (−Inf disables; nil masks nothing). The tape keeps the heads'
+// N×N probabilities for the backward and nothing else; q, k and v may be one
+// node.
+func (c *Context) Attention(q, k, v *Node, heads int, mask *tensor.Tensor) *Node {
+	out := c.arena.GetUninit(q.V.R, q.V.C)
+	p := c.arena.GetUninit(heads*q.V.R, q.V.R)
+	tensor.AttentionInto(out, p, q.V, k.V, v.V, mask, heads, c.arena)
+	n := c.node(opAttention, out, anyRequires(q, k, v))
+	start := len(c.xs)
+	c.xs = append(c.xs, q, k, v)
+	n.xs = c.xs[start:len(c.xs):len(c.xs)]
+	n.aux, n.heads = p, heads
 	return n
 }
 
-func (c *Context) backMatMulBT(n *Node) {
-	g, a, b := n.grad, n.a, n.b
-	if a.requires {
-		d := c.arena.GetUninit(a.V.R, a.V.C)
-		tensor.MatMulSerialInto(d, g, b.V) // dA = g·B
-		c.accumOwn(a, d)
-	}
-	if b.requires {
-		d := c.arena.GetUninit(b.V.R, b.V.C)
-		tensor.MatMulATInto(d, g, a.V) // dB = gᵀ·A
-		c.accumOwn(b, d)
-	}
-}
-
-// MatMul multiplies attention weights a (N×N) by the node tensor b — the
-// attention·V product.
-func (c *Context) MatMul(a, b *Node) *Node {
-	v := c.arena.GetUninit(a.V.R, b.V.C)
-	tensor.MatMulSerialInto(v, a.V, b.V)
-	n := c.node(opMatMul, v, anyRequires(a, b))
-	n.a, n.b = a, b
-	return n
-}
-
-func (c *Context) backMatMul(n *Node) {
-	g, a, b := n.grad, n.a, n.b
-	if a.requires {
-		d := c.arena.GetUninit(a.V.R, a.V.C)
-		tensor.MatMulBTSerialInto(d, g, b.V) // dA = g·Bᵀ
-		c.accumOwn(a, d)
-	}
-	if b.requires {
-		d := c.arena.GetUninit(b.V.R, b.V.C)
-		tensor.MatMulATInto(d, a.V, g) // dB = Aᵀ·g
-		c.accumOwn(b, d)
-	}
-}
-
-// SoftmaxInPlace applies the masked row softmax in x's own buffer. Safe only
-// when no other node's backward pass reads x's value: softmax's own VJP
-// needs only its output, which this node now holds. mask is the graph's
-// additive N×N mask (−Inf disables; nil masks nothing).
-func (c *Context) SoftmaxInPlace(x *Node, mask *tensor.Tensor) *Node {
-	tensor.SoftmaxRowsInto(x.V, x.V, mask)
-	n := c.node(opSoftmax, x.V, x.requires)
-	n.a = x
-	return n
-}
-
-func (c *Context) backSoftmax(n *Node) {
-	g, y := n.grad, n.V
-	d := c.arena.GetUninit(g.R, g.C)
-	for i := 0; i < g.R; i++ {
-		grow, yrow := g.Row(i), y.Row(i)
-		dotgy := 0.0
-		for j := range grow {
-			dotgy += grow[j] * yrow[j]
+func (c *Context) backAttention(n *Node) {
+	grad := func(x *Node) *tensor.Tensor {
+		if !x.requires {
+			return nil
 		}
-		tensor.SoftmaxBackRow(d.Row(i), grow, yrow, dotgy)
+		return c.arena.GetUninit(x.V.R, x.V.C)
 	}
-	c.accumOwn(n.a, d)
+	q, k, v := n.xs[0], n.xs[1], n.xs[2]
+	dq, dk, dv := grad(q), grad(k), grad(v)
+	tensor.AttentionBackInto(dq, dk, dv, n.grad, n.aux, q.V, k.V, v.V, n.heads, c.arena)
+	for i, d := range [...]*tensor.Tensor{dq, dk, dv} {
+		if d != nil {
+			c.accumOwn(n.xs[i], d)
+		}
+	}
 }

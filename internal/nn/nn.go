@@ -97,28 +97,13 @@ func NewMultiHeadAttention(rng *rand.Rand, name string, dim, heads int) *MultiHe
 
 // Forward computes masked attention over the graph's nodes; mask is the
 // additive N×N logit mask (the DAG reachability mask of Eqn 1, −Inf
-// disabling positions; nil masks nothing).
+// disabling positions; nil masks nothing). The heads are column views of
+// the three projections, attended in one tape op whose output Wo reads.
 func (m *MultiHeadAttention) Forward(ctx *ag.Context, x *ag.Node, mask *tensor.Tensor) *ag.Node {
 	q := m.Wq.Forward(ctx, x)
 	k := m.Wk.Forward(ctx, x)
 	v := m.Wv.Forward(ctx, x)
-	dk := m.Dim / m.Heads
-	scale := 1 / math.Sqrt(float64(dk))
-	var buf [8]*ag.Node // ConcatCols copies its operands, so heads can stay on the stack
-	heads := buf[:0]
-	for h := 0; h < m.Heads; h++ {
-		lo, hi := h*dk, (h+1)*dk
-		qh := ctx.SliceCols(q, lo, hi)
-		kh := ctx.SliceCols(k, lo, hi)
-		vh := ctx.SliceCols(v, lo, hi)
-		// Scaling and softmax both overwrite the score buffer in place:
-		// MatMulBT's backward reads its inputs, never its output, so the raw
-		// scores are dead the moment they are produced.
-		scores := ctx.ScaleInPlace(ctx.MatMulBT(qh, kh), scale)
-		attn := ctx.SoftmaxInPlace(scores, mask)
-		heads = append(heads, ctx.MatMul(attn, vh))
-	}
-	return m.Wo.Forward(ctx, ctx.ConcatCols(heads...))
+	return m.Wo.Forward(ctx, ctx.Attention(q, k, v, m.Heads, mask))
 }
 
 // Params implements Module.

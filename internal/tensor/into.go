@@ -199,8 +199,7 @@ func LinearInto(dst, x, w, bias *Tensor) {
 }
 
 // MatMulATInto computes dst = aᵀ·b for a (m×k) and b (m×n): the weight
-// gradient of a dense layer and the dK/dV product of attention. dst must not
-// alias a or b.
+// gradient of a dense layer. dst must not alias a or b.
 func MatMulATInto(dst, a, b *Tensor) {
 	if a.R != b.R {
 		shapePanic("MatMulAT shape mismatch (%dx%d)ᵀ · %dx%d", a.R, a.C, b.R, b.C)
@@ -211,54 +210,61 @@ func MatMulATInto(dst, a, b *Tensor) {
 }
 
 // matmulATAccum is the one Aᵀ·B kernel: dd's row p accumulates
-// Σ_i a[i][p] · b row i. Input rows are consumed four, then two, then one at
-// a time; the contributions to each dd element are added in ascending i order
+// Σ_i a[i][p] · b row i, four input rows at a time through atAccumBlock.
+func matmulATAccum(dd []float64, a, b *Tensor) {
+	var as, bs [blockRows][]float64
+	for i0 := 0; i0 < a.R; i0 += blockRows {
+		rows := min(blockRows, a.R-i0)
+		for r := range rows {
+			as[r], bs[r] = a.Row(i0+r), b.Row(i0+r)
+		}
+		atAccumBlock(dd, b.C, rows, &as, &bs)
+	}
+}
+
+// atAccumBlock adds Σ_r a[r][p]·b[r] into dd's row p (rows w wide) for the
+// block's first rows input rows. Rows are consumed four, then two, then one
+// at a time; the contributions to each dd element are added in ascending r
 // whichever grouping carries them (axpy2 is the exact element-wise order of
 // two axpy calls), so the grouping is bitwise-invisible. The `av != 0` skip
 // is kept per row: adding 0·b costs a full row pass, and a one-hot heavy
 // feature matrix makes the skip the common case.
-func matmulATAccum(dd []float64, a, b *Tensor) {
-	ni, np, n := a.R, a.C, b.C
-	arow := func(i int) []float64 { return a.Data[i*np : (i+1)*np] }
-	brow := func(i int) []float64 { return b.Data[i*n : (i+1)*n] }
-	i := 0
+func atAccumBlock(dd []float64, w, rows int, a, b *[blockRows][]float64) {
+	r := 0
 	if simdKernels {
-		for ; i+4 <= ni; i += 4 {
-			matmulATQuadAVX2(dd, 0, n, arow(i), arow(i+1), arow(i+2), arow(i+3),
-				brow(i), brow(i+1), brow(i+2), brow(i+3))
+		if rows == 4 {
+			matmulATQuadAVX2(dd, 0, w, a[0], a[1], a[2], a[3], b[0], b[1], b[2], b[3])
+			return
 		}
-		if i+2 <= ni {
-			matmulATPairAVX2(dd, 0, n, arow(i), arow(i+1), brow(i), brow(i+1))
-			i += 2
+		if rows >= 2 {
+			matmulATPairAVX2(dd, 0, w, a[0], a[1], b[0], b[1])
+			r = 2
 		}
-		if i < ni {
-			matmulATRowAVX2(dd, 0, n, arow(i), brow(i))
+		if r < rows {
+			matmulATRowAVX2(dd, 0, w, a[r], b[r])
 		}
 		return
 	}
-	for ; i+2 <= ni; i += 2 {
-		a0, a1 := arow(i), arow(i+1)
-		b0, b1 := brow(i), brow(i+1)
-		for p := 0; p < np; p++ {
-			av0, av1 := a0[p], a1[p]
-			o := p * n
+	for ; r+2 <= rows; r += 2 {
+		a0, a1, b0, b1 := a[r], a[r+1], b[r], b[r+1]
+		for p, av0 := range a0 {
+			av1 := a1[p]
+			o := p * w
 			if av0 != 0 {
 				if av1 != 0 {
-					axpy2(av0, av1, b0, b1, dd[o:o+n])
+					axpy2(av0, av1, b0, b1, dd[o:o+w])
 				} else {
-					axpy(av0, b0, dd[o:o+n])
+					axpy(av0, b0, dd[o:o+w])
 				}
 			} else if av1 != 0 {
-				axpy(av1, b1, dd[o:o+n])
+				axpy(av1, b1, dd[o:o+w])
 			}
 		}
 	}
-	for ; i < ni; i++ {
-		a0, b0 := arow(i), brow(i)
-		for p := 0; p < np; p++ {
-			if av := a0[p]; av != 0 {
-				o := p * n
-				axpy(av, b0, dd[o:o+n])
+	if r < rows {
+		for p, av := range a[r] {
+			if av != 0 {
+				axpy(av, b[r], dd[p*w:(p+1)*w])
 			}
 		}
 	}
@@ -410,8 +416,8 @@ func SoftmaxBackRow(drow, grow, yrow []float64, dotgy float64) {
 // SoftmaxRowsInto computes row-wise softmax of t into dst; mask (may be
 // nil) is an additive logit mask with −Inf disabling positions, and rows
 // whose every position is masked yield all-zero output rather than NaN.
-// dst may alias t (the in-place form used by attention). Mask rows are
-// sliced once per row, keeping the inner loop free of index arithmetic.
+// dst may alias t. Mask rows are sliced once per row, keeping the inner loop
+// free of index arithmetic.
 func SoftmaxRowsInto(dst, t, mask *Tensor) {
 	if mask != nil {
 		if !t.SameShape(mask) {
@@ -424,16 +430,31 @@ func SoftmaxRowsInto(dst, t, mask *Tensor) {
 	}
 }
 
-// softmaxRow is the one softmax row body, shared by SoftmaxRowsInto and the
-// edge kernel. mask may be nil; mi indexes the mask row.
+// softmaxRow is the one softmax row body, shared by SoftmaxRowsInto, the
+// edge kernel and, phase by phase, the attention kernel. mask may be nil; mi
+// indexes the mask row.
 func softmaxRow(orow, row []float64, mask *Tensor, mi int) {
+	if !softmaxExp(orow, row, mask, mi) {
+		return
+	}
+	sum := 0.0
+	for _, e := range orow {
+		sum += e
+	}
+	softmaxNorm(orow, sum)
+}
+
+// softmaxExp runs softmaxRow's first two passes: orow[j] = exp(row[j] +
+// mask[mi][j] − max). A row whose every position is masked is cleared and
+// reports false; the caller then skips the sum and the normalization.
+func softmaxExp(orow, row []float64, mask *Tensor, mi int) bool {
 	// The max pass vectorizes bitwise-safely: the running max under strict >
 	// is order-independent in value, NaN candidates never win under either
 	// order, and the one ambiguity — a row whose max appears as both −0 and
 	// +0 — is erased by the exp pass (v∓0 differs only at v=±0, and
 	// exp(±0) is exactly 1 either way). The exp pass vectorizes as
 	// xmath.Exp's fused sequence (expSubAVX2) over the leading blocks it can
-	// take; xmath.Exp finishes the rest. The sum stays scalar: its
+	// take; xmath.Exp finishes the rest. The caller's sum stays scalar: its
 	// sequential order is pinned.
 	var maxv float64
 	switch {
@@ -462,20 +483,21 @@ func softmaxRow(orow, row []float64, mask *Tensor, mi int) {
 	}
 	if math.IsInf(maxv, -1) {
 		clear(orow)
-		return
+		return false
 	}
-	sum, done := 0.0, 0
+	done := 0
 	if simdKernels {
 		done = expSubAVX2(orow, orow, maxv)
-		for _, e := range orow[:done] {
-			sum += e
-		}
 	}
 	for j := done; j < len(orow); j++ {
-		e := xmath.Exp(orow[j] - maxv)
-		orow[j] = e
-		sum += e
+		orow[j] = xmath.Exp(orow[j] - maxv)
 	}
+	return true
+}
+
+// softmaxNorm runs softmaxRow's last pass, orow[j] ·= 1/sum, with sum the
+// sequential sum of orow.
+func softmaxNorm(orow []float64, sum float64) {
 	inv := 1 / sum
 	if simdKernels {
 		scaleIntoAVX2(orow, orow, inv)

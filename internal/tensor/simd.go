@@ -1,20 +1,14 @@
 package tensor
 
-import "os"
-
-// simdKernels gates the AVX2 row kernels. It defaults to hardware support
-// (overridable with PREDTOP_SIMD=off) and exists as a mutable flag so the
-// determinism tests can run the identical workload with and without SIMD and
-// assert bitwise equality — the kernels are constructed to make that hold
-// (see simd_amd64.go).
-var simdKernels = initSIMD()
-
-func initSIMD() bool {
-	if os.Getenv("PREDTOP_SIMD") == "off" {
-		return false
-	}
-	return simdSupported()
-}
+// simdKernels gates the AVX2 row kernels. It defaults to hardware support —
+// off in a build with the nosimd tag (`go test -tags nosimd`, simd_tag.go) —
+// and exists as a mutable flag so the determinism tests can run the
+// identical workload with and without SIMD and assert bitwise equality — the
+// kernels are constructed to make that hold (see simd_amd64.go). A build tag
+// rather than an environment variable sets the default because the go
+// command keys its test cache on the tags: a nosimd run never replays a
+// cached SIMD-on result.
+var simdKernels = simdSupported() && !noSIMDTag
 
 // SIMDAvailable reports whether this CPU supports the AVX2 kernels,
 // regardless of whether they are currently enabled.

@@ -15,6 +15,13 @@ package tensor
 //     s_m), combines lanes left-associatively like the scalar epilogue, and
 //     runs the same scalar tail. Four outputs interleave only to overlap
 //     dependency chains.
+//   - laneBTAVX2: the same dot per output with the outputs in lanes instead
+//     of the accumulators: lane j of register m is output j's s_m, so the
+//     combine is three vector adds in dot's order.
+//   - pvBlockAVX2 / atBlockAVX2: the chains of matmulRowKernel and of
+//     matmulATQuadAVX2's all-nonzero path, four rows at a time, without the
+//     zero skips; the caller runs them only on a finite right operand, where
+//     a skipped ±0 term cannot change a sum that starts at +0.
 //
 // No FMA instructions are used anywhere else: fused multiply-adds round once
 // where the scalar code rounds twice, which would break bitwise identity.
@@ -33,6 +40,26 @@ func matmulRowKernelAVX2(crow, arow, bd []float64, b0, n int)
 
 //go:noescape
 func matmulBTRowKernelAVX2(crow, arow, bd []float64, b0, m, k int)
+
+// laneBTAVX2 is laneBT's leading multiple of four columns: one output column
+// per lane, register m of a column group holding dot's accumulator s_m, the
+// lanes combined ((s0+s1)+s2)+s3 by vector adds, then the tail and the scale
+// (see simd_amd64.s).
+//
+//go:noescape
+func laneBTAVX2(crow, arow, bt []float64, n int, s float64)
+
+// pvBlockAVX2 and atBlockAVX2 are attention's four-row products with the
+// block's outputs (P·V, dS·K) or right-hand rows (dK, dV) held in registers
+// across the inner index. They keep the per-element sums of matmulRowKernel
+// and matmulATQuadAVX2 but not their per-row zero skips, so the caller runs
+// them only on a finite right operand (see simd_amd64.s).
+//
+//go:noescape
+func pvBlockAVX2(c []float64, ldc int, a []float64, lda int, bd []float64, n int)
+
+//go:noescape
+func atBlockAVX2(dd []float64, n int, a []float64, lda int, b []float64, ldb int)
 
 // Elementwise kernels: each lane computes exactly the scalar expression for
 // its own index, so vectorization is trivially bitwise-transparent.

@@ -4,8 +4,10 @@
 // independent per-element chains in SIMD lanes and never refuses, regroups,
 // or fuses (no FMA) an operation — so results are bitwise identical to the
 // scalar path. The exception is expSubAVX2, whose counterpart is the fused
-// sequence of xmath.Exp, replayed FMA for FMA. See simd_amd64.go for the
-// correspondence argument per kernel.
+// sequence of xmath.Exp, replayed FMA for FMA. pvBlockAVX2 and atBlockAVX2
+// keep their counterparts' sums but not their zero skips, and run only where
+// that is invisible. See simd_amd64.go for the correspondence argument per
+// kernel.
 
 #include "textflag.h"
 
@@ -933,7 +935,8 @@ GLOBL expC<>(SB), RODATA, $544
 // LOG2E product and round-to-nearest k, fused LN2U/LN2L reductions, ×1/16,
 // fused Taylor chain, three add-2/multiply squarings and a fused fourth
 // with +1, then the 2^k scale. A −Inf lane is blended to +0, which is what
-// xmath.Exp(−Inf) returns. A block with any lane off that normal path (NaN,
+// xmath.Exp(−Inf) returns, and a block of four −Inf lanes (masked scores)
+// stores its four +0 without the sequence. A block with any lane off that normal path (NaN,
 // x < −708 where xmath.Exp may take its denormal branch, x > 709 where it
 // may overflow) is left unstored and ends the call; done is the number of
 // leading elements written, a multiple of 4, so dst may alias src and the
@@ -959,6 +962,9 @@ esVec:
 	VMOVMSKPD Y5, AX
 	CMPQ AX, $15
 	JNE  esDone                          // some lane is off the normal path
+	VMOVMSKPD Y4, AX
+	CMPQ AX, $15
+	JEQ  esMasked                        // four masked scores: four +0
 
 	VMULPD     expC<>+0(SB), Y0, Y1      // x·LOG2E
 	VCVTPD2DQY Y1, X3                    // k, rounded to nearest
@@ -989,6 +995,12 @@ esVec:
 	VMULPD     Y1, Y0, Y0
 	VANDNPD    Y0, Y4, Y0                // −Inf lanes → +0
 	VMOVUPD    Y0, (DI)(R12*8)
+	ADDQ $4, R12
+	JMP  esVec
+
+esMasked:
+	VXORPD  Y0, Y0, Y0
+	VMOVUPD Y0, (DI)(R12*8)
 	ADDQ $4, R12
 	JMP  esVec
 
@@ -1563,5 +1575,572 @@ aqNext:
 	JMP  aqLoop
 
 aqDone:
+	VZEROUPPER
+	RET
+
+// func laneBTAVX2(crow, arow, bt []float64, n int, s float64)
+// crow[j] = s·(arow · column j of bt) for j in [0, len(crow)), len(crow) a
+// multiple of 4, bt's rows n wide: one output column per ymm lane. Register
+// m of a column group holds dot's accumulator s_m for four columns, starting
+// at +0 and taking arow[t]·bt[t][j] for t ≡ m (mod 4) below len(arow)&^3 in
+// ascending t; the lanes combine as ((s0+s1)+s2)+s3 with vector adds, the
+// len(arow)%4 tail adds sequentially, and the scale multiplies last — dot's
+// and ScaleInto's operations per output, without a horizontal reduce. Eight
+// columns per step keep eight independent add chains in flight.
+TEXT ·laneBTAVX2(SB), NOSPLIT, $0-88
+	MOVQ crow_base+0(FP), DI
+	MOVQ crow_len+8(FP), R10      // columns, a multiple of 4
+	MOVQ arow_base+24(FP), SI
+	MOVQ arow_len+32(FP), R8      // k
+	MOVQ bt_base+48(FP), BX
+	MOVQ n+72(FP), R13
+	SHLQ $3, R13                  // bt row stride in bytes
+	VBROADCASTSD s+80(FP), Y15
+	MOVQ R8, R9
+	ANDQ $-4, R9                  // k rounded down to a multiple of 4
+	XORQ R11, R11                 // j
+
+lb8:
+	LEAQ 8(R11), AX
+	CMPQ AX, R10
+	JGT  lb4
+	LEAQ (BX)(R11*8), R14       // &bt[0][j]
+	VXORPD Y0, Y0, Y0
+	VXORPD Y4, Y4, Y4
+	VXORPD Y1, Y1, Y1
+	VXORPD Y5, Y5, Y5
+	VXORPD Y2, Y2, Y2
+	VXORPD Y6, Y6, Y6
+	VXORPD Y3, Y3, Y3
+	VXORPD Y7, Y7, Y7
+	XORQ R12, R12               // t
+
+lb8K:
+	CMPQ R12, R9
+	JGE  lb8Combine
+	VBROADCASTSD (SI)(R12*8), Y8
+	VMULPD  (R14), Y8, Y9
+	VADDPD  Y9, Y0, Y0
+	VMULPD  32(R14), Y8, Y10
+	VADDPD  Y10, Y4, Y4
+	ADDQ R13, R14
+	VBROADCASTSD 8(SI)(R12*8), Y8
+	VMULPD  (R14), Y8, Y9
+	VADDPD  Y9, Y1, Y1
+	VMULPD  32(R14), Y8, Y10
+	VADDPD  Y10, Y5, Y5
+	ADDQ R13, R14
+	VBROADCASTSD 16(SI)(R12*8), Y8
+	VMULPD  (R14), Y8, Y9
+	VADDPD  Y9, Y2, Y2
+	VMULPD  32(R14), Y8, Y10
+	VADDPD  Y10, Y6, Y6
+	ADDQ R13, R14
+	VBROADCASTSD 24(SI)(R12*8), Y8
+	VMULPD  (R14), Y8, Y9
+	VADDPD  Y9, Y3, Y3
+	VMULPD  32(R14), Y8, Y10
+	VADDPD  Y10, Y7, Y7
+	ADDQ R13, R14
+	ADDQ $4, R12
+	JMP  lb8K
+
+lb8Combine:
+	// ((s0+s1)+s2)+s3 lane by lane: each lane is one output column.
+	VADDPD  Y1, Y0, Y0
+	VADDPD  Y2, Y0, Y0
+	VADDPD  Y3, Y0, Y0
+	VADDPD  Y5, Y4, Y4
+	VADDPD  Y6, Y4, Y4
+	VADDPD  Y7, Y4, Y4
+
+lb8Tail:
+	CMPQ R12, R8
+	JGE  lb8Store
+	VBROADCASTSD (SI)(R12*8), Y8
+	VMULPD  (R14), Y8, Y9
+	VADDPD  Y9, Y0, Y0
+	VMULPD  32(R14), Y8, Y10
+	VADDPD  Y10, Y4, Y4
+	ADDQ R13, R14
+	INCQ R12
+	JMP  lb8Tail
+
+lb8Store:
+	VMULPD  Y15, Y0, Y0
+	VMULPD  Y15, Y4, Y4
+	VMOVUPD Y0, (DI)(R11*8)
+	VMOVUPD Y4, 32(DI)(R11*8)
+	ADDQ $8, R11
+	JMP  lb8
+lb4:
+	LEAQ 4(R11), AX
+	CMPQ AX, R10
+	JGT  lbDone
+	LEAQ (BX)(R11*8), R14       // &bt[0][j]
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ R12, R12               // t
+
+lb4K:
+	CMPQ R12, R9
+	JGE  lb4Combine
+	VBROADCASTSD (SI)(R12*8), Y8
+	VMULPD  (R14), Y8, Y9
+	VADDPD  Y9, Y0, Y0
+	ADDQ R13, R14
+	VBROADCASTSD 8(SI)(R12*8), Y8
+	VMULPD  (R14), Y8, Y9
+	VADDPD  Y9, Y1, Y1
+	ADDQ R13, R14
+	VBROADCASTSD 16(SI)(R12*8), Y8
+	VMULPD  (R14), Y8, Y9
+	VADDPD  Y9, Y2, Y2
+	ADDQ R13, R14
+	VBROADCASTSD 24(SI)(R12*8), Y8
+	VMULPD  (R14), Y8, Y9
+	VADDPD  Y9, Y3, Y3
+	ADDQ R13, R14
+	ADDQ $4, R12
+	JMP  lb4K
+
+lb4Combine:
+	// ((s0+s1)+s2)+s3 lane by lane: each lane is one output column.
+	VADDPD  Y1, Y0, Y0
+	VADDPD  Y2, Y0, Y0
+	VADDPD  Y3, Y0, Y0
+
+lb4Tail:
+	CMPQ R12, R8
+	JGE  lb4Store
+	VBROADCASTSD (SI)(R12*8), Y8
+	VMULPD  (R14), Y8, Y9
+	VADDPD  Y9, Y0, Y0
+	ADDQ R13, R14
+	INCQ R12
+	JMP  lb4Tail
+
+lb4Store:
+	VMULPD  Y15, Y0, Y0
+	VMOVUPD Y0, (DI)(R11*8)
+	ADDQ $4, R11
+	JMP  lb4
+lbDone:
+	VZEROUPPER
+	RET
+
+
+// func pvBlockAVX2(c []float64, ldc int, a []float64, lda int, bd []float64, n int)
+// Four output rows at once: c[r·ldc : +n] = Σ_p a[r·lda + p]·bd[p·n : +n] for
+// r < 4 and p < lda, each element summed from +0 in ascending p — the
+// sequence matmulRowKernel adds, with n a multiple of 4. The four rows' eight
+// (then four) columns stay in registers across p, one independent add chain
+// per register, and each bd row is loaded once for all four rows. No
+// coefficient is skipped, which is bitwise-invisible only when bd is finite
+// (0·x is then ±0 and c + ±0 is c, c never being −0): the caller checks.
+TEXT ·pvBlockAVX2(SB), NOSPLIT, $0-96
+	MOVQ c_base+0(FP), DI
+	MOVQ ldc+24(FP), R15
+	SHLQ $3, R15                  // c row stride in bytes
+	MOVQ a_base+32(FP), SI        // a row 0
+	MOVQ lda+56(FP), CX           // k = lda
+	LEAQ (SI)(CX*8), R9           // a row 1
+	LEAQ (R9)(CX*8), R10          // a row 2
+	LEAQ (R10)(CX*8), R11         // a row 3
+	MOVQ bd_base+64(FP), BX
+	MOVQ n+88(FP), DX
+	MOVQ DX, R13
+	SHLQ $3, R13                  // bd row stride in bytes
+	XORQ R12, R12                 // j
+
+pv8:
+	LEAQ 8(R12), AX
+	CMPQ AX, DX
+	JGT  pv4
+	LEAQ (BX)(R12*8), R14       // &bd[0][j]
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	XORQ AX, AX                 // p
+
+pv8Quad:
+	LEAQ 4(AX), R8
+	CMPQ R8, CX
+	JGT  pv8Tail
+	VMOVUPD (R14), Y12
+	VMOVUPD 32(R14), Y13
+	VBROADCASTSD (SI)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y0, Y0
+	VMULPD  Y13, Y10, Y14
+	VADDPD  Y14, Y4, Y4
+	VBROADCASTSD (R9)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y1, Y1
+	VMULPD  Y13, Y10, Y14
+	VADDPD  Y14, Y5, Y5
+	VBROADCASTSD (R10)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y2, Y2
+	VMULPD  Y13, Y10, Y14
+	VADDPD  Y14, Y6, Y6
+	VBROADCASTSD (R11)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y3, Y3
+	VMULPD  Y13, Y10, Y14
+	VADDPD  Y14, Y7, Y7
+	ADDQ R13, R14
+	VMOVUPD (R14), Y12
+	VMOVUPD 32(R14), Y13
+	VBROADCASTSD 8(SI)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y0, Y0
+	VMULPD  Y13, Y10, Y14
+	VADDPD  Y14, Y4, Y4
+	VBROADCASTSD 8(R9)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y1, Y1
+	VMULPD  Y13, Y10, Y14
+	VADDPD  Y14, Y5, Y5
+	VBROADCASTSD 8(R10)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y2, Y2
+	VMULPD  Y13, Y10, Y14
+	VADDPD  Y14, Y6, Y6
+	VBROADCASTSD 8(R11)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y3, Y3
+	VMULPD  Y13, Y10, Y14
+	VADDPD  Y14, Y7, Y7
+	ADDQ R13, R14
+	VMOVUPD (R14), Y12
+	VMOVUPD 32(R14), Y13
+	VBROADCASTSD 16(SI)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y0, Y0
+	VMULPD  Y13, Y10, Y14
+	VADDPD  Y14, Y4, Y4
+	VBROADCASTSD 16(R9)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y1, Y1
+	VMULPD  Y13, Y10, Y14
+	VADDPD  Y14, Y5, Y5
+	VBROADCASTSD 16(R10)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y2, Y2
+	VMULPD  Y13, Y10, Y14
+	VADDPD  Y14, Y6, Y6
+	VBROADCASTSD 16(R11)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y3, Y3
+	VMULPD  Y13, Y10, Y14
+	VADDPD  Y14, Y7, Y7
+	ADDQ R13, R14
+	VMOVUPD (R14), Y12
+	VMOVUPD 32(R14), Y13
+	VBROADCASTSD 24(SI)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y0, Y0
+	VMULPD  Y13, Y10, Y14
+	VADDPD  Y14, Y4, Y4
+	VBROADCASTSD 24(R9)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y1, Y1
+	VMULPD  Y13, Y10, Y14
+	VADDPD  Y14, Y5, Y5
+	VBROADCASTSD 24(R10)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y2, Y2
+	VMULPD  Y13, Y10, Y14
+	VADDPD  Y14, Y6, Y6
+	VBROADCASTSD 24(R11)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y3, Y3
+	VMULPD  Y13, Y10, Y14
+	VADDPD  Y14, Y7, Y7
+	ADDQ R13, R14
+	ADDQ $4, AX
+	JMP  pv8Quad
+
+pv8Tail:
+	CMPQ AX, CX
+	JGE  pv8Store
+	VMOVUPD (R14), Y12
+	VMOVUPD 32(R14), Y13
+	VBROADCASTSD (SI)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y0, Y0
+	VMULPD  Y13, Y10, Y14
+	VADDPD  Y14, Y4, Y4
+	VBROADCASTSD (R9)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y1, Y1
+	VMULPD  Y13, Y10, Y14
+	VADDPD  Y14, Y5, Y5
+	VBROADCASTSD (R10)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y2, Y2
+	VMULPD  Y13, Y10, Y14
+	VADDPD  Y14, Y6, Y6
+	VBROADCASTSD (R11)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y3, Y3
+	VMULPD  Y13, Y10, Y14
+	VADDPD  Y14, Y7, Y7
+	ADDQ R13, R14
+	INCQ AX
+	JMP  pv8Tail
+
+pv8Store:
+	LEAQ (DI)(R12*8), R14
+	VMOVUPD Y0, (R14)
+	VMOVUPD Y4, 32(R14)
+	ADDQ R15, R14
+	VMOVUPD Y1, (R14)
+	VMOVUPD Y5, 32(R14)
+	ADDQ R15, R14
+	VMOVUPD Y2, (R14)
+	VMOVUPD Y6, 32(R14)
+	ADDQ R15, R14
+	VMOVUPD Y3, (R14)
+	VMOVUPD Y7, 32(R14)
+	ADDQ $8, R12
+	JMP  pv8
+
+pv4:
+	LEAQ 4(R12), AX
+	CMPQ AX, DX
+	JGT  pvDone
+	LEAQ (BX)(R12*8), R14       // &bd[0][j]
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ AX, AX                 // p
+
+pv4Quad:
+	LEAQ 4(AX), R8
+	CMPQ R8, CX
+	JGT  pv4Tail
+	VMOVUPD (R14), Y12
+	VBROADCASTSD (SI)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y0, Y0
+	VBROADCASTSD (R9)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y1, Y1
+	VBROADCASTSD (R10)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y2, Y2
+	VBROADCASTSD (R11)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y3, Y3
+	ADDQ R13, R14
+	VMOVUPD (R14), Y12
+	VBROADCASTSD 8(SI)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y0, Y0
+	VBROADCASTSD 8(R9)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y1, Y1
+	VBROADCASTSD 8(R10)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y2, Y2
+	VBROADCASTSD 8(R11)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y3, Y3
+	ADDQ R13, R14
+	VMOVUPD (R14), Y12
+	VBROADCASTSD 16(SI)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y0, Y0
+	VBROADCASTSD 16(R9)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y1, Y1
+	VBROADCASTSD 16(R10)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y2, Y2
+	VBROADCASTSD 16(R11)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y3, Y3
+	ADDQ R13, R14
+	VMOVUPD (R14), Y12
+	VBROADCASTSD 24(SI)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y0, Y0
+	VBROADCASTSD 24(R9)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y1, Y1
+	VBROADCASTSD 24(R10)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y2, Y2
+	VBROADCASTSD 24(R11)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y3, Y3
+	ADDQ R13, R14
+	ADDQ $4, AX
+	JMP  pv4Quad
+
+pv4Tail:
+	CMPQ AX, CX
+	JGE  pv4Store
+	VMOVUPD (R14), Y12
+	VBROADCASTSD (SI)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y0, Y0
+	VBROADCASTSD (R9)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y1, Y1
+	VBROADCASTSD (R10)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y2, Y2
+	VBROADCASTSD (R11)(AX*8), Y10
+	VMULPD  Y12, Y10, Y11
+	VADDPD  Y11, Y3, Y3
+	ADDQ R13, R14
+	INCQ AX
+	JMP  pv4Tail
+
+pv4Store:
+	LEAQ (DI)(R12*8), R14
+	VMOVUPD Y0, (R14)
+	ADDQ R15, R14
+	VMOVUPD Y1, (R14)
+	ADDQ R15, R14
+	VMOVUPD Y2, (R14)
+	ADDQ R15, R14
+	VMOVUPD Y3, (R14)
+	ADDQ $4, R12
+	JMP  pv4
+
+pvDone:
+	VZEROUPPER
+	RET
+
+// func atBlockAVX2(dd []float64, n int, a []float64, lda int, b []float64, ldb int)
+// Four input rows at once: dd[p·n : +n] += a0[p]·b0 + a1[p]·b1 + a2[p]·b2 +
+// a3[p]·b3 for p < lda, where a_r = a[r·lda:] and b_r = b[r·ldb : +n], the
+// products added in ascending r — matmulATQuadAVX2's all-nonzero chain —
+// with n a multiple of 4. Eight (then four) columns of the four b rows stay
+// in registers across p. No coefficient is skipped, which is
+// bitwise-invisible only when b is finite (0·x is then ±0 and dd + ±0 is dd,
+// dd never being −0): the caller checks.
+TEXT ·atBlockAVX2(SB), NOSPLIT, $0-96
+	MOVQ dd_base+0(FP), DI
+	MOVQ n+24(FP), DX
+	MOVQ DX, R13
+	SHLQ $3, R13                  // dd row stride in bytes
+	MOVQ a_base+32(FP), SI        // a row 0
+	MOVQ lda+56(FP), CX           // k = lda
+	LEAQ (SI)(CX*8), R9           // a row 1
+	LEAQ (R9)(CX*8), R10          // a row 2
+	LEAQ (R10)(CX*8), R11         // a row 3
+	MOVQ b_base+64(FP), BX
+	MOVQ ldb+88(FP), R15
+	SHLQ $3, R15                  // b row stride in bytes
+	XORQ R12, R12                 // j
+
+at8:
+	LEAQ 8(R12), AX
+	CMPQ AX, DX
+	JGT  at4
+	LEAQ (BX)(R12*8), R14
+	VMOVUPD (R14), Y8
+	VMOVUPD 32(R14), Y12
+	ADDQ R15, R14
+	VMOVUPD (R14), Y9
+	VMOVUPD 32(R14), Y13
+	ADDQ R15, R14
+	VMOVUPD (R14), Y10
+	VMOVUPD 32(R14), Y14
+	ADDQ R15, R14
+	VMOVUPD (R14), Y11
+	VMOVUPD 32(R14), Y15
+	LEAQ (DI)(R12*8), R14       // &dd[0][j]
+	XORQ AX, AX                 // p
+
+at8Loop:
+	CMPQ AX, CX
+	JGE  at8Next
+	VMOVUPD (R14), Y0
+	VMOVUPD 32(R14), Y1
+	VBROADCASTSD (SI)(AX*8), Y4
+	VMULPD  Y8, Y4, Y5
+	VADDPD  Y5, Y0, Y0
+	VMULPD  Y12, Y4, Y6
+	VADDPD  Y6, Y1, Y1
+	VBROADCASTSD (R9)(AX*8), Y4
+	VMULPD  Y9, Y4, Y5
+	VADDPD  Y5, Y0, Y0
+	VMULPD  Y13, Y4, Y6
+	VADDPD  Y6, Y1, Y1
+	VBROADCASTSD (R10)(AX*8), Y4
+	VMULPD  Y10, Y4, Y5
+	VADDPD  Y5, Y0, Y0
+	VMULPD  Y14, Y4, Y6
+	VADDPD  Y6, Y1, Y1
+	VBROADCASTSD (R11)(AX*8), Y4
+	VMULPD  Y11, Y4, Y5
+	VADDPD  Y5, Y0, Y0
+	VMULPD  Y15, Y4, Y6
+	VADDPD  Y6, Y1, Y1
+	VMOVUPD Y0, (R14)
+	VMOVUPD Y1, 32(R14)
+	ADDQ R13, R14
+	INCQ AX
+	JMP  at8Loop
+
+at8Next:
+	ADDQ $8, R12
+	JMP  at8
+
+at4:
+	LEAQ 4(R12), AX
+	CMPQ AX, DX
+	JGT  atDone
+	LEAQ (BX)(R12*8), R14
+	VMOVUPD (R14), Y8
+	ADDQ R15, R14
+	VMOVUPD (R14), Y9
+	ADDQ R15, R14
+	VMOVUPD (R14), Y10
+	ADDQ R15, R14
+	VMOVUPD (R14), Y11
+	LEAQ (DI)(R12*8), R14       // &dd[0][j]
+	XORQ AX, AX                 // p
+
+at4Loop:
+	CMPQ AX, CX
+	JGE  at4Next
+	VMOVUPD (R14), Y0
+	VBROADCASTSD (SI)(AX*8), Y4
+	VMULPD  Y8, Y4, Y5
+	VADDPD  Y5, Y0, Y0
+	VBROADCASTSD (R9)(AX*8), Y4
+	VMULPD  Y9, Y4, Y5
+	VADDPD  Y5, Y0, Y0
+	VBROADCASTSD (R10)(AX*8), Y4
+	VMULPD  Y10, Y4, Y5
+	VADDPD  Y5, Y0, Y0
+	VBROADCASTSD (R11)(AX*8), Y4
+	VMULPD  Y11, Y4, Y5
+	VADDPD  Y5, Y0, Y0
+	VMOVUPD Y0, (R14)
+	ADDQ R13, R14
+	INCQ AX
+	JMP  at4Loop
+
+at4Next:
+	ADDQ $4, R12
+	JMP  at4
+
+atDone:
 	VZEROUPPER
 	RET

@@ -19,6 +19,18 @@ func matmulBTRowKernelAVX2(crow, arow, bd []float64, b0, m, k int) {
 	panic("tensor: SIMD kernel on non-amd64")
 }
 
+func laneBTAVX2(crow, arow, bt []float64, n int, s float64) {
+	panic("tensor: SIMD kernel on non-amd64")
+}
+
+func pvBlockAVX2(c []float64, ldc int, a []float64, lda int, bd []float64, n int) {
+	panic("tensor: SIMD kernel on non-amd64")
+}
+
+func atBlockAVX2(dd []float64, n int, a []float64, lda int, b []float64, ldb int) {
+	panic("tensor: SIMD kernel on non-amd64")
+}
+
 func addInPlaceAVX2(a, b []float64) { panic("tensor: SIMD kernel on non-amd64") }
 
 func addIntoAVX2(dst, a, b []float64) { panic("tensor: SIMD kernel on non-amd64") }

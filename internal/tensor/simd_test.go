@@ -271,7 +271,7 @@ func TestSIMDExpBitwise(t *testing.T) {
 		lens = append(lens, n)
 	}
 	sentinel := math.Float64frombits(0x7FF8DEADBEEF0001)
-	computed, negInfs := 0, 0
+	computed, negInfs, maskedBlocks := 0, 0, 0
 	for rep := range 6 {
 		for _, n := range lens {
 			m := 0.0 // m = 0 keeps ±0 and the off-path values exact
@@ -291,6 +291,13 @@ func TestSIMDExpBitwise(t *testing.T) {
 					src[i] = m + (rng.Float64()*1417 - 708)
 				default:
 					src[i] = m - rng.ExpFloat64()*4 // softmax range
+				}
+			}
+			if n >= 12 && rng.Intn(2) == 0 {
+				// A run of masked scores covering whole blocks of four.
+				lo := rng.Intn(n - 11)
+				for i := lo; i < lo+12; i++ {
+					src[i] = math.Inf(-1)
 				}
 			}
 			if n > 0 && rng.Intn(4) == 0 {
@@ -328,15 +335,23 @@ func TestSIMDExpBitwise(t *testing.T) {
 				requireBitwise(t, c.label+" past done", rest[done:], c.dst[done:])
 			}
 			computed += want
-			for _, v := range src[:want] {
+			inBlock := 0
+			for i, v := range src[:want] {
+				if i%4 == 0 {
+					inBlock = 0
+				}
 				if math.IsInf(v-m, -1) {
 					negInfs++
+					if inBlock++; inBlock == 4 {
+						maskedBlocks++
+					}
 				}
 			}
 		}
 	}
-	if computed < 1_000_000 || negInfs == 0 {
-		t.Fatalf("kernel computed %d elements (%d −Inf); want ≥ 1M with −Inf lanes", computed, negInfs)
+	if computed < 1_000_000 || negInfs == 0 || maskedBlocks == 0 {
+		t.Fatalf("kernel computed %d elements (%d −Inf, %d all-−Inf blocks); want ≥ 1M with both",
+			computed, negInfs, maskedBlocks)
 	}
 }
 
