@@ -2,9 +2,9 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: ci fmt vet build test nosimd bench-module race bench serve-smoke plan-smoke runs-smoke cover ledger-check staticcheck loc
+.PHONY: ci fmt vet build test nosimd rungs bench-module race bench serve-smoke plan-smoke runs-smoke cover ledger-check staticcheck loc
 
-ci: fmt vet staticcheck build test nosimd bench-module race serve-smoke plan-smoke runs-smoke cover ledger-check
+ci: fmt vet staticcheck build test nosimd rungs bench-module race serve-smoke plan-smoke runs-smoke cover ledger-check
 
 # gofmt must be a no-op on the whole tree; offenders are listed so the gate
 # fails with the file names.
@@ -52,6 +52,13 @@ nosimd:
 	$(GO) test -tags nosimd -run $(NOSIMD_RUN) $(NOSIMD_PKGS)
 	GODEBUG=cpu.fma=off $(GO) test -run $(NOSIMD_RUN) $(NOSIMD_PKGS)
 	GODEBUG=cpu.fma=off $(GO) test -tags nosimd -run $(NOSIMD_RUN) $(NOSIMD_PKGS)
+
+# rungs runs every kernel benchmark of the numeric stack once
+# (BenchmarkAttention, BenchmarkLinear, the softmax rung), so a rung that
+# panics on a shape fails the gate instead of the next measurement session.
+# One iteration each: a smoke run, not a measurement.
+rungs:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/nn ./internal/tensor
 
 # bench/ is its own module (`replace predtop => ../`), so `go build ./...` and
 # `go test ./...` above never see it. Vetting and testing it here is the

@@ -82,7 +82,7 @@ func denseGAT(a, b, x, seed, mask *tensor.Tensor) (*tensor.Tensor, []*tensor.Ten
 	tensor.MatMulSerialInto(out, p, x)
 
 	dp, dx := tensor.New(n, n), tensor.New(n, x.C)
-	tensor.MatMulBTSerialInto(dp, seed, x)
+	tensor.MatMulBTSerialInto(dp, seed, x, nil)
 	tensor.MatMulATInto(dx, p, seed)
 	ds := tensor.New(n, n)
 	for i := 0; i < n; i++ {

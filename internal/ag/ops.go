@@ -138,10 +138,17 @@ func (c *Context) BackwardVec(loss *Node) {
 }
 
 // Linear is the fused dense layer x·W + b. The W and b gradients go to the
-// tape's PanelGrads slots.
+// tape's PanelGrads slots. An x that takes no gradient is built from
+// constants alone — the encoded features of an input layer, mostly zeros —
+// and runs the kernels that skip zero coefficients (tensor.LinearSparseInto,
+// tensor.MatMulATSparseInto); the bits are the same either way.
 func (c *Context) Linear(x *Node, w, b *Param) *Node {
 	v := c.arena.GetUninit(x.V.R, w.V.C)
-	tensor.LinearInto(v, x.V, w.V, b.V)
+	if x.requires {
+		tensor.LinearInto(v, x.V, w.V, b.V)
+	} else {
+		tensor.LinearSparseInto(v, x.V, w.V, b.V)
+	}
 	n := c.node(opLinear, v, true)
 	n.a, n.p1, n.p2 = x, w, b
 	return n
@@ -151,10 +158,12 @@ func (c *Context) backLinear(n *Node) {
 	g, x, w, b := n.grad, n.a, n.p1, n.p2
 	if x.requires {
 		d := c.arena.GetUninit(g.R, w.V.R)
-		tensor.MatMulBTSerialInto(d, g, w.V) // dX = g·Wᵀ
+		tensor.MatMulBTSerialInto(d, g, w.V, c.arena) // dX = g·Wᵀ
 		c.accumOwn(x, d)
+		tensor.MatMulATInto(c.gradPart(w), x.V, g) // dW = Xᵀ·g
+	} else {
+		tensor.MatMulATSparseInto(c.gradPart(w), x.V, g)
 	}
-	tensor.MatMulATInto(c.gradPart(w), x.V, g) // dW = Xᵀ·g
 	tensor.SumRowsInto(c.gradPart(b), g)
 }
 
@@ -172,7 +181,7 @@ func (c *Context) backMatMulParam(n *Node) {
 	g, a, p := n.grad, n.a, n.p1
 	if a.requires {
 		d := c.arena.GetUninit(g.R, p.V.R)
-		tensor.MatMulBTSerialInto(d, g, p.V)
+		tensor.MatMulBTSerialInto(d, g, p.V, c.arena)
 		c.accumOwn(a, d)
 	}
 	tensor.MatMulATInto(c.gradPart(p), a.V, g)

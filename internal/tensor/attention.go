@@ -28,9 +28,9 @@ package tensor
 
 import "math"
 
-// blockRows is the row block of both attention passes and of
-// matmulATAccum: the attention backward's scratch is blockRows rows of N,
-// and each four-row kernel call takes one block.
+// blockRows is the row block of both attention passes and of the dense
+// products (productRows, matmulATAccum): the attention backward's scratch is
+// blockRows rows of N, and each four-row kernel call takes one block.
 const blockRows = 4
 
 // checkAttention validates the operands and returns N and the head width.
@@ -332,27 +332,31 @@ func seqDots(a, b *[blockRows][]float64, n int) (s [blockRows]float64) {
 }
 
 // laneBTBlock fills c[r][j] = s·(a[r] · column j of bt) for the block's
-// first rows rows and the first len(c[r]) columns of bt, a packT
-// destination: dot's four-accumulator pattern per output, then the scale.
-// s = 1 leaves the dot unchanged (x·1 is x for every x).
+// first rows rows (laneBT).
 func laneBTBlock(c, a *[blockRows][]float64, rows int, bt *Tensor, s float64) {
-	n, ld := len(c[0]), bt.C
-	if !simdKernels {
-		for r := 0; r < rows; r++ {
-			for j := range c[r] {
-				c[r][j] = s * dotCol(a[r], bt.Data, j, ld)
-			}
+	for r := 0; r < rows; r++ {
+		laneBT(c[r], a[r], bt, s)
+	}
+}
+
+// laneBT fills crow[j] = s·(arow · column j of bt) for the first len(crow)
+// columns of bt, a packT destination: dot's four-accumulator pattern per
+// output, then the scale. s = 1 leaves the dot unchanged (x·1 is x for every
+// x).
+func laneBT(crow, arow []float64, bt *Tensor, s float64) {
+	n, ld := len(crow), bt.C
+	if !simdKernels || len(arow) == 0 { // an empty bt has no columns to slice
+		for j := range crow {
+			crow[j] = s * dotCol(arow, bt.Data, j, ld)
 		}
 		return
 	}
 	j := n &^ 3
-	for r := 0; r < rows; r++ {
-		laneBTAVX2(c[r][:j], a[r], bt.Data, ld, s)
-		if j < n {
-			var tail [4]float64
-			laneBTAVX2(tail[:], a[r], bt.Data[j:], ld, s)
-			copy(c[r][j:], tail[:])
-		}
+	laneBTAVX2(crow[:j], arow, bt.Data, ld, s)
+	if j < n {
+		var tail [4]float64
+		laneBTAVX2(tail[:], arow, bt.Data[j:], ld, s)
+		copy(crow[j:], tail[:])
 	}
 }
 

@@ -38,7 +38,7 @@ func refAttention(q, k, v, mask, g *Tensor, heads int) (out, dq, dk, dv *Tensor)
 	outs := make([]*Tensor, heads)
 	for h := range heads {
 		p := New(n, n)
-		MatMulBTSerialInto(p, slice(q, h*w), slice(k, h*w))
+		MatMulBTSerialInto(p, slice(q, h*w), slice(k, h*w), nil)
 		ScaleInto(p, p, s)
 		SoftmaxRowsInto(p, p, mask)
 		outs[h] = New(n, w)
@@ -51,7 +51,7 @@ func refAttention(q, k, v, mask, g *Tensor, heads int) (out, dq, dk, dv *Tensor)
 		lo, p := h*w, ps[h]
 		gh := slice(g, lo)
 		da := New(n, n)
-		MatMulBTSerialInto(da, gh, slice(v, lo))
+		MatMulBTSerialInto(da, gh, slice(v, lo), nil)
 		dvh := New(n, w)
 		MatMulATInto(dvh, p, gh)
 		ds := New(n, n)

@@ -7,8 +7,9 @@
 // the model path calls runs on the calling goroutine. The exceptions are
 // MatMulInto and MatMulBTInto, the whole-tensor yardsticks bench/ times:
 // above parallelMinFlops they fan out through parallel.ForBlocked. Their
-// serial forms, MatMulSerialInto and MatMulBTSerialInto, share the same row
-// workers, so the two never differ by a bit.
+// serial forms, MatMulSerialInto and MatMulBTSerialInto, run the same
+// kernels over the same rows — productRows' four-row blocks, laneBT over a
+// bᵀ packed once per call — so the two never differ by a bit.
 package tensor
 
 import (
@@ -37,8 +38,9 @@ func shapePanic(format string, args ...any) {
 // parallelMinFlops gates the goroutine fan-out of MatMulInto/MatMulBTInto:
 // below this many multiply-adds fork/join overhead dominates, so the loop
 // runs serially on the calling goroutine. parallelRowBlock is the number of
-// output rows per parallel task. Every output row is computed independently
-// by the same row kernel, so the split never changes a result bit.
+// output rows per parallel task, a multiple of blockRows. Every output row is
+// computed independently by the same kernels, so the split never changes a
+// result bit.
 const (
 	parallelMinFlops = 1 << 17
 	parallelRowBlock = 16
@@ -52,15 +54,16 @@ func MatMulInto(dst, a, b *Tensor) {
 	}
 	checkInto(dst, a.R, b.C, "MatMulInto")
 	m, k, n := a.R, a.C, b.C
+	block := blockOperand(b)
 	// The serial path calls the row worker directly: a closure shared with
 	// the parallel branch would escape to the heap on every call, costing
 	// one allocation per matmul even for tiny kernels.
 	if m*k*n < parallelMinFlops {
-		matmulRowRange(dst, a, b, 0, m)
+		productRows(dst, a, b, nil, 0, m, block)
 		return
 	}
 	parallel.ForBlocked(m, parallelRowBlock, func(lo, hi int) {
-		matmulRowRange(dst, a, b, lo, hi)
+		productRows(dst, a, b, nil, lo, hi, block)
 	})
 }
 
@@ -71,16 +74,69 @@ func MatMulSerialInto(dst, a, b *Tensor) {
 		shapePanic("MatMul shape mismatch %dx%d · %dx%d", a.R, a.C, b.R, b.C)
 	}
 	checkInto(dst, a.R, b.C, "MatMulSerialInto")
-	matmulRowRange(dst, a, b, 0, a.R)
+	productRows(dst, a, b, nil, 0, a.R, blockOperand(b))
 }
 
-func matmulRowRange(dst, a, b *Tensor, lo, hi int) {
-	k, n := a.C, b.C
+// LinearInto computes the fused dense layer dst = x·w + bias (bias a 1×n row
+// broadcast over rows): each block of rows is summed, then the bias added to
+// each sum. dst must not alias x, w, or bias.
+func LinearInto(dst, x, w, bias *Tensor) {
+	checkLinear(dst, x, w)
+	productRows(dst, x, w, bias, 0, x.R, blockOperand(w))
+}
+
+// LinearSparseInto is LinearInto for an x that is mostly zeros, such as the
+// one-hot feature matrix of an input layer: every row runs matmulRowKernel,
+// which skips each quad of four zero coefficients. The result bits are
+// LinearInto's.
+func LinearSparseInto(dst, x, w, bias *Tensor) {
+	checkLinear(dst, x, w)
+	productRows(dst, x, w, bias, 0, x.R, false)
+}
+
+func checkLinear(dst, x, w *Tensor) {
+	if x.C != w.R {
+		shapePanic("Linear shape mismatch %dx%d · %dx%d", x.R, x.C, w.R, w.C)
+	}
+	checkInto(dst, x.R, w.C, "LinearInto")
+}
+
+// blockOperand reports whether a product whose right operand is b — x·b, or
+// aᵀ·b — may run the four-row kernels: b's rows must fill whole ymm
+// registers, and b must be finite, because the kernels drop the zero skips
+// (see productRows and matmulATAccum).
+func blockOperand(b *Tensor) bool { return blockKernels(b.C) && finite(b.Data) }
+
+// productRows writes rows [lo, hi) of dst = x·w + bias (no bias when nil),
+// each product summed from +0 in ascending p before the bias is added. With
+// block (blockOperand(w)) the rows go four at a time through pvBlockAVX2,
+// and the last block is moved back to end at hi: the kernel overwrites its
+// rows, so those computed twice get the same sums and one bias add. The
+// kernel adds every term, where matmulRowKernel skips a quad of four zero
+// coefficients; a skipped term is 0·w[p][j], ±0 for a finite w, and a sum
+// from +0 is never −0, so the skip is invisible. A range of fewer than four
+// rows, and every row without block, runs matmulRowKernel.
+func productRows(dst, x, w, bias *Tensor, lo, hi int, block bool) {
+	k, n := x.C, w.C
+	if block && hi-lo >= blockRows {
+		for i := lo; i < hi; i += blockRows {
+			i = min(i, hi-blockRows)
+			pvBlockAVX2(dst.Data[i*n:], n, x.Data[i*k:], k, w.Data, n)
+			if bias != nil {
+				for r := i; r < i+blockRows; r++ {
+					addRow(dst.Data[r*n:(r+1)*n], bias.Data)
+				}
+			}
+		}
+		return
+	}
 	for i := lo; i < hi; i++ {
-		arow := a.Data[i*k : (i+1)*k]
 		crow := dst.Data[i*n : (i+1)*n]
 		clear(crow)
-		matmulRowKernel(crow, arow, b.Data, 0, n)
+		matmulRowKernel(crow, x.Data[i*k:(i+1)*k], w.Data, 0, n)
+		if bias != nil {
+			addRow(crow, bias.Data)
+		}
 	}
 }
 
@@ -88,8 +144,7 @@ func matmulRowRange(dst, a, b *Tensor, lo, hi int) {
 // where brow_p is bd[(b0+p)*n : (b0+p+1)*n]. Operands are grouped four at a
 // time through axpy4, which adds the four products per element in ascending
 // p order — the same element-wise addition order as sequential axpy calls —
-// so the fusion is bitwise-invisible. Shared by the plain matmul and the
-// fused linear layer.
+// so the fusion is bitwise-invisible.
 func matmulRowKernel(crow, arow []float64, bd []float64, b0, n int) {
 	if simdKernels {
 		matmulRowKernelAVX2(crow, arow, bd, b0, n)
@@ -120,101 +175,88 @@ func matmulRowKernel(crow, arow []float64, bd []float64, b0, n int) {
 	}
 }
 
-// MatMulBTInto computes dst = a·bᵀ for a (m×k) and b (n×k). dst must not
-// alias a or b.
+// MatMulBTInto computes dst = a·bᵀ for a (m×k) and b (n×k): bᵀ packed once,
+// then the rows fanned out as in MatMulInto. dst must not alias a or b.
 func MatMulBTInto(dst, a, b *Tensor) {
 	if a.C != b.C {
 		shapePanic("MatMulBT shape mismatch %dx%d · (%dx%d)ᵀ", a.R, a.C, b.R, b.C)
 	}
 	checkInto(dst, a.R, b.R, "MatMulBTInto")
+	bt := packBT(b, nil)
 	if a.R*a.C*b.R < parallelMinFlops {
-		matmulBTRowRange(dst, a, b, 0, a.R)
+		laneBTRows(dst, a, bt, 0, a.R)
 		return
 	}
 	parallel.ForBlocked(a.R, parallelRowBlock, func(lo, hi int) {
-		matmulBTRowRange(dst, a, b, lo, hi)
+		laneBTRows(dst, a, bt, lo, hi)
 	})
 }
 
-// MatMulBTSerialInto computes dst = a·bᵀ on the calling goroutine. dst must
-// not alias a or b.
-func MatMulBTSerialInto(dst, a, b *Tensor) {
+// MatMulBTSerialInto computes dst = a·bᵀ on the calling goroutine — a dense
+// layer's input gradient g·Wᵀ. The packed bᵀ comes from scratch (nil: the
+// heap). dst must not alias a or b.
+func MatMulBTSerialInto(dst, a, b *Tensor, scratch *Arena) {
 	if a.C != b.C {
 		shapePanic("MatMulBT shape mismatch %dx%d · (%dx%d)ᵀ", a.R, a.C, b.R, b.C)
 	}
 	checkInto(dst, a.R, b.R, "MatMulBTSerialInto")
-	matmulBTRowRange(dst, a, b, 0, a.R)
+	laneBTRows(dst, a, packBT(b, scratch), 0, a.R)
 }
 
-func matmulBTRowRange(dst, a, b *Tensor, lo, hi int) {
-	k := a.C
+// packBT returns bᵀ packed for the lane kernel (packT), drawn from scratch.
+func packBT(b *Tensor, scratch *Arena) *Tensor {
+	bt := scratch.GetUninit(b.C, ldT(b.R))
+	packT(bt, b, 0)
+	return bt
+}
+
+// laneBTRows fills rows [lo, hi) of dst with a's rows times the packed bt:
+// dst[i][j] = dot(a row i, column j of bt), dot's four-accumulator pattern
+// per output (laneBT with s = 1).
+func laneBTRows(dst, a, bt *Tensor, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		crow := dst.Data[i*b.R : (i+1)*b.R]
-		matmulBTRowKernel(crow, arow, b.Data, 0, b.R, k)
-	}
-}
-
-// matmulBTRowKernel fills one output row of a·bᵀ: crow[j] = arow · brow_j
-// for j in [0, m), where brow_j = bd[(b0+j)*k : (b0+j+1)*k]. Output columns
-// are paired through dot2 so arow is streamed once per two products; each
-// dot keeps dot's exact accumulator pattern, so results are bitwise equal to
-// per-column dot calls.
-func matmulBTRowKernel(crow, arow []float64, bd []float64, b0, m, k int) {
-	if simdKernels {
-		matmulBTRowKernelAVX2(crow, arow, bd, b0, m, k)
-		return
-	}
-	j := 0
-	for ; j+2 <= m; j += 2 {
-		o := (b0 + j) * k
-		crow[j], crow[j+1] = dot2(arow, bd[o:o+k], bd[o+k:o+2*k])
-	}
-	if j < m {
-		o := (b0 + j) * k
-		crow[j] = dot(arow, bd[o:o+k])
-	}
-}
-
-// LinearInto computes the fused dense layer dst = x·w + bias (bias a 1×n row
-// broadcast over rows): matmul and bias add in one pass over each output
-// row. dst must not alias x, w, or bias.
-func LinearInto(dst, x, w, bias *Tensor) {
-	if x.C != w.R {
-		shapePanic("Linear shape mismatch %dx%d · %dx%d", x.R, x.C, w.R, w.C)
-	}
-	checkInto(dst, x.R, w.C, "LinearInto")
-	n := w.C
-	k := x.C
-	brow := bias.Data
-	for i := 0; i < x.R; i++ {
-		arow := x.Data[i*k : (i+1)*k]
-		crow := dst.Data[i*n : (i+1)*n]
-		clear(crow)
-		matmulRowKernel(crow, arow, w.Data, 0, n)
-		for j := range crow {
-			crow[j] += brow[j]
-		}
+		laneBT(dst.Row(i), a.Row(i), bt, 1)
 	}
 }
 
 // MatMulATInto computes dst = aᵀ·b for a (m×k) and b (m×n): the weight
 // gradient of a dense layer. dst must not alias a or b.
 func MatMulATInto(dst, a, b *Tensor) {
+	checkAT(dst, a, b)
+	clear(dst.Data)
+	matmulATAccum(dst.Data, a, b, blockOperand(b))
+}
+
+// MatMulATSparseInto is MatMulATInto for an a that is mostly zeros, such as
+// an input layer's one-hot features: every block runs atAccumBlock, which
+// skips each zero coefficient. The result bits are MatMulATInto's.
+func MatMulATSparseInto(dst, a, b *Tensor) {
+	checkAT(dst, a, b)
+	clear(dst.Data)
+	matmulATAccum(dst.Data, a, b, false)
+}
+
+func checkAT(dst, a, b *Tensor) {
 	if a.R != b.R {
 		shapePanic("MatMulAT shape mismatch (%dx%d)ᵀ · %dx%d", a.R, a.C, b.R, b.C)
 	}
 	checkInto(dst, a.C, b.C, "MatMulATInto")
-	clear(dst.Data)
-	matmulATAccum(dst.Data, a, b)
 }
 
 // matmulATAccum is the one Aᵀ·B kernel: dd's row p accumulates
-// Σ_i a[i][p] · b row i, four input rows at a time through atAccumBlock.
-func matmulATAccum(dd []float64, a, b *Tensor) {
+// Σ_i a[i][p] · b row i in ascending i, four input rows at a time. With
+// block (blockOperand(b)) each full block
+// runs atBlockAVX2, which adds every term where atAccumBlock skips a zero
+// coefficient: the skipped term is ±0, dd starts at +0 and a sum from +0 is
+// never −0, so the skip is invisible. The last a.R%4 rows run atAccumBlock.
+func matmulATAccum(dd []float64, a, b *Tensor, block bool) {
 	var as, bs [blockRows][]float64
 	for i0 := 0; i0 < a.R; i0 += blockRows {
 		rows := min(blockRows, a.R-i0)
+		if block && rows == blockRows {
+			atBlockAVX2(dd, b.C, a.Data[i0*a.C:], a.C, b.Data[i0*b.C:], b.C)
+			continue
+		}
 		for r := range rows {
 			as[r], bs[r] = a.Row(i0+r), b.Row(i0+r)
 		}
@@ -270,16 +312,14 @@ func atAccumBlock(dd []float64, w, rows int, a, b *[blockRows][]float64) {
 	}
 }
 
-// SumRowsInto computes the 1×C column sums of t in ascending row order — a
-// dense layer's bias gradient and the global add pool.
+// SumRowsInto computes the 1×C column sums of t from +0 in ascending row
+// order — a dense layer's bias gradient and the global add pool. Each column
+// is its own chain, so adding a row at a time keeps every sum's order.
 func SumRowsInto(dst, t *Tensor) {
 	checkInto(dst, 1, t.C, "SumRowsInto")
 	clear(dst.Data)
 	for i := 0; i < t.R; i++ {
-		row := t.Row(i)
-		for j, v := range row {
-			dst.Data[j] += v
-		}
+		addRow(dst.Data, t.Row(i))
 	}
 }
 

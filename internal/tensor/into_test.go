@@ -336,6 +336,6 @@ func TestKernelTuneBitwiseInvariant(t *testing.T) {
 	MatMulSerialInto(want, a, b)
 	wantBitwise(t, "MatMulInto parallel", got, want)
 	MatMulBTInto(got, a, b)
-	MatMulBTSerialInto(want, a, b)
+	MatMulBTSerialInto(want, a, b, nil)
 	wantBitwise(t, "MatMulBTInto parallel", got, want)
 }

@@ -10,18 +10,21 @@ package tensor
 //   - axpyAVX2 / axpy2AVX2 / matmulRowKernelAVX2: every output element's
 //     additions form an independent chain (c + a0·b0 + a1·b1 + …); running
 //     four chains per vector instruction is associativity-free.
-//   - matmulBTRowKernelAVX2: each output keeps dot's four-accumulator
-//     stride-4 pattern in one ymm register (lane m holds scalar accumulator
-//     s_m), combines lanes left-associatively like the scalar epilogue, and
-//     runs the same scalar tail. Four outputs interleave only to overlap
-//     dependency chains.
-//   - laneBTAVX2: the same dot per output with the outputs in lanes instead
-//     of the accumulators: lane j of register m is output j's s_m, so the
-//     combine is three vector adds in dot's order.
+//   - laneBTAVX2: dot's four-accumulator stride-4 pattern per output, with
+//     the outputs in lanes: lane j of register m is output j's s_m, so the
+//     combine is three vector adds in dot's order. Every a·bᵀ runs it: the
+//     attention scores and dA, and a dense layer's dX = g·Wᵀ.
 //   - pvBlockAVX2 / atBlockAVX2: the chains of matmulRowKernel and of
 //     matmulATQuadAVX2's all-nonzero path, four rows at a time, without the
 //     zero skips; the caller runs them only on a finite right operand, where
-//     a skipped ±0 term cannot change a sum that starts at +0.
+//     a skipped ±0 term cannot change a sum that starts at +0. They are
+//     attention's P·V, dS·K, dK and dV, and a dense layer's forward x·W and
+//     dW = Xᵀ·g.
+//   - matmulATPairAVX2 / matmulATQuadAVX2 / matmulATRowAVX2 and
+//     matmulRowKernelAVX2 keep the zero skips, for the products the block
+//     kernels may not or should not take: a non-finite right operand, an
+//     output width that is not a multiple of 4, fewer than four rows, the
+//     last rows of an Aᵀ·B, and an input layer's one-hot x.
 //
 // No FMA instructions are used anywhere else: fused multiply-adds round once
 // where the scalar code rounds twice, which would break bitwise identity.
@@ -38,9 +41,6 @@ func axpy2AVX2(a0, a1 float64, x0, x1, y []float64)
 //go:noescape
 func matmulRowKernelAVX2(crow, arow, bd []float64, b0, n int)
 
-//go:noescape
-func matmulBTRowKernelAVX2(crow, arow, bd []float64, b0, m, k int)
-
 // laneBTAVX2 is laneBT's leading multiple of four columns: one output column
 // per lane, register m of a column group holding dot's accumulator s_m, the
 // lanes combined ((s0+s1)+s2)+s3 by vector adds, then the tail and the scale
@@ -49,9 +49,9 @@ func matmulBTRowKernelAVX2(crow, arow, bd []float64, b0, m, k int)
 //go:noescape
 func laneBTAVX2(crow, arow, bt []float64, n int, s float64)
 
-// pvBlockAVX2 and atBlockAVX2 are attention's four-row products with the
-// block's outputs (P·V, dS·K) or right-hand rows (dK, dV) held in registers
-// across the inner index. They keep the per-element sums of matmulRowKernel
+// pvBlockAVX2 and atBlockAVX2 are the four-row products with the block's
+// outputs (P·V, dS·K, a dense layer's x·W) or right-hand rows (dK, dV, a
+// dense layer's dW) held in registers across the inner index. They keep the per-element sums of matmulRowKernel
 // and matmulATQuadAVX2 but not their per-row zero skips, so the caller runs
 // them only on a finite right operand (see simd_amd64.s).
 //

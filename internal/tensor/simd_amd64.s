@@ -300,204 +300,6 @@ rkDone:
 	VZEROUPPER
 	RET
 
-// func matmulBTRowKernelAVX2(crow, arow, bd []float64, b0, m, k int)
-// crow[j] = arow · bd[(b0+j)*k : +k] for j in [0, m). Outputs are computed
-// four at a time to interleave the accumulator dependency chains; each
-// output keeps dot's exact four-accumulator pattern (one ymm register),
-// left-associative lane combine s = ((s0+s1)+s2)+s3, then the scalar tail —
-// bitwise identical to the scalar dot2/dot pairing.
-TEXT ·matmulBTRowKernelAVX2(SB), NOSPLIT, $0-96
-	MOVQ crow_base+0(FP), DI
-	MOVQ arow_base+24(FP), SI
-	MOVQ bd_base+48(FP), BX
-	MOVQ b0+72(FP), AX
-	MOVQ m+80(FP), R10
-	MOVQ k+88(FP), R8
-	IMULQ R8, AX
-	LEAQ (BX)(AX*8), R9       // &bd[b0*k]
-	MOVQ R8, R13
-	SHLQ $3, R13              // row stride in bytes
-	XORQ R11, R11             // j
-
-btQuad:
-	LEAQ 4(R11), AX
-	CMPQ AX, R10
-	JGT  btQuadDone
-	MOVQ R11, AX
-	IMULQ R13, AX
-	LEAQ (R9)(AX*1), R14      // row j
-	LEAQ (R14)(R13*1), R15    // row j+1
-	LEAQ (R15)(R13*1), CX     // row j+2
-	LEAQ (CX)(R13*1), DX      // row j+3
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	XORQ R12, R12             // i
-
-btQuadVec8:
-	// Two 4-wide steps per iteration: the second group accumulates into the
-	// same registers after the first, so the per-lane add sequence is the
-	// exact chain of two single steps — only loop control is amortized.
-	LEAQ 8(R12), AX
-	CMPQ AX, R8
-	JGT  btQuadVec
-	VMOVUPD (SI)(R12*8), Y4
-	VMOVUPD (R14)(R12*8), Y5
-	VMULPD  Y4, Y5, Y5
-	VADDPD  Y5, Y0, Y0
-	VMOVUPD (R15)(R12*8), Y6
-	VMULPD  Y4, Y6, Y6
-	VADDPD  Y6, Y1, Y1
-	VMOVUPD (CX)(R12*8), Y7
-	VMULPD  Y4, Y7, Y7
-	VADDPD  Y7, Y2, Y2
-	VMOVUPD (DX)(R12*8), Y8
-	VMULPD  Y4, Y8, Y8
-	VADDPD  Y8, Y3, Y3
-	VMOVUPD 32(SI)(R12*8), Y4
-	VMOVUPD 32(R14)(R12*8), Y5
-	VMULPD  Y4, Y5, Y5
-	VADDPD  Y5, Y0, Y0
-	VMOVUPD 32(R15)(R12*8), Y6
-	VMULPD  Y4, Y6, Y6
-	VADDPD  Y6, Y1, Y1
-	VMOVUPD 32(CX)(R12*8), Y7
-	VMULPD  Y4, Y7, Y7
-	VADDPD  Y7, Y2, Y2
-	VMOVUPD 32(DX)(R12*8), Y8
-	VMULPD  Y4, Y8, Y8
-	VADDPD  Y8, Y3, Y3
-	ADDQ $8, R12
-	JMP  btQuadVec8
-
-btQuadVec:
-	LEAQ 4(R12), AX
-	CMPQ AX, R8
-	JGT  btQuadVecDone
-	VMOVUPD (SI)(R12*8), Y4
-	VMOVUPD (R14)(R12*8), Y5
-	VMULPD  Y4, Y5, Y5
-	VADDPD  Y5, Y0, Y0
-	VMOVUPD (R15)(R12*8), Y6
-	VMULPD  Y4, Y6, Y6
-	VADDPD  Y6, Y1, Y1
-	VMOVUPD (CX)(R12*8), Y7
-	VMULPD  Y4, Y7, Y7
-	VADDPD  Y7, Y2, Y2
-	VMOVUPD (DX)(R12*8), Y8
-	VMULPD  Y4, Y8, Y8
-	VADDPD  Y8, Y3, Y3
-	ADDQ $4, R12
-	JMP  btQuadVec
-
-btQuadVecDone:
-	// Combine lanes of each accumulator left-associatively:
-	// s = ((s0+s1)+s2)+s3, matching the scalar dot epilogue. The four
-	// outputs' combines interleave through distinct scratch registers to
-	// overlap the VADDSD latency chains; each output's own math is the
-	// sequential scalar epilogue unchanged.
-	VEXTRACTF128 $1, Y0, X5
-	VEXTRACTF128 $1, Y1, X6
-	VEXTRACTF128 $1, Y2, X7
-	VEXTRACTF128 $1, Y3, X8
-	VPERMILPD $1, X0, X9
-	VPERMILPD $1, X1, X10
-	VPERMILPD $1, X2, X11
-	VPERMILPD $1, X3, X12
-	VADDSD X9, X0, X0
-	VADDSD X10, X1, X1
-	VADDSD X11, X2, X2
-	VADDSD X12, X3, X3
-	VADDSD X5, X0, X0
-	VADDSD X6, X1, X1
-	VADDSD X7, X2, X2
-	VADDSD X8, X3, X3
-	VPERMILPD $1, X5, X9
-	VPERMILPD $1, X6, X10
-	VPERMILPD $1, X7, X11
-	VPERMILPD $1, X8, X12
-	VADDSD X9, X0, X0
-	VADDSD X10, X1, X1
-	VADDSD X11, X2, X2
-	VADDSD X12, X3, X3
-	CMPQ R12, R8
-	JGE  btQuadStore
-
-btQuadTail:
-	VMOVSD (SI)(R12*8), X4
-	VMOVSD (R14)(R12*8), X5
-	VMULSD X4, X5, X5
-	VADDSD X5, X0, X0
-	VMOVSD (R15)(R12*8), X5
-	VMULSD X4, X5, X5
-	VADDSD X5, X1, X1
-	VMOVSD (CX)(R12*8), X5
-	VMULSD X4, X5, X5
-	VADDSD X5, X2, X2
-	VMOVSD (DX)(R12*8), X5
-	VMULSD X4, X5, X5
-	VADDSD X5, X3, X3
-	INCQ R12
-	CMPQ R12, R8
-	JLT  btQuadTail
-
-btQuadStore:
-	VMOVSD X0, (DI)(R11*8)
-	VMOVSD X1, 8(DI)(R11*8)
-	VMOVSD X2, 16(DI)(R11*8)
-	VMOVSD X3, 24(DI)(R11*8)
-	ADDQ $4, R11
-	JMP  btQuad
-
-btQuadDone:
-	CMPQ R11, R10
-	JGE  btDone
-	MOVQ R11, AX
-	IMULQ R13, AX
-	LEAQ (R9)(AX*1), R14
-	VXORPD Y0, Y0, Y0
-	XORQ R12, R12
-
-btSingleVec:
-	LEAQ 4(R12), AX
-	CMPQ AX, R8
-	JGT  btSingleVecDone
-	VMOVUPD (SI)(R12*8), Y4
-	VMOVUPD (R14)(R12*8), Y5
-	VMULPD  Y4, Y5, Y5
-	VADDPD  Y5, Y0, Y0
-	ADDQ $4, R12
-	JMP  btSingleVec
-
-btSingleVecDone:
-	VEXTRACTF128 $1, Y0, X5
-	VPERMILPD $1, X0, X6
-	VADDSD X6, X0, X0
-	VADDSD X5, X0, X0
-	VPERMILPD $1, X5, X6
-	VADDSD X6, X0, X0
-	CMPQ R12, R8
-	JGE  btSingleStore
-
-btSingleTail:
-	VMOVSD (SI)(R12*8), X4
-	VMOVSD (R14)(R12*8), X5
-	VMULSD X4, X5, X5
-	VADDSD X5, X0, X0
-	INCQ R12
-	CMPQ R12, R8
-	JLT  btSingleTail
-
-btSingleStore:
-	VMOVSD X0, (DI)(R11*8)
-	INCQ R11
-	JMP  btQuadDone
-
-btDone:
-	VZEROUPPER
-	RET
-
 DATA canonNaN<>+0(SB)/8, $0x7FF8000000000001
 GLOBL canonNaN<>(SB), RODATA, $8
 

@@ -15,10 +15,6 @@ func matmulRowKernelAVX2(crow, arow, bd []float64, b0, n int) {
 	panic("tensor: SIMD kernel on non-amd64")
 }
 
-func matmulBTRowKernelAVX2(crow, arow, bd []float64, b0, m, k int) {
-	panic("tensor: SIMD kernel on non-amd64")
-}
-
 func laneBTAVX2(crow, arow, bt []float64, n int, s float64) {
 	panic("tensor: SIMD kernel on non-amd64")
 }

@@ -66,18 +66,6 @@ func TestSIMDKernelsBitwiseEqualScalar(t *testing.T) {
 			matmulRowKernel(simd, arow, bd, b0, n)
 			requireBitwise(t, "matmulRowKernel", scalar, simd)
 
-			// BT: m outputs of length-k dots (reuse n as m).
-			m := n
-			bt := make([]float64, (b0+m+1)*max(k, 1))
-			fillRandom(rng, bt)
-			scalarBT := make([]float64, m)
-			simdBT := make([]float64, m)
-			SetSIMD(false)
-			matmulBTRowKernel(scalarBT, arow, bt, b0, m, k)
-			SetSIMD(true)
-			matmulBTRowKernel(simdBT, arow, bt, b0, m, k)
-			requireBitwise(t, "matmulBTRowKernel", scalarBT, simdBT)
-
 			x0 := make([]float64, n)
 			x1 := make([]float64, n)
 			fillRandom(rng, x0)

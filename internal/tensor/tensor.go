@@ -213,51 +213,23 @@ func dot(x, y []float64) float64 {
 	return s
 }
 
-// dot2 computes dot(x, y0) and dot(x, y1) in one pass, loading x once for
-// both products. Each output keeps dot's exact four-accumulator pattern, so
-// both results are bitwise identical to separate dot calls.
-func dot2(x, y0, y1 []float64) (float64, float64) {
-	n := len(x)
-	if n == 0 {
-		return 0, 0
-	}
-	y0 = y0[:n]
-	y1 = y1[:n]
-	var a0, a1, a2, a3 float64
-	var b0, b1, b2, b3 float64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		x4 := x[i : i+4 : i+4]
-		p4 := y0[i : i+4 : i+4]
-		q4 := y1[i : i+4 : i+4]
-		a0 += x4[0] * p4[0]
-		b0 += x4[0] * q4[0]
-		a1 += x4[1] * p4[1]
-		b1 += x4[1] * q4[1]
-		a2 += x4[2] * p4[2]
-		b2 += x4[2] * q4[2]
-		a3 += x4[3] * p4[3]
-		b3 += x4[3] * q4[3]
-	}
-	s, t := a0+a1+a2+a3, b0+b1+b2+b3
-	for ; i < n; i++ {
-		s += x[i] * y0[i]
-		t += x[i] * y1[i]
-	}
-	return s, t
-}
-
 // AddInPlace accumulates b into a.
 func AddInPlace(a, b *Tensor) {
 	if !a.SameShape(b) {
 		shapePanic("AddInPlace shape mismatch %dx%d vs %dx%d", a.R, a.C, b.R, b.C)
 	}
+	addRow(a.Data, b.Data)
+}
+
+// addRow computes a[i] += b[i] over len(a).
+func addRow(a, b []float64) {
 	if simdKernels {
-		addInPlaceAVX2(a.Data, b.Data)
+		addInPlaceAVX2(a, b[:len(a)])
 		return
 	}
-	for i := range a.Data {
-		a.Data[i] += b.Data[i]
+	b = b[:len(a)]
+	for i := range a {
+		a[i] += b[i]
 	}
 }
 
