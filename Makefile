@@ -103,8 +103,10 @@ runs-smoke:
 	GO="$(GO)" sh scripts/runs-smoke.sh
 
 # loc prints non-test Go lines per internal package, the total for the
-# numeric stack (tensor, ag, nn, graphnn, predictor), the total for the tool
-# layer (cmd/ plus internal/cli), all non-test Go outside bench/, the facade's
+# numeric stack (tensor, ag, nn, graphnn, predictor) with the line count of
+# its AVX2 assembly (tensor/simd_amd64.s, outside that total) beside it, the
+# total for the tool layer (cmd/ plus internal/cli), all non-test Go outside
+# bench/, the facade's
 # line count, the metric families and JSONL record types of docs/METRICS.md,
 # the number of cmd/ tools and the flags they declare themselves (the eight
 # shared ones are internal/cli's) — the numbers design-debt issues are sized
@@ -115,6 +117,8 @@ loc:
 	done
 	@printf '%6d  numeric stack (tensor ag nn graphnn predictor)\n' \
 		"$$(ls internal/tensor/*.go internal/ag/*.go internal/nn/*.go internal/graphnn/*.go internal/predictor/*.go | grep -v _test.go | xargs cat | wc -l)"
+	@printf '%6d  numeric stack assembly (internal/tensor/simd_amd64.s)\n' \
+		"$$(wc -l < internal/tensor/simd_amd64.s)"
 	@printf '%6d  tool layer (cmd internal/cli)\n' \
 		"$$(ls cmd/*/*.go internal/cli/*.go | grep -v _test.go | xargs cat | wc -l)"
 	@printf '%6d  non-test Go outside bench/\n' \

@@ -35,16 +35,19 @@ var deadExportsAllowed = map[string]string{
 }
 
 // TestNoDeadExports fails when an exported func or method under internal/ has
-// no reference in non-test code outside its own declaration. The search is
-// syntactic (go/parser, no type checker): a func counts as referenced by its
-// bare name inside its package or by pkg.Name from a file importing the
+// no reference in non-test code outside its own declaration, and likewise
+// for every func declared without a body (an assembly routine), exported or
+// not; a declaration is never a reference, so a Go stub of the same name
+// for other architectures (simd_other.go) keeps no routine alive. The search
+// is syntactic (go/parser, no type checker): a func counts as referenced by
+// its bare name inside its package or by pkg.Name from a file importing the
 // package; a method by any x.Name selector anywhere. That errs towards
 // keeping things alive, never towards a false alarm. Callers are internal/,
 // cmd/, examples/, predtop.go and the frozen bench/*.go.
 func TestNoDeadExports(t *testing.T) {
 	const module = "predtop/internal/"
 	type decl struct{ key, pos string }
-	var funcs, methods []decl
+	var funcs, methods, asm []decl
 	funcRefs := map[string]bool{}   // "pkg.Name"
 	methodRefs := map[string]bool{} // "Name"
 
@@ -76,11 +79,17 @@ func TestNoDeadExports(t *testing.T) {
 			declared = map[*ast.Ident]bool{}
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() {
+				if !ok {
 					continue
 				}
 				declared[fd.Name] = true
 				pos := fset.Position(fd.Pos()).String()
+				if fd.Body == nil && fd.Recv == nil {
+					asm = append(asm, decl{pkg + "." + fd.Name.Name, pos})
+				}
+				if !fd.Name.IsExported() {
+					continue
+				}
 				if fd.Recv == nil {
 					funcs = append(funcs, decl{pkg + "." + fd.Name.Name, pos})
 					continue
@@ -142,12 +151,22 @@ func TestNoDeadExports(t *testing.T) {
 	for _, d := range methods {
 		check(d, methodRefs[d.key[strings.LastIndexByte(d.key, '.')+1:]])
 	}
+	var deadAsm []string
+	for _, d := range asm {
+		if !funcRefs[d.key] {
+			deadAsm = append(deadAsm, d.pos+": "+d.key)
+		}
+	}
 	sort.Strings(dead)
-	if len(funcs) < 100 || len(methods) < 100 {
-		t.Fatalf("found %d funcs and %d methods under internal/; is the walk rooted correctly?", len(funcs), len(methods))
+	sort.Strings(deadAsm)
+	if len(funcs) < 100 || len(methods) < 100 || len(asm) < 10 {
+		t.Fatalf("found %d funcs, %d methods and %d bodiless funcs under internal/; is the walk rooted correctly?", len(funcs), len(methods), len(asm))
 	}
 	if len(dead) > 0 {
 		t.Errorf("exported under internal/ with no non-test caller (delete, unexport, or allow-list with a reason):\n  %s", strings.Join(dead, "\n  "))
+	}
+	if len(deadAsm) > 0 {
+		t.Errorf("declared without a body under internal/ and no non-test caller (delete the routine, its binding and its stub):\n  %s", strings.Join(deadAsm, "\n  "))
 	}
 	for key := range deadExportsAllowed {
 		if !used[key] {

@@ -138,17 +138,12 @@ func (c *Context) BackwardVec(loss *Node) {
 }
 
 // Linear is the fused dense layer x·W + b. The W and b gradients go to the
-// tape's PanelGrads slots. An x that takes no gradient is built from
-// constants alone — the encoded features of an input layer, mostly zeros —
-// and runs the kernels that skip zero coefficients (tensor.LinearSparseInto,
-// tensor.MatMulATSparseInto); the bits are the same either way.
+// tape's PanelGrads slots. Every product adds every term from +0 in
+// ascending order, so an input layer's mostly-zero features run the same
+// kernels as any other x, and 0·Inf is NaN there as anywhere.
 func (c *Context) Linear(x *Node, w, b *Param) *Node {
 	v := c.arena.GetUninit(x.V.R, w.V.C)
-	if x.requires {
-		tensor.LinearInto(v, x.V, w.V, b.V)
-	} else {
-		tensor.LinearSparseInto(v, x.V, w.V, b.V)
-	}
+	tensor.LinearInto(v, x.V, w.V, b.V)
 	n := c.node(opLinear, v, true)
 	n.a, n.p1, n.p2 = x, w, b
 	return n
@@ -160,10 +155,8 @@ func (c *Context) backLinear(n *Node) {
 		d := c.arena.GetUninit(g.R, w.V.R)
 		tensor.MatMulBTSerialInto(d, g, w.V, c.arena) // dX = g·Wᵀ
 		c.accumOwn(x, d)
-		tensor.MatMulATInto(c.gradPart(w), x.V, g) // dW = Xᵀ·g
-	} else {
-		tensor.MatMulATSparseInto(c.gradPart(w), x.V, g)
 	}
+	tensor.MatMulATInto(c.gradPart(w), x.V, g) // dW = Xᵀ·g
 	tensor.SumRowsInto(c.gradPart(b), g)
 }
 

@@ -14,16 +14,13 @@
 // Bitwise contract. Every output element runs the IEEE operations of the
 // composed form it replaced, in the same order: S = Q_h·K_hᵀ with dot's
 // four-accumulator pattern per score, scale·S, softmaxRow's per-row order,
-// P·V and dS·K as matmulRowKernel's sequential sums from +0, dotgy as a
+// P·V and dS·K as productRows' sums from +0 in ascending p, dotgy as a
 // sequential sum, dS = scale·(P ⊙ (dA − dotgy)), and dK, dV as
-// matmulATAccum's sums in ascending row order. The four-row kernels leave
-// out the per-row zero-coefficient skips of matmulRowKernel and
-// matmulATAccum; that is invisible exactly when the right operand is finite
-// (the skipped term is ±0 and a sum from +0 is never −0), so they run only
-// then, and a ±Inf or NaN in V, K, Q or g takes the skipping kernels. dQ, dK
-// and dV start at +0 and so are never −0, which makes writing each head's
-// block straight into its columns equal to summing zero-padded per-head
-// gradients.
+// matmulATAccum's sums in ascending row order. Every product adds every
+// term, the four-row kernels and the row loops alike, so an exact zero
+// probability times a ±Inf in V is NaN on both paths. dQ, dK and dV start at
+// +0 and so are never −0, which makes writing each head's block straight
+// into its columns equal to summing zero-padded per-head gradients.
 package tensor
 
 import "math"
@@ -98,7 +95,7 @@ func AttentionInto(dst, p, q, k, v, mask *Tensor, heads int, scratch *Arena) {
 	scale := attnScale(dk)
 	kt := scratch.GetUninit(dk, ldT(n))
 	vh := scratch.GetUninit(n, dk)
-	blockPV := blockKernels(dk) && finite(v.Data)
+	blockPV := blockKernels(dk)
 	for h := 0; h < heads; h++ {
 		lo := h * dk
 		packT(kt, k, lo)
@@ -120,7 +117,7 @@ func AttentionInto(dst, p, q, k, v, mask *Tensor, heads int, scratch *Arena) {
 			for i := i0; i < i1; i++ {
 				crow := dst.Data[i*dst.C+lo : i*dst.C+lo+dk]
 				clear(crow)
-				matmulRowKernel(crow, ph[i*n:(i+1)*n], vh.Data, 0, dk)
+				matmulRowKernel(crow, ph[i*n:(i+1)*n], vh.Data)
 			}
 		}
 	}
@@ -145,11 +142,7 @@ func AttentionBackInto(dq, dk, dv, g, p, q, k, v *Tensor, heads int, scratch *Ar
 	vt := scratch.GetUninit(w, ldT(n))
 	kh := scratch.GetUninit(n, w)
 	ds := scratch.GetUninit(blockRows, n)
-	// The four-row kernels drop the per-row zero skips, which only a
-	// non-finite right operand can see.
-	blockDQ := blockKernels(w) && finite(k.Data)
-	blockDK := blockKernels(w) && finite(q.Data)
-	blockDV := blockKernels(w) && finite(g.Data)
+	block := blockKernels(w)
 	var dkh, dvh *Tensor
 	if dk != nil {
 		dkh = scratch.GetUninit(n, w)
@@ -180,7 +173,7 @@ func AttentionBackInto(dq, dk, dv, g, p, q, k, v *Tensor, heads int, scratch *Ar
 		}
 		for i0 := 0; i0 < n; i0 += blockRows {
 			i1 := min(i0+blockRows, n)
-			full := i1-i0 == blockRows
+			full := block && i1-i0 == blockRows
 			var prows, srows, qrows, grows [blockRows][]float64
 			for r := range blockRows {
 				qrows[r], grows[r] = view(q, i0, r, lo), view(g, i0, r, lo)
@@ -191,10 +184,12 @@ func AttentionBackInto(dq, dk, dv, g, p, q, k, v *Tensor, heads int, scratch *Ar
 			}
 			switch {
 			case dvh == nil:
-			case blockDV && full:
+			case full:
 				atBlockAVX2(dvh.Data, w, ph[i0*n:], n, g.Data[i0*g.C+lo:], g.C)
 			default:
-				atAccumBlock(dvh.Data, w, i1-i0, &prows, &grows)
+				for r := 0; r < i1-i0; r++ {
+					atAccumRow(dvh.Data, w, prows[r], grows[r])
+				}
 			}
 			if !needS {
 				continue
@@ -207,21 +202,23 @@ func AttentionBackInto(dq, dk, dv, g, p, q, k, v *Tensor, heads int, scratch *Ar
 			}
 			switch {
 			case dq == nil:
-			case blockDQ && full:
+			case full:
 				pvBlockAVX2(dq.Data[i0*dq.C+lo:], dq.C, ds.Data, n, kh.Data, w)
 			default:
 				for r := 0; r < i1-i0; r++ {
 					crow := view(dq, i0, r, lo)
 					clear(crow)
-					matmulRowKernel(crow, srows[r], kh.Data, 0, w)
+					matmulRowKernel(crow, srows[r], kh.Data)
 				}
 			}
 			switch {
 			case dkh == nil:
-			case blockDK && full:
+			case full:
 				atBlockAVX2(dkh.Data, w, ds.Data, n, q.Data[i0*q.C+lo:], q.C)
 			default:
-				atAccumBlock(dkh.Data, w, i1-i0, &srows, &qrows)
+				for r := 0; r < i1-i0; r++ {
+					atAccumRow(dkh.Data, w, srows[r], qrows[r])
+				}
 			}
 		}
 		if dkh != nil {
@@ -233,27 +230,10 @@ func AttentionBackInto(dq, dk, dv, g, p, q, k, v *Tensor, heads int, scratch *Ar
 	}
 }
 
-// blockKernels reports whether the four-row AVX2 kernels can take heads of
-// width w: they run whole ymm registers of columns.
+// blockKernels reports whether the four-row AVX2 kernels (pvBlockAVX2,
+// atBlockAVX2) can take products w columns wide: they run whole ymm
+// registers of columns. The shape is the only gate; no operand is scanned.
 func blockKernels(w int) bool { return simdKernels && w%4 == 0 }
-
-// finite reports whether s holds no ±Inf or NaN: x − x is 0 for every
-// finite x and NaN otherwise, and a NaN sticks in the sums.
-func finite(s []float64) bool {
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= len(s); i += 4 {
-		x := s[i : i+4 : i+4]
-		s0 += x[0] - x[0]
-		s1 += x[1] - x[1]
-		s2 += x[2] - x[2]
-		s3 += x[3] - x[3]
-	}
-	for ; i < len(s); i++ {
-		s0 += s[i] - s[i]
-	}
-	return s0+s1+s2+s3 == 0
-}
 
 // scaleRow computes row[j] = s·row[j], ScaleInto's operation.
 func scaleRow(row []float64, s float64) {

@@ -101,7 +101,10 @@ func fusedAttention(q, k, v, mask, g *Tensor, heads int) (out, dq, dk, dv *Tenso
 // and far past the four-row block, head widths with and without a k%4 tail,
 // one to three heads, no mask, a DAG reachability mask and one with a fully
 // masked row, and V finite or holding ±Inf and NaN, with the SIMD kernels on
-// and off.
+// and off. A last case pins the product semantics: every term is added, so
+// +Inf in V under an aligned group of four masked columns, whose
+// probabilities are exact zeros in every row, makes its column NaN in every
+// row of that head's output.
 func TestAttentionBitwise(t *testing.T) {
 	simdModes := []bool{SIMDEnabled()}
 	if SIMDAvailable() {
@@ -115,8 +118,9 @@ func TestAttentionBitwise(t *testing.T) {
 			dim := heads * w
 			q, k, v, g := randT(rng, n, dim), randT(rng, n, dim), randT(rng, n, dim), randT(rng, n, dim)
 			fillRandom(rng, q.Data)
-			// V with ±Inf and NaN: the products over it take the kernels that
-			// keep matmulRowKernel's per-row zero-quad skip.
+			// V with ±Inf and NaN: the four-row kernels and the row loops
+			// alike add every term, so each zero probability times an Inf
+			// is NaN on both paths.
 			vs := v.Clone()
 			injectSpecials(rng, vs.Data[:max(len(vs.Data)/8, 1)], false)
 			vs.Data[len(vs.Data)-1] = hwNaN()
@@ -139,6 +143,35 @@ func TestAttentionBitwise(t *testing.T) {
 						wantBitwise(t, label+" dQ", fq, rq)
 						wantBitwise(t, label+" dK", fk, rk)
 						wantBitwise(t, label+" dV", fv, rv)
+					}
+				}
+			}
+		}
+	}
+	for _, n := range []int{8, 13, 64, 129} {
+		for _, w := range []int{4, 10, 16} {
+			heads := 2
+			q, k, v, g := randT(rng, n, heads*w), randT(rng, n, heads*w), randT(rng, n, heads*w), randT(rng, n, heads*w)
+			m, h, c := rng.Intn(n/4), rng.Intn(heads), rng.Intn(w)
+			mask := New(n, n)
+			for i := 0; i < n; i++ {
+				for j := 4 * m; j < 4*m+4; j++ {
+					mask.Set(i, j, math.Inf(-1))
+				}
+			}
+			v.Set(4*m+rng.Intn(4), h*w+c, math.Inf(1))
+			for _, simd := range simdModes {
+				SetSIMD(simd)
+				label := fmt.Sprintf("n=%d dk=%d masked quad %d, +Inf in head %d column %d, simd=%v", n, w, m, h, c, simd)
+				ro, rq, rk, rv := refAttention(q, k, v, mask, g, heads)
+				fo, fq, fk, fv := fusedAttention(q, k, v, mask, g, heads)
+				wantBitwise(t, label+" out", fo, ro)
+				wantBitwise(t, label+" dQ", fq, rq)
+				wantBitwise(t, label+" dK", fk, rk)
+				wantBitwise(t, label+" dV", fv, rv)
+				for i := 0; i < n; i++ {
+					if x := fo.At(i, h*w+c); !math.IsNaN(x) {
+						t.Fatalf("%s: out[%d] = %v, want NaN (0·Inf)", label, i, x)
 					}
 				}
 			}

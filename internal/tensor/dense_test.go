@@ -7,18 +7,21 @@ import (
 	"testing"
 )
 
-// refLinear is the dense layer's forward as the row kernel computes it: each
-// row cleared to +0, matmulRowKernel, then the bias added (none when nil).
-// The caller runs it with the SIMD kernels off.
+// refLinear is the dense layer's forward as a naive loop: each element
+// summed from +0 in ascending p, every term added, then the bias added (none
+// when nil).
 func refLinear(x, w, bias *Tensor) *Tensor {
 	out := New(x.R, w.C)
 	for i := 0; i < x.R; i++ {
-		crow := out.Row(i)
-		matmulRowKernel(crow, x.Row(i), w.Data, 0, w.C)
-		if bias != nil {
-			for j, b := range bias.Data {
-				crow[j] += b
+		for j := 0; j < w.C; j++ {
+			s := 0.0
+			for p := 0; p < x.C; p++ {
+				s += x.At(i, p) * w.At(p, j)
 			}
+			if bias != nil {
+				s += bias.Data[j]
+			}
+			out.Set(i, j, s)
 		}
 	}
 	return out
@@ -35,14 +38,18 @@ func refBT(g, w *Tensor) *Tensor {
 	return out
 }
 
-// refAT is Xᵀ·g as atAccumBlock adds it, one input row at a time in
-// ascending order, skipping zero coefficients.
+// refAT is Xᵀ·g as a naive loop: each element summed from +0 in ascending
+// row, every term added.
 func refAT(x, g *Tensor) *Tensor {
 	out := New(x.C, g.C)
-	for i := 0; i < x.R; i++ {
-		var as, bs [blockRows][]float64
-		as[0], bs[0] = x.Row(i), g.Row(i)
-		atAccumBlock(out.Data, g.C, 1, &as, &bs)
+	for p := 0; p < x.C; p++ {
+		for j := 0; j < g.C; j++ {
+			s := 0.0
+			for i := 0; i < x.R; i++ {
+				s += x.At(i, p) * g.At(i, j)
+			}
+			out.Set(p, j, s)
+		}
 	}
 	return out
 }
@@ -79,16 +86,18 @@ func withSpecials(rng *rand.Rand, t *Tensor) *Tensor {
 	return s
 }
 
-// TestDenseBitwise holds the dense layer's kernels to their scalar
-// references bit for bit: the forward (LinearInto, LinearSparseInto, and
-// MatMulInto without the bias) to matmulRowKernel from +0 then the bias, dX
-// (MatMulBTSerialInto, MatMulBTInto) to dot per output, dW (MatMulATInto,
-// MatMulATSparseInto) to atAccumBlock in ascending rows, and SumRowsInto to
-// sequential column sums. Node counts cover every remainder of the four-row
-// block and two long graphs; widths cover n = 1, n = 8, a one-hot input of
-// 48 and a k%4 tail; W and g are finite or hold ±Inf and NaN; the SIMD
-// kernels are on and off. The references run with the SIMD kernels off, and
-// every destination starts as NaN to prove it fully defined.
+// TestDenseBitwise holds the dense layer's kernels to naive references bit
+// for bit: the forward (LinearInto, and MatMulInto without the bias) to each
+// element summed from +0 in ascending p then the bias, dX
+// (MatMulBTSerialInto, MatMulBTInto) to dot per output, dW (MatMulATInto) to
+// each element summed from +0 in ascending rows, and SumRowsInto to
+// sequential column sums; the forward and dW references add every term, so
+// a zero in x times an Inf in W or g is NaN. Node counts cover every
+// remainder of the four-row block and two long graphs; widths cover n = 1,
+// n = 8, a one-hot input of 48 and a k%4 tail; W and g are finite or hold
+// ±Inf and NaN; the SIMD kernels are on and off. The references run with the
+// SIMD kernels off, and every destination starts as NaN to prove it fully
+// defined.
 func TestDenseBitwise(t *testing.T) {
 	simdModes := []bool{SIMDEnabled()}
 	if SIMDAvailable() {
@@ -126,9 +135,6 @@ func TestDenseBitwise(t *testing.T) {
 					LinearInto(y, x, c.w, bias)
 					wantBitwise(t, label+" LinearInto", y, wantY)
 					y = Full(rows, sh.n, math.NaN())
-					LinearSparseInto(y, x, c.w, bias)
-					wantBitwise(t, label+" LinearSparseInto", y, wantY)
-					y = Full(rows, sh.n, math.NaN())
 					MatMulInto(y, x, c.w)
 					wantBitwise(t, label+" MatMulInto", y, wantXW)
 
@@ -142,9 +148,6 @@ func TestDenseBitwise(t *testing.T) {
 					dw := Full(sh.k, sh.n, math.NaN())
 					MatMulATInto(dw, x, c.g)
 					wantBitwise(t, label+" MatMulATInto", dw, wantDW)
-					dw = Full(sh.k, sh.n, math.NaN())
-					MatMulATSparseInto(dw, x, c.g)
-					wantBitwise(t, label+" MatMulATSparseInto", dw, wantDW)
 
 					db := Full(1, sh.n, math.NaN())
 					SumRowsInto(db, c.g)

@@ -11,10 +11,12 @@
 // weight (or, after the softmax, an exact zero probability), so with finite
 // operands it contributed a signed zero to every running sum it took part in;
 // those sums start at +0, can never reach −0 (only −0 + −0 yields it), and
-// s + ±0 is s bit for bit — the argument matmulRowKernel makes for its
-// zero-quad skip. What is left is visited in the dense order: a row's edges in
-// ascending column order, rows in ascending order in every scatter, through
-// the same axpy / dot / softmaxRow bodies, so SIMD on equals SIMD off.
+// s + ±0 is s bit for bit. The contract is the finite one: a dense product
+// adds every term, so there a zero weight times an Inf is NaN, which an edge
+// kernel, having no such term, never forms. What is left is visited in the
+// dense order: a row's edges in ascending column order, rows in ascending
+// order in every scatter, through the same axpy / dot / softmaxRow bodies, so
+// SIMD on equals SIMD off.
 package tensor
 
 import (

@@ -10,6 +10,13 @@
 // serial forms, MatMulSerialInto and MatMulBTSerialInto, run the same
 // kernels over the same rows — productRows' four-row blocks, laneBT over a
 // bᵀ packed once per call — so the two never differ by a bit.
+//
+// Every product has one semantics: each element of an x·W or an Aᵀ·B is
+// summed from +0 in ascending order with every term added, zero
+// coefficients included, whichever kernel runs it — the four-row AVX2
+// blocks where the width is a multiple of 4 (blockKernels), the Go row loops
+// elsewhere. So SIMD on equals SIMD off bit for bit for any operands, and a
+// ±Inf in a right operand meets a zero coefficient as NaN, as in IEEE.
 package tensor
 
 import (
@@ -54,16 +61,15 @@ func MatMulInto(dst, a, b *Tensor) {
 	}
 	checkInto(dst, a.R, b.C, "MatMulInto")
 	m, k, n := a.R, a.C, b.C
-	block := blockOperand(b)
 	// The serial path calls the row worker directly: a closure shared with
 	// the parallel branch would escape to the heap on every call, costing
 	// one allocation per matmul even for tiny kernels.
 	if m*k*n < parallelMinFlops {
-		productRows(dst, a, b, nil, 0, m, block)
+		productRows(dst, a, b, nil, 0, m)
 		return
 	}
 	parallel.ForBlocked(m, parallelRowBlock, func(lo, hi int) {
-		productRows(dst, a, b, nil, lo, hi, block)
+		productRows(dst, a, b, nil, lo, hi)
 	})
 }
 
@@ -74,51 +80,31 @@ func MatMulSerialInto(dst, a, b *Tensor) {
 		shapePanic("MatMul shape mismatch %dx%d · %dx%d", a.R, a.C, b.R, b.C)
 	}
 	checkInto(dst, a.R, b.C, "MatMulSerialInto")
-	productRows(dst, a, b, nil, 0, a.R, blockOperand(b))
+	productRows(dst, a, b, nil, 0, a.R)
 }
 
 // LinearInto computes the fused dense layer dst = x·w + bias (bias a 1×n row
 // broadcast over rows): each block of rows is summed, then the bias added to
 // each sum. dst must not alias x, w, or bias.
 func LinearInto(dst, x, w, bias *Tensor) {
-	checkLinear(dst, x, w)
-	productRows(dst, x, w, bias, 0, x.R, blockOperand(w))
-}
-
-// LinearSparseInto is LinearInto for an x that is mostly zeros, such as the
-// one-hot feature matrix of an input layer: every row runs matmulRowKernel,
-// which skips each quad of four zero coefficients. The result bits are
-// LinearInto's.
-func LinearSparseInto(dst, x, w, bias *Tensor) {
-	checkLinear(dst, x, w)
-	productRows(dst, x, w, bias, 0, x.R, false)
-}
-
-func checkLinear(dst, x, w *Tensor) {
 	if x.C != w.R {
 		shapePanic("Linear shape mismatch %dx%d · %dx%d", x.R, x.C, w.R, w.C)
 	}
 	checkInto(dst, x.R, w.C, "LinearInto")
+	productRows(dst, x, w, bias, 0, x.R)
 }
 
-// blockOperand reports whether a product whose right operand is b — x·b, or
-// aᵀ·b — may run the four-row kernels: b's rows must fill whole ymm
-// registers, and b must be finite, because the kernels drop the zero skips
-// (see productRows and matmulATAccum).
-func blockOperand(b *Tensor) bool { return blockKernels(b.C) && finite(b.Data) }
-
 // productRows writes rows [lo, hi) of dst = x·w + bias (no bias when nil),
-// each product summed from +0 in ascending p before the bias is added. With
-// block (blockOperand(w)) the rows go four at a time through pvBlockAVX2,
-// and the last block is moved back to end at hi: the kernel overwrites its
-// rows, so those computed twice get the same sums and one bias add. The
-// kernel adds every term, where matmulRowKernel skips a quad of four zero
-// coefficients; a skipped term is 0·w[p][j], ±0 for a finite w, and a sum
-// from +0 is never −0, so the skip is invisible. A range of fewer than four
-// rows, and every row without block, runs matmulRowKernel.
-func productRows(dst, x, w, bias *Tensor, lo, hi int, block bool) {
+// each product summed from +0 in ascending p, every term added, before the
+// bias is added. Where the block kernel takes w's width (blockKernels) the
+// rows go four at a time through pvBlockAVX2, and the last block is moved
+// back to end at hi: the kernel overwrites its rows, so those computed twice
+// get the same sums and one bias add. A range of fewer than four rows, and
+// every row of a width the kernel does not take, runs matmulRowKernel, which
+// adds the same terms in the same order.
+func productRows(dst, x, w, bias *Tensor, lo, hi int) {
 	k, n := x.C, w.C
-	if block && hi-lo >= blockRows {
+	if blockKernels(n) && hi-lo >= blockRows {
 		for i := lo; i < hi; i += blockRows {
 			i = min(i, hi-blockRows)
 			pvBlockAVX2(dst.Data[i*n:], n, x.Data[i*k:], k, w.Data, n)
@@ -133,45 +119,40 @@ func productRows(dst, x, w, bias *Tensor, lo, hi int, block bool) {
 	for i := lo; i < hi; i++ {
 		crow := dst.Data[i*n : (i+1)*n]
 		clear(crow)
-		matmulRowKernel(crow, x.Data[i*k:(i+1)*k], w.Data, 0, n)
+		matmulRowKernel(crow, x.Data[i*k:(i+1)*k], w.Data)
 		if bias != nil {
 			addRow(crow, bias.Data)
 		}
 	}
 }
 
-// matmulRowKernel accumulates one output row: crow += Σ_p arow[p] · brow_p,
-// where brow_p is bd[(b0+p)*n : (b0+p+1)*n]. Operands are grouped four at a
-// time through axpy4, which adds the four products per element in ascending
-// p order — the same element-wise addition order as sequential axpy calls —
-// so the fusion is bitwise-invisible.
-func matmulRowKernel(crow, arow []float64, bd []float64, b0, n int) {
-	if simdKernels {
-		matmulRowKernelAVX2(crow, arow, bd, b0, n)
-		return
-	}
-	k := len(arow)
-	p := 0
-	for ; p+4 <= k; p += 4 {
-		// Skip quads whose four coefficients are all (±)0: every product is
-		// a signed zero and c += ±0 leaves c bitwise unchanged for any c
-		// (+0 + −0 is +0, −0 + −0 is −0 — the accumulator keeps its own
-		// sign either way), so with finite operands the skip is invisible.
-		// One-hot-heavy embedding features make this the common case. The
-		// AVX2 kernel applies the identical test.
-		if arow[p] == 0 && arow[p+1] == 0 && arow[p+2] == 0 && arow[p+3] == 0 {
-			continue
+// matmulRowKernel accumulates one output row: crow[j] += Σ_p arow[p] ·
+// bd[p*n + j] with n = len(crow), every term added in ascending p — zero
+// coefficients too, so 0·Inf is NaN here as in IEEE. Each element is its own
+// chain held in a register across p; four columns run side by side, and the
+// last n%4 (all of a width-1 product) one at a time.
+func matmulRowKernel(crow, arow, bd []float64) {
+	n := len(crow)
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		c := crow[j : j+4 : j+4]
+		s0, s1, s2, s3 := c[0], c[1], c[2], c[3]
+		for p, a := range arow {
+			o := p*n + j
+			b := bd[o : o+4 : o+4]
+			s0 += a * b[0]
+			s1 += a * b[1]
+			s2 += a * b[2]
+			s3 += a * b[3]
 		}
-		o := (b0 + p) * n
-		axpy4(arow[p], arow[p+1], arow[p+2], arow[p+3],
-			bd[o:o+n], bd[o+n:o+2*n], bd[o+2*n:o+3*n], bd[o+3*n:o+4*n], crow)
+		c[0], c[1], c[2], c[3] = s0, s1, s2, s3
 	}
-	for ; p < k; p++ {
-		if arow[p] == 0 {
-			continue
+	for ; j < n; j++ {
+		s := crow[j]
+		for p, a := range arow {
+			s += a * bd[p*n+j]
 		}
-		o := (b0 + p) * n
-		axpy(arow[p], bd[o:o+n], crow)
+		crow[j] = s
 	}
 }
 
@@ -222,92 +203,41 @@ func laneBTRows(dst, a, bt *Tensor, lo, hi int) {
 // MatMulATInto computes dst = aᵀ·b for a (m×k) and b (m×n): the weight
 // gradient of a dense layer. dst must not alias a or b.
 func MatMulATInto(dst, a, b *Tensor) {
-	checkAT(dst, a, b)
-	clear(dst.Data)
-	matmulATAccum(dst.Data, a, b, blockOperand(b))
-}
-
-// MatMulATSparseInto is MatMulATInto for an a that is mostly zeros, such as
-// an input layer's one-hot features: every block runs atAccumBlock, which
-// skips each zero coefficient. The result bits are MatMulATInto's.
-func MatMulATSparseInto(dst, a, b *Tensor) {
-	checkAT(dst, a, b)
-	clear(dst.Data)
-	matmulATAccum(dst.Data, a, b, false)
-}
-
-func checkAT(dst, a, b *Tensor) {
 	if a.R != b.R {
 		shapePanic("MatMulAT shape mismatch (%dx%d)ᵀ · %dx%d", a.R, a.C, b.R, b.C)
 	}
 	checkInto(dst, a.C, b.C, "MatMulATInto")
+	clear(dst.Data)
+	matmulATAccum(dst.Data, a, b)
 }
 
 // matmulATAccum is the one Aᵀ·B kernel: dd's row p accumulates
-// Σ_i a[i][p] · b row i in ascending i, four input rows at a time. With
-// block (blockOperand(b)) each full block
-// runs atBlockAVX2, which adds every term where atAccumBlock skips a zero
-// coefficient: the skipped term is ±0, dd starts at +0 and a sum from +0 is
-// never −0, so the skip is invisible. The last a.R%4 rows run atAccumBlock.
-func matmulATAccum(dd []float64, a, b *Tensor, block bool) {
-	var as, bs [blockRows][]float64
-	for i0 := 0; i0 < a.R; i0 += blockRows {
-		rows := min(blockRows, a.R-i0)
-		if block && rows == blockRows {
-			atBlockAVX2(dd, b.C, a.Data[i0*a.C:], a.C, b.Data[i0*b.C:], b.C)
-			continue
+// Σ_i a[i][p] · b row i in ascending i, every term added. Where the block
+// kernel takes b's width (blockKernels) each full block of four input rows
+// runs atBlockAVX2; the last a.R%4 rows, and every row of a width it does
+// not take, run atAccumRow, which adds the same terms in the same order.
+func matmulATAccum(dd []float64, a, b *Tensor) {
+	i := 0
+	if blockKernels(b.C) {
+		for ; i+blockRows <= a.R; i += blockRows {
+			atBlockAVX2(dd, b.C, a.Data[i*a.C:], a.C, b.Data[i*b.C:], b.C)
 		}
-		for r := range rows {
-			as[r], bs[r] = a.Row(i0+r), b.Row(i0+r)
-		}
-		atAccumBlock(dd, b.C, rows, &as, &bs)
+	}
+	for ; i < a.R; i++ {
+		atAccumRow(dd, b.C, a.Row(i), b.Row(i))
 	}
 }
 
-// atAccumBlock adds Σ_r a[r][p]·b[r] into dd's row p (rows w wide) for the
-// block's first rows input rows. Rows are consumed four, then two, then one
-// at a time; the contributions to each dd element are added in ascending r
-// whichever grouping carries them (axpy2 is the exact element-wise order of
-// two axpy calls), so the grouping is bitwise-invisible. The `av != 0` skip
-// is kept per row: adding 0·b costs a full row pass, and a one-hot heavy
-// feature matrix makes the skip the common case.
-func atAccumBlock(dd []float64, w, rows int, a, b *[blockRows][]float64) {
-	r := 0
-	if simdKernels {
-		if rows == 4 {
-			matmulATQuadAVX2(dd, 0, w, a[0], a[1], a[2], a[3], b[0], b[1], b[2], b[3])
-			return
-		}
-		if rows >= 2 {
-			matmulATPairAVX2(dd, 0, w, a[0], a[1], b[0], b[1])
-			r = 2
-		}
-		if r < rows {
-			matmulATRowAVX2(dd, 0, w, a[r], b[r])
-		}
-		return
-	}
-	for ; r+2 <= rows; r += 2 {
-		a0, a1, b0, b1 := a[r], a[r+1], b[r], b[r+1]
-		for p, av0 := range a0 {
-			av1 := a1[p]
-			o := p * w
-			if av0 != 0 {
-				if av1 != 0 {
-					axpy2(av0, av1, b0, b1, dd[o:o+w])
-				} else {
-					axpy(av0, b0, dd[o:o+w])
-				}
-			} else if av1 != 0 {
-				axpy(av1, b1, dd[o:o+w])
-			}
-		}
-	}
-	if r < rows {
-		for p, av := range a[r] {
-			if av != 0 {
-				axpy(av, b[r], dd[p*w:(p+1)*w])
-			}
+// atAccumRow adds av·b into dd's row p (rows w wide) for each coefficient
+// av = a[p]: one input row of an Aᵀ·B, zero coefficients included. The loop
+// is inline rather than an axpy call per coefficient: its rows are the
+// narrow ones (a width-1 product's are one element) and the few tail rows.
+func atAccumRow(dd []float64, w int, a, b []float64) {
+	b = b[:w]
+	for p, av := range a {
+		row := dd[p*w : (p+1)*w]
+		for j, bv := range b {
+			row[j] += av * bv
 		}
 	}
 }

@@ -7,24 +7,18 @@ package tensor
 // counterpart — SIMD lanes only carry the already-independent chains — so
 // switching the simdKernels flag never changes a single result bit:
 //
-//   - axpyAVX2 / axpy2AVX2 / matmulRowKernelAVX2: every output element's
-//     additions form an independent chain (c + a0·b0 + a1·b1 + …); running
-//     four chains per vector instruction is associativity-free.
+//   - axpyAVX2: every output element's additions form an independent chain
+//     (y + a·x); running four chains per vector instruction is
+//     associativity-free.
 //   - laneBTAVX2: dot's four-accumulator stride-4 pattern per output, with
 //     the outputs in lanes: lane j of register m is output j's s_m, so the
 //     combine is three vector adds in dot's order. Every a·bᵀ runs it: the
 //     attention scores and dA, and a dense layer's dX = g·Wᵀ.
 //   - pvBlockAVX2 / atBlockAVX2: the chains of matmulRowKernel and of
-//     matmulATQuadAVX2's all-nonzero path, four rows at a time, without the
-//     zero skips; the caller runs them only on a finite right operand, where
-//     a skipped ±0 term cannot change a sum that starts at +0. They are
-//     attention's P·V, dS·K, dK and dV, and a dense layer's forward x·W and
-//     dW = Xᵀ·g.
-//   - matmulATPairAVX2 / matmulATQuadAVX2 / matmulATRowAVX2 and
-//     matmulRowKernelAVX2 keep the zero skips, for the products the block
-//     kernels may not or should not take: a non-finite right operand, an
-//     output width that is not a multiple of 4, fewer than four rows, the
-//     last rows of an Aᵀ·B, and an input layer's one-hot x.
+//     atAccumRow, four rows at a time, every term added as the Go loops add
+//     it. They are attention's P·V, dS·K, dK and dV, and a dense layer's
+//     forward x·W and dW = Xᵀ·g, wherever the width is a multiple of 4 and a
+//     block has four rows; the Go loops take the rest (blockKernels).
 //
 // No FMA instructions are used anywhere else: fused multiply-adds round once
 // where the scalar code rounds twice, which would break bitwise identity.
@@ -34,12 +28,6 @@ package tensor
 
 //go:noescape
 func axpyAVX2(a float64, x, y []float64)
-
-//go:noescape
-func axpy2AVX2(a0, a1 float64, x0, x1, y []float64)
-
-//go:noescape
-func matmulRowKernelAVX2(crow, arow, bd []float64, b0, n int)
 
 // laneBTAVX2 is laneBT's leading multiple of four columns: one output column
 // per lane, register m of a column group holding dot's accumulator s_m, the
@@ -51,9 +39,8 @@ func laneBTAVX2(crow, arow, bt []float64, n int, s float64)
 
 // pvBlockAVX2 and atBlockAVX2 are the four-row products with the block's
 // outputs (P·V, dS·K, a dense layer's x·W) or right-hand rows (dK, dV, a
-// dense layer's dW) held in registers across the inner index. They keep the per-element sums of matmulRowKernel
-// and matmulATQuadAVX2 but not their per-row zero skips, so the caller runs
-// them only on a finite right operand (see simd_amd64.s).
+// dense layer's dW) held in registers across the inner index. They add the
+// per-element sums of matmulRowKernel and atAccumRow (see simd_amd64.s).
 //
 //go:noescape
 func pvBlockAVX2(c []float64, ldc int, a []float64, lda int, bd []float64, n int)
@@ -114,27 +101,6 @@ func softmaxBackRowAVX2(drow, grow, yrow []float64, dotgy float64)
 //
 //go:noescape
 func expSubAVX2(dst, src []float64, m float64) (done int)
-
-// matmulATPairAVX2 runs matmulATAccum's per-row-pair inner loop: for each
-// p < len(a0), dd rows (base+p)·n accumulate a0[p]·b0 + a1[p]·b1 with the
-// scalar axpy2/axpy grouping and the same `av != 0` skip (NaN coefficients
-// take the nonzero path, as Go's != does). matmulATRowAVX2 is the odd-row
-// single-coefficient form.
-
-//go:noescape
-func matmulATPairAVX2(dd []float64, base, n int, a0, a1, b0, b1 []float64)
-
-// matmulATQuadAVX2 fuses two consecutive pair passes over the same dd rows:
-// each output element's additions still land in ascending input-row order
-// (y + a0·b0 + a1·b1 + a2·b2 + a3·b3), and mixed zero patterns replay the
-// pairwise grouping exactly, so results match two pair calls bit for bit
-// while touching each dd row once instead of twice.
-//
-//go:noescape
-func matmulATQuadAVX2(dd []float64, base, n int, a0, a1, a2, a3, b0, b1, b2, b3 []float64)
-
-//go:noescape
-func matmulATRowAVX2(dd []float64, base, n int, a0, b0 []float64)
 
 func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbvAsm() (eax, edx uint32)

@@ -1,13 +1,11 @@
-// AVX2 forms of the hot matmul row kernels. Every function reproduces the
-// exact floating-point operations, element order, and accumulator grouping
-// of its Go counterpart in into.go / tensor.go — vectorization only runs
-// independent per-element chains in SIMD lanes and never refuses, regroups,
-// or fuses (no FMA) an operation — so results are bitwise identical to the
-// scalar path. The exception is expSubAVX2, whose counterpart is the fused
-// sequence of xmath.Exp, replayed FMA for FMA. pvBlockAVX2 and atBlockAVX2
-// keep their counterparts' sums but not their zero skips, and run only where
-// that is invisible. See simd_amd64.go for the correspondence argument per
-// kernel.
+// AVX2 forms of the hot kernels. Every function reproduces the exact
+// floating-point operations, element order, and accumulator grouping of its
+// Go counterpart in into.go / tensor.go / attention.go — vectorization only
+// runs independent per-element chains in SIMD lanes and never refuses,
+// regroups, or fuses (no FMA) an operation — so results are bitwise
+// identical to the scalar path. The exception is expSubAVX2, whose
+// counterpart is the fused sequence of xmath.Exp, replayed FMA for FMA. See
+// simd_amd64.go for the correspondence argument per kernel.
 
 #include "textflag.h"
 
@@ -67,236 +65,6 @@ axpyTail:
 	JLT  axpyTail
 
 axpyDone:
-	VZEROUPPER
-	RET
-
-// func axpy2AVX2(a0, a1 float64, x0, x1, y []float64)
-// y[i] = y[i] + a0*x0[i] + a1*x1[i] over len(y); the two products are added
-// in ascending operand order per element, matching the scalar axpy2 chain.
-TEXT ·axpy2AVX2(SB), NOSPLIT, $0-88
-	VBROADCASTSD a0+0(FP), Y0
-	VBROADCASTSD a1+8(FP), Y1
-	MOVQ x0_base+16(FP), SI
-	MOVQ x1_base+40(FP), BX
-	MOVQ y_base+64(FP), DI
-	MOVQ y_len+72(FP), R8
-	XORQ R12, R12
-
-axpy2Vec:
-	LEAQ 4(R12), AX
-	CMPQ AX, R8
-	JGT  axpy2VecDone
-	VMOVUPD (DI)(R12*8), Y4
-	VMOVUPD (SI)(R12*8), Y5
-	VMULPD  Y0, Y5, Y5
-	VADDPD  Y5, Y4, Y4
-	VMOVUPD (BX)(R12*8), Y5
-	VMULPD  Y1, Y5, Y5
-	VADDPD  Y5, Y4, Y4
-	VMOVUPD Y4, (DI)(R12*8)
-	ADDQ $4, R12
-	JMP  axpy2Vec
-
-axpy2VecDone:
-	CMPQ R12, R8
-	JGE  axpy2Done
-
-axpy2Tail:
-	VMOVSD (DI)(R12*8), X4
-	VMOVSD (SI)(R12*8), X5
-	VMULSD X0, X5, X5
-	VADDSD X5, X4, X4
-	VMOVSD (BX)(R12*8), X5
-	VMULSD X1, X5, X5
-	VADDSD X5, X4, X4
-	VMOVSD X4, (DI)(R12*8)
-	INCQ R12
-	CMPQ R12, R8
-	JLT  axpy2Tail
-
-axpy2Done:
-	VZEROUPPER
-	RET
-
-// func matmulRowKernelAVX2(crow, arow, bd []float64, b0, n int)
-// crow[j] += Σ_p arow[p]·bd[(b0+p)*n+j], operands grouped four at a time
-// with per-element adds in ascending p order — the scalar matmulRowKernel's
-// axpy4/axpy structure exactly.
-TEXT ·matmulRowKernelAVX2(SB), NOSPLIT, $0-88
-	MOVQ crow_base+0(FP), DI
-	MOVQ arow_base+24(FP), SI
-	MOVQ arow_len+32(FP), R8  // k
-	MOVQ bd_base+48(FP), BX
-	MOVQ b0+72(FP), AX
-	MOVQ n+80(FP), R10
-	IMULQ R10, AX
-	LEAQ (BX)(AX*8), R9       // &bd[b0*n]
-	MOVQ R10, R13
-	SHLQ $3, R13              // row stride in bytes
-	VXORPD Y9, Y9, Y9         // zero, for the all-zero coefficient skip
-	XORQ R11, R11             // p
-
-rkQuad:
-	LEAQ 4(R11), AX
-	CMPQ AX, R8
-	JGT  rkQuadDone
-	// Skip quads whose four coefficients are all ±0 — c += ±0 never
-	// changes c — mirroring the scalar kernel's test (NaN compares
-	// not-equal, so NaN coefficients take the full path there too).
-	VMOVUPD (SI)(R11*8), Y5
-	VCMPPD $0, Y9, Y5, Y5
-	VMOVMSKPD Y5, AX
-	CMPL AX, $15
-	JNE  rkQuadGo
-	ADDQ $4, R11
-	JMP  rkQuad
-
-rkQuadGo:
-	VBROADCASTSD (SI)(R11*8), Y0
-	VBROADCASTSD 8(SI)(R11*8), Y1
-	VBROADCASTSD 16(SI)(R11*8), Y2
-	VBROADCASTSD 24(SI)(R11*8), Y3
-	MOVQ R11, AX
-	IMULQ R13, AX
-	LEAQ (R9)(AX*1), R14      // row p
-	LEAQ (R14)(R13*1), R15    // row p+1
-	LEAQ (R15)(R13*1), CX     // row p+2
-	LEAQ (CX)(R13*1), DX      // row p+3
-	XORQ R12, R12             // j
-
-rkQuadVec8:
-	// Two independent 4-lane output groups per iteration; output elements
-	// never interact, so the wider step is bitwise-transparent.
-	LEAQ 8(R12), AX
-	CMPQ AX, R10
-	JGT  rkQuadVec
-	VMOVUPD (DI)(R12*8), Y4
-	VMOVUPD 32(DI)(R12*8), Y6
-	VMOVUPD (R14)(R12*8), Y5
-	VMULPD  Y0, Y5, Y5
-	VADDPD  Y5, Y4, Y4
-	VMOVUPD 32(R14)(R12*8), Y7
-	VMULPD  Y0, Y7, Y7
-	VADDPD  Y7, Y6, Y6
-	VMOVUPD (R15)(R12*8), Y5
-	VMULPD  Y1, Y5, Y5
-	VADDPD  Y5, Y4, Y4
-	VMOVUPD 32(R15)(R12*8), Y7
-	VMULPD  Y1, Y7, Y7
-	VADDPD  Y7, Y6, Y6
-	VMOVUPD (CX)(R12*8), Y5
-	VMULPD  Y2, Y5, Y5
-	VADDPD  Y5, Y4, Y4
-	VMOVUPD 32(CX)(R12*8), Y7
-	VMULPD  Y2, Y7, Y7
-	VADDPD  Y7, Y6, Y6
-	VMOVUPD (DX)(R12*8), Y5
-	VMULPD  Y3, Y5, Y5
-	VADDPD  Y5, Y4, Y4
-	VMOVUPD 32(DX)(R12*8), Y7
-	VMULPD  Y3, Y7, Y7
-	VADDPD  Y7, Y6, Y6
-	VMOVUPD Y4, (DI)(R12*8)
-	VMOVUPD Y6, 32(DI)(R12*8)
-	ADDQ $8, R12
-	JMP  rkQuadVec8
-
-rkQuadVec:
-	LEAQ 4(R12), AX
-	CMPQ AX, R10
-	JGT  rkQuadVecDone
-	VMOVUPD (DI)(R12*8), Y4
-	VMOVUPD (R14)(R12*8), Y5
-	VMULPD  Y0, Y5, Y5
-	VADDPD  Y5, Y4, Y4
-	VMOVUPD (R15)(R12*8), Y5
-	VMULPD  Y1, Y5, Y5
-	VADDPD  Y5, Y4, Y4
-	VMOVUPD (CX)(R12*8), Y5
-	VMULPD  Y2, Y5, Y5
-	VADDPD  Y5, Y4, Y4
-	VMOVUPD (DX)(R12*8), Y5
-	VMULPD  Y3, Y5, Y5
-	VADDPD  Y5, Y4, Y4
-	VMOVUPD Y4, (DI)(R12*8)
-	ADDQ $4, R12
-	JMP  rkQuadVec
-
-rkQuadVecDone:
-	CMPQ R12, R10
-	JGE  rkQuadTailDone
-
-rkQuadTail:
-	VMOVSD (DI)(R12*8), X4
-	VMOVSD (R14)(R12*8), X5
-	VMULSD X0, X5, X5
-	VADDSD X5, X4, X4
-	VMOVSD (R15)(R12*8), X5
-	VMULSD X1, X5, X5
-	VADDSD X5, X4, X4
-	VMOVSD (CX)(R12*8), X5
-	VMULSD X2, X5, X5
-	VADDSD X5, X4, X4
-	VMOVSD (DX)(R12*8), X5
-	VMULSD X3, X5, X5
-	VADDSD X5, X4, X4
-	VMOVSD X4, (DI)(R12*8)
-	INCQ R12
-	CMPQ R12, R10
-	JLT  rkQuadTail
-
-rkQuadTailDone:
-	ADDQ $4, R11
-	JMP  rkQuad
-
-rkQuadDone:
-	CMPQ R11, R8
-	JGE  rkDone
-	VMOVSD (SI)(R11*8), X0
-	VUCOMISD X9, X0
-	JP   rkSingleGo           // NaN: not equal to zero, full path
-	JNE  rkSingleGo
-	INCQ R11
-	JMP  rkQuadDone
-
-rkSingleGo:
-	VBROADCASTSD (SI)(R11*8), Y0
-	MOVQ R11, AX
-	IMULQ R13, AX
-	LEAQ (R9)(AX*1), R14
-	XORQ R12, R12
-
-rkSingleVec:
-	LEAQ 4(R12), AX
-	CMPQ AX, R10
-	JGT  rkSingleVecDone
-	VMOVUPD (DI)(R12*8), Y4
-	VMOVUPD (R14)(R12*8), Y5
-	VMULPD  Y0, Y5, Y5
-	VADDPD  Y5, Y4, Y4
-	VMOVUPD Y4, (DI)(R12*8)
-	ADDQ $4, R12
-	JMP  rkSingleVec
-
-rkSingleVecDone:
-	CMPQ R12, R10
-	JGE  rkSingleDone
-
-rkSingleTail:
-	VMOVSD (DI)(R12*8), X4
-	VMOVSD (R14)(R12*8), X5
-	VMULSD X0, X5, X5
-	VADDSD X5, X4, X4
-	VMOVSD X4, (DI)(R12*8)
-	INCQ R12
-	CMPQ R12, R10
-	JLT  rkSingleTail
-
-rkSingleDone:
-	INCQ R11
-	JMP  rkQuadDone
-
-rkDone:
 	VZEROUPPER
 	RET
 
@@ -849,537 +617,6 @@ sbDone:
 	VZEROUPPER
 	RET
 
-// func matmulATPairAVX2(dd []float64, base, n int, a0, a1, b0, b1 []float64)
-// For each p < len(a0): dd[(base+p)·n : +n] += a0[p]·b0 + a1[p]·b1 with the
-// scalar axpy2/axpy grouping — per-element adds in ascending operand order —
-// and the same `av != 0` skip (NaN coefficients take the nonzero path, like
-// Go's !=).
-TEXT ·matmulATPairAVX2(SB), NOSPLIT, $0-136
-	MOVQ dd_base+0(FP), DI
-	MOVQ base+24(FP), AX
-	MOVQ n+32(FP), R9
-	IMULQ R9, AX
-	LEAQ (DI)(AX*8), DI       // first output row
-	MOVQ a0_base+40(FP), SI
-	MOVQ a0_len+48(FP), R8    // np
-	MOVQ a1_base+64(FP), R10
-	MOVQ b0_base+88(FP), R11
-	MOVQ b1_base+112(FP), R13
-	MOVQ R9, DX
-	ANDQ $-4, DX              // n rounded down to a vector multiple
-	VXORPD X15, X15, X15
-	XORQ BX, BX               // p
-
-atpLoop:
-	CMPQ BX, R8
-	JGE  atpDone
-	VMOVSD (SI)(BX*8), X0     // av0
-	VMOVSD (R10)(BX*8), X1    // av1
-	VUCOMISD X15, X0
-	JP   atpA0NZ
-	JNE  atpA0NZ
-	VUCOMISD X15, X1
-	JP   atpOnlyA1
-	JNE  atpOnlyA1
-	JMP  atpNext              // both zero: row contributes nothing
-
-atpA0NZ:
-	VUCOMISD X15, X1
-	JP   atpBoth
-	JNE  atpBoth
-
-	// only av0: y += av0·b0
-	VBROADCASTSD (SI)(BX*8), Y0
-	XORQ CX, CX
-
-atpA0Vec:
-	CMPQ CX, DX
-	JGE  atpA0Sc
-	VMOVUPD (R11)(CX*8), Y5
-	VMULPD  Y0, Y5, Y5
-	VADDPD  (DI)(CX*8), Y5, Y5
-	VMOVUPD Y5, (DI)(CX*8)
-	ADDQ $4, CX
-	JMP  atpA0Vec
-
-atpA0Sc:
-	CMPQ CX, R9
-	JGE  atpNext
-	VMOVSD (R11)(CX*8), X5
-	VMULSD X0, X5, X5
-	VADDSD (DI)(CX*8), X5, X5
-	VMOVSD X5, (DI)(CX*8)
-	INCQ CX
-	JMP  atpA0Sc
-
-atpOnlyA1:
-	VBROADCASTSD (R10)(BX*8), Y1
-	XORQ CX, CX
-
-atpA1Vec:
-	CMPQ CX, DX
-	JGE  atpA1Sc
-	VMOVUPD (R13)(CX*8), Y5
-	VMULPD  Y1, Y5, Y5
-	VADDPD  (DI)(CX*8), Y5, Y5
-	VMOVUPD Y5, (DI)(CX*8)
-	ADDQ $4, CX
-	JMP  atpA1Vec
-
-atpA1Sc:
-	CMPQ CX, R9
-	JGE  atpNext
-	VMOVSD (R13)(CX*8), X5
-	VMULSD X1, X5, X5
-	VADDSD (DI)(CX*8), X5, X5
-	VMOVSD X5, (DI)(CX*8)
-	INCQ CX
-	JMP  atpA1Sc
-
-atpBoth:
-	VBROADCASTSD (SI)(BX*8), Y0
-	VBROADCASTSD (R10)(BX*8), Y1
-	XORQ CX, CX
-
-atpBVec:
-	CMPQ CX, DX
-	JGE  atpBSc
-	VMOVUPD (DI)(CX*8), Y4
-	VMOVUPD (R11)(CX*8), Y5
-	VMULPD  Y0, Y5, Y5
-	VADDPD  Y5, Y4, Y4
-	VMOVUPD (R13)(CX*8), Y5
-	VMULPD  Y1, Y5, Y5
-	VADDPD  Y5, Y4, Y4
-	VMOVUPD Y4, (DI)(CX*8)
-	ADDQ $4, CX
-	JMP  atpBVec
-
-atpBSc:
-	CMPQ CX, R9
-	JGE  atpNext
-	VMOVSD (DI)(CX*8), X4
-	VMOVSD (R11)(CX*8), X5
-	VMULSD X0, X5, X5
-	VADDSD X5, X4, X4
-	VMOVSD (R13)(CX*8), X5
-	VMULSD X1, X5, X5
-	VADDSD X5, X4, X4
-	VMOVSD X4, (DI)(CX*8)
-	INCQ CX
-	JMP  atpBSc
-
-atpNext:
-	LEAQ (DI)(R9*8), DI
-	INCQ BX
-	JMP  atpLoop
-
-atpDone:
-	VZEROUPPER
-	RET
-
-// func matmulATRowAVX2(dd []float64, base, n int, a0, b0 []float64)
-// The odd-row single-coefficient form: dd[(base+p)·n : +n] += a0[p]·b0
-// with the scalar `av != 0` skip.
-TEXT ·matmulATRowAVX2(SB), NOSPLIT, $0-88
-	MOVQ dd_base+0(FP), DI
-	MOVQ base+24(FP), AX
-	MOVQ n+32(FP), R9
-	IMULQ R9, AX
-	LEAQ (DI)(AX*8), DI
-	MOVQ a0_base+40(FP), SI
-	MOVQ a0_len+48(FP), R8
-	MOVQ b0_base+64(FP), R11
-	MOVQ R9, DX
-	ANDQ $-4, DX
-	VXORPD X15, X15, X15
-	XORQ BX, BX
-
-atrLoop:
-	CMPQ BX, R8
-	JGE  atrDone
-	VMOVSD (SI)(BX*8), X0
-	VUCOMISD X15, X0
-	JP   atrNZ
-	JNE  atrNZ
-	JMP  atrNext
-
-atrNZ:
-	VBROADCASTSD (SI)(BX*8), Y0
-	XORQ CX, CX
-
-atrVec:
-	CMPQ CX, DX
-	JGE  atrSc
-	VMOVUPD (R11)(CX*8), Y5
-	VMULPD  Y0, Y5, Y5
-	VADDPD  (DI)(CX*8), Y5, Y5
-	VMOVUPD Y5, (DI)(CX*8)
-	ADDQ $4, CX
-	JMP  atrVec
-
-atrSc:
-	CMPQ CX, R9
-	JGE  atrNext
-	VMOVSD (R11)(CX*8), X5
-	VMULSD X0, X5, X5
-	VADDSD (DI)(CX*8), X5, X5
-	VMOVSD X5, (DI)(CX*8)
-	INCQ CX
-	JMP  atrSc
-
-atrNext:
-	LEAQ (DI)(R9*8), DI
-	INCQ BX
-	JMP  atrLoop
-
-atrDone:
-	VZEROUPPER
-	RET
-
-// func matmulATQuadAVX2(dd []float64, base, n int, a0, a1, a2, a3, b0, b1, b2, b3 []float64)
-// Four input rows per destination pass: dd[(base+p)·n : +n] gains the
-// nonzero coefficients' products in ascending row order — the exact element
-// chain of two consecutive pair passes, with half the destination traffic.
-// The all-nonzero case (dense activations) takes a fused four-product loop;
-// mixed zero patterns fall back to the pairwise bodies; all-zero rows skip.
-TEXT ·matmulATQuadAVX2(SB), NOSPLIT, $0-232
-	MOVQ dd_base+0(FP), DI
-	MOVQ base+24(FP), AX
-	MOVQ n+32(FP), R9
-	IMULQ R9, AX
-	LEAQ (DI)(AX*8), DI       // first output row
-	MOVQ a0_base+40(FP), SI
-	MOVQ a0_len+48(FP), R8    // np
-	MOVQ a1_base+64(FP), R12
-	MOVQ b0_base+136(FP), R10
-	MOVQ b1_base+160(FP), R11
-	MOVQ b2_base+184(FP), R14
-	MOVQ b3_base+208(FP), R15
-	MOVQ R9, DX
-	ANDQ $-4, DX
-	VXORPD X15, X15, X15
-	XORQ BX, BX               // p
-
-aqLoop:
-	CMPQ BX, R8
-	JGE  aqDone
-	VBROADCASTSD (SI)(BX*8), Y0   // av0 (X0 low holds the scalar)
-	VBROADCASTSD (R12)(BX*8), Y1  // av1
-	MOVQ a2_base+88(FP), AX
-	VBROADCASTSD (AX)(BX*8), Y2   // av2
-	MOVQ a3_base+112(FP), AX
-	VBROADCASTSD (AX)(BX*8), Y3   // av3
-	XORL R13, R13
-	VUCOMISD X15, X0
-	JP   aqB0
-	JNE  aqB0
-	JMP  aqT0
-
-aqB0:
-	ORL $1, R13
-
-aqT0:
-	VUCOMISD X15, X1
-	JP   aqB1
-	JNE  aqB1
-	JMP  aqT1
-
-aqB1:
-	ORL $2, R13
-
-aqT1:
-	VUCOMISD X15, X2
-	JP   aqB2
-	JNE  aqB2
-	JMP  aqT2
-
-aqB2:
-	ORL $4, R13
-
-aqT2:
-	VUCOMISD X15, X3
-	JP   aqB3
-	JNE  aqB3
-	JMP  aqT3
-
-aqB3:
-	ORL $8, R13
-
-aqT3:
-	CMPL R13, $15
-	JE   aqAll4
-	TESTL R13, R13
-	JZ   aqNext
-
-	// Mixed pattern: run the (av0, av1) pair then the (av2, av3) pair,
-	// exactly the scalar pairwise grouping.
-	MOVL R13, AX
-	ANDL $3, AX
-	CMPL AX, $3
-	JE   aqP01Both
-	CMPL AX, $1
-	JE   aqP01A0
-	CMPL AX, $2
-	JE   aqP01A1
-	JMP  aqPair23
-
-aqP01Both:
-	XORQ CX, CX
-
-aqP01BVec:
-	CMPQ CX, DX
-	JGE  aqP01BSc
-	VMOVUPD (DI)(CX*8), Y4
-	VMOVUPD (R10)(CX*8), Y5
-	VMULPD  Y0, Y5, Y5
-	VADDPD  Y5, Y4, Y4
-	VMOVUPD (R11)(CX*8), Y5
-	VMULPD  Y1, Y5, Y5
-	VADDPD  Y5, Y4, Y4
-	VMOVUPD Y4, (DI)(CX*8)
-	ADDQ $4, CX
-	JMP  aqP01BVec
-
-aqP01BSc:
-	CMPQ CX, R9
-	JGE  aqPair23
-	VMOVSD (DI)(CX*8), X4
-	VMOVSD (R10)(CX*8), X5
-	VMULSD X0, X5, X5
-	VADDSD X5, X4, X4
-	VMOVSD (R11)(CX*8), X5
-	VMULSD X1, X5, X5
-	VADDSD X5, X4, X4
-	VMOVSD X4, (DI)(CX*8)
-	INCQ CX
-	JMP  aqP01BSc
-
-aqP01A0:
-	XORQ CX, CX
-
-aqP01A0Vec:
-	CMPQ CX, DX
-	JGE  aqP01A0Sc
-	VMOVUPD (R10)(CX*8), Y5
-	VMULPD  Y0, Y5, Y5
-	VADDPD  (DI)(CX*8), Y5, Y5
-	VMOVUPD Y5, (DI)(CX*8)
-	ADDQ $4, CX
-	JMP  aqP01A0Vec
-
-aqP01A0Sc:
-	CMPQ CX, R9
-	JGE  aqPair23
-	VMOVSD (R10)(CX*8), X5
-	VMULSD X0, X5, X5
-	VADDSD (DI)(CX*8), X5, X5
-	VMOVSD X5, (DI)(CX*8)
-	INCQ CX
-	JMP  aqP01A0Sc
-
-aqP01A1:
-	XORQ CX, CX
-
-aqP01A1Vec:
-	CMPQ CX, DX
-	JGE  aqP01A1Sc
-	VMOVUPD (R11)(CX*8), Y5
-	VMULPD  Y1, Y5, Y5
-	VADDPD  (DI)(CX*8), Y5, Y5
-	VMOVUPD Y5, (DI)(CX*8)
-	ADDQ $4, CX
-	JMP  aqP01A1Vec
-
-aqP01A1Sc:
-	CMPQ CX, R9
-	JGE  aqPair23
-	VMOVSD (R11)(CX*8), X5
-	VMULSD X1, X5, X5
-	VADDSD (DI)(CX*8), X5, X5
-	VMOVSD X5, (DI)(CX*8)
-	INCQ CX
-	JMP  aqP01A1Sc
-
-aqPair23:
-	MOVL R13, AX
-	SHRL $2, AX
-	ANDL $3, AX
-	CMPL AX, $3
-	JE   aqP23Both
-	CMPL AX, $1
-	JE   aqP23A2
-	CMPL AX, $2
-	JE   aqP23A3
-	JMP  aqNext
-
-aqP23Both:
-	XORQ CX, CX
-
-aqP23BVec:
-	CMPQ CX, DX
-	JGE  aqP23BSc
-	VMOVUPD (DI)(CX*8), Y4
-	VMOVUPD (R14)(CX*8), Y5
-	VMULPD  Y2, Y5, Y5
-	VADDPD  Y5, Y4, Y4
-	VMOVUPD (R15)(CX*8), Y5
-	VMULPD  Y3, Y5, Y5
-	VADDPD  Y5, Y4, Y4
-	VMOVUPD Y4, (DI)(CX*8)
-	ADDQ $4, CX
-	JMP  aqP23BVec
-
-aqP23BSc:
-	CMPQ CX, R9
-	JGE  aqNext
-	VMOVSD (DI)(CX*8), X4
-	VMOVSD (R14)(CX*8), X5
-	VMULSD X2, X5, X5
-	VADDSD X5, X4, X4
-	VMOVSD (R15)(CX*8), X5
-	VMULSD X3, X5, X5
-	VADDSD X5, X4, X4
-	VMOVSD X4, (DI)(CX*8)
-	INCQ CX
-	JMP  aqP23BSc
-
-aqP23A2:
-	XORQ CX, CX
-
-aqP23A2Vec:
-	CMPQ CX, DX
-	JGE  aqP23A2Sc
-	VMOVUPD (R14)(CX*8), Y5
-	VMULPD  Y2, Y5, Y5
-	VADDPD  (DI)(CX*8), Y5, Y5
-	VMOVUPD Y5, (DI)(CX*8)
-	ADDQ $4, CX
-	JMP  aqP23A2Vec
-
-aqP23A2Sc:
-	CMPQ CX, R9
-	JGE  aqNext
-	VMOVSD (R14)(CX*8), X5
-	VMULSD X2, X5, X5
-	VADDSD (DI)(CX*8), X5, X5
-	VMOVSD X5, (DI)(CX*8)
-	INCQ CX
-	JMP  aqP23A2Sc
-
-aqP23A3:
-	XORQ CX, CX
-
-aqP23A3Vec:
-	CMPQ CX, DX
-	JGE  aqP23A3Sc
-	VMOVUPD (R15)(CX*8), Y5
-	VMULPD  Y3, Y5, Y5
-	VADDPD  (DI)(CX*8), Y5, Y5
-	VMOVUPD Y5, (DI)(CX*8)
-	ADDQ $4, CX
-	JMP  aqP23A3Vec
-
-aqP23A3Sc:
-	CMPQ CX, R9
-	JGE  aqNext
-	VMOVSD (R15)(CX*8), X5
-	VMULSD X3, X5, X5
-	VADDSD (DI)(CX*8), X5, X5
-	VMOVSD X5, (DI)(CX*8)
-	INCQ CX
-	JMP  aqP23A3Sc
-
-aqAll4:
-	XORQ CX, CX
-
-aqA4Vec8:
-	// Two independent 4-lane output groups per iteration: each element's
-	// y + p0 + p1 + p2 + p3 chain is untouched, the second group only fills
-	// the adder's latency bubbles.
-	LEAQ 8(CX), AX
-	CMPQ AX, DX
-	JGT  aqA4Vec
-	VMOVUPD (DI)(CX*8), Y4
-	VMOVUPD 32(DI)(CX*8), Y6
-	VMOVUPD (R10)(CX*8), Y5
-	VMULPD  Y0, Y5, Y5
-	VADDPD  Y5, Y4, Y4
-	VMOVUPD 32(R10)(CX*8), Y7
-	VMULPD  Y0, Y7, Y7
-	VADDPD  Y7, Y6, Y6
-	VMOVUPD (R11)(CX*8), Y5
-	VMULPD  Y1, Y5, Y5
-	VADDPD  Y5, Y4, Y4
-	VMOVUPD 32(R11)(CX*8), Y7
-	VMULPD  Y1, Y7, Y7
-	VADDPD  Y7, Y6, Y6
-	VMOVUPD (R14)(CX*8), Y5
-	VMULPD  Y2, Y5, Y5
-	VADDPD  Y5, Y4, Y4
-	VMOVUPD 32(R14)(CX*8), Y7
-	VMULPD  Y2, Y7, Y7
-	VADDPD  Y7, Y6, Y6
-	VMOVUPD (R15)(CX*8), Y5
-	VMULPD  Y3, Y5, Y5
-	VADDPD  Y5, Y4, Y4
-	VMOVUPD 32(R15)(CX*8), Y7
-	VMULPD  Y3, Y7, Y7
-	VADDPD  Y7, Y6, Y6
-	VMOVUPD Y4, (DI)(CX*8)
-	VMOVUPD Y6, 32(DI)(CX*8)
-	ADDQ $8, CX
-	JMP  aqA4Vec8
-
-aqA4Vec:
-	CMPQ CX, DX
-	JGE  aqA4Sc
-	VMOVUPD (DI)(CX*8), Y4
-	VMOVUPD (R10)(CX*8), Y5
-	VMULPD  Y0, Y5, Y5
-	VADDPD  Y5, Y4, Y4
-	VMOVUPD (R11)(CX*8), Y5
-	VMULPD  Y1, Y5, Y5
-	VADDPD  Y5, Y4, Y4
-	VMOVUPD (R14)(CX*8), Y5
-	VMULPD  Y2, Y5, Y5
-	VADDPD  Y5, Y4, Y4
-	VMOVUPD (R15)(CX*8), Y5
-	VMULPD  Y3, Y5, Y5
-	VADDPD  Y5, Y4, Y4
-	VMOVUPD Y4, (DI)(CX*8)
-	ADDQ $4, CX
-	JMP  aqA4Vec
-
-aqA4Sc:
-	CMPQ CX, R9
-	JGE  aqNext
-	VMOVSD (DI)(CX*8), X4
-	VMOVSD (R10)(CX*8), X5
-	VMULSD X0, X5, X5
-	VADDSD X5, X4, X4
-	VMOVSD (R11)(CX*8), X5
-	VMULSD X1, X5, X5
-	VADDSD X5, X4, X4
-	VMOVSD (R14)(CX*8), X5
-	VMULSD X2, X5, X5
-	VADDSD X5, X4, X4
-	VMOVSD (R15)(CX*8), X5
-	VMULSD X3, X5, X5
-	VADDSD X5, X4, X4
-	VMOVSD X4, (DI)(CX*8)
-	INCQ CX
-	JMP  aqA4Sc
-
-aqNext:
-	LEAQ (DI)(R9*8), DI
-	INCQ BX
-	JMP  aqLoop
-
-aqDone:
-	VZEROUPPER
-	RET
-
 // func laneBTAVX2(crow, arow, bt []float64, n int, s float64)
 // crow[j] = s·(arow · column j of bt) for j in [0, len(crow)), len(crow) a
 // multiple of 4, bt's rows n wide: one output column per ymm lane. Register
@@ -1540,8 +777,7 @@ lbDone:
 // sequence matmulRowKernel adds, with n a multiple of 4. The four rows' eight
 // (then four) columns stay in registers across p, one independent add chain
 // per register, and each bd row is loaded once for all four rows. No
-// coefficient is skipped, which is bitwise-invisible only when bd is finite
-// (0·x is then ±0 and c + ±0 is c, c never being −0): the caller checks.
+// coefficient is skipped: a zero times an Inf is NaN, as in the Go loop.
 TEXT ·pvBlockAVX2(SB), NOSPLIT, $0-96
 	MOVQ c_base+0(FP), DI
 	MOVQ ldc+24(FP), R15
@@ -1829,11 +1065,9 @@ pvDone:
 // func atBlockAVX2(dd []float64, n int, a []float64, lda int, b []float64, ldb int)
 // Four input rows at once: dd[p·n : +n] += a0[p]·b0 + a1[p]·b1 + a2[p]·b2 +
 // a3[p]·b3 for p < lda, where a_r = a[r·lda:] and b_r = b[r·ldb : +n], the
-// products added in ascending r — matmulATQuadAVX2's all-nonzero chain —
-// with n a multiple of 4. Eight (then four) columns of the four b rows stay
-// in registers across p. No coefficient is skipped, which is
-// bitwise-invisible only when b is finite (0·x is then ±0 and dd + ±0 is dd,
-// dd never being −0): the caller checks.
+// products added in ascending r — the chain of four atAccumRow calls — with
+// n a multiple of 4. Eight (then four) columns of the four b rows stay in
+// registers across p. No coefficient is skipped, as in the Go loop.
 TEXT ·atBlockAVX2(SB), NOSPLIT, $0-96
 	MOVQ dd_base+0(FP), DI
 	MOVQ n+24(FP), DX

@@ -9,12 +9,6 @@ func simdSupported() bool { return false }
 
 func axpyAVX2(a float64, x, y []float64) { panic("tensor: SIMD kernel on non-amd64") }
 
-func axpy2AVX2(a0, a1 float64, x0, x1, y []float64) { panic("tensor: SIMD kernel on non-amd64") }
-
-func matmulRowKernelAVX2(crow, arow, bd []float64, b0, n int) {
-	panic("tensor: SIMD kernel on non-amd64")
-}
-
 func laneBTAVX2(crow, arow, bt []float64, n int, s float64) {
 	panic("tensor: SIMD kernel on non-amd64")
 }
@@ -50,15 +44,3 @@ func softmaxBackRowAVX2(drow, grow, yrow []float64, dotgy float64) {
 }
 
 func expSubAVX2(dst, src []float64, m float64) int { panic("tensor: SIMD kernel on non-amd64") }
-
-func matmulATPairAVX2(dd []float64, base, n int, a0, a1, b0, b1 []float64) {
-	panic("tensor: SIMD kernel on non-amd64")
-}
-
-func matmulATQuadAVX2(dd []float64, base, n int, a0, a1, a2, a3, b0, b1, b2, b3 []float64) {
-	panic("tensor: SIMD kernel on non-amd64")
-}
-
-func matmulATRowAVX2(dd []float64, base, n int, a0, b0 []float64) {
-	panic("tensor: SIMD kernel on non-amd64")
-}

@@ -134,61 +134,6 @@ func axpy(a float64, x, y []float64) {
 	}
 }
 
-// axpy2 computes y += a0*x0 + a1*x1 in one pass over y. For every element the
-// two contributions are added in the same order as two sequential axpy calls
-// (a0's product first), so the result is bitwise identical to
-// axpy(a0, x0, y); axpy(a1, x1, y) while touching y half as often.
-func axpy2(a0, a1 float64, x0, x1, y []float64) {
-	if simdKernels {
-		axpy2AVX2(a0, a1, x0[:len(y)], x1[:len(y)], y)
-		return
-	}
-	n := len(y)
-	x0 = x0[:n]
-	x1 = x1[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		p0 := x0[i : i+4 : i+4]
-		p1 := x1[i : i+4 : i+4]
-		y4 := y[i : i+4 : i+4]
-		y4[0] = y4[0] + a0*p0[0] + a1*p1[0]
-		y4[1] = y4[1] + a0*p0[1] + a1*p1[1]
-		y4[2] = y4[2] + a0*p0[2] + a1*p1[2]
-		y4[3] = y4[3] + a0*p0[3] + a1*p1[3]
-	}
-	for ; i < n; i++ {
-		y[i] = y[i] + a0*x0[i] + a1*x1[i]
-	}
-}
-
-// axpy4 computes y += a0*x0 + a1*x1 + a2*x2 + a3*x3 in one pass over y.
-// Per element the four products are added in ascending operand order —
-// exactly the order four sequential axpy calls would use — so results are
-// bitwise identical while y is loaded and stored once per four updates
-// instead of four times.
-func axpy4(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
-	n := len(y)
-	x0 = x0[:n]
-	x1 = x1[:n]
-	x2 = x2[:n]
-	x3 = x3[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		p0 := x0[i : i+4 : i+4]
-		p1 := x1[i : i+4 : i+4]
-		p2 := x2[i : i+4 : i+4]
-		p3 := x3[i : i+4 : i+4]
-		y4 := y[i : i+4 : i+4]
-		y4[0] = y4[0] + a0*p0[0] + a1*p1[0] + a2*p2[0] + a3*p3[0]
-		y4[1] = y4[1] + a0*p0[1] + a1*p1[1] + a2*p2[1] + a3*p3[1]
-		y4[2] = y4[2] + a0*p0[2] + a1*p1[2] + a2*p2[2] + a3*p3[2]
-		y4[3] = y4[3] + a0*p0[3] + a1*p1[3] + a2*p2[3] + a3*p3[3]
-	}
-	for ; i < n; i++ {
-		y[i] = y[i] + a0*x0[i] + a1*x1[i] + a2*x2[i] + a3*x3[i]
-	}
-}
-
 // dot computes the inner product of two equal-length slices, unrolled by four.
 func dot(x, y []float64) float64 {
 	n := len(x)
