@@ -27,12 +27,12 @@
 // 0 keeps the preset's seed, and progress goes to stderr (the report always
 // prints). Here -metrics carries the run config and one plan_run record per
 // planner version (its search and cost facts, report embedded); -profile is
-// the search's wall-clock record
-// — planner phases, one estimate span per lookup, embedded predictor
-// training, plan evaluation; -trace holds the same spans as a timeline plus
-// the simulated 1F1B schedule of each feasible plan; the manifest holds each
-// feasible plan's whole provenance report (stages, search, cost, Eqn-4
-// decomposition, predictor fingerprint). Fan-out width is GOMAXPROCS.
+// the search's wall-clock record — planner phases (one estimate span over all
+// of a search's lookups), embedded predictor training, plan evaluation;
+// -trace holds the same spans as a timeline plus the simulated 1F1B schedule
+// of each feasible plan; the manifest holds each feasible plan's whole
+// provenance report (stages, search, cost, Eqn-4 decomposition, predictor
+// fingerprint). Fan-out width is GOMAXPROCS.
 package main
 
 import (

@@ -7,7 +7,7 @@
 //
 //	predtop-replay -url http://127.0.0.1:9400 \
 //	               [-n 100000] [-c 32] [-bench GPT-3,MoE] [-layers 8] \
-//	               [-maxlen 3] [-model key] [-gtfrac 0.1] [-seed 1] \
+//	               [-maxlen 3] [-model key] [-seed 1] \
 //	               [-json result.json] [-runledger runs] [-quiet] [-smoke]
 //
 // -smoke issues a single query and exits 0 only when it was answered AND the
@@ -47,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	layers := fs.Int("layers", 8, "benchmark depth override for every query (0 = Table IV)")
 	maxLen := fs.Int("maxlen", 3, "max stage length in segments")
 	model := fs.String("model", "", "registry key to query (empty = daemon's sole model)")
-	gtFrac := fs.Float64("gtfrac", 0, "fraction of queries carrying a synthetic ground_truth")
 	jsonPath := fs.String("json", "", "write the ReplayResult as JSON to this file")
 	smoke := fs.Bool("smoke", false, "one query, exit 0 iff it was answered")
 	shared := cli.Flags{Seed: 1}
@@ -63,10 +62,10 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	cfg := predtop.ServeReplayConfig{
 		URL: *url, Queries: *queries, Concurrency: *conc, Seed: shared.Seed,
 		Benches: splitBenches(*benches), Layers: *layers, MaxLen: *maxLen,
-		Model: *model, GroundTruthFrac: *gtFrac,
+		Model: *model,
 	}
 	if *smoke {
-		cfg.Queries, cfg.Concurrency, cfg.GroundTruthFrac = 1, 1, 0
+		cfg.Queries, cfg.Concurrency = 1, 1
 		res, err := predtop.ServeReplay(cfg)
 		if err != nil {
 			return fmt.Errorf("smoke query failed: %w", err)
@@ -130,7 +129,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	man.SetConfig("bench", strings.ToLower(*benches))
 	man.SetConfig("layers", fmt.Sprint(*layers))
 	man.SetConfig("maxlen", fmt.Sprint(*maxLen))
-	man.SetConfig("gtfrac", fmt.Sprint(*gtFrac))
 	man.SetOutput("url", *url)
 	man.SetOutput("json", *jsonPath)
 	man.RecordSessionMetric("qps", res.QPS)

@@ -36,7 +36,9 @@
 // only tool that has one — and read once more after the daemon has drained:
 // that one snapshot is the -metrics file's last record and the source of the
 // manifest's serve/SLO session metrics, next to the served models' weight
-// fingerprint and the session's wall time.
+// fingerprint and the session's wall time. The daemon measures no accuracy: a
+// served model's held-out error is its training run's error attribution in
+// the run ledger, found by that fingerprint.
 package main
 
 import (

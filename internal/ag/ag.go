@@ -86,7 +86,8 @@ type Node struct {
 // Value returns the node's forward value.
 func (n *Node) Value() *tensor.Tensor { return n.V }
 
-// ownPart is a standalone tape's gradient part for one parameter.
+// ownPart is the gradient part a tape handed out for one parameter: its own
+// on a standalone tape, its PanelGrads slot on a routed one.
 type ownPart struct {
 	p *Param
 	t *tensor.Tensor
@@ -107,7 +108,7 @@ type Context struct {
 	xs     []*Node          // ConcatCols and Attention operand lists of this generation
 	grads  *PanelGrads      // routed parameter-gradient slots (RouteGrads); nil = own
 	graph  int              // the tape's graph index in grads
-	own    []ownPart        // a standalone tape's parts, added by BackwardVec
+	own    []ownPart        // parts handed out this pass; a standalone tape's are added by BackwardVec
 	span   obs.Span         // profiling span layer marks nest under (see profile.go)
 	marks  []layerMark      // tape ranges recorded by StartLayer/End
 }

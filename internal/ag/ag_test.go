@@ -572,3 +572,20 @@ func TestParamInTwoSegmentedOpsPanics(t *testing.T) {
 	}()
 	ctx.BackwardVec(h)
 }
+
+// TestRoutedParamInTwoSegmentedOpsPanics: a routed tape has one PanelGrads
+// slot per (parameter, graph), so the same double entry would overwrite the
+// slot's first part; it refuses too.
+func TestRoutedParamInTwoSegmentedOpsPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	w := newRandParam(rng, "w", 2, 2)
+	ctx := NewContext()
+	ctx.RouteGrads(NewPanelGrads([]*Param{w}, 2), 1)
+	h := ctx.MatMulParam(ctx.MatMulParam(ctx.Const(tensor.Randn(rng, 3, 2, 1)), w), w)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a parameter in two parameter-carrying ops on a routed tape did not panic")
+		}
+	}()
+	ctx.BackwardVec(h)
+}

@@ -84,23 +84,26 @@ func (c *Context) RouteGrads(g *PanelGrads, k int) {
 }
 
 // gradPart returns the slot the tape writes p's gradient part to: fully
-// overwritten by the caller. A standalone tape draws its own from the arena;
-// one that already holds p's means p entered a second parameter-carrying op
-// on this tape, whose part would overwrite the first.
+// overwritten by the caller. A standalone tape draws its own from the arena,
+// a routed one takes its PanelGrads slot. A tape that already handed out p's
+// part means p entered a second parameter-carrying op on this tape, whose
+// part would overwrite the first.
 func (c *Context) gradPart(p *Param) *tensor.Tensor {
-	if g := c.grads; g != nil {
-		i, ok := g.index[p]
-		if !ok {
-			panic("ag: parameter " + p.Name + " has no slot in the routed PanelGrads")
-		}
-		return g.parts[i][c.graph]
-	}
 	for _, o := range c.own {
 		if o.p == p {
 			panic("ag: parameter " + p.Name + " enters two parameter-carrying ops on one tape")
 		}
 	}
-	t := c.arena.GetUninit(p.V.R, p.V.C)
+	var t *tensor.Tensor
+	if g := c.grads; g != nil {
+		i, ok := g.index[p]
+		if !ok {
+			panic("ag: parameter " + p.Name + " has no slot in the routed PanelGrads")
+		}
+		t = g.parts[i][c.graph]
+	} else {
+		t = c.arena.GetUninit(p.V.R, p.V.C)
+	}
 	c.own = append(c.own, ownPart{p, t})
 	return t
 }
@@ -131,8 +134,10 @@ func (c *Context) BackwardVec(loss *Node) {
 			c.runBack(n)
 		}
 	}
-	for _, o := range c.own {
-		tensor.AddInPlace(o.p.Grad, o.t)
+	if c.grads == nil {
+		for _, o := range c.own {
+			tensor.AddInPlace(o.p.Grad, o.t)
+		}
 	}
 	c.own = c.own[:0]
 }

@@ -53,7 +53,6 @@ type profNode struct {
 	name     string
 	total    time.Duration
 	count    int64
-	attrs    map[string]string
 	children map[string]*profNode
 }
 
@@ -156,26 +155,12 @@ func (s Span) Record(name string, d time.Duration, count int64) {
 	s.p.mu.Unlock()
 }
 
-// Attr attaches a key=value annotation to the span's tree node (last write
-// wins; shown in the profile report). No-op when inert.
-func (s Span) Attr(key, value string) {
-	if s.p == nil {
-		return
-	}
-	s.p.mu.Lock()
-	if s.node.attrs == nil {
-		s.node.attrs = map[string]string{}
-	}
-	s.node.attrs[key] = value
-	s.p.mu.Unlock()
-}
-
 // WriteProfileTree renders the aggregated spans as an indented self-time
 // report: one line per node with total time, self time (total minus
 // children, clamped at zero — parallel children can sum past their parent's
-// wall time), invocation count, and attributes. Nodes print in depth-first
-// name order, so the layout is deterministic for a given set of
-// instrumentation points. No-op on a nil profiler.
+// wall time) and invocation count. Nodes print in depth-first name order, so
+// the layout is deterministic for a given set of instrumentation points.
+// No-op on a nil profiler.
 func (p *Profiler) WriteProfileTree(w io.Writer) error {
 	if p == nil {
 		return nil
@@ -210,24 +195,8 @@ func writeProfNode(b *strings.Builder, n *profNode, depth int) {
 			self = 0
 		}
 		label := strings.Repeat("  ", depth) + c.name
-		fmt.Fprintf(b, "%-44s %12s %12s %10d%s\n",
-			label, c.total.Round(time.Microsecond), self.Round(time.Microsecond), c.count, attrString(c.attrs))
+		fmt.Fprintf(b, "%-44s %12s %12s %10d\n",
+			label, c.total.Round(time.Microsecond), self.Round(time.Microsecond), c.count)
 		writeProfNode(b, c, depth+1)
 	}
-}
-
-func attrString(attrs map[string]string) string {
-	if len(attrs) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(attrs))
-	for k := range attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = k + "=" + attrs[k]
-	}
-	return "  {" + strings.Join(parts, ",") + "}"
 }

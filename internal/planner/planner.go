@@ -15,10 +15,8 @@
 package planner
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strconv"
 
 	"predtop/internal/cluster"
 	"predtop/internal/obs"
@@ -42,9 +40,10 @@ type Options struct {
 	// MaxStageLen caps stage length in segments (0 = unbounded).
 	MaxStageLen int
 	// Prof, when non-nil, receives hierarchical spans for the search — its
-	// only wall-clock record: planner.optimize → estimate (one child per
-	// (stage, mesh) pair) and dp (one folded "tmax" child across the t_max
-	// sweep). A nil profiler is a zero-cost no-op and never alters the plan.
+	// only wall-clock record: planner.optimize → estimate (every (stage,
+	// mesh) lookup; their count is SearchStats.LatencyLookups) and dp (one
+	// folded "tmax" child across the t_max sweep). A nil profiler is a
+	// zero-cost no-op and never alters the plan.
 	Prof *obs.Profiler
 	// Stats, when non-nil, is filled with the search's exploration
 	// statistics. Every field is a deterministic count derived from the
@@ -137,11 +136,6 @@ func Optimize(numSegments int, p cluster.Platform, lat LatencyFn, opt Options) (
 
 	root := opt.Prof.Start("planner.optimize")
 	defer root.End()
-	if root.Enabled() { // skip string formatting when profiling is off
-		root.Attr("segments", strconv.Itoa(numSegments))
-		root.Attr("meshes", strconv.Itoa(len(meshes)))
-		root.Attr("devices", strconv.Itoa(totalDev))
-	}
 
 	M := len(meshes)
 	est := newEstTable(numSegments, maxLen, M)
@@ -150,12 +144,7 @@ func Optimize(numSegments int, p cluster.Platform, lat LatencyFn, opt Options) (
 	for _, sp := range stage.AllSpecs(numSegments, maxLen) {
 		for mi, mesh := range meshes {
 			stats.LatencyLookups++
-			var ps obs.Span
-			if estSpan.Enabled() {
-				ps = estSpan.Start(fmt.Sprintf("s%d:%d/m%d", sp.Lo, sp.Hi, mi))
-			}
 			t, ok := lat(sp, mesh)
-			ps.End()
 			if ok && t > 0 && !math.IsInf(t, 1) {
 				stats.Feasible++
 				est.v[est.at(sp.Lo, sp.Hi, mi)] = t

@@ -93,11 +93,8 @@ func FullProfiling(mdl *models.Model, prof sim.Profiler, meter *Meter) LatencyFn
 // PartialProfiling wraps full profiling with vanilla Alpa's pruning
 // heuristic (§VII-D): skip stage–mesh pairs whose model-fraction to
 // device-fraction ratio is imbalanced beyond alpha, profiling only the
-// plausible ones.
+// plausible ones. alpha must exceed 1 (the presets use 1.6).
 func PartialProfiling(mdl *models.Model, prof sim.Profiler, meter *Meter, alpha float64) LatencyFn {
-	if alpha <= 1 {
-		alpha = 2.5
-	}
 	full := FullProfiling(mdl, prof, meter)
 	numSegments := float64(mdl.NumSegments())
 	return func(sp stage.Spec, mesh cluster.Mesh) (float64, bool) {
@@ -186,7 +183,8 @@ func WeightFingerprint(trs ...predictor.Trained) string {
 type PredictorOptions struct {
 	Kind PredictorKind
 	// SampleFrac is the fraction of the stage universe profiled for
-	// training data (§VI: "only selects a subset of stages").
+	// training data (§VI: "only selects a subset of stages"), in (0, 1]; it
+	// has no default. The sample is never smaller than 8 stages.
 	SampleFrac float64
 	// MaxStageLen bounds the stage universe (must match planner Options).
 	MaxStageLen int
@@ -213,9 +211,6 @@ type PredictorOptions struct {
 // concurrently across GOMAXPROCS; weights, meter and answers are bitwise the
 // same at any GOMAXPROCS.
 func TrainPredictorProvider(mdl *models.Model, p cluster.Platform, opt PredictorOptions, prof sim.Profiler, meter *Meter) LatencyFn {
-	if opt.SampleFrac == 0 {
-		opt.SampleFrac = 0.15
-	}
 	rng := rand.New(rand.NewSource(opt.Seed + 1))
 	universe := stage.AllSpecs(mdl.NumSegments(), opt.MaxStageLen)
 	count := int(float64(len(universe))*opt.SampleFrac + 0.5)

@@ -40,9 +40,6 @@ type ReplayConfig struct {
 	// Model pins the registry key each query names (default "": the
 	// daemon's sole model).
 	Model string
-	// GroundTruthFrac is the fraction of queries carrying a synthetic
-	// ground_truth (exercising the predtop_accuracy_* path). Default 0.
-	GroundTruthFrac float64
 	// Client is the HTTP client (default a pooled client with a 30s
 	// timeout).
 	Client *http.Client
@@ -180,11 +177,6 @@ func replayStream(cfg ReplayConfig) ([][]byte, error) {
 		req := PredictRequest{
 			Model: cfg.Model, Bench: bench, Layers: cfg.Layers,
 			Lo: lo, Hi: lo + length,
-		}
-		if cfg.GroundTruthFrac > 0 && rng.Float64() < cfg.GroundTruthFrac {
-			gt := 0.01 + rng.Float64()
-			req.GroundTruth = &gt
-			req.Mesh = "2x2"
 		}
 		b, err := json.Marshal(req)
 		if err != nil {

@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"predtop/internal/models"
 )
@@ -21,8 +20,8 @@ const (
 )
 
 // PredictRequest is the JSON body of POST /predict: which resident model to
-// query, which benchmark stage graph to encode, and optionally a profiled
-// ground-truth latency that feeds the predtop_accuracy_* series.
+// query and which benchmark stage graph to encode. Unknown fields are
+// ignored.
 type PredictRequest struct {
 	// Model is the registry key (model file name without .predtop). Empty is
 	// allowed when exactly one model is resident.
@@ -35,13 +34,6 @@ type PredictRequest struct {
 	// Lo and Hi delimit the stage as a segment range [lo, hi).
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
-	// GroundTruth, when present, is the profiled latency in seconds; the
-	// server returns the relative error and folds it into the
-	// predtop_accuracy_* series. Must be finite and positive.
-	GroundTruth *float64 `json:"ground_truth,omitempty"`
-	// Mesh is a free-form mesh label ("2x2") used only as the accuracy
-	// series' mesh label.
-	Mesh string `json:"mesh,omitempty"`
 }
 
 // PredictResponse is the JSON body of a successful /predict answer.
@@ -49,19 +41,18 @@ type PredictRequest struct {
 // float encoding), so a client can compare it bitwise against a direct
 // PredictEncoded call.
 type PredictResponse struct {
-	TraceID        string   `json:"trace_id,omitempty"`
-	SpanID         string   `json:"span_id,omitempty"`
-	Model          string   `json:"model"`
-	Family         string   `json:"family"`
-	Bench          string   `json:"bench"`
-	Layers         int      `json:"layers,omitempty"`
-	Lo             int      `json:"lo"`
-	Hi             int      `json:"hi"`
-	LatencySeconds float64  `json:"latency_s"`
-	LatencyMS      float64  `json:"latency_ms"`
-	Cached         bool     `json:"cached"`
-	Generation     uint64   `json:"generation"`
-	RelErrPct      *float64 `json:"rel_err_pct,omitempty"`
+	TraceID        string  `json:"trace_id,omitempty"`
+	SpanID         string  `json:"span_id,omitempty"`
+	Model          string  `json:"model"`
+	Family         string  `json:"family"`
+	Bench          string  `json:"bench"`
+	Layers         int     `json:"layers,omitempty"`
+	Lo             int     `json:"lo"`
+	Hi             int     `json:"hi"`
+	LatencySeconds float64 `json:"latency_s"`
+	LatencyMS      float64 `json:"latency_ms"`
+	Cached         bool    `json:"cached"`
+	Generation     uint64  `json:"generation"`
 }
 
 // ErrorResponse is the JSON body of every non-2xx answer.
@@ -71,10 +62,9 @@ type ErrorResponse struct {
 
 // DecodePredictRequest parses and validates a /predict body. Every rejection
 // is an error the handler maps to a 4xx — malformed JSON, unknown benchmarks,
-// oversized depths or stages, inverted ranges, and non-finite or non-positive
-// ground truths all land here, never in a panic or a poisoned cache. Range
-// checks against the resolved benchmark's segment count happen later, once
-// the benchmark model is built.
+// oversized depths or stages, and inverted ranges all land here, never in a
+// panic or a poisoned cache. Range checks against the resolved benchmark's
+// segment count happen later, once the benchmark model is built.
 func DecodePredictRequest(data []byte) (*PredictRequest, error) {
 	if len(data) > MaxRequestBytes {
 		return nil, fmt.Errorf("request body exceeds %d bytes", MaxRequestBytes)
@@ -100,11 +90,6 @@ func DecodePredictRequest(data []byte) (*PredictRequest, error) {
 	}
 	if req.Hi-req.Lo > MaxStageSegments {
 		return nil, fmt.Errorf("stage length %d exceeds %d segments", req.Hi-req.Lo, MaxStageSegments)
-	}
-	if gt := req.GroundTruth; gt != nil {
-		if math.IsNaN(*gt) || math.IsInf(*gt, 0) || *gt <= 0 {
-			return nil, fmt.Errorf("ground_truth must be a finite positive latency, got %v", *gt)
-		}
 	}
 	return &req, nil
 }

@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
+	"net/http"
+	"strings"
 	"sync"
 	"testing"
 
@@ -110,38 +114,88 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServeGroundTruthAccuracy: a request attaching ground_truth gets its
-// relative error back, and three such requests on one key leave the labeled
-// gauge at their running mean — bit for bit — and the counter at three.
-func TestServeGroundTruthAccuracy(t *testing.T) {
+// TestServeIgnoresGroundTruth: a body carrying the retired ground_truth and
+// mesh fields is answered like the same body without them — 200, latency_s
+// bit-equal to a direct PredictEncoded call, no rel_err_pct.
+func TestServeIgnoresGroundTruth(t *testing.T) {
 	dir := t.TempDir()
 	tr := writeTestModel(t, dir, "tran", "tran", 1)
 	s := startTestServer(t, dir, nil)
 
 	m := models.Build(testBenchCfg())
 	enc := predictor.NewEncoder(m, true)
-	pred := tr.PredictEncoded(enc.Encode(stage.Spec{Lo: 0, Hi: 2}))
+	want := tr.PredictEncoded(enc.Encode(stage.Spec{Lo: 0, Hi: 2}))
 
-	mean := 0.0
-	for n, scale := range []float64{1.25, 0.9, 3} { // the first is 20% off by construction
-		gt := pred * scale
-		resp, code := postPredict(t, s.URL(), PredictRequest{
-			Bench: "GPT-3", Layers: testLayers, Lo: 0, Hi: 2, GroundTruth: &gt, Mesh: "2x2",
-		})
-		if code != 200 || resp.RelErrPct == nil {
-			t.Fatalf("request %d: code %d, rel_err_pct %v", n, code, resp.RelErrPct)
+	plain := fmt.Sprintf(`{"bench":"GPT-3","layers":%d,"lo":0,"hi":2}`, testLayers)
+	extra := fmt.Sprintf(`{"bench":"GPT-3","layers":%d,"lo":0,"hi":2,"ground_truth":0.5,"mesh":"2x2"}`, testLayers)
+	for _, body := range []string{extra, plain} { // the first is the miss
+		resp, err := http.Post(s.URL()+"/predict", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if n == 0 && math.Abs(*resp.RelErrPct-20) > 1e-9 {
-			t.Fatalf("rel_err_pct = %v, want 20", *resp.RelErrPct)
+		var out map[string]json.RawMessage
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != 200 {
+			t.Fatalf("%s: status %d, %v", body, resp.StatusCode, err)
 		}
-		mean += (*resp.RelErrPct - mean) / float64(n+1)
+		var got float64
+		if err := json.Unmarshal(out["latency_s"], &got); err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: latency_s %v, want %v", body, got, want)
+		}
+		if _, ok := out["rel_err_pct"]; ok {
+			t.Fatalf("%s: answered a rel_err_pct", body)
+		}
 	}
-	labels := []label{{Key: "family", Value: "Tran"}, {Key: "mesh", Value: "2x2"}, {Key: "op", Value: "GPT-3"}}
-	if got := s.cfg.Metrics.gaugeWith(AccuracyMREMetric, labels...).Value(); math.Float64bits(got) != math.Float64bits(mean) {
-		t.Errorf("%s = %v, want the running mean %v", AccuracyMREMetric, got, mean)
+}
+
+// TestServeClientInputAddsNoSeries: the metric series a daemon exports are
+// fixed by its routes and status codes, never by what a client sends. A
+// second round of novel bodies — new mesh labels and ground truths, unknown
+// model keys, rejected benches — leaves the registry's (name, labels) set
+// exactly as the first round left it.
+func TestServeClientInputAddsNoSeries(t *testing.T) {
+	dir := t.TempDir()
+	writeTestModel(t, dir, "tran", "tran", 1)
+	s := startTestServer(t, dir, nil)
+
+	series := func() map[string]bool {
+		set := map[string]bool{}
+		for _, m := range s.cfg.Metrics.Snapshot() {
+			set[m.Name+"{"+m.Labels+"}"] = true
+		}
+		return set
 	}
-	if got := s.cfg.Metrics.counterWith(AccuracySamplesMetric, labels...).Value(); got != 3 {
-		t.Errorf("%s = %d, want 3", AccuracySamplesMetric, got)
+	round := func(r int) {
+		for i := 0; i < 4; i++ {
+			for _, body := range []string{
+				fmt.Sprintf(`{"bench":"GPT-3","layers":%d,"lo":%d,"hi":%d,"ground_truth":%v,"mesh":"m%d-%d"}`,
+					testLayers, i, i+1, 0.01*float64(r*4+i+1), r, i),
+				fmt.Sprintf(`{"model":"nope-%d-%d","bench":"GPT-3","lo":0,"hi":2}`, r, i),
+				fmt.Sprintf(`{"bench":"resnet-%d-%d","lo":0,"hi":2}`, r, i),
+			} {
+				resp, err := http.Post(s.URL()+"/predict", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+			}
+		}
+	}
+	round(0)
+	first := series()
+	round(1)
+	second := series()
+	for k := range second {
+		if !first[k] {
+			t.Errorf("round 2 added series %s", k)
+		}
+	}
+	if len(second) != len(first) {
+		t.Errorf("series: %d after round 1, %d after round 2", len(first), len(second))
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"runtime"
 	"sync"
@@ -62,9 +61,7 @@ type Config struct {
 	// Metrics, Sink, Flight, Trace, and Log are the observability fan-out;
 	// each is optional and nil-safe. Metrics backs GET /metrics (404 without
 	// one). Sink takes the slo_breach records and, unless AccessLog is set,
-	// the sampled access records — the one record a request leaves. With
-	// Metrics set, requests that attach ground truth also feed the
-	// predtop_accuracy_* gauges.
+	// the sampled access records — the one record a request leaves.
 	Metrics *Metrics
 	Sink    *obs.Sink
 	Flight  *obs.FlightRecorder
@@ -128,7 +125,6 @@ type Server struct {
 	cache    *lru.Cache[predKey, float64]
 	benches  *lru.Cache[benchKey, *benchEntry]
 	obsSrv   *obs.Server
-	acc      *accuracy
 	trace    *obs.TraceContext
 
 	slo       *sloTracker
@@ -188,7 +184,6 @@ func Start(ctx context.Context, cfg Config) (*Server, error) {
 		slots:    make(chan struct{}, runtime.GOMAXPROCS(0)),
 		waiting:  cfg.Metrics.gauge(QueueDepthMetric),
 		forward:  predictor.Trained.PredictEncoded,
-		acc:      newAccuracy(cfg.Metrics),
 	}
 	if cfg.SLOP99 > 0 || cfg.SLOErr > 0 {
 		s.incidents = newIncidentCapture(cfg.IncidentDir, cfg.Flight, cfg.Sink, cfg.Log)
@@ -399,11 +394,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, ri *reqIn
 		Lo: req.Lo, Hi: req.Hi,
 		LatencySeconds: latency, LatencyMS: latency * 1e3,
 		Cached: cached, Generation: gen,
-	}
-	if gt := req.GroundTruth; gt != nil {
-		relErr := math.Abs(latency-*gt) / *gt * 100
-		resp.RelErrPct = &relErr
-		s.acc.observe(accuracyKey{entry.Family, req.Mesh, benchCfg.Name}, latency, *gt)
 	}
 	return writeJSON(w, http.StatusOK, resp)
 }
