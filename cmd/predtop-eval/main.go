@@ -8,17 +8,16 @@
 //
 //	predtop-eval [-preset quick|paper|paperlite] [-bench GPT-3|MoE|all]
 //	             [-platform 1|2|0] [-fig3frac 50] [-fig 2|6] [-seed 0]
-//	             [-out results.txt] [-metrics run.jsonl] [-trace run.json]
-//	             [-listen :9090] [-profile spans.txt] [-runledger runs] [-quiet]
+//	             [-out results.txt] [-trace run.json] [-listen :9090]
+//	             [-profile spans.txt] [-runledger runs] [-quiet]
 //
-// -preset, -seed, -quiet, -metrics, -trace, -listen, -profile, and
-// -runledger are the shared flags documented in package internal/cli; -seed
-// 0 keeps the preset's seed, and progress goes to stderr (the report always
-// prints). Here -metrics carries the run config; -profile covers grid phases
-// and predictor layers (-trace is the same spans as a timeline); the manifest
-// holds per-table win rates and per-family error-attribution snapshots, each
-// merged across the grid's cells with its held-out MRE. Grid cells fan across
-// GOMAXPROCS goroutines.
+// -preset, -seed, -quiet, -trace, -listen, -profile, and -runledger are the
+// shared flags documented in package internal/cli; -seed 0 keeps the
+// preset's seed, and progress goes to stderr (the report always prints).
+// -profile covers grid phases and predictor layers (-trace is the same spans
+// as a timeline); the manifest holds the run config, per-table win rates and
+// per-family error-attribution snapshots, each merged across the grid's
+// cells with its held-out MRE. Grid cells fan across GOMAXPROCS goroutines.
 package main
 
 import (
@@ -49,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	tables := fs.Bool("tables", true, "run the MRE tables (disable for -ablate only)")
 	out := fs.String("out", "", "also write the report to this file")
 	var shared cli.Flags
-	shared.Register(fs, cli.Preset|cli.Seed|cli.Quiet|cli.Metrics|cli.Telemetry|cli.Ledger, map[string]string{
+	shared.Register(fs, cli.Preset|cli.Seed|cli.Quiet|cli.Telemetry|cli.Ledger, map[string]string{
 		"seed":    "override the preset's random seed (0 = preset default)",
 		"quiet":   "suppress per-cell progress on stderr (the report still prints)",
 		"profile": "write a per-phase/per-layer self-time span profile to this file",
@@ -100,14 +99,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if *fig != 0 {
 		man.SetConfig("fig", fmt.Sprint(*fig))
 	}
-
-	r.Sink.Emit(struct {
-		Event    string `json:"event"`
-		Tool     string `json:"tool"`
-		Preset   string `json:"preset"`
-		Bench    string `json:"bench"`
-		Platform int    `json:"platform"`
-	}{"run", "predtop-eval", p.Name, *bench, *platformSel})
 
 	w, progress := r.Out, r.Log.Writer()
 	switch *fig {

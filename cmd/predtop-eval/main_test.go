@@ -25,7 +25,7 @@ func TestEvalRejectsBadArgumentsEarly(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			var stdout, stderr bytes.Buffer
-			args := append([]string{"-runledger", filepath.Join(dir, "L"), "-metrics", filepath.Join(dir, "e.jsonl")}, tc.args...)
+			args := append([]string{"-runledger", filepath.Join(dir, "L"), "-profile", filepath.Join(dir, "p.txt")}, tc.args...)
 			if err := run(args, &stdout, &stderr); err == nil {
 				t.Fatal("run succeeded")
 			}

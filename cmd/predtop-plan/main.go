@@ -7,9 +7,8 @@
 // Usage:
 //
 //	predtop-plan [-preset quick|paper|paperlite] [-bench GPT-3|MoE|all]
-//	             [-seed 0] [-out results.txt]
-//	             [-metrics run.jsonl] [-trace run.json] [-listen :9090]
-//	             [-profile spans.txt] [-runledger runs] [-quiet]
+//	             [-seed 0] [-out results.txt] [-trace run.json]
+//	             [-listen :9090] [-profile spans.txt] [-runledger runs] [-quiet]
 //	             [-report DIR] [-whatif SPEC] [-diff a.json,b.json]
 //
 // -report writes each feasible plan's provenance report — per-stage
@@ -22,14 +21,12 @@
 // internode-lat scale factors (e.g. "microbatches=32,internode-bw=x4").
 // -diff compares two report files written by -report and exits.
 //
-// -preset, -seed, -quiet, -metrics, -trace, -listen, -profile, and
-// -runledger are the shared flags documented in package internal/cli; -seed
-// 0 keeps the preset's seed, and progress goes to stderr (the report always
-// prints). Here -metrics carries the run config and one plan_run record per
-// planner version (its search and cost facts, report embedded); -profile is
-// the search's wall-clock record — planner phases (one estimate span over all
-// of a search's lookups), embedded predictor training, plan evaluation;
-// -trace holds the same spans as a timeline plus the simulated 1F1B schedule
+// -preset, -seed, -quiet, -trace, -listen, -profile, and -runledger are the
+// shared flags documented in package internal/cli; -seed 0 keeps the
+// preset's seed, and progress goes to stderr (the report always prints).
+// -profile is the search's wall-clock record — planner phases (one estimate
+// span over all of a search's lookups), embedded predictor training, plan
+// evaluation; -trace holds the same spans as a timeline plus the simulated 1F1B schedule
 // of each feasible plan; the manifest holds each feasible plan's whole
 // provenance report (stages, search, cost, Eqn-4 decomposition, predictor
 // fingerprint). Fan-out width is GOMAXPROCS.
@@ -64,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	whatifSpec := fs.String("whatif", "", "replay each plan against a perturbation (e.g. \"microbatches=32,internode-bw=x4\") and print the latency diff")
 	diffSpec := fs.String("diff", "", "compare two report files (\"base.json,scenario.json\"), print the diff, and exit")
 	var shared cli.Flags
-	shared.Register(fs, cli.Preset|cli.Seed|cli.Quiet|cli.Metrics|cli.Telemetry|cli.Ledger, map[string]string{
+	shared.Register(fs, cli.Preset|cli.Seed|cli.Quiet|cli.Telemetry|cli.Ledger, map[string]string{
 		"seed":  "override the preset's random seed (0 = preset default)",
 		"quiet": "suppress per-run progress on stderr (the report still prints)",
 	})
@@ -112,13 +109,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		man.SetConfig("whatif", whatif.String())
 	}
 	man.SetOutput("report", *reportDir)
-
-	r.Sink.Emit(struct {
-		Event  string `json:"event"`
-		Tool   string `json:"tool"`
-		Preset string `json:"preset"`
-		Bench  string `json:"bench"`
-	}{"run", "predtop-plan", p.Name, *bench})
 
 	for _, b := range p.Benchmarks() {
 		if wantBench != "" && wantBench != b.Name {

@@ -9,15 +9,15 @@
 //	predtop-serve -models ./models -listen 127.0.0.1:9400 \
 //	              [-cachesize 4096] [-metrics serve.jsonl] \
 //	              [-addrfile serve.addr] [-quiet] \
-//	              [-slo-p99 500ms] [-slo-err 0.05] [-accesslog access.jsonl] \
-//	              [-incidents ./incidents] [-runledger runs]
+//	              [-slo-p99 500ms] [-slo-err 0.05] [-incidents ./incidents] \
+//	              [-runledger runs]
 //
 // Endpoints: POST /predict (query a model), GET /models (registry listing),
 // POST /reload (hot-reload the model directory), GET /statusz (human-readable
 // SLO and queue state), plus the standard telemetry set — GET /metrics,
 // /healthz, /debug/flightrecorder, /debug/pprof/ — all on the one listener.
 // SIGHUP also triggers a hot reload; SIGINT/SIGTERM shut down gracefully,
-// flushing every registered JSONL sink before exit. -addrfile writes the
+// flushing the -metrics JSONL file before exit. -addrfile writes the
 // bound address (useful with -listen 127.0.0.1:0) so scripts can find an
 // ephemeral port.
 //
@@ -26,19 +26,20 @@
 // 1m/5m/1h windows (predtop_slo_* gauges); the moment any window goes out of
 // objective it captures an incident bundle under -incidents — a flight
 // recorder dump plus a short CPU profile, referenced from an slo_breach JSONL
-// record. Both objectives zero disables SLO tracking. -accesslog streams the
-// sampled per-request records (first requests, slow requests, errors, and a
-// steady 1-in-64 background sample) with per-phase trace spans.
+// record. Both objectives zero disables SLO tracking.
 //
 // -seed, -quiet, -metrics, and -runledger are the shared flags documented in
-// package internal/cli; the daemon's sinks, flight recorder and manifest open
-// and close through that lifecycle. The metrics registry is built here — the
-// only tool that has one — and read once more after the daemon has drained:
-// that one snapshot is the -metrics file's last record and the source of the
-// manifest's serve/SLO session metrics, next to the served models' weight
-// fingerprint and the session's wall time. The daemon measures no accuracy: a
-// served model's held-out error is its training run's error attribution in
-// the run ledger, found by that fingerprint.
+// package internal/cli; the daemon's sink, flight recorder and manifest open
+// and close through that lifecycle. -metrics takes the sampled per-request
+// access records (first requests, slow requests, errors, and a steady 1-in-64
+// background sample) with per-phase trace spans, and the slo_breach records.
+// The metrics registry is built here — the only tool that has one — and read
+// once more after the daemon has drained: that one snapshot is the -metrics
+// file's last record and the source of the manifest's serve/SLO session
+// metrics, next to the served models' weight fingerprint and the session's
+// wall time. The daemon measures no accuracy: a served model's held-out error
+// is its training run's error attribution in the run ledger, found by that
+// fingerprint.
 package main
 
 import (
@@ -54,7 +55,6 @@ import (
 
 	"predtop"
 	"predtop/internal/cli"
-	"predtop/internal/obs"
 	"predtop/internal/predictor"
 )
 
@@ -71,12 +71,11 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	addrFile := fs.String("addrfile", "", "write the bound listen address to this file once serving")
 	sloP99 := fs.Duration("slo-p99", 500*time.Millisecond, "p99 latency objective for /predict (0 with -slo-err 0 disables SLO tracking)")
 	sloErr := fs.Float64("slo-err", 0.05, "tolerated bad-request fraction (the error budget)")
-	accessPath := fs.String("accesslog", "", "write sampled per-request access records (JSONL) to this file")
 	incidentDir := fs.String("incidents", "", "write SLO-breach evidence bundles (flight dump + CPU profile) under this directory")
 	shared := cli.Flags{Seed: 1}
 	shared.Register(fs, cli.Seed|cli.Quiet|cli.Metrics|cli.Ledger, map[string]string{
 		"seed":      "trace-identity seed",
-		"metrics":   "write JSONL request events and a final metrics snapshot to this file",
+		"metrics":   "write sampled per-request access records, SLO breaches and a final metrics snapshot (JSONL) to this file",
 		"runledger": "record this serving session's manifest at shutdown into the given run-ledger directory (see predtop-runs)",
 	})
 	if err := fs.Parse(args); err != nil {
@@ -90,19 +89,12 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 	// Deferred first, so it runs after srv.Close has drained the daemon: every
-	// buffered record reaches its sink before the sinks flush and close.
+	// buffered record reaches the sink before it flushes and closes.
 	defer func() { err = r.Close(err) }()
-	var access *obs.Sink
-	if *accessPath != "" {
-		if access, err = r.OpenSink(*accessPath); err != nil {
-			return err
-		}
-	}
 	man := r.Man
 	man.SetConfig("slo_p99", sloP99.String())
 	man.SetConfig("slo_err", fmt.Sprint(*sloErr))
 	man.SetOutput("models", *modelDir)
-	man.SetOutput("accesslog", *accessPath)
 	man.SetOutput("incidents", *incidentDir)
 	man.RecordSessionMetric("cachesize", float64(*cacheSize))
 
@@ -121,7 +113,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		SLOP99:      *sloP99,
 		SLOErr:      *sloErr,
 		IncidentDir: *incidentDir,
-		AccessLog:   access,
 	})
 	if err != nil {
 		return err

@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"math/rand"
+	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -12,11 +15,16 @@ import (
 	"time"
 
 	"predtop"
+	"predtop/internal/cli"
 )
 
-// The daemon's whole life through run: start on an ephemeral port, answer a
-// query, shut down on SIGTERM, and leave complete artifacts — a -metrics log
-// ending in the metrics snapshot, an access log, and one ledger manifest.
+// The daemon's whole life through run: start on an ephemeral port, answer
+// queries, shut down on SIGTERM, and leave complete artifacts — a -metrics
+// log holding the sampled access records and ending in the metrics snapshot,
+// and one ledger manifest. One /predict answer must be bit-equal to the
+// saved model's prediction along predtop-train -load's path (cli.Bench,
+// BuildModel, NewEncoder(model, true), PredictEncoded): the tool prints it
+// only to the µs, so this is the check that the two agree in every bit.
 func TestServeLifecycle(t *testing.T) {
 	cfg := predtop.GPT3Config()
 	cfg.Layers = 4
@@ -43,12 +51,12 @@ func TestServeLifecycle(t *testing.T) {
 	defer signal.Stop(hold)
 
 	addrFile := filepath.Join(dir, "addr")
-	metrics, access, ledger := filepath.Join(dir, "s.jsonl"), filepath.Join(dir, "a.jsonl"), filepath.Join(dir, "L")
+	metrics, ledger := filepath.Join(dir, "s.jsonl"), filepath.Join(dir, "L")
 	var stdout, stderr bytes.Buffer
 	done := make(chan error, 1)
 	go func() {
 		done <- run([]string{"-models", models, "-listen", "127.0.0.1:0", "-addrfile", addrFile, "-quiet",
-			"-metrics", metrics, "-accesslog", access, "-runledger", ledger}, &stdout, &stderr)
+			"-metrics", metrics, "-runledger", ledger}, &stdout, &stderr)
 	}()
 	var addr string
 	for deadline := time.Now().Add(10 * time.Second); addr == ""; time.Sleep(10 * time.Millisecond) {
@@ -72,6 +80,33 @@ func TestServeLifecycle(t *testing.T) {
 		t.Fatalf("replay against the daemon: %v, %+v", err, res)
 	}
 
+	path := filepath.Join(models, "tran.predtop")
+	loaded, err := predtop.LoadTrained(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	benchCfg, err := cli.Bench("GPT-3", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := loaded.PredictEncoded(predtop.NewEncoder(predtop.BuildModel(benchCfg), true).Encode(predtop.StageSpec{Lo: 1, Hi: 3}))
+	resp, err := http.Post("http://"+addr+"/predict", "application/json",
+		strings.NewReader(`{"bench":"GPT-3","layers":4,"lo":1,"hi":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var answer struct {
+		LatencySeconds float64 `json:"latency_s"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&answer)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/predict: status %d, %v", resp.StatusCode, err)
+	}
+	if math.Float64bits(answer.LatencySeconds) != math.Float64bits(want) {
+		t.Errorf("/predict answered %v s, predtop-train -load's path gives %v s", answer.LatencySeconds, want)
+	}
+
 	stopped := false
 	for deadline := time.Now().Add(10 * time.Second); !stopped; {
 		syscall.Kill(os.Getpid(), syscall.SIGTERM)
@@ -88,12 +123,13 @@ func TestServeLifecycle(t *testing.T) {
 		}
 	}
 
-	lines := strings.Split(strings.TrimSpace(readFile(t, metrics)), "\n")
+	records := readFile(t, metrics)
+	lines := strings.Split(strings.TrimSpace(records), "\n")
 	if last := lines[len(lines)-1]; !strings.Contains(last, `"event":"metrics"`) || !strings.Contains(last, "predtop_serve_requests_total") {
 		t.Errorf("-metrics does not end in the metrics snapshot: %.200s", last)
 	}
-	if !strings.Contains(readFile(t, access), `"event":"access"`) {
-		t.Error("access log holds no access record")
+	if !strings.Contains(records, `"event":"access"`) {
+		t.Error("-metrics holds no access record")
 	}
 	paths, _ := filepath.Glob(filepath.Join(ledger, "*.json"))
 	if len(paths) != 1 {

@@ -12,23 +12,23 @@
 //	              [-stage 2:5] [-metrics run.jsonl] [-trace run.json] \
 //	              [-listen :9090] [-profile spans.txt] [-runledger runs] [-quiet]
 //	predtop-train -load model.predtop -bench GPT-3 -layers 12 -stage 2:5 \
-//	              [-platform 2 -mesh 1 -conf 1] [-metrics run.jsonl] [-quiet]
+//	              [-platform 2 -mesh 1 -conf 1] [-quiet]
 //
 // -seed, -quiet, -metrics, -trace, -listen, -profile, and -runledger are the
-// shared flags documented in package internal/cli. Here -metrics carries the
-// run config, one record per epoch, the restore event, and a summary with the
-// held-out MRE; -profile attributes wall time to the profile/train/evaluate
-// phases and, under train, to training phases and predictor layers, and
-// -trace is the same spans as a timeline (epoch wall time is in the epoch
-// records); the manifest pins config and weight fingerprints and the
-// error-attribution snapshot, which carries the held-out MRE and sample count
-// — all from one held-out forward. -stage adds the prediction and check
-// records; under -load the stream is the run record and those two, and
-// -runledger is refused, since a loaded model has no training run to record.
-// Names, the stage, and output paths are checked before anything is
-// profiled, and the model is saved before any telemetry file is written.
-// Evaluation chunks fan across GOMAXPROCS goroutines; results are bitwise
-// identical at any setting.
+// shared flags documented in package internal/cli. Here -metrics carries one
+// record per epoch (TrainResult.History), the one training fact with no other
+// home, written once training returns, so a run that dies mid-training leaves
+// none (its flight dump still names the last epoch done); -profile attributes
+// wall time to the profile/train/evaluate phases and, under train, to
+// training phases and predictor layers, and -trace is the same spans as a
+// timeline; the manifest pins config and weight fingerprints, the epochs run,
+// the best epoch and its validation loss, and the error-attribution snapshot,
+// which carries the held-out MRE and sample count — all from one held-out
+// forward. -runledger and -metrics are refused under -load, since a loaded
+// model has no training run to record. Names, the stage, and output paths are
+// checked before anything is profiled, and the model is saved before any
+// telemetry file is written. Evaluation chunks fan across GOMAXPROCS
+// goroutines; results are bitwise identical at any setting.
 package main
 
 import (
@@ -104,6 +104,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			return fmt.Errorf("-load needs -stage")
 		case shared.Ledger != "":
 			return fmt.Errorf("-load has no training run for -runledger to record")
+		case shared.Metrics != "":
+			return fmt.Errorf("-load has no training run for -metrics to record")
 		}
 		if loaded, err = predtop.LoadTrained(*load); err != nil {
 			return err
@@ -119,18 +121,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 	defer func() { err = r.Close(err) }()
 
-	r.Sink.Emit(struct {
-		Event    string `json:"event"`
-		Tool     string `json:"tool"`
-		Bench    string `json:"bench"`
-		Platform int    `json:"platform"`
-		Mesh     int    `json:"mesh"`
-		Conf     int    `json:"conf"`
-		Arch     string `json:"arch"`
-		MaxLen   int    `json:"maxlen"`
-		Epochs   int    `json:"epochs"`
-		Seed     int64  `json:"seed"`
-	}{"run", "predtop-train", cfg.Name, *platformSel, *meshIdx, *confIdx, *arch, *maxLen, *epochs, shared.Seed})
 	if *load != "" {
 		return predictStage(r, stdout, loaded, model, probe, scenario)
 	}
@@ -164,36 +154,24 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 
-	hooks := &predtop.TrainHooks{
-		Profiler: r.Prof,
-		Flight:   r.Flight,
-		OnEpoch: func(e predtop.EpochStats) {
-			r.Sink.Emit(struct {
-				Event string `json:"event"`
-				predtop.EpochStats
-			}{"epoch", e})
-		},
-		OnEarlyStop: func(epoch int) {
-			r.Log.Printf("early stop at epoch %d", epoch)
-		},
-		OnRestore: func(bestEpoch int, bestValLoss float64) {
-			r.Sink.Emit(struct {
-				Event       string  `json:"event"`
-				BestEpoch   int     `json:"best_epoch"`
-				BestValLoss float64 `json:"best_val_loss"`
-			}{"restore", bestEpoch, bestValLoss})
-		},
-	}
-
 	train, val, test := predtop.Split(rng, len(ds.Samples), *trainFrac, 0.1)
 	if len(test) == 0 {
 		return fmt.Errorf("-trainfrac %g leaves no held-out stages out of %d", *trainFrac, len(ds.Samples))
 	}
-	// Train times itself: a train span, with its subtree, on hooks.Profiler.
+	// Train times itself: a train span, with its subtree, on r.Prof.
 	trained, res := predtop.Train(net, ds, train, val, predtop.TrainConfig{
 		Epochs: *epochs, Patience: *epochs / 3, BatchSize: 4, Seed: shared.Seed,
-		Hooks: hooks,
+		Prof: r.Prof, Flight: r.Flight,
 	})
+	for _, e := range res.History {
+		r.Sink.Emit(struct {
+			Event string `json:"event"`
+			predtop.EpochStats
+		}{"epoch", e})
+	}
+	if res.EarlyStopped {
+		r.Log.Printf("early stop at epoch %d", res.EpochsRun)
+	}
 	r.Log.Printf("trained %s for %d epochs (best val %.4f at epoch %d) in %.1fs",
 		net.Name(), res.EpochsRun, res.BestValLoss, res.BestEpoch, res.WallSeconds)
 
@@ -219,15 +197,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		man.RecordAttribution(net.Name(), attr)
 		man.RecordSessionMetric("train_wall_seconds", res.WallSeconds)
 	}
-	r.Sink.Emit(struct {
-		Event       string  `json:"event"`
-		EpochsRun   int     `json:"epochs_run"`
-		BestEpoch   int     `json:"best_epoch"`
-		BestValLoss float64 `json:"best_val_loss"`
-		WallSeconds float64 `json:"wall_s"`
-		TestMRE     float64 `json:"test_mre_pct"`
-		TestStages  int     `json:"test_stages"`
-	}{"summary", res.EpochsRun, res.BestEpoch, res.BestValLoss, res.WallSeconds, mre, len(test)})
 	if *stageRange == "" {
 		return nil
 	}
@@ -252,7 +221,7 @@ func parseStage(s string, n int) (predtop.StageSpec, error) {
 }
 
 // predictStage prints the predictor's latency for sp, then the stage's
-// profiled latency under sc and the relative error, each with its record.
+// profiled latency under sc and the relative error.
 func predictStage(r *cli.Run, stdout io.Writer, trained predtop.Trained, model *predtop.Model, sp predtop.StageSpec, sc predtop.Scenario) error {
 	ps := r.Prof.Start("predict")
 	pred := trained.PredictEncoded(predtop.NewEncoder(model, true).Encode(sp))
@@ -260,12 +229,6 @@ func predictStage(r *cli.Run, stdout io.Writer, trained predtop.Trained, model *
 	r.Flight.Note("run", "predicted")
 	fmt.Fprintf(stdout, "%s stage [%d,%d) (%s): predicted %.3fms\n",
 		model.Config.Name, sp.Lo, sp.Hi, trained.Model.Name(), pred*1e3)
-	r.Sink.Emit(struct {
-		Event       string  `json:"event"`
-		Lo          int     `json:"lo"`
-		Hi          int     `json:"hi"`
-		PredictedMS float64 `json:"predicted_ms"`
-	}{"prediction", sp.Lo, sp.Hi, pred * 1e3})
 
 	cs := r.Prof.Start("check")
 	trueLat, _, ok := predtop.ProfileStage(model, sp, sc, predtop.DefaultProfiler())
@@ -275,10 +238,5 @@ func predictStage(r *cli.Run, stdout io.Writer, trained predtop.Trained, model *
 	}
 	relErr := math.Abs(pred-trueLat) / trueLat * 100
 	fmt.Fprintf(stdout, "profiled under %v: %.3fms (relative error %.2f%%)\n", sc, trueLat*1e3, relErr)
-	r.Sink.Emit(struct {
-		Event      string  `json:"event"`
-		ProfiledMS float64 `json:"profiled_ms"`
-		RelErrPct  float64 `json:"rel_err_pct"`
-	}{"check", trueLat * 1e3, relErr})
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -19,8 +20,10 @@ import (
 // stdout (wall-clock field masked), `predtop-runs show -canonical` of the
 // recorded manifest, and the JSONL record sequence (event and field order).
 // The JSONL shape was re-pinned when the metrics registry became the
-// daemon's (a batch tool's stream no longer ends in a registry snapshot) and
-// when -workers went (the run record lost its workers field).
+// daemon's (a batch tool's stream no longer ends in a registry snapshot),
+// when -workers went (the run record lost its workers field), and when the
+// records restating the manifest and stdout went (run, restore and summary),
+// leaving the epoch records.
 var tinyArgs = []string{"-layers", "4", "-maxlen", "2", "-epochs", "2"}
 
 var wallClock = regexp.MustCompile(`in [0-9.]+s\n`)
@@ -113,6 +116,56 @@ func TestTrainGoldenAndDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		golden(t, "train_canonical.golden.json", string(canon))
+	}
+}
+
+// A run's two records of its training agree: -metrics holds one epoch record
+// per epoch the manifest says ran, and the one at the manifest's best epoch
+// carries its best validation loss, bit for bit.
+func TestTrainRecordsAgree(t *testing.T) {
+	dir := t.TempDir()
+	jsonl, ledger := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "L")
+	args := append([]string{"-o", filepath.Join(dir, "m.predtop"), "-quiet", "-metrics", jsonl, "-runledger", ledger}, tinyArgs...)
+	var stdout, stderr bytes.Buffer
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, &stderr)
+	}
+	paths, _ := filepath.Glob(filepath.Join(ledger, "*.json"))
+	if len(paths) != 1 {
+		t.Fatalf("ledger holds %d manifests, want 1", len(paths))
+	}
+	m, err := runledger.Load(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics := m.Canonical.Metrics
+	data, err := os.ReadFile(jsonl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var epochs []predtop.EpochStats
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var rec struct {
+			Event string `json:"event"`
+			predtop.EpochStats
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Event != "epoch" {
+			t.Fatalf("-metrics holds a %q record; want epoch records only", rec.Event)
+		}
+		epochs = append(epochs, rec.EpochStats)
+	}
+	if float64(len(epochs)) != metrics["epochs_run"] {
+		t.Fatalf("%d epoch records, manifest epochs_run %v", len(epochs), metrics["epochs_run"])
+	}
+	best := int(metrics["best_epoch"])
+	if best < 1 || best > len(epochs) || epochs[best-1].Epoch != best {
+		t.Fatalf("manifest best_epoch %d has no epoch record", best)
+	}
+	if got, want := epochs[best-1].ValLoss, metrics["best_val_loss"]; math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("epoch %d val_loss %v, manifest best_val_loss %v", best, got, want)
 	}
 }
 
@@ -224,53 +277,44 @@ func tinyModel(t *testing.T) (path, stdout string) {
 // does the training run that saved it.
 func TestPredictCheckGolden(t *testing.T) {
 	model, trainOut := tinyModel(t)
-	jsonl := filepath.Join(t.TempDir(), "p.jsonl")
 	var stdout, stderr bytes.Buffer
-	err := run([]string{"-load", model, "-layers", "4", "-stage", "1:3", "-metrics", jsonl}, &stdout, &stderr)
-	if err != nil {
+	if err := run([]string{"-load", model, "-layers", "4", "-stage", "1:3"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, &stderr)
 	}
 	golden(t, "predict_stdout.golden", stdout.String())
 	golden(t, "predict_stdout.golden", trainOut)
-	data, err := os.ReadFile(jsonl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []string
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		_, rest, _ := strings.Cut(line, `"event":"`)
-		event, _, _ := strings.Cut(rest, `"`)
-		events = append(events, event)
-	}
-	if got := strings.Join(events, " "); got != "run prediction check" {
-		t.Errorf("JSONL record sequence = %q", got)
-	}
 }
 
 // A bad stage, an unknown name, a missing model, or -load without a stage to
-// probe or with a ledger to record in fails before anything prints or any
-// file is created.
+// probe or with a ledger or -metrics file to record in fails before anything
+// prints or any file is created. Only the cases that train pass -metrics (a
+// file that would be created), so each -load case fails on its own argument.
 func TestPredictRejectsBadArgumentsEarly(t *testing.T) {
 	model, _ := tinyModel(t)
 	ledger := filepath.Join(t.TempDir(), "L")
 	for _, tc := range []struct {
-		name string
-		args []string
+		name    string
+		args    []string
+		metrics bool
 	}{
-		{"unknown bench", []string{"-load", model, "-stage", "1:3", "-bench", "gpt4"}},
-		{"unknown platform", []string{"-load", model, "-stage", "1:3", "-platform", "3"}},
-		{"unknown scenario", []string{"-load", model, "-stage", "1:3", "-conf", "9"}},
-		{"bad range", []string{"-load", model, "-stage", "4:7"}},
-		{"missing model", []string{"-load", "/nonexistent/m.predtop", "-stage", "1:3"}},
-		{"stage without hi", []string{"-stage", "3"}},
-		{"empty stage", []string{"-stage", "2:1"}},
-		{"non-numeric stage", []string{"-stage", "a:b"}},
-		{"load without stage", []string{"-load", model}},
-		{"load with runledger", []string{"-load", model, "-stage", "1:3", "-runledger", ledger}},
+		{"unknown bench", []string{"-load", model, "-stage", "1:3", "-bench", "gpt4"}, false},
+		{"unknown platform", []string{"-load", model, "-stage", "1:3", "-platform", "3"}, false},
+		{"unknown scenario", []string{"-load", model, "-stage", "1:3", "-conf", "9"}, false},
+		{"bad range", []string{"-load", model, "-stage", "4:7"}, false},
+		{"missing model", []string{"-load", "/nonexistent/m.predtop", "-stage", "1:3"}, false},
+		{"stage without hi", []string{"-stage", "3"}, true},
+		{"empty stage", []string{"-stage", "2:1"}, true},
+		{"non-numeric stage", []string{"-stage", "a:b"}, true},
+		{"load without stage", []string{"-load", model}, false},
+		{"load with runledger", []string{"-load", model, "-stage", "1:3", "-runledger", ledger}, false},
+		{"load with metrics", []string{"-load", model, "-stage", "1:3"}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			args := append([]string{"-layers", "4", "-o", filepath.Join(dir, "m.predtop"), "-metrics", filepath.Join(dir, "p.jsonl")}, tc.args...)
+			args := append([]string{"-layers", "4", "-o", filepath.Join(dir, "m.predtop")}, tc.args...)
+			if tc.metrics {
+				args = append(args, "-metrics", filepath.Join(dir, "p.jsonl"))
+			}
 			var stdout, stderr bytes.Buffer
 			if err := run(args, &stdout, &stderr); err == nil {
 				t.Fatal("run succeeded")

@@ -74,7 +74,7 @@ func TestCLIFlagParity(t *testing.T) {
 		tools []string
 	}{
 		{"ledger trio", []string{"seed", "quiet", "runledger"}, runProducers},
-		{"telemetry set", []string{"metrics", "trace", "listen", "profile"}, experimentDrivers},
+		{"telemetry set", []string{"trace", "listen", "profile"}, experimentDrivers},
 	} {
 		for _, tool := range g.tools {
 			declared := declaredFlags(t, tool)
@@ -91,14 +91,17 @@ func TestCLIFlagParity(t *testing.T) {
 	// width is GOMAXPROCS. -driftmre went with the batch tools' streaming
 	// accuracy monitor (DESIGN.md §7): a run's held-out MRE is its
 	// attribution. predtop-train's -load and -stage are what is left of the
-	// stage-prediction tool folded into it. A flag that brings one back, under any name, has to edit
-	// its list to land.
-	batch := []string{"seed", "quiet", "metrics", "trace", "listen", "profile", "runledger"}
+	// stage-prediction tool folded into it. -metrics is taken only where a
+	// record has no other home — predtop-train's epochs, the daemon's access
+	// records — and -accesslog went: access records go to the daemon's
+	// -metrics. A flag that brings one back, under any name, has to edit its
+	// list to land.
+	batch := []string{"seed", "quiet", "trace", "listen", "profile", "runledger"}
 	for tool, own := range map[string][]string{
-		"predtop-serve": {"models", "listen", "cachesize", "addrfile", "slo-p99", "slo-err", "accesslog", "incidents",
+		"predtop-serve": {"models", "listen", "cachesize", "addrfile", "slo-p99", "slo-err", "incidents",
 			"seed", "quiet", "metrics", "runledger"},
 		"predtop-train": append([]string{"bench", "platform", "mesh", "conf", "arch", "layers", "samples", "maxlen",
-			"epochs", "trainfrac", "o", "load", "stage"}, batch...),
+			"epochs", "trainfrac", "o", "load", "stage", "metrics"}, batch...),
 		"predtop-eval": append([]string{"bench", "platform", "fig3frac", "fig", "ablate", "tables", "out", "preset"}, batch...),
 		"predtop-plan": append([]string{"bench", "out", "report", "whatif", "diff", "preset"}, batch...),
 	} {

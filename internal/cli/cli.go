@@ -14,7 +14,8 @@
 //	              on every JSONL record, the Chrome trace, progress lines and
 //	              flight dumps, so one grep joins a run
 //	-quiet        silence progress lines (results still print)
-//	-metrics F    stream JSONL run records to F
+//	-metrics F    stream the tool's JSONL records to F (predtop-train's epoch
+//	              records, the daemon's access, slo_breach and metrics records)
 //	-trace F      write the span profiler's intervals (and any simulated
 //	              schedule) as a Chrome-tracing (Perfetto) timeline to F
 //	-listen A     serve /healthz, /debug/flightrecorder and /debug/pprof/ on A
@@ -163,9 +164,13 @@ func Open(f *Flags, o Options) (_ *Run, err error) {
 	r.stops = append(r.stops, func() { parallel.SetPanicHook(nil) }, r.Flight.HandleSignals(o.Stderr))
 	r.Log = obs.NewLogger(o.Progress, f.Quiet).WithTrace(r.TC)
 	if f.Metrics != "" {
-		if r.Sink, err = r.OpenSink(f.Metrics); err != nil {
+		file, err := r.create(f.Metrics, "", func(io.Writer) error { return r.Sink.Close() })
+		if err != nil {
 			return nil, err
 		}
+		r.Sink = obs.NewSink(file)
+		r.Sink.SetTraceContext(r.TC)
+		r.Sink.AttachFlight(r.Flight)
 	}
 	if f.Trace != "" {
 		r.Trace = obs.NewTrace()
@@ -223,25 +228,10 @@ func (r *Run) create(path, what string, render func(io.Writer) error) (*os.File,
 	return f, err
 }
 
-// OpenSink creates a JSONL sink on path with the run's trace identity and
-// flight-recorder coupling (-metrics; predtop-serve's access log); Close
-// flushes and closes it.
-func (r *Run) OpenSink(path string) (*obs.Sink, error) {
-	var s *obs.Sink
-	f, err := r.create(path, "", func(io.Writer) error { return s.Close() })
-	if err != nil {
-		return nil, err
-	}
-	s = obs.NewSink(f)
-	s.SetTraceContext(r.TC)
-	s.AttachFlight(r.Flight)
-	return s, nil
-}
-
 // Observer bundles the handles for experiments.Preset.Obs. Every handle is
 // nil-safe, so a bare run gets the same bundle with its optional handles nil.
 func (r *Run) Observer() obs.Observer {
-	return obs.Observer{Events: r.Sink, Trace: r.Trace, Prof: r.Prof, Flight: r.Flight, Ctx: r.TC}
+	return obs.Observer{Trace: r.Trace, Prof: r.Prof, Flight: r.Flight, Ctx: r.TC}
 }
 
 // Close finishes the run in one fixed order — sink flush, trace and profile

@@ -24,8 +24,8 @@ type PlanRun struct {
 	// Plan is the winning plan itself (zero when the search found none) —
 	// the input to planner.WhatIf replays.
 	Plan planner.Plan
-	// Report is the plan's provenance report (nil when !OK), attached to the
-	// plan_run JSONL record and written out by predtop-plan -report.
+	// Report is the plan's provenance report (nil when !OK), recorded in the
+	// run's ledger manifest and written out by predtop-plan -report.
 	Report *planner.Report
 }
 
@@ -91,9 +91,9 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 			planner.ProviderInfo{Source: "Alpa-Partial"}})
 	}
 	// Predictor training inside the planner reports to the same observer as
-	// everything else (hooks only observe, so plans are unchanged).
+	// everything else (spans and notes only observe, so plans are unchanged).
 	planTrain := p.PlanTrain
-	planTrain.Hooks = &predictor.TrainHooks{Profiler: p.Obs.Prof, Flight: p.Obs.Flight}
+	planTrain.Prof, planTrain.Flight = p.Obs.Prof, p.Obs.Flight
 	for _, kind := range []planner.PredictorKind{planner.KindGCN, planner.KindGAT, planner.KindTransformer} {
 		meter := &planner.Meter{}
 		var info planner.ProviderInfo
@@ -147,7 +147,6 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 			bench.Name, sp.version, sp.meter.Total(), sp.meter.ProfileSeconds, sp.meter.TrainSeconds,
 			sp.meter.InferSeconds, sp.meter.StagesProfiled, sp.meter.CacheHits, sp.meter.CacheHits+sp.meter.CacheMisses,
 			run.iterationLatency(), len(run.Plan.Stages))
-		p.Obs.Events.Emit(planRunRecord{Event: "plan_run", Bench: bench.Name, Version: run.Version, OK: run.OK, Report: run.Report})
 		// Render each feasible plan's simulated 1F1B schedule as its own set
 		// of trace tracks so plan shapes are comparable side by side.
 		if run.OK {
@@ -157,16 +156,6 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 		}
 	}
 	return out
-}
-
-// planRunRecord is the JSONL record emitted per Fig-10 planner run. The run's
-// facts — cost, search, stages, the Eqn-4 total — are in the report, once.
-type planRunRecord struct {
-	Event   string          `json:"event"`
-	Bench   string          `json:"bench"`
-	Version string          `json:"version"`
-	OK      bool            `json:"ok"`
-	Report  *planner.Report `json:"report,omitempty"`
 }
 
 // RenderFig10 prints both panels: optimization cost (10a) and the iteration

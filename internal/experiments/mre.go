@@ -117,7 +117,7 @@ func RunMRETable(p Preset, bench Benchmark, platform cluster.Platform, log io.Wr
 		splitRng := rand.New(rand.NewSource(p.Seed*1000 + int64(c.fi*100+c.si)))
 		train, val, test := stage.Split(splitRng, len(ds.Samples), float64(p.Fractions[c.fi])/100, p.ValFrac)
 		cfg := p.Train
-		cfg.Hooks = &predictor.TrainHooks{Profiler: p.Obs.Prof, Flight: p.Obs.Flight}
+		cfg.Prof, cfg.Flight = p.Obs.Prof, p.Obs.Flight
 		cfg.Seed = p.Seed + int64(c.fi*1000+c.si*10+c.mi)
 		model := p.newModel(ModelNames[c.mi], cfg.Seed)
 		trained, res := predictor.Train(model, ds, train, val, cfg)

@@ -132,9 +132,8 @@ func (t *TraceBuilder) Render(w io.Writer) error {
 
 // Observer bundles the observability outputs a long-running path can report
 // to. Every handle is nil-safe, so any field may be nil and the zero Observer
-// is fully inert: APIs thread one Observer instead of five optional parameters.
+// is fully inert: APIs thread one Observer instead of four optional parameters.
 type Observer struct {
-	Events *Sink
 	Trace  *TraceBuilder
 	Prof   *Profiler
 	Flight *FlightRecorder

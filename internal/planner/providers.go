@@ -189,8 +189,8 @@ type PredictorOptions struct {
 	// MaxStageLen bounds the stage universe (must match planner Options).
 	MaxStageLen int
 	// Train configures each per-scenario training; its Seed is overridden
-	// per scenario. The trainings run concurrently, so Train.Hooks must be
-	// safe for concurrent use (see predictor.TrainHooks).
+	// per scenario. The trainings run concurrently and share Train.Prof and
+	// Train.Flight, which are safe for that.
 	Train predictor.TrainConfig
 	Tran  graphnn.TransformerConfig
 	GCN   graphnn.GCNConfig

@@ -252,7 +252,7 @@ func TestTrainPredictorProviderWorkerInvariant(t *testing.T) {
 			SampleFrac:  0.5,
 			MaxStageLen: maxLen,
 			Train: predictor.TrainConfig{Epochs: 12, Patience: 1, BatchSize: 4,
-				Hooks: &predictor.TrainHooks{Profiler: obs.NewProfiler(), Flight: obs.NewFlightRecorder(0)}},
+				Prof: obs.NewProfiler(), Flight: obs.NewFlightRecorder(0)},
 			Tran: graphnn.TransformerConfig{Layers: 1, Dim: 16, Heads: 2, FFNDim: 32},
 			Seed: 5,
 			Info: &r.info,

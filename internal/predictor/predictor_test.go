@@ -138,7 +138,7 @@ func TestMAEDefaultLoss(t *testing.T) {
 	if cfg.Loss != MAE {
 		t.Fatal("paper selects MAE (§IV-B7)")
 	}
-	if cfg.Epochs != 500 || cfg.BatchSize != 32 || cfg.BaseLR != 1e-3 || cfg.Patience != 200 {
+	if cfg.Epochs != 500 || cfg.BatchSize != 32 || cfg.Patience != 200 || baseLR != 1e-3 || clipNorm != 5 {
 		t.Fatalf("defaults diverge from §IV-B6/B8: %+v", cfg)
 	}
 }

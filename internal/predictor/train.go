@@ -28,36 +28,49 @@ const (
 	MSE
 )
 
+// The paper's optimizer schedule (§IV-B6): the learning rate decays by a
+// cosine from baseLR to 0 over the run, and gradients are clipped to
+// clipNorm.
+const (
+	baseLR   = 1e-3
+	clipNorm = 5
+)
+
 // TrainConfig carries the training hyper-parameters of §IV-B6/B8. The zero
 // value is replaced by the paper's settings.
 type TrainConfig struct {
-	Epochs    int     // cosine-decay horizon (paper: 500)
-	BatchSize int     // paper: 32
-	BaseLR    float64 // paper: 1e-3 decaying to 0
-	Patience  int     // early-stopping patience in epochs (paper: 200)
-	Loss      Loss    // paper: MAE
+	Epochs    int  // cosine-decay horizon (paper: 500)
+	BatchSize int  // paper: 32
+	Patience  int  // early-stopping patience in epochs (paper: 200)
+	Loss      Loss // paper: MAE
 	Seed      int64
-	ClipNorm  float64 // gradient clipping (0 = paper default 5)
 	// Workers bounds the goroutines a minibatch's graphs, and the
 	// validation and final-loss samples, fan across: 0 = GOMAXPROCS, 1 =
 	// serial. Any setting produces bitwise-identical results — per-graph
 	// gradient parts and losses fold through trees whose shapes depend on
 	// the batch and index set alone.
 	Workers int
-	// Hooks, when non-nil, observes training progress (per-epoch stats,
-	// early stop, weight restore, phase spans, flight breadcrumbs). Hooks
-	// only observe — they never perturb the shuffle or any summation order —
-	// so trained weights stay bitwise identical with hooks attached or
-	// absent, at every Workers setting.
-	Hooks *TrainHooks
+	// Prof, when non-nil, receives hierarchical phase spans
+	// (train → data / batch{sample, step} / eval) with per-layer
+	// forward/backward attribution from the model tapes — the run's only
+	// wall-clock record besides EpochStats.WallSeconds. Flight, when non-nil,
+	// receives breadcrumbs (one static note per batch, one per epoch) into
+	// the crash ring buffer, so a worker panic dump shows where training
+	// was. Both only observe: nil handles are inert and allocation-free, and
+	// trained weights stay bitwise identical with either attached or absent,
+	// at every Workers setting. Concurrent Train calls sharing one config
+	// (the MRE grid, the ablation and the planner's predictor provider all
+	// do) report to both at once; obs.Profiler and obs.FlightRecorder are
+	// safe for that.
+	Prof   *obs.Profiler
+	Flight *obs.FlightRecorder
 }
 
 // EpochStats is one epoch of a training run, as recorded in
-// TrainResult.History and delivered to TrainHooks.OnEpoch. TrainLoss is the
-// mean per-sample minibatch loss over the epoch (in label-normalized units,
-// accumulated in fixed batch order, so it is bitwise deterministic);
-// GradNorm is the mean pre-clip gradient norm over the epoch's batches;
-// WallSeconds is cumulative since Train started.
+// TrainResult.History. TrainLoss is the mean per-sample minibatch loss over
+// the epoch (in label-normalized units, accumulated in fixed batch order, so
+// it is bitwise deterministic); GradNorm is the mean pre-clip gradient norm
+// over the epoch's batches; WallSeconds is cumulative since Train started.
 type EpochStats struct {
 	Epoch       int     `json:"epoch"` // 1-based
 	LR          float64 `json:"lr"`
@@ -68,37 +81,6 @@ type EpochStats struct {
 	WallSeconds float64 `json:"wall_s"`
 }
 
-// TrainHooks observes a training run. Every field is optional; the zero
-// value observes nothing. Callbacks run on the training goroutine between
-// epochs (never inside the data-parallel minibatch loop), so they may block
-// but must not mutate the model. One TrainHooks handed to concurrent Train
-// calls (the MRE grid, the ablation and the planner's predictor provider all
-// do) is called from each of them at once, so hooks shared that way must be
-// safe for concurrent use; obs.Profiler and obs.FlightRecorder are.
-type TrainHooks struct {
-	// OnEpoch fires once per epoch, after the optimizer steps and the
-	// validation pass.
-	OnEpoch func(EpochStats)
-	// OnEarlyStop fires at most once, when patience is exhausted; epoch is
-	// the 1-based last epoch run.
-	OnEarlyStop func(epoch int)
-	// OnRestore fires when best-validation weights are restored at the end
-	// of a run with a validation set.
-	OnRestore func(bestEpoch int, bestValLoss float64)
-	// Profiler, when non-nil, receives hierarchical phase spans
-	// (train → data / batch{sample, step} / eval) with per-layer
-	// forward/backward attribution from the model tapes — the run's only
-	// wall-clock record besides EpochStats.WallSeconds. A nil profiler keeps
-	// every span inert and allocation-free, and spans only observe — trained
-	// weights stay bitwise identical with profiling on or off.
-	Profiler *obs.Profiler
-	// Flight, when non-nil, receives breadcrumbs (one static note per batch,
-	// one per epoch) into the crash ring buffer, so a worker panic dump shows
-	// where training was. A nil recorder is a zero-allocation no-op, and
-	// notes only observe — determinism is untouched.
-	Flight *obs.FlightRecorder
-}
-
 func (c TrainConfig) withDefaults() TrainConfig {
 	if c.Epochs == 0 {
 		c.Epochs = 500
@@ -106,14 +88,8 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	if c.BatchSize == 0 {
 		c.BatchSize = 32
 	}
-	if c.BaseLR == 0 {
-		c.BaseLR = 1e-3
-	}
 	if c.Patience == 0 {
 		c.Patience = 200
-	}
-	if c.ClipNorm == 0 {
-		c.ClipNorm = 5
 	}
 	return c
 }
@@ -127,8 +103,11 @@ type TrainResult struct {
 	// (0 when nothing was trained).
 	BestEpoch int
 	Scale     float64 // label normalization divisor
-	// History holds one entry per epoch run (len == EpochsRun), so callers
-	// can plot loss curves without attaching hooks.
+	// EarlyStopped reports that the validation loss went Patience epochs
+	// without improving, which ends the run (possibly at its last epoch).
+	// History then ends in the entry whose BadEpochs reached the patience.
+	EarlyStopped bool
+	// History holds one entry per epoch run (len == EpochsRun).
 	History     []EpochStats
 	WallSeconds float64
 }
@@ -176,13 +155,7 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 	// Phase spans nest under one "train" root; with no profiler or flight
 	// recorder attached every span and note below is an inert no-op (guarded
 	// by TestNilRegistryHotPathZeroAlloc).
-	hooks := cfg.Hooks
-	var prof *obs.Profiler
-	var flight *obs.FlightRecorder
-	if hooks != nil {
-		prof, flight = hooks.Profiler, hooks.Flight
-	}
-	trainSpan := prof.Start("train")
+	trainSpan := cfg.Prof.Start("train")
 	defer trainSpan.End()
 
 	// The worker tapes, the gradient slots and the loss buffers are made
@@ -272,7 +245,7 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 
 	order := append([]int{}, trainIdx...)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		lr := optim.CosineDecay(cfg.BaseLR, epoch, cfg.Epochs)
+		lr := optim.CosineDecay(baseLR, epoch, cfg.Epochs)
 		dsp := trainSpan.Start("data")
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		dsp.End()
@@ -289,11 +262,11 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 			st := bs.Start("step")
 			grads.Fold(len(batch))
 			optim.ScaleGrads(params, 1/float64(len(batch)))
-			norm := optim.ClipGradNorm(params, cfg.ClipNorm)
+			norm := optim.ClipGradNorm(params, clipNorm)
 			opt.Step(lr)
 			st.End()
 			bs.End()
-			flight.Note("train", "batch")
+			cfg.Flight.Note("train", "batch")
 			// Observation only: per-sample losses fold through the same
 			// fixed-shape tree as the gradient parts and accumulate serially
 			// in batch order, so History is as deterministic as the weights.
@@ -328,17 +301,12 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 		}
 		stats.WallSeconds = time.Since(start).Seconds()
 		res.History = append(res.History, stats)
-		if flight.Enabled() { // guard: the message is formatted only when live
-			flight.Note("train", "epoch "+strconv.Itoa(epoch+1)+" done")
-		}
-		if hooks != nil && hooks.OnEpoch != nil {
-			hooks.OnEpoch(stats)
+		if cfg.Flight.Enabled() { // guard: the message is formatted only when live
+			cfg.Flight.Note("train", "epoch "+strconv.Itoa(epoch+1)+" done")
 		}
 		if stopped {
-			if hooks != nil && hooks.OnEarlyStop != nil {
-				hooks.OnEarlyStop(epoch + 1)
-			}
-			flight.Note("train", "early stop")
+			cfg.Flight.Note("train", "early stop")
+			res.EarlyStopped = true
 			break
 		}
 	}
@@ -347,9 +315,6 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 			copy(p.V.Data, bestParams[i].Data)
 		}
 		res.BestValLoss = best
-		if hooks != nil && hooks.OnRestore != nil {
-			hooks.OnRestore(res.BestEpoch, best)
-		}
 	} else {
 		res.BestValLoss = lossOf(trainIdx)
 		res.BestEpoch = res.EpochsRun

@@ -2,7 +2,6 @@ package predictor
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -30,9 +29,9 @@ func buildArch(name string, seed int64) graphnn.Model {
 // TestParallelTrainingBitwiseDeterministic is the tentpole guarantee: the
 // same seeds trained with 1 worker and with many workers must produce
 // bitwise-identical weights, loss, and predictions for every architecture —
-// with observation hooks attached or absent (hooks observe, never perturb).
-// Not skipped in -short mode so `go test -race -short` exercises the
-// concurrent hook-instrumented training path.
+// with a profiler and flight recorder attached or absent (they observe, never
+// perturb). Not skipped in -short mode so `go test -race -short` exercises
+// the concurrent instrumented training path.
 func TestParallelTrainingBitwiseDeterministic(t *testing.T) {
 	_, ds := smallDataset(t, 12)
 	n := len(ds.Samples)
@@ -48,7 +47,7 @@ func TestParallelTrainingBitwiseDeterministic(t *testing.T) {
 
 	for _, arch := range []string{"Tran", "GCN", "GAT"} {
 		t.Run(arch, func(t *testing.T) {
-			run := func(workers, procs int, hooked, simdOff bool) (Trained, TrainResult) {
+			run := func(workers, procs int, traced, simdOff bool) (Trained, TrainResult) {
 				if simdOff {
 					defer tensor.SetSIMD(tensor.SetSIMD(false))
 				}
@@ -58,24 +57,15 @@ func TestParallelTrainingBitwiseDeterministic(t *testing.T) {
 				cfg := TrainConfig{
 					Epochs: 3, Patience: 3, BatchSize: 5, Seed: 13, Workers: workers,
 				}
-				if hooked {
-					// The hooked case carries the full observation surface
-					// — span profiling (per-layer forward/backward
-					// attribution), a live flight recorder, and a traced
-					// JSONL sink fed from OnEpoch — so the table proves
-					// traced and recorded runs are bitwise identical too.
-					tc := obs.NewTraceContext(13, "determinism-table")
+				if traced {
+					// The traced case carries the full observation surface
+					// Train takes — span profiling (per-layer
+					// forward/backward attribution) and a live, traced
+					// flight recorder — so the table proves traced runs are
+					// bitwise identical too.
 					fr := obs.NewFlightRecorder(64)
-					fr.SetTraceContext(tc)
-					sink := obs.NewSink(io.Discard)
-					sink.SetTraceContext(tc)
-					sink.AttachFlight(fr)
-					cfg.Hooks = &TrainHooks{
-						OnEpoch:   func(e EpochStats) { sink.Emit(e) },
-						OnRestore: func(int, float64) {},
-						Profiler:  obs.NewProfiler(),
-						Flight:    fr,
-					}
+					fr.SetTraceContext(obs.NewTraceContext(13, "determinism-table"))
+					cfg.Prof, cfg.Flight = obs.NewProfiler(), fr
 				}
 				return Train(buildArch(arch, 42), ds, trainIdx, valIdx, cfg)
 			}
@@ -86,15 +76,15 @@ func TestParallelTrainingBitwiseDeterministic(t *testing.T) {
 			// serial uninstrumented reference bitwise.
 			type row struct {
 				workers, procs  int // procs > 0 sets GOMAXPROCS for the run
-				hooked, simdOff bool
+				traced, simdOff bool
 			}
 			var rows []row
 			for _, workers := range []int{1, 4, 7} {
-				for _, hooked := range []bool{false, true} {
-					if workers == 1 && !hooked {
+				for _, traced := range []bool{false, true} {
+					if workers == 1 && !traced {
 						continue
 					}
-					rows = append(rows, row{workers, 0, hooked, false})
+					rows = append(rows, row{workers, 0, traced, false})
 				}
 			}
 			rows = append(rows, row{0, 3, false, false}) // GOMAXPROCS workers
@@ -105,8 +95,8 @@ func TestParallelTrainingBitwiseDeterministic(t *testing.T) {
 				)
 			}
 			for _, rw := range rows {
-				got, gotRes := run(rw.workers, rw.procs, rw.hooked, rw.simdOff)
-				label := fmt.Sprintf("workers=%d procs=%d hooks=%v simd=%v", rw.workers, rw.procs, rw.hooked, !rw.simdOff)
+				got, gotRes := run(rw.workers, rw.procs, rw.traced, rw.simdOff)
+				label := fmt.Sprintf("workers=%d procs=%d traced=%v simd=%v", rw.workers, rw.procs, rw.traced, !rw.simdOff)
 				if math.Float64bits(gotRes.BestValLoss) != math.Float64bits(refRes.BestValLoss) {
 					t.Fatalf("%s BestValLoss %v != %v", label, gotRes.BestValLoss, refRes.BestValLoss)
 				}
@@ -145,10 +135,11 @@ func TestParallelTrainingBitwiseDeterministic(t *testing.T) {
 	}
 }
 
-// TestTrainHooksAndHistory checks the observation contract: History has one
-// entry per epoch run, OnEpoch fires once per epoch with the same stats,
-// BestEpoch points at the restored weights, and OnRestore reports it.
-func TestTrainHooksAndHistory(t *testing.T) {
+// TestTrainHistory checks the record a run leaves: a run that cannot exhaust
+// its patience runs every epoch and reports no early stop, History has one
+// entry per epoch run, numbered from 1, with plausible stats, and BestEpoch
+// points at the entry whose validation loss is BestValLoss.
+func TestTrainHistory(t *testing.T) {
 	_, ds := smallDataset(t, 12)
 	n := len(ds.Samples)
 	var trainIdx, valIdx []int
@@ -159,50 +150,40 @@ func TestTrainHooksAndHistory(t *testing.T) {
 			trainIdx = append(trainIdx, i)
 		}
 	}
-	var epochs []EpochStats
-	restored := -1
 	_, res := Train(buildArch("GCN", 7), ds, trainIdx, valIdx, TrainConfig{
 		Epochs: 4, Patience: 4, BatchSize: 5, Seed: 3,
-		Hooks: &TrainHooks{
-			OnEpoch:   func(e EpochStats) { epochs = append(epochs, e) },
-			OnRestore: func(best int, _ float64) { restored = best },
-		},
 	})
+	// The first epoch always improves, so four epochs cannot exhaust a
+	// patience of four.
+	if res.EarlyStopped || res.EpochsRun != 4 {
+		t.Fatalf("EarlyStopped %v after %d of 4 epochs at patience 4", res.EarlyStopped, res.EpochsRun)
+	}
 	if len(res.History) != res.EpochsRun {
 		t.Fatalf("history %d entries for %d epochs", len(res.History), res.EpochsRun)
 	}
-	if len(epochs) != res.EpochsRun {
-		t.Fatalf("OnEpoch fired %d times for %d epochs", len(epochs), res.EpochsRun)
-	}
-	for i, e := range epochs {
-		h := res.History[i]
-		if e.Epoch != i+1 || h.Epoch != i+1 {
-			t.Fatalf("epoch numbering: hook %d history %d at index %d", e.Epoch, h.Epoch, i)
-		}
-		if e != h {
-			t.Fatalf("hook stats %+v != history %+v", e, h)
+	for i, e := range res.History {
+		if e.Epoch != i+1 {
+			t.Fatalf("epoch numbering: %d at index %d", e.Epoch, i)
 		}
 		if math.IsNaN(e.TrainLoss) || e.TrainLoss < 0 || e.GradNorm < 0 {
 			t.Fatalf("implausible stats %+v", e)
 		}
-		if e.LR < 0 || e.LR > 1e-3 {
+		if e.LR < 0 || e.LR > baseLR {
 			t.Fatalf("lr %v outside cosine-decay range", e.LR)
 		}
 	}
 	if res.BestEpoch < 1 || res.BestEpoch > res.EpochsRun {
 		t.Fatalf("BestEpoch %d out of range", res.BestEpoch)
 	}
-	if restored != res.BestEpoch {
-		t.Fatalf("OnRestore reported %d, result says %d", restored, res.BestEpoch)
-	}
 	if res.History[res.BestEpoch-1].ValLoss != res.BestValLoss {
 		t.Fatalf("BestEpoch val %v != BestValLoss %v", res.History[res.BestEpoch-1].ValLoss, res.BestValLoss)
 	}
 }
 
-// TestTrainEarlyStopHook: patience exhaustion must fire OnEarlyStop exactly
-// once with the last epoch run, and History must stop there too.
-func TestTrainEarlyStopHook(t *testing.T) {
+// TestTrainEarlyStop: an exhausted patience shows in the result alone —
+// EarlyStopped is set, the run ends before its horizon, History stops at the
+// last epoch run, and that entry's BadEpochs is the patience.
+func TestTrainEarlyStop(t *testing.T) {
 	_, ds := smallDataset(t, 12)
 	n := len(ds.Samples)
 	var trainIdx, valIdx []int
@@ -213,19 +194,20 @@ func TestTrainEarlyStopHook(t *testing.T) {
 			trainIdx = append(trainIdx, i)
 		}
 	}
-	var stops []int
 	_, res := Train(buildArch("GCN", 7), ds, trainIdx, valIdx, TrainConfig{
 		Epochs: 50, Patience: 1, BatchSize: 5, Seed: 3,
-		Hooks: &TrainHooks{OnEarlyStop: func(e int) { stops = append(stops, e) }},
 	})
-	if res.EpochsRun == 50 {
+	if !res.EarlyStopped {
 		t.Skip("no early stop triggered at this seed")
 	}
-	if len(stops) != 1 || stops[0] != res.EpochsRun {
-		t.Fatalf("OnEarlyStop fired %v, EpochsRun %d", stops, res.EpochsRun)
+	if res.EpochsRun >= 50 {
+		t.Fatalf("early stop reported after all %d epochs", res.EpochsRun)
 	}
 	if len(res.History) != res.EpochsRun {
 		t.Fatalf("history %d entries for %d epochs", len(res.History), res.EpochsRun)
+	}
+	if last := res.History[len(res.History)-1]; last.BadEpochs != 1 {
+		t.Fatalf("last epoch %+v: BadEpochs %d, want the patience 1", last, last.BadEpochs)
 	}
 }
 
@@ -272,7 +254,7 @@ func TestTrainProfilerBuildsPhaseTree(t *testing.T) {
 	prof := obs.NewProfiler()
 	trained, _ := Train(buildArch("Tran", 42), ds, trainIdx, valIdx, TrainConfig{
 		Epochs: 2, Patience: 2, BatchSize: 5, Seed: 13, Workers: 4,
-		Hooks: &TrainHooks{Profiler: prof},
+		Prof: prof,
 	})
 	// Training ran on tapes of its own, so predictions after the run record
 	// nothing into its profile.

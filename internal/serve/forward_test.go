@@ -321,7 +321,7 @@ func TestCloseDrainsRunningForward(t *testing.T) {
 
 // TestPredictHitAllocBudget pins what a memo hit costs in heap allocations
 // through the instrumented handler. The bare row has a metrics registry and
-// no flight recorder, sink or access log — the benchmark daemon's
+// no flight recorder or sink — the benchmark daemon's
 // configuration; measured 46 with go1.24 (test request and recorder included).
 // The shipped row adds what predtop-serve always passes — flight recorder,
 // JSONL sink, SLO objectives — and must cost a hit nothing beyond the sampled

@@ -78,8 +78,8 @@ const labelSep = "\x00"
 
 // renderLabels produces the canonical inner label block `k="v",k2="v2"`:
 // labels sorted by key, keys sanitized to the Prometheus charset, values
-// escaped per the text exposition format (the `mesh` label is client input).
-// Empty input renders "".
+// escaped per the text exposition format, so a quote, backslash or newline in
+// any value cannot break a scraper's parse. Empty input renders "".
 func renderLabels(labels []label) string {
 	if len(labels) == 0 {
 		return ""

@@ -10,11 +10,10 @@
 // rolling SLO tracker with its bucket sketch live here, beside the forward
 // slots they describe; internal/obs keeps the batch tools' spans, sinks,
 // traces and flight recorder, which the daemon also uses. Every channel
-// (per-endpoint latency histograms, LRU and queue counters, accuracy gauges
-// fed by requests that attach ground truth, SLO windows, JSONL request
-// events, flight recorder breadcrumbs) is nil-safe and observation-only, and
-// every response carries the run's deterministic trace id plus a
-// per-request span id.
+// (per-endpoint latency histograms, LRU and queue counters, SLO windows,
+// sampled JSONL access records, flight recorder breadcrumbs) is nil-safe and
+// observation-only, and every response carries the run's deterministic trace
+// id plus a per-request span id.
 package serve
 
 import (

@@ -89,7 +89,7 @@ type phaseRecord struct {
 // answers), each phase a child span of the request span so the record and
 // the SLO worst list join on the same ids.
 func (s *Server) logAccess(ri *reqInfo, code int, start time.Time, dur time.Duration) {
-	if s.access == nil {
+	if s.cfg.Sink == nil {
 		return
 	}
 	reason := s.sampler.decide(dur.Seconds(), code)
@@ -131,5 +131,5 @@ func (s *Server) logAccess(ri *reqInfo, code int, start time.Time, dur time.Dura
 	if phases != nil {
 		rec["phases"] = phases
 	}
-	s.access.Emit(rec)
+	s.cfg.Sink.Emit(rec)
 }

@@ -60,8 +60,8 @@ type Config struct {
 
 	// Metrics, Sink, Flight, Trace, and Log are the observability fan-out;
 	// each is optional and nil-safe. Metrics backs GET /metrics (404 without
-	// one). Sink takes the slo_breach records and, unless AccessLog is set,
-	// the sampled access records — the one record a request leaves.
+	// one). Sink takes the slo_breach records and the sampled access records
+	// — the one record a request leaves.
 	Metrics *Metrics
 	Sink    *obs.Sink
 	Flight  *obs.FlightRecorder
@@ -81,11 +81,6 @@ type Config struct {
 	// from the {"event":"slo_breach"} record emitted through Sink. Empty still
 	// emits the slo_breach record, just without file artifacts.
 	IncidentDir string
-	// AccessLog receives the sampled {"event":"access"} per-request records
-	// (head + slow + error + every-64th); nil falls back to Sink, and no
-	// access log is written when both are nil.
-	AccessLog *obs.Sink
-
 	// ShutdownTimeout bounds the graceful drain on Close (default 5s).
 	ShutdownTimeout time.Duration
 
@@ -130,7 +125,6 @@ type Server struct {
 	slo       *sloTracker
 	incidents *incidentCapture
 	sampler   *accessSampler
-	access    *obs.Sink
 	start     time.Time
 
 	hits   *Counter
@@ -190,10 +184,6 @@ func Start(ctx context.Context, cfg Config) (*Server, error) {
 		s.slo = newSLOTracker(cfg, s.incidents.onBreach)
 	}
 	s.sampler = newAccessSampler(cfg.SLOP99)
-	s.access = cfg.AccessLog
-	if s.access == nil {
-		s.access = cfg.Sink
-	}
 	if _, _, err := s.registry.Load(); err != nil {
 		return nil, err
 	}

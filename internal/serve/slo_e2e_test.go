@@ -42,18 +42,17 @@ func jsonlRecords(t *testing.T, buf *bytes.Buffer) map[string][]map[string]any {
 // objective, which must trip exactly one edge-triggered breach and produce a
 // correlated evidence bundle — a flight-recorder dump and a CPU profile on
 // disk, plus one slo_breach JSONL record whose worst-offender span ids all
-// appear in the sampled access log.
+// appear in the sampled access records of the same sink.
 func TestSLOBreachIncidentBundle(t *testing.T) {
 	dir := t.TempDir()
 	incidents := t.TempDir()
 	writeTestModel(t, dir, "tran", "tran", 1)
 
-	var sinkBuf, accBuf bytes.Buffer
-	accSink := obs.NewSink(&accBuf)
+	var sinkBuf bytes.Buffer
+	sink := obs.NewSink(&sinkBuf)
 	flight := obs.NewFlightRecorder(128)
 	s := startTestServer(t, dir, func(cfg *Config) {
-		cfg.Sink = obs.NewSink(&sinkBuf)
-		cfg.AccessLog = accSink
+		cfg.Sink = sink
 		cfg.Flight = flight
 		cfg.SLOP99 = 5 * time.Millisecond
 		cfg.IncidentDir = incidents
@@ -84,8 +83,8 @@ func TestSLOBreachIncidentBundle(t *testing.T) {
 		t.Fatalf("breaches = %d, breached = %v: want exactly one edge and still in breach", snap.Breaches, snap.Breached)
 	}
 
-	if err := accSink.Flush(); err != nil {
-		t.Fatalf("flushing access log: %v", err)
+	if err := sink.Flush(); err != nil {
+		t.Fatalf("flushing the sink: %v", err)
 	}
 	recs := jsonlRecords(t, &sinkBuf)
 	breaches := recs["slo_breach"]
@@ -122,13 +121,13 @@ func TestSLOBreachIncidentBundle(t *testing.T) {
 	}
 
 	// Correlation: every worst-offender span id in the breach record appears
-	// as a request_span_id in the access log (every request was over the
+	// as a request_span_id of an access record (every request was over the
 	// slow threshold, so all were sampled).
 	worst, _ := br["worst"].([]any)
 	if len(worst) == 0 {
 		t.Fatal("slo_breach record has no worst offenders")
 	}
-	accRecs := jsonlRecords(t, &accBuf)["access"]
+	accRecs := recs["access"]
 	if len(accRecs) == 0 {
 		t.Fatal("no access records sampled")
 	}
@@ -268,7 +267,7 @@ func TestAccessLogHeadSampling(t *testing.T) {
 	var accBuf bytes.Buffer
 	acc := obs.NewSink(&accBuf)
 	s := startTestServer(t, dir, func(cfg *Config) {
-		cfg.AccessLog = acc
+		cfg.Sink = acc
 	})
 	for _, lo := range []int{0, 0} { // miss then memo hit
 		if _, code := postPredict(t, s.URL(), PredictRequest{

@@ -155,10 +155,8 @@ type (
 	TrainConfig = predictor.TrainConfig
 	// TrainResult reports a completed training run.
 	TrainResult = predictor.TrainResult
-	// TrainHooks observes a training run (see TrainConfig.Hooks).
-	TrainHooks = predictor.TrainHooks
-	// EpochStats is one epoch of a training run, as delivered to
-	// TrainHooks.OnEpoch and recorded in TrainResult.History.
+	// EpochStats is one epoch of a training run, as recorded in
+	// TrainResult.History.
 	EpochStats = predictor.EpochStats
 	// Trained is a fitted predictor ready for inference.
 	Trained = predictor.Trained

@@ -2,14 +2,13 @@
 # plan-smoke: build predtop-plan, run the quick-preset GPT-3 planner with
 # provenance reports and a what-if replay, then prove the observability
 # contract end to end: the what-if diff prints, a written report carries the
-# search and cost facts in their one home (its search and cost blocks; the
-# -metrics JSONL holds records and no registry snapshot), the report JSON
-# round-trips through -diff, and a second identical run reproduces every report
-# byte-for-byte (reports are pure functions of the seed — no wall-clock, no
-# map-order, no scheduling dependence, no core-count dependence: it runs on
-# one core), as does a third run with more workers than cores, and the second
-# records a manifest with the same content address, whose plans are those
-# reports whole. Any failure fails the script, which is wired into
+# search and cost facts in their one home (its search and cost blocks), the
+# report JSON round-trips through -diff, and a second identical run
+# reproduces every report byte-for-byte (reports are pure functions of the
+# seed — no wall-clock, no map-order, no scheduling dependence, no core-count
+# dependence: it runs on one core), as does a third run with more workers
+# than cores, and the second records a manifest with the same content
+# address, whose plans are those reports whole. Any failure fails the script, which is wired into
 # `make ci` via the plan-smoke target.
 set -eu
 
@@ -27,7 +26,7 @@ echo "plan-smoke: building"
 $GO build -o "$WORK/predtop-plan" ./cmd/predtop-plan
 
 echo "plan-smoke: planning with reports and a what-if replay"
-"$WORK/predtop-plan" -preset quick -bench GPT-3 -quiet -metrics "$WORK/m.jsonl" \
+"$WORK/predtop-plan" -preset quick -bench GPT-3 -quiet \
     -report "$WORK/r1" -whatif "microbatches=32,internode-bw=x4" \
     -runledger "$WORK/L" > "$WORK/run1.out"
 
@@ -55,15 +54,7 @@ for field in '"latency_lookups": [1-9]' '"latency_cache_misses": [1-9]'; do
         exit 1
     }
 done
-grep -q '"event":"plan_run"' "$WORK/m.jsonl" || {
-    echo "plan-smoke: -metrics file has no plan_run record" >&2
-    exit 1
-}
-if grep -q '"event":"metrics"\|predtop_planner_' "$WORK/m.jsonl"; then
-    echo "plan-smoke: a batch tool's -metrics file still carries a registry snapshot" >&2
-    exit 1
-fi
-if grep -q encoding_cache_ "$WORK"/r1/*.json "$WORK/m.jsonl"; then
+if grep -q encoding_cache_ "$WORK"/r1/*.json; then
     echo "plan-smoke: a report still carries encoding_cache_ fields" >&2
     exit 1
 fi

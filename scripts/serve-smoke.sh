@@ -39,8 +39,8 @@ echo "serve-smoke: starting the daemon"
 # Generous explicit objectives: the SLO machinery (tracker, /statusz, breach
 # wiring) runs for real, but a slow CI box can never trip a breach and flake
 # the gate. The incident dir proves the breach path stays quiet: it must be
-# empty at shutdown. No -accesslog: the sampled access records go to the
-# -metrics file, where the record check at the end reads them.
+# empty at shutdown. The sampled access records go to the -metrics file,
+# where the record check at the end reads them.
 "$WORK/predtop-serve" -models "$WORK/models" -listen 127.0.0.1:0 \
     -addrfile "$WORK/serve.addr" -quiet \
     -slo-p99 30s -slo-err 0.9 -incidents "$WORK/incidents" \
@@ -86,15 +86,16 @@ for want in "predtop_serve_queue_depth 0" "predtop_serve_cache_misses_total 1"; 
 done
 
 echo "serve-smoke: checking predtop-train -load against /predict"
-# The two load-and-predict paths must give the same number: both print
-# pred·1e3 through encoding/json, so comparing the text catches any bit
-# that differs.
+# The two load-and-predict paths must give the same number, compared here at
+# the tool's printed precision (µs). cmd/predtop-serve's TestServeLifecycle
+# holds /predict's latency_s bit-equal to the tool's -load path.
 "$WORK/predtop-train" -load "$WORK/models/smoke.predtop" -layers 4 -stage 1:3 \
-    -quiet -metrics "$WORK/p.jsonl" > /dev/null
-TOOL_MS=$(sed -n 's/.*"event":"prediction".*"predicted_ms":\([^,}]*\).*/\1/p' "$WORK/p.jsonl")
+    -quiet > "$WORK/p.out"
+TOOL_MS=$(sed -n 's/.*: predicted \([0-9.]*\)ms$/\1/p' "$WORK/p.out")
 SERVE_MS=$(curl -sf -X POST -H 'Content-Type: application/json' \
     -d '{"bench":"GPT-3","layers":4,"lo":1,"hi":3}' "http://$ADDR/predict" |
     sed -n 's/.*"latency_ms":\([^,}]*\).*/\1/p')
+[ -z "$SERVE_MS" ] || SERVE_MS=$(printf '%.3f' "$SERVE_MS")
 if [ -z "$TOOL_MS" ] || [ "$TOOL_MS" != "$SERVE_MS" ]; then
     echo "serve-smoke: predtop-train -load predicted \"$TOOL_MS\" ms, /predict answered \"$SERVE_MS\" ms" >&2
     exit 1
