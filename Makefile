@@ -70,8 +70,8 @@ bench-module:
 # The race pass runs in -short mode: it still exercises the concurrent
 # paths — training's per-graph minibatch and evaluation tapes,
 # batched prediction, the serving daemon, and the experiment grids —
-# including the hook-instrumented training tests (TestTrainHooksAndHistory
-# and the hooked rows of the bitwise-determinism table), the labeler's
+# including the training-record tests (TestTrainHistory and the traced rows
+# of the bitwise-determinism table), the labeler's
 # per-mesh fan-out under Alpa-Full (TestFullProfilingWorkerInvariant) and
 # under the ground truth (TestEvaluateAndWhatIfWorkerInvariant), the
 # flight-recorder panic-injection tests in

@@ -79,6 +79,10 @@ func TestServeLifecycle(t *testing.T) {
 	if err != nil || res.Errors != 0 {
 		t.Fatalf("replay against the daemon: %v, %+v", err, res)
 	}
+	// The scrape finds the 1m window's p99 series by its full name.
+	if !res.SLOConfigured() || res.SLOP991m <= 0 {
+		t.Errorf("replay read no 1m p99 from the daemon's SLO series: %+v", res)
+	}
 
 	path := filepath.Join(models, "tran.predtop")
 	loaded, err := predtop.LoadTrained(path)

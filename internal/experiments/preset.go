@@ -28,7 +28,7 @@ type Preset struct {
 	GPTLayers int
 	MoELayers int
 	MaxLen    int // max stage length in segments for GPT-3 table samples
-	MoEMaxLen int // max stage length for MoE (0 = same as MaxLen)
+	MoEMaxLen int // max stage length for MoE (0 = MaxLen − 1, at least 1)
 
 	// Training-set fractions evaluated (percent), Tables V/VI rows.
 	Fractions []int

@@ -97,16 +97,6 @@ func (c *Cache[K, V]) GetOrCompute(key K, compute func() V) (V, bool) {
 	return v, false
 }
 
-// Len returns the number of cached entries (0 on nil).
-func (c *Cache[K, V]) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
 // Purge drops every entry, e.g. when the values' producer was reloaded and
 // cached results may be stale. No-op on nil.
 func (c *Cache[K, V]) Purge() {

@@ -22,8 +22,8 @@ func TestEvictionOrder(t *testing.T) {
 			t.Fatalf("missing %d", k)
 		}
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
+	if len(c.m) != 2 {
+		t.Fatalf("entries = %d, want 2", len(c.m))
 	}
 }
 
@@ -34,8 +34,8 @@ func TestPutUpdatesExisting(t *testing.T) {
 	if v, _ := c.Get("k"); v != 2 {
 		t.Fatalf("got %d, want 2", v)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (update must not duplicate)", c.Len())
+	if len(c.m) != 1 {
+		t.Fatalf("entries = %d, want 1 (update must not duplicate)", len(c.m))
 	}
 }
 
@@ -58,8 +58,8 @@ func TestPurge(t *testing.T) {
 		c.Put(i, i)
 	}
 	c.Purge()
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d after Purge", c.Len())
+	if len(c.m) != 0 {
+		t.Fatalf("entries = %d after Purge", len(c.m))
 	}
 	// The list must be reusable after a purge.
 	c.Put(1, 1)
@@ -75,7 +75,7 @@ func TestNilCacheInert(t *testing.T) {
 	}
 	c.Put(1, 1) // must not panic
 	c.Purge()
-	if c.Len() != 0 {
+	if _, ok := c.Get(1); ok {
 		t.Fatal("nil cache not inert")
 	}
 	if v, hit := c.GetOrCompute(1, func() int { return 9 }); hit || v != 9 {
@@ -86,14 +86,14 @@ func TestNilCacheInert(t *testing.T) {
 func TestCapacityFloor(t *testing.T) {
 	c := New[int, int](0)
 	c.Put(1, 1)
-	if c.capacity != 1 || c.Len() != 1 {
-		t.Fatalf("cap=%d len=%d, want 1/1", c.capacity, c.Len())
+	if c.capacity != 1 || len(c.m) != 1 {
+		t.Fatalf("cap=%d len=%d, want 1/1", c.capacity, len(c.m))
 	}
 }
 
 // TestConcurrentMixedOps drives every operation from many goroutines; run
-// under -race this pins the locking. Invariant checked after: Len never
-// exceeds capacity.
+// under -race this pins the locking. Invariant checked after: the entry
+// count never exceeds capacity.
 func TestConcurrentMixedOps(t *testing.T) {
 	c := New[int, int](64)
 	var wg sync.WaitGroup
@@ -119,8 +119,8 @@ func TestConcurrentMixedOps(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if c.Len() > c.capacity {
-		t.Fatalf("Len %d exceeds capacity %d", c.Len(), c.capacity)
+	if len(c.m) > c.capacity {
+		t.Fatalf("entries %d exceed capacity %d", len(c.m), c.capacity)
 	}
 }
 
@@ -157,8 +157,8 @@ func TestNegativeCapacityFloor(t *testing.T) {
 	if v, ok := c.Get(2); !ok || v != 2 {
 		t.Fatal("missing 2")
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
+	if len(c.m) != 1 {
+		t.Fatalf("entries = %d, want 1", len(c.m))
 	}
 }
 
@@ -209,8 +209,8 @@ func TestConcurrentEvictionBound(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := c.Len(); got > cap {
-		t.Fatalf("Len %d exceeds Cap %d after concurrent eviction", got, cap)
+	if got := len(c.m); got > cap {
+		t.Fatalf("entries %d exceed Cap %d after concurrent eviction", got, cap)
 	}
 	checkListIntegrity(t, c)
 	// The cache must remain fully usable: fill it and verify exact retention.

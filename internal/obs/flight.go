@@ -93,18 +93,6 @@ func (f *FlightRecorder) Note(kind, msg string) {
 	slot.mu.Unlock()
 }
 
-// Len returns the number of events currently held (0 on nil).
-func (f *FlightRecorder) Len() int {
-	if f == nil {
-		return 0
-	}
-	n := f.seq.Load()
-	if n > uint64(len(f.slots)) {
-		return len(f.slots)
-	}
-	return int(n)
-}
-
 // OnDump registers fn to run at the start of every Dump — the hook the event
 // sink uses to flush its buffer so the JSONL log is complete before the
 // post-mortem is read. No-op on nil.

@@ -71,8 +71,8 @@ func (s *Sink) AttachFlight(f *FlightRecorder) {
 }
 
 // Emit marshals rec and writes it as one line. The first marshal or write
-// error is sticky (later Emits are dropped) and reported by Err. No-op on a
-// nil sink.
+// error is sticky (later Emits are dropped) and returned by Flush and Close.
+// No-op on a nil sink.
 func (s *Sink) Emit(rec any) {
 	if s == nil {
 		return
@@ -140,17 +140,6 @@ func (s *Sink) flushLocked() error {
 // close the underlying writer (the caller owns it). Nil-safe.
 func (s *Sink) Close() error {
 	return s.Flush()
-}
-
-// Err returns the first error encountered by Emit or Flush (nil on a nil
-// sink). Note that with buffering a write error may only surface at Flush.
-func (s *Sink) Err() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
 }
 
 // Logger is the minimal leveled replacement for the cmd tools' ad-hoc

@@ -73,7 +73,9 @@ func TestServeWithoutMetrics(t *testing.T) {
 // _count, and the built-in dropped-samples counter.
 func TestWritePromGolden(t *testing.T) {
 	r := NewMetrics()
-	r.Counter("train_batches_total").Add(12)
+	for i := 0; i < 12; i++ {
+		r.Counter("train_batches_total").Inc()
+	}
 	r.gauge("runtime_goroutines").Set(9)
 	h := r.Histogram("batch_seconds", []float64{0.5, 1, 2})
 	for _, v := range []float64{0.1, 0.7, 0.7, 1.5, 100} {
@@ -228,14 +230,15 @@ func TestWritePromHistogramEdgeCases(t *testing.T) {
 	checkMonotone("mid", 5)
 }
 
-// TestWritePromLabeledSeries: labeled counters/gauges render name{labels}
-// sample lines grouped under one TYPE header, with label values escaped.
+// TestWritePromLabeledSeries: labeled counters/gauges render their series
+// as named, grouped under one TYPE header per family.
 func TestWritePromLabeledSeries(t *testing.T) {
 	r := NewMetrics()
-	r.counterWith("req_total", label{"family", "tran"}).Add(2)
-	r.counterWith("req_total", label{"family", "gcn"}).Add(5)
-	r.counterWith("req_total").Inc() // unlabeled series of the same name
-	r.gaugeWith("weird", label{"v", "a\"b\\c\nd"}).Set(1)
+	r.Counter(`req_total{family="tran"}`).Inc()
+	r.Counter(`req_total{family="gcn"}`).Inc()
+	r.Counter(`req_total{family="gcn"}`).Inc()
+	r.Counter("req_total").Inc() // unlabeled series of the same family
+	r.gauge(`depth{a="1",b="2"}`).Set(3)
 	var buf bytes.Buffer
 	if err := r.writeProm(&buf); err != nil {
 		t.Fatal(err)
@@ -243,9 +246,9 @@ func TestWritePromLabeledSeries(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"req_total 1",
-		`req_total{family="gcn"} 5`,
-		`req_total{family="tran"} 2`,
-		`weird{v="a\"b\\c\nd"} 1`,
+		`req_total{family="gcn"} 2`,
+		`req_total{family="tran"} 1`,
+		`depth{a="1",b="2"} 3`,
 	} {
 		if !strings.Contains(out, want+"\n") {
 			t.Fatalf("missing %q in:\n%s", want, out)
@@ -258,14 +261,14 @@ func TestWritePromLabeledSeries(t *testing.T) {
 
 // TestWritePromLabeledHistogram: labeled histograms render the label block
 // inside every _bucket line (before le) and as a suffix on _sum/_count, with
-// all series of one name sharing a single TYPE header.
+// all series of one family sharing a single TYPE header.
 func TestWritePromLabeledHistogram(t *testing.T) {
 	r := NewMetrics()
-	a := r.histogramWith("req_seconds", []float64{1, 2}, label{"endpoint", "/predict"})
+	a := r.Histogram(`req_seconds{endpoint="/predict"}`, []float64{1, 2})
 	a.Observe(0.5)
 	a.Observe(1.5)
 	a.Observe(9) // overflow
-	r.histogramWith("req_seconds", []float64{1, 2}, label{"endpoint", "/reload"}).Observe(0.5)
+	r.Histogram(`req_seconds{endpoint="/reload"}`, []float64{1, 2}).Observe(0.5)
 	r.Histogram("req_seconds", []float64{1, 2}).Observe(0.5) // unlabeled sibling
 	var buf bytes.Buffer
 	if err := r.writeProm(&buf); err != nil {
@@ -291,66 +294,8 @@ func TestWritePromLabeledHistogram(t *testing.T) {
 	if got := strings.Count(out, "# TYPE req_seconds histogram"); got != 1 {
 		t.Fatalf("%d TYPE headers for req_seconds:\n%s", got, out)
 	}
-	// Same (name, labels) → same instrument, regardless of call order.
-	if r.histogramWith("req_seconds", nil, label{"endpoint", "/predict"}) != a {
-		t.Fatal("HistogramWith did not dedupe the labeled series")
+	// One series, one instrument.
+	if r.Histogram(`req_seconds{endpoint="/predict"}`, nil) != a {
+		t.Fatal("Histogram did not return the series' existing instrument")
 	}
-}
-
-func TestSanitizeMetricName(t *testing.T) {
-	cases := map[string]string{
-		"train_batches_total": "train_batches_total",
-		"ns:counter":          "ns:counter",
-		"batch.seconds":       "batch_seconds",
-		"grid cell/MRE%":      "grid_cell_MRE_",
-		"9lives":              "_9lives",
-		"":                    "_",
-		"a-b-c":               "a_b_c",
-	}
-	for in, want := range cases {
-		if got := sanitizeMetricName(in); got != want {
-			t.Errorf("sanitizeMetricName(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-// validPromName reports whether s matches [a-zA-Z_:][a-zA-Z0-9_:]*.
-func validPromName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		ok := c == '_' || c == ':' ||
-			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-			(c >= '0' && c <= '9' && i > 0)
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// FuzzSanitizeMetricName: for any input the output is a valid Prometheus
-// metric name, already-valid names pass through unchanged, and the function
-// is idempotent.
-func FuzzSanitizeMetricName(f *testing.F) {
-	for _, seed := range []string{
-		"", "train_batches_total", "ns:counter", "9lives", "grid cell/MRE%",
-		"a-b-c", "\x00\xff", "üñïçødé", "0", "_", ":", "a b", strings.Repeat("x", 300),
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, name string) {
-		got := sanitizeMetricName(name)
-		if !validPromName(got) {
-			t.Fatalf("sanitizeMetricName(%q) = %q is not a valid metric name", name, got)
-		}
-		if validPromName(name) && got != name {
-			t.Fatalf("valid name %q rewritten to %q", name, got)
-		}
-		if again := sanitizeMetricName(got); again != got {
-			t.Fatalf("not idempotent: %q -> %q -> %q", name, got, again)
-		}
-	})
 }

@@ -219,8 +219,7 @@ func TestCancelWhileWaitingCostsNoForward(t *testing.T) {
 	// The handler's return is what moves the per-status request counter and,
 	// after it, the SLO tracker: the slot holders have not answered yet, so
 	// the one observation is the cancelled request's.
-	gone := s.cfg.Metrics.counterWith(RequestsMetric,
-		label{Key: "endpoint", Value: "/predict"}, label{Key: "code", Value: fmt.Sprint(statusClientClosedRequest)})
+	gone := s.cfg.Metrics.Counter(fmt.Sprintf(`%s{code="%d",endpoint="/predict"}`, RequestsMetric, statusClientClosedRequest))
 	waitFor(t, "the cancelled handler to return", func() bool {
 		return gone.Value() == 1 && s.slo.Snapshot().Windows[0].Total == 1
 	})
@@ -322,7 +321,7 @@ func TestCloseDrainsRunningForward(t *testing.T) {
 // TestPredictHitAllocBudget pins what a memo hit costs in heap allocations
 // through the instrumented handler. The bare row has a metrics registry and
 // no flight recorder or sink — the benchmark daemon's
-// configuration; measured 46 with go1.24 (test request and recorder included).
+// configuration; measured 37 with go1.24 (test request and recorder included).
 // The shipped row adds what predtop-serve always passes — flight recorder,
 // JSONL sink, SLO objectives — and must cost a hit nothing beyond the sampled
 // access record (one request in 64): a hit formats no breadcrumb and emits no
@@ -331,14 +330,14 @@ func TestPredictHitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode degrades sync.Pool; steady-state counts not meaningful")
 	}
-	const bare = 48
+	const bare = 40
 	for _, tc := range []struct {
 		name   string
 		budget float64
 		mutate func(*Config)
 	}{
 		{"bare", bare, nil},
-		{"shipped", bare + 4, func(c *Config) {
+		{"shipped", bare + 1, func(c *Config) {
 			c.Flight = obs.NewFlightRecorder(0)
 			c.Sink = obs.NewSink(io.Discard)
 			c.Sink.AttachFlight(c.Flight)

@@ -12,10 +12,18 @@ import (
 
 // Metrics is the daemon's metrics namespace — the only one in the repository:
 // counters, gauges and fixed-bucket histograms, created on first use and
-// shared by name afterwards, served as GET /metrics and snapshotted into
+// shared by series afterwards, served as GET /metrics and snapshotted into
 // predtop-serve's final metrics record. Every instrument is safe for
 // concurrent use and only observes: nothing it holds feeds back into a
 // prediction.
+//
+// A series is named once, where its instrument is created, in its exposition
+// form: the family name, then for a labeled series its label block with the
+// keys in sorted order, as in
+// predtop_serve_requests_total{code="200",endpoint="/predict"}. Every label
+// value is a constant of the daemon's own code, never client input, so the
+// registry escapes and sanitizes nothing; TestServePromExposition checks the
+// grammar of a live daemon's page.
 //
 // A nil *Metrics hands out nil instruments, and every method of a nil
 // instrument is a no-op that allocates nothing, so the handlers are
@@ -48,114 +56,20 @@ func NewMetrics() *Metrics {
 	return r
 }
 
-// Counter returns the named counter, creating it if needed. A nil registry
-// returns a nil (no-op) counter.
-func (r *Metrics) Counter(name string) *Counter {
+// Counter returns the counter of series, creating it if needed. A nil
+// registry returns a nil (no-op) counter.
+func (r *Metrics) Counter(series string) *Counter {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[name]
+	c, ok := r.counters[series]
 	if !ok {
 		c = &Counter{}
-		r.counters[name] = c
+		r.counters[series] = c
 	}
 	return c
-}
-
-// label is one metric dimension (e.g. {endpoint="/predict"}). Labeled
-// instruments share the base name in the Prometheus exposition; the label
-// block distinguishes the series.
-type label struct {
-	Key   string
-	Value string
-}
-
-// labelSep joins a base name and its rendered label block in the internal
-// instrument key; '\x00' cannot appear in either half.
-const labelSep = "\x00"
-
-// renderLabels produces the canonical inner label block `k="v",k2="v2"`:
-// labels sorted by key, keys sanitized to the Prometheus charset, values
-// escaped per the text exposition format, so a quote, backslash or newline in
-// any value cannot break a scraper's parse. Empty input renders "".
-func renderLabels(labels []label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	ls := append([]label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	var b strings.Builder
-	for i, l := range ls {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(sanitizeMetricName(l.Key))
-		b.WriteString(`="`)
-		for j := 0; j < len(l.Value); j++ {
-			switch c := l.Value[j]; c {
-			case '\\':
-				b.WriteString(`\\`)
-			case '"':
-				b.WriteString(`\"`)
-			case '\n':
-				b.WriteString(`\n`)
-			default:
-				b.WriteByte(c)
-			}
-		}
-		b.WriteByte('"')
-	}
-	return b.String()
-}
-
-// instrKey builds the internal map key for a (name, labels) pair.
-func instrKey(name string, labels []label) string {
-	inner := renderLabels(labels)
-	if inner == "" {
-		return name
-	}
-	return name + labelSep + inner
-}
-
-// splitInstrKey recovers (name, labels) from an internal key.
-func splitInstrKey(key string) (name, labels string) {
-	if i := strings.IndexByte(key, labelSep[0]); i >= 0 {
-		return key[:i], key[i+1:]
-	}
-	return key, ""
-}
-
-// counterWith returns the counter for (name, labels), creating it if needed.
-// Labels are canonicalized (sorted by key, values escaped), so call order
-// does not create duplicate series. A nil registry returns a nil counter.
-func (r *Metrics) counterWith(name string, labels ...label) *Counter {
-	if r == nil {
-		return nil
-	}
-	return r.Counter(instrKey(name, labels))
-}
-
-// gaugeWith returns the gauge for (name, labels), creating it if needed (see
-// counterWith for label canonicalization). A nil registry returns nil.
-func (r *Metrics) gaugeWith(name string, labels ...label) *gauge {
-	if r == nil {
-		return nil
-	}
-	return r.gauge(instrKey(name, labels))
-}
-
-// histogramWith returns the histogram for (name, labels), creating it with
-// the given bucket bounds if needed (see counterWith for label
-// canonicalization and Histogram for bound semantics). Labeled series of one
-// name share a TYPE header in the Prometheus exposition, with the label block
-// merged into each _bucket/_sum/_count line. A nil registry returns nil.
-func (r *Metrics) histogramWith(name string, bounds []float64, labels ...label) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.Histogram(instrKey(name, labels), bounds)
 }
 
 // runInfoMetric is the info-style gauge carrying the daemon's trace id as a
@@ -163,50 +77,51 @@ func (r *Metrics) histogramWith(name string, bounds []float64, labels ...label) 
 // Prometheus exposition.
 const runInfoMetric = "predtop_run_info"
 
-// setRunInfo publishes the daemon's trace identity as predtop_run_info
-// {trace_id="…",name="…"} = 1. No-op when the registry or tc is nil.
+// setRunInfo publishes the daemon's trace identity as
+// predtop_run_info{name="…",trace_id="…"} = 1; the name is the tool's.
+// No-op when the registry or tc is nil.
 func (r *Metrics) setRunInfo(tc *obs.TraceContext) {
 	if r == nil || tc == nil {
 		return
 	}
-	r.gaugeWith(runInfoMetric, label{"trace_id", tc.TraceID()}, label{"name", tc.Name()}).Set(1)
+	r.gauge(runInfoMetric + `{name="` + tc.Name() + `",trace_id="` + tc.TraceID() + `"}`).Set(1)
 }
 
-// gauge returns the named gauge, creating it if needed. A nil registry
+// gauge returns the gauge of series, creating it if needed. A nil registry
 // returns a nil (no-op) gauge.
-func (r *Metrics) gauge(name string) *gauge {
+func (r *Metrics) gauge(series string) *gauge {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
+	g, ok := r.gauges[series]
 	if !ok {
 		g = &gauge{dropped: r.dropped}
-		r.gauges[name] = g
+		r.gauges[series] = g
 	}
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given bucket
-// upper bounds (ascending; nil or empty selects a default latency ladder, 1 µs
-// to ~67 s in powers of four). Bounds are fixed
-// at creation — later calls with different bounds return the existing
-// instrument. A nil registry returns a nil (no-op) histogram.
-func (r *Metrics) Histogram(name string, bounds []float64) *Histogram {
+// Histogram returns the histogram of series, creating it with the given
+// bucket upper bounds (ascending; nil or empty selects a default latency
+// ladder, 1 µs to ~67 s in powers of four). Bounds are fixed at creation —
+// later calls with different bounds return the existing instrument. A nil
+// registry returns a nil (no-op) histogram.
+func (r *Metrics) Histogram(series string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
+	h, ok := r.histograms[series]
 	if !ok {
 		if len(bounds) == 0 {
 			bounds = defBuckets
 		}
 		h = &Histogram{bounds: append([]float64(nil), bounds...), dropped: r.dropped}
 		h.counts = make([]atomic.Int64, len(h.bounds)+1)
-		r.histograms[name] = h
+		r.histograms[series] = h
 	}
 	return h
 }
@@ -218,13 +133,6 @@ type Counter struct{ v atomic.Int64 }
 func (c *Counter) Inc() {
 	if c != nil {
 		c.v.Add(1)
-	}
-}
-
-// Add adds n. No-op on nil.
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v.Add(n)
 	}
 }
 
@@ -368,8 +276,8 @@ type bucketCount struct {
 // field).
 type Metric struct {
 	Name string `json:"name"`
-	// Labels is the canonical rendered label block (`k="v",k2="v2"`), empty
-	// for unlabeled instruments.
+	// Labels is the series' inner label block (`k="v",k2="v2"`), empty for
+	// an unlabeled series.
 	Labels   string        `json:"labels,omitempty"`
 	Kind     string        `json:"kind"` // "counter", "gauge", or "histogram"
 	Value    float64       `json:"value,omitempty"`
@@ -389,17 +297,19 @@ func (r *Metrics) Snapshot() []Metric {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
-	for key, c := range r.counters {
-		name, labels := splitInstrKey(key)
-		out = append(out, Metric{Name: name, Labels: labels, Kind: "counter", Value: float64(c.Value())})
+	for series, c := range r.counters {
+		m := seriesMetric(series, "counter")
+		m.Value = float64(c.Value())
+		out = append(out, m)
 	}
-	for key, g := range r.gauges {
-		name, labels := splitInstrKey(key)
-		out = append(out, Metric{Name: name, Labels: labels, Kind: "gauge", Value: g.Value()})
+	for series, g := range r.gauges {
+		m := seriesMetric(series, "gauge")
+		m.Value = g.Value()
+		out = append(out, m)
 	}
-	for key, h := range r.histograms {
-		name, labels := splitInstrKey(key)
-		m := Metric{Name: name, Labels: labels, Kind: "histogram", Count: h.Count(), Sum: h.Sum()}
+	for series, h := range r.histograms {
+		m := seriesMetric(series, "histogram")
+		m.Count, m.Sum = h.Count(), h.Sum()
 		for i, b := range h.bounds {
 			if n := h.counts[i].Load(); n > 0 {
 				m.Buckets = append(m.Buckets, bucketCount{LE: b, Count: n})
@@ -415,4 +325,11 @@ func (r *Metrics) Snapshot() []Metric {
 		return out[i].Labels < out[j].Labels
 	})
 	return out
+}
+
+// seriesMetric starts the export of series: the family name before its first
+// '{', the label block inside the braces.
+func seriesMetric(series, kind string) Metric {
+	name, labels, _ := strings.Cut(series, "{")
+	return Metric{Name: name, Labels: strings.TrimSuffix(labels, "}"), Kind: kind}
 }

@@ -10,8 +10,8 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	r := NewMetrics()
 	c := r.Counter("c")
 	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
+	c.Inc()
+	if c.Value() != 2 {
 		t.Fatalf("counter %d", c.Value())
 	}
 	if r.Counter("c") != c {
@@ -108,7 +108,6 @@ func TestNilRegistryIsInert(t *testing.T) {
 		t.Fatal("nil registry must return nil instruments")
 	}
 	c.Inc()
-	c.Add(3)
 	g.Set(1)
 	h.Observe(1)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
@@ -129,7 +128,6 @@ func TestNilInstrumentsZeroAlloc(t *testing.T) {
 	g := r.gauge("lr")
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
-		c.Add(32)
 		g.Set(1e-3)
 		h.Observe(0.5)
 	})

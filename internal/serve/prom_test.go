@@ -5,20 +5,24 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
-// TestServePromExposition pins the predtop_serve_* metric series a live
-// daemon exports: exact series names and label shapes (the contract a
-// scrape config or dashboard is written against), plus value-level checks
-// tied to the traffic the test generated. This extends the obs package's
-// golden exposition tests one level up — through a real /metrics scrape of a
-// serving daemon rather than a bare registry.
+// TestServePromExposition pins the metric series a live daemon with SLO
+// objectives exports: exact series names and label shapes (the contract a
+// scrape config or dashboard is written against), value-level checks tied to
+// the traffic the test generated, and the text-format grammar of the whole
+// page (see checkPromGrammar) — through a real /metrics scrape of a serving
+// daemon rather than a bare registry.
 func TestServePromExposition(t *testing.T) {
 	dir := t.TempDir()
 	writeTestModel(t, dir, "tran", "tran", 1)
-	s := startTestServer(t, dir, nil)
+	s := startTestServer(t, dir, func(c *Config) { c.SLOP99, c.SLOErr = time.Second, 0.05 })
 
 	// Traffic: 3 distinct queries (misses), 1 repeat (hit), 1 bad request,
 	// 1 models listing, 1 reload.
@@ -101,19 +105,100 @@ func TestServePromExposition(t *testing.T) {
 		t.Error("missing /models latency _count")
 	}
 
-	// One TYPE header per metric name even with several labeled series.
-	if n := strings.Count(exposition, "# TYPE predtop_serve_request_seconds histogram"); n != 1 {
-		t.Errorf("request_seconds TYPE header appears %d times, want 1", n)
-	}
-	if n := strings.Count(exposition, "# TYPE predtop_serve_requests_total counter"); n != 1 {
-		t.Errorf("requests_total TYPE header appears %d times, want 1", n)
-	}
-
 	// The batch size, max and pad-waste families went with the layer that fed
 	// them.
 	if strings.Contains(exposition, "predtop_serve_batch_") {
 		t.Error("exposition still carries a predtop_serve_batch_* series")
 	}
+
+	families := checkPromGrammar(t, exposition)
+	want := []string{
+		"obs_dropped_samples_total", runInfoMetric,
+		BatchedRequestsMetric, BatchesMetric, CacheHitsMetric, CacheMissesMetric, QueueDepthMetric,
+		RegistryGenerationMetric, RegistryModelsMetric, ReloadsMetric, RequestSecondsMetric, RequestsMetric,
+		sloBreachGauge, sloBreachesMetric, sloBurnRateMetric, sloErrorRateMetric, sloLatencyMetric,
+	}
+	sort.Strings(want)
+	if !slices.Equal(families, want) {
+		t.Errorf("families on the page:\n  %v\nwant\n  %v", families, want)
+	}
+}
+
+var (
+	promName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	// promLabels is a whole inner label block whose values hold no quote,
+	// backslash or newline: the daemon's label values need no escaping.
+	promLabels = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*="[^"\\\n]*"(?:,[a-zA-Z_][a-zA-Z0-9_]*="[^"\\\n]*")*$`)
+	promKey    = regexp.MustCompile(`([a-zA-Z_][a-zA-Z0-9_]*)="`)
+)
+
+// checkPromGrammar checks every line of a text exposition and returns its
+// families, sorted. A line is a `# TYPE family kind` header or a sample
+// `series value`. Each family has exactly one TYPE line, ahead of its
+// samples; a sample's name matches [a-zA-Z_:][a-zA-Z0-9_:]* and belongs to a
+// typed family (a histogram's through _bucket, _sum or _count); its label
+// block, if any, parses, with strictly ascending keys; its value parses.
+func checkPromGrammar(t *testing.T, page string) []string {
+	t.Helper()
+	kinds := map[string]string{}
+	var families []string
+	for _, line := range strings.Split(strings.TrimSuffix(page, "\n"), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			f := strings.Fields(rest)
+			switch {
+			case len(f) != 2 || !promName.MatchString(f[0]):
+				t.Errorf("malformed TYPE line %q", line)
+			case kinds[f[0]] != "":
+				t.Errorf("second TYPE line for %s", f[0])
+			case f[1] != "counter" && f[1] != "gauge" && f[1] != "histogram":
+				t.Errorf("unknown kind in %q", line)
+			default:
+				kinds[f[0]] = f[1]
+				families = append(families, f[0])
+			}
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		if sp < 0 {
+			t.Errorf("sample line %q has no value", line)
+			continue
+		}
+		if _, err := strconv.ParseFloat(line[sp+1:], 64); err != nil {
+			t.Errorf("sample line %q: %v", line, err)
+		}
+		name, block, labeled := strings.Cut(line[:sp], "{")
+		if !promName.MatchString(name) {
+			t.Errorf("sample name %q is not a metric name", name)
+		}
+		family := name
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base, ok := strings.CutSuffix(name, suffix); ok && kinds[base] == "histogram" {
+				family = base
+			}
+		}
+		if kinds[family] == "" {
+			t.Errorf("sample %q precedes its family's TYPE line or has none", line)
+		}
+		if !labeled {
+			continue
+		}
+		inner, closed := strings.CutSuffix(block, "}")
+		if !closed || !promLabels.MatchString(inner) {
+			t.Errorf("label block of %q does not parse", line)
+			continue
+		}
+		var keys []string
+		for _, m := range promKey.FindAllStringSubmatch(inner, -1) {
+			keys = append(keys, m[1])
+		}
+		for i := 1; i < len(keys); i++ {
+			if keys[i-1] >= keys[i] {
+				t.Errorf("label keys of %q are not strictly ascending", line)
+			}
+		}
+	}
+	sort.Strings(families)
+	return families
 }
 
 // TestServePromRunInfo: the exposition carries the predtop_run_info series

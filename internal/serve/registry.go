@@ -83,15 +83,12 @@ func NewRegistry(dir string, metrics *Metrics) *Registry {
 		dir:         dir,
 		genGauge:    metrics.gauge(RegistryGenerationMetric),
 		modelsGauge: metrics.gauge(RegistryModelsMetric),
-		reloadOK:    metrics.counterWith(ReloadsMetric, label{Key: "result", Value: "ok"}),
-		reloadErr:   metrics.counterWith(ReloadsMetric, label{Key: "result", Value: "error"}),
+		reloadOK:    metrics.Counter(ReloadsMetric + `{result="ok"}`),
+		reloadErr:   metrics.Counter(ReloadsMetric + `{result="error"}`),
 	}
 	r.snap.Store(&regSnapshot{entries: map[string]*Entry{}})
 	return r
 }
-
-// Dir returns the model directory the registry loads from.
-func (r *Registry) Dir() string { return r.dir }
 
 // Load scans the model directory and swaps in a new snapshot holding every
 // *.predtop file it contains, returning the new generation and model count.
@@ -151,10 +148,6 @@ func (r *Registry) Snapshot() ([]*Entry, uint64) {
 	}
 	return out, s.gen
 }
-
-// Generation returns the current snapshot's generation (0 before the first
-// successful Load).
-func (r *Registry) Generation() uint64 { return r.snap.Load().gen }
 
 // Len returns the number of resident models.
 func (r *Registry) Len() int { return len(r.snap.Load().keys) }

@@ -199,6 +199,13 @@ func percentile(sorted []float64, q float64) float64 {
 	return sorted[i]
 }
 
+// The 1m window's burn-rate and p99 series, named as the SLO tracker names
+// them.
+var (
+	sloBurn1mSeries = sloSeries(sloBurnRateMetric, time.Minute, "")
+	sloP991mSeries  = sloSeries(sloLatencyMetric, time.Minute, "0.99")
+)
+
 // scrapeMetrics fills the server-side counters of res from GET /metrics.
 func scrapeMetrics(client *http.Client, url string, res *ReplayResult) error {
 	resp, err := client.Get(url + "/metrics")
@@ -213,20 +220,11 @@ func scrapeMetrics(client *http.Client, url string, res *ReplayResult) error {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		name, val, ok := promSample(line)
+		series, val, ok := promSample(line)
 		if !ok {
 			continue
 		}
-		// The SLO gauges are labeled by window (and quantile); promSample
-		// strips labels, so the 1m-window series are matched on the full
-		// rendered prefix instead.
-		switch {
-		case strings.HasPrefix(line, sloBurnRateMetric+`{window="1m0s"}`):
-			res.SLOBurn1m = val
-		case strings.HasPrefix(line, sloLatencyMetric+`{quantile="0.99",window="1m0s"}`):
-			res.SLOP991m = val
-		}
-		switch name {
+		switch series {
 		case CacheHitsMetric:
 			res.CacheHits = int64(val)
 		case CacheMissesMetric:
@@ -237,6 +235,10 @@ func scrapeMetrics(client *http.Client, url string, res *ReplayResult) error {
 			res.SLOBreached = val
 		case sloBreachesMetric:
 			res.SLOBreaches = val
+		case sloBurn1mSeries:
+			res.SLOBurn1m = val
+		case sloP991mSeries:
+			res.SLOP991m = val
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -248,8 +250,8 @@ func scrapeMetrics(client *http.Client, url string, res *ReplayResult) error {
 	return nil
 }
 
-// promSample parses one exposition sample line into (bare name, value),
-// dropping any label set.
+// promSample parses one exposition sample line into (series, value): the
+// series as the daemon named it, label block included.
 func promSample(line string) (string, float64, bool) {
 	sp := strings.LastIndexByte(line, ' ')
 	if sp < 0 {
@@ -259,9 +261,5 @@ func promSample(line string) (string, float64, bool) {
 	if err != nil {
 		return "", 0, false
 	}
-	name := line[:sp]
-	if b := strings.IndexByte(name, '{'); b >= 0 {
-		name = name[:b]
-	}
-	return name, val, true
+	return line[:sp], val, true
 }

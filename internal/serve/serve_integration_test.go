@@ -155,7 +155,7 @@ func TestServeIgnoresGroundTruth(t *testing.T) {
 // TestServeClientInputAddsNoSeries: the metric series a daemon exports are
 // fixed by its routes and status codes, never by what a client sends. A
 // second round of novel bodies — new mesh labels and ground truths, unknown
-// model keys, rejected benches — leaves the registry's (name, labels) set
+// model keys, rejected benches — leaves the registry's series set
 // exactly as the first round left it.
 func TestServeClientInputAddsNoSeries(t *testing.T) {
 	dir := t.TempDir()

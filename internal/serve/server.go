@@ -255,10 +255,12 @@ func (s *Server) Close() error {
 // returns the status code it wrote and fills ri with the request's span and
 // phase evidence; the wrapper turns those into an SLO observation (/predict
 // only — listings and reloads have no latency objective) and a sampled
-// access-log record.
+// access-log record. A status code's counter is named once, the first time
+// the endpoint answers with it, and looked up by code afterwards.
 func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.Request, *reqInfo) int) http.Handler {
-	hist := s.cfg.Metrics.histogramWith(RequestSecondsMetric, requestSecondsBuckets,
-		label{Key: "endpoint", Value: endpoint})
+	hist := s.cfg.Metrics.Histogram(RequestSecondsMetric+`{endpoint="`+endpoint+`"}`, requestSecondsBuckets)
+	var mu sync.Mutex
+	requests := map[int]*Counter{}
 	isPredict := endpoint == "/predict"
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -266,9 +268,14 @@ func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.R
 		code := h(w, r, &ri)
 		dur := time.Since(start)
 		hist.Observe(dur.Seconds())
-		s.cfg.Metrics.counterWith(RequestsMetric,
-			label{Key: "endpoint", Value: endpoint},
-			label{Key: "code", Value: fmt.Sprint(code)}).Inc()
+		mu.Lock()
+		c, ok := requests[code]
+		if !ok {
+			c = s.cfg.Metrics.Counter(fmt.Sprintf(`%s{code="%d",endpoint="%s"}`, RequestsMetric, code, endpoint))
+			requests[code] = c
+		}
+		mu.Unlock()
+		c.Inc()
 		if isPredict {
 			trace, span := ri.span.RawIDs()
 			s.slo.Observe(dur.Seconds(), code >= 500, trace, span)

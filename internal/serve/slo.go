@@ -59,6 +59,15 @@ const (
 	sloBreachesMetric  = "predtop_slo_breach_total"
 )
 
+// sloSeries names window d's series of family; a latency series adds its
+// quantile label, the keys in sorted order.
+func sloSeries(family string, d time.Duration, quantile string) string {
+	if quantile == "" {
+		return family + `{window="` + d.String() + `"}`
+	}
+	return family + `{quantile="` + quantile + `",window="` + d.String() + `"}`
+}
+
 // sloBuckets is the latency sketch ladder: 100µs to ~3.3s in powers of two,
 // the same base ladder as the serving request histogram plus headroom; the
 // overflow slot catches anything slower and reports the window max.
@@ -120,12 +129,11 @@ func newSLOTracker(cfg Config, onBreach func(sloSnapshot)) *sloTracker {
 		for i := range w.slots {
 			w.slots[i].sk = newSketch(sloBuckets)
 		}
-		lbl := label{Key: "window", Value: d.String()}
-		w.p50 = cfg.Metrics.gaugeWith(sloLatencyMetric, lbl, label{Key: "quantile", Value: "0.5"})
-		w.p95 = cfg.Metrics.gaugeWith(sloLatencyMetric, lbl, label{Key: "quantile", Value: "0.95"})
-		w.p99 = cfg.Metrics.gaugeWith(sloLatencyMetric, lbl, label{Key: "quantile", Value: "0.99"})
-		w.errRate = cfg.Metrics.gaugeWith(sloErrorRateMetric, lbl)
-		w.burn = cfg.Metrics.gaugeWith(sloBurnRateMetric, lbl)
+		w.p50 = cfg.Metrics.gauge(sloSeries(sloLatencyMetric, d, "0.5"))
+		w.p95 = cfg.Metrics.gauge(sloSeries(sloLatencyMetric, d, "0.95"))
+		w.p99 = cfg.Metrics.gauge(sloSeries(sloLatencyMetric, d, "0.99"))
+		w.errRate = cfg.Metrics.gauge(sloSeries(sloErrorRateMetric, d, ""))
+		w.burn = cfg.Metrics.gauge(sloSeries(sloBurnRateMetric, d, ""))
 		t.windows = append(t.windows, w)
 	}
 	return t

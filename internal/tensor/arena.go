@@ -8,7 +8,7 @@ package tensor
 //
 // Contract:
 //
-//   - Get/GetUninit hand out tensors owned by the arena. They remain valid
+//   - GetUninit hands out tensors owned by the arena. They remain valid
 //     until the next Reset, at which point their buffers are recycled and
 //     MUST NOT be referenced again.
 //   - Anything that escapes the generation — trained weights, gradients
@@ -50,18 +50,9 @@ func sizeClass(n int) int {
 	return c
 }
 
-// Get returns a zero-filled r×c tensor drawn from the arena (or freshly
-// allocated on a nil arena / empty free list).
-func (a *Arena) Get(r, c int) *Tensor {
-	t := a.GetUninit(r, c)
-	if a != nil {
-		clear(t.Data)
-	}
-	return t
-}
-
-// GetUninit is Get without the zero fill, for callers that overwrite every
-// element. The contents of a recycled buffer are unspecified.
+// GetUninit returns an r×c tensor drawn from the arena (or freshly allocated
+// on a nil arena / empty free list). The contents of a recycled buffer are
+// unspecified: callers overwrite every element.
 func (a *Arena) GetUninit(r, c int) *Tensor {
 	if a == nil {
 		return New(r, c)

@@ -2,24 +2,6 @@ package tensor
 
 import "testing"
 
-func TestArenaGetZeroFills(t *testing.T) {
-	a := NewArena()
-	x := a.Get(3, 4)
-	for i := range x.Data {
-		x.Data[i] = float64(i) + 1
-	}
-	a.Reset()
-	y := a.Get(3, 4)
-	if &y.Data[0] != &x.Data[0] {
-		t.Fatal("expected the recycled buffer back for the same size class")
-	}
-	for i, v := range y.Data {
-		if v != 0 {
-			t.Fatalf("recycled Get not zeroed at %d: %v", i, v)
-		}
-	}
-}
-
 func TestArenaReusesBuffers(t *testing.T) {
 	a := NewArena()
 	// Different shapes in the same power-of-two class share buffers.
@@ -42,9 +24,9 @@ func TestArenaReusesBuffers(t *testing.T) {
 
 func TestArenaNilFallsBackToHeap(t *testing.T) {
 	var a *Arena
-	x := a.Get(2, 3)
+	x := a.GetUninit(2, 3)
 	if x.R != 2 || x.C != 3 {
-		t.Fatalf("nil-arena Get shape %dx%d", x.R, x.C)
+		t.Fatalf("nil-arena GetUninit shape %dx%d", x.R, x.C)
 	}
 	y := a.GetUninit(2, 3)
 	if &x.Data[0] == &y.Data[0] {
@@ -56,7 +38,7 @@ func TestArenaNilFallsBackToHeap(t *testing.T) {
 func TestArenaZeroSizedShapes(t *testing.T) {
 	a := NewArena()
 	for _, d := range [][2]int{{0, 5}, {5, 0}, {0, 0}} {
-		x := a.Get(d[0], d[1])
+		x := a.GetUninit(d[0], d[1])
 		if x.R != d[0] || x.C != d[1] || len(x.Data) != 0 {
 			t.Fatalf("bad empty tensor %dx%d len %d", x.R, x.C, len(x.Data))
 		}
@@ -70,7 +52,7 @@ func TestArenaSteadyStateZeroAlloc(t *testing.T) {
 	a := NewArena()
 	step := func() {
 		x := a.GetUninit(16, 16)
-		y := a.Get(4, 4)
+		y := a.GetUninit(4, 4)
 		x.Data[0] = 1
 		y.Data[0] = 1
 		a.Reset()
