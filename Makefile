@@ -54,11 +54,13 @@ nosimd:
 	GODEBUG=cpu.fma=off $(GO) test -tags nosimd -run $(NOSIMD_RUN) $(NOSIMD_PKGS)
 
 # rungs runs every kernel benchmark of the numeric stack once
-# (BenchmarkAttention, BenchmarkLinear, the softmax rung), so a rung that
-# panics on a shape fails the gate instead of the next measurement session.
-# One iteration each: a smoke run, not a measurement.
+# (BenchmarkAttention, BenchmarkLinear, the softmax rung) and the training
+# rung (BenchmarkTrainEpoch: one epoch per architecture, with its samples/op
+# and graphs/op), so a rung that panics on a shape fails the gate instead of
+# the next measurement session. One iteration each: a smoke run, not a
+# measurement.
 rungs:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/nn ./internal/tensor
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/nn ./internal/tensor ./internal/predictor
 
 # bench/ is its own module (`replace predtop => ../`), so `go build ./...` and
 # `go test ./...` above never see it. Vetting and testing it here is the

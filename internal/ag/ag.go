@@ -292,10 +292,10 @@ func (c *Context) runBack(n *Node) {
 		x := n.a
 		d := c.arena.GetUninit(g.R, g.C)
 		for i, gv := range g.Data {
-			switch {
-			case x.V.Data[i] > 0:
+			switch AbsCase(x.V.Data[i]) {
+			case 1:
 				d.Data[i] = gv
-			case x.V.Data[i] < 0:
+			case -1:
 				d.Data[i] = -gv
 			default:
 				d.Data[i] = 0
@@ -417,6 +417,19 @@ func (c *Context) Abs(x *Node) *Node {
 	n := c.node(opAbs, v, x.requires)
 	n.a = x
 	return n
+}
+
+// AbsCase is the case of Abs's backward at x: 1 passes the gradient, -1
+// negates it, 0 (x zero or NaN) drops it. Elements in one case take the same
+// gradient bits from the same incoming gradient.
+func AbsCase(x float64) int {
+	switch {
+	case x > 0:
+		return 1
+	case x < 0:
+		return -1
+	}
+	return 0
 }
 
 // Square returns x² elementwise.

@@ -73,6 +73,14 @@ func (g *PanelGrads) Fold(n int) {
 	}
 }
 
+// CopySlot sets graph dst's part of every parameter to graph src's: the
+// slot a backward of src's graph from the same loss gradient would write.
+func (g *PanelGrads) CopySlot(dst, src int) {
+	for _, parts := range g.parts {
+		copy(parts[dst].Data, parts[src].Data)
+	}
+}
+
 // RouteGrads sends this tape's parameter-gradient parts to g's slot for
 // graph k, and BackwardVec leaves folding to g's owner (g.Fold). g must hold
 // every parameter the tape's parameter-carrying ops use and at least k+1

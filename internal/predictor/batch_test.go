@@ -24,9 +24,10 @@ func trainTiny(t testing.TB) (Trained, *Dataset) {
 }
 
 // TestPredictEncodedBatchBitwise: a graph's prediction inside any batch —
-// any neighbours, any position, duplicates of itself, many more graphs than
-// workers, any worker count and so any claim interleaving — is bitwise what
-// it is alone (PredictEncoded).
+// any neighbours, any position, duplicates of itself (one forward per
+// distinct pointer fills them all), many more graphs than workers, any
+// worker count and so any claim interleaving — is bitwise what it is alone
+// (PredictEncoded).
 func TestPredictEncodedBatchBitwise(t *testing.T) {
 	tr, ds := trainTiny(t)
 	alone := make(map[*stage.Encoded]float64, len(ds.Samples))
@@ -49,6 +50,8 @@ func TestPredictEncodedBatchBitwise(t *testing.T) {
 		"reversed": reversed,
 		"pair":     {pool[len(pool)-1], pool[0]},
 		"long":     long,
+		"repeats":  {pool[2], pool[0], pool[2], pool[2], pool[1], pool[0], pool[2]},
+		"one":      {pool[3], pool[3], pool[3], pool[3], pool[3]},
 	}
 	for name, es := range batches {
 		for _, workers := range []int{1, 2, 0} {

@@ -44,11 +44,11 @@ type TrainConfig struct {
 	Patience  int  // early-stopping patience in epochs (paper: 200)
 	Loss      Loss // paper: MAE
 	Seed      int64
-	// Workers bounds the goroutines a minibatch's graphs, and the
-	// validation and final-loss samples, fan across: 0 = GOMAXPROCS, 1 =
-	// serial. Any setting produces bitwise-identical results — per-graph
-	// gradient parts and losses fold through trees whose shapes depend on
-	// the batch and index set alone.
+	// Workers bounds the goroutines a minibatch's distinct graphs, and the
+	// validation and final-loss samples' distinct graphs, fan across: 0 =
+	// GOMAXPROCS, 1 = serial. Any setting produces bitwise-identical
+	// results — per-position gradient parts and losses fold through trees
+	// whose shapes depend on the batch and index set alone.
 	Workers int
 	// Prof, when non-nil, receives hierarchical phase spans
 	// (train → data / batch{sample, step} / eval) with per-layer
@@ -123,14 +123,16 @@ type Trained struct {
 // the untouched model; an empty valIdx disables early stopping, keeps the
 // final-epoch weights, and reports the final training loss as BestValLoss.
 //
-// Each graph of a minibatch runs forward and backward on its own tape, and
-// the graphs fan across cfg.Workers worker tapes, claimed largest first so a
-// big graph never starts last. Every tape writes its parameter-gradient part
-// into the graph's slot of one ag.PanelGrads, which folds them into
-// Param.Grad through a tree fixed by the batch size alone. Evaluation runs
-// one sample per iteration on the same tapes, and its losses fold through a
-// fixed-shape tree. Every cfg.Workers setting and claim order therefore
-// yields bitwise-identical weights.
+// Each distinct graph (*stage.Encoded) of a minibatch runs forward and
+// backward on its own tape, the graphs fanned across cfg.Workers worker
+// tapes, claimed largest first so a big graph never starts last. Each
+// position's gradient part lands in its slot of one ag.PanelGrads, which
+// folds them into Param.Grad through a tree fixed by the batch size alone;
+// under MAE a duplicate copies the slot of a run in its ag.AbsCase (see
+// runGroup). Evaluation runs one forward per distinct graph, and its
+// per-sample losses fold through a fixed-shape tree. Every cfg.Workers
+// setting and claim order therefore yields bitwise-identical weights, equal
+// to one run per sample.
 func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainConfig) (Trained, TrainResult) {
 	cfg = cfg.withDefaults()
 	start := time.Now()
@@ -177,27 +179,29 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 	evalLen := max(len(valIdx), len(trainIdx))
 	evalVals := make([]float64, evalLen)
 	// claim holds a fan-out's graph positions in the order workers take
-	// them (see largestFirst).
+	// them, next the later positions of each one's graph (see claimGraphs).
 	claim := make([]int, max(batchCap, evalLen))
+	next := make([]int, len(claim))
 
-	// lossOf evaluates forward-only, one sample per iteration; the losses
-	// fold through a tree whose shape depends on len(idx) alone.
+	// lossOf scores every sample by one forward of its distinct graph; the
+	// losses fold through a tree whose shape depends on len(idx) alone.
 	lossOf := func(idx []int) float64 {
 		if len(idx) == 0 {
 			return 0
 		}
 		es := trainSpan.Start("eval")
 		vals := evalVals[:len(idx)]
-		claims := largestFirst(claim[:len(idx)], func(k int) int { return ds.Samples[idx[k]].Encoded.N() })
-		parallel.ForLimit(len(idx), cfg.Workers, func(j int) {
-			k := claims[j]
+		lead := claimGraphs(claim[:len(idx)], next, func(k int) *stage.Encoded { return ds.Samples[idx[k]].Encoded }, true)
+		parallel.ForLimit(len(lead), cfg.Workers, func(j int) {
+			k := lead[j]
 			ctx := <-tapes
-			s := ds.Samples[idx[k]]
 			ss := es.Start("sample")
 			ctx.Reset()
 			ctx.SetSpan(ss)
-			pred := model.Predict(ctx, s.Encoded).Value().Data[0]
-			vals[k] = sampleLoss(pred, s.Measured/scale, cfg.Loss)
+			pred := model.Predict(ctx, ds.Samples[idx[k]].Encoded).Value().Data[0]
+			for ; k >= 0; k = next[k] {
+				vals[k] = sampleLoss(pred, ds.Samples[idx[k]].Measured/scale, cfg.Loss)
+			}
 			ss.End()
 			tapes <- ctx
 		})
@@ -212,13 +216,12 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 	bad := 0
 	res := TrainResult{Scale: scale}
 
-	// runGraph runs graph k of the minibatch on a worker tape: forward, its
-	// loss into lossVals[k], and backward into slot k of grads. The loss is
-	// not mean-reduced: slot k holds the gradient of graph k's own loss,
-	// Param.Grad their tree sum after grads.Fold, and the 1/len(batch) mean
-	// is applied after (ScaleGrads below).
-	runGraph := func(batch []int, k int, bs obs.Span) {
-		ctx := <-tapes
+	// runGraph runs graph k of the minibatch on tape ctx: forward, its loss
+	// into lossVals[k], and backward into slot k of grads, and returns the
+	// prediction. The loss is not mean-reduced: slot k holds the gradient of
+	// graph k's own loss, Param.Grad their tree sum after grads.Fold, and the
+	// 1/len(batch) mean is applied after (ScaleGrads below).
+	runGraph := func(ctx *ag.Context, batch []int, k int, bs obs.Span) float64 {
 		ctx.Reset()
 		ctx.RouteGrads(grads, k)
 		s := ds.Samples[batch[k]]
@@ -240,6 +243,30 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 		lossVals[k] = loss.Value().Data[0]
 		ctx.BackwardVec(loss)
 		ss.End()
+		return pred.Value().Data[0]
+	}
+
+	// runGroup runs position k's graph on one worker tape, then settles the
+	// graph's later positions (next; none under MSE, whose gradient depends
+	// on the target). Under MAE the gradient reaching pred is ±1 or 0 by
+	// pred − target's ag.AbsCase, so a position in a case already run copies
+	// that slot, the bits its own backward would write.
+	runGroup := func(batch []int, k int, bs obs.Span) {
+		ctx := <-tapes
+		pred := runGraph(ctx, batch, k, bs)
+		ran := [3]int{-1, -1, -1} // the position run in each case, by case+1
+		ran[ag.AbsCase(pred-ds.Samples[batch[k]].Measured/scale)+1] = k
+		for m := next[k]; m >= 0; m = next[m] {
+			target := ds.Samples[batch[m]].Measured / scale
+			c := ag.AbsCase(pred-target) + 1
+			if ran[c] < 0 {
+				runGraph(ctx, batch, m, bs)
+				ran[c] = m
+				continue
+			}
+			lossVals[m] = sampleLoss(pred, target, MAE)
+			grads.CopySlot(m, ran[c])
+		}
 		tapes <- ctx
 	}
 
@@ -257,8 +284,8 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 			}
 			batch := order[lo:hi]
 			bs := trainSpan.Start("batch")
-			claims := largestFirst(claim[:len(batch)], func(k int) int { return ds.Samples[batch[k]].Encoded.N() })
-			parallel.ForLimit(len(batch), cfg.Workers, func(j int) { runGraph(batch, claims[j], bs) })
+			lead := claimGraphs(claim[:len(batch)], next, func(k int) *stage.Encoded { return ds.Samples[batch[k]].Encoded }, cfg.Loss == MAE)
+			parallel.ForLimit(len(lead), cfg.Workers, func(j int) { runGroup(batch, lead[j], bs) })
 			st := bs.Start("step")
 			grads.Fold(len(batch))
 			optim.ScaleGrads(params, 1/float64(len(batch)))
@@ -323,17 +350,31 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 	return Trained{Model: model, Scale: scale}, res
 }
 
-// largestFirst fills claim with the positions 0..len(claim)-1 in descending
-// node count, ties in position order, and returns it: the order a fan-out's
-// workers claim graphs in. Attention costs n², so a big graph claimed last
-// would leave every other worker idle at the barrier. Each graph still writes
-// the slot of its own position, so the order moves no result bit.
-func largestFirst(claim []int, nodes func(k int) int) []int {
+// claimGraphs fills claim with the positions 0..len(claim)-1 in descending
+// node count, ties in position order, and returns its prefix of each distinct
+// graph's first position: the order a fan-out's workers claim graphs in.
+// Attention costs n², so a big graph claimed last would leave every other
+// worker idle at the barrier. next[k] becomes the following position of k's
+// graph, -1 after its last; with share false every position is its own
+// graph. Each position still writes its own slot, so the order moves no
+// result bit.
+func claimGraphs(claim, next []int, graph func(k int) *stage.Encoded, share bool) []int {
 	for k := range claim {
 		claim[k] = k
 	}
-	slices.SortStableFunc(claim, func(a, b int) int { return nodes(b) - nodes(a) })
-	return claim
+	slices.SortStableFunc(claim, func(a, b int) int { return graph(b).N() - graph(a).N() })
+	last := make(map[*stage.Encoded]int, len(claim))
+	lead := claim[:0]
+	for _, k := range claim {
+		next[k] = -1
+		if j, ok := last[graph(k)]; ok && share {
+			next[j] = k
+		} else {
+			lead = append(lead, k)
+		}
+		last[graph(k)] = k
+	}
+	return lead
 }
 
 // predictTapes recycles forward-only tapes across predictions; a tape goes
@@ -356,14 +397,19 @@ func (t Trained) PredictEncoded(e *stage.Encoded) float64 {
 }
 
 // PredictEncodedBatch predicts a batch of encoded stage graphs, one
-// PredictEncoded per graph fanned across workers (0 = GOMAXPROCS, 1 =
-// serial) and claimed largest first. Each out[i] depends on es[i] alone, so
-// it is bitwise identical at any worker count. Evaluate drives it.
+// PredictEncoded per distinct pointer fanned across workers (0 = GOMAXPROCS,
+// 1 = serial) and claimed largest first, copied to every position holding
+// it. Each out[i] depends on es[i] alone, so it is bitwise identical at any
+// worker count. Evaluate drives it.
 func (t Trained) PredictEncodedBatch(es []*stage.Encoded, workers int) []float64 {
 	out := make([]float64, len(es))
-	claims := largestFirst(make([]int, len(es)), func(k int) int { return es[k].N() })
-	parallel.ForLimit(len(es), workers, func(j int) {
-		out[claims[j]] = t.PredictEncoded(es[claims[j]])
+	next := make([]int, len(es))
+	lead := claimGraphs(make([]int, len(es)), next, func(k int) *stage.Encoded { return es[k] }, true)
+	parallel.ForLimit(len(lead), workers, func(j int) {
+		p := t.PredictEncoded(es[lead[j]])
+		for k := lead[j]; k >= 0; k = next[k] {
+			out[k] = p
+		}
 	})
 	return out
 }

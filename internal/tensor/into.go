@@ -212,19 +212,36 @@ func MatMulATInto(dst, a, b *Tensor) {
 }
 
 // matmulATAccum is the one Aᵀ·B kernel: dd's row p accumulates
-// Σ_i a[i][p] · b row i in ascending i, every term added. Where the block
-// kernel takes b's width (blockKernels) each full block of four input rows
-// runs atBlockAVX2; the last a.R%4 rows, and every row of a width it does
-// not take, run atAccumRow, which adds the same terms in the same order.
+// Σ_i a[i][p] · b row i in ascending i, every term added. Each full block of
+// four input rows runs atBlockAVX2 where it takes b's width (blockKernels)
+// and atBlock elsewhere; the last a.R%4 rows run atAccumRow. All three add
+// the same terms in the same order.
 func matmulATAccum(dd []float64, a, b *Tensor) {
 	i := 0
-	if blockKernels(b.C) {
-		for ; i+blockRows <= a.R; i += blockRows {
+	for ; i+blockRows <= a.R; i += blockRows {
+		if blockKernels(b.C) {
 			atBlockAVX2(dd, b.C, a.Data[i*a.C:], a.C, b.Data[i*b.C:], b.C)
+		} else {
+			atBlock(dd, b.C, a.Data[i*a.C:], a.C, b.Data[i*b.C:], b.C)
 		}
 	}
 	for ; i < a.R; i++ {
 		atAccumRow(dd, b.C, a.Row(i), b.Row(i))
+	}
+}
+
+// atBlock is atBlockAVX2 in Go, for any width w: four input rows at once,
+// each element adding the rows' products in ascending row order, the chain
+// of four atAccumRow calls.
+func atBlock(dd []float64, w int, a []float64, lda int, b []float64, ldb int) {
+	a0, a1, a2, a3 := a[:lda], a[lda:][:lda], a[2*lda:][:lda], a[3*lda:][:lda]
+	b0, b1, b2, b3 := b[:w], b[ldb:][:w], b[2*ldb:][:w], b[3*ldb:][:w]
+	for p, c0 := range a0 {
+		c1, c2, c3 := a1[p], a2[p], a3[p]
+		row := dd[p*w:][:w]
+		for j, v0 := range b0 {
+			row[j] = row[j] + c0*v0 + c1*b1[j] + c2*b2[j] + c3*b3[j]
+		}
 	}
 }
 

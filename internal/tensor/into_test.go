@@ -216,7 +216,7 @@ func TestSoftmaxRowsMaskedMatchesNaive(t *testing.T) {
 
 // TestTransposeBlockedMatchesNaive: Aᵀ·I through the weight-gradient kernel
 // is the transpose, bit for bit (every product is a value times 1 or times
-// 0). matmulATAccum consumes input rows in blocks of four, then two, then one,
+// 0). matmulATAccum consumes input rows in blocks of four, then one at a time,
 // so the shapes include row counts on both sides of every block edge and the
 // degenerate ones.
 func TestTransposeBlockedMatchesNaive(t *testing.T) {
