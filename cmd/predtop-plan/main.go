@@ -25,8 +25,9 @@
 // shared flags documented in package internal/cli; -seed 0 keeps the
 // preset's seed, and progress goes to stderr (the report always prints).
 // -profile is the search's wall-clock record — planner phases (one estimate
-// span over all of a search's lookups), embedded predictor training, plan
-// evaluation; -trace holds the same spans as a timeline plus the simulated 1F1B schedule
+// span over all of a search's lookups), embedded predictor training, each
+// PredTOP provider's answer table (planner.answers, its predict child
+// counting the forwards, which run before the search), plan evaluation; -trace holds the same spans as a timeline plus the simulated 1F1B schedule
 // of each feasible plan; the manifest holds each feasible plan's whole
 // provenance report (stages, search, cost, Eqn-4 decomposition, predictor
 // fingerprint). Fan-out width is GOMAXPROCS.

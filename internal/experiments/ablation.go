@@ -88,18 +88,26 @@ func RunAblation(p Preset, bench Benchmark, platform cluster.Platform, frac floa
 }
 
 // maskAblated clones the dataset with the DAGRA mask opened and/or depths
-// zeroed, leaving labels and splits identical.
+// zeroed, leaving labels and splits identical. Samples that share an
+// encoding share its ablated copy, so training still runs each distinct
+// graph once per minibatch.
 func maskAblated(ds *predictor.Dataset, openMask, zeroDepth bool) *predictor.Dataset {
 	out := &predictor.Dataset{Model: ds.Model, Scenario: ds.Scenario}
+	ablated := map[*stage.Encoded]*stage.Encoded{}
 	for _, s := range ds.Samples {
-		enc := *s.Encoded
-		if openMask {
-			enc.ReachMask = tensor.New(s.Encoded.ReachMask.R, s.Encoded.ReachMask.C)
+		enc, ok := ablated[s.Encoded]
+		if !ok {
+			c := *s.Encoded
+			if openMask {
+				c.ReachMask = tensor.New(s.Encoded.ReachMask.R, s.Encoded.ReachMask.C)
+			}
+			if zeroDepth {
+				c.Depths = make([]int, len(s.Encoded.Depths))
+			}
+			enc = &c
+			ablated[s.Encoded] = enc
 		}
-		if zeroDepth {
-			enc.Depths = make([]int, len(s.Encoded.Depths))
-		}
-		s.Encoded = &enc
+		s.Encoded = enc
 		out.Samples = append(out.Samples, s)
 	}
 	return out

@@ -9,9 +9,11 @@ import (
 
 	"predtop/internal/cluster"
 	"predtop/internal/graphnn"
+	"predtop/internal/models"
 	"predtop/internal/planner"
 	"predtop/internal/predictor"
 	"predtop/internal/sim"
+	"predtop/internal/stage"
 )
 
 // micro is a minimal preset for fast end-to-end harness tests.
@@ -279,6 +281,47 @@ func TestRunAblationEndToEnd(t *testing.T) {
 	}
 	if out := RenderAblation("GPT-3", rows); !strings.Contains(out, "no-DAGRA") {
 		t.Fatal("ablation render incomplete")
+	}
+}
+
+// TestMaskAblatedKeepsSharedEncodings checks the mask and depth ablations
+// copy each distinct encoding once: samples of one stage class share their
+// ablated copy as they shared the original, so training still runs each
+// distinct graph once per minibatch, and no ablated copy aliases an original.
+func TestMaskAblatedKeepsSharedEncodings(t *testing.T) {
+	bench := micro().Benchmarks()[0]
+	mdl := models.Build(bench.Config)
+	specs := stage.AllSpecs(mdl.NumSegments(), 3)
+	ds := predictor.BuildDataset(predictor.NewEncoder(mdl, true), specs,
+		cluster.Scenarios(cluster.Platform1())[0], sim.DefaultProfiler())
+	distinct := func(ds *predictor.Dataset) map[*stage.Encoded]bool {
+		set := map[*stage.Encoded]bool{}
+		for _, s := range ds.Samples {
+			set[s.Encoded] = true
+		}
+		return set
+	}
+	orig := distinct(ds)
+	if len(orig) >= len(ds.Samples) {
+		t.Fatalf("%d samples of %d distinct encodings: no class is shared", len(ds.Samples), len(orig))
+	}
+	for _, v := range []struct{ openMask, zeroDepth bool }{{true, false}, {false, true}} {
+		ab := maskAblated(ds, v.openMask, v.zeroDepth)
+		got := distinct(ab)
+		if len(got) != len(orig) {
+			t.Fatalf("%+v: %d distinct ablated encodings, want %d as in the original", v, len(got), len(orig))
+		}
+		for e := range got {
+			if orig[e] {
+				t.Fatalf("%+v: an ablated sample holds an original encoding", v)
+			}
+		}
+		for i, s := range ab.Samples {
+			o := ds.Samples[i]
+			if s.Spec != o.Spec || s.Measured != o.Measured || s.Encoded.X != o.Encoded.X {
+				t.Fatalf("%+v: sample %d changed beyond its mask and depths", v, i)
+			}
+		}
 	}
 }
 

@@ -6,10 +6,14 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
+	"time"
 
 	"predtop/internal/cluster"
 	"predtop/internal/graphnn"
+	"predtop/internal/ir"
 	"predtop/internal/models"
+	"predtop/internal/obs"
 	"predtop/internal/parallel"
 	"predtop/internal/predictor"
 	"predtop/internal/sim"
@@ -186,7 +190,11 @@ type PredictorOptions struct {
 	// training data (§VI: "only selects a subset of stages"), in (0, 1]; it
 	// has no default. The sample is never smaller than 8 stages.
 	SampleFrac float64
-	// MaxStageLen bounds the stage universe (must match planner Options).
+	// MaxStageLen bounds the stage universe, whose every (stage, mesh)
+	// answer is predicted before the search starts; it should match the
+	// planner's Options.MaxStageLen. A larger cap runs forwards the search
+	// never asks for, a smaller one leaves the longer stages to be predicted
+	// one lookup at a time.
 	MaxStageLen int
 	// Train configures each per-scenario training; its Seed is overridden
 	// per scenario. The trainings run concurrently and share Train.Prof and
@@ -204,12 +212,14 @@ type PredictorOptions struct {
 
 // TrainPredictorProvider implements PredTOP's workflow (§VI): profile a
 // sampled subset of stages on every (mesh, configuration), train one
-// predictor per (mesh, configuration), and answer planner queries with
-// predictions as the search asks for them (taking the best configuration per
-// mesh, with an analytic memory-feasibility screen). Profiling, training, and
-// inference costs are charged to meter. The per-scenario trainings run
-// concurrently across GOMAXPROCS; weights, meter and answers are bitwise the
-// same at any GOMAXPROCS.
+// predictor per (mesh, configuration), then predict the answer to every
+// query the search can ask — each stage of the universe on each mesh, the
+// best configuration behind an analytic memory-feasibility screen — before
+// returning (see predictedLatency). Profiling, training, and inference costs
+// are charged to meter, an inference per lookup as the search asks. The
+// per-scenario trainings and the forwards run concurrently across
+// GOMAXPROCS; weights, meter and answers are bitwise the same at any
+// GOMAXPROCS.
 func TrainPredictorProvider(mdl *models.Model, p cluster.Platform, opt PredictorOptions, prof sim.Profiler, meter *Meter) LatencyFn {
 	rng := rand.New(rand.NewSource(opt.Seed + 1))
 	universe := stage.AllSpecs(mdl.NumSegments(), opt.MaxStageLen)
@@ -260,7 +270,6 @@ func TrainPredictorProvider(mdl *models.Model, p cluster.Platform, opt Predictor
 		j.tr, j.res = predictor.Train(j.model, j.ds, j.trainIdx, j.valIdx, j.cfg)
 	})
 
-	type scKey struct{ mesh, conf int }
 	trained := map[scKey]predictor.Trained{}
 	// inOrder holds the same predictors in cluster.Scenarios order for the
 	// weight fingerprint: the map's own iteration order is randomized. The
@@ -284,9 +293,24 @@ func TrainPredictorProvider(mdl *models.Model, p cluster.Platform, opt Predictor
 		}
 	}
 
-	// The memory screen and the forward depend only on the stage class, so
-	// each (class, mesh) is answered once; every spec of the class still
-	// charges one inference per configuration that passed the screen.
+	return predictedLatency(mdl, cluster.Meshes(p), universe, trained, lab, enc, opt.Train.Prof, meter)
+}
+
+// scKey names one scenario's trained predictor by its mesh and configuration
+// indices.
+type scKey struct{ mesh, conf int }
+
+// predictedLatency answers lookups from the predictors in trained, keyed by
+// scenario: a (spec, mesh) pair's latency is the least prediction over the
+// mesh's configurations whose predictor exists and whose memory screen on
+// the spec's training graph passes. The screen and the forward depend only on
+// the stage class, so the answers are a table of (class, mesh), filled for
+// every pair of universe × meshes before it returns: the search asks for
+// exactly those. Every spec of a class still charges one inference per
+// configuration that passed the screen. prof receives one planner.answers
+// span per fill, its predict child counting the forwards.
+func predictedLatency(mdl *models.Model, meshes []cluster.Mesh, universe []stage.Spec, trained map[scKey]predictor.Trained,
+	lab *predictor.Labeler, enc *predictor.Encoder, prof *obs.Profiler, meter *Meter) LatencyFn {
 	type answerKey struct {
 		class models.StageClass
 		mesh  int
@@ -296,27 +320,99 @@ func TrainPredictorProvider(mdl *models.Model, p cluster.Platform, opt Predictor
 		infer int
 	}
 	answers := map[answerKey]answer{}
+	// fill answers every (class of specs, mesh of ms) pair the table lacks.
+	// The training graphs of the memory screen are built serially (the
+	// Labeler is not safe for concurrent use), the encodings one class per
+	// worker, and the forwards fan out largest first, each into its own
+	// slot. Each pair then folds its configurations in cluster.ConfigsFor
+	// order, so no answer depends on the schedule.
+	fill := func(specs []stage.Spec, ms []cluster.Mesh) {
+		span := prof.Start("planner.answers")
+		defer span.End()
+		type class struct {
+			sp  stage.Spec
+			enc *stage.Encoded
+		}
+		type pair struct {
+			key        answerKey
+			start, end int // its forwards, items[start:end]
+		}
+		type forward struct {
+			class int
+			tr    predictor.Trained
+			pred  float64
+		}
+		var classes []class
+		var pairs []pair
+		var items []forward
+		seen := map[models.StageClass]bool{}
+		for _, sp := range specs {
+			c := mdl.StageClass(sp.Lo, sp.Hi)
+			if seen[c] {
+				continue
+			}
+			seen[c] = true
+			var g *ir.Graph
+			for _, mesh := range ms {
+				k := answerKey{c, mesh.Index}
+				if _, ok := answers[k]; ok {
+					continue
+				}
+				if g == nil {
+					g = lab.TrainingGraph(sp)
+					classes = append(classes, class{sp: sp})
+				}
+				pr := pair{key: k, start: len(items)}
+				for _, conf := range cluster.ConfigsFor(mesh) {
+					tr, ok := trained[scKey{mesh.Index, conf.Index}]
+					if ok && sim.NewExec(cluster.Scenario{Mesh: mesh, Config: conf}).FitsMemory(g) {
+						items = append(items, forward{class: len(classes) - 1, tr: tr})
+					}
+				}
+				pr.end = len(items)
+				pairs = append(pairs, pr)
+			}
+		}
+		parallel.For(len(classes), func(i int) { classes[i].enc = enc.Encode(classes[i].sp) })
+
+		order := make([]int, len(items))
+		for i := range order {
+			order[i] = i
+		}
+		size := func(i int) int { return classes[items[i].class].enc.N() }
+		slices.SortStableFunc(order, func(a, b int) int { return size(b) - size(a) })
+		var began time.Time
+		if span.Enabled() {
+			began = time.Now()
+		}
+		parallel.For(len(order), func(i int) {
+			it := &items[order[i]]
+			it.pred = it.tr.PredictEncoded(classes[it.class].enc)
+		})
+		if span.Enabled() {
+			span.Record("predict", time.Since(began), int64(len(items)))
+		}
+
+		for _, pr := range pairs {
+			a := answer{best: math.Inf(1), infer: pr.end - pr.start}
+			for _, it := range items[pr.start:pr.end] {
+				if it.pred < a.best {
+					a.best = it.pred
+				}
+			}
+			answers[pr.key] = a
+		}
+	}
+	fill(universe, meshes)
+
+	// A lookup outside universe × meshes answers its own pair through the
+	// same fill.
 	return memoized(meter, func(sp stage.Spec, mesh cluster.Mesh) float64 {
 		k := answerKey{mdl.StageClass(sp.Lo, sp.Hi), mesh.Index}
 		a, ok := answers[k]
 		if !ok {
-			g := lab.TrainingGraph(sp)
-			encoded := enc.Encode(sp)
-			a.best = math.Inf(1)
-			for _, conf := range cluster.ConfigsFor(mesh) {
-				tr, ok := trained[scKey{mesh.Index, conf.Index}]
-				if !ok {
-					continue
-				}
-				if !sim.NewExec(cluster.Scenario{Mesh: mesh, Config: conf}).FitsMemory(g) {
-					continue
-				}
-				if pred := tr.PredictEncoded(encoded); pred < a.best {
-					a.best = pred
-				}
-				a.infer++
-			}
-			answers[k] = a
+			fill([]stage.Spec{sp}, []cluster.Mesh{mesh})
+			a = answers[k]
 		}
 		for range a.infer {
 			meter.InferSeconds += simInferSeconds

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,26 +19,42 @@ import (
 	"predtop/internal/stage"
 )
 
+// spanCounts returns the invocation count of every span in prof's profile
+// tree, keyed by its path ("planner.answers/predict").
+func spanCounts(t *testing.T, prof *obs.Profiler) map[string]int64 {
+	t.Helper()
+	var buf strings.Builder
+	if err := prof.WriteProfileTree(&buf); err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int64{}
+	var path []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		depth := (len(line) - len(strings.TrimLeft(line, " "))) / 2
+		f := strings.Fields(line)
+		n, err := strconv.ParseInt(f[len(f)-1], 10, 64)
+		if err != nil || depth > len(path) {
+			t.Fatalf("profile line %q: %v", line, err)
+		}
+		path = append(path[:depth], f[0])
+		counts[strings.Join(path, "/")] += n
+	}
+	return counts
+}
+
 // graphsBuilt returns how many StageGraph calls mdl has served since its
 // profiler was attached: every call, forward or training, records one
 // stage_graph[lo:hi) span, and the profile tree carries the counts.
 func graphsBuilt(t *testing.T, mdl *models.Model) int {
 	t.Helper()
-	var buf strings.Builder
-	if err := mdl.Prof.WriteProfileTree(&buf); err != nil {
-		t.Fatal(err)
-	}
 	total := 0
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if !strings.HasPrefix(line, "stage_graph[") {
-			continue
+	for path, n := range spanCounts(t, mdl.Prof) {
+		if strings.HasPrefix(path, "stage_graph[") && !strings.Contains(path, "/") {
+			total += int(n)
 		}
-		f := strings.Fields(line)
-		n, err := strconv.Atoi(f[len(f)-1])
-		if err != nil {
-			t.Fatalf("profile line %q: %v", line, err)
-		}
-		total += n
 	}
 	return total
 }
@@ -45,10 +62,12 @@ func graphsBuilt(t *testing.T, mdl *models.Model) int {
 // TestGraphsBuiltPerUnitOfWork pins what the labeling path pays in stage-graph
 // constructions, the dominant cost of a lookup. Work is keyed by stage class:
 // a profiled miss on a new class builds its training graph once whatever the
-// mesh's configuration count, a predicted miss on a new class builds the
-// training graph for the memory screen and the forward graph the predictor
-// reads, provider construction builds one training and one forward graph per
-// sampled class, and a miss on a spec of an already-built class builds
+// mesh's configuration count, provider construction builds one training and
+// one forward graph per class of the universe (sampled or not: the answer
+// table screens and predicts them all), a search over the universe then
+// builds nothing and runs no forward, a predicted miss outside the universe
+// builds the training graph for the memory screen and the forward graph the
+// predictor reads, and a miss on a spec of an already-built class builds
 // nothing. The meter still moves per spec exactly as labeling each spec from
 // scratch does, and a repeated query builds and charges nothing. Ground truth
 // pays the same way: EvaluatePlan builds one training graph per class of the
@@ -128,7 +147,7 @@ func TestGraphsBuiltPerUnitOfWork(t *testing.T) {
 	predMesh := cluster.Meshes(p)[1]
 	pred(long, predMesh)
 	if got := graphsBuilt(t, mdl) - built; got != 2 {
-		t.Fatalf("one lazy predictor miss built %d stage graphs, want 2 (memory screen + encoder)", got)
+		t.Fatalf("one predictor miss outside the universe built %d stage graphs, want 2 (memory screen + encoder)", got)
 	}
 	charged = *meter
 	pred(long, predMesh)
@@ -154,6 +173,60 @@ func TestGraphsBuiltPerUnitOfWork(t *testing.T) {
 	}
 	if *meter != charged {
 		t.Fatalf("a predictor miss on a built class charged %+v, want %+v", *meter, charged)
+	}
+
+	// A sample smaller than the universe: construction still builds both
+	// graphs of every class of the universe, and the answer table runs every
+	// forward before the search starts, so the search builds nothing and its
+	// lookups leave the planner.answers span alone. Eight sampled specs
+	// cannot reach the universe's classes.
+	mdl = tinyModel()
+	mdl.Prof = obs.NewProfiler()
+	trainProf := obs.NewProfiler()
+	const sampledLen = 4
+	pred = TrainPredictorProvider(mdl, p, PredictorOptions{
+		Kind:        KindTransformer,
+		SampleFrac:  0.2,
+		MaxStageLen: sampledLen,
+		Train:       predictor.TrainConfig{Epochs: 1, Patience: 1, BatchSize: 8, Prof: trainProf},
+		Tran:        graphnn.TransformerConfig{Layers: 1, Dim: 16, Heads: 2},
+		Seed:        1,
+	}, prof, &Meter{})
+	universe = stage.AllSpecs(mdl.NumSegments(), sampledLen)
+	classes = map[models.StageClass]bool{}
+	for _, u := range universe {
+		classes[mdl.StageClass(u.Lo, u.Hi)] = true
+	}
+	if len(classes) <= 8 || float64(len(universe))*0.2 >= 8 {
+		t.Fatalf("a sample of 8 specs could reach all %d classes of %d specs", len(classes), len(universe))
+	}
+	built = graphsBuilt(t, mdl)
+	if want := 2 * len(classes); built != want {
+		t.Fatalf("sampled provider construction built %d stage graphs, want %d (%d universe classes)", built, want, len(classes))
+	}
+	spans := spanCounts(t, trainProf)
+	if spans["planner.answers"] != 1 || spans["planner.answers/predict"] == 0 {
+		t.Fatalf("construction recorded planner.answers %d times over %d forwards, want once over some",
+			spans["planner.answers"], spans["planner.answers/predict"])
+	}
+	if _, ok := Optimize(mdl.NumSegments(), p, pred, Options{MaxStageLen: sampledLen}); !ok {
+		t.Fatal("no plan over the sampled provider")
+	}
+	if got := graphsBuilt(t, mdl) - built; got != 0 {
+		t.Fatalf("a search over the universe built %d stage graphs, want 0", got)
+	}
+	if after := spanCounts(t, trainProf); after["planner.answers"] != spans["planner.answers"] ||
+		after["planner.answers/predict"] != spans["planner.answers/predict"] {
+		t.Fatalf("a search over the universe moved the answer spans: %d fills and %d forwards, were %d and %d",
+			after["planner.answers"], after["planner.answers/predict"], spans["planner.answers"], spans["planner.answers/predict"])
+	}
+	long = stage.Spec{Lo: 1, Hi: sampledLen + 3}
+	pred(long, predMesh)
+	if got := graphsBuilt(t, mdl) - built; got != 2 {
+		t.Fatalf("a sampled provider's miss outside the universe built %d stage graphs, want 2", got)
+	}
+	if after := spanCounts(t, trainProf); after["planner.answers"] != spans["planner.answers"]+1 {
+		t.Fatalf("a miss outside the universe recorded %d fills, want one more than %d", after["planner.answers"], spans["planner.answers"])
 	}
 
 	// Ground truth: EvaluatePlan builds one training graph per stage class of
@@ -218,6 +291,74 @@ func TestGraphsBuiltPerUnitOfWork(t *testing.T) {
 	want := len(classesOf(reached))
 	if built := graphsBuilt(t, mdl); built != want || len(reached) <= want {
 		t.Fatalf("20 random draws reached %d stages of %d classes and built %d stage graphs", len(reached), want, built)
+	}
+}
+
+// TestPredictedLatencyIsTheLeastPrediction holds every lookup of the answer
+// table, over the universe × meshes and one spec outside the universe, to a
+// reference computed here from the primitives: the least PredictEncoded over
+// the mesh's configurations whose predictor exists and whose training graph
+// fits in memory, with ok false when none does. The predictors are untrained
+// models of distinct seeds; on the second mesh their predictions cross, so
+// the least is not always the first configuration's. Two scenarios are left
+// without one, as when a sample is too small to train: the first mesh then
+// has no answer, and the last keeps two of its three configurations.
+func TestPredictedLatencyIsTheLeastPrediction(t *testing.T) {
+	mdl := tinyModel()
+	p := cluster.Platform2()
+	meshes := cluster.Meshes(p)
+	const maxLen = 3
+	universe := stage.AllSpecs(mdl.NumSegments(), maxLen)
+	trained := map[scKey]predictor.Trained{}
+	for i, sc := range cluster.Scenarios(p) {
+		if i == 0 || i == 4 {
+			continue
+		}
+		model := graphnn.NewDAGTransformer(rand.New(rand.NewSource(int64(i+1))),
+			graphnn.TransformerConfig{Layers: 1, Dim: 16, Heads: 2, FFNDim: 32})
+		trained[scKey{sc.Mesh.Index, sc.Config.Index}] = predictor.Trained{Model: model, Scale: 1}
+	}
+	meter := &Meter{}
+	lat := predictedLatency(mdl, meshes, universe, trained,
+		predictor.NewLabeler(mdl, sim.DefaultProfiler()), predictor.NewEncoder(mdl, true), nil, meter)
+
+	ref := func(sp stage.Spec, mesh cluster.Mesh) (float64, bool) {
+		g := mdl.StageGraph(sp.Lo, sp.Hi, true)
+		e := stage.Encode(stage.FromGraph(mdl.StageGraph(sp.Lo, sp.Hi, false), true))
+		best := math.Inf(1)
+		for _, conf := range cluster.ConfigsFor(mesh) {
+			tr, ok := trained[scKey{mesh.Index, conf.Index}]
+			if !ok || !sim.NewExec(cluster.Scenario{Mesh: mesh, Config: conf}).FitsMemory(g) {
+				continue
+			}
+			if pred := tr.PredictEncoded(e); pred < best {
+				best = pred
+			}
+		}
+		return best, !math.IsInf(best, 1)
+	}
+	specs := append(slices.Clip(universe), stage.Spec{Lo: 1, Hi: maxLen + 3})
+	distinct := map[uint64]bool{}
+	unusable := 0
+	for _, sp := range specs {
+		for _, mesh := range meshes {
+			got, gotOK := lat(sp, mesh)
+			want, wantOK := ref(sp, mesh)
+			if math.Float64bits(got) != math.Float64bits(want) || gotOK != wantOK {
+				t.Fatalf("%v on mesh %d: table %v (ok %v), reference %v (ok %v)", sp, mesh.Index, got, gotOK, want, wantOK)
+			}
+			distinct[math.Float64bits(got)] = true
+			if !gotOK {
+				unusable++
+			}
+		}
+	}
+	if len(distinct) < 4 || unusable != len(specs) {
+		t.Fatalf("%d lookups took %d distinct values, %d unusable (want one per spec)",
+			len(specs)*len(meshes), len(distinct), unusable)
+	}
+	if meter.CacheMisses != len(specs)*len(meshes) {
+		t.Fatalf("%d lookups counted %d misses", len(specs)*len(meshes), meter.CacheMisses)
 	}
 }
 
