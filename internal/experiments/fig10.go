@@ -112,12 +112,9 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 	}
 
 	out := make([]PlanRun, len(specs))
-	stats := make([]planner.SearchStats, len(specs))
 	parallel.For(len(specs), func(i int) {
-		runOpts := opts
-		runOpts.Stats = &stats[i]
 		// The search times itself: a planner.optimize span on opts.Prof.
-		plan, ok := planner.Optimize(mdl.NumSegments(), platform, specs[i].latFn, runOpts)
+		plan, ok := planner.Optimize(mdl.NumSegments(), platform, specs[i].latFn, opts)
 		out[i] = PlanRun{Version: specs[i].version, Meter: *specs[i].meter, OK: ok, Plan: plan}
 	})
 
@@ -139,14 +136,12 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 				TraceID:      p.Obs.Ctx.TraceID(),
 				Microbatches: p.Microbatches,
 				Provenance:   sp.info,
-				Search:       &stats[i],
 				Meter:        sp.meter,
 			})
 		}
-		fmt.Fprintf(log, "[fig10 %s] %-13s opt %.0fs (profile %.0fs train %.0fs infer %.0fs, %d profiles, cache %d/%d) iter %.3fs stages %d\n",
+		fmt.Fprintf(log, "[fig10 %s] %-13s opt %.0fs (profile %.0fs train %.0fs infer %.0fs, %d profiles) iter %.3fs stages %d\n",
 			bench.Name, sp.version, sp.meter.Total(), sp.meter.ProfileSeconds, sp.meter.TrainSeconds,
-			sp.meter.InferSeconds, sp.meter.StagesProfiled, sp.meter.CacheHits, sp.meter.CacheHits+sp.meter.CacheMisses,
-			run.iterationLatency(), len(run.Plan.Stages))
+			sp.meter.InferSeconds, sp.meter.StagesProfiled, run.iterationLatency(), len(run.Plan.Stages))
 		// Render each feasible plan's simulated 1F1B schedule as its own set
 		// of trace tracks so plan shapes are comparable side by side.
 		if run.OK {

@@ -6,8 +6,9 @@
 // by a trained latency predictor (PredTOP).
 //
 // Beyond the search itself, the package makes every planner run auditable
-// with two instruments: Optimize fills deterministic search statistics
-// (SearchStats) and times itself on a span profiler (Options.Prof).
+// with two instruments: Optimize returns deterministic search statistics
+// with its plan (Plan.Search) and times itself on a span profiler
+// (Options.Prof).
 // BuildReport turns a plan into a provenance Report (JSON + text) carrying
 // the stats, and WhatIf replays a cached plan against a perturbed cluster
 // without re-searching (DESIGN.md §11). All of it observes only — plans are
@@ -16,7 +17,7 @@ package planner
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"predtop/internal/cluster"
 	"predtop/internal/obs"
@@ -32,6 +33,9 @@ type choicem struct{ hi, mesh int }
 // ok reports whether the pair is usable (fits memory / was profiled).
 type LatencyFn func(sp stage.Spec, mesh cluster.Mesh) (lat float64, ok bool)
 
+// defaultMicrobatches is B in Eqn 4 when a caller gives none.
+const defaultMicrobatches = 16
+
 // Options configures the inter-stage search.
 type Options struct {
 	// Microbatches is B in Eqn 4 (default 16; non-positive selects the
@@ -45,16 +49,11 @@ type Options struct {
 	// folded "tmax" child across the t_max sweep). A nil profiler is a
 	// zero-cost no-op and never alters the plan.
 	Prof *obs.Profiler
-	// Stats, when non-nil, is filled with the search's exploration
-	// statistics. Every field is a deterministic count derived from the
-	// inputs — never a wall-clock reading — so stats can appear in
-	// byte-identical provenance reports. Observation only.
-	Stats *SearchStats
 }
 
 func (o Options) withDefaults() Options {
 	if o.Microbatches <= 0 {
-		o.Microbatches = 16
+		o.Microbatches = defaultMicrobatches
 	}
 	return o
 }
@@ -100,6 +99,10 @@ type Plan struct {
 	// Est is the Eqn-4 iteration latency under the estimates that drove the
 	// search.
 	Est float64
+	// Search is what the search that returned the plan explored, set
+	// whenever Optimize got valid input (also when it found no plan); zero
+	// on a plan no search produced, such as a what-if replay.
+	Search SearchStats
 }
 
 // NumStages returns the pipeline depth.
@@ -107,9 +110,8 @@ func (p Plan) NumStages() int { return len(p.Stages) }
 
 // Optimize searches for the plan minimizing Eqn 4 over all contiguous stage
 // partitions and submesh assignments that exactly tile the cluster's
-// devices. It enumerates the bottleneck latency t_max over all candidate
-// stage latencies and, for each, runs a (segment, devices-remaining) DP
-// minimizing Σtᵢ subject to tᵢ ≤ t_max — Alpa's inter-op formulation.
+// devices: it asks lat for every (stage, mesh) pair once (estimate), then
+// searches only those answers (search).
 //
 // Degenerate input — non-positive numSegments, a platform with no devices,
 // or a nil latency source — is reported as infeasible (ok=false), never a
@@ -129,36 +131,45 @@ func Optimize(numSegments int, p cluster.Platform, lat LatencyFn, opt Options) (
 		Segments: numSegments, Meshes: len(meshes), Devices: totalDev,
 		MaxStageLen: maxLen,
 	}
-	// Every return path below hands the stats to the caller's slot.
-	if opt.Stats != nil {
-		defer func() { *opt.Stats = stats }()
-	}
 
 	root := opt.Prof.Start("planner.optimize")
 	defer root.End()
+	span := root.Start("estimate")
+	est := estimate(numSegments, maxLen, meshes, lat, &stats)
+	span.End()
+	return search(est, meshes, totalDev, opt.Microbatches, stats, root)
+}
 
-	M := len(meshes)
-	est := newEstTable(numSegments, maxLen, M)
-	var candidates []float64
-	estSpan := root.Start("estimate")
+// estimate asks lat for every (stage, mesh) pair of stage.AllSpecs ×
+// meshes, once each and in that order, into a dense table, and counts the
+// lookups by outcome on stats.
+func estimate(numSegments, maxLen int, meshes []cluster.Mesh, lat LatencyFn, stats *SearchStats) estTable {
+	est := newEstTable(numSegments, maxLen, len(meshes))
 	for _, sp := range stage.AllSpecs(numSegments, maxLen) {
 		for mi, mesh := range meshes {
 			stats.LatencyLookups++
-			t, ok := lat(sp, mesh)
-			if ok && t > 0 && !math.IsInf(t, 1) {
+			if t, ok := lat(sp, mesh); ok && t > 0 && !math.IsInf(t, 1) {
 				stats.Feasible++
 				est.v[est.at(sp.Lo, sp.Hi, mi)] = t
-				candidates = append(candidates, t)
 			} else {
 				stats.Infeasible++
 			}
 		}
 	}
-	estSpan.End()
+	return est
+}
+
+// search runs Alpa's inter-op DP over est alone: it enumerates the
+// bottleneck latency t_max over the table's distinct finite entries and, for
+// each, runs a (segment, devices-remaining) DP minimizing Σtᵢ subject to
+// tᵢ ≤ t_max. The returned plan carries stats with the DP's counts added.
+func search(est estTable, meshes []cluster.Mesh, totalDev, microbatches int, stats SearchStats, root obs.Span) (Plan, bool) {
+	candidates := slices.DeleteFunc(slices.Clone(est.v), func(t float64) bool { return math.IsInf(t, 1) })
 	if len(candidates) == 0 {
-		return Plan{}, false
+		return Plan{Search: stats}, false
 	}
-	sort.Float64s(candidates)
+	slices.Sort(candidates)
+	M := len(meshes)
 	devs := make([]int, M)
 	for mi, mesh := range meshes {
 		devs[mi] = mesh.NumDevices()
@@ -166,10 +177,11 @@ func Optimize(numSegments int, p cluster.Platform, lat LatencyFn, opt Options) (
 
 	bestT := math.Inf(1)
 	var bestPlan Plan
-	B := float64(opt.Microbatches - 1)
+	B := float64(microbatches - 1)
 
 	// DP state: f[k*W+d] = min Σt to place segments [k, numSegments) using
 	// exactly d devices; choice[k*W+d] records (hi, meshIdx).
+	numSegments, maxLen := est.segments, est.maxLen
 	W := totalDev + 1
 	f := make([]float64, (numSegments+1)*W)
 	choice := make([]choicem, (numSegments+1)*W)
@@ -225,6 +237,7 @@ func Optimize(numSegments int, p cluster.Platform, lat LatencyFn, opt Options) (
 		it.End()
 	}
 	dpSpan.End()
+	bestPlan.Search = stats
 	return bestPlan, !math.IsInf(bestT, 1)
 }
 
@@ -232,8 +245,8 @@ func Optimize(numSegments int, p cluster.Platform, lat LatencyFn, opt Options) (
 // stage length, mesh): +Inf marks a pair that is unusable or never asked
 // (beyond the length cap or the model's end).
 type estTable struct {
-	v              []float64
-	maxLen, meshes int
+	v                        []float64
+	segments, maxLen, meshes int
 }
 
 func newEstTable(numSegments, maxLen, meshes int) estTable {
@@ -241,7 +254,7 @@ func newEstTable(numSegments, maxLen, meshes int) estTable {
 	for i := range v {
 		v[i] = math.Inf(1)
 	}
-	return estTable{v, maxLen, meshes}
+	return estTable{v, numSegments, maxLen, meshes}
 }
 
 // at returns the index of stage [lo, hi) on mesh mi; the meshes of one stage

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"regexp"
@@ -102,7 +103,9 @@ func bruteForce(numSegments int, p cluster.Platform, lat LatencyFn, B, maxLen in
 // TestOptimizeMatchesBruteForce holds the DP to exhaustive enumeration on
 // both platforms, on a hole-free source and on seeded holey ones, with and
 // without a stage-length cap below the segment count, and pins the search
-// statistics of every case to literals.
+// statistics of every case to literals. It also counts the lookups: the
+// search asks for every pair of stage.AllSpecs × meshes exactly once and for
+// no other pair, which is why no latency source keeps a memo.
 func TestOptimizeMatchesBruteForce(t *testing.T) {
 	p1, p2 := cluster.Platform1(), cluster.Platform2()
 	cases := []struct {
@@ -146,10 +149,24 @@ func TestOptimizeMatchesBruteForce(t *testing.T) {
 		if tc.holeSeed != 0 {
 			lat = holeyLatency(tc.holeSeed, tc.segments, tc.p)
 		}
-		var stats SearchStats
-		plan, ok := Optimize(tc.segments, tc.p, lat, Options{Microbatches: 8, MaxStageLen: tc.maxLen, Stats: &stats})
+		type pair struct{ lo, hi, mesh int }
+		asked := map[pair]int{}
+		counted := func(sp stage.Spec, mesh cluster.Mesh) (float64, bool) {
+			asked[pair{sp.Lo, sp.Hi, mesh.Index}]++
+			return lat(sp, mesh)
+		}
+		plan, ok := Optimize(tc.segments, tc.p, counted, Options{Microbatches: 8, MaxStageLen: tc.maxLen})
 		want := bruteForce(tc.segments, tc.p, lat, 8, tc.maxLen)
 		name := fmt.Sprintf("%s L=%d cap=%d holes=%d", tc.p.Name, tc.segments, tc.maxLen, tc.holeSeed)
+		once := map[pair]int{}
+		for _, sp := range stage.AllSpecs(tc.segments, tc.maxLen) {
+			for _, mesh := range cluster.Meshes(tc.p) {
+				once[pair{sp.Lo, sp.Hi, mesh.Index}] = 1
+			}
+		}
+		if !maps.Equal(asked, once) {
+			t.Errorf("%s: asked %v, want every pair of AllSpecs × meshes once: %v", name, asked, once)
+		}
 		if ok != !math.IsInf(want, 1) {
 			t.Fatalf("%s: DP found a plan %v, brute force best %v", name, ok, want)
 		}
@@ -161,8 +178,8 @@ func TestOptimizeMatchesBruteForce(t *testing.T) {
 				t.Fatalf("%s: stage %v exceeds the cap", name, sp)
 			}
 		}
-		if stats != tc.want {
-			t.Errorf("%s: stats %+v, want %+v", name, stats, tc.want)
+		if plan.Search != tc.want {
+			t.Errorf("%s: stats %+v, want %+v", name, plan.Search, tc.want)
 		}
 	}
 }
@@ -245,11 +262,12 @@ func TestFullProfilingMetersCost(t *testing.T) {
 	if meter.ProfileSeconds <= 0 || meter.StagesProfiled == 0 {
 		t.Fatalf("cost not metered: %+v", meter)
 	}
-	// Memoized: a second query charges nothing more.
-	before := meter.ProfileSeconds
+	// No memo: a second query is profiled and charged again.
+	profiled := meter.StagesProfiled
 	latFn(stage.Spec{Lo: 1, Hi: 3}, mesh)
-	if meter.ProfileSeconds != before {
-		t.Fatal("memoized query re-charged profiling cost")
+	if meter.StagesProfiled != 2*profiled || meter.CacheMisses != 2 {
+		t.Fatalf("a repeated query profiled %d labels after %d, answering %d lookups",
+			meter.StagesProfiled-profiled, profiled, meter.CacheMisses)
 	}
 }
 
@@ -439,13 +457,12 @@ func TestOptimizeValidatesInput(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var stats SearchStats
-			plan, ok := Optimize(tc.segments, tc.platform, tc.lat, Options{Stats: &stats})
+			plan, ok := Optimize(tc.segments, tc.platform, tc.lat, Options{})
 			if ok {
 				t.Fatalf("got a plan from degenerate input: %+v", plan)
 			}
-			if len(plan.Stages) != 0 {
-				t.Fatalf("infeasible result carries stages: %+v", plan)
+			if len(plan.Stages) != 0 || plan.Search != (SearchStats{}) {
+				t.Fatalf("infeasible result carries stages or stats: %+v", plan)
 			}
 		})
 	}
@@ -494,10 +511,10 @@ func TestOptimizeProfiledIdenticalPlan(t *testing.T) {
 }
 
 // TestOptimizeReportedIdenticalPlan is the reported-plan row of the
-// determinism table: running the search with both of its instruments (span
-// profiler, search stats) must yield a plan bitwise identical — stages, meshes, Est, and every StageEst — to a
-// bare run, and the search stats must tally with the exploration the bare
-// run implies.
+// determinism table: running the search under a span profiler must yield a
+// plan bitwise identical — stages, meshes, Est, every StageEst and its search
+// stats — to a bare run, and the search stats must tally with the
+// exploration the bare run implies.
 func TestOptimizeReportedIdenticalPlan(t *testing.T) {
 	p := cluster.Platform2()
 	ref, ok := Optimize(6, p, syntheticLatency, Options{Microbatches: 8})
@@ -506,10 +523,13 @@ func TestOptimizeReportedIdenticalPlan(t *testing.T) {
 	}
 
 	prof := obs.NewProfiler()
-	var stats SearchStats
-	got, ok := Optimize(6, p, syntheticLatency, Options{Microbatches: 8, Prof: prof, Stats: &stats})
+	got, ok := Optimize(6, p, syntheticLatency, Options{Microbatches: 8, Prof: prof})
 	if !ok {
 		t.Fatal("no observed plan")
+	}
+	stats := got.Search
+	if stats != ref.Search {
+		t.Fatalf("telemetry changed the search stats: %+v vs %+v", stats, ref.Search)
 	}
 	if math.Float64bits(got.Est) != math.Float64bits(ref.Est) {
 		t.Fatalf("telemetry changed Est: %v vs %v", got.Est, ref.Est)

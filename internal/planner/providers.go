@@ -29,11 +29,10 @@ type Meter struct {
 	TrainSeconds   float64
 	InferSeconds   float64
 	StagesProfiled int
-	// CacheHits/CacheMisses count the latency source's memoized lookups: a
-	// miss pays the full profile/predict cost, a hit is free. Optimize asks
-	// for every (stage, mesh) pair once, so hits only appear when a caller
-	// reuses one source across searches.
-	CacheHits   int
+	// CacheMisses counts the lookups a source answered, each at its full
+	// profile or predict cost; PartialProfiling's pruned pairs are not
+	// answered. Optimize asks for every (stage, mesh) pair once. The field
+	// keeps its name because the benchmark harness reads it.
 	CacheMisses int
 }
 
@@ -48,28 +47,7 @@ const (
 	simInferSeconds     = 0.002
 )
 
-// memoized turns compute — a latency source's uncached answer for one
-// (stage, mesh) pair, +Inf when the pair is unusable — into a LatencyFn that
-// asks it once per pair and counts the traffic on meter. It is the one memo
-// table and the one place CacheHits/CacheMisses move.
-func memoized(meter *Meter, compute func(sp stage.Spec, mesh cluster.Mesh) float64) LatencyFn {
-	type key struct{ lo, hi, mesh int }
-	memo := map[key]float64{}
-	return func(sp stage.Spec, mesh cluster.Mesh) (float64, bool) {
-		k := key{sp.Lo, sp.Hi, mesh.Index}
-		t, ok := memo[k]
-		if ok {
-			meter.CacheHits++
-		} else {
-			meter.CacheMisses++
-			t = compute(sp, mesh)
-			memo[k] = t
-		}
-		return t, !math.IsInf(t, 1)
-	}
-}
-
-// FullProfiling returns vanilla Alpa's latency source: every queried
+// FullProfiling returns vanilla Alpa's latency source: every query of a
 // (stage, mesh) pair is intra-op-optimized, compiled, and profiled under
 // every Table-III configuration, charging the full cost to meter. The
 // simulated platform pays for every pair; the simulator itself labels each
@@ -78,7 +56,8 @@ func memoized(meter *Meter, compute func(sp stage.Spec, mesh cluster.Mesh) float
 // serially in configuration order.
 func FullProfiling(mdl *models.Model, prof sim.Profiler, meter *Meter) LatencyFn {
 	lab := predictor.NewLabeler(mdl, prof)
-	return memoized(meter, func(sp stage.Spec, mesh cluster.Mesh) float64 {
+	return func(sp stage.Spec, mesh cluster.Mesh) (float64, bool) {
+		meter.CacheMisses++
 		best := math.Inf(1)
 		for _, l := range lab.MeshLabels(sp, mesh) {
 			if !l.OK {
@@ -90,8 +69,8 @@ func FullProfiling(mdl *models.Model, prof sim.Profiler, meter *Meter) LatencyFn
 				best = l.Measured
 			}
 		}
-		return best
-	})
+		return best, !math.IsInf(best, 1)
+	}
 }
 
 // PartialProfiling wraps full profiling with vanilla Alpa's pruning
@@ -306,9 +285,9 @@ type scKey struct{ mesh, conf int }
 // the spec's training graph passes. The screen and the forward depend only on
 // the stage class, so the answers are a table of (class, mesh), filled for
 // every pair of universe × meshes before it returns: the search asks for
-// exactly those. Every spec of a class still charges one inference per
-// configuration that passed the screen. prof receives one planner.answers
-// span per fill, its predict child counting the forwards.
+// exactly those. Every lookup still charges one inference per configuration
+// that passed the screen. prof receives one planner.answers span per fill,
+// its predict child counting the forwards.
 func predictedLatency(mdl *models.Model, meshes []cluster.Mesh, universe []stage.Spec, trained map[scKey]predictor.Trained,
 	lab *predictor.Labeler, enc *predictor.Encoder, prof *obs.Profiler, meter *Meter) LatencyFn {
 	type answerKey struct {
@@ -407,7 +386,8 @@ func predictedLatency(mdl *models.Model, meshes []cluster.Mesh, universe []stage
 
 	// A lookup outside universe × meshes answers its own pair through the
 	// same fill.
-	return memoized(meter, func(sp stage.Spec, mesh cluster.Mesh) float64 {
+	return func(sp stage.Spec, mesh cluster.Mesh) (float64, bool) {
+		meter.CacheMisses++
 		k := answerKey{mdl.StageClass(sp.Lo, sp.Hi), mesh.Index}
 		a, ok := answers[k]
 		if !ok {
@@ -417,6 +397,6 @@ func predictedLatency(mdl *models.Model, meshes []cluster.Mesh, universe []stage
 		for range a.infer {
 			meter.InferSeconds += simInferSeconds
 		}
-		return a.best
-	})
+		return a.best, !math.IsInf(a.best, 1)
+	}
 }

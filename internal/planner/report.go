@@ -54,8 +54,6 @@ type CostReport struct {
 	InferSeconds   float64 `json:"infer_seconds"`
 	TotalSeconds   float64 `json:"total_seconds"`
 	StagesProfiled int     `json:"stages_profiled"`
-	LatencyHits    int     `json:"latency_cache_hits"`
-	LatencyMisses  int     `json:"latency_cache_misses"`
 }
 
 // Report is the full provenance record of one planner run: what was planned
@@ -98,8 +96,6 @@ type ReportOptions struct {
 	Microbatches int
 	// Provenance identifies the latency source that drove the search.
 	Provenance ProviderInfo
-	// Search, when non-nil, attaches the Optimize exploration stats.
-	Search *SearchStats
 	// Meter, when non-nil, attaches the optimization-cost snapshot.
 	Meter *Meter
 }
@@ -107,13 +103,14 @@ type ReportOptions struct {
 // BuildReport assembles the provenance report for a plan whose stages have
 // the true latencies lats (StageLatencies), one per stage: a plan's ground
 // truth is computed once, by the caller, and the report only records it. mdl
-// names the model and may be nil. Building a report never mutates the plan.
+// names the model and may be nil. A searched plan's Search stats become the
+// report's search block. Building a report never mutates the plan.
 func BuildReport(mdl *models.Model, p cluster.Platform, plan Plan, lats []float64, opt ReportOptions) *Report {
 	if len(lats) != len(plan.Stages) {
 		panic(fmt.Sprintf("planner: BuildReport got %d stage latencies for a plan of %d stages", len(lats), len(plan.Stages)))
 	}
 	if opt.Microbatches <= 0 {
-		opt.Microbatches = 16
+		opt.Microbatches = defaultMicrobatches
 	}
 
 	r := &Report{
@@ -124,7 +121,10 @@ func BuildReport(mdl *models.Model, p cluster.Platform, plan Plan, lats []float6
 		LatencySource: "simulator",
 		EstLatency:    plan.Est,
 		Provenance:    opt.Provenance,
-		Search:        opt.Search,
+	}
+	if plan.Search.LatencyLookups > 0 {
+		s := plan.Search
+		r.Search = &s
 	}
 	if mdl != nil {
 		r.Model = mdl.Config.Name
@@ -149,7 +149,6 @@ func BuildReport(mdl *models.Model, p cluster.Platform, plan Plan, lats []float6
 			ProfileSeconds: m.ProfileSeconds, TrainSeconds: m.TrainSeconds,
 			InferSeconds: m.InferSeconds, TotalSeconds: m.Total(),
 			StagesProfiled: m.StagesProfiled,
-			LatencyHits:    m.CacheHits, LatencyMisses: m.CacheMisses,
 		}
 	}
 	return r
@@ -263,7 +262,6 @@ func (r *Report) Render() string {
 		b.WriteString("\ncost (simulated):\n")
 		fmt.Fprintf(&b, "  profile %.3f s + train %.3f s + infer %.3f s = %.3f s (%d stages profiled)\n",
 			c.ProfileSeconds, c.TrainSeconds, c.InferSeconds, c.TotalSeconds, c.StagesProfiled)
-		fmt.Fprintf(&b, "  latency cache: %d hits / %d misses\n", c.LatencyHits, c.LatencyMisses)
 	}
 	return b.String()
 }

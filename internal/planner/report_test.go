@@ -21,8 +21,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 func goldenReport(t *testing.T) *Report {
 	t.Helper()
 	p := cluster.Platform2()
-	var stats SearchStats
-	plan, ok := Optimize(6, p, syntheticLatency, Options{Microbatches: 8, Stats: &stats})
+	plan, ok := Optimize(6, p, syntheticLatency, Options{Microbatches: 8})
 	if !ok {
 		t.Fatal("no plan")
 	}
@@ -38,10 +37,9 @@ func goldenReport(t *testing.T) *Report {
 			Source: "PredTOP-Tran", Kind: "PredTOP-Tran", Seed: 1,
 			Fingerprint: "00000000deadbeef", Predictors: 9, SampleFrac: 0.15,
 		},
-		Search: &stats,
 		Meter: &Meter{
 			ProfileSeconds: 1.5, TrainSeconds: 2.25, InferSeconds: 0.125,
-			StagesProfiled: 27, CacheHits: 40, CacheMisses: 33,
+			StagesProfiled: 27,
 		},
 	})
 }

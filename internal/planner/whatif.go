@@ -168,7 +168,7 @@ func sortedWhatIfKeys() []string {
 func WhatIf(lab *predictor.Labeler, base cluster.Platform, plan Plan, microbatches int, pt Perturbation, opt ReportOptions) (*Report, bool) {
 	perturbed := pt.Apply(base)
 	if microbatches <= 0 {
-		microbatches = 16
+		microbatches = defaultMicrobatches
 	}
 	if pt.Microbatches > 0 {
 		microbatches = pt.Microbatches

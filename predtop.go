@@ -213,14 +213,15 @@ type (
 	PlanOptions = planner.Options
 	// LatencyFn estimates optimal intra-stage latency of (stage, mesh).
 	LatencyFn = planner.LatencyFn
-	// CostMeter accumulates optimization-cost components (Fig 10a).
+	// CostMeter accumulates optimization-cost components (Fig 10a) and
+	// counts the lookups a latency source answered, each at full cost.
 	CostMeter = planner.Meter
 	// PredictorOptions configures PredTOP's planner integration.
 	PredictorOptions = planner.PredictorOptions
 	// PredictorKind selects the black-box architecture.
 	PredictorKind = planner.PredictorKind
 	// PlanSearchStats describes what one OptimizePlan call explored
-	// (deterministic counts only; see PlanOptions.Stats).
+	// (deterministic counts only); a searched Plan carries it as Search.
 	PlanSearchStats = planner.SearchStats
 	// PlanProviderInfo identifies a plan's latency source: kind, seed, and
 	// trained-weight fingerprint (see PredictorOptions.Info).

@@ -48,7 +48,7 @@ grep -q '"fingerprint"' "$WORK/r1/gpt-3-predtop-tran.json" || {
 }
 
 echo "plan-smoke: checking the search and cost facts of a written report"
-for field in '"latency_lookups": [1-9]' '"latency_cache_misses": [1-9]'; do
+for field in '"latency_lookups": [1-9]' '"stages_profiled": [1-9]'; do
     grep -q "$field" "$WORK/r1/gpt-3-predtop-tran.json" || {
         echo "plan-smoke: report gpt-3-predtop-tran.json has no nonzero $field" >&2
         exit 1
@@ -56,6 +56,10 @@ for field in '"latency_lookups": [1-9]' '"latency_cache_misses": [1-9]'; do
 done
 if grep -q encoding_cache_ "$WORK"/r1/*.json; then
     echo "plan-smoke: a report still carries encoding_cache_ fields" >&2
+    exit 1
+fi
+if grep -q latency_cache_ "$WORK"/r1/*.json; then
+    echo "plan-smoke: a report still carries latency_cache_ fields" >&2
     exit 1
 fi
 
