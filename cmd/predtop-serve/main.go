@@ -1,7 +1,7 @@
 // Command predtop-serve is the predictor-as-a-service daemon: it loads every
 // trained model (*.predtop) in a directory, then answers POST /predict
-// queries over HTTP/JSON, memoizing repeated stage queries in a bounded LRU
-// and running each miss's forward on the goroutine that asked, at most
+// queries over HTTP/JSON, memoizing one answer per stage class in a bounded
+// LRU and running each miss's forward on the goroutine that asked, at most
 // GOMAXPROCS at a time.
 //
 // Usage:

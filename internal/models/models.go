@@ -107,6 +107,9 @@ type Segment struct {
 type Model struct {
 	Config   Config
 	Segments []Segment
+	// kinds holds byte(Segments[i].Kind) for every segment, so a stage
+	// class is a substring of it.
+	kinds string
 	// Prof, when non-nil, times every StageGraph emission as a
 	// "stage_graph[lo:hi)" span — the labeling path's graph builds, one per
 	// stage class per cache, are a large part of simulator-side time.
@@ -126,6 +129,11 @@ func Build(cfg Config) *Model {
 		m.Segments = append(m.Segments, Segment{Name: fmt.Sprintf("layer%d", i), Kind: kind, Index: i})
 	}
 	m.Segments = append(m.Segments, Segment{Name: "head", Kind: SegHead, Index: -1})
+	kinds := make([]byte, len(m.Segments))
+	for i, s := range m.Segments {
+		kinds[i] = byte(s.Kind)
+	}
+	m.kinds = string(kinds)
 	return m
 }
 
@@ -172,14 +180,11 @@ func (m *Model) TotalParams() int64 {
 // its key.
 type StageClass struct{ kinds string }
 
-// StageClass returns the class of segments [lo, hi).
+// StageClass returns the class of segments [lo, hi): a substring of the kinds
+// Build recorded, so it allocates nothing.
 func (m *Model) StageClass(lo, hi int) StageClass {
 	m.checkRange(lo, hi)
-	kinds := make([]byte, hi-lo)
-	for i := range kinds {
-		kinds[i] = byte(m.Segments[lo+i].Kind)
-	}
-	return StageClass{string(kinds)}
+	return StageClass{m.kinds[lo:hi]}
 }
 
 func (m *Model) checkRange(lo, hi int) {

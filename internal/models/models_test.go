@@ -159,3 +159,28 @@ func TestBadStageRangePanics(t *testing.T) {
 	}()
 	Build(GPT3()).StageGraph(5, 5, false)
 }
+
+// TestStageClassSubstring pins StageClass to its definition, the kinds of
+// segments [lo, hi) in order, for every range of GPT-3 and MoE, and checks
+// that a class costs no allocation.
+func TestStageClassSubstring(t *testing.T) {
+	for _, m := range []*Model{Build(GPT3()), Build(MoE())} {
+		n := m.NumSegments()
+		for lo := 0; lo < n; lo++ {
+			for hi := lo + 1; hi <= n; hi++ {
+				kinds := make([]byte, 0, hi-lo)
+				for _, s := range m.Segments[lo:hi] {
+					kinds = append(kinds, byte(s.Kind))
+				}
+				if got, want := m.StageClass(lo, hi), (StageClass{string(kinds)}); got != want {
+					t.Fatalf("%s [%d,%d): class %q, want %q", m.Config.Name, lo, hi, got.kinds, want.kinds)
+				}
+			}
+		}
+		var sink StageClass
+		if a := testing.AllocsPerRun(100, func() { sink = m.StageClass(1, n-1) }); a != 0 {
+			t.Errorf("%s: StageClass allocates %v times per call", m.Config.Name, a)
+		}
+		_ = sink
+	}
+}

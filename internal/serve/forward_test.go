@@ -367,3 +367,112 @@ func TestPredictHitAllocBudget(t *testing.T) {
 		})
 	}
 }
+
+// TestMemoClassSharedBitwise: the memo is keyed by stage class, so a second
+// spec of a class is a hit that costs no forward and serves exactly what a
+// direct PredictEncoded of its own encoding returns. The same kinds under
+// another layer count belong to another model and get their own entry, and a
+// reload purges every entry.
+func TestMemoClassSharedBitwise(t *testing.T) {
+	dir := t.TempDir()
+	tr := writeTestModel(t, dir, "tran", "tran", 1)
+	s := startTestServer(t, dir, nil)
+	var forwards atomic.Int64
+	s.forward = func(tr predictor.Trained, e *stage.Encoded) float64 {
+		forwards.Add(1)
+		return tr.PredictEncoded(e)
+	}
+	direct := func(layers int, sp stage.Spec) uint64 {
+		cfg := testBenchCfg()
+		cfg.Layers = layers
+		return math.Float64bits(tr.PredictEncoded(predictor.NewEncoder(models.Build(cfg), true).Encode(sp)))
+	}
+	for i, q := range []struct {
+		what    string
+		layers  int
+		sp      stage.Spec
+		reload  bool
+		cached  bool
+		forward int64
+	}{
+		{"first DD spec", testLayers, stage.Spec{Lo: 1, Hi: 3}, false, false, 1},
+		{"second DD spec", testLayers, stage.Spec{Lo: 2, Hi: 4}, false, true, 1},
+		{"third DD spec", testLayers, stage.Spec{Lo: 3, Hi: 5}, false, true, 1},
+		{"DD of another layer count", testLayers + 1, stage.Spec{Lo: 1, Hi: 3}, false, false, 2},
+		{"DD after a reload", testLayers, stage.Spec{Lo: 2, Hi: 4}, true, false, 3},
+		{"DD again after the reload", testLayers, stage.Spec{Lo: 1, Hi: 3}, false, true, 3},
+	} {
+		if q.reload {
+			if _, _, err := s.Reload(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resp, code := postPredict(t, s.URL(), PredictRequest{Bench: "GPT-3", Layers: q.layers, Lo: q.sp.Lo, Hi: q.sp.Hi})
+		if code != 200 {
+			t.Fatalf("%d %s: code %d", i, q.what, code)
+		}
+		if resp.Lo != q.sp.Lo || resp.Hi != q.sp.Hi || resp.Layers != q.layers {
+			t.Errorf("%d %s: response echoes layers %d [%d,%d)", i, q.what, resp.Layers, resp.Lo, resp.Hi)
+		}
+		if resp.Cached != q.cached {
+			t.Errorf("%d %s: cached = %v, want %v", i, q.what, resp.Cached, q.cached)
+		}
+		if got := forwards.Load(); got != q.forward {
+			t.Errorf("%d %s: %d forwards so far, want %d", i, q.what, got, q.forward)
+		}
+		if got, want := math.Float64bits(resp.LatencySeconds), direct(q.layers, q.sp); got != want {
+			t.Errorf("%d %s: served %v, direct PredictEncoded %v", i, q.what,
+				resp.LatencySeconds, math.Float64frombits(want))
+		}
+	}
+}
+
+// TestNonFiniteAnswerNotMemoized: a forward that returns NaN or ±Inf answers
+// a 5xx naming the value and leaves the memo empty, so the next request of
+// the class runs the forward again instead of being served the poison.
+func TestNonFiniteAnswerNotMemoized(t *testing.T) {
+	dir := t.TempDir()
+	writeTestModel(t, dir, "tran", "tran", 1)
+	s := startTestServer(t, dir, nil)
+	answers := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	var forwards atomic.Int64
+	s.forward = func(tr predictor.Trained, e *stage.Encoded) float64 {
+		if n := forwards.Add(1); int(n) <= len(answers) {
+			return answers[n-1]
+		}
+		return tr.PredictEncoded(e)
+	}
+	key := predKey{model: "tran", gen: 1, bench: "GPT-3", layers: testLayers,
+		class: models.Build(testBenchCfg()).StageClass(1, 3)}
+	post := func(lo, hi int) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		body := fmt.Sprintf(`{"bench":"GPT-3","layers":%d,"lo":%d,"hi":%d}`, testLayers, lo, hi)
+		s.handlePredict(rec, httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader([]byte(body))), &reqInfo{})
+		return rec
+	}
+	for i, v := range answers {
+		rec := post(1+i%2, 3+i%2) // [1,3) and [2,4) are both DD
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("forward answered %v: code %d, want 500", v, rec.Code)
+		}
+		if want := fmt.Sprintf("non-finite latency (%v)", v); !bytes.Contains(rec.Body.Bytes(), []byte(want)) {
+			t.Errorf("forward answered %v: body %q does not say %q", v, rec.Body, want)
+		}
+		if _, ok := s.cache.Get(key); ok {
+			t.Fatalf("forward answered %v: the memo holds an entry", v)
+		}
+		if got := forwards.Load(); got != int64(i+1) {
+			t.Errorf("after %d poisoned answers: %d forwards", i+1, got)
+		}
+	}
+	rec := post(1, 3)
+	if rec.Code != 200 {
+		t.Fatalf("healthy forward: code %d: %s", rec.Code, rec.Body)
+	}
+	if got := forwards.Load(); got != int64(len(answers)+1) {
+		t.Errorf("healthy request ran %d forwards in all, want %d", got, len(answers)+1)
+	}
+	if _, ok := s.cache.Get(key); !ok {
+		t.Error("a finite answer was not memoized")
+	}
+}

@@ -24,9 +24,9 @@ func TestServePromExposition(t *testing.T) {
 	writeTestModel(t, dir, "tran", "tran", 1)
 	s := startTestServer(t, dir, func(c *Config) { c.SLOP99, c.SLOErr = time.Second, 0.05 })
 
-	// Traffic: 3 distinct queries (misses), 1 repeat (hit), 1 bad request,
-	// 1 models listing, 1 reload.
-	for _, sp := range [][2]int{{0, 2}, {1, 3}, {2, 4}, {0, 2}} {
+	// Traffic: 3 queries of distinct stage classes (ED, DD, DH: misses),
+	// 1 repeat (hit), 1 bad request, 1 models listing, 1 reload.
+	for _, sp := range [][2]int{{0, 2}, {1, 3}, {4, 6}, {0, 2}} {
 		if _, code := postPredict(t, s.URL(), PredictRequest{
 			Bench: "GPT-3", Layers: testLayers, Lo: sp[0], Hi: sp[1],
 		}); code != 200 {

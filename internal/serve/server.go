@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"sync"
@@ -53,9 +54,9 @@ type Config struct {
 	Addr string
 	// ModelDir is the directory of *.predtop model files to serve.
 	ModelDir string
-	// CacheSize bounds the (model, generation, stage) → latency memo
-	// (default 4096 entries, the same bound as the planner's stage-encoding
-	// cache).
+	// CacheSize bounds the (model, generation, bench, layers, stage class) →
+	// latency memo (default 4096 entries, the same bound as the planner's
+	// stage-encoding cache).
 	CacheSize int
 
 	// Metrics, Sink, Flight, Trace, and Log are the observability fan-out;
@@ -88,15 +89,17 @@ type Config struct {
 	sloNow func() time.Time
 }
 
-// predKey identifies one memoized prediction. The registry generation is part
-// of the key, so a hot reload can never serve a latency from a retired model
-// even if an entry survives the reload-time purge.
+// predKey identifies one memoized prediction. A stage is keyed by its class
+// within the (bench, layers) model: every spec of a class shares one
+// *stage.Encoded (predictor.Encoder), so one forward answers them all, bit for
+// bit. The registry generation is part of the key, so a hot reload can never
+// serve a latency from a retired model even if an entry survives the purge.
 type predKey struct {
 	model  string
 	gen    uint64
 	bench  string
 	layers int
-	lo, hi int
+	class  models.StageClass
 }
 
 // benchKey identifies one lazily-built benchmark model + encoder pair.
@@ -346,7 +349,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, ri *reqIn
 
 	ri.model, ri.bench, ri.lo, ri.hi = entry.Key, benchCfg.Name, req.Lo, req.Hi
 	key := predKey{model: entry.Key, gen: gen, bench: benchCfg.Name,
-		layers: benchCfg.Layers, lo: req.Lo, hi: req.Hi}
+		layers: benchCfg.Layers, class: be.model.StageClass(req.Lo, req.Hi)}
 	latency, cached := s.cache.Get(key)
 	if cached {
 		s.hits.Inc()
@@ -375,6 +378,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, ri *reqIn
 		ri.tFwd1 = time.Now()
 		s.batches.Inc()
 		s.batched.Inc()
+		if math.IsNaN(latency) || math.IsInf(latency, 0) {
+			// Not memoized: the entry would answer every spec of the class.
+			return writeErr(w, http.StatusInternalServerError, "model %s predicted a non-finite latency (%v) for %s[%d,%d)",
+				entry.Key, latency, benchCfg.Name, req.Lo, req.Hi)
+		}
 		s.cache.Put(key, latency)
 		// A forward is worth a breadcrumb; a hit leaves none (its record is
 		// the sampled access line), so the hit path formats nothing.

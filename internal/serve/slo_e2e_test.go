@@ -64,16 +64,19 @@ func TestSLOBreachIncidentBundle(t *testing.T) {
 		return tr.PredictEncoded(e)
 	}
 
-	// Distinct stages — the six one-segment and five two-segment ones — so
-	// nothing memo-hits and every request runs a slowed forward. The tenth
-	// arms the breach (sloMinSamples).
-	for n := 1; n <= 2; n++ {
-		for lo := 0; lo+n <= 6; lo++ {
-			if _, code := postPredict(t, s.URL(), PredictRequest{
-				Bench: "GPT-3", Layers: testLayers, Lo: lo, Hi: lo + n,
-			}); code != 200 {
-				t.Fatalf("query [%d,%d): code %d", lo, lo+n, code)
-			}
+	// Eleven stages of distinct classes (the memo's key), so nothing
+	// memo-hits and every request runs a slowed forward. The tenth arms the
+	// breach (sloMinSamples).
+	for _, sp := range [][2]int{
+		{0, 1}, {1, 2}, {5, 6}, // E, D, H
+		{0, 2}, {1, 3}, {4, 6}, // ED, DD, DH
+		{0, 3}, {1, 4}, {3, 6}, // EDD, DDD, DDH
+		{0, 4}, {1, 5}, // EDDD, DDDD
+	} {
+		if _, code := postPredict(t, s.URL(), PredictRequest{
+			Bench: "GPT-3", Layers: testLayers, Lo: sp[0], Hi: sp[1],
+		}); code != 200 {
+			t.Fatalf("query [%d,%d): code %d", sp[0], sp[1], code)
 		}
 	}
 	s.incidents.drain()

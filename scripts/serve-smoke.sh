@@ -2,7 +2,8 @@
 # serve-smoke: build predtop-serve + predtop-replay, train a throwaway tiny
 # model, bring the daemon up on an ephemeral port, answer one query through
 # predtop-replay -smoke, read the query back from /metrics, check that
-# predtop-train -load predicts what /predict answers, answer a short
+# predtop-train -load predicts what /predict answers, that a second stage of
+# the same class is a memo hit with the same answer, answer a short
 # 8-client replay, shut down cleanly, and check that the daemon's -metrics
 # file holds access records and no second per-request record. Any failure —
 # build, train, startup, query, a wrong counter, two predictions that
@@ -92,15 +93,41 @@ echo "serve-smoke: checking predtop-train -load against /predict"
 "$WORK/predtop-train" -load "$WORK/models/smoke.predtop" -layers 4 -stage 1:3 \
     -quiet > "$WORK/p.out"
 TOOL_MS=$(sed -n 's/.*: predicted \([0-9.]*\)ms$/\1/p' "$WORK/p.out")
-SERVE_MS=$(curl -sf -X POST -H 'Content-Type: application/json' \
-    -d '{"bench":"GPT-3","layers":4,"lo":1,"hi":3}' "http://$ADDR/predict" |
-    sed -n 's/.*"latency_ms":\([^,}]*\).*/\1/p')
-[ -z "$SERVE_MS" ] || SERVE_MS=$(printf '%.3f' "$SERVE_MS")
+predict() {
+    curl -sf -X POST -H 'Content-Type: application/json' \
+        -d "{\"bench\":\"GPT-3\",\"layers\":4,\"lo\":$1,\"hi\":$2}" "http://$ADDR/predict"
+}
+latency_ms() { sed -n 's/.*"latency_ms":\([^,}]*\).*/\1/p'; }
+cache_hits() {
+    curl -sf "http://$ADDR/metrics" | sed -n 's/^predtop_serve_cache_hits_total //p'
+}
+SERVE_RAW=$(predict 1 3 | latency_ms)
+SERVE_MS=""
+[ -z "$SERVE_RAW" ] || SERVE_MS=$(printf '%.3f' "$SERVE_RAW")
 if [ -z "$TOOL_MS" ] || [ "$TOOL_MS" != "$SERVE_MS" ]; then
     echo "serve-smoke: predtop-train -load predicted \"$TOOL_MS\" ms, /predict answered \"$SERVE_MS\" ms" >&2
     exit 1
 fi
 echo "serve-smoke: both predict $TOOL_MS ms"
+
+echo "serve-smoke: checking that [2,4) shares [1,3)'s memo entry"
+# Both stages are two decoder layers, one stage class: the memo answers the
+# second from the first's entry, with the same number, and counts a hit.
+HITS0=$(cache_hits)
+predict 2 4 > "$WORK/p24.json"
+HITS1=$(cache_hits)
+grep -q '"cached":true' "$WORK/p24.json" || {
+    echo "serve-smoke: [2,4) was not a memo hit: $(cat "$WORK/p24.json")" >&2
+    exit 1
+}
+if [ "$(latency_ms < "$WORK/p24.json")" != "$SERVE_RAW" ]; then
+    echo "serve-smoke: [2,4) answered $(latency_ms < "$WORK/p24.json") ms, [1,3) $SERVE_RAW ms" >&2
+    exit 1
+fi
+if [ -z "$HITS0" ] || [ "$HITS1" != $((HITS0 + 1)) ]; then
+    echo "serve-smoke: predtop_serve_cache_hits_total went from \"$HITS0\" to \"$HITS1\", want one more" >&2
+    exit 1
+fi
 
 echo "serve-smoke: replaying 200 queries from 8 clients"
 # predtop-replay exits nonzero when any query failed.
