@@ -88,7 +88,7 @@ func BenchmarkFig3GCNvsTransformer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := benchPreset(i)
 		t := experiments.RunMRETable(p, p.Benchmarks()[0], cluster.Platform2(), nil)
-		out := experiments.RenderFig3([]*experiments.MRETable{t}, p.Fractions[len(p.Fractions)-1])
+		out := experiments.RenderFig3([]*experiments.MRETable{t})
 		if len(out) == 0 {
 			b.Fatal("empty Fig 3")
 		}
@@ -139,11 +139,14 @@ func BenchmarkFig10aOptimizationCost(b *testing.B) {
 		runs := experiments.RunFig10(p, p.Benchmarks()[0], nil)
 		var partial, tran float64
 		for _, r := range runs {
+			if !r.OK {
+				continue
+			}
 			if r.Version == "Alpa-Partial" {
-				partial = r.Meter.Total()
+				partial = r.Report.Cost.TotalSeconds
 			}
 			if r.Version == "PredTOP-Tran" {
-				tran = r.Meter.Total()
+				tran = r.Report.Cost.TotalSeconds
 			}
 		}
 		if partial > 0 {

@@ -7,17 +7,21 @@
 // Usage:
 //
 //	predtop-eval [-preset quick|paper|paperlite] [-bench GPT-3|MoE|all]
-//	             [-platform 1|2|0] [-fig3frac 50] [-fig 2|6] [-seed 0]
-//	             [-out results.txt] [-trace run.json] [-listen :9090]
+//	             [-platform 1|2|0] [-fig 2|6] [-ablate] [-tables=false]
+//	             [-seed 0] [-trace run.json] [-listen :9090]
 //	             [-profile spans.txt] [-runledger runs] [-quiet]
 //
 // -preset, -seed, -quiet, -trace, -listen, -profile, and -runledger are the
 // shared flags documented in package internal/cli; -seed 0 keeps the
-// preset's seed, and progress goes to stderr (the report always prints).
-// -profile covers grid phases and predictor layers (-trace is the same spans
-// as a timeline); the manifest holds the run config, per-table win rates and
-// per-family error-attribution snapshots, each merged across the grid's
-// cells with its held-out MRE. Grid cells fan across GOMAXPROCS goroutines.
+// preset's seed, and progress goes to stderr (the report always prints on
+// stdout). -profile covers grid phases and predictor layers (-trace is the
+// same spans as a timeline). The manifest holds the run config, per-family
+// error-attribution snapshots merged across the grid's cells with their
+// held-out MRE, and, as canonical metrics, every number the report prints:
+// each table's cells, win share, spec, stage-class and held-out counts, Fig
+// 2's quantiles and each ablation row. EXPERIMENTS.md is rendered from those
+// manifests (TestExperimentsRendered). Grid cells fan across GOMAXPROCS
+// goroutines.
 package main
 
 import (
@@ -42,11 +46,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs.SetOutput(stderr)
 	bench := fs.String("bench", "all", "benchmark: GPT-3, MoE, or all")
 	platformSel := fs.Int("platform", 0, "platform index: 1, 2, or 0 for both")
-	fig3frac := fs.Int("fig3frac", 50, "training fraction (%) for the Fig 3 comparison")
 	fig := fs.Int("fig", 0, "regenerate motivating figure 2 or 6 instead of the accuracy results")
 	ablate := fs.Bool("ablate", false, "also run the DAG-Transformer design ablation")
 	tables := fs.Bool("tables", true, "run the MRE tables (disable for -ablate only)")
-	out := fs.String("out", "", "also write the report to this file")
 	var shared cli.Flags
 	shared.Register(fs, cli.Preset|cli.Seed|cli.Quiet|cli.Telemetry|cli.Ledger, map[string]string{
 		"seed":    "override the preset's random seed (0 = preset default)",
@@ -81,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		platforms = []cluster.Platform{plat}
 	}
 	r, err := cli.Open(&shared, cli.Options{
-		Tool: "predtop-eval", Seed: p.Seed, Stdout: stdout, Progress: stderr, Stderr: stderr, Out: *out,
+		Tool: "predtop-eval", Seed: p.Seed, Progress: stderr, Stderr: stderr,
 	})
 	if err != nil {
 		return err
@@ -93,18 +95,23 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	man.SetConfig("preset", p.Name)
 	man.SetConfig("bench", strings.ToLower(*bench))
 	man.SetConfig("platform", fmt.Sprint(*platformSel))
-	man.SetConfig("fig3frac", fmt.Sprint(*fig3frac))
 	man.SetConfig("ablate", fmt.Sprint(*ablate))
 	man.SetConfig("tables", fmt.Sprint(*tables))
 	if *fig != 0 {
 		man.SetConfig("fig", fmt.Sprint(*fig))
 	}
 
-	w, progress := r.Out, r.Log.Writer()
+	w, progress := stdout, r.Log.Writer()
+	record := func(metrics map[string]float64) {
+		for k, v := range metrics {
+			man.RecordMetric(k, v)
+		}
+	}
 	switch *fig {
 	case 2:
 		for _, res := range experiments.RunFig2(p, progress) {
 			fmt.Fprintln(w, res.Render())
+			record(res.Summary().Metrics())
 		}
 		return nil
 	case 6:
@@ -126,9 +133,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			}
 			fmt.Fprintf(w, "=== %s — %s on %s (preset %s) ===\n", tableName, b.Name, plat.Name, p.Name)
 			t := experiments.RunMRETable(p, b, plat, progress)
-			fmt.Fprint(w, t.Render())
-			fmt.Fprintf(w, "DAG Transformer wins %.1f%% of cells\n\n", t.WinRate(2)*100)
-			man.RecordMetric(fmt.Sprintf("win_rate_%s_p%d", strings.ToLower(b.Name), plat.Index), t.WinRate(2)*100)
+			fmt.Fprintln(w, t.Render())
+			record(t.Metrics())
 			mreTables = append(mreTables, t)
 		}
 	}
@@ -137,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		aggs := experiments.Aggregates(mreTables)
 		fmt.Fprintln(w, experiments.RenderAggregates(aggs, false))
 		fmt.Fprintln(w, experiments.RenderAggregates(aggs, true))
-		fmt.Fprintln(w, experiments.RenderFig3(mreTables, *fig3frac))
+		fmt.Fprintln(w, experiments.RenderFig3(mreTables))
 	}
 
 	if *ablate {
@@ -147,6 +153,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			}
 			rows := experiments.RunAblation(p, b, cluster.Platform1(), 0.5, progress)
 			fmt.Fprintln(w, experiments.RenderAblation(b.Name, rows))
+			record(experiments.AblationMetrics(b.Name, rows))
 		}
 	}
 

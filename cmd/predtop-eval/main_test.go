@@ -20,7 +20,7 @@ func TestEvalRejectsBadArgumentsEarly(t *testing.T) {
 		{"unknown bench", []string{"-bench", "gpt4"}},
 		{"unknown platform", []string{"-platform", "3"}},
 		{"unknown preset", []string{"-preset", "huge"}},
-		{"unwritable report", []string{"-out", "/nonexistent/dir/r.txt"}},
+		{"unwritable trace", []string{"-trace", "/nonexistent/dir/t.json"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -40,17 +40,13 @@ func TestEvalRejectsBadArgumentsEarly(t *testing.T) {
 }
 
 // With the grids switched off the tool still runs its whole lifecycle: the
-// report file exists, the ledger holds one manifest carrying the preset's
-// seed and the result-determining flags.
+// ledger holds one manifest carrying the preset's seed and the
+// result-determining flags.
 func TestEvalLifecycleWithoutGrids(t *testing.T) {
-	dir := t.TempDir()
-	out, ledger := filepath.Join(dir, "r.txt"), filepath.Join(dir, "L")
+	ledger := filepath.Join(t.TempDir(), "L")
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-tables=false", "-bench", "gpt3", "-platform", "1", "-out", out, "-runledger", ledger, "-quiet"}, &stdout, &stderr); err != nil {
+	if err := run([]string{"-tables=false", "-bench", "gpt3", "-platform", "1", "-runledger", ledger, "-quiet"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, &stderr)
-	}
-	if _, err := os.Stat(out); err != nil {
-		t.Errorf("report file: %v", err)
 	}
 	paths, _ := filepath.Glob(filepath.Join(ledger, "*.json"))
 	if len(paths) != 1 {
@@ -64,25 +60,14 @@ func TestEvalLifecycleWithoutGrids(t *testing.T) {
 	if c.Tool != "predtop-eval" || c.Seed != 1 || c.Config["preset"] != "quick" || c.Config["tables"] != "false" {
 		t.Errorf("manifest identity: %+v", c)
 	}
-	if m.Session.Outputs["out"] != out {
-		t.Errorf("session outputs: %v", m.Session.Outputs)
-	}
 }
 
 // -fig replaces the accuracy results with one motivating figure, through the
-// same lifecycle: the report tees into -out, bad names fail first.
-func TestFiguresFig6TeesIntoOut(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "f.txt")
+// same lifecycle: the report prints on stdout, bad names fail first.
+func TestFiguresFig6(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-fig", "6", "-out", out}, &stdout, &stderr); err != nil {
+	if err := run([]string{"-fig", "6"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, &stderr)
-	}
-	file, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stdout.Len() == 0 || stdout.String() != string(file) {
-		t.Errorf("stdout and -out differ:\n%s---\n%s", &stdout, file)
 	}
 	if !strings.Contains(stdout.String(), "Fig 6") {
 		t.Errorf("no Fig 6 in the report:\n%s", &stdout)

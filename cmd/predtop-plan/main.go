@@ -7,7 +7,7 @@
 // Usage:
 //
 //	predtop-plan [-preset quick|paper|paperlite] [-bench GPT-3|MoE|all]
-//	             [-seed 0] [-out results.txt] [-trace run.json]
+//	             [-seed 0] [-trace run.json]
 //	             [-listen :9090] [-profile spans.txt] [-runledger runs] [-quiet]
 //	             [-report DIR] [-whatif SPEC] [-diff a.json,b.json]
 //
@@ -57,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("predtop-plan", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	bench := fs.String("bench", "all", "benchmark: GPT-3, MoE, or all")
-	out := fs.String("out", "", "also write the report to this file")
 	reportDir := fs.String("report", "", "write per-plan provenance reports (JSON + text) into this directory")
 	whatifSpec := fs.String("whatif", "", "replay each plan against a perturbation (e.g. \"microbatches=32,internode-bw=x4\") and print the latency diff")
 	diffSpec := fs.String("diff", "", "compare two report files (\"base.json,scenario.json\"), print the diff, and exit")
@@ -95,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 	}
 	r, err := cli.Open(&shared, cli.Options{
-		Tool: "predtop-plan", Seed: p.Seed, Stdout: stdout, Progress: stderr, Stderr: stderr, Out: *out,
+		Tool: "predtop-plan", Seed: p.Seed, Progress: stderr, Stderr: stderr,
 	})
 	if err != nil {
 		return err
@@ -116,19 +115,21 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			continue
 		}
 		runs := experiments.RunFig10(p, b, r.Log.Writer())
-		fmt.Fprintln(r.Out, experiments.RenderFig10(b.Name, runs))
+		var reports []*planner.Report
 		for _, pr := range runs {
 			if pr.OK {
+				reports = append(reports, pr.Report)
 				man.RecordPlan(pr.Report)
 			}
 		}
+		fmt.Fprintln(stdout, experiments.RenderFig10(b.Name, reports))
 		if *reportDir != "" {
 			if err := saveReports(*reportDir, b.Name, runs); err != nil {
 				return err
 			}
 		}
 		if !whatif.IsZero() {
-			if err := runWhatIf(r.Out, p, b, runs, whatif, *reportDir); err != nil {
+			if err := runWhatIf(stdout, p, b, runs, whatif, *reportDir); err != nil {
 				return err
 			}
 		}

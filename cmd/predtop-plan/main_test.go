@@ -53,8 +53,7 @@ func TestPlanDiffOfSavedReports(t *testing.T) {
 	}
 }
 
-// Bad names fail before the report directory, the -out file, or a ledger
-// entry exists.
+// Bad names fail before the report directory or a ledger entry exists.
 func TestPlanRejectsBadArgumentsEarly(t *testing.T) {
 	for _, args := range [][]string{
 		{"-bench", "gpt4"}, {"-preset", "huge"}, {"-whatif", "warp=9"}, {"-trace", "/nonexistent/dir/t.json"},

@@ -83,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 
 	r, err := cli.Open(&shared, cli.Options{
-		Tool: "predtop-replay", Seed: shared.Seed, Stdout: stdout, Progress: stdout, Stderr: stderr,
+		Tool: "predtop-replay", Seed: shared.Seed, Progress: stdout, Stderr: stderr,
 		Dirs: []string{*jsonPath},
 	})
 	if err != nil {

@@ -83,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 
 	r, err := cli.Open(&shared, cli.Options{
-		Tool: "predtop-serve", Seed: shared.Seed, Stdout: stdout, Progress: stderr, Stderr: stderr,
+		Tool: "predtop-serve", Seed: shared.Seed, Progress: stderr, Stderr: stderr,
 	})
 	if err != nil {
 		return err

@@ -113,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		dirs = nil // nothing is saved
 	}
 	r, err := cli.Open(&shared, cli.Options{
-		Tool: "predtop-train", Seed: shared.Seed, Stdout: stdout, Progress: stdout, Stderr: stderr,
+		Tool: "predtop-train", Seed: shared.Seed, Progress: stdout, Stderr: stderr,
 		Dirs: dirs,
 	})
 	if err != nil {

@@ -94,16 +94,18 @@ func TestCLIFlagParity(t *testing.T) {
 	// stage-prediction tool folded into it. -metrics is taken only where a
 	// record has no other home — predtop-train's epochs, the daemon's access
 	// records — and -accesslog went: access records go to the daemon's
-	// -metrics. A flag that brings one back, under any name, has to edit its
-	// list to land.
+	// -metrics. -out went from eval and plan: a report's numbers are in the
+	// run's manifest, which EXPERIMENTS.md is rendered from; -fig3frac went
+	// too: Fig 3 shows the largest fraction the grid ran. A flag that brings
+	// one back, under any name, has to edit its list to land.
 	batch := []string{"seed", "quiet", "trace", "listen", "profile", "runledger"}
 	for tool, own := range map[string][]string{
 		"predtop-serve": {"models", "listen", "cachesize", "addrfile", "slo-p99", "slo-err", "incidents",
 			"seed", "quiet", "metrics", "runledger"},
 		"predtop-train": append([]string{"bench", "platform", "mesh", "conf", "arch", "layers", "samples", "maxlen",
 			"epochs", "trainfrac", "o", "load", "stage", "metrics"}, batch...),
-		"predtop-eval": append([]string{"bench", "platform", "fig3frac", "fig", "ablate", "tables", "out", "preset"}, batch...),
-		"predtop-plan": append([]string{"bench", "out", "report", "whatif", "diff", "preset"}, batch...),
+		"predtop-eval": append([]string{"bench", "platform", "fig", "ablate", "tables", "preset"}, batch...),
+		"predtop-plan": append([]string{"bench", "report", "whatif", "diff", "preset"}, batch...),
 	} {
 		declared := declaredFlags(t, tool)
 		for _, name := range own {

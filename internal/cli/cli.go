@@ -110,10 +110,9 @@ func (f *Flags) Register(fs *flag.FlagSet, groups Group, usage map[string]string
 type Options struct {
 	Tool string // trace-context and manifest name, e.g. "predtop-train"
 	Seed int64  // the run's effective seed (the preset's when -seed is 0)
-	// Stdout backs Run.Out; Progress takes progress lines, Stderr flight dumps.
-	Stdout, Progress, Stderr io.Writer
-	Out                      string   // the -out report file Run.Out tees into
-	Dirs                     []string // outputs written last (-o, -json): their directory must exist ("" passes)
+	// Progress takes progress lines, Stderr flight dumps.
+	Progress, Stderr io.Writer
+	Dirs             []string // outputs written last (-o, -json): their directory must exist ("" passes)
 }
 
 // Run is one invocation's open telemetry; a handle is nil when its flag is off.
@@ -125,7 +124,6 @@ type Run struct {
 	Trace   *obs.TraceBuilder
 	Prof    *obs.Profiler
 	Man     *runledger.Manifest
-	Out     io.Writer // stdout, teed into -out when set
 	started time.Time
 	ledger  *runledger.Store
 	outputs []output
@@ -143,7 +141,7 @@ type output struct {
 // file up front so an unwritable path fails before any work; a failed Open
 // leaves nothing behind: hooks uninstalled, files closed and removed.
 func Open(f *Flags, o Options) (_ *Run, err error) {
-	r := &Run{started: time.Now(), Out: o.Stdout}
+	r := &Run{started: time.Now()}
 	defer func() {
 		if err != nil {
 			r.Close(err)
@@ -191,13 +189,6 @@ func Open(f *Flags, o Options) (_ *Run, err error) {
 			return nil, err
 		}
 	}
-	if o.Out != "" {
-		file, err := r.create(o.Out, "", func(io.Writer) error { return nil })
-		if err != nil {
-			return nil, err
-		}
-		r.Out = io.MultiWriter(o.Stdout, file)
-	}
 	r.ledger = runledger.Open(f.Ledger)
 	if f.Listen != "" {
 		srv, err := obs.StartServer(context.Background(), obs.ServerConfig{Addr: f.Listen, Flight: r.Flight})
@@ -211,7 +202,7 @@ func Open(f *Flags, o Options) (_ *Run, err error) {
 		r.Man = runledger.New(o.Tool, o.Seed)
 		r.Man.Session.StartedUnix = r.started.Unix()
 		r.Man.SetTraceID(r.TC.TraceID())
-		for _, kv := range [][2]string{{"out", o.Out}, {"metrics", f.Metrics}, {"trace", f.Trace}, {"listen", f.Listen}, {"profile", f.Profile}} {
+		for _, kv := range [][2]string{{"metrics", f.Metrics}, {"trace", f.Trace}, {"listen", f.Listen}, {"profile", f.Profile}} {
 			r.Man.SetOutput(kv[0], kv[1])
 		}
 	}

@@ -17,7 +17,7 @@ import (
 )
 
 func options(progress io.Writer) Options {
-	return Options{Tool: "predtop-test", Seed: 7, Stdout: io.Discard, Progress: progress, Stderr: io.Discard}
+	return Options{Tool: "predtop-test", Seed: 7, Progress: progress, Stderr: io.Discard}
 }
 
 // With every flag off the nil-handle contract holds: no optional handle, no
@@ -36,7 +36,7 @@ func TestOpenAllFlagsOff(t *testing.T) {
 	if len(r.outputs) != 0 {
 		t.Errorf("files created with every flag off: %v", r.outputs)
 	}
-	if r.TC.TraceID() != obs.NewTraceContext(7, "predtop-test").TraceID() || r.Flight == nil || r.Log == nil || r.Out != io.Discard {
+	if r.TC.TraceID() != obs.NewTraceContext(7, "predtop-test").TraceID() || r.Flight == nil || r.Log == nil {
 		t.Errorf("always-on handles: %+v", r)
 	}
 	if err := r.Close(nil); err != nil {
@@ -54,10 +54,8 @@ func TestOpenCreatesFilesCloseWritesInOrder(t *testing.T) {
 		Metrics: filepath.Join(dir, "m.jsonl"), Trace: filepath.Join(dir, "t.json"),
 		Profile: filepath.Join(dir, "p.txt"), Ledger: filepath.Join(dir, "L"),
 	}
-	var progress, stdout bytes.Buffer
-	o := options(&progress)
-	o.Stdout, o.Out = &stdout, filepath.Join(dir, "report.txt")
-	r, err := Open(f, o)
+	var progress bytes.Buffer
+	r, err := Open(f, options(&progress))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +65,7 @@ func TestOpenCreatesFilesCloseWritesInOrder(t *testing.T) {
 	if !strings.Contains(dump.String(), `"trace_id":"`+id+`"`) {
 		t.Errorf("flight dump lacks the trace id:\n%s", &dump)
 	}
-	for _, p := range []string{f.Metrics, f.Trace, f.Profile, o.Out} {
+	for _, p := range []string{f.Metrics, f.Trace, f.Profile} {
 		if _, err := os.Stat(p); err != nil {
 			t.Errorf("not created by Open: %v", err)
 		}
@@ -75,7 +73,6 @@ func TestOpenCreatesFilesCloseWritesInOrder(t *testing.T) {
 	if r.Man == nil {
 		t.Fatalf("handles missing: %+v", r)
 	}
-	io.WriteString(r.Out, "report line\n")
 	r.Sink.Emit(map[string]string{"event": "run"})
 	r.Prof.Start("work").End()
 	if err := r.Close(nil); err != nil {
@@ -99,9 +96,6 @@ func TestOpenCreatesFilesCloseWritesInOrder(t *testing.T) {
 	if trace := read(t, f.Trace); strings.Count(trace, `"work"`) != 1 || !strings.Contains(trace, `"trace_id":"`+id+`"`) || !strings.HasPrefix(read(t, f.Profile), "# span profile") {
 		t.Error("trace (with the run's trace id) or profile not rendered")
 	}
-	if read(t, o.Out) != "report line\n" || stdout.String() != "report line\n" {
-		t.Errorf("-out tee: file %q, stdout %q", read(t, o.Out), &stdout)
-	}
 	log := progress.String()
 	if !strings.HasPrefix(log, "["+id+"] ") {
 		t.Errorf("progress lines lack the trace prefix:\n%s", log)
@@ -114,7 +108,7 @@ func TestOpenCreatesFilesCloseWritesInOrder(t *testing.T) {
 	if len(manifests) != 1 {
 		t.Fatalf("ledger holds %d manifests", len(manifests))
 	}
-	for _, want := range []string{`"trace": "` + f.Trace, `"out": "` + o.Out, `"trace_id": "` + r.TC.TraceID()} {
+	for _, want := range []string{`"trace": "` + f.Trace, `"trace_id": "` + r.TC.TraceID()} {
 		if man := read(t, manifests[0]); !strings.Contains(man, want) {
 			t.Errorf("manifest lacks %s:\n%s", want, man)
 		}
@@ -184,11 +178,10 @@ func TestOpenFailsBeforeAnyWork(t *testing.T) {
 		"trace":   {f: Flags{Trace: "/nonexistent/dir/t.json"}},
 		"profile": {f: Flags{Profile: "/nonexistent/dir/p.txt"}},
 		"metrics": {f: Flags{Metrics: "/nonexistent/dir/m.jsonl"}},
-		"out":     {o: Options{Out: "/nonexistent/dir/r.txt"}},
 		"dirs":    {o: Options{Dirs: []string{"/nonexistent/dir/m.predtop"}}},
 		"listen":  {f: Flags{Listen: "127.0.0.1:99999", Metrics: filepath.Join(dir, "m.jsonl")}},
 	} {
-		tc.o.Tool, tc.o.Stdout, tc.o.Progress, tc.o.Stderr = "predtop-test", io.Discard, io.Discard, io.Discard
+		tc.o.Tool, tc.o.Progress, tc.o.Stderr = "predtop-test", io.Discard, io.Discard
 		if r, err := Open(&tc.f, tc.o); err == nil {
 			r.Close(nil)
 			t.Errorf("%s: Open succeeded", name)

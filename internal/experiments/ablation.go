@@ -47,7 +47,7 @@ func RunAblation(p Preset, bench Benchmark, platform cluster.Platform, frac floa
 	base := predictor.BuildDataset(pruned, specs, sc, prof)
 	noPrune := predictor.BuildDataset(unpruned, specs, sc, prof)
 
-	train, val, test := stage.Split(rng, len(base.Samples), frac, p.ValFrac)
+	train, val, test := stage.Split(rng, len(base.Samples), frac, valFrac)
 
 	variants := []struct {
 		name string
@@ -122,6 +122,20 @@ func avgNodes(ds *predictor.Dataset) float64 {
 		total += s.Encoded.N()
 	}
 	return float64(total) / float64(len(ds.Samples))
+}
+
+// AblationMetrics returns every number RenderAblation prints, keyed for a
+// run manifest's canonical metrics: ablation_<bench>_<row>_<variant>_mre,
+// _nodes and _epochs (bench lower-cased, row the 0-based row index).
+func AblationMetrics(bench string, rows []AblationRow) map[string]float64 {
+	m := map[string]float64{}
+	for i, r := range rows {
+		key := fmt.Sprintf("ablation_%s_%d_%s_", strings.ToLower(bench), i, r.Variant)
+		m[key+"mre"] = r.MRE
+		m[key+"nodes"] = r.AvgN
+		m[key+"epochs"] = float64(r.Epochs)
+	}
+	return m
 }
 
 // RenderAblation prints the ablation table.

@@ -23,7 +23,6 @@ func micro() Preset {
 		GPTStages: 14, MoEStages: 12, MaxLen: 2, MoEMaxLen: 2,
 		GPTLayers: 6, MoELayers: 6,
 		Fractions: []int{40, 70},
-		ValFrac:   0.15,
 		Train:     predictor.TrainConfig{Epochs: 4, Patience: 4, BatchSize: 4},
 		Tran:      graphnn.TransformerConfig{Layers: 1, Dim: 16, Heads: 2, FFNDim: 32},
 		GCN:       graphnn.GCNConfig{Layers: 2, Dim: 16},
@@ -33,7 +32,6 @@ func micro() Preset {
 		PlanMaxLenGPT: 4, PlanMaxLenMoE: 4,
 		Fig10MoELayers: 6,
 		PredSampleFrac: 0.3,
-		PartialAlpha:   1.6,
 		PlanTrain:      predictor.TrainConfig{Epochs: 4, Patience: 4, BatchSize: 4},
 
 		RandomPlans: 6,
@@ -113,8 +111,8 @@ func TestRunMRETableEndToEnd(t *testing.T) {
 			t.Fatal("aggregate render missing series")
 		}
 	}
-	if out := RenderFig3([]*MRETable{tab}, 70); !strings.Contains(out, "Tran") {
-		t.Fatal("Fig 3 render empty")
+	if out := RenderFig3([]*MRETable{tab}); !strings.Contains(out, "(70% training samples)") || !strings.Contains(out, "Tran") {
+		t.Fatalf("Fig 3 render not at the largest fraction:\n%s", out)
 	}
 }
 
@@ -190,7 +188,7 @@ func TestRunFig10EndToEnd(t *testing.T) {
 		if r.Report == nil {
 			t.Fatalf("%s: no report", r.Version)
 		}
-		if r.Meter.Total() <= 0 || r.Report.Pipeline.Total <= 0 {
+		if r.Report.Cost == nil || r.Report.Cost.TotalSeconds <= 0 || r.Report.Pipeline.Total <= 0 {
 			t.Fatalf("%s: zero cost or latency", r.Version)
 		}
 		n := r.Plan.NumStages()
@@ -213,8 +211,8 @@ func TestRunFig10EndToEnd(t *testing.T) {
 		if s := r.Report.Search; s == nil || s.LatencyLookups == 0 || s.TmaxCandidates == 0 {
 			t.Fatalf("%s: search stats missing: %+v", r.Version, s)
 		}
-		if c := r.Report.Cost; c == nil || c.TotalSeconds != r.Meter.Total() {
-			t.Fatalf("%s: cost block missing or wrong: %+v", r.Version, c)
+		if c := r.Report.Cost; c.TotalSeconds != c.ProfileSeconds+c.TrainSeconds+c.InferSeconds {
+			t.Fatalf("%s: cost block does not add up: %+v", r.Version, c)
 		}
 		if r.Report.Provenance.Source != r.Version {
 			t.Fatalf("%s: provenance source %q", r.Version, r.Report.Provenance.Source)
@@ -232,18 +230,20 @@ func TestRunFig10EndToEnd(t *testing.T) {
 			partial = r
 		}
 	}
-	if partial.Meter.Total() >= full.Meter.Total() {
+	if partial.Report.Cost.TotalSeconds >= full.Report.Cost.TotalSeconds {
 		t.Fatal("partial profiling must cost less than full")
 	}
 	// Every predictor version must beat partial profiling on cost — the
 	// core Fig-10a claim.
-	for _, r := range runs[2:] {
-		if r.Meter.Total() >= partial.Meter.Total() {
+	var reports []*planner.Report
+	for i, r := range runs {
+		reports = append(reports, r.Report)
+		if c := r.Report.Cost.TotalSeconds; i >= 2 && c >= partial.Report.Cost.TotalSeconds {
 			t.Fatalf("%s (%.0fs) not cheaper than partial (%.0fs)",
-				r.Version, r.Meter.Total(), partial.Meter.Total())
+				r.Version, c, partial.Report.Cost.TotalSeconds)
 		}
 	}
-	out := RenderFig10("GPT-3", runs)
+	out := RenderFig10("GPT-3", reports)
 	for _, want := range []string{"(a) optimization time", "(b) iteration latency", "vs partial", "vs full"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("fig10 render missing %q", want)

@@ -14,12 +14,12 @@ import (
 	"predtop/internal/sim"
 )
 
-// PlanRun is one bar of Fig 10: a planner version's optimization cost (10a,
-// Meter.Total()) and the ground-truth iteration latency of the plan it
-// produced (10b, Report.Pipeline.Total).
+// PlanRun is one bar of Fig 10: a planner version's winning plan and, when
+// the search found one, its provenance report, which carries both the
+// optimization cost (10a, Report.Cost) and the ground-truth iteration
+// latency of the plan (10b, Report.Pipeline.Total).
 type PlanRun struct {
 	Version string
-	Meter   planner.Meter
 	OK      bool
 	// Plan is the winning plan itself (zero when the search found none) —
 	// the input to planner.WhatIf replays.
@@ -27,15 +27,6 @@ type PlanRun struct {
 	// Report is the plan's provenance report (nil when !OK), recorded in the
 	// run's ledger manifest and written out by predtop-plan -report.
 	Report *planner.Report
-}
-
-// iterationLatency returns the run's ground-truth Eqn-4 latency, 0 when the
-// run found no feasible plan.
-func (r PlanRun) iterationLatency() float64 {
-	if r.Report == nil {
-		return 0
-	}
-	return r.Report.Pipeline.Total
 }
 
 // Fig10Model builds the benchmark model exactly as RunFig10 plans it —
@@ -87,7 +78,7 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 	}
 	{
 		meter := &planner.Meter{}
-		specs = append(specs, runSpec{"Alpa-Partial", planner.PartialProfiling(mdl, prof, meter, p.PartialAlpha), meter,
+		specs = append(specs, runSpec{"Alpa-Partial", planner.PartialProfiling(mdl, prof, meter, partialAlpha), meter,
 			planner.ProviderInfo{Source: "Alpa-Partial"}})
 	}
 	// Predictor training inside the planner reports to the same observer as
@@ -115,7 +106,7 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 	parallel.For(len(specs), func(i int) {
 		// The search times itself: a planner.optimize span on opts.Prof.
 		plan, ok := planner.Optimize(mdl.NumSegments(), platform, specs[i].latFn, opts)
-		out[i] = PlanRun{Version: specs[i].version, Meter: *specs[i].meter, OK: ok, Plan: plan}
+		out[i] = PlanRun{Version: specs[i].version, OK: ok, Plan: plan}
 	})
 
 	// The plans' ground truth comes serially, in version order, from one
@@ -139,9 +130,13 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 				Meter:        sp.meter,
 			})
 		}
+		iter := 0.0
+		if run.Report != nil {
+			iter = run.Report.Pipeline.Total
+		}
 		fmt.Fprintf(log, "[fig10 %s] %-13s opt %.0fs (profile %.0fs train %.0fs infer %.0fs, %d profiles) iter %.3fs stages %d\n",
 			bench.Name, sp.version, sp.meter.Total(), sp.meter.ProfileSeconds, sp.meter.TrainSeconds,
-			sp.meter.InferSeconds, sp.meter.StagesProfiled, run.iterationLatency(), len(run.Plan.Stages))
+			sp.meter.InferSeconds, sp.meter.StagesProfiled, iter, len(run.Plan.Stages))
 		// Render each feasible plan's simulated 1F1B schedule as its own set
 		// of trace tracks so plan shapes are comparable side by side.
 		if run.OK {
@@ -153,39 +148,41 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 	return out
 }
 
-// RenderFig10 prints both panels: optimization cost (10a) and the iteration
-// latency of the optimized plan (10b), with percentage deltas against the
-// profiling baselines as the paper reports them.
-func RenderFig10(bench string, runs []PlanRun) string {
+// RenderFig10 prints both panels from the reports of the versions that found
+// a plan, in run order: optimization cost (10a) and the iteration latency of
+// the optimized plan (10b), with percentage deltas against the profiling
+// baselines as the paper reports them.
+func RenderFig10(bench string, reports []*planner.Report) string {
 	var b strings.Builder
 	var partialOpt, baseIter float64
-	for _, r := range runs {
+	for _, r := range reports {
 		if r.Version == "Alpa-Partial" {
-			partialOpt = r.Meter.Total()
+			partialOpt = r.Cost.TotalSeconds
 		}
 		if r.Version == "Alpa-Full" {
-			baseIter = r.iterationLatency()
+			baseIter = r.Pipeline.Total
 		}
 	}
 	fmt.Fprintf(&b, "Fig 10 (%s benchmark, Platform 2)\n", bench)
 	fmt.Fprintf(&b, "(a) optimization time (simulated seconds)\n")
 	fmt.Fprintf(&b, "    %-14s %12s %12s %10s %10s %12s\n", "version", "total", "profile", "train", "infer", "vs partial")
-	for _, r := range runs {
+	for _, r := range reports {
+		c := r.Cost
 		delta := ""
 		if partialOpt > 0 {
-			delta = fmt.Sprintf("%+.1f%%", (r.Meter.Total()-partialOpt)/partialOpt*100)
+			delta = fmt.Sprintf("%+.1f%%", (c.TotalSeconds-partialOpt)/partialOpt*100)
 		}
 		fmt.Fprintf(&b, "    %-14s %12.0f %12.0f %10.0f %10.0f %12s\n",
-			r.Version, r.Meter.Total(), r.Meter.ProfileSeconds, r.Meter.TrainSeconds, r.Meter.InferSeconds, delta)
+			r.Version, c.TotalSeconds, c.ProfileSeconds, c.TrainSeconds, c.InferSeconds, delta)
 	}
 	fmt.Fprintf(&b, "(b) iteration latency of the optimized plan (seconds)\n")
 	fmt.Fprintf(&b, "    %-14s %12s %8s %12s\n", "version", "latency", "stages", "vs full")
-	for _, r := range runs {
+	for _, r := range reports {
 		delta := ""
-		if baseIter > 0 && r.OK {
-			delta = fmt.Sprintf("%+.1f%%", (r.iterationLatency()-baseIter)/baseIter*100)
+		if baseIter > 0 {
+			delta = fmt.Sprintf("%+.1f%%", (r.Pipeline.Total-baseIter)/baseIter*100)
 		}
-		fmt.Fprintf(&b, "    %-14s %12.4f %8d %12s\n", r.Version, r.iterationLatency(), len(r.Plan.Stages), delta)
+		fmt.Fprintf(&b, "    %-14s %12.4f %8d %12s\n", r.Version, r.Pipeline.Total, len(r.Stages), delta)
 	}
 	return b.String()
 }

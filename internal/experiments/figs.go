@@ -50,19 +50,62 @@ func RunFig2(p Preset, log io.Writer) []Fig2Result {
 	return out
 }
 
-// Render prints the Fig-2 distribution: summary statistics and a CDF strip.
-func (r Fig2Result) Render() string {
-	var b strings.Builder
-	n := len(r.Latencies)
-	if n == 0 {
-		return fmt.Sprintf("Fig 2 (%s): no feasible plans\n", r.Benchmark)
+// Fig2Summary is the headline of one Fig-2 distribution: how many random
+// plans were feasible and the min, p25, median, p75 and max of their
+// iteration latencies (seconds).
+type Fig2Summary struct {
+	Benchmark string
+	Plans     int
+	Quantiles [5]float64
+}
+
+// Summary returns the distribution's headline.
+func (r Fig2Result) Summary() Fig2Summary {
+	s := Fig2Summary{Benchmark: r.Benchmark, Plans: len(r.Latencies)}
+	if n := len(r.Latencies); n > 0 {
+		for i, f := range []float64{0, 0.25, 0.5, 0.75, 1} {
+			s.Quantiles[i] = r.Latencies[int(f*float64(n-1))]
+		}
 	}
-	q := func(f float64) float64 { return r.Latencies[int(f*float64(n-1))] }
-	fmt.Fprintf(&b, "Fig 2 (%s): iteration latency of %d random parallelization plans\n", r.Benchmark, n)
-	fmt.Fprintf(&b, "  min %.3fs  p25 %.3fs  median %.3fs  p75 %.3fs  max %.3fs  (max/min = %.1fx)\n",
-		q(0), q(0.25), q(0.5), q(0.75), q(1), q(1)/q(0))
+	return s
+}
+
+// Fig2Quantiles names Fig2Summary.Quantiles in order.
+var Fig2Quantiles = [5]string{"min", "p25", "median", "p75", "max"}
+
+// Metrics returns the headline keyed for a run manifest's canonical metrics:
+// fig2_<bench>_plans and fig2_<bench>_<quantile> per Fig2Quantiles entry
+// (bench lower-cased).
+func (s Fig2Summary) Metrics() map[string]float64 {
+	key := "fig2_" + strings.ToLower(s.Benchmark) + "_"
+	m := map[string]float64{key + "plans": float64(s.Plans)}
+	for i, q := range Fig2Quantiles {
+		m[key+q] = s.Quantiles[i]
+	}
+	return m
+}
+
+// Render prints the headline: the plan count and the five quantiles.
+func (s Fig2Summary) Render() string {
+	if s.Plans == 0 {
+		return fmt.Sprintf("Fig 2 (%s): no feasible plans\n", s.Benchmark)
+	}
+	q := s.Quantiles
+	return fmt.Sprintf("Fig 2 (%s): iteration latency of %d random parallelization plans\n"+
+		"  min %.3fs  p25 %.3fs  median %.3fs  p75 %.3fs  max %.3fs  (max/min = %.1fx)\n",
+		s.Benchmark, s.Plans, q[0], q[1], q[2], q[3], q[4], q[4]/q[0])
+}
+
+// Render prints the Fig-2 distribution: its headline and a histogram.
+func (r Fig2Result) Render() string {
+	s := r.Summary()
+	var b strings.Builder
+	b.WriteString(s.Render())
+	if s.Plans == 0 {
+		return b.String()
+	}
 	// Histogram over 10 buckets.
-	lo, hi := q(0), q(1)
+	lo, hi := s.Quantiles[0], s.Quantiles[4]
 	buckets := make([]int, 10)
 	for _, v := range r.Latencies {
 		i := int((v - lo) / (hi - lo + 1e-12) * 10)

@@ -5,7 +5,9 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"predtop/internal/cluster"
@@ -30,6 +32,12 @@ type MRETable struct {
 	// MRE[f][s][m] is the test MRE (%) at fraction index f, scenario index
 	// s, model index m (ModelNames order).
 	MRE [][][]float64
+	// Specs is the number of stage specs the grid profiled, Classes the
+	// number of distinct stage classes among them, and Tests[f][s] the
+	// held-out sample count of the cells at fraction index f, scenario
+	// index s (every model of a cell is tested on the same samples).
+	Specs, Classes int
+	Tests          [][]int
 	// Attribution maps each model family (ModelNames entry) to its
 	// error-attribution snapshot merged across every (fraction, scenario)
 	// cell of the grid, in grid order — so the table reports not just how
@@ -70,6 +78,10 @@ func RunMRETable(p Preset, bench Benchmark, platform cluster.Platform, log io.Wr
 	enc := predictor.NewEncoder(mdl, true)
 	prof := sim.DefaultProfiler()
 	scenarios := cluster.Scenarios(platform)
+	classes := map[models.StageClass]bool{}
+	for _, sp := range specs {
+		classes[mdl.StageClass(sp.Lo, sp.Hi)] = true
+	}
 
 	t := &MRETable{
 		Benchmark: bench.Name,
@@ -77,9 +89,13 @@ func RunMRETable(p Preset, bench Benchmark, platform cluster.Platform, log io.Wr
 		Scenarios: scenarios,
 		Fractions: p.Fractions,
 		MRE:       make([][][]float64, len(p.Fractions)),
+		Specs:     len(specs),
+		Classes:   len(classes),
+		Tests:     make([][]int, len(p.Fractions)),
 	}
 	for fi := range p.Fractions {
 		t.MRE[fi] = make([][]float64, len(scenarios))
+		t.Tests[fi] = make([]int, len(scenarios))
 		for si := range scenarios {
 			t.MRE[fi][si] = make([]float64, len(ModelNames))
 		}
@@ -115,7 +131,7 @@ func RunMRETable(p Preset, bench Benchmark, platform cluster.Platform, log io.Wr
 		c := cells[ci]
 		ds := datasets[c.si]
 		splitRng := rand.New(rand.NewSource(p.Seed*1000 + int64(c.fi*100+c.si)))
-		train, val, test := stage.Split(splitRng, len(ds.Samples), float64(p.Fractions[c.fi])/100, p.ValFrac)
+		train, val, test := stage.Split(splitRng, len(ds.Samples), float64(p.Fractions[c.fi])/100, valFrac)
 		cfg := p.Train
 		cfg.Prof, cfg.Flight = p.Obs.Prof, p.Obs.Flight
 		cfg.Seed = p.Seed + int64(c.fi*1000+c.si*10+c.mi)
@@ -124,6 +140,9 @@ func RunMRETable(p Preset, bench Benchmark, platform cluster.Platform, log io.Wr
 		a := trained.Evaluate(ds, test)
 		attribs[ci] = a
 		t.MRE[c.fi][c.si][c.mi] = a.MREPct
+		if c.mi == 0 { // the models of a cell share its split: one writer
+			t.Tests[c.fi][c.si] = len(test)
+		}
 		logs[ci] = fmt.Sprintf("  [%s %v] frac %d%% %s: MRE %.2f%% (%d epochs, %.1fs)\n",
 			bench.Name, scenarios[c.si], p.Fractions[c.fi], ModelNames[c.mi], a.MREPct, res.EpochsRun, res.WallSeconds)
 	})
@@ -145,19 +164,23 @@ func RunMRETable(p Preset, bench Benchmark, platform cluster.Platform, log io.Wr
 // Render prints the grid in the layout of Tables V/VI: one row per training
 // fraction (descending, as in the paper), one column group per scenario,
 // each group holding GCN / GAT / Tran, with the per-group winner starred.
+// A line above the grid gives its spec and stage-class counts, a last column
+// each row's held-out sample count (a range where scenarios differ), and a
+// line below it the DAG Transformer's share of winning cells.
 func (t *MRETable) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "MRE (%%) — %s benchmark on %s\n", t.Benchmark, t.Platform.Name)
+	fmt.Fprintf(&b, "%d stage specs in %d stage classes; n = held-out samples per cell\n", t.Specs, t.Classes)
 	fmt.Fprintf(&b, "%-8s", "# Samp")
 	for _, sc := range t.Scenarios {
 		fmt.Fprintf(&b, "| Mesh %d Conf %d %9s", sc.Mesh.Index, sc.Config.Index, "")
 	}
-	b.WriteString("\n")
+	fmt.Fprintf(&b, "| %5s\n", "n")
 	fmt.Fprintf(&b, "%-8s", "")
 	for range t.Scenarios {
 		fmt.Fprintf(&b, "| %7s %7s %7s ", "GCN", "GAT", "Tran")
 	}
-	b.WriteString("\n")
+	b.WriteString("|\n")
 	for fi := len(t.Fractions) - 1; fi >= 0; fi-- {
 		fmt.Fprintf(&b, "%-8s", fmt.Sprintf("%d%%", t.Fractions[fi]))
 		for si := range t.Scenarios {
@@ -178,9 +201,39 @@ func (t *MRETable) Render() string {
 			}
 			b.WriteString(" ")
 		}
-		b.WriteString("\n")
+		lo, hi := slices.Min(t.Tests[fi]), slices.Max(t.Tests[fi])
+		n := strconv.Itoa(lo)
+		if hi != lo {
+			n += "-" + strconv.Itoa(hi)
+		}
+		fmt.Fprintf(&b, "| %5s\n", n)
 	}
+	fmt.Fprintf(&b, "DAG Transformer wins %.1f%% of cells\n", t.WinRate(2)*100)
 	return b.String()
+}
+
+// Metrics returns every number Render prints, keyed for a run manifest's
+// canonical metrics. The table is <bench>_p<platform> (bench lower-cased), a
+// cell <table>_f<fraction>_m<mesh>c<conf>; the keys are win_rate_<table> (in
+// percent), specs_<table>, classes_<table>, tests_<cell> and, per ModelNames
+// entry, mre_<cell>_<model> (model lower-cased).
+func (t *MRETable) Metrics() map[string]float64 {
+	tab := fmt.Sprintf("%s_p%d", strings.ToLower(t.Benchmark), t.Platform.Index)
+	m := map[string]float64{
+		"win_rate_" + tab: t.WinRate(2) * 100,
+		"specs_" + tab:    float64(t.Specs),
+		"classes_" + tab:  float64(t.Classes),
+	}
+	for fi, f := range t.Fractions {
+		for si, sc := range t.Scenarios {
+			cell := fmt.Sprintf("%s_f%d_m%dc%d", tab, f, sc.Mesh.Index, sc.Config.Index)
+			m["tests_"+cell] = float64(t.Tests[fi][si])
+			for mi, name := range ModelNames {
+				m["mre_"+cell+"_"+strings.ToLower(name)] = t.MRE[fi][si][mi]
+			}
+		}
+	}
+	return m
 }
 
 // WinRate returns the fraction of (fraction, scenario) cells in which model
@@ -313,25 +366,17 @@ func RenderAggregates(aggs []Aggregate, std bool) string {
 }
 
 // RenderFig3 prints the Fig-3 comparison — GCN vs DAG Transformer MRE per
-// scenario at the given training fraction — from an already-computed table.
-func RenderFig3(tables []*MRETable, fraction int) string {
+// scenario — at the largest training fraction of one run's tables, which
+// share their fractions.
+func RenderFig3(tables []*MRETable) string {
+	if len(tables) == 0 {
+		return ""
+	}
+	fi := len(tables[0].Fractions) - 1
 	var b strings.Builder
-	fmt.Fprintf(&b, "Fig 3: stage-latency prediction error, GCN vs DAG Transformer (%d%% training samples)\n", fraction)
+	fmt.Fprintf(&b, "Fig 3: stage-latency prediction error, GCN vs DAG Transformer (%d%% training samples)\n", tables[0].Fractions[fi])
 	fmt.Fprintf(&b, "%-40s %10s %10s\n", "configuration", "GCN", "Tran")
 	for _, t := range tables {
-		fi := -1
-		for i, f := range t.Fractions {
-			if f == fraction {
-				fi = i
-			}
-		}
-		// Fall back to the largest fraction the run actually evaluated.
-		if fi < 0 && len(t.Fractions) > 0 {
-			fi = len(t.Fractions) - 1
-		}
-		if fi < 0 {
-			continue
-		}
 		for si, sc := range t.Scenarios {
 			fmt.Fprintf(&b, "%-40s %9.2f%% %9.2f%%\n",
 				fmt.Sprintf("%s %s (%d,%d)", t.Benchmark, t.Platform.Name, sc.Mesh.Index, sc.Config.Index),

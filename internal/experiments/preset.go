@@ -12,6 +12,14 @@ import (
 	"predtop/internal/predictor"
 )
 
+// valFrac is the validation share of every split (the paper's 10 %), and
+// partialAlpha the pruning threshold of Fig 10's Alpa-Partial baseline; no
+// preset varies either.
+const (
+	valFrac      = 0.1
+	partialAlpha = 1.6
+)
+
 // Preset bundles the experiment scale knobs. The paper's full protocol
 // (409/205 stages, 500 epochs, patience 200, full-size baselines) is far
 // beyond a single-core CPU budget; presets keep the protocol identical and
@@ -32,7 +40,6 @@ type Preset struct {
 
 	// Training-set fractions evaluated (percent), Tables V/VI rows.
 	Fractions []int
-	ValFrac   float64
 
 	Train predictor.TrainConfig
 	Tran  graphnn.TransformerConfig
@@ -49,7 +56,6 @@ type Preset struct {
 	Fig10GPTLayers int
 	Fig10MoELayers int
 	PredSampleFrac float64
-	PartialAlpha   float64
 	PlanTrain      predictor.TrainConfig
 
 	// Fig 2 sample size.
@@ -73,7 +79,6 @@ func Quick() Preset {
 		GPTStages: 20, MoEStages: 18, MaxLen: 2,
 		GPTLayers: 10, MoELayers: 10,
 		Fractions: []int{30, 80},
-		ValFrac:   0.1,
 		Train:     predictor.TrainConfig{Epochs: 8, Patience: 6, BatchSize: 4},
 		Tran:      graphnn.TransformerConfig{Layers: 2, Dim: 24, Heads: 2, FFNDim: 48},
 		GCN:       graphnn.GCNConfig{Layers: 3, Dim: 48},
@@ -82,7 +87,6 @@ func Quick() Preset {
 		Microbatches:  16,
 		PlanMaxLenGPT: 5, PlanMaxLenMoE: 5,
 		PredSampleFrac: 0.2,
-		PartialAlpha:   1.6,
 		PlanTrain:      predictor.TrainConfig{Epochs: 8, Patience: 6, BatchSize: 4},
 
 		RandomPlans: 25,
@@ -117,7 +121,6 @@ func Paper() Preset {
 		Name:      "paper",
 		GPTStages: 0, MoEStages: 0, MaxLen: 3,
 		Fractions: []int{10, 20, 40, 60, 80},
-		ValFrac:   0.1,
 		Train:     predictor.TrainConfig{Epochs: 30, Patience: 10, BatchSize: 4},
 		Tran:      graphnn.TransformerConfig{Layers: 2, Dim: 32, Heads: 2, FFNDim: 64},
 		GCN:       graphnn.GCNConfig{Layers: 6, Dim: 64},
@@ -127,7 +130,6 @@ func Paper() Preset {
 		PlanMaxLenGPT: 10, PlanMaxLenMoE: 8,
 		Fig10MoELayers: 20,
 		PredSampleFrac: 0.10,
-		PartialAlpha:   1.6,
 		PlanTrain:      predictor.TrainConfig{Epochs: 16, Patience: 8, BatchSize: 4},
 
 		RandomPlans: 100,

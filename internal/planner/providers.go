@@ -76,7 +76,7 @@ func FullProfiling(mdl *models.Model, prof sim.Profiler, meter *Meter) LatencyFn
 // PartialProfiling wraps full profiling with vanilla Alpa's pruning
 // heuristic (§VII-D): skip stage–mesh pairs whose model-fraction to
 // device-fraction ratio is imbalanced beyond alpha, profiling only the
-// plausible ones. alpha must exceed 1 (the presets use 1.6).
+// plausible ones. alpha must exceed 1 (Fig 10 uses 1.6).
 func PartialProfiling(mdl *models.Model, prof sim.Profiler, meter *Meter, alpha float64) LatencyFn {
 	full := FullProfiling(mdl, prof, meter)
 	numSegments := float64(mdl.NumSegments())

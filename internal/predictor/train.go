@@ -1,6 +1,7 @@
 package predictor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -132,7 +133,9 @@ type Trained struct {
 // runGroup). Evaluation runs one forward per distinct graph, and its
 // per-sample losses fold through a fixed-shape tree. Every cfg.Workers
 // setting and claim order therefore yields bitwise-identical weights, equal
-// to one run per sample.
+// to one run per sample. A NaN or infinite minibatch loss panics before its
+// optimizer step, naming the epoch and batch; a non-finite validation loss
+// panics naming the epoch.
 func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainConfig) (Trained, TrainResult) {
 	cfg = cfg.withDefaults()
 	start := time.Now()
@@ -286,6 +289,14 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 			bs := trainSpan.Start("batch")
 			lead := claimGraphs(claim[:len(batch)], next, func(k int) *stage.Encoded { return ds.Samples[batch[k]].Encoded }, cfg.Loss == MAE)
 			parallel.ForLimit(len(lead), cfg.Workers, func(j int) { runGroup(batch, lead[j], bs) })
+			// Per-sample losses fold through the same fixed-shape tree as the
+			// gradient parts, so History is as deterministic as the weights.
+			// A non-finite one (a NaN or infinite label, an overflow) would
+			// reach every weight through the step: the run stops here.
+			batchLoss := parallel.TreeReduce(lossVals[:len(batch)], func(a, b float64) float64 { return a + b })
+			if math.IsNaN(batchLoss) || math.IsInf(batchLoss, 0) {
+				panic(fmt.Sprintf("predictor: non-finite training loss %v at epoch %d, batch %d", batchLoss, epoch+1, numBatches+1))
+			}
 			st := bs.Start("step")
 			grads.Fold(len(batch))
 			optim.ScaleGrads(params, 1/float64(len(batch)))
@@ -294,10 +305,7 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 			st.End()
 			bs.End()
 			cfg.Flight.Note("train", "batch")
-			// Observation only: per-sample losses fold through the same
-			// fixed-shape tree as the gradient parts and accumulate serially
-			// in batch order, so History is as deterministic as the weights.
-			epochLoss += parallel.TreeReduce(lossVals[:len(batch)], func(a, b float64) float64 { return a + b })
+			epochLoss += batchLoss
 			normSum += norm
 			numBatches++
 		}
@@ -312,6 +320,9 @@ func Train(model graphnn.Model, ds *Dataset, trainIdx, valIdx []int, cfg TrainCo
 		stopped := false
 		if useVal {
 			val := lossOf(valIdx)
+			if math.IsNaN(val) || math.IsInf(val, 0) {
+				panic(fmt.Sprintf("predictor: non-finite validation loss %v at epoch %d", val, epoch+1))
+			}
 			stats.ValLoss = val
 			if val < best {
 				best = val

@@ -358,3 +358,33 @@ func TestPredictSteadyStateAllocBudget(t *testing.T) {
 	}
 	t.Logf("PredictEncoded steady-state allocs: %.1f", allocs)
 }
+
+// TestTrainPanicsOnNonFiniteLoss feeds a +Inf label: on the training side it
+// makes the label scale infinite and its sample's loss NaN, on the
+// validation side the validation loss +Inf. Either way Train stops with a
+// panic that names where, instead of training on or early-stopping against
+// a loss that can no longer compare.
+func TestTrainPanicsOnNonFiniteLoss(t *testing.T) {
+	_, ds := smallDataset(t, 10)
+	for _, tc := range []struct {
+		name             string
+		trainIdx, valIdx []int
+		want             string
+	}{
+		{"train", []int{0, 1, 2, 3, 4, 5, 6, 7}, []int{8, 9}, "non-finite training loss NaN at epoch 1, batch "},
+		{"validation", []int{1, 2, 3, 4, 5, 6, 7, 8}, []int{0, 9}, "non-finite validation loss +Inf at epoch 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := *ds
+			bad.Samples = append([]Sample(nil), ds.Samples...)
+			bad.Samples[0].Measured = math.Inf(1)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %q, want one containing %q", msg, tc.want)
+				}
+			}()
+			Train(buildArch("GCN", 5), &bad, tc.trainIdx, tc.valIdx, TrainConfig{Epochs: 2, BatchSize: 4, Seed: 9})
+		})
+	}
+}

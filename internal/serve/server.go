@@ -55,8 +55,7 @@ type Config struct {
 	// ModelDir is the directory of *.predtop model files to serve.
 	ModelDir string
 	// CacheSize bounds the (model, generation, bench, layers, stage class) →
-	// latency memo (default 4096 entries, the same bound as the planner's
-	// stage-encoding cache).
+	// latency memo (default 4096 entries).
 	CacheSize int
 
 	// Metrics, Sink, Flight, Trace, and Log are the observability fan-out;

@@ -3,7 +3,8 @@
 # predtop-runs, record real runs into a throwaway ledger, and prove the
 # cross-run observability contract end to end: two same-seed training runs
 # share one content address with byte-identical canonical sections, the eval
-# manifest carries the error-attribution snapshot, the diff renders it, the
+# manifest carries every MRE cell and count of its table and the
+# error-attribution snapshot, the diff renders it, the
 # regression sentinel passes a run against its own baseline and trips on a
 # family whose attribution MRE grew, and a plan manifest holds its plans'
 # whole reports, on whose Eqn-4 total the sentinel still trips. Any failure fails the script, which is wired into `make ci`
@@ -49,6 +50,25 @@ grep -q predtop-eval "$WORK/list.out" || {
     echo "runs-smoke: eval run missing from the ledger" >&2
     exit 1
 }
+
+echo "runs-smoke: checking the eval manifest records its tables"
+# EXPERIMENTS.md is rendered from such manifests (TestExperimentsRendered):
+# every number the report prints must be a canonical metric. The quick grid
+# on Platform 1 is 2 fractions x 3 scenarios, so 18 MRE cells (one per model)
+# and 6 held-out counts, plus the table's spec and stage-class counts.
+EVAL=$(grep -l '"tool": "predtop-eval"' "$LEDGER"/*.json)
+mres=$(grep -cE '"mre_gpt-3_p1_f[0-9]+_m[0-9]c[0-9]_(gcn|gat|tran)": ' "$EVAL" || true)
+tests=$(grep -cE '"tests_gpt-3_p1_f[0-9]+_m[0-9]c[0-9]": ' "$EVAL" || true)
+if [ "$mres" != 18 ] || [ "$tests" != 6 ]; then
+    echo "runs-smoke: eval manifest holds $mres MRE cells and $tests held-out counts, want 18 and 6" >&2
+    exit 1
+fi
+for key in win_rate specs classes; do
+    grep -q "\"${key}_gpt-3_p1\": " "$EVAL" || {
+        echo "runs-smoke: eval manifest lacks ${key}_gpt-3_p1" >&2
+        exit 1
+    }
+done
 
 echo "runs-smoke: checking same-seed canonical sections are byte-identical"
 # The two training runs collide on one content address: the first takes
@@ -100,7 +120,6 @@ echo "runs-smoke: gating an eval run with a raised family MRE"
 # The eval manifest with 10 points added to the Tran family's held-out MRE
 # (the first "mre_pct" after its attribution label): the MRE gate reads each
 # family's attribution, so the sentinel must name Tran and exit nonzero.
-EVAL=$(grep -l '"tool": "predtop-eval"' "$LEDGER"/*.json)
 awk '/"attribution": \{/ { attr = 1 }
      attr && /"Tran": \{/ { fam = 1 }
      fam && !raised && /"mre_pct": / {
@@ -125,7 +144,8 @@ echo "runs-smoke: recording a quick plan run"
 PLANS="$WORK/plans"
 "$WORK/predtop-plan" -preset quick -bench GPT-3 -runledger "$PLANS" -quiet > /dev/null
 "$WORK/predtop-runs" -dir "$PLANS" show -canonical > "$WORK/plan.json"
-# A recorded plan is the report itself (what predtop-runs render will read):
+# A recorded plan is the report itself (what TestExperimentsRendered renders
+# Fig 10 from):
 # the first one carries its stage list and cost block.
 awk '/"plans": \[/ { in_plans = 1 }
      in_plans && /"cost": \{/ { cost = 1 }
