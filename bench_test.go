@@ -75,8 +75,9 @@ func BenchmarkTableVI_MoE(b *testing.B) {
 // parallelization plans of both benchmarks on Platform 2.
 func BenchmarkFig2PlanVariation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rs := experiments.RunFig2(benchPreset(i), nil)
-		for _, r := range rs {
+		p := benchPreset(i)
+		for _, bench := range p.Benchmarks() {
+			r := experiments.RunFig2(p, bench, nil)
 			b.ReportMetric(r.Spread(), "spread-"+r.Benchmark)
 		}
 	}

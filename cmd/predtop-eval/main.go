@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"predtop/internal/cli"
@@ -66,13 +67,13 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if *fig != 0 && *fig != 2 && *fig != 6 {
 		return fmt.Errorf("unknown figure %d (want 2 or 6)", *fig)
 	}
-	wantBench := "" // every benchmark
+	benches := p.Benchmarks()
 	if !strings.EqualFold(*bench, "all") {
 		cfg, err := cli.Bench(*bench, 0)
 		if err != nil {
 			return err
 		}
-		wantBench = cfg.Name
+		benches = slices.DeleteFunc(benches, func(b experiments.Benchmark) bool { return b.Name != cfg.Name })
 	}
 	platforms := []cluster.Platform{cluster.Platform1(), cluster.Platform2()}
 	if *platformSel != 0 {
@@ -91,16 +92,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	defer func() { err = r.Close(err) }()
 	p.Obs = r.Observer()
 
+	// Each branch records only the config keys it reads.
 	man := r.Man
-	man.SetConfig("preset", p.Name)
-	man.SetConfig("bench", strings.ToLower(*bench))
-	man.SetConfig("platform", fmt.Sprint(*platformSel))
-	man.SetConfig("ablate", fmt.Sprint(*ablate))
-	man.SetConfig("tables", fmt.Sprint(*tables))
-	if *fig != 0 {
-		man.SetConfig("fig", fmt.Sprint(*fig))
-	}
-
 	w, progress := stdout, r.Log.Writer()
 	record := func(metrics map[string]float64) {
 		for k, v := range metrics {
@@ -109,22 +102,31 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 	switch *fig {
 	case 2:
-		for _, res := range experiments.RunFig2(p, progress) {
+		man.SetConfig("preset", p.Name)
+		man.SetConfig("bench", strings.ToLower(*bench))
+		man.SetConfig("fig", "2")
+		for _, b := range benches {
+			res := experiments.RunFig2(p, b, progress)
 			fmt.Fprintln(w, res.Render())
 			record(res.Summary().Metrics())
 		}
 		return nil
 	case 6:
+		man.SetConfig("fig", "6")
 		fmt.Fprintln(w, experiments.RenderFig6())
 		return nil
 	}
+	man.SetConfig("preset", p.Name)
+	man.SetConfig("bench", strings.ToLower(*bench))
+	man.SetConfig("ablate", fmt.Sprint(*ablate))
+	man.SetConfig("tables", fmt.Sprint(*tables))
+	if *tables {
+		man.SetConfig("platform", fmt.Sprint(*platformSel))
+	}
 	var mreTables []*experiments.MRETable
-	for _, b := range p.Benchmarks() {
+	for _, b := range benches {
 		if !*tables {
 			break
-		}
-		if wantBench != "" && wantBench != b.Name {
-			continue
 		}
 		for _, plat := range platforms {
 			tableName := "Table V"
@@ -147,10 +149,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 
 	if *ablate {
-		for _, b := range p.Benchmarks() {
-			if wantBench != "" && wantBench != b.Name {
-				continue
-			}
+		for _, b := range benches {
 			rows := experiments.RunAblation(p, b, cluster.Platform1(), 0.5, progress)
 			fmt.Fprintln(w, experiments.RenderAblation(b.Name, rows))
 			record(experiments.AblationMetrics(b.Name, rows))

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -41,7 +42,7 @@ func TestEvalRejectsBadArgumentsEarly(t *testing.T) {
 
 // With the grids switched off the tool still runs its whole lifecycle: the
 // ledger holds one manifest carrying the preset's seed and the
-// result-determining flags.
+// result-determining flags, and no -platform, which only the grids read.
 func TestEvalLifecycleWithoutGrids(t *testing.T) {
 	ledger := filepath.Join(t.TempDir(), "L")
 	var stdout, stderr bytes.Buffer
@@ -59,6 +60,35 @@ func TestEvalLifecycleWithoutGrids(t *testing.T) {
 	c := m.Canonical
 	if c.Tool != "predtop-eval" || c.Seed != 1 || c.Config["preset"] != "quick" || c.Config["tables"] != "false" {
 		t.Errorf("manifest identity: %+v", c)
+	}
+	if _, ok := c.Config["platform"]; ok {
+		t.Errorf("a run without grids recorded -platform: %+v", c.Config)
+	}
+}
+
+// -fig 2 runs the benchmarks -bench names and records the keys it reads:
+// -platform, -ablate and -tables change nothing there.
+func TestFig2FollowsBench(t *testing.T) {
+	ledger := filepath.Join(t.TempDir(), "L")
+	var stdout, stderr bytes.Buffer
+	args := []string{"-fig", "2", "-bench", "MoE", "-platform", "1", "-tables=false", "-runledger", ledger, "-quiet"}
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, &stderr)
+	}
+	if out := stdout.String(); !strings.Contains(out, "Fig 2 (MoE)") || strings.Contains(out, "GPT-3") {
+		t.Errorf("-fig 2 -bench MoE printed:\n%s", out)
+	}
+	paths, _ := filepath.Glob(filepath.Join(ledger, "*.json"))
+	if len(paths) != 1 {
+		t.Fatalf("ledger holds %d manifests, want 1", len(paths))
+	}
+	m, err := runledger.Load(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"preset": "quick", "bench": "moe", "fig": "2"}
+	if !maps.Equal(m.Canonical.Config, want) {
+		t.Errorf("config %v, want %v", m.Canonical.Config, want)
 	}
 }
 

@@ -2,9 +2,13 @@ package predtop
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -30,130 +34,207 @@ var deadExportsAllowed = map[string]string{
 	"tensor.SetSIMD":       "the kernel switch itself: the nosimd build tag for a process, this for one test",
 	// Paper artifacts whose caller is a root benchmark or test.
 	"experiments.Fig2Result.Spread": "Fig 2's headline max/min, the metric BenchmarkFig2PlanVariation reports",
-	// Called by the standard library through an interface, never by name.
-	"runledger.Manifest.MarshalJSON": "json.Marshaler: how encoding/json writes a manifest",
+	// Test helpers whose name another type's method shares.
+	"ag.Context.Param":      "leaf node of a raw parameter in the gradient tests of ag, nn, optim",
+	"tensor.Neighbours.Row": "adjacency reads in the tests of ag, models, predictor",
 }
 
 // TestNoDeadExports fails when an exported func or method under internal/ has
 // no reference in non-test code outside its own declaration, and likewise
 // for every func declared without a body (an assembly routine), exported or
-// not; a declaration is never a reference, so a Go stub of the same name
-// for other architectures (simd_other.go) keeps no routine alive. The search
-// is syntactic (go/parser, no type checker): a func counts as referenced by
-// its bare name inside its package or by pkg.Name from a file importing the
-// package; a method by any x.Name selector anywhere. That errs towards
-// keeping things alive, never towards a false alarm. Callers are internal/,
-// cmd/, examples/, predtop.go and the frozen bench/*.go.
+// not. Callers are internal/, cmd/, examples/, predtop.go and the frozen
+// bench/*.go, type-checked together with go/types as the amd64 build sees
+// them (the assembly exists only there), so a reference is an identifier the
+// type checker resolves to the declaration: x.Get counts for the Get of x's
+// type and for no other Get. A declaration is never a reference, so a Go
+// stub of the same name for other architectures (simd_other.go) keeps no
+// routine alive. A method is also referenced when code calls an interface
+// method of its name that its type implements: a call through an interface
+// reaches every implementation. fmt.Stringer, error and json.Marshaler count
+// as called, since fmt, errors and encoding/json call them on the values
+// they are handed.
 func TestNoDeadExports(t *testing.T) {
-	const module = "predtop/internal/"
-	type decl struct{ key, pos string }
-	var funcs, methods, asm []decl
-	funcRefs := map[string]bool{}   // "pkg.Name"
-	methodRefs := map[string]bool{} // "Name"
-
+	const module = "predtop"
+	ctxt := build.Default
+	ctxt.GOARCH = "amd64"
 	fset := token.NewFileSet()
-	visit := func(path string) {
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+	files := map[string][]*ast.File{} // import path -> non-test files
+	addDir := func(dir, path string) {
+		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pkg := "" // directory under internal/, "" for callers outside it
-		if rest, ok := strings.CutPrefix(filepath.ToSlash(path), "internal/"); ok {
-			pkg = filepath.ToSlash(filepath.Dir(rest))
-		}
-		imports := map[string]string{} // local name -> package under internal/
-		for _, im := range f.Imports {
-			p, _ := strconv.Unquote(im.Path.Value)
-			rest, ok := strings.CutPrefix(p, module)
-			if !ok {
+		for _, e := range entries {
+			name := e.Name()
+			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 				continue
 			}
-			name := rest[strings.LastIndexByte(rest, '/')+1:]
-			if im.Name != nil {
-				name = im.Name.Name
+			if ok, err := ctxt.MatchFile(dir, name); err != nil || !ok {
+				continue
 			}
-			imports[name] = rest
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[path] = append(files[path], f)
 		}
-		var declared map[*ast.Ident]bool
-		if pkg != "" {
-			declared = map[*ast.Ident]bool{}
+	}
+	for _, root := range []string{"internal", "cmd", "examples"} {
+		err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+			if err == nil && d.IsDir() {
+				addDir(dir, module+"/"+filepath.ToSlash(dir))
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	addDir(".", module)
+	addDir("bench", module+"/bench")
+
+	// Type-check every package from source, each once, its module imports
+	// first; the standard library comes from compiled export data.
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	std := importer.Default()
+	checked := map[string]*types.Package{}
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
+		if files[path] == nil {
+			return std.Import(path)
+		}
+		if pkg, ok := checked[path]; ok {
+			return pkg, nil
+		}
+		conf := types.Config{Importer: imp}
+		pkg, err := conf.Check(path, fset, files[path], info)
+		if err != nil {
+			return nil, err
+		}
+		checked[path] = pkg
+		return pkg, nil
+	}
+	var paths []string
+	for path := range files {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		if _, err := imp(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Declarations under internal/, keyed "pkg.Func" or "pkg.Type.Method"
+	// (pkg = directory under internal/).
+	type decl struct {
+		key, pos string
+		obj      *types.Func
+	}
+	var funcs, methods, asm []decl
+	for _, path := range paths {
+		pkg, ok := strings.CutPrefix(path, module+"/internal/")
+		if !ok {
+			continue
+		}
+		for _, f := range files[path] {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok {
 					continue
 				}
-				declared[fd.Name] = true
 				pos := fset.Position(fd.Pos()).String()
-				if fd.Body == nil && fd.Recv == nil {
-					asm = append(asm, decl{pkg + "." + fd.Name.Name, pos})
+				if fd.Recv == nil {
+					d := decl{pkg + "." + fd.Name.Name, pos, info.Defs[fd.Name].(*types.Func)}
+					if fd.Body == nil {
+						asm = append(asm, d)
+					}
+					if fd.Name.IsExported() {
+						funcs = append(funcs, d)
+					}
+					continue
 				}
 				if !fd.Name.IsExported() {
 					continue
 				}
-				if fd.Recv == nil {
-					funcs = append(funcs, decl{pkg + "." + fd.Name.Name, pos})
-					continue
+				m := info.Defs[fd.Name].(*types.Func)
+				recv := m.Type().(*types.Signature).Recv().Type()
+				if p, ok := recv.(*types.Pointer); ok {
+					recv = p.Elem()
 				}
-				recv := fd.Recv.List[0].Type
-				if s, ok := recv.(*ast.StarExpr); ok {
-					recv = s.X
-				}
-				switch g := recv.(type) { // generic receiver
-				case *ast.IndexExpr:
-					recv = g.X
-				case *ast.IndexListExpr:
-					recv = g.X
-				}
-				methods = append(methods, decl{pkg + "." + recv.(*ast.Ident).Name + "." + fd.Name.Name, pos})
+				methods = append(methods, decl{pkg + "." + recv.(*types.Named).Obj().Name() + "." + fd.Name.Name, pos, m})
 			}
 		}
-		var walk func(n ast.Node) bool
-		walk = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				methodRefs[n.Sel.Name] = true
-				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					funcRefs[imports[x.Name]+"."+n.Sel.Name] = true
-				}
-				ast.Inspect(n.X, walk)
-				return false
-			case *ast.Ident:
-				if pkg != "" && !declared[n] {
-					funcRefs[pkg+"."+n.Name] = true
-				}
-			}
-			return true
-		}
-		ast.Inspect(f, walk)
 	}
 
-	walkSources(t, visit, "internal", "cmd", "examples")
-	visit("predtop.go")
-	bench, _ := filepath.Glob("bench/*.go")
-	for _, path := range bench {
-		visit(path)
+	// References: every identifier the type checker resolved to a func or
+	// method, and the interface methods called (or taken as values), among
+	// them those the standard library calls on the values fmt, errors and
+	// encoding/json are handed.
+	used := map[*types.Func]bool{}
+	var ifaceCalls []*types.Func
+	for _, name := range []string{"fmt.Stringer", "encoding/json.Marshaler", "error"} {
+		obj := types.Universe.Lookup(name)
+		if dot := strings.LastIndexByte(name, '.'); dot >= 0 {
+			pkg, err := std.Import(name[:dot])
+			if err != nil {
+				t.Fatal(err)
+			}
+			obj = pkg.Scope().Lookup(name[dot+1:])
+		}
+		iface := obj.Type().Underlying().(*types.Interface)
+		for i := range iface.NumMethods() {
+			ifaceCalls = append(ifaceCalls, iface.Method(i))
+		}
+	}
+	for _, obj := range info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		fn = fn.Origin()
+		used[fn] = true
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+			ifaceCalls = append(ifaceCalls, fn)
+		}
+	}
+	reached := func(m *types.Func) bool {
+		if used[m] {
+			return true
+		}
+		recv := m.Type().(*types.Signature).Recv().Type()
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		for _, f := range ifaceCalls {
+			iface := f.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			if f.Name() == m.Name() && (types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface)) {
+				return true
+			}
+		}
+		return false
 	}
 
 	var dead []string
-	used := map[string]bool{}
+	allowed := map[string]bool{}
 	check := func(d decl, referenced bool) {
 		switch {
 		case referenced:
 		case deadExportsAllowed[d.key] != "":
-			used[d.key] = true
+			allowed[d.key] = true
 		default:
 			dead = append(dead, d.pos+": "+d.key)
 		}
 	}
 	for _, d := range funcs {
-		check(d, funcRefs[d.key])
+		check(d, used[d.obj])
 	}
 	for _, d := range methods {
-		check(d, methodRefs[d.key[strings.LastIndexByte(d.key, '.')+1:]])
+		check(d, reached(d.obj))
 	}
 	var deadAsm []string
 	for _, d := range asm {
-		if !funcRefs[d.key] {
+		if !used[d.obj] {
 			deadAsm = append(deadAsm, d.pos+": "+d.key)
 		}
 	}
@@ -169,11 +250,16 @@ func TestNoDeadExports(t *testing.T) {
 		t.Errorf("declared without a body under internal/ and no non-test caller (delete the routine, its binding and its stub):\n  %s", strings.Join(deadAsm, "\n  "))
 	}
 	for key := range deadExportsAllowed {
-		if !used[key] {
+		if !allowed[key] {
 			t.Errorf("allow-list entry %s is stale: it has a caller now, or no longer exists", key)
 		}
 	}
 }
+
+// importerFunc adapts a func to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // TestFacadeFuncsHaveCallers holds the facade to what its users call: every
 // exported func in predtop.go needs a predtop.Name reference in a non-test

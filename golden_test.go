@@ -238,7 +238,7 @@ func TestGoldenPlans(t *testing.T) {
 		case "full":
 			lat = FullProfiling(m, DefaultProfiler(), meter)
 		case "partial":
-			lat = planner.PartialProfiling(m, DefaultProfiler(), meter, 1.2)
+			lat = planner.PartialProfiling(predictor.NewLabeler(m, DefaultProfiler()), meter, 1.2)
 		default:
 			lat = TrainPredictorProvider(m, p, PredictorOptions{
 				Kind: KindTransformer, SampleFrac: 0.5, MaxStageLen: maxLen,

@@ -39,13 +39,12 @@ func RunAblation(p Preset, bench Benchmark, platform cluster.Platform, frac floa
 	mdl := models.Build(bench.Config)
 	rng := rand.New(rand.NewSource(p.Seed))
 	specs := predictor.CollectStages(mdl, rng, bench.Stages, bench.MaxLen)
-	sc := cluster.Scenarios(platform)[0]
-	prof := sim.DefaultProfiler()
+	scs := cluster.Scenarios(platform)[:1]
 
-	pruned := predictor.NewEncoder(mdl, true)
-	unpruned := predictor.NewEncoder(mdl, false)
-	base := predictor.BuildDataset(pruned, specs, sc, prof)
-	noPrune := predictor.BuildDataset(unpruned, specs, sc, prof)
+	// One label cache serves both encodings.
+	lab := predictor.NewLabeler(mdl, sim.DefaultProfiler())
+	base := lab.Datasets(predictor.NewEncoder(mdl, true), specs, scs)[0]
+	noPrune := lab.Datasets(predictor.NewEncoder(mdl, false), specs, scs)[0]
 
 	train, val, test := stage.Split(rng, len(base.Samples), frac, valFrac)
 
@@ -92,7 +91,7 @@ func RunAblation(p Preset, bench Benchmark, platform cluster.Platform, frac floa
 // encoding share its ablated copy, so training still runs each distinct
 // graph once per minibatch.
 func maskAblated(ds *predictor.Dataset, openMask, zeroDepth bool) *predictor.Dataset {
-	out := &predictor.Dataset{Model: ds.Model, Scenario: ds.Scenario}
+	out := &predictor.Dataset{}
 	ablated := map[*stage.Encoded]*stage.Encoded{}
 	for _, s := range ds.Samples {
 		enc, ok := ablated[s.Encoded]

@@ -1,15 +1,18 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
 	"predtop/internal/cluster"
 	"predtop/internal/graphnn"
 	"predtop/internal/models"
+	"predtop/internal/obs"
 	"predtop/internal/planner"
 	"predtop/internal/predictor"
 	"predtop/internal/sim"
@@ -71,12 +74,59 @@ func TestPresetsSane(t *testing.T) {
 	}
 }
 
+// graphsPerClass counts the stage graphs mdl's stage classes had built on
+// prof: every StageGraph call, forward or training, records one root
+// stage_graph[lo:hi) span, and the profile tree carries the counts.
+func graphsPerClass(t *testing.T, prof *obs.Profiler, mdl *models.Model) map[models.StageClass]int {
+	t.Helper()
+	var buf strings.Builder
+	if err := prof.WriteProfileTree(&buf); err != nil {
+		t.Fatal(err)
+	}
+	per := map[models.StageClass]int{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if !strings.HasPrefix(line, "stage_graph[") {
+			continue
+		}
+		var lo, hi int
+		if _, err := fmt.Sscanf(line, "stage_graph[%d:%d)", &lo, &hi); err != nil {
+			t.Fatalf("profile line %q: %v", line, err)
+		}
+		f := strings.Fields(line)
+		n, err := strconv.Atoi(f[len(f)-1])
+		if err != nil {
+			t.Fatalf("profile line %q: %v", line, err)
+		}
+		per[mdl.StageClass(lo, hi)] += n
+	}
+	return per
+}
+
+// checkGraphsPerClass fails unless the run built at most one training graph
+// and one forward encoding of each stage class, and built some of want
+// classes (0: any number).
+func checkGraphsPerClass(t *testing.T, run string, per map[models.StageClass]int, want int) {
+	t.Helper()
+	if len(per) == 0 || want > 0 && len(per) != want {
+		t.Fatalf("%s built graphs of %d stage classes, want %d", run, len(per), want)
+	}
+	for class, n := range per {
+		if n > 2 {
+			t.Fatalf("%s built %d stage graphs of class %q, want at most 2 (one training graph, one encoding)", run, n, class)
+		}
+	}
+}
+
 func TestRunMRETableEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
 	}
 	p := micro()
-	tab := RunMRETable(p, p.Benchmarks()[0], cluster.Platform1(), nil)
+	p.Obs.Prof = obs.NewProfiler()
+	bench := p.Benchmarks()[0]
+	tab := RunMRETable(p, bench, cluster.Platform1(), nil)
+	// One label cache and one encoder for the table's three scenarios.
+	checkGraphsPerClass(t, "the MRE table", graphsPerClass(t, p.Obs.Prof, models.Build(bench.Config)), tab.Classes)
 	if len(tab.MRE) != len(p.Fractions) {
 		t.Fatalf("fractions: %d", len(tab.MRE))
 	}
@@ -151,11 +201,11 @@ func TestMRETableAttribution(t *testing.T) {
 
 func TestRunFig2EndToEnd(t *testing.T) {
 	p := micro()
-	rs := RunFig2(p, nil)
-	if len(rs) != 2 {
-		t.Fatalf("fig2 results: %d", len(rs))
-	}
-	for _, r := range rs {
+	for _, bench := range p.Benchmarks() {
+		r := RunFig2(p, bench, nil)
+		if r.Benchmark != bench.Name {
+			t.Fatalf("fig2 of %s labeled %s", bench.Name, r.Benchmark)
+		}
 		if len(r.Latencies) == 0 {
 			t.Fatalf("%s: no plans", r.Benchmark)
 		}
@@ -173,12 +223,15 @@ func TestRunFig10EndToEnd(t *testing.T) {
 		t.Skip("training test")
 	}
 	p := micro()
+	p.Obs.Prof = obs.NewProfiler()
 	bench := p.Benchmarks()[0]
 	runs := RunFig10(p, bench, nil)
 	if len(runs) != 5 {
 		t.Fatalf("fig10 versions: %d", len(runs))
 	}
 	mdl, _ := Fig10Model(p, bench)
+	// One label cache and one encoder for the five sources and the truth.
+	checkGraphsPerClass(t, "Fig 10", graphsPerClass(t, p.Obs.Prof, mdl), 0)
 	var full, partial PlanRun
 	for _, r := range runs {
 		if !r.OK {

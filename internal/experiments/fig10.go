@@ -7,7 +7,6 @@ import (
 
 	"predtop/internal/cluster"
 	"predtop/internal/models"
-	"predtop/internal/parallel"
 	"predtop/internal/pipeline"
 	"predtop/internal/planner"
 	"predtop/internal/predictor"
@@ -49,7 +48,11 @@ func Fig10Model(p Preset, bench Benchmark) (*models.Model, int) {
 
 // RunFig10 reproduces the Fig-10 use case for one benchmark on Platform 2:
 // vanilla Alpa with full and partial profiling versus PredTOP with DAG
-// Transformer, GCN, and GAT predictors.
+// Transformer, GCN, and GAT predictors. The five sources and the plans'
+// ground truth share one Labeler and one pruned Encoder, so each stage class
+// is labeled and encoded once per benchmark; as the Labeler is not safe for
+// concurrent use, the searches run serially, in version order, each right
+// after its source is built.
 func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 	if log == nil {
 		log = io.Discard
@@ -57,30 +60,49 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 	platform := cluster.Platform2()
 	mdl, maxLen := Fig10Model(p, bench)
 	mdl.Prof = p.Obs.Prof
-	prof := sim.DefaultProfiler()
+	lab := predictor.NewLabeler(mdl, sim.DefaultProfiler())
+	enc := predictor.NewEncoder(mdl, true)
 	opts := planner.Options{Microbatches: p.Microbatches, MaxStageLen: maxLen, Prof: p.Obs.Prof}
 
-	// Each planner version owns its latency source, cost meter, and
-	// provenance, so the five runs are independent and execute concurrently
-	// (GOMAXPROCS bound); per-run log lines are buffered and emitted in
-	// version order.
-	type runSpec struct {
-		version string
-		latFn   planner.LatencyFn
-		meter   *planner.Meter
-		info    planner.ProviderInfo
+	// Each planner version owns its cost meter and provenance, and is
+	// searched and evaluated as soon as its source is built.
+	var out []PlanRun
+	search := func(version string, latFn planner.LatencyFn, meter *planner.Meter, info planner.ProviderInfo) {
+		// The search times itself: a planner.optimize span on opts.Prof.
+		plan, ok := planner.Optimize(mdl.NumSegments(), platform, latFn, opts)
+		run := PlanRun{Version: version, OK: ok, Plan: plan}
+		var lats []float64
+		if run.OK {
+			evalSpan := p.Obs.Prof.Start("evaluate")
+			lats, run.OK = planner.StageLatencies(lab, run.Plan)
+			evalSpan.End()
+		}
+		iter := 0.0
+		if run.OK {
+			run.Report = planner.BuildReport(mdl, platform, run.Plan, lats, planner.ReportOptions{
+				Version:      version,
+				TraceID:      p.Obs.Ctx.TraceID(),
+				Microbatches: p.Microbatches,
+				Provenance:   info,
+				Meter:        meter,
+			})
+			iter = run.Report.Pipeline.Total
+		}
+		fmt.Fprintf(log, "[fig10 %s] %-13s opt %.0fs (profile %.0fs train %.0fs infer %.0fs, %d profiles) iter %.3fs stages %d\n",
+			bench.Name, version, meter.Total(), meter.ProfileSeconds, meter.TrainSeconds,
+			meter.InferSeconds, meter.StagesProfiled, iter, len(run.Plan.Stages))
+		// Render each feasible plan's simulated 1F1B schedule as its own set
+		// of trace tracks so plan shapes are comparable side by side.
+		if run.OK {
+			if err := pipeline.AddSchedule(p.Obs.Trace, fmt.Sprintf("%s %s ", bench.Name, version), lats, p.Microbatches); err != nil {
+				fmt.Fprintf(log, "[fig10 %s] %s schedule trace: %v\n", bench.Name, version, err)
+			}
+		}
+		out = append(out, run)
 	}
-	var specs []runSpec
-	{
-		meter := &planner.Meter{}
-		specs = append(specs, runSpec{"Alpa-Full", planner.FullProfiling(mdl, prof, meter), meter,
-			planner.ProviderInfo{Source: "Alpa-Full"}})
-	}
-	{
-		meter := &planner.Meter{}
-		specs = append(specs, runSpec{"Alpa-Partial", planner.PartialProfiling(mdl, prof, meter, partialAlpha), meter,
-			planner.ProviderInfo{Source: "Alpa-Partial"}})
-	}
+	full, partial := &planner.Meter{}, &planner.Meter{}
+	search("Alpa-Full", planner.FullProfiling(lab, full), full, planner.ProviderInfo{Source: "Alpa-Full"})
+	search("Alpa-Partial", planner.PartialProfiling(lab, partial, partialAlpha), partial, planner.ProviderInfo{Source: "Alpa-Partial"})
 	// Predictor training inside the planner reports to the same observer as
 	// everything else (spans and notes only observe, so plans are unchanged).
 	planTrain := p.PlanTrain
@@ -88,7 +110,7 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 	for _, kind := range []planner.PredictorKind{planner.KindGCN, planner.KindGAT, planner.KindTransformer} {
 		meter := &planner.Meter{}
 		var info planner.ProviderInfo
-		latFn := planner.TrainPredictorProvider(mdl, platform, planner.PredictorOptions{
+		latFn := planner.TrainPredictorProvider(lab, enc, platform, planner.PredictorOptions{
 			Kind:        kind,
 			SampleFrac:  p.PredSampleFrac,
 			MaxStageLen: maxLen,
@@ -98,52 +120,8 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 			GAT:         p.GAT,
 			Seed:        p.Seed,
 			Info:        &info,
-		}, prof, meter)
-		specs = append(specs, runSpec{kind.String(), latFn, meter, info})
-	}
-
-	out := make([]PlanRun, len(specs))
-	parallel.For(len(specs), func(i int) {
-		// The search times itself: a planner.optimize span on opts.Prof.
-		plan, ok := planner.Optimize(mdl.NumSegments(), platform, specs[i].latFn, opts)
-		out[i] = PlanRun{Version: specs[i].version, OK: ok, Plan: plan}
-	})
-
-	// The plans' ground truth comes serially, in version order, from one
-	// labeler: a stage class the versions share is built and labeled once,
-	// and identical plans cost one evaluation.
-	lab := predictor.NewLabeler(mdl, prof)
-	for i, sp := range specs {
-		run := &out[i]
-		var lats []float64
-		if run.OK {
-			evalSpan := p.Obs.Prof.Start("evaluate")
-			lats, run.OK = planner.StageLatencies(lab, run.Plan)
-			evalSpan.End()
-		}
-		if run.OK {
-			run.Report = planner.BuildReport(mdl, platform, run.Plan, lats, planner.ReportOptions{
-				Version:      sp.version,
-				TraceID:      p.Obs.Ctx.TraceID(),
-				Microbatches: p.Microbatches,
-				Provenance:   sp.info,
-				Meter:        sp.meter,
-			})
-		}
-		iter := 0.0
-		if run.Report != nil {
-			iter = run.Report.Pipeline.Total
-		}
-		fmt.Fprintf(log, "[fig10 %s] %-13s opt %.0fs (profile %.0fs train %.0fs infer %.0fs, %d profiles) iter %.3fs stages %d\n",
-			bench.Name, sp.version, sp.meter.Total(), sp.meter.ProfileSeconds, sp.meter.TrainSeconds,
-			sp.meter.InferSeconds, sp.meter.StagesProfiled, iter, len(run.Plan.Stages))
-		// Render each feasible plan's simulated 1F1B schedule as its own set
-		// of trace tracks so plan shapes are comparable side by side.
-		if run.OK {
-			if err := pipeline.AddSchedule(p.Obs.Trace, fmt.Sprintf("%s %s ", bench.Name, run.Version), lats, p.Microbatches); err != nil {
-				fmt.Fprintf(log, "[fig10 %s] %s schedule trace: %v\n", bench.Name, run.Version, err)
-			}
-		}
+		}, meter)
+		search(kind.String(), latFn, meter, info)
 	}
 	return out
 }

@@ -22,32 +22,27 @@ type Fig2Result struct {
 	Latencies []float64 // sorted, seconds
 }
 
-// RunFig2 evaluates RandomPlans random parallelization plans of each
-// benchmark on Platform 2 under the ground-truth simulator.
-func RunFig2(p Preset, log io.Writer) []Fig2Result {
+// RunFig2 evaluates RandomPlans random parallelization plans of the
+// benchmark on Platform 2 under the ground-truth simulator, through one
+// labeler: every draw of a stage class costs its strategies on the one
+// training graph the labeler built for it.
+func RunFig2(p Preset, bench Benchmark, log io.Writer) Fig2Result {
 	if log == nil {
 		log = io.Discard
 	}
-	platform := cluster.Platform2()
-	var out []Fig2Result
-	for _, bench := range p.Benchmarks() {
-		// One labeler per benchmark: every draw of a stage class costs its
-		// strategies on the one training graph the labeler built for it.
-		lab := predictor.NewLabeler(models.Build(bench.Config), sim.DefaultProfiler())
-		rng := rand.New(rand.NewSource(p.Seed))
-		var lats []float64
-		attempts := 0
-		for len(lats) < p.RandomPlans && attempts < p.RandomPlans*20 {
-			attempts++
-			if t, ok := planner.RandomPlanLatency(lab, platform, rng, p.Microbatches); ok {
-				lats = append(lats, t)
-			}
+	lab := predictor.NewLabeler(models.Build(bench.Config), sim.DefaultProfiler())
+	rng := rand.New(rand.NewSource(p.Seed))
+	var lats []float64
+	attempts := 0
+	for len(lats) < p.RandomPlans && attempts < p.RandomPlans*20 {
+		attempts++
+		if t, ok := planner.RandomPlanLatency(lab, cluster.Platform2(), rng, p.Microbatches); ok {
+			lats = append(lats, t)
 		}
-		sort.Float64s(lats)
-		fmt.Fprintf(log, "[fig2 %s] %d plans in %d attempts\n", bench.Name, len(lats), attempts)
-		out = append(out, Fig2Result{Benchmark: bench.Name, Latencies: lats})
 	}
-	return out
+	sort.Float64s(lats)
+	fmt.Fprintf(log, "[fig2 %s] %d plans in %d attempts\n", bench.Name, len(lats), attempts)
+	return Fig2Result{Benchmark: bench.Name, Latencies: lats}
 }
 
 // Fig2Summary is the headline of one Fig-2 distribution: how many random

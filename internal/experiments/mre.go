@@ -61,8 +61,9 @@ func (p Preset) newModel(name string, seed int64) graphnn.Model {
 // and DAG Transformer predictors on profiled stage latencies and measures
 // test MRE (Eqn 5). log (may be nil) receives progress lines.
 //
-// Scenario datasets are profiled concurrently and the grid's
-// (fraction, scenario, model) cells train concurrently (GOMAXPROCS bound).
+// One Labeler and one pruned Encoder serve every scenario, so each stage
+// class is labeled and encoded once per table, and the grid's (fraction,
+// scenario, model) cells train concurrently (GOMAXPROCS bound).
 // Every cell derives its model/split RNGs from (p.Seed, cell indices) and
 // gradient reduction is order-fixed, so the grid is reproducible — and
 // bitwise identical — at any GOMAXPROCS. Progress lines are buffered per
@@ -75,8 +76,6 @@ func RunMRETable(p Preset, bench Benchmark, platform cluster.Platform, log io.Wr
 	mdl.Prof = p.Obs.Prof
 	rng := rand.New(rand.NewSource(p.Seed))
 	specs := predictor.CollectStages(mdl, rng, bench.Stages, bench.MaxLen)
-	enc := predictor.NewEncoder(mdl, true)
-	prof := sim.DefaultProfiler()
 	scenarios := cluster.Scenarios(platform)
 	classes := map[models.StageClass]bool{}
 	for _, sp := range specs {
@@ -101,13 +100,9 @@ func RunMRETable(p Preset, bench Benchmark, platform cluster.Platform, log io.Wr
 		}
 	}
 
-	// Profiling is seeded per (stage, scenario), so concurrent dataset
-	// construction yields the exact samples a serial sweep would.
 	profSpan := p.Obs.Prof.Start("profile")
-	datasets := make([]*predictor.Dataset, len(scenarios))
-	parallel.For(len(scenarios), func(si int) {
-		datasets[si] = predictor.BuildDataset(enc, specs, scenarios[si], prof)
-	})
+	lab := predictor.NewLabeler(mdl, sim.DefaultProfiler())
+	datasets := lab.Datasets(predictor.NewEncoder(mdl, true), specs, scenarios)
 	profSpan.End()
 	for si, sc := range scenarios {
 		fmt.Fprintf(log, "[%s %s %v] %d stages profiled\n", bench.Name, platform.Name, sc, len(datasets[si].Samples))

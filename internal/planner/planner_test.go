@@ -253,7 +253,7 @@ func TestEndToEndPlanWithTrueLatency(t *testing.T) {
 func TestFullProfilingMetersCost(t *testing.T) {
 	mdl := tinyModel()
 	meter := &Meter{}
-	latFn := FullProfiling(mdl, sim.DefaultProfiler(), meter)
+	latFn := FullProfiling(newLabeler(mdl), meter)
 	mesh := cluster.Meshes(cluster.Platform1())[0]
 	t1, ok := latFn(stage.Spec{Lo: 1, Hi: 3}, mesh)
 	if !ok || t1 <= 0 {
@@ -274,8 +274,8 @@ func TestFullProfilingMetersCost(t *testing.T) {
 func TestPartialProfilingSkipsImbalanced(t *testing.T) {
 	mdl := tinyModel() // 8 segments
 	meterFull, meterPart := &Meter{}, &Meter{}
-	full := FullProfiling(mdl, sim.DefaultProfiler(), meterFull)
-	part := PartialProfiling(mdl, sim.DefaultProfiler(), meterPart, 2.5)
+	full := FullProfiling(newLabeler(mdl), meterFull)
+	part := PartialProfiling(newLabeler(mdl), meterPart, 2.5)
 	p2 := cluster.Platform2()
 	count := func(f LatencyFn) int {
 		n := 0
@@ -307,13 +307,13 @@ func TestPredictorProviderEndToEnd(t *testing.T) {
 	mdl := tinyModel()
 	p := cluster.Platform1()
 	meter := &Meter{}
-	latFn := TrainPredictorProvider(mdl, p, PredictorOptions{
+	latFn := TrainPredictorProvider(newLabeler(mdl), predictor.NewEncoder(mdl, true), p, PredictorOptions{
 		Kind:       KindTransformer,
 		SampleFrac: 0.5,
 		Train:      predictor.TrainConfig{Epochs: 25, Patience: 25, BatchSize: 8},
 		Tran:       graphnn.TransformerConfig{Layers: 1, Dim: 16, Heads: 2},
 		Seed:       1,
-	}, sim.DefaultProfiler(), meter)
+	}, meter)
 	if meter.TrainSeconds <= 0 || meter.ProfileSeconds <= 0 {
 		t.Fatalf("training costs not metered: %+v", meter)
 	}

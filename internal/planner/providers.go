@@ -51,11 +51,10 @@ const (
 // (stage, mesh) pair is intra-op-optimized, compiled, and profiled under
 // every Table-III configuration, charging the full cost to meter. The
 // simulated platform pays for every pair; the simulator itself labels each
-// stage class once per configuration, the mesh's configurations
-// concurrently (predictor.Labeler.MeshLabels), and the meter is charged
-// serially in configuration order.
-func FullProfiling(mdl *models.Model, prof sim.Profiler, meter *Meter) LatencyFn {
-	lab := predictor.NewLabeler(mdl, prof)
+// stage class once per configuration in the caller's lab, which the run's
+// other sources share (Labeler.MeshLabels: the mesh's configurations
+// concurrently), and the meter is charged serially in configuration order.
+func FullProfiling(lab *predictor.Labeler, meter *Meter) LatencyFn {
 	return func(sp stage.Spec, mesh cluster.Mesh) (float64, bool) {
 		meter.CacheMisses++
 		best := math.Inf(1)
@@ -73,13 +72,13 @@ func FullProfiling(mdl *models.Model, prof sim.Profiler, meter *Meter) LatencyFn
 	}
 }
 
-// PartialProfiling wraps full profiling with vanilla Alpa's pruning
-// heuristic (§VII-D): skip stage–mesh pairs whose model-fraction to
+// PartialProfiling wraps full profiling through lab with vanilla Alpa's
+// pruning heuristic (§VII-D): skip stage–mesh pairs whose model-fraction to
 // device-fraction ratio is imbalanced beyond alpha, profiling only the
 // plausible ones. alpha must exceed 1 (Fig 10 uses 1.6).
-func PartialProfiling(mdl *models.Model, prof sim.Profiler, meter *Meter, alpha float64) LatencyFn {
-	full := FullProfiling(mdl, prof, meter)
-	numSegments := float64(mdl.NumSegments())
+func PartialProfiling(lab *predictor.Labeler, meter *Meter, alpha float64) LatencyFn {
+	full := FullProfiling(lab, meter)
+	numSegments := float64(lab.Model().NumSegments())
 	return func(sp stage.Spec, mesh cluster.Mesh) (float64, bool) {
 		totalDev := float64(mesh.Platform.Nodes * mesh.Platform.GPUsPerNode)
 		stageFrac := float64(sp.Len()) / numSegments
@@ -190,16 +189,17 @@ type PredictorOptions struct {
 }
 
 // TrainPredictorProvider implements PredTOP's workflow (§VI): profile a
-// sampled subset of stages on every (mesh, configuration), train one
-// predictor per (mesh, configuration), then predict the answer to every
-// query the search can ask — each stage of the universe on each mesh, the
-// best configuration behind an analytic memory-feasibility screen — before
-// returning (see predictedLatency). Profiling, training, and inference costs
-// are charged to meter, an inference per lookup as the search asks. The
-// per-scenario trainings and the forwards run concurrently across
-// GOMAXPROCS; weights, meter and answers are bitwise the same at any
-// GOMAXPROCS.
-func TrainPredictorProvider(mdl *models.Model, p cluster.Platform, opt PredictorOptions, prof sim.Profiler, meter *Meter) LatencyFn {
+// sampled subset of stages on every (mesh, configuration) through the run's
+// lab, train one predictor per (mesh, configuration), then predict, through
+// the run's pruned enc, the answer to every query the search can ask — each
+// stage of the universe on each mesh, the best configuration behind an
+// analytic memory-feasibility screen — before returning (see
+// predictedLatency). Profiling, training, and inference costs are charged to
+// meter, an inference per lookup as the search asks. The per-scenario
+// trainings and the forwards run concurrently across GOMAXPROCS; weights,
+// meter and answers are bitwise the same at any GOMAXPROCS.
+func TrainPredictorProvider(lab *predictor.Labeler, enc *predictor.Encoder, p cluster.Platform, opt PredictorOptions, meter *Meter) LatencyFn {
+	mdl := lab.Model()
 	rng := rand.New(rand.NewSource(opt.Seed + 1))
 	universe := stage.AllSpecs(mdl.NumSegments(), opt.MaxStageLen)
 	count := int(float64(len(universe))*opt.SampleFrac + 0.5)
@@ -207,8 +207,6 @@ func TrainPredictorProvider(mdl *models.Model, p cluster.Platform, opt Predictor
 		count = 8
 	}
 	specs := stage.SampleSpecs(rng, mdl.NumSegments(), count, opt.MaxStageLen)
-	enc := predictor.NewEncoder(mdl, true)
-	lab := predictor.NewLabeler(mdl, prof)
 
 	// Labeling and the split draws happen serially in cluster.Scenarios
 	// order (the Labeler is not safe for concurrent use, and the one rng must
@@ -225,8 +223,9 @@ func TrainPredictorProvider(mdl *models.Model, p cluster.Platform, opt Predictor
 		res      predictor.TrainResult
 	}
 	var jobs []job
-	for _, sc := range cluster.Scenarios(p) {
-		ds := lab.Dataset(enc, specs, sc)
+	scenarios := cluster.Scenarios(p)
+	for si, ds := range lab.Datasets(enc, specs, scenarios) {
+		sc := scenarios[si]
 		for _, s := range ds.Samples {
 			meter.ProfileSeconds += s.ProfileCost
 		}
@@ -272,7 +271,7 @@ func TrainPredictorProvider(mdl *models.Model, p cluster.Platform, opt Predictor
 		}
 	}
 
-	return predictedLatency(mdl, cluster.Meshes(p), universe, trained, lab, enc, opt.Train.Prof, meter)
+	return predictedLatency(cluster.Meshes(p), universe, trained, lab, enc, opt.Train.Prof, meter)
 }
 
 // scKey names one scenario's trained predictor by its mesh and configuration
@@ -288,8 +287,9 @@ type scKey struct{ mesh, conf int }
 // exactly those. Every lookup still charges one inference per configuration
 // that passed the screen. prof receives one planner.answers span per fill,
 // its predict child counting the forwards.
-func predictedLatency(mdl *models.Model, meshes []cluster.Mesh, universe []stage.Spec, trained map[scKey]predictor.Trained,
+func predictedLatency(meshes []cluster.Mesh, universe []stage.Spec, trained map[scKey]predictor.Trained,
 	lab *predictor.Labeler, enc *predictor.Encoder, prof *obs.Profiler, meter *Meter) LatencyFn {
+	mdl := lab.Model()
 	type answerKey struct {
 		class models.StageClass
 		mesh  int

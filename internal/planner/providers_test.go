@@ -82,7 +82,7 @@ func TestGraphsBuiltPerUnitOfWork(t *testing.T) {
 	mdl := tinyModel()
 	mdl.Prof = obs.NewProfiler()
 	meter := &Meter{}
-	full := FullProfiling(mdl, prof, meter)
+	full := FullProfiling(newLabeler(mdl), meter)
 	mesh := cluster.Meshes(cluster.Platform2())[2] // three Table-III configurations
 	full(sp, mesh)
 	if got := graphsBuilt(t, mdl); got != 1 {
@@ -117,14 +117,14 @@ func TestGraphsBuiltPerUnitOfWork(t *testing.T) {
 	meter = &Meter{}
 	p := cluster.Platform1()
 	const maxLen = 2
-	pred := TrainPredictorProvider(mdl, p, PredictorOptions{
+	pred := TrainPredictorProvider(newLabeler(mdl), predictor.NewEncoder(mdl, true), p, PredictorOptions{
 		Kind:        KindTransformer,
 		SampleFrac:  1, // the sample is the whole universe, so its size is known here
 		MaxStageLen: maxLen,
 		Train:       predictor.TrainConfig{Epochs: 1, Patience: 1, BatchSize: 8},
 		Tran:        graphnn.TransformerConfig{Layers: 1, Dim: 16, Heads: 2},
 		Seed:        1,
-	}, prof, meter)
+	}, meter)
 	universe := stage.AllSpecs(mdl.NumSegments(), maxLen)
 	scenarios := len(cluster.Scenarios(p))
 	if meter.StagesProfiled != len(universe)*scenarios {
@@ -176,14 +176,14 @@ func TestGraphsBuiltPerUnitOfWork(t *testing.T) {
 	mdl.Prof = obs.NewProfiler()
 	trainProf := obs.NewProfiler()
 	const sampledLen = 4
-	pred = TrainPredictorProvider(mdl, p, PredictorOptions{
+	pred = TrainPredictorProvider(newLabeler(mdl), predictor.NewEncoder(mdl, true), p, PredictorOptions{
 		Kind:        KindTransformer,
 		SampleFrac:  0.2,
 		MaxStageLen: sampledLen,
 		Train:       predictor.TrainConfig{Epochs: 1, Patience: 1, BatchSize: 8, Prof: trainProf},
 		Tran:        graphnn.TransformerConfig{Layers: 1, Dim: 16, Heads: 2},
 		Seed:        1,
-	}, prof, &Meter{})
+	}, &Meter{})
 	universe = stage.AllSpecs(mdl.NumSegments(), sampledLen)
 	classes = map[models.StageClass]bool{}
 	for _, u := range universe {
@@ -311,8 +311,7 @@ func TestPredictedLatencyIsTheLeastPrediction(t *testing.T) {
 		trained[scKey{sc.Mesh.Index, sc.Config.Index}] = predictor.Trained{Model: model, Scale: 1}
 	}
 	meter := &Meter{}
-	lat := predictedLatency(mdl, meshes, universe, trained,
-		predictor.NewLabeler(mdl, sim.DefaultProfiler()), predictor.NewEncoder(mdl, true), nil, meter)
+	lat := predictedLatency(meshes, universe, trained, newLabeler(mdl), predictor.NewEncoder(mdl, true), nil, meter)
 
 	ref := func(sp stage.Spec, mesh cluster.Mesh) (float64, bool) {
 		g := mdl.StageGraph(sp.Lo, sp.Hi, true)
@@ -380,7 +379,7 @@ func TestTrainPredictorProviderWorkerInvariant(t *testing.T) {
 		// own epoch: the training costs then differ and their sum shows the
 		// order they were added in.
 		r := result{meter: Meter{TrainSeconds: 0.7}}
-		lat := TrainPredictorProvider(mdl, p, PredictorOptions{
+		lat := TrainPredictorProvider(newLabeler(mdl), predictor.NewEncoder(mdl, true), p, PredictorOptions{
 			Kind:        KindTransformer,
 			SampleFrac:  0.5,
 			MaxStageLen: maxLen,
@@ -389,7 +388,7 @@ func TestTrainPredictorProviderWorkerInvariant(t *testing.T) {
 			Tran: graphnn.TransformerConfig{Layers: 1, Dim: 16, Heads: 2, FFNDim: 32},
 			Seed: 5,
 			Info: &r.info,
-		}, sim.DefaultProfiler(), &r.meter)
+		}, &r.meter)
 		for _, sp := range stage.AllSpecs(mdl.NumSegments(), maxLen) {
 			for _, mesh := range cluster.Meshes(p) {
 				v, ok := lat(sp, mesh)
@@ -444,7 +443,7 @@ func TestFullProfilingWorkerInvariant(t *testing.T) {
 		// A non-round opening charge makes the sum show the order the
 		// profiles were added in.
 		r := result{meter: Meter{ProfileSeconds: 0.3}}
-		full := FullProfiling(mdl, sim.DefaultProfiler(), &r.meter)
+		full := FullProfiling(newLabeler(mdl), &r.meter)
 		lat := func(sp stage.Spec, mesh cluster.Mesh) (float64, bool) {
 			v, ok := full(sp, mesh)
 			r.lookups = append(r.lookups, lookup{math.Float64bits(v), ok})

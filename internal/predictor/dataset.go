@@ -33,9 +33,7 @@ type Sample struct {
 
 // Dataset holds the samples of one benchmark under one runtime scenario.
 type Dataset struct {
-	Model    *models.Model
-	Scenario cluster.Scenario
-	Samples  []Sample
+	Samples []Sample
 }
 
 // Encoder builds and caches encoded stage graphs, one per stage class
@@ -83,13 +81,14 @@ func (e *Encoder) Encode(sp stage.Spec) *stage.Encoded {
 // Labeler is the one label path: every training graph the simulator costs
 // and every intra-op optimum in the repository — dataset samples, the
 // planner's profiled lookups and its ground truth (planner.TrueStageLatency)
-// — comes from a Labeler. A label has two parts. The intra-op optimum and the
-// simulated profiling cost depend only on the stage's training graph and the
-// scenario, so a Labeler builds each stage class's training graph once and
-// optimizes and costs it once per scenario value, the missing scenarios of
-// one call concurrently. The noisy measurement is drawn per spec, from a seed
-// of (lo, hi, platform, mesh, config) indices. A Labeler is not safe for
-// concurrent use; its caches live as long as it does.
+// — comes from a Labeler, one per model per run. A label has two parts. The
+// intra-op optimum and the simulated profiling cost depend only on the
+// stage's training graph and the scenario, so a Labeler builds each stage
+// class's training graph once and optimizes and costs it once per scenario
+// value, the missing scenarios of one call concurrently. The noisy
+// measurement is drawn per spec, from a seed of (lo, hi, platform, mesh,
+// config) indices, so no label depends on what was labeled before. A Labeler
+// is not safe for concurrent use; its caches live as long as it does.
 type Labeler struct {
 	model  *models.Model
 	prof   sim.Profiler
@@ -125,10 +124,7 @@ func (l *Labeler) Model() *models.Model { return l.model }
 
 // TrainingGraph returns sp's forward+backward graph, built once per class.
 func (l *Labeler) TrainingGraph(sp stage.Spec) *ir.Graph {
-	return l.graph(l.model.StageClass(sp.Lo, sp.Hi), sp)
-}
-
-func (l *Labeler) graph(class models.StageClass, sp stage.Spec) *ir.Graph {
+	class := l.model.StageClass(sp.Lo, sp.Hi)
 	g, ok := l.graphs[class]
 	if !ok {
 		g = l.model.StageGraph(sp.Lo, sp.Hi, true)
@@ -152,7 +148,7 @@ func (l *Labeler) label(sp stage.Spec, scs []cluster.Scenario) []StageLabel {
 		}
 	}
 	if len(missing) > 0 {
-		g := l.graph(class, sp)
+		g := l.TrainingGraph(sp)
 		parallel.For(len(missing), func(j int) {
 			sc := scs[missing[j]]
 			if res := intraop.Optimize(g, sc); res.Feasible {
@@ -184,40 +180,38 @@ func (l *Labeler) MeshLabels(sp stage.Spec, mesh cluster.Mesh) []StageLabel {
 	return l.label(sp, scs)
 }
 
-// Label returns sp's label under sc (see StageLabel).
-func (l *Labeler) Label(sp stage.Spec, sc cluster.Scenario) (trueLat, measured, cost float64, ok bool) {
-	lab := l.label(sp, []cluster.Scenario{sc})[0]
-	return lab.True, lab.Measured, lab.Cost, lab.OK
-}
-
-// Dataset labels every feasible spec under sc and pairs it with its encoded
-// graph.
-func (l *Labeler) Dataset(enc *Encoder, specs []stage.Spec, sc cluster.Scenario) *Dataset {
-	ds := &Dataset{Model: enc.Model, Scenario: sc}
-	for _, sp := range specs {
-		trueLat, measured, cost, ok := l.Label(sp, sc)
-		if !ok {
-			continue
-		}
-		ds.Samples = append(ds.Samples, Sample{
-			Spec: sp, Encoded: enc.Encode(sp), True: trueLat, Measured: measured, ProfileCost: cost,
-		})
+// Datasets labels every spec under every scenario of scs, one label call per
+// spec, and returns one dataset per scenario (in scs order) of the feasible
+// specs paired with their encoded graphs.
+func (l *Labeler) Datasets(enc *Encoder, specs []stage.Spec, scs []cluster.Scenario) []*Dataset {
+	out := make([]*Dataset, len(scs))
+	for i := range out {
+		out[i] = &Dataset{}
 	}
-	return ds
+	for _, sp := range specs {
+		for i, lab := range l.label(sp, scs) {
+			if lab.OK {
+				out[i].Samples = append(out[i].Samples, Sample{
+					Spec: sp, Encoded: enc.Encode(sp), True: lab.True, Measured: lab.Measured, ProfileCost: lab.Cost,
+				})
+			}
+		}
+	}
+	return out
 }
 
 // ProfileStage labels one spec under sc with a labeler of its own: it builds
 // the spec's training graph and optimizes it once, for this one label. Code
 // that labels many stages keeps a Labeler instead.
 func ProfileStage(m *models.Model, sp stage.Spec, sc cluster.Scenario, prof sim.Profiler) (trueLat, measured float64, ok bool) {
-	trueLat, measured, _, ok = NewLabeler(m, prof).Label(sp, sc)
-	return trueLat, measured, ok
+	lab := NewLabeler(m, prof).label(sp, []cluster.Scenario{sc})[0]
+	return lab.True, lab.Measured, lab.OK
 }
 
 // BuildDataset profiles every feasible spec under sc and pairs it with its
 // encoded graph, through a labeler that lives for the call.
 func BuildDataset(enc *Encoder, specs []stage.Spec, sc cluster.Scenario, prof sim.Profiler) *Dataset {
-	return NewLabeler(enc.Model, prof).Dataset(enc, specs, sc)
+	return NewLabeler(enc.Model, prof).Datasets(enc, specs, []cluster.Scenario{sc})[0]
 }
 
 // CollectStages draws the benchmark's stage sample set (§VIII: 409 GPT-3 /

@@ -1,6 +1,7 @@
 package predictor
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -88,27 +89,68 @@ func TestCollectStagesRespectsMaxLen(t *testing.T) {
 func TestLabelerWorkPerClass(t *testing.T) {
 	m := models.Build(models.GPT3())
 	lab := NewLabeler(m, sim.DefaultProfiler())
+	enc := NewEncoder(m, true)
 	a, b := stage.Spec{Lo: 2, Hi: 4}, stage.Spec{Lo: 5, Hi: 7} // decoder × 2 both
 	scenarios := cluster.Scenarios(cluster.Platform2())
-	for _, sc := range scenarios {
-		lab.Label(a, sc)
-	}
+	lab.Datasets(enc, []stage.Spec{a}, scenarios)
 	if len(lab.graphs) != 1 || len(lab.labels) != len(scenarios) {
 		t.Fatalf("one spec under %d scenarios: %d graphs and %d optimizations, want 1 and %d",
 			len(scenarios), len(lab.graphs), len(lab.labels), len(scenarios))
 	}
-	for _, sc := range scenarios {
-		ta, ma, ca, oka := lab.Label(a, sc)
-		tb, mb, cb, okb := lab.Label(b, sc)
-		if oka != okb || ta != tb || ca != cb {
-			t.Fatalf("%v: one class labeled (%v, %v, %v) and (%v, %v, %v)", sc, ta, ca, oka, tb, cb, okb)
+	feasible := 0
+	for si, ds := range lab.Datasets(enc, []stage.Spec{a, b}, scenarios) {
+		switch len(ds.Samples) {
+		case 0:
+			continue
+		case 2:
+			feasible++
+		default:
+			t.Fatalf("%v: %d samples of two specs of one class", scenarios[si], len(ds.Samples))
 		}
-		if oka && ma == mb {
-			t.Fatalf("%v: two specs drew the same measurement %v", sc, ma)
+		sa, sb := ds.Samples[0], ds.Samples[1]
+		if sa.True != sb.True || sa.ProfileCost != sb.ProfileCost {
+			t.Fatalf("%v: one class labeled (%v, %v) and (%v, %v)", scenarios[si], sa.True, sa.ProfileCost, sb.True, sb.ProfileCost)
 		}
+		if sa.Measured == sb.Measured {
+			t.Fatalf("%v: two specs drew the same measurement %v", scenarios[si], sa.Measured)
+		}
+	}
+	if feasible == 0 {
+		t.Fatal("the stage fits no scenario")
 	}
 	if len(lab.graphs) != 1 || len(lab.labels) != len(scenarios) {
 		t.Fatalf("a spec of a labeled class built or optimized again: %d graphs, %d optimizations", len(lab.graphs), len(lab.labels))
+	}
+}
+
+// TestDatasetsMatchBuildDataset: one Datasets call over k scenarios equals k
+// BuildDataset calls, each through a labeler of its own, field for field, and
+// every dataset's sample of one spec shares the one *Encoded the encoder
+// keeps, so a run that labels through one Labeler trains on the same data.
+func TestDatasetsMatchBuildDataset(t *testing.T) {
+	m := models.Build(models.GPT3())
+	enc := NewEncoder(m, true)
+	specs := CollectStages(m, nil, 0, 3)
+	scenarios := cluster.Scenarios(cluster.Platform2())
+	got := NewLabeler(m, sim.DefaultProfiler()).Datasets(enc, specs, scenarios)
+	if len(got) != len(scenarios) {
+		t.Fatalf("%d datasets for %d scenarios", len(got), len(scenarios))
+	}
+	samples := 0
+	for si, sc := range scenarios {
+		want := BuildDataset(enc, specs, sc, sim.DefaultProfiler())
+		if !reflect.DeepEqual(got[si], want) {
+			t.Fatalf("%v: Datasets and BuildDataset disagree", sc)
+		}
+		for i, s := range got[si].Samples {
+			if s.Encoded != want.Samples[i].Encoded || s.Encoded != enc.Encode(s.Spec) {
+				t.Fatalf("%v: sample %d holds its own encoding", sc, i)
+			}
+		}
+		samples += len(want.Samples)
+	}
+	if samples == 0 {
+		t.Fatalf("no sample of %d specs under %d scenarios", len(specs), len(scenarios))
 	}
 }
 

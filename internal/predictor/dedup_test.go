@@ -120,7 +120,7 @@ func TestTrainDedupBitwise(t *testing.T) {
 		s.Measured *= [2]float64{0.01, 2}[rank[s.Encoded]%2]
 		rank[s.Encoded]++
 	}
-	own := &Dataset{Model: shared.Model, Scenario: shared.Scenario, Samples: slices.Clone(shared.Samples)}
+	own := &Dataset{Samples: slices.Clone(shared.Samples)}
 	for i := range own.Samples {
 		own.Samples[i].Encoded = cloneEncoded(t, own.Samples[i].Encoded)
 	}

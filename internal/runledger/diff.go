@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"predtop/internal/planner"
@@ -57,10 +58,10 @@ type Diff struct {
 	Attribution        []BucketDiff `json:"attribution,omitempty"`
 }
 
-// Compare diffs two manifests: identity fields, per-index plans, and the
-// attribution of every label present in both runs — its whole population,
-// then the buckets present in both (an absent bucket has no meaningful
-// delta).
+// Compare diffs two manifests: identity fields (every config key and
+// canonical metric among them), per-index plans, and the attribution of
+// every label present in both runs — its whole population, then the buckets
+// present in both (an absent bucket has no meaningful delta).
 func Compare(base, other *Manifest, baseLabel, otherLabel string) *Diff {
 	d := &Diff{BaseLabel: baseLabel, OtherLabel: otherLabel}
 	cb, errB := base.CanonicalJSON()
@@ -77,6 +78,9 @@ func Compare(base, other *Manifest, baseLabel, otherLabel string) *Diff {
 	field("weights_fingerprint", base.Canonical.WeightsFingerprint, other.Canonical.WeightsFingerprint)
 	for _, k := range unionKeys(base.Canonical.Config, other.Canonical.Config) {
 		field("config."+k, base.Canonical.Config[k], other.Canonical.Config[k])
+	}
+	for _, k := range unionKeys(base.Canonical.Metrics, other.Canonical.Metrics) {
+		field("metric."+k, metricText(base.Canonical.Metrics, k), metricText(other.Canonical.Metrics, k))
 	}
 
 	// Plans: align by index (run-level plan order is deterministic).
@@ -138,6 +142,15 @@ func Compare(base, other *Manifest, baseLabel, otherLabel string) *Diff {
 		}
 	}
 	return d
+}
+
+// metricText renders metric k exactly (shortest round-trip form), "" when
+// ms lacks it.
+func metricText(ms map[string]float64, k string) string {
+	if v, ok := ms[k]; ok {
+		return strconv.FormatFloat(v, 'g', -1, 64)
+	}
+	return ""
 }
 
 func planLabel(p *planner.Report) string {

@@ -3,6 +3,7 @@ package runledger
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -234,8 +235,52 @@ func TestCompareAndGate(t *testing.T) {
 		}
 	}
 	ident := Compare(base, same, "a", "b").Render()
-	if !strings.Contains(ident, "canonical sections: identical") {
+	if !strings.Contains(ident, "canonical sections: identical") || strings.Contains(ident, "metrics") {
 		t.Fatalf("identical rendering:\n%s", ident)
+	}
+}
+
+// TestCompareMetrics: every canonical metric is an identity field of the
+// diff, changed when its value moved or one run lacks it, and the rendering
+// lists exactly the changed ones; the gate reads none of them.
+func TestCompareMetrics(t *testing.T) {
+	base, other := fakeManifest(7, 30), fakeManifest(7, 30)
+	base.RecordMetric("mre_gpt-3_p1_f80_m1c1_tran", 12.5)
+	other.RecordMetric("mre_gpt-3_p1_f80_m1c1_tran", 13)
+	base.RecordMetric("mre_gpt-3_p1_f80_m1c1_gcn", 20) // unchanged
+	other.RecordMetric("mre_gpt-3_p1_f80_m1c1_gcn", 20)
+	base.RecordMetric("specs_gpt-3_p1", 75)     // base only
+	other.RecordMetric("win_rate_gpt-3_p1", 50) // other only
+	d := Compare(base, other, "base", "new")
+	changed := map[string][2]string{}
+	for _, f := range d.Fields {
+		if f.Changed {
+			changed[f.Field] = [2]string{f.Base, f.Other}
+		}
+	}
+	want := map[string][2]string{
+		"metric.mre_gpt-3_p1_f80_m1c1_tran": {"12.5", "13"},
+		"metric.specs_gpt-3_p1":             {"75", ""},
+		"metric.win_rate_gpt-3_p1":          {"", "50"},
+	}
+	if !maps.Equal(changed, want) {
+		t.Fatalf("changed fields %v, want %v", changed, want)
+	}
+	if msgs := d.Gate(GateThresholds{MREPct: 0.1, LatencyPct: 0.1}); len(msgs) != 0 {
+		t.Fatalf("metric changes gated: %v", msgs)
+	}
+	out := d.Render()
+	for _, row := range []string{
+		"  metric.mre_gpt-3_p1_f80_m1c1_tran: 12.5 → 13\n",
+		"  metric.specs_gpt-3_p1:       75 → -\n",
+		"  metric.win_rate_gpt-3_p1:    - → 50\n",
+	} {
+		if !strings.Contains(out, row) {
+			t.Fatalf("diff rendering missing %q:\n%s", row, out)
+		}
+	}
+	if strings.Contains(out, "_gcn") || strings.Contains(out, "epochs_run") {
+		t.Fatalf("diff rendering lists an unchanged metric:\n%s", out)
 	}
 }
 

@@ -126,7 +126,7 @@ func DefaultProfiler() Profiler { return sim.DefaultProfiler() }
 
 // ProfileStage returns the simulator's optimal intra-stage training latency
 // and a noisy profiled measurement under the scenario, labeled through a
-// labeler of its own.
+// fresh label cache.
 func ProfileStage(m *Model, sp StageSpec, sc Scenario, prof Profiler) (trueLat, measured float64, ok bool) {
 	return predictor.ProfileStage(m, sp, sc, prof)
 }
@@ -241,26 +241,27 @@ func OptimizePlan(numSegments int, p Platform, lat LatencyFn, opt PlanOptions) (
 	return planner.Optimize(numSegments, p, lat, opt)
 }
 
-// FullProfiling returns vanilla Alpa's profile-everything latency source.
+// FullProfiling returns vanilla Alpa's profile-everything latency source,
+// labeling through a fresh label cache.
 func FullProfiling(m *Model, prof Profiler, meter *CostMeter) LatencyFn {
-	return planner.FullProfiling(m, prof, meter)
+	return planner.FullProfiling(predictor.NewLabeler(m, prof), meter)
 }
 
-// TrainPredictorProvider implements the PredTOP workflow (§VI): profile a
-// sampled stage subset, train per-scenario predictors, and answer planner
-// queries with predictions.
+// TrainPredictorProvider implements the PredTOP workflow (§VI) through a fresh
+// label cache and encoder: profile a sampled stage subset, train per-scenario
+// predictors, and answer planner queries with predictions.
 func TrainPredictorProvider(m *Model, p Platform, opt PredictorOptions, prof Profiler, meter *CostMeter) LatencyFn {
-	return planner.TrainPredictorProvider(m, p, opt, prof, meter)
+	return planner.TrainPredictorProvider(predictor.NewLabeler(m, prof), predictor.NewEncoder(m, true), p, opt, meter)
 }
 
 // EvaluatePlan returns the ground-truth iteration latency of a plan, labeled
-// through a labeler of its own.
+// through a fresh label cache.
 func EvaluatePlan(m *Model, plan Plan, microbatches int) (float64, bool) {
 	return planner.EvaluatePlan(predictor.NewLabeler(m, sim.DefaultProfiler()), plan, microbatches)
 }
 
 // TrueStageLatency returns the simulator-exact optimal stage latency on a
-// mesh (best Table-III configuration), labeled through a labeler of its own.
+// mesh (best Table-III configuration), through a fresh label cache.
 func TrueStageLatency(m *Model, sp StageSpec, mesh Mesh) (float64, bool) {
 	return planner.TrueStageLatency(predictor.NewLabeler(m, sim.DefaultProfiler()), sp, mesh)
 }

@@ -41,10 +41,10 @@ var renderedBlocks = []renderedBlock{
 		map[string]string{"preset": "paperlite", "bench": "all"},
 		renderFig10},
 	{"fig2", "predtop-eval", "-preset paper -fig 2",
-		map[string]string{"preset": "paper", "bench": "all", "platform": "0", "ablate": "false", "tables": "true", "fig": "2"},
+		map[string]string{"preset": "paper", "bench": "all", "fig": "2"},
 		renderFig2},
 	{"ablation", "predtop-eval", "-preset paperlite -ablate -tables=false -bench GPT-3",
-		map[string]string{"preset": "paperlite", "bench": "gpt-3", "platform": "0", "ablate": "true", "tables": "false"},
+		map[string]string{"preset": "paperlite", "bench": "gpt-3", "ablate": "true", "tables": "false"},
 		renderAblation},
 }
 
@@ -138,7 +138,10 @@ func TestRenderedRoundTrip(t *testing.T) {
 	p.GPTStages, p.Train.Epochs, p.PlanTrain.Epochs = 12, 2, 2
 	bench := p.Benchmarks()[0]
 	tab := experiments.RunMRETable(p, bench, cluster.Platform1(), nil)
-	fig2 := experiments.RunFig2(p, nil)
+	var fig2 []experiments.Fig2Result
+	for _, b := range p.Benchmarks() {
+		fig2 = append(fig2, experiments.RunFig2(p, b, nil))
+	}
 	var reports []*planner.Report
 	for _, r := range experiments.RunFig10(p, bench, nil) {
 		if r.OK {
