@@ -14,6 +14,7 @@ import (
 
 	"predtop/internal/cluster"
 	"predtop/internal/experiments"
+	"predtop/internal/planner"
 )
 
 // benchPreset is the quick preset with a fixed seed per bench iteration.
@@ -137,17 +138,14 @@ func BenchmarkFig9StdMRE(b *testing.B) {
 func BenchmarkFig10aOptimizationCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := benchPreset(i)
-		runs := experiments.RunFig10(p, p.Benchmarks()[0], nil)
+		reports, _ := experiments.RunFig10(p, p.Benchmarks()[0], planner.Perturbation{}, nil)
 		var partial, tran float64
-		for _, r := range runs {
-			if !r.OK {
-				continue
-			}
+		for _, r := range reports {
 			if r.Version == "Alpa-Partial" {
-				partial = r.Report.Cost.TotalSeconds
+				partial = r.Cost.TotalSeconds
 			}
 			if r.Version == "PredTOP-Tran" {
-				tran = r.Report.Cost.TotalSeconds
+				tran = r.Cost.TotalSeconds
 			}
 		}
 		if partial > 0 {
@@ -161,17 +159,14 @@ func BenchmarkFig10aOptimizationCost(b *testing.B) {
 func BenchmarkFig10bPlanQuality(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := benchPreset(i)
-		runs := experiments.RunFig10(p, p.Benchmarks()[1], nil)
+		reports, _ := experiments.RunFig10(p, p.Benchmarks()[1], planner.Perturbation{}, nil)
 		var full, tran float64
-		for _, r := range runs {
-			if !r.OK {
-				continue
-			}
+		for _, r := range reports {
 			if r.Version == "Alpa-Full" {
-				full = r.Report.Pipeline.Total
+				full = r.Pipeline.Total
 			}
 			if r.Version == "PredTOP-Tran" {
-				tran = r.Report.Pipeline.Total
+				tran = r.Pipeline.Total
 			}
 		}
 		if full > 0 {

@@ -109,3 +109,39 @@ func TestFiguresFig6(t *testing.T) {
 		t.Error("unknown figure accepted")
 	}
 }
+
+// Fig 6 reads no seed, so it records none: every preset and -seed gives the
+// same manifest, which only the figure names.
+func TestFig6RecordsNoSeed(t *testing.T) {
+	ledger := filepath.Join(t.TempDir(), "L")
+	for _, args := range [][]string{
+		{"-preset", "quick"}, {"-preset", "paper"}, {"-preset", "paperlite", "-seed", "9"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(append([]string{"-fig", "6", "-runledger", ledger, "-quiet"}, args...), &stdout, &stderr); err != nil {
+			t.Fatalf("%v: %v\nstderr: %s", args, err, &stderr)
+		}
+	}
+	paths, _ := filepath.Glob(filepath.Join(ledger, "*.json"))
+	if len(paths) != 3 {
+		t.Fatalf("ledger holds %d manifests, want 3", len(paths))
+	}
+	var ids []string
+	for _, path := range paths {
+		m, err := runledger.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := map[string]string{"fig": "6"}; m.Canonical.Seed != 0 || !maps.Equal(m.Canonical.Config, want) {
+			t.Errorf("%s: seed %d, config %v; want seed 0, config %v", path, m.Canonical.Seed, m.Canonical.Config, want)
+		}
+		id, err := m.RunID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if ids[1] != ids[0] || ids[2] != ids[0] {
+		t.Errorf("one figure, three run ids: %v", ids)
+	}
+}

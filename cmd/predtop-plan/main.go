@@ -15,8 +15,10 @@
 // latencies, mesh assignments, Eqn-4 decomposition, predictor fingerprint,
 // and search statistics — to DIR as both canonical JSON (byte-identical for
 // a fixed seed) and a human-readable text rendering. -whatif replays every
-// cached plan against a perturbed cluster without re-searching and prints
-// the side-by-side latency diff; SPEC is comma-separated key=value pairs:
+// plan against a perturbed cluster without re-searching, through the label
+// cache that planned and evaluated it, and prints the side-by-side latency
+// diff (with -report, each replay also lands in DIR as
+// <bench>-<version>-whatif.json); SPEC is comma-separated key=value pairs:
 // microbatches=N (alias b), platform=1|2, and intranode-bw / internode-bw /
 // internode-lat scale factors (e.g. "microbatches=32,internode-bw=x4").
 // -diff compares two report files written by -report and exits.
@@ -42,11 +44,9 @@ import (
 	"strings"
 
 	"predtop/internal/cli"
-	"predtop/internal/cluster"
 	"predtop/internal/experiments"
 	"predtop/internal/planner"
 	"predtop/internal/predictor"
-	"predtop/internal/sim"
 )
 
 func main() {
@@ -114,22 +114,18 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		if wantBench != "" && wantBench != b.Name {
 			continue
 		}
-		runs := experiments.RunFig10(p, b, r.Log.Writer())
-		var reports []*planner.Report
-		for _, pr := range runs {
-			if pr.OK {
-				reports = append(reports, pr.Report)
-				man.RecordPlan(pr.Report)
-			}
+		reports, replays := experiments.RunFig10(p, b, whatif, r.Log.Writer())
+		for _, rep := range reports {
+			man.RecordPlan(rep)
 		}
 		fmt.Fprintln(stdout, experiments.RenderFig10(b.Name, reports))
 		if *reportDir != "" {
-			if err := saveReports(*reportDir, b.Name, runs); err != nil {
+			if err := saveReports(*reportDir, b.Name, reports); err != nil {
 				return err
 			}
 		}
 		if !whatif.IsZero() {
-			if err := runWhatIf(stdout, p, b, runs, whatif, *reportDir); err != nil {
+			if err := printWhatIf(stdout, b.Name, whatif, reports, replays, *reportDir); err != nil {
 				return err
 			}
 		}
@@ -151,20 +147,17 @@ func slug(s string) string {
 	}, s)
 }
 
-// saveReports writes each feasible run's provenance report to dir as
-// <bench>-<version>.json (canonical, byte-identical per seed) and
-// <bench>-<version>.txt (human rendering), each replaced atomically.
-func saveReports(dir, bench string, runs []experiments.PlanRun) error {
-	for _, r := range runs {
-		if r.Report == nil {
-			continue
-		}
+// saveReports writes each report to dir as <bench>-<version>.json
+// (canonical, byte-identical per seed) and <bench>-<version>.txt (human
+// rendering), each replaced atomically.
+func saveReports(dir, bench string, reports []*planner.Report) error {
+	for _, r := range reports {
 		base := filepath.Join(dir, slug(bench)+"-"+slug(r.Version))
-		if err := r.Report.SaveFile(base + ".json"); err != nil {
+		if err := r.SaveFile(base + ".json"); err != nil {
 			return err
 		}
 		if err := predictor.AtomicWrite(base+".txt", func(w io.Writer) error {
-			_, err := io.WriteString(w, r.Report.Render())
+			_, err := io.WriteString(w, r.Render())
 			return err
 		}); err != nil {
 			return err
@@ -173,30 +166,21 @@ func saveReports(dir, bench string, runs []experiments.PlanRun) error {
 	return nil
 }
 
-// runWhatIf replays every feasible plan against the perturbation and prints
-// the per-stage/total latency diff; scenario reports also land in reportDir
-// (as *-whatif.json) when -report is set.
-func runWhatIf(w io.Writer, p experiments.Preset, b experiments.Benchmark, runs []experiments.PlanRun, pt planner.Perturbation, reportDir string) error {
-	mdl, _ := experiments.Fig10Model(p, b)
-	lab := predictor.NewLabeler(mdl, sim.DefaultProfiler())
-	platform := cluster.Platform2()
-	fmt.Fprintf(w, "what-if scenario: %s (%s benchmark)\n", pt.String(), b.Name)
-	for _, r := range runs {
-		if !r.OK || r.Report == nil {
-			continue
-		}
-		scen, ok := planner.WhatIf(lab, platform, r.Plan, p.Microbatches, pt, planner.ReportOptions{
-			Version:    r.Version,
-			TraceID:    r.Report.TraceID,
-			Provenance: r.Report.Provenance,
-		})
-		if !ok {
+// printWhatIf prints each report's per-stage/total latency diff against its
+// replay under pt (replays[i] replays reports[i], nil when the plan does not
+// fit the perturbed cluster); the replays also land in reportDir (as
+// *-whatif.json) when -report is set.
+func printWhatIf(w io.Writer, bench string, pt planner.Perturbation, reports, replays []*planner.Report, reportDir string) error {
+	fmt.Fprintf(w, "what-if scenario: %s (%s benchmark)\n", pt.String(), bench)
+	for i, r := range reports {
+		scen := replays[i]
+		if scen == nil {
 			fmt.Fprintf(w, "[%s] plan infeasible under scenario %s\n", r.Version, pt.String())
 			continue
 		}
-		fmt.Fprintf(w, "[%s]\n%s", r.Version, planner.Diff(r.Report, scen).Render())
+		fmt.Fprintf(w, "[%s]\n%s", r.Version, planner.Diff(r, scen).Render())
 		if reportDir != "" {
-			path := filepath.Join(reportDir, slug(b.Name)+"-"+slug(r.Version)+"-whatif.json")
+			path := filepath.Join(reportDir, slug(bench)+"-"+slug(r.Version)+"-whatif.json")
 			if err := scen.SaveFile(path); err != nil {
 				return err
 			}

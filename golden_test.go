@@ -240,12 +240,15 @@ func TestGoldenPlans(t *testing.T) {
 		case "partial":
 			lat = planner.PartialProfiling(predictor.NewLabeler(m, DefaultProfiler()), meter, 1.2)
 		default:
-			lat = TrainPredictorProvider(m, p, PredictorOptions{
+			// The facade's TrainPredictorProvider with its provenance kept:
+			// the same fresh label cache and pruned encoder.
+			lab, enc := predictor.NewLabeler(m, DefaultProfiler()), predictor.NewEncoder(m, true)
+			lat, info = planner.TrainPredictorProvider(lab, enc, p, PredictorOptions{
 				Kind: KindTransformer, SampleFrac: 0.5, MaxStageLen: maxLen,
 				Train: TrainConfig{Epochs: 2, Patience: 2, BatchSize: 4},
 				Tran:  TransformerConfig{Layers: 1, Dim: 16, Heads: 2, FFNDim: 32},
-				Seed:  3, Info: &info,
-			}, DefaultProfiler(), meter)
+				Seed:  3,
+			}, meter)
 		}
 		plan, ok := OptimizePlan(m.NumSegments(), p, lat, PlanOptions{Microbatches: microbatches, MaxStageLen: maxLen})
 		if !ok {

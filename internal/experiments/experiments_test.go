@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -23,7 +24,7 @@ import (
 func micro() Preset {
 	return Preset{
 		Name:      "micro",
-		GPTStages: 14, MoEStages: 12, MaxLen: 2, MoEMaxLen: 2,
+		GPTStages: 14, MoEStages: 12, MaxLen: 2,
 		GPTLayers: 6, MoELayers: 6,
 		Fractions: []int{40, 70},
 		Train:     predictor.TrainConfig{Epochs: 4, Patience: 4, BatchSize: 4},
@@ -218,6 +219,26 @@ func TestRunFig2EndToEnd(t *testing.T) {
 	}
 }
 
+// reportPlan rebuilds the plan a Fig-10 report describes: its stage
+// ranges, their Platform-2 meshes (found by shape) and the search estimates.
+func reportPlan(t *testing.T, r *planner.Report) planner.Plan {
+	t.Helper()
+	meshes := cluster.Meshes(cluster.Platform2())
+	plan := planner.Plan{Est: r.EstLatency}
+	for _, s := range r.Stages {
+		mi := slices.IndexFunc(meshes, func(m cluster.Mesh) bool {
+			return m.Nodes == s.MeshNodes && m.GPUsPerNode == s.MeshGPUsPerNode
+		})
+		if mi < 0 {
+			t.Fatalf("%s: stage %d has no %dx%d Platform-2 mesh", r.Version, s.Index, s.MeshNodes, s.MeshGPUsPerNode)
+		}
+		plan.Stages = append(plan.Stages, stage.Spec{Lo: s.Lo, Hi: s.Hi})
+		plan.Meshes = append(plan.Meshes, meshes[mi])
+		plan.StageEst = append(plan.StageEst, s.EstLatency)
+	}
+	return plan
+}
+
 func TestRunFig10EndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
@@ -225,53 +246,67 @@ func TestRunFig10EndToEnd(t *testing.T) {
 	p := micro()
 	p.Obs.Prof = obs.NewProfiler()
 	bench := p.Benchmarks()[0]
-	runs := RunFig10(p, bench, nil)
-	if len(runs) != 5 {
-		t.Fatalf("fig10 versions: %d", len(runs))
+	pt, err := planner.ParsePerturbation("microbatches=32,internode-bw=x4")
+	if err != nil {
+		t.Fatal(err)
 	}
-	mdl, _ := Fig10Model(p, bench)
-	// One label cache and one encoder for the five sources and the truth.
+	reports, replays := RunFig10(p, bench, pt, nil)
+	if len(reports) != 5 || len(replays) != len(reports) {
+		t.Fatalf("fig10: %d reports, %d replays, want 5 of each", len(reports), len(replays))
+	}
+	mdl, _ := fig10Model(p, bench)
+	// One label cache and one encoder for the five sources, the truth and the
+	// replays.
 	checkGraphsPerClass(t, "Fig 10", graphsPerClass(t, p.Obs.Prof, mdl), 0)
-	var full, partial PlanRun
-	for _, r := range runs {
-		if !r.OK {
-			t.Fatalf("%s failed", r.Version)
-		}
-		// Every feasible run carries a provenance report of its plan.
-		if r.Report == nil {
-			t.Fatalf("%s: no report", r.Version)
-		}
-		if r.Report.Cost == nil || r.Report.Cost.TotalSeconds <= 0 || r.Report.Pipeline.Total <= 0 {
+	// A fresh labeler's replays are the reference the run's are held to.
+	replayLab := predictor.NewLabeler(mdl, sim.DefaultProfiler())
+	var full, partial *planner.Report
+	for i, r := range reports {
+		if r.Cost == nil || r.Cost.TotalSeconds <= 0 || r.Pipeline.Total <= 0 {
 			t.Fatalf("%s: zero cost or latency", r.Version)
 		}
-		n := r.Plan.NumStages()
-		if n == 0 || len(r.Plan.StageEst) != n {
-			t.Fatalf("%s: run plan incomplete: %+v", r.Version, r.Plan)
-		}
-		if r.Report.Version != r.Version || len(r.Report.Stages) != n {
-			t.Fatalf("%s: report mismatch: %+v", r.Version, r.Report)
+		if len(r.Stages) == 0 {
+			t.Fatalf("%s: report has no stages", r.Version)
 		}
 		// The shared evaluation labeler gives each plan the ground truth a
 		// labeler of its own gives it, to the bit.
-		want, ok := planner.EvaluatePlan(predictor.NewLabeler(mdl, sim.DefaultProfiler()), r.Plan, p.Microbatches)
-		if !ok || math.Float64bits(r.Report.Pipeline.Total) != math.Float64bits(want) {
+		plan := reportPlan(t, r)
+		want, ok := planner.EvaluatePlan(predictor.NewLabeler(mdl, sim.DefaultProfiler()), plan, p.Microbatches)
+		if !ok || math.Float64bits(r.Pipeline.Total) != math.Float64bits(want) {
 			t.Fatalf("%s: report total %v, the plan's own evaluation %v (ok %v)",
-				r.Version, r.Report.Pipeline.Total, want, ok)
+				r.Version, r.Pipeline.Total, want, ok)
 		}
-		if r.Report.LatencySource != "simulator" {
-			t.Fatalf("%s: latency source %q", r.Version, r.Report.LatencySource)
+		scen, ok := planner.WhatIf(replayLab, cluster.Platform2(), plan, p.Microbatches, pt, planner.ReportOptions{
+			Version: r.Version, TraceID: r.TraceID, Provenance: r.Provenance,
+		})
+		if !ok || replays[i] == nil {
+			t.Fatalf("%s: replay %v under %s, a fresh labeler's feasible %v", r.Version, replays[i], pt, ok)
 		}
-		if s := r.Report.Search; s == nil || s.LatencyLookups == 0 || s.TmaxCandidates == 0 {
+		got, err := replays[i].WriteJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, err := scen.WriteJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(wantJSON) {
+			t.Fatalf("%s: the run's replay differs from a fresh labeler's:\n%s\nwant\n%s", r.Version, got, wantJSON)
+		}
+		if r.LatencySource != "simulator" {
+			t.Fatalf("%s: latency source %q", r.Version, r.LatencySource)
+		}
+		if s := r.Search; s == nil || s.LatencyLookups == 0 || s.TmaxCandidates == 0 {
 			t.Fatalf("%s: search stats missing: %+v", r.Version, s)
 		}
-		if c := r.Report.Cost; c.TotalSeconds != c.ProfileSeconds+c.TrainSeconds+c.InferSeconds {
+		if c := r.Cost; c.TotalSeconds != c.ProfileSeconds+c.TrainSeconds+c.InferSeconds {
 			t.Fatalf("%s: cost block does not add up: %+v", r.Version, c)
 		}
-		if r.Report.Provenance.Source != r.Version {
-			t.Fatalf("%s: provenance source %q", r.Version, r.Report.Provenance.Source)
+		if r.Provenance.Source != r.Version {
+			t.Fatalf("%s: provenance source %q", r.Version, r.Provenance.Source)
 		}
 		if strings.HasPrefix(r.Version, "PredTOP") {
-			pv := r.Report.Provenance
+			pv := r.Provenance
 			if len(pv.Fingerprint) != 16 || pv.Predictors == 0 || pv.Seed != p.Seed {
 				t.Fatalf("%s: predictor provenance incomplete: %+v", r.Version, pv)
 			}
@@ -283,23 +318,59 @@ func TestRunFig10EndToEnd(t *testing.T) {
 			partial = r
 		}
 	}
-	if partial.Report.Cost.TotalSeconds >= full.Report.Cost.TotalSeconds {
+	if full == nil || partial == nil {
+		t.Fatal("a profiling version found no plan")
+	}
+	if partial.Cost.TotalSeconds >= full.Cost.TotalSeconds {
 		t.Fatal("partial profiling must cost less than full")
 	}
 	// Every predictor version must beat partial profiling on cost — the
 	// core Fig-10a claim.
-	var reports []*planner.Report
-	for i, r := range runs {
-		reports = append(reports, r.Report)
-		if c := r.Report.Cost.TotalSeconds; i >= 2 && c >= partial.Report.Cost.TotalSeconds {
+	for _, r := range reports[2:] {
+		if c := r.Cost.TotalSeconds; c >= partial.Cost.TotalSeconds {
 			t.Fatalf("%s (%.0fs) not cheaper than partial (%.0fs)",
-				r.Version, c, partial.Report.Cost.TotalSeconds)
+				r.Version, c, partial.Cost.TotalSeconds)
 		}
 	}
 	out := RenderFig10("GPT-3", reports)
 	for _, want := range []string{"(a) optimization time", "(b) iteration latency", "vs partial", "vs full"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("fig10 render missing %q", want)
+		}
+	}
+}
+
+// A zero perturbation replays nothing, and a perturbation moves no byte of
+// the reports.
+func TestRunFig10ZeroPerturbation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training test")
+	}
+	p := micro()
+	bench := p.Benchmarks()[0]
+	pt, err := planner.ParsePerturbation("microbatches=32,internode-bw=x4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, replays := RunFig10(p, bench, planner.Perturbation{}, nil)
+	if replays != nil {
+		t.Fatalf("a zero perturbation returned %d replays", len(replays))
+	}
+	perturbed, _ := RunFig10(p, bench, pt, nil)
+	if len(reports) != len(perturbed) {
+		t.Fatalf("%d reports without the replays, %d with", len(reports), len(perturbed))
+	}
+	for i, r := range reports {
+		got, err := perturbed[i].WriteJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := r.WriteJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("%s: the replays moved the report:\n%s\nwant\n%s", r.Version, got, want)
 		}
 	}
 }

@@ -13,26 +13,10 @@ import (
 	"predtop/internal/sim"
 )
 
-// PlanRun is one bar of Fig 10: a planner version's winning plan and, when
-// the search found one, its provenance report, which carries both the
-// optimization cost (10a, Report.Cost) and the ground-truth iteration
-// latency of the plan (10b, Report.Pipeline.Total).
-type PlanRun struct {
-	Version string
-	OK      bool
-	// Plan is the winning plan itself (zero when the search found none) —
-	// the input to planner.WhatIf replays.
-	Plan planner.Plan
-	// Report is the plan's provenance report (nil when !OK), recorded in the
-	// run's ledger manifest and written out by predtop-plan -report.
-	Report *planner.Report
-}
-
-// Fig10Model builds the benchmark model exactly as RunFig10 plans it —
+// fig10Model builds the benchmark model exactly as RunFig10 plans it —
 // applying the preset's Fig-10 layer overrides — and returns it with the
-// planner's max stage length. Exported so what-if replays in cmd/predtop-plan
-// evaluate cached plans against the same model the planner saw.
-func Fig10Model(p Preset, bench Benchmark) (*models.Model, int) {
+// planner's max stage length.
+func fig10Model(p Preset, bench Benchmark) (*models.Model, int) {
 	cfg := bench.Config
 	maxLen := p.PlanMaxLenGPT
 	if bench.Name == "MoE" {
@@ -48,57 +32,73 @@ func Fig10Model(p Preset, bench Benchmark) (*models.Model, int) {
 
 // RunFig10 reproduces the Fig-10 use case for one benchmark on Platform 2:
 // vanilla Alpa with full and partial profiling versus PredTOP with DAG
-// Transformer, GCN, and GAT predictors. The five sources and the plans'
-// ground truth share one Labeler and one pruned Encoder, so each stage class
-// is labeled and encoded once per benchmark; as the Labeler is not safe for
-// concurrent use, the searches run serially, in version order, each right
-// after its source is built.
-func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
+// Transformer, GCN, and GAT predictors. It returns the provenance report of
+// each version that found a plan, in version order: a report carries both
+// the optimization cost (10a, Report.Cost) and the ground-truth iteration
+// latency of the plan (10b, Report.Pipeline.Total). When pt is not zero,
+// replays[i] is reports[i]'s plan replayed under pt (planner.WhatIf), nil
+// where the plan does not fit the perturbed cluster; replays is nil when pt
+// is zero.
+//
+// The five sources, the plans' ground truth and the replays share one
+// Labeler and one pruned Encoder, so each stage class is labeled and encoded
+// once per benchmark; as the Labeler is not safe for concurrent use, the
+// searches run serially, in version order, each right after its source is
+// built.
+func RunFig10(p Preset, bench Benchmark, pt planner.Perturbation, log io.Writer) (reports, replays []*planner.Report) {
 	if log == nil {
 		log = io.Discard
 	}
 	platform := cluster.Platform2()
-	mdl, maxLen := Fig10Model(p, bench)
+	mdl, maxLen := fig10Model(p, bench)
 	mdl.Prof = p.Obs.Prof
 	lab := predictor.NewLabeler(mdl, sim.DefaultProfiler())
 	enc := predictor.NewEncoder(mdl, true)
 	opts := planner.Options{Microbatches: p.Microbatches, MaxStageLen: maxLen, Prof: p.Obs.Prof}
 
 	// Each planner version owns its cost meter and provenance, and is
-	// searched and evaluated as soon as its source is built.
-	var out []PlanRun
+	// searched, evaluated and replayed as soon as its source is built.
 	search := func(version string, latFn planner.LatencyFn, meter *planner.Meter, info planner.ProviderInfo) {
 		// The search times itself: a planner.optimize span on opts.Prof.
 		plan, ok := planner.Optimize(mdl.NumSegments(), platform, latFn, opts)
-		run := PlanRun{Version: version, OK: ok, Plan: plan}
 		var lats []float64
-		if run.OK {
+		if ok {
 			evalSpan := p.Obs.Prof.Start("evaluate")
-			lats, run.OK = planner.StageLatencies(lab, run.Plan)
+			lats, ok = planner.StageLatencies(lab, plan)
 			evalSpan.End()
 		}
 		iter := 0.0
-		if run.OK {
-			run.Report = planner.BuildReport(mdl, platform, run.Plan, lats, planner.ReportOptions{
+		var r *planner.Report
+		if ok {
+			r = planner.BuildReport(mdl, platform, plan, lats, planner.ReportOptions{
 				Version:      version,
 				TraceID:      p.Obs.Ctx.TraceID(),
 				Microbatches: p.Microbatches,
 				Provenance:   info,
 				Meter:        meter,
 			})
-			iter = run.Report.Pipeline.Total
+			iter = r.Pipeline.Total
 		}
 		fmt.Fprintf(log, "[fig10 %s] %-13s opt %.0fs (profile %.0fs train %.0fs infer %.0fs, %d profiles) iter %.3fs stages %d\n",
 			bench.Name, version, meter.Total(), meter.ProfileSeconds, meter.TrainSeconds,
-			meter.InferSeconds, meter.StagesProfiled, iter, len(run.Plan.Stages))
+			meter.InferSeconds, meter.StagesProfiled, iter, len(plan.Stages))
+		if !ok {
+			return
+		}
 		// Render each feasible plan's simulated 1F1B schedule as its own set
 		// of trace tracks so plan shapes are comparable side by side.
-		if run.OK {
-			if err := pipeline.AddSchedule(p.Obs.Trace, fmt.Sprintf("%s %s ", bench.Name, version), lats, p.Microbatches); err != nil {
-				fmt.Fprintf(log, "[fig10 %s] %s schedule trace: %v\n", bench.Name, version, err)
-			}
+		if err := pipeline.AddSchedule(p.Obs.Trace, fmt.Sprintf("%s %s ", bench.Name, version), lats, p.Microbatches); err != nil {
+			fmt.Fprintf(log, "[fig10 %s] %s schedule trace: %v\n", bench.Name, version, err)
 		}
-		out = append(out, run)
+		reports = append(reports, r)
+		if !pt.IsZero() {
+			scen, _ := planner.WhatIf(lab, platform, plan, p.Microbatches, pt, planner.ReportOptions{
+				Version:    version,
+				TraceID:    r.TraceID,
+				Provenance: info,
+			})
+			replays = append(replays, scen)
+		}
 	}
 	full, partial := &planner.Meter{}, &planner.Meter{}
 	search("Alpa-Full", planner.FullProfiling(lab, full), full, planner.ProviderInfo{Source: "Alpa-Full"})
@@ -109,8 +109,7 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 	planTrain.Prof, planTrain.Flight = p.Obs.Prof, p.Obs.Flight
 	for _, kind := range []planner.PredictorKind{planner.KindGCN, planner.KindGAT, planner.KindTransformer} {
 		meter := &planner.Meter{}
-		var info planner.ProviderInfo
-		latFn := planner.TrainPredictorProvider(lab, enc, platform, planner.PredictorOptions{
+		latFn, info := planner.TrainPredictorProvider(lab, enc, platform, planner.PredictorOptions{
 			Kind:        kind,
 			SampleFrac:  p.PredSampleFrac,
 			MaxStageLen: maxLen,
@@ -119,11 +118,10 @@ func RunFig10(p Preset, bench Benchmark, log io.Writer) []PlanRun {
 			GCN:         p.GCN,
 			GAT:         p.GAT,
 			Seed:        p.Seed,
-			Info:        &info,
 		}, meter)
 		search(kind.String(), latFn, meter, info)
 	}
-	return out
+	return reports, replays
 }
 
 // RenderFig10 prints both panels from the reports of the versions that found

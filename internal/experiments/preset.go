@@ -36,7 +36,6 @@ type Preset struct {
 	GPTLayers int
 	MoELayers int
 	MaxLen    int // max stage length in segments for GPT-3 table samples
-	MoEMaxLen int // max stage length for MoE (0 = MaxLen − 1, at least 1)
 
 	// Training-set fractions evaluated (percent), Tables V/VI rows.
 	Fractions []int
@@ -161,15 +160,9 @@ type Benchmark struct {
 
 // Benchmarks returns the two Table-IV benchmarks at this preset's sample
 // counts. MoE decoder layers carry larger operator graphs (experts), so its
-// table stages are capped one segment shorter when MoEMaxLen is unset.
+// table stages are capped one segment shorter (at least 1).
 func (p Preset) Benchmarks() []Benchmark {
-	moeLen := p.MoEMaxLen
-	if moeLen == 0 {
-		moeLen = p.MaxLen - 1
-		if moeLen < 1 {
-			moeLen = 1
-		}
-	}
+	moeLen := max(p.MaxLen-1, 1)
 	gpt, moe := models.GPT3(), models.MoE()
 	if p.GPTLayers > 0 {
 		gpt.Layers = p.GPTLayers

@@ -307,7 +307,7 @@ func TestPredictorProviderEndToEnd(t *testing.T) {
 	mdl := tinyModel()
 	p := cluster.Platform1()
 	meter := &Meter{}
-	latFn := TrainPredictorProvider(newLabeler(mdl), predictor.NewEncoder(mdl, true), p, PredictorOptions{
+	latFn, _ := TrainPredictorProvider(newLabeler(mdl), predictor.NewEncoder(mdl, true), p, PredictorOptions{
 		Kind:       KindTransformer,
 		SampleFrac: 0.5,
 		Train:      predictor.TrainConfig{Epochs: 25, Patience: 25, BatchSize: 8},

@@ -182,10 +182,6 @@ type PredictorOptions struct {
 	GCN   graphnn.GCNConfig
 	GAT   graphnn.GATConfig
 	Seed  int64
-	// Info, when non-nil, is filled by TrainPredictorProvider with the
-	// provenance of the trained predictors (kind, seed, weight fingerprint)
-	// for inclusion in plan reports. Observation only.
-	Info *ProviderInfo
 }
 
 // TrainPredictorProvider implements PredTOP's workflow (§VI): profile a
@@ -195,10 +191,12 @@ type PredictorOptions struct {
 // stage of the universe on each mesh, the best configuration behind an
 // analytic memory-feasibility screen — before returning (see
 // predictedLatency). Profiling, training, and inference costs are charged to
-// meter, an inference per lookup as the search asks. The per-scenario
-// trainings and the forwards run concurrently across GOMAXPROCS; weights,
-// meter and answers are bitwise the same at any GOMAXPROCS.
-func TrainPredictorProvider(lab *predictor.Labeler, enc *predictor.Encoder, p cluster.Platform, opt PredictorOptions, meter *Meter) LatencyFn {
+// meter, an inference per lookup as the search asks. It also returns the
+// trained predictors' provenance (kind, seed, weight fingerprint) for plan
+// reports. The per-scenario trainings and the forwards run concurrently
+// across GOMAXPROCS; weights, meter and answers are bitwise the same at any
+// GOMAXPROCS.
+func TrainPredictorProvider(lab *predictor.Labeler, enc *predictor.Encoder, p cluster.Platform, opt PredictorOptions, meter *Meter) (LatencyFn, ProviderInfo) {
 	mdl := lab.Model()
 	rng := rand.New(rand.NewSource(opt.Seed + 1))
 	universe := stage.AllSpecs(mdl.NumSegments(), opt.MaxStageLen)
@@ -260,18 +258,15 @@ func TrainPredictorProvider(lab *predictor.Labeler, enc *predictor.Encoder, p cl
 		inOrder = append(inOrder, j.tr)
 	}
 
-	if opt.Info != nil {
-		*opt.Info = ProviderInfo{
-			Source:      opt.Kind.String(),
-			Kind:        opt.Kind.String(),
-			Seed:        opt.Seed,
-			Fingerprint: WeightFingerprint(inOrder...),
-			Predictors:  len(trained),
-			SampleFrac:  opt.SampleFrac,
-		}
+	info := ProviderInfo{
+		Source:      opt.Kind.String(),
+		Kind:        opt.Kind.String(),
+		Seed:        opt.Seed,
+		Fingerprint: WeightFingerprint(inOrder...),
+		Predictors:  len(trained),
+		SampleFrac:  opt.SampleFrac,
 	}
-
-	return predictedLatency(cluster.Meshes(p), universe, trained, lab, enc, opt.Train.Prof, meter)
+	return predictedLatency(cluster.Meshes(p), universe, trained, lab, enc, opt.Train.Prof, meter), info
 }
 
 // scKey names one scenario's trained predictor by its mesh and configuration

@@ -117,7 +117,7 @@ func TestGraphsBuiltPerUnitOfWork(t *testing.T) {
 	meter = &Meter{}
 	p := cluster.Platform1()
 	const maxLen = 2
-	pred := TrainPredictorProvider(newLabeler(mdl), predictor.NewEncoder(mdl, true), p, PredictorOptions{
+	pred, _ := TrainPredictorProvider(newLabeler(mdl), predictor.NewEncoder(mdl, true), p, PredictorOptions{
 		Kind:        KindTransformer,
 		SampleFrac:  1, // the sample is the whole universe, so its size is known here
 		MaxStageLen: maxLen,
@@ -176,7 +176,7 @@ func TestGraphsBuiltPerUnitOfWork(t *testing.T) {
 	mdl.Prof = obs.NewProfiler()
 	trainProf := obs.NewProfiler()
 	const sampledLen = 4
-	pred = TrainPredictorProvider(newLabeler(mdl), predictor.NewEncoder(mdl, true), p, PredictorOptions{
+	pred, _ = TrainPredictorProvider(newLabeler(mdl), predictor.NewEncoder(mdl, true), p, PredictorOptions{
 		Kind:        KindTransformer,
 		SampleFrac:  0.2,
 		MaxStageLen: sampledLen,
@@ -379,7 +379,8 @@ func TestTrainPredictorProviderWorkerInvariant(t *testing.T) {
 		// own epoch: the training costs then differ and their sum shows the
 		// order they were added in.
 		r := result{meter: Meter{TrainSeconds: 0.7}}
-		lat := TrainPredictorProvider(newLabeler(mdl), predictor.NewEncoder(mdl, true), p, PredictorOptions{
+		var lat LatencyFn
+		lat, r.info = TrainPredictorProvider(newLabeler(mdl), predictor.NewEncoder(mdl, true), p, PredictorOptions{
 			Kind:        KindTransformer,
 			SampleFrac:  0.5,
 			MaxStageLen: maxLen,
@@ -387,7 +388,6 @@ func TestTrainPredictorProviderWorkerInvariant(t *testing.T) {
 				Prof: obs.NewProfiler(), Flight: obs.NewFlightRecorder(0)},
 			Tran: graphnn.TransformerConfig{Layers: 1, Dim: 16, Heads: 2, FFNDim: 32},
 			Seed: 5,
-			Info: &r.info,
 		}, &r.meter)
 		for _, sp := range stage.AllSpecs(mdl.NumSegments(), maxLen) {
 			for _, mesh := range cluster.Meshes(p) {

@@ -162,9 +162,11 @@ func sortedWhatIfKeys() []string {
 // the whole scenario value, so the perturbed meshes get labels of their own),
 // and recompose Eqn 4 at the (possibly overridden) microbatch count. The
 // returned report carries the perturbation as its Scenario label, ready for
-// Diff against the baseline report. ok is false when a stage no longer fits
-// (e.g. the swapped platform has less memory) or the perturbed platform
-// cannot host a stage's submesh shape.
+// Diff against the baseline report. A labeler that already holds the
+// baseline's labels (the run's own, as in experiments.RunFig10) reuses its
+// class graphs and gives the same bits as a fresh one. ok is false when a
+// stage no longer fits (e.g. the swapped platform has less memory) or the
+// perturbed platform cannot host a stage's submesh shape.
 func WhatIf(lab *predictor.Labeler, base cluster.Platform, plan Plan, microbatches int, pt Perturbation, opt ReportOptions) (*Report, bool) {
 	perturbed := pt.Apply(base)
 	if microbatches <= 0 {

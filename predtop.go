@@ -224,7 +224,7 @@ type (
 	// (deterministic counts only); a searched Plan carries it as Search.
 	PlanSearchStats = planner.SearchStats
 	// PlanProviderInfo identifies a plan's latency source: kind, seed, and
-	// trained-weight fingerprint (see PredictorOptions.Info).
+	// trained-weight fingerprint (a plan report's provenance block).
 	PlanProviderInfo = planner.ProviderInfo
 )
 
@@ -249,9 +249,11 @@ func FullProfiling(m *Model, prof Profiler, meter *CostMeter) LatencyFn {
 
 // TrainPredictorProvider implements the PredTOP workflow (§VI) through a fresh
 // label cache and encoder: profile a sampled stage subset, train per-scenario
-// predictors, and answer planner queries with predictions.
+// predictors, and answer planner queries with predictions. The predictors'
+// provenance is dropped; planner.TrainPredictorProvider returns it.
 func TrainPredictorProvider(m *Model, p Platform, opt PredictorOptions, prof Profiler, meter *CostMeter) LatencyFn {
-	return planner.TrainPredictorProvider(predictor.NewLabeler(m, prof), predictor.NewEncoder(m, true), p, opt, meter)
+	lat, _ := planner.TrainPredictorProvider(predictor.NewLabeler(m, prof), predictor.NewEncoder(m, true), p, opt, meter)
+	return lat
 }
 
 // EvaluatePlan returns the ground-truth iteration latency of a plan, labeled

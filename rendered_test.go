@@ -142,12 +142,7 @@ func TestRenderedRoundTrip(t *testing.T) {
 	for _, b := range p.Benchmarks() {
 		fig2 = append(fig2, experiments.RunFig2(p, b, nil))
 	}
-	var reports []*planner.Report
-	for _, r := range experiments.RunFig10(p, bench, nil) {
-		if r.OK {
-			reports = append(reports, r.Report)
-		}
-	}
+	reports, _ := experiments.RunFig10(p, bench, planner.Perturbation{}, nil)
 
 	man := runledger.New("predtop-eval", p.Seed)
 	for _, ms := range []map[string]float64{tab.Metrics(), fig2[0].Summary().Metrics(), fig2[1].Summary().Metrics()} {

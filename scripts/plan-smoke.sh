@@ -4,12 +4,13 @@
 # contract end to end: the what-if diff prints, a written report carries the
 # search and cost facts in their one home (its search and cost blocks), the
 # report JSON round-trips through -diff, and a second identical run
-# reproduces every report byte-for-byte (reports are pure functions of the
-# seed — no wall-clock, no map-order, no scheduling dependence, no core-count
-# dependence: it runs on one core), as does a third run with more workers
-# than cores, and the second records a manifest with the same content
-# address, whose plans are those reports whole. Any failure fails the script, which is wired into
-# `make ci` via the plan-smoke target.
+# reproduces every report and every what-if replay byte-for-byte (reports
+# are pure functions of the seed — no wall-clock, no map-order, no
+# scheduling dependence, no core-count dependence: it runs on one core), as
+# does a third run with more workers than cores, and the second records a
+# manifest with the same content address, whose plans are those reports
+# whole. Any failure fails the script, which is wired into `make ci` via the
+# plan-smoke target.
 set -eu
 
 GO=${GO:-go}
@@ -76,14 +77,13 @@ grep -q "total" "$WORK/diff.out" || {
 # and the shared run id below also cover GOMAXPROCS: the predictor trainings
 # and the profiled arms' labeler fan-out (a mesh's configurations labeled
 # concurrently) both spread across it.
-echo "plan-smoke: re-running under GOMAXPROCS=1 and 3 for byte-identical reports"
+echo "plan-smoke: re-running under GOMAXPROCS=1 and 3 for byte-identical reports and replays"
 GOMAXPROCS=1 "$WORK/predtop-plan" -preset quick -bench GPT-3 -quiet -report "$WORK/r2" \
     -whatif "microbatches=32,internode-bw=x4" -runledger "$WORK/L" > /dev/null
 GOMAXPROCS=3 "$WORK/predtop-plan" -preset quick -bench GPT-3 -quiet -report "$WORK/r3" \
     -whatif "microbatches=32,internode-bw=x4" > /dev/null
 for f in "$WORK"/r1/*.json; do
     name=$(basename "$f")
-    case "$name" in *-whatif.json) continue ;; esac
     for r in r2 r3; do
         if ! cmp -s "$f" "$WORK/$r/$name"; then
             echo "plan-smoke: report $name not byte-identical across runs ($r)" >&2
